@@ -17,22 +17,12 @@ Acceptance gate: the columnar lane must beat the batched row path by ≥2x in
 full mode (≥1.2x smoke) on total time over the filter+project mix, with
 exactly equal result sets on every query.
 
-The aggregation experiment times the popularity GROUP BY roll-up under the
-process-pool partial-aggregation lane (``process_workers=2``): forked
-workers each aggregate one heap span and ship O(groups) accumulator state
-back.  On a multi-core host the lane must clear ≥1.3x over single-process
-vectorized aggregation; on a single-core host (this container: the forked
-children serialize on one CPU) the numbers are reported honestly and the
-floor is not asserted — mirroring how the PR-4 thread-lane results are
-handled under the GIL.
-
 Results land in ``BENCH_columnar.json`` (``BENCH_columnar.smoke.json`` under
 ``REPRO_BENCH_SMOKE=1``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from bench_common import print_table, smoke_mode, write_bench_json
@@ -66,9 +56,6 @@ POPULARITY_SQL = (
 VARIANTS = {
     "row-path": ExecutionSettings(columnar_kernels=False),
     "columnar": ExecutionSettings(),
-    "columnar+process": ExecutionSettings(
-        process_workers=2, process_threshold=10_000
-    ),
 }
 
 _DB_CACHE: dict[str, Database] = {}
@@ -93,9 +80,6 @@ def _build(variant: str) -> Database:
             for i in range(NUM_ROWS)
         ],
     )
-    # The process-partial cost gate needs cached statistics for its group
-    # estimate (without them it assumes one group per input row and vetoes).
-    db.table("readings").statistics(refresh=True)
     _DB_CACHE[variant] = db
     return db
 
@@ -107,17 +91,6 @@ def _best_seconds(db: Database, sql: str) -> float:
         db.execute(sql)
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def _process_partials(db: Database, sql: str) -> int:
-    """The fork fan-out the planner actually chose for ``sql`` (1 = off)."""
-    from repro.sql.parser import parse
-    from repro.storage.planner import Planner
-
-    plan = Planner(db).plan_select(parse(sql))
-    if plan.aggregate is None:
-        return 1
-    return getattr(plan.aggregate, "process_partials", 1)
 
 
 class TestColumnarKernels:
@@ -173,65 +146,6 @@ class TestColumnarKernels:
             f"columnar lane only {mix_speedup:.2f}x over the batched row path "
             f"(needed ≥{floor}x)"
         )
-
-    def test_process_pool_aggregation(self):
-        """Forked partial aggregation on the popularity roll-up.
-
-        The speedup floor only binds where the forks can actually run in
-        parallel (≥2 CPUs and the planner opened the lane); a single-core
-        host reports the measured — usually negative — delta honestly.
-        """
-        sequential = _build("columnar")
-        forked = _build("columnar+process")
-        expected = sequential.execute(POPULARITY_SQL).rows
-        got = forked.execute(POPULARITY_SQL).rows
-        # Partial aggregation sums each heap span before merging, so the
-        # float SUM column can differ from the sequential fold by an ulp
-        # (float addition is not associative); everything else is exact.
-        assert len(got) == len(expected)
-        for got_row, expected_row in zip(got, expected):
-            for got_value, expected_value in zip(got_row, expected_row):
-                if isinstance(got_value, float) and isinstance(expected_value, float):
-                    tolerance = max(1e-9, 1e-12 * abs(expected_value))
-                    assert abs(got_value - expected_value) <= tolerance
-                else:
-                    assert got_value == expected_value
-        seq_seconds = _best_seconds(sequential, POPULARITY_SQL)
-        fork_seconds = _best_seconds(forked, POPULARITY_SQL)
-        partials = _process_partials(forked, POPULARITY_SQL)
-        speedup = seq_seconds / fork_seconds
-        cpus = os.cpu_count() or 1
-        print_table(
-            "Process-pool partial aggregation: popularity GROUP BY",
-            ["variant", "best latency", "partials", "speedup"],
-            [
-                ("vectorized", f"{seq_seconds * 1000:.1f}ms", 1, "1.00x"),
-                (
-                    "vectorized+process",
-                    f"{fork_seconds * 1000:.1f}ms",
-                    partials,
-                    f"{speedup:.2f}x",
-                ),
-            ],
-        )
-        write_bench_json(
-            "columnar_process",
-            {
-                "rows": NUM_ROWS,
-                "cpu_count": cpus,
-                "process_partials": partials,
-                "seconds": {
-                    "vectorized": seq_seconds,
-                    "vectorized+process": fork_seconds,
-                },
-                "process_speedup": round(speedup, 3),
-            },
-        )
-        if cpus >= 2 and partials > 1 and not smoke_mode():
-            assert speedup >= 1.3, (
-                f"process-pool lane only {speedup:.2f}x over single-process "
-                f"vectorized aggregation on {cpus} CPUs (needed ≥1.3x)"
-            )
 
     def test_columnar_off_reproduces_row_path_exactly(self):
         """``columnar_kernels=False`` must be byte-for-byte today's engine:

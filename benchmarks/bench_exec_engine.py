@@ -1,4 +1,4 @@
-"""Execution-engine benchmark: row-at-a-time vs batched vs parallel scans.
+"""Execution-engine benchmark: row-at-a-time vs batched scans.
 
 The batched execution refactor moves rows through the operator tree in
 ~256-row batches with compiled predicate/projection fast paths, replacing the
@@ -8,26 +8,19 @@ on the Figure 1 meta-query mix over a 50k-row feature-relation shape:
 
 * **row-at-a-time** — the historical engine model, reproduced exactly by
   ``ExecutionSettings(batch_size=1, compile_expressions=False)``,
-* **batched** — the shipped defaults (batch_size=256, compiled expressions),
-* **batched+parallel** — batching plus ``ParallelSeqScan`` fan-out across 4
-  workers.  Under CPython's GIL the workers' pure-Python row construction
-  serializes, so the fan-out's barrier materialization is a measured *cost*
-  at this scale — reported honestly below; the engine therefore ships with
-  ``parallel_workers=1`` and the planner only parallelizes when configured.
+* **batched** — the shipped defaults (batch_size=256, compiled expressions).
 
 Acceptance gate: the batched engine must beat row-at-a-time by ≥2x on the
 SeqScan+HashJoin meta-query, with identical result sets (and identical order
-under ORDER BY) across batch sizes 1/256 and 1–4 workers.
+under ORDER BY) across batch sizes 1/256.
 
 The aggregation experiment (``TestAggEngine``) isolates the vectorized
 aggregation stage added on top of the batched engine: grouped queries now run
 through ``HashAggregate``/``SortedGroupAggregate`` with incremental
-accumulators (and parallel partial aggregation under ``ParallelSeqScan``)
-instead of the executor's historical materialize-then-rewalk pass.  Its
-variants hold the batched scan machinery fixed and toggle only
+accumulators instead of the executor's historical materialize-then-rewalk
+pass.  Its variants hold the batched scan machinery fixed and toggle only
 ``vectorized_aggregation``, so the measured delta is the aggregation rewrite
-itself; the parallel lane is reported honestly even where the GIL makes it a
-wash.
+itself.
 
 Results are written to ``BENCH_exec.json`` / ``BENCH_agg.json``
 (machine-readable, tracked across PRs); ``REPRO_BENCH_SMOKE=1`` shrinks the
@@ -71,14 +64,10 @@ MIX_SQL = [
 VARIANTS = {
     "row-at-a-time": ExecutionSettings(
         batch_size=1,
-        parallel_workers=1,
         compile_expressions=False,
         vectorized_aggregation=False,
     ),
-    "batched": ExecutionSettings(batch_size=256, parallel_workers=1),
-    "batched+parallel": ExecutionSettings(
-        batch_size=256, parallel_workers=4, parallel_threshold=4096
-    ),
+    "batched": ExecutionSettings(batch_size=256),
 }
 
 #: Aggregation-stage variants: identical batched scans, only the aggregation
@@ -87,12 +76,9 @@ VARIANTS = {
 AGG_VARIANTS = {
     "row-at-a-time": VARIANTS["row-at-a-time"],
     "batched-baseline": ExecutionSettings(
-        batch_size=256, parallel_workers=1, vectorized_aggregation=False
+        batch_size=256, vectorized_aggregation=False
     ),
-    "vectorized": ExecutionSettings(batch_size=256, parallel_workers=1),
-    "vectorized+parallel": ExecutionSettings(
-        batch_size=256, parallel_workers=4, parallel_threshold=4096
-    ),
+    "vectorized": ExecutionSettings(batch_size=256),
 }
 
 _DB_CACHE: dict[str, Database] = {}
@@ -163,7 +149,6 @@ class TestExecEngine:
             rows,
         )
         batched_speedup = base["join"] / timings["batched"]["join"]
-        parallel_speedup = base["join"] / timings["batched+parallel"]["join"]
         write_bench_json(
             "exec",
             {
@@ -173,7 +158,6 @@ class TestExecEngine:
                 },
                 "seconds": timings,
                 "join_speedup_batched": round(batched_speedup, 3),
-                "join_speedup_parallel": round(parallel_speedup, 3),
             },
         )
         # Smoke runs shrink the tables until fixed costs dominate; the full
@@ -184,30 +168,23 @@ class TestExecEngine:
             f"(needed ≥{floor}x)"
         )
 
-    def test_identical_results_across_batch_sizes_and_workers(self):
+    def test_identical_results_across_batch_sizes(self):
         expected = {sql: _build("row-at-a-time").execute(sql).rows
                     for _, sql in MIX_SQL}
         expected[JOIN_SQL] = _build("row-at-a-time").execute(JOIN_SQL).rows
         for batch_size in (1, 256):
-            for workers in (1, 2, 4):
-                db = Database(
-                    exec_settings=ExecutionSettings(
-                        batch_size=batch_size,
-                        parallel_workers=workers,
-                        parallel_threshold=1024,
-                    )
-                )
-                source = _build("batched")
-                for table in ("Queries", "Attributes"):
-                    schema = source.table(table).schema
-                    db.create_table(schema)
-                    db.insert_rows(table, source.table(table).rows())
-                for sql, rows in expected.items():
-                    got = db.execute(sql).rows
-                    if "ORDER BY" in sql:
-                        assert got == rows, (batch_size, workers, sql)
-                    else:
-                        assert sorted(got) == sorted(rows), (batch_size, workers, sql)
+            db = Database(exec_settings=ExecutionSettings(batch_size=batch_size))
+            source = _build("batched")
+            for table in ("Queries", "Attributes"):
+                schema = source.table(table).schema
+                db.create_table(schema)
+                db.insert_rows(table, source.table(table).rows())
+            for sql, rows in expected.items():
+                got = db.execute(sql).rows
+                if "ORDER BY" in sql:
+                    assert got == rows, (batch_size, sql)
+                else:
+                    assert sorted(got) == sorted(rows), (batch_size, sql)
 
     def test_explain_analyze_row_counts_match_metrics(self):
         db = _build("batched")
@@ -248,9 +225,8 @@ AGG_SQL = [
 
 
 class TestAggEngine:
-    def test_agg_speedups_and_parallel_lane(self):
-        """Vectorized aggregation ≥3x on the popularity GROUP BY (full run);
-        the parallel partial-aggregation lane is reported honestly."""
+    def test_agg_speedups(self):
+        """Vectorized aggregation ≥3x on the popularity GROUP BY (full run)."""
         timings: dict[str, dict[str, float]] = {}
         for variant in AGG_VARIANTS:
             db = _build(variant)
@@ -282,10 +258,6 @@ class TestAggEngine:
             for name, _ in AGG_SQL
         }
         popularity_speedup = base["popularity"] / timings["vectorized"]["popularity"]
-        parallel_vs_vectorized = (
-            timings["vectorized"]["popularity"]
-            / timings["vectorized+parallel"]["popularity"]
-        )
         write_bench_json(
             "agg",
             {
@@ -296,7 +268,6 @@ class TestAggEngine:
                 "seconds": timings,
                 "speedups_vs_batched_baseline": speedups,
                 "popularity_speedup_vectorized": round(popularity_speedup, 3),
-                "parallel_vs_vectorized_popularity": round(parallel_vs_vectorized, 3),
             },
         )
         floor = 1.2 if smoke_mode() else 3.0
@@ -304,24 +275,15 @@ class TestAggEngine:
             f"vectorized aggregation only {popularity_speedup:.2f}x over the "
             f"batched baseline on popularity (needed ≥{floor}x)"
         )
-        # The parallel lane must not regress vs single-threaded vectorized
-        # aggregation (the merged states are O(groups), so the fan-out no
-        # longer pays the O(rows) barrier cost).  Generous slack in smoke
-        # mode where fixed pool costs dominate the tiny tables.
-        slack = 0.5 if smoke_mode() else 0.85
-        assert parallel_vs_vectorized >= slack, (
-            f"parallel partial aggregation is {parallel_vs_vectorized:.2f}x of "
-            f"single-threaded vectorized (needed ≥{slack:.2f}x)"
-        )
 
     def test_grouped_results_identical_across_variants(self):
-        """CI correctness gate: the vectorized and parallel aggregation paths
-        must return exactly what the historical row-at-a-time engine returns
+        """CI correctness gate: the vectorized aggregation path must return
+        exactly what the historical row-at-a-time engine returns
         (``ts`` is integral-valued, so even float sums are exact)."""
         expected = {
             sql: _build("row-at-a-time").execute(sql).rows for _, sql in AGG_SQL
         }
-        for variant in ("batched-baseline", "vectorized", "vectorized+parallel"):
+        for variant in ("batched-baseline", "vectorized"):
             db = _build(variant)
             for sql, rows in expected.items():
                 got = db.execute(sql).rows

@@ -16,15 +16,10 @@ fixes both:
   only) currently on disk against the newest committed trajectory entry
   that carries each metric, and exit 1 if any regressed by more than 25%.
   Only smoke metrics are gated (they are what CI regenerates every run);
-  full-run numbers are history, not a gate.
-
-Hardware-dependent speedups are excluded per key, not per payload: a result
-whose payload reports ``cpu_count`` < 2 (the process-pool lane measured on
-a single core times fork serialization, not parallelism) or
-``process_partials`` == 1 (the lane never opened, the ratio is noise around
-1.0) contributes its other metrics but never its ``*speedup*`` keys.  The
-old per-payload exclusion silently produced an empty trajectory on 1-core
-CI runners even though bench files existed on disk.
+  full-run numbers are history, not a gate.  A ratio key some committed
+  entry recorded but the current smoke run no longer produces is reported
+  as ``retired`` (information only): a deleted gate leaves a trace in the
+  CI log instead of vanishing.
 """
 
 from __future__ import annotations
@@ -45,28 +40,12 @@ def _is_ratio_key(key: str) -> bool:
     return "speedup" in key or "_vs_" in key
 
 
-def _hardware_excluded(payload: dict) -> bool:
-    """Whether this payload's parallel-lane speedups are untrustworthy."""
-    if payload.get("cpu_count", 2) < 2:
-        return True
-    return payload.get("process_partials") == 1
-
-
 def _payload_metrics(payload: dict) -> dict[str, float]:
-    """Every numeric scalar metric of one payload (may be empty).
-
-    Hardware exclusion drops only the ``*speedup*`` keys (parallel-vs-serial
-    comparisons that a 1-core runner cannot measure); everything else —
-    latencies, throughputs, non-hardware ratios like ``ingest_vs_target`` —
-    is always recorded.
-    """
-    excluded = _hardware_excluded(payload)
+    """Every numeric scalar metric of one payload (may be empty)."""
     return {
         key: float(value)
         for key, value in sorted(payload.items())
-        if isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and not (excluded and "speedup" in key)
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
     }
 
 
@@ -153,6 +132,28 @@ def _baseline_for(history: list[dict], experiment: str) -> dict[str, float]:
     return {}
 
 
+def _retired_ratio_keys(
+    history: list[dict], current: dict[str, dict[str, float]]
+) -> list[tuple[str, str, float]]:
+    """Smoke ratio keys the history carries but ``current`` does not.
+
+    ``(experiment, key, last recorded value)`` triples, sorted.
+    """
+    last: dict[tuple[str, str], float] = {}
+    for entry in history:
+        for experiment, metrics in entry.get("metrics", {}).items():
+            if not experiment.endswith(".smoke"):
+                continue
+            for key, value in metrics.items():
+                if _is_ratio_key(key):
+                    last[(experiment, key)] = value
+    return sorted(
+        (experiment, key, value)
+        for (experiment, key), value in last.items()
+        if key not in current.get(experiment, {})
+    )
+
+
 def check() -> int:
     history = _load_history()
     if not history:
@@ -180,6 +181,11 @@ def check() -> int:
             )
             if value < floor:
                 failures.append(f"{experiment}:{key}")
+    for experiment, key, value in _retired_ratio_keys(history, current):
+        print(
+            f"trajectory: {experiment}:{key} retired "
+            f"(last recorded {value:.3f}, no longer produced)"
+        )
     if failures:
         print(
             f"trajectory: {len(failures)} smoke metric(s) regressed >"

@@ -95,9 +95,8 @@ def main() -> None:
     # (group-commit batched by default) and recovers it on reopen.
     # (Execution knobs ride the same config: scan/filter/project pipelines
     # run through columnar batch kernels by default —
-    # CQMSConfig(exec_columnar_kernels=False) restores the row-at-a-time
-    # batched engine exactly, and exec_process_workers>1 lets big GROUP BY
-    # scans fork partial-aggregation workers on multi-core hosts.)
+    # CQMSConfig(exec_columnar_kernels=False) restores the row-batch
+    # engine exactly.)
     print("\n== Durable Query Storage ==")
     data_dir = tempfile.mkdtemp(prefix="cqms_quickstart_")
     try:

@@ -2,7 +2,7 @@
 
 CI does not get to hand-pick friendly plans: this module regenerates the
 Figure-1 workload for every domain, plans each distinct statement under
-several engine configurations (default, parallel fan-out, index-less), and
+both planner configurations (indexed, index-less), and
 runs :class:`~repro.analysis.plan_verify.PlanVerifier` over every plan the
 planner emits — SELECTs through ``plan_select``, plus synthesized
 UPDATE/DELETE shapes per table through the DML planner.
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.sql.ast_nodes import DeleteStatement, SelectStatement, UpdateStatement
 from repro.sql.canonicalize import parameterize_statement
 from repro.sql.parser import parse
-from repro.storage.exec_settings import ExecutionSettings
 from repro.storage.planner import Planner
 from repro.workloads.generator import QueryLogGenerator, WorkloadConfig
 from repro.workloads.schemas import build_database
@@ -24,14 +23,6 @@ from repro.analysis.framework import DiagnosticReport
 from repro.analysis.plan_verify import PlanVerifier
 
 DOMAINS = ("limnology", "sky_survey", "web_analytics")
-
-#: Engine configurations each statement is planned under.  The parallel
-#: variant forces ``ParallelSeqScan`` into the corpus; the index-less variant
-#: exercises the pure SeqScan/HashJoin shapes.
-SETTINGS_VARIANTS: dict[str, ExecutionSettings | None] = {
-    "default": None,
-    "parallel": ExecutionSettings(parallel_workers=4, parallel_threshold=1),
-}
 
 
 @dataclass
@@ -91,33 +82,31 @@ def verify_corpus(
     verifier = PlanVerifier()
     for domain in domains:
         sql_texts = domain_statements(domain, sessions=sessions, seed=seed)
-        for label, settings in SETTINGS_VARIANTS.items():
-            database = build_database(domain, scale=scale, exec_settings=settings)
-            sql_texts_all = sql_texts + dml_statements(database)
-            for use_indexes in (True, False):
-                for sql in sql_texts_all:
-                    statement = parse(sql)
-                    for variant in _statement_variants(statement):
-                        # Fresh planner per plan: ``rebind_unsafe`` is
-                        # planner-instance state, exactly as Database uses it.
-                        plan = _plan(Planner(database, use_indexes=use_indexes), variant)
-                        if plan is None:
-                            continue
-                        result.statements += 1
-                        result.plans_verified += 1
-                        for diagnostic in verifier.verify(plan):
-                            result.report.add(
-                                type(diagnostic)(
-                                    rule=diagnostic.rule,
-                                    severity=diagnostic.severity,
-                                    location=(
-                                        f"{domain}/{label}"
-                                        f"{'' if use_indexes else '/no-index'}: "
-                                        f"{diagnostic.location}"
-                                    ),
-                                    message=f"{diagnostic.message} [sql: {sql}]",
-                                )
+        database = build_database(domain, scale=scale)
+        sql_texts_all = sql_texts + dml_statements(database)
+        for use_indexes in (True, False):
+            for sql in sql_texts_all:
+                statement = parse(sql)
+                for variant in _statement_variants(statement):
+                    # Fresh planner per plan: ``rebind_unsafe`` is
+                    # planner-instance state, exactly as Database uses it.
+                    plan = _plan(Planner(database, use_indexes=use_indexes), variant)
+                    if plan is None:
+                        continue
+                    result.statements += 1
+                    result.plans_verified += 1
+                    for diagnostic in verifier.verify(plan):
+                        result.report.add(
+                            type(diagnostic)(
+                                rule=diagnostic.rule,
+                                severity=diagnostic.severity,
+                                location=(
+                                    f"{domain}{'' if use_indexes else '/no-index'}: "
+                                    f"{diagnostic.location}"
+                                ),
+                                message=f"{diagnostic.message} [sql: {sql}]",
                             )
+                        )
     return result
 
 

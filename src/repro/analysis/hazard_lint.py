@@ -27,9 +27,6 @@ and enforces them:
   instrumented site shares) make replays nondeterministic.
   ``time.perf_counter`` (duration instrumentation) is allowed, as is
   *referencing* ``time.monotonic`` uncalled (passing it as a clock).
-* ``metrics-single-writer`` — a closure submitted to the shared scan pool
-  must not write executor metrics: ``ExecutorMetrics`` counters are plain
-  ``+=`` fields with a single-writer (coordinator thread) contract.
 * ``page-pin-protocol`` — pages obtained from a buffer pool
   (:class:`~repro.storage.buffer_pool.PageStore`) must follow the pin
   protocol: a page from ``fetch()`` may be mutated but the function must
@@ -66,11 +63,6 @@ BROAD_EXCEPT = Rule(
 WALL_CLOCK = Rule(
     "wall-clock", Severity.ERROR, "wall-clock call outside clock.py"
 )
-METRICS_SINGLE_WRITER = Rule(
-    "metrics-single-writer",
-    Severity.ERROR,
-    "executor metrics written off the coordinator thread",
-)
 PAGE_PIN_PROTOCOL = Rule(
     "page-pin-protocol",
     Severity.ERROR,
@@ -87,7 +79,6 @@ RULES: tuple[Rule, ...] = (
     LOCK_ACROSS_YIELD,
     BROAD_EXCEPT,
     WALL_CLOCK,
-    METRICS_SINGLE_WRITER,
     PAGE_PIN_PROTOCOL,
     COLUMNAR_MUTATION,
 )
@@ -162,7 +153,6 @@ def lint_source(source: SourceFile) -> list[Diagnostic]:
     _check_lock_across_yield(source, diagnostics)
     _check_broad_except(source, diagnostics)
     _check_wall_clock(source, diagnostics)
-    _check_metrics_single_writer(source, diagnostics)
     _check_page_pin_protocol(source, diagnostics)
     _check_columnar_mutation(source, diagnostics)
     return diagnostics
@@ -421,9 +411,6 @@ def _check_wall_clock(source: SourceFile, diagnostics: list[Diagnostic]) -> None
             )
 
 
-# -- metrics-single-writer -------------------------------------------------------
-
-
 # -- page-pin-protocol ------------------------------------------------------------
 
 #: Mutating dict/list methods; calling one on a tracked page object counts as
@@ -534,53 +521,6 @@ def _check_page_pin_protocol(source: SourceFile, diagnostics: list[Diagnostic]) 
                     f"the write is silently lost when the page is evicted",
                 )
             )
-
-
-def _check_metrics_single_writer(
-    source: SourceFile, diagnostics: list[Diagnostic]
-) -> None:
-    for scope in ast.walk(source.tree):
-        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        local_functions = {
-            inner.name: inner
-            for inner in ast.walk(scope)
-            if isinstance(inner, ast.FunctionDef) and inner is not scope
-        }
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            if not isinstance(node.func, ast.Attribute):
-                continue
-            if node.func.attr not in ("submit", "map"):
-                continue
-            receiver = ast.dump(node.func.value)
-            if "pool" not in receiver.lower() and "executor" not in receiver.lower():
-                continue
-            if not node.args or not isinstance(node.args[0], ast.Name):
-                continue
-            worker = local_functions.get(node.args[0].id)
-            if worker is None:
-                continue
-            for stmt in ast.walk(worker):
-                if not isinstance(stmt, (ast.Assign, ast.AugAssign)):
-                    continue
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                for target in targets:
-                    chain = _attribute_chain(
-                        target.value if isinstance(target, ast.Subscript) else target
-                    )
-                    if "metrics" in chain.lower():
-                        diagnostics.append(
-                            METRICS_SINGLE_WRITER.at(
-                                source.where(stmt),
-                                f"worker {worker.name!r} submitted to the scan "
-                                f"pool writes {chain}: metrics counters have a "
-                                f"single-writer (coordinator) contract",
-                            )
-                        )
 
 
 # -- columnar-mutation -------------------------------------------------------------

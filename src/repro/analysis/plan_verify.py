@@ -18,9 +18,6 @@ executor a set of contracts that nothing used to check:
 * **batch contract** — aggregate operators are consumed through
   ``groups(ctx)`` and may only sit at the very top of the pipeline
   (``plan.aggregate``), never inside the streamed ``root`` tree;
-* **parallel safety** — a ``ParallelSeqScan`` is strictly a leaf and never
-  drives DML (candidate rows must stream on the coordinator and be
-  materialized before mutation);
 * **parameter reachability** — every ``ParamLiteral`` in the statement must
   be reachable from the operator tree (or the post-pipeline clauses the
   executor evaluates from the statement), otherwise positional re-binding of
@@ -52,7 +49,6 @@ from repro.storage.operators import (
     NestedLoopJoin,
     Operator,
     OuterJoin,
-    ParallelSeqScan,
     RangeScan,
     SeqScan,
     SubqueryScan,
@@ -73,9 +69,6 @@ SORT_CLAIM = Rule(
 BATCH_CONTRACT = Rule(
     "plan-batch-contract", Severity.ERROR, "aggregate operator inside the batch pipeline"
 )
-PARALLEL_SAFETY = Rule(
-    "plan-parallel-safety", Severity.ERROR, "unsafe use of a parallel scan"
-)
 PARAM_BINDING = Rule(
     "plan-param-binding", Severity.ERROR, "parameter unreachable for plan-cache re-binding"
 )
@@ -88,7 +81,6 @@ RULES: tuple[Rule, ...] = (
     COLUMN_RESOLUTION,
     SORT_CLAIM,
     BATCH_CONTRACT,
-    PARALLEL_SAFETY,
     PARAM_BINDING,
     COLUMNAR_CONTRACT,
 )
@@ -138,7 +130,6 @@ class PlanVerifier:
         for operator in _walk(top):
             self._check_binding_shape(operator, diagnostics)
             self._check_columns(operator, allow_outer, diagnostics)
-            self._check_parallel(operator, diagnostics)
             self._check_columnar(operator, diagnostics)
             if isinstance(operator, SubqueryScan):
                 diagnostics.extend(
@@ -156,14 +147,6 @@ class PlanVerifier:
         for operator in _walk(plan.root):
             self._check_binding_shape(operator, diagnostics)
             self._check_columns(operator, False, diagnostics)
-            if isinstance(operator, ParallelSeqScan):
-                diagnostics.append(
-                    PARALLEL_SAFETY.at(
-                        operator.label(),
-                        f"{plan.kind.upper()} driven by a ParallelSeqScan: DML "
-                        f"candidates must stream on the coordinator",
-                    )
-                )
             if isinstance(operator, GroupAggregate):
                 diagnostics.append(
                     BATCH_CONTRACT.at(
@@ -302,16 +285,6 @@ class PlanVerifier:
                     operator.label(),
                     "columnar capability is only defined for heap scans and "
                     "kernel-compiled filters over them",
-                )
-            )
-
-    def _check_parallel(self, operator: Operator, diagnostics: list[Diagnostic]) -> None:
-        if isinstance(operator, ParallelSeqScan) and operator.children:
-            diagnostics.append(
-                PARALLEL_SAFETY.at(
-                    operator.label(),
-                    "ParallelSeqScan must be a leaf: workers cannot re-enter the "
-                    "operator tree",
                 )
             )
 

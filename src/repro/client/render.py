@@ -99,7 +99,7 @@ def render_plan(explanation, title: str = "Query plan") -> str:
     """Render a :class:`~repro.storage.planner.PlanExplanation` as text.
 
     Shows the operator tree the engine chose — access paths (``IndexScan`` vs
-    ``SeqScan`` vs ``ParallelSeqScan``), join order and physical join
+    ``RangeScan`` vs ``SeqScan``), join order and physical join
     operators, and the aggregation stage (``HashAggregate`` /
     ``SortedGroupAggregate`` with its estimated group count) — so users can
     see why a (meta-)query is fast or slow.  An analyzed explanation

@@ -85,11 +85,7 @@ class CQMSConfig:
 
     # -- execution engine (batched scans over the feature relations) --------------------
     exec_batch_size: int = 256                # rows per operator batch
-    exec_parallel_workers: int = 1            # >1 fans ParallelSeqScan across threads
-    exec_parallel_threshold: int = 4096       # min heap rows before parallelizing
     exec_columnar_kernels: bool = True        # columnar batches + kernels (False = row path)
-    exec_process_workers: int = 1             # >1 forks partial-aggregation workers
-    exec_process_threshold: int = 50_000      # min estimated rows before forking
     exec_verify_plans: bool = False           # verify every plan before execution
 
     # -- access control (Sections 1 / 2.4) --------------------------------------------
@@ -138,14 +134,6 @@ class CQMSConfig:
             raise ValueError("buffer_pool_pages must be at least 8")
         if self.exec_batch_size < 1:
             raise ValueError("exec_batch_size must be at least 1")
-        if self.exec_parallel_workers < 1:
-            raise ValueError("exec_parallel_workers must be at least 1")
-        if self.exec_parallel_threshold < 0:
-            raise ValueError("exec_parallel_threshold must be non-negative")
-        if self.exec_process_workers < 1:
-            raise ValueError("exec_process_workers must be at least 1")
-        if self.exec_process_threshold < 0:
-            raise ValueError("exec_process_threshold must be non-negative")
         if self.slow_query_threshold_seconds < 0:
             raise ValueError("slow_query_threshold_seconds must be non-negative")
         if self.slow_query_log_size < 1:
@@ -165,11 +153,7 @@ class CQMSConfig:
 
         return ExecutionSettings(
             batch_size=self.exec_batch_size,
-            parallel_workers=self.exec_parallel_workers,
-            parallel_threshold=self.exec_parallel_threshold,
             columnar_kernels=self.exec_columnar_kernels,
-            process_workers=self.exec_process_workers,
-            process_threshold=self.exec_process_threshold,
             verify_plans=self.exec_verify_plans,
             buffer_pool_pages=self.buffer_pool_pages,
         )

@@ -14,12 +14,12 @@ Query Storage feature relations.  It provides:
   join ordering, EXPLAIN),
 * :mod:`repro.storage.plan_cache` — the template plan cache with
   version/drift invalidation,
-* :mod:`repro.storage.exec_settings` — batch-size / parallel-scan knobs,
+* :mod:`repro.storage.exec_settings` — batch-size / columnar knobs,
 * :mod:`repro.storage.operators` — batched Volcano-style physical operators
-  (compiled predicate fast paths, partitioned parallel scans, hash/sorted
+  (compiled predicate fast paths, columnar kernels, hash/sorted
   group aggregation),
 * :mod:`repro.storage.aggregates` — incremental aggregate accumulators
-  (update/merge/finish) behind the vectorized aggregation stage,
+  (update/finish) behind the vectorized aggregation stage,
 * :mod:`repro.storage.executor` — the SQL executor (projection, aggregation,
   ordering over the streamed operator pipeline),
 * :mod:`repro.storage.wal` — the append-only checksummed write-ahead log,

@@ -14,10 +14,7 @@ one *accumulator* per group that every input row updates exactly once.
   nested inside CASE/function arguments, argument-less SUM/AVG/MIN/MAX, ...);
   the executor then falls back to the historical path, which raises exactly
   the errors those shapes always raised.
-* Accumulators expose ``update_batch(values)`` / ``merge(other)`` /
-  ``finish()``.  ``merge`` is what makes parallel partial aggregation cheap:
-  each scan partition aggregates privately and only O(groups) accumulator
-  state — never O(rows) row dicts — crosses the thread barrier.
+* Accumulators expose ``update_batch(values)`` / ``finish()``.
 * The columnar lane (:mod:`repro.storage.kernels`) adds
   ``update_column(values, positions)``: the same fold over a full column
   list plus a selection vector of live positions, so a ColumnBatch group
@@ -27,9 +24,7 @@ one *accumulator* per group that every input row updates exactly once.
 
 Numeric care: ``SUM``/``AVG`` fold batches with ``sum(values, start=total)``,
 which reproduces the historical single ``sum(all_values)`` left-fold
-byte-for-byte on the sequential path; a parallel merge folds per-partition
-totals in partition order, which is deterministic but may group float
-additions differently (exact for integral sums).
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -78,9 +73,6 @@ class CountStarAccumulator:
     def update_column(self, values, positions) -> None:
         self.count += len(positions)  # COUNT(*) needs no column at all
 
-    def merge(self, other: "CountStarAccumulator") -> None:
-        self.count += other.count
-
     def finish(self):
         return self.count
 
@@ -98,9 +90,6 @@ class CountAccumulator:
 
     def update_column(self, values, positions) -> None:
         self.count += sum(1 for i in positions if values[i] is not None)
-
-    def merge(self, other: "CountAccumulator") -> None:
-        self.count += other.count
 
     def finish(self):
         return self.count
@@ -129,10 +118,6 @@ class SumAccumulator:
         if present:
             self.total = sum(present) if self.total is None else sum(present, self.total)
 
-    def merge(self, other: "SumAccumulator") -> None:
-        if other.total is not None:
-            self.total = other.total if self.total is None else self.total + other.total
-
     def finish(self):
         return self.total
 
@@ -157,11 +142,6 @@ class AvgAccumulator:
         if present:
             self.total = sum(present) if self.total is None else sum(present, self.total)
             self.count += len(present)
-
-    def merge(self, other: "AvgAccumulator") -> None:
-        if other.total is not None:
-            self.total = other.total if self.total is None else self.total + other.total
-            self.count += other.count
 
     def finish(self):
         if self.count == 0:
@@ -206,10 +186,6 @@ class _ExtremeAccumulator:
             else:
                 self._consider(value)
 
-    def merge(self, other: "_ExtremeAccumulator") -> None:
-        if other.has_value:
-            self.update_batch([other.best])
-
     def finish(self):
         return self.best if self.has_value else None
 
@@ -235,7 +211,7 @@ class _DistinctAccumulator:
 
     The ordered dict keyed by :func:`hashable_value` reproduces the historical
     first-occurrence dedup, so ``SUM(DISTINCT ...)`` folds values in exactly
-    the order the one-shot path did; merging unions in partition order.
+    the order the one-shot path did.
     """
 
     __slots__ = ("seen",)
@@ -259,12 +235,6 @@ class _DistinctAccumulator:
             if value is None:
                 continue
             key = hashable_value(value)
-            if key not in seen:
-                seen[key] = value
-
-    def merge(self, other: "_DistinctAccumulator") -> None:
-        seen = self.seen
-        for key, value in other.seen.items():
             if key not in seen:
                 seen[key] = value
 

@@ -86,9 +86,8 @@ class _Resident:
 class PageStore:
     """Pin/unpin page cache with LRU eviction and shadow-paged write-back.
 
-    Thread-safe: parallel scan workers ``read`` concurrently while the
-    coordinator mutates other pages; a single re-entrant lock serializes the
-    (short) bookkeeping sections.  Pinned pages are never evicted, so a
+    Thread-safe: a single re-entrant lock serializes the (short)
+    bookkeeping sections.  Pinned pages are never evicted, so a
     write sequence holds its page across its own store calls; *unpinned*
     objects stay valid Python objects for whoever already holds a reference
     (eviction drops the store's reference, it does not mutate the object) —
@@ -303,31 +302,6 @@ class PageStore:
             for chain in self._chains.values():
                 used.update(chain)
             self._pager.restrict_free(used)
-
-    def begin_forked_read(self) -> None:
-        """Post-fork (child side) hygiene for read-only workers.
-
-        A forked aggregation worker inherits the parent's pager *file
-        description*: seeking and reading through it would race sibling
-        children (and the parent) on the shared file offset, and an LRU
-        eviction's dirty write-back would scribble on frames the parent's
-        shadow-paging discipline still protects.  The child therefore
-
-        * replaces the pager with a private **read-only** clone (own
-          descriptor, own offset, no write capability),
-        * lifts the residency cap so eviction — the only path to a write —
-          can never run, and
-        * installs a fresh lock (the child is single-threaded; any lock
-          state inherited mid-operation from another parent thread would
-          otherwise deadlock it).
-
-        In-memory stores (no pager) need only the lock: every page is
-        already resident and copy-on-write shared.
-        """
-        self._lock = threading.RLock()
-        self._capacity = None
-        if self._pager is not None:
-            self._pager = self._pager.readonly_clone()
 
     def sync(self) -> None:
         with self._lock:

@@ -49,7 +49,7 @@ from repro.storage.exec_settings import DEFAULT_SETTINGS, ExecutionSettings
 from repro.storage.executor import Executor
 from repro.storage.expression import Scope, evaluate, is_true
 from repro.storage.aggregates import statement_has_aggregates
-from repro.storage.operators import ExecutionContext, shutdown_scan_pool
+from repro.storage.operators import ExecutionContext
 from repro.storage.plan_cache import (
     DEFAULT_MAX_DRIFT,
     DEFAULT_PLAN_CACHE_SIZE,
@@ -161,7 +161,7 @@ class Database:
         self._catalog = Catalog()
         self._tables: dict[str, Table] = {}
         self._clock = clock if clock is not None else time.monotonic
-        #: Batch-size / parallel-scan knobs, read by the planner and executor.
+        #: Batch-size / columnar knobs, read by the planner and executor.
         self.exec_settings = exec_settings or DEFAULT_SETTINGS
         self._plan_cache_max_drift = plan_cache_max_drift
         self._plan_cache: PlanCache | None = None
@@ -350,10 +350,6 @@ class Database:
         if self._lock is not None:
             release_lock(self._lock)
             self._lock = None
-        # The parallel-scan worker pool is process-wide (shared by every
-        # Database), so don't wait on it here — just ask it to wind down;
-        # a later scan lazily re-creates it.
-        shutdown_scan_pool(wait=False)
 
     def __enter__(self) -> "Database":
         return self
@@ -682,7 +678,7 @@ class Database:
         the plan tree.
 
         For SELECT statements the explanation shows the chosen access paths
-        (``IndexScan`` vs ``SeqScan`` vs ``ParallelSeqScan``), join order,
+        (``IndexScan`` vs ``RangeScan`` vs ``SeqScan``), join order,
         physical join operators with build sides, and per-node cardinality
         estimates.  ``analyze=True`` (EXPLAIN ANALYZE) additionally executes
         the statement and annotates every plan node with its actual row count,

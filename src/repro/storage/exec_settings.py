@@ -1,10 +1,9 @@
-"""Execution-engine settings: batch sizing, columnar, and parallel knobs.
+"""Execution-engine settings: batch sizing, columnar, and diagnostic knobs.
 
 The batched execution model (see :mod:`repro.storage.operators`) moves rows
 through the operator tree in lists of ``batch_size`` binding dicts instead of
-one row per ``next()`` call, and fans large sequential scans across
-``parallel_workers`` threads once a table crosses ``parallel_threshold`` rows.
-These knobs live in their own frozen dataclass so that
+one row per ``next()`` call.  These knobs live in their own frozen dataclass
+so that
 
 * a :class:`~repro.storage.database.Database` can be tuned per instance
   (the CQMS meta-database and the user DBMS need not agree),
@@ -15,61 +14,12 @@ These knobs live in their own frozen dataclass so that
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
 
 from repro.storage.buffer_pool import DEFAULT_BUFFER_POOL_PAGES
 
 #: Rows per batch moved through the operator tree per ``next()`` call.
 DEFAULT_BATCH_SIZE = 256
-
-
-def _gil_enabled() -> bool:
-    """Whether this interpreter runs with the GIL (True on any build
-    without the probe — every GIL-ful CPython before 3.13)."""
-    probe = getattr(sys, "_is_gil_enabled", None)
-    return True if probe is None else bool(probe())
-
-
-def auto_parallel_workers(
-    gil_enabled: bool | None = None, cpu_count: int | None = None
-) -> int:
-    """The default thread fan-out for this interpreter.
-
-    Under CPython's GIL the scan's pure-Python row construction cannot run
-    concurrently, so the fan-out's barrier materialization costs more than
-    it saves (``bench_exec_engine.py`` measured the 4-worker thread lane at
-    0.87x — a wash) and the default stays 1.  On a free-threaded build
-    (``sys._is_gil_enabled()`` reports False) the same threads genuinely
-    run in parallel, so the default unlocks to ``min(4, cpu_count)``.
-    The two parameters exist for tests; production callers pass nothing.
-    """
-    if gil_enabled is None:
-        gil_enabled = _gil_enabled()
-    if gil_enabled:
-        return 1
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    return max(1, min(4, cpu_count))
-
-
-#: Worker threads a ParallelSeqScan fans partitions across: 1 (off) under
-#: the GIL, ``min(4, cpu_count)`` on free-threaded interpreters — see
-#: :func:`auto_parallel_workers` for the measurement behind the split.
-DEFAULT_PARALLEL_WORKERS = auto_parallel_workers()
-
-#: Minimum heap row count before the planner considers a parallel scan
-#: (applies once parallel_workers > 1).
-DEFAULT_PARALLEL_THRESHOLD = 4096
-
-#: Forked aggregation workers (0/1 = lane off).  Unlike the thread lane the
-#: process lane pays real fork + state-pickling cost, so it is opt-in.
-DEFAULT_PROCESS_WORKERS = 1
-
-#: Minimum estimated input rows before the planner routes a grouped query
-#: through the process-pool partial-aggregation lane.
-DEFAULT_PROCESS_THRESHOLD = 50_000
 
 
 @dataclass(frozen=True)
@@ -93,13 +43,6 @@ class ExecutionSettings:
     ``HashAggregate``/``SortedGroupAggregate`` stage — the baseline the
     aggregation benchmarks measure speedups against.
 
-    ``process_workers > 1`` unlocks the fork-based partial-aggregation lane:
-    the planner routes big grouped scans (``process_threshold`` estimated
-    input rows or more, with far fewer groups) across forked workers that
-    read the page file through their own read-only descriptors and ship
-    O(groups) merged accumulator state back.  POSIX-only; silently falls
-    back to the in-process path where ``os.fork`` is unavailable.
-
     ``verify_plans=True`` runs the plan-invariant verifier
     (:mod:`repro.analysis.plan_verify`) over every plan before the executor
     streams it, raising :class:`~repro.errors.ExecutionError` on any
@@ -112,11 +55,7 @@ class ExecutionSettings:
     """
 
     batch_size: int = DEFAULT_BATCH_SIZE
-    parallel_workers: int = DEFAULT_PARALLEL_WORKERS
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
     columnar_kernels: bool = True
-    process_workers: int = DEFAULT_PROCESS_WORKERS
-    process_threshold: int = DEFAULT_PROCESS_THRESHOLD
     compile_expressions: bool = True
     vectorized_aggregation: bool = True
     verify_plans: bool = False
@@ -125,14 +64,6 @@ class ExecutionSettings:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be at least 1")
-        if self.parallel_threshold < 0:
-            raise ValueError("parallel_threshold must be non-negative")
-        if self.process_workers < 1:
-            raise ValueError("process_workers must be at least 1")
-        if self.process_threshold < 0:
-            raise ValueError("process_threshold must be non-negative")
         if self.buffer_pool_pages < 8:
             raise ValueError("buffer_pool_pages must be at least 8")
 

@@ -43,7 +43,6 @@ from repro.storage.operators import (
     Filter,
     IndexScan,
     NodeStats,
-    ParallelSeqScan,
     RangeScan,
     SeqScan,
     resolve_binding_column,
@@ -786,16 +785,14 @@ def _limit_budget_applies(op) -> bool:
 
     That is the single-table streaming shape — filters over one sequential or
     index-ordered scan — where every batch the scan builds feeds the limit
-    directly (filters only drop rows).  Joins, subquery scans, and parallel
-    scans are excluded: they consume entire inputs (build sides, barriers)
-    regardless of the limit, so tiny batches would only re-introduce the
-    per-row overhead batching removes.
+    directly (filters only drop rows).  Joins and subquery scans are
+    excluded: they consume entire inputs (build sides) regardless of the
+    limit, so tiny batches would only re-introduce the per-row overhead
+    batching removes.
     """
     while isinstance(op, Filter):
         op = op.child
-    return isinstance(op, (SeqScan, RangeScan, IndexScan)) and not isinstance(
-        op, ParallelSeqScan
-    )
+    return isinstance(op, (SeqScan, RangeScan, IndexScan))
 
 
 def _compile_projection(statement: SelectStatement, bindings: Bindings):

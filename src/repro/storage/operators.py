@@ -25,9 +25,6 @@ Two more things fall out of the batch refactor:
 Access paths:
 
 * :class:`SeqScan` — full scan of a heap table,
-* :class:`ParallelSeqScan` — partitioned heap scan fanned across a thread
-  pool, re-assembled in heap order so downstream sorts/limits stay
-  deterministic,
 * :class:`IndexScan` — equality probe of a :class:`~repro.storage.indexes.HashIndex`,
   either against a constant or, inside an :class:`IndexLookupJoin`, against the
   join key of each outer row (an index nested-loop join),
@@ -44,12 +41,7 @@ All operators charge their work to :class:`ExecutionContext.metrics` so
 
 from __future__ import annotations
 
-import atexit
-import os
-import pickle
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -76,45 +68,6 @@ from repro.storage.kernels import (
     resolve_columnar_columns,
 )
 from repro.storage.types import DataType, coerce_value, compare_values, sort_key
-
-#: Lazily created process-wide worker pool shared by every ParallelSeqScan.
-#: Spinning threads up per scan costs more than a mid-size scan itself, so
-#: workers persist across queries; the engine executes one statement at a
-#: time, so scans never compete for the pool.
-_SCAN_POOL: ThreadPoolExecutor | None = None
-_SCAN_POOL_LOCK = threading.Lock()
-
-
-def _scan_pool() -> ThreadPoolExecutor:
-    global _SCAN_POOL
-    if _SCAN_POOL is None:
-        with _SCAN_POOL_LOCK:
-            if _SCAN_POOL is None:
-                _SCAN_POOL = ThreadPoolExecutor(
-                    max_workers=max(4, min(32, (os.cpu_count() or 4))),
-                    thread_name_prefix="repro-scan",
-                )
-    return _SCAN_POOL
-
-
-def shutdown_scan_pool(wait: bool = True) -> None:
-    """Shut down the shared scan pool (it is lazily re-created on next use).
-
-    Called by ``Database.close()`` (``wait=False``) so closing a database in
-    a long-lived process does not leak idle worker threads, and registered
-    with :mod:`atexit` for interpreter shutdown.  Statement execution is
-    synchronous, so no scan can be in flight when a database closes between
-    statements; a concurrently open database simply re-creates the pool on
-    its next parallel scan.
-    """
-    global _SCAN_POOL
-    with _SCAN_POOL_LOCK:
-        pool, _SCAN_POOL = _SCAN_POOL, None
-    if pool is not None:
-        pool.shutdown(wait=wait)
-
-
-atexit.register(shutdown_scan_pool)
 
 #: Sentinel distinguishing "not compiled yet" from "compilation returned None".
 _UNSET = object()
@@ -199,9 +152,9 @@ class ExecutionContext:
     def tick(self) -> None:
         """Raise :class:`~repro.errors.QueryTimeoutError` past the deadline.
 
-        Called at batch boundaries (scan flushes, coordinator re-assembly,
-        executor consume loops): one ``None`` check when no budget is set,
-        one timer read per batch when one is.
+        Called at batch boundaries (scan flushes, executor consume loops):
+        one ``None`` check when no budget is set, one timer read per batch
+        when one is.
         """
         deadline = self.deadline
         if deadline is not None and self.timer() >= deadline:
@@ -362,104 +315,6 @@ class SeqScan(Operator):
 
     def label(self) -> str:
         return f"SeqScan {_scan_target(self.table, self.binding)} [est={self.estimate:.0f}]"
-
-
-class ParallelSeqScan(SeqScan):
-    """Partitioned parallel heap scan.
-
-    The heap is split into contiguous spans aligned to heap-page boundaries
-    (:meth:`~repro.storage.table.Table.partition_spans`, walked via
-    :meth:`~repro.storage.table.Table.scan_span`, so no two workers ever
-    fault the same buffer-pool page) and each span is scanned by
-    a worker thread that builds the span's batches; the coordinator then
-    re-assembles the spans **in heap order**, so downstream operators (sorts,
-    limits, DISTINCT) observe exactly the row order a :class:`SeqScan` would
-    produce.  Workers never touch shared counters — rows are charged to
-    ``ctx.metrics`` on the coordinator thread as each span's batches are
-    emitted, keeping the metrics single-writer.  ``pairs`` is inherited from
-    :class:`SeqScan`: DML-style consumers always stream sequentially.
-    """
-
-    def __init__(self, table, binding: str, estimate: float, workers: int):
-        super().__init__(table, binding, estimate)
-        self.workers = max(1, int(workers))
-
-    def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        spans = self.table.partition_spans(self.workers)
-        if len(spans) <= 1:
-            yield from _scan_batches(self.table.scan(), self.binding, ctx)
-            return
-        binding = self.binding
-        metrics = ctx.metrics
-        batch_size = max(1, ctx.batch_size)
-        table = self.table
-
-        def scan_span(span: tuple[int, int]) -> list[RowBatch]:
-            # Each worker walks its own heap span — concurrent read-only
-            # iteration of the row dict is safe, and skipping to the span
-            # start happens at C speed, far cheaper than materializing
-            # per-partition pair lists on the coordinator.
-            batches: list[RowBatch] = []
-            batch: RowBatch = []
-            for _, row in table.scan_span(*span):
-                batch.append({binding: row})
-                if len(batch) >= batch_size:
-                    batches.append(batch)
-                    batch = []
-            if batch:
-                batches.append(batch)
-            return batches
-
-        # Wait for every partition before emitting (a barrier, not a pipeline):
-        # interleaving downstream Python work with still-running workers makes
-        # the GIL ping-pong between coordinator and producers, which costs far
-        # more than the materialization saves.  Re-assembly in submission
-        # order == heap order keeps the stream deterministic.
-        for batches in list(_scan_pool().map(scan_span, spans)):
-            for batch in batches:
-                ctx.tick()
-                metrics.rows_scanned += len(batch)
-                yield batch
-
-    def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        spans = self.table.partition_spans(self.workers)
-        if len(spans) <= 1:
-            yield from _scan_col_batches(self.table, self.binding, ctx)
-            return
-        binding = self.binding
-        schema = self.table.schema
-        metrics = ctx.metrics
-        batch_size = max(1, ctx.batch_size)
-        table = self.table
-
-        def scan_span(span: tuple[int, int]) -> list[list[dict]]:
-            # Workers only collect stored-row references per span — column
-            # extraction stays on the coordinator, where the ColumnBatch is
-            # built as each span's chunks are emitted (same barrier +
-            # heap-order re-assembly as the row path).
-            chunks: list[list[dict]] = []
-            chunk: list[dict] = []
-            for _, row in table.scan_span(*span):
-                chunk.append(row)
-                if len(chunk) >= batch_size:
-                    chunks.append(chunk)
-                    chunk = []
-            if chunk:
-                chunks.append(chunk)
-            return chunks
-
-        for chunks in list(_scan_pool().map(scan_span, spans)):
-            for chunk in chunks:
-                ctx.tick()
-                metrics.rows_scanned += len(chunk)
-                metrics.columnar_batches += 1
-                yield ColumnBatch(binding, schema, chunk)
-
-    def label(self) -> str:
-        return (
-            f"ParallelSeqScan {_scan_target(self.table, self.binding)} "
-            f"[workers={self.workers}, est={self.estimate:.0f}]"
-        )
 
 
 class IndexScan(Operator):
@@ -1238,52 +1093,27 @@ class HashAggregate(GroupAggregate):
     updates its group's accumulators once per aggregate spec — each input row
     is touched exactly once per spec, never re-walked.
 
-    Two fast paths beyond the generic batch loop:
-
-    * **Fused raw scan** — when the child is just filters over a heap scan
-      and every filter, group key, and aggregate argument compiles against
-      bare heap rows, the operator iterates ``table.scan()`` directly,
-      skipping the per-row ``{binding: row}`` wrapper allocation entirely.
-      Disabled under EXPLAIN ANALYZE so child operators report honest actuals.
-    * **Parallel partial aggregation** — when that heap scan is a
-      :class:`ParallelSeqScan`, each partition span builds private per-group
-      accumulators on a pool worker and the coordinator merges the partial
-      states in span order: only O(groups) accumulator state crosses the
-      barrier, not O(rows) row dicts.
-    * **Columnar kernels** — the fused single-scan shape additionally runs
-      columnar when the context allows it: the scan streams ColumnBatches,
-      filter kernels produce selection vectors, groups are bucketed by
-      column-value gather, and every accumulator consumes
-      ``update_column(values, positions)`` — no per-row wrapper, bucket
-      list, or gathered argument list is ever built.
-    * **Process-pool partials** — when the planner sets ``process_partials``
-      (big input, few groups, ``process_workers`` configured), the partial
-      aggregation fans across **forked** workers instead of GIL-bound
-      threads: each child re-opens the page file read-only
-      (:meth:`~repro.storage.buffer_pool.PageStore.begin_forked_read`),
-      aggregates its span, and pickles only its O(groups) accumulator
-      states back through a pipe.  Any fork/pickle failure falls back to
-      the in-process path with identical results.
+    One fast path beyond the generic batch loop, the **columnar fused
+    path**: when the child is just filters over a heap scan, every filter
+    compiles to a kernel, and every group key / aggregate argument is a
+    locally resolvable column, the scan streams ColumnBatches, filter
+    kernels produce selection vectors, groups are bucketed by column-value
+    gather, and every accumulator consumes
+    ``update_column(values, positions)`` — no per-row wrapper, bucket list,
+    or gathered argument list is ever built.  Disabled under EXPLAIN ANALYZE
+    so child operators report honest actuals.
     """
 
     _name = "HashAggregate"
 
-    #: Fork fan-out chosen by the planner (1 = process lane off).
-    process_partials: int = 1
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._compiled_raw: object = _UNSET
         self._compiled_columnar_agg: object = _UNSET
 
     def _groups(self, ctx: ExecutionContext):
         columnar = self._columnar_groups(ctx)
         if columnar is not None:
             yield from columnar
-            return
-        fused = self._pushdown_groups(ctx)
-        if fused is not None:
-            yield from fused
             return
         specs = self.collection.specs
         extractors = self._extractors(ctx)
@@ -1335,19 +1165,16 @@ class HashAggregate(GroupAggregate):
         """``(scan, kernels, key columns, arg columns)`` for the columnar
         fused path, or None.
 
-        Requires the same Filter*→SeqScan chain as :meth:`_compile_raw` with
-        every filter kernel-compilable and every group key / aggregate
-        argument a locally resolvable column.  An exact :class:`SeqScan`
-        only: a :class:`ParallelSeqScan` keeps the partial-aggregation lanes
-        (thread or process), which beat single-coordinator columnar work on
-        free-threaded builds.
+        Requires a Filter*→SeqScan chain with every filter
+        kernel-compilable and every group key / aggregate argument a locally
+        resolvable column.
         """
         filters: list[Filter] = []
         node = self.child
         while isinstance(node, Filter):
             filters.append(node)
             node = node.child
-        if type(node) is not SeqScan:
+        if not isinstance(node, SeqScan):  # RangeScan/IndexScan keep batches()
             return None
         bindings = node.bindings
         kernels: list = []
@@ -1378,16 +1205,13 @@ class HashAggregate(GroupAggregate):
     def _columnar_groups(self, ctx: ExecutionContext):
         """The fused columnar group stream, or None when the lane is off.
 
-        Disabled under EXPLAIN ANALYZE for the same honesty reason as the
-        raw path (bypassed Filter nodes would report "never executed") and
-        when the planner chose the process lane (forked partials fan wider
-        than one coordinator's kernels).
+        Disabled under EXPLAIN ANALYZE so the bypassed Filter nodes report
+        honest actuals instead of "never executed".
         """
         if (
             not ctx.columnar_kernels
             or not ctx.compile_expressions
             or ctx.node_stats is not None
-            or self.process_partials > 1
         ):
             return None
         compiled = self._columnar_compiled()
@@ -1433,7 +1257,7 @@ class HashAggregate(GroupAggregate):
                 for accumulator, arg_column in zip(accumulators, arg_columns):
                     if arg_column is None:
                         # COUNT(*): positions stand in for the row list the
-                        # raw path feeds — same length, never None.
+                        # generic loop feeds — same length, never None.
                         accumulator.update_batch(positions)
                     else:
                         accumulator.update_column(
@@ -1446,130 +1270,6 @@ class HashAggregate(GroupAggregate):
         for key in order:
             representative, accumulators = merged[key]
             yield {binding: representative}, [acc.finish() for acc in accumulators]
-
-    # -- fused raw-row path ----------------------------------------------------
-
-    def _raw_compiled(self):
-        if self._compiled_raw is _UNSET:
-            self._compiled_raw = self._compile_raw()
-        return self._compiled_raw
-
-    def _compile_raw(self):
-        """``(scan, key getter, arg getters, checks)`` for the fused path, or
-        None when any piece needs Scope/evaluate semantics."""
-        filters: list[Filter] = []
-        node = self.child
-        while isinstance(node, Filter):
-            filters.append(node)
-            node = node.child
-        if not isinstance(node, SeqScan):  # RangeScan/IndexScan keep batches()
-            return None
-        bindings = node.bindings
-        checks: list = []
-        # Innermost filter first: matches the pipeline's evaluation order
-        # (compiled checks are side-effect-free, so this is purely cosmetic).
-        for filter_op in reversed(filters):
-            compiled = compile_conjuncts(
-                filter_op.predicates, bindings, getter_factory=raw_column_getter
-            )
-            if compiled is None:
-                return None
-            checks.extend(compiled)
-        if self.group_exprs:
-            getters = []
-            for expr in self.group_exprs:
-                if not isinstance(expr, ColumnRef):
-                    return None
-                getter = raw_column_getter(bindings, expr)
-                if getter is None:
-                    return None
-                getters.append(getter)
-            if len(getters) == 1:
-                # Scalar keys (internal to this path) beat 1-tuples on the
-                # hot dict lookups.
-                key_getter = getters[0]
-            else:
-                parts = tuple(getters)
-                key_getter = lambda row, _parts=parts: tuple(g(row) for g in _parts)
-        else:
-            key_getter = _constant_key
-        arg_getters: list = []
-        for spec in self.collection.specs:
-            if spec.argument is None:
-                arg_getters.append(None)
-            elif isinstance(spec.argument, ColumnRef):
-                getter = raw_column_getter(bindings, spec.argument)
-                if getter is None:
-                    return None
-                arg_getters.append(getter)
-            else:
-                return None
-        return node, key_getter, arg_getters, checks
-
-    def _pushdown_groups(self, ctx: ExecutionContext):
-        if not ctx.compile_expressions or ctx.node_stats is not None:
-            return None
-        compiled = self._raw_compiled()
-        if compiled is None:
-            return None
-        scan, key_getter, arg_getters, checks = compiled
-        table, binding = scan.table, scan.binding
-        specs = self.collection.specs
-        partials = None
-        if self.process_partials > 1 and hasattr(os, "fork"):
-            fork_spans = table.partition_spans(self.process_partials)
-            if len(fork_spans) > 1:
-                partials = _forked_partials(
-                    table, fork_spans, key_getter, arg_getters, checks, specs
-                )
-        if partials is None:
-            spans = (
-                table.partition_spans(scan.workers)
-                if isinstance(scan, ParallelSeqScan)
-                else []
-            )
-            if len(spans) > 1:
-                partials = list(
-                    _scan_pool().map(
-                        lambda span: _raw_partial(
-                            table.scan_span(*span),
-                            key_getter,
-                            arg_getters,
-                            checks,
-                            specs,
-                        ),
-                        spans,
-                    )
-                )
-            else:
-                partials = [
-                    _raw_partial(table.scan(), key_getter, arg_getters, checks, specs)
-                ]
-        metrics = ctx.metrics
-        merged: dict = {}
-        order: list = []
-        for span_order, span_states, scanned in partials:
-            # The fused scan ran to completion inside the partial helpers, so
-            # a timeout budget cancels at the span-merge boundary — the
-            # coarsest batch boundary this lane has.
-            ctx.tick()
-            metrics.rows_scanned += scanned
-            for key in span_order:
-                entry = span_states[key]
-                state = merged.get(key)
-                if state is None:
-                    merged[key] = entry
-                    order.append(key)
-                else:
-                    for mine, theirs in zip(state[1], entry[1]):
-                        mine.merge(theirs)
-        if not self.group_exprs and not merged:
-            return [self._empty_input_group()]
-        return [
-            ({binding: merged[key][0]}, [acc.finish() for acc in merged[key][1]])
-            for key in order
-        ]
-
 
 class SortedGroupAggregate(GroupAggregate):
     """Streaming grouped aggregation over an index-ordered scan.
@@ -1655,116 +1355,6 @@ def _rows_identity(rows):
     return rows
 
 
-def _constant_key(row):
-    return ()
-
-
-def _forked_partials(table, spans, key_getter, arg_getters, checks, specs):
-    """Fan :func:`_raw_partial` across forked workers, one per span.
-
-    Unlike the thread lane, forked children genuinely run in parallel under
-    the GIL.  The compiled closures are inherited copy-on-write (they are
-    unpicklable, so no task shipping); only the O(groups) result crosses
-    back, pickled through a pipe.  Each child immediately drops to
-    read-only storage access (:meth:`~repro.storage.buffer_pool.PageStore.begin_forked_read`:
-    private page-file descriptor, eviction write-back disabled) and leaves
-    via ``os._exit`` so no parent-owned resource (WAL, locks, atexit hooks)
-    is ever touched.  Returns the partial list, or None on any fork, child,
-    or unpickling failure — the caller then recomputes in-process, so the
-    lane can only lose time, never correctness.
-    """
-    children: list[tuple[int, int]] = []
-    try:
-        for span in spans:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # Any exception unwinds into the finally, so the child
-                # always leaves through os._exit — with status 1 unless the
-                # whole span round-tripped; the parent treats a non-zero
-                # status as "recompute in-process".
-                status = 1
-                try:
-                    os.close(read_fd)
-                    table.store.begin_forked_read()
-                    result = _raw_partial(
-                        table.scan_span(*span), key_getter, arg_getters, checks, specs
-                    )
-                    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-                    with os.fdopen(write_fd, "wb") as sink:
-                        sink.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-    except OSError:
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-        return None
-    partials = []
-    failed = False
-    for pid, read_fd in children:
-        with os.fdopen(read_fd, "rb") as source:
-            payload = source.read()
-        _, status = os.waitpid(pid, 0)
-        if status != 0 or not payload:
-            failed = True
-            continue
-        try:
-            partials.append(pickle.loads(payload))
-        except (pickle.UnpicklingError, EOFError, ValueError):
-            failed = True
-    return None if failed else partials
-
-
-def _raw_partial(pairs, key_getter, arg_getters, checks, specs):
-    """Aggregate one span of bare heap rows into per-group accumulator states.
-
-    Returns ``(first-seen key order, {key: (first row, accumulators)},
-    rows scanned)``.  Runs on a scan-pool worker for parallel partial
-    aggregation: the span's rows never leave this function, only the
-    accumulator states return to the coordinator for merging.
-    """
-    pending: dict = {}
-    order: list = []
-    scanned = 0
-    if checks:
-        for _, row in pairs:
-            scanned += 1
-            for check in checks:
-                if not check(row):
-                    break
-            else:
-                key = key_getter(row)
-                bucket = pending.get(key)
-                if bucket is None:
-                    pending[key] = bucket = []
-                    order.append(key)
-                bucket.append(row)
-    else:
-        for _, row in pairs:
-            scanned += 1
-            key = key_getter(row)
-            bucket = pending.get(key)
-            if bucket is None:
-                pending[key] = bucket = []
-                order.append(key)
-            bucket.append(row)
-    states = {}
-    for key in order:
-        bucket = pending[key]
-        accumulators = [spec.make() for spec in specs]
-        for accumulator, getter in zip(accumulators, arg_getters):
-            if getter is None:
-                accumulator.update_batch(bucket)
-            else:
-                accumulator.update_batch([getter(row) for row in bucket])
-        states[key] = (bucket[0], accumulators)
-    return order, states, scanned
-
-
 # ---------------------------------------------------------------------------
 # Compiled predicates and getters (the batch fast path)
 # ---------------------------------------------------------------------------
@@ -1814,22 +1404,6 @@ def compile_column_getter(
     return lambda row: row[binding][key]
 
 
-def raw_column_getter(
-    bindings: list[tuple[str, list[str]]], column: ColumnRef
-) -> Callable[[dict], object] | None:
-    """Like :func:`compile_column_getter` but against *bare* heap rows.
-
-    Used by :class:`HashAggregate`'s fused scan path, which iterates the
-    table's stored row dicts directly instead of wrapping each in a
-    ``{binding: row}`` dict; resolution rules are identical.
-    """
-    resolved = resolve_binding_column(bindings, column)
-    if resolved is None:
-        return None
-    _, key = resolved
-    return lambda row: row[key]
-
-
 def compile_key_tuple(
     columns: list[ColumnRef], bindings: list[tuple[str, list[str]]]
 ) -> Callable[[RowDict], tuple] | None:
@@ -1863,7 +1437,6 @@ _FLIPPED_COMPARISONS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "<
 def compile_predicate(
     expr: Expression,
     bindings: list[tuple[str, list[str]]],
-    getter_factory: Callable = compile_column_getter,
 ) -> Callable[[RowDict], bool] | None:
     """Compile a WHERE conjunct into a fast ``row -> passes`` check, or None.
 
@@ -1876,16 +1449,12 @@ def compile_predicate(
     are read *per call*, not captured at compile time, so cached plans whose
     :class:`~repro.sql.canonicalize.ParamLiteral` nodes are re-bound between
     executions stay correct.
-
-    ``getter_factory`` selects the row representation: the default compiles
-    against ``{binding: row}`` batch dicts, :func:`raw_column_getter` against
-    bare heap rows (the aggregation pushdown).
     """
     if isinstance(expr, BinaryOp) and expr.op in _COMPARISON_TESTS:
         op = expr.op
         left, right = expr.left, expr.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            getter = getter_factory(bindings, left)
+            getter = compile_column_getter(bindings, left)
             if getter is None:
                 return None
             test = _COMPARISON_TESTS[op]
@@ -1897,7 +1466,7 @@ def compile_predicate(
 
             return check
         if isinstance(right, ColumnRef) and isinstance(left, Literal):
-            getter = getter_factory(bindings, right)
+            getter = compile_column_getter(bindings, right)
             if getter is None:
                 return None
             test = _COMPARISON_TESTS[_FLIPPED_COMPARISONS[op]]
@@ -1909,8 +1478,8 @@ def compile_predicate(
 
             return check
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-            left_get = getter_factory(bindings, left)
-            right_get = getter_factory(bindings, right)
+            left_get = compile_column_getter(bindings, left)
+            right_get = compile_column_getter(bindings, right)
             if left_get is None or right_get is None:
                 return None
             test = _COMPARISON_TESTS[op]
@@ -1923,7 +1492,7 @@ def compile_predicate(
         return None
     if isinstance(expr, BinaryOp) and expr.op == "LIKE":
         if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-            getter = getter_factory(bindings, expr.left)
+            getter = compile_column_getter(bindings, expr.left)
             if getter is None:
                 return None
             literal = expr.right
@@ -1946,7 +1515,7 @@ def compile_predicate(
     if isinstance(expr, UnaryOp) and expr.op in ("IS NULL", "IS NOT NULL"):
         if not isinstance(expr.operand, ColumnRef):
             return None
-        getter = getter_factory(bindings, expr.operand)
+        getter = compile_column_getter(bindings, expr.operand)
         if getter is None:
             return None
         if expr.op == "IS NULL":
@@ -1958,7 +1527,7 @@ def compile_predicate(
             and isinstance(expr.low, Literal)
             and isinstance(expr.high, Literal)
         ):
-            getter = getter_factory(bindings, expr.expr)
+            getter = compile_column_getter(bindings, expr.expr)
             if getter is None:
                 return None
             low, high, negated = expr.low, expr.high, expr.negated
@@ -1978,7 +1547,7 @@ def compile_predicate(
         if isinstance(expr.expr, ColumnRef) and all(
             isinstance(value, Literal) for value in expr.values
         ):
-            getter = getter_factory(bindings, expr.expr)
+            getter = compile_column_getter(bindings, expr.expr)
             if getter is None:
                 return None
             literals, negated = list(expr.values), expr.negated
@@ -2009,7 +1578,6 @@ def compile_predicate(
 def compile_conjuncts(
     predicates: list[Expression],
     bindings: list[tuple[str, list[str]]],
-    getter_factory: Callable = compile_column_getter,
 ) -> list[Callable[[RowDict], bool]] | None:
     """Compile every conjunct or none.
 
@@ -2020,7 +1588,7 @@ def compile_conjuncts(
     """
     checks: list[Callable[[RowDict], bool]] = []
     for predicate in predicates:
-        check = compile_predicate(predicate, bindings, getter_factory)
+        check = compile_predicate(predicate, bindings)
         if check is None:
             return None
         checks.append(check)
@@ -2134,10 +1702,8 @@ def _scan_batches(
 ) -> Iterator[RowBatch]:
     """Build a heap scan's batches, charging ``rows_scanned`` per batch.
 
-    Shared by :class:`SeqScan` and :class:`ParallelSeqScan`'s single-span
-    fallback so the wrap/flush/metrics behaviour cannot diverge; like
-    :func:`_chunk`, the batch size is re-read after every flush to honour the
-    executor's shrinking LIMIT budget.
+    Like :func:`_chunk`, the batch size is re-read after every flush to
+    honour the executor's shrinking LIMIT budget.
     """
     metrics = ctx.metrics
     batch_size = max(1, ctx.batch_size)

@@ -190,32 +190,6 @@ class Pager:
         """The verified frame list of the chain at ``head`` (payload dropped)."""
         return self.read(head)[1]
 
-    def readonly_clone(self) -> "Pager":
-        """A read-only handle on the same page file with a private descriptor.
-
-        Built for forked read-only workers (parallel partial aggregation):
-        the clone shares no file offset with the parent — each ``read``
-        seeks on its own descriptor — and its file object is opened
-        ``O_RDONLY``, so a stray write attempt fails loudly instead of
-        corrupting frames.  Frame accounting (frame count, free set) is
-        copied at clone time; the owner must not write concurrently while
-        clones read, which the engine's one-statement-at-a-time execution
-        guarantees.
-        """
-        self._assert_open()
-        clone = object.__new__(Pager)
-        clone.path = self.path
-        clone.frame_size = self.frame_size
-        clone._capacity = self._capacity
-        fd = os.open(self.path, os.O_RDONLY)
-        clone._file = os.fdopen(fd, "rb", buffering=0)
-        clone._frames = self._frames
-        clone._free = list(self._free)
-        clone._free_set = set(self._free_set)
-        clone.frames_written = 0
-        clone._closed = False
-        return clone
-
     # -- lifecycle -------------------------------------------------------------
 
     def sync(self) -> None:

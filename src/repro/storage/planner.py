@@ -35,8 +35,6 @@ The result is a :class:`SelectPlan` whose operator tree the executor streams;
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError
@@ -79,7 +77,6 @@ from repro.storage.operators import (
     NestedLoopJoin,
     Operator,
     OuterJoin,
-    ParallelSeqScan,
     RangeScan,
     SeqScan,
     SortedGroupAggregate,
@@ -97,62 +94,11 @@ DEFAULT_SUBQUERY_ESTIMATE = 100.0
 DEFAULT_EQ_SELECTIVITY = 0.1
 DEFAULT_SELECTIVITY = 0.33
 
-#: Batched CPU cost model: the engine pays per *batch* dispatched through the
-#: operator tree plus a (much smaller) per-tuple touch cost, not one uniform
-#: per-row charge — which is exactly why large scans amortize and tiny scans
-#: don't care.  Units are arbitrary but shared across the constants below.
-CPU_TUPLE_COST = 0.01
-#: Per-tuple touch cost on the columnar kernel path.  Kernels run
-#: branch-light loops over typed arrays instead of per-row dict wrapping and
-#: predicate dispatch, so a columnar tuple is costed cheaper than a row-batch
-#: tuple — which matters to relative decisions (e.g. whether a parallel
-#: scan's fan-out still pays once the per-tuple work it divides has shrunk).
-KERNEL_TUPLE_COST = 0.004
-CPU_BATCH_COST = 1.0
-#: Fixed coordination cost of fanning a scan across a worker pool (pool
-#: dispatch, span slicing, ordered re-assembly).  Deliberately small so the
-#: configured ``parallel_threshold`` — not this constant — is the binding
-#: gate; the cost comparison only vetoes degenerate cases (a handful of rows
-#: over a low threshold) where fan-out provably cannot pay.
-PARALLEL_SETUP_COST = 4.0
-#: Fixed per-worker cost of the forked partial-aggregation lane: a fork,
-#: its copy-on-write page faults, and pickling the merged accumulator state
-#: back through a pipe.  Much larger than :data:`PARALLEL_SETUP_COST`
-#: because a process is a much heavier lane than a pool thread.
-PROCESS_SETUP_COST = 8.0
 #: Cost of faulting one heap page through the buffer pool (decode on miss,
 #: LRU bookkeeping on hit).  Deliberately small relative to the per-row
 #: constants — a page holds ~128 rows, so page I/O shades scan costs toward
 #: page-frugal paths without flipping row-count-driven decisions.
 PAGE_IO_COST = 0.05
-
-
-def scan_cpu_cost(
-    rows: float,
-    settings: ExecutionSettings,
-    workers: int = 1,
-    pages: float = 0.0,
-    columnar: bool = False,
-) -> float:
-    """Cost of a (possibly parallel) heap scan under the batch model.
-
-    Tuple, batch, and page-fault work divides across workers (page-aligned
-    spans mean each page is faulted by exactly one worker); a parallel scan
-    additionally pays :data:`PARALLEL_SETUP_COST` once.  The planner compares
-    the 1-worker and N-worker costs to decide when a :class:`ParallelSeqScan`
-    is worth it.  ``columnar`` charges :data:`KERNEL_TUPLE_COST` per tuple
-    instead of :data:`CPU_TUPLE_COST`: kernel loops do less per row, so the
-    divisible work a fan-out could amortize is smaller.
-    """
-    rows = max(rows, 0.0)
-    tuple_cost = KERNEL_TUPLE_COST if columnar else CPU_TUPLE_COST
-    batches = max(1.0, math.ceil(rows / max(settings.batch_size, 1)))
-    cost = (
-        rows * tuple_cost + batches * CPU_BATCH_COST + pages * PAGE_IO_COST
-    ) / max(workers, 1)
-    if workers > 1:
-        cost += PARALLEL_SETUP_COST
-    return cost
 
 
 @dataclass
@@ -462,40 +408,7 @@ class Planner:
             estimate,
             having=statement.having,
         )
-        aggregate.process_partials = self._process_partials(root, estimate)
         return aggregate, root
-
-    def _process_partials(self, root: Operator, group_estimate: float) -> int:
-        """Forked partial-aggregation workers for this pipeline (1 = off).
-
-        The fork lane pays real setup (fork + COW faults + pickling merged
-        accumulator state back), so it is gated on all of: the knob is on,
-        the platform can fork, the scan is big enough
-        (``process_threshold`` estimated input rows), and the group count is
-        small relative to the input — a high-cardinality GROUP BY would ship
-        back nearly as much state as the rows it read, erasing the win.
-        """
-        settings = self._settings
-        if settings.process_workers <= 1 or not hasattr(os, "fork"):
-            return 1
-        input_rows = max(root.estimate, 0.0)
-        if input_rows < settings.process_threshold:
-            return 1
-        if group_estimate > max(1024.0, input_rows / 8.0):
-            return 1
-        # The in-process alternative the fork lane must beat is the columnar
-        # fused coordinator (kernel-cost tuples); each forked child runs the
-        # row-path partial loop, so its divided work is costed at row-path
-        # tuples plus the heavy per-process setup.
-        workers = settings.process_workers
-        fork_cost = (
-            scan_cpu_cost(input_rows, settings, workers)
-            + PROCESS_SETUP_COST * workers
-        )
-        columnar = settings.columnar_kernels and settings.compile_expressions
-        if fork_cost >= scan_cpu_cost(input_rows, settings, columnar=columnar):
-            return 1
-        return workers
 
     def _try_group_ordered_scan(
         self, statement: SelectStatement, leaf: _Leaf, root: Operator
@@ -509,8 +422,7 @@ class Planner:
         ordered walk only when the ORDER BY also starts with the same column:
         an index-ordered walk pays a per-row ``table.get`` and is slower than
         a heap scan feeding :class:`HashAggregate`, so order must be worth
-        buying (and a :class:`ParallelSeqScan` is never given up — parallel
-        partial aggregation beats streaming).
+        buying.
         """
         expr = statement.group_by[0]
         if expr.table is not None and expr.table.lower() != leaf.binding.lower():
@@ -529,7 +441,7 @@ class Planner:
             if node.column.lower() != canonical.lower():
                 return None
             return root
-        if type(node) is not SeqScan:
+        if not isinstance(node, SeqScan):
             return None
         if not statement.order_by:
             return None
@@ -700,9 +612,7 @@ class Planner:
                 # index; they are re-checked per candidate row.
                 residual.append(conjunct)
         leaf.predicates = pushable
-        # DML candidate scans stream sequential (row_id, row) pairs and are
-        # materialized before mutation; a parallel scan buys nothing there.
-        self._build_access_path(leaf, allow_parallel=False)
+        self._build_access_path(leaf)
         scan = leaf.operator
         filtered: list[Expression] = []
         while isinstance(scan, Filter):
@@ -962,7 +872,7 @@ class Planner:
 
     # -- access paths -------------------------------------------------------------
 
-    def _build_access_path(self, leaf: _Leaf, allow_parallel: bool = True) -> None:
+    def _build_access_path(self, leaf: _Leaf) -> None:
         """Choose the leaf's operator and estimates (sets fields in place)."""
         if leaf.table is None:
             leaf.seq_cost = DEFAULT_SUBQUERY_ESTIMATE
@@ -1008,42 +918,13 @@ class Planner:
             rest = [p for p in leaf.predicates if id(p) not in used]
         else:
             estimate = row_count
-            op = self._heap_scan(table, leaf.binding, estimate, allow_parallel)
+            op = SeqScan(table, leaf.binding, estimate)
             rest = list(leaf.predicates)
         if rest:
             for predicate in rest:
                 estimate *= self._predicate_selectivity(table, predicate)
             op = Filter(op, rest, estimate=estimate)
         leaf.operator, leaf.estimate = op, estimate
-
-    def _heap_scan(
-        self, table, binding: str, estimate: float, allow_parallel: bool
-    ) -> Operator:
-        """A full heap scan: parallel when the batch cost model says it pays.
-
-        Both gates must pass — the table crosses the configured row threshold
-        *and* :func:`scan_cpu_cost` with the configured worker count beats the
-        single-worker cost (which it stops doing for small heaps, where the
-        fixed fan-out setup dominates).
-        """
-        settings = self._settings
-        workers = settings.parallel_workers
-        row_count = len(table)
-        pages = table.page_count
-        # Deliberately costed with row-path tuples even when columnar kernels
-        # are on: the work a fan-out divides is heap-row *fetching*, which the
-        # columnar representation does not shrink (kernels cheapen the filter
-        # and projection work downstream — see KERNEL_TUPLE_COST's use in the
-        # process-lane gate, where a kernel coordinator is the alternative).
-        if (
-            allow_parallel
-            and workers > 1
-            and row_count >= settings.parallel_threshold
-            and scan_cpu_cost(row_count, settings, workers, pages=pages)
-            < scan_cpu_cost(row_count, settings, pages=pages)
-        ):
-            return ParallelSeqScan(table, binding, estimate, workers=workers)
-        return SeqScan(table, binding, estimate)
 
     def _pick_index_conjunct(
         self, table, predicates: list[Expression]

@@ -305,28 +305,6 @@ class TableStatistics:
         return min(1.0, max(row_drift, histogram_drift))
 
 
-def partition_spans(total: int, partitions: int) -> list[tuple[int, int]]:
-    """Boundaries of up to ``partitions`` contiguous equal-ish slices of
-    ``total`` items, as half-open ``(start, stop)`` pairs.
-
-    The first ``total % partitions`` slices carry one extra item so the
-    largest and smallest slice differ by at most one row — balanced work for
-    the parallel-scan workers.  Fewer (possibly zero) spans are returned when
-    there are fewer items than partitions; empty spans are never produced.
-    """
-    if total <= 0 or partitions <= 0:
-        return []
-    partitions = min(partitions, total)
-    base, extra = divmod(total, partitions)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for index in range(partitions):
-        stop = start + base + (1 if index < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
-
-
 def group_count_estimate(distinct_counts: list[float], input_rows: float) -> float:
     """Estimated GROUP BY output cardinality from per-key distinct counts.
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import IntegrityError, SchemaError
 from repro.storage.buffer_pool import PageStore
 from repro.storage.indexes import INDEX_KINDS, HashIndex, SortedIndex
 from repro.storage.schema import ColumnSchema, TableSchema
-from repro.storage.statistics import TableStatistics, partition_spans
+from repro.storage.statistics import TableStatistics
 
 #: Row slots per heap page.  A row id maps to ``(page ordinal, slot)`` as
 #: ``divmod(row_id, HEAP_PAGE_SLOTS)`` — row ids are monotonic and never
@@ -166,74 +164,6 @@ class Table:
             page = self._store.read(self._page_ids[ordinal], HEAP_PAGE_CODEC)
             if page:
                 yield list(page.values())
-
-    def scan_span(self, start: int, stop: int):
-        """Iterate the ``(row_id, row)`` pairs of one contiguous heap span.
-
-        ``start``/``stop`` are *positions* in :meth:`scan` order, so spans in
-        :func:`~repro.storage.statistics.partition_spans` order concatenate
-        back to exactly :meth:`scan`.  Per-page live counts skip whole pages
-        before the span start without touching their contents, so a worker
-        of a :class:`~repro.storage.operators.ParallelSeqScan` faults in only
-        the pages its span actually covers.
-        """
-        if start >= stop:
-            return
-        position = 0
-        for ordinal in sorted(self._page_ids):
-            live = self._page_live[ordinal]
-            if position + live <= start:
-                position += live
-                continue
-            if position >= stop:
-                return
-            page = self._store.read(self._page_ids[ordinal], HEAP_PAGE_CODEC)
-            base = ordinal * self._page_slots
-            for slot, row in page.items():
-                if position >= stop:
-                    return
-                if position >= start:
-                    yield base + slot, row
-                position += 1
-
-    def scan_partitions(self, partitions: int) -> list[list[tuple[int, dict]]]:
-        """Split the heap into up to ``partitions`` contiguous slices.
-
-        Each slice materializes one :meth:`scan_span`; concatenating the
-        slices in order reproduces :meth:`scan` exactly.  Boundaries come
-        from :func:`~repro.storage.statistics.partition_spans`, so empty
-        tables yield no partitions and small tables yield fewer than
-        requested.
-        """
-        return [
-            list(self.scan_span(start, stop))
-            for start, stop in partition_spans(self._row_count, partitions)
-        ]
-
-    def partition_spans(self, partitions: int) -> list[tuple[int, int]]:
-        """Positional spans aligned to heap-page boundaries.
-
-        Parallel scans fan out per *page run*: every span except the bounds
-        of the heap starts and ends on a page edge, so no two workers ever
-        fault the same page and each page is decoded at most once per scan.
-        Spans are contiguous, cover every row exactly once, and concatenate
-        (via :meth:`scan_span`) back to :meth:`scan` order.
-        """
-        total = self._row_count
-        if total <= 0 or partitions <= 0:
-            return []
-        target = math.ceil(total / partitions)
-        spans: list[tuple[int, int]] = []
-        start = 0
-        position = 0
-        for ordinal in sorted(self._page_ids):
-            position += self._page_live[ordinal]
-            if position - start >= target and len(spans) < partitions - 1:
-                spans.append((start, position))
-                start = position
-        if start < total:
-            spans.append((start, total))
-        return spans
 
     def _bump(self, schema: bool = False) -> None:
         """Advance the change counters after a mutation."""

@@ -9,7 +9,29 @@ from __future__ import annotations
 import pytest
 
 from repro import CQMS, CQMSConfig, SimulatedClock, build_database
+from repro.storage import ExecutionSettings
 from repro.workloads import QueryLogGenerator, WorkloadConfig
+
+#: Every engine configuration the cross-path equivalence tests run: the
+#: columnar path and the row-batch path at batch sizes that split the test
+#: tables into many, few and one batch, plus the two diagnostic fallbacks.
+EXEC_VARIANTS = [
+    pytest.param(
+        ExecutionSettings(batch_size=batch_size, columnar_kernels=columnar),
+        id=f"batch{batch_size}-{'columnar' if columnar else 'rows'}",
+    )
+    for batch_size in (1, 2, 256)
+    for columnar in (True, False)
+] + [
+    pytest.param(ExecutionSettings(compile_expressions=False), id="interpreted"),
+    pytest.param(ExecutionSettings(vectorized_aggregation=False), id="rewalk"),
+]
+
+
+@pytest.fixture(params=EXEC_VARIANTS)
+def exec_variant(request) -> ExecutionSettings:
+    """One :class:`ExecutionSettings` per surviving execution path."""
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -266,47 +266,6 @@ class TestWallClock:
         assert "wall-clock" not in rules_of(lint_paths([tmp_path]))
 
 
-class TestMetricsSingleWriter:
-    def test_metrics_write_in_pool_worker_fires(self, tmp_path):
-        diagnostics = lint_snippet(
-            tmp_path,
-            """
-            def scan(self, pool):
-                def worker(chunk):
-                    self.metrics.rows_scanned += len(chunk)
-                    return chunk
-                return pool.submit(worker, [])
-            """,
-        )
-        assert "metrics-single-writer" in rules_of(diagnostics)
-
-    def test_worker_without_metrics_write_is_clean(self, tmp_path):
-        diagnostics = lint_snippet(
-            tmp_path,
-            """
-            def scan(self, pool):
-                def worker(chunk):
-                    return [row for row in chunk if row]
-                return pool.submit(worker, [])
-            """,
-        )
-        assert "metrics-single-writer" not in rules_of(diagnostics)
-
-    def test_coordinator_metrics_write_is_clean(self, tmp_path):
-        diagnostics = lint_snippet(
-            tmp_path,
-            """
-            def scan(self, pool):
-                def worker(chunk):
-                    return len(chunk)
-                counted = pool.submit(worker, [])
-                self.metrics.rows_scanned += counted
-                return counted
-            """,
-        )
-        assert "metrics-single-writer" not in rules_of(diagnostics)
-
-
 class TestPagePinProtocol:
     def test_mutating_read_page_fires(self, tmp_path):
         diagnostics = lint_snippet(

@@ -17,13 +17,14 @@ from repro import CQMS, CQMSConfig, SimulatedClock, build_database
 from repro.client import Workbench
 from repro.errors import QueryTimeoutError, RateLimitedError, ReproError
 from repro.obs import QueryLimits
+from repro.storage import ExecutionSettings
 from repro.storage.database import Database
 
 RUNAWAY_ROWS = 4_000
 
 
-def _runaway_db() -> Database:
-    db = Database(name="obs_runaway")
+def _runaway_db(exec_settings: ExecutionSettings | None = None) -> Database:
+    db = Database(name="obs_runaway", exec_settings=exec_settings)
     db.execute("CREATE TABLE big (x INTEGER, y FLOAT)")
     db.insert_rows(
         "big", [{"x": i, "y": float(i % 97)} for i in range(RUNAWAY_ROWS)]
@@ -48,6 +49,38 @@ class TestStatementTimeouts:
         # The same statement with a generous budget completes untouched.
         result = db.execute("SELECT * FROM big WHERE y >= 0", timeout_seconds=60.0)
         assert len(result) == RUNAWAY_ROWS
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "rows"])
+    def test_grouped_scan_cancels_within_one_batch(self, columnar, monkeypatch):
+        """An expired budget stops a GROUP BY at the first batch boundary on
+        both aggregation paths, not after the whole heap has been read."""
+        settings = ExecutionSettings(columnar_kernels=columnar)
+        db = _runaway_db(settings)
+        table = db.table("big")
+        assert len(table) > 4 * settings.batch_size  # multi-batch
+        pulled = 0
+        scan, scan_row_lists = table.scan, table.scan_row_lists
+
+        def counted_scan():
+            nonlocal pulled
+            for pair in scan():
+                pulled += 1
+                yield pair
+
+        def counted_row_lists():
+            nonlocal pulled
+            for rows in scan_row_lists():
+                pulled += len(rows)
+                yield rows
+
+        monkeypatch.setattr(table, "scan", counted_scan)
+        monkeypatch.setattr(table, "scan_row_lists", counted_row_lists)
+        with pytest.raises(QueryTimeoutError, match="batch boundary"):
+            db.execute(
+                "SELECT y, COUNT(*), SUM(x) FROM big WHERE x >= 0 GROUP BY y",
+                timeout_seconds=1e-9,
+            )
+        assert 0 < pulled <= settings.batch_size
 
     def test_timed_out_dml_leaves_table_unchanged(self):
         db = _runaway_db()

@@ -1,4 +1,4 @@
-"""Batched execution engine: batch semantics, parallel scans, EXPLAIN ANALYZE,
+"""Batched execution engine: batch semantics, EXPLAIN ANALYZE,
 the statement cache, and the calibrated join-fanout estimates."""
 
 from __future__ import annotations
@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from repro.storage import Database, ExecutionSettings
 from repro.storage.executor import ExecutorMetrics
-from repro.storage.operators import ExecutionContext, ParallelSeqScan, SeqScan
-from repro.storage.statistics import partition_spans
+from repro.storage.operators import ExecutionContext, SeqScan
 
 
 def _make_db(exec_settings: ExecutionSettings | None = None, **kwargs) -> Database:
@@ -54,21 +53,34 @@ QUERIES = [
 
 
 class TestBatchSemantics:
-    @pytest.mark.parametrize("batch_size", [1, 2, 256])
-    def test_results_identical_across_batch_sizes(self, batch_size):
-        baseline = _make_db(ExecutionSettings(batch_size=256))
-        db = _make_db(ExecutionSettings(batch_size=batch_size))
+    def test_results_identical_across_variants(self, exec_variant):
+        baseline = _make_db(ExecutionSettings(columnar_kernels=False))
+        db = _make_db(exec_variant)
         for sql in QUERIES:
             expected = baseline.execute(sql)
             got = db.execute(sql)
             assert got.columns == expected.columns, sql
             assert got.rows == expected.rows, sql
 
-    def test_compiled_and_evaluated_filters_agree(self):
-        compiled = _make_db(ExecutionSettings(compile_expressions=True))
-        evaluated = _make_db(ExecutionSettings(compile_expressions=False))
-        for sql in QUERIES:
-            assert compiled.execute(sql).rows == evaluated.execute(sql).rows, sql
+    @hsettings(max_examples=25, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-50, 50), st.none()), min_size=0, max_size=500
+        ),
+        batch_size=st.sampled_from([1, 2, 256]),
+        threshold=st.integers(-40, 40),
+    )
+    def test_filter_property(self, values, batch_size, threshold):
+        """Random tables: a filtered columnar scan equals the row-batch
+        scan, rows in heap order."""
+        db = Database(exec_settings=ExecutionSettings(batch_size=batch_size))
+        db.execute("CREATE TABLE t (v INTEGER)")
+        db.insert_rows("t", [{"v": value} for value in values])
+        plain = Database(exec_settings=ExecutionSettings(columnar_kernels=False))
+        plain.execute("CREATE TABLE t (v INTEGER)")
+        plain.insert_rows("t", [{"v": value} for value in values])
+        sql = f"SELECT v FROM t WHERE v >= {threshold}"
+        assert db.execute(sql).rows == plain.execute(sql).rows
 
     def test_limit_short_circuit_still_honest(self):
         db = _make_db()
@@ -125,27 +137,6 @@ class TestBatchSemantics:
         ]
         assert shim == batched
 
-
-class TestPartitioning:
-    def test_partition_spans_cover_everything_once(self):
-        assert partition_spans(10, 3) == [(0, 4), (4, 7), (7, 10)]
-        assert partition_spans(2, 4) == [(0, 1), (1, 2)]
-        assert partition_spans(0, 4) == []
-        assert partition_spans(5, 1) == [(0, 5)]
-
-    def test_scan_partitions_reassemble_to_scan(self):
-        db = _make_db()
-        table = db.table("lakes")
-        flat = [pair for part in table.scan_partitions(4) for pair in part]
-        assert flat == list(table.scan())
-
-    def test_scan_span_matches_partition_boundaries(self):
-        db = _make_db()
-        table = db.table("lakes")
-        spans = partition_spans(len(table), 3)
-        flat = [pair for span in spans for pair in table.scan_span(*span)]
-        assert flat == list(table.scan())
-
     def test_limit_budget_skips_join_pipelines(self):
         """The LIMIT batch cap applies to scan/filter pipelines only — a join
         keeps full batches (its build side consumes everything anyway)."""
@@ -163,73 +154,6 @@ class TestPartitioning:
             "SELECT l.name FROM lakes l, samples s WHERE l.lake_id = s.lake_id LIMIT 1"
         )
         assert len(result.rows) == 1
-
-    def test_parallel_scan_preserves_heap_order(self):
-        db = _make_db()
-        table = db.table("samples")
-        seq = SeqScan(table, "s", float(len(table)))
-        par = ParallelSeqScan(table, "s", float(len(table)), workers=4)
-        seq_rows = list(seq.rows(ExecutionContext(metrics=ExecutorMetrics())))
-        par_rows = list(par.rows(ExecutionContext(metrics=ExecutorMetrics())))
-        assert par_rows == seq_rows
-
-    def test_parallel_scan_counts_all_rows(self):
-        db = _make_db()
-        table = db.table("samples")
-        metrics = ExecutorMetrics()
-        par = ParallelSeqScan(table, "s", float(len(table)), workers=3)
-        total = sum(len(b) for b in par.batches(ExecutionContext(metrics=metrics)))
-        assert total == len(table) == metrics.rows_scanned
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_results_identical_across_worker_counts(self, workers):
-        baseline = _make_db(ExecutionSettings(parallel_workers=1))
-        db = _make_db(
-            ExecutionSettings(parallel_workers=workers, parallel_threshold=100)
-        )
-        for sql in QUERIES:
-            assert db.execute(sql).rows == baseline.execute(sql).rows, sql
-
-    @hsettings(max_examples=25, deadline=None)
-    @given(
-        values=st.lists(
-            st.one_of(st.integers(-50, 50), st.none()), min_size=0, max_size=500
-        ),
-        workers=st.integers(1, 4),
-        threshold=st.integers(-40, 40),
-    )
-    def test_parallel_filter_property(self, values, workers, threshold):
-        """Random tables: a filtered parallel scan equals the sequential scan,
-        rows in heap order."""
-        db = Database(
-            exec_settings=ExecutionSettings(parallel_workers=workers, parallel_threshold=1)
-        )
-        db.execute("CREATE TABLE t (v INTEGER)")
-        db.insert_rows("t", [{"v": value} for value in values])
-        plain = Database()
-        plain.execute("CREATE TABLE t (v INTEGER)")
-        plain.insert_rows("t", [{"v": value} for value in values])
-        sql = f"SELECT v FROM t WHERE v >= {threshold}"
-        assert db.execute(sql).rows == plain.execute(sql).rows
-
-    def test_planner_parallelizes_above_threshold_only(self):
-        settings = ExecutionSettings(parallel_workers=4, parallel_threshold=150)
-        db = _make_db(settings)
-        big = db.explain("SELECT * FROM samples").text()     # 1000 rows
-        small = db.explain("SELECT * FROM lakes WHERE state = 'zzz'").text()  # 200 rows
-        assert "ParallelSeqScan samples [workers=4" in big
-        assert "ParallelSeqScan" not in small
-
-    def test_planner_keeps_seq_scan_with_one_worker(self):
-        db = _make_db(ExecutionSettings(parallel_workers=1, parallel_threshold=1))
-        assert "ParallelSeqScan" not in db.explain("SELECT * FROM samples").text()
-
-    def test_dml_never_parallelizes(self):
-        db = _make_db(ExecutionSettings(parallel_workers=4, parallel_threshold=1))
-        plan = db.explain("UPDATE samples SET temp = 0 WHERE depth > 40").text()
-        assert "ParallelSeqScan" not in plan
-        # And the DML path still works end to end with parallel settings on.
-        assert db.execute("DELETE FROM samples WHERE depth = 29").rowcount > 0
 
 
 class TestExplainAnalyze:
