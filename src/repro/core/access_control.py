@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.records import LoggedQuery
 from repro.errors import AccessControlError
 from repro.obs.admission import QueryLimits
+
+if TYPE_CHECKING:
+    from repro.core.query_store import QueryStore
 
 
 class Visibility(enum.Enum):
@@ -55,6 +59,15 @@ class AccessControl:
     _principals: dict[str, Principal] = field(default_factory=dict)
     _grants: dict[int, set[str]] = field(default_factory=dict)
     _limits: dict[str, QueryLimits] = field(default_factory=dict)
+    #: Counts the changes to who may see what: bumped by :meth:`register`,
+    #: :meth:`grant` and :meth:`revoke`.
+    generation: int = field(default=0, init=False)
+    # The visible log per principal, valid for one (store, store generation,
+    # access generation); see :meth:`visible_log`.
+    _visible_tag: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _visible_logs: dict[Principal, tuple[LoggedQuery, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- principals -------------------------------------------------------------
 
@@ -62,6 +75,7 @@ class AccessControl:
         """Register (or re-register) a principal."""
         principal = Principal(name=name, group=group, is_admin=is_admin)
         self._principals[name] = principal
+        self.generation += 1
         return principal
 
     def principal(self, name: str) -> Principal:
@@ -100,9 +114,11 @@ class AccessControl:
     def grant(self, qid: int, user: str) -> None:
         """Explicitly grant ``user`` access to query ``qid`` (beyond visibility)."""
         self._grants.setdefault(qid, set()).add(user)
+        self.generation += 1
 
     def revoke(self, qid: int, user: str) -> None:
         self._grants.get(qid, set()).discard(user)
+        self.generation += 1
 
     def grants_for(self, qid: int) -> set[str]:
         return set(self._grants.get(qid, set()))
@@ -133,6 +149,30 @@ class AccessControl:
         if isinstance(principal, str):
             principal = self.principal(principal)
         return [record for record in records if self.can_see(principal, record)]
+
+    def visible_log(
+        self, principal: Principal | str, store: QueryStore
+    ) -> tuple[LoggedQuery, ...]:
+        """Every query of ``store`` the principal may see, in qid order.
+
+        Filtered once per principal and kept until the store's or this
+        registry's ``generation`` moves, so a search does not re-sort the log
+        and re-run :meth:`can_see` per record per call.  One entry per
+        principal that has searched; a tuple, because every caller gets the
+        same object.
+        """
+        if isinstance(principal, str):
+            principal = self.principal(principal)
+        tag = (store, store.generation, self.generation)
+        if tag != self._visible_tag:
+            self._visible_logs.clear()
+            self._visible_tag = tag
+        records = self._visible_logs.get(principal)
+        if records is None:
+            records = self._visible_logs[principal] = tuple(
+                self.visible_queries(principal, store.all_queries())
+            )
+        return records
 
     def require_owner_or_admin(self, principal: Principal | str, record: LoggedQuery) -> None:
         """Raise unless the principal owns the record or is an administrator."""

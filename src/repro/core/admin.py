@@ -61,10 +61,7 @@ class Administrator:
         """Change a query's visibility (owner or admin only)."""
         record = self._store.get(qid)
         self._access.require_owner_or_admin(principal, record)
-        record.visibility = Visibility.parse(visibility).value
-        self._store.meta_database.execute(
-            f"UPDATE Queries SET visibility = '{record.visibility}' WHERE qid = {qid}"
-        )
+        self._store.set_visibility(qid, Visibility.parse(visibility).value)
 
     def share_query(self, principal: Principal | str, qid: int, with_user: str) -> None:
         """Grant a specific user access to one query (owner or admin only)."""

@@ -68,19 +68,21 @@ class QueryBrowser:
         self, principal: Principal | str, limit: int | None = None
     ) -> list[LoggedQuery]:
         """Every query the principal may see, most recent first."""
-        records = self._access.visible_queries(
-            self._principal(principal), self._store.all_queries()
+        records = sorted(
+            self._access.visible_log(self._principal(principal), self._store),
+            key=lambda record: -record.timestamp,
         )
-        records.sort(key=lambda record: -record.timestamp)
         return records[:limit] if limit is not None else records
 
     def ranked_log(
         self, principal: Principal | str, limit: int = 20
     ) -> list[LoggedQuery]:
         """Visible queries ranked by the composite ranking (no similarity term)."""
-        records = self._access.visible_queries(
-            self._principal(principal), self._store.select_queries()
-        )
+        records = [
+            record
+            for record in self._access.visible_log(self._principal(principal), self._store)
+            if record.is_select
+        ]
         context = RankingContext.from_store(self._store, now=float(self._clock()))
         ranked = self._ranking.rank([(record, 0.0) for record in records], context, limit=limit)
         return [item.record for item in ranked]

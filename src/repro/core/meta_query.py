@@ -32,7 +32,7 @@ from repro.errors import MetaQueryError, ReproError
 from repro.mining.knn import KNNIndex
 from repro.mining.similarity import weighted_feature_similarity
 from repro.sql.features import extract_features
-from repro.sql.parse_tree import TreePattern, match_pattern, to_parse_tree
+from repro.sql.parse_tree import TreePattern
 from repro.storage.database import QueryResult
 
 
@@ -159,7 +159,9 @@ class MetaQueryExecutor:
         self._ranking = ranking or RankingFunction()
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._knn_index: KNNIndex[int] = KNNIndex()
-        self._knn_indexed: set[int] = set()
+        # qid -> the text its tokens were indexed under, as of _knn_generation.
+        self._knn_indexed: dict[int, str] = {}
+        self._knn_generation: int | None = None
 
     # -- keyword / substring search ---------------------------------------------
 
@@ -173,8 +175,9 @@ class MetaQueryExecutor:
         if not lowered:
             raise MetaQueryError("keyword search requires at least one keyword")
         matches = []
+        lowered_text = self._store.lowered_text
         for record in self._visible(principal):
-            haystack = record.text.lower() + " " + " ".join(record.annotations).lower()
+            haystack = lowered_text(record) + " " + " ".join(record.annotations).lower()
             if all(keyword in haystack for keyword in lowered):
                 matches.append(record)
         return matches[:limit] if limit is not None else matches
@@ -186,8 +189,9 @@ class MetaQueryExecutor:
         if not needle:
             raise MetaQueryError("substring search requires a non-empty needle")
         lowered = needle.lower()
+        lowered_text = self._store.lowered_text
         matches = [
-            record for record in self._visible(principal) if lowered in record.text.lower()
+            record for record in self._visible(principal) if lowered in lowered_text(record)
         ]
         return matches[:limit] if limit is not None else matches
 
@@ -294,16 +298,19 @@ class MetaQueryExecutor:
         pattern: TreePattern,
         limit: int | None = None,
     ) -> list[LoggedQuery]:
-        """Queries whose parse tree contains the structural pattern."""
+        """Visible SELECTs whose parse tree contains the structural pattern.
+
+        The Query Storage matches the pattern against each distinct *text*
+        (trees are built once per text and pre-filtered through its
+        tree-label postings, see ``QueryStore.texts_matching``); the records
+        carrying a matching text come back in qid order.  Logged text that
+        does not parse never matches.
+        """
+        selects = [record for record in self._visible(principal) if record.is_select]
+        matched = self._store.texts_matching(pattern, {record.text for record in selects})
         matches = []
-        for record in self._visible(principal):
-            if not record.is_select:
-                continue
-            try:
-                tree = to_parse_tree(record.text)
-            except ReproError:
-                continue
-            if match_pattern(tree, pattern):
+        for record in selects:
+            if record.text in matched:
                 matches.append(record)
                 if limit is not None and len(matches) >= limit:
                     break
@@ -385,10 +392,8 @@ class MetaQueryExecutor:
 
     # -- internals -----------------------------------------------------------------------------
 
-    def _visible(self, principal: Principal | str) -> list[LoggedQuery]:
-        return self._access.visible_queries(
-            self._principal(principal), self._store.all_queries()
-        )
+    def _visible(self, principal: Principal | str) -> tuple[LoggedQuery, ...]:
+        return self._access.visible_log(self._principal(principal), self._store)
 
     def _principal(self, principal: Principal | str) -> Principal:
         if isinstance(principal, Principal):
@@ -396,13 +401,26 @@ class MetaQueryExecutor:
         return self._access.principal(principal)
 
     def _refresh_knn_index(self) -> None:
-        """Index any queries added since the last meta-query."""
-        for record in self._store.all_queries():
-            if record.qid in self._knn_indexed:
+        """Bring the kNN index up to the store's generation: index queries
+        added since the last refresh, re-index those whose text was replaced,
+        and forget those that were removed."""
+        generation = self._store.generation
+        if generation == self._knn_generation:
+            return
+        records = self._store.all_queries()
+        for record in records:
+            if self._knn_indexed.get(record.qid) == record.text:
                 continue
             if record.is_select and record.features is not None:
                 self._knn_index.add(record.qid, record.feature_tokens())
-            self._knn_indexed.add(record.qid)
+            else:
+                self._knn_index.remove(record.qid)
+            self._knn_indexed[record.qid] = record.text
+        if len(self._knn_indexed) > len(records):
+            for qid in [qid for qid in self._knn_indexed if qid not in self._store]:
+                del self._knn_indexed[qid]
+                self._knn_index.remove(qid)
+        self._knn_generation = generation
 
 
 def _features_of_partial(partial_sql: str):

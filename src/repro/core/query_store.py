@@ -14,15 +14,21 @@ and ``SessionEdges``) inside an instance of the same relational engine that
 backs the user database, so that meta-queries are ordinary SQL exactly as the
 paper envisions.  Alongside the relations it keeps the full
 :class:`~repro.core.records.LoggedQuery` objects for the components that need
-cheap object access (miner, recommender, maintenance).
+cheap object access (miner, recommender, maintenance), and one *statement
+table* entry per distinct query text: whatever has been derived from a text
+(its lower-cased form, its parse tree) is derived once and shared by every
+record that carries it — logs are dominated by repeated statements.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats
 from repro.errors import MetaQueryError, ReproError
 from repro.sql.canonicalize import canonical_text
 from repro.sql.features import extract_features
+from repro.sql.parse_tree import ParseTreeNode, TreePattern, match_pattern, to_parse_tree
 from repro.sql.parser import parse
 from repro.storage.database import Database, QueryResult
 from repro.storage.plan_cache import DEFAULT_PLAN_CACHE_SIZE
@@ -126,6 +132,37 @@ FEATURE_RELATIONS: list[TableSchema] = [
 ]
 
 
+@dataclass(slots=True)
+class _Statement:
+    """What the Query Storage keeps per distinct statement text."""
+
+    lowered: str
+    #: Live records carrying the text; the entry dies with the last one.
+    count: int = 0
+    #: Built by the first structural search that needs it; stays ``None``
+    #: for a text that does not parse.
+    tree: ParseTreeNode | None = None
+    tree_built: bool = False
+
+
+def _posting_keys(tree: ParseTreeNode) -> set:
+    """The postings a tree is filed under: each label and each (label, value)."""
+    keys: set = set()
+    for node in tree.walk():
+        keys.add(node.label)
+        if node.value:
+            keys.add((node.label, node.value))
+    return keys
+
+
+def _pattern_keys(pattern: TreePattern) -> set:
+    """The postings every tree matching ``pattern`` must be filed under."""
+    keys = {(pattern.label, pattern.value) if pattern.value else pattern.label}
+    for child in pattern.children:
+        keys |= _pattern_keys(child)
+    return keys
+
+
 class QueryStore:
     """Query Storage: feature relations + the in-memory record index.
 
@@ -211,6 +248,12 @@ class QueryStore:
         # recommendation) do not scan the whole log.
         self._qids_by_user: dict[str, set[int]] = {}
         self._qids_by_group: dict[str, set[int]] = {}
+        # The statement table, and the inverted index over the parse trees
+        # built so far: label or (label, value) -> texts whose tree has it.
+        self._statements: dict[str, _Statement] = {}
+        self._tree_postings: dict[object, set[str]] = {}
+        self._generation = 0
+        self._ordered: list[LoggedQuery] | None = None
         self._telemetry = None
         self._next_qid = 1
         self._next_qid_row_id = self._init_store_meta()
@@ -269,7 +312,10 @@ class QueryStore:
         validity, runtime statistics, annotations, and output samples come
         straight from the relations; syntactic features and canonical/template
         texts are re-extracted from the recovered query text (the same code
-        path the profiler used to produce them).  Session membership is
+        path the profiler used to produce them) — once per distinct text:
+        records carrying the same text share one feature object, which
+        nothing mutates in place.  Parse trees are not built here; they stay
+        lazy (see :meth:`texts_matching`).  Session membership is
         matched back from the ``Sessions`` time windows (same user, timestamp
         inside ``[startTs, endTs]``), so the per-session query counts stay
         consistent when a recovered query is later removed.  Output-sample
@@ -297,6 +343,7 @@ class QueryStore:
                 (row["startTs"] or 0.0, row["endTs"] or 0.0, row["sessionId"])
             )
 
+        artefacts_by_text: dict[str, tuple] = {}
         queries = sorted(self._meta_db.table("Queries").rows(), key=lambda r: r["qid"])
         for row in queries:
             qid = row["qid"]
@@ -313,14 +360,10 @@ class QueryStore:
                 flag_count=row["flagCount"] or 0,
                 runtime=runtime_by_qid.get(qid, RuntimeStats()),
             )
-            try:
-                parsed = parse(record.text)
-                record.features = extract_features(parsed, self._schema_columns)
-                record.canonical_text = canonical_text(parsed)
-                record.template_text = canonical_text(parsed, strip_constants=True)
-            except ReproError:
-                record.canonical_text = " ".join(record.text.lower().split())
-                record.template_text = record.canonical_text
+            artefacts = artefacts_by_text.get(record.text)
+            if artefacts is None:
+                artefacts = artefacts_by_text[record.text] = self._text_artefacts(record.text)
+            record.features, record.canonical_text, record.template_text = artefacts
             record.annotations = [
                 body for _, body in sorted(annotations_by_qid.get(qid, []))
             ]
@@ -334,10 +377,22 @@ class QueryStore:
             self._records[qid] = record
             self._qids_by_user.setdefault(record.user, set()).add(qid)
             self._qids_by_group.setdefault(record.group, set()).add(qid)
+            self._intern_text(record.text)
         if self._records:
             # The StoreMeta high-water mark normally leads; max(qid)+1 is the
             # floor for stores created before the counter existed.
             self._next_qid = max(self._next_qid, max(self._records) + 1)
+
+    def _text_artefacts(self, text: str) -> tuple:
+        """``(features, canonical text, template text)`` of a recovered text."""
+        features = None
+        try:
+            parsed = parse(text)
+            features = extract_features(parsed, self._schema_columns)
+            return features, canonical_text(parsed), canonical_text(parsed, strip_constants=True)
+        except ReproError:
+            canonical = " ".join(text.lower().split())
+            return features, canonical, canonical
 
     @staticmethod
     def _rebuild_output_summary(
@@ -407,9 +462,23 @@ class QueryStore:
         except KeyError:
             raise MetaQueryError(f"unknown query id {qid}") from None
 
+    @property
+    def generation(self) -> int:
+        """Counts the changes to what a search can return: bumped by
+        :meth:`add`, :meth:`remove`, :meth:`replace_text` and
+        :meth:`set_visibility`.  Caches over the log (the visible lists, the
+        kNN index) are tagged with it instead of re-walking the log."""
+        return self._generation
+
+    def _changed(self) -> None:
+        self._generation += 1
+        self._ordered = None
+
     def all_queries(self) -> list[LoggedQuery]:
-        """All logged queries in qid order."""
-        return [self._records[qid] for qid in sorted(self._records)]
+        """All logged queries in qid order (sorted once per generation)."""
+        if self._ordered is None:
+            self._ordered = [self._records[qid] for qid in sorted(self._records)]
+        return list(self._ordered)
 
     def queries_of_user(self, user: str) -> list[LoggedQuery]:
         return [self._records[qid] for qid in sorted(self._qids_by_user.get(user, ()))]
@@ -421,6 +490,60 @@ class QueryStore:
         """Only SELECT statements (the ones mining and recommendation use)."""
         return [record for record in self.all_queries() if record.is_select]
 
+    # -- the statement table ----------------------------------------------------
+
+    def _intern_text(self, text: str) -> None:
+        entry = self._statements.get(text)
+        if entry is None:
+            entry = self._statements[text] = _Statement(lowered=text.lower())
+        entry.count += 1
+
+    def _release_text(self, text: str) -> None:
+        entry = self._statements[text]
+        entry.count -= 1
+        if entry.count:
+            return
+        del self._statements[text]
+        if entry.tree is not None:
+            for key in _posting_keys(entry.tree):
+                bucket = self._tree_postings[key]
+                bucket.discard(text)
+                if not bucket:
+                    del self._tree_postings[key]
+
+    def lowered_text(self, record: LoggedQuery) -> str:
+        """``record.text.lower()``, computed once per distinct text."""
+        return self._statements[record.text].lowered
+
+    def texts_matching(self, pattern: TreePattern, texts: set[str]) -> set[str]:
+        """The subset of ``texts`` whose parse tree contains ``pattern``.
+
+        ``texts`` are statement texts of live records.  Those not yet parsed
+        are parsed now — at most once per distinct text for the life of its
+        entry — and filed under every label and ``(label, value)`` of their
+        tree.  A matching tree must contain every pattern node's label (and
+        value, when the pattern gives one), so intersecting those postings
+        loses no match; :func:`match_pattern` then runs once per surviving
+        text.  Texts that do not parse have no tree and never match.
+        """
+        for text in texts:
+            entry = self._statements[text]
+            if not entry.tree_built:
+                entry.tree_built = True
+                try:
+                    entry.tree = to_parse_tree(text)
+                except ReproError:
+                    continue
+                for key in _posting_keys(entry.tree):
+                    self._tree_postings.setdefault(key, set()).add(text)
+        postings = [self._tree_postings.get(key) for key in _pattern_keys(pattern)]
+        if not all(postings):
+            return set()
+        candidates = set.intersection(*sorted([texts, *postings], key=len))
+        return {
+            text for text in candidates if match_pattern(self._statements[text].tree, pattern)
+        }
+
     # -- ingest -----------------------------------------------------------------
 
     def add(self, record: LoggedQuery) -> None:
@@ -430,6 +553,8 @@ class QueryStore:
         self._records[record.qid] = record
         self._qids_by_user.setdefault(record.user, set()).add(record.qid)
         self._qids_by_group.setdefault(record.group, set()).add(record.qid)
+        self._intern_text(record.text)
+        self._changed()
         if self._telemetry is not None:
             registry = self._telemetry.registry
             registry.counter(
@@ -679,6 +804,17 @@ class QueryStore:
                 },
             )
 
+    def set_visibility(self, qid: int, visibility: str) -> None:
+        """Change who may see a query (``"private"``/``"group"``/``"public"``),
+        on the record and — through the qid index, like :meth:`_sync_validity`
+        — in ``Queries``, so the setting survives a restart."""
+        record = self.get(qid)
+        record.visibility = visibility
+        table = self._meta_db.table("Queries")
+        for row_id in self._feature_row_ids(table, qid):
+            table.update(row_id, {"visibility": visibility})
+        self._changed()
+
     def remove(self, qid: int) -> list[dict]:
         """Remove a query and all its shredded features.
 
@@ -692,6 +828,8 @@ class QueryStore:
         del self._records[qid]
         self._qids_by_user.get(record.user, set()).discard(qid)
         self._qids_by_group.get(record.group, set()).discard(qid)
+        self._release_text(record.text)
+        self._changed()
         for table_name in (
             "Queries",
             "DataSources",

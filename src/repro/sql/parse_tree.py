@@ -43,13 +43,15 @@ from repro.sql.ast_nodes import (
 from repro.sql.parser import parse
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseTreeNode:
     """A labelled, ordered tree node.
 
     ``label`` identifies the node kind (e.g. ``select``, ``table``,
     ``predicate-op``); ``value`` carries the specific content (table name,
-    operator, literal text).  Children are ordered.
+    operator, literal text).  Children are ordered.  Slotted: the Query
+    Storage retains one tree per distinct statement text, so a node carries
+    no per-instance ``__dict__``.
     """
 
     label: str

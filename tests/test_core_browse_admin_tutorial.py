@@ -88,6 +88,34 @@ class TestUserAdministration:
         with pytest.raises(AccessControlError):
             busy_cqms.admin().set_visibility("bob", 5, "public")
 
+    def test_visibility_change_reaches_the_next_search(self, busy_cqms):
+        """The cached visible log is dropped by every change to who sees what."""
+        admin = busy_cqms.admin()
+
+        def seen_by_alice():
+            searched = [r.qid for r in busy_cqms.search_substring("alice", "Sensors")]
+            browsed = [r.qid for r in busy_cqms.browser().visible_queries("alice") if r.qid == 5]
+            ranked = [r.qid for r in busy_cqms.browser().ranked_log("alice") if r.qid == 5]
+            assert searched == browsed == ranked
+            return searched
+
+        assert seen_by_alice() == []
+        admin.set_visibility("carol", 5, "public")
+        assert seen_by_alice() == [5]
+        admin.set_visibility("carol", 5, "private")
+        assert seen_by_alice() == []
+        admin.share_query("carol", 5, "alice")
+        assert seen_by_alice() == [5]
+        admin.unshare_query("carol", 5, "alice")
+        assert seen_by_alice() == []
+
+    def test_set_visibility_updates_the_queries_relation(self, busy_cqms):
+        busy_cqms.admin().set_visibility("carol", 5, "PUBLIC")
+        rows = busy_cqms.store.execute_meta_sql(
+            "SELECT visibility FROM Queries WHERE qid = 5"
+        ).rows
+        assert rows == [("public",)]
+
     def test_share_and_unshare(self, busy_cqms):
         admin = busy_cqms.admin()
         admin.share_query("carol", 5, "alice")

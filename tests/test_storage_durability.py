@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro import CQMS, CQMSConfig, build_database
 from repro.errors import DurabilityError
+from repro.sql.parser import parse
 from repro.storage.database import Database
 from repro.storage.recovery import LOCK_FILE_NAME
 from repro.storage.snapshot import SNAPSHOT_FILE_NAME, SNAPSHOT_TMP_SUFFIX
@@ -744,6 +745,60 @@ class TestDurableQueryStore:
             stats = cqms.durability_stats()
             assert stats["database"] is None  # user DBMS stays in-memory
             assert stats["query_storage"] is not None
+
+    def test_reopen_parses_each_distinct_text_once(self, tmp_path, monkeypatch):
+        from repro.core import query_store
+
+        texts = [f"SELECT * FROM WaterTemp T WHERE T.temp < {15 + i}" for i in range(4)]
+        texts.append("SELECT L.name FROM Lakes L, WaterTemp T WHERE L.lake_id = T.lake_id")
+        d = str(tmp_path / "store")
+        db = build_database("limnology", scale=1)
+        with CQMS(db, config=CQMSConfig(data_dir=d)) as cqms:
+            cqms.register_user("ana", group="g")
+            for i in range(30):
+                cqms.submit("ana", texts[i % 5])
+            before = {
+                r.qid: (r.text, r.features, r.canonical_text, r.template_text)
+                for r in cqms.store.all_queries()
+            }
+        assert len(before) == 30
+
+        parsed = []
+
+        def counting_parse(sql):
+            parsed.append(sql)
+            return parse(sql)
+
+        monkeypatch.setattr(query_store, "parse", counting_parse)
+        db2 = build_database("limnology", scale=1)
+        with CQMS(db2, config=CQMSConfig(data_dir=d)) as cqms:
+            assert sorted(parsed) == sorted(texts)
+            after = {
+                r.qid: (r.text, r.features, r.canonical_text, r.template_text)
+                for r in cqms.store.all_queries()
+            }
+            assert after == before
+            # Records carrying one text share its feature object.
+            assert cqms.store.get(1).features is cqms.store.get(6).features
+
+    def test_visibility_survives_restart(self, tmp_path):
+        d = str(tmp_path / "store")
+        db = build_database("limnology", scale=1)
+        with CQMS(db, config=CQMSConfig(data_dir=d)) as cqms:
+            cqms.register_user("ana", group="g")
+            cqms.register_user("zoe", group="other")
+            cqms.submit("ana", "SELECT * FROM WaterTemp")
+            cqms.submit("ana", "SELECT * FROM Lakes")
+            assert cqms.search_substring("zoe", "SELECT") == []
+            cqms.admin().set_visibility("ana", 1, "public")
+            assert [r.qid for r in cqms.search_substring("zoe", "SELECT")] == [1]
+        db2 = build_database("limnology", scale=1)
+        with CQMS(db2, config=CQMSConfig(data_dir=d)) as cqms:
+            cqms.register_user("ana", group="g")
+            cqms.register_user("zoe", group="other")
+            assert cqms.store.get(1).visibility == "public"
+            assert cqms.store.get(2).visibility == "group"
+            assert [r.qid for r in cqms.search_substring("zoe", "SELECT")] == [1]
 
     def test_session_membership_restored_from_time_windows(self, tmp_path):
         d = str(tmp_path / "store")
