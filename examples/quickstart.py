@@ -93,10 +93,6 @@ def main() -> None:
     # 9. Durability: with a data_dir the query log survives restarts.  The
     # Query Storage writes every logged query through a write-ahead log
     # (group-commit batched by default) and recovers it on reopen.
-    # (Execution knobs ride the same config: scan/filter/project pipelines
-    # run through columnar batch kernels by default —
-    # CQMSConfig(exec_columnar_kernels=False) restores the row-batch
-    # engine exactly.)
     print("\n== Durable Query Storage ==")
     data_dir = tempfile.mkdtemp(prefix="cqms_quickstart_")
     try:

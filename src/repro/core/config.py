@@ -85,7 +85,6 @@ class CQMSConfig:
 
     # -- execution engine (batched scans over the feature relations) --------------------
     exec_batch_size: int = 256                # rows per operator batch
-    exec_columnar_kernels: bool = True        # columnar batches + kernels (False = row path)
     exec_verify_plans: bool = False           # verify every plan before execution
 
     # -- access control (Sections 1 / 2.4) --------------------------------------------
@@ -153,7 +152,6 @@ class CQMSConfig:
 
         return ExecutionSettings(
             batch_size=self.exec_batch_size,
-            columnar_kernels=self.exec_columnar_kernels,
             verify_plans=self.exec_verify_plans,
             buffer_pool_pages=self.buffer_pool_pages,
         )

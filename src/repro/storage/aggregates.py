@@ -1,19 +1,19 @@
 """Incremental aggregate accumulators and aggregate-spec collection.
 
-The vectorized aggregation path (``HashAggregate`` / ``SortedGroupAggregate``
-in :mod:`repro.storage.operators`) replaces the executor's historical
-materialize-then-rewalk grouping: instead of buffering every input row into
-per-group lists and re-evaluating each aggregate reference in SELECT, HAVING,
-and ORDER BY against those lists, each distinct aggregate expression becomes
-one *accumulator* per group that every input row updates exactly once.
+The aggregation stage (``HashAggregate`` / ``SortedGroupAggregate`` in
+:mod:`repro.storage.operators`) never buffers input rows per group: each
+distinct aggregate expression of a statement becomes one *accumulator* per
+group that every input row updates exactly once, and SELECT, HAVING and
+ORDER BY read the finished accumulator states.
 
 * :func:`collect_aggregate_specs` walks a SELECT statement and returns the
   deduplicated :class:`AggregateSpec` list plus a map from every aggregate
-  AST node to its spec's slot.  It returns None when the statement uses a
-  shape the incremental path does not reproduce bit-for-bit (aggregates
-  nested inside CASE/function arguments, argument-less SUM/AVG/MIN/MAX, ...);
-  the executor then falls back to the historical path, which raises exactly
-  the errors those shapes always raised.
+  AST node to its spec's slot.  It is also the one place that decides whether
+  an aggregate statement is well-formed: a shape the accumulators cannot
+  answer (an aggregate nested inside CASE / BETWEEN / IN / a function
+  argument, argument-less SUM/AVG/MIN/MAX, ``SUM(*)``, an aggregate inside
+  another aggregate's argument) raises :class:`~repro.errors.ExecutionError`
+  at plan time, whether or not the tables hold any rows.
 * Accumulators expose ``update_batch(values)`` / ``finish()``.
 * The columnar lane (:mod:`repro.storage.kernels`) adds
   ``update_column(values, positions)``: the same fold over a full column
@@ -23,23 +23,25 @@ one *accumulator* per group that every input row updates exactly once.
   the gathered values exactly (same left-fold, same first-seen ties).
 
 Numeric care: ``SUM``/``AVG`` fold batches with ``sum(values, start=total)``,
-which reproduces the historical single ``sum(all_values)`` left-fold
-byte-for-byte.
+which reproduces a single ``sum(all_values)`` left-fold byte-for-byte, so the
+result does not depend on where the batch boundaries fall.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ExecutionError
 from repro.sql.ast_nodes import (
     BinaryOp,
-    CaseExpression,
     ColumnRef,
     Expression,
     FunctionCall,
     SelectStatement,
     Star,
     UnaryOp,
+    contains_aggregate,
+    iter_expressions,
 )
 from repro.sql.formatter import format_expression
 from repro.storage.types import sort_key
@@ -98,9 +100,9 @@ class CountAccumulator:
 class SumAccumulator:
     """``SUM(expr)``: running total over non-NULL values (NULL when none).
 
-    ``sum(batch, start=total)`` continues the exact left-fold the historical
-    one-shot ``sum(values)`` performed, so sequential results are
-    byte-identical even for floats.
+    ``sum(batch, start=total)`` continues the exact left-fold a one-shot
+    ``sum(values)`` performs, so results are byte-identical across batch
+    sizes even for floats.
     """
 
     __slots__ = ("total",)
@@ -209,9 +211,9 @@ class MaxAccumulator(_ExtremeAccumulator):
 class _DistinctAccumulator:
     """Shared DISTINCT machinery: first-seen-ordered unique non-NULL values.
 
-    The ordered dict keyed by :func:`hashable_value` reproduces the historical
-    first-occurrence dedup, so ``SUM(DISTINCT ...)`` folds values in exactly
-    the order the one-shot path did.
+    The ordered dict keyed by :func:`hashable_value` keeps the first
+    occurrence of each value, so ``SUM(DISTINCT ...)`` folds values in
+    first-seen order whatever the batch boundaries.
     """
 
     __slots__ = ("seen",)
@@ -318,29 +320,43 @@ class AggregateCollection:
     slots: dict[int, int]
 
 
-def collect_aggregate_specs(statement: SelectStatement) -> AggregateCollection | None:
-    """Collect the statement's aggregates for the incremental path.
+def reject_aggregates(expr: Expression) -> None:
+    """Raise for an aggregate in a per-row clause (WHERE, JOIN ... ON,
+    GROUP BY, another aggregate's argument).
 
-    Returns None when any aggregate appears in a shape the accumulator path
-    does not support — nested inside CASE or non-aggregate function arguments
-    (the historical path raises its placement error), argument-less
-    SUM/AVG/MIN/MAX or ``SUM(*)`` (the historical path raises its
-    requires-an-argument / evaluation error), or an aggregate inside another
-    aggregate's argument.  The executor falls back to the historical
-    evaluation, preserving those errors verbatim.
+    Subquery statements are not descended into: they aggregate on their own.
+    """
+    for node in iter_expressions(expr):
+        if isinstance(node, FunctionCall) and node.is_aggregate:
+            raise ExecutionError(
+                f"aggregate {node.name.upper()} used outside of an aggregation context"
+            )
+
+
+def collect_aggregate_specs(statement: SelectStatement) -> AggregateCollection:
+    """Collect and validate the aggregates of SELECT / HAVING / ORDER BY.
+
+    Raises :class:`~repro.errors.ExecutionError` for any aggregate the
+    accumulators do not support — nested inside CASE, BETWEEN, IN or a
+    non-aggregate function's arguments, argument-less SUM/AVG/MIN/MAX,
+    ``SUM(*)``, or inside another aggregate's argument — so a malformed
+    statement fails when it is planned, not when its first group is finished.
     """
     specs: list[AggregateSpec] = []
     slots: dict[int, int] = {}
     keys: dict[object, int] = {}
 
-    def register(call: FunctionCall) -> bool:
+    def register(call: FunctionCall) -> None:
         name = call.name.upper()
-        star = not call.args or isinstance(call.args[0], Star)
-        if star and name != "COUNT":
-            return False
-        argument = None if star else call.args[0]
-        if argument is not None and has_aggregate(argument):
-            return False
+        argument = call.args[0] if call.args else None
+        if name == "COUNT" and (argument is None or isinstance(argument, Star)):
+            argument = None  # COUNT(*) / COUNT(): the accumulator counts rows
+        elif argument is None:
+            raise ExecutionError(f"aggregate {name} requires an argument")
+        elif isinstance(argument, Star):
+            raise ExecutionError("'*' is only allowed in the select list or COUNT(*)")
+        else:
+            reject_aggregates(argument)
         key = _spec_key(name, argument, call.distinct)
         slot = keys.get(key)
         if slot is None:
@@ -354,29 +370,30 @@ def collect_aggregate_specs(statement: SelectStatement) -> AggregateCollection |
                 )
             )
         slots[id(call)] = slot
-        return True
 
-    def visit(expr: Expression) -> bool:
+    def visit(expr: Expression) -> None:
         if isinstance(expr, FunctionCall) and expr.is_aggregate:
-            return register(expr)
-        if isinstance(expr, BinaryOp):
-            return visit(expr.left) and visit(expr.right)
-        if isinstance(expr, UnaryOp):
-            return visit(expr.operand)
-        # Any aggregate buried deeper (CASE, function arguments, subqueries)
-        # is a placement error on the historical path — fall back to it.
-        return not has_aggregate(expr)
+            register(expr)
+        elif isinstance(expr, BinaryOp):
+            visit(expr.left)
+            visit(expr.right)
+        elif isinstance(expr, UnaryOp):
+            visit(expr.operand)
+        elif contains_aggregate(expr):
+            # Finished values are substituted through arithmetic/boolean
+            # operators only; anything deeper never sees its group.
+            raise ExecutionError(
+                "aggregates may only appear at the top level of an expression "
+                "or inside simple arithmetic/boolean combinations"
+            )
 
     for item in statement.select_items:
-        if isinstance(item.expression, Star):
-            continue
-        if not visit(item.expression):
-            return None
-    if statement.having is not None and not visit(statement.having):
-        return None
+        if not isinstance(item.expression, Star):
+            visit(item.expression)
+    if statement.having is not None:
+        visit(statement.having)
     for order_item in statement.order_by:
-        if not visit(order_item.expression):
-            return None
+        visit(order_item.expression)
     return AggregateCollection(specs=specs, slots=slots)
 
 
@@ -407,7 +424,7 @@ def _plain_columns_only(expr: Expression) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate detection (canonical home; the planner re-exports these)
+# Aggregate detection
 # ---------------------------------------------------------------------------
 
 
@@ -416,21 +433,4 @@ def statement_has_aggregates(statement: SelectStatement) -> bool:
     if statement.having is not None:
         expressions.append(statement.having)
     expressions.extend(item.expression for item in statement.order_by)
-    return any(has_aggregate(expr) for expr in expressions)
-
-
-def has_aggregate(expr: Expression) -> bool:
-    if isinstance(expr, FunctionCall) and expr.is_aggregate:
-        return True
-    if isinstance(expr, BinaryOp):
-        return has_aggregate(expr.left) or has_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return has_aggregate(expr.operand)
-    if isinstance(expr, FunctionCall):
-        return any(has_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, CaseExpression):
-        return any(
-            has_aggregate(condition) or has_aggregate(value)
-            for condition, value in expr.whens
-        ) or (expr.default is not None and has_aggregate(expr.default))
-    return False
+    return any(contains_aggregate(expr) for expr in expressions)

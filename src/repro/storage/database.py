@@ -48,7 +48,6 @@ from repro.storage.wal import DEFAULT_GROUP_SIZE, WAL_FILE_NAME, WalStats, WalWr
 from repro.storage.exec_settings import DEFAULT_SETTINGS, ExecutionSettings
 from repro.storage.executor import Executor
 from repro.storage.expression import Scope, evaluate, is_true
-from repro.storage.aggregates import statement_has_aggregates
 from repro.storage.operators import ExecutionContext
 from repro.storage.plan_cache import (
     DEFAULT_MAX_DRIFT,
@@ -770,7 +769,7 @@ class Database:
                 f" columnar: batches={stats.columnar_batches} "
                 f"kernels={stats.kernel_seconds * 1000.0:.3f} ms"
             )
-        if statement.group_by or statement_has_aggregates(statement):
+        if plan.aggregate is not None:
             summary += (
                 f" aggregation: groups={stats.groups_emitted} "
                 f"in {stats.agg_seconds * 1000.0:.3f} ms"

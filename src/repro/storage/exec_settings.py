@@ -1,4 +1,5 @@
-"""Execution-engine settings: batch sizing, columnar, and diagnostic knobs.
+"""Execution-engine settings: batch sizing, the columnar switch, plan
+verification and the buffer-pool size.
 
 The batched execution model (see :mod:`repro.storage.operators`) moves rows
 through the operator tree in lists of ``batch_size`` binding dicts instead of
@@ -7,9 +8,9 @@ so that
 
 * a :class:`~repro.storage.database.Database` can be tuned per instance
   (the CQMS meta-database and the user DBMS need not agree),
-* the planner can read them when costing a scan without importing the
-  CQMS-level :class:`~repro.core.config.CQMSConfig` (which sits above the
-  storage layer and maps its ``exec_*`` fields onto this class).
+* the storage layer never imports the CQMS-level
+  :class:`~repro.core.config.CQMSConfig` (which sits above it and maps its
+  ``exec_*`` fields onto this class).
 """
 
 from __future__ import annotations
@@ -29,19 +30,13 @@ class ExecutionSettings:
     ``columnar_kernels=False`` disables the columnar batch representation
     and its kernels (:mod:`repro.storage.colbatch`,
     :mod:`repro.storage.kernels`), keeping scans/filters/aggregation on the
-    row-batch path — bit-for-bit today's engine, and the baseline
-    ``bench_columnar.py`` measures against.  The columnar path also
-    requires ``compile_expressions`` (kernels are compiled predicates).
-
-    ``compile_expressions=False`` disables the compiled predicate/projection
-    fast paths, forcing per-row Scope/evaluate dispatch — a diagnostic switch
-    (like the planner's ``use_indexes=False``) that lets benchmarks quantify
-    the batch engine against the historical row-at-a-time evaluation model.
-
-    ``vectorized_aggregation=False`` keeps grouped queries on the executor's
-    historical materialize-then-rewalk aggregation instead of planning a
-    ``HashAggregate``/``SortedGroupAggregate`` stage — the baseline the
-    aggregation benchmarks measure speedups against.
+    row-batch path.  It is the engine's one remaining path switch and it
+    stays on purpose: the row-batch path is live anyway (joins, index scans
+    and any predicate without a kernel run on it), and forcing it is the
+    *reference* the bit-identical float-aggregate and cross-path equivalence
+    tests — and ``bench_columnar.py`` — compare the columnar path against.
+    Which path a statement takes is otherwise decided by its plan shape,
+    never by an option.
 
     ``verify_plans=True`` runs the plan-invariant verifier
     (:mod:`repro.analysis.plan_verify`) over every plan before the executor
@@ -56,8 +51,6 @@ class ExecutionSettings:
 
     batch_size: int = DEFAULT_BATCH_SIZE
     columnar_kernels: bool = True
-    compile_expressions: bool = True
-    vectorized_aggregation: bool = True
     verify_plans: bool = False
     buffer_pool_pages: int = DEFAULT_BUFFER_POOL_PAGES
 

@@ -47,12 +47,7 @@ from repro.storage.operators import (
     SeqScan,
     resolve_binding_column,
 )
-from repro.storage.planner import (
-    Planner,
-    SelectPlan,
-    has_aggregate as _has_aggregate,
-    statement_has_aggregates,
-)
+from repro.storage.planner import Planner, SelectPlan
 from repro.storage.types import sort_key
 from repro.sql.ast_nodes import (
     BinaryOp,
@@ -183,64 +178,37 @@ class Executor:
             ),
             batch_size=self._settings.batch_size,
             node_stats=node_stats,
-            compile_expressions=self._settings.compile_expressions,
             columnar_kernels=self._settings.columnar_kernels,
             deadline=self._deadline,
             timer=self._timer,
         )
-        project = None
-        if self._settings.compile_expressions:
-            # Memoized on the plan: cached template plans execute thousands of
-            # times, and the compiled getters read only row-dict keys, so
-            # parameter re-binding never stales them.
-            project = getattr(plan, "_compiled_projection", _UNSET)
-            if project is _UNSET:
-                project = _compile_projection(statement, plan.bindings)
-                plan._compiled_projection = project
-        if statement.group_by or statement_has_aggregates(statement):
-            if plan.aggregate is not None and self._settings.vectorized_aggregation:
-                columns, rows = self._aggregate_streamed(
-                    statement, plan, ctx, outer_scope
-                )
+        columns = plan.output_columns
+        sorting = statement.order_by and not plan.sort_eliminated
+        if plan.aggregate is not None or sorting:
+            if plan.aggregate is not None:
+                rows = self._aggregate_streamed(statement, plan, ctx, outer_scope)
+            elif plan.sort_prefix:
+                # Partial sort: the scan already streams rows ordered by the
+                # first ORDER BY key (sorted index), so only runs of equal
+                # leading-key values are buffered and sorted by the remaining
+                # keys — and LIMIT short-circuits at the first run boundary past
+                # the budget instead of materializing the whole table.
+                rows = self._partial_order_rows(statement, plan, ctx, outer_scope)
             else:
-                started = self._timer()
-                source = self._flatten(plan.root.batches(ctx))
-                columns, rows = self._aggregate(statement, plan, source, outer_scope)
-                self.metrics.agg_seconds += self._timer() - started
+                project = self._projection(plan, outer_scope)
+                pairs = []
+                for batch in plan.root.batches(ctx):
+                    self.metrics.batches += 1
+                    for row in batch:
+                        pairs.append((row, project(row)))
+                pairs.sort(
+                    key=self._make_order_key(
+                        plan, outer_scope, statement.order_by, self._evaluate_row
+                    )
+                )
+                rows = [output_row for _, output_row in pairs]
             if statement.distinct:
                 rows = _distinct(rows)
-            rows = _apply_limit(rows, statement.limit, statement.offset)
-        elif statement.order_by and not plan.sort_eliminated and plan.sort_prefix:
-            # Partial sort: the scan already streams rows ordered by the
-            # first ORDER BY key (sorted index), so only runs of equal
-            # leading-key values are buffered and sorted by the remaining
-            # keys — and LIMIT short-circuits at the first run boundary past
-            # the budget instead of materializing the whole table.
-            columns = plan.output_columns
-            rows = self._partial_order_rows(
-                statement, plan, ctx, project, outer_scope
-            )
-            if statement.distinct:
-                rows = _distinct(rows)
-            rows = _apply_limit(rows, statement.limit, statement.offset)
-        elif statement.order_by and not plan.sort_eliminated:
-            columns = plan.output_columns
-            pairs = []
-            for batch in plan.root.batches(ctx):
-                self.metrics.batches += 1
-                for row in batch:
-                    if project is not None:
-                        values = project(row)
-                    else:
-                        scope = Scope(row, parent=outer_scope)
-                        values = tuple(
-                            self._evaluate_output(statement, plan.bindings, scope)
-                        )
-                    pairs.append((row, values))
-            rows = self._order_rows(statement, pairs, columns, outer_scope)
-            if statement.distinct:
-                rows = _distinct(rows)
-            rows = _apply_limit(rows, statement.limit, statement.offset)
         else:
             # Pure streaming path (including index-ordered ORDER BY, where the
             # scan already yields sorted rows): project batch by batch, stop
@@ -252,7 +220,6 @@ class Executor:
             # filter.  Join pipelines keep the configured batch size — their
             # build sides consume whole inputs regardless, and throttling them
             # to the LIMIT would re-introduce per-row batch overhead.
-            columns = plan.output_columns
             needed = (
                 statement.limit + (statement.offset or 0)
                 if statement.limit is not None
@@ -266,7 +233,7 @@ class Executor:
             rows = []
             done = False
             columnar = None
-            if project is not None and plan.root.supports_columnar(ctx):
+            if plan.root.supports_columnar(ctx):
                 # Memoized like the row projection: the keys are row-dict
                 # lookups only, so parameter re-binding never stales them.
                 columnar = getattr(plan, "_columnar_projection", _UNSET)
@@ -303,16 +270,11 @@ class Executor:
                     if budget is not None:
                         ctx.batch_size = max(min(budget - len(rows), base_batch), 1)
             else:
+                project = self._projection(plan, outer_scope)
                 for batch in plan.root.batches(ctx):
                     self.metrics.batches += 1
                     for row in batch:
-                        if project is not None:
-                            values = project(row)
-                        else:
-                            scope = Scope(row, parent=outer_scope)
-                            values = tuple(
-                                self._evaluate_output(statement, plan.bindings, scope)
-                            )
+                        values = project(row)
                         if seen is not None:
                             key = tuple(_hashable(value) for value in values)
                             if key in seen:
@@ -326,19 +288,32 @@ class Executor:
                         break
                     if budget is not None:
                         ctx.batch_size = max(min(budget - len(rows), base_batch), 1)
-            rows = _apply_limit(rows, statement.limit, statement.offset)
+        rows = _apply_limit(rows, statement.limit, statement.offset)
         self.metrics.rows_output = len(rows)
         if node_stats is not None:
             node_stats["output_rows"] = len(rows)
         return columns, rows
 
-    def _flatten(self, batches):
-        """Flatten a batch stream to rows, counting consumed batches."""
-        for batch in batches:
-            self.metrics.batches += 1
-            yield from batch
-
     # -- projection ----------------------------------------------------------------
+
+    def _projection(self, plan: SelectPlan, outer_scope: Scope | None):
+        """The plan's ``row -> output tuple`` callable.
+
+        A select list of plain columns and ``*`` compiles to getters, memoized
+        on the plan: cached template plans execute thousands of times, and the
+        getters read only row-dict keys, so parameter re-binding never stales
+        them.  Any computed item keeps the whole list on the evaluator.
+        """
+        project = getattr(plan, "_compiled_projection", _UNSET)
+        if project is _UNSET:
+            project = _compile_projection(plan.statement, plan.bindings)
+            plan._compiled_projection = project
+        if project is not None:
+            return project
+        statement, bindings = plan.statement, plan.bindings
+        return lambda row: tuple(
+            self._evaluate_output(statement, bindings, Scope(row, parent=outer_scope))
+        )
 
     def _evaluate_output(
         self, statement: SelectStatement, bindings: Bindings, scope: Scope
@@ -371,22 +346,17 @@ class Executor:
         plan: SelectPlan,
         ctx: ExecutionContext,
         outer_scope: Scope | None,
-    ) -> tuple[list[str], list[tuple]]:
-        """Finish the plan's vectorized aggregate stage into output rows.
+    ) -> list[tuple]:
+        """Finish the plan's aggregate stage into output rows.
 
         The operator (:class:`~repro.storage.operators.HashAggregate` /
         :class:`~repro.storage.operators.SortedGroupAggregate`) streams
         ``(representative row, finished aggregate values)`` pairs; HAVING,
-        projection, and ORDER BY read the finished slot values instead of
-        re-walking buffered group rows like the historical path below does.
+        projection, and ORDER BY read the finished slot values.
         """
-        aggregate = plan.aggregate
-        slots = aggregate.collection.slots
-        columns = plan.output_columns
-        ordering = bool(statement.order_by)
-        result_rows: list[tuple] = []
-        keyed_rows: list[tuple[dict, list, tuple]] = []
-        for representative, finished in aggregate.groups(ctx):
+        slots = plan.aggregate.collection.slots
+        entries: list[tuple[dict, tuple, list]] = []
+        for representative, finished in plan.aggregate.groups(ctx):
             scope = Scope(representative, parent=outer_scope)
             if statement.having is not None:
                 having_value = self._finish_expr(
@@ -401,53 +371,26 @@ class Executor:
                     values.extend(self._star_values(expr, plan.bindings, scope))
                 else:
                     values.append(self._finish_expr(expr, finished, slots, scope))
-            row = tuple(values)
-            result_rows.append(row)
-            if ordering:
-                keyed_rows.append((representative, finished, row))
-
-        if ordering:
-            alias_map = {
-                (item.alias or "").lower(): index
-                for index, item in enumerate(statement.select_items)
-                if item.alias
-            }
-            column_map = {name.lower(): index for index, name in enumerate(columns)}
-
-            def order_key(entry):
-                representative, finished, values = entry
-                scope = Scope(representative or {}, parent=outer_scope)
-                keys = []
-                for order_item in statement.order_by:
-                    expr = order_item.expression
-                    value = None
-                    resolved = False
-                    if isinstance(expr, ColumnRef) and expr.table is None:
-                        lowered = expr.name.lower()
-                        if lowered in alias_map:
-                            value = values[alias_map[lowered]]
-                            resolved = True
-                        elif lowered in column_map and not scope.has_column(expr):
-                            value = values[column_map[lowered]]
-                            resolved = True
-                    if not resolved:
-                        value = self._finish_expr(expr, finished, slots, scope)
-                    keys.append(
-                        sort_key(value)
-                        if order_item.ascending
-                        else _Reversed(sort_key(value))
-                    )
-                return tuple(keys)
-
-            keyed_rows.sort(key=order_key)
-            result_rows = [values for _, _, values in keyed_rows]
-        return columns, result_rows
+            entries.append((representative, tuple(values), finished))
+        if statement.order_by:
+            entries.sort(
+                key=self._make_order_key(
+                    plan,
+                    outer_scope,
+                    statement.order_by,
+                    lambda expr, scope, entry: self._finish_expr(
+                        expr, entry[2], slots, scope
+                    ),
+                )
+            )
+        return [values for _, values, _ in entries]
 
     def _finish_expr(
         self, expr: Expression, finished: list, slots: dict[int, int], scope: Scope
     ) -> object:
         """Evaluate a SELECT/HAVING/ORDER BY expression over finished
-        aggregate states — the streamed twin of ``_evaluate_aggregate_expr``."""
+        aggregate states.  ``collect_aggregate_specs`` has already rejected
+        any aggregate that sits below something other than these operators."""
         if isinstance(expr, FunctionCall) and expr.is_aggregate:
             return finished[slots[id(expr)]]
         if isinstance(expr, BinaryOp):
@@ -463,191 +406,34 @@ class Executor:
             return evaluate(
                 UnaryOp(op=expr.op, operand=Literal(operand)), scope, self._run_subquery
             )
-        if _has_aggregate(expr):
-            # Unreachable behind collect_aggregate_specs, kept for parity with
-            # the historical path's placement error.
-            raise ExecutionError(
-                "aggregates may only appear at the top level of an expression or "
-                "inside simple arithmetic/boolean combinations"
-            )
         return evaluate(expr, scope, self._run_subquery)
-
-    def _aggregate(
-        self,
-        statement: SelectStatement,
-        plan: SelectPlan,
-        source,
-        outer_scope: Scope | None,
-    ) -> tuple[list[str], list[tuple]]:
-        groups: dict[tuple, list[dict]] = {}
-        order: list[tuple] = []
-        for row in source:
-            scope = Scope(row, parent=outer_scope)
-            key = tuple(
-                _hashable(evaluate(expr, scope, self._run_subquery))
-                for expr in statement.group_by
-            )
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        if not statement.group_by and not groups:
-            groups[()] = []
-            order.append(())
-        self.metrics.groups_emitted += len(order)
-
-        columns = plan.output_columns
-        result_rows: list[tuple] = []
-        keyed_rows: list[tuple[tuple, dict | None, tuple]] = []
-        for key in order:
-            group_rows = groups[key]
-            representative = group_rows[0] if group_rows else {}
-            scope = Scope(representative, parent=outer_scope)
-            if statement.having is not None:
-                having_value = self._evaluate_aggregate_expr(
-                    statement.having, group_rows, scope, outer_scope
-                )
-                if not is_true(having_value):
-                    continue
-            values: list[object] = []
-            for item in statement.select_items:
-                expr = item.expression
-                if isinstance(expr, Star):
-                    values.extend(self._star_values(expr, plan.bindings, scope))
-                else:
-                    values.append(
-                        self._evaluate_aggregate_expr(expr, group_rows, scope, outer_scope)
-                    )
-            result_rows.append(tuple(values))
-            keyed_rows.append((key, representative, tuple(values)))
-
-        if statement.order_by:
-            alias_map = {
-                (item.alias or "").lower(): index
-                for index, item in enumerate(statement.select_items)
-                if item.alias
-            }
-            column_map = {name.lower(): index for index, name in enumerate(columns)}
-
-            def order_key(entry):
-                key, representative, values = entry
-                scope = Scope(representative or {}, parent=outer_scope)
-                keys = []
-                for order_item in statement.order_by:
-                    value = self._order_value(
-                        order_item.expression,
-                        groups.get(key, []),
-                        scope,
-                        outer_scope,
-                        alias_map,
-                        column_map,
-                        values,
-                    )
-                    keys.append(
-                        sort_key(value) if order_item.ascending else _Reversed(sort_key(value))
-                    )
-                return tuple(keys)
-
-            keyed_rows.sort(key=order_key)
-            result_rows = [values for _, _, values in keyed_rows]
-        return columns, result_rows
-
-    def _order_value(
-        self, expr, group_rows, scope, outer_scope, alias_map, column_map, values
-    ):
-        if isinstance(expr, ColumnRef) and expr.table is None:
-            lowered = expr.name.lower()
-            if lowered in alias_map:
-                return values[alias_map[lowered]]
-            if lowered in column_map and not scope.has_column(expr):
-                return values[column_map[lowered]]
-        return self._evaluate_aggregate_expr(expr, group_rows, scope, outer_scope)
-
-    def _evaluate_aggregate_expr(
-        self, expr: Expression, group_rows: list[dict], scope: Scope, outer_scope: Scope | None
-    ) -> object:
-        if isinstance(expr, FunctionCall) and expr.is_aggregate:
-            return self._compute_aggregate(expr, group_rows, outer_scope)
-        if isinstance(expr, BinaryOp):
-            left = self._evaluate_aggregate_expr(expr.left, group_rows, scope, outer_scope)
-            right = self._evaluate_aggregate_expr(expr.right, group_rows, scope, outer_scope)
-            return evaluate(
-                BinaryOp(op=expr.op, left=Literal(left), right=Literal(right)),
-                scope,
-                self._run_subquery,
-            )
-        if isinstance(expr, UnaryOp):
-            operand = self._evaluate_aggregate_expr(expr.operand, group_rows, scope, outer_scope)
-            return evaluate(
-                UnaryOp(op=expr.op, operand=Literal(operand)), scope, self._run_subquery
-            )
-        if _has_aggregate(expr):
-            raise ExecutionError(
-                "aggregates may only appear at the top level of an expression or "
-                "inside simple arithmetic/boolean combinations"
-            )
-        return evaluate(expr, scope, self._run_subquery)
-
-    def _compute_aggregate(
-        self, call: FunctionCall, group_rows: list[dict], outer_scope: Scope | None
-    ) -> object:
-        name = call.name.upper()
-        if name == "COUNT" and (not call.args or isinstance(call.args[0], Star)):
-            return len(group_rows)
-        if not call.args:
-            raise ExecutionError(f"aggregate {name} requires an argument")
-        argument = call.args[0]
-        values = []
-        for row in group_rows:
-            scope = Scope(row, parent=outer_scope)
-            value = evaluate(argument, scope, self._run_subquery)
-            if value is not None:
-                values.append(value)
-        if call.distinct:
-            unique = []
-            seen = set()
-            for value in values:
-                key = _hashable(value)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(value)
-            values = unique
-        if name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if name == "SUM":
-            return sum(values)
-        if name == "AVG":
-            return sum(values) / len(values)
-        if name == "MIN":
-            return min(values, key=sort_key)
-        if name == "MAX":
-            return max(values, key=sort_key)
-        raise ExecutionError(f"unknown aggregate {name}")
 
     # -- ordering -------------------------------------------------------------------
 
     def _make_order_key(
-        self,
-        statement: SelectStatement,
-        columns: list[str],
-        outer_scope: Scope | None,
-        items,
+        self, plan: SelectPlan, outer_scope: Scope | None, items, evaluate_entry
     ):
-        """A ``(source_row, output_row) -> sort key tuple`` closure for the
-        given ORDER BY items, resolving select-list aliases before source
-        columns exactly like a full sort does."""
+        """A sort-key closure for the given ORDER BY items over entries
+        ``(source row, output row, ...)``.
+
+        Each item resolves to a select-list alias first, then to an output
+        column the source row does not shadow, else to the expression itself
+        through ``evaluate_entry(expr, scope, entry)`` — :meth:`_evaluate_row`
+        for plain rows, :meth:`_finish_expr` over the entry's finished slots
+        for groups.
+        """
         alias_map = {
             (item.alias or "").lower(): index
-            for index, item in enumerate(statement.select_items)
+            for index, item in enumerate(plan.statement.select_items)
             if item.alias
         }
-        column_map = {name.lower(): index for index, name in enumerate(columns)}
+        column_map = {
+            name.lower(): index for index, name in enumerate(plan.output_columns)
+        }
 
         def order_key(entry):
-            source_row, output_row = entry
-            scope = Scope(source_row, parent=outer_scope)
+            scope = Scope(entry[0], parent=outer_scope)
+            output_row = entry[1]
             keys = []
             for order_item in items:
                 expr = order_item.expression
@@ -662,7 +448,7 @@ class Executor:
                         value = output_row[column_map[lowered]]
                         resolved = True
                 if not resolved:
-                    value = evaluate(expr, scope, self._run_subquery)
+                    value = evaluate_entry(expr, scope, entry)
                 keys.append(
                     sort_key(value) if order_item.ascending else _Reversed(sort_key(value))
                 )
@@ -670,25 +456,15 @@ class Executor:
 
         return order_key
 
-    def _order_rows(
-        self,
-        statement: SelectStatement,
-        pairs: list[tuple[dict, tuple]],
-        columns: list[str],
-        outer_scope: Scope | None,
-    ) -> list[tuple]:
-        order_key = self._make_order_key(
-            statement, columns, outer_scope, statement.order_by
-        )
-        pairs.sort(key=order_key)
-        return [output_row for _, output_row in pairs]
+    def _evaluate_row(self, expr: Expression, scope: Scope, entry) -> object:
+        """``_make_order_key`` evaluator for ungrouped rows."""
+        return evaluate(expr, scope, self._run_subquery)
 
     def _partial_order_rows(
         self,
         statement: SelectStatement,
         plan: SelectPlan,
         ctx: ExecutionContext,
-        project,
         outer_scope: Scope | None,
     ) -> list[tuple]:
         """Order rows whose leading ORDER BY keys already stream in order.
@@ -700,14 +476,14 @@ class Executor:
         DISTINCT) consumption stops at the first run boundary past the
         budget, so a top-k query never walks the whole table.
         """
-        columns = plan.output_columns
         items = statement.order_by
         prefix_key = self._make_order_key(
-            statement, columns, outer_scope, items[: plan.sort_prefix]
+            plan, outer_scope, items[: plan.sort_prefix], self._evaluate_row
         )
         rest_key = self._make_order_key(
-            statement, columns, outer_scope, items[plan.sort_prefix :]
+            plan, outer_scope, items[plan.sort_prefix :], self._evaluate_row
         )
+        project = self._projection(plan, outer_scope)
         needed = None
         if statement.limit is not None and not statement.distinct:
             needed = statement.limit + (statement.offset or 0)
@@ -718,14 +494,7 @@ class Executor:
         for batch in plan.root.batches(ctx):
             self.metrics.batches += 1
             for row in batch:
-                if project is not None:
-                    values = project(row)
-                else:
-                    scope = Scope(row, parent=outer_scope)
-                    values = tuple(
-                        self._evaluate_output(statement, plan.bindings, scope)
-                    )
-                entry = (row, values)
+                entry = (row, project(row))
                 key = prefix_key(entry)
                 if run and key != run_key:
                     run.sort(key=rest_key)

@@ -5,8 +5,8 @@ Each operator is one node of a physical plan produced by
 ``batches(ctx)`` lazily yields lists of *binding dictionaries* (binding name →
 row dict, ``ctx.batch_size`` rows per list), so one ``next()`` call pushes a
 whole batch through a filter or join instead of paying a generator round-trip
-per row.  ``rows(ctx)`` remains as a thin compatibility shim that flattens the
-batch stream for call sites that still think row-at-a-time.
+per row.  ``batches(ctx)`` is the one row protocol; heap scans and
+kernel-compiled filters additionally offer ``col_batches(ctx)``.
 
 Two more things fall out of the batch refactor:
 
@@ -135,10 +135,7 @@ class ExecutionContext:
     run_select: Callable | None = None
     batch_size: int = DEFAULT_BATCH_SIZE
     node_stats: dict[int, NodeStats] | None = field(default=None)
-    #: False forces per-row Scope/evaluate dispatch (benchmark diagnostics).
-    compile_expressions: bool = True
-    #: False keeps every operator on row batches (ExecutionSettings knob);
-    #: the columnar path additionally requires ``compile_expressions``.
+    #: False keeps every operator on row batches (ExecutionSettings knob).
     columnar_kernels: bool = True
     #: Absolute ``timer`` deadline of the statement's timeout budget, or None
     #: (no budget).  Scans call :meth:`tick` at every batch flush, so a
@@ -152,9 +149,10 @@ class ExecutionContext:
     def tick(self) -> None:
         """Raise :class:`~repro.errors.QueryTimeoutError` past the deadline.
 
-        Called at batch boundaries (scan flushes, executor consume loops):
-        one ``None`` check when no budget is set, one timer read per batch
-        when one is.
+        Called at batch boundaries (scan flushes) and once per left row of
+        the nested-loop joins, whose inner loops would otherwise run a whole
+        left batch times the right side between two scan flushes: one ``None``
+        check when no budget is set, one timer read when one is.
         """
         deadline = self.deadline
         if deadline is not None and self.timer() >= deadline:
@@ -210,11 +208,6 @@ class Operator:
             stats.rows += len(batch)
             yield batch
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[RowDict]:
-        """Row-at-a-time compatibility shim over :meth:`batches`."""
-        for batch in self.batches(ctx):
-            yield from batch
-
     # -- columnar handshake ---------------------------------------------------
 
     def columnar_capable(self) -> bool:
@@ -226,13 +219,9 @@ class Operator:
 
     def supports_columnar(self, ctx: ExecutionContext) -> bool:
         """The runtime handshake: structural capability *and* the context's
-        columnar/compile switches.  Consumers call :meth:`col_batches` only
-        after this returns True."""
-        return (
-            ctx.columnar_kernels
-            and ctx.compile_expressions
-            and self.columnar_capable()
-        )
+        columnar switch.  Consumers call :meth:`col_batches` only after this
+        returns True."""
+        return ctx.columnar_kernels and self.columnar_capable()
 
     def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         raise NotImplementedError(f"{type(self).__name__} is not columnar-capable")
@@ -626,11 +615,9 @@ class Filter(Operator):
                 if kept:
                     yield kept
             return
-        checks = None
-        if ctx.compile_expressions:
-            if self._compiled is _UNSET:
-                self._compiled = compile_conjuncts(self.predicates, self.bindings)
-            checks = self._compiled
+        if self._compiled is _UNSET:
+            self._compiled = compile_conjuncts(self.predicates, self.bindings)
+        checks = self._compiled
         if checks is not None:
             if len(checks) == 1:
                 check = checks[0]
@@ -697,23 +684,19 @@ class HashJoin(Operator):
             build, probe = self.right, self.left
             build_keys, probe_keys = right_keys, left_keys
         table: dict[tuple, list[RowDict]] = {}
-        build_key = probe_key = None
-        if ctx.compile_expressions:
-            if self._compiled_keys is _UNSET:
-                self._compiled_keys = (
-                    compile_key_tuple(build_keys, build.bindings),
-                    compile_key_tuple(probe_keys, probe.bindings),
-                )
-            build_key, probe_key = self._compiled_keys
-        outer = ctx.outer_scope
-        run = ctx.run_subquery
+        if self._compiled_keys is _UNSET:
+            self._compiled_keys = (
+                compile_key_tuple(build_keys, build.bindings),
+                compile_key_tuple(probe_keys, probe.bindings),
+            )
+        # The planner pairs only columns it resolved to a side, so a key that
+        # does not compile names a column its binding lacks; the evaluator
+        # raises the user-facing error for it on the first row.
+        build_key = self._compiled_keys[0] or _evaluated_key(build_keys, ctx)
+        probe_key = self._compiled_keys[1] or _evaluated_key(probe_keys, ctx)
         for batch in build.batches(ctx):
             for row in batch:
-                if build_key is not None:
-                    key = build_key(row)
-                else:
-                    scope = Scope(row, parent=outer)
-                    key = tuple(scope.resolve(column) for column in build_keys)
+                key = build_key(row)
                 if any(value is None for value in key):
                     continue
                 table.setdefault(key, []).append(row)
@@ -722,11 +705,7 @@ class HashJoin(Operator):
         out: RowBatch = []
         for batch in probe.batches(ctx):
             for row in batch:
-                if probe_key is not None:
-                    key = probe_key(row)
-                else:
-                    scope = Scope(row, parent=outer)
-                    key = tuple(scope.resolve(column) for column in probe_keys)
+                key = probe_key(row)
                 if any(value is None for value in key):
                     continue
                 matches = table.get(key)
@@ -759,7 +738,7 @@ class IndexLookupJoin(Operator):
         self,
         outer: Operator,
         scan: IndexScan,
-        outer_key: Expression,
+        outer_key: ColumnRef,
         residual: list[Expression],
         estimate: float,
     ):
@@ -774,16 +753,15 @@ class IndexLookupJoin(Operator):
         self._compiled_probe: object = _UNSET
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        key_getter = residual_checks = None
-        if ctx.compile_expressions:
-            if self._compiled_probe is _UNSET:
-                self._compiled_probe = (
-                    compile_column_getter(self.outer.bindings, self.outer_key)
-                    if isinstance(self.outer_key, ColumnRef)
-                    else None,
-                    compile_conjuncts(self.residual, self.bindings),
-                )
-            key_getter, residual_checks = self._compiled_probe
+        if self._compiled_probe is _UNSET:
+            self._compiled_probe = (
+                compile_column_getter(self.outer.bindings, self.outer_key),
+                compile_conjuncts(self.residual, self.bindings),
+            )
+        residual_checks = self._compiled_probe[1]
+        # As in HashJoin: an outer key that does not compile is a misnamed
+        # column, and the evaluator reports it.
+        key_getter = self._compiled_probe[0] or _evaluated_getter(self.outer_key, ctx)
         outer_scope = ctx.outer_scope
         run = ctx.run_subquery
         metrics = ctx.metrics
@@ -794,11 +772,7 @@ class IndexLookupJoin(Operator):
         out: RowBatch = []
         for batch in self.outer.batches(ctx):
             for outer_row in batch:
-                if key_getter is not None:
-                    value = key_getter(outer_row)
-                else:
-                    scope = Scope(outer_row, parent=outer_scope)
-                    value = evaluate(self.outer_key, scope, run)
+                value = key_getter(outer_row)
                 if value is None:
                     continue
                 if probe_stats is not None:
@@ -856,6 +830,7 @@ class NestedLoopJoin(Operator):
         out: RowBatch = []
         for batch in self.left.batches(ctx):
             for left_row in batch:
+                ctx.tick()
                 metrics.rows_joined += len(right_rows)
                 for right_row in right_rows:
                     combined = dict(left_row)
@@ -873,7 +848,8 @@ class NestedLoopJoin(Operator):
 
 class OuterJoin(Operator):
     """LEFT or FULL outer join (RIGHT joins are swapped into LEFT by the
-    planner).  Both sides materialize — outer joins need match bookkeeping."""
+    planner).  The right side materializes (match bookkeeping); the left side
+    streams batch by batch, checking the timeout budget once per left row."""
 
     def __init__(
         self,
@@ -895,30 +871,32 @@ class OuterJoin(Operator):
         yield from _chunk(self._join_rows(ctx), ctx)
 
     def _join_rows(self, ctx: ExecutionContext) -> Iterator[RowDict]:
-        right_rows = list(self.right.rows(ctx))
+        right_rows = [row for batch in self.right.batches(ctx) for row in batch]
         null_right = {
             name: {column: None for column in columns}
             for name, columns in self.right.bindings
         }
         matched_right: set[int] = set()
-        for left_row in self.left.rows(ctx):
-            matched = False
-            for index, right_row in enumerate(right_rows):
-                combined = dict(left_row)
-                combined.update(right_row)
-                scope = Scope(combined, parent=ctx.outer_scope)
-                if self.condition is None or is_true(
-                    evaluate(self.condition, scope, ctx.run_subquery)
-                ):
-                    matched = True
-                    matched_right.add(index)
+        for batch in self.left.batches(ctx):
+            for left_row in batch:
+                ctx.tick()
+                matched = False
+                for index, right_row in enumerate(right_rows):
+                    combined = dict(left_row)
+                    combined.update(right_row)
+                    scope = Scope(combined, parent=ctx.outer_scope)
+                    if self.condition is None or is_true(
+                        evaluate(self.condition, scope, ctx.run_subquery)
+                    ):
+                        matched = True
+                        matched_right.add(index)
+                        ctx.metrics.rows_joined += 1
+                        yield combined
+                if not matched:
+                    combined = dict(left_row)
+                    combined.update(null_right)
                     ctx.metrics.rows_joined += 1
                     yield combined
-            if not matched:
-                combined = dict(left_row)
-                combined.update(null_right)
-                ctx.metrics.rows_joined += 1
-                yield combined
         if self.join_type == "FULL":
             null_left = {
                 name: {column: None for column in columns}
@@ -1021,8 +999,9 @@ class GroupAggregate(Operator):
 
     # -- compiled helpers ----------------------------------------------------
 
-    def _group_key_getter(self):
-        """Memoized ``RowDict -> key tuple`` closure, or None (evaluate path)."""
+    def _group_key_getter(self, ctx: ExecutionContext):
+        """``RowDict -> key tuple``: the memoized compiled getter when every
+        key is a locally resolvable column, else the evaluator."""
         if self._compiled_group is _UNSET:
             if not self.group_exprs:
                 self._compiled_group = lambda row: ()
@@ -1030,10 +1009,11 @@ class GroupAggregate(Operator):
                 self._compiled_group = compile_key_tuple(self.group_exprs, self.bindings)
             else:
                 self._compiled_group = None
-        return self._compiled_group
+        return self._compiled_group or _evaluated_key(self.group_exprs, ctx)
 
     def _spec_getters(self):
-        """Memoized per-spec argument getters (None for COUNT(*)/fallback)."""
+        """Memoized per-spec argument getters (None for COUNT(*) and for
+        arguments that are not a locally resolvable column)."""
         if self._compiled_args is _UNSET:
             self._compiled_args = [
                 compile_column_getter(self.bindings, spec.argument)
@@ -1045,30 +1025,14 @@ class GroupAggregate(Operator):
 
     def _extractors(self, ctx: ExecutionContext):
         """Per-spec ``row list -> values to accumulate`` callables."""
-        getters = self._spec_getters()
-        use_compiled = ctx.compile_expressions
-        outer = ctx.outer_scope
-        run = ctx.run_subquery
         extractors = []
-        for spec, getter in zip(self.collection.specs, getters):
+        for spec, getter in zip(self.collection.specs, self._spec_getters()):
             if spec.argument is None:
                 extractors.append(_rows_identity)  # COUNT(*) counts the rows
-            elif use_compiled and getter is not None:
-                extractors.append(lambda rows, _get=getter: [_get(row) for row in rows])
             else:
-                extractors.append(
-                    lambda rows, _arg=spec.argument: [
-                        evaluate(_arg, Scope(row, parent=outer), run) for row in rows
-                    ]
-                )
+                get = getter or _evaluated_getter(spec.argument, ctx)
+                extractors.append(lambda rows, _get=get: [_get(row) for row in rows])
         return extractors
-
-    def _evaluated_key(self, row: RowDict, ctx: ExecutionContext) -> tuple:
-        scope = Scope(row, parent=ctx.outer_scope)
-        return tuple(
-            hashable_value(evaluate(expr, scope, ctx.run_subquery))
-            for expr in self.group_exprs
-        )
 
     def _empty_input_group(self):
         """The single global-aggregate group an empty ungrouped input yields."""
@@ -1117,7 +1081,7 @@ class HashAggregate(GroupAggregate):
             return
         specs = self.collection.specs
         extractors = self._extractors(ctx)
-        key_getter = self._group_key_getter() if ctx.compile_expressions else None
+        key_getter = self._group_key_getter(ctx)
         group_exprs = self.group_exprs
         metrics = ctx.metrics
         states: dict[tuple, tuple[RowDict, list]] = {}
@@ -1125,20 +1089,12 @@ class HashAggregate(GroupAggregate):
         for batch in self.child.batches(ctx):
             metrics.batches += 1
             buckets: dict[tuple, list[RowDict]] = {}
-            if key_getter is not None:
-                for row in batch:
-                    key = key_getter(row)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = bucket = []
-                    bucket.append(row)
-            else:
-                for row in batch:
-                    key = self._evaluated_key(row, ctx)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = bucket = []
-                    bucket.append(row)
+            for row in batch:
+                key = key_getter(row)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = bucket = []
+                bucket.append(row)
             for key, bucket in buckets.items():
                 state = states.get(key)
                 if state is None:
@@ -1208,11 +1164,7 @@ class HashAggregate(GroupAggregate):
         Disabled under EXPLAIN ANALYZE so the bypassed Filter nodes report
         honest actuals instead of "never executed".
         """
-        if (
-            not ctx.columnar_kernels
-            or not ctx.compile_expressions
-            or ctx.node_stats is not None
-        ):
+        if not ctx.columnar_kernels or ctx.node_stats is not None:
             return None
         compiled = self._columnar_compiled()
         if compiled is None:
@@ -1287,27 +1239,16 @@ class SortedGroupAggregate(GroupAggregate):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._compiled_lead: object = _UNSET
-
-    def _lead_getter(self):
-        if self._compiled_lead is _UNSET:
-            lead = self.group_exprs[0]
-            self._compiled_lead = (
-                compile_column_getter(self.bindings, lead)
-                if isinstance(lead, ColumnRef)
-                else None
-            )
-        return self._compiled_lead
+        # The planner picks this operator only when the leading key is a
+        # column of the one scanned table, so the getter always compiles.
+        self._lead_getter = compile_column_getter(self.bindings, self.group_exprs[0])
 
     def _groups(self, ctx: ExecutionContext):
         specs = self.collection.specs
         extractors = self._extractors(ctx)
-        key_getter = self._group_key_getter() if ctx.compile_expressions else None
-        lead_getter = self._lead_getter() if ctx.compile_expressions else None
+        key_getter = self._group_key_getter(ctx)
+        lead_getter = self._lead_getter
         group_exprs = self.group_exprs
-        lead_expr = group_exprs[0]
-        outer = ctx.outer_scope
-        run = ctx.run_subquery
         metrics = ctx.metrics
         run_states: dict[tuple, list[RowDict]] = {}
         run_order: list[tuple] = []
@@ -1316,11 +1257,7 @@ class SortedGroupAggregate(GroupAggregate):
         for batch in self.child.batches(ctx):
             metrics.batches += 1
             for row in batch:
-                if lead_getter is not None:
-                    lead = lead_getter(row)
-                else:
-                    lead = evaluate(lead_expr, Scope(row, parent=outer), run)
-                marker = sort_key(lead)
+                marker = sort_key(lead_getter(row))
                 if marker != current:
                     if run_order:
                         emitted = True
@@ -1328,10 +1265,7 @@ class SortedGroupAggregate(GroupAggregate):
                         run_states = {}
                         run_order = []
                     current = marker
-                if key_getter is not None:
-                    key = key_getter(row)
-                else:
-                    key = self._evaluated_key(row, ctx)
+                key = key_getter(row)
                 bucket = run_states.get(key)
                 if bucket is None:
                     run_states[key] = bucket = []
@@ -1353,6 +1287,24 @@ class SortedGroupAggregate(GroupAggregate):
 
 def _rows_identity(rows):
     return rows
+
+
+def _evaluated_getter(expr: Expression, ctx: ExecutionContext):
+    """``row -> value`` through the evaluator: the route of an expression
+    whose shape has no compiled getter."""
+    outer, run = ctx.outer_scope, ctx.run_subquery
+    return lambda row: evaluate(expr, Scope(row, parent=outer), run)
+
+
+def _evaluated_key(exprs, ctx: ExecutionContext):
+    """``row -> hashable key tuple`` through the evaluator, one Scope per row."""
+    outer, run = ctx.outer_scope, ctx.run_subquery
+
+    def key(row):
+        scope = Scope(row, parent=outer)
+        return tuple(hashable_value(evaluate(expr, scope, run)) for expr in exprs)
+
+    return key
 
 
 # ---------------------------------------------------------------------------

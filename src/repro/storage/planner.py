@@ -63,10 +63,9 @@ from repro.sql.ast_nodes import (
 from repro.sql.formatter import format_expression
 from repro.storage.aggregates import (
     collect_aggregate_specs,
-    has_aggregate,
+    reject_aggregates,
     statement_has_aggregates,
 )
-from repro.storage.exec_settings import DEFAULT_SETTINGS, ExecutionSettings
 from repro.storage.operators import (
     EmptyRow,
     Filter,
@@ -148,10 +147,9 @@ class SelectPlan:
     #: executor partial-sorts runs of equal leading-key values instead of
     #: materializing and sorting the whole result.
     sort_prefix: int = 0
-    #: Vectorized aggregation stage (:class:`~repro.storage.operators.HashAggregate`
-    #: or :class:`~repro.storage.operators.SortedGroupAggregate`) whose child is
-    #: ``root``, or None when the statement has no aggregation — or uses a
-    #: shape only the executor's historical fallback reproduces.
+    #: Aggregation stage (:class:`~repro.storage.operators.HashAggregate` or
+    #: :class:`~repro.storage.operators.SortedGroupAggregate`) whose child is
+    #: ``root``; None iff the statement has no GROUP BY and no aggregate.
     aggregate: Operator | None = None
     #: True when planning folded constants so that positional parameter
     #: re-binding is unsound (mirrors ``Planner.rebind_unsafe``); the plan
@@ -202,16 +200,6 @@ class SelectPlan:
                     f" ({stats.describe()})" if stats is not None else " (never executed)"
                 )
             push(text)
-        elif statement.group_by or statement_has_aggregates(statement):
-            # Fallback shapes aggregate inside the executor, not the plan tree.
-            detail = ""
-            if statement.group_by:
-                detail = " [group by " + ", ".join(
-                    format_expression(expr) for expr in statement.group_by
-                ) + "]"
-            if statement.having is not None:
-                detail += f" having ({format_expression(statement.having)})"
-            push("Aggregate" + detail)
         project = f"Project [{', '.join(self.output_columns)}]"
         if node_stats is not None and "output_rows" in node_stats:
             project += f" (actual rows={node_stats['output_rows']})"
@@ -290,9 +278,6 @@ class Planner:
     def __init__(self, table_provider, use_indexes: bool = True):
         self._provider = table_provider
         self._use_indexes = use_indexes
-        self._settings: ExecutionSettings = (
-            getattr(table_provider, "exec_settings", None) or DEFAULT_SETTINGS
-        )
         #: Set when a produced plan folded constants in a way that makes
         #: positional re-binding unsound (e.g. redundant range bounds merged,
         #: dropping a conjunct whose literal no longer appears in the plan).
@@ -302,6 +287,11 @@ class Planner:
     # -- public entry point ----------------------------------------------------
 
     def plan_select(self, statement: SelectStatement) -> SelectPlan:
+        # WHERE and GROUP BY run per input row, before any group exists.
+        for expr in (statement.where, *statement.group_by):
+            if expr is not None:
+                reject_aggregates(expr)
+        aggregating = bool(statement.group_by) or statement_has_aggregates(statement)
         conjuncts = _split_conjuncts(statement.where)
         sort_prefix = 0
         leaves: list[_Leaf] = []
@@ -338,14 +328,13 @@ class Planner:
                 len(leaves) == 1
                 and not pending_outer
                 and leaves[0].table is not None
+                and not aggregating
             ):
                 sort_prefix, root = self._try_sort_elimination(
                     statement, leaves[0], root
                 )
         aggregate: Operator | None = None
-        if (
-            statement.group_by or statement_has_aggregates(statement)
-        ) and self._settings.vectorized_aggregation:
+        if aggregating:
             aggregate, root = self._plan_aggregate(
                 statement, root, leaves, pending_outer
             )
@@ -367,19 +356,15 @@ class Planner:
         root: Operator,
         leaves: list[_Leaf],
         pending_outer: list,
-    ) -> tuple[Operator | None, Operator]:
-        """Place the vectorized aggregate stage above the pipeline.
+    ) -> tuple[Operator, Operator]:
+        """Place the aggregate stage above the pipeline.
 
-        Returns ``(aggregate, root)``.  ``aggregate`` is None when the
-        statement's aggregate shapes are beyond the incremental accumulators
-        (the executor then falls back to its historical grouping, which also
-        raises the historical placement/argument errors).  ``root`` may be
-        rewritten to an ordered scan when the streaming
+        Returns ``(aggregate, root)``; a malformed aggregate raises from
+        :func:`~repro.storage.aggregates.collect_aggregate_specs`.  ``root``
+        may be rewritten to an ordered scan when the streaming
         :class:`SortedGroupAggregate` is chosen.
         """
         collection = collect_aggregate_specs(statement)
-        if collection is None:
-            return None, root
         estimate = self._estimate_group_count(statement, leaves, root)
         if (
             self._use_indexes
@@ -536,8 +521,6 @@ class Planner:
         """
         if not self._use_indexes or not statement.order_by:
             return 0, root
-        if statement.group_by or statement_has_aggregates(statement):
-            return 0, root
         order_item = statement.order_by[0]
         expr = order_item.expression
         if not isinstance(expr, ColumnRef):
@@ -660,6 +643,8 @@ class Planner:
                 [],
             )
         if isinstance(item, Join):
+            if item.condition is not None:
+                reject_aggregates(item.condition)
             if item.join_type in ("INNER", "CROSS"):
                 left_leaves, left_conjuncts, left_outer = self._flatten(item.left)
                 right_leaves, right_conjuncts, right_outer = self._flatten(item.right)
@@ -1119,11 +1104,6 @@ def star_columns(star: Star, bindings: list[tuple[str, list[str]]]) -> list[str]
     if not names and star.table is not None:
         raise ExecutionError(f"unknown table alias {star.table!r} in select list")
     return names
-
-
-# ``has_aggregate`` / ``statement_has_aggregates`` now live in
-# :mod:`repro.storage.aggregates` (imported above and re-exported here for the
-# executor and existing callers).
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.workloads import QueryLogGenerator, WorkloadConfig
 
 #: Every engine configuration the cross-path equivalence tests run: the
 #: columnar path and the row-batch path at batch sizes that split the test
-#: tables into many, few and one batch, plus the two diagnostic fallbacks.
+#: tables into many, few and one batch.
 EXEC_VARIANTS = [
     pytest.param(
         ExecutionSettings(batch_size=batch_size, columnar_kernels=columnar),
@@ -22,9 +22,6 @@ EXEC_VARIANTS = [
     )
     for batch_size in (1, 2, 256)
     for columnar in (True, False)
-] + [
-    pytest.param(ExecutionSettings(compile_expressions=False), id="interpreted"),
-    pytest.param(ExecutionSettings(vectorized_aggregation=False), id="rewalk"),
 ]
 
 

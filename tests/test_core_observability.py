@@ -17,7 +17,7 @@ from repro import CQMS, CQMSConfig, SimulatedClock, build_database
 from repro.client import Workbench
 from repro.errors import QueryTimeoutError, RateLimitedError, ReproError
 from repro.obs import QueryLimits
-from repro.storage import ExecutionSettings
+from repro.storage import ExecutionSettings, operators
 from repro.storage.database import Database
 
 RUNAWAY_ROWS = 4_000
@@ -81,6 +81,47 @@ class TestStatementTimeouts:
                 timeout_seconds=1e-9,
             )
         assert 0 < pulled <= settings.batch_size
+
+    @pytest.mark.parametrize(
+        "sql, expected_rows",
+        [
+            ("SELECT a.x, b.z FROM a LEFT JOIN b ON a.x = b.x", 30),
+            ("SELECT a.x, b.z FROM a FULL JOIN b ON a.x = b.x", 40),
+            ("SELECT a.x, b.z FROM a, b WHERE a.x + b.x = 7", 8),
+        ],
+        ids=["left-outer", "full-outer", "nested-loop"],
+    )
+    def test_nested_loop_joins_cancel_within_one_left_row(
+        self, sql, expected_rows, monkeypatch
+    ):
+        """The joins that evaluate a condition per (left, right) pair check
+        the budget once per left row — a scan flush alone is a whole left
+        batch times the right side away."""
+        right_rows = 40
+        db = Database(
+            name="obs_joins", exec_settings=ExecutionSettings(batch_size=right_rows)
+        )
+        db.execute("CREATE TABLE a (x INTEGER)")
+        db.execute("CREATE TABLE b (x INTEGER, z INTEGER)")
+        db.insert_rows("a", [{"x": i} for i in range(30)])
+        db.insert_rows("b", [{"x": i, "z": i * 10} for i in range(right_rows)])
+        assert len(db.execute(sql, timeout_seconds=60.0)) == expected_rows
+
+        evaluations = 0
+        expire_after = 5 * right_rows + 3  # mid-way through the sixth left row
+        evaluate = operators.evaluate
+
+        def counted_evaluate(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(operators, "evaluate", counted_evaluate)
+        # The clock jumps past any deadline at the k-th condition evaluation.
+        db.statement_timer = lambda: 1e9 if evaluations >= expire_after else 0.0
+        with pytest.raises(QueryTimeoutError):
+            db.execute(sql, timeout_seconds=60.0)
+        assert expire_after <= evaluations <= expire_after + right_rows
 
     def test_timed_out_dml_leaves_table_unchanged(self):
         db = _runaway_db()

@@ -1,8 +1,10 @@
-"""Vectorized aggregation: accumulator semantics, operator selection,
-EXPLAIN/ANALYZE surfacing, plan-cache reuse, and equivalence with the
-historical row-at-a-time aggregation path."""
+"""Aggregation: accumulator semantics, plan-time validation, operator
+selection, EXPLAIN/ANALYZE surfacing, plan-cache reuse, and agreement of every
+execution path — compiled or interpreted — with stdlib ``sqlite3``."""
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
@@ -16,30 +18,62 @@ from repro.storage.aggregates import (
     SumAccumulator,
     collect_aggregate_specs,
 )
+from repro.storage.executor import Executor
+from repro.storage.operators import Filter, HashJoin, IndexLookupJoin, OuterJoin
+from repro.storage.planner import Planner
 from repro.storage.statistics import group_count_estimate
 from repro.sql.parser import parse
+
+LAKE_ROWS = [
+    {
+        "lake_id": i,
+        "name": f"lake{i}",
+        "area": float((i * 37) % 101),
+        "state": None if i % 11 == 0 else f"s{i % 7}",
+    }
+    for i in range(500)
+]
 
 
 def _make_db(exec_settings: ExecutionSettings | None = None) -> Database:
     db = Database(exec_settings=exec_settings)
     db.execute("CREATE TABLE lakes (lake_id INTEGER, name TEXT, area FLOAT, state TEXT)")
-    db.insert_rows(
-        "lakes",
-        [
-            {
-                "lake_id": i,
-                "name": f"lake{i}",
-                "area": float((i * 37) % 101),
-                "state": None if i % 11 == 0 else f"s{i % 7}",
-            }
-            for i in range(500)
-        ],
-    )
+    db.insert_rows("lakes", LAKE_ROWS)
     return db
 
 
-#: Grouped statements the vectorized path must answer identically to the
-#: historical executor aggregation (rows sorted unless ORDER BY pins them).
+# Intentional dialect differences from sqlite; no statement compared with
+# ``reference`` below may depend on one:
+# * ``/`` on two integers is true division here and integer division in
+#   sqlite (``SUM(lake_id) / COUNT(*)``).
+# * Unaliased computed columns are named differently (``count`` / ``column2``
+#   here, the expression text in sqlite), so only rows are compared.
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """``sql -> rows`` answered by sqlite over the same 500 ``lakes`` rows: an
+    engine that shares no code with this one."""
+    connection = sqlite3.connect(":memory:")
+    connection.execute(
+        "CREATE TABLE lakes (lake_id INTEGER, name TEXT, area REAL, state TEXT)"
+    )
+    connection.executemany(
+        "INSERT INTO lakes VALUES (:lake_id, :name, :area, :state)", LAKE_ROWS
+    )
+    yield lambda sql: connection.execute(sql).fetchall()
+    connection.close()
+
+
+def assert_same_rows(sql: str, actual: list[tuple], expected: list[tuple]) -> None:
+    """Row-for-row when ORDER BY pins the order, as multisets otherwise."""
+    if "ORDER BY" in sql:
+        assert actual == expected
+    else:
+        assert sorted(actual, key=repr) == sorted(expected, key=repr)
+
+
+#: Grouped statements every execution path must answer like sqlite does.
 GROUPED_QUERIES = [
     "SELECT state, COUNT(*) FROM lakes GROUP BY state",
     "SELECT state, COUNT(*) AS n, SUM(area), AVG(area), MIN(area), MAX(area) "
@@ -53,6 +87,12 @@ GROUPED_QUERIES = [
     "SELECT state, AVG(area + 1.0) FROM lakes GROUP BY state",
     "SELECT COUNT(*) FROM lakes WHERE area > 1000",
     "SELECT state, COUNT(*) AS n FROM lakes GROUP BY state ORDER BY n DESC, state LIMIT 3",
+    "SELECT state, MIN(name), MAX(name) FROM lakes GROUP BY state",
+    "SELECT state, COUNT(*) FROM lakes GROUP BY state "
+    "HAVING COUNT(*) > 60 AND MAX(area) > 99",
+    "SELECT state, SUM(area) AS total FROM lakes GROUP BY state "
+    "ORDER BY total DESC LIMIT 3 OFFSET 2",
+    "SELECT SUM(area), AVG(area), MIN(area) FROM lakes WHERE area < 0",
 ]
 
 
@@ -98,11 +138,12 @@ class TestSpecCollection:
         collection = collect_aggregate_specs(statement)
         assert len(collection.specs) == 2
 
-    def test_nested_aggregate_shapes_fall_back(self):
+    def test_nested_aggregate_shapes_raise_at_collection(self):
         statement = parse(
             "SELECT CASE WHEN COUNT(*) > 1 THEN 'many' ELSE 'few' END FROM lakes"
         )
-        assert collect_aggregate_specs(statement) is None
+        with pytest.raises(ExecutionError, match="top level"):
+            collect_aggregate_specs(statement)
 
     def test_group_count_estimate_caps_at_input(self):
         assert group_count_estimate([7.0, 3.0], 1000.0) == pytest.approx(21.0)
@@ -112,16 +153,8 @@ class TestSpecCollection:
 
 class TestVectorizedEquivalence:
     @pytest.mark.parametrize("sql", GROUPED_QUERIES)
-    def test_matches_historical_aggregation(self, sql, exec_variant):
-        baseline = _make_db(ExecutionSettings(vectorized_aggregation=False))
-        db = _make_db(exec_variant)
-        expected = baseline.execute(sql)
-        actual = db.execute(sql)
-        assert actual.columns == expected.columns
-        if "ORDER BY" in sql:
-            assert actual.rows == expected.rows
-        else:
-            assert sorted(actual.rows, key=repr) == sorted(expected.rows, key=repr)
+    def test_matches_sqlite(self, sql, exec_variant, reference):
+        assert_same_rows(sql, _make_db(exec_variant).execute(sql).rows, reference(sql))
 
     def test_null_group_keys_form_one_group(self):
         db = _make_db()
@@ -160,6 +193,165 @@ class TestVectorizedEquivalence:
             )
 
 
+#: Malformed aggregates and the message each must raise — at plan time, so
+#: identically whether or not the table holds a row to evaluate them on.
+MALFORMED_AGGREGATES = [
+    ("SELECT SUM(*) FROM t", "only allowed in the select list or COUNT"),
+    ("SELECT SUM(COUNT(*)) FROM t", "COUNT used outside of an aggregation context"),
+    ("SELECT SUM() FROM t", "SUM requires an argument"),
+    (
+        "SELECT a, CASE WHEN COUNT(*) > 1 THEN 1 ELSE 0 END FROM t GROUP BY a",
+        "top level",
+    ),
+    ("SELECT LOWER(MAX(a)) FROM t", "top level"),
+    ("SELECT COUNT(*) BETWEEN 1 AND 3 FROM t", "top level"),
+    ("SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) IN (1, 2)", "top level"),
+    ("SELECT a FROM t WHERE SUM(a) > 1", "SUM used outside of an aggregation context"),
+    ("SELECT a FROM t GROUP BY SUM(a)", "SUM used outside of an aggregation context"),
+    (
+        "SELECT t.a FROM t JOIN t u ON MAX(t.a) = u.a",
+        "MAX used outside of an aggregation context",
+    ),
+]
+
+
+class TestPlanTimeValidation:
+    @staticmethod
+    def _cqms(populated: bool) -> CQMS:
+        clock = SimulatedClock()
+        db = Database(clock=clock)
+        db.execute("CREATE TABLE t (a INTEGER, b FLOAT)")
+        if populated:
+            db.insert_rows("t", [{"a": 1, "b": 2.0}, {"a": 2, "b": None}])
+        cqms = CQMS(db, clock=clock)
+        cqms.register_user("ana", group="lab")
+        return cqms
+
+    @pytest.mark.parametrize("sql, message", MALFORMED_AGGREGATES)
+    def test_malformed_aggregate_raises_without_data(self, sql, message):
+        errors = []
+        for populated in (False, True):
+            cqms = self._cqms(populated)
+            with pytest.raises(ExecutionError, match=message) as raised:
+                cqms.database.execute(sql)
+            with pytest.raises(ExecutionError, match=message):
+                cqms.database.explain(sql)
+            execution = cqms.submit("ana", sql)
+            assert not execution.succeeded
+            assert execution.error == str(raised.value)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+
+    def test_legal_shapes_still_plan(self):
+        for populated in (False, True):
+            db = self._cqms(populated).database
+            # A subquery aggregates on its own: WHERE may compare against it.
+            above_average = db.execute("SELECT a FROM t WHERE b >= (SELECT AVG(b) FROM t)")
+            null_sums = db.execute("SELECT a, SUM(b) FROM t GROUP BY a HAVING SUM(b) IS NULL")
+            assert above_average.rows == ([(1,)] if populated else [])
+            assert null_sums.rows == ([(2, None)] if populated else [])
+
+    def test_every_aggregate_statement_plans_an_aggregate_stage(self):
+        db = _make_db()
+        for sql in GROUPED_QUERIES + ["SELECT state FROM lakes GROUP BY state"]:
+            assert Planner(db).plan_select(parse(sql)).aggregate is not None, sql
+        for sql in ("SELECT state FROM lakes", "SELECT (SELECT MAX(area) FROM lakes)"):
+            assert Planner(db).plan_select(parse(sql)).aggregate is None, sql
+
+
+def _find(op, kind):
+    """The first operator of ``kind`` in the tree under ``op``, or None."""
+    if isinstance(op, kind):
+        return op
+    for child in op.children:
+        found = _find(child, kind)
+        if found is not None:
+            return found
+    return None
+
+
+#: One statement per place the engine interprets an expression because its
+#: *shape* has no compiled form, with the memo that must therefore be None.
+INTERPRETED_SHAPES = [
+    pytest.param(
+        "SELECT lake_id FROM lakes WHERE area + lake_id > 480",
+        lambda plan: _find(plan.root, Filter)._compiled,
+        id="filter-arithmetic",
+    ),
+    pytest.param(
+        "SELECT lake_id FROM lakes WHERE area > 99 OR state = 's3'",
+        lambda plan: _find(plan.root, Filter)._compiled,
+        id="filter-or",
+    ),
+    pytest.param(
+        "SELECT lake_id * 2, UPPER(name) FROM lakes WHERE area > 90",
+        lambda plan: plan._compiled_projection,
+        id="computed-select-item",
+    ),
+    pytest.param(
+        "SELECT lake_id % 3, COUNT(*) FROM lakes GROUP BY lake_id % 3",
+        lambda plan: plan.aggregate._compiled_group,
+        id="computed-group-key",
+    ),
+    pytest.param(
+        "SELECT state, AVG(area + 1.0) FROM lakes GROUP BY state",
+        lambda plan: plan.aggregate._compiled_args[0],
+        id="computed-aggregate-argument",
+    ),
+    pytest.param(
+        "SELECT a.lake_id, b.name FROM lakes a JOIN lakes b ON a.lake_id = b.lake_id "
+        "WHERE a.lake_id < 60 AND b.area + b.lake_id > 100",
+        lambda plan: _find(plan.root, IndexLookupJoin)._compiled_probe[1],
+        id="index-join-computed-residual",
+    ),
+    pytest.param(
+        "SELECT a.lake_id, b.lake_id FROM (SELECT lake_id FROM lakes WHERE lake_id < 40) a "
+        "LEFT JOIN (SELECT lake_id FROM lakes WHERE lake_id < 25) b "
+        "ON a.lake_id = b.lake_id * 2",
+        # OuterJoin has no compiled form at all: finding it is the check.
+        lambda plan: None if _find(plan.root, OuterJoin) else "no OuterJoin planned",
+        id="outer-join",
+    ),
+]
+
+
+class TestInterpreterByShape:
+    @pytest.mark.parametrize("sql, compiled_memo", INTERPRETED_SHAPES)
+    def test_interpreted_shape_matches_sqlite(
+        self, sql, compiled_memo, exec_variant, reference
+    ):
+        db = _make_db(exec_variant)
+        db.execute("CREATE INDEX lakes_id ON lakes (lake_id)")
+        plan = Planner(db).plan_select(parse(sql))
+        _, rows = Executor(db).execute_plan(plan)
+        assert compiled_memo(plan) is None  # memos fill on first execution
+        assert_same_rows(sql, rows, reference(sql))
+
+    @pytest.mark.parametrize(
+        "condition, side",
+        [("a.nope = b.lake_id", 0), ("a.lake_id = b.nope", 1)],
+        ids=["build-side", "probe-side"],
+    )
+    def test_misnamed_hash_join_key_reports_the_column(self, condition, side):
+        db = _make_db()
+        plan = Planner(db).plan_select(
+            parse(f"SELECT a.lake_id FROM lakes a JOIN lakes b ON {condition}")
+        )
+        with pytest.raises(ExecutionError, match="column 'nope' not found"):
+            Executor(db).execute_plan(plan)
+        assert _find(plan.root, HashJoin)._compiled_keys[side] is None
+
+    def test_misnamed_index_join_key_reports_the_column(self):
+        db = _make_db()
+        db.execute("CREATE INDEX lakes_id ON lakes (lake_id)")
+        plan = Planner(db).plan_select(
+            parse("SELECT a.name FROM lakes a JOIN lakes b ON a.nope = b.lake_id WHERE a.area > 99")
+        )
+        with pytest.raises(ExecutionError, match="column 'nope' not found in 'a'"):
+            Executor(db).execute_plan(plan)
+        assert _find(plan.root, IndexLookupJoin)._compiled_probe[0] is None
+
+
 class TestPlannerIntegration:
     def test_explain_shows_hash_aggregate_with_estimate(self):
         db = _make_db()
@@ -167,15 +359,16 @@ class TestPlannerIntegration:
         assert "HashAggregate [group by state]" in text
         assert "est groups=" in text
 
-    def test_sorted_group_aggregate_over_ordered_scan(self):
+    def test_sorted_group_aggregate_over_ordered_scan(self, reference):
         db = _make_db()
         db.execute("CREATE INDEX lakes_state ON lakes (state) USING SORTED")
         sql = "SELECT state, COUNT(*), SUM(area) FROM lakes GROUP BY state ORDER BY state"
         text = db.explain(sql).text()
         assert "SortedGroupAggregate [group by state]" in text
         assert "RangeScan" in text
-        baseline = _make_db(ExecutionSettings(vectorized_aggregation=False))
-        assert db.execute(sql).rows == baseline.execute(sql).rows
+        # NULL keys sort first ascending and last descending in both engines.
+        assert db.execute(sql).rows == reference(sql)
+        assert db.execute(sql + " DESC").rows == reference(sql + " DESC")
 
     def test_sorted_path_not_chosen_without_matching_order(self):
         db = _make_db()

@@ -290,15 +290,6 @@ class TestAnalyzeCounters:
         assert "columnar:" not in text
 
 
-class TestConfigMapping:
-    def test_config_maps_columnar_knob(self):
-        from repro.core.config import CQMSConfig
-
-        config = CQMSConfig(exec_columnar_kernels=False)
-        config.validate()
-        assert config.exec_settings().columnar_kernels is False
-
-
 class TestPlanVerifierColumnarContract:
     def test_real_plans_satisfy_the_contract(self):
         db = _make_db(ExecutionSettings(verify_plans=True))

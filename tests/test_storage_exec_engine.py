@@ -3,13 +3,14 @@ the statement cache, and the calibrated join-fanout estimates."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
+from repro import CQMSConfig
 from repro.storage import Database, ExecutionSettings
-from repro.storage.executor import ExecutorMetrics
-from repro.storage.operators import ExecutionContext, SeqScan
 
 
 def _make_db(exec_settings: ExecutionSettings | None = None, **kwargs) -> Database:
@@ -50,6 +51,20 @@ QUERIES = [
     "SELECT l.state, COUNT(*) FROM lakes l LEFT JOIN samples s "
     "ON l.lake_id = s.lake_id GROUP BY l.state ORDER BY l.state",
 ]
+
+
+def test_engine_option_surface_is_pinned():
+    """A new engine knob doubles the configurations to test: adding one has to
+    be a deliberate edit here, next to the reason it is needed."""
+    assert {f.name for f in dataclasses.fields(ExecutionSettings)} == {
+        "batch_size",
+        "columnar_kernels",
+        "verify_plans",
+        "buffer_pool_pages",
+    }
+    assert {
+        f.name for f in dataclasses.fields(CQMSConfig) if f.name.startswith("exec_")
+    } == {"exec_batch_size", "exec_verify_plans"}
 
 
 class TestBatchSemantics:
@@ -124,18 +139,6 @@ class TestBatchSemantics:
         db = _make_db(ExecutionSettings(batch_size=64))
         result = db.execute("SELECT * FROM lakes")
         assert result.stats.batches == 200 // 64 + 1
-
-    def test_rows_shim_matches_batches(self):
-        db = _make_db()
-        table = db.table("lakes")
-        scan = SeqScan(table, "lakes", float(len(table)))
-        shim = list(scan.rows(ExecutionContext(metrics=ExecutorMetrics())))
-        batched = [
-            row
-            for batch in scan.batches(ExecutionContext(metrics=ExecutorMetrics()))
-            for row in batch
-        ]
-        assert shim == batched
 
     def test_limit_budget_skips_join_pipelines(self):
         """The LIMIT batch cap applies to scan/filter pipelines only — a join
