@@ -10,7 +10,6 @@ recommendation-quality metrics (hit-rate@k, MRR) used by C5/A2.
 from __future__ import annotations
 
 import json
-import os
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,31 +18,22 @@ from repro import CQMS, CQMSConfig, SimulatedClock, build_database
 from repro.workloads import QueryLogGenerator, WorkloadConfig
 
 #: Where machine-readable benchmark results land (committed alongside the
-#: benchmarks so the perf trajectory is tracked across PRs; CI uploads them
-#: as artifacts too).
+#: benchmarks; CI uploads them as artifacts too).
 RESULTS_DIR = Path(__file__).resolve().parent
-
-
-def smoke_mode() -> bool:
-    """True when benchmarks should run small and fast (CI smoke runs)."""
-    return os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 
 def write_bench_json(name: str, payload: dict) -> Path:
     """Write one benchmark's machine-readable results to ``BENCH_<name>.json``.
 
     The payload is annotated with the interpreter version (numbers move
-    between CPython releases) and whether the run was a smoke run (smoke
-    numbers are not comparable to full runs and must not overwrite them in
-    version control — CI uploads them as artifacts instead).
+    between CPython releases).
     """
     payload = dict(payload)
     payload.setdefault("python", platform.python_version())
-    payload.setdefault("smoke", smoke_mode())
-    suffix = ".smoke.json" if smoke_mode() else ".json"
-    path = RESULTS_DIR / f"BENCH_{name}{suffix}"
+    path = RESULTS_DIR / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
 
 #: Cache of prepared experiment environments, keyed by their parameters.
 _ENV_CACHE: dict[tuple, "ExperimentEnv"] = {}

@@ -6,7 +6,8 @@ into data corruption.  This pass walks :mod:`ast` trees of ``src/repro``
 and enforces them:
 
 * ``wal-pairing`` — in any class that owns a ``wal_emit`` hook (the
-  ``Table`` heap), a method that mutates ``self._rows`` must reference
+  ``Table`` heap), a method that writes a heap row (calls ``_store_slot``
+  or ``_discard_slot``, the two slotted-page primitives) must reference
   ``self.wal_emit`` inside a ``try`` whose ``except BaseException`` handler
   rolls back and re-raises; otherwise live state can diverge from what
   recovery replays.  Recovery-path methods (``restore_*``) replay the log
@@ -162,7 +163,7 @@ def lint_source(source: SourceFile) -> list[Diagnostic]:
 
 
 def _attribute_chain(node: ast.AST) -> str:
-    """Dotted name of an attribute/name chain ("self._rows.pop"), "" otherwise."""
+    """Dotted name of an attribute/name chain ("self._lock.acquire"), "" otherwise."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -173,24 +174,15 @@ def _attribute_chain(node: ast.AST) -> str:
     return ""
 
 
+#: The slotted-page primitives every heap row write goes through.
+_HEAP_PRIMITIVES = ("self._store_slot", "self._discard_slot")
+
+
 def _mutates_heap(func: ast.FunctionDef) -> ast.AST | None:
-    """First statement mutating ``self._rows`` in-place, or None."""
+    """First call of a slotted-page primitive (a heap row write), or None."""
     for node in ast.walk(func):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    if _attribute_chain(target.value) == "self._rows":
-                        return node
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    if _attribute_chain(target.value) == "self._rows":
-                        return node
-        elif isinstance(node, ast.Call):
-            chain = _attribute_chain(node.func)
-            if chain in ("self._rows.pop", "self._rows.clear", "self._rows.update"):
-                return node
+        if isinstance(node, ast.Call) and _attribute_chain(node.func) in _HEAP_PRIMITIVES:
+            return node
     return None
 
 

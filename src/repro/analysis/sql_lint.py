@@ -144,9 +144,6 @@ class SchemaView:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._columns
 
-    def table_names(self) -> list[str]:
-        return sorted(self._columns)
-
     def columns(self, table: str) -> set[str]:
         return self._columns.get(table.lower(), set())
 

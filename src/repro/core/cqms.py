@@ -77,6 +77,7 @@ class CQMS:
             wal_sync=self.config.wal_sync,
             checkpoint_interval=self.config.checkpoint_interval,
             schema_columns=database.schema_columns(),
+            profiling_mode=self.config.profiling_mode,
         )
         self.access_control = AccessControl(
             default_visibility=Visibility.parse(self.config.default_visibility)

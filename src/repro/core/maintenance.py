@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 
 from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
-from repro.core.records import LoggedQuery
+from repro.core.records import LoggedQuery, statement_artefacts
 from repro.errors import ReproError
-from repro.sql.canonicalize import canonical_text
-from repro.sql.features import extract_features
 from repro.storage.database import Database
 from repro.storage.statistics import TableStatistics
 
@@ -158,18 +156,11 @@ class QueryMaintenance:
                 changed = True
         if not changed:
             return False
-        try:
-            features = extract_features(new_text, schema_columns)
-        except ReproError:
+        _, features, canonical, template = statement_artefacts(
+            new_text, schema_columns, with_features=True
+        )
+        if features is None or self._validity_problems_for(features, schema_columns):
             return False
-        if self._validity_problems_for(features, schema_columns):
-            return False
-        try:
-            canonical = canonical_text(new_text)
-            template = canonical_text(new_text, strip_constants=True)
-        except ReproError:
-            canonical = new_text
-            template = new_text
         self._store.replace_text(record.qid, new_text, features, canonical, template)
         return True
 

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
-from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats
+from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, statement_artefacts
 from repro.errors import ReproError
 from repro.obs.metrics import engine_timer
-from repro.sql.canonicalize import canonical_text
-from repro.sql.features import extract_features
-from repro.sql.parser import parse
-from repro.sql.ast_nodes import statement_type
 from repro.sql.tokenizer import strip_comments
 from repro.storage.database import Database, QueryResult
 from repro.storage.statistics import summarize_output
@@ -82,10 +78,6 @@ class QueryProfiler:
         self._timer = registry.timer if registry is not None else engine_timer
 
     # -- mode management -------------------------------------------------------
-
-    @property
-    def mode(self) -> ProfilingMode:
-        return self._mode
 
     def set_mode(self, mode: ProfilingMode | str) -> None:
         self._mode = ProfilingMode.parse(mode)
@@ -173,37 +165,26 @@ class QueryProfiler:
             succeeded=error is None,
             error=error,
         )
+        with_features = self._mode is ProfilingMode.FEATURES
+        kind, features, canonical, template = statement_artefacts(
+            clean_text, self._db.schema_columns() if with_features else None, with_features
+        )
         record = LoggedQuery(
             qid=qid,
             user=user,
             group=group,
             text=clean_text,
             timestamp=timestamp,
-            statement_kind="unknown",
+            canonical_text=canonical,
+            template_text=template,
+            statement_kind=kind,
+            features=features,
             runtime=runtime,
             visibility=visibility,
             catalog_version=self._db.catalog.version,
         )
-        parsed = None
-        try:
-            parsed = parse(clean_text)
-            record.statement_kind = statement_type(parsed)
-        except ReproError:
-            record.statement_kind = "invalid"
-
-        if self._mode is ProfilingMode.FEATURES and parsed is not None:
-            record.features = extract_features(parsed, self._db.schema_columns())
-            try:
-                record.canonical_text = canonical_text(parsed)
-                record.template_text = canonical_text(parsed, strip_constants=True)
-            except ReproError:
-                record.canonical_text = clean_text
-                record.template_text = clean_text
-            if result is not None and record.statement_kind == "select":
-                record.output = self._summarize_output(result)
-        elif self._mode is ProfilingMode.TEXT:
-            record.canonical_text = " ".join(clean_text.lower().split())
-            record.template_text = record.canonical_text
+        if features is not None and result is not None and kind == "select":
+            record.output = self._summarize_output(result)
         return record
 
     def _summarize_output(self, result: QueryResult) -> OutputSummary:

@@ -24,12 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats
+from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, statement_artefacts
 from repro.errors import MetaQueryError, ReproError
-from repro.sql.canonicalize import canonical_text
-from repro.sql.features import extract_features
 from repro.sql.parse_tree import ParseTreeNode, TreePattern, match_pattern, to_parse_tree
-from repro.sql.parser import parse
 from repro.storage.database import Database, QueryResult
 from repro.storage.plan_cache import DEFAULT_PLAN_CACHE_SIZE
 from repro.storage.schema import ColumnSchema, TableSchema
@@ -170,6 +167,13 @@ class QueryStore:
     feature row goes through the write-ahead log, and reopening the same
     directory recovers the relations and rebuilds the in-memory record index
     from them — the paper's long-lived shared repository survives restarts.
+    ``profiling_mode`` (``CQMSConfig.profiling_mode``) says whether the
+    records of this log carry features: the rebuild derives each text's
+    artefacts the way the profiler did when it logged it, so a record reads
+    the same before a restart and after.  Only ``"text"`` logs without
+    features (``"off"`` logs nothing and reads an existing log as the
+    default mode wrote it); a log written under a mode switched at run time
+    (:meth:`QueryProfiler.set_mode`) rebuilds under the current mode.
     """
 
     def __init__(
@@ -181,6 +185,7 @@ class QueryStore:
         wal_sync: str = "batch",
         checkpoint_interval: int = 0,
         schema_columns: dict | None = None,
+        profiling_mode: str = "features",
     ):
         if data_dir is not None:
             self._meta_db = Database.open(
@@ -202,6 +207,7 @@ class QueryStore:
         #: Schema map of the *user* database, used to re-extract features
         #: when rebuilding the record index after recovery.
         self._schema_columns = dict(schema_columns or {})
+        self._with_features = profiling_mode != "text"
         for table_schema in FEATURE_RELATIONS:
             # On a recovered data_dir the relations already exist.
             if not self._meta_db.has_table(table_schema.name):
@@ -279,10 +285,6 @@ class QueryStore:
 
     # -- durability lifecycle ----------------------------------------------------
 
-    @property
-    def is_durable(self) -> bool:
-        return self._meta_db.is_durable
-
     def checkpoint(self) -> int:
         """Snapshot the meta-database and truncate its WAL (durable only)."""
         return self._meta_db.checkpoint()
@@ -299,22 +301,18 @@ class QueryStore:
         """Buffer-pool counters of the meta-database's page store."""
         return self._meta_db.buffer_stats()
 
-    def checkpoint_if_due(self):
-        """Checkpoint the meta-database when its interval is due; the
-        off-statement-path entry point for schedulers."""
-        return self._meta_db.checkpoint_if_due()
-
     def _rebuild_record_index(self) -> None:
         """Repopulate the in-memory :class:`LoggedQuery` index after recovery.
 
         The feature relations are the durable source of truth; the record
         objects are a cache over them.  Text, user/group, timestamps,
-        validity, runtime statistics, annotations, and output samples come
-        straight from the relations; syntactic features and canonical/template
-        texts are re-extracted from the recovered query text (the same code
-        path the profiler used to produce them) — once per distinct text:
-        records carrying the same text share one feature object, which
-        nothing mutates in place.  Parse trees are not built here; they stay
+        validity, statement kind, runtime statistics, annotations, and output
+        samples come straight from the relations; syntactic features and
+        canonical/template texts are re-derived from the recovered query text
+        by :func:`~repro.core.records.statement_artefacts` (the function the
+        profiler logged them with) — once per distinct text: records carrying
+        the same text share one feature object, which nothing mutates in
+        place.  Parse trees are not built here; they stay
         lazy (see :meth:`texts_matching`).  Session membership is
         matched back from the ``Sessions`` time windows (same user, timestamp
         inside ``[startTs, endTs]``), so the per-session query counts stay
@@ -362,8 +360,10 @@ class QueryStore:
             )
             artefacts = artefacts_by_text.get(record.text)
             if artefacts is None:
-                artefacts = artefacts_by_text[record.text] = self._text_artefacts(record.text)
-            record.features, record.canonical_text, record.template_text = artefacts
+                artefacts = artefacts_by_text[record.text] = statement_artefacts(
+                    record.text, self._schema_columns, self._with_features
+                )
+            _, record.features, record.canonical_text, record.template_text = artefacts
             record.annotations = [
                 body for _, body in sorted(annotations_by_qid.get(qid, []))
             ]
@@ -382,17 +382,6 @@ class QueryStore:
             # The StoreMeta high-water mark normally leads; max(qid)+1 is the
             # floor for stores created before the counter existed.
             self._next_qid = max(self._next_qid, max(self._records) + 1)
-
-    def _text_artefacts(self, text: str) -> tuple:
-        """``(features, canonical text, template text)`` of a recovered text."""
-        features = None
-        try:
-            parsed = parse(text)
-            features = extract_features(parsed, self._schema_columns)
-            return features, canonical_text(parsed), canonical_text(parsed, strip_constants=True)
-        except ReproError:
-            canonical = " ".join(text.lower().split())
-            return features, canonical, canonical
 
     @staticmethod
     def _rebuild_output_summary(
@@ -596,6 +585,18 @@ class QueryStore:
                 }
             ],
         )
+        self._meta_db.insert_rows(
+            "RuntimeStats",
+            [
+                {
+                    "qid": record.qid,
+                    "elapsedSeconds": record.runtime.elapsed_seconds,
+                    "cardinality": record.runtime.result_cardinality,
+                    "rowsScanned": record.runtime.rows_scanned,
+                    "succeeded": record.runtime.succeeded,
+                }
+            ],
+        )
         if record.features is None:
             return
         features = record.features
@@ -641,18 +642,6 @@ class QueryStore:
                     "rightAttr": join.normalized().right_attribute,
                 }
                 for join in features.joins
-            ],
-        )
-        self._meta_db.insert_rows(
-            "RuntimeStats",
-            [
-                {
-                    "qid": record.qid,
-                    "elapsedSeconds": record.runtime.elapsed_seconds,
-                    "cardinality": record.runtime.result_cardinality,
-                    "rowsScanned": record.runtime.rows_scanned,
-                    "succeeded": record.runtime.succeeded,
-                }
             ],
         )
         if record.output is not None and record.output.rows:

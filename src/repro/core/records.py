@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sql.features import QueryFeatures
+from repro.errors import ReproError
+from repro.sql.ast_nodes import statement_type
+from repro.sql.canonicalize import canonical_text
+from repro.sql.features import QueryFeatures, extract_features
+from repro.sql.parser import parse
 
 
 @dataclass
@@ -111,3 +115,36 @@ class LoggedQuery:
         if len(text) > max_length:
             text = text[: max_length - 3] + "..."
         return text
+
+
+def statement_artefacts(
+    text: str, schema_columns: dict[str, set[str]] | None, with_features: bool
+) -> tuple[str, QueryFeatures | None, str, str]:
+    """``(statement_kind, features, canonical_text, template_text)`` of a text.
+
+    The one place the CQMS derives anything from a statement text: the
+    profiler calls it when logging, maintenance when repairing, and the Query
+    Storage when rebuilding its record index after recovery — so what a
+    record says cannot depend on which of the three produced it.  The text is
+    parsed once.  ``with_features`` is the profiler's ``features`` mode: a
+    text that does not parse has no artefacts at all (nothing to count as
+    popular, nothing to mine).  Without features (``text`` mode) the
+    canonical and template texts are the whitespace-normalised lower-cased
+    text whether or not it parses; the parse only decides the kind.
+    """
+    try:
+        parsed = parse(text)
+    except ReproError:
+        parsed = None
+    kind = "invalid" if parsed is None else statement_type(parsed)
+    if not with_features:
+        flattened = " ".join(text.lower().split())
+        return kind, None, flattened, flattened
+    if parsed is None:
+        return kind, None, "", ""
+    return (
+        kind,
+        extract_features(parsed, schema_columns),
+        canonical_text(parsed),
+        canonical_text(parsed, strip_constants=True),
+    )

@@ -93,14 +93,6 @@ class MetaQueryError(CQMSError):
     """Raised when a meta-query is malformed or cannot be executed."""
 
 
-class ProfilerError(CQMSError):
-    """Raised when the query profiler cannot log or shred a query."""
-
-
-class MaintenanceError(CQMSError):
-    """Raised for failures in the query-maintenance component."""
-
-
 class RateLimitedError(CQMSError):
     """Raised when admission control rejects a statement before execution.
 

@@ -10,9 +10,9 @@ through the storage layer — pins the metric naming scheme in one place:
 
 * every series carries the ``engine`` label (``database`` /
   ``query_storage``),
-* counters end in ``_total`` and only go up; engine-internal running
-  totals (ExecutorMetrics, PlanCacheStats, WalStats, BufferPoolStats) are
-  mirrored with ``set_total``/``set`` at scrape time,
+* counters end in ``_total`` and only go up; the engine owns its counters
+  (ExecutionStats, PlanCacheStats, WalStats, BufferPoolStats) and the
+  registry reads them through the tables below, which pin the series names,
 * latencies are histograms over the shared
   :data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS` ladder with
   p50/p90/p99 readout.
@@ -28,6 +28,72 @@ from typing import Callable
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import SlowQueryLog, Trace
+
+
+# The ``(field, series, help)`` tables of the engine-owned records the
+# registry reads.  ExecutionStats amounts are added per statement; the others
+# are running totals (counters) and levels (gauges) read at scrape time.
+_EXECUTION_COUNTERS = (
+    ("rows_scanned", "rows_scanned", "rows fetched by access paths"),
+    ("rows_joined", "rows_joined", "rows produced by join operators"),
+    ("result_cardinality", "rows_output", "rows returned to clients"),
+    ("index_lookups", "index_lookups", "index probes performed"),
+    ("batches", "exec_batches", "operator batches consumed"),
+    ("columnar_batches", "columnar_batches", "columnar batches built"),
+    ("groups_emitted", "groups_emitted", "aggregation groups formed"),
+    ("agg_seconds", "agg_seconds", "seconds inside the aggregation stage"),
+    ("kernel_seconds", "kernel_seconds", "seconds inside columnar kernels"),
+)
+_PLAN_CACHE_COUNTERS = (
+    ("hits", "plan_cache_hits", "plan-cache template hits"),
+    ("misses", "plan_cache_misses", "plan-cache template misses"),
+    ("statement_hits", "statement_cache_hits", "statement-cache hits"),
+    ("statement_misses", "statement_cache_misses", "statement-cache misses"),
+    ("invalidated_ddl", "plan_cache_invalidated_ddl", "plans invalidated by DDL"),
+    (
+        "invalidated_drift",
+        "plan_cache_invalidated_drift",
+        "plans invalidated by statistics drift",
+    ),
+    ("evictions", "plan_cache_evictions", "plans evicted by capacity"),
+)
+_PLAN_CACHE_GAUGES = (
+    ("size", "plan_cache_size", "cached plan templates resident"),
+    ("capacity", "plan_cache_capacity", "plan cache capacity"),
+)
+_WAL_COUNTERS = (
+    ("records", "wal_records", "WAL records appended"),
+    ("bytes_written", "wal_bytes_written", "WAL bytes appended"),
+    ("syncs", "wal_syncs", "WAL fsync calls"),
+    ("flushes", "wal_flushes", "WAL group-commit flushes"),
+    ("checkpoints", "wal_checkpoints", "checkpoints taken"),
+)
+_WAL_GAUGES = (
+    ("last_lsn", "wal_last_lsn", "newest assigned log sequence number"),
+    (
+        "records_since_checkpoint",
+        "wal_records_since_checkpoint",
+        "records pressing toward the next checkpoint",
+    ),
+    ("max_batch_records", "wal_max_batch_records", "largest group-commit batch"),
+)
+_BUFFER_POOL_COUNTERS = (
+    ("hits", "buffer_pool_hits", "page requests served from the pool"),
+    ("misses", "buffer_pool_misses", "page requests that went to disk"),
+    ("evictions", "buffer_pool_evictions", "pages evicted"),
+    ("writebacks", "buffer_pool_writebacks", "dirty pages written back"),
+    ("pages_allocated", "buffer_pool_pages_allocated", "pages ever allocated"),
+)
+_BUFFER_POOL_GAUGES = (
+    ("resident", "buffer_pool_resident", "pages resident in the pool"),
+    ("dirty", "buffer_pool_dirty", "dirty pages resident"),
+    ("pins", "buffer_pool_pins", "currently pinned pages"),
+    (
+        "capacity",
+        "buffer_pool_capacity",
+        "pool page capacity (0 = unbounded in-memory store)",
+    ),
+)
 
 
 class EngineTelemetry:
@@ -97,7 +163,7 @@ class EngineTelemetry:
         ).inc()
         self.statement_histogram().observe(wall_seconds)
         if stats is not None:
-            self._mirror_execution_stats(stats)
+            self._mirror(stats, _EXECUTION_COUNTERS, accumulate=True)
         if trace is not None:
             trace.total_seconds = wall_seconds
             self.last_trace = trace
@@ -118,27 +184,23 @@ class EngineTelemetry:
             engine=self.engine,
         ).inc()
 
-    def _mirror_execution_stats(self, stats: object) -> None:
-        """Accumulate one statement's ExecutionStats counters."""
-        for field_name, metric, help_text in (
-            ("rows_scanned", "rows_scanned", "rows fetched by access paths"),
-            ("rows_joined", "rows_joined", "rows produced by join operators"),
-            ("result_cardinality", "rows_output", "rows returned to clients"),
-            ("index_lookups", "index_lookups", "index probes performed"),
-            ("batches", "exec_batches", "operator batches consumed"),
-            ("columnar_batches", "columnar_batches", "columnar batches built"),
-            ("groups_emitted", "groups_emitted", "aggregation groups formed"),
-        ):
-            amount = getattr(stats, field_name, 0) or 0
-            if amount:
-                self.registry.counter(metric, help_text, engine=self.engine).inc(amount)
-        for field_name, metric, help_text in (
-            ("agg_seconds", "agg_seconds", "seconds inside the aggregation stage"),
-            ("kernel_seconds", "kernel_seconds", "seconds inside columnar kernels"),
-        ):
-            amount = getattr(stats, field_name, 0.0) or 0.0
-            if amount:
-                self.registry.counter(metric, help_text, engine=self.engine).inc(amount)
+    def _mirror(self, stats: object, counters=(), gauges=(), accumulate=False) -> None:
+        """Read an engine-owned record into the registry.
+
+        ``accumulate`` adds a per-statement record's amounts to the counters
+        (creating a series only once it counts something); otherwise the
+        record holds running totals, which the counters are set to.  A field
+        the record lacks or holds as None reads as 0.
+        """
+        for table, is_gauge in ((counters, False), (gauges, True)):
+            for field_name, metric, help_text in table:
+                value = getattr(stats, field_name, 0) or 0
+                if is_gauge:
+                    self.registry.gauge(metric, help_text, engine=self.engine).set(value)
+                elif not accumulate:
+                    self.registry.counter(metric, help_text, engine=self.engine).set_total(value)
+                elif value:
+                    self.registry.counter(metric, help_text, engine=self.engine).inc(value)
 
     # -- per-operator observation ---------------------------------------------
 
@@ -163,90 +225,10 @@ class EngineTelemetry:
 
     # -- cache / durability mirrors (scrape-time sync) --------------------------
 
-    def sync_plan_cache(self, stats: object) -> None:
-        engine = self.engine
-        registry = self.registry
-        for field_name, metric, help_text in (
-            ("hits", "plan_cache_hits", "plan-cache template hits"),
-            ("misses", "plan_cache_misses", "plan-cache template misses"),
-            ("statement_hits", "statement_cache_hits", "statement-cache hits"),
-            ("statement_misses", "statement_cache_misses", "statement-cache misses"),
-            ("invalidated_ddl", "plan_cache_invalidated_ddl", "plans invalidated by DDL"),
-            (
-                "invalidated_drift",
-                "plan_cache_invalidated_drift",
-                "plans invalidated by statistics drift",
-            ),
-            ("evictions", "plan_cache_evictions", "plans evicted by capacity"),
-        ):
-            registry.counter(metric, help_text, engine=engine).set_total(
-                getattr(stats, field_name, 0) or 0
-            )
-        registry.gauge(
-            "plan_cache_size", "cached plan templates resident", engine=engine
-        ).set(getattr(stats, "size", 0) or 0)
-        registry.gauge(
-            "plan_cache_capacity", "plan cache capacity", engine=engine
-        ).set(getattr(stats, "capacity", 0) or 0)
-
-    def sync_wal(self, stats: object | None) -> None:
-        if stats is None:
-            return
-        engine = self.engine
-        registry = self.registry
-        for field_name, metric, help_text in (
-            ("records", "wal_records", "WAL records appended"),
-            ("bytes_written", "wal_bytes_written", "WAL bytes appended"),
-            ("syncs", "wal_syncs", "WAL fsync calls"),
-            ("flushes", "wal_flushes", "WAL group-commit flushes"),
-            ("checkpoints", "wal_checkpoints", "checkpoints taken"),
-        ):
-            registry.counter(metric, help_text, engine=engine).set_total(
-                getattr(stats, field_name, 0) or 0
-            )
-        for field_name, metric, help_text in (
-            ("last_lsn", "wal_last_lsn", "newest assigned log sequence number"),
-            (
-                "records_since_checkpoint",
-                "wal_records_since_checkpoint",
-                "records pressing toward the next checkpoint",
-            ),
-            ("max_batch_records", "wal_max_batch_records", "largest group-commit batch"),
-        ):
-            registry.gauge(metric, help_text, engine=engine).set(
-                getattr(stats, field_name, 0) or 0
-            )
-
-    def sync_buffer_pool(self, stats: object) -> None:
-        engine = self.engine
-        registry = self.registry
-        for field_name, metric, help_text in (
-            ("hits", "buffer_pool_hits", "page requests served from the pool"),
-            ("misses", "buffer_pool_misses", "page requests that went to disk"),
-            ("evictions", "buffer_pool_evictions", "pages evicted"),
-            ("writebacks", "buffer_pool_writebacks", "dirty pages written back"),
-            ("pages_allocated", "buffer_pool_pages_allocated", "pages ever allocated"),
-        ):
-            registry.counter(metric, help_text, engine=engine).set_total(
-                getattr(stats, field_name, 0) or 0
-            )
-        for field_name, metric, help_text in (
-            ("resident", "buffer_pool_resident", "pages resident in the pool"),
-            ("dirty", "buffer_pool_dirty", "dirty pages resident"),
-            ("pins", "buffer_pool_pins", "currently pinned pages"),
-        ):
-            registry.gauge(metric, help_text, engine=engine).set(
-                getattr(stats, field_name, 0) or 0
-            )
-        capacity = getattr(stats, "capacity", None)
-        registry.gauge(
-            "buffer_pool_capacity",
-            "pool page capacity (0 = unbounded in-memory store)",
-            engine=engine,
-        ).set(capacity if capacity is not None else 0)
-
     def sync_engine(self, database: object) -> None:
         """Mirror a Database's cache/durability stats (one scrape's worth)."""
-        self.sync_plan_cache(database.plan_cache_stats())
-        self.sync_wal(database.wal_stats())
-        self.sync_buffer_pool(database.buffer_stats())
+        self._mirror(database.plan_cache_stats(), _PLAN_CACHE_COUNTERS, _PLAN_CACHE_GAUGES)
+        wal = database.wal_stats()
+        if wal is not None:  # an in-memory database has none
+            self._mirror(wal, _WAL_COUNTERS, _WAL_GAUGES)
+        self._mirror(database.buffer_stats(), _BUFFER_POOL_COUNTERS, _BUFFER_POOL_GAUGES)

@@ -384,11 +384,6 @@ def _iter_from_item_tables(item: FromItem):
         yield from _iter_from_item_tables(item.right)
 
 
-def column_refs(expr: Expression) -> list[ColumnRef]:
-    """Return all column references appearing in ``expr`` (excluding subqueries)."""
-    return [node for node in iter_expressions(expr) if isinstance(node, ColumnRef)]
-
-
 def contains_aggregate(expr: Expression) -> bool:
     """Return True when ``expr`` contains an aggregate function call."""
     return any(

@@ -19,8 +19,6 @@ positionally to a later statement instance of the same template.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
@@ -373,11 +371,6 @@ def _expr_sort_key(expr: Expression) -> str:
     return format_expression(expr)
 
 
-def strip_constants_statement(statement: SelectStatement) -> SelectStatement:
-    """Convenience wrapper: canonicalize with constants replaced by ``'?'``."""
-    return canonicalize(statement, strip_constants=True)
-
-
 # ---------------------------------------------------------------------------
 # Plan-template parameterization (used by the plan cache)
 # ---------------------------------------------------------------------------
@@ -645,8 +638,3 @@ def _walk_expr_params(expr: Expression, params: list[ParamLiteral]) -> None:
             _walk_expr_params(value, params)
         if expr.default is not None:
             _walk_expr_params(expr.default, params)
-
-
-def replace_limit(statement: SelectStatement, limit: int | None) -> SelectStatement:
-    """Return a copy of ``statement`` with a different LIMIT (used by browsing)."""
-    return replace(statement, limit=limit)

@@ -109,14 +109,6 @@ class PageStore:
         self._writebacks = 0
         self._allocated = 0
 
-    @property
-    def has_pager(self) -> bool:
-        return self._pager is not None
-
-    @property
-    def capacity(self) -> int | None:
-        return self._capacity
-
     # -- page lifecycle -------------------------------------------------------
 
     def allocate(self, obj, codec) -> int:

@@ -42,11 +42,10 @@ from repro.storage.snapshot import (
     column_to_dict,
     schema_to_dict,
     write_checkpoint,
-    write_snapshot,
 )
 from repro.storage.wal import DEFAULT_GROUP_SIZE, WAL_FILE_NAME, WalStats, WalWriter
 from repro.storage.exec_settings import DEFAULT_SETTINGS, ExecutionSettings
-from repro.storage.executor import Executor
+from repro.storage.executor import ExecutionStats, Executor
 from repro.storage.expression import Scope, evaluate, is_true
 from repro.storage.operators import ExecutionContext
 from repro.storage.plan_cache import (
@@ -74,30 +73,13 @@ from repro.sql.ast_nodes import (
 from repro.sql.parser import parse
 
 
-@dataclass
-class ExecutionStats:
-    """Runtime statistics of one executed statement."""
-
-    elapsed_seconds: float = 0.0
-    rows_scanned: int = 0
-    rows_joined: int = 0
-    result_cardinality: int = 0
-    statement_kind: str = "select"
-    index_lookups: int = 0
-    #: True when the statement executed through a re-bound cached plan.
-    plan_cache_hit: bool = False
-    #: Batches the executor consumed from the plan root (batched pipeline).
-    batches: int = 0
-    #: True when the raw SQL text skipped the parser via the statement cache.
-    statement_cache_hit: bool = False
-    #: Groups formed by the aggregation stage (before HAVING filtering).
-    groups_emitted: int = 0
-    #: Wall time spent inside the aggregation stage (its input scan included).
-    agg_seconds: float = 0.0
-    #: Columnar batches built by scans (subset of ``batches``).
-    columnar_batches: int = 0
-    #: Wall time spent inside columnar kernels (selection + gathers).
-    kernel_seconds: float = 0.0
+def _plan_with(planner: Planner, statement: Statement) -> SelectPlan | DmlPlan:
+    """Plan a SELECT, UPDATE or DELETE with the planner method of its kind."""
+    if isinstance(statement, SelectStatement):
+        return planner.plan_select(statement)
+    if isinstance(statement, UpdateStatement):
+        return planner.plan_update(statement)
+    return planner.plan_delete(statement)
 
 
 @dataclass
@@ -316,27 +298,6 @@ class Database:
         self._recovered_backlog = 0
         return size
 
-    def export_snapshot(self) -> int:
-        """Write a v1 *full* snapshot (all rows inline) instead of an
-        incremental checkpoint — same atomic file, same recovery entry
-        point, but self-contained without the page file.  Kept for
-        benchmark comparison and portable exports."""
-        self._assert_open()
-        if self._wal is None:
-            raise DurabilityError(
-                "export_snapshot() requires a durable database; use "
-                "Database.open(data_dir=...)"
-            )
-        self._wal.flush()
-        size = write_snapshot(
-            self,
-            os.path.join(self._data_dir, SNAPSHOT_FILE_NAME),
-            lsn=self._wal.last_lsn,
-        )
-        self._wal.truncate_log()
-        self._recovered_backlog = 0
-        return size
-
     def close(self) -> None:
         """Flush the WAL, release the ``data_dir`` lock, and mark the
         database closed.  Idempotent; further operations raise."""
@@ -377,11 +338,6 @@ class Database:
         return self._store.stats()
 
     # -- telemetry ---------------------------------------------------------------
-
-    @property
-    def telemetry(self):
-        """The attached :class:`~repro.obs.telemetry.EngineTelemetry`, or None."""
-        return self._telemetry
 
     def attach_telemetry(self, telemetry) -> None:
         """Attach an :class:`~repro.obs.telemetry.EngineTelemetry` bundle.
@@ -546,59 +502,45 @@ class Database:
         prepared = self._plan_cache.prepare(statement)
         return self._plan_cache.lookup(prepared, count=False)
 
-    def _plan_select(
-        self, statement: SelectStatement, prepared=None, text: str | None = None
-    ) -> tuple[SelectPlan, bool]:
-        """A plan for the statement: from the cache when the template is fresh,
-        otherwise freshly planned (and cached when safely re-bindable).
+    def _plan(
+        self, statement: Statement, prepared=None, text: str | None = None
+    ) -> tuple[SelectPlan | DmlPlan, Statement, bool]:
+        """A plan for a SELECT/UPDATE/DELETE: from the cache when the template
+        is fresh, otherwise freshly planned (and cached when safely
+        re-bindable).  Returns ``(plan, statement, cache_hit)``.
 
         ``prepared`` is a statement-cache hit (parse + parameterize already
         done); ``text`` is the raw SQL when known, so a freshly prepared
         statement can be remembered for future byte-identical resubmissions.
+        The returned statement is the one to evaluate expressions from: the
+        cached parameterized template on a hit (its parameter nodes re-bound
+        to this instance's constants), so SET assignments see the right
+        values.
         """
-        if self._plan_cache is None:
-            return Planner(self).plan_select(statement), False
-        if prepared is None:
-            prepared = self._plan_cache.prepare(statement)
-            if text is not None:
-                self._plan_cache.store_statement(text, prepared)
-        cached = self._plan_cache.lookup(prepared)
-        if cached is not None:
-            return cached.plan, True
+        cache = self._plan_cache
+        if cache is not None:
+            if prepared is None:
+                prepared = cache.prepare(statement)
+                if text is not None:
+                    cache.store_statement(text, prepared)
+            cached = cache.lookup(prepared)
+            if cached is not None:
+                return cached.plan, cached.statement, True
+            statement = prepared.statement
         planner = Planner(self)
-        plan = planner.plan_select(prepared.statement)
-        if not planner.rebind_unsafe:
-            self._plan_cache.store(prepared, plan)
-        return plan, False
+        plan = _plan_with(planner, statement)
+        if cache is not None and not planner.rebind_unsafe:
+            cache.store(prepared, plan)
+        return plan, statement, False
 
-    def _plan_dml(
-        self,
-        statement: UpdateStatement | DeleteStatement,
-        kind: str,
-        prepared=None,
-        text: str | None = None,
-    ) -> tuple[DmlPlan, UpdateStatement | DeleteStatement, bool]:
-        """Like :meth:`_plan_select` for UPDATE/DELETE.
-
-        Also returns the statement to evaluate expressions from: the cached
-        parameterized template on a hit (its parameter nodes re-bound to this
-        instance's constants), so SET assignments see the right values.
-        """
-        planner = Planner(self)
-        plan_method = planner.plan_update if kind == "update" else planner.plan_delete
-        if self._plan_cache is None:
-            return plan_method(statement), statement, False
-        if prepared is None:
-            prepared = self._plan_cache.prepare(statement)
-            if text is not None:
-                self._plan_cache.store_statement(text, prepared)
-        cached = self._plan_cache.lookup(prepared)
-        if cached is not None:
-            return cached.plan, cached.statement, True
-        plan = plan_method(prepared.statement)
-        if not planner.rebind_unsafe:
-            self._plan_cache.store(prepared, plan)
-        return plan, prepared.statement, False
+    def _statement_of(self, text: str):
+        """``(statement, prepared)`` of raw SQL: the statement cache's
+        memoized parse + parameterize result, else a fresh parse."""
+        if self._plan_cache is not None:
+            prepared = self._plan_cache.lookup_statement(text)
+            if prepared is not None:
+                return prepared.statement, prepared
+        return parse(text), None
 
     # -- execution ------------------------------------------------------------------
 
@@ -631,16 +573,10 @@ class Database:
             if telemetry is not None:
                 trace = telemetry.begin_trace(text)
                 with trace.span("parse") as span:
-                    if self._plan_cache is not None:
-                        prepared = self._plan_cache.lookup_statement(text)
-                    statement: Statement = (
-                        prepared.statement if prepared is not None else parse(text)
-                    )
+                    statement, prepared = self._statement_of(text)
                     span["statement_cache_hit"] = prepared is not None
             else:
-                if self._plan_cache is not None:
-                    prepared = self._plan_cache.lookup_statement(text)
-                statement = prepared.statement if prepared is not None else parse(text)
+                statement, prepared = self._statement_of(text)
         else:
             statement = sql_or_statement
             if telemetry is not None:
@@ -708,20 +644,9 @@ class Database:
                     root=cached.plan.root,
                     plan_cache_hit=True,
                 )
-        if isinstance(statement, SelectStatement):
-            plan = Planner(self).plan_select(statement)
+            plan = _plan_with(Planner(self), statement)
             return PlanExplanation(
-                statement_kind="select", lines=plan.explain_lines(), root=plan.root
-            )
-        if isinstance(statement, UpdateStatement):
-            plan = Planner(self).plan_update(statement)
-            return PlanExplanation(
-                statement_kind="update", lines=plan.explain_lines(), root=plan.root
-            )
-        if isinstance(statement, DeleteStatement):
-            plan = Planner(self).plan_delete(statement)
-            return PlanExplanation(
-                statement_kind="delete", lines=plan.explain_lines(), root=plan.root
+                statement_kind=kind, lines=plan.explain_lines(), root=plan.root
             )
         kind = type(statement).__name__.removesuffix("Statement").lower()
         target = getattr(statement, "table", None)
@@ -736,26 +661,15 @@ class Database:
         use ``time.perf_counter`` while the summary's elapsed time uses the
         database's injectable clock, exactly like :meth:`execute`.
         """
-        plan, cache_hit = self._plan_select(statement)
+        plan, _, cache_hit = self._plan(statement)
         executor = Executor(self)
         node_stats: dict = {}
         start = self._clock()
         columns, rows = executor.execute_plan(plan, node_stats=node_stats)
         elapsed = max(0.0, self._clock() - start)
-        stats = ExecutionStats(
-            elapsed_seconds=elapsed,
-            rows_scanned=executor.metrics.rows_scanned,
-            rows_joined=executor.metrics.rows_joined,
-            result_cardinality=len(rows),
-            statement_kind="select",
-            index_lookups=executor.metrics.index_lookups,
-            plan_cache_hit=cache_hit,
-            batches=executor.metrics.batches,
-            groups_emitted=executor.metrics.groups_emitted,
-            agg_seconds=executor.metrics.agg_seconds,
-            columnar_batches=executor.metrics.columnar_batches,
-            kernel_seconds=executor.metrics.kernel_seconds,
-        )
+        stats = executor.metrics
+        stats.elapsed_seconds = elapsed
+        stats.plan_cache_hit = cache_hit
         lines = plan.explain_lines(node_stats=node_stats)
         if cache_hit:
             lines[0] += "  (cached)"
@@ -820,10 +734,10 @@ class Database:
         trace = self._active_trace
         if trace is not None:
             with trace.span("plan") as span:
-                plan, cache_hit = self._plan_select(statement, prepared, text)
+                plan, _, cache_hit = self._plan(statement, prepared, text)
                 span["plan_cache_hit"] = cache_hit
         else:
-            plan, cache_hit = self._plan_select(statement, prepared, text)
+            plan, _, cache_hit = self._plan(statement, prepared, text)
         executor = Executor(self, deadline=deadline)
         node_stats: dict | None = None
         if telemetry is not None and telemetry.trace_operators:
@@ -835,19 +749,8 @@ class Database:
             columns, rows = executor.execute_plan(plan, node_stats=node_stats)
         if node_stats:
             self._report_operator_stats(plan, node_stats, trace)
-        stats = ExecutionStats(
-            rows_scanned=executor.metrics.rows_scanned,
-            rows_joined=executor.metrics.rows_joined,
-            result_cardinality=len(rows),
-            statement_kind="select",
-            index_lookups=executor.metrics.index_lookups,
-            plan_cache_hit=cache_hit,
-            batches=executor.metrics.batches,
-            groups_emitted=executor.metrics.groups_emitted,
-            agg_seconds=executor.metrics.agg_seconds,
-            columnar_batches=executor.metrics.columnar_batches,
-            kernel_seconds=executor.metrics.kernel_seconds,
-        )
+        stats = executor.metrics
+        stats.plan_cache_hit = cache_hit
         return QueryResult(columns=columns, rows=rows, stats=stats, rowcount=len(rows))
 
     def _report_operator_stats(self, plan, node_stats: dict, trace) -> None:
@@ -954,7 +857,7 @@ class Database:
     ) -> QueryResult:
         table = self.table(statement.table)
         executor = Executor(self, deadline=deadline)
-        plan, statement, cache_hit = self._plan_dml(statement, "update", prepared, text)
+        plan, statement, cache_hit = self._plan(statement, prepared, text)
         count = 0
         for row_id, row in self._find_dml_targets(plan, executor, deadline):
             scope = Scope({statement.table: row})
@@ -964,15 +867,7 @@ class Database:
             }
             table.update(row_id, changes)
             count += 1
-        stats = ExecutionStats(
-            statement_kind="update",
-            result_cardinality=count,
-            rows_scanned=executor.metrics.rows_scanned,
-            rows_joined=executor.metrics.rows_joined,
-            index_lookups=executor.metrics.index_lookups,
-            plan_cache_hit=cache_hit,
-        )
-        return QueryResult(stats=stats, rowcount=count)
+        return self._dml_result(executor, "update", count, cache_hit)
 
     def _execute_delete(
         self,
@@ -983,19 +878,20 @@ class Database:
     ) -> QueryResult:
         table = self.table(statement.table)
         executor = Executor(self, deadline=deadline)
-        plan, statement, cache_hit = self._plan_dml(statement, "delete", prepared, text)
+        plan, statement, cache_hit = self._plan(statement, prepared, text)
         doomed = self._find_dml_targets(plan, executor, deadline)
         for row_id, _ in doomed:
             table.delete(row_id)
-        stats = ExecutionStats(
-            statement_kind="delete",
-            result_cardinality=len(doomed),
-            rows_scanned=executor.metrics.rows_scanned,
-            rows_joined=executor.metrics.rows_joined,
-            index_lookups=executor.metrics.index_lookups,
-            plan_cache_hit=cache_hit,
-        )
-        return QueryResult(stats=stats, rowcount=len(doomed))
+        return self._dml_result(executor, "delete", len(doomed), cache_hit)
+
+    @staticmethod
+    def _dml_result(executor: Executor, kind: str, count: int, cache_hit: bool) -> QueryResult:
+        """The executor's record of an UPDATE/DELETE, completed by the facade."""
+        stats = executor.metrics
+        stats.statement_kind = kind
+        stats.result_cardinality = count
+        stats.plan_cache_hit = cache_hit
+        return QueryResult(stats=stats, rowcount=count)
 
     def _execute_create_table(self, statement: CreateTableStatement) -> QueryResult:
         if self.has_table(statement.table):

@@ -34,7 +34,7 @@ class ExecutionSettings:
     stays on purpose: the row-batch path is live anyway (joins, index scans
     and any predicate without a kernel run on it), and forcing it is the
     *reference* the bit-identical float-aggregate and cross-path equivalence
-    tests — and ``bench_columnar.py`` — compare the columnar path against.
+    tests compare the columnar path against.
     Which path a statement takes is otherwise decided by its plan shape,
     never by an option.
 

@@ -65,27 +65,38 @@ Bindings = list[tuple[str, list[str]]]
 
 
 @dataclass
-class ExecutorMetrics:
-    """Counters describing the work done by one statement execution.
+class ExecutionStats:
+    """Runtime statistics of one executed statement.
 
-    ``rows_scanned`` counts rows actually fetched by the chosen access paths
-    (an index lookup charges only the matching rows, a sequential scan charges
-    every row), so profiler numbers stay honest across plan changes.
+    The one per-statement counter record: operators and the executor
+    increment it while the statement runs (``ExecutionContext.metrics``), the
+    :class:`~repro.storage.database.Database` facade adds what only it knows
+    (statement kind, cache hits, elapsed time) and hands the same object out
+    as ``QueryResult.stats``.  ``rows_scanned`` counts rows actually fetched
+    by the chosen access paths (an index lookup charges only the matching
+    rows, a sequential scan charges every row), so profiler numbers stay
+    honest across plan changes.
     """
 
+    elapsed_seconds: float = 0.0
     rows_scanned: int = 0
     rows_joined: int = 0
-    rows_output: int = 0
+    result_cardinality: int = 0
+    statement_kind: str = "select"
     index_lookups: int = 0
+    #: True when the statement executed through a re-bound cached plan.
+    plan_cache_hit: bool = False
     #: Batches the executor consumed from the plan root (batched pipeline).
     batches: int = 0
-    #: Columnar batches built by scans (subset of the pipeline's batches).
-    columnar_batches: int = 0
+    #: True when the raw SQL text skipped the parser via the statement cache.
+    statement_cache_hit: bool = False
     #: Groups formed by the aggregation stage (before HAVING filtering).
     groups_emitted: int = 0
-    #: Wall time spent inside the aggregation stage (input scan included).
+    #: Wall time spent inside the aggregation stage (its input scan included).
     agg_seconds: float = 0.0
-    #: Wall time spent inside columnar kernels (filter selection + gathers).
+    #: Columnar batches built by scans (subset of ``batches``).
+    columnar_batches: int = 0
+    #: Wall time spent inside columnar kernels (selection + gathers).
     kernel_seconds: float = 0.0
 
 
@@ -100,22 +111,15 @@ class Executor:
     def __init__(self, table_provider, deadline: float | None = None):
         self._provider = table_provider
         self._settings = getattr(table_provider, "exec_settings", None) or DEFAULT_SETTINGS
-        #: The one duration source for ExecutorMetrics seconds, operator
+        #: The one duration source for ExecutionStats seconds, operator
         #: instrumentation, and timeout deadlines: the provider's telemetry
         #: timer when one is attached, else the sanctioned engine timer.
         self._timer = getattr(table_provider, "statement_timer", None) or engine_timer
         #: Absolute ``_timer`` deadline of the statement's timeout budget.
         self._deadline = deadline
-        self.metrics = ExecutorMetrics()
+        self.metrics = ExecutionStats()
 
     # -- public entry points --------------------------------------------------
-
-    def execute_select(
-        self, statement: SelectStatement, outer_scope: Scope | None = None
-    ) -> tuple[list[str], list[tuple]]:
-        """Run a SELECT and return ``(column_names, rows)``."""
-        self.metrics = ExecutorMetrics()
-        return self._select(statement, outer_scope)
 
     def execute_plan(
         self,
@@ -130,7 +134,7 @@ class Executor:
         under ``id(operator)``, and the executor stores the statement's output
         cardinality under the ``"output_rows"`` key.
         """
-        self.metrics = ExecutorMetrics()
+        self.metrics = ExecutionStats()
         return self._execute_plan(plan, outer_scope, node_stats)
 
     def _verify_plan(self, plan: SelectPlan, outer_scope: Scope | None) -> None:
@@ -289,7 +293,7 @@ class Executor:
                     if budget is not None:
                         ctx.batch_size = max(min(budget - len(rows), base_batch), 1)
         rows = _apply_limit(rows, statement.limit, statement.offset)
-        self.metrics.rows_output = len(rows)
+        self.metrics.result_cardinality = len(rows)
         if node_stats is not None:
             node_stats["output_rows"] = len(rows)
         return columns, rows

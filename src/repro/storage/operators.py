@@ -179,10 +179,6 @@ class Operator:
     children: tuple["Operator", ...] = ()
     estimate: float = 0.0
 
-    @property
-    def binding_names(self) -> list[str]:
-        return [name for name, _ in self.bindings]
-
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         raise NotImplementedError
 

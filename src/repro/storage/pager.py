@@ -77,15 +77,6 @@ class Pager:
 
     # -- accounting -----------------------------------------------------------
 
-    @property
-    def frame_count(self) -> int:
-        """Total frames the file currently holds (free ones included)."""
-        return self._frames
-
-    @property
-    def free_count(self) -> int:
-        return len(self._free_set)
-
     def restrict_free(self, used: set[int]) -> None:
         """Recovery: mark every frame outside ``used`` recyclable.
 

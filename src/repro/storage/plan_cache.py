@@ -116,10 +116,6 @@ class PreparedStatement:
     params: list[ParamLiteral]
     table_names: tuple[str, ...]
 
-    @property
-    def canonical_template(self) -> str:
-        return self.key[0]
-
 
 @dataclass
 class _TemplateKey:
@@ -198,9 +194,6 @@ class PlanCache:
         self._templates: OrderedDict[str, _TemplateKey] = OrderedDict()
         self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
         self._stats = PlanCacheStats(capacity=capacity)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     # -- statement cache (raw text → prepared statement) --------------------------
 
@@ -371,11 +364,6 @@ class PlanCache:
         return None
 
     # -- bookkeeping ----------------------------------------------------------------
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._templates.clear()
-        self._statements.clear()
 
     def stats(self) -> PlanCacheStats:
         self._stats.size = len(self._entries)

@@ -6,8 +6,9 @@ here:
 1. **Lock** the ``data_dir`` (an exclusive ``flock`` on its ``LOCK`` file —
    released by the kernel the moment the owner dies, so a SIGKILLed
    process never leaves a stale lock and concurrent openers cannot race),
-2. **Load the latest valid snapshot** (:mod:`repro.storage.snapshot`) —
-   catalog history, schemas, index definitions, heap rows, version counters,
+2. **Load the latest valid checkpoint** (:mod:`repro.storage.snapshot`) —
+   catalog history, schemas, index definitions, version counters, and the
+   page directories that adopt the heap pages already in ``pages.db``,
 3. **Replay the WAL tail** (:mod:`repro.storage.wal`): records with an LSN
    at or below the snapshot's are skipped (they are already inside it, which
    makes a crash between "snapshot renamed" and "log truncated" harmless),
@@ -171,44 +172,30 @@ def recover(database, data_dir: str | os.PathLike) -> RecoveryReport:
 
 
 def _restore_snapshot(database, snapshot: dict) -> None:
-    """Load a verified checkpoint payload (either format) into a fresh
-    database."""
-    incremental = int(snapshot.get("format", 1)) >= 2
+    """Load a verified checkpoint payload into a fresh database."""
     schemas = []
     for entry in snapshot["tables"]:
         schema = schema_from_dict(entry["schema"])
         schemas.append(schema)
-        if incremental:
-            table = Table(
-                schema,
-                store=database._store,
-                page_slots=int(entry.get("page_slots", 1)),
+        table = Table(
+            schema,
+            store=database._store,
+            page_slots=int(entry.get("page_slots", 1)),
+        )
+        # Attach the on-disk heap pages first (checksums verified as the
+        # chains are walked), then rebuild the derived structures from
+        # them — indexes are never checkpointed.
+        for ordinal, head_frame, live in entry["pages"]:
+            page_id = database._store.adopt_chain(int(head_frame))
+            table.restore_page(int(ordinal), page_id, int(live))
+        for index in entry["indexes"]:
+            table.create_index(
+                index["name"],
+                index["column"],
+                unique=index["unique"],
+                kind=index["kind"],
             )
-            # Attach the on-disk heap pages first (checksums verified as the
-            # chains are walked), then rebuild the derived structures from
-            # them — indexes are never checkpointed.
-            for ordinal, head_frame, live in entry["pages"]:
-                page_id = database._store.adopt_chain(int(head_frame))
-                table.restore_page(int(ordinal), page_id, int(live))
-            for index in entry["indexes"]:
-                table.create_index(
-                    index["name"],
-                    index["column"],
-                    unique=index["unique"],
-                    kind=index["kind"],
-                )
-            table.rebuild_indexes()
-        else:
-            table = Table(schema, store=database._store)
-            for index in entry["indexes"]:
-                table.create_index(
-                    index["name"],
-                    index["column"],
-                    unique=index["unique"],
-                    kind=index["kind"],
-                )
-            for row_id, row in entry["rows"]:
-                table.restore_row(int(row_id), row)
+        table.rebuild_indexes()
         table.restore_counters(
             next_row_id=int(entry["next_row_id"]),
             version=int(entry["version"]),

@@ -2,37 +2,33 @@
 
 A checkpoint bounds recovery time: instead of replaying the write-ahead log
 from the beginning of time, :mod:`repro.storage.recovery` loads the latest
-checkpoint and replays only the log tail written after it.  Two formats
-share the ``snapshot.json`` file and the same atomic-publish protocol:
+checkpoint and replays only the log tail written after it.  There is one
+on-disk format (:data:`CHECKPOINT_FORMAT_VERSION`, written by
+:func:`write_checkpoint`): only *metadata* — catalog history, schemas, index
+definitions, version counters, and each table's **page directory** (heap page
+ordinal → head frame in ``pages.db`` → live row count).  The rows themselves
+stay in the page file: the checkpoint flushes just the dirty pages
+(shadow-paged to fresh frames) and fsyncs, so its cost tracks the working set
+since the last checkpoint, not the database size.  Recovery refuses a file
+that declares any other format.
 
-* **v1 — full snapshot** (:func:`build_snapshot` / :func:`write_snapshot`):
-  the whole database inline, heap rows included.  Cost grows with database
-  size; still used by in-memory exports and loadable by recovery forever.
-* **v2 — incremental checkpoint** (:func:`build_checkpoint` /
-  :func:`write_checkpoint`): only *metadata* — catalog history, schemas,
-  index definitions, version counters, and each table's **page directory**
-  (heap page ordinal → head frame in ``pages.db`` → live row count).  The
-  rows themselves stay in the page file: the checkpoint flushes just the
-  dirty pages (shadow-paged to fresh frames) and fsyncs, so its cost tracks
-  the working set since the last checkpoint, not the database size.
-
-The publish protocol is the classic one either way:
+The publish protocol is the classic one:
 
 1. flush the WAL (everything the checkpoint covers is on disk first),
-2. v2 only: write dirty heap pages to fresh frames and ``fsync`` the page
-   file — published frames are never overwritten in place, so the previous
+2. write dirty heap pages to fresh frames and ``fsync`` the page file —
+   published frames are never overwritten in place, so the previous
    checkpoint stays intact underneath,
 3. write the metadata to ``snapshot.json.tmp``, ``fsync``, then
    **atomically rename** over ``snapshot.json`` (readers only ever see the
    old or the new complete checkpoint, never a half-written one),
-4. truncate the WAL (and, v2, release the frames only the old checkpoint
+4. truncate the WAL (and release the frames only the old checkpoint
    referenced).
 
 A crash between steps 3 and 4 leaves committed records in the log that the
 checkpoint already covers; replay skips them by LSN.  A crash before step
-3's rename leaves a stale ``.tmp`` file that recovery ignores — and, v2, a
-page file whose fresh frames are garbage that recovery's free-list
-reconciliation reclaims.
+3's rename leaves a stale ``.tmp`` file that recovery ignores — and a page
+file whose fresh frames are garbage that recovery's free-list reconciliation
+reclaims.
 
 The file itself is a one-line header (format version, CRC32 and length of the
 body) followed by a JSON body, so recovery can tell a valid checkpoint from a
@@ -56,8 +52,8 @@ SNAPSHOT_FILE_NAME = "snapshot.json"
 SNAPSHOT_TMP_SUFFIX = ".tmp"
 
 _HEADER_PREFIX = "REPRO-SNAPSHOT"
-_FORMAT_VERSION = 1
-#: Format of incremental (page-directory) checkpoints.
+#: The one checkpoint format: metadata plus page directories, rows in the
+#: page file.  (1 was a full image with the rows inline; nothing writes it.)
 CHECKPOINT_FORMAT_VERSION = 2
 
 
@@ -106,7 +102,7 @@ def schema_from_dict(data: dict) -> TableSchema:
     )
 
 
-# -- snapshot build / write ------------------------------------------------------
+# -- checkpoint build / write ----------------------------------------------------
 
 
 def _catalog_to_dict(catalog) -> dict:
@@ -125,51 +121,11 @@ def _catalog_to_dict(catalog) -> dict:
     }
 
 
-def _table_meta(table) -> dict:
-    """The table metadata both checkpoint formats share (no row data)."""
-    return {
-        "schema": schema_to_dict(table.schema),
-        "next_row_id": table.next_row_id,
-        "version": table.version,
-        "schema_version": table.schema_version,
-        "indexes": [
-            {
-                "name": index.name,
-                "column": index.column,
-                "unique": index.unique,
-                "kind": index.kind,
-            }
-            for index in table.index_definitions()
-        ],
-    }
-
-
-def build_snapshot(database, lsn: int) -> dict:
-    """Serialize ``database`` into a JSON-safe v1 (full) snapshot payload.
-
-    ``lsn`` is the last WAL LSN the snapshot covers; replay skips records at
-    or below it.  Row dicts hold only coerced SQL values (int/float/str/bool/
-    NULL), so JSON round-trips them exactly.
-    """
-    tables = []
-    for name in database.table_names():
-        table = database.table(name)
-        meta = _table_meta(table)
-        meta["rows"] = [[row_id, row] for row_id, row in table.scan()]
-        tables.append(meta)
-    return {
-        "format": _FORMAT_VERSION,
-        "name": database.name,
-        "lsn": lsn,
-        "catalog": _catalog_to_dict(database.catalog),
-        "tables": tables,
-    }
-
-
 def build_checkpoint(database, lsn: int) -> dict:
-    """Serialize ``database`` into a v2 (incremental) checkpoint payload.
+    """Serialize ``database`` into a checkpoint payload.
 
-    Holds no rows: each table contributes its page directory —
+    ``lsn`` is the last WAL LSN the checkpoint covers; replay skips records at
+    or below it.  Holds no rows: each table contributes its page directory —
     ``[ordinal, head_frame, live_count]`` per heap page — pointing into the
     already-flushed page file.  The caller must have flushed the tables'
     heap pages first (:meth:`~repro.storage.buffer_pool.PageStore.flush`),
@@ -178,10 +134,25 @@ def build_checkpoint(database, lsn: int) -> dict:
     tables = []
     for name in database.table_names():
         table = database.table(name)
-        meta = _table_meta(table)
-        meta["page_slots"] = table.page_slots
-        meta["pages"] = table.page_directory()
-        tables.append(meta)
+        tables.append(
+            {
+                "schema": schema_to_dict(table.schema),
+                "next_row_id": table.next_row_id,
+                "version": table.version,
+                "schema_version": table.schema_version,
+                "indexes": [
+                    {
+                        "name": index.name,
+                        "column": index.column,
+                        "unique": index.unique,
+                        "kind": index.kind,
+                    }
+                    for index in table.index_definitions()
+                ],
+                "page_slots": table.page_slots,
+                "pages": table.page_directory(),
+            }
+        )
     return {
         "format": CHECKPOINT_FORMAT_VERSION,
         "name": database.name,
@@ -191,10 +162,19 @@ def build_checkpoint(database, lsn: int) -> dict:
     }
 
 
-def _write_payload(payload: dict, path: str, version: int) -> int:
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+def write_checkpoint(database, path: str | os.PathLike, lsn: int) -> int:
+    """Write an atomic checkpoint of ``database`` to ``path``.
+
+    Returns the number of bytes written — proportional to schema + page
+    count, not row count.  The write goes to ``<path>.tmp`` first and is
+    published with ``os.replace``; the directory is synced afterwards so the
+    rename itself survives a power cut.
+    """
+    path = os.fspath(path)
+    body = json.dumps(build_checkpoint(database, lsn), separators=(",", ":")).encode("utf-8")
     header = (
-        f"{_HEADER_PREFIX} v{version} crc={zlib.crc32(body):08x} len={len(body)}\n"
+        f"{_HEADER_PREFIX} v{CHECKPOINT_FORMAT_VERSION} "
+        f"crc={zlib.crc32(body):08x} len={len(body)}\n"
     ).encode("ascii")
     tmp_path = path + SNAPSHOT_TMP_SUFFIX
     with open(tmp_path, "wb") as handle:
@@ -207,30 +187,6 @@ def _write_payload(payload: dict, path: str, version: int) -> int:
     return len(header) + len(body)
 
 
-def write_snapshot(database, path: str | os.PathLike, lsn: int) -> int:
-    """Write an atomic v1 (full) snapshot of ``database`` to ``path``.
-
-    Returns the number of bytes written.  The write goes to
-    ``<path>.tmp`` first and is published with ``os.replace``; the directory
-    is synced afterwards so the rename itself survives a power cut.
-    """
-    return _write_payload(
-        build_snapshot(database, lsn), os.fspath(path), _FORMAT_VERSION
-    )
-
-
-def write_checkpoint(database, path: str | os.PathLike, lsn: int) -> int:
-    """Write an atomic v2 (incremental) checkpoint of ``database`` to ``path``.
-
-    Same publish protocol as :func:`write_snapshot`; only the payload differs
-    (page directory instead of inline rows), so size — and latency — is
-    proportional to schema + page count, not row count.
-    """
-    return _write_payload(
-        build_checkpoint(database, lsn), os.fspath(path), CHECKPOINT_FORMAT_VERSION
-    )
-
-
 def load_snapshot(path: str | os.PathLike) -> dict | None:
     """Load and verify a snapshot; ``None`` when no snapshot exists.
 
@@ -239,7 +195,10 @@ def load_snapshot(path: str | os.PathLike) -> dict | None:
     A *published* snapshot that fails its header or CRC check, however, is
     unrecoverable — the WAL was truncated when it was written — so that
     raises :class:`~repro.errors.DurabilityError` instead of silently
-    opening an empty database over lost data.
+    opening an empty database over lost data.  So does an intact file that
+    declares a format other than :data:`CHECKPOINT_FORMAT_VERSION`: the file
+    is input from outside the program, and reading another layout as this
+    one would restore garbage.
     """
     path = os.fspath(path)
     try:
@@ -266,4 +225,10 @@ def load_snapshot(path: str | os.PathLike) -> dict | None:
             f"snapshot {path!r} failed its integrity check "
             f"(expected {expected_len} bytes, crc {expected_crc:08x})"
         )
-    return json.loads(body.decode("utf-8"))
+    payload = json.loads(body.decode("utf-8"))
+    if payload.get("format") != CHECKPOINT_FORMAT_VERSION:
+        raise DurabilityError(
+            f"snapshot {path!r} declares format {payload.get('format')!r}; "
+            f"this engine reads only format {CHECKPOINT_FORMAT_VERSION}"
+        )
+    return payload

@@ -129,10 +129,6 @@ class Table:
         """Heap pages the table occupies (the planner's I/O cost input)."""
         return len(self._page_ids)
 
-    @property
-    def store(self) -> PageStore:
-        return self._store
-
     def rows(self) -> list[dict[str, object]]:
         """A snapshot list of all rows (copies are not made; do not mutate)."""
         return [row for _, row in self.scan()]
@@ -419,9 +415,6 @@ class Table:
         self._next_row_id = max(self._next_row_id, next_row_id)
         self.version = version
         self.schema_version = schema_version
-
-    def insert_many(self, rows) -> list[int]:
-        return [self.insert(row) for row in rows]
 
     def delete(self, row_id: int) -> None:
         row = self._discard_slot(row_id)

@@ -239,10 +239,6 @@ class WalWriter:
     def last_lsn(self) -> int:
         return self._lsn
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def append(self, data: dict) -> int:
         """Append one logical record; returns its LSN.
 

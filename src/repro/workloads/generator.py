@@ -45,10 +45,6 @@ class PredicateSlot:
     op: str                         # e.g. "<"
     tried_values: tuple[object, ...]
 
-    @property
-    def final_value(self) -> object:
-        return self.tried_values[-1]
-
 
 @dataclass(frozen=True)
 class Goal:

@@ -35,11 +35,11 @@ class TestWalPairing:
             """
             class Table:
                 def insert(self, row_id, row):
-                    self._rows[row_id] = row
+                    self._store_slot(row_id, row)
 
                 def delete(self, row_id):
                     try:
-                        del self._rows[row_id]
+                        self._discard_slot(row_id)
                         self.wal_emit("delete", row_id)
                     except BaseException:
                         raise
@@ -55,10 +55,10 @@ class TestWalPairing:
             class Table:
                 def insert(self, row_id, row):
                     try:
-                        self._rows[row_id] = row
+                        self._store_slot(row_id, row)
                         self.wal_emit("insert", row_id)
                     except BaseException:
-                        del self._rows[row_id]
+                        self._discard_slot(row_id)
                         raise
             """,
         )
@@ -73,7 +73,7 @@ class TestWalPairing:
                     self.wal_emit("noop")
 
                 def restore_row(self, row_id, row):
-                    self._rows[row_id] = row
+                    self._store_slot(row_id, row)
             """,
         )
         assert "wal-pairing" not in rules_of(diagnostics)
@@ -84,10 +84,40 @@ class TestWalPairing:
             """
             class Cache:
                 def put(self, key, value):
-                    self._rows[key] = value
+                    self._store_slot(key, value)
             """,
         )
         assert "wal-pairing" not in rules_of(diagnostics)
+
+    def test_real_table_with_delete_emission_stripped_fires(self, tmp_path):
+        """The rule watches the primitives the real heap writes through:
+        ``Table.delete`` without its WAL emission is one ERROR, the file as
+        committed is none."""
+        source = (REPO_SRC / "storage" / "table.py").read_text()
+        emission = textwrap.dedent(
+            """\
+            if self.wal_emit is not None:
+                try:
+                    self.wal_emit({"op": "delete", "tbl": self.name, "rid": row_id})
+                except BaseException:
+                    self._store_slot(row_id, row)  # un-log-able: restore the row
+                    for index in self._iter_indexes():
+                        index.insert(row[index.column], row_id)
+                    raise
+            """
+        )
+        emission = textwrap.indent(emission, " " * 8)
+        assert source.count(emission) == 1
+        for name, text, expected in (
+            ("committed", source, 0),
+            ("stripped", source.replace(emission, ""), 1),
+        ):
+            directory = tmp_path / name / "storage"
+            directory.mkdir(parents=True)
+            (directory / "table.py").write_text(text)
+            found = [d for d in lint_paths([tmp_path / name]) if d.rule == "wal-pairing"]
+            assert len(found) == expected, (name, found)
+            assert all(d.severity is Severity.ERROR and "Table.delete" in d.message for d in found)
 
 
 class TestLockAcrossYield:

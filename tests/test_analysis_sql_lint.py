@@ -98,6 +98,18 @@ def test_golden_fixture(linter, rule, firing, clean):
     assert rule not in rules_of(linter, clean)
 
 
+def test_between_bounds_are_type_checked(linter):
+    """``BETWEEN`` has its own typed check: either bound can clash."""
+    for firing in (
+        "SELECT name FROM Lakes WHERE area_km2 BETWEEN 'small' AND 'large'",
+        "SELECT name FROM Lakes WHERE area_km2 BETWEEN 10 AND 'large'",
+    ):
+        assert "type-mismatch" in rules_of(linter, firing)
+    assert "type-mismatch" not in rules_of(
+        linter, "SELECT name FROM Lakes WHERE area_km2 BETWEEN 10 AND 100"
+    )
+
+
 class TestSeverities:
     def test_hard_errors_are_error_severity(self, linter):
         for sql in (

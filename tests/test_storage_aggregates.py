@@ -30,6 +30,7 @@ LAKE_ROWS = [
         "name": f"lake{i}",
         "area": float((i * 37) % 101),
         "state": None if i % 11 == 0 else f"s{i % 7}",
+        "depth": None if i % 13 == 0 else (i * 7) % 50,
     }
     for i in range(500)
 ]
@@ -37,7 +38,9 @@ LAKE_ROWS = [
 
 def _make_db(exec_settings: ExecutionSettings | None = None) -> Database:
     db = Database(exec_settings=exec_settings)
-    db.execute("CREATE TABLE lakes (lake_id INTEGER, name TEXT, area FLOAT, state TEXT)")
+    db.execute(
+        "CREATE TABLE lakes (lake_id INTEGER, name TEXT, area FLOAT, state TEXT, depth INTEGER)"
+    )
     db.insert_rows("lakes", LAKE_ROWS)
     return db
 
@@ -56,10 +59,10 @@ def reference():
     engine that shares no code with this one."""
     connection = sqlite3.connect(":memory:")
     connection.execute(
-        "CREATE TABLE lakes (lake_id INTEGER, name TEXT, area REAL, state TEXT)"
+        "CREATE TABLE lakes (lake_id INTEGER, name TEXT, area REAL, state TEXT, depth INTEGER)"
     )
     connection.executemany(
-        "INSERT INTO lakes VALUES (:lake_id, :name, :area, :state)", LAKE_ROWS
+        "INSERT INTO lakes VALUES (:lake_id, :name, :area, :state, :depth)", LAKE_ROWS
     )
     yield lambda sql: connection.execute(sql).fetchall()
     connection.close()
@@ -93,6 +96,19 @@ GROUPED_QUERIES = [
     "SELECT state, SUM(area) AS total FROM lakes GROUP BY state "
     "ORDER BY total DESC LIMIT 3 OFFSET 2",
     "SELECT SUM(area), AVG(area), MIN(area) FROM lakes WHERE area < 0",
+]
+
+
+#: ``WHERE a <op> b`` over two columns of one table — numeric pairs (INTEGER
+#: with FLOAT, either with a nullable INTEGER) and a TEXT pair with NULLs.
+#: (A number against a text compares as strings here: a dialect difference.)
+COLUMN_COMPARISONS = [
+    "SELECT lake_id FROM lakes WHERE lake_id < area",
+    "SELECT lake_id FROM lakes WHERE area <= depth",
+    "SELECT lake_id FROM lakes WHERE depth = lake_id",
+    "SELECT lake_id, depth FROM lakes WHERE depth <> lake_id ORDER BY lake_id LIMIT 40",
+    "SELECT lake_id FROM lakes WHERE name < state",
+    "SELECT COUNT(*), SUM(area) FROM lakes WHERE state <> name AND depth >= area",
 ]
 
 
@@ -155,6 +171,12 @@ class TestVectorizedEquivalence:
     @pytest.mark.parametrize("sql", GROUPED_QUERIES)
     def test_matches_sqlite(self, sql, exec_variant, reference):
         assert_same_rows(sql, _make_db(exec_variant).execute(sql).rows, reference(sql))
+
+    @pytest.mark.parametrize("sql", COLUMN_COMPARISONS)
+    def test_column_vs_column_filter_matches_sqlite(self, sql, exec_variant, reference):
+        expected = reference(sql)
+        assert expected and expected != [(0, None)]  # the statement selects something
+        assert_same_rows(sql, _make_db(exec_variant).execute(sql).rows, expected)
 
     def test_null_group_keys_form_one_group(self):
         db = _make_db()

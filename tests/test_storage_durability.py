@@ -9,7 +9,9 @@ less than what a sync policy promised.
 
 from __future__ import annotations
 
+import json
 import os
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +23,7 @@ from repro.sql.parser import parse
 from repro.storage.database import Database
 from repro.storage.recovery import LOCK_FILE_NAME
 from repro.storage.snapshot import SNAPSHOT_FILE_NAME, SNAPSHOT_TMP_SUFFIX
-from repro.storage.wal import WAL_FILE_NAME, encode_record, read_wal
+from repro.storage.wal import WAL_FILE_NAME, WalWriter, encode_record, read_wal
 
 
 def wal_path(data_dir) -> str:
@@ -148,18 +150,21 @@ class TestDatabaseDurability:
             # A new insert must not reuse the deleted row's id.
             assert db.table("t").next_row_id == next_id
 
-    def test_crash_between_snapshot_and_truncate_is_idempotent(self, tmp_path):
+    def test_crash_between_snapshot_and_truncate_is_idempotent(self, tmp_path, monkeypatch):
         """Snapshot written, WAL not yet truncated: replay must skip by LSN."""
         d = str(tmp_path / "db")
         db = Database.open(d, wal_sync="commit")
         db.execute("CREATE TABLE t (id INTEGER)")
         db.insert_rows("t", [{"id": i} for i in range(8)])
-        # Write the snapshot exactly as checkpoint() would, then "crash"
-        # before the truncation step.
-        from repro.storage.snapshot import write_snapshot
 
-        db.flush_wal()
-        write_snapshot(db, snapshot_path(d), lsn=db.wal_stats().last_lsn)
+        def die(self):
+            raise OSError("killed before the log was truncated")
+
+        # checkpoint() publishes the snapshot, then dies at the truncation step.
+        with monkeypatch.context() as patch:
+            patch.setattr(WalWriter, "truncate_log", die)
+            with pytest.raises(OSError, match="killed"):
+                db.checkpoint()
         db.close()
         assert os.path.getsize(wal_path(d)) > 0  # log still holds everything
         with Database.open(d) as db:
@@ -195,6 +200,29 @@ class TestDatabaseDurability:
         # The flock must not leak when open() fails mid-recovery: a retry
         # hits the same integrity error, not an "already open" lock error.
         with pytest.raises(DurabilityError, match="integrity"):
+            Database.open(d)
+
+    @pytest.mark.parametrize("declared", [1, 3])
+    def test_snapshot_of_another_format_raises(self, tmp_path, declared):
+        """An intact file (valid header, length and CRC) that declares a
+        format this engine does not write is refused, not read as its own."""
+        d = str(tmp_path / "db")
+        with Database.open(d) as db:
+            db.execute("CREATE TABLE t (id INTEGER)")
+            db.execute("INSERT INTO t VALUES (1)")
+            db.checkpoint()
+        with open(snapshot_path(d), "rb") as handle:
+            _, body = handle.read().split(b"\n", 1)
+        payload = json.loads(body)
+        assert payload["format"] == 2
+        payload["format"] = declared
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        with open(snapshot_path(d), "wb") as handle:
+            handle.write(
+                f"REPRO-SNAPSHOT v{declared} crc={zlib.crc32(body):08x} len={len(body)}\n".encode()
+            )
+            handle.write(body)
+        with pytest.raises(DurabilityError, match=f"format {declared}"):
             Database.open(d)
 
     def test_sync_off_survives_clean_close(self, tmp_path):
@@ -587,7 +615,7 @@ class TestPagedStorage:
             db.execute("INSERT INTO t VALUES (1000, 'tail')")
             expected = table_rows(db, "t")
         with Database.open(d) as db:
-            # The v2 checkpoint restores heaps by adopting page chains; only
+            # The checkpoint restores heaps by adopting page chains; only
             # the one post-checkpoint statement replays from the log.
             assert db.last_recovery.snapshot_loaded
             assert db.last_recovery.wal_records_applied == 1
@@ -609,20 +637,6 @@ class TestPagedStorage:
             db.execute("UPDATE t SET id = -1 WHERE id = 17")
             db.checkpoint()
             assert db.buffer_stats().writebacks - baseline <= 2
-
-    def test_export_snapshot_full_image_recovers_without_page_reuse(self, tmp_path):
-        d = str(tmp_path / "db")
-        with Database.open(d, wal_sync="off") as db:
-            db.execute("CREATE TABLE t (id INTEGER)")
-            db.insert_rows("t", [{"id": i} for i in range(30)])
-            db.checkpoint()  # v2 incremental first
-            db.execute("INSERT INTO t VALUES (777)")
-            assert db.export_snapshot() > 0  # v1 full image over the same file
-            assert os.path.getsize(wal_path(d)) == 0
-        with Database.open(d) as db:
-            assert db.last_recovery.snapshot_loaded
-            assert db.execute("SELECT COUNT(*) FROM t").scalar() == 31
-            assert db.execute("SELECT MAX(id) FROM t").scalar() == 777
 
     def test_kill_at_any_byte_after_incremental_checkpoint(self, tmp_path):
         """Exhaustive cut of the post-checkpoint WAL tail: every prefix must
@@ -747,7 +761,7 @@ class TestDurableQueryStore:
             assert stats["query_storage"] is not None
 
     def test_reopen_parses_each_distinct_text_once(self, tmp_path, monkeypatch):
-        from repro.core import query_store
+        from repro.core import records
 
         texts = [f"SELECT * FROM WaterTemp T WHERE T.temp < {15 + i}" for i in range(4)]
         texts.append("SELECT L.name FROM Lakes L, WaterTemp T WHERE L.lake_id = T.lake_id")
@@ -769,7 +783,7 @@ class TestDurableQueryStore:
             parsed.append(sql)
             return parse(sql)
 
-        monkeypatch.setattr(query_store, "parse", counting_parse)
+        monkeypatch.setattr(records, "parse", counting_parse)
         db2 = build_database("limnology", scale=1)
         with CQMS(db2, config=CQMSConfig(data_dir=d)) as cqms:
             assert sorted(parsed) == sorted(texts)
@@ -780,6 +794,75 @@ class TestDurableQueryStore:
             assert after == before
             # Records carrying one text share its feature object.
             assert cqms.store.get(1).features is cqms.store.get(6).features
+
+    @pytest.mark.parametrize("mode", ["features", "text"])
+    def test_restart_does_not_change_what_a_record_says(self, tmp_path, mode):
+        """Failed, unparseable and valid statements read the same — outcome,
+        features or their absence, canonical and template text — before
+        ``close()`` and after reopening, in both logging modes."""
+
+        def said(cqms):
+            return (
+                [
+                    (
+                        r.qid,
+                        r.statement_kind,
+                        r.runtime.succeeded,
+                        r.runtime.result_cardinality,
+                        r.features is None,
+                        r.canonical_text,
+                        r.template_text,
+                    )
+                    for r in cqms.store.all_queries()
+                ],
+                cqms.store.popularity(),
+            )
+
+        config = CQMSConfig(data_dir=str(tmp_path / "store"), profiling_mode=mode)
+        db = build_database("limnology", scale=1)
+        with CQMS(db, config=config) as cqms:
+            cqms.register_user("ana", group="g")
+            cqms.submit("ana", "SELEC temp FROM WaterTemp")
+            cqms.submit("ana", "SELECT temp FROM WaterTemp WHERE temp < 18")
+            cqms.submit("ana", "SELECT nope FROM WaterTemp")
+            before = said(cqms)
+        records, _ = before
+        assert [succeeded for _, _, succeeded, *_ in records] == [False, True, False]
+        assert all(no_features for *_, no_features, _, _ in records) == (mode == "text")
+        with CQMS(db, config=config) as cqms:
+            assert said(cqms) == before
+
+    def test_repaired_record_reads_like_a_fresh_submit(self, tmp_path):
+        config = CQMSConfig(data_dir=str(tmp_path / "store"))
+        db = build_database("limnology", scale=1)
+        with CQMS(db, config=config) as cqms:
+            cqms.register_user("ana", group="g")
+            cqms.submit("ana", "SELECT T.temp FROM WaterTemp T WHERE T.depth < 10")
+            db.execute("ALTER TABLE WaterTemp RENAME COLUMN depth TO depth_m")
+            assert cqms.run_maintenance().repaired == [1]
+            repaired = cqms.store.get(1)
+            fresh = cqms.submit("ana", repaired.text).record
+            artefacts = (
+                repaired.statement_kind,
+                repaired.features,
+                repaired.canonical_text,
+                repaired.template_text,
+            )
+            assert "depth_m" in repaired.canonical_text
+            assert artefacts == (
+                fresh.statement_kind,
+                fresh.features,
+                fresh.canonical_text,
+                fresh.template_text,
+            )
+        with CQMS(db, config=config) as cqms:
+            reopened = cqms.store.get(1)
+            assert artefacts == (
+                reopened.statement_kind,
+                reopened.features,
+                reopened.canonical_text,
+                reopened.template_text,
+            )
 
     def test_visibility_survives_restart(self, tmp_path):
         d = str(tmp_path / "store")

@@ -35,6 +35,21 @@ class TestSelectBasics:
         assert len(result) == 4
         assert result.columns == ["id", "name", "state", "area"]
 
+    def test_star_next_to_a_computed_item(self, db):
+        """A computed item keeps the whole select list on the evaluator, so
+        ``*`` expands there (``Executor._star_values``), not in the getters."""
+        result = db.execute("SELECT *, area + 1 FROM lakes WHERE id = 2")
+        assert result.rows == [(2, "Union", "WA", 2.3, 3.3)]
+        assert result.columns[:4] == ["id", "name", "state", "area"]
+
+    def test_qualified_star_next_to_a_computed_item(self, db):
+        result = db.execute(
+            "SELECT r.*, l.id * 2 FROM lakes l JOIN readings r ON l.id = r.lake_id "
+            "WHERE r.month = 8"
+        )
+        assert result.rows == [(1, 12.0, 20.0, 8, 2)]
+        assert result.columns[:4] == ["lake_id", "temp", "depth", "month"]
+
     def test_projection_and_alias(self, db):
         result = db.execute("SELECT name AS lake, area FROM lakes WHERE id = 1")
         assert result.columns == ["lake", "area"]

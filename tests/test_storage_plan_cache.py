@@ -257,6 +257,44 @@ class TestMetaQueryIntegration:
         surface = cqms.plan_cache_stats()
         assert surface["query_storage"].hits == stats.hits
 
+    def test_templated_mix_rebinds_to_what_cold_planning_returns(self, fresh_cqms):
+        """The Figure 1 meta-query mix, rotating constants: each template is
+        planned once, every later instance re-binds it (hit rate ≥ 90%), and
+        the rows are those of the same mix with the cache off."""
+        cqms = fresh_cqms
+        relations = ["lakes", "watertemp", "watersalinity", "sensors"]
+        for i in range(12):
+            cqms.submit("alice", f"SELECT * FROM {relations[i % 4]} T WHERE T.lake_id < {i}")
+        cqms.annotate("alice", 3, "shallow lakes")
+
+        def mix(round_index: int) -> list[str]:
+            relation = relations[round_index % 4]
+            return [
+                f"SELECT qid, qText FROM Queries WHERE userName = 'user{round_index % 3}' "
+                "ORDER BY ts DESC LIMIT 10",
+                "SELECT DISTINCT Queries.userName FROM Queries, DataSources "
+                f"WHERE Queries.qid = DataSources.qid AND DataSources.relName = '{relation}'",
+                "SELECT DataSources.qid FROM DataSources, Predicates "
+                "WHERE DataSources.qid = Predicates.qid "
+                f"AND DataSources.relName = '{relation}' AND Predicates.relName = '{relation}'",
+                f"SELECT qid FROM RuntimeStats WHERE elapsedSeconds > {float(round_index % 7)} "
+                "LIMIT 20",
+                f"SELECT author, body FROM Annotations WHERE qid = {1 + round_index % 12}",
+            ]
+
+        meta_db = cqms.store.meta_database
+
+        def run() -> list[list[tuple]]:
+            return [meta_db.execute(sql).rows for index in range(20) for sql in mix(index)]
+
+        meta_db.set_plan_cache_size(0)
+        cold = run()
+        meta_db.set_plan_cache_size(128)
+        assert run() == cold
+        assert any(cold)
+        stats = meta_db.plan_cache_stats()
+        assert stats.misses == 5 and stats.hit_rate >= 0.90, stats
+
     def test_workbench_renders_hit_rate(self, fresh_cqms):
         from repro.client.workbench import Workbench
 
