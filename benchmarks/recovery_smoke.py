@@ -1,13 +1,16 @@
 """Crash-recovery smoke test: SIGKILL a writing process, reopen, verify.
 
 This is the end-to-end version of the property the unit tests prove byte by
-byte: a *real* child process appends rows under ``wal_sync="commit"``,
-acknowledging each durable insert through an atomically-replaced progress
-file; the parent SIGKILLs it mid-write, reopens the ``data_dir`` (the dead
-child's flock was released by the kernel), and verifies that
+byte: a *real* child process appends rows under ``wal_sync="commit"`` —
+one-row and three-row ``INSERT`` statements in turn, each logged as one
+``insert_many`` record — acknowledging each durable statement through an
+atomically-replaced progress file; the parent SIGKILLs it mid-write, reopens
+the ``data_dir`` (the dead child's flock was released by the kernel), and
+verifies that
 
 * every acknowledged row survived (the ``commit`` policy's contract),
-* at most one unacknowledged in-flight row appears beyond that,
+* at most one unacknowledged in-flight statement appears beyond that, whole:
+  the recovered count lands on a statement boundary, never inside one,
 * the recovered table and its indexes agree (point lookups work).
 
 Run directly (CI does)::
@@ -29,8 +32,13 @@ TARGET_ACKS = 200
 KILL_TIMEOUT_SECONDS = 60.0
 
 
+def statement_rows(statement: int) -> int:
+    """Rows of the child's ``statement``-th INSERT: 1, 3, 1, 3, ..."""
+    return 3 if statement % 2 else 1
+
+
 def child(data_dir: str) -> None:
-    """Insert rows forever, acknowledging each durable commit."""
+    """Insert rows forever, acknowledging each durable statement."""
     from repro.storage.database import Database
 
     db = Database.open(data_dir, wal_sync="commit")
@@ -39,17 +47,22 @@ def child(data_dir: str) -> None:
         db.execute("CREATE INDEX events_payload ON events (payload)")
     ack_path = os.path.join(data_dir, ACK_FILE)
     tmp_path = ack_path + ".tmp"
-    i = 0
+    rows = statement = 0
     while True:
-        db.execute(f"INSERT INTO events (id, payload) VALUES ({i}, 'p{i % 13}')")
-        # The insert is fsynced (wal_sync="commit"): acknowledge it.  The ack
-        # file is replaced atomically so the parent never reads a torn count.
+        values = ", ".join(
+            f"({i}, 'p{i % 13}')" for i in range(rows, rows + statement_rows(statement))
+        )
+        db.execute(f"INSERT INTO events (id, payload) VALUES {values}")
+        rows += statement_rows(statement)
+        statement += 1
+        # The statement is fsynced (wal_sync="commit"): acknowledge its rows.
+        # The ack file is replaced atomically so the parent never reads a
+        # torn count.
         with open(tmp_path, "w") as handle:
-            handle.write(str(i + 1))
+            handle.write(str(rows))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, ack_path)
-        i += 1
 
 
 def parent() -> int:
@@ -99,8 +112,14 @@ def parent() -> int:
         assert count >= acknowledged, (
             f"lost acknowledged commits: recovered {count} < acked {acknowledged}"
         )
-        assert count <= acknowledged + 1, (
-            f"recovered {count} rows but only {acknowledged + 1} were ever written"
+        # Row counts at the child's statement boundaries: 0, 1, 4, 5, 8, ...
+        boundaries = [0]
+        while boundaries[-1] <= acknowledged:
+            boundaries.append(boundaries[-1] + statement_rows(len(boundaries) - 1))
+        assert acknowledged in boundaries, f"acked {acknowledged} rows mid-statement"
+        assert count in boundaries, (
+            f"recovered {count} rows: inside a statement, or more than the one "
+            f"in flight past the {acknowledged} acknowledged (boundaries end {boundaries[-3:]})"
         )
         # Index consistency: the recovered hash index answers point queries.
         probe = db.execute("SELECT COUNT(*) FROM events WHERE id = 0")
@@ -110,7 +129,7 @@ def parent() -> int:
             [i for i in range(count) if i % 13 == 0]
         )
         print(
-            f"recovery smoke OK: killed after {acknowledged} acked inserts, "
+            f"recovery smoke OK: killed after {acknowledged} acked rows, "
             f"recovered {count} rows "
             f"(replayed {report.wal_records_applied} WAL records, "
             f"torn tail dropped {report.torn_bytes_dropped} bytes)"

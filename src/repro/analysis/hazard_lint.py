@@ -6,12 +6,13 @@ into data corruption.  This pass walks :mod:`ast` trees of ``src/repro``
 and enforces them:
 
 * ``wal-pairing`` — in any class that owns a ``wal_emit`` hook (the
-  ``Table`` heap), a method that writes a heap row (calls ``_store_slot``
-  or ``_discard_slot``, the two slotted-page primitives) must reference
-  ``self.wal_emit`` inside a ``try`` whose ``except BaseException`` handler
-  rolls back and re-raises; otherwise live state can diverge from what
-  recovery replays.  Recovery-path methods (``restore_*``) replay the log
-  itself and are exempt by convention.
+  ``Table`` heap), a method that writes a heap row (calls ``_store_slot``,
+  ``_store_slots`` or ``_discard_slot``, the slotted-page primitives) must
+  reference ``self.wal_emit`` inside a ``try`` whose ``except BaseException``
+  handler rolls back and re-raises; otherwise live state can diverge from
+  what recovery replays.  Recovery-path methods (``restore_*``) replay the
+  log itself and are exempt by convention; a primitive written over another
+  primitive is plumbing, and its callers are the ones checked.
 * ``lock-across-yield`` — a ``with <lock>:`` block whose body yields
   suspends the generator while the lock is held; the consumer decides when
   (and whether) it is released.
@@ -174,8 +175,9 @@ def _attribute_chain(node: ast.AST) -> str:
     return ""
 
 
-#: The slotted-page primitives every heap row write goes through.
-_HEAP_PRIMITIVES = ("self._store_slot", "self._discard_slot")
+#: The slotted-page primitives every heap row write goes through (one row,
+#: a run of rows page by page, one removal).
+_HEAP_PRIMITIVES = ("self._store_slot", "self._store_slots", "self._discard_slot")
 
 
 def _mutates_heap(func: ast.FunctionDef) -> ast.AST | None:
@@ -228,6 +230,8 @@ def _check_wal_pairing(source: SourceFile, diagnostics: list[Diagnostic]) -> Non
                 continue
             if func.name.startswith("restore"):
                 continue  # recovery path: replays the log, never re-logs
+            if f"self.{func.name}" in _HEAP_PRIMITIVES:
+                continue  # a primitive built on another: its callers are checked
             mutation = _mutates_heap(func)
             if mutation is None:
                 continue

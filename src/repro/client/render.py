@@ -151,7 +151,8 @@ def render_durability(stats_by_engine: dict[str, object]) -> str:
         if hasattr(stats, "sync_policy"):
             lines.append(
                 f"{label}: wal sync={stats.sync_policy}, "
-                f"{stats.records} records / {stats.bytes_written} bytes "
+                f"{stats.records} records / {stats.bytes_written} bytes, "
+                f"{stats.row_mutations} row mutations "
                 f"({stats.records_since_checkpoint} since checkpoint), "
                 f"{stats.syncs} fsyncs over {stats.flushes} group commits "
                 f"(avg batch {stats.avg_batch_records:.1f}, max {stats.max_batch_records}), "

@@ -80,7 +80,7 @@ class CQMSConfig:
     #: premise is a long-lived shared repository, so real deployments set this.
     data_dir: str | None = None
     wal_sync: str = "batch"                   # "off" | "commit" | "batch"
-    checkpoint_interval: int = 0              # auto-checkpoint after N WAL records (0 = manual)
+    checkpoint_interval: int = 0              # auto-checkpoint after N logged row mutations (0 = manual)
     buffer_pool_pages: int = 1024             # resident page cap of a durable store
 
     # -- execution engine (batched scans over the feature relations) --------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
@@ -231,9 +231,15 @@ class QueryMaintenance:
                 result = self._db.execute(record.text)
             except ReproError:
                 continue
-            record.runtime.elapsed_seconds = result.stats.elapsed_seconds
-            record.runtime.result_cardinality = result.stats.result_cardinality
-            record.runtime.rows_scanned = result.stats.rows_scanned
+            self._store.set_runtime(
+                record.qid,
+                replace(
+                    record.runtime,
+                    elapsed_seconds=result.stats.elapsed_seconds,
+                    result_cardinality=result.stats.result_cardinality,
+                    rows_scanned=result.stats.rows_scanned,
+                ),
+            )
             report.refreshed_queries.append(record.qid)
         # The refreshed state becomes the new reference point.
         self.snapshot_statistics()

@@ -568,11 +568,16 @@ class QueryStore:
                     "logged queries that failed, per user",
                     user=record.user,
                 ).inc()
-        self._meta_db.insert_rows(
+        # One batch per relation, rows spelled and ordered like the schema
+        # (the storage engine resolves the keys once per batch), and no call
+        # at all for a relation the query has no rows for.
+        qid = record.qid
+        insert_rows = self._meta_db.insert_rows
+        insert_rows(
             "Queries",
             [
                 {
-                    "qid": record.qid,
+                    "qid": qid,
                     "qText": record.text,
                     "userName": record.user,
                     "groupName": record.group,
@@ -585,37 +590,19 @@ class QueryStore:
                 }
             ],
         )
-        self._meta_db.insert_rows(
-            "RuntimeStats",
-            [
-                {
-                    "qid": record.qid,
-                    "elapsedSeconds": record.runtime.elapsed_seconds,
-                    "cardinality": record.runtime.result_cardinality,
-                    "rowsScanned": record.runtime.rows_scanned,
-                    "succeeded": record.runtime.succeeded,
-                }
-            ],
-        )
+        insert_rows("RuntimeStats", [_runtime_row(qid, record.runtime)])
         if record.features is None:
             return
         features = record.features
-        self._meta_db.insert_rows(
-            "DataSources",
-            [{"qid": record.qid, "relName": table} for table in features.tables],
-        )
-        self._meta_db.insert_rows(
-            "Attributes",
-            [
-                {"qid": record.qid, "attrName": attribute, "relName": relation}
+        batches = {
+            "DataSources": [{"qid": qid, "relName": table} for table in features.tables],
+            "Attributes": [
+                {"qid": qid, "attrName": attribute, "relName": relation}
                 for attribute, relation in features.attributes
             ],
-        )
-        self._meta_db.insert_rows(
-            "Predicates",
-            [
+            "Predicates": [
                 {
-                    "qid": record.qid,
+                    "qid": qid,
                     "attrName": predicate.attribute,
                     "relName": predicate.relation,
                     "op": predicate.op,
@@ -623,40 +610,36 @@ class QueryStore:
                 }
                 for predicate in features.predicates
             ],
-        )
-        self._meta_db.insert_rows(
-            "Projections",
-            [
-                {"qid": record.qid, "attrName": attribute, "relName": relation}
+            "Projections": [
+                {"qid": qid, "attrName": attribute, "relName": relation}
                 for attribute, relation in features.projections
             ],
-        )
-        self._meta_db.insert_rows(
-            "Joins",
-            [
+            "Joins": [
                 {
-                    "qid": record.qid,
-                    "leftRel": join.normalized().left_relation,
-                    "leftAttr": join.normalized().left_attribute,
-                    "rightRel": join.normalized().right_relation,
-                    "rightAttr": join.normalized().right_attribute,
+                    "qid": qid,
+                    "leftRel": join.left_relation,
+                    "leftAttr": join.left_attribute,
+                    "rightRel": join.right_relation,
+                    "rightAttr": join.right_attribute,
                 }
-                for join in features.joins
+                for join in (join.normalized() for join in features.joins)
             ],
-        )
-        if record.output is not None and record.output.rows:
-            sample_rows = []
-            for row_index, row in enumerate(record.output.rows):
-                for column_name, cell in zip(record.output.columns, row):
-                    sample_rows.append(
-                        {
-                            "qid": record.qid,
-                            "rowIndex": row_index,
-                            "columnName": column_name,
-                            "cellValue": _constant_text(cell),
-                        }
-                    )
-            self._meta_db.insert_rows("OutputSamples", sample_rows)
+        }
+        if record.output is not None:
+            columns = record.output.columns
+            batches["OutputSamples"] = [
+                {
+                    "qid": qid,
+                    "rowIndex": row_index,
+                    "columnName": column_name,
+                    "cellValue": _constant_text(cell),
+                }
+                for row_index, row in enumerate(record.output.rows)
+                for column_name, cell in zip(columns, row)
+            ]
+        for relation, rows in batches.items():
+            if rows:
+                insert_rows(relation, rows)
 
     # -- annotations ----------------------------------------------------------------
 
@@ -792,6 +775,16 @@ class QueryStore:
                     "flagCount": record.flag_count,
                 },
             )
+
+    def set_runtime(self, qid: int, runtime: RuntimeStats) -> None:
+        """Replace a query's runtime statistics (a maintenance refresh), on
+        the record and — through the qid index, like :meth:`_sync_validity` —
+        in ``RuntimeStats``, so meta-SQL agrees with the record at once and
+        the refreshed numbers survive a restart."""
+        self.get(qid).runtime = runtime
+        table = self._meta_db.table("RuntimeStats")
+        for row_id in self._feature_row_ids(table, qid):
+            table.update(row_id, _runtime_row(qid, runtime))
 
     def set_visibility(self, qid: int, visibility: str) -> None:
         """Change who may see a query (``"private"``/``"group"``/``"public"``),
@@ -945,6 +938,17 @@ class QueryStore:
         is the headline number for the Query Storage's planning overhead.
         """
         return self._meta_db.plan_cache_stats()
+
+
+def _runtime_row(qid: int, runtime: RuntimeStats) -> dict[str, object]:
+    """The ``RuntimeStats`` row of a query's runtime statistics."""
+    return {
+        "qid": qid,
+        "elapsedSeconds": runtime.elapsed_seconds,
+        "cardinality": runtime.result_cardinality,
+        "rowsScanned": runtime.rows_scanned,
+        "succeeded": runtime.succeeded,
+    }
 
 
 def _constant_text(value: object) -> str | None:

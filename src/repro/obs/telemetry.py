@@ -63,6 +63,7 @@ _PLAN_CACHE_GAUGES = (
 )
 _WAL_COUNTERS = (
     ("records", "wal_records", "WAL records appended"),
+    ("row_mutations", "wal_row_mutations", "row mutations the WAL records carry"),
     ("bytes_written", "wal_bytes_written", "WAL bytes appended"),
     ("syncs", "wal_syncs", "WAL fsync calls"),
     ("flushes", "wal_flushes", "WAL group-commit flushes"),
@@ -73,7 +74,7 @@ _WAL_GAUGES = (
     (
         "records_since_checkpoint",
         "wal_records_since_checkpoint",
-        "records pressing toward the next checkpoint",
+        "row mutations pressing toward the next checkpoint",
     ),
     ("max_batch_records", "wal_max_batch_records", "largest group-commit batch"),
 )

@@ -157,7 +157,7 @@ class Database:
         self._wal: WalWriter | None = None
         self._lock: DirectoryLock | None = None
         self._checkpoint_interval = 0
-        #: Replayed WAL records still counted in records_since_checkpoint.
+        #: Replayed row mutations still counted in records_since_checkpoint.
         #: They press toward a checkpoint, but never a synchronous one on the
         #: statement path — see _maybe_checkpoint / checkpoint_if_due.
         self._recovered_backlog = 0
@@ -198,7 +198,8 @@ class Database:
         snapshot plus the committed WAL tail — and attaches the write-ahead
         log so every subsequent mutation is logged under ``wal_sync``
         (``"off"`` | ``"commit"`` | ``"batch"``).  ``checkpoint_interval``
-        > 0 auto-checkpoints after that many logged records.
+        > 0 auto-checkpoints after that many logged row mutations (a batch
+        of n rows counts n, like the n records it used to be; DDL counts 1).
         """
         if checkpoint_interval < 0:
             raise DurabilityError("checkpoint_interval must be non-negative")
@@ -237,14 +238,14 @@ class Database:
         database._wal = wal
         database._checkpoint_interval = checkpoint_interval
         database.last_recovery = report
-        # Records already sitting in the log count against the checkpoint
+        # Mutations already sitting in the log count against the checkpoint
         # interval — otherwise a crash-reopen loop that writes fewer than
-        # `interval` records per life would grow the WAL (and recovery time)
+        # `interval` of them per life would grow the WAL (and recovery time)
         # without bound.  They are remembered as backlog so they press toward
         # the open-time checkpoint below (and checkpoint_if_due), never a
         # synchronous checkpoint inside the first post-recovery statement.
-        wal.stats.records_since_checkpoint = report.wal_records_scanned
-        database._recovered_backlog = report.wal_records_scanned
+        wal.stats.records_since_checkpoint = report.wal_mutations_scanned
+        database._recovered_backlog = report.wal_mutations_scanned
         database._maybe_checkpoint(include_recovered=True)
         for table in database._tables.values():
             table.wal_emit = database._wal_append
@@ -362,9 +363,9 @@ class Database:
             )
 
     def _maybe_checkpoint(self, include_recovered: bool = False) -> None:
-        """Auto-checkpoint once enough records accumulated since the last one.
+        """Auto-checkpoint once enough row mutations were logged since the last.
 
-        On the statement path (``include_recovered=False``) only records
+        On the statement path (``include_recovered=False``) only mutations
         logged *by this process* count: replayed WAL records press toward a
         checkpoint too, but they were already paid for once — triggering a
         synchronous checkpoint inside the first post-recovery statement
@@ -459,13 +460,13 @@ class Database:
         self._tables.pop(name.lower()).drop_storage()
 
     def insert_rows(self, table_name: str, rows) -> int:
-        """Bulk-insert dictionaries into a table; returns the number inserted."""
+        """Bulk-insert dictionaries into a table; returns the number inserted.
+
+        All of ``rows`` or none of them: see :meth:`Table.insert_many`.
+        """
         self._assert_open()
         table = self.table(table_name)
-        count = 0
-        for row in rows:
-            table.insert(row)
-            count += 1
+        count = len(table.insert_many(rows))
         self._maybe_checkpoint()
         return count
 
@@ -783,7 +784,6 @@ class Database:
         self, statement: InsertStatement, deadline: float | None = None
     ) -> QueryResult:
         table = self.table(statement.table)
-        count = 0
         stats = ExecutionStats(statement_kind="insert")
         target_columns = list(statement.columns) or table.schema.column_names
         if statement.select is not None:
@@ -801,20 +801,23 @@ class Database:
                     f"{len(select_result.columns)} columns for "
                     f"{len(target_columns)} target columns"
                 )
-            for row in select_result.rows:
-                table.insert(dict(zip(target_columns, row)))
-                count += 1
+            value_lists = select_result.rows
         else:
             scope = Scope({})
-            for row_exprs in statement.rows:
-                values = [evaluate(expr, scope, None) for expr in row_exprs]
+            value_lists = [
+                [evaluate(expr, scope, None) for expr in row_exprs]
+                for row_exprs in statement.rows
+            ]
+            for values in value_lists:
                 if len(values) != len(target_columns):
                     raise ExecutionError(
                         f"INSERT into {statement.table!r} supplies {len(values)} values "
                         f"for {len(target_columns)} columns"
                     )
-                table.insert(dict(zip(target_columns, values)))
-                count += 1
+        # One batch per statement: a row the table rejects leaves none behind.
+        count = len(
+            table.insert_many([dict(zip(target_columns, values)) for values in value_lists])
+        )
         stats.result_cardinality = count
         return QueryResult(stats=stats, rowcount=count)
 

@@ -20,7 +20,13 @@ here:
 Replay applies *logical* records through the same table code paths normal
 execution uses (the tables' WAL hooks are not attached yet, so nothing is
 re-logged), so indexes, statistics invalidation, and constraint bookkeeping
-are rebuilt rather than trusted.
+are rebuilt rather than trusted.  Inserts come back at the row ids they had:
+an ``insert_many`` record restores its whole batch at consecutive ids from
+its ``rid`` (the frame is read whole or dropped as a torn tail, so a batch is
+never half-replayed), and the one-row ``insert`` records of logs written
+before batching replay the same way, a batch of one each.  The report counts
+the log both in records and in the row mutations they carry — the second is
+what presses toward the checkpoint interval.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from repro.storage.snapshot import (
     schema_from_dict,
 )
 from repro.storage.table import Table
-from repro.storage.wal import WAL_FILE_NAME, WalRecord, read_wal
+from repro.storage.wal import WAL_FILE_NAME, WalRecord, read_wal, row_mutations
 
 #: File name of the ownership lock inside a database's ``data_dir``.
 LOCK_FILE_NAME = "LOCK"
@@ -53,6 +59,9 @@ class RecoveryReport:
     snapshot_lsn: int = 0
     #: Records decoded from the log (valid prefix).
     wal_records_scanned: int = 0
+    #: Row mutations those records carry (a batch of n rows counts n) — the
+    #: unit the checkpoint interval is counted in.
+    wal_mutations_scanned: int = 0
     #: Records re-applied (LSN above the snapshot's).
     wal_records_applied: int = 0
     #: Records skipped because the snapshot already contained them.
@@ -156,6 +165,7 @@ def recover(database, data_dir: str | os.PathLike) -> RecoveryReport:
 
     wal = read_wal(os.path.join(data_dir, WAL_FILE_NAME))
     report.wal_records_scanned = len(wal.records)
+    report.wal_mutations_scanned = sum(row_mutations(record.data) for record in wal.records)
     report.wal_valid_length = wal.valid_length
     report.torn_tail = wal.torn_tail
     report.torn_bytes_dropped = wal.bytes_dropped
@@ -215,8 +225,13 @@ def _apply(database, record: WalRecord) -> None:
     data = record.data
     try:
         op = data["op"]
-        if op == "insert":
-            database.table(data["tbl"]).restore_row(int(data["rid"]), data["row"])
+        if op == "insert_many":
+            columns = data["cols"]
+            database.table(data["tbl"]).restore_rows(
+                int(data["rid"]), [dict(zip(columns, values)) for values in data["rows"]]
+            )
+        elif op == "insert":  # one row per record: logs written before insert_many
+            database.table(data["tbl"]).restore_rows(int(data["rid"]), [data["row"]])
         elif op == "update":
             database.table(data["tbl"]).update(int(data["rid"]), data["set"])
         elif op == "delete":

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from repro.errors import SchemaError
-from repro.storage.types import DataType, coerce_value
+from repro.storage.types import STORED_TYPES, DataType, coerce_value
 
 
 @dataclass(frozen=True)
@@ -33,18 +34,24 @@ class TableSchema:
     columns: list[ColumnSchema] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for column in self.columns:
-            lowered = column.name.lower()
-            if lowered in seen:
+        # The coercion plan, built once per schema (schemas are replaced, not
+        # edited, on ALTER): where each column sits by lower-cased name, and
+        # per column its spelling, stored Python type and coercer.
+        self._positions: dict[str, int] = {}
+        for position, column in enumerate(self.columns):
+            if self._positions.setdefault(column.name.lower(), position) != position:
                 raise SchemaError(
                     f"duplicate column {column.name!r} in table {self.name!r}"
                 )
-            seen.add(lowered)
+        self._names = [column.name for column in self.columns]
+        # (an unknown data type has no stored type: its values always reach
+        # the coercer, which is what raises for it)
+        self._stored = [STORED_TYPES.get(column.data_type) for column in self.columns]
+        self._coercers = [column.coerce for column in self.columns]
 
     @property
     def column_names(self) -> list[str]:
-        return [column.name for column in self.columns]
+        return list(self._names)
 
     @property
     def primary_key(self) -> ColumnSchema | None:
@@ -54,28 +61,62 @@ class TableSchema:
         return None
 
     def has_column(self, name: str) -> bool:
-        return any(column.name.lower() == name.lower() for column in self.columns)
+        return name.lower() in self._positions
 
     def column(self, name: str) -> ColumnSchema:
-        for column in self.columns:
-            if column.name.lower() == name.lower():
-                return column
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        position = self._positions.get(name.lower())
+        if position is None:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return self.columns[position]
 
     def coerce_row(self, row: dict[str, object]) -> dict[str, object]:
         """Return a full row dict (all columns) with values coerced.
 
         Unknown keys raise; missing columns become NULL (subject to NOT NULL).
         """
-        known = {column.name.lower(): column for column in self.columns}
+        return self.coerce_rows((row,))[0]
+
+    def coerce_rows(self, rows) -> list[dict[str, object]]:
+        """:meth:`coerce_row` over a batch, in schema spelling and order.
+
+        Column names are resolved once per run of rows that share their keys
+        (one resolution for a batch built by one comprehension or one INSERT
+        statement); a row whose values already have exactly the stored types
+        is taken as it is, and only the others pay a per-value coercion.
+        The first offending row raises; nothing is returned for the batch.
+        """
+        names, stored, coercers = self._names, self._stored, self._coercers
+        coerced: list[dict[str, object]] = []
+        keys = values_of = None
+        for row in rows:
+            if list(row) != keys:
+                keys = list(row)
+                # None: spelled and ordered like the schema, so the row's own
+                # values are the schema-order values (and its copy the result).
+                values_of = None if keys == names else self._values_getter(row)
+            values = row.values() if values_of is None else values_of(row)
+            if list(map(type, values)) != stored:
+                values = [
+                    value if type(value) is kind else coerce(value)
+                    for value, kind, coerce in zip(values, stored, coercers)
+                ]
+            elif values_of is None:
+                coerced.append(dict(row))
+                continue
+            coerced.append(dict(zip(names, values)))
+        return coerced
+
+    def _values_getter(self, row: dict[str, object]):
+        """``row -> values in schema order`` for rows keyed like ``row``."""
+        sources: list[str | None] = [None] * len(self.columns)
         for key in row:
-            if key.lower() not in known:
+            position = self._positions.get(key.lower())
+            if position is None:
                 raise SchemaError(f"table {self.name!r} has no column {key!r}")
-        lowered_row = {key.lower(): value for key, value in row.items()}
-        return {
-            column.name: column.coerce(lowered_row.get(column.name.lower()))
-            for column in self.columns
-        }
+            sources[position] = key
+        if len(sources) > 1 and None not in sources:
+            return itemgetter(*sources)
+        return lambda row: [None if key is None else row[key] for key in sources]
 
     def with_column_added(self, column: ColumnSchema) -> "TableSchema":
         if self.has_column(column.name):

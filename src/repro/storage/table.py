@@ -1,4 +1,16 @@
-"""Paged heap tables with secondary indexes and cached statistics."""
+"""Paged heap tables with secondary indexes and cached statistics.
+
+There is one insert routine, :meth:`Table.insert_many`: a single-row
+``insert``, ``Database.insert_rows`` and SQL ``INSERT`` (``VALUES`` lists and
+``INSERT ... SELECT``) all hand it their rows as one batch.  What it does once
+per batch instead of once per row: resolve the rows' column names against the
+schema's coercion plan, check each unique index (against the index and within
+the batch), pin each touched heap page, walk each index, drop the statistics
+cache, advance ``version`` (by the batch's row count) and — on a durable
+table — emit one ``insert_many`` WAL record.  The batch is atomic: a row that
+cannot be coerced, a duplicate or an un-log-able record leaves the table as
+it was.  Updates and deletes stay row-at-a-time.
+"""
 
 from __future__ import annotations
 
@@ -35,16 +47,22 @@ class _HeapPageCodec:
 HEAP_PAGE_CODEC = _HeapPageCodec()
 
 
-def _install_slot(page: dict, slot: int, row: dict) -> None:
-    """Place ``row`` at ``slot`` keeping the page's ascending slot order.
+def _install_slots(page: dict, slot: int, rows) -> None:
+    """Place ``rows`` at consecutive slots from ``slot``, keeping the page's
+    ascending slot order.
 
-    Scans iterate pages in insertion order; normal inserts always append the
-    highest slot so far, so the order is maintained for free.  Restore paths
-    (WAL replay, failed-delete rollback) can re-add a low slot after higher
-    ones — only then is the dict rebuilt sorted.
+    Scans iterate pages in insertion order; normal inserts always append past
+    the highest slot so far, so the order is maintained for free.  Restore
+    paths (WAL replay, failed-delete rollback) can re-add a low slot after
+    higher ones — only then is the dict rebuilt sorted.
     """
-    out_of_order = slot not in page and bool(page) and slot < next(reversed(page))
-    page[slot] = row
+    slots = range(slot, slot + len(rows))
+    out_of_order = (
+        bool(page)
+        and slot < next(reversed(page))
+        and any(new not in page for new in slots)
+    )
+    page.update(zip(slots, rows))
     if out_of_order:
         ordered = sorted(page.items())
         page.clear()
@@ -65,9 +83,9 @@ class Table:
     range scans and ordered access).
 
     When the owning database is durable it sets ``wal_emit`` to the WAL
-    appender: every successful mutation — insert/update/delete plus index
-    builds — then emits one logical log record *after* it has been applied,
-    so crash recovery replays exactly the committed operations.
+    appender: every successful mutation — an insert batch, an update, a
+    delete, an index build — then emits one logical log record *after* it has
+    been applied, so crash recovery replays exactly the committed operations.
     """
 
     def __init__(
@@ -183,22 +201,31 @@ class Table:
 
     def _store_slot(self, row_id: int, row: dict) -> None:
         """Write ``row`` into its page (pin → mutate → mark dirty → unpin)."""
-        ordinal, slot = divmod(row_id, self._page_slots)
-        page_id = self._page_ids.get(ordinal)
-        if page_id is None:
-            page_id = self._store.allocate({}, HEAP_PAGE_CODEC)
-            self._page_ids[ordinal] = page_id
-            self._page_live[ordinal] = 0
-        page = self._store.fetch(page_id, HEAP_PAGE_CODEC)
-        try:
-            fresh = slot not in page
-            _install_slot(page, slot, row)
-            self._store.mark_dirty(page_id)
-        finally:
-            self._store.unpin(page_id)
-        if fresh:
-            self._page_live[ordinal] += 1
-            self._row_count += 1
+        self._store_slots(row_id, (row,))
+
+    def _store_slots(self, row_id: int, rows) -> None:
+        """Write ``rows`` at consecutive ids from ``row_id``, page by page:
+        one pin → mutate → mark dirty → unpin per touched page."""
+        done = 0
+        while done < len(rows):
+            ordinal, slot = divmod(row_id + done, self._page_slots)
+            chunk = rows[done : done + self._page_slots - slot]
+            page_id = self._page_ids.get(ordinal)
+            if page_id is None:
+                page_id = self._store.allocate({}, HEAP_PAGE_CODEC)
+                self._page_ids[ordinal] = page_id
+                self._page_live[ordinal] = 0
+            page = self._store.fetch(page_id, HEAP_PAGE_CODEC)
+            try:
+                before = len(page)
+                _install_slots(page, slot, chunk)
+                fresh = len(page) - before
+                self._store.mark_dirty(page_id)
+            finally:
+                self._store.unpin(page_id)
+            self._page_live[ordinal] += fresh
+            self._row_count += fresh
+            done += len(chunk)
 
     def _discard_slot(self, row_id: int) -> dict | None:
         """Remove and return the row at ``row_id``; frees emptied pages."""
@@ -360,53 +387,85 @@ class Table:
 
     def insert(self, row: dict[str, object]) -> int:
         """Insert a row, returning its row id."""
-        coerced = self._schema.coerce_row(row)
-        row_id = self._next_row_id
-        # Validate unique indexes before touching state so failures are atomic.
+        return self.insert_many((row,))[0]
+
+    def insert_many(self, rows) -> range:
+        """Insert a batch of row dicts; returns the row ids they took.
+
+        The batch is one unit: every row is coerced and every unique index
+        checked — against the index and against the rest of the batch —
+        before any state is touched, the rows go in page by page, each index
+        is maintained in one pass, and a durable table logs the whole batch
+        as **one** ``insert_many`` record.  Any failure leaves heap, indexes,
+        counters and log as they were.
+        """
+        coerced = self._schema.coerce_rows(rows)
+        first = self._next_row_id
+        row_ids = range(first, first + len(coerced))
+        if not coerced:
+            return row_ids
         for index in self._iter_indexes():
-            if index.unique and coerced[index.column] is not None:
-                if index.lookup(coerced[index.column]):
+            if not index.unique:
+                continue
+            seen = set()
+            for row in coerced:
+                value = row[index.column]
+                if value is None:
+                    continue
+                if value in seen or index.lookup(value):
                     raise IntegrityError(
-                        f"duplicate value {coerced[index.column]!r} for unique column "
+                        f"duplicate value {value!r} for unique column "
                         f"{index.column!r} of table {self.name!r}"
                     )
-        self._store_slot(row_id, coerced)
-        self._next_row_id += 1
-        for index in self._iter_indexes():
-            index.insert(coerced[index.column], row_id)
-        self._stats_cache = None
-        self.version += 1
+                seen.add(value)
+        self._store_slots(first, coerced)
+        self._index_rows(first, coerced)
         if self.wal_emit is not None:
             try:
                 self.wal_emit(
-                    {"op": "insert", "tbl": self.name, "rid": row_id, "row": coerced}
+                    {
+                        "op": "insert_many",
+                        "tbl": self.name,
+                        "rid": first,
+                        "cols": self._schema.column_names,
+                        "rows": [list(row.values()) for row in coerced],
+                    }
                 )
             except BaseException:
-                # The mutation could not be logged (full disk, closed WAL):
-                # undo it so live state never diverges from what recovery
-                # will rebuild.  The row id stays consumed — ids are never
-                # reused anyway.
-                self._discard_slot(row_id)
-                for index in self._iter_indexes():
-                    index.delete(coerced[index.column], row_id)
+                # The batch could not be logged (full disk, closed WAL, a
+                # frame past the size bound): undo all of it so live state
+                # never diverges from what recovery will rebuild.
+                for row_id, row in zip(row_ids, coerced):
+                    self._discard_slot(row_id)
+                    for index in self._iter_indexes():
+                        index.delete(row[index.column], row_id)
                 raise
-        return row_id
-
-    def restore_row(self, row_id: int, row: dict[str, object]) -> None:
-        """Recovery-path insert at a fixed row id (never WAL-logged).
-
-        Used when loading a snapshot and when replaying logged inserts: the
-        row takes exactly the id it had before the crash (indexes and session
-        references point at row ids, so they must stay stable), and the
-        next-id counter advances past it.
-        """
-        coerced = self._schema.coerce_row(row)
-        self._store_slot(row_id, coerced)
-        self._next_row_id = max(self._next_row_id, row_id + 1)
-        for index in self._iter_indexes():
-            index.insert(coerced[index.column], row_id)
+        self._next_row_id = row_ids.stop
         self._stats_cache = None
-        self.version += 1
+        # The plan cache reads version deltas as mutation churn: count rows.
+        self.version += len(coerced)
+        return row_ids
+
+    def _index_rows(self, first: int, rows: list[dict[str, object]]) -> None:
+        """Register ``rows`` (at consecutive ids from ``first``) in every index."""
+        for index in self._iter_indexes():
+            column = index.column
+            for row_id, row in enumerate(rows, first):
+                index.insert(row[column], row_id)
+
+    def restore_rows(self, row_id: int, rows) -> None:
+        """Recovery-path insert at fixed, consecutive row ids (never logged).
+
+        Replays a logged batch: the rows take exactly the ids they had before
+        the crash (indexes and session references point at row ids, so they
+        must stay stable), and the next-id counter advances past them.
+        """
+        coerced = self._schema.coerce_rows(rows)
+        self._store_slots(row_id, coerced)
+        self._next_row_id = max(self._next_row_id, row_id + len(coerced))
+        self._index_rows(row_id, coerced)
+        self._stats_cache = None
+        self.version += len(coerced)
 
     def restore_counters(
         self, next_row_id: int, version: int, schema_version: int

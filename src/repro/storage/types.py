@@ -45,6 +45,22 @@ class DataType(enum.Enum):
         return self in (DataType.INTEGER, DataType.FLOAT)
 
 
+#: The Python type a stored value of each column type has.  A value whose
+#: type *is* this one (``bool`` is not ``int`` here) is already in stored
+#: form, which is how bulk coercion passes it through without a call.
+STORED_TYPES: dict[DataType, type] = {
+    DataType.INTEGER: int,
+    DataType.FLOAT: float,
+    DataType.TEXT: str,
+    DataType.BOOLEAN: bool,
+}
+
+
+def _cannot_coerce(value: object, data_type: DataType, column: str) -> SchemaError:
+    label = f" for column {column!r}" if column else ""
+    return SchemaError(f"cannot coerce {value!r} to {data_type.value}{label}")
+
+
 def coerce_value(value: object, data_type: DataType, column: str = "") -> object:
     """Coerce ``value`` to the Python representation of ``data_type``.
 
@@ -53,7 +69,6 @@ def coerce_value(value: object, data_type: DataType, column: str = "") -> object
     """
     if value is None:
         return None
-    label = f" for column {column!r}" if column else ""
     if data_type is DataType.INTEGER:
         if isinstance(value, bool):
             return int(value)
@@ -65,36 +80,32 @@ def coerce_value(value: object, data_type: DataType, column: str = "") -> object
             try:
                 return int(value)
             except ValueError as exc:
-                raise SchemaError(f"cannot coerce {value!r} to INTEGER{label}") from exc
-        raise SchemaError(f"cannot coerce {value!r} to INTEGER{label}")
-    if data_type is DataType.FLOAT:
-        if isinstance(value, bool):
-            return float(value)
-        if isinstance(value, (int, float)):
+                raise _cannot_coerce(value, data_type, column) from exc
+    elif data_type is DataType.FLOAT:
+        if isinstance(value, (bool, int, float)):
             return float(value)
         if isinstance(value, str):
             try:
                 return float(value)
             except ValueError as exc:
-                raise SchemaError(f"cannot coerce {value!r} to FLOAT{label}") from exc
-        raise SchemaError(f"cannot coerce {value!r} to FLOAT{label}")
-    if data_type is DataType.TEXT:
+                raise _cannot_coerce(value, data_type, column) from exc
+    elif data_type is DataType.TEXT:
         if isinstance(value, str):
             return value
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, (int, float)):
             return str(value)
-        raise SchemaError(f"cannot coerce {value!r} to TEXT{label}")
-    if data_type is DataType.BOOLEAN:
+    elif data_type is DataType.BOOLEAN:
         if isinstance(value, bool):
             return value
         if isinstance(value, int) and value in (0, 1):
             return bool(value)
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
-        raise SchemaError(f"cannot coerce {value!r} to BOOLEAN{label}")
-    raise SchemaError(f"unknown data type {data_type!r}")
+    else:
+        raise SchemaError(f"unknown data type {data_type!r}")
+    raise _cannot_coerce(value, data_type, column)
 
 
 def infer_type(value: object) -> DataType:

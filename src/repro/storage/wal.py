@@ -20,14 +20,36 @@ detected.  LSNs increase monotonically across the database's lifetime and
 contains, and replay skips records at or below it, which makes a crash
 between "snapshot renamed" and "log truncated" harmless.
 
+Inserts are logged a batch to a frame: one ``insert_many`` record per
+``Table.insert_many`` call carries the table, the first row id, the column
+list once and the rows as arrays::
+
+    {"op":"insert_many","tbl":"OutputSamples","rid":4096,
+     "cols":["qid","rowIndex","columnName","cellValue"],
+     "rows":[[7,0,"temp","17.5"],[7,0,"depth","10.0"],...]}
+
+A frame is read whole or not at all, so a batch is all in or all out after a
+crash.  A payload above :data:`MAX_RECORD_BYTES` is refused at encoding time
+(the reader treats such a length as a corrupt tail).  Logs written before
+batching hold one ``insert`` record per row; recovery replays both.
+
+Thresholds are counted in **row mutations**, not frames
+(:func:`row_mutations`: a batch of n rows counts n, every other record 1):
+the group-commit trigger here and the checkpoint interval in
+:class:`~repro.storage.database.Database` fire where they fired when every
+row was its own record, so putting rows into one frame saves encoding and
+framing, not durability.  A batch is never split across flushes.
+
 Sync policies (the classic durability/throughput dial):
 
 * ``"commit"`` — every append is written and ``fsync``\\ ed before it returns;
-  an acknowledged statement survives a kill -9.
+  an acknowledged statement survives a kill -9 (a batch is one append, one
+  ``fsync``).
 * ``"batch"`` — appends accumulate in a group-commit buffer that is written
-  and synced as **one** write once ``group_size`` records (or
+  and synced as **one** write once ``group_size`` row mutations (or
   ``group_bytes``) pile up, amortizing the sync cost; a crash can lose at
-  most the unsynced tail of acknowledged work.
+  most the unsynced tail of acknowledged work — always fewer than
+  ``group_size`` row mutations once an append has returned.
 * ``"off"`` — records are buffered and written without ever calling
   ``fsync``; durability is whatever the OS page cache decides.  Useful as a
   benchmark baseline and for throwaway runs.
@@ -82,11 +104,31 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
+_encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def encode_record(lsn: int, data: dict) -> bytes:
-    """Encode one logical record as a framed, checksummed byte string."""
-    payload = json.dumps(data, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    """Encode one logical record as a framed, checksummed byte string.
+
+    Refuses a payload above :data:`MAX_RECORD_BYTES`: :func:`read_wal` would
+    take such a frame for a corrupt tail and drop it with everything after.
+    """
+    payload = _encode_json(data).encode("utf-8")
+    if len(payload) > MAX_RECORD_BYTES:
+        raise DurabilityError(
+            f"WAL record of {len(payload)} bytes exceeds the {MAX_RECORD_BYTES}-byte "
+            "frame bound; insert the rows in smaller batches"
+        )
     crc = zlib.crc32(_CRC_PREFIX.pack(lsn, len(payload)) + payload)
     return _HEADER.pack(lsn, len(payload), crc) + payload
+
+
+def row_mutations(data: dict) -> int:
+    """Row mutations one logical record stands for: the batch size of an
+    ``insert_many``, 1 for every other record (DDL included).  The writer's
+    group-commit and checkpoint thresholds and recovery's backlog all count
+    in this unit, so batching rows into one frame moves neither."""
+    return len(data["rows"]) if data.get("op") == "insert_many" else 1
 
 
 @dataclass(frozen=True)
@@ -161,8 +203,10 @@ class WalStats:
     """Counters describing a WAL's activity since the database opened."""
 
     sync_policy: str = "batch"
-    #: Logical records appended.
+    #: Logical records (frames) appended.
     records: int = 0
+    #: Row mutations those records carry (:func:`row_mutations`).
+    row_mutations: int = 0
     #: Bytes appended (headers + payloads).
     bytes_written: int = 0
     #: ``fsync`` calls issued (0 under ``sync="off"``).
@@ -173,7 +217,7 @@ class WalStats:
     max_batch_records: int = 0
     #: LSN of the most recently appended record.
     last_lsn: int = 0
-    #: Records appended since the last checkpoint truncated the log.
+    #: Row mutations logged since the last checkpoint truncated the log.
     records_since_checkpoint: int = 0
     #: Checkpoints taken (snapshot written + log truncated).
     checkpoints: int = 0
@@ -217,6 +261,7 @@ class WalWriter:
         self._lsn = start_lsn
         self._pending: list[bytes] = []
         self._pending_bytes = 0
+        self._pending_mutations = 0
         self._closed = False
         self.stats = WalStats(sync_policy=sync, last_lsn=start_lsn)
         # Create the file if missing, then open read-write so a recovered
@@ -249,17 +294,20 @@ class WalWriter:
         """
         if self._closed:
             raise DurabilityError(f"write-ahead log {self.path!r} is closed")
+        encoded = encode_record(self._lsn + 1, data)  # may refuse: count nothing yet
+        mutations = row_mutations(data)
         self._lsn += 1
-        encoded = encode_record(self._lsn, data)
         self._pending.append(encoded)
         self._pending_bytes += len(encoded)
+        self._pending_mutations += mutations
         self.stats.records += 1
+        self.stats.row_mutations += mutations
         self.stats.bytes_written += len(encoded)
         self.stats.last_lsn = self._lsn
-        self.stats.records_since_checkpoint += 1
+        self.stats.records_since_checkpoint += mutations
         if (
             self.sync == "commit"
-            or len(self._pending) >= self.group_size
+            or self._pending_mutations >= self.group_size
             or self._pending_bytes >= self.group_bytes
         ):
             self.flush()
@@ -278,6 +326,7 @@ class WalWriter:
         batch_records = len(self._pending)
         self._pending.clear()
         self._pending_bytes = 0
+        self._pending_mutations = 0
         self._file.write(batch)
         self._file.flush()
         if self.sync != "off":
@@ -297,6 +346,7 @@ class WalWriter:
         """
         self._pending.clear()
         self._pending_bytes = 0
+        self._pending_mutations = 0
         self._file.truncate(0)
         self._file.seek(0)
         self._file.flush()

@@ -119,6 +119,45 @@ class TestWalPairing:
             assert len(found) == expected, (name, found)
             assert all(d.severity is Severity.ERROR and "Table.delete" in d.message for d in found)
 
+    def test_batch_insert_without_rollback_fires(self, tmp_path):
+        """The batch write goes through ``_store_slots``; the rule must see it
+        (and not the one-row primitive that is written over it)."""
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            class Table:
+                def _store_slot(self, row_id, row):
+                    self._store_slots(row_id, (row,))
+
+                def insert_many(self, rows):
+                    self._store_slots(self._next_row_id, rows)
+                    if self.wal_emit is not None:
+                        self.wal_emit({"op": "insert_many", "rows": rows})
+
+                def append_unlogged(self, rows):
+                    self._store_slots(self._next_row_id, rows)
+            """,
+        )
+        found = sorted(d.message for d in diagnostics if d.rule == "wal-pairing")
+        assert len(found) == 2
+        assert "Table.append_unlogged mutates the heap without emitting" in found[0]
+        assert "Table.insert_many calls wal_emit without the rollback idiom" in found[1]
+
+    def test_real_insert_many_with_emission_stripped_fires(self, tmp_path):
+        """``Table.insert_many`` without its emission-and-rollback block keeps
+        only its ``_store_slots`` call: still one ERROR, so the batch write
+        has not left the rule's sight."""
+        source = (REPO_SRC / "storage" / "table.py").read_text()
+        start = source.index("        if self.wal_emit is not None:", source.index("def insert_many"))
+        end = source.index("        self._next_row_id = row_ids.stop")
+        block = source[start:end]
+        assert '"op": "insert_many"' in block and "self._discard_slot(row_id)" in block
+        directory = tmp_path / "storage"
+        directory.mkdir()
+        (directory / "table.py").write_text(source[:start] + source[end:])
+        found = [d for d in lint_paths([tmp_path]) if d.rule == "wal-pairing"]
+        assert len(found) == 1 and "Table.insert_many mutates the heap" in found[0].message
+
 
 class TestLockAcrossYield:
     def test_yield_under_lock_fires(self, tmp_path):

@@ -137,6 +137,48 @@ class TestStatisticsDrift:
         assert 1 in report.refreshed_queries
         assert cqms.store.get(1).runtime.result_cardinality != old_cardinality
 
+    def test_refreshed_statistics_reach_the_runtime_stats_relation(self, cqms_with_queries):
+        """The record and ``SELECT ... FROM RuntimeStats`` are one fact."""
+        cqms = cqms_with_queries
+        cqms.maintenance.snapshot_statistics()
+        cqms.database.execute("DELETE FROM WaterTemp WHERE depth < 10")
+        report = cqms.maintenance.refresh_statistics()
+        assert 1 in report.refreshed_queries
+        rows = cqms.store.execute_meta_sql(
+            "SELECT qid, elapsedSeconds, cardinality, rowsScanned, succeeded FROM RuntimeStats"
+        ).rows
+        assert len(rows) == len(cqms.store)
+        for qid, elapsed, cardinality, scanned, succeeded in rows:
+            runtime = cqms.store.get(qid).runtime
+            assert (elapsed, cardinality, scanned, succeeded) == (
+                runtime.elapsed_seconds,
+                runtime.result_cardinality,
+                runtime.rows_scanned,
+                runtime.succeeded,
+            )
+        assert cqms.store.get(1).runtime.result_cardinality == 0
+        # The sorted index on the column moved with the row.
+        assert 1 in cqms.store.execute_meta_sql(
+            "SELECT qid FROM RuntimeStats WHERE cardinality < 1"
+        ).column("qid")
+
+    def test_refreshed_statistics_survive_a_restart(self, tmp_path):
+        from repro import CQMS, CQMSConfig, build_database
+
+        d = str(tmp_path / "store")
+        sql = "SELECT T.temp, T.depth FROM WaterTemp T WHERE T.depth < 10"
+        db = build_database("limnology", scale=1, seed=7)
+        with CQMS(db, config=CQMSConfig(data_dir=d)) as cqms:
+            cqms.register_user("alice", group="lab1")
+            logged = cqms.submit("alice", sql).record.runtime.result_cardinality
+            cqms.maintenance.snapshot_statistics()
+            cqms.database.execute("DELETE FROM WaterTemp WHERE depth < 5")
+            assert cqms.maintenance.refresh_statistics().refreshed_queries == [1]
+            refreshed = cqms.store.get(1).runtime
+            assert 0 < refreshed.result_cardinality < logged
+        with CQMS(build_database("limnology", scale=1, seed=7), config=CQMSConfig(data_dir=d)) as cqms:
+            assert cqms.store.get(1).runtime == refreshed
+
     def test_refresh_without_drift_is_noop(self, cqms_with_queries):
         cqms = cqms_with_queries
         cqms.maintenance.snapshot_statistics()

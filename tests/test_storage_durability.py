@@ -23,7 +23,13 @@ from repro.sql.parser import parse
 from repro.storage.database import Database
 from repro.storage.recovery import LOCK_FILE_NAME
 from repro.storage.snapshot import SNAPSHOT_FILE_NAME, SNAPSHOT_TMP_SUFFIX
-from repro.storage.wal import WAL_FILE_NAME, WalWriter, encode_record, read_wal
+from repro.storage.wal import (
+    WAL_FILE_NAME,
+    WalWriter,
+    encode_record,
+    read_wal,
+    row_mutations,
+)
 
 
 def wal_path(data_dir) -> str:
@@ -32,6 +38,12 @@ def wal_path(data_dir) -> str:
 
 def snapshot_path(data_dir) -> str:
     return os.path.join(data_dir, SNAPSHOT_FILE_NAME)
+
+
+def unflushed_mutations(db: Database) -> int:
+    """Acknowledged row mutations a crash right now would lose."""
+    on_disk = sum(row_mutations(r.data) for r in read_wal(wal_path(db.data_dir)).records)
+    return db.wal_stats().records_since_checkpoint - on_disk
 
 
 def table_rows(db: Database, table: str) -> list[tuple]:
@@ -240,17 +252,33 @@ class TestDatabaseDurability:
             db.execute("CREATE TABLE t (id INTEGER)")
             db.insert_rows("t", [{"id": i} for i in range(100)])
             stats = db.wal_stats()
-            assert stats.records == 101  # create_table + 100 inserts
-            assert stats.flushes < stats.records  # grouped, not per-record
-            assert stats.max_batch_records >= 16
+            # create_table + one insert_many frame standing for 100 row
+            # mutations; the group-commit threshold counts the mutations, so
+            # the batch (never split) is flushed by its own append.
+            assert (stats.records, stats.row_mutations) == (2, 101)
+            assert (stats.flushes, stats.max_batch_records) == (1, 2)
+            assert unflushed_mutations(db) == 0
+            # Row-at-a-time appends still group: a flush every 16 mutations,
+            # never 16 or more acknowledged ones waiting for one.
+            for i in range(100, 140):
+                db.insert_rows("t", [{"id": i}])
+                assert unflushed_mutations(db) < 16
+            assert (stats.records, stats.row_mutations) == (42, 141)
+            assert stats.flushes == 3  # 1 + 40 // 16
+            assert stats.max_batch_records == 16
             assert stats.avg_batch_records > 1.0
-        # commit policy syncs once per record instead.
+            # ... whatever the mix of batch sizes.
+            for start, size in ((200, 5), (210, 15), (230, 3), (240, 20), (270, 1)):
+                db.insert_rows("t", [{"id": start + i} for i in range(size)])
+                assert unflushed_mutations(db) < 16
+        # commit policy syncs once per record instead: a batch is one fsync.
         d2 = str(tmp_path / "db2")
         with Database.open(d2, wal_sync="commit") as db:
             db.execute("CREATE TABLE t (id INTEGER)")
             db.insert_rows("t", [{"id": i} for i in range(10)])
             stats = db.wal_stats()
-            assert stats.syncs == stats.records == 11
+            assert stats.syncs == stats.records == 2
+            assert stats.row_mutations == 11
 
     def test_auto_checkpoint_interval(self, tmp_path):
         d = str(tmp_path / "db")
@@ -331,6 +359,9 @@ class TestDatabaseDurability:
         table.wal_emit = boom
         with pytest.raises(DurabilityError):
             table.insert({"id": 3, "v": 30})
+        with pytest.raises(DurabilityError):  # a batch that spills onto a second page
+            db.insert_rows("t", [{"id": i, "v": i} for i in range(3, 203)])
+        assert (len(table), table.page_count, table.next_row_id) == (2, 1, 2)
         with pytest.raises(DurabilityError):
             table.update(0, {"v": 11})
         with pytest.raises(DurabilityError):
@@ -377,6 +408,114 @@ class TestDatabaseDurability:
         with Database.open(d) as recovered:
             assert recovered.execute("SELECT COUNT(*) FROM t").scalar() == 2
             assert not recovered.table("t").schema.has_column("extra")
+
+    def test_failed_multi_row_insert_is_not_logged(self, tmp_path):
+        """The rows before the rejected one are neither applied nor in the
+        WAL: a reopen must not bring a prefix of the statement back."""
+        from repro.errors import IntegrityError, SchemaError
+
+        d = str(tmp_path / "db")
+        with Database.open(d, wal_sync="commit") as db:
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+            db.execute("INSERT INTO t VALUES (0, 'kept')")
+            logged = os.path.getsize(wal_path(d))
+            with pytest.raises(IntegrityError):
+                db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (1, 'dup')")
+            with pytest.raises(SchemaError):
+                db.insert_rows("t", [{"id": 5}, {"id": "oops"}])
+            assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1
+            assert os.path.getsize(wal_path(d)) == logged
+        with Database.open(d) as db:
+            assert table_rows(db, "t") == [(0, "kept")]
+            assert db.table("t").next_row_id == 1
+            # The rejected keys are free: the corrected statement goes in whole.
+            assert db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')").rowcount == 2
+
+    def test_log_written_before_insert_many_still_replays(self, tmp_path):
+        """A ``data_dir`` left by the commit before batching (one ``insert``
+        record per row; payloads copied from a log it wrote) opens, verifies
+        and takes new writes."""
+        d = tmp_path / "db"
+        d.mkdir()
+        column = {"not_null": False, "primary_key": False, "unique": False}
+        records = [
+            {
+                "op": "create_table",
+                "schema": {
+                    "name": "t",
+                    "columns": [
+                        {"name": "id", "type": "INTEGER", **column, "not_null": True, "primary_key": True},
+                        {"name": "name", "type": "TEXT", **column},
+                        {"name": "score", "type": "FLOAT", **column},
+                    ],
+                },
+                "ts": 35660.488509913,
+            },
+            {"op": "create_index", "tbl": "t", "name": "t_score", "column": "score",
+             "unique": False, "kind": "sorted"},
+            {"op": "insert", "tbl": "t", "rid": 0, "row": {"id": 1, "name": "a", "score": 0.5}},
+            {"op": "insert", "tbl": "t", "rid": 1, "row": {"id": 2, "name": "β", "score": None}},
+            {"op": "insert", "tbl": "t", "rid": 2, "row": {"id": 3, "name": "c", "score": 2.0}},
+            {"op": "update", "tbl": "t", "rid": 1, "set": {"name": "renamed"}},
+            {"op": "delete", "tbl": "t", "rid": 0},
+        ]
+        with open(wal_path(d), "wb") as handle:
+            for lsn, record in enumerate(records, start=1):
+                handle.write(encode_record(lsn, record))
+        with Database.open(str(d), wal_sync="commit", checkpoint_interval=7) as db:
+            report = db.last_recovery
+            assert (report.wal_records_applied, report.wal_mutations_scanned) == (7, 7)
+            assert not report.torn_tail
+            # Seven recovered mutations reach the interval: checkpointed at open.
+            assert db.wal_stats().checkpoints == 1
+            assert list(db.table("t").scan()) == [
+                (1, {"id": 2, "name": "renamed", "score": None}),
+                (2, {"id": 3, "name": "c", "score": 2.0}),
+            ]
+            assert db.table("t").next_row_id == 3
+            assert db.table("t").lookup("id", 3)[0]["name"] == "c"
+            assert "RangeScan" in db.explain("SELECT id FROM t WHERE score > 1 AND score < 3").text()
+            db.insert_rows("t", [{"id": 4, "name": "d"}, {"id": 5, "name": "e"}])
+            assert [r.data["op"] for r in read_wal(wal_path(d)).records] == ["insert_many"]
+        with Database.open(str(d)) as db:
+            assert [row[0] for row in table_rows(db, "t")] == [2, 3, 4, 5]
+
+    def test_recovered_batches_count_their_rows_against_the_interval(self, tmp_path):
+        d = str(tmp_path / "db")
+        with Database.open(d, wal_sync="off") as db:
+            db.execute("CREATE TABLE t (id INTEGER)")
+            db.insert_rows("t", [{"id": i} for i in range(80)])
+        # Two frames, 81 row mutations: the backlog a reopen must count.
+        with Database.open(d, wal_sync="off", checkpoint_interval=50) as db:
+            report = db.last_recovery
+            assert (report.wal_records_scanned, report.wal_mutations_scanned) == (2, 81)
+            assert db.wal_stats().checkpoints == 1
+            assert os.path.getsize(wal_path(d)) == 0
+            assert db.execute("SELECT COUNT(*) FROM t").scalar() == 80
+
+    def test_oversized_record_is_refused(self, tmp_path, monkeypatch):
+        """A frame grows with its batch; past ``MAX_RECORD_BYTES`` the reader
+        would take it for a corrupt tail, so the writer must not write it."""
+        from repro.storage import wal
+
+        monkeypatch.setattr(wal, "MAX_RECORD_BYTES", 256)
+        assert encode_record(1, {"op": "insert_many", "rows": [[0]] * 10})
+        with pytest.raises(DurabilityError, match="exceeds"):
+            encode_record(1, {"op": "insert_many", "rows": [[0]] * 200})
+        d = str(tmp_path / "db")
+        with Database.open(d, wal_sync="commit") as db:
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            before = (db.wal_stats().records, db.wal_stats().last_lsn, os.path.getsize(wal_path(d)))
+            with pytest.raises(DurabilityError, match="exceeds"):
+                db.insert_rows("t", [{"id": i} for i in range(200)])
+            stats = db.wal_stats()
+            assert (stats.records, stats.last_lsn, os.path.getsize(wal_path(d))) == before
+            assert len(db.table("t")) == 0 and db.table("t").page_count == 0
+            for start in range(0, 200, 20):  # the same rows in smaller batches fit
+                db.insert_rows("t", [{"id": i} for i in range(start, start + 20)])
+        with Database.open(d) as db:
+            assert not db.last_recovery.torn_tail
+            assert db.execute("SELECT COUNT(*) FROM t").scalar() == 200
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +614,36 @@ class TestLifecycle:
 # ---------------------------------------------------------------------------
 
 
+#: The table of the crash property: a unique column, a hash and a sorted index.
+_PROPERTY_DDL = (
+    "CREATE TABLE t (k INTEGER UNIQUE, v INTEGER)",
+    "CREATE INDEX t_v ON t (v)",
+    "CREATE INDEX t_v_sorted ON t (v) USING SORTED",
+)
+
+
+def _fingerprint(db: Database):
+    """What recovery must bring back besides the rows: row ids, pages,
+    counters and what every index answers."""
+    table = db.table("t")
+    rows = list(table.scan())
+    return (
+        [(row_id, row["k"], row["v"]) for row_id, row in rows],
+        (len(table), table.page_count, table.next_row_id, table.version),
+        [
+            (index.name, index.distinct_values())
+            + tuple(sorted(index.lookup(row[index.column])) for _, row in rows)
+            for index in table.index_definitions()
+        ],
+    )
+
+
 def _apply_ops(db: Database, ops, lengths, states):
-    """Run single-row statements, recording the WAL length and expected table
-    contents after each one (``wal_sync='commit'`` flushes per record)."""
+    """Run one statement (or one ``insert_rows`` batch) per op, recording the
+    WAL length and the expected table after each one (``wal_sync='commit'``
+    flushes per record).  A state is ``(model rows, engine fingerprint)``."""
     path = wal_path(db.data_dir)
+    table = db.table("t")
     shadow: dict[int, tuple] = {}
     next_key = 0
     for op in ops:
@@ -488,6 +653,14 @@ def _apply_ops(db: Database, ops, lengths, states):
             db.execute(f"INSERT INTO t (k, v) VALUES ({next_key}, {value})")
             shadow[next_key] = (next_key, value)
             next_key += 1
+        elif kind == "insert_many":
+            size = op[1]
+            if size == "cross":  # as many rows as end two slots into the next heap page
+                size = table.page_slots - table.next_row_id % table.page_slots + 2
+            batch = [{"k": next_key + i, "v": (op[2] + i) % 7} for i in range(size)]
+            assert db.insert_rows("t", batch) == size
+            shadow.update({row["k"]: (row["k"], row["v"]) for row in batch})
+            next_key += size
         elif kind == "update" and shadow:
             key = sorted(shadow)[op[1] % len(shadow)]
             value = op[2]
@@ -500,12 +673,19 @@ def _apply_ops(db: Database, ops, lengths, states):
         else:
             continue  # update/delete against an empty table: no statement ran
         lengths.append(os.path.getsize(path))
-        states.append(sorted(shadow.values()))
+        states.append((sorted(shadow.values()), _fingerprint(db)))
+
+
+def _assert_recovered(recovered: Database, state, context: str = "") -> None:
+    model_rows, fingerprint = state
+    assert table_rows(recovered, "t") == model_rows, context
+    assert _fingerprint(recovered) == fingerprint, context
 
 
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.integers(-100, 100)),
+        st.tuples(st.just("insert_many"), st.sampled_from((0, 1, 2, "cross")), st.integers(0, 6)),
         st.tuples(st.just("update"), st.integers(0, 50), st.integers(-100, 100)),
         st.tuples(st.just("delete"), st.integers(0, 50)),
     ),
@@ -526,52 +706,73 @@ class TestCrashRecoveryProperty:
     ):
         d = str(tmp_path_factory.mktemp("crash") / "db")
         lengths: list[int] = []
-        states: list[list[tuple]] = []
+        states: list[tuple] = []
         db = Database.open(d, wal_sync="commit")
-        db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        for statement in _PROPERTY_DDL:
+            db.execute(statement)
         base_length = os.path.getsize(wal_path(d))
         lengths.append(base_length)
-        states.append([])
+        states.append(([], _fingerprint(db)))
         _apply_ops(db, ops, lengths, states)
         total = os.path.getsize(wal_path(d))
         db.close()
+
+        # A clean close/reopen equals the model: rows, row ids, counters, indexes.
+        with Database.open(d) as reopened:
+            _assert_recovered(reopened, states[-1])
 
         # Simulate SIGKILL at an arbitrary moment: cut the log mid-write.
         cut = base_length + int((total - base_length) * cut_fraction)
         with open(wal_path(d), "r+b") as handle:
             handle.truncate(cut)
 
-        # The expected state is the last statement wholly inside the cut.
+        # The expected state is the last operation wholly inside the cut — a
+        # batch is one record, so it is all in or all out.
         survivors = max(i for i, length in enumerate(lengths) if length <= cut)
         with Database.open(d) as recovered:
-            assert table_rows(recovered, "t") == states[survivors]
+            _assert_recovered(recovered, states[survivors])
             # Recovery is stable: the recovered database accepts new writes.
             recovered.execute("INSERT INTO t (k, v) VALUES (9999, 1)")
             assert recovered.execute(
                 "SELECT COUNT(*) FROM t WHERE k = 9999"
             ).scalar() == 1
 
-    def test_every_byte_boundary_of_tail_statement(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ("delete", 0),
+            ("insert", 7),
+            ("insert_many", 1, 0),
+            ("insert_many", 2, 3),
+            ("insert_many", "cross", 5),  # 126 rows so far: this batch spills onto page 2
+        ],
+        ids=lambda op: "-".join(map(str, op)),
+    )
+    def test_every_byte_boundary_of_tail_statement(self, tmp_path, tail):
         """Exhaustive version of the property for the final record."""
         d = str(tmp_path / "db")
         db = Database.open(d, wal_sync="commit")
-        db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        for statement in _PROPERTY_DDL:
+            db.execute(statement)
         lengths = [os.path.getsize(wal_path(d))]
-        states: list[list[tuple]] = [[]]
+        states: list[tuple] = [([], _fingerprint(db))]
         _apply_ops(
             db,
-            [("insert", i) for i in range(6)] + [("update", 2, 42), ("delete", 0)],
+            [("insert_many", 118, 0)]
+            + [("insert", i) for i in range(6)]
+            + [("insert_many", 2, 1), ("insert_many", 0, 0), ("update", 2, 42), tail],
             lengths,
             states,
         )
         blob = open(wal_path(d), "rb").read()
+        assert db.table("t").page_count == (2 if tail[1] == "cross" else 1)
         db.close()
         for cut in range(lengths[-2], lengths[-1] + 1):
             with open(wal_path(d), "wb") as handle:
                 handle.write(blob[:cut])
             expected = states[-1] if cut == lengths[-1] else states[-2]
             with Database.open(d) as recovered:
-                assert table_rows(recovered, "t") == expected, f"cut at byte {cut}"
+                _assert_recovered(recovered, expected, f"cut at byte {cut}")
 
 
 # ---------------------------------------------------------------------------

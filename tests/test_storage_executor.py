@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, ExecutionError, IntegrityError, SchemaError
 from repro.storage.database import Database
 
 
@@ -280,6 +280,50 @@ class TestDmlAndDdl:
         with pytest.raises(ExecutionError):
             db.execute("INSERT INTO wa_lakes SELECT id FROM lakes")
         assert len(db.execute("SELECT * FROM wa_lakes")) == 0
+
+    @pytest.mark.parametrize(
+        "statement, error",
+        [
+            (  # duplicate of an earlier row of the same statement
+                "INSERT INTO lakes VALUES (10, 'a', 'OR', 1.0), (11, 'b', 'OR', 2.0), "
+                "(10, 'dup', 'OR', 3.0)",
+                IntegrityError,
+            ),
+            (  # duplicate of a stored row, after two good ones
+                "INSERT INTO lakes VALUES (10, 'a', 'OR', 1.0), (11, 'b', 'OR', 2.0), "
+                "(1, 'dup', 'OR', 3.0)",
+                IntegrityError,
+            ),
+            ("INSERT INTO lakes VALUES (10, 'a', 'OR', 1.0), ('oops', 'b', 'OR', 2.0)", SchemaError),
+            ("INSERT INTO lakes VALUES (10, 'a', 'OR', 1.0), (11, 'b', 'OR')", ExecutionError),
+            (  # INSERT ... SELECT whose third source row (6, 5, 4) collides with lakes.id = 4
+                "INSERT INTO lakes (id, name) SELECT month - 2, 'copy' FROM readings "
+                "WHERE lake_id = 1 ORDER BY month DESC",
+                IntegrityError,
+            ),
+        ],
+    )
+    def test_failed_multi_row_insert_applies_no_row(self, db, statement, error):
+        """One statement, one batch: the rows before the rejected one do not stay."""
+        table = db.table("lakes")
+        before = (len(table), table.page_count, table.next_row_id, table.version)
+        with pytest.raises(error):
+            db.execute(statement)
+        assert (len(table), table.page_count, table.next_row_id, table.version) == before
+        assert db.execute("SELECT COUNT(*) FROM lakes WHERE state = 'OR'").scalar() == 0
+        assert db.execute("SELECT name FROM lakes WHERE id = 1").scalar() == "Washington"
+        assert table.lookup("id", 10) == [] and table.lookup("id", 3)[0]["name"] == "Michigan"
+        # The rejected keys are free again.
+        assert db.execute("INSERT INTO lakes VALUES (10, 'a', 'OR', 1.0), (11, 'b', 'OR', 2.0)").rowcount == 2
+
+    def test_failed_insert_rows_applies_no_row(self, db):
+        with pytest.raises(SchemaError):
+            db.insert_rows("lakes", [{"id": 5}, {"id": "oops"}])
+        with pytest.raises(IntegrityError):
+            db.insert_rows("lakes", ({"id": i} for i in (5, 6, 5)))
+        assert len(db.table("lakes")) == 4 and db.table("lakes").lookup("id", 5) == []
+        assert db.insert_rows("lakes", ({"id": i} for i in (5, 6))) == 2
+        assert db.insert_rows("lakes", []) == 0
 
     def test_create_table_if_not_exists_is_idempotent(self, db):
         db.execute("CREATE TABLE IF NOT EXISTS lakes (id INTEGER)")

@@ -29,6 +29,25 @@ def seed(table):
     return table
 
 
+def fingerprint(table):
+    """Everything a failed mutation must leave as it was."""
+    rows = list(table.scan())
+    return {
+        "rows": [(row_id, dict(row)) for row_id, row in rows],
+        "len": len(table),
+        "pages": table.page_count,
+        "next": table.next_row_id,
+        "version": table.version,
+        "indexes": {
+            (index.column, index.kind): {
+                row[index.column]: sorted(index.lookup(row[index.column])) for _, row in rows
+            }
+            | {"distinct": index.distinct_values()}
+            for index in table.index_definitions()
+        },
+    }
+
+
 class TestInsertDeleteUpdate:
     def test_insert_returns_increasing_row_ids(self):
         table = make_table()
@@ -53,6 +72,86 @@ class TestInsertDeleteUpdate:
         with pytest.raises(IntegrityError):
             table.insert({"id": 1, "name": "x", "state": "WA", "area": 1.0})
         assert len(table) == before
+
+    @pytest.mark.parametrize(
+        "bad_row, error",
+        [
+            ({"id": 1, "name": "x", "state": "WA", "area": 1.0}, IntegrityError),  # in the table
+            ({"id": 11, "name": "x", "state": "WA", "area": 1.0}, IntegrityError),  # in the batch
+            ({"id": 99, "name": "m", "state": "WA", "area": 1.0}, IntegrityError),  # unique, later in it
+            ({"id": None, "name": "x", "state": "WA", "area": 1.0}, SchemaError),  # NOT NULL
+            ({"id": 99, "name": "x", "oops": 1}, SchemaError),  # unknown column
+            ({"id": 99, "name": "x", "area": "oops"}, SchemaError),  # not coercible
+        ],
+    )
+    def test_failed_batch_leaves_table_unchanged(self, bad_row, error):
+        """A batch is one unit: row k failing leaves no row 0..k-1 behind."""
+        table = seed(Table(make_table().schema, page_slots=4))
+        table.create_index("lakes_state", "state")
+        table.create_index("lakes_area_sorted", "area", kind="sorted")
+        good = [
+            {"id": 10 + i, "name": chr(ord("i") + i), "state": "OR", "area": float(i)}
+            for i in range(6)  # with the 3 seeded rows: crosses two page boundaries
+        ]
+        before = fingerprint(table)
+        with pytest.raises(error):
+            table.insert_many(good[:3] + [bad_row] + good[3:])
+        assert fingerprint(table) == before
+        assert table.lookup("state", "OR") == [] and table.lookup("id", 10) == []
+        # The keys of the rejected batch are free and the row ids unspent.
+        assert list(table.insert_many(good)) == list(range(before["next"], before["next"] + 6))
+        assert len(table) == before["len"] + 6
+
+    def test_unloggable_batch_is_rolled_back_across_pages(self):
+        table = seed(Table(make_table().schema, page_slots=4))
+        table.create_index("lakes_area_sorted", "area", kind="sorted")
+        logged = []
+        table.wal_emit = logged.append
+        batch = [
+            {"id": 10 + i, "name": f"n{i}", "state": "OR", "area": float(i)} for i in range(10)
+        ]
+        before = fingerprint(table)
+
+        def boom(record):
+            raise OSError("disk full")
+
+        table.wal_emit = boom
+        with pytest.raises(OSError):
+            table.insert_many(batch)
+        assert fingerprint(table) == before  # pages allocated for the batch are freed too
+        table.wal_emit = logged.append
+        assert table.insert_many(batch) == range(before["next"], before["next"] + 10)
+        (record,) = logged  # one frame for the batch: the column list once, rows as arrays
+        assert (record["op"], record["rid"]) == ("insert_many", before["next"])
+        assert record["cols"] == ["id", "name", "state", "area"]
+        assert record["rows"][0] == [10, "n0", "OR", 0.0] and len(record["rows"]) == 10
+        assert table.page_count == 4 and table.version == before["version"] + 10
+
+    def test_insert_many_of_nothing_is_a_no_op(self):
+        table = seed(make_table())
+        table.wal_emit = lambda record: pytest.fail("an empty batch is not logged")
+        before = fingerprint(table)
+        assert len(table.insert_many([])) == 0
+        assert fingerprint(table) == before
+
+    def test_insert_many_resolves_each_key_spelling(self):
+        """Rows of one batch may spell, order and omit columns differently."""
+        table = make_table()
+        table.insert_many(
+            [
+                {"id": 1, "name": "a", "state": "WA", "area": 1.0},
+                {"AREA": "2.5", "ID": "2", "Name": "b"},
+                {"id": 3},
+                {"name": "d", "id": 4.0, "state": None, "area": 4},
+            ]
+        )
+        assert table.rows() == [
+            {"id": 1, "name": "a", "state": "WA", "area": 1.0},
+            {"id": 2, "name": "b", "state": None, "area": 2.5},
+            {"id": 3, "name": None, "state": None, "area": None},
+            {"id": 4, "name": "d", "state": None, "area": 4.0},
+        ]
+        assert all(type(row["area"]) in (float, type(None)) for row in table.rows())
 
     def test_delete_removes_row_and_index_entry(self):
         table = seed(make_table())
