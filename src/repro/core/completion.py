@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
-from repro.errors import ReproError
+from repro.core.records import Draft, draft_features
 from repro.mining.association_rules import RuleIndex, mine_rules
-from repro.sql.features import QueryFeatures, extract_features
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,8 @@ class CompletionEngine:
         self._attribute_counts: Counter[tuple[str, str]] = Counter()
         self._predicate_counts: Counter[tuple[str, str, str, str]] = Counter()
         self._join_counts: Counter[tuple[str, str, str, str]] = Counter()
-        self._fitted_on = 0
+        # The QueryStore.generation the counters and rules were fitted on.
+        self._fitted_on: int | None = None
 
     # -- model fitting -----------------------------------------------------------
 
@@ -115,16 +115,16 @@ class CompletionEngine:
                 max_size=3,
             )
             self._rule_index = RuleIndex(rules)
-        self._fitted_on = len(records)
+        self._fitted_on = self._store.generation
 
     def _ensure_fitted(self) -> None:
-        if self._rule_index is None or self._fitted_on != len(self._store.select_queries()):
+        if self._fitted_on != self._store.generation:
             self.refresh()
 
     # -- table completion -----------------------------------------------------------
 
     def suggest_tables(
-        self, partial_sql: str, limit: int = 5, context_aware: bool = True
+        self, partial_sql: Draft, limit: int = 5, context_aware: bool = True
     ) -> list[CompletionSuggestion]:
         """Suggest relations to add to the FROM clause of ``partial_sql``.
 
@@ -132,7 +132,7 @@ class CompletionEngine:
         popularity baseline (the behaviour the paper's example criticises).
         """
         self._ensure_fitted()
-        context_tables = self._context_tables(partial_sql)
+        context_tables = _draft_tables(partial_sql)
         if not context_aware or not context_tables or self._rule_index is None:
             return self.popular_tables(limit=limit, exclude=context_tables)
         context_tokens = [f"table:{table}" for table in context_tables]
@@ -182,10 +182,10 @@ class CompletionEngine:
 
     # -- attribute / predicate / join completion ----------------------------------------
 
-    def suggest_attributes(self, partial_sql: str, limit: int = 8) -> list[CompletionSuggestion]:
+    def suggest_attributes(self, partial_sql: Draft, limit: int = 8) -> list[CompletionSuggestion]:
         """Suggest attributes of the tables already present in the query."""
         self._ensure_fitted()
-        context_tables = self._context_tables(partial_sql)
+        context_tables = _draft_tables(partial_sql)
         suggestions: list[CompletionSuggestion] = []
         if not context_tables:
             return suggestions
@@ -217,10 +217,10 @@ class CompletionEngine:
                     return suggestions
         return suggestions
 
-    def suggest_predicates(self, partial_sql: str, limit: int = 5) -> list[CompletionSuggestion]:
+    def suggest_predicates(self, partial_sql: Draft, limit: int = 5) -> list[CompletionSuggestion]:
         """Suggest popular WHERE predicates over the tables in the query."""
         self._ensure_fitted()
-        context_tables = self._context_tables(partial_sql)
+        context_tables = _draft_tables(partial_sql)
         if not context_tables:
             return []
         total = sum(self._predicate_counts.values()) or 1
@@ -238,10 +238,10 @@ class CompletionEngine:
                 break
         return suggestions
 
-    def suggest_joins(self, partial_sql: str, limit: int = 5) -> list[CompletionSuggestion]:
+    def suggest_joins(self, partial_sql: Draft, limit: int = 5) -> list[CompletionSuggestion]:
         """Suggest join conditions connecting the tables in the query."""
         self._ensure_fitted()
-        context_tables = self._context_tables(partial_sql)
+        context_tables = _draft_tables(partial_sql)
         if len(context_tables) < 2:
             return []
         total = sum(self._join_counts.values()) or 1
@@ -260,59 +260,21 @@ class CompletionEngine:
                     break
         return suggestions
 
-    def suggest(self, partial_sql: str, limit: int = 5) -> dict[str, list[CompletionSuggestion]]:
+    def suggest(self, partial_sql: Draft, limit: int = 5) -> dict[str, list[CompletionSuggestion]]:
         """All suggestion kinds at once (what the Figure 3 panel displays)."""
+        draft = draft_features(partial_sql)
         return {
-            "tables": self.suggest_tables(partial_sql, limit=limit),
-            "attributes": self.suggest_attributes(partial_sql, limit=limit),
-            "predicates": self.suggest_predicates(partial_sql, limit=limit),
-            "joins": self.suggest_joins(partial_sql, limit=limit),
+            "tables": self.suggest_tables(draft, limit=limit),
+            "attributes": self.suggest_attributes(draft, limit=limit),
+            "predicates": self.suggest_predicates(draft, limit=limit),
+            "joins": self.suggest_joins(draft, limit=limit),
         }
 
-    # -- helpers ---------------------------------------------------------------------------
 
-    def _context_tables(self, partial_sql: str) -> set[str]:
-        features = _partial_features(partial_sql)
-        if features is None:
-            return set()
-        return set(features.tables)
-
-
-def _partial_features(partial_sql: str) -> QueryFeatures | None:
-    """Feature extraction tolerant of partially written queries."""
-    candidates = [partial_sql]
-    stripped = partial_sql.rstrip()
-    lowered = stripped.lower()
-    for suffix in ("where", "and", "or", ",", "on", "=", "<", ">", "in", "select"):
-        if lowered.endswith(suffix):
-            candidates.append(stripped[: -len(suffix)])
-    from_index = lowered.find("from")
-    if from_index >= 0 and stripped[:from_index].strip().lower() == "select":
-        candidates.append("SELECT * " + stripped[from_index:])
-        candidates.append("SELECT * " + stripped[from_index:].rstrip(", "))
-    for candidate in candidates:
-        try:
-            return extract_features(candidate)
-        except ReproError:
-            continue
-    # Last resort: find table names lexically after FROM.
-    if from_index >= 0:
-        tail = stripped[from_index + 4 :]
-        for terminator in ("where", "group", "order", "limit"):
-            cut = tail.lower().find(terminator)
-            if cut >= 0:
-                tail = tail[:cut]
-        tables = []
-        for part in tail.split(","):
-            tokens = part.strip().split()
-            if tokens:
-                tables.append(tokens[0].lower())
-        if tables:
-            features = QueryFeatures()
-            features.tables = tables
-            features.num_tables = len(tables)
-            return features
-    return None
+def _draft_tables(draft: Draft) -> set[str]:
+    """The relations a draft already names (the context of a suggestion)."""
+    features = draft_features(draft)
+    return set(features.tables) if features is not None else set()
 
 
 def _render_constant(constant: object) -> str:

@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.query_store import QueryStore
+from repro.core.records import Draft, draft_features
 from repro.errors import ReproError
 from repro.mining.similarity import best_match
 from repro.sql.features import extract_features
@@ -71,13 +72,10 @@ class CorrectionEngine:
 
     # -- name corrections --------------------------------------------------------
 
-    def correct_names(self, sql: str) -> list[Correction]:
+    def correct_names(self, sql: Draft) -> list[Correction]:
         """Spell-check relation and attribute names against the catalog."""
         corrections: list[Correction] = []
-        try:
-            features = extract_features(sql)
-        except ReproError:
-            features = None
+        features = draft_features(sql)
         if features is None:
             return corrections
         known_tables = set(self._schema_columns)

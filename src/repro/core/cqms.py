@@ -33,7 +33,7 @@ from repro.core.profiler import ProfiledExecution, ProfilingMode, QueryProfiler
 from repro.core.query_store import QueryStore
 from repro.core.ranking import RankingFunction, RankingWeights
 from repro.core.recommender import QueryRecommender, Recommendation
-from repro.core.records import LoggedQuery
+from repro.core.records import LoggedQuery, draft_features
 from repro.core.tutorial import TutorialGenerator, TutorialSection
 from repro.errors import ReproError
 from repro.obs import AdmissionController, EngineTelemetry, MetricsRegistry, QueryLimits
@@ -399,10 +399,11 @@ class CQMS:
     def assist(self, user: str, partial_sql: str, k: int = 3) -> AssistResponse:
         """Everything the assisted client shows while the user types (Figure 3)."""
         response = AssistResponse()
-        response.completions = self.completion.suggest(partial_sql, limit=k)
-        response.corrections = self.correction.correct_names(partial_sql)
+        draft = draft_features(partial_sql)
+        response.completions = self.completion.suggest(draft, limit=k)
+        response.corrections = self.correction.correct_names(draft)
         try:
-            response.similar_queries = self.recommender.recommend(user, partial_sql, k=k)
+            response.similar_queries = self.recommender.recommend(user, draft, k=k)
         except ReproError:
             response.similar_queries = []
         return response

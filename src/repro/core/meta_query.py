@@ -27,13 +27,12 @@ from repro.core.access_control import AccessControl, Principal
 from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
 from repro.core.ranking import RankingContext, RankingFunction, RankedQuery
-from repro.core.records import LoggedQuery
-from repro.errors import MetaQueryError, ReproError
+from repro.core.records import Draft, LoggedQuery, draft_features
+from repro.errors import MetaQueryError
 from repro.mining.knn import KNNIndex
 from repro.mining.similarity import weighted_feature_similarity
-from repro.sql.features import extract_features
+from repro.sql.features import QueryFeatures
 from repro.sql.parse_tree import TreePattern
-from repro.storage.database import QueryResult
 
 
 @dataclass
@@ -228,14 +227,6 @@ class MetaQueryExecutor:
         records = [self._store.get(qid) for qid in qids if qid in self._store]
         return self._access.visible_queries(self._principal(principal), records)
 
-    def execute_meta_sql(self, sql: str) -> QueryResult:
-        """Run a raw SQL meta-query and return its relational result unfiltered.
-
-        Intended for administrators and for the benchmark harness; ordinary
-        user flows go through :meth:`by_feature_sql`.
-        """
-        return self._store.execute_meta_sql(sql)
-
     def explain_meta_sql(self, sql: str, analyze: bool = False):
         """EXPLAIN (optionally ANALYZE) a SQL meta-query.
 
@@ -247,7 +238,7 @@ class MetaQueryExecutor:
         """
         return self._store.explain_meta_sql(sql, analyze=analyze)
 
-    def generate_feature_sql(self, partial_sql: str) -> str:
+    def generate_feature_sql(self, partial_sql: Draft) -> str:
         """Generate the Figure 1 SQL meta-query from a partially written query.
 
         The paper proposes that "the CQMS could automatically generate these
@@ -255,7 +246,7 @@ class MetaQueryExecutor:
         the partial query's FROM clause become ``DataSources`` conditions and
         the referenced attributes become ``Attributes`` conditions.
         """
-        features = _features_of_partial(partial_sql)
+        features = draft_features(partial_sql)
         if features is None or not features.tables:
             raise MetaQueryError(
                 "cannot generate a meta-query: the partial query references no tables"
@@ -356,7 +347,7 @@ class MetaQueryExecutor:
         neighbors = self._knn_index.nearest(
             probe_features.token_bag(), k=max(k * 5, 20), exclude=exclude
         )
-        probe_sets = _feature_sets(probe_features)
+        probe_sets = probe_features.feature_sets()
         candidates: list[tuple[LoggedQuery, float]] = []
         for neighbor in neighbors:
             record = self._store.get(neighbor.key)
@@ -423,55 +414,11 @@ class MetaQueryExecutor:
         self._knn_generation = generation
 
 
-def _features_of_partial(partial_sql: str):
-    """Extract features from a possibly incomplete query.
-
-    A partially written query like ``SELECT FROM WaterSalinity, WaterTemp``
-    does not parse; we progressively relax it (insert ``*`` into an empty
-    select list, strip a trailing dangling clause) until it parses.
-    """
-    candidates = [partial_sql]
-    lowered = partial_sql.lower()
-    from_index = lowered.find("from")
-    if "select" in lowered and from_index >= 0:
-        head = partial_sql[:from_index]
-        tail = partial_sql[from_index + len("from"):]
-        if head.strip().lower() == "select":
-            # An empty select list ("SELECT FROM ...") — assume "SELECT *".
-            candidates.append(f"SELECT * FROM {tail}")
-    # Strip trailing dangling fragments ("... WHERE", "... AND", a trailing comma).
-    stripped = partial_sql.rstrip()
-    for suffix in ("and", "or", "where", ",", "on", "="):
-        if stripped.lower().endswith(suffix):
-            candidates.append(stripped[: -len(suffix)])
-    for candidate in candidates:
-        try:
-            return extract_features(candidate)
-        except ReproError:
-            continue
-    return None
-
-
 def _probe_features(probe, store: QueryStore):
-    from repro.sql.features import QueryFeatures
-
     if isinstance(probe, LoggedQuery):
         return probe.features
-    if isinstance(probe, QueryFeatures):
-        return probe
     if isinstance(probe, int):
         return store.get(probe).features
-    if isinstance(probe, str):
-        return _features_of_partial(probe)
+    if isinstance(probe, (str, QueryFeatures)):
+        return draft_features(probe)
     raise MetaQueryError(f"unsupported kNN probe type {type(probe).__name__}")
-
-
-def _feature_sets(features) -> dict[str, frozenset]:
-    return {
-        "tables": features.table_set(),
-        "joins": features.join_signatures(),
-        "predicates": features.predicate_signatures(),
-        "projections": frozenset(features.projections),
-        "group_by": frozenset(features.group_by),
-        "aggregates": frozenset(features.aggregates),
-    }

@@ -21,10 +21,9 @@ from repro.core.config import CQMSConfig
 from repro.core.meta_query import MetaQueryExecutor
 from repro.core.query_store import QueryStore
 from repro.core.ranking import RankingContext, RankingFunction
-from repro.core.records import LoggedQuery
+from repro.core.records import Draft, LoggedQuery, draft_features
 from repro.errors import ReproError
 from repro.sql.diff import diff_queries
-from repro.sql.features import extract_features
 
 
 @dataclass
@@ -71,15 +70,17 @@ class QueryRecommender:
     def recommend(
         self,
         principal: Principal | str,
-        current_sql: str,
+        current_sql: Draft,
         k: int = 5,
         exclude_own_duplicates: bool = True,
     ) -> list[Recommendation]:
         """Recommend up to ``k`` logged queries similar to ``current_sql``."""
-        candidates = self._meta.knn_candidates(principal, current_sql, k=k * 3)
+        current_features = draft_features(current_sql)
+        if current_features is None:
+            return []
+        candidates = self._meta.knn_candidates(principal, current_features, k=k * 3)
         context = RankingContext.from_store(self._store, now=float(self._clock()))
         ranked = self._ranking.rank(candidates, context)
-        current_features = self._safe_features(current_sql)
         recommendations: list[Recommendation] = []
         seen_canonical: set[str] = set()
         for item in ranked:
@@ -165,18 +166,12 @@ class QueryRecommender:
     # -- internals --------------------------------------------------------------------
 
     def _diff_summary(self, current_features, record: LoggedQuery) -> str:
-        if current_features is None or record.features is None:
+        if record.features is None:
             return "n/a"
         try:
             return diff_queries(record.features, current_features).summary()
         except ReproError:
             return "n/a"
-
-    def _safe_features(self, sql: str):
-        try:
-            return extract_features(sql)
-        except ReproError:
-            return None
 
     def _principal(self, principal: Principal | str) -> Principal:
         if isinstance(principal, Principal):

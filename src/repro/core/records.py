@@ -98,16 +98,7 @@ class LoggedQuery:
 
     def feature_sets(self) -> dict[str, frozenset]:
         """Per-class feature sets used by the weighted feature similarity."""
-        if self.features is None:
-            return {}
-        return {
-            "tables": self.features.table_set(),
-            "joins": self.features.join_signatures(),
-            "predicates": self.features.predicate_signatures(),
-            "projections": frozenset(self.features.projections),
-            "group_by": frozenset(self.features.group_by),
-            "aggregates": frozenset(self.features.aggregates),
-        }
+        return self.features.feature_sets() if self.features is not None else {}
 
     def describe(self, max_length: int = 80) -> str:
         """A single-line description used by the client renderers."""
@@ -148,3 +139,49 @@ def statement_artefacts(
         canonical_text(parsed),
         canonical_text(parsed, strip_constants=True),
     )
+
+
+#: A statement being typed, or the features :func:`draft_features` read off it.
+Draft = str | QueryFeatures | None
+
+
+def draft_features(draft: Draft) -> QueryFeatures | None:
+    """Features of a statement the user may still be typing.
+
+    The one place the CQMS reads a draft: completion, correction, the
+    recommender and the meta-query generator all call it, and each accepts
+    what it returns in place of the text, so a request that fans out
+    (``CQMS.assist``) reads its draft once.  A text that does not parse is
+    relaxed step by step — a dangling trailing keyword or operator dropped,
+    an empty select list read as ``SELECT *`` — until it does; as a last
+    resort the relation names are read lexically off the FROM list.
+    ``None`` means there is nothing to go on.
+    """
+    if not isinstance(draft, str):
+        return draft
+    candidates = [draft]
+    stripped = draft.rstrip()
+    lowered = stripped.lower()
+    for suffix in ("where", "and", "or", ",", "on", "=", "<", ">", "in", "select"):
+        if lowered.endswith(suffix):
+            candidates.append(stripped[: -len(suffix)])
+    from_index = lowered.find("from")
+    if from_index >= 0 and lowered[:from_index].strip() == "select":
+        candidates.append("SELECT * " + stripped[from_index:])
+        candidates.append("SELECT * " + stripped[from_index:].rstrip(", "))
+    for candidate in candidates:
+        try:
+            return extract_features(candidate)
+        except ReproError:
+            continue
+    if from_index < 0:
+        return None
+    from_list = stripped[from_index + len("from"):]
+    for terminator in ("where", "group", "order", "limit"):
+        cut = from_list.lower().find(terminator)
+        if cut >= 0:
+            from_list = from_list[:cut]
+    tables = [part.split()[0].lower() for part in from_list.split(",") if part.split()]
+    if not tables:
+        return None
+    return QueryFeatures(tables=tables, num_tables=len(tables))

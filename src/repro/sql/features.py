@@ -135,6 +135,17 @@ class QueryFeatures:
             for j in self.joins
         )
 
+    def feature_sets(self) -> dict[str, frozenset]:
+        """Per-class feature sets used by the weighted feature similarity."""
+        return {
+            "tables": self.table_set(),
+            "joins": self.join_signatures(),
+            "predicates": self.predicate_signatures(),
+            "projections": frozenset(self.projections),
+            "group_by": frozenset(self.group_by),
+            "aggregates": frozenset(self.aggregates),
+        }
+
     def token_bag(self) -> list[str]:
         """A bag of feature tokens used by TF-IDF / bag-of-features similarity."""
         tokens = [f"table:{t}" for t in self.tables]

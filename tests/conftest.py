@@ -6,6 +6,8 @@ session-scoped; tests that mutate state build their own small instances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro import CQMS, CQMSConfig, SimulatedClock, build_database
@@ -60,6 +62,49 @@ def replayed_cqms(small_workload):
     cqms.replay_workload(small_workload)
     cqms.run_miner()
     return cqms
+
+
+@dataclass
+class ReplayedLog:
+    """A CQMS with a generated limnology workload replayed into it."""
+
+    cqms: CQMS
+    workload: list
+
+    @property
+    def store(self):
+        return self.cqms.store
+
+
+def _replay_log(
+    num_sessions: int = 120, seed: int = 42, mine: bool = True, config: CQMSConfig | None = None
+) -> ReplayedLog:
+    clock = SimulatedClock()
+    db = build_database("limnology", scale=1, seed=7, clock=clock)
+    cqms = CQMS(db, config=config, clock=clock)
+    cqms.register_user("admin", group="ops", is_admin=True)
+    workload = QueryLogGenerator(
+        WorkloadConfig(num_users=12, num_sessions=num_sessions, seed=seed)
+    ).generate()
+    cqms.replay_workload(workload)
+    if mine:
+        cqms.run_miner()
+    return ReplayedLog(cqms, workload)
+
+
+@pytest.fixture(scope="session")
+def replay_log():
+    """Builds a :class:`ReplayedLog` that differs from :func:`paper_env` in log
+    size, seed or configuration, or that the test is going to mutate."""
+    return _replay_log
+
+
+@pytest.fixture(scope="session")
+def paper_env() -> ReplayedLog:
+    """The log the paper-claim tests share: 120 sessions of 12 users, seed 42,
+    replayed and mined (550 queries).  Read-only: a test that submits, repairs
+    or reconfigures builds its own through :func:`replay_log`."""
+    return _replay_log()
 
 
 @pytest.fixture()

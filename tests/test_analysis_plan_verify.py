@@ -18,7 +18,7 @@ from repro.sql.canonicalize import parameterize_statement
 from repro.sql.parser import parse
 from repro.storage.exec_settings import ExecutionSettings
 from repro.storage.executor import Executor
-from repro.storage.operators import Filter, SeqScan
+from repro.storage.operators import Filter, SeqScan, SubqueryScan
 from repro.storage.planner import Planner
 from repro.workloads.schemas import build_database
 
@@ -101,6 +101,39 @@ class TestBrokenPlans:
         # ... unless the planner declared positional re-binding unsound.
         plan.rebind_unsafe = True
         assert PlanVerifier().verify_select(plan) == []
+
+    def test_parameter_in_a_where_subquery(self, database):
+        sql = (
+            "SELECT name FROM Lakes WHERE lake_id IN "
+            "(SELECT lake_id FROM WaterTemp WHERE temp < 18)"
+        )
+        statement, parameters = parameterize_statement(parse(sql))
+        assert [parameter.value for parameter in parameters] == [18]
+        plan = Planner(database).plan_select(statement)
+        assert PlanVerifier().verify_select(plan) == []
+        # The filter evaluates a copy of the subquery: re-binding the cached
+        # statement's 18 would no longer change what the plan compares with.
+        detached, _ = parameterize_statement(parse(sql))
+        filters = [op for op in _walk(plan.root) if isinstance(op, Filter)]
+        filters[0].predicates[:] = [detached.where]
+        assert "plan-param-binding" in rules_of(PlanVerifier().verify_select(plan))
+
+    def test_parameter_under_a_subquery_scan(self, database):
+        # HAVING is evaluated from the derived table's statement, not by an
+        # operator, so only the statement walk can reach its constant.
+        inner = "SELECT state, COUNT(*) AS n FROM Lakes GROUP BY state HAVING COUNT(*) > 1"
+        statement, parameters = parameterize_statement(
+            parse(f"SELECT d.state FROM ({inner}) d WHERE d.n < 5")
+        )
+        assert sorted(parameter.value for parameter in parameters) == [1, 5]
+        plan = Planner(database).plan_select(statement)
+        assert PlanVerifier().verify_select(plan) == []
+        scan = next(op for op in _walk(plan.root) if isinstance(op, SubqueryScan))
+        detached, _ = parameterize_statement(parse(inner))
+        scan.plan = Planner(database).plan_select(detached)
+        diagnostics = PlanVerifier().verify_select(plan)
+        assert "plan-param-binding" in rules_of(diagnostics)
+        assert "value 1" in " ".join(d.message for d in diagnostics)
 
     def test_valid_dml_plan_is_clean(self, database):
         plan = Planner(database).plan_update(

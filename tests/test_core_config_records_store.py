@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
-from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats
+from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, draft_features
 from repro.errors import MetaQueryError
 from repro.sql.canonicalize import canonical_text
 from repro.sql.features import extract_features
@@ -68,6 +68,37 @@ class TestRecords:
         assert set(record.feature_sets()) == {
             "tables", "joins", "predicates", "projections", "group_by", "aggregates",
         }
+
+    @pytest.mark.parametrize(
+        "draft, complete",
+        [
+            ("SELECT T.temp FROM WaterTemp T WHERE T.temp < 18", "SELECT T.temp FROM WaterTemp T WHERE T.temp < 18"),
+            ("SELECT * FROM WaterTemp T WHERE", "SELECT * FROM WaterTemp T"),
+            ("select * from WaterTemp T where T.temp < 18 AND ", "SELECT * FROM WaterTemp T WHERE T.temp < 18"),
+            ("SELECT * FROM WaterTemp T WHERE T.temp < 18 or", "SELECT * FROM WaterTemp T WHERE T.temp < 18"),
+            ("SELECT * FROM WaterSalinity S, ", "SELECT * FROM WaterSalinity S"),
+            ("SELECT * FROM WaterTemp T WHERE T.temp =", "SELECT * FROM WaterTemp T WHERE T.temp"),
+            ("SELECT * FROM WaterTemp T WHERE T.temp <", "SELECT * FROM WaterTemp T WHERE T.temp"),
+            ("SELECT * FROM WaterTemp T WHERE T.temp >", "SELECT * FROM WaterTemp T WHERE T.temp"),
+            ("SELECT * FROM WaterTemp T WHERE T.month IN", "SELECT * FROM WaterTemp T WHERE T.month"),
+            ("SELECT FROM WaterSalinity, WaterTemp", "SELECT * FROM WaterSalinity, WaterTemp"),
+            ("SELECT FROM WaterSalinity, ", "SELECT * FROM WaterSalinity"),
+        ],
+    )
+    def test_draft_features_relaxes_until_the_draft_parses(self, draft, complete):
+        assert draft_features(draft) == extract_features(complete)
+
+    def test_draft_features_last_resort_and_pass_through(self):
+        # Nothing parses: the relation names are read off the FROM list.
+        features = draft_features("SELECT a, FROM WaterTemp T, Lakes WHERE ((")
+        assert (features.tables, features.num_tables, features.attributes) == (
+            ["watertemp", "lakes"], 2, []
+        )
+        assert draft_features("not sql at all !!!") is None
+        assert draft_features("SELECT 1 FROM") is None
+        # What it returns stands in for the text: reading twice is free.
+        assert draft_features(features) is features
+        assert draft_features(None) is None
 
     def test_describe_truncates(self):
         record = make_record(1, sql="SELECT * FROM WaterTemp WHERE " + "temp < 18 AND " * 30 + "1 = 1")

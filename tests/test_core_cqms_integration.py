@@ -124,6 +124,37 @@ class TestAssistedMode:
         )
         assert recommendations
 
+    @pytest.mark.parametrize(
+        "draft, reads",
+        [
+            ("SELECT * FROM WaterSalinity S, WaterTemp T WHERE T.temp < 21", 1),
+            # As typed, then the first relaxation (the dangling token dropped).
+            ("SELECT * FROM WaterSalinity S, ", 2),
+            ("SELECT depth, temp FROM WaterTemp WHERE temp <", 2),
+        ],
+    )
+    def test_a_request_reads_its_draft_once(self, replayed_cqms, monkeypatch, draft, reads):
+        """Completion (four kinds), correction and the recommender (kNN probe
+        and diff) all work from one reading of the draft — 12 feature
+        extractions per ``assist`` and 3 per ``recommend`` before."""
+        from repro.core import records
+
+        calls = []
+        extract = records.extract_features
+        monkeypatch.setattr(
+            records, "extract_features", lambda *args: calls.append(args[0]) or extract(*args)
+        )
+        response = replayed_cqms.assist("root", draft)
+        assert len(calls) == reads
+        # A draft that stops at an operator still gets its similar queries.
+        assert response.completions["tables"] and response.similar_queries
+        del calls[:]
+        recommendations = replayed_cqms.recommend("root", draft, k=3)
+        assert len(calls) == reads
+        assert [r.record.qid for r in recommendations] == [
+            r.record.qid for r in response.similar_queries
+        ]
+
 
 class TestAdministrativeMode:
     def test_maintenance_after_evolution_scenario(self):

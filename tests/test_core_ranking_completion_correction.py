@@ -227,6 +227,32 @@ class TestCompletionEngine:
         suggestions = engine.suggest_tables("SELECT * FROM WaterSalinity S WHERE", limit=2)
         assert suggestions[0].text == "watertemp"
 
+    def test_suggestions_follow_a_log_rewritten_at_equal_size(self, completion_store):
+        """A maintenance repair (``replace_text``) or a remove-then-add keeps
+        the number of logged SELECTs, so a fit keyed by that number went stale."""
+        engine = CompletionEngine(completion_store, SCHEMA)
+        assert [s.text for s in engine.popular_tables(limit=1)] == ["citylocations"]
+        renamed = "SELECT * FROM Cities C WHERE C.population > 100000"
+        for record in completion_store.select_queries():
+            if "citylocations" in record.tables:
+                sql = record.text.replace("CityLocations", "Cities")
+                completion_store.replace_text(
+                    record.qid,
+                    sql,
+                    extract_features(sql),
+                    canonical_text(sql),
+                    canonical_text(sql, strip_constants=True),
+                )
+        assert len(completion_store.select_queries()) == 13
+        assert [s.text for s in engine.popular_tables(limit=1)] == ["cities"]
+        assert "citylocations" not in [s.text for s in engine.popular_tables(limit=10)]
+        for qid in [r.qid for r in completion_store.select_queries() if r.text == renamed]:
+            completion_store.remove(qid)
+            completion_store.add(make_record(qid, "SELECT * FROM Lakes L", cardinality=3))
+        assert len(completion_store.select_queries()) == 13
+        assert [s.text for s in engine.popular_tables(limit=1)] == ["lakes"]
+        assert engine.suggest_tables("SELECT * FROM WaterSalinity S, ", limit=3)[0].text == "watertemp"
+
 
 class TestCorrectionEngine:
     def test_table_name_spellcheck(self, completion_store):
@@ -248,6 +274,21 @@ class TestCorrectionEngine:
     def test_correct_names_on_unparseable_text(self, completion_store):
         engine = CorrectionEngine(completion_store, SCHEMA)
         assert engine.correct_names("not sql at all !!!") == []
+
+    @pytest.mark.parametrize(
+        "draft",
+        [
+            "SELECT * FROM WaterSalinty S WHERE",
+            "SELECT * FROM WaterSalinty S, ",
+            "SELECT FROM WaterSalinty",
+            "SELECT * FROM WaterSalinty S WHERE S.salinity <",
+        ],
+    )
+    def test_spellcheck_reads_a_draft_that_is_still_being_typed(self, completion_store, draft):
+        engine = CorrectionEngine(completion_store, SCHEMA)
+        corrections = engine.correct_names(draft)
+        assert [(c.kind, c.suggestion) for c in corrections] == [("table_name", "watersalinity")]
+        assert engine.correction_log == corrections
 
     def test_empty_result_predicate_correction(self, completion_store):
         engine = CorrectionEngine(completion_store, SCHEMA)

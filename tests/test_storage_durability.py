@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import zlib
 
 import pytest
@@ -279,6 +280,25 @@ class TestDatabaseDurability:
             stats = db.wal_stats()
             assert stats.syncs == stats.records == 2
             assert stats.row_mutations == 11
+
+    def test_flush_wal_makes_the_pending_group_durable(self, tmp_path):
+        d = str(tmp_path / "db")
+        with Database.open(d, wal_sync="batch", wal_group_size=16) as db:
+            db.execute("CREATE TABLE t (id INTEGER)")
+            db.flush_wal()
+            for i in range(5):
+                db.insert_rows("t", [{"id": i}])
+            assert unflushed_mutations(db) == 5
+            # What a crash now would leave behind: the table and no rows.
+            shutil.copytree(d, str(tmp_path / "crash-before"))
+            db.flush_wal()
+            assert unflushed_mutations(db) == 0
+            shutil.copytree(d, str(tmp_path / "crash-after"))
+        with Database.open(str(tmp_path / "crash-before")) as recovered:
+            assert table_rows(recovered, "t") == []
+        with Database.open(str(tmp_path / "crash-after")) as recovered:
+            assert table_rows(recovered, "t") == [(i,) for i in range(5)]
+        Database().flush_wal()  # in-memory: nothing to flush
 
     def test_auto_checkpoint_interval(self, tmp_path):
         d = str(tmp_path / "db")

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.storage.database import Database
+from repro.storage.executor import ExecutionStats
+from repro.storage.operators import ExecutionContext, RangeScan
 from repro.storage.planner import Planner
+from repro.storage.types import compare_values, sort_key
+from repro.sql.ast_nodes import Literal
 from repro.sql.parser import parse
 
 
@@ -154,6 +158,95 @@ class TestRangeScanSelection:
         # id = 2 (one row via the pk hash index) must win over the wide range.
         plan = sorted_db.explain("SELECT name FROM lakes WHERE id = 2 AND area > 1")
         assert "IndexScan lakes (id = 2)" in plan.text()
+
+
+class TestRangeScanFallback:
+    """The heap-scan fallback of a RangeScan: the table has no sorted index on
+    the column (dropped after planning), or a bound has no index key (a string
+    against an INTEGER column compares decimal *strings*).  It must return what
+    the range predicate and the promised order say."""
+
+    VALUES = [5, None, 12, 7, 100, None, 7, 30]
+
+    @pytest.fixture(params=[False, True], ids=["no-index", "sorted-index"])
+    def table(self, request):
+        database = Database()
+        database.execute("CREATE TABLE r (id INTEGER, v INTEGER)")
+        database.insert_rows("r", [{"id": i, "v": v} for i, v in enumerate(self.VALUES)])
+        if request.param:
+            database.execute("CREATE INDEX r_v_sorted ON r (v) USING SORTED")
+        return database.table("r")
+
+    @staticmethod
+    def run(table, low=None, high=None, low_inclusive=True, high_inclusive=True, descending=False):
+        def bound(value):
+            return None if value is None else Literal(value)
+
+        scan = RangeScan(
+            table, "r", "v", bound(low), bound(high), low_inclusive, high_inclusive,
+            estimate=1.0, descending=descending,
+        )
+        stats = ExecutionStats()
+        return [row["id"] for _, row in scan.pairs(ExecutionContext(metrics=stats))], stats
+
+    @staticmethod
+    def reference(table, low=None, high=None, low_inclusive=True, high_inclusive=True, descending=False):
+        """Filter ``Table.scan`` by the range predicate, then ORDER BY v."""
+        def keep(value):
+            if low is not None:
+                ordering = compare_values(value, low)
+                if ordering is None or ordering < (0 if low_inclusive else 1):
+                    return False
+            if high is not None:
+                ordering = compare_values(value, high)
+                if ordering is None or ordering > (0 if high_inclusive else -1):
+                    return False
+            return True
+
+        rows = [row for _, row in table.scan() if keep(row["v"])]
+        present = sorted(
+            (row for row in rows if row["v"] is not None),
+            key=lambda row: sort_key(row["v"]),
+            reverse=descending,
+        )
+        nulls = [row for row in rows if row["v"] is None]
+        # NULLs sort first ascending and last descending.
+        return [row["id"] for row in (present + nulls if descending else nulls + present)]
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["asc", "desc"])
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {},
+            {"low": 7},
+            {"low": 7, "low_inclusive": False},
+            {"high": 30},
+            {"high": 30, "high_inclusive": False},
+            {"low": 7, "high": 30},
+            {"low": 7, "high": 30, "low_inclusive": False, "high_inclusive": False},
+            {"low": 200},
+            # No index key for these: "3" <= str(v) keeps 5, 7, 7, 30 but not 12 or 100.
+            {"low": "3"},
+            {"low": "3", "high": "7", "high_inclusive": False},
+        ],
+        ids=str,
+    )
+    def test_matches_filtered_sorted_scan(self, table, bounds, descending):
+        uses_index = table.sorted_index_for("v") is not None and not any(
+            isinstance(value, str) for value in bounds.values()
+        )
+        ids, stats = self.run(table, descending=descending, **bounds)
+        expected = self.reference(table, descending=descending, **bounds)
+        # Equal keys come back in either order; the ids are compared per key.
+        values = [self.VALUES[i] for i in ids]
+        assert values == [self.VALUES[i] for i in expected]
+        assert sorted(ids) == sorted(expected)
+        assert stats.rows_scanned == (len(ids) if uses_index else len(self.VALUES))
+        assert stats.index_lookups == (1 if uses_index else 0)
+
+    def test_null_bound_is_an_empty_range(self, table):
+        scan = RangeScan(table, "r", "v", Literal(None), None, True, True, estimate=1.0)
+        assert list(scan.pairs(ExecutionContext(metrics=ExecutionStats()))) == []
 
 
 class TestSortElimination:
