@@ -6,8 +6,10 @@ executor a set of contracts that nothing used to check:
 
 * **binding shape** — an operator's ``bindings`` must be exactly what its
   children produce (joins concatenate, filters and aggregates pass through,
-  leaf scans expose their table's schema), because compiled row-dict getters
-  trust those names blindly;
+  leaf scans expose their table's schema), because ``bindings`` flattened *is*
+  the layout of the operator's row tuples and compiled getters read positions
+  resolved against it; and one relation may not bind a name twice, because a
+  qualified reference would resolve to the first and ``alias.*`` to either;
 * **column resolution** — every ``ColumnRef`` an operator evaluates must be
   resolvable against the bindings flowing into it (build keys against the
   build side, probe keys against the probe side, residuals against the
@@ -135,6 +137,7 @@ class PlanVerifier:
                 diagnostics.extend(
                     self.verify_select(operator.plan, allow_outer=allow_outer)
                 )
+        self._check_unique_bindings(plan.root, diagnostics)
         self._check_batch_contract(plan, diagnostics)
         self._check_sort_claim(plan, diagnostics)
         self._check_params(plan, top, diagnostics)
@@ -201,6 +204,19 @@ class PlanVerifier:
                     "operator bindings are not the concatenation of its children's",
                 )
             )
+
+    def _check_unique_bindings(
+        self, root: Operator, diagnostics: list[Diagnostic]
+    ) -> None:
+        seen: set[str] = set()
+        for name, _ in root.bindings:
+            if name.lower() in seen:
+                diagnostics.append(
+                    BINDING_SHAPE.at(
+                        root.label(), f"table name {name!r} specified more than once"
+                    )
+                )
+            seen.add(name.lower())
 
     def _operator_expressions(self, operator: Operator):
         """``(expression, input bindings)`` pairs the operator will evaluate."""

@@ -1,15 +1,13 @@
 """Columnar batches: typed per-column buffers over slotted heap rows.
 
 A :class:`ColumnBatch` is the columnar counterpart of the engine's
-``RowBatch`` (``list[{binding: row}]``): one span of heap rows held as a
-list of *bare* stored row dicts plus lazily extracted per-column buffers —
+``RowBatch`` (a list of flat tuples): one span of heap rows held as a list of
+the *stored* row dicts plus lazily extracted per-column buffers —
 ``array('q')`` / ``array('d')`` for INT/FLOAT columns (with a parallel
 validity bitmap when the column contains NULLs) and plain Python lists for
-everything else.  The per-row ``{binding: row}`` wrapper dict is never
-materialized on the columnar path; :meth:`ColumnBatch.to_row_batch` builds
-it only at the boundary where a row-at-a-time consumer (join, subquery,
-uncompiled predicate) takes over, reusing the stored row dicts so the two
-paths see identical objects.
+everything else.  No row tuple is built on the columnar path; at the boundary
+where a row consumer (join, sort, projection) takes over, the operator builds
+them from :meth:`ColumnBatch.selected_rows` — the survivors only.
 
 Filtering never copies a batch.  A kernel (see
 :mod:`repro.storage.kernels`) returns a *selection vector* — the surviving
@@ -64,7 +62,7 @@ class Column:
         """The column as a plain Python list (None at NULL positions).
 
         Memoized; for a dense typed column this is one C-speed
-        ``array.tolist()`` call, which is what makes projection gather and
+        ``array.tolist()`` call, which is what makes the aggregate path and
         the fallback comparison loops cheap.
         """
         if self._values is None:
@@ -153,10 +151,3 @@ class ColumnBatch:
             return self.rows
         rows = self.rows
         return [rows[index] for index in self.selection]
-
-    def to_row_batch(self) -> list[dict]:
-        """Materialize the ``{binding: row}`` RowBatch at the columnar
-        boundary — same wrapper shape, same stored row dicts, as the
-        row-at-a-time scan would have produced."""
-        binding = self.binding
-        return [{binding: row} for row in self.selected_rows()]

@@ -2,7 +2,7 @@
 verification and the buffer-pool size.
 
 The batched execution model (see :mod:`repro.storage.operators`) moves rows
-through the operator tree in lists of ``batch_size`` binding dicts instead of
+through the operator tree in lists of ``batch_size`` row tuples instead of
 one row per ``next()`` call.  These knobs live in their own frozen dataclass
 so that
 

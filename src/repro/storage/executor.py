@@ -20,9 +20,12 @@ sorted index already delivers the requested order — output rows stream
 straight out of the operator pipeline and LIMIT short-circuits the scan.
 
 Since the batched-execution refactor the executor consumes the operator tree
-batch-at-a-time (``root.batches(ctx)``): projection runs over whole batches,
-simple select lists (columns and ``*``) compile into per-row getter tuples
-that bypass the expression evaluator, and on streaming plans with a LIMIT the
+batch-at-a-time (``root.batches(ctx)``, lists of flat tuples laid out by
+``root.bindings``): projection runs over whole batches, simple select lists
+(columns and ``*``) compile into one ``itemgetter`` of row positions mapped
+over the batch, ORDER BY keys that name a select-list alias or a column of the
+source row resolve to a position once per execution, and only a computed item
+pays for a ``Scope`` view of the row.  On streaming plans with a LIMIT the
 context's batch size tracks the remaining row budget, so a short-circuited
 scan touches exactly as many heap rows as the row-at-a-time engine did when
 the scan feeds the limit directly (and at most one shrunken batch more when
@@ -37,15 +40,19 @@ from repro.errors import ExecutionError
 from repro.obs.metrics import engine_timer
 from repro.storage.exec_settings import DEFAULT_SETTINGS
 from repro.storage.expression import Scope, evaluate, is_true
-from repro.storage.kernels import gather_columns
 from repro.storage.operators import (
+    Bindings,
     ExecutionContext,
     Filter,
     IndexScan,
     NodeStats,
     RangeScan,
     SeqScan,
-    resolve_binding_column,
+    layout_spans,
+    row_width,
+    scope_view,
+    slot_of,
+    slots_getter,
 )
 from repro.storage.planner import Planner, SelectPlan
 from repro.storage.types import sort_key
@@ -59,9 +66,6 @@ from repro.sql.ast_nodes import (
     Star,
     UnaryOp,
 )
-
-#: FROM-ordered bindings of a relation: (binding name, ordered column names).
-Bindings = list[tuple[str, list[str]]]
 
 
 @dataclass
@@ -200,17 +204,17 @@ class Executor:
                 rows = self._partial_order_rows(statement, plan, ctx, outer_scope)
             else:
                 project = self._projection(plan, outer_scope)
-                pairs = []
+                entries = []
                 for batch in plan.root.batches(ctx):
                     self.metrics.batches += 1
-                    for row in batch:
-                        pairs.append((row, project(row)))
-                pairs.sort(
-                    key=self._make_order_key(
+                    entries.extend(zip(batch, project(batch)))
+                _sort_entries(
+                    entries,
+                    self._order_keys(
                         plan, outer_scope, statement.order_by, self._evaluate_row
-                    )
+                    ),
                 )
-                rows = [output_row for _, output_row in pairs]
+                rows = [output_row for _, output_row in entries]
             if statement.distinct:
                 rows = _distinct(rows)
         else:
@@ -236,62 +240,29 @@ class Executor:
             seen: set | None = set() if statement.distinct else None
             rows = []
             done = False
-            columnar = None
-            if plan.root.supports_columnar(ctx):
-                # Memoized like the row projection: the keys are row-dict
-                # lookups only, so parameter re-binding never stales them.
-                columnar = getattr(plan, "_columnar_projection", _UNSET)
-                if columnar is _UNSET:
-                    columnar = _compile_columnar_projection(statement, plan.bindings)
-                    plan._columnar_projection = columnar
-            if columnar is not None:
-                # Columnar streaming: the scan builds ColumnBatches of bare
-                # heap rows, filter kernels narrow them to selection vectors,
-                # and projection is one per-batch column gather — no per-row
-                # binding dicts anywhere on the path.
-                for batch in plan.root.col_batches(ctx):
-                    self.metrics.batches += 1
-                    started = self._timer()
-                    values_batch = gather_columns(batch, columnar)
-                    self.metrics.kernel_seconds += self._timer() - started
-                    if seen is None and needed is None:
-                        # No DISTINCT and no LIMIT: the whole gathered batch
-                        # survives, so skip the per-row loop entirely.
-                        rows.extend(values_batch)
-                        continue
-                    for values in values_batch:
-                        if seen is not None:
-                            key = tuple(_hashable(value) for value in values)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                        rows.append(values)
-                        if needed is not None and len(rows) >= needed:
-                            done = True
-                            break
-                    if done:
+            project = self._projection(plan, outer_scope)
+            for batch in plan.root.batches(ctx):
+                self.metrics.batches += 1
+                values_batch = project(batch)
+                if seen is None and needed is None:
+                    # No DISTINCT and no LIMIT: the whole projected batch
+                    # survives, so skip the per-row loop entirely.
+                    rows.extend(values_batch)
+                    continue
+                for values in values_batch:
+                    if seen is not None:
+                        key = tuple(_hashable(value) for value in values)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                    rows.append(values)
+                    if needed is not None and len(rows) >= needed:
+                        done = True
                         break
-                    if budget is not None:
-                        ctx.batch_size = max(min(budget - len(rows), base_batch), 1)
-            else:
-                project = self._projection(plan, outer_scope)
-                for batch in plan.root.batches(ctx):
-                    self.metrics.batches += 1
-                    for row in batch:
-                        values = project(row)
-                        if seen is not None:
-                            key = tuple(_hashable(value) for value in values)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                        rows.append(values)
-                        if needed is not None and len(rows) >= needed:
-                            done = True
-                            break
-                    if done:
-                        break
-                    if budget is not None:
-                        ctx.batch_size = max(min(budget - len(rows), base_batch), 1)
+                if done:
+                    break
+                if budget is not None:
+                    ctx.batch_size = max(min(budget - len(rows), base_batch), 1)
         rows = _apply_limit(rows, statement.limit, statement.offset)
         self.metrics.result_cardinality = len(rows)
         if node_stats is not None:
@@ -301,23 +272,29 @@ class Executor:
     # -- projection ----------------------------------------------------------------
 
     def _projection(self, plan: SelectPlan, outer_scope: Scope | None):
-        """The plan's ``row -> output tuple`` callable.
+        """The plan's ``batch -> output tuples`` callable.
 
-        A select list of plain columns and ``*`` compiles to getters, memoized
-        on the plan: cached template plans execute thousands of times, and the
-        getters read only row-dict keys, so parameter re-binding never stales
-        them.  Any computed item keeps the whole list on the evaluator.
+        A select list of plain columns and ``*`` compiles to row positions,
+        memoized on the plan: cached template plans execute thousands of
+        times, and positions never depend on a parameter, so re-binding never
+        stales them.  Any computed item keeps the whole list on the evaluator,
+        over a Scope view of each row.
         """
         project = getattr(plan, "_compiled_projection", _UNSET)
         if project is _UNSET:
-            project = _compile_projection(plan.statement, plan.bindings)
-            plan._compiled_projection = project
+            project = plan._compiled_projection = _compile_projection(plan)
         if project is not None:
             return project
         statement, bindings = plan.statement, plan.bindings
-        return lambda row: tuple(
-            self._evaluate_output(statement, bindings, Scope(row, parent=outer_scope))
-        )
+        view = scope_view(plan.root.bindings)
+        return lambda batch: [
+            tuple(
+                self._evaluate_output(
+                    statement, bindings, Scope(view(row), parent=outer_scope)
+                )
+            )
+            for row in batch
+        ]
 
     def _evaluate_output(
         self, statement: SelectStatement, bindings: Bindings, scope: Scope
@@ -359,9 +336,15 @@ class Executor:
         projection, and ORDER BY read the finished slot values.
         """
         slots = plan.aggregate.collection.slots
-        entries: list[tuple[dict, tuple, list]] = []
+        view = scope_view(plan.root.bindings)
+        entries: list[tuple[tuple | None, tuple, list]] = []
         for representative, finished in plan.aggregate.groups(ctx):
-            scope = Scope(representative, parent=outer_scope)
+            # An empty ungrouped input is one group with no representative
+            # row: nothing for a column reference to resolve against.
+            scope = Scope(
+                view(representative) if representative is not None else {},
+                parent=outer_scope,
+            )
             if statement.having is not None:
                 having_value = self._finish_expr(
                     statement.having, finished, slots, scope
@@ -376,16 +359,18 @@ class Executor:
                 else:
                     values.append(self._finish_expr(expr, finished, slots, scope))
             entries.append((representative, tuple(values), finished))
-        if statement.order_by:
-            entries.sort(
-                key=self._make_order_key(
+        # The one group of an empty ungrouped input has no row to be ordered by.
+        if statement.order_by and not (len(entries) == 1 and entries[0][0] is None):
+            _sort_entries(
+                entries,
+                self._order_keys(
                     plan,
                     outer_scope,
                     statement.order_by,
                     lambda expr, scope, entry: self._finish_expr(
                         expr, entry[2], slots, scope
                     ),
-                )
+                ),
             )
         return [values for _, values, _ in entries]
 
@@ -414,17 +399,21 @@ class Executor:
 
     # -- ordering -------------------------------------------------------------------
 
-    def _make_order_key(
+    def _order_keys(
         self, plan: SelectPlan, outer_scope: Scope | None, items, evaluate_entry
     ):
-        """A sort-key closure for the given ORDER BY items over entries
-        ``(source row, output row, ...)``.
+        """One ``(entry -> sort key, ascending)`` pair per ORDER BY item, over
+        entries ``(source row, output row, ...)``.
 
-        Each item resolves to a select-list alias first, then to an output
-        column the source row does not shadow, else to the expression itself
-        through ``evaluate_entry(expr, scope, entry)`` — :meth:`_evaluate_row`
-        for plain rows, :meth:`_finish_expr` over the entry's finished slots
-        for groups.
+        An item naming a select-list alias reads the output row, and one
+        naming a column that :func:`~repro.storage.operators.slot_of` finds in
+        the source row reads that position: both are resolved here, once per
+        execution, because per-row resolution would give the same answer for
+        every row.  Everything else is resolved per row through a Scope: an
+        output column the source row does not shadow, else the expression
+        itself through ``evaluate_entry(expr, scope, entry)`` —
+        :meth:`_evaluate_row` for plain rows, :meth:`_finish_expr` over the
+        entry's finished slots for groups.
         """
         alias_map = {
             (item.alias or "").lower(): index
@@ -434,34 +423,43 @@ class Executor:
         column_map = {
             name.lower(): index for index, name in enumerate(plan.output_columns)
         }
+        layout = plan.root.bindings
+        view = scope_view(layout)
 
-        def order_key(entry):
-            scope = Scope(entry[0], parent=outer_scope)
-            output_row = entry[1]
-            keys = []
-            for order_item in items:
-                expr = order_item.expression
-                value = None
-                resolved = False
-                if isinstance(expr, ColumnRef) and expr.table is None:
-                    lowered = expr.name.lower()
-                    if lowered in alias_map:
-                        value = output_row[alias_map[lowered]]
-                        resolved = True
-                    elif not scope.has_column(expr) and lowered in column_map:
-                        value = output_row[column_map[lowered]]
-                        resolved = True
-                if not resolved:
-                    value = evaluate_entry(expr, scope, entry)
-                keys.append(
-                    sort_key(value) if order_item.ascending else _Reversed(sort_key(value))
-                )
-            return tuple(keys)
+        def evaluated(expr):
+            bare = isinstance(expr, ColumnRef) and expr.table is None
 
-        return order_key
+            def value(entry):
+                scope = Scope(view(entry[0]), parent=outer_scope)
+                if bare and not scope.has_column(expr):
+                    index = column_map.get(expr.name.lower())
+                    if index is not None:
+                        return entry[1][index]
+                return evaluate_entry(expr, scope, entry)
+
+            return value
+
+        keys = []
+        for order_item in items:
+            expr = order_item.expression
+            value = None
+            if isinstance(expr, ColumnRef):
+                if expr.table is None and expr.name.lower() in alias_map:
+                    index = alias_map[expr.name.lower()]
+                    value = lambda entry, _index=index: entry[1][_index]
+                else:
+                    slot = slot_of(layout, expr)
+                    if slot is not None:
+                        value = lambda entry, _slot=slot: entry[0][_slot]
+            if value is None:
+                value = evaluated(expr)
+            keys.append(
+                (lambda entry, _value=value: sort_key(_value(entry)), order_item.ascending)
+            )
+        return keys
 
     def _evaluate_row(self, expr: Expression, scope: Scope, entry) -> object:
-        """``_make_order_key`` evaluator for ungrouped rows."""
+        """``_order_keys`` evaluator for ungrouped rows."""
         return evaluate(expr, scope, self._run_subquery)
 
     def _partial_order_rows(
@@ -480,28 +478,25 @@ class Executor:
         DISTINCT) consumption stops at the first run boundary past the
         budget, so a top-k query never walks the whole table.
         """
-        items = statement.order_by
-        prefix_key = self._make_order_key(
-            plan, outer_scope, items[: plan.sort_prefix], self._evaluate_row
+        keys = self._order_keys(
+            plan, outer_scope, statement.order_by, self._evaluate_row
         )
-        rest_key = self._make_order_key(
-            plan, outer_scope, items[plan.sort_prefix :], self._evaluate_row
-        )
+        prefix = [key for key, _ in keys[: plan.sort_prefix]]
+        rest = keys[plan.sort_prefix :]
         project = self._projection(plan, outer_scope)
         needed = None
         if statement.limit is not None and not statement.distinct:
             needed = statement.limit + (statement.offset or 0)
         rows: list[tuple] = []
-        run: list[tuple[dict, tuple]] = []
+        run: list[tuple[tuple, tuple]] = []
         run_key = None
         done = False
         for batch in plan.root.batches(ctx):
             self.metrics.batches += 1
-            for row in batch:
-                entry = (row, project(row))
-                key = prefix_key(entry)
+            for entry in zip(batch, project(batch)):
+                key = [key_of(entry) for key_of in prefix]
                 if run and key != run_key:
-                    run.sort(key=rest_key)
+                    _sort_entries(run, rest)
                     rows.extend(output for _, output in run)
                     run = []
                     if needed is not None and len(rows) >= needed:
@@ -512,7 +507,7 @@ class Executor:
             if done:
                 break
         if not done and run:
-            run.sort(key=rest_key)
+            _sort_entries(run, rest)
             rows.extend(output for _, output in run)
         return rows
 
@@ -527,21 +522,6 @@ class Executor:
         self.metrics.rows_joined += nested.metrics.rows_joined
         self.metrics.index_lookups += nested.metrics.index_lookups
         return rows
-
-
-class _Reversed:
-    """Wrap a sort key to invert its ordering (for ORDER BY ... DESC)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.key == self.key
 
 
 # ---------------------------------------------------------------------------
@@ -568,69 +548,47 @@ def _limit_budget_applies(op) -> bool:
     return isinstance(op, (SeqScan, RangeScan, IndexScan))
 
 
-def _compile_projection(statement: SelectStatement, bindings: Bindings):
-    """Compile a simple select list into a ``row -> value tuple`` closure.
+def _sort_entries(entries: list, keys) -> None:
+    """Sort in place by :meth:`Executor._order_keys` pairs: one stable pass
+    per key, last key first, so entries equal under every key keep their
+    input order whatever mix of ASC and DESC the keys are."""
+    for key, ascending in reversed(keys):
+        entries.sort(key=key, reverse=not ascending)
 
-    Only column references and ``*`` expansions qualify — they resolve at
-    compile time to direct ``row[binding][column]`` reads, skipping per-row
-    Scope construction and evaluator dispatch.  Any computed item (arithmetic,
-    functions, subqueries, aggregates) returns None and the caller keeps the
-    evaluator path.  Star expansion mirrors ``_star_values``: a column missing
-    from a binding's row projects NULL rather than erroring.
+
+def _compile_projection(plan: SelectPlan):
+    """Compile a simple select list into a ``batch -> output tuples`` callable.
+
+    Only column references and ``*`` expansions qualify: they resolve at
+    compile time to positions in the root operator's rows, so projecting a
+    batch is one ``itemgetter`` mapped over it (and nothing at all when the
+    select list *is* the row, ``SELECT *`` in layout order).  ``*`` expands in
+    FROM order (``plan.bindings``) while positions come from
+    ``plan.root.bindings``, which is in join order.  Any computed item
+    (arithmetic, functions, subqueries, aggregates) returns None and the
+    caller keeps the evaluator path.
     """
-    getters = []
-    for item in statement.select_items:
+    layout = plan.root.bindings
+    offsets = {binding: start for binding, _, start in layout_spans(layout)}
+    slots: list[int] = []
+    for item in plan.statement.select_items:
         expr = item.expression
         if isinstance(expr, Star):
-            for binding, columns in bindings:
+            for binding, columns in plan.bindings:
                 if expr.table is None or binding.lower() == expr.table.lower():
-                    for column in columns:
-                        getters.append(
-                            lambda row, _b=binding, _c=column: row.get(_b, _EMPTY_ROW).get(_c)
-                        )
+                    start = offsets[binding]
+                    slots.extend(range(start, start + len(columns)))
         elif isinstance(expr, ColumnRef):
-            resolved = resolve_binding_column(bindings, expr)
-            if resolved is None:
+            slot = slot_of(layout, expr)
+            if slot is None:
                 return None
-            binding, column = resolved
-            getters.append(lambda row, _b=binding, _c=column: row[_b][_c])
+            slots.append(slot)
         else:
             return None
-    return lambda row: tuple(getter(row) for getter in getters)
-
-
-def _compile_columnar_projection(
-    statement: SelectStatement, bindings: Bindings
-) -> list[str] | None:
-    """Row-dict keys projecting a simple select list straight off a ColumnBatch.
-
-    The columnar twin of :func:`_compile_projection`: only column references
-    and ``*`` over the pipeline's single binding qualify — each select item
-    becomes a stored-row key that ``gather_columns`` reads column-at-a-time.
-    Anything else (computed items, a ``*`` qualified with a different table)
-    returns None and the caller keeps the row path.
-    """
-    if len(bindings) != 1:
-        return None
-    binding, columns = bindings[0]
-    keys: list[str] = []
-    for item in statement.select_items:
-        expr = item.expression
-        if isinstance(expr, Star):
-            if expr.table is not None and expr.table.lower() != binding.lower():
-                return None
-            keys.extend(columns)
-        elif isinstance(expr, ColumnRef):
-            resolved = resolve_binding_column(bindings, expr)
-            if resolved is None:
-                return None
-            keys.append(resolved[1])
-        else:
-            return None
-    return keys
-
-
-_EMPTY_ROW: dict[str, object] = {}
+    if slots == list(range(row_width(layout))):
+        return lambda batch: batch
+    getter = slots_getter(slots)
+    return lambda batch: list(map(getter, batch))
 
 
 def _hashable(value: object) -> object:

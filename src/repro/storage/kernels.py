@@ -409,22 +409,6 @@ def resolve_columnar_columns(columns, bindings) -> list[str] | None:
     return keys
 
 
-def gather_columns(batch: ColumnBatch, keys: list[str]) -> list[tuple]:
-    """Projection gather: the live rows' output tuples, in row order."""
-    columns = [batch.column(key).values() for key in keys]
-    selection = batch.selection
-    if not columns:
-        return [()] * len(batch)
-    if selection is None:
-        if len(columns) == 1:
-            return [(value,) for value in columns[0]]
-        return list(zip(*columns))
-    if len(columns) == 1:
-        values = columns[0]
-        return [(values[i],) for i in selection]
-    return list(zip(*[[values[i] for i in selection] for values in columns]))
-
-
 def hash_group_keys(batch: ColumnBatch, keys: list[str]):
     """Bucket the live positions by group key.
 

@@ -2,18 +2,26 @@
 
 Each operator is one node of a physical plan produced by
 :mod:`repro.storage.planner`.  The engine moves data **batch-at-a-time**:
-``batches(ctx)`` lazily yields lists of *binding dictionaries* (binding name →
-row dict, ``ctx.batch_size`` rows per list), so one ``next()`` call pushes a
-whole batch through a filter or join instead of paying a generator round-trip
-per row.  ``batches(ctx)`` is the one row protocol; heap scans and
-kernel-compiled filters additionally offer ``col_batches(ctx)``.
+``batches(ctx)`` lazily yields lists of **flat tuples** (``ctx.batch_size``
+rows per list), so one ``next()`` call pushes a whole batch through a filter
+or join instead of paying a generator round-trip per row.  A row's positions
+are the operator's ``bindings`` flattened in order — the *layout*: a scan's
+row is its table's columns in schema order, a join's row is its left child's
+row followed by its right child's — so :func:`slot_of` resolves a
+``(binding, column)`` reference to a position once per compile and every
+compiled getter is an ``operator.itemgetter``.  ``batches(ctx)`` is the one
+row protocol; heap scans and kernel-compiled filters additionally offer
+``col_batches(ctx)``.  A ``{binding: {column: value}}`` view of a row is built
+only by :func:`scope_view`, for the expression evaluator's
+:class:`~repro.storage.expression.Scope`, where an expression's shape has no
+compiled form.
 
 Two more things fall out of the batch refactor:
 
 * **Compiled predicates** — filters, hash-join key extraction, and index-loop
   residuals compile simple conjuncts (column/literal comparisons, BETWEEN,
-  IN lists, LIKE, IS NULL) into plain Python closures evaluated over whole
-  batches, bypassing per-row ``Scope``/``evaluate`` dispatch while reproducing
+  IN lists, LIKE, IS NULL) into plain Python closures reading row positions,
+  bypassing per-row ``Scope``/``evaluate`` dispatch while reproducing
   its semantics exactly (both routes share :func:`~repro.storage.types.compare_values`
   and :func:`~repro.storage.expression.like_regex`).  Anything not compilable
   falls back to the evaluator, predicate order preserved.
@@ -32,8 +40,8 @@ Access paths:
   between constant bounds; unbounded it doubles as an ordered full scan that
   lets the planner eliminate an ORDER BY sort.
 
-Every scan also exposes ``pairs(ctx)`` yielding ``(row_id, row)`` so UPDATE
-and DELETE reuse the same access paths to locate their target rows.
+Every scan also exposes ``pairs(ctx)`` yielding ``(row_id, stored row dict)``
+so UPDATE and DELETE reuse the same access paths to locate their target rows.
 
 All operators charge their work to :class:`ExecutionContext.metrics` so
 ``rows_scanned`` reflects the rows actually touched by the chosen access path.
@@ -41,8 +49,9 @@ All operators charge their work to :class:`ExecutionContext.metrics` so
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from repro.errors import QueryTimeoutError, SchemaError
@@ -72,11 +81,15 @@ from repro.storage.types import DataType, coerce_value, compare_values, sort_key
 #: Sentinel distinguishing "not compiled yet" from "compilation returned None".
 _UNSET = object()
 
-#: One streamed row: binding name → row dict.
-RowDict = dict[str, dict[str, object]]
+#: An operator's output relation: (binding name, ordered column names) pairs.
+#: Flattened in order it is the layout of the operator's rows.
+Bindings = list[tuple[str, list[str]]]
+
+#: One streamed row: the values of the operator's ``bindings``, flattened.
+Row = tuple
 
 #: One streamed batch: up to ``ctx.batch_size`` rows.
-RowBatch = list[RowDict]
+RowBatch = list[Row]
 
 
 @dataclass
@@ -175,7 +188,7 @@ class ExecutionContext:
 class Operator:
     """Base class of physical plan nodes."""
 
-    bindings: list[tuple[str, list[str]]]
+    bindings: Bindings
     children: tuple["Operator", ...] = ()
     estimate: float = 0.0
 
@@ -186,10 +199,10 @@ class Operator:
         """Stream output batches, transparently instrumented under ANALYZE."""
         if ctx.node_stats is None:
             return self._batches(ctx)
-        return self._instrumented_batches(ctx)
+        return self._instrumented(self._batches(ctx), ctx, columnar=False)
 
-    def _instrumented_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        source = self._batches(ctx)
+    def _instrumented(self, source: Iterator, ctx: ExecutionContext, columnar: bool):
+        """``source`` (row or columnar batches) with this node's actuals recorded."""
         stats = ctx.observe(self)
         stats.loops += 1
         while True:
@@ -201,6 +214,7 @@ class Operator:
                 return
             stats.wall_seconds += engine_timer() - started
             stats.batches += 1
+            stats.columnar_batches += columnar
             stats.rows += len(batch)
             yield batch
 
@@ -208,16 +222,11 @@ class Operator:
 
     def columnar_capable(self) -> bool:
         """Whether this operator can stream :class:`~repro.storage.colbatch.ColumnBatch`
-        output at all (structural property, independent of settings).  Only
-        heap scans and fully kernel-compiled filters over them qualify; every
-        other operator needs row dicts and is the columnar→row boundary."""
+        output at all (structural property; ``ctx.columnar_kernels`` is the
+        runtime switch).  Only heap scans and fully kernel-compiled filters
+        over them qualify; every other operator needs rows and is the
+        columnar→row boundary."""
         return False
-
-    def supports_columnar(self, ctx: ExecutionContext) -> bool:
-        """The runtime handshake: structural capability *and* the context's
-        columnar switch.  Consumers call :meth:`col_batches` only after this
-        returns True."""
-        return ctx.columnar_kernels and self.columnar_capable()
 
     def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         raise NotImplementedError(f"{type(self).__name__} is not columnar-capable")
@@ -226,24 +235,7 @@ class Operator:
         """Stream columnar batches, transparently instrumented under ANALYZE."""
         if ctx.node_stats is None:
             return self._col_batches(ctx)
-        return self._instrumented_col_batches(ctx)
-
-    def _instrumented_col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        source = self._col_batches(ctx)
-        stats = ctx.observe(self)
-        stats.loops += 1
-        while True:
-            started = engine_timer()
-            try:
-                batch = next(source)
-            except StopIteration:
-                stats.wall_seconds += engine_timer() - started
-                return
-            stats.wall_seconds += engine_timer() - started
-            stats.batches += 1
-            stats.columnar_batches += 1
-            stats.rows += len(batch)
-            yield batch
+        return self._instrumented(self._col_batches(ctx), ctx, columnar=True)
 
     def label(self) -> str:
         raise NotImplementedError
@@ -262,14 +254,14 @@ class Operator:
 
 
 class EmptyRow(Operator):
-    """The FROM-less relation: exactly one empty binding row (``SELECT 1``)."""
+    """The FROM-less relation: exactly one zero-width row (``SELECT 1``)."""
 
     def __init__(self):
         self.bindings = []
         self.estimate = 1.0
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        yield [{}]
+        yield [()]
 
     def label(self) -> str:
         return "Result"
@@ -290,13 +282,19 @@ class SeqScan(Operator):
             yield row_id, row
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        yield from _scan_batches(self.table.scan(), self.binding, ctx)
+        to_row = _stored_row_getter(self.bindings)
+        for chunk in _scan_chunks(self.table, ctx):
+            yield list(map(to_row, chunk))
 
     def columnar_capable(self) -> bool:
         return True
 
     def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        yield from _scan_col_batches(self.table, self.binding, ctx)
+        metrics = ctx.metrics
+        schema = self.table.schema
+        for chunk in _scan_chunks(self.table, ctx):
+            metrics.columnar_batches += 1
+            yield ColumnBatch(self.binding, schema, chunk)
 
     def label(self) -> str:
         return f"SeqScan {_scan_target(self.table, self.binding)} [est={self.estimate:.0f}]"
@@ -372,8 +370,7 @@ class IndexScan(Operator):
         yield from self.lookup_pairs(value, ctx)
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        binding = self.binding
-        yield from _chunk(({binding: row} for _, row in self.pairs(ctx)), ctx)
+        yield from _chunk(_stored_rows(self.pairs(ctx), self.bindings), ctx)
 
     def label(self) -> str:
         condition = f"{self.column} = {format_expression(self.value_expr)}"
@@ -500,8 +497,7 @@ class RangeScan(Operator):
         yield from matches
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        binding = self.binding
-        yield from _chunk(({binding: row} for _, row in self.pairs(ctx)), ctx)
+        yield from _chunk(_stored_rows(self.pairs(ctx), self.bindings), ctx)
 
     def label(self) -> str:
         conditions = []
@@ -528,7 +524,8 @@ class _RangeKeyUnavailable(Exception):
 
 class SubqueryScan(Operator):
     """A derived table ``(SELECT ...) alias``: the subplan runs through the
-    executor (aggregation, ordering, ...) and its tuples are re-bound."""
+    executor (aggregation, ordering, ...) and its output tuples *are* this
+    operator's rows — the alias only names them."""
 
     def __init__(self, plan, alias: str, estimate: float):
         self.plan = plan
@@ -538,11 +535,8 @@ class SubqueryScan(Operator):
         self.estimate = estimate
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        columns, tuples = ctx.run_select(self.plan)
-        alias = self.alias
-        yield from _chunk(
-            ({alias: dict(zip(columns, values))} for values in tuples), ctx
-        )
+        _, tuples = ctx.run_select(self.plan)
+        yield from _chunk(tuples, ctx)
 
     def label(self) -> str:
         return f"SubqueryScan AS {self.alias} [est={self.estimate:.0f}]"
@@ -556,8 +550,8 @@ class Filter(Operator):
     list runs through the expression evaluator in original order, so
     evaluation-order-dependent behaviour (short-circuiting before an erroring
     predicate) is preserved.  Compilation happens once per operator instance
-    (compiled closures read literal values per call, so re-binding a cached
-    plan's parameters never stales the memo).
+    (compiled closures read row positions and read literal values per call,
+    so re-binding a cached plan's parameters never stales the memo).
     """
 
     #: Memoized compile_conjuncts result (closures or None); _UNSET = not yet.
@@ -584,7 +578,7 @@ class Filter(Operator):
         return self._compiled_columnar is not None
 
     def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        kernels = self._compiled_columnar  # set by supports_columnar/columnar_capable
+        kernels = self._compiled_columnar  # set by columnar_capable
         metrics = ctx.metrics
         stats = ctx.observe(self)
         for batch in self.child.col_batches(ctx):
@@ -600,44 +594,19 @@ class Filter(Operator):
                 yield batch.narrowed(selection)
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if self.supports_columnar(ctx):
+        if ctx.columnar_kernels and self.columnar_capable():
             # Columnar fast path with row-batch output: kernels filter the
-            # batch while it is still columnar, and the {binding: row}
-            # wrappers are materialized for the *survivors* only — the
-            # RowBatch boundary the handshake promises row-consuming parents
-            # (joins, sorts, uncompilable projections).
+            # batch while it is still columnar, and rows are built for the
+            # *survivors* only.
+            to_row = _stored_row_getter(self.bindings)
             for columnar in self._col_batches(ctx):
-                kept = columnar.to_row_batch()
-                if kept:
-                    yield kept
+                yield list(map(to_row, columnar.selected_rows()))
             return
         if self._compiled is _UNSET:
             self._compiled = compile_conjuncts(self.predicates, self.bindings)
-        checks = self._compiled
-        if checks is not None:
-            if len(checks) == 1:
-                check = checks[0]
-                for batch in self.child.batches(ctx):
-                    kept = [row for row in batch if check(row)]
-                    if kept:
-                        yield kept
-            else:
-                for batch in self.child.batches(ctx):
-                    kept = [
-                        row for row in batch if all(check(row) for check in checks)
-                    ]
-                    if kept:
-                        yield kept
-            return
-        outer = ctx.outer_scope
-        run = ctx.run_subquery
-        predicates = self.predicates
+        passes = _row_check(self._compiled, self.predicates, self.bindings, ctx)
         for batch in self.child.batches(ctx):
-            kept = []
-            for row in batch:
-                scope = Scope(row, parent=outer)
-                if all(is_true(evaluate(p, scope, run)) for p in predicates):
-                    kept.append(row)
+            kept = list(filter(passes, batch))
             if kept:
                 yield kept
 
@@ -648,7 +617,8 @@ class Filter(Operator):
 
 class HashJoin(Operator):
     """Equi-join: the estimated-smaller side is materialized into a hash table
-    and the other side streams through it batch by batch."""
+    and the other side streams through it batch by batch.  An output row is
+    the left row followed by the right row, whichever side was built."""
 
     #: Memoized (build_key, probe_key) getter pair; _UNSET = not yet compiled.
     _compiled_keys: object = None
@@ -679,7 +649,7 @@ class HashJoin(Operator):
         else:
             build, probe = self.right, self.left
             build_keys, probe_keys = right_keys, left_keys
-        table: dict[tuple, list[RowDict]] = {}
+        table: dict[tuple, list[Row]] = {}
         if self._compiled_keys is _UNSET:
             self._compiled_keys = (
                 compile_key_tuple(build_keys, build.bindings),
@@ -688,30 +658,33 @@ class HashJoin(Operator):
         # The planner pairs only columns it resolved to a side, so a key that
         # does not compile names a column its binding lacks; the evaluator
         # raises the user-facing error for it on the first row.
-        build_key = self._compiled_keys[0] or _evaluated_key(build_keys, ctx)
-        probe_key = self._compiled_keys[1] or _evaluated_key(probe_keys, ctx)
+        build_key = self._compiled_keys[0] or _evaluated_key(
+            build_keys, build.bindings, ctx
+        )
+        probe_key = self._compiled_keys[1] or _evaluated_key(
+            probe_keys, probe.bindings, ctx
+        )
         for batch in build.batches(ctx):
-            for row in batch:
-                key = build_key(row)
-                if any(value is None for value in key):
-                    continue
-                table.setdefault(key, []).append(row)
+            for row, key in zip(batch, map(build_key, batch)):
+                if None not in key:  # a NULL key matches nothing
+                    table.setdefault(key, []).append(row)
+        build_left = self.build_left
         metrics = ctx.metrics
         batch_size = max(1, ctx.batch_size)
         out: RowBatch = []
         for batch in probe.batches(ctx):
-            for row in batch:
-                key = probe_key(row)
-                if any(value is None for value in key):
-                    continue
-                matches = table.get(key)
+            # No key with a NULL in it was built, so a probe key with one
+            # finds nothing: the probe side needs no NULL test of its own.
+            for row, matches in zip(batch, map(table.get, map(probe_key, batch))):
                 if not matches:
                     continue
                 metrics.rows_joined += len(matches)
-                for match in matches:
-                    combined = dict(row)
-                    combined.update(match)
-                    out.append(combined)
+                if build_left:
+                    for match in matches:
+                        out.append(match + row)
+                else:
+                    for match in matches:
+                        out.append(row + match)
                 if len(out) >= batch_size:
                     yield out
                     out = []
@@ -754,12 +727,15 @@ class IndexLookupJoin(Operator):
                 compile_column_getter(self.outer.bindings, self.outer_key),
                 compile_conjuncts(self.residual, self.bindings),
             )
-        residual_checks = self._compiled_probe[1]
         # As in HashJoin: an outer key that does not compile is a misnamed
         # column, and the evaluator reports it.
-        key_getter = self._compiled_probe[0] or _evaluated_getter(self.outer_key, ctx)
-        outer_scope = ctx.outer_scope
-        run = ctx.run_subquery
+        key_getter = self._compiled_probe[0] or _evaluated_getter(
+            self.outer_key, self.outer.bindings, ctx
+        )
+        passes = self.residual and _row_check(
+            self._compiled_probe[1], self.residual, self.bindings, ctx
+        )
+        inner_row = _stored_row_getter(self.scan.bindings)
         metrics = ctx.metrics
         batch_size = max(1, ctx.batch_size)
         # The probe-side scan never runs through batches(), so record its
@@ -773,22 +749,12 @@ class IndexLookupJoin(Operator):
                     continue
                 if probe_stats is not None:
                     probe_stats.loops += 1
-                for inner_row in self.scan.lookup_rows(value, ctx):
+                for stored in self.scan.lookup_rows(value, ctx):
                     if probe_stats is not None:
                         probe_stats.rows += 1
-                    combined = dict(outer_row)
-                    combined[self.scan.binding] = inner_row
-                    if self.residual:
-                        if residual_checks is not None:
-                            if not all(check(combined) for check in residual_checks):
-                                continue
-                        else:
-                            inner_scope = Scope(combined, parent=outer_scope)
-                            if not all(
-                                is_true(evaluate(p, inner_scope, run))
-                                for p in self.residual
-                            ):
-                                continue
+                    combined = outer_row + inner_row(stored)
+                    if passes and not passes(combined):
+                        continue
                     metrics.rows_joined += 1
                     out.append(combined)
                     if len(out) >= batch_size:
@@ -829,9 +795,7 @@ class NestedLoopJoin(Operator):
                 ctx.tick()
                 metrics.rows_joined += len(right_rows)
                 for right_row in right_rows:
-                    combined = dict(left_row)
-                    combined.update(right_row)
-                    out.append(combined)
+                    out.append(left_row + right_row)
                     if len(out) >= batch_size:
                         yield out
                         out = []
@@ -866,44 +830,42 @@ class OuterJoin(Operator):
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         yield from _chunk(self._join_rows(ctx), ctx)
 
-    def _join_rows(self, ctx: ExecutionContext) -> Iterator[RowDict]:
+    def _join_rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         right_rows = [row for batch in self.right.batches(ctx) for row in batch]
-        null_right = {
-            name: {column: None for column in columns}
-            for name, columns in self.right.bindings
-        }
+        null_right = (None,) * row_width(self.right.bindings)
+        condition, outer, run = self.condition, ctx.outer_scope, ctx.run_subquery
+        if condition is not None:
+            # The ON condition has no compiled form: each side's Scope view
+            # is built once per row, not once per pair.
+            left_view = scope_view(self.left.bindings)
+            right_views = list(map(scope_view(self.right.bindings), right_rows))
         matched_right: set[int] = set()
         for batch in self.left.batches(ctx):
             for left_row in batch:
                 ctx.tick()
                 matched = False
+                view = left_view(left_row) if condition is not None else None
                 for index, right_row in enumerate(right_rows):
-                    combined = dict(left_row)
-                    combined.update(right_row)
-                    scope = Scope(combined, parent=ctx.outer_scope)
-                    if self.condition is None or is_true(
-                        evaluate(self.condition, scope, ctx.run_subquery)
+                    if condition is None or is_true(
+                        evaluate(
+                            condition,
+                            Scope({**view, **right_views[index]}, parent=outer),
+                            run,
+                        )
                     ):
                         matched = True
                         matched_right.add(index)
                         ctx.metrics.rows_joined += 1
-                        yield combined
+                        yield left_row + right_row
                 if not matched:
-                    combined = dict(left_row)
-                    combined.update(null_right)
                     ctx.metrics.rows_joined += 1
-                    yield combined
+                    yield left_row + null_right
         if self.join_type == "FULL":
-            null_left = {
-                name: {column: None for column in columns}
-                for name, columns in self.left.bindings
-            }
+            null_left = (None,) * row_width(self.left.bindings)
             for index, right_row in enumerate(right_rows):
                 if index not in matched_right:
-                    combined = dict(null_left)
-                    combined.update(right_row)
                     ctx.metrics.rows_joined += 1
-                    yield combined
+                    yield null_left + right_row
 
     def label(self) -> str:
         condition = (
@@ -925,14 +887,14 @@ class GroupAggregate(Operator):
     """Shared machinery of :class:`HashAggregate` / :class:`SortedGroupAggregate`.
 
     Aggregate operators are consumed through :meth:`groups`, which yields
-    ``(representative row dict, finished aggregate values)`` pairs in
+    ``(representative row, finished aggregate values)`` pairs in
     first-seen group order — the executor's HAVING / projection / ORDER BY
     read the finished accumulator states instead of re-walking buffered row
     lists.  ``batches()`` is deliberately unimplemented: the planner places an
     aggregate only at the top of the pipeline, never under joins.
 
     Compiled artifacts (group-key and argument getters) are memoized on the
-    operator instance, read only row-dict keys, and accumulators are created
+    operator instance, read only row positions, and accumulators are created
     fresh per execution — all of which keeps a cached plan's parameter
     re-binding safe.
     """
@@ -996,16 +958,16 @@ class GroupAggregate(Operator):
     # -- compiled helpers ----------------------------------------------------
 
     def _group_key_getter(self, ctx: ExecutionContext):
-        """``RowDict -> key tuple``: the memoized compiled getter when every
+        """``row -> key tuple``: the memoized compiled getter when every
         key is a locally resolvable column, else the evaluator."""
         if self._compiled_group is _UNSET:
-            if not self.group_exprs:
-                self._compiled_group = lambda row: ()
-            elif all(isinstance(expr, ColumnRef) for expr in self.group_exprs):
+            if all(isinstance(expr, ColumnRef) for expr in self.group_exprs):
                 self._compiled_group = compile_key_tuple(self.group_exprs, self.bindings)
             else:
                 self._compiled_group = None
-        return self._compiled_group or _evaluated_key(self.group_exprs, ctx)
+        return self._compiled_group or _evaluated_key(
+            self.group_exprs, self.bindings, ctx
+        )
 
     def _spec_getters(self):
         """Memoized per-spec argument getters (None for COUNT(*) and for
@@ -1026,13 +988,14 @@ class GroupAggregate(Operator):
             if spec.argument is None:
                 extractors.append(_rows_identity)  # COUNT(*) counts the rows
             else:
-                get = getter or _evaluated_getter(spec.argument, ctx)
-                extractors.append(lambda rows, _get=get: [_get(row) for row in rows])
+                get = getter or _evaluated_getter(spec.argument, self.bindings, ctx)
+                extractors.append(lambda rows, _get=get: list(map(_get, rows)))
         return extractors
 
     def _empty_input_group(self):
-        """The single global-aggregate group an empty ungrouped input yields."""
-        return {}, [spec.make().finish() for spec in self.collection.specs]
+        """The single global-aggregate group an empty ungrouped input yields:
+        finished values with no representative row (None)."""
+        return None, [spec.make().finish() for spec in self.collection.specs]
 
     def label(self) -> str:
         parts = [self._name]
@@ -1080,11 +1043,11 @@ class HashAggregate(GroupAggregate):
         key_getter = self._group_key_getter(ctx)
         group_exprs = self.group_exprs
         metrics = ctx.metrics
-        states: dict[tuple, tuple[RowDict, list]] = {}
+        states: dict[tuple, tuple[Row, list]] = {}
         order: list[tuple] = []
         for batch in self.child.batches(ctx):
             metrics.batches += 1
-            buckets: dict[tuple, list[RowDict]] = {}
+            buckets: dict[tuple, list[Row]] = {}
             for row in batch:
                 key = key_getter(row)
                 bucket = buckets.get(key)
@@ -1171,7 +1134,7 @@ class HashAggregate(GroupAggregate):
         scan, kernels, key_columns, arg_columns = compiled
         specs = self.collection.specs
         metrics = ctx.metrics
-        binding = scan.binding
+        to_row = _stored_row_getter(scan.bindings)
         merged: dict = {}
         order: list = []
         for batch in scan.col_batches(ctx):
@@ -1217,7 +1180,8 @@ class HashAggregate(GroupAggregate):
             return
         for key in order:
             representative, accumulators = merged[key]
-            yield {binding: representative}, [acc.finish() for acc in accumulators]
+            yield to_row(representative), [acc.finish() for acc in accumulators]
+
 
 class SortedGroupAggregate(GroupAggregate):
     """Streaming grouped aggregation over an index-ordered scan.
@@ -1246,7 +1210,7 @@ class SortedGroupAggregate(GroupAggregate):
         lead_getter = self._lead_getter
         group_exprs = self.group_exprs
         metrics = ctx.metrics
-        run_states: dict[tuple, list[RowDict]] = {}
+        run_states: dict[tuple, list[Row]] = {}
         run_order: list[tuple] = []
         current = _NO_RUN
         emitted = False
@@ -1285,33 +1249,109 @@ def _rows_identity(rows):
     return rows
 
 
-def _evaluated_getter(expr: Expression, ctx: ExecutionContext):
+# ---------------------------------------------------------------------------
+# Evaluator fallbacks: the only places a row becomes a Scope
+# ---------------------------------------------------------------------------
+
+
+def scope_view(bindings: Bindings) -> Callable[[Row], dict[str, dict[str, object]]]:
+    """``row -> {binding: {column: value}}``, the shape
+    :class:`~repro.storage.expression.Scope` resolves names against.
+
+    Called only where an expression's shape has no compiled form (and by the
+    executor for the same reason); everything compiled reads positions.
+    """
+    spans = [
+        (binding, columns, start, start + len(columns))
+        for binding, columns, start in layout_spans(bindings)
+    ]
+
+    def view(row: Row) -> dict[str, dict[str, object]]:
+        return {
+            binding: dict(zip(columns, row[start:end]))
+            for binding, columns, start, end in spans
+        }
+
+    return view
+
+
+def _evaluated_getter(expr: Expression, bindings: Bindings, ctx: ExecutionContext):
     """``row -> value`` through the evaluator: the route of an expression
     whose shape has no compiled getter."""
-    outer, run = ctx.outer_scope, ctx.run_subquery
-    return lambda row: evaluate(expr, Scope(row, parent=outer), run)
+    view, outer, run = scope_view(bindings), ctx.outer_scope, ctx.run_subquery
+    return lambda row: evaluate(expr, Scope(view(row), parent=outer), run)
 
 
-def _evaluated_key(exprs, ctx: ExecutionContext):
+def _evaluated_key(exprs, bindings: Bindings, ctx: ExecutionContext):
     """``row -> hashable key tuple`` through the evaluator, one Scope per row."""
-    outer, run = ctx.outer_scope, ctx.run_subquery
+    view, outer, run = scope_view(bindings), ctx.outer_scope, ctx.run_subquery
 
     def key(row):
-        scope = Scope(row, parent=outer)
+        scope = Scope(view(row), parent=outer)
         return tuple(hashable_value(evaluate(expr, scope, run)) for expr in exprs)
 
     return key
 
 
+def _row_check(checks, predicates, bindings: Bindings, ctx: ExecutionContext):
+    """``row -> passes every conjunct``: the conjuncts' compiled ``checks``
+    (:func:`compile_conjuncts`), else — None — the evaluator, in order."""
+    if checks is not None:
+        if len(checks) == 1:
+            return checks[0]
+        return lambda row: all(check(row) for check in checks)
+    view, outer, run = scope_view(bindings), ctx.outer_scope, ctx.run_subquery
+
+    def passes(row):
+        scope = Scope(view(row), parent=outer)
+        return all(is_true(evaluate(p, scope, run)) for p in predicates)
+
+    return passes
+
+
 # ---------------------------------------------------------------------------
-# Compiled predicates and getters (the batch fast path)
+# Row layout and compiled getters (the batch fast path)
 # ---------------------------------------------------------------------------
+
+
+def layout_spans(bindings: Bindings) -> Iterator[tuple[str, list[str], int]]:
+    """``(binding, columns, first position)`` per binding: the layout rule —
+    a row is its operator's ``bindings`` flattened in order."""
+    start = 0
+    for binding, columns in bindings:
+        yield binding, columns, start
+        start += len(columns)
+
+
+def row_width(bindings: Bindings) -> int:
+    """Number of positions in a row laid out by ``bindings``."""
+    return sum(len(columns) for _, columns in bindings)
+
+
+def slots_getter(slots: list[int]) -> Callable[[Row], tuple]:
+    """``row -> the tuple of those positions``, always a tuple and always one
+    C-level call: a contiguous run is a slice of the row — which is also how
+    one position stays a 1-tuple (``itemgetter(slot)`` would return the bare
+    item) and how no position at all is ``()``."""
+    first = slots[0] if slots else 0
+    if slots == list(range(first, first + len(slots))):
+        return itemgetter(slice(first, first + len(slots)))
+    return itemgetter(*slots)
+
+
+def _stored_row_getter(bindings: Bindings) -> Callable[[dict], Row]:
+    """``stored row dict -> row`` for a scan, laid out by its one binding."""
+    columns = bindings[0][1]
+    if len(columns) == 1:  # itemgetter with one key returns the bare value
+        column = columns[0]
+        return lambda stored: (stored[column],)
+    return itemgetter(*columns)
 
 
 def resolve_binding_column(
-    bindings: list[tuple[str, list[str]]], column: ColumnRef
+    bindings: Bindings, column: ColumnRef
 ) -> tuple[str, str] | None:
-    """Resolve a column reference to ``(binding key, row-dict key)``.
+    """Resolve a column reference to ``(binding name, column name)``.
 
     Mirrors :meth:`~repro.storage.expression.Scope.resolve`'s *local* rules
     against the operator's own bindings; returns None when the reference is
@@ -1341,33 +1381,33 @@ def resolve_binding_column(
     return owner
 
 
-def compile_column_getter(
-    bindings: list[tuple[str, list[str]]], column: ColumnRef
-) -> Callable[[RowDict], object] | None:
-    """A ``row -> value`` closure for a locally resolvable column, or None."""
+def slot_of(bindings: Bindings, column: ColumnRef) -> int | None:
+    """The position of a locally resolvable column in a row laid out by
+    ``bindings``, or None (see :func:`resolve_binding_column`)."""
     resolved = resolve_binding_column(bindings, column)
     if resolved is None:
         return None
-    binding, key = resolved
-    return lambda row: row[binding][key]
+    for binding, columns, start in layout_spans(bindings):
+        if binding == resolved[0]:
+            return start + columns.index(resolved[1])
+    return None
+
+
+def compile_column_getter(
+    bindings: Bindings, column: ColumnRef
+) -> Callable[[Row], object] | None:
+    """A ``row -> value`` getter for a locally resolvable column, or None."""
+    slot = slot_of(bindings, column)
+    return None if slot is None else itemgetter(slot)
 
 
 def compile_key_tuple(
-    columns: list[ColumnRef], bindings: list[tuple[str, list[str]]]
-) -> Callable[[RowDict], tuple] | None:
-    """A ``row -> key tuple`` closure for hash-join keys; None unless every
-    key column resolves locally."""
-    resolved: list[tuple[str, str]] = []
-    for column in columns:
-        pair = resolve_binding_column(bindings, column)
-        if pair is None:
-            return None
-        resolved.append(pair)
-    if len(resolved) == 1:
-        binding, key = resolved[0]
-        return lambda row: (row[binding][key],)
-    getters = tuple(resolved)
-    return lambda row: tuple(row[binding][key] for binding, key in getters)
+    columns: list[ColumnRef], bindings: Bindings
+) -> Callable[[Row], tuple] | None:
+    """A ``row -> key tuple`` getter for join and group keys; None unless
+    every key column resolves locally."""
+    slots = [slot_of(bindings, column) for column in columns]
+    return None if None in slots else slots_getter(slots)
 
 
 _COMPARISON_TESTS: dict[str, Callable[[int], bool]] = {
@@ -1384,8 +1424,8 @@ _FLIPPED_COMPARISONS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "<
 
 def compile_predicate(
     expr: Expression,
-    bindings: list[tuple[str, list[str]]],
-) -> Callable[[RowDict], bool] | None:
+    bindings: Bindings,
+) -> Callable[[Row], bool] | None:
     """Compile a WHERE conjunct into a fast ``row -> passes`` check, or None.
 
     The compiled check must agree with ``is_true(evaluate(expr, scope))`` on
@@ -1401,24 +1441,14 @@ def compile_predicate(
     if isinstance(expr, BinaryOp) and expr.op in _COMPARISON_TESTS:
         op = expr.op
         left, right = expr.left, expr.right
+        if isinstance(right, ColumnRef) and isinstance(left, Literal):
+            left, right, op = right, left, _FLIPPED_COMPARISONS[op]
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
             getter = compile_column_getter(bindings, left)
             if getter is None:
                 return None
             test = _COMPARISON_TESTS[op]
             literal = right
-
-            def check(row, _get=getter, _literal=literal, _test=test):
-                ordering = compare_values(_get(row), _literal.value)
-                return ordering is not None and _test(ordering)
-
-            return check
-        if isinstance(right, ColumnRef) and isinstance(left, Literal):
-            getter = compile_column_getter(bindings, right)
-            if getter is None:
-                return None
-            test = _COMPARISON_TESTS[_FLIPPED_COMPARISONS[op]]
-            literal = left
 
             def check(row, _get=getter, _literal=literal, _test=test):
                 ordering = compare_values(_get(row), _literal.value)
@@ -1525,8 +1555,8 @@ def compile_predicate(
 
 def compile_conjuncts(
     predicates: list[Expression],
-    bindings: list[tuple[str, list[str]]],
-) -> list[Callable[[RowDict], bool]] | None:
+    bindings: Bindings,
+) -> list[Callable[[Row], bool]] | None:
     """Compile every conjunct or none.
 
     All-or-nothing keeps evaluation order identical to the row-at-a-time
@@ -1534,7 +1564,7 @@ def compile_conjuncts(
     evaluator's short-circuiting and could surface (or hide) evaluation
     errors the original order would not.
     """
-    checks: list[Callable[[RowDict], bool]] = []
+    checks: list[Callable[[Row], bool]] = []
     for predicate in predicates:
         check = compile_predicate(predicate, bindings)
         if check is None:
@@ -1624,68 +1654,38 @@ def range_probe_key(value: object, data_type: DataType) -> tuple | None:
     return None
 
 
-def _chunk(rows: Iterator[RowDict], ctx: ExecutionContext) -> Iterator[RowBatch]:
-    """Group a row iterator into batches of up to ``ctx.batch_size`` rows.
+def _chunk(rows, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """Group rows (any iterable) into batches of up to ``ctx.batch_size``.
 
-    The size is re-read after every batch: the executor shrinks it to the
+    The size is re-read for every batch: the executor shrinks it to the
     remaining LIMIT budget on streaming plans, so a short-circuited scan
     never pulls more source rows than the row-at-a-time engine would have.
     """
-    batch_size = max(1, ctx.batch_size)
-    batch: RowBatch = []
-    for row in rows:
-        batch.append(row)
-        if len(batch) >= batch_size:
-            ctx.tick()
-            yield batch
-            batch = []
-            batch_size = max(1, ctx.batch_size)
-    if batch:
+    rows = iter(rows)
+    while batch := list(islice(rows, max(1, ctx.batch_size))):
         ctx.tick()
         yield batch
 
 
-def _scan_batches(
-    pairs: Iterator[tuple[int, dict]], binding: str, ctx: ExecutionContext
-) -> Iterator[RowBatch]:
-    """Build a heap scan's batches, charging ``rows_scanned`` per batch.
-
-    Like :func:`_chunk`, the batch size is re-read after every flush to
-    honour the executor's shrinking LIMIT budget.
-    """
-    metrics = ctx.metrics
-    batch_size = max(1, ctx.batch_size)
-    batch: RowBatch = []
-    for _, row in pairs:
-        batch.append({binding: row})
-        if len(batch) >= batch_size:
-            ctx.tick()
-            metrics.rows_scanned += len(batch)
-            yield batch
-            batch = []
-            batch_size = max(1, ctx.batch_size)
-    if batch:
-        ctx.tick()
-        metrics.rows_scanned += len(batch)
-        yield batch
+def _stored_rows(pairs: Iterator[tuple[int, dict]], bindings: Bindings):
+    """The rows of a scan's ``(row_id, stored dict)`` pairs, laid out by the
+    scan's one binding."""
+    return map(_stored_row_getter(bindings), map(itemgetter(1), pairs))
 
 
-def _scan_col_batches(
-    table, binding: str, ctx: ExecutionContext
-) -> Iterator[ColumnBatch]:
-    """Build a heap scan's columnar batches, charging metrics per batch.
+def _scan_chunks(table, ctx: ExecutionContext) -> Iterator[list[dict]]:
+    """A heap scan's stored row dicts in chunks of ``ctx.batch_size``,
+    charging ``rows_scanned`` per chunk — the one feed of
+    :class:`SeqScan`'s row and columnar streams.
 
-    The columnar twin of :func:`_scan_batches`: same shrinking-LIMIT-budget
-    batch sizing, same ``rows_scanned`` charging — but the rows go into a
-    :class:`~repro.storage.colbatch.ColumnBatch` as bare stored dicts, so
-    no ``{binding: row}`` wrapper is ever allocated on this path.  Rows
-    arrive page-at-a-time through
+    Like :func:`_chunk`, the size is re-read after every flush to honour the
+    executor's shrinking LIMIT budget.  Rows arrive page-at-a-time through
     :meth:`~repro.storage.table.Table.scan_row_lists` (C-speed list builds
     and slices) rather than one generator resumption per row — at typical
-    batch sizes the per-row feed is the scan's dominant cost.
+    batch sizes the per-row feed is the scan's dominant cost.  The dicts are
+    the stored ones: consumers read them and never mutate them.
     """
     metrics = ctx.metrics
-    schema = table.schema
     batch_size = max(1, ctx.batch_size)
     buffer: list[dict] = []
     for page_rows in table.scan_row_lists():
@@ -1698,14 +1698,12 @@ def _scan_col_batches(
                 del buffer[:batch_size]
             ctx.tick()
             metrics.rows_scanned += len(chunk)
-            metrics.columnar_batches += 1
-            yield ColumnBatch(binding, schema, chunk)
+            yield chunk
             batch_size = max(1, ctx.batch_size)
     if buffer:
         ctx.tick()
         metrics.rows_scanned += len(buffer)
-        metrics.columnar_batches += 1
-        yield ColumnBatch(binding, schema, buffer)
+        yield buffer
 
 
 def _scan_target(table, binding: str) -> str:

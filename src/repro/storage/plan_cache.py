@@ -165,7 +165,7 @@ class CachedPlan:
 
         Aggregate plans re-bind the same way: the plan's aggregate stage keys
         its spec slots by the template statement's node identities, its
-        memoized compiled getters read only row-dict keys (parameter values
+        memoized compiled getters read only row positions (parameter values
         are read per call), and accumulators are created fresh per execution —
         nothing caches a bound constant.
         """

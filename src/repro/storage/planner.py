@@ -131,7 +131,9 @@ class SelectPlan:
     """A planned SELECT: the FROM/WHERE operator pipeline plus metadata.
 
     ``bindings`` lists the relation's bindings in FROM-clause order (the order
-    ``SELECT *`` expands in), independent of the join order the planner chose.
+    ``SELECT *`` expands in), independent of the join order the planner chose;
+    ``root.bindings`` lists the same bindings in join order, which is the
+    layout of the row tuples ``root`` streams.  No name appears twice.
     """
 
     statement: SelectStatement
@@ -307,6 +309,11 @@ class Planner:
                 conjuncts.extend(extra_conjuncts)
                 leaves.extend(flattened)
                 pending_outer.extend(outer_joins)
+            # SELECT * expands in FROM-clause order regardless of join order.
+            bindings = [(leaf.binding, leaf.columns) for leaf in leaves]
+            for _, right_op, _ in pending_outer:
+                bindings.extend(right_op.bindings)
+            _reject_duplicate_bindings(bindings)
             root, residual = self._plan_joins(leaves, conjuncts)
             for join_type, right_op, condition in pending_outer:
                 if join_type == "RIGHT":
@@ -320,10 +327,6 @@ class Planner:
                     )
             if residual:
                 root = Filter(root, residual, estimate=root.estimate)
-            # SELECT * expands in FROM-clause order regardless of join order.
-            bindings = [(leaf.binding, leaf.columns) for leaf in leaves]
-            for _, right_op, _ in pending_outer:
-                bindings.extend(right_op.bindings)
             if (
                 len(leaves) == 1
                 and not pending_outer
@@ -717,7 +720,11 @@ class Planner:
             best_equi: list[tuple[Expression, ColumnRef, ColumnRef]] = []
             for index, leaf in enumerate(pending):
                 equi = _find_equi_joins(
-                    unjoined, current_bindings, {leaf.binding.lower()}, column_owner
+                    unjoined,
+                    current_bindings,
+                    {leaf.binding.lower()},
+                    column_owner,
+                    leaf_by_binding,
                 )
                 key = (0 if equi else 1, leaf.estimate, index)
                 if best_key is None or key < best_key:
@@ -1095,6 +1102,16 @@ def compute_output_columns(
     return columns
 
 
+def _reject_duplicate_bindings(bindings: list[tuple[str, list[str]]]) -> None:
+    """One FROM clause may not bind a name twice (case-insensitively): a
+    qualified reference or ``alias.*`` could mean either relation."""
+    seen: set[str] = set()
+    for binding, _ in bindings:
+        if binding.lower() in seen:
+            raise ExecutionError(f"table name {binding!r} specified more than once")
+        seen.add(binding.lower())
+
+
 def star_columns(star: Star, bindings: list[tuple[str, list[str]]]) -> list[str]:
     """Expand ``*`` or ``alias.*`` against the FROM-ordered bindings."""
     names: list[str] = []
@@ -1177,8 +1194,18 @@ def _find_equi_joins(
     left_bindings: set[str],
     right_bindings: set[str],
     column_owner: dict[str, set[str]],
+    leaf_by_binding: dict[str, _Leaf],
 ) -> list[tuple[Expression, ColumnRef, ColumnRef]]:
-    """Equality conjuncts connecting the two binding sets, as (expr, left, right)."""
+    """Equality conjuncts connecting the two binding sets, as (expr, left, right).
+
+    A pair becomes a hash-join (or index-probe) key, so equality of the two
+    raw values must be the engine's ``=``
+    (:func:`~repro.storage.types.compare_values`): a pair is kept only when
+    both columns' declared types hash alike ({INTEGER, FLOAT}, {TEXT},
+    {BOOLEAN}); any other pair stays an ordinary conjunct, applied by the
+    Filter above the join.  A derived-table column has no declared type and
+    a misnamed column has none either: such a pair is kept, as it always was.
+    """
     matches = []
     for conjunct in conjuncts:
         if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
@@ -1191,11 +1218,28 @@ def _find_equi_joins(
         second = _resolve_binding(conjunct.right, column_owner)
         if first is None or second is None:
             continue
+        left_type = _declared_type(conjunct.left, leaf_by_binding.get(first))
+        right_type = _declared_type(conjunct.right, leaf_by_binding.get(second))
+        if (
+            left_type is not None
+            and right_type is not None
+            and left_type is not right_type
+            and not (left_type.is_numeric and right_type.is_numeric)
+        ):
+            continue
         if first in left_bindings and second in right_bindings:
             matches.append((conjunct, conjunct.left, conjunct.right))
         elif second in left_bindings and first in right_bindings:
             matches.append((conjunct, conjunct.right, conjunct.left))
     return matches
+
+
+def _declared_type(column: ColumnRef, leaf: "_Leaf | None"):
+    """The :class:`~repro.storage.types.DataType` a base-table leaf declares
+    for ``column``, or None (derived table, unknown binding or column)."""
+    if leaf is None or leaf.table is None or not leaf.table.schema.has_column(column.name):
+        return None
+    return leaf.table.schema.column(column.name).data_type
 
 
 def _resolve_binding(column: ColumnRef, column_owner: dict[str, set[str]]) -> str | None:

@@ -60,6 +60,18 @@ class TestBrokenPlans:
         scan.bindings = [(scan.bindings[0][0], ["name", "bogus"])]
         assert "plan-binding-shape" in rules_of(PlanVerifier().verify_select(plan))
 
+    def test_duplicate_binding_name(self, database):
+        plan = plan_sql(database, "SELECT * FROM Lakes a, WaterTemp b")
+        assert PlanVerifier().verify_select(plan) == []
+        # A hand-built plan binding one name twice (the planner refuses to).
+        for scan in (op for op in _walk(plan.root) if isinstance(op, SeqScan)):
+            scan.binding = "A" if scan.binding == "b" else scan.binding
+            scan.bindings = [(scan.binding, scan.bindings[0][1])]
+        plan.root.bindings = plan.root.left.bindings + plan.root.right.bindings
+        diagnostics = PlanVerifier().verify_select(plan)
+        assert rules_of(diagnostics) == {"plan-binding-shape"}
+        assert "specified more than once" in diagnostics[0].format()
+
     def test_false_sort_claim(self, database):
         plan = plan_sql(database, "SELECT name FROM Lakes ORDER BY name")
         assert not plan.sort_eliminated  # name has no sorted index

@@ -25,6 +25,12 @@ class TestTraditionalMode:
         assert not execution.succeeded
         assert execution.error
 
+    def test_duplicate_table_name_is_logged_as_failed(self, fresh_cqms):
+        execution = fresh_cqms.submit("alice", "SELECT * FROM Lakes, Lakes")
+        assert not execution.succeeded
+        assert "specified more than once" in execution.error
+        assert len(fresh_cqms.store) == 1
+
     def test_annotate_requires_visibility(self, fresh_cqms):
         fresh_cqms.submit("carol", "SELECT * FROM Lakes", visibility="private")
         with pytest.raises(AccessControlError):

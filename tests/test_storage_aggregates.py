@@ -293,7 +293,8 @@ def _find(op, kind):
 
 
 #: One statement per place the engine interprets an expression because its
-#: *shape* has no compiled form, with the memo that must therefore be None.
+#: *shape* has no compiled form — where a row tuple still becomes a ``Scope``
+#: view — with the memo that must therefore be None.
 INTERPRETED_SHAPES = [
     pytest.param(
         "SELECT lake_id FROM lakes WHERE area + lake_id > 480",
@@ -309,6 +310,18 @@ INTERPRETED_SHAPES = [
         "SELECT lake_id * 2, UPPER(name) FROM lakes WHERE area > 90",
         lambda plan: plan._compiled_projection,
         id="computed-select-item",
+    ),
+    pytest.param(
+        "SELECT a.lake_id, b.lake_id FROM lakes a JOIN lakes b ON a.depth = b.depth "
+        "WHERE a.lake_id < 40 AND a.area + b.area > 190",
+        lambda plan: plan.root._compiled if isinstance(plan.root, Filter) else "no Filter",
+        id="filter-over-join",
+    ),
+    pytest.param(
+        "SELECT a.lake_id * 1000 + b.lake_id, LOWER(b.state) FROM lakes a "
+        "JOIN lakes b ON a.depth = b.depth WHERE a.lake_id < 10",
+        lambda plan: plan._compiled_projection,
+        id="computed-select-item-over-join",
     ),
     pytest.param(
         "SELECT lake_id % 3, COUNT(*) FROM lakes GROUP BY lake_id % 3",
@@ -465,3 +478,147 @@ class TestGroupedMetaQueries:
         counts = dict(per_source.rows)
         assert counts["watertemp"] == 2
         assert counts["citylocations"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Joins and ORDER BY against sqlite
+# ---------------------------------------------------------------------------
+
+#: Three small tables with NULLs in join keys and values.  Floats are
+#: multiples of 0.5 so that SUM / AVG are exact in any summation order.
+JOIN_TABLES = {
+    "a": (
+        "id INTEGER, k INTEGER, v FLOAT, s TEXT",
+        [
+            (
+                i,
+                None if i % 5 == 0 else i % 4,
+                None if i % 6 == 0 else (i * 3 % 7) / 2,
+                None if i % 4 == 0 else f"s{i % 3}",
+            )
+            for i in range(1, 13)
+        ],
+    ),
+    "b": (
+        "id INTEGER, k INTEGER, w FLOAT, s TEXT",
+        [
+            (
+                i,
+                None if i % 4 == 0 else i % 5,
+                None if i % 7 == 0 else (i * 5 % 9) / 2,
+                None if i % 3 == 0 else f"s{i % 4}",
+            )
+            for i in range(1, 11)
+        ],
+    ),
+    "c": (
+        "k INTEGER, name TEXT",
+        [(0, "zero"), (1, "one"), (2, None), (3, "three"), (None, "none"), (7, "seven")],
+    ),
+}
+
+#: Join / ORDER BY statements every execution path must answer like sqlite
+#: does, with and without hash indexes on the join keys.  Every ORDER BY is a
+#: total order (or ties are identical rows), so ordered results compare
+#: row for row.
+JOIN_ORDER_QUERIES = [
+    # FROM order differs from the join order the planner picks (smallest first).
+    "SELECT * FROM a, b WHERE a.k = b.k",
+    "SELECT * FROM a, b, c WHERE a.k = b.k AND c.k = a.k",
+    "SELECT * FROM c JOIN b ON c.k = b.k JOIN a ON a.k = c.k WHERE a.id < 9",
+    "SELECT a.*, c.name FROM a JOIN c ON a.k = c.k",
+    "SELECT c.*, a.id FROM a JOIN c ON a.k = c.k",
+    "SELECT a.id, b.id FROM a JOIN b ON a.k = b.k AND a.s = b.s",
+    "SELECT x.id, y.id FROM a x JOIN a y ON x.k = y.k WHERE x.id < y.id",
+    "SELECT a.id, c.name FROM a, c",
+    "SELECT * FROM c CROSS JOIN b WHERE b.id < 4",
+    "SELECT c.name, COUNT(*), SUM(a.v), AVG(a.v) FROM a JOIN c ON a.k = c.k GROUP BY c.name",
+    "SELECT COUNT(*), MIN(b.w), MAX(a.v), COUNT(a.s) FROM a JOIN b ON a.k = b.k",
+    "SELECT a.k, b.s, COUNT(*) FROM a JOIN b ON a.k = b.k GROUP BY a.k, b.s",
+    "SELECT d.k, d.n, c.name FROM (SELECT k, COUNT(*) AS n FROM a GROUP BY k) d "
+    "JOIN c ON d.k = c.k",
+    "SELECT c.name, d.id FROM c JOIN (SELECT id, k FROM b WHERE w > 1) d ON d.k = c.k",
+    "SELECT id FROM a WHERE k IN (SELECT k FROM c WHERE name LIKE '%e%')",
+    "SELECT id FROM a WHERE k NOT IN (SELECT k FROM b WHERE w > 2 AND k IS NOT NULL)",
+    "SELECT id FROM a WHERE EXISTS (SELECT 1 FROM b WHERE b.k = a.k AND b.w > a.v)",
+    "SELECT a.id, c.name FROM a JOIN c ON a.k = c.k "
+    "WHERE NOT EXISTS (SELECT 1 FROM b WHERE b.k = c.k AND b.id > a.id)",
+    "SELECT a.id + b.id, a.v * 2, UPPER(b.s) FROM a JOIN b ON a.k = b.k "
+    "ORDER BY a.id * 10 + b.id",
+    "SELECT a.id, b.id FROM a JOIN b ON a.k = b.k WHERE a.v > 2 OR b.w < 1",
+    "SELECT a.id, b.id FROM a LEFT JOIN b ON a.k = b.k",
+    "SELECT a.id, b.id, b.w FROM a LEFT JOIN b ON a.k = b.k AND b.w > 1",
+    "SELECT a.id FROM a LEFT JOIN b ON a.k = b.k WHERE b.id IS NULL",
+    "SELECT a.id, b.id FROM a RIGHT JOIN b ON a.k = b.k",
+    "SELECT a.id, b.id FROM a RIGHT JOIN b ON a.k = b.k AND a.v < b.w WHERE b.id > 2",
+    "SELECT a.id, b.id FROM a FULL JOIN b ON a.k = b.k",
+    "SELECT * FROM c FULL OUTER JOIN b ON c.k = b.k AND b.w > 1 WHERE c.k IS NULL OR b.id < 6",
+    "SELECT DISTINCT a.k, c.name FROM a JOIN c ON a.k = c.k",
+    "SELECT DISTINCT b.s FROM a JOIN b ON a.k = b.k ORDER BY b.s DESC",
+    "SELECT id, k, v FROM a ORDER BY k DESC, v, id DESC",
+    "SELECT k, s, id FROM a ORDER BY s, k DESC, id",
+    "SELECT id, s FROM a WHERE v > 0.5 ORDER BY s DESC, id",
+    "SELECT s FROM a ORDER BY v DESC, id",
+    "SELECT id AS k, k AS id FROM a ORDER BY k, id",
+    "SELECT a.id, b.id AS bid FROM a JOIN b ON a.k = b.k ORDER BY a.id, bid DESC",
+    "SELECT a.id AS x, b.id FROM a JOIN b ON a.k = b.k ORDER BY x DESC, b.id",
+    "SELECT a.s, b.w FROM a JOIN b ON a.k = b.k ORDER BY b.w, a.id DESC, b.id",
+    "SELECT id, v FROM a ORDER BY v DESC, id LIMIT 4 OFFSET 3",
+    "SELECT a.id, b.id FROM a JOIN b ON a.k = b.k ORDER BY a.id DESC, b.id LIMIT 5 OFFSET 2",
+    "SELECT c.name, COUNT(*) AS n FROM a JOIN c ON a.k = c.k GROUP BY c.name "
+    "ORDER BY n DESC, c.name LIMIT 2",
+]
+
+
+def _load_join_tables(execute, executemany) -> None:
+    for name, (columns, rows) in JOIN_TABLES.items():
+        execute(f"CREATE TABLE {name} ({columns})")
+        executemany(name, [column.split()[0] for column in columns.split(", ")], rows)
+
+
+def _make_join_db(exec_settings: ExecutionSettings | None, indexed: bool) -> Database:
+    db = Database(exec_settings=exec_settings)
+    _load_join_tables(
+        db.execute,
+        lambda name, columns, rows: db.insert_rows(
+            name, [dict(zip(columns, row)) for row in rows]
+        ),
+    )
+    if indexed:
+        for name in JOIN_TABLES:
+            db.execute(f"CREATE INDEX {name}_k ON {name} (k)")
+    return db
+
+
+@pytest.fixture(scope="module")
+def join_reference():
+    """``sql -> rows`` answered by sqlite over :data:`JOIN_TABLES`."""
+    connection = sqlite3.connect(":memory:")
+    _load_join_tables(
+        connection.execute,
+        lambda name, columns, rows: connection.executemany(
+            f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})", rows
+        ),
+    )
+    yield lambda sql: connection.execute(sql).fetchall()
+    connection.close()
+
+
+class TestJoinOrderOracle:
+    @pytest.mark.parametrize("indexed", [False, True], ids=["heap", "indexed"])
+    @pytest.mark.parametrize("sql", JOIN_ORDER_QUERIES)
+    def test_matches_sqlite(self, sql, indexed, exec_variant, join_reference):
+        expected = join_reference(sql)
+        assert expected  # the statement selects something
+        db = _make_join_db(exec_variant, indexed)
+        assert_same_rows(sql, db.execute(sql).rows, expected)
+
+    def test_both_physical_joins_are_reached(self):
+        sql = JOIN_ORDER_QUERIES[0]
+        heap = Planner(_make_join_db(None, indexed=False)).plan_select(parse(sql))
+        assert _find(heap.root, HashJoin) and not _find(heap.root, IndexLookupJoin)
+        # FROM order (a, b) is not the join order (b is the smaller leaf).
+        assert [name for name, _ in heap.bindings] == ["a", "b"]
+        assert [name for name, _ in heap.root.bindings] == ["b", "a"]
+        indexed = Planner(_make_join_db(None, indexed=True)).plan_select(parse(sql))
+        assert _find(indexed.root, IndexLookupJoin)

@@ -15,7 +15,6 @@ from repro.storage.colbatch import KIND_INT, KIND_OBJECT, ColumnBatch
 from repro.storage.kernels import (
     apply_kernels,
     compile_columnar_conjuncts,
-    gather_columns,
     hash_group_keys,
 )
 from repro.storage.schema import ColumnSchema, TableSchema
@@ -200,17 +199,10 @@ class TestColumnBatch:
         assert narrowed.column("a") is column  # extraction shared, not redone
         assert len(narrowed) == 2
         assert narrowed.selected_rows() == [rows[1], rows[3]]
-        assert narrowed.to_row_batch() == [{"t": rows[1]}, {"t": rows[3]}]
 
-    def test_gather_and_group_kernels(self):
+    def test_group_kernel(self):
         rows = [{"a": i % 2, "b": f"s{i}", "c": float(i)} for i in range(6)]
         batch = ColumnBatch("t", self._schema(), rows).narrowed([0, 2, 3, 5])
-        assert gather_columns(batch, ["a", "b"]) == [
-            (0, "s0"),
-            (0, "s2"),
-            (1, "s3"),
-            (1, "s5"),
-        ]
         order, buckets = hash_group_keys(batch, ["a"])
         assert order == [0, 1]
         assert buckets == {0: [0, 2], 1: [3, 5]}

@@ -97,6 +97,33 @@ class TestBatchSemantics:
         sql = f"SELECT v FROM t WHERE v >= {threshold}"
         assert db.execute(sql).rows == plain.execute(sql).rows
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 256])
+    def test_one_column_rows_and_keys_are_one_tuples(self, batch_size):
+        """``itemgetter`` with one argument returns the bare item: a
+        one-column table, select list and join key must still be 1-tuples."""
+        from repro.storage.executor import ExecutionStats
+        from repro.storage.operators import ExecutionContext, HashJoin
+
+        db = Database(exec_settings=ExecutionSettings(batch_size=batch_size))
+        db.execute("CREATE TABLE one (v INTEGER)")
+        db.execute("CREATE TABLE other (v INTEGER)")
+        db.insert_rows("one", [{"v": v} for v in (0, 1, None, 3, 4)])
+        db.insert_rows("other", [{"v": v} for v in (3, None, 1, 1)])
+        expected = [(0,), (1,), (None,), (3,), (4,)]
+        assert db.execute("SELECT * FROM one").rows == expected
+        assert db.execute("SELECT v FROM one").rows == expected
+        assert db.execute("SELECT v FROM one WHERE v >= 0").rows == [
+            row for row in expected if row != (None,)
+        ]
+        join = "SELECT one.v FROM one, other WHERE one.v = other.v"
+        assert sorted(db.execute(join).rows) == [(1,), (1,), (3,)]
+        root = db.explain(join).root
+        assert isinstance(root, HashJoin)
+        ctx = ExecutionContext(metrics=ExecutionStats(), batch_size=batch_size)
+        rows = [row for batch in root.batches(ctx) for row in batch]
+        assert sorted(rows) == [(1, 1), (1, 1), (3, 3)]  # left row + right row
+        assert {len(row) for batch in root.left.batches(ctx) for row in batch} == {1}
+
     def test_limit_short_circuit_still_honest(self):
         db = _make_db()
         db.execute("CREATE INDEX lakes_area ON lakes (area) USING SORTED")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ExecutionError
 from repro.storage.database import Database
 from repro.storage.executor import ExecutionStats
 from repro.storage.operators import ExecutionContext, RangeScan
@@ -463,6 +464,108 @@ class TestJoinPlanning:
     def test_cross_join_is_nested_loop(self, db):
         plan = db.explain("SELECT * FROM lakes CROSS JOIN readings")
         assert "NestedLoopJoin (cross)" in plan.text()
+
+
+class TestDuplicateBindings:
+    """One FROM clause may not bind a name twice: rows are positions, but a
+    qualified reference or ``alias.*`` would still mean either relation."""
+
+    @pytest.fixture()
+    def pair(self):
+        database = Database()
+        database.execute("CREATE TABLE a (k INTEGER, v INTEGER)")
+        database.execute("CREATE TABLE b (k INTEGER, w INTEGER)")
+        database.execute("INSERT INTO a VALUES (1, 1), (2, 2)")
+        database.execute("INSERT INTO b VALUES (1, 10), (2, 20)")
+        return database
+
+    @pytest.mark.parametrize(
+        "sql, name",
+        [
+            ("SELECT * FROM a, a", "a"),
+            ("SELECT * FROM a x, b x WHERE x.k = x.k", "x"),
+            ("SELECT * FROM a JOIN b A ON a.k = A.k", "A"),
+            ("SELECT * FROM a LEFT JOIN b a ON 1 = 1", "a"),
+            ("SELECT * FROM a x, (SELECT k FROM b) X", "X"),
+            ("SELECT * FROM a WHERE k IN (SELECT b.k FROM b, b)", "b"),
+        ],
+    )
+    def test_rejected_with_a_typed_error(self, pair, sql, name):
+        with pytest.raises(ExecutionError, match=f"table name '{name}' specified more than once"):
+            pair.execute(sql)
+
+    def test_rejected_at_plan_time(self, pair):
+        with pytest.raises(ExecutionError, match="specified more than once"):
+            pair.explain("SELECT * FROM a, a WHERE 1 = 0")
+
+    def test_two_aliases_of_one_table_still_work(self, pair):
+        assert sorted(pair.execute("SELECT * FROM a x, a y").rows) == [
+            (1, 1, 1, 1),
+            (1, 1, 2, 2),
+            (2, 2, 1, 1),
+            (2, 2, 2, 2),
+        ]
+        # The same name in a subquery's own FROM clause is a different scope.
+        assert pair.execute(
+            "SELECT a.k FROM a WHERE EXISTS (SELECT 1 FROM a WHERE a.v = 2)"
+        ).rows == [(1,), (2,)]
+
+
+class TestHashJoinEquality:
+    """A hash join compares raw values, so the planner hashes a pair only when
+    that is the engine's ``=``; any other pair is an ordinary conjunct."""
+
+    @pytest.fixture()
+    def typed(self, exec_variant):
+        database = Database(exec_settings=exec_variant)
+        database.execute("CREATE TABLE a (k INTEGER, t BOOLEAN, f FLOAT)")
+        database.execute("CREATE TABLE b (s TEXT, k INTEGER)")
+        database.insert_rows(
+            "a",
+            [
+                {"k": 1, "t": True, "f": 1.0},
+                {"k": 2, "t": False, "f": 2.5},
+                {"k": None, "t": None, "f": 0.0},
+            ],
+        )
+        database.insert_rows(
+            "b", [{"s": "1", "k": 2}, {"s": "2", "k": 0}, {"s": "02", "k": None}]
+        )
+        return database
+
+    @pytest.mark.parametrize(
+        "hashed, twin",
+        [
+            ("a.k = b.s", "a.k + 0 = b.s"),
+            ("b.s = a.k", "b.s = a.k + 0"),
+            ("a.t = b.k", "a.t = b.k + 0"),
+            ("a.t = b.s", "a.t = UPPER(b.s)"),
+        ],
+    )
+    def test_mismatched_pair_answers_like_its_unhashable_twin(self, typed, hashed, twin):
+        select = "SELECT a.k, a.t, b.s, b.k FROM a, b WHERE "
+        assert "HashJoin" not in typed.explain(select + hashed).text()
+        got = typed.execute(select + hashed).rows
+        assert got and sorted(got, key=repr) == sorted(
+            typed.execute(select + twin).rows, key=repr
+        )
+
+    def test_int_text_and_bool_int_rows(self, typed):
+        assert sorted(
+            typed.execute("SELECT a.k, b.s FROM a, b WHERE a.k = b.s").rows
+        ) == [(1, "1"), (2, "2")]
+        # TRUE = 2 by truthiness, FALSE = 0.
+        assert sorted(
+            typed.execute("SELECT a.t, b.k FROM a, b WHERE a.t = b.k").rows
+        ) == [(False, 0), (True, 2)]
+
+    def test_same_class_pairs_still_hash(self, typed):
+        for condition in ("a.f = b.k", "a.k = b.k", "a.k = d.k"):
+            sql = f"SELECT * FROM a, b, (SELECT k FROM b) d WHERE {condition}"
+            assert "HashJoin" in typed.explain(sql).text(), condition
+        assert typed.execute("SELECT a.f, b.k FROM a, b WHERE a.f = b.k").rows == [
+            (0.0, 0)
+        ]
 
 
 class TestExplain:
