@@ -118,6 +118,8 @@ class CQMSConfig:
             raise ValueError("rule_min_confidence must be in [0, 1]")
         if self.output_sample_base_budget < 0 or self.output_sample_max_budget < 0:
             raise ValueError("output sample budgets must be non-negative")
+        if self.output_sample_seconds_per_row <= 0:
+            raise ValueError("output_sample_seconds_per_row must be positive")
         if self.knn_default_k < 1:
             raise ValueError("knn_default_k must be at least 1")
         if self.plan_cache_size < 0:

@@ -157,7 +157,8 @@ class QueryProfiler:
         error: str | None,
     ) -> LoggedQuery:
         qid = self._store.next_qid()
-        clean_text = strip_comments(sql).strip()
+        uncommented = strip_comments(sql)
+        clean_text = uncommented.strip()
         runtime = RuntimeStats(
             elapsed_seconds=result.stats.elapsed_seconds if result is not None else 0.0,
             result_cardinality=result.stats.result_cardinality if result is not None else 0,
@@ -166,8 +167,11 @@ class QueryProfiler:
             error=error,
         )
         with_features = self._mode is ProfilingMode.FEATURES
+        # The user DBMS's AST is the logged text's unless comments were
+        # stripped from it (``SELECT/**/a`` is logged as ``SELECTa``).
+        parsed = result.statement if result is not None and uncommented == sql else None
         kind, features, canonical, template = statement_artefacts(
-            clean_text, self._db.schema_columns() if with_features else None, with_features
+            clean_text, self._db.schema_columns() if with_features else None, with_features, parsed
         )
         record = LoggedQuery(
             qid=qid,

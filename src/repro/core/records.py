@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
-from repro.sql.ast_nodes import statement_type
+from repro.sql.ast_nodes import Statement, statement_type
 from repro.sql.canonicalize import canonical_text
 from repro.sql.features import QueryFeatures, extract_features
 from repro.sql.parser import parse
@@ -109,7 +109,10 @@ class LoggedQuery:
 
 
 def statement_artefacts(
-    text: str, schema_columns: dict[str, set[str]] | None, with_features: bool
+    text: str,
+    schema_columns: dict[str, set[str]] | None,
+    with_features: bool,
+    parsed: Statement | None = None,
 ) -> tuple[str, QueryFeatures | None, str, str]:
     """``(statement_kind, features, canonical_text, template_text)`` of a text.
 
@@ -117,16 +120,18 @@ def statement_artefacts(
     profiler calls it when logging, maintenance when repairing, and the Query
     Storage when rebuilding its record index after recovery — so what a
     record says cannot depend on which of the three produced it.  The text is
-    parsed once.  ``with_features`` is the profiler's ``features`` mode: a
+    parsed only when ``parsed`` (the profiler passes the user DBMS's AST) is
+    ``None``.  ``with_features`` is the profiler's ``features`` mode: a
     text that does not parse has no artefacts at all (nothing to count as
     popular, nothing to mine).  Without features (``text`` mode) the
     canonical and template texts are the whitespace-normalised lower-cased
     text whether or not it parses; the parse only decides the kind.
     """
-    try:
-        parsed = parse(text)
-    except ReproError:
-        parsed = None
+    if parsed is None:
+        try:
+            parsed = parse(text)
+        except ReproError:
+            pass
     kind = "invalid" if parsed is None else statement_type(parsed)
     if not with_features:
         flattened = " ".join(text.lower().split())

@@ -37,7 +37,7 @@ from repro.storage.database import Database, QueryResult, ExecutionStats
 from repro.storage.plan_cache import PlanCache, PlanCacheStats
 from repro.storage.planner import PlanExplanation, Planner, SelectPlan
 from repro.storage.recovery import RecoveryReport
-from repro.storage.statistics import Histogram, ReservoirSample, TableStatistics
+from repro.storage.statistics import Histogram, TableStatistics
 from repro.storage.wal import WalStats, WalWriter
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "Planner",
     "SelectPlan",
     "Histogram",
-    "ReservoirSample",
     "TableStatistics",
     "RecoveryReport",
     "WalStats",

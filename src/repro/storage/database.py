@@ -90,6 +90,9 @@ class QueryResult:
     rows: list[tuple] = field(default_factory=list)
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     rowcount: int = 0
+    #: The AST the text was parsed into; None when the statement cache
+    #: answered or an AST was passed in (the caller need not parse again).
+    statement: Statement | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -599,6 +602,8 @@ class Database:
             self._active_trace = None
         result.stats.elapsed_seconds = max(0.0, self._clock() - start)
         result.stats.statement_cache_hit = prepared is not None
+        if text is not None and prepared is None:
+            result.statement = statement
         if telemetry is not None:
             telemetry.observe_statement(
                 result.stats.statement_kind,

@@ -1,4 +1,4 @@
-"""Table statistics: histograms, reservoir samples, selectivity estimation.
+"""Table statistics: histograms, output samples, selectivity estimation.
 
 Two CQMS requirements motivate this module:
 
@@ -22,7 +22,7 @@ from repro.storage.types import sort_key
 #: Default number of buckets in an equi-width histogram.
 DEFAULT_BUCKETS = 16
 
-#: Default reservoir sample size.
+#: Default output sample size.
 DEFAULT_SAMPLE_SIZE = 64
 
 
@@ -154,29 +154,6 @@ class Histogram:
             target = int((center - low) / width) if width else 0
             result[min(max(target, 0), grid - 1)] += count / populated
         return result
-
-
-@dataclass
-class ReservoirSample:
-    """A fixed-size uniform random sample maintained incrementally."""
-
-    capacity: int = DEFAULT_SAMPLE_SIZE
-    seen: int = 0
-    items: list = field(default_factory=list)
-    _rng: random.Random = field(default_factory=lambda: random.Random(0), repr=False)
-
-    def add(self, item) -> None:
-        self.seen += 1
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            return
-        index = self._rng.randint(0, self.seen - 1)
-        if index < self.capacity:
-            self.items[index] = item
-
-    def extend(self, items) -> None:
-        for item in items:
-            self.add(item)
 
 
 @dataclass
@@ -360,16 +337,16 @@ def summarize_output(
 
     The allowed summary size grows with the query's execution time: a query
     that took hours but produced ten rows is stored in full, while a fast
-    query with millions of rows is down-sampled to the base budget.
+    query with millions of rows is down-sampled to the base budget: ``budget``
+    positions drawn without replacement, seeded by the row count — O(budget).
     """
     budget = base_budget + int(execution_time / seconds_per_extra_row)
     budget = min(budget, max_budget)
     if len(rows) <= budget:
         return list(rows)
     rng = random.Random(len(rows) * 2654435761 % (2**31))
-    sample = ReservoirSample(capacity=budget, _rng=rng)
-    sample.extend(rows)
-    return sorted(sample.items, key=lambda row: tuple(sort_key(v) for v in row))
+    sample = [rows[position] for position in rng.sample(range(len(rows)), budget)]
+    return sorted(sample, key=lambda row: tuple(sort_key(v) for v in row))
 
 
 def entropy(counts: list[int]) -> float:

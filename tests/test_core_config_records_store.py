@@ -51,6 +51,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             CQMSConfig(knn_default_k=0).validate()
 
+    @pytest.mark.parametrize("seconds", [0.0, -1.0])
+    def test_output_sample_seconds_per_row_must_be_positive(self, seconds):
+        # 0 divided the budget rule by zero on every features-mode SELECT, after
+        # it ran and before it was logged; a negative value shrank the budget
+        # with execution time until it went negative.
+        with pytest.raises(ValueError, match="output_sample_seconds_per_row"):
+            CQMSConfig(output_sample_seconds_per_row=seconds).validate()
+
     def test_feature_weights_default_present(self):
         config = CQMSConfig()
         assert "tables" in config.feature_weights

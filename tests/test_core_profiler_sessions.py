@@ -1,13 +1,17 @@
 """Tests for the Query Profiler and session detection."""
 
+import sys
+
 import pytest
 
 from repro.clock import SimulatedClock
+from repro.core import profiler as profiler_module
 from repro.core.config import CQMSConfig
 from repro.core.profiler import ProfilingMode, QueryProfiler
 from repro.core.query_store import QueryStore
-from repro.core.records import LoggedQuery
+from repro.core.records import LoggedQuery, statement_artefacts
 from repro.core.sessions import SessionDetector, pairwise_session_metrics, sessions_as_ground_truth_pairs
+from repro.sql import parser
 from repro.sql.canonicalize import canonical_text
 from repro.sql.features import extract_features
 from repro.workloads import build_database
@@ -137,6 +141,113 @@ class TestProfilerBehaviour:
         _, db, _, profiler = profiler_setup
         execution = profiler.profile("alice", "lab1", "SELECT * FROM Lakes")
         assert execution.record.catalog_version == db.catalog.version
+
+
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """The texts ``repro.sql.parser.parse`` is called on, from any module."""
+    original = parser.parse
+    calls: list[str] = []
+
+    def counting(text, *args, **kwargs):
+        calls.append(text)
+        return original(text, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "repro" or name.startswith("repro.")):
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, counting)
+    return calls
+
+
+class TestParseOncePerSubmit:
+    """The user DBMS's parse is the one the record is built from."""
+
+    def test_fresh_select_parses_once(self, fresh_cqms, parse_calls):
+        execution = fresh_cqms.submit("alice", "SELECT name FROM Lakes WHERE lake_id < 3")
+        assert execution.succeeded and execution.record.features is not None
+        assert len(parse_calls) == 1
+
+    def test_statement_cache_hit_parses_once(self, fresh_cqms, parse_calls):
+        sql = "SELECT name FROM Lakes WHERE lake_id < 3"
+        fresh_cqms.submit("alice", sql)
+        parse_calls.clear()
+        execution = fresh_cqms.submit("alice", sql)
+        assert execution.result.stats.statement_cache_hit
+        assert execution.result.statement is None
+        assert len(parse_calls) == 1
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO Lakes (lake_id, name, state, area_km2, max_depth_m) "
+            "VALUES (99, 'New Lake', 'WA', 1.0, 5.0)",
+            "UPDATE Lakes SET state = 'OR' WHERE lake_id = 1",
+            "DELETE FROM WaterTemp WHERE month = 7",
+        ],
+    )
+    def test_dml_parses_once(self, fresh_cqms, parse_calls, sql):
+        execution = fresh_cqms.submit("alice", sql)
+        assert execution.succeeded and execution.record.features is not None
+        assert len(parse_calls) == 1
+
+    def test_unparseable_text_is_still_logged_invalid(self, fresh_cqms):
+        execution = fresh_cqms.submit("alice", "SELEKT * FRM lakes")
+        assert execution.result is None
+        assert execution.record.statement_kind == "invalid"
+        assert execution.record.features is None
+
+    def test_failed_execution_is_logged_with_features(self, fresh_cqms, parse_calls):
+        execution = fresh_cqms.submit("alice", "SELECT * FROM NoSuchTable WHERE x = 1")
+        assert not execution.succeeded and execution.result is None
+        record = execution.record
+        assert record.statement_kind == "select"
+        assert record.features is not None and record.features.tables == ["nosuchtable"]
+        # No result to take an AST from, so the profiler parses the text itself.
+        assert len(parse_calls) == 2
+
+    @pytest.mark.parametrize(
+        "sql", ["SELECT/**/name FROM Lakes", "SELECT name FROM Lakes -- all of them"]
+    )
+    def test_record_reads_as_its_stored_text_when_a_comment_was_stripped(self, fresh_cqms, sql):
+        """``strip_comments`` glues ``SELECT/**/name`` into one word, so the
+        DBMS's parse is not the logged text's; reopen would re-derive the
+        record from the text, and the record must read the same."""
+        record = fresh_cqms.submit("alice", sql).record
+        assert (
+            record.statement_kind, record.features, record.canonical_text, record.template_text
+        ) == statement_artefacts(record.text, fresh_cqms.database.schema_columns(), True)
+
+    def test_reused_asts_give_the_artefacts_of_a_fresh_parse(self, replay_log, monkeypatch):
+        reused: list[str] = []
+        differing: list[str] = []
+
+        def checked(text, schema_columns, with_features, parsed=None):
+            produced = statement_artefacts(text, schema_columns, with_features, parsed)
+            if parsed is not None:
+                reused.append(text)
+                if produced != statement_artefacts(text, schema_columns, with_features):
+                    differing.append(text)
+            return produced
+
+        monkeypatch.setattr(profiler_module, "statement_artefacts", checked)
+        env = replay_log(num_sessions=40, seed=5, mine=False)
+        assert differing == []
+        # The first successful run of each text missed the statement cache
+        # and handed its AST over; a repeat is a cache hit and parses once.
+        ran = [record for record in env.store.all_queries() if record.runtime.succeeded]
+        assert all(record.is_select for record in ran)
+        assert sorted(reused) == sorted({record.text for record in ran})
+
+    def test_every_logged_record_reads_as_a_fresh_parse_of_its_text(self, paper_env):
+        schema = paper_env.cqms.database.schema_columns()
+        records = paper_env.store.all_queries()
+        assert len(records) == 550
+        for record in records:
+            assert (
+                record.statement_kind, record.features, record.canonical_text, record.template_text
+            ) == statement_artefacts(record.text, schema, True), record.text
 
 
 def make_record(qid, sql, user, timestamp):

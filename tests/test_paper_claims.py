@@ -66,8 +66,11 @@ EXPECTED = {
         "matches": 27,
         "over_watertemp": 16,
         "cool_fraction": 1.0,
-        # output sample budget -> (matches, recall against a 2000-row sample)
-        8: (27, 1.0),
+        # output sample budget -> (matches, recall against a 2000-row sample).
+        # An 8-row sample of a large output misses "Lake Union" more often
+        # than it misses "Lake Washington", so two more queries pass the
+        # exclusion than at budget 32; recall stays 1.0.
+        8: (29, 1.0),
         32: (27, 1.0),
         128: (27, 1.0),
     },

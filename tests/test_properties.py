@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import string
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from repro.sql.diff import diff_queries
 from repro.sql.formatter import format_statement
 from repro.sql.parse_tree import to_parse_tree, tree_edit_distance, tree_size
 from repro.sql.parser import parse
-from repro.storage.statistics import Histogram, ReservoirSample, summarize_output
+from repro.storage.statistics import Histogram, summarize_output
 from repro.storage.types import sort_key
 
 # ---------------------------------------------------------------------------
@@ -214,23 +215,19 @@ class TestStatisticsProperties:
         estimate = histogram.estimate_selectivity(op, constant)
         assert 0.0 <= estimate <= 1.0
 
-    @given(st.lists(st.integers(), max_size=500), st.integers(min_value=1, max_value=50))
-    def test_reservoir_sample_size_invariant(self, items, capacity):
-        sample = ReservoirSample(capacity=capacity)
-        sample.extend(items)
-        assert len(sample.items) == min(capacity, len(items))
-        assert all(item in items for item in sample.items)
-
     @given(
-        st.lists(st.tuples(st.integers(), st.integers()), max_size=300),
-        st.floats(min_value=0, max_value=10, allow_nan=False),
+        # Small domains: heavy duplicates, so containment must respect multiplicity.
+        st.lists(st.tuples(st.integers(-3, 3), st.one_of(st.none(), st.integers(0, 2))), max_size=300),
+        st.floats(min_value=0, max_value=100, allow_nan=False),
     )
     def test_output_summary_never_exceeds_budget_and_is_subset(self, rows, elapsed):
-        budget = 16
-        summary = summarize_output(rows, ["a", "b"], elapsed, base_budget=budget,
+        summary = summarize_output(rows, ["a", "b"], elapsed, base_budget=16,
                                    seconds_per_extra_row=1.0, max_budget=64)
-        assert len(summary) <= max(budget + int(elapsed), len(rows) if len(rows) <= budget else 64)
-        assert all(row in rows for row in summary)
+        budget = min(16 + int(elapsed), 64)
+        assert len(summary) == min(budget, len(rows))
+        assert Counter(summary) <= Counter(rows)
+        if len(rows) > budget:
+            assert summary == sorted(summary, key=lambda row: tuple(map(sort_key, row)))
 
     @given(st.lists(st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), st.text(max_size=5), st.booleans()), max_size=50))
     def test_sort_key_provides_total_order(self, values):

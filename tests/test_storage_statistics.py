@@ -1,14 +1,18 @@
 """Tests for histograms, samples, selectivity estimation, and output summaries."""
 
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
-from repro.storage.statistics import (
-    Histogram,
-    ReservoirSample,
-    TableStatistics,
-    entropy,
-    summarize_output,
-)
+import pytest
+
+from repro.storage import statistics
+from repro.storage.statistics import Histogram, TableStatistics, entropy, summarize_output
+from repro.storage.types import sort_key
 
 
 class TestHistogram:
@@ -79,22 +83,86 @@ class TestHistogram:
         assert first.distance(second) > 0.5
 
 
-class TestReservoirSample:
-    def test_keeps_all_items_under_capacity(self):
-        sample = ReservoirSample(capacity=10)
-        sample.extend(range(5))
-        assert sorted(sample.items) == [0, 1, 2, 3, 4]
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts the random words it draws."""
 
-    def test_never_exceeds_capacity(self):
-        sample = ReservoirSample(capacity=10)
-        sample.extend(range(1000))
-        assert len(sample.items) == 10
-        assert sample.seen == 1000
+    draws = 0
 
-    def test_sample_drawn_from_population(self):
-        sample = ReservoirSample(capacity=16)
-        sample.extend(range(500))
-        assert all(0 <= item < 500 for item in sample.items)
+    def getrandbits(self, k):
+        CountingRandom.draws += 1
+        return super().getrandbits(k)
+
+
+def _row_key(row):
+    return tuple(sort_key(value) for value in row)
+
+
+class TestOutputSample:
+    """The sampler's contract: ``min(rows, budget)`` rows drawn without
+    replacement, ordered by ``sort_key``, a function of the rows alone, and
+    O(budget) random draws however long the output is."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 500, 5000])
+    @pytest.mark.parametrize("budget", [0, 1, 32, 100])
+    def test_size_is_min_of_rows_and_budget(self, rows, budget):
+        output = [(i, -i) for i in range(rows)]
+        summary = summarize_output(output, ["a", "b"], 0.0, base_budget=budget)
+        assert len(summary) == min(rows, budget)
+
+    def test_summary_is_a_sub_multiset_with_heavy_duplicates(self):
+        rows = [(i % 3, "x" if i % 2 else None) for i in range(3000)]
+        summary = summarize_output(rows, ["a", "b"], 0.0, base_budget=500)
+        assert len(summary) == 500
+        assert Counter(summary) <= Counter(rows)
+        # Every distinct row is ~1/6 of the output, so each is drawn many times.
+        assert all(count > 30 for count in Counter(summary).values())
+
+    def test_sample_is_spread_over_the_output(self):
+        summary = summarize_output([(i,) for i in range(10_000)], ["a"], 0.0, base_budget=64)
+        assert len(set(summary)) == 64
+        assert max(summary)[0] > 64 and min(summary)[0] < 10_000 - 64
+
+    def test_sample_is_ordered_by_sort_key_with_nulls_and_mixed_types(self):
+        values = [None, 3, 2.5, "b", "a", True, None, -1, "z", 0.0]
+        rows = [(values[i % len(values)], values[(i * 7) % len(values)]) for i in range(400)]
+        summary = summarize_output(rows, ["a", "b"], 0.0, base_budget=40)
+        assert len(summary) == 40
+        assert summary == sorted(summary, key=_row_key)
+        assert summary[0][0] is None
+
+    def test_equal_inputs_give_equal_summaries(self):
+        rows = [(i % 17, f"v{i % 5}") for i in range(2000)]
+        first = summarize_output(rows, ["a", "b"], 0.0, base_budget=32)
+        second = summarize_output(list(rows), ["a", "b"], 0.0, base_budget=32)
+        assert first == second
+
+    def test_summary_does_not_depend_on_the_hash_seed(self):
+        program = (
+            "from repro.storage.statistics import summarize_output\n"
+            "rows = [(i % 17, f'v{i % 5}', None if i % 3 else 1.5) for i in range(2000)]\n"
+            "print(summarize_output(rows, ['a', 'b', 'c'], 0.0, base_budget=32))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", program],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(outputs) == 1
+
+    def test_draws_are_bounded_by_the_budget_not_the_output(self, monkeypatch):
+        monkeypatch.setattr(statistics, "random", SimpleNamespace(Random=CountingRandom))
+        rows = [(i,) for i in range(200_000)]
+        CountingRandom.draws = 0
+        summary = summarize_output(rows, ["a"], 0.0, base_budget=32)
+        assert len(summary) == 32
+        # Rejection sampling may redraw a word; one draw per row would be 200k.
+        assert 32 <= CountingRandom.draws <= 4 * 32
 
 
 class TestTableStatistics:
