@@ -10,10 +10,10 @@ executor a set of contracts that nothing used to check:
   the layout of the operator's row tuples and compiled getters read positions
   resolved against it; and one relation may not bind a name twice, because a
   qualified reference would resolve to the first and ``alias.*`` to either;
-* **column resolution** — every ``ColumnRef`` an operator evaluates must be
-  resolvable against the bindings flowing into it (build keys against the
-  build side, probe keys against the probe side, residuals against the
-  joined row);
+* **column resolution** — every ``ColumnRef`` an operator evaluates must
+  have been bound (:mod:`repro.storage.binder`) to a column of the bindings
+  flowing into it (build keys against the build side, probe keys against the
+  probe side, residuals against the joined row);
 * **sort claims** — ``sort_eliminated`` / ``sort_prefix`` assert that an
   ordered ``RangeScan`` at the bottom of the pipeline delivers the leading
   ORDER BY key, with matching direction;
@@ -54,7 +54,9 @@ from repro.storage.operators import (
     RangeScan,
     SeqScan,
     SubqueryScan,
+    slot_of,
 )
+from repro.storage.binder import BoundColumn
 from repro.storage.planner import DmlPlan, SelectPlan
 
 from repro.analysis.framework import Diagnostic, Rule, Severity
@@ -94,27 +96,21 @@ def _walk(operator: Operator):
         yield from _walk(child)
 
 
-def _resolvable(ref: ColumnRef, bindings: list[tuple[str, list[str]]]) -> bool:
-    """Mirror of the executor's Scope/compiled-getter resolution rules."""
-    if ref.table is not None:
-        for name, columns in bindings:
-            if name.lower() == ref.table.lower():
-                return any(column.lower() == ref.name.lower() for column in columns)
+def _reads(ref: ColumnRef, bindings: list[tuple[str, list[str]]]) -> bool:
+    """Whether the binder's record puts ``ref`` on a column of ``bindings``."""
+    if not isinstance(ref, BoundColumn) or ref.depth:
         return False
-    return any(
-        column.lower() == ref.name.lower()
-        for _, columns in bindings
-        for column in columns
-    )
+    slot = slot_of(bindings, ref)
+    columns = [column for _, columns in bindings for column in columns]
+    return slot is not None and slot < len(columns) and columns[slot] == ref.column
 
 
 class PlanVerifier:
     """Checks one plan against the executor's structural contracts.
 
     ``allow_outer=True`` relaxes column resolution for plans executed with an
-    outer scope (correlated subqueries): references that do not resolve
-    locally may legitimately resolve against the enclosing query's row at
-    run time.
+    outer scope (correlated subqueries): a reference the binder did not place
+    on this operator's input may read the enclosing query's row there.
     """
 
     def verify(self, plan, allow_outer: bool = False) -> list[Diagnostic]:
@@ -253,7 +249,7 @@ class PlanVerifier:
             for node in iter_expressions(expr):
                 if not isinstance(node, ColumnRef):
                     continue
-                if _resolvable(node, bindings):
+                if _reads(node, bindings):
                     continue
                 if allow_outer:
                     continue  # may resolve against the enclosing query's row
@@ -357,7 +353,7 @@ class PlanVerifier:
             )
             return
         leading = order_by[0]
-        if not isinstance(leading.expression, ColumnRef):
+        if not isinstance(leading.expression, BoundColumn):
             diagnostics.append(
                 SORT_CLAIM.at(label, "claimed sort key is not a plain column")
             )
@@ -374,7 +370,7 @@ class PlanVerifier:
                 )
             )
             return
-        if node.column.lower() != leading.expression.name.lower():
+        if node.column != leading.expression.column:
             diagnostics.append(
                 SORT_CLAIM.at(
                     label,

@@ -12,6 +12,13 @@ paper's ``Queries.invalidReason`` attribute was only ever set by hand, while
 ``QueryStore.lint_log`` now runs every logged query through this pass and
 flags hard errors automatically.
 
+Name errors are the engine's own: the statement goes through the engine's
+:class:`~repro.storage.binder.Binder` in reporting mode, so ``unknown-table``,
+``duplicate-table``, ``unknown-column`` and ``ambiguous-column`` fire exactly
+where planning the statement would fail (a table outside the schema leaves its
+columns unchecked), with the engine's messages, and the other rules read the
+bound column references.
+
 Rules (see :mod:`repro.analysis.framework` for the severity policy):
 
 ========================  ========  =====================================================
@@ -19,6 +26,7 @@ rule                      severity  fires on
 ========================  ========  =====================================================
 ``parse-error``           ERROR     stored text that does not parse
 ``unknown-table``         ERROR     relation not in the schema
+``duplicate-table``       ERROR     one FROM clause binds a name twice
 ``unknown-column``        ERROR     column not in any visible binding
 ``ambiguous-column``      ERROR     unqualified column in several bindings
 ``cartesian-join``        ERROR     FROM tables with no connecting predicate
@@ -32,8 +40,6 @@ rule                      severity  fires on
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.errors import ParseError, TokenizeError
 from repro.sql.ast_nodes import (
@@ -55,19 +61,22 @@ from repro.sql.ast_nodes import (
     SelectStatement,
     Star,
     SubqueryRef,
-    TableRef,
     UnaryOp,
     UpdateStatement,
     iter_expressions,
 )
 from repro.sql.formatter import format_expression
 from repro.sql.parser import parse
+from repro.storage.binder import Binder, BoundColumn
 from repro.storage.types import DataType, compare_values
 
 from repro.analysis.framework import Diagnostic, Rule, Severity
 
 PARSE_ERROR = Rule("parse-error", Severity.ERROR, "statement does not parse")
 UNKNOWN_TABLE = Rule("unknown-table", Severity.ERROR, "relation not in the schema")
+DUPLICATE_TABLE = Rule(
+    "duplicate-table", Severity.ERROR, "one FROM clause binds a name twice"
+)
 UNKNOWN_COLUMN = Rule("unknown-column", Severity.ERROR, "column not in any visible binding")
 AMBIGUOUS_COLUMN = Rule(
     "ambiguous-column", Severity.ERROR, "unqualified column matches several bindings"
@@ -92,9 +101,21 @@ CONSTANT_PREDICATE = Rule(
 )
 SELECT_STAR = Rule("select-star", Severity.INFO, "SELECT * in a stored query")
 
+#: The rule each kind of binder error is reported under.
+_BINDER_RULES = {
+    "table": UNKNOWN_TABLE,
+    "duplicate": DUPLICATE_TABLE,
+    "target": UNKNOWN_COLUMN,
+    "missing": UNKNOWN_COLUMN,
+    "alias": UNKNOWN_COLUMN,
+    "unknown": UNKNOWN_COLUMN,
+    "ambiguous": AMBIGUOUS_COLUMN,
+}
+
 RULES: tuple[Rule, ...] = (
     PARSE_ERROR,
     UNKNOWN_TABLE,
+    DUPLICATE_TABLE,
     UNKNOWN_COLUMN,
     AMBIGUOUS_COLUMN,
     CARTESIAN_JOIN,
@@ -121,18 +142,18 @@ class SchemaView:
     def __init__(self, catalog=None, schema_columns=None, table_provider=None):
         if catalog is None and schema_columns is None:
             raise ValueError("SchemaView needs a catalog or a schema_columns mapping")
-        self._catalog = catalog
         self._provider = table_provider
         if schema_columns is not None:
             self._columns = {
-                str(table).lower(): {str(column).lower() for column in columns}
+                str(table).lower(): [(str(column), None) for column in columns]
                 for table, columns in schema_columns.items()
             }
         else:
             self._columns = {
-                name.lower(): {
-                    column.lower() for column in catalog.schema(name).column_names
-                }
+                name.lower(): [
+                    (column.name, column.data_type)
+                    for column in catalog.schema(name).columns
+                ]
                 for name in catalog.table_names()
             }
 
@@ -144,17 +165,11 @@ class SchemaView:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._columns
 
-    def columns(self, table: str) -> set[str]:
-        return self._columns.get(table.lower(), set())
-
-    def has_column(self, table: str, column: str) -> bool:
-        return column.lower() in self._columns.get(table.lower(), set())
-
-    def column_type(self, table: str, column: str) -> DataType | None:
-        """The column's declared type, or None when only names are known."""
-        if self._catalog is None or not self.has_column(table, column):
-            return None
-        return self._catalog.schema(table).column(column).data_type
+    def columns_of(self, table: str) -> list[tuple[str, DataType | None]] | None:
+        """The binder's view of a table: its columns with their declared
+        types (None when only names are known), or None when the table is
+        not in the schema."""
+        return self._columns.get(table.lower())
 
     def indexed_columns(self, table: str) -> set[str]:
         """Lower-cased columns of ``table`` with any index, or empty when the
@@ -165,60 +180,6 @@ class SchemaView:
         return {
             definition.column.lower() for definition in live.index_definitions()
         }
-
-
-@dataclass
-class _Binding:
-    """One FROM-clause binding while linting a SELECT."""
-
-    name: str  # alias or table name, original case
-    table: str | None  # underlying base table, None for subqueries
-    columns: set[str] | None  # lower-cased; None = unknown (skip column checks)
-
-    def has_column(self, column: str) -> bool | None:
-        if self.columns is None:
-            return None
-        return column.lower() in self.columns
-
-
-@dataclass
-class _Scope:
-    """A lexical scope: the bindings of one SELECT, chained to its outer query."""
-
-    bindings: list[_Binding] = field(default_factory=list)
-    parent: "_Scope | None" = None
-
-    def resolve(self, ref: ColumnRef) -> tuple[str, list[_Binding]]:
-        """Classify a reference: ("ok"|"unknown"|"ambiguous"|"opaque", matches).
-
-        "opaque" means the reference lands in a binding whose columns are
-        unknown (an unresolvable subquery output) — the linter stays quiet.
-        """
-        scope: _Scope | None = self
-        while scope is not None:
-            if ref.table is not None:
-                for binding in scope.bindings:
-                    if binding.name.lower() == ref.table.lower():
-                        known = binding.has_column(ref.name)
-                        if known is None:
-                            return "opaque", [binding]
-                        return ("ok" if known else "unknown"), [binding]
-            else:
-                matches, opaque = [], False
-                for binding in scope.bindings:
-                    known = binding.has_column(ref.name)
-                    if known:
-                        matches.append(binding)
-                    elif known is None:
-                        opaque = True
-                if len(matches) > 1:
-                    return "ambiguous", matches
-                if matches:
-                    return "ok", matches
-                if opaque:
-                    return "opaque", []
-            scope = scope.parent
-        return "unknown", []
 
 
 class SqlLinter:
@@ -240,28 +201,26 @@ class SqlLinter:
     def lint(self, statement, location: str = "query") -> list[Diagnostic]:
         """Lint a parsed statement.  DDL is accepted and passes vacuously."""
         diagnostics: list[Diagnostic] = []
+        binder = Binder(
+            self._schema.columns_of,
+            report=lambda kind, message: diagnostics.append(
+                _BINDER_RULES[kind].at(location, message)
+            ),
+        )
         if isinstance(statement, SelectStatement):
-            self._lint_select(statement, location, None, diagnostics)
+            self._lint_select(binder.select(statement), location, diagnostics)
         elif isinstance(statement, InsertStatement):
-            self._lint_insert(statement, location, diagnostics)
+            self._lint_insert(statement, binder, location, diagnostics)
         elif isinstance(statement, (UpdateStatement, DeleteStatement)):
-            self._lint_dml(statement, location, diagnostics)
+            self._lint_dml(binder.dml(statement), location, diagnostics)
         return diagnostics
 
     # -- SELECT ---------------------------------------------------------------
 
     def _lint_select(
-        self,
-        statement: SelectStatement,
-        location: str,
-        outer: _Scope | None,
-        diagnostics: list[Diagnostic],
+        self, statement: SelectStatement, location: str, diagnostics: list[Diagnostic]
     ) -> None:
-        scope = _Scope(parent=outer)
-        join_edges: list[tuple[str, str]] = []
-        for item in statement.from_items:
-            self._bind_from_item(item, location, scope, join_edges, diagnostics)
-
+        """Lint a bound SELECT (and, through it, its subqueries)."""
         expressions: list[tuple[Expression, str]] = []
         for select_item in statement.select_items:
             expressions.append((select_item.expression, "select list"))
@@ -273,113 +232,43 @@ class SqlLinter:
             expressions.append((statement.having, "HAVING"))
         for order_item in statement.order_by:
             expressions.append((order_item.expression, "ORDER BY"))
-
-        select_aliases = {
-            (item.alias or "").lower() for item in statement.select_items if item.alias
-        }
+        for item in statement.from_items:
+            for node in _from_nodes(item):
+                if isinstance(node, SubqueryRef):
+                    self._lint_select(node.subquery, location, diagnostics)
+                elif isinstance(node, Join) and node.condition is not None:
+                    expressions.append((node.condition, "JOIN condition"))
         for expr, clause in expressions:
-            allow_aliases = select_aliases if clause == "ORDER BY" else frozenset()
-            self._check_expression(expr, clause, location, scope, allow_aliases, diagnostics)
+            self._check_expression(expr, clause, location, diagnostics)
 
-        self._check_cartesian(statement, scope, join_edges, location, diagnostics)
+        self._check_cartesian(statement, location, diagnostics)
         self._check_aggregates(statement, location, diagnostics)
         self._check_select_star(statement, location, diagnostics)
         if statement.where is not None:
-            self._check_where_conjuncts(statement.where, location, scope, diagnostics)
-
-    def _bind_from_item(
-        self,
-        item: FromItem,
-        location: str,
-        scope: _Scope,
-        join_edges: list[tuple[str, str]],
-        diagnostics: list[Diagnostic],
-    ) -> None:
-        if isinstance(item, TableRef):
-            if not self._schema.has_table(item.name):
-                diagnostics.append(
-                    UNKNOWN_TABLE.at(location, f"unknown relation {item.name!r}")
-                )
-                scope.bindings.append(_Binding(item.binding, None, None))
-                return
-            scope.bindings.append(
-                _Binding(item.binding, item.name, self._schema.columns(item.name))
-            )
-        elif isinstance(item, SubqueryRef):
-            self._lint_select(item.subquery, location, scope, diagnostics)
-            scope.bindings.append(
-                _Binding(item.binding, None, _subquery_columns(item.subquery, self._schema))
-            )
-        elif isinstance(item, Join):
-            self._bind_from_item(item.left, location, scope, join_edges, diagnostics)
-            self._bind_from_item(item.right, location, scope, join_edges, diagnostics)
-            if item.condition is not None:
-                self._check_expression(
-                    item.condition, "JOIN condition", location, scope, frozenset(), diagnostics
-                )
-                join_edges.extend(_edges_of(item.condition, scope))
+            self._check_where_conjuncts(statement.where, location, diagnostics)
 
     def _check_expression(
-        self,
-        expr: Expression,
-        clause: str,
-        location: str,
-        scope: _Scope,
-        allowed_aliases: frozenset[str] | set[str],
-        diagnostics: list[Diagnostic],
+        self, expr: Expression, clause: str, location: str, diagnostics: list[Diagnostic]
     ) -> None:
-        """Resolve every column reference and apply the expression-local rules."""
+        """Apply the expression-local rules (names were checked by binding)."""
         for node in iter_expressions(expr):
-            if isinstance(node, ColumnRef):
-                if node.table is None and node.name.lower() in allowed_aliases:
-                    continue
-                status, matches = scope.resolve(node)
-                if status == "unknown":
-                    diagnostics.append(
-                        UNKNOWN_COLUMN.at(
-                            location,
-                            f"unknown column {format_expression(node)} in {clause}",
-                        )
-                    )
-                elif status == "ambiguous":
-                    names = ", ".join(sorted(b.name for b in matches))
-                    diagnostics.append(
-                        AMBIGUOUS_COLUMN.at(
-                            location,
-                            f"column {node.name!r} in {clause} is ambiguous "
-                            f"(bound by {names})",
-                        )
-                    )
-            elif isinstance(node, BinaryOp) and node.op in _COMPARISON_OPS:
-                self._check_comparison(node, clause, location, scope, diagnostics)
+            if isinstance(node, BinaryOp) and node.op in _COMPARISON_OPS:
+                self._check_comparison(node, clause, location, diagnostics)
             elif isinstance(node, Between):
-                self._check_between(node, clause, location, scope, diagnostics)
+                self._check_between(node, clause, location, diagnostics)
             elif isinstance(node, (InSubquery, ExistsSubquery, ScalarSubquery)):
-                self._lint_select(node.subquery, location, scope, diagnostics)
+                self._lint_select(node.subquery, location, diagnostics)
 
     # -- typed-comparison rules ----------------------------------------------
 
-    def _resolved_column_type(self, expr: Expression, scope: _Scope) -> DataType | None:
-        if not isinstance(expr, ColumnRef):
-            return None
-        status, matches = scope.resolve(expr)
-        if status != "ok" or not matches or matches[0].table is None:
-            return None
-        return self._schema.column_type(matches[0].table, expr.name)
-
     def _check_comparison(
-        self,
-        node: BinaryOp,
-        clause: str,
-        location: str,
-        scope: _Scope,
-        diagnostics: list[Diagnostic],
+        self, node: BinaryOp, clause: str, location: str, diagnostics: list[Diagnostic]
     ) -> None:
         for left, right in ((node.left, node.right), (node.right, node.left)):
-            column_type = self._resolved_column_type(left, scope)
+            column_type = _column_type(left)
             if column_type is None:
                 continue
-            other = _value_kind(right, scope, self)
+            other = _value_kind(right)
             if other is not None and _kinds_clash(column_type, other):
                 diagnostics.append(
                     TYPE_MISMATCH.at(
@@ -389,22 +278,17 @@ class SqlLinter:
                     )
                 )
                 break
-        self._check_sargability(node.left, node.right, node, clause, location, scope, diagnostics)
-        self._check_sargability(node.right, node.left, node, clause, location, scope, diagnostics)
+        self._check_sargability(node.left, node.right, node, clause, location, diagnostics)
+        self._check_sargability(node.right, node.left, node, clause, location, diagnostics)
 
     def _check_between(
-        self,
-        node: Between,
-        clause: str,
-        location: str,
-        scope: _Scope,
-        diagnostics: list[Diagnostic],
+        self, node: Between, clause: str, location: str, diagnostics: list[Diagnostic]
     ) -> None:
-        column_type = self._resolved_column_type(node.expr, scope)
+        column_type = _column_type(node.expr)
         if column_type is None:
             return
         for bound in (node.low, node.high):
-            kind = _value_kind(bound, scope, self)
+            kind = _value_kind(bound)
             if kind is not None and _kinds_clash(column_type, kind):
                 diagnostics.append(
                     TYPE_MISMATCH.at(
@@ -422,7 +306,6 @@ class SqlLinter:
         node: BinaryOp,
         clause: str,
         location: str,
-        scope: _Scope,
         diagnostics: list[Diagnostic],
     ) -> None:
         """``WHERE f(indexed_col) = constant`` cannot use the index."""
@@ -432,15 +315,14 @@ class SqlLinter:
         if len(inner) != 1 or any(isinstance(n, ColumnRef) for n in iter_expressions(other)):
             return
         ref = inner[0]
-        status, matches = scope.resolve(ref)
-        if status != "ok" or not matches or matches[0].table is None:
+        if not isinstance(ref, BoundColumn) or ref.relation is None:
             return
-        if ref.name.lower() in self._schema.indexed_columns(matches[0].table):
+        if ref.name.lower() in self._schema.indexed_columns(ref.relation):
             diagnostics.append(
                 NON_SARGABLE.at(
                     location,
                     f"{format_expression(node)} in {clause} wraps indexed column "
-                    f"{matches[0].table}.{ref.name} in {side.name.upper()}(); "
+                    f"{ref.relation}.{ref.name} in {side.name.upper()}(); "
                     f"the index cannot be used",
                 )
             )
@@ -448,20 +330,19 @@ class SqlLinter:
     # -- statement-level rules ------------------------------------------------
 
     def _check_cartesian(
-        self,
-        statement: SelectStatement,
-        scope: _Scope,
-        join_edges: list[tuple[str, str]],
-        location: str,
-        diagnostics: list[Diagnostic],
+        self, statement: SelectStatement, location: str, diagnostics: list[Diagnostic]
     ) -> None:
-        local = [b.name.lower() for b in scope.bindings]
+        nodes = [node for item in statement.from_items for node in _from_nodes(item)]
+        local = [node.binding.lower() for node in nodes if not isinstance(node, Join)]
         if len(local) < 2:
             return
-        edges = list(join_edges)
+        conditions = [
+            node.condition
+            for node in nodes
+            if isinstance(node, Join) and node.condition is not None
+        ]
         if statement.where is not None:
-            for conjunct in _conjuncts(statement.where):
-                edges.extend(_edges_of(conjunct, scope))
+            conditions.extend(_conjuncts(statement.where))
         components = {name: name for name in local}
 
         def find(name: str) -> str:
@@ -470,9 +351,10 @@ class SqlLinter:
                 name = components[name]
             return name
 
-        for a, b in edges:
-            if a in components and b in components:
-                components[find(a)] = find(b)
+        for condition in conditions:
+            for a, b in _edges_of(condition):
+                if a in components and b in components:
+                    components[find(a)] = find(b)
         roots = {find(name) for name in local}
         if len(roots) > 1:
             diagnostics.append(
@@ -513,20 +395,13 @@ class SqlLinter:
                         )
         if statement.group_by:
             grouped = {
-                format_expression(expr).lower() for expr in statement.group_by
-            }
-            grouped_names = {
-                expr.name.lower()
+                _column_key(expr)
                 for expr in statement.group_by
-                if isinstance(expr, ColumnRef)
+                if isinstance(expr, BoundColumn)
             }
             for item in statement.select_items:
                 expr = item.expression
-                if not isinstance(expr, ColumnRef):
-                    continue
-                if format_expression(expr).lower() in grouped:
-                    continue
-                if expr.name.lower() in grouped_names:
+                if not isinstance(expr, BoundColumn) or _column_key(expr) in grouped:
                     continue
                 diagnostics.append(
                     UNGROUPED_COLUMN.at(
@@ -551,11 +426,7 @@ class SqlLinter:
                 return
 
     def _check_where_conjuncts(
-        self,
-        where: Expression,
-        location: str,
-        scope: _Scope,
-        diagnostics: list[Diagnostic],
+        self, where: Expression, location: str, diagnostics: list[Diagnostic]
     ) -> None:
         for conjunct in _conjuncts(where):
             verdict = _constant_verdict(conjunct)
@@ -571,59 +442,22 @@ class SqlLinter:
     # -- DML ------------------------------------------------------------------
 
     def _lint_insert(
-        self, statement: InsertStatement, location: str, diagnostics: list[Diagnostic]
+        self, statement: InsertStatement, binder: Binder, location: str, diagnostics: list
     ) -> None:
-        if not self._schema.has_table(statement.table):
-            diagnostics.append(
-                UNKNOWN_TABLE.at(location, f"unknown relation {statement.table!r}")
-            )
-            return
-        for column in statement.columns:
-            if not self._schema.has_column(statement.table, column):
-                diagnostics.append(
-                    UNKNOWN_COLUMN.at(
-                        location,
-                        f"unknown column {statement.table}.{column} in INSERT",
-                    )
-                )
+        binder.values(statement)
         if statement.select is not None:
-            self._lint_select(statement.select, location, None, diagnostics)
+            self._lint_select(binder.select(statement.select), location, diagnostics)
 
     def _lint_dml(
-        self,
-        statement: UpdateStatement | DeleteStatement,
-        location: str,
-        diagnostics: list[Diagnostic],
+        self, statement: UpdateStatement | DeleteStatement, location: str, diagnostics: list
     ) -> None:
-        if not self._schema.has_table(statement.table):
-            diagnostics.append(
-                UNKNOWN_TABLE.at(location, f"unknown relation {statement.table!r}")
-            )
-            return
-        scope = _Scope(
-            bindings=[
-                _Binding(
-                    statement.table,
-                    statement.table,
-                    self._schema.columns(statement.table),
-                )
-            ]
-        )
+        """Lint a bound UPDATE / DELETE."""
         if isinstance(statement, UpdateStatement):
-            for column, expr in statement.assignments:
-                if not self._schema.has_column(statement.table, column):
-                    diagnostics.append(
-                        UNKNOWN_COLUMN.at(
-                            location,
-                            f"unknown column {statement.table}.{column} in SET",
-                        )
-                    )
-                self._check_expression(expr, "SET", location, scope, frozenset(), diagnostics)
+            for _, expr in statement.assignments:
+                self._check_expression(expr, "SET", location, diagnostics)
         if statement.where is not None:
-            self._check_expression(
-                statement.where, "WHERE", location, scope, frozenset(), diagnostics
-            )
-            self._check_where_conjuncts(statement.where, location, scope, diagnostics)
+            self._check_expression(statement.where, "WHERE", location, diagnostics)
+            self._check_where_conjuncts(statement.where, location, diagnostics)
 
 
 # -- helpers -------------------------------------------------------------------
@@ -635,42 +469,37 @@ def _conjuncts(expr: Expression) -> list[Expression]:
     return [expr]
 
 
-def _edges_of(conjunct: Expression, scope: _Scope) -> list[tuple[str, str]]:
-    """Binding pairs a conjunct connects (any predicate over two bindings)."""
-    touched: set[str] = set()
-    for node in iter_expressions(conjunct):
-        if not isinstance(node, ColumnRef):
-            continue
-        if node.table is not None:
-            touched.add(node.table.lower())
-            continue
-        status, matches = scope.resolve(node)
-        if status == "ok" and matches:
-            touched.add(matches[0].name.lower())
+def _from_nodes(item: FromItem):
+    """``item`` and, for a join, every FROM item nested in it."""
+    yield item
+    if isinstance(item, Join):
+        yield from _from_nodes(item.left)
+        yield from _from_nodes(item.right)
+
+
+def _edges_of(conjunct: Expression) -> list[tuple[str, str]]:
+    """Binding pairs a bound conjunct connects (any predicate over two
+    bindings of its own query)."""
+    touched = {
+        node.binding.lower()
+        for node in iter_expressions(conjunct)
+        if isinstance(node, BoundColumn) and not node.depth and node.binding
+    }
     ordered = sorted(touched)
     return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
 
 
-def _subquery_columns(subquery: SelectStatement, schema: SchemaView) -> set[str] | None:
-    """Output column names of a derived table, or None when not derivable."""
-    columns: set[str] = set()
-    for item in subquery.select_items:
-        if item.alias:
-            columns.add(item.alias.lower())
-        elif isinstance(item.expression, ColumnRef):
-            columns.add(item.expression.name.lower())
-        elif isinstance(item.expression, Star):
-            for table in subquery.from_items:
-                if isinstance(table, TableRef) and schema.has_table(table.name):
-                    columns |= schema.columns(table.name)
-                else:
-                    return None
-        else:
-            return None
-    return columns
+def _column_key(ref: BoundColumn) -> tuple:
+    """What a bound column reference reads, however it was spelled."""
+    return ref.depth, ref.binding, ref.index
 
 
-def _value_kind(expr: Expression, scope: _Scope, linter: SqlLinter) -> str | None:
+def _column_type(expr: Expression) -> DataType | None:
+    """The declared type of a bound column reference (None otherwise)."""
+    return expr.data_type if isinstance(expr, BoundColumn) else None
+
+
+def _value_kind(expr: Expression) -> str | None:
     """Coarse type of the other comparison side: "numeric", "text", "boolean"."""
     if isinstance(expr, Literal):
         value = expr.value
@@ -683,7 +512,7 @@ def _value_kind(expr: Expression, scope: _Scope, linter: SqlLinter) -> str | Non
         if isinstance(value, str):
             return "text"
         return None
-    column_type = linter._resolved_column_type(expr, scope)
+    column_type = _column_type(expr)
     if column_type is None:
         return None
     if column_type.is_numeric:

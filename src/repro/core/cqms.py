@@ -84,12 +84,12 @@ class CQMS:
         )
         # -- observability + admission control ------------------------------
         # One shared registry; the two engines are told apart by the
-        # ``engine`` label.  The admission controller's token buckets refill
-        # from the simulated clock, so rate-limit tests are deterministic.
+        # ``engine`` label.  Admission runs with telemetry on or off (only
+        # its counters need the registry); its token buckets refill from the
+        # simulated clock, so rate-limit tests are deterministic.
         self.metrics: MetricsRegistry | None = None
         self.telemetry: EngineTelemetry | None = None
         self.store_telemetry: EngineTelemetry | None = None
-        self.admission: AdmissionController | None = None
         if self.config.telemetry_enabled:
             self.metrics = MetricsRegistry(clock=self.clock)
             self.telemetry = EngineTelemetry(
@@ -110,15 +110,15 @@ class CQMS:
             )
             database.attach_telemetry(self.telemetry)
             self.store.attach_telemetry(self.store_telemetry)
-            self.admission = AdmissionController(
-                self.metrics,
-                clock=self.clock,
-                defaults=QueryLimits(
-                    rate_limit_qps=self.config.rate_limit_qps,
-                    rate_limit_burst=self.config.rate_limit_burst,
-                    statement_timeout_seconds=self.config.statement_timeout_seconds,
-                ),
-            )
+        self.admission = AdmissionController(
+            self.metrics,
+            clock=self.clock,
+            defaults=QueryLimits(
+                rate_limit_qps=self.config.rate_limit_qps,
+                rate_limit_burst=self.config.rate_limit_burst,
+                statement_timeout_seconds=self.config.statement_timeout_seconds,
+            ),
+        )
         ranking = RankingFunction(RankingWeights.from_config(self.config.ranking))
         self.ranking = ranking
         self.profiler = QueryProfiler(
@@ -173,19 +173,16 @@ class CQMS:
         principal's :class:`~repro.obs.admission.QueryLimits`).
         """
         principal = self.access_control.principal(user)
-        timeout_seconds = None
-        if self.admission is not None:
-            budget = self.admission.admit(
-                principal.name, self.access_control.limits_for(principal.name)
-            )
-            timeout_seconds = budget.timeout_seconds
+        budget = self.admission.admit(
+            principal.name, self.access_control.limits_for(principal.name)
+        )
         return self.profiler.profile(
             user=principal.name,
             group=principal.group,
             sql=sql,
             visibility=visibility,
             timestamp=timestamp,
-            timeout_seconds=timeout_seconds,
+            timeout_seconds=budget.timeout_seconds,
         )
 
     def explain(self, user: str, sql: str, analyze: bool = False):

@@ -14,7 +14,8 @@ Two cooperating guardrails:
 :class:`AdmissionController` merges the per-principal
 :class:`QueryLimits` stored in ``AccessControl`` with the config-wide
 defaults, raises the typed :class:`~repro.errors.RateLimitedError` on a
-dry bucket, and counts every verdict in the metrics registry.
+dry bucket, and counts every verdict in the metrics registry when there is
+one.
 """
 
 from __future__ import annotations
@@ -108,12 +109,14 @@ class AdmissionController:
     One bucket per rate-limited principal, created lazily with that
     principal's effective (merged) limits.  Principals with no effective
     rate limit pass through without a bucket; every statement still gets a
-    :class:`StatementBudget` carrying the effective timeout.
+    :class:`StatementBudget` carrying the effective timeout.  The verdict
+    never depends on ``registry``: without one (telemetry off) it is simply
+    not counted.
     """
 
     def __init__(
         self,
-        registry: MetricsRegistry,
+        registry: MetricsRegistry | None,
         clock: Callable[[], float],
         defaults: QueryLimits | None = None,
     ):
@@ -146,18 +149,20 @@ class AdmissionController:
         effective = (limits or QueryLimits()).merged_over(self.defaults)
         bucket = self._bucket_for(principal, effective)
         if bucket is not None and not bucket.try_acquire():
-            self.registry.counter(
+            self._count(
                 "queries_rejected",
                 "statements rejected at admission by the rate limiter",
-                principal=principal,
-            ).inc()
+                principal,
+            )
             raise RateLimitedError(
                 f"principal {principal!r} exceeded its rate limit "
                 f"({bucket.rate:g} qps, burst {bucket.burst:g}); retry later"
             )
-        self.registry.counter(
-            "queries_admitted",
-            "statements admitted past the rate limiter",
-            principal=principal,
-        ).inc()
+        self._count(
+            "queries_admitted", "statements admitted past the rate limiter", principal
+        )
         return StatementBudget(timeout_seconds=effective.statement_timeout_seconds)
+
+    def _count(self, name: str, help_text: str, principal: str) -> None:
+        if self.registry is not None:
+            self.registry.counter(name, help_text, principal=principal).inc()

@@ -46,8 +46,14 @@ from repro.storage.snapshot import (
 from repro.storage.wal import DEFAULT_GROUP_SIZE, WAL_FILE_NAME, WalStats, WalWriter
 from repro.storage.exec_settings import DEFAULT_SETTINGS, ExecutionSettings
 from repro.storage.executor import ExecutionStats, Executor
-from repro.storage.expression import Scope, evaluate, is_true
-from repro.storage.operators import ExecutionContext
+from repro.storage.binder import Binder, table_columns
+from repro.storage.expression import Scope, evaluate, layout_of
+from repro.storage.operators import (
+    ExecutionContext,
+    compile_conjuncts,
+    row_check,
+    stored_row_getter,
+)
 from repro.storage.plan_cache import (
     DEFAULT_MAX_DRIFT,
     DEFAULT_PLAN_CACHE_SIZE,
@@ -508,18 +514,15 @@ class Database:
 
     def _plan(
         self, statement: Statement, prepared=None, text: str | None = None
-    ) -> tuple[SelectPlan | DmlPlan, Statement, bool]:
+    ) -> tuple[SelectPlan | DmlPlan, bool]:
         """A plan for a SELECT/UPDATE/DELETE: from the cache when the template
         is fresh, otherwise freshly planned (and cached when safely
-        re-bindable).  Returns ``(plan, statement, cache_hit)``.
+        re-bindable).  Returns ``(plan, cache_hit)``; a cached plan's
+        parameter nodes are re-bound to this instance's constants.
 
         ``prepared`` is a statement-cache hit (parse + parameterize already
         done); ``text`` is the raw SQL when known, so a freshly prepared
         statement can be remembered for future byte-identical resubmissions.
-        The returned statement is the one to evaluate expressions from: the
-        cached parameterized template on a hit (its parameter nodes re-bound
-        to this instance's constants), so SET assignments see the right
-        values.
         """
         cache = self._plan_cache
         if cache is not None:
@@ -529,13 +532,13 @@ class Database:
                     cache.store_statement(text, prepared)
             cached = cache.lookup(prepared)
             if cached is not None:
-                return cached.plan, cached.statement, True
+                return cached.plan, True
             statement = prepared.statement
         planner = Planner(self)
         plan = _plan_with(planner, statement)
         if cache is not None and not planner.rebind_unsafe:
             cache.store(prepared, plan)
-        return plan, statement, False
+        return plan, False
 
     def _statement_of(self, text: str):
         """``(statement, prepared)`` of raw SQL: the statement cache's
@@ -654,6 +657,8 @@ class Database:
             return PlanExplanation(
                 statement_kind=kind, lines=plan.explain_lines(), root=plan.root
             )
+        if isinstance(statement, InsertStatement):
+            Binder(table_columns(self)).values(statement)  # names fail here too
         kind = type(statement).__name__.removesuffix("Statement").lower()
         target = getattr(statement, "table", None)
         line = kind.title() if target is None else f"{kind.title()} [{target}]"
@@ -667,7 +672,7 @@ class Database:
         use ``time.perf_counter`` while the summary's elapsed time uses the
         database's injectable clock, exactly like :meth:`execute`.
         """
-        plan, _, cache_hit = self._plan(statement)
+        plan, cache_hit = self._plan(statement)
         executor = Executor(self)
         node_stats: dict = {}
         start = self._clock()
@@ -740,10 +745,10 @@ class Database:
         trace = self._active_trace
         if trace is not None:
             with trace.span("plan") as span:
-                plan, _, cache_hit = self._plan(statement, prepared, text)
+                plan, cache_hit = self._plan(statement, prepared, text)
                 span["plan_cache_hit"] = cache_hit
         else:
-            plan, _, cache_hit = self._plan(statement, prepared, text)
+            plan, cache_hit = self._plan(statement, prepared, text)
         executor = Executor(self, deadline=deadline)
         node_stats: dict | None = None
         if telemetry is not None and telemetry.trace_operators:
@@ -789,6 +794,7 @@ class Database:
         self, statement: InsertStatement, deadline: float | None = None
     ) -> QueryResult:
         table = self.table(statement.table)
+        rows = Binder(table_columns(self)).values(statement)  # checks the column list
         stats = ExecutionStats(statement_kind="insert")
         target_columns = list(statement.columns) or table.schema.column_names
         if statement.select is not None:
@@ -809,10 +815,7 @@ class Database:
             value_lists = select_result.rows
         else:
             scope = Scope({})
-            value_lists = [
-                [evaluate(expr, scope, None) for expr in row_exprs]
-                for row_exprs in statement.rows
-            ]
+            value_lists = [[evaluate(expr, scope, None) for expr in row] for row in rows]
             for values in value_lists:
                 if len(values) != len(target_columns):
                     raise ExecutionError(
@@ -828,8 +831,8 @@ class Database:
 
     def _find_dml_targets(
         self, plan: DmlPlan, executor: Executor, deadline: float | None = None
-    ) -> list[tuple[int, dict]]:
-        """Candidate ``(row_id, row)`` pairs of a planned UPDATE/DELETE.
+    ) -> list[tuple[int, tuple]]:
+        """Candidate ``(row_id, row tuple)`` pairs of a planned UPDATE/DELETE.
 
         The plan's access path (index/range scan when the WHERE allows it)
         produces candidates; residual conjuncts are re-checked per row.  The
@@ -844,15 +847,17 @@ class Database:
             deadline=deadline,
             timer=self.statement_timer,
         )
+        bindings = plan.scan.bindings
+        passes = row_check(
+            compile_conjuncts(plan.residual, bindings), plan.residual, bindings, ctx
+        )
+        to_row = stored_row_getter(bindings)
         matches = []
-        for position, (row_id, row) in enumerate(plan.scan.pairs(ctx)):
+        for position, (row_id, stored) in enumerate(plan.scan.pairs(ctx)):
             if position % 128 == 0:
                 ctx.tick()
-            scope = Scope({plan.binding: row})
-            if all(
-                is_true(evaluate(predicate, scope, executor._run_subquery))
-                for predicate in plan.residual
-            ):
+            row = to_row(stored)
+            if passes(row):
                 matches.append((row_id, row))
         return matches
 
@@ -865,13 +870,14 @@ class Database:
     ) -> QueryResult:
         table = self.table(statement.table)
         executor = Executor(self, deadline=deadline)
-        plan, statement, cache_hit = self._plan(statement, prepared, text)
+        plan, cache_hit = self._plan(statement, prepared, text)
+        layout = layout_of(plan.scan.bindings)
         count = 0
         for row_id, row in self._find_dml_targets(plan, executor, deadline):
-            scope = Scope({statement.table: row})
+            scope = Scope(layout, row)
             changes = {
                 column: evaluate(value, scope, executor._run_subquery)
-                for column, value in statement.assignments
+                for column, value in plan.assignments
             }
             table.update(row_id, changes)
             count += 1
@@ -886,7 +892,7 @@ class Database:
     ) -> QueryResult:
         table = self.table(statement.table)
         executor = Executor(self, deadline=deadline)
-        plan, statement, cache_hit = self._plan(statement, prepared, text)
+        plan, cache_hit = self._plan(statement, prepared, text)
         doomed = self._find_dml_targets(plan, executor, deadline)
         for row_id, _ in doomed:
             table.delete(row_id)

@@ -21,11 +21,11 @@ straight out of the operator pipeline and LIMIT short-circuits the scan.
 
 Since the batched-execution refactor the executor consumes the operator tree
 batch-at-a-time (``root.batches(ctx)``, lists of flat tuples laid out by
-``root.bindings``): projection runs over whole batches, simple select lists
-(columns and ``*``) compile into one ``itemgetter`` of row positions mapped
-over the batch, ORDER BY keys that name a select-list alias or a column of the
-source row resolve to a position once per execution, and only a computed item
-pays for a ``Scope`` view of the row.  On streaming plans with a LIMIT the
+``root.bindings``): projection runs over whole batches, and the planner has
+already turned every select item and ORDER BY key that reads a column (or an
+output column) into a position, so simple select lists (columns and ``*``)
+compile into one ``itemgetter`` mapped over the batch and only a computed
+item goes through the evaluator.  On streaming plans with a LIMIT the
 context's batch size tracks the remaining row budget, so a short-circuited
 scan touches exactly as many heap rows as the row-at-a-time engine did when
 the scan feeds the limit directly (and at most one shrunken batch more when
@@ -39,31 +39,25 @@ from dataclasses import dataclass
 from repro.errors import ExecutionError
 from repro.obs.metrics import engine_timer
 from repro.storage.exec_settings import DEFAULT_SETTINGS
-from repro.storage.expression import Scope, evaluate, is_true
+from repro.storage.expression import Scope, evaluate, is_true, layout_of
 from repro.storage.operators import (
-    Bindings,
     ExecutionContext,
     Filter,
     IndexScan,
     NodeStats,
     RangeScan,
     SeqScan,
-    layout_spans,
     row_width,
-    scope_view,
-    slot_of,
     slots_getter,
 )
 from repro.storage.planner import Planner, SelectPlan
 from repro.storage.types import sort_key
 from repro.sql.ast_nodes import (
     BinaryOp,
-    ColumnRef,
     Expression,
     FunctionCall,
     Literal,
     SelectStatement,
-    Star,
     UnaryOp,
 )
 
@@ -146,8 +140,8 @@ class Executor:
 
         Imported lazily: the analysis layer sits above the storage layer and
         only loads when the guardrail is switched on.  Plans executed with an
-        outer scope are (possibly correlated) subqueries, so locally
-        unresolvable columns are legal there.
+        outer scope are (possibly correlated) subqueries, so a column of the
+        enclosing query's row is legal there.
         """
         from repro.analysis.framework import Severity
         from repro.analysis.plan_verify import PlanVerifier
@@ -209,10 +203,7 @@ class Executor:
                     self.metrics.batches += 1
                     entries.extend(zip(batch, project(batch)))
                 _sort_entries(
-                    entries,
-                    self._order_keys(
-                        plan, outer_scope, statement.order_by, self._evaluate_row
-                    ),
+                    entries, self._order_keys(plan, outer_scope, self._evaluate_row)
                 )
                 rows = [output_row for _, output_row in entries]
             if statement.distinct:
@@ -274,50 +265,28 @@ class Executor:
     def _projection(self, plan: SelectPlan, outer_scope: Scope | None):
         """The plan's ``batch -> output tuples`` callable.
 
-        A select list of plain columns and ``*`` compiles to row positions,
-        memoized on the plan: cached template plans execute thousands of
-        times, and positions never depend on a parameter, so re-binding never
-        stales them.  Any computed item keeps the whole list on the evaluator,
-        over a Scope view of each row.
+        A select list of plain columns and ``*`` (every part of
+        ``plan.projection`` a position) compiles to one getter, memoized on
+        the plan: cached template plans execute thousands of times, and
+        positions never depend on a parameter, so re-binding never stales
+        them.  Otherwise each row reads its positions and evaluates the
+        computed items over a Scope of the row.
         """
         project = getattr(plan, "_compiled_projection", _UNSET)
         if project is _UNSET:
             project = plan._compiled_projection = _compile_projection(plan)
         if project is not None:
             return project
-        statement, bindings = plan.statement, plan.bindings
-        view = scope_view(plan.root.bindings)
-        return lambda batch: [
-            tuple(
-                self._evaluate_output(
-                    statement, bindings, Scope(view(row), parent=outer_scope)
-                )
+        layout, parts, run = layout_of(plan.root.bindings), plan.projection, self._run_subquery
+
+        def values(row):
+            scope = Scope(layout, row, outer_scope)
+            return tuple(
+                row[part] if type(part) is int else evaluate(part, scope, run)
+                for part in parts
             )
-            for row in batch
-        ]
 
-    def _evaluate_output(
-        self, statement: SelectStatement, bindings: Bindings, scope: Scope
-    ) -> list[object]:
-        values: list[object] = []
-        for item in statement.select_items:
-            expr = item.expression
-            if isinstance(expr, Star):
-                values.extend(self._star_values(expr, bindings, scope))
-            else:
-                values.append(evaluate(expr, scope, self._run_subquery))
-        return values
-
-    def _star_values(
-        self, star: Star, bindings: Bindings, scope: Scope
-    ) -> list[object]:
-        values: list[object] = []
-        for binding, columns in bindings:
-            if star.table is None or binding.lower() == star.table.lower():
-                row = scope.bindings.get(binding.lower(), {})
-                for column in columns:
-                    values.append(row.get(column))
-        return values
+        return lambda batch: list(map(values, batch))
 
     # -- aggregation ----------------------------------------------------------------
 
@@ -333,40 +302,37 @@ class Executor:
         The operator (:class:`~repro.storage.operators.HashAggregate` /
         :class:`~repro.storage.operators.SortedGroupAggregate`) streams
         ``(representative row, finished aggregate values)`` pairs; HAVING,
-        projection, and ORDER BY read the finished slot values.
+        projection, and ORDER BY read the representative's positions and the
+        finished slot values.
         """
         slots = plan.aggregate.collection.slots
-        view = scope_view(plan.root.bindings)
-        entries: list[tuple[tuple | None, tuple, list]] = []
+        layout = layout_of(plan.root.bindings)
+        # An empty ungrouped input is one group with no representative row:
+        # its columns read as NULL.
+        blank = (None,) * row_width(plan.root.bindings)
+        entries: list[tuple[tuple, tuple, list]] = []
         for representative, finished in plan.aggregate.groups(ctx):
-            # An empty ungrouped input is one group with no representative
-            # row: nothing for a column reference to resolve against.
-            scope = Scope(
-                view(representative) if representative is not None else {},
-                parent=outer_scope,
-            )
+            row = blank if representative is None else representative
+            scope = Scope(layout, row, outer_scope)
             if statement.having is not None:
                 having_value = self._finish_expr(
                     statement.having, finished, slots, scope
                 )
                 if not is_true(having_value):
                     continue
-            values: list[object] = []
-            for item in statement.select_items:
-                expr = item.expression
-                if isinstance(expr, Star):
-                    values.extend(self._star_values(expr, plan.bindings, scope))
-                else:
-                    values.append(self._finish_expr(expr, finished, slots, scope))
-            entries.append((representative, tuple(values), finished))
-        # The one group of an empty ungrouped input has no row to be ordered by.
-        if statement.order_by and not (len(entries) == 1 and entries[0][0] is None):
+            values = tuple(
+                row[part]
+                if type(part) is int
+                else self._finish_expr(part, finished, slots, scope)
+                for part in plan.projection
+            )
+            entries.append((row, values, finished))
+        if statement.order_by:
             _sort_entries(
                 entries,
                 self._order_keys(
                     plan,
                     outer_scope,
-                    statement.order_by,
                     lambda expr, scope, entry: self._finish_expr(
                         expr, entry[2], slots, scope
                     ),
@@ -399,62 +365,29 @@ class Executor:
 
     # -- ordering -------------------------------------------------------------------
 
-    def _order_keys(
-        self, plan: SelectPlan, outer_scope: Scope | None, items, evaluate_entry
-    ):
+    def _order_keys(self, plan: SelectPlan, outer_scope: Scope | None, evaluate_entry):
         """One ``(entry -> sort key, ascending)`` pair per ORDER BY item, over
         entries ``(source row, output row, ...)``.
 
-        An item naming a select-list alias reads the output row, and one
-        naming a column that :func:`~repro.storage.operators.slot_of` finds in
-        the source row reads that position: both are resolved here, once per
-        execution, because per-row resolution would give the same answer for
-        every row.  Everything else is resolved per row through a Scope: an
-        output column the source row does not shadow, else the expression
-        itself through ``evaluate_entry(expr, scope, entry)`` —
+        The planner decided where each item reads (``plan.order_keys``): an
+        output column, a position of the source row, or else the expression,
+        evaluated per entry through ``evaluate_entry(expr, scope, entry)`` —
         :meth:`_evaluate_row` for plain rows, :meth:`_finish_expr` over the
         entry's finished slots for groups.
         """
-        alias_map = {
-            (item.alias or "").lower(): index
-            for index, item in enumerate(plan.statement.select_items)
-            if item.alias
-        }
-        column_map = {
-            name.lower(): index for index, name in enumerate(plan.output_columns)
-        }
-        layout = plan.root.bindings
-        view = scope_view(layout)
-
-        def evaluated(expr):
-            bare = isinstance(expr, ColumnRef) and expr.table is None
-
-            def value(entry):
-                scope = Scope(view(entry[0]), parent=outer_scope)
-                if bare and not scope.has_column(expr):
-                    index = column_map.get(expr.name.lower())
-                    if index is not None:
-                        return entry[1][index]
-                return evaluate_entry(expr, scope, entry)
-
-            return value
-
+        layout = layout_of(plan.root.bindings)
         keys = []
-        for order_item in items:
-            expr = order_item.expression
-            value = None
-            if isinstance(expr, ColumnRef):
-                if expr.table is None and expr.name.lower() in alias_map:
-                    index = alias_map[expr.name.lower()]
-                    value = lambda entry, _index=index: entry[1][_index]
-                else:
-                    slot = slot_of(layout, expr)
-                    if slot is not None:
-                        value = lambda entry, _slot=slot: entry[0][_slot]
-            if value is None:
-                value = evaluated(expr)
+        for key in plan.order_keys:
+            if key.output is not None:
+                value = lambda entry, _index=key.output: entry[1][_index]
+            elif key.slot is not None:
+                value = lambda entry, _slot=key.slot: entry[0][_slot]
+            else:
+                value = lambda entry, _expr=key.expression: evaluate_entry(
+                    _expr, Scope(layout, entry[0], outer_scope), entry
+                )
             keys.append(
-                (lambda entry, _value=value: sort_key(_value(entry)), order_item.ascending)
+                (lambda entry, _value=value: sort_key(_value(entry)), key.ascending)
             )
         return keys
 
@@ -478,9 +411,7 @@ class Executor:
         DISTINCT) consumption stops at the first run boundary past the
         budget, so a top-k query never walks the whole table.
         """
-        keys = self._order_keys(
-            plan, outer_scope, statement.order_by, self._evaluate_row
-        )
+        keys = self._order_keys(plan, outer_scope, self._evaluate_row)
         prefix = [key for key, _ in keys[: plan.sort_prefix]]
         rest = keys[plan.sort_prefix :]
         project = self._projection(plan, outer_scope)
@@ -557,35 +488,16 @@ def _sort_entries(entries: list, keys) -> None:
 
 
 def _compile_projection(plan: SelectPlan):
-    """Compile a simple select list into a ``batch -> output tuples`` callable.
-
-    Only column references and ``*`` expansions qualify: they resolve at
-    compile time to positions in the root operator's rows, so projecting a
-    batch is one ``itemgetter`` mapped over it (and nothing at all when the
-    select list *is* the row, ``SELECT *`` in layout order).  ``*`` expands in
-    FROM order (``plan.bindings``) while positions come from
-    ``plan.root.bindings``, which is in join order.  Any computed item
-    (arithmetic, functions, subqueries, aggregates) returns None and the
-    caller keeps the evaluator path.
+    """Compile a select list of positions into a ``batch -> output tuples``
+    callable: one ``itemgetter`` mapped over the batch, and nothing at all
+    when the select list *is* the row (``SELECT *`` in layout order).  Any
+    computed item (arithmetic, functions, subqueries, aggregates) returns
+    None and the caller keeps the evaluator path.
     """
-    layout = plan.root.bindings
-    offsets = {binding: start for binding, _, start in layout_spans(layout)}
-    slots: list[int] = []
-    for item in plan.statement.select_items:
-        expr = item.expression
-        if isinstance(expr, Star):
-            for binding, columns in plan.bindings:
-                if expr.table is None or binding.lower() == expr.table.lower():
-                    start = offsets[binding]
-                    slots.extend(range(start, start + len(columns)))
-        elif isinstance(expr, ColumnRef):
-            slot = slot_of(layout, expr)
-            if slot is None:
-                return None
-            slots.append(slot)
-        else:
-            return None
-    if slots == list(range(row_width(layout))):
+    slots = plan.projection
+    if any(type(part) is not int for part in slots):
+        return None
+    if slots == list(range(row_width(plan.root.bindings))):
         return lambda batch: batch
     getter = slots_getter(slots)
     return lambda batch: list(map(getter, batch))

@@ -7,6 +7,10 @@ The evaluator implements a pragmatic subset of SQL semantics:
 * ``LIKE`` with ``%`` and ``_`` wildcards,
 * arithmetic with NULL propagation,
 * correlated subqueries through chained scopes.
+
+It evaluates *bound* expressions (:mod:`repro.storage.binder`): a column
+reference already says which query level, binding and column it reads, so
+resolving one is a position lookup, never a name match.
 """
 
 from __future__ import annotations
@@ -39,79 +43,36 @@ from repro.sql.ast_nodes import (
 SubqueryRunner = Callable[[SelectStatement, "Scope"], list[tuple]]
 
 
-class Scope:
-    """A row scope: bindings of table aliases to row dicts, with a parent chain.
+def layout_of(bindings: list[tuple[str, list[str]]]) -> dict[str, int]:
+    """``binding -> its first position`` in a row laid out by ``bindings``:
+    the layout rule — a row is its operator's bindings flattened in order."""
+    layout, start = {}, 0
+    for binding, columns in bindings:
+        layout[binding] = start
+        start += len(columns)
+    return layout
 
-    ``extras`` holds additional named values (select-list aliases usable in
-    ORDER BY / HAVING).
-    """
+
+class Scope:
+    """One query level's row — a tuple whose bindings start where ``layout``
+    (:func:`layout_of`) says — chained to the enclosing query's scope."""
+
+    __slots__ = ("layout", "row", "parent")
 
     def __init__(
-        self,
-        bindings: dict[str, dict[str, object]],
-        parent: "Scope | None" = None,
-        extras: dict[str, object] | None = None,
+        self, layout: dict[str, int], row: tuple = (), parent: "Scope | None" = None
     ):
-        self._bindings = {name.lower(): row for name, row in bindings.items()}
-        self._parent = parent
-        self._extras = {name.lower(): value for name, value in (extras or {}).items()}
-
-    @property
-    def bindings(self) -> dict[str, dict[str, object]]:
-        return self._bindings
-
-    def child(self, bindings: dict[str, dict[str, object]]) -> "Scope":
-        return Scope(bindings, parent=self)
-
-    def with_extras(self, extras: dict[str, object]) -> "Scope":
-        merged = dict(self._extras)
-        merged.update({name.lower(): value for name, value in extras.items()})
-        scope = Scope({}, parent=self)
-        scope._extras = merged
-        return scope
+        self.layout = layout
+        self.row = row
+        self.parent = parent
 
     def resolve(self, column: ColumnRef) -> object:
-        """Resolve a column reference to its value.
-
-        Raises :class:`~repro.errors.ExecutionError` for unknown or ambiguous
-        references.
-        """
-        name = column.name.lower()
-        if column.table:
-            binding = column.table.lower()
-            row = self._bindings.get(binding)
-            if row is not None:
-                for key, value in row.items():
-                    if key.lower() == name:
-                        return value
-                raise ExecutionError(
-                    f"column {column.name!r} not found in {column.table!r}"
-                )
-            if self._parent is not None:
-                return self._parent.resolve(column)
-            raise ExecutionError(f"unknown table alias {column.table!r}")
-        matches = []
-        for row in self._bindings.values():
-            for key, value in row.items():
-                if key.lower() == name:
-                    matches.append(value)
-                    break
-        if len(matches) == 1:
-            return matches[0]
-        if len(matches) > 1:
-            raise ExecutionError(f"ambiguous column reference {column.name!r}")
-        if name in self._extras:
-            return self._extras[name]
-        if self._parent is not None:
-            return self._parent.resolve(column)
-        raise ExecutionError(f"unknown column {column.name!r}")
-
-    def has_column(self, column: ColumnRef) -> bool:
-        try:
-            self.resolve(column)
-            return True
-        except ExecutionError:
-            return False
+        """The value of a bound column reference
+        (:class:`~repro.storage.binder.BoundColumn`)."""
+        scope = self
+        for _ in range(column.depth):
+            scope = scope.parent
+        return scope.row[scope.layout[column.binding] + column.index]
 
 
 def evaluate(

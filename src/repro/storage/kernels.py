@@ -289,20 +289,12 @@ def _in_list_kernel(key: str, literals: list[Literal], negated: bool) -> Kernel:
     return kernel
 
 
-def _resolve_key(bindings, column: ColumnRef) -> str | None:
-    """The row-dict key for a locally resolvable column, or None.
-
-    Columnar batches carry exactly one binding, so resolution degenerates
-    to the row key; multi-binding shapes (joins) never reach this module.
-    """
-    from repro.storage.operators import resolve_binding_column
-
-    if len(bindings) != 1:
+def _column_key(bindings, column: ColumnRef) -> str | None:
+    """The row-dict key a bound column reads in a one-binding (scan) layout,
+    or None — a columnar batch carries exactly one binding."""
+    if len(bindings) != 1 or column.depth or column.binding != bindings[0][0]:
         return None
-    resolved = resolve_binding_column(bindings, column)
-    if resolved is None:
-        return None
-    return resolved[1]
+    return column.column
 
 
 def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
@@ -315,25 +307,25 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
     if isinstance(expr, BinaryOp) and expr.op in _ORDERING_TESTS:
         left, right = expr.left, expr.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            key = _resolve_key(bindings, left)
+            key = _column_key(bindings, left)
             if key is None:
                 return None
             return _comparison_kernel(key, right, expr.op)
         if isinstance(right, ColumnRef) and isinstance(left, Literal):
-            key = _resolve_key(bindings, right)
+            key = _column_key(bindings, right)
             if key is None:
                 return None
             return _comparison_kernel(key, left, _FLIPPED[expr.op])
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-            left_key = _resolve_key(bindings, left)
-            right_key = _resolve_key(bindings, right)
+            left_key = _column_key(bindings, left)
+            right_key = _column_key(bindings, right)
             if left_key is None or right_key is None:
                 return None
             return _column_comparison_kernel(left_key, right_key, expr.op)
         return None
     if isinstance(expr, BinaryOp) and expr.op == "LIKE":
         if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-            key = _resolve_key(bindings, expr.left)
+            key = _column_key(bindings, expr.left)
             if key is None:
                 return None
             return _like_kernel(key, expr.right)
@@ -341,7 +333,7 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
     if isinstance(expr, UnaryOp) and expr.op in ("IS NULL", "IS NOT NULL"):
         if not isinstance(expr.operand, ColumnRef):
             return None
-        key = _resolve_key(bindings, expr.operand)
+        key = _column_key(bindings, expr.operand)
         if key is None:
             return None
         return _null_test_kernel(key, expr.op == "IS NULL")
@@ -351,7 +343,7 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
             and isinstance(expr.low, Literal)
             and isinstance(expr.high, Literal)
         ):
-            key = _resolve_key(bindings, expr.expr)
+            key = _column_key(bindings, expr.expr)
             if key is None:
                 return None
             return _between_kernel(key, expr.low, expr.high, expr.negated)
@@ -360,7 +352,7 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
         if isinstance(expr.expr, ColumnRef) and all(
             isinstance(value, Literal) for value in expr.values
         ):
-            key = _resolve_key(bindings, expr.expr)
+            key = _column_key(bindings, expr.expr)
             if key is None:
                 return None
             return _in_list_kernel(key, list(expr.values), expr.negated)
@@ -402,7 +394,7 @@ def resolve_columnar_columns(columns, bindings) -> list[str] | None:
     for column in columns:
         if not isinstance(column, ColumnRef):
             return None
-        key = _resolve_key(bindings, column)
+        key = _column_key(bindings, column)
         if key is None:
             return None
         keys.append(key)

@@ -7,14 +7,14 @@ rows per list), so one ``next()`` call pushes a whole batch through a filter
 or join instead of paying a generator round-trip per row.  A row's positions
 are the operator's ``bindings`` flattened in order — the *layout*: a scan's
 row is its table's columns in schema order, a join's row is its left child's
-row followed by its right child's — so :func:`slot_of` resolves a
-``(binding, column)`` reference to a position once per compile and every
+row followed by its right child's.  Every column reference an operator holds
+was bound at plan time (:mod:`repro.storage.binder`), so :func:`slot_of`
+turns it into a position in the operator's layout once per compile and every
 compiled getter is an ``operator.itemgetter``.  ``batches(ctx)`` is the one
 row protocol; heap scans and kernel-compiled filters additionally offer
-``col_batches(ctx)``.  A ``{binding: {column: value}}`` view of a row is built
-only by :func:`scope_view`, for the expression evaluator's
-:class:`~repro.storage.expression.Scope`, where an expression's shape has no
-compiled form.
+``col_batches(ctx)``.  Where an expression's shape has no compiled form the
+evaluator reads the same row tuple through a positional
+:class:`~repro.storage.expression.Scope`.
 
 Two more things fall out of the batch refactor:
 
@@ -69,7 +69,7 @@ from repro.sql.formatter import format_expression
 from repro.storage.aggregates import AggregateCollection, hashable_value
 from repro.storage.colbatch import ColumnBatch
 from repro.storage.exec_settings import DEFAULT_BATCH_SIZE
-from repro.storage.expression import Scope, evaluate, is_true, like_regex
+from repro.storage.expression import Scope, evaluate, is_true, layout_of, like_regex
 from repro.storage.kernels import (
     apply_kernels,
     compile_columnar_conjuncts,
@@ -282,7 +282,7 @@ class SeqScan(Operator):
             yield row_id, row
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        to_row = _stored_row_getter(self.bindings)
+        to_row = stored_row_getter(self.bindings)
         for chunk in _scan_chunks(self.table, ctx):
             yield list(map(to_row, chunk))
 
@@ -598,13 +598,13 @@ class Filter(Operator):
             # Columnar fast path with row-batch output: kernels filter the
             # batch while it is still columnar, and rows are built for the
             # *survivors* only.
-            to_row = _stored_row_getter(self.bindings)
+            to_row = stored_row_getter(self.bindings)
             for columnar in self._col_batches(ctx):
                 yield list(map(to_row, columnar.selected_rows()))
             return
         if self._compiled is _UNSET:
             self._compiled = compile_conjuncts(self.predicates, self.bindings)
-        passes = _row_check(self._compiled, self.predicates, self.bindings, ctx)
+        passes = row_check(self._compiled, self.predicates, self.bindings, ctx)
         for batch in self.child.batches(ctx):
             kept = list(filter(passes, batch))
             if kept:
@@ -619,9 +619,6 @@ class HashJoin(Operator):
     """Equi-join: the estimated-smaller side is materialized into a hash table
     and the other side streams through it batch by batch.  An output row is
     the left row followed by the right row, whichever side was built."""
-
-    #: Memoized (build_key, probe_key) getter pair; _UNSET = not yet compiled.
-    _compiled_keys: object = None
 
     def __init__(
         self,
@@ -638,32 +635,19 @@ class HashJoin(Operator):
         self.bindings = left.bindings + right.bindings
         self.children = (left, right)
         self.estimate = estimate
-        self._compiled_keys = _UNSET
+        # Each key is a bound column of its own side, so both compile.
+        self._keys = (
+            compile_key_tuple([key for key, _ in self.pairs], left.bindings),
+            compile_key_tuple([key for _, key in self.pairs], right.bindings),
+        )
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        left_keys = [left for left, _ in self.pairs]
-        right_keys = [right for _, right in self.pairs]
+        left_key, right_key = self._keys
         if self.build_left:
-            build, probe = self.left, self.right
-            build_keys, probe_keys = left_keys, right_keys
+            build, probe, build_key, probe_key = self.left, self.right, left_key, right_key
         else:
-            build, probe = self.right, self.left
-            build_keys, probe_keys = right_keys, left_keys
+            build, probe, build_key, probe_key = self.right, self.left, right_key, left_key
         table: dict[tuple, list[Row]] = {}
-        if self._compiled_keys is _UNSET:
-            self._compiled_keys = (
-                compile_key_tuple(build_keys, build.bindings),
-                compile_key_tuple(probe_keys, probe.bindings),
-            )
-        # The planner pairs only columns it resolved to a side, so a key that
-        # does not compile names a column its binding lacks; the evaluator
-        # raises the user-facing error for it on the first row.
-        build_key = self._compiled_keys[0] or _evaluated_key(
-            build_keys, build.bindings, ctx
-        )
-        probe_key = self._compiled_keys[1] or _evaluated_key(
-            probe_keys, probe.bindings, ctx
-        )
         for batch in build.batches(ctx):
             for row, key in zip(batch, map(build_key, batch)):
                 if None not in key:  # a NULL key matches nothing
@@ -727,15 +711,12 @@ class IndexLookupJoin(Operator):
                 compile_column_getter(self.outer.bindings, self.outer_key),
                 compile_conjuncts(self.residual, self.bindings),
             )
-        # As in HashJoin: an outer key that does not compile is a misnamed
-        # column, and the evaluator reports it.
-        key_getter = self._compiled_probe[0] or _evaluated_getter(
-            self.outer_key, self.outer.bindings, ctx
-        )
-        passes = self.residual and _row_check(
+        # The outer key is a bound column of the outer side: it always compiles.
+        key_getter = self._compiled_probe[0]
+        passes = self.residual and row_check(
             self._compiled_probe[1], self.residual, self.bindings, ctx
         )
-        inner_row = _stored_row_getter(self.scan.bindings)
+        inner_row = stored_row_getter(self.scan.bindings)
         metrics = ctx.metrics
         batch_size = max(1, ctx.batch_size)
         # The probe-side scan never runs through batches(), so record its
@@ -834,29 +815,23 @@ class OuterJoin(Operator):
         right_rows = [row for batch in self.right.batches(ctx) for row in batch]
         null_right = (None,) * row_width(self.right.bindings)
         condition, outer, run = self.condition, ctx.outer_scope, ctx.run_subquery
-        if condition is not None:
-            # The ON condition has no compiled form: each side's Scope view
-            # is built once per row, not once per pair.
-            left_view = scope_view(self.left.bindings)
-            right_views = list(map(scope_view(self.right.bindings), right_rows))
+        # The ON condition has no compiled form: the evaluator reads each
+        # joined pair's row through the join's layout.
+        layout = layout_of(self.bindings)
         matched_right: set[int] = set()
         for batch in self.left.batches(ctx):
             for left_row in batch:
                 ctx.tick()
                 matched = False
-                view = left_view(left_row) if condition is not None else None
                 for index, right_row in enumerate(right_rows):
+                    row = left_row + right_row
                     if condition is None or is_true(
-                        evaluate(
-                            condition,
-                            Scope({**view, **right_views[index]}, parent=outer),
-                            run,
-                        )
+                        evaluate(condition, Scope(layout, row, outer), run)
                     ):
                         matched = True
                         matched_right.add(index)
                         ctx.metrics.rows_joined += 1
-                        yield left_row + right_row
+                        yield row
                 if not matched:
                     ctx.metrics.rows_joined += 1
                     yield left_row + null_right
@@ -959,7 +934,7 @@ class GroupAggregate(Operator):
 
     def _group_key_getter(self, ctx: ExecutionContext):
         """``row -> key tuple``: the memoized compiled getter when every
-        key is a locally resolvable column, else the evaluator."""
+        key is a column of the input row, else the evaluator."""
         if self._compiled_group is _UNSET:
             if all(isinstance(expr, ColumnRef) for expr in self.group_exprs):
                 self._compiled_group = compile_key_tuple(self.group_exprs, self.bindings)
@@ -971,7 +946,7 @@ class GroupAggregate(Operator):
 
     def _spec_getters(self):
         """Memoized per-spec argument getters (None for COUNT(*) and for
-        arguments that are not a locally resolvable column)."""
+        arguments that are not a column of the input row)."""
         if self._compiled_args is _UNSET:
             self._compiled_args = [
                 compile_column_getter(self.bindings, spec.argument)
@@ -1019,7 +994,7 @@ class HashAggregate(GroupAggregate):
     One fast path beyond the generic batch loop, the **columnar fused
     path**: when the child is just filters over a heap scan, every filter
     compiles to a kernel, and every group key / aggregate argument is a
-    locally resolvable column, the scan streams ColumnBatches, filter
+    column of the scanned table, the scan streams ColumnBatches, filter
     kernels produce selection vectors, groups are bucketed by column-value
     gather, and every accumulator consumes
     ``update_column(values, positions)`` — no per-row wrapper, bucket list,
@@ -1081,8 +1056,8 @@ class HashAggregate(GroupAggregate):
         fused path, or None.
 
         Requires a Filter*→SeqScan chain with every filter
-        kernel-compilable and every group key / aggregate argument a locally
-        resolvable column.
+        kernel-compilable and every group key / aggregate argument a column
+        of the scanned table.
         """
         filters: list[Filter] = []
         node = self.child
@@ -1134,7 +1109,7 @@ class HashAggregate(GroupAggregate):
         scan, kernels, key_columns, arg_columns = compiled
         specs = self.collection.specs
         metrics = ctx.metrics
-        to_row = _stored_row_getter(scan.bindings)
+        to_row = stored_row_getter(scan.bindings)
         merged: dict = {}
         order: list = []
         for batch in scan.col_batches(ctx):
@@ -1250,60 +1225,39 @@ def _rows_identity(rows):
 
 
 # ---------------------------------------------------------------------------
-# Evaluator fallbacks: the only places a row becomes a Scope
+# Evaluator fallbacks: where an expression's shape has no compiled form
 # ---------------------------------------------------------------------------
-
-
-def scope_view(bindings: Bindings) -> Callable[[Row], dict[str, dict[str, object]]]:
-    """``row -> {binding: {column: value}}``, the shape
-    :class:`~repro.storage.expression.Scope` resolves names against.
-
-    Called only where an expression's shape has no compiled form (and by the
-    executor for the same reason); everything compiled reads positions.
-    """
-    spans = [
-        (binding, columns, start, start + len(columns))
-        for binding, columns, start in layout_spans(bindings)
-    ]
-
-    def view(row: Row) -> dict[str, dict[str, object]]:
-        return {
-            binding: dict(zip(columns, row[start:end]))
-            for binding, columns, start, end in spans
-        }
-
-    return view
 
 
 def _evaluated_getter(expr: Expression, bindings: Bindings, ctx: ExecutionContext):
     """``row -> value`` through the evaluator: the route of an expression
     whose shape has no compiled getter."""
-    view, outer, run = scope_view(bindings), ctx.outer_scope, ctx.run_subquery
-    return lambda row: evaluate(expr, Scope(view(row), parent=outer), run)
+    layout, outer, run = layout_of(bindings), ctx.outer_scope, ctx.run_subquery
+    return lambda row: evaluate(expr, Scope(layout, row, outer), run)
 
 
 def _evaluated_key(exprs, bindings: Bindings, ctx: ExecutionContext):
     """``row -> hashable key tuple`` through the evaluator, one Scope per row."""
-    view, outer, run = scope_view(bindings), ctx.outer_scope, ctx.run_subquery
+    layout, outer, run = layout_of(bindings), ctx.outer_scope, ctx.run_subquery
 
     def key(row):
-        scope = Scope(view(row), parent=outer)
+        scope = Scope(layout, row, outer)
         return tuple(hashable_value(evaluate(expr, scope, run)) for expr in exprs)
 
     return key
 
 
-def _row_check(checks, predicates, bindings: Bindings, ctx: ExecutionContext):
+def row_check(checks, predicates, bindings: Bindings, ctx: ExecutionContext):
     """``row -> passes every conjunct``: the conjuncts' compiled ``checks``
     (:func:`compile_conjuncts`), else — None — the evaluator, in order."""
     if checks is not None:
         if len(checks) == 1:
             return checks[0]
         return lambda row: all(check(row) for check in checks)
-    view, outer, run = scope_view(bindings), ctx.outer_scope, ctx.run_subquery
+    layout, outer, run = layout_of(bindings), ctx.outer_scope, ctx.run_subquery
 
     def passes(row):
-        scope = Scope(view(row), parent=outer)
+        scope = Scope(layout, row, outer)
         return all(is_true(evaluate(p, scope, run)) for p in predicates)
 
     return passes
@@ -1312,15 +1266,6 @@ def _row_check(checks, predicates, bindings: Bindings, ctx: ExecutionContext):
 # ---------------------------------------------------------------------------
 # Row layout and compiled getters (the batch fast path)
 # ---------------------------------------------------------------------------
-
-
-def layout_spans(bindings: Bindings) -> Iterator[tuple[str, list[str], int]]:
-    """``(binding, columns, first position)`` per binding: the layout rule —
-    a row is its operator's ``bindings`` flattened in order."""
-    start = 0
-    for binding, columns in bindings:
-        yield binding, columns, start
-        start += len(columns)
 
 
 def row_width(bindings: Bindings) -> int:
@@ -1339,7 +1284,7 @@ def slots_getter(slots: list[int]) -> Callable[[Row], tuple]:
     return itemgetter(*slots)
 
 
-def _stored_row_getter(bindings: Bindings) -> Callable[[dict], Row]:
+def stored_row_getter(bindings: Bindings) -> Callable[[dict], Row]:
     """``stored row dict -> row`` for a scan, laid out by its one binding."""
     columns = bindings[0][1]
     if len(columns) == 1:  # itemgetter with one key returns the bare value
@@ -1348,55 +1293,18 @@ def _stored_row_getter(bindings: Bindings) -> Callable[[dict], Row]:
     return itemgetter(*columns)
 
 
-def resolve_binding_column(
-    bindings: Bindings, column: ColumnRef
-) -> tuple[str, str] | None:
-    """Resolve a column reference to ``(binding name, column name)``.
-
-    Mirrors :meth:`~repro.storage.expression.Scope.resolve`'s *local* rules
-    against the operator's own bindings; returns None when the reference is
-    not locally and unambiguously resolvable (outer-scope columns, select-list
-    extras, ambiguous names, unknown aliases) — callers must then fall back to
-    per-row Scope evaluation, which reproduces the full resolution (and
-    error-reporting) semantics.
-    """
-    name = column.name.lower()
-    if column.table:
-        target = column.table.lower()
-        for binding, columns in bindings:
-            if binding.lower() == target:
-                for col in columns:
-                    if col.lower() == name:
-                        return binding, col
-                return None
-        return None
-    owner: tuple[str, str] | None = None
-    for binding, columns in bindings:
-        for col in columns:
-            if col.lower() == name:
-                if owner is not None:
-                    return None  # ambiguous across bindings
-                owner = (binding, col)
-                break
-    return owner
-
-
 def slot_of(bindings: Bindings, column: ColumnRef) -> int | None:
-    """The position of a locally resolvable column in a row laid out by
-    ``bindings``, or None (see :func:`resolve_binding_column`)."""
-    resolved = resolve_binding_column(bindings, column)
-    if resolved is None:
-        return None
-    for binding, columns, start in layout_spans(bindings):
-        if binding == resolved[0]:
-            return start + columns.index(resolved[1])
-    return None
+    """The position a bound column reference reads in a row laid out by
+    ``bindings``; None for an enclosing query's column (or a binding this
+    layout lacks, which the plan verifier reports)."""
+    start = None if column.depth else layout_of(bindings).get(column.binding)
+    return None if start is None else start + column.index
 
 
 def compile_column_getter(
     bindings: Bindings, column: ColumnRef
 ) -> Callable[[Row], object] | None:
-    """A ``row -> value`` getter for a locally resolvable column, or None."""
+    """A ``row -> value`` getter for a column of this row, or None."""
     slot = slot_of(bindings, column)
     return None if slot is None else itemgetter(slot)
 
@@ -1405,7 +1313,7 @@ def compile_key_tuple(
     columns: list[ColumnRef], bindings: Bindings
 ) -> Callable[[Row], tuple] | None:
     """A ``row -> key tuple`` getter for join and group keys; None unless
-    every key column resolves locally."""
+    every key column is a column of this row."""
     slots = [slot_of(bindings, column) for column in columns]
     return None if None in slots else slots_getter(slots)
 
@@ -1431,7 +1339,7 @@ def compile_predicate(
     The compiled check must agree with ``is_true(evaluate(expr, scope))`` on
     every row the operator can produce, so only expressions whose semantics
     are fully reproducible without a Scope are compiled: comparisons between
-    locally resolved columns and literals (or two columns), BETWEEN and IN
+    columns of the row and literals (or two columns), BETWEEN and IN
     over literals, LIKE with a literal pattern, and IS [NOT] NULL.  Unknown
     (NULL) outcomes map to False exactly as WHERE treats them.  Literal values
     are read *per call*, not captured at compile time, so cached plans whose
@@ -1670,7 +1578,7 @@ def _chunk(rows, ctx: ExecutionContext) -> Iterator[RowBatch]:
 def _stored_rows(pairs: Iterator[tuple[int, dict]], bindings: Bindings):
     """The rows of a scan's ``(row_id, stored dict)`` pairs, laid out by the
     scan's one binding."""
-    return map(_stored_row_getter(bindings), map(itemgetter(1), pairs))
+    return map(stored_row_getter(bindings), map(itemgetter(1), pairs))
 
 
 def _scan_chunks(table, ctx: ExecutionContext) -> Iterator[list[dict]]:

@@ -1,8 +1,11 @@
 """Cost-based logical/physical planner for SELECT and DML statements.
 
-The planner is the middle layer of the engine's parse → plan → execute
+The planner is the middle layer of the engine's parse → bind → plan → execute
 pipeline.  Given a parsed :class:`~repro.sql.ast_nodes.SelectStatement` it
 
+0. binds it (:class:`~repro.storage.binder.Binder`): every column reference
+   learns its binding and column, or the statement fails here, before any
+   row is read — everything below reads the bound references,
 1. splits the WHERE clause into conjuncts and pushes single-table conjuncts
    down to their leaf,
 2. chooses an *access path* per leaf — an :class:`~repro.storage.operators.IndexScan`
@@ -66,6 +69,14 @@ from repro.storage.aggregates import (
     reject_aggregates,
     statement_has_aggregates,
 )
+from repro.storage.binder import (
+    Binder,
+    BoundColumn,
+    compute_output_columns,
+    star_bindings,
+    table_columns,
+)
+from repro.storage.expression import layout_of
 from repro.storage.operators import (
     EmptyRow,
     Filter,
@@ -82,6 +93,7 @@ from repro.storage.operators import (
     SubqueryScan,
     equality_probe_keys,
     range_probe_key,
+    slot_of,
 )
 from repro.storage.statistics import group_count_estimate, join_key_overlap
 from repro.storage.types import compare_values
@@ -126,20 +138,38 @@ class PlanExplanation:
         return needle in self.text()
 
 
+@dataclass(frozen=True)
+class OrderKey:
+    """Where one ORDER BY item reads its value, decided at plan time: output
+    column ``output``, position ``slot`` of the source row, or else
+    ``expression`` evaluated over the source row."""
+
+    ascending: bool
+    output: int | None = None
+    slot: int | None = None
+    expression: Expression | None = None
+
+
 @dataclass
 class SelectPlan:
     """A planned SELECT: the FROM/WHERE operator pipeline plus metadata.
 
-    ``bindings`` lists the relation's bindings in FROM-clause order (the order
-    ``SELECT *`` expands in), independent of the join order the planner chose;
-    ``root.bindings`` lists the same bindings in join order, which is the
-    layout of the row tuples ``root`` streams.  No name appears twice.
+    ``statement`` is the bound statement.  ``bindings`` lists the relation's
+    bindings in FROM-clause order (the order ``SELECT *`` expands in),
+    independent of the join order the planner chose; ``root.bindings`` lists
+    the same bindings in join order, which is the layout of the row tuples
+    ``root`` streams.  No name appears twice.
     """
 
     statement: SelectStatement
     root: Operator
     bindings: list[tuple[str, list[str]]]
     output_columns: list[str]
+    #: Per output value, read against ``root.bindings``: a position of the
+    #: source row, or the expression that computes it.
+    projection: list = field(default_factory=list)
+    #: One per ORDER BY item, read against ``root.bindings``.
+    order_keys: list[OrderKey] = field(default_factory=list)
     #: True when a sorted index already delivers the *entire* ORDER BY order,
     #: so the executor streams instead of materializing for a sort.
     sort_eliminated: bool = False
@@ -227,9 +257,10 @@ class DmlPlan:
 
     kind: str  # "update" | "delete"
     table: object
-    binding: str
     scan: Operator
     residual: list[Expression] = field(default_factory=list)
+    #: UPDATE's bound ``(column, expression)`` SET pairs.
+    assignments: tuple = ()
     #: Same contract as :attr:`SelectPlan.rebind_unsafe`.
     rebind_unsafe: bool = False
 
@@ -279,6 +310,7 @@ class Planner:
 
     def __init__(self, table_provider, use_indexes: bool = True):
         self._provider = table_provider
+        self._binder = Binder(table_columns(table_provider))
         self._use_indexes = use_indexes
         #: Set when a produced plan folded constants in a way that makes
         #: positional re-binding unsound (e.g. redundant range bounds merged,
@@ -293,6 +325,7 @@ class Planner:
         for expr in (statement.where, *statement.group_by):
             if expr is not None:
                 reject_aggregates(expr)
+        statement = self._binder.select(statement)
         aggregating = bool(statement.group_by) or statement_has_aggregates(statement)
         conjuncts = _split_conjuncts(statement.where)
         sort_prefix = 0
@@ -313,7 +346,6 @@ class Planner:
             bindings = [(leaf.binding, leaf.columns) for leaf in leaves]
             for _, right_op, _ in pending_outer:
                 bindings.extend(right_op.bindings)
-            _reject_duplicate_bindings(bindings)
             root, residual = self._plan_joins(leaves, conjuncts)
             for join_type, right_op, condition in pending_outer:
                 if join_type == "RIGHT":
@@ -346,6 +378,10 @@ class Planner:
             root=root,
             bindings=bindings,
             output_columns=compute_output_columns(statement, bindings),
+            projection=_projection(statement, bindings, root.bindings),
+            order_keys=[
+                _order_key(item, root.bindings) for item in statement.order_by
+            ],
             sort_eliminated=bool(sort_prefix)
             and sort_prefix >= len(statement.order_by),
             sort_prefix=sort_prefix,
@@ -412,60 +448,18 @@ class Planner:
         a heap scan feeding :class:`HashAggregate`, so order must be worth
         buying.
         """
-        expr = statement.group_by[0]
-        if expr.table is not None and expr.table.lower() != leaf.binding.lower():
+        canonical = _source_column(statement.group_by[0])
+        if canonical is None or leaf.table.sorted_index_for(canonical) is None:
             return None
-        table = leaf.table
-        if not table.schema.has_column(expr.name):
-            return None
-        canonical = table.schema.column(expr.name).name
-        if table.sorted_index_for(canonical) is None:
-            return None
-        parent: Filter | None = None
-        node = root
-        while isinstance(node, Filter):
-            parent, node = node, node.child
+        node = _scan_under_filters(root)
         if isinstance(node, RangeScan):
-            if node.column.lower() != canonical.lower():
-                return None
-            return root
-        if not isinstance(node, SeqScan):
-            return None
-        if not statement.order_by:
+            return root if node.column == canonical else None
+        if not isinstance(node, SeqScan) or not statement.order_by:
             return None
         order_item = statement.order_by[0]
-        order_expr = order_item.expression
-        if not isinstance(order_expr, ColumnRef):
+        if _source_column(order_item.expression) != canonical:
             return None
-        if order_expr.name.lower() != canonical.lower():
-            return None
-        if (
-            order_expr.table is not None
-            and order_expr.table.lower() != leaf.binding.lower()
-        ):
-            return None
-        if order_expr.table is None and any(
-            (item.alias or "").lower() == order_expr.name.lower()
-            for item in statement.select_items
-        ):
-            # ORDER BY resolves select-list aliases before source columns.
-            return None
-        ordered = RangeScan(
-            table,
-            leaf.binding,
-            canonical,
-            low=None,
-            high=None,
-            low_inclusive=True,
-            high_inclusive=True,
-            estimate=node.estimate,
-            descending=not order_item.ascending,
-        )
-        if parent is None:
-            return ordered
-        parent.child = ordered
-        parent.children = (ordered,)
-        return root
+        return _ordered_walk(leaf, root, canonical, order_item.ascending)
 
     def _estimate_group_count(
         self, statement: SelectStatement, leaves: list[_Leaf], root: Operator
@@ -474,34 +468,17 @@ class Planner:
         (statistics/indexes when available), capped at the input estimate."""
         if not statement.group_by:
             return 1.0
+        by_binding = {leaf.binding: leaf for leaf in leaves}
         distincts: list[float] = []
         for expr in statement.group_by:
-            if isinstance(expr, ColumnRef):
-                leaf = self._group_key_leaf(expr, leaves)
-                if leaf is not None:
-                    distincts.append(self._distinct_estimate(leaf, expr.name))
-                    continue
-            distincts.append(1.0 / DEFAULT_EQ_SELECTIVITY)
+            local = isinstance(expr, ColumnRef) and not expr.depth
+            leaf = by_binding.get(expr.binding) if local else None
+            distincts.append(
+                1.0 / DEFAULT_EQ_SELECTIVITY
+                if leaf is None
+                else self._distinct_estimate(leaf, expr.column)
+            )
         return group_count_estimate(distincts, max(root.estimate, 1.0))
-
-    @staticmethod
-    def _group_key_leaf(expr: ColumnRef, leaves: list[_Leaf]) -> "_Leaf | None":
-        """The unique leaf providing a GROUP BY column, or None (ambiguous)."""
-        if expr.table is not None:
-            target = expr.table.lower()
-            for leaf in leaves:
-                if leaf.binding.lower() == target:
-                    return leaf
-            return None
-        name = expr.name.lower()
-        owners = [
-            leaf
-            for leaf in leaves
-            if any(column.lower() == name for column in leaf.columns)
-        ]
-        if len(owners) == 1:
-            return owners[0]
-        return None
 
     def _try_sort_elimination(
         self, statement: SelectStatement, leaf: _Leaf, root: Operator
@@ -525,77 +502,44 @@ class Planner:
         if not self._use_indexes or not statement.order_by:
             return 0, root
         order_item = statement.order_by[0]
-        expr = order_item.expression
-        if not isinstance(expr, ColumnRef):
+        canonical = _source_column(order_item.expression)
+        if canonical is None or leaf.table.sorted_index_for(canonical) is None:
             return 0, root
-        if expr.table is not None and expr.table.lower() != leaf.binding.lower():
-            return 0, root
-        if expr.table is None and any(
-            (item.alias or "").lower() == expr.name.lower()
-            for item in statement.select_items
-        ):
-            # ORDER BY resolves select-list aliases before source columns.
-            return 0, root
-        table = leaf.table
-        if not table.schema.has_column(expr.name):
-            return 0, root
-        canonical = table.schema.column(expr.name).name
-        if table.sorted_index_for(canonical) is None:
-            return 0, root
-        parent: Filter | None = None
-        node = root
-        while isinstance(node, Filter):
-            parent, node = node, node.child
+        node = _scan_under_filters(root)
         if isinstance(node, RangeScan):
-            if node.column.lower() != canonical.lower():
+            if node.column != canonical:
                 return 0, root
             node.descending = not order_item.ascending
             return 1, root
         if isinstance(node, SeqScan):
-            ordered = RangeScan(
-                table,
-                leaf.binding,
-                canonical,
-                low=None,
-                high=None,
-                low_inclusive=True,
-                high_inclusive=True,
-                estimate=node.estimate,
-                descending=not order_item.ascending,
-            )
-            if parent is None:
-                return 1, ordered
-            parent.child = ordered
-            parent.children = (ordered,)
-            return 1, root
+            return 1, _ordered_walk(leaf, root, canonical, order_item.ascending)
         return 0, root
 
     def plan_update(self, statement: UpdateStatement) -> DmlPlan:
         """Plan an UPDATE: choose the access path locating the target rows."""
-        return self._plan_dml(statement.table, statement.where, "update")
+        return self._plan_dml(self._binder.dml(statement), "update")
 
     def plan_delete(self, statement: DeleteStatement) -> DmlPlan:
         """Plan a DELETE: choose the access path locating the target rows."""
-        return self._plan_dml(statement.table, statement.where, "delete")
+        return self._plan_dml(self._binder.dml(statement), "delete")
 
-    def _plan_dml(self, table_name: str, where: Expression | None, kind: str) -> DmlPlan:
+    def _plan_dml(self, statement: UpdateStatement | DeleteStatement, kind: str) -> DmlPlan:
+        table_name = statement.table
         table = self._provider.table(table_name)
         leaf = _Leaf(
             binding=table_name,
             columns=list(table.schema.column_names),
             table=table,
         )
-        conjuncts = _split_conjuncts(where)
-        column_owner = self._column_ownership([leaf])
         pushable: list[Expression] = []
         residual: list[Expression] = []
-        for conjunct in conjuncts:
-            bindings = _conjunct_bindings(conjunct, column_owner)
+        for conjunct in _split_conjuncts(statement.where):
+            bindings = _conjunct_bindings(conjunct)
             if bindings is not None and bindings <= {leaf.binding.lower()}:
                 pushable.append(conjunct)
             else:
-                # Subqueries (and misqualified references) cannot drive an
-                # index; they are re-checked per candidate row.
+                # Subqueries cannot drive an index; they are re-checked per
+                # candidate row.
                 residual.append(conjunct)
         leaf.predicates = pushable
         self._build_access_path(leaf)
@@ -607,9 +551,9 @@ class Planner:
         return DmlPlan(
             kind=kind,
             table=table,
-            binding=table_name,
             scan=scan,
             residual=filtered + residual,
+            assignments=getattr(statement, "assignments", ()),
             rebind_unsafe=self.rebind_unsafe,
         )
 
@@ -679,17 +623,16 @@ class Planner:
     def _plan_joins(
         self, leaves: list[_Leaf], conjuncts: list[Expression]
     ) -> tuple[Operator, list[Expression]]:
-        column_owner = self._column_ownership(leaves)
         leaf_bindings = {leaf.binding.lower() for leaf in leaves}
         leaf_by_binding = {leaf.binding.lower(): leaf for leaf in leaves}
 
         # Push single-binding conjuncts down to their leaf; conjuncts whose
-        # binding set is undecidable (subqueries, ambiguous columns) or not
-        # among these leaves stay in the shared pool.
+        # binding set is undecidable (subqueries, enclosing-query columns) or
+        # not among these leaves stay in the shared pool.
         remaining: list[Expression] = []
         per_leaf: dict[str, list[Expression]] = {}
         for conjunct in conjuncts:
-            bindings = _conjunct_bindings(conjunct, column_owner)
+            bindings = _conjunct_bindings(conjunct)
             if (
                 bindings is not None
                 and len(bindings) == 1
@@ -720,18 +663,14 @@ class Planner:
             best_equi: list[tuple[Expression, ColumnRef, ColumnRef]] = []
             for index, leaf in enumerate(pending):
                 equi = _find_equi_joins(
-                    unjoined,
-                    current_bindings,
-                    {leaf.binding.lower()},
-                    column_owner,
-                    leaf_by_binding,
+                    unjoined, current_bindings, {leaf.binding.lower()}
                 )
                 key = (0 if equi else 1, leaf.estimate, index)
                 if best_key is None or key < best_key:
                     best_key, best_index, best_equi = key, index, equi
             leaf = pending.pop(best_index)
             current, current_est = self._join(
-                current, current_est, leaf, best_equi, column_owner, leaf_by_binding
+                current, current_est, leaf, best_equi, leaf_by_binding
             )
             used = {id(conjunct) for conjunct, _, _ in best_equi}
             unjoined = [c for c in unjoined if id(c) not in used]
@@ -740,7 +679,7 @@ class Planner:
             applicable = []
             still_remaining = []
             for conjunct in unjoined:
-                bindings = _conjunct_bindings(conjunct, column_owner)
+                bindings = _conjunct_bindings(conjunct)
                 if bindings is not None and bindings <= current_bindings:
                     applicable.append(conjunct)
                 else:
@@ -756,13 +695,12 @@ class Planner:
         current_est: float,
         leaf: _Leaf,
         equi: list[tuple[Expression, ColumnRef, ColumnRef]],
-        column_owner: dict[str, set[str]] | None = None,
-        leaf_by_binding: dict[str, "_Leaf"] | None = None,
+        leaf_by_binding: dict[str, "_Leaf"],
     ) -> tuple[Operator, float]:
         """Attach ``leaf`` to ``current``, choosing the physical join."""
         if equi:
             joined_est = self._equi_join_estimate(
-                current_est, leaf, equi[0], column_owner, leaf_by_binding
+                current_est, leaf, equi[0], leaf_by_binding
             )
             indexed = self._indexed_join_key(leaf, equi)
             if indexed is not None and current_est < leaf.seq_cost:
@@ -774,10 +712,10 @@ class Planner:
                 probe = IndexScan(
                     leaf.table,
                     leaf.binding,
-                    leaf.table.schema.column(leaf_key.name).name,
+                    leaf_key.column,
                     outer_key,
                     estimate=max(
-                        leaf.seq_cost / self._distinct_estimate(leaf, leaf_key.name),
+                        leaf.seq_cost / self._distinct_estimate(leaf, leaf_key.column),
                         1.0,
                     ),
                     probe=True,
@@ -800,8 +738,7 @@ class Planner:
         current_est: float,
         leaf: _Leaf,
         equi: tuple[Expression, ColumnRef, ColumnRef],
-        column_owner: dict[str, set[str]] | None,
-        leaf_by_binding: dict[str, "_Leaf"] | None,
+        leaf_by_binding: dict[str, "_Leaf"],
     ) -> float:
         """Calibrated equi-join fanout: ``|L|·|R| / max(d_L, d_R)`` over the
         *overlapping* part of the two key domains.
@@ -815,20 +752,16 @@ class Planner:
         costed as if every key matched.
         """
         _, outer_column, leaf_column = equi
-        outer_leaf: _Leaf | None = None
-        if column_owner is not None and leaf_by_binding is not None:
-            outer_binding = _resolve_binding(outer_column, column_owner)
-            if outer_binding is not None:
-                outer_leaf = leaf_by_binding.get(outer_binding)
-        inner_distinct = self._distinct_estimate(leaf, leaf_column.name)
+        outer_leaf = leaf_by_binding.get(outer_column.binding.lower())
+        inner_distinct = self._distinct_estimate(leaf, leaf_column.column)
         outer_distinct = (
-            self._distinct_estimate(outer_leaf, outer_column.name)
+            self._distinct_estimate(outer_leaf, outer_column.column)
             if outer_leaf is not None
             else 1.0
         )
         outer_fraction, inner_fraction = join_key_overlap(
-            self._column_statistics(outer_leaf, outer_column.name),
-            self._column_statistics(leaf, leaf_column.name),
+            self._column_statistics(outer_leaf, outer_column.column),
+            self._column_statistics(leaf, leaf_column.column),
         )
         denominator = max(
             outer_distinct * outer_fraction, inner_distinct * inner_fraction, 1.0
@@ -856,9 +789,7 @@ class Planner:
         if not self._use_indexes or leaf.table is None:
             return None
         for conjunct, outer_key, leaf_key in equi:
-            if not leaf.table.schema.has_column(leaf_key.name):
-                continue
-            if leaf.table.index_for(leaf_key.name) is not None:
+            if leaf.table.index_for(leaf_key.column) is not None:
                 return conjunct, outer_key, leaf_key
         return None
 
@@ -930,9 +861,7 @@ class Planner:
             if match is None:
                 continue
             column, value_expr = match
-            if not table.schema.has_column(column.name):
-                continue
-            canonical = table.schema.column(column.name).name
+            canonical = column.column
             if table.index_for(canonical) is None:
                 continue
             if isinstance(value_expr, Literal) and (
@@ -968,9 +897,7 @@ class Planner:
             if match is None:
                 continue
             column, bounds = match
-            if not table.schema.has_column(column.name):
-                continue
-            canonical = table.schema.column(column.name).name
+            canonical = column.column
             if table.sorted_index_for(canonical) is None:
                 continue
             data_type = table.schema.column(canonical).data_type
@@ -1043,9 +970,9 @@ class Planner:
         column, op, value = comparison
         stats = table.cached_statistics
         if stats is not None:
-            return stats.selectivity(column.name, op, value)
+            return stats.selectivity(column.column, op, value)
         if op == "=":
-            index = table.index_for(column.name) if table.schema.has_column(column.name) else None
+            index = table.index_for(column.column)
             if index is not None and index.distinct_values():
                 return 1.0 / index.distinct_values()
             return DEFAULT_EQ_SELECTIVITY
@@ -1055,72 +982,88 @@ class Planner:
         """Estimated distinct count of a leaf column (join-size denominator)."""
         if leaf.table is None:
             return max(leaf.estimate, 1.0)
-        if leaf.table.schema.has_column(column_name):
-            index = leaf.table.index_for(column_name)
-            if index is not None and index.distinct_values():
-                return float(index.distinct_values())
-            stats = leaf.table.cached_statistics
-            if stats is not None:
-                column_stats = stats.columns.get(column_name.lower())
-                if column_stats is not None:
-                    return float(max(column_stats.distinct_count, 1))
+        index = leaf.table.index_for(column_name)
+        if index is not None and index.distinct_values():
+            return float(index.distinct_values())
+        column_stats = self._column_statistics(leaf, column_name)
+        if column_stats is not None:
+            return float(max(column_stats.distinct_count, 1))
         return float(max(len(leaf.table), 1))
 
-    # -- helpers --------------------------------------------------------------------
-
-    def _column_ownership(self, leaves: list[_Leaf]) -> dict[str, set[str]]:
-        """Map lower-cased column name → set of binding names providing it."""
-        ownership: dict[str, set[str]] = {}
-        for leaf in leaves:
-            for column in leaf.columns:
-                ownership.setdefault(column.lower(), set()).add(leaf.binding.lower())
-        return ownership
-
 
 # ---------------------------------------------------------------------------
-# Statement-level helpers (shared with the executor)
+# Reading the binder's answer
 # ---------------------------------------------------------------------------
 
 
-def compute_output_columns(
-    statement: SelectStatement, bindings: list[tuple[str, list[str]]]
-) -> list[str]:
-    """Output column names of a SELECT, given the FROM-ordered bindings."""
-    columns: list[str] = []
+def _projection(
+    statement: SelectStatement,
+    bindings: list[tuple[str, list[str]]],
+    layout: list[tuple[str, list[str]]],
+) -> list:
+    """Per output value of a bound select list, where it comes from in rows
+    laid out by ``layout``: a position (a column, or ``*`` expanded over the
+    FROM-ordered ``bindings``), else the expression computing it."""
+    offsets = layout_of(layout)
+    parts: list = []
     for item in statement.select_items:
         expr = item.expression
         if isinstance(expr, Star):
-            columns.extend(star_columns(expr, bindings))
-        elif item.alias:
-            columns.append(item.alias)
-        elif isinstance(expr, ColumnRef):
-            columns.append(expr.name)
-        elif isinstance(expr, FunctionCall):
-            columns.append(expr.name.lower())
-        else:
-            columns.append(f"column{len(columns) + 1}")
-    return columns
+            for binding, columns in star_bindings(expr, bindings):
+                parts.extend(range(offsets[binding], offsets[binding] + len(columns)))
+            continue
+        slot = slot_of(layout, expr) if isinstance(expr, ColumnRef) else None
+        parts.append(expr if slot is None else slot)
+    return parts
 
 
-def _reject_duplicate_bindings(bindings: list[tuple[str, list[str]]]) -> None:
-    """One FROM clause may not bind a name twice (case-insensitively): a
-    qualified reference or ``alias.*`` could mean either relation."""
-    seen: set[str] = set()
-    for binding, _ in bindings:
-        if binding.lower() in seen:
-            raise ExecutionError(f"table name {binding!r} specified more than once")
-        seen.add(binding.lower())
+def _order_key(item, layout: list[tuple[str, list[str]]]) -> OrderKey:
+    """Where a bound ORDER BY item reads its value in rows laid out by
+    ``layout``: an output column, a source position, or its expression."""
+    expr = item.expression
+    if isinstance(expr, BoundColumn) and expr.output is not None:
+        return OrderKey(item.ascending, output=expr.output)
+    slot = slot_of(layout, expr) if isinstance(expr, ColumnRef) else None
+    if slot is not None:
+        return OrderKey(item.ascending, slot=slot)
+    return OrderKey(item.ascending, expression=expr)
 
 
-def star_columns(star: Star, bindings: list[tuple[str, list[str]]]) -> list[str]:
-    """Expand ``*`` or ``alias.*`` against the FROM-ordered bindings."""
-    names: list[str] = []
-    for binding, columns in bindings:
-        if star.table is None or binding.lower() == star.table.lower():
-            names.extend(columns)
-    if not names and star.table is not None:
-        raise ExecutionError(f"unknown table alias {star.table!r} in select list")
-    return names
+def _source_column(expr: Expression) -> str | None:
+    """The column of this query's rows a bound ORDER BY / GROUP BY key names,
+    or None (an output column, an enclosing query's column, an expression)."""
+    if isinstance(expr, BoundColumn) and expr.output is None and not expr.depth:
+        return expr.column
+    return None
+
+
+def _scan_under_filters(root: Operator) -> Operator:
+    while isinstance(root, Filter):
+        root = root.child
+    return root
+
+
+def _ordered_walk(leaf: _Leaf, root: Operator, column: str, ascending: bool) -> Operator:
+    """``root`` with the heap scan under its filters replaced by an unbounded
+    walk of ``column``'s sorted index."""
+    parent, node = None, root
+    while isinstance(node, Filter):
+        parent, node = node, node.child
+    ordered = RangeScan(
+        leaf.table,
+        leaf.binding,
+        column,
+        low=None,
+        high=None,
+        low_inclusive=True,
+        high_inclusive=True,
+        estimate=node.estimate,
+        descending=not ascending,
+    )
+    if parent is None:
+        return ordered
+    parent.child, parent.children = ordered, (ordered,)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -1136,27 +1079,18 @@ def _split_conjuncts(expr: Expression | None) -> list[Expression]:
     return [expr]
 
 
-def _conjunct_bindings(
-    expr: Expression, column_owner: dict[str, set[str]]
-) -> set[str] | None:
-    """The set of bindings a conjunct references, or None when undecidable.
-
-    Undecidable cases (subqueries, unqualified columns owned by several
-    bindings) force the conjunct to be evaluated only after the full join.
-    """
+def _conjunct_bindings(expr: Expression) -> set[str] | None:
+    """The (lower-cased) bindings a bound conjunct reads, or None when its
+    placement is undecidable: it holds a subquery or reads an enclosing
+    query's column, and is evaluated only after the full join."""
     bindings: set[str] = set()
     for node in _walk_no_subquery(expr):
         if isinstance(node, (InSubquery, ExistsSubquery, ScalarSubquery)):
             return None
         if isinstance(node, ColumnRef):
-            if node.table:
-                bindings.add(node.table.lower())
-            else:
-                owners = column_owner.get(node.name.lower(), set())
-                if len(owners) == 1:
-                    bindings.add(next(iter(owners)))
-                else:
-                    return None
+            if node.depth:
+                return None
+            bindings.add(node.binding.lower())
     return bindings
 
 
@@ -1190,11 +1124,7 @@ def _walk_no_subquery(expr: Expression):
 
 
 def _find_equi_joins(
-    conjuncts: list[Expression],
-    left_bindings: set[str],
-    right_bindings: set[str],
-    column_owner: dict[str, set[str]],
-    leaf_by_binding: dict[str, _Leaf],
+    conjuncts: list[Expression], left_bindings: set[str], right_bindings: set[str]
 ) -> list[tuple[Expression, ColumnRef, ColumnRef]]:
     """Equality conjuncts connecting the two binding sets, as (expr, left, right).
 
@@ -1203,23 +1133,19 @@ def _find_equi_joins(
     (:func:`~repro.storage.types.compare_values`): a pair is kept only when
     both columns' declared types hash alike ({INTEGER, FLOAT}, {TEXT},
     {BOOLEAN}); any other pair stays an ordinary conjunct, applied by the
-    Filter above the join.  A derived-table column has no declared type and
-    a misnamed column has none either: such a pair is kept, as it always was.
+    Filter above the join.  A derived-table column has no declared type: such
+    a pair is kept.
     """
     matches = []
     for conjunct in conjuncts:
         if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
             continue
-        if not isinstance(conjunct.left, ColumnRef) or not isinstance(
-            conjunct.right, ColumnRef
-        ):
+        left, right = conjunct.left, conjunct.right
+        if not isinstance(left, ColumnRef) or not isinstance(right, ColumnRef):
             continue
-        first = _resolve_binding(conjunct.left, column_owner)
-        second = _resolve_binding(conjunct.right, column_owner)
-        if first is None or second is None:
+        if left.depth or right.depth:
             continue
-        left_type = _declared_type(conjunct.left, leaf_by_binding.get(first))
-        right_type = _declared_type(conjunct.right, leaf_by_binding.get(second))
+        left_type, right_type = left.data_type, right.data_type
         if (
             left_type is not None
             and right_type is not None
@@ -1227,28 +1153,12 @@ def _find_equi_joins(
             and not (left_type.is_numeric and right_type.is_numeric)
         ):
             continue
+        first, second = left.binding.lower(), right.binding.lower()
         if first in left_bindings and second in right_bindings:
-            matches.append((conjunct, conjunct.left, conjunct.right))
+            matches.append((conjunct, left, right))
         elif second in left_bindings and first in right_bindings:
-            matches.append((conjunct, conjunct.right, conjunct.left))
+            matches.append((conjunct, right, left))
     return matches
-
-
-def _declared_type(column: ColumnRef, leaf: "_Leaf | None"):
-    """The :class:`~repro.storage.types.DataType` a base-table leaf declares
-    for ``column``, or None (derived table, unknown binding or column)."""
-    if leaf is None or leaf.table is None or not leaf.table.schema.has_column(column.name):
-        return None
-    return leaf.table.schema.column(column.name).data_type
-
-
-def _resolve_binding(column: ColumnRef, column_owner: dict[str, set[str]]) -> str | None:
-    if column.table:
-        return column.table.lower()
-    owners = column_owner.get(column.name.lower(), set())
-    if len(owners) == 1:
-        return next(iter(owners))
-    return None
 
 
 def _constant_equality(expr: Expression) -> tuple[ColumnRef, Expression] | None:

@@ -17,6 +17,7 @@ from repro.workloads.schemas import build_database
 
 VALID_SQL = "SELECT T.temp FROM WaterTemp T WHERE T.temp < 18"
 UNKNOWN_COLUMN_SQL = "SELECT T.wetness FROM WaterTemp T"
+DUPLICATE_TABLE_SQL = "SELECT * FROM Lakes, Lakes"
 CARTESIAN_SQL = (
     "SELECT S.salinity, T.temp FROM WaterSalinity S, WaterTemp T WHERE T.temp < 18"
 )
@@ -95,6 +96,14 @@ class TestLintLog:
         assert reason.startswith("bob: looks wrong; ")
         assert "wetness" in reason
 
+    def test_statement_the_engine_rejects_is_flagged_not_raised(self, store):
+        store.add(make_record(4, DUPLICATE_TABLE_SQL))
+        findings = store.lint_log()
+        assert [d.rule for d in findings[4] if d.severity is Severity.ERROR] == [
+            "duplicate-table"
+        ]
+        assert "specified more than once" in store.get(4).invalid_reason
+
     def test_lint_log_without_schema_raises(self):
         store = QueryStore()
         store.add(make_record(1))
@@ -165,6 +174,12 @@ class TestQueryHealth:
         assert "=== Query health ===" in panel
         assert "alice" in panel and "bob" in panel
 
+    def test_logged_failure_lints_through_the_cqms(self, cqms):
+        execution = cqms.submit("bob", DUPLICATE_TABLE_SQL)
+        assert not execution.succeeded
+        assert any(d.rule == "duplicate-table" for d in cqms.lint_log()[execution.record.qid])
+        assert "bob" in Workbench(cqms=cqms, user="alice").query_health_panel()
+
     def test_empty_panel(self, database):
         cqms = CQMS(database)
         panel = Workbench(cqms=cqms, user="alice").query_health_panel()
@@ -187,6 +202,10 @@ class TestCli:
     def test_lint_sql_invalid_exits_one(self, capsys):
         assert analysis_main(["lint-sql", UNKNOWN_COLUMN_SQL]) == 1
         assert "unknown-column" in capsys.readouterr().out
+
+    def test_lint_sql_engine_rejected_exits_one(self, capsys):
+        assert analysis_main(["lint-sql", DUPLICATE_TABLE_SQL]) == 1
+        assert "duplicate-table" in capsys.readouterr().out
 
     def test_lint_sql_valid_exits_zero(self, capsys):
         assert analysis_main(["lint-sql", VALID_SQL]) == 0

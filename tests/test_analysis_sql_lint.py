@@ -37,6 +37,11 @@ GOLDEN = [
         "SELECT * FROM Lakes",
     ),
     (
+        "duplicate-table",
+        "SELECT * FROM Lakes, Lakes",
+        "SELECT A.name FROM Lakes A, Lakes B WHERE A.lake_id = B.lake_id",
+    ),
+    (
         "unknown-column",
         "SELECT T.wetness FROM WaterTemp T",
         "SELECT T.temp FROM WaterTemp T",

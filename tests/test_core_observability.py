@@ -225,6 +225,27 @@ class TestRateLimits:
             cqms.set_user_limits("nobody", QueryLimits(rate_limit_qps=1.0))
 
 
+class TestAdmissionWithoutTelemetry:
+    """Turning telemetry off drops admission's counters, not its verdicts."""
+
+    def test_statement_timeout_still_cancels(self):
+        cqms, _ = _cqms(
+            CQMSConfig(telemetry_enabled=False, statement_timeout_seconds=1e-9)
+        )
+        execution = cqms.submit("ana", "SELECT * FROM SensorReadings WHERE value >= 0")
+        assert not execution.succeeded
+        assert "timeout" in execution.error
+
+    def test_rate_limit_still_sheds(self):
+        cqms, _ = _cqms(CQMSConfig(telemetry_enabled=False))
+        cqms.set_user_limits("ben", QueryLimits(rate_limit_qps=1.0, rate_limit_burst=1.0))
+        assert cqms.submit("ben", "SELECT * FROM Sensors").succeeded
+        for _ in range(2):
+            with pytest.raises(RateLimitedError):
+                cqms.submit("ben", "SELECT * FROM Sensors")
+        assert len(cqms.store) == 1
+
+
 class TestMetricsSurface:
     def test_metrics_text_exposes_full_surface(self):
         from repro.analysis.exposition_lint import lint_exposition

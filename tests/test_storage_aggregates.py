@@ -1,16 +1,24 @@
-"""Aggregation: accumulator semantics, plan-time validation, operator
-selection, EXPLAIN/ANALYZE surfacing, plan-cache reuse, and agreement of every
-execution path — compiled or interpreted — with stdlib ``sqlite3``."""
+"""Aggregation: accumulator semantics, plan-time validation (malformed
+aggregates and misnamed columns, and the name readers outside the binder
+agreeing with it), operator selection, EXPLAIN/ANALYZE surfacing, plan-cache
+reuse, and agreement of every execution path — compiled or interpreted — with
+stdlib ``sqlite3``."""
 
 from __future__ import annotations
 
+import re
 import sqlite3
 
 import pytest
 
 from repro import CQMS, SimulatedClock, build_database
-from repro.errors import ExecutionError
+from repro.analysis.corpus import DOMAINS, dml_statements, domain_statements
+from repro.analysis.sql_lint import SchemaView, SqlLinter
+from repro.errors import ExecutionError, SchemaError
+from repro.sql import features
+from repro.sql.ast_nodes import Join, SelectStatement, SubqueryRef, iter_subqueries
 from repro.storage import Database, ExecutionSettings
+from repro.storage.binder import Binder, table_columns
 from repro.storage.aggregates import (
     CountStarAccumulator,
     MaxAccumulator,
@@ -237,14 +245,52 @@ MALFORMED_AGGREGATES = [
 ]
 
 
+#: Misnamed column references and the message each must raise — at plan time,
+#: by the binder, so identically whether or not a row would reach them.  The
+#: tables are ``t(a, b)`` and ``u(a, c)`` with an index on ``u.a``.
+MISNAMED_NAMES = [
+    ("SELECT nosuch FROM t", "unknown column 'nosuch'"),
+    ("SELECT a FROM t WHERE nosuch = 1", "unknown column 'nosuch'"),
+    ("SELECT a FROM t GROUP BY nosuch", "unknown column 'nosuch'"),
+    ("SELECT a FROM t ORDER BY nosuch", "unknown column 'nosuch'"),
+    ("SELECT t.nosuch FROM t", "column 'nosuch' not found in 't'"),
+    ("SELECT x.a FROM t", "unknown table alias 'x'"),
+    ("SELECT a FROM t, u", "ambiguous column reference 'a'"),
+    # A hash-join key, then an index-join key (the probe side is u.a).
+    ("SELECT t.b FROM t JOIN u ON t.b = u.nosuch", "column 'nosuch' not found in 'u'"),
+    ("SELECT t.b FROM t JOIN u ON t.nosuch = u.a", "column 'nosuch' not found in 't'"),
+    ("SELECT a FROM t WHERE a IN (SELECT nosuch FROM u)", "unknown column 'nosuch'"),
+    (
+        "SELECT b FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.c = t.nosuch)",
+        "column 'nosuch' not found in 't'",
+    ),
+    ("SELECT d.a FROM (SELECT nosuch FROM t) d", "unknown column 'nosuch'"),
+    ("DELETE FROM t WHERE nosuch = 1", "unknown column 'nosuch'"),
+    ("UPDATE t SET a = nosuch", "unknown column 'nosuch'"),
+    ("INSERT INTO t VALUES (nosuch, 1.0)", "unknown column 'nosuch'"),
+]
+
+#: Misnamed columns an UPDATE sets or an INSERT lists: the schema's error,
+#: raised by the binder at plan time — so also by an INSERT ... SELECT whose
+#: source yields no row.
+MISNAMED_TARGETS = [
+    "UPDATE t SET nosuch = 1",
+    "INSERT INTO t (a, nosuch) VALUES (1, 2.0)",
+    "INSERT INTO t (a, nosuch) SELECT a, c FROM u WHERE c > 5",
+]
+
+
 class TestPlanTimeValidation:
     @staticmethod
     def _cqms(populated: bool) -> CQMS:
         clock = SimulatedClock()
         db = Database(clock=clock)
         db.execute("CREATE TABLE t (a INTEGER, b FLOAT)")
+        db.execute("CREATE TABLE u (a INTEGER, c INTEGER)")
+        db.execute("CREATE INDEX u_a ON u (a)")
         if populated:
             db.insert_rows("t", [{"a": 1, "b": 2.0}, {"a": 2, "b": None}])
+            db.insert_rows("u", [{"a": 1, "c": 2}, {"a": 3, "c": None}])
         cqms = CQMS(db, clock=clock)
         cqms.register_user("ana", group="lab")
         return cqms
@@ -264,6 +310,46 @@ class TestPlanTimeValidation:
             errors.append(str(raised.value))
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("sql, message", MISNAMED_NAMES)
+    def test_misnamed_name_raises_without_data(self, sql, message):
+        for populated in (False, True):
+            cqms = self._cqms(populated)
+            with pytest.raises(ExecutionError) as raised:
+                cqms.database.execute(sql)
+            assert str(raised.value) == message
+            with pytest.raises(ExecutionError, match=re.escape(message)):
+                cqms.database.explain(sql)
+            execution = cqms.submit("ana", sql)
+            assert not execution.succeeded
+            assert execution.error == message
+        # sqlite rejects it too: the statement is an error, whatever the wording.
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE t (a INTEGER, b REAL)")
+        connection.execute("CREATE TABLE u (a INTEGER, c INTEGER)")
+        with pytest.raises(sqlite3.OperationalError):
+            connection.execute(sql)
+        connection.close()
+
+    @pytest.mark.parametrize("sql", MISNAMED_TARGETS)
+    def test_misnamed_target_column_raises_without_data(self, sql):
+        message = "table 't' has no column 'nosuch'"
+        for populated in (False, True):
+            cqms = self._cqms(populated)
+            with pytest.raises(SchemaError) as raised:
+                cqms.database.execute(sql)
+            assert str(raised.value) == message
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                cqms.database.explain(sql)
+            execution = cqms.submit("ana", sql)
+            assert not execution.succeeded
+            assert execution.error == message
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE t (a INTEGER, b REAL)")
+        connection.execute("CREATE TABLE u (a INTEGER, c INTEGER)")
+        with pytest.raises(sqlite3.OperationalError):
+            connection.execute(sql)
+        connection.close()
+
     def test_legal_shapes_still_plan(self):
         for populated in (False, True):
             db = self._cqms(populated).database
@@ -281,6 +367,84 @@ class TestPlanTimeValidation:
             assert Planner(db).plan_select(parse(sql)).aggregate is None, sql
 
 
+def _select_levels(statement: SelectStatement):
+    """``statement`` and every SELECT nested in it: derived tables and
+    expression subqueries."""
+    yield statement
+    for item in statement.from_items:
+        for table in _from_subqueries(item):
+            yield from _select_levels(table)
+    for expr in features._statement_expressions(statement):
+        for subquery in iter_subqueries(expr):
+            yield from _select_levels(subquery)
+
+
+def _from_subqueries(item):
+    if isinstance(item, SubqueryRef):
+        yield item.subquery
+    elif isinstance(item, Join):
+        yield from _from_subqueries(item.left)
+        yield from _from_subqueries(item.right)
+
+
+class TestResolversAgree:
+    """The binder is the engine's one name rule; the two name readers left
+    outside it — the feature extractor's lenient resolver and the linter's
+    name rules — must agree with it wherever both answer."""
+
+    def test_feature_resolver_matches_the_binder_on_the_paper_log(self, paper_env):
+        database = paper_env.cqms.database
+        binder = Binder(table_columns(database))
+        schema = database.schema_columns()
+        compared = 0
+        for query in paper_env.store.all_queries():
+            statement = parse(query.text)
+            if not isinstance(statement, SelectStatement):
+                continue
+            try:
+                bound = binder.select(statement)
+            except ExecutionError:
+                continue
+            for level in _select_levels(bound):
+                resolver = features._ColumnResolver(
+                    features._alias_map(level.from_items), schema
+                )
+                for expr in features._statement_expressions(level):
+                    for ref in features._column_refs_no_subquery(expr):
+                        if ref.output is not None:
+                            continue  # an ORDER BY output column: no base table
+                        relation = (ref.relation or ref.binding).lower()
+                        assert resolver.resolve(ref) == (ref.column.lower(), relation), (
+                            query.text
+                        )
+                        compared += 1
+        assert compared > 1000
+
+    def test_lint_name_errors_fire_exactly_where_planning_fails(self):
+        misnamed = [sql for sql, _ in MISNAMED_NAMES] + MISNAMED_TARGETS + ["SELECT a FROM t, t"]
+        cases = [(TestPlanTimeValidation._cqms(False).database, misnamed)]
+        for domain in DOMAINS:
+            database = build_database(domain, scale=1)
+            cases.append((database, domain_statements(domain) + dml_statements(database)))
+        rejected = 0
+        for database, statements in cases:
+            linter = SqlLinter(SchemaView.from_database(database))
+            for sql in statements:
+                flagged = any(
+                    diagnostic.rule
+                    in ("unknown-column", "ambiguous-column", "duplicate-table")
+                    for diagnostic in linter.lint_sql(sql)
+                )
+                try:
+                    database.explain(sql)
+                    fails = False
+                except (ExecutionError, SchemaError):
+                    fails = True
+                assert flagged == fails, sql
+                rejected += fails
+        assert rejected == len(misnamed)
+
+
 def _find(op, kind):
     """The first operator of ``kind`` in the tree under ``op``, or None."""
     if isinstance(op, kind):
@@ -293,8 +457,8 @@ def _find(op, kind):
 
 
 #: One statement per place the engine interprets an expression because its
-#: *shape* has no compiled form — where a row tuple still becomes a ``Scope``
-#: view — with the memo that must therefore be None.
+#: *shape* has no compiled form — where the evaluator reads the row tuple
+#: through a positional ``Scope`` — with the memo that must therefore be None.
 INTERPRETED_SHAPES = [
     pytest.param(
         "SELECT lake_id FROM lakes WHERE area + lake_id > 480",
@@ -369,22 +533,21 @@ class TestInterpreterByShape:
     )
     def test_misnamed_hash_join_key_reports_the_column(self, condition, side):
         db = _make_db()
-        plan = Planner(db).plan_select(
-            parse(f"SELECT a.lake_id FROM lakes a JOIN lakes b ON {condition}")
-        )
         with pytest.raises(ExecutionError, match="column 'nope' not found"):
-            Executor(db).execute_plan(plan)
-        assert _find(plan.root, HashJoin)._compiled_keys[side] is None
+            Planner(db).plan_select(
+                parse(f"SELECT a.lake_id FROM lakes a JOIN lakes b ON {condition}")
+            )
 
     def test_misnamed_index_join_key_reports_the_column(self):
         db = _make_db()
         db.execute("CREATE INDEX lakes_id ON lakes (lake_id)")
-        plan = Planner(db).plan_select(
-            parse("SELECT a.name FROM lakes a JOIN lakes b ON a.nope = b.lake_id WHERE a.area > 99")
-        )
         with pytest.raises(ExecutionError, match="column 'nope' not found in 'a'"):
-            Executor(db).execute_plan(plan)
-        assert _find(plan.root, IndexLookupJoin)._compiled_probe[0] is None
+            Planner(db).plan_select(
+                parse(
+                    "SELECT a.name FROM lakes a JOIN lakes b "
+                    "ON a.nope = b.lake_id WHERE a.area > 99"
+                )
+            )
 
 
 class TestPlannerIntegration:

@@ -11,6 +11,7 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 from repro.storage import Database, ExecutionSettings
+from repro.storage.binder import Binder
 from repro.storage.colbatch import KIND_INT, KIND_OBJECT, ColumnBatch
 from repro.storage.kernels import (
     apply_kernels,
@@ -208,6 +209,12 @@ class TestColumnBatch:
         assert buckets == {0: [0, 2], 1: [3, 5]}
 
 
+def _bound(sql):
+    """``sql`` bound against a one-table schema ``t(a, b)``: kernels read
+    the binder's answer, never a bare name."""
+    return Binder(lambda name: [("a", None), ("b", None)]).select(parse(sql))
+
+
 class TestKernelCompilation:
     def _batch(self):
         schema = TableSchema(
@@ -224,7 +231,7 @@ class TestKernelCompilation:
     def _kernels(self, where):
         from repro.storage.planner import _split_conjuncts
 
-        statement = parse(f"SELECT a FROM t WHERE {where}")
+        statement = _bound(f"SELECT a FROM t WHERE {where}")
         bindings = [("t", ["a", "b"])]
         return compile_columnar_conjuncts(_split_conjuncts(statement.where), bindings)
 
@@ -254,7 +261,7 @@ class TestKernelCompilation:
     def test_uncompilable_conjunct_rejects_whole_set(self):
         from repro.storage.planner import _split_conjuncts
 
-        statement = parse("SELECT a FROM t WHERE a > 1 AND a + 1 > 2")
+        statement = _bound("SELECT a FROM t WHERE a > 1 AND a + 1 > 2")
         bindings = [("t", ["a", "b"])]
         assert (
             compile_columnar_conjuncts(_split_conjuncts(statement.where), bindings)

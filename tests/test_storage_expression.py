@@ -3,20 +3,28 @@
 import pytest
 
 from repro.errors import ExecutionError
-from repro.sql.parser import parse_expression
-from repro.storage.expression import Scope, evaluate, is_true
+from repro.sql.parser import parse
+from repro.storage.binder import Binder
+from repro.storage.expression import Scope, evaluate, is_true, layout_of
 
+#: The tables expressions are bound against: ``t`` and ``s`` both have ``a``.
+SCHEMA = {"t": ["a", "b", "name", "flag"], "s": ["x", "a"], "u": ["y"]}
+BINDER = Binder(lambda name: [(column, None) for column in SCHEMA[name.lower()]])
 
+#: The one row of ``FROM t, s`` every expression is evaluated on.
 ROW_SCOPE = Scope(
-    {
-        "t": {"a": 5, "b": None, "name": "Lake Washington", "flag": True},
-        "s": {"x": 2.5, "a": 7},
-    }
+    layout_of([("t", SCHEMA["t"]), ("s", SCHEMA["s"])]),
+    (5, None, "Lake Washington", True, 2.5, 7),
 )
 
 
+def bound(sql):
+    """``sql`` with every column reference bound against :data:`SCHEMA`."""
+    return BINDER.select(parse(sql))
+
+
 def run(expression, scope=ROW_SCOPE):
-    return evaluate(parse_expression(expression), scope)
+    return evaluate(bound(f"SELECT {expression} FROM t, s").select_items[0].expression, scope)
 
 
 class TestColumnResolution:
@@ -40,13 +48,18 @@ class TestColumnResolution:
             run("z.a")
 
     def test_parent_scope_lookup(self):
-        child = ROW_SCOPE.child({"u": {"y": 1}})
-        assert evaluate(parse_expression("t.a"), child) == 5
-        assert evaluate(parse_expression("y"), child) == 1
+        statement = bound("SELECT 1 FROM t, s WHERE EXISTS (SELECT t.a, y FROM u)")
+        outer_ref, inner_ref = (
+            item.expression for item in statement.where.subquery.select_items
+        )
+        child = Scope(layout_of([("u", SCHEMA["u"])]), (1,), parent=ROW_SCOPE)
+        assert evaluate(outer_ref, child) == 5
+        assert evaluate(inner_ref, child) == 1
 
     def test_extras_used_for_aliases(self):
-        scope = ROW_SCOPE.with_extras({"total": 42})
-        assert evaluate(parse_expression("total"), scope) == 42
+        statement = bound("SELECT 42 AS total FROM t, s ORDER BY total")
+        output = statement.order_by[0].expression.output
+        assert evaluate(statement.select_items[output].expression, ROW_SCOPE) == 42
 
     def test_case_insensitive_column_names(self):
         assert run("T.A") == 5

@@ -685,7 +685,7 @@ class TestMetaQueryExplain:
         from repro.client.workbench import Workbench
 
         workbench = Workbench(fresh_cqms, "alice")
-        workbench.type("SELECT * FROM WaterTemp WHERE lake = 'Lake Union'")
+        workbench.type("SELECT * FROM WaterTemp WHERE lake_id = 3")
         panel = workbench.explain()
         assert panel.startswith("=== Query plan ===")
         assert "WaterTemp" in panel
