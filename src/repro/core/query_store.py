@@ -319,8 +319,9 @@ class QueryStore:
         consistent when a recovered query is later removed.  Output-sample
         cells come back as the TEXT the relation stores.
         """
+        relation = self._relation_dicts
         runtime_by_qid: dict[int, RuntimeStats] = {}
-        for row in self._meta_db.table("RuntimeStats").rows():
+        for row in relation("RuntimeStats"):
             runtime_by_qid[row["qid"]] = RuntimeStats(
                 elapsed_seconds=row["elapsedSeconds"] or 0.0,
                 result_cardinality=row["cardinality"] or 0,
@@ -328,21 +329,30 @@ class QueryStore:
                 succeeded=bool(row["succeeded"]),
             )
         annotations_by_qid: dict[int, list[tuple[float, str]]] = {}
-        for row in self._meta_db.table("Annotations").rows():
+        for row in relation("Annotations"):
             annotations_by_qid.setdefault(row["qid"], []).append(
                 (row["ts"] or 0.0, row["body"] or "")
             )
-        samples_by_qid: dict[int, list[dict]] = {}
-        for row in self._meta_db.table("OutputSamples").rows():
-            samples_by_qid.setdefault(row["qid"], []).append(row)
+        # The largest relation (one row per sampled cell): read by position,
+        # so reopen holds a 3-tuple per cell rather than a dict per row.
+        samples = self._meta_db.table("OutputSamples")
+        qid_at, index_at, column_at, cell_at = map(
+            samples.schema.position, ("qid", "rowIndex", "columnName", "cellValue")
+        )
+        samples_by_qid: dict[int, list[tuple]] = {}
+        for rows in samples.scan_row_lists():
+            for row in rows:
+                samples_by_qid.setdefault(row[qid_at], []).append(
+                    (row[index_at], row[column_at], row[cell_at])
+                )
         sessions_by_user: dict[str, list[tuple[float, float, int]]] = {}
-        for row in self._meta_db.table("Sessions").rows():
+        for row in relation("Sessions"):
             sessions_by_user.setdefault(row["userName"], []).append(
                 (row["startTs"] or 0.0, row["endTs"] or 0.0, row["sessionId"])
             )
 
         artefacts_by_text: dict[str, tuple] = {}
-        queries = sorted(self._meta_db.table("Queries").rows(), key=lambda r: r["qid"])
+        queries = sorted(relation("Queries"), key=lambda r: r["qid"])
         for row in queries:
             qid = row["qid"]
             record = LoggedQuery(
@@ -383,11 +393,17 @@ class QueryStore:
             # floor for stores created before the counter existed.
             self._next_qid = max(self._next_qid, max(self._records) + 1)
 
+    def _relation_dicts(self, name: str) -> list[dict]:
+        """Every row of a meta relation, keyed by column name (reopen only)."""
+        table = self._meta_db.table(name)
+        return list(map(table.schema.as_dict, table.rows()))
+
     @staticmethod
     def _rebuild_output_summary(
-        sample_rows: list[dict] | None, result_cardinality: int
+        sample_cells: list[tuple] | None, result_cardinality: int
     ) -> OutputSummary | None:
-        """Reassemble an :class:`OutputSummary` from its shredded cells.
+        """Reassemble an :class:`OutputSummary` from its shredded
+        ``(rowIndex, columnName, cellValue)`` cells.
 
         ``result_cardinality`` (from ``RuntimeStats``) is the query's true
         output size, so ``total_rows``/``complete`` mean the same thing they
@@ -397,16 +413,14 @@ class QueryStore:
         from the float) to keep query-by-data value matching working across
         restarts; NULL round-trips exactly.
         """
-        if not sample_rows:
+        if not sample_cells:
             return None
         columns: list[str] = []
         cells: dict[int, dict[str, object]] = {}
-        for row in sample_rows:
-            if row["rowIndex"] == 0 and row["columnName"] not in columns:
-                columns.append(row["columnName"])
-            cells.setdefault(row["rowIndex"], {})[row["columnName"]] = _parse_cell(
-                row["cellValue"]
-            )
+        for row_index, column, value in sample_cells:
+            if row_index == 0 and column not in columns:
+                columns.append(column)
+            cells.setdefault(row_index, {})[column] = _parse_cell(value)
         rows = [
             tuple(cells[index].get(column) for column in columns)
             for index in sorted(cells)
@@ -439,9 +453,10 @@ class QueryStore:
     def _init_store_meta(self) -> int:
         """Load (or create) the persistent ``next_qid`` counter row."""
         table = self._meta_db.table("StoreMeta")
+        key, value = table.schema.position("key"), table.schema.position("value")
         for row_id, row in table.scan():
-            if row["key"] == "next_qid":
-                self._next_qid = max(self._next_qid, row["value"] or 1)
+            if row[key] == "next_qid":
+                self._next_qid = max(self._next_qid, row[value] or 1)
                 return row_id
         return table.insert({"key": "next_qid", "value": self._next_qid})
 
@@ -827,26 +842,26 @@ class QueryStore:
             for row_id in self._feature_row_ids(table, qid):
                 table.delete(row_id)
         edges = self._meta_db.table("SessionEdges")
+        source, target = edges.schema.position("fromQid"), edges.schema.position("toQid")
         dangling = [
-            (row_id, dict(row))
+            (row_id, row)
             for row_id, row in list(edges.scan())
-            if row["fromQid"] == qid or row["toQid"] == qid
+            if row[source] == qid or row[target] == qid
         ]
         for row_id, _ in dangling:
             edges.delete(row_id)
         if record.session_id is not None:
             self._adjust_session_count(record.session_id, -1)
-        return [row for _, row in dangling]
+        return [edges.schema.as_dict(row) for _, row in dangling]
 
     def _adjust_session_count(self, session_id: int, delta: int) -> None:
         """Shift a session's ``numQueries`` after adding/removing a member."""
         sessions = self._meta_db.table("Sessions")
+        key = sessions.schema.position("sessionId")
+        count = sessions.schema.position("numQueries")
         for row_id, row in list(sessions.scan()):
-            if row["sessionId"] == session_id:
-                sessions.update(
-                    row_id,
-                    {"numQueries": max(0, (row["numQueries"] or 0) + delta)},
-                )
+            if row[key] == session_id:
+                sessions.update(row_id, {"numQueries": max(0, (row[count] or 0) + delta)})
                 break  # session ids are unique in the Sessions relation
 
     @staticmethod
@@ -855,7 +870,8 @@ class QueryStore:
         index = table.index_for("qid")
         if index is not None:
             return sorted(index.lookup(qid))
-        return [row_id for row_id, row in table.scan() if row.get("qid") == qid]
+        position = table.schema.position("qid")
+        return [row_id for row_id, row in table.scan() if row[position] == qid]
 
     def replace_text(self, qid: int, new_text: str, features, canonical: str, template: str) -> None:
         """Replace a repaired query's text and re-shred its features.
@@ -868,8 +884,10 @@ class QueryStore:
         """
         record = self.get(qid)
         annotations = list(record.annotations)
+        annotations_table = self._meta_db.table("Annotations")
         annotation_rows = [
-            dict(row) for row in self._meta_db.table("Annotations").lookup("qid", qid)
+            annotations_table.schema.as_dict(row)
+            for row in annotations_table.lookup("qid", qid)
         ]
         session_id = record.session_id
         edge_rows = self.remove(qid)

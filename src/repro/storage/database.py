@@ -52,7 +52,6 @@ from repro.storage.operators import (
     ExecutionContext,
     compile_conjuncts,
     row_check,
-    stored_row_getter,
 )
 from repro.storage.plan_cache import (
     DEFAULT_MAX_DRIFT,
@@ -822,10 +821,20 @@ class Database:
                         f"INSERT into {statement.table!r} supplies {len(values)} values "
                         f"for {len(target_columns)} columns"
                     )
+        width = len(table.schema.columns)
+        positions = [table.schema.position(column) for column in target_columns]
+        if positions != list(range(width)):
+            # A column list: each value goes to its column's position, and
+            # the columns the list leaves out are NULL.
+            placed = []
+            for values in value_lists:
+                row = [None] * width
+                for position, value in zip(positions, values):
+                    row[position] = value
+                placed.append(row)
+            value_lists = placed
         # One batch per statement: a row the table rejects leaves none behind.
-        count = len(
-            table.insert_many([dict(zip(target_columns, values)) for values in value_lists])
-        )
+        count = len(table.insert_values(value_lists))
         stats.result_cardinality = count
         return QueryResult(stats=stats, rowcount=count)
 
@@ -851,12 +860,10 @@ class Database:
         passes = row_check(
             compile_conjuncts(plan.residual, bindings), plan.residual, bindings, ctx
         )
-        to_row = stored_row_getter(bindings)
         matches = []
-        for position, (row_id, stored) in enumerate(plan.scan.pairs(ctx)):
+        for position, (row_id, row) in enumerate(plan.scan.pairs(ctx)):
             if position % 128 == 0:
                 ctx.tick()
-            row = to_row(stored)
             if passes(row):
                 matches.append((row_id, row))
         return matches

@@ -39,7 +39,7 @@ from repro.sql.ast_nodes import (
     Literal,
     UnaryOp,
 )
-from repro.storage.colbatch import KIND_OBJECT, Column, ColumnBatch
+from repro.storage.colbatch import Column, ColumnBatch
 from repro.storage.expression import like_regex
 from repro.storage.types import DataType, compare_values
 
@@ -89,24 +89,15 @@ def _direct_comparable(column: Column, literal_value) -> bool:
 
 def _compare_select(column: Column, literal_value, op: str, indices) -> list[int]:
     """Positions where ``column <op> literal`` holds (NULL never passes)."""
+    values = column.values
     if _direct_comparable(column, literal_value):
         test = _DIRECT_TESTS[op]
-        if column.kind != KIND_OBJECT:
-            data = column.data
-            validity = column.validity
-            if validity is None:
-                return [i for i in indices if test(data[i], literal_value)]
-            return [
-                i for i in indices if validity[i] and test(data[i], literal_value)
-            ]
-        values = column.values()
         return [
             i
             for i in indices
             if (value := values[i]) is not None and test(value, literal_value)
         ]
     test = _ORDERING_TESTS[op]
-    values = column.values()
     out: list[int] = []
     for i in indices:
         ordering = compare_values(values[i], literal_value)
@@ -115,7 +106,7 @@ def _compare_select(column: Column, literal_value, op: str, indices) -> list[int
     return out
 
 
-def _comparison_kernel(key: str, literal: Literal, op: str) -> Kernel:
+def _comparison_kernel(key: int, literal: Literal, op: str) -> Kernel:
     def kernel(batch, selection, _key=key, _literal=literal, _op=op):
         literal_value = _literal.value
         if literal_value is None:
@@ -127,13 +118,13 @@ def _comparison_kernel(key: str, literal: Literal, op: str) -> Kernel:
     return kernel
 
 
-def _column_comparison_kernel(left_key: str, right_key: str, op: str) -> Kernel:
+def _column_comparison_kernel(left_key: int, right_key: int, op: str) -> Kernel:
     def kernel(batch, selection, _left=left_key, _right=right_key, _op=op):
         left, right = batch.column(_left), batch.column(_right)
         indices = _indices(batch, selection)
         both_numeric = left.dtype in _NUMERIC_TYPES and right.dtype in _NUMERIC_TYPES
         both_text = left.dtype is DataType.TEXT and right.dtype is DataType.TEXT
-        left_values, right_values = left.values(), right.values()
+        left_values, right_values = left.values, right.values
         if both_numeric or both_text:
             test = _DIRECT_TESTS[_op]
             return [
@@ -154,7 +145,7 @@ def _column_comparison_kernel(left_key: str, right_key: str, op: str) -> Kernel:
     return kernel
 
 
-def _like_kernel(key: str, literal: Literal) -> Kernel:
+def _like_kernel(key: int, literal: Literal) -> Kernel:
     cache: dict[object, object] = {}
 
     def kernel(batch, selection, _key=key, _literal=literal, _cache=cache):
@@ -167,7 +158,7 @@ def _like_kernel(key: str, literal: Literal) -> Kernel:
             regex = like_regex(str(pattern))
             _cache[pattern] = regex
         column = batch.column(_key)
-        values = column.values()
+        values = column.values
         fullmatch = regex.fullmatch
         if column.dtype is DataType.TEXT:
             # Schema coercion stores TEXT as str, so the row path's
@@ -187,19 +178,10 @@ def _like_kernel(key: str, literal: Literal) -> Kernel:
     return kernel
 
 
-def _null_test_kernel(key: str, want_null: bool) -> Kernel:
+def _null_test_kernel(key: int, want_null: bool) -> Kernel:
     def kernel(batch, selection, _key=key, _want=want_null):
-        column = batch.column(_key)
+        values = batch.column(_key).values
         indices = _indices(batch, selection)
-        validity = column.validity
-        if validity is not None:
-            if _want:
-                return [i for i in indices if not validity[i]]
-            return [i for i in indices if validity[i]]
-        if column.kind != KIND_OBJECT:
-            # Dense typed column: provably no NULLs.
-            return [] if _want else list(indices)
-        values = column.data
         if _want:
             return [i for i in indices if values[i] is None]
         return [i for i in indices if values[i] is not None]
@@ -207,7 +189,7 @@ def _null_test_kernel(key: str, want_null: bool) -> Kernel:
     return kernel
 
 
-def _between_kernel(key: str, low: Literal, high: Literal, negated: bool) -> Kernel:
+def _between_kernel(key: int, low: Literal, high: Literal, negated: bool) -> Kernel:
     def kernel(batch, selection, _key=key, _low=low, _high=high, _negated=negated):
         low_value, high_value = _low.value, _high.value
         column = batch.column(_key)
@@ -218,7 +200,7 @@ def _between_kernel(key: str, low: Literal, high: Literal, negated: bool) -> Ker
             and _direct_comparable(column, low_value)
             and _direct_comparable(column, high_value)
         ):
-            values = column.values()
+            values = column.values
             if _negated:
                 return [
                     i
@@ -232,7 +214,7 @@ def _between_kernel(key: str, low: Literal, high: Literal, negated: bool) -> Ker
                 if (value := values[i]) is not None
                 and low_value <= value <= high_value
             ]
-        values = column.values()
+        values = column.values
         out: list[int] = []
         for i in indices:
             value = values[i]
@@ -248,7 +230,7 @@ def _between_kernel(key: str, low: Literal, high: Literal, negated: bool) -> Ker
     return kernel
 
 
-def _in_list_kernel(key: str, literals: list[Literal], negated: bool) -> Kernel:
+def _in_list_kernel(key: int, literals: list[Literal], negated: bool) -> Kernel:
     def kernel(batch, selection, _key=key, _literals=literals, _negated=negated):
         column = batch.column(_key)
         indices = _indices(batch, selection)
@@ -259,7 +241,7 @@ def _in_list_kernel(key: str, literals: list[Literal], negated: bool) -> Kernel:
             _direct_comparable(column, candidate) for candidate in non_null
         ):
             members = set(non_null)
-            values = column.values()
+            values = column.values
             if _negated:
                 return [
                     i
@@ -271,7 +253,7 @@ def _in_list_kernel(key: str, literals: list[Literal], negated: bool) -> Kernel:
                 for i in indices
                 if (value := values[i]) is not None and value in members
             ]
-        values = column.values()
+        values = column.values
         out: list[int] = []
         for i in indices:
             value = values[i]
@@ -289,12 +271,12 @@ def _in_list_kernel(key: str, literals: list[Literal], negated: bool) -> Kernel:
     return kernel
 
 
-def _column_key(bindings, column: ColumnRef) -> str | None:
-    """The row-dict key a bound column reads in a one-binding (scan) layout,
+def _column_key(bindings, column: ColumnRef) -> int | None:
+    """The row position a bound column reads in a one-binding (scan) layout,
     or None — a columnar batch carries exactly one binding."""
     if len(bindings) != 1 or column.depth or column.binding != bindings[0][0]:
         return None
-    return column.column
+    return column.index
 
 
 def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
@@ -388,9 +370,9 @@ def apply_kernels(kernels, batch: ColumnBatch) -> list[int] | None:
     return selection
 
 
-def resolve_columnar_columns(columns, bindings) -> list[str] | None:
-    """Row-dict keys for a list of ColumnRefs, or None unless all resolve."""
-    keys: list[str] = []
+def resolve_columnar_columns(columns, bindings) -> list[int] | None:
+    """Row positions for a list of ColumnRefs, or None unless all resolve."""
+    keys: list[int] = []
     for column in columns:
         if not isinstance(column, ColumnRef):
             return None
@@ -401,7 +383,7 @@ def resolve_columnar_columns(columns, bindings) -> list[str] | None:
     return keys
 
 
-def hash_group_keys(batch: ColumnBatch, keys: list[str]):
+def hash_group_keys(batch: ColumnBatch, keys: list[int]):
     """Bucket the live positions by group key.
 
     Returns ``(first-seen key order, {key: positions})``; a single-column
@@ -414,7 +396,7 @@ def hash_group_keys(batch: ColumnBatch, keys: list[str]):
     buckets: dict = {}
     order: list = []
     if len(keys) == 1:
-        values = batch.column(keys[0]).values()
+        values = batch.column(keys[0]).values
         for i in indices:
             key = values[i]
             bucket = buckets.get(key)
@@ -423,7 +405,7 @@ def hash_group_keys(batch: ColumnBatch, keys: list[str]):
                 order.append(key)
             bucket.append(i)
         return order, buckets
-    columns = [batch.column(key).values() for key in keys]
+    columns = [batch.column(key).values for key in keys]
     for i in indices:
         key = tuple(values[i] for values in columns)
         bucket = buckets.get(key)

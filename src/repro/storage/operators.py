@@ -40,8 +40,11 @@ Access paths:
   between constant bounds; unbounded it doubles as an ordered full scan that
   lets the planner eliminate an ORDER BY sort.
 
-Every scan also exposes ``pairs(ctx)`` yielding ``(row_id, stored row dict)``
-so UPDATE and DELETE reuse the same access paths to locate their target rows.
+A stored heap row is a tuple in schema order, which is exactly a scan's row
+(its one binding's columns, in order): scans hand on what the heap holds,
+and a full-width :class:`SeqScan` yields the heap's page chunks as they are.
+Every scan also exposes ``pairs(ctx)`` yielding ``(row_id, row)`` so UPDATE
+and DELETE reuse the same access paths to locate their target rows.
 
 All operators charge their work to :class:`ExecutionContext.metrics` so
 ``rows_scanned`` reflects the rows actually touched by the chosen access path.
@@ -276,15 +279,13 @@ class SeqScan(Operator):
         self.bindings = [(binding, list(table.schema.column_names))]
         self.estimate = estimate
 
-    def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, dict]]:
+    def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, Row]]:
         for row_id, row in self.table.scan():
             ctx.metrics.rows_scanned += 1
             yield row_id, row
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        to_row = stored_row_getter(self.bindings)
-        for chunk in _scan_chunks(self.table, ctx):
-            yield list(map(to_row, chunk))
+        return _scan_chunks(self.table, ctx)
 
     def columnar_capable(self) -> bool:
         return True
@@ -344,9 +345,10 @@ class IndexScan(Operator):
             else None
         )
         if keys is None:
+            position = self.table.schema.position(self.column)
             for row_id, row in self.table.scan():
                 ctx.metrics.rows_scanned += 1
-                if compare_values(row.get(self.column), value) == 0:
+                if compare_values(row[position], value) == 0:
                     yield row_id, row
             return
         ctx.metrics.index_lookups += 1
@@ -361,16 +363,15 @@ class IndexScan(Operator):
             yield row_id, row
 
     def lookup_rows(self, value: object, ctx: ExecutionContext):
-        for _, row in self.lookup_pairs(value, ctx):
-            yield row
+        return map(itemgetter(1), self.lookup_pairs(value, ctx))
 
-    def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, dict]]:
+    def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, Row]]:
         scope = Scope({}, parent=ctx.outer_scope)
         value = evaluate(self.value_expr, scope, ctx.run_subquery)
         yield from self.lookup_pairs(value, ctx)
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        yield from _chunk(_stored_rows(self.pairs(ctx), self.bindings), ctx)
+        return _chunk(map(itemgetter(1), self.pairs(ctx)), ctx)
 
     def label(self) -> str:
         condition = f"{self.column} = {format_expression(self.value_expr)}"
@@ -427,7 +428,7 @@ class RangeScan(Operator):
             raise _RangeKeyUnavailable(value)
         return key, True
 
-    def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, dict]]:
+    def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, Row]]:
         index = self.table.sorted_index_for(self.column)
         if index is None:
             yield from self._fallback_pairs(ctx)
@@ -460,7 +461,7 @@ class RangeScan(Operator):
             ctx.metrics.rows_scanned += 1
             yield row_id, row
 
-    def _fallback_pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, dict]]:
+    def _fallback_pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, Row]]:
         """Heap scan honouring the bounds and the promised order."""
         scope = Scope({}, parent=ctx.outer_scope)
         low_value = evaluate(self.low, scope, ctx.run_subquery) if self.low is not None else None
@@ -471,10 +472,11 @@ class RangeScan(Operator):
             self.high is not None and high_value is None
         ):
             return
+        position = self.table.schema.position(self.column)
         matches = []
         for row_id, row in self.table.scan():
             ctx.metrics.rows_scanned += 1
-            value = row.get(self.column)
+            value = row[position]
             if self.low is not None:
                 ordering = compare_values(value, low_value)
                 if ordering is None or ordering < 0 or (ordering == 0 and not self.low_inclusive):
@@ -485,19 +487,16 @@ class RangeScan(Operator):
                     continue
             matches.append((row_id, row))
         unbounded = self.low is None and self.high is None
-        matches.sort(
-            key=lambda pair: sort_key(pair[1].get(self.column)),
-            reverse=self.descending,
-        )
+        matches.sort(key=lambda pair: sort_key(pair[1][position]), reverse=self.descending)
         if unbounded and self.descending:
             # NULLs sort lowest ascending, so a reversed sort puts them first;
             # ORDER BY ... DESC wants them last.
-            nulls = [pair for pair in matches if pair[1].get(self.column) is None]
-            matches = [pair for pair in matches if pair[1].get(self.column) is not None] + nulls
+            nulls = [pair for pair in matches if pair[1][position] is None]
+            matches = [pair for pair in matches if pair[1][position] is not None] + nulls
         yield from matches
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        yield from _chunk(_stored_rows(self.pairs(ctx), self.bindings), ctx)
+        return _chunk(map(itemgetter(1), self.pairs(ctx)), ctx)
 
     def label(self) -> str:
         conditions = []
@@ -596,11 +595,10 @@ class Filter(Operator):
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         if ctx.columnar_kernels and self.columnar_capable():
             # Columnar fast path with row-batch output: kernels filter the
-            # batch while it is still columnar, and rows are built for the
-            # *survivors* only.
-            to_row = stored_row_getter(self.bindings)
+            # batch while it is still columnar, and the survivors' stored
+            # rows are the output rows.
             for columnar in self._col_batches(ctx):
-                yield list(map(to_row, columnar.selected_rows()))
+                yield columnar.selected_rows()
             return
         if self._compiled is _UNSET:
             self._compiled = compile_conjuncts(self.predicates, self.bindings)
@@ -716,7 +714,6 @@ class IndexLookupJoin(Operator):
         passes = self.residual and row_check(
             self._compiled_probe[1], self.residual, self.bindings, ctx
         )
-        inner_row = stored_row_getter(self.scan.bindings)
         metrics = ctx.metrics
         batch_size = max(1, ctx.batch_size)
         # The probe-side scan never runs through batches(), so record its
@@ -730,10 +727,10 @@ class IndexLookupJoin(Operator):
                     continue
                 if probe_stats is not None:
                     probe_stats.loops += 1
-                for stored in self.scan.lookup_rows(value, ctx):
+                for inner_row in self.scan.lookup_rows(value, ctx):
                     if probe_stats is not None:
                         probe_stats.rows += 1
-                    combined = outer_row + inner_row(stored)
+                    combined = outer_row + inner_row
                     if passes and not passes(combined):
                         continue
                     metrics.rows_joined += 1
@@ -1109,7 +1106,6 @@ class HashAggregate(GroupAggregate):
         scan, kernels, key_columns, arg_columns = compiled
         specs = self.collection.specs
         metrics = ctx.metrics
-        to_row = stored_row_getter(scan.bindings)
         merged: dict = {}
         order: list = []
         for batch in scan.col_batches(ctx):
@@ -1147,7 +1143,7 @@ class HashAggregate(GroupAggregate):
                         accumulator.update_batch(positions)
                     else:
                         accumulator.update_column(
-                            batch.column(arg_column).values(), positions
+                            batch.column(arg_column).values, positions
                         )
             metrics.kernel_seconds += engine_timer() - started
         if not self.group_exprs and not merged:
@@ -1155,7 +1151,7 @@ class HashAggregate(GroupAggregate):
             return
         for key in order:
             representative, accumulators = merged[key]
-            yield to_row(representative), [acc.finish() for acc in accumulators]
+            yield representative, [acc.finish() for acc in accumulators]
 
 
 class SortedGroupAggregate(GroupAggregate):
@@ -1282,15 +1278,6 @@ def slots_getter(slots: list[int]) -> Callable[[Row], tuple]:
     if slots == list(range(first, first + len(slots))):
         return itemgetter(slice(first, first + len(slots)))
     return itemgetter(*slots)
-
-
-def stored_row_getter(bindings: Bindings) -> Callable[[dict], Row]:
-    """``stored row dict -> row`` for a scan, laid out by its one binding."""
-    columns = bindings[0][1]
-    if len(columns) == 1:  # itemgetter with one key returns the bare value
-        column = columns[0]
-        return lambda stored: (stored[column],)
-    return itemgetter(*columns)
 
 
 def slot_of(bindings: Bindings, column: ColumnRef) -> int | None:
@@ -1575,27 +1562,21 @@ def _chunk(rows, ctx: ExecutionContext) -> Iterator[RowBatch]:
         yield batch
 
 
-def _stored_rows(pairs: Iterator[tuple[int, dict]], bindings: Bindings):
-    """The rows of a scan's ``(row_id, stored dict)`` pairs, laid out by the
-    scan's one binding."""
-    return map(stored_row_getter(bindings), map(itemgetter(1), pairs))
-
-
-def _scan_chunks(table, ctx: ExecutionContext) -> Iterator[list[dict]]:
-    """A heap scan's stored row dicts in chunks of ``ctx.batch_size``,
-    charging ``rows_scanned`` per chunk — the one feed of
-    :class:`SeqScan`'s row and columnar streams.
+def _scan_chunks(table, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    """A heap scan's stored rows in chunks of ``ctx.batch_size``, charging
+    ``rows_scanned`` per chunk — the one feed of :class:`SeqScan`'s row and
+    columnar streams (a stored row is already the scan's row).
 
     Like :func:`_chunk`, the size is re-read after every flush to honour the
     executor's shrinking LIMIT budget.  Rows arrive page-at-a-time through
     :meth:`~repro.storage.table.Table.scan_row_lists` (C-speed list builds
     and slices) rather than one generator resumption per row — at typical
-    batch sizes the per-row feed is the scan's dominant cost.  The dicts are
-    the stored ones: consumers read them and never mutate them.
+    batch sizes the per-row feed is the scan's dominant cost.  Every chunk
+    is a fresh list.
     """
     metrics = ctx.metrics
     batch_size = max(1, ctx.batch_size)
-    buffer: list[dict] = []
+    buffer: RowBatch = []
     for page_rows in table.scan_row_lists():
         buffer.extend(page_rows)
         while len(buffer) >= batch_size:

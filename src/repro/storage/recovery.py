@@ -35,7 +35,7 @@ import fcntl
 import os
 from dataclasses import dataclass
 
-from repro.errors import DurabilityError, StorageError
+from repro.errors import DurabilityError, SchemaError, StorageError
 from repro.obs.metrics import engine_timer
 from repro.storage.snapshot import (
     SNAPSHOT_FILE_NAME,
@@ -226,12 +226,18 @@ def _apply(database, record: WalRecord) -> None:
     try:
         op = data["op"]
         if op == "insert_many":
-            columns = data["cols"]
-            database.table(data["tbl"]).restore_rows(
-                int(data["rid"]), [dict(zip(columns, values)) for values in data["rows"]]
-            )
+            table = database.table(data["tbl"])
+            # DDL replays in LSN order, so a frame this engine wrote names
+            # exactly the table's columns at that point of the log.
+            if data["cols"] != table.schema.column_names:
+                raise SchemaError(
+                    f"insert_many columns {data['cols']} do not match table "
+                    f"{table.schema.name!r} columns {table.schema.column_names}"
+                )
+            table.restore_rows(int(data["rid"]), data["rows"])
         elif op == "insert":  # one row per record: logs written before insert_many
-            database.table(data["tbl"]).restore_rows(int(data["rid"]), [data["row"]])
+            table = database.table(data["tbl"])
+            table.restore_rows(int(data["rid"]), table.schema.coerce_rows([data["row"]]))
         elif op == "update":
             database.table(data["tbl"]).update(int(data["rid"]), data["set"])
         elif op == "delete":

@@ -63,48 +63,71 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return name.lower() in self._positions
 
-    def column(self, name: str) -> ColumnSchema:
+    def position(self, name: str) -> int:
+        """Where column ``name`` (any case) sits in a stored row."""
         position = self._positions.get(name.lower())
         if position is None:
             raise SchemaError(f"table {self.name!r} has no column {name!r}")
-        return self.columns[position]
+        return position
 
-    def coerce_row(self, row: dict[str, object]) -> dict[str, object]:
-        """Return a full row dict (all columns) with values coerced.
+    def column(self, name: str) -> ColumnSchema:
+        return self.columns[self.position(name)]
+
+    def as_dict(self, row: tuple) -> dict[str, object]:
+        """A stored row keyed by column name, for the callers that need names."""
+        return dict(zip(self._names, row))
+
+    def coerce_row(self, row: dict[str, object]) -> tuple:
+        """Return a full stored row (all columns, schema order), coerced.
 
         Unknown keys raise; missing columns become NULL (subject to NOT NULL).
         """
         return self.coerce_rows((row,))[0]
 
-    def coerce_rows(self, rows) -> list[dict[str, object]]:
-        """:meth:`coerce_row` over a batch, in schema spelling and order.
+    def coerce_rows(self, rows) -> list[tuple]:
+        """:meth:`coerce_row` over a batch of name-keyed dicts.
 
         Column names are resolved once per run of rows that share their keys
-        (one resolution for a batch built by one comprehension or one INSERT
-        statement); a row whose values already have exactly the stored types
-        is taken as it is, and only the others pay a per-value coercion.
-        The first offending row raises; nothing is returned for the batch.
+        (one resolution for a batch built by one comprehension); a row whose
+        values already have exactly the stored types is taken as it is, and
+        only the others pay a per-value coercion.  The first offending row
+        raises; nothing is returned for the batch.
         """
-        names, stored, coercers = self._names, self._stored, self._coercers
-        coerced: list[dict[str, object]] = []
+        names, stored = self._names, self._stored
+        coerced: list[tuple] = []
         keys = values_of = None
         for row in rows:
             if list(row) != keys:
                 keys = list(row)
                 # None: spelled and ordered like the schema, so the row's own
-                # values are the schema-order values (and its copy the result).
+                # values are the schema-order values.
                 values_of = None if keys == names else self._values_getter(row)
-            values = row.values() if values_of is None else values_of(row)
-            if list(map(type, values)) != stored:
-                values = [
-                    value if type(value) is kind else coerce(value)
-                    for value, kind, coerce in zip(values, stored, coercers)
-                ]
-            elif values_of is None:
-                coerced.append(dict(row))
-                continue
-            coerced.append(dict(zip(names, values)))
+            values = tuple(row.values()) if values_of is None else values_of(row)
+            coerced.append(values if list(map(type, values)) == stored else self._coerce(values))
         return coerced
+
+    def coerce_values(self, rows) -> list[tuple]:
+        """:meth:`coerce_rows` for rows given as value sequences in schema order."""
+        stored = self._stored
+        return [
+            values
+            if type(values) is tuple and list(map(type, values)) == stored
+            else self._coerce(values)
+            for values in rows
+        ]
+
+    def _coerce(self, values) -> tuple:
+        """Schema-order ``values`` as a stored tuple, each value coerced to
+        its column's type."""
+        if len(values) != len(self._stored):
+            raise SchemaError(
+                f"table {self.name!r} has {len(self._stored)} columns, "
+                f"a row has {len(values)} values"
+            )
+        return tuple([
+            value if type(value) is kind else coerce(value)
+            for value, kind, coerce in zip(values, self._stored, self._coercers)
+        ])
 
     def _values_getter(self, row: dict[str, object]):
         """``row -> values in schema order`` for rows keyed like ``row``."""
@@ -116,7 +139,7 @@ class TableSchema:
             sources[position] = key
         if len(sources) > 1 and None not in sources:
             return itemgetter(*sources)
-        return lambda row: [None if key is None else row[key] for key in sources]
+        return lambda row: tuple(None if key is None else row[key] for key in sources)
 
     def with_column_added(self, column: ColumnSchema) -> "TableSchema":
         if self.has_column(column.name):

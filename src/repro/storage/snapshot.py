@@ -7,7 +7,8 @@ on-disk format (:data:`CHECKPOINT_FORMAT_VERSION`, written by
 :func:`write_checkpoint`): only *metadata* — catalog history, schemas, index
 definitions, version counters, and each table's **page directory** (heap page
 ordinal → head frame in ``pages.db`` → live row count).  The rows themselves
-stay in the page file: the checkpoint flushes just the dirty pages
+stay in the page file (one ``[slot, [value, …]]`` array per row, in schema
+order — no column names): the checkpoint flushes just the dirty pages
 (shadow-paged to fresh frames) and fsyncs, so its cost tracks the working set
 since the last checkpoint, not the database size.  Recovery refuses a file
 that declares any other format.
@@ -53,8 +54,10 @@ SNAPSHOT_TMP_SUFFIX = ".tmp"
 
 _HEADER_PREFIX = "REPRO-SNAPSHOT"
 #: The one checkpoint format: metadata plus page directories, rows in the
-#: page file.  (1 was a full image with the rows inline; nothing writes it.)
-CHECKPOINT_FORMAT_VERSION = 2
+#: page file as JSON arrays in schema order.  (1 was a full image with the
+#: rows inline, 2 stored each page row as a name-keyed object; nothing
+#: writes either, and a data directory in either raises on open.)
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 # -- schema (de)serialization --------------------------------------------------

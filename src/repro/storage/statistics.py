@@ -176,13 +176,19 @@ class TableStatistics:
     columns: dict[str, ColumnStatistics] = field(default_factory=dict)
 
     @classmethod
-    def compute(cls, table_name: str, rows: list[dict], buckets: int = DEFAULT_BUCKETS) -> "TableStatistics":
-        """Compute statistics from a table's rows."""
+    def compute(
+        cls,
+        table_name: str,
+        rows: list[tuple],
+        columns: list[str],
+        buckets: int = DEFAULT_BUCKETS,
+    ) -> "TableStatistics":
+        """Compute statistics from a table's rows, tuples laid out by
+        ``columns``."""
         stats = cls(table=table_name, row_count=len(rows))
         if not rows:
             return stats
-        for column in rows[0]:
-            values = [row[column] for row in rows]
+        for column, values in zip(columns, zip(*rows)):
             frequencies: dict[object, int] = {}
             for value in values:
                 if value is not None:

@@ -1,18 +1,26 @@
 """Paged heap tables with secondary indexes and cached statistics.
 
-There is one insert routine, :meth:`Table.insert_many`: a single-row
-``insert``, ``Database.insert_rows`` and SQL ``INSERT`` (``VALUES`` lists and
-``INSERT ... SELECT``) all hand it their rows as one batch.  What it does once
-per batch instead of once per row: resolve the rows' column names against the
-schema's coercion plan, check each unique index (against the index and within
-the batch), pin each touched heap page, walk each index, drop the statistics
-cache, advance ``version`` (by the batch's row count) and — on a durable
-table — emit one ``insert_many`` WAL record.  The batch is atomic: a row that
-cannot be coerced, a duplicate or an un-log-able record leaves the table as
-it was.  Updates and deletes stay row-at-a-time.
+A stored row is a **tuple in schema order**: names live only in the
+:class:`~repro.storage.schema.TableSchema` (``as_dict`` gives a name-keyed
+view), so a row read from a page is already the row a scan streams.
+
+There is one insert routine, :meth:`Table._insert`: ``insert``,
+``insert_many`` and ``Database.insert_rows`` hand it name-keyed rows, SQL
+``INSERT`` (``VALUES`` lists and ``INSERT ... SELECT``) positional ones
+through ``insert_values``, each as one batch.  What it does once per batch
+instead of once per row: coerce the rows against the schema's coercion plan,
+check each unique index (against the index and within the batch), pin each
+touched heap page, walk each index, drop the statistics cache, advance
+``version`` (by the batch's row count) and — on a durable table — emit one
+``insert_many`` WAL record.  The batch is atomic: a row that cannot be
+coerced, a duplicate or an un-log-able record leaves the table as it was.
+Updates and deletes stay row-at-a-time.
 """
 
 from __future__ import annotations
+
+import json
+from itertools import chain
 
 from repro.errors import IntegrityError, SchemaError
 from repro.storage.buffer_pool import PageStore
@@ -27,21 +35,20 @@ HEAP_PAGE_SLOTS = 128
 
 
 class _HeapPageCodec:
-    """(De)serialize one heap page: a slot → row dict, ascending slot order."""
+    """(De)serialize one heap page, a slot → row tuple dict, as
+    ``[[slot,[value,…]],…]`` in ascending slot order."""
 
     @staticmethod
     def encode(page: dict) -> bytes:
-        import json
-
         return json.dumps(
             [[slot, page[slot]] for slot in sorted(page)], separators=(",", ":")
         ).encode("utf-8")
 
     @staticmethod
     def decode(payload: bytes) -> dict:
-        import json
-
-        return {int(slot): row for slot, row in json.loads(payload.decode("utf-8"))}
+        return {
+            int(slot): tuple(row) for slot, row in json.loads(payload.decode("utf-8"))
+        }
 
 
 HEAP_PAGE_CODEC = _HeapPageCodec()
@@ -72,8 +79,10 @@ def _install_slots(page: dict, slot: int, rows) -> None:
 class Table:
     """A heap table: slotted pages behind a buffer pool, plus its indexes.
 
-    Rows are dicts keyed by the schema's column names (original case),
-    stored ``HEAP_PAGE_SLOTS`` to a page; the page objects live in a
+    Rows are tuples in schema order, stored ``HEAP_PAGE_SLOTS`` to a page;
+    every read (:meth:`scan`, :meth:`scan_row_lists`, :meth:`rows`,
+    :meth:`get`, :meth:`lookup`) returns the stored tuple itself.  The page
+    objects live in a
     :class:`~repro.storage.buffer_pool.PageStore` (shared database-wide, so
     one ``buffer_pool_pages`` budget bounds heap *and* index residency).
     Row ids are monotonically increasing and never reused, which lets
@@ -147,9 +156,9 @@ class Table:
         """Heap pages the table occupies (the planner's I/O cost input)."""
         return len(self._page_ids)
 
-    def rows(self) -> list[dict[str, object]]:
-        """A snapshot list of all rows (copies are not made; do not mutate)."""
-        return [row for _, row in self.scan()]
+    def rows(self) -> list[tuple]:
+        """A snapshot list of all stored rows, in :meth:`scan` order."""
+        return list(chain.from_iterable(self.scan_row_lists()))
 
     def scan(self):
         """Iterate over ``(row_id, row)`` pairs in row-id order.
@@ -166,13 +175,12 @@ class Table:
                 yield base + slot, row
 
     def scan_row_lists(self):
-        """Per-page lists of stored row dicts, in :meth:`scan` order.
+        """Per-page lists of stored row tuples, in :meth:`scan` order.
 
-        The columnar scan's bulk feed: one C-speed ``list(page.values())``
-        per page instead of a Python-level generator resumption per row,
-        which is where a row-granular feed spends most of its time.  Rows
-        are the same dict objects :meth:`scan` yields; callers must not
-        mutate them or the returned lists they arrive in.
+        The scans' bulk feed: one C-speed ``list(page.values())`` per page
+        instead of a Python-level generator resumption per row, which is
+        where a row-granular feed spends most of its time.  Each list is
+        fresh, so a caller may keep or reshape it.
         """
         for ordinal in sorted(self._page_ids):
             page = self._store.read(self._page_ids[ordinal], HEAP_PAGE_CODEC)
@@ -185,7 +193,7 @@ class Table:
         if schema:
             self.schema_version += 1
 
-    def get(self, row_id: int) -> dict[str, object] | None:
+    def get(self, row_id: int) -> tuple | None:
         ordinal, slot = divmod(row_id, self._page_slots)
         page_id = self._page_ids.get(ordinal)
         if page_id is None:
@@ -199,7 +207,7 @@ class Table:
 
     # -- slotted-page plumbing -------------------------------------------------
 
-    def _store_slot(self, row_id: int, row: dict) -> None:
+    def _store_slot(self, row_id: int, row: tuple) -> None:
         """Write ``row`` into its page (pin → mutate → mark dirty → unpin)."""
         self._store_slots(row_id, (row,))
 
@@ -227,7 +235,7 @@ class Table:
             self._row_count += fresh
             done += len(chunk)
 
-    def _discard_slot(self, row_id: int) -> dict | None:
+    def _discard_slot(self, row_id: int) -> tuple | None:
         """Remove and return the row at ``row_id``; frees emptied pages."""
         ordinal, slot = divmod(row_id, self._page_slots)
         page_id = self._page_ids.get(ordinal)
@@ -279,11 +287,12 @@ class Table:
         the heap pages are attached this rebuilds the exact access paths the
         planner expects.
         """
-        for index in self._iter_indexes():
+        indexed = self._indexed()
+        for index, _ in indexed:
             index.clear()
         for row_id, row in self.scan():
-            for index in self._iter_indexes():
-                index.insert(row[index.column], row_id)
+            for index, position in indexed:
+                index.insert(row[position], row_id)
         self._stats_cache = None
 
     def drop_storage(self) -> None:
@@ -327,8 +336,9 @@ class Table:
                                 store=self._store)
         else:
             index = index_class(name=name, column=canonical, unique=unique)
+        position = self._schema.position(canonical)
         for row_id, row in self.scan():
-            index.insert(row[canonical], row_id)
+            index.insert(row[position], row_id)
         kinds[index_class.kind] = index
         self._bump(schema=True)
         if self.wal_emit is not None:
@@ -375,13 +385,18 @@ class Table:
         for kinds in self._indexes.values():
             yield from kinds.values()
 
-    def lookup(self, column: str, value: object) -> list[dict[str, object]]:
+    def _indexed(self) -> list[tuple[HashIndex | SortedIndex, int]]:
+        """Every index with the stored-row position of its column."""
+        position = self._schema.position
+        return [(index, position(index.column)) for index in self._iter_indexes()]
+
+    def lookup(self, column: str, value: object) -> list[tuple]:
         """Equality lookup, via index when available, else a scan."""
         index = self.index_for(column)
-        canonical = self._schema.column(column).name
+        position = self._schema.position(column)
         if index is not None:
             return [self.get(row_id) for row_id in sorted(index.lookup(value))]
-        return [row for _, row in self.scan() if row[canonical] == value]
+        return [row for _, row in self.scan() if row[position] == value]
 
     # -- mutation -------------------------------------------------------------
 
@@ -399,17 +414,25 @@ class Table:
         as **one** ``insert_many`` record.  Any failure leaves heap, indexes,
         counters and log as they were.
         """
-        coerced = self._schema.coerce_rows(rows)
+        return self._insert(self._schema.coerce_rows(rows))
+
+    def insert_values(self, rows) -> range:
+        """:meth:`insert_many` for rows given as value sequences in schema
+        order (SQL ``INSERT``, whose rows carry no names)."""
+        return self._insert(self._schema.coerce_values(rows))
+
+    def _insert(self, coerced: list[tuple]) -> range:
         first = self._next_row_id
         row_ids = range(first, first + len(coerced))
         if not coerced:
             return row_ids
-        for index in self._iter_indexes():
+        indexed = self._indexed()
+        for index, position in indexed:
             if not index.unique:
                 continue
             seen = set()
             for row in coerced:
-                value = row[index.column]
+                value = row[position]
                 if value is None:
                     continue
                 if value in seen or index.lookup(value):
@@ -419,7 +442,7 @@ class Table:
                     )
                 seen.add(value)
         self._store_slots(first, coerced)
-        self._index_rows(first, coerced)
+        self._index_rows(first, coerced, indexed)
         if self.wal_emit is not None:
             try:
                 self.wal_emit(
@@ -428,7 +451,7 @@ class Table:
                         "tbl": self.name,
                         "rid": first,
                         "cols": self._schema.column_names,
-                        "rows": [list(row.values()) for row in coerced],
+                        "rows": coerced,  # tuples encode as JSON arrays
                     }
                 )
             except BaseException:
@@ -437,8 +460,8 @@ class Table:
                 # never diverges from what recovery will rebuild.
                 for row_id, row in zip(row_ids, coerced):
                     self._discard_slot(row_id)
-                    for index in self._iter_indexes():
-                        index.delete(row[index.column], row_id)
+                    for index, position in indexed:
+                        index.delete(row[position], row_id)
                 raise
         self._next_row_id = row_ids.stop
         self._stats_cache = None
@@ -446,24 +469,24 @@ class Table:
         self.version += len(coerced)
         return row_ids
 
-    def _index_rows(self, first: int, rows: list[dict[str, object]]) -> None:
+    def _index_rows(self, first: int, rows: list[tuple], indexed) -> None:
         """Register ``rows`` (at consecutive ids from ``first``) in every index."""
-        for index in self._iter_indexes():
-            column = index.column
+        for index, position in indexed:
             for row_id, row in enumerate(rows, first):
-                index.insert(row[column], row_id)
+                index.insert(row[position], row_id)
 
     def restore_rows(self, row_id: int, rows) -> None:
         """Recovery-path insert at fixed, consecutive row ids (never logged).
 
-        Replays a logged batch: the rows take exactly the ids they had before
-        the crash (indexes and session references point at row ids, so they
-        must stay stable), and the next-id counter advances past them.
+        Replays a logged batch — value lists in schema order: the rows take
+        exactly the ids they had before the crash (indexes and session
+        references point at row ids, so they must stay stable), and the
+        next-id counter advances past them.
         """
-        coerced = self._schema.coerce_rows(rows)
+        coerced = self._schema.coerce_values(rows)
         self._store_slots(row_id, coerced)
         self._next_row_id = max(self._next_row_id, row_id + len(coerced))
-        self._index_rows(row_id, coerced)
+        self._index_rows(row_id, coerced, self._indexed())
         self._stats_cache = None
         self.version += len(coerced)
 
@@ -479,8 +502,9 @@ class Table:
         row = self._discard_slot(row_id)
         if row is None:
             return
-        for index in self._iter_indexes():
-            index.delete(row[index.column], row_id)
+        indexed = self._indexed()
+        for index, position in indexed:
+            index.delete(row[position], row_id)
         self._stats_cache = None
         self.version += 1
         if self.wal_emit is not None:
@@ -488,8 +512,8 @@ class Table:
                 self.wal_emit({"op": "delete", "tbl": self.name, "rid": row_id})
             except BaseException:
                 self._store_slot(row_id, row)  # un-log-able: restore the row
-                for index in self._iter_indexes():
-                    index.insert(row[index.column], row_id)
+                for index, position in indexed:
+                    index.insert(row[position], row_id)
                 raise
 
     def delete_where(self, predicate) -> int:
@@ -500,20 +524,25 @@ class Table:
         return len(doomed)
 
     def update(self, row_id: int, changes: dict[str, object]) -> None:
+        """Overwrite the named columns of one row (``changes`` maps column
+        names, any case, to new values)."""
         row = self.get(row_id)
         if row is None:
             return
-        updated = dict(row)
-        updated.update({self._schema.column(k).name: v for k, v in changes.items()})
-        coerced = self._schema.coerce_row(updated)
+        schema = self._schema
+        positions = [schema.position(name) for name in changes]
+        updated = list(row)
+        for position, value in zip(positions, changes.values()):
+            updated[position] = value
+        coerced = schema.coerce_values((updated,))[0]
         # Re-point every affected index, rolling back the ones already touched
         # if a later unique index rejects the new value — a failed update must
         # leave every index exactly as it was.
         touched: list[tuple[object, object, object]] = []
         try:
-            for index in self._iter_indexes():
-                old_value = row[index.column]
-                new_value = coerced[index.column]
+            for index, position in self._indexed():
+                old_value = row[position]
+                new_value = coerced[position]
                 if old_value == new_value:
                     continue
                 index.delete(old_value, row_id)
@@ -535,8 +564,7 @@ class Table:
         self.version += 1
         if self.wal_emit is not None:
             changed = {
-                self._schema.column(column).name: coerced[self._schema.column(column).name]
-                for column in changes
+                schema.columns[position].name: coerced[position] for position in positions
             }
             try:
                 self.wal_emit(
@@ -554,14 +582,14 @@ class Table:
 
     # -- schema evolution ------------------------------------------------------
 
-    def _rewrite_pages(self, mutate_row) -> None:
-        """Apply ``mutate_row(row)`` to every row, page by page, under pins."""
+    def _rewrite_pages(self, rewrite_row) -> None:
+        """Replace every row with ``rewrite_row(row)``, page by page, under pins."""
         for ordinal in sorted(self._page_ids):
             page_id = self._page_ids[ordinal]
             page = self._store.fetch(page_id, HEAP_PAGE_CODEC)
             try:
-                for row in page.values():
-                    mutate_row(row)
+                for slot, row in page.items():
+                    page[slot] = rewrite_row(row)
                 self._store.mark_dirty(page_id)
             finally:
                 self._store.unpin(page_id)
@@ -572,39 +600,29 @@ class Table:
                 f"cannot add NOT NULL column {column.name!r} without a default"
             )
         self._schema = self._schema.with_column_added(column)
-        fill = column.coerce(default) if default is not None else None
-
-        def mutate(row, name=column.name, value=fill):
-            row[name] = value
-
-        self._rewrite_pages(mutate)
+        fill = (column.coerce(default) if default is not None else None,)
+        self._rewrite_pages(lambda row: row + fill)
         self._stats_cache = None
         self._bump(schema=True)
 
     def drop_column(self, name: str) -> None:
         canonical = self._schema.column(name).name
+        position = self._schema.position(name)
         kinds = self._indexes.pop(canonical.lower(), None)
         if kinds is not None:
             for index in kinds.values():
                 index.drop()
         self._schema = self._schema.with_column_dropped(name)
-
-        def mutate(row, name=canonical):
-            row.pop(name, None)
-
-        self._rewrite_pages(mutate)
+        self._rewrite_pages(lambda row: row[:position] + row[position + 1 :])
         self._stats_cache = None
         self._bump(schema=True)
 
     def rename_column(self, old: str, new: str) -> None:
+        """Rename a column.  Names live only in the schema, so no page is
+        rewritten (or dirtied)."""
         canonical = self._schema.column(old).name
         self._schema = self._schema.with_column_renamed(old, new)
         new_canonical = self._schema.column(new).name
-
-        def mutate(row, old_name=canonical, new_name=new_canonical):
-            row[new_name] = row.pop(old_name)
-
-        self._rewrite_pages(mutate)
         kinds = self._indexes.pop(canonical.lower(), None)
         if kinds is not None:
             for index in kinds.values():
@@ -622,7 +640,9 @@ class Table:
     def statistics(self, refresh: bool = False) -> TableStatistics:
         """Table statistics; cached until the next mutation."""
         if self._stats_cache is None or refresh:
-            self._stats_cache = TableStatistics.compute(self.name, self.rows())
+            self._stats_cache = TableStatistics.compute(
+                self.name, self.rows(), columns=self._schema.column_names
+            )
             if refresh:
                 # An explicit refresh changes the planner's costing inputs;
                 # let cached plans re-validate against the new snapshot.

@@ -101,8 +101,8 @@ class TestWalPairing:
                     self.wal_emit({"op": "delete", "tbl": self.name, "rid": row_id})
                 except BaseException:
                     self._store_slot(row_id, row)  # un-log-able: restore the row
-                    for index in self._iter_indexes():
-                        index.insert(row[index.column], row_id)
+                    for index, position in indexed:
+                        index.insert(row[position], row_id)
                     raise
             """
         )
@@ -144,11 +144,11 @@ class TestWalPairing:
         assert "Table.insert_many calls wal_emit without the rollback idiom" in found[1]
 
     def test_real_insert_many_with_emission_stripped_fires(self, tmp_path):
-        """``Table.insert_many`` without its emission-and-rollback block keeps
-        only its ``_store_slots`` call: still one ERROR, so the batch write
-        has not left the rule's sight."""
+        """``Table._insert`` (the body of ``insert_many``) without its
+        emission-and-rollback block keeps only its ``_store_slots`` call:
+        still one ERROR, so the batch write has not left the rule's sight."""
         source = (REPO_SRC / "storage" / "table.py").read_text()
-        start = source.index("        if self.wal_emit is not None:", source.index("def insert_many"))
+        start = source.index("        if self.wal_emit is not None:", source.index("def _insert("))
         end = source.index("        self._next_row_id = row_ids.stop")
         block = source[start:end]
         assert '"op": "insert_many"' in block and "self._discard_slot(row_id)" in block
@@ -156,7 +156,7 @@ class TestWalPairing:
         directory.mkdir()
         (directory / "table.py").write_text(source[:start] + source[end:])
         found = [d for d in lint_paths([tmp_path]) if d.rule == "wal-pairing"]
-        assert len(found) == 1 and "Table.insert_many mutates the heap" in found[0].message
+        assert len(found) == 1 and "Table._insert mutates the heap" in found[0].message
 
 
 class TestLockAcrossYield:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.storage import Database, ExecutionSettings
 from repro.storage.binder import Binder
-from repro.storage.colbatch import KIND_INT, KIND_OBJECT, ColumnBatch
+from repro.storage.colbatch import ColumnBatch
 from repro.storage.kernels import (
     apply_kernels,
     compile_columnar_conjuncts,
@@ -174,37 +174,32 @@ class TestColumnBatch:
             ],
         )
 
-    def test_typed_extraction_and_validity(self):
-        rows = [{"a": 1, "b": "x", "c": 1.5}, {"a": None, "b": None, "c": 2.5}]
+    def test_extraction_by_position(self):
+        rows = [(1, "x", 1.5), (None, None, 2.5)]
         batch = ColumnBatch("t", self._schema(), rows)
-        a = batch.column("a")
-        assert a.kind == KIND_INT and a.validity is not None
-        assert a.values() == [1, None]
-        b = batch.column("b")
-        assert b.kind == KIND_OBJECT
-        assert b.values() == ["x", None]
-        assert batch.column("c").values() == [1.5, 2.5]
+        a = batch.column(0)
+        assert a.values == [1, None] and a.dtype is DataType.INTEGER
+        b = batch.column(1)
+        assert b.values == ["x", None] and b.dtype is DataType.TEXT
+        assert batch.column(2).values == [1.5, 2.5]
 
-    def test_huge_ints_fall_back_to_object_kind(self):
-        rows = [{"a": 2**70, "b": "x", "c": 0.0}]
-        batch = ColumnBatch("t", self._schema(), rows)
-        column = batch.column("a")
-        assert column.kind == KIND_OBJECT
-        assert column.values() == [2**70]
+    def test_huge_ints_extract_unchanged(self):
+        batch = ColumnBatch("t", self._schema(), [(2**70, "x", 0.0)])
+        assert batch.column(0).values == [2**70]
 
     def test_narrowed_shares_column_cache(self):
-        rows = [{"a": i, "b": str(i), "c": float(i)} for i in range(4)]
+        rows = [(i, str(i), float(i)) for i in range(4)]
         batch = ColumnBatch("t", self._schema(), rows)
-        column = batch.column("a")
+        column = batch.column(0)
         narrowed = batch.narrowed([1, 3])
-        assert narrowed.column("a") is column  # extraction shared, not redone
+        assert narrowed.column(0) is column  # extraction shared, not redone
         assert len(narrowed) == 2
         assert narrowed.selected_rows() == [rows[1], rows[3]]
 
     def test_group_kernel(self):
-        rows = [{"a": i % 2, "b": f"s{i}", "c": float(i)} for i in range(6)]
+        rows = [(i % 2, f"s{i}", float(i)) for i in range(6)]
         batch = ColumnBatch("t", self._schema(), rows).narrowed([0, 2, 3, 5])
-        order, buckets = hash_group_keys(batch, ["a"])
+        order, buckets = hash_group_keys(batch, [0])
         assert order == [0, 1]
         assert buckets == {0: [0, 2], 1: [3, 5]}
 
@@ -220,12 +215,7 @@ class TestKernelCompilation:
         schema = TableSchema(
             "t", [ColumnSchema("a", "INTEGER"), ColumnSchema("b", "TEXT")]
         )
-        rows = [
-            {"a": 1, "b": "x"},
-            {"a": None, "b": "y"},
-            {"a": 3, "b": None},
-            {"a": 4, "b": "x"},
-        ]
+        rows = [(1, "x"), (None, "y"), (3, None), (4, "x")]
         return ColumnBatch("t", schema, rows)
 
     def _kernels(self, where):
@@ -382,7 +372,7 @@ class TestColumnarMutationLint:
             tmp_path,
             """
             def kernel(batch, limit):
-                values = batch.column("a").values()
+                values = batch.column(0).values
                 return [i for i, v in enumerate(values) if v is not None and v < limit]
             """,
         )

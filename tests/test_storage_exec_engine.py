@@ -13,6 +13,12 @@ from repro import CQMSConfig
 from repro.storage import Database, ExecutionSettings
 
 
+def _named_rows(db: Database, table: str) -> list[dict]:
+    """A table's stored rows keyed by column name."""
+    stored = db.table(table)
+    return [stored.schema.as_dict(row) for row in stored.rows()]
+
+
 def _make_db(exec_settings: ExecutionSettings | None = None, **kwargs) -> Database:
     db = Database(exec_settings=exec_settings, **kwargs)
     db.execute("CREATE TABLE lakes (lake_id INTEGER, name TEXT, area FLOAT, state TEXT)")
@@ -157,7 +163,7 @@ class TestBatchSemantics:
         assert second.stats.plan_cache_hit
         assert root._compiled is checks_after_first  # compiled once, reused
         expected = [
-            (row["name"],) for row in db.table("lakes").rows() if row["state"] == "s2"
+            (row["name"],) for row in _named_rows(db, "lakes") if row["state"] == "s2"
         ]
         assert sorted(second.rows) == sorted(expected)
         assert first.rows != second.rows
@@ -209,7 +215,7 @@ class TestExplainAnalyze:
         )
         text = explanation.text()
         # The filter's actual output must equal the count of qualifying rows.
-        matching = sum(1 for row in db.table("samples").rows() if row["depth"] < 3)
+        matching = sum(1 for row in _named_rows(db, "samples") if row["depth"] < 3)
         assert f"(actual rows={matching}" in text
         assert f"Execution: {len(expected.rows)} rows" in text
         assert f"(actual rows={len(expected.rows)})" in text  # Project line
@@ -236,7 +242,7 @@ class TestExplainAnalyze:
         assert "(cached)" in explanation.text()
         assert explanation.plan_cache_hit
         # The re-bound constant must drive the actual execution.
-        expected = sum(1 for row in db.table("lakes").rows() if row["state"] == "s2")
+        expected = sum(1 for row in _named_rows(db, "lakes") if row["state"] == "s2")
         assert f"Execution: {expected} rows" in explanation.text()
 
     def test_index_probe_loops_reported(self):
@@ -279,7 +285,7 @@ class TestStatementCache:
         assert not result.stats.statement_cache_hit
         assert result.stats.plan_cache_hit
         expected = [
-            (row["name"],) for row in db.table("lakes").rows() if row["state"] == "s2"
+            (row["name"],) for row in _named_rows(db, "lakes") if row["state"] == "s2"
         ]
         assert sorted(result.rows) == sorted(expected)
 
@@ -304,7 +310,7 @@ class TestStatementCache:
         assert second.stats.statement_cache_hit
         assert second.rowcount == first.rowcount
         assert all(
-            row["temp"] == 0.0 for row in db.table("samples").rows() if row["depth"] == 5
+            row["temp"] == 0.0 for row in _named_rows(db, "samples") if row["depth"] == 5
         )
 
     def test_ddl_not_statement_cached(self):
@@ -359,3 +365,102 @@ class TestJoinFanoutCalibration:
         actual = len(db.execute("SELECT * FROM l, r WHERE l.k = r.k").rows)
         assert actual == 300
         assert 150.0 <= estimate <= 600.0
+
+
+class TestStoredRowsNeedNoNames:
+    """The heap's tuples are the rows every operator and every DML path
+    works on: over a 2,000-row table no statement asks the schema for a
+    name-keyed row (``TableSchema.as_dict``), resolves row names
+    (``TableSchema.coerce_rows``) or calls ``dict`` anywhere in the engine."""
+
+    #: ``(statement, operator its plan must use, columnar batches expected)``
+    STATEMENTS = [
+        ("SELECT * FROM big", "SeqScan big", False),
+        ("SELECT id FROM big WHERE w > 3 AND s LIKE 's1%'", "Filter (w > 3", True),
+        ("SELECT b.id, m.label FROM big b, small m WHERE b.w = m.k", "HashJoin", False),
+        ("SELECT b.id, m.label FROM small m, big b WHERE m.k = b.k", "IndexLoopJoin", False),
+        ("SELECT w, COUNT(*), SUM(v) FROM big WHERE w > 2 GROUP BY w", "HashAggregate", True),
+        ("SELECT w + 1, COUNT(*), SUM(v) FROM big GROUP BY w + 1", "HashAggregate", False),
+        ("SELECT * FROM big WHERE k = 5", "IndexScan big", False),
+        ("SELECT id FROM big WHERE v > 10.0 AND v < 20.0", "RangeScan big (v > 10.0", False),
+        ("SELECT id FROM big ORDER BY v", "RangeScan big (ORDER BY v)", False),
+        ("UPDATE big SET w = w + 1 WHERE k = 3", "IndexScan big", False),
+        ("UPDATE big SET s = 'z' WHERE w = 1", "SeqScan big", False),
+        ("DELETE FROM big WHERE w = 6", "SeqScan big", False),
+        ("INSERT INTO copy SELECT * FROM big WHERE w < 3", "Insert [copy]", None),
+        ("INSERT INTO copy (v, id) SELECT v, id FROM big", "Insert [copy]", None),
+    ]
+
+    @pytest.fixture
+    def db(self):
+        db = Database()
+        db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER, w INTEGER, v FLOAT, s TEXT)")
+        db.execute("CREATE TABLE small (k INTEGER, label TEXT)")
+        db.execute("CREATE TABLE copy (id INTEGER, k INTEGER, w INTEGER, v FLOAT, s TEXT)")
+        db.execute("CREATE INDEX big_k ON big (k)")
+        db.execute("CREATE INDEX big_v ON big (v) USING SORTED")
+        db.insert_rows(
+            "big",
+            [
+                {"id": i, "k": i % 50, "w": i % 7, "v": (i * 37 % 1000) / 10.0,
+                 "s": None if i % 9 == 0 else f"s{i % 13}"}
+                for i in range(2000)
+            ],
+        )
+        db.insert_rows("small", [{"k": i, "label": f"l{i}"} for i in range(5)])
+        return db
+
+    @pytest.fixture
+    def name_calls(self, monkeypatch):
+        """Every name-keyed row the engine builds, recorded by its route."""
+        from repro.storage import (
+            aggregates, colbatch, database, executor, expression, kernels,
+            operators, planner, schema, table,
+        )
+
+        calls: list[str] = []
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return counted
+
+        class CountedDictType(type):
+            """``dict`` for the engine's modules: calling it is counted,
+            ``isinstance`` checks against it still mean ``dict``."""
+
+            def __call__(cls, *args, **kwargs):
+                calls.append("dict")
+                return dict(*args, **kwargs)
+
+            def __instancecheck__(cls, value):
+                return isinstance(value, dict)
+
+        counted_dict = CountedDictType("dict", (), {})
+        for method in ("as_dict", "coerce_rows"):
+            original = getattr(schema.TableSchema, method)
+            monkeypatch.setattr(schema.TableSchema, method, counting(method, original))
+        for module in (aggregates, colbatch, database, executor, expression, kernels,
+                       operators, planner, schema, table):
+            monkeypatch.setattr(module, "dict", counted_dict, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("sql, operator, columnar", STATEMENTS)
+    def test_statement_builds_no_named_row(self, db, name_calls, sql, operator, columnar):
+        assert operator in db.explain(sql).text()
+        name_calls.clear()
+        result = db.execute(sql)
+        assert name_calls == []
+        assert result.rowcount > 0
+        if columnar is not None:
+            assert (result.stats.columnar_batches > 0) is columnar
+
+    def test_insert_select_places_listed_columns(self, db):
+        db.execute("INSERT INTO copy (v, id) SELECT v, id FROM big WHERE id < 3")
+        assert db.execute("SELECT * FROM copy ORDER BY id").rows == [
+            (0, None, None, 0.0, None),
+            (1, None, None, 3.7, None),
+            (2, None, None, 7.4, None),
+        ]

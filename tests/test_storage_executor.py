@@ -312,7 +312,7 @@ class TestDmlAndDdl:
         assert (len(table), table.page_count, table.next_row_id, table.version) == before
         assert db.execute("SELECT COUNT(*) FROM lakes WHERE state = 'OR'").scalar() == 0
         assert db.execute("SELECT name FROM lakes WHERE id = 1").scalar() == "Washington"
-        assert table.lookup("id", 10) == [] and table.lookup("id", 3)[0]["name"] == "Michigan"
+        assert table.lookup("id", 10) == [] and table.lookup("id", 3)[0][1] == "Michigan"
         # The rejected keys are free again.
         assert db.execute("INSERT INTO lakes VALUES (10, 'a', 'OR', 1.0), (11, 'b', 'OR', 2.0)").rowcount == 2
 

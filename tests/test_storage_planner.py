@@ -188,7 +188,7 @@ class TestRangeScanFallback:
             estimate=1.0, descending=descending,
         )
         stats = ExecutionStats()
-        return [row["id"] for _, row in scan.pairs(ExecutionContext(metrics=stats))], stats
+        return [row[0] for _, row in scan.pairs(ExecutionContext(metrics=stats))], stats
 
     @staticmethod
     def reference(table, low=None, high=None, low_inclusive=True, high_inclusive=True, descending=False):
@@ -204,7 +204,8 @@ class TestRangeScanFallback:
                     return False
             return True
 
-        rows = [row for _, row in table.scan() if keep(row["v"])]
+        rows = [table.schema.as_dict(row) for _, row in table.scan()]
+        rows = [row for row in rows if keep(row["v"])]
         present = sorted(
             (row for row in rows if row["v"] is not None),
             key=lambda row: sort_key(row["v"]),

@@ -44,7 +44,7 @@ class TestTableSchema:
 
     def test_coerce_row_fills_missing_with_null(self):
         row = make_schema().coerce_row({"id": 1, "name": "x"})
-        assert row == {"id": 1, "name": "x", "score": None}
+        assert row == (1, "x", None)
 
     def test_coerce_row_rejects_unknown_column(self):
         with pytest.raises(SchemaError):
@@ -56,7 +56,7 @@ class TestTableSchema:
 
     def test_coerce_row_coerces_types(self):
         row = make_schema().coerce_row({"id": "5", "name": "x", "score": "1.5"})
-        assert row["id"] == 5 and row["score"] == 1.5
+        assert row == (5, "x", 1.5)
 
     def test_with_column_added(self):
         schema = make_schema().with_column_added(ColumnSchema("extra", DataType.TEXT))

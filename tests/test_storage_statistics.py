@@ -65,8 +65,8 @@ class TestHistogram:
         assert histogram.estimate_selectivity("<=", 99) == 1.0
 
     def test_range_selectivity_honours_inclusive_flags(self):
-        rows = [{"v": i} for i in range(100)]
-        stats = TableStatistics.compute("t", rows)
+        rows = [(i,) for i in range(100)]
+        stats = TableStatistics.compute("t", rows, ["v"])
         between = stats.range_selectivity("v", 20, 40, True, True)
         strict = stats.range_selectivity("v", 20, 40, False, False)
         assert between > strict
@@ -165,56 +165,59 @@ class TestOutputSample:
         assert 32 <= CountingRandom.draws <= 4 * 32
 
 
+def _stats(rows):
+    """Statistics of ``(id, state, area)`` rows."""
+    return TableStatistics.compute("t", rows, ["id", "state", "area"])
+
+
 class TestTableStatistics:
-    ROWS = [
-        {"id": i, "state": "WA" if i % 3 else "MI", "area": float(i)} for i in range(60)
-    ]
+    ROWS = [(i, "WA" if i % 3 else "MI", float(i)) for i in range(60)]
 
     def test_compute_row_count_and_columns(self):
-        stats = TableStatistics.compute("t", self.ROWS)
+        stats = _stats(self.ROWS)
         assert stats.row_count == 60
         assert set(stats.columns) == {"id", "state", "area"}
 
     def test_distinct_and_most_common(self):
-        stats = TableStatistics.compute("t", self.ROWS)
+        stats = _stats(self.ROWS)
         assert stats.columns["state"].distinct_count == 2
         assert stats.columns["state"].most_common[0][0] == "WA"
 
     def test_selectivity_equality_on_categorical(self):
-        stats = TableStatistics.compute("t", self.ROWS)
+        stats = _stats(self.ROWS)
         assert abs(stats.selectivity("state", "=", "WA") - 0.5) < 0.1
 
     def test_selectivity_range_on_numeric(self):
-        stats = TableStatistics.compute("t", self.ROWS)
+        stats = _stats(self.ROWS)
         assert 0.3 <= stats.selectivity("area", "<", 30.0) <= 0.7
 
     def test_selectivity_in_list(self):
-        stats = TableStatistics.compute("t", self.ROWS)
+        stats = _stats(self.ROWS)
         assert stats.selectivity("state", "IN", ["WA", "MI"]) == 1.0
 
     def test_selectivity_unknown_column_default(self):
-        stats = TableStatistics.compute("t", self.ROWS)
+        stats = _stats(self.ROWS)
         assert stats.selectivity("nope", "=", 1) == 0.33
 
     def test_empty_table(self):
-        stats = TableStatistics.compute("t", [])
+        stats = _stats([])
         assert stats.row_count == 0
         assert stats.selectivity("x", "=", 1) == 0.33
 
     def test_drift_detects_row_count_change(self):
-        first = TableStatistics.compute("t", self.ROWS)
-        second = TableStatistics.compute("t", self.ROWS[:20])
+        first = _stats(self.ROWS)
+        second = _stats(self.ROWS[:20])
         assert first.drift(second) > 0.3
 
     def test_drift_near_zero_for_same_data(self):
-        first = TableStatistics.compute("t", self.ROWS)
-        second = TableStatistics.compute("t", list(self.ROWS))
+        first = _stats(self.ROWS)
+        second = _stats(list(self.ROWS))
         assert first.drift(second) < 0.05
 
     def test_drift_detects_distribution_shift(self):
-        shifted = [{"id": i, "state": "WA", "area": float(i) + 1000.0} for i in range(60)]
-        first = TableStatistics.compute("t", self.ROWS)
-        second = TableStatistics.compute("t", shifted)
+        shifted = [(i, "WA", float(i) + 1000.0) for i in range(60)]
+        first = _stats(self.ROWS)
+        second = _stats(shifted)
         assert first.drift(second) > 0.5
 
 

@@ -29,11 +29,20 @@ def seed(table):
     return table
 
 
+def named(table, rows):
+    """Stored row tuples keyed by column name."""
+    return [table.schema.as_dict(row) for row in rows]
+
+
+def row_id_of(table, lake_id):
+    return next(rid for rid, row in table.scan() if row[0] == lake_id)
+
+
 def fingerprint(table):
     """Everything a failed mutation must leave as it was."""
-    rows = list(table.scan())
+    rows = [(row_id, table.schema.as_dict(row)) for row_id, row in table.scan()]
     return {
-        "rows": [(row_id, dict(row)) for row_id, row in rows],
+        "rows": rows,
         "len": len(table),
         "pages": table.page_count,
         "next": table.next_row_id,
@@ -124,7 +133,7 @@ class TestInsertDeleteUpdate:
         (record,) = logged  # one frame for the batch: the column list once, rows as arrays
         assert (record["op"], record["rid"]) == ("insert_many", before["next"])
         assert record["cols"] == ["id", "name", "state", "area"]
-        assert record["rows"][0] == [10, "n0", "OR", 0.0] and len(record["rows"]) == 10
+        assert list(record["rows"][0]) == [10, "n0", "OR", 0.0] and len(record["rows"]) == 10
         assert table.page_count == 4 and table.version == before["version"] + 10
 
     def test_insert_many_of_nothing_is_a_no_op(self):
@@ -146,60 +155,59 @@ class TestInsertDeleteUpdate:
             ]
         )
         assert table.rows() == [
-            {"id": 1, "name": "a", "state": "WA", "area": 1.0},
-            {"id": 2, "name": "b", "state": None, "area": 2.5},
-            {"id": 3, "name": None, "state": None, "area": None},
-            {"id": 4, "name": "d", "state": None, "area": 4.0},
+            (1, "a", "WA", 1.0),
+            (2, "b", None, 2.5),
+            (3, None, None, None),
+            (4, "d", None, 4.0),
         ]
-        assert all(type(row["area"]) in (float, type(None)) for row in table.rows())
+        assert all(type(row[3]) in (float, type(None)) for row in table.rows())
 
     def test_delete_removes_row_and_index_entry(self):
         table = seed(make_table())
-        row_id = next(rid for rid, row in table.scan() if row["id"] == 2)
+        row_id = row_id_of(table, 2)
         table.delete(row_id)
         assert len(table) == 2
         assert table.lookup("id", 2) == []
 
     def test_delete_where(self):
         table = seed(make_table())
-        removed = table.delete_where(lambda row: row["state"] == "WA")
+        removed = table.delete_where(lambda row: row[2] == "WA")
         assert removed == 2
         assert len(table) == 1
 
     def test_update_changes_values_and_indexes(self):
         table = seed(make_table())
-        row_id = next(rid for rid, row in table.scan() if row["id"] == 2)
+        row_id = row_id_of(table, 2)
         table.update(row_id, {"name": "Lake Union", "area": 3.5})
-        assert table.lookup("name", "Lake Union")[0]["area"] == 3.5
+        assert table.lookup("name", "Lake Union") == [(2, "Lake Union", "WA", 3.5)]
         assert table.lookup("name", "Union") == []
 
     def test_update_unique_violation_restores_index(self):
         table = seed(make_table())
-        row_id = next(rid for rid, row in table.scan() if row["id"] == 2)
+        row_id = row_id_of(table, 2)
         with pytest.raises(IntegrityError):
             table.update(row_id, {"name": "Washington"})
         # The old value is still findable after the failed update.
-        assert table.lookup("name", "Union")[0]["id"] == 2
+        assert table.lookup("name", "Union")[0][0] == 2
 
     def test_failed_update_rolls_back_earlier_indexes(self):
         # Two unique columns: the first (id, the primary key) accepts its new
         # value, then the second (name) raises — the first index must be
         # restored, not left pointing at the never-committed value.
         table = seed(make_table())
-        row_id = next(rid for rid, row in table.scan() if row["id"] == 2)
+        row_id = row_id_of(table, 2)
         with pytest.raises(IntegrityError):
             table.update(row_id, {"id": 99, "name": "Washington"})
-        assert table.lookup("id", 2)[0]["name"] == "Union"
+        assert table.lookup("id", 2)[0][1] == "Union"
         assert table.lookup("id", 99) == []
-        assert table.lookup("name", "Union")[0]["id"] == 2
+        assert table.lookup("name", "Union")[0][0] == 2
         # A re-insert of the rejected id must not hit a phantom index entry.
         table.insert({"id": 99, "name": "New", "state": "OR", "area": 1.0})
 
     def test_insert_coerces_types(self):
         table = make_table()
         table.insert({"id": "5", "name": "x", "state": "WA", "area": "2.5"})
-        row = table.lookup("id", 5)[0]
-        assert row["area"] == 2.5
+        assert table.lookup("id", 5) == [(5, "x", "WA", 2.5)]
 
     def test_insert_unknown_column_raises(self):
         with pytest.raises(SchemaError):
@@ -211,7 +219,10 @@ class TestIndexes:
         table = seed(make_table())
         index = table.create_index("by_state", "state")
         assert index.distinct_values() == 2
-        assert {row["name"] for row in table.lookup("state", "WA")} == {"Washington", "Union"}
+        assert {row["name"] for row in named(table, table.lookup("state", "WA"))} == {
+            "Washington",
+            "Union",
+        }
 
     def test_lookup_without_index_scans(self):
         table = seed(make_table())
@@ -262,7 +273,7 @@ class TestIndexes:
         table.insert({"id": 7, "name": "Tahoe", "state": "CA", "area": 191.0})
         assert hash_index.lookup(191.0)
         assert sorted_index.lookup(191.0)
-        row_id = next(rid for rid, row in table.scan() if row["id"] == 7)
+        row_id = row_id_of(table, 7)
         table.update(row_id, {"area": 192.0})
         assert not sorted_index.lookup(191.0)
         assert sorted_index.lookup(192.0)
@@ -288,12 +299,12 @@ class TestSchemaEvolution:
     def test_add_column_fills_nulls(self):
         table = seed(make_table())
         table.add_column(ColumnSchema("depth", DataType.FLOAT))
-        assert all(row["depth"] is None for row in table.rows())
+        assert all(row["depth"] is None for row in named(table, table.rows()))
 
     def test_add_column_with_default(self):
         table = seed(make_table())
         table.add_column(ColumnSchema("kind", DataType.TEXT), default="freshwater")
-        assert all(row["kind"] == "freshwater" for row in table.rows())
+        assert all(row["kind"] == "freshwater" for row in named(table, table.rows()))
 
     def test_add_not_null_column_without_default_raises(self):
         table = seed(make_table())
@@ -303,13 +314,13 @@ class TestSchemaEvolution:
     def test_drop_column(self):
         table = seed(make_table())
         table.drop_column("area")
-        assert "area" not in table.rows()[0]
+        assert table.rows()[0] == (1, "Washington", "WA")
         assert not table.schema.has_column("area")
 
     def test_rename_column_moves_data_and_index(self):
         table = seed(make_table())
         table.rename_column("name", "lake_name")
-        assert table.lookup("lake_name", "Union")[0]["id"] == 2
+        assert named(table, table.lookup("lake_name", "Union"))[0]["id"] == 2
         with pytest.raises(SchemaError):
             table.schema.column("name")
 
