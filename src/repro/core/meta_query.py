@@ -126,19 +126,12 @@ class DataCondition:
         output = record.output
         if output is None or not output.rows:
             return False
-        for value in self.include_values:
-            if not output.contains_value(value):
-                return False
-        for value in self.exclude_values:
-            if output.contains_value(value):
-                return False
-        for row in self.include_rows:
-            if not output.contains(tuple(row)):
-                return False
-        for row in self.exclude_rows:
-            if output.contains(tuple(row)):
-                return False
-        return True
+        return (
+            all(map(output.contains_value, self.include_values))
+            and not any(map(output.contains_value, self.exclude_values))
+            and all(map(output.contains, self.include_rows))
+            and not any(map(output.contains, self.exclude_rows))
+        )
 
 
 class MetaQueryExecutor:
@@ -246,24 +239,15 @@ class MetaQueryExecutor:
         the partial query's FROM clause become ``DataSources`` conditions and
         the referenced attributes become ``Attributes`` conditions.
         """
-        features = draft_features(partial_sql)
-        if features is None or not features.tables:
-            raise MetaQueryError(
-                "cannot generate a meta-query: the partial query references no tables"
-            )
+        tables, attributes = _figure1_conditions(partial_sql)
         from_parts = ["Queries Q"]
         where_parts: list[str] = []
-        for index, table in enumerate(sorted(features.tables), start=1):
+        for index, table in enumerate(tables, start=1):
             alias = f"D{index}"
             from_parts.append(f"DataSources {alias}")
             where_parts.append(f"Q.qid = {alias}.qid")
             where_parts.append(f"{alias}.relName = '{table}'")
-        known_attributes = [
-            (attribute, relation)
-            for attribute, relation in features.attributes
-            if relation != "?"
-        ]
-        for index, (attribute, relation) in enumerate(sorted(known_attributes), start=1):
+        for index, (attribute, relation) in enumerate(attributes, start=1):
             alias = f"A{index}"
             from_parts.append(f"Attributes {alias}")
             where_parts.append(f"Q.qid = {alias}.qid")
@@ -275,11 +259,15 @@ class MetaQueryExecutor:
         return sql
 
     def find_queries_like_partial(
-        self, principal: Principal | str, partial_sql: str
+        self, principal: Principal | str, partial_sql: Draft
     ) -> list[LoggedQuery]:
-        """End-to-end Figure 1 flow: partial query → meta-query → results."""
-        sql = self.generate_feature_sql(partial_sql)
-        return self.by_feature_sql(principal, sql)
+        """End-to-end Figure 1 flow: the visible queries, in qid order, that
+        ``by_feature_sql(generate_feature_sql(partial_sql))`` finds — read off
+        the Query Storage's postings instead of planning and running the join."""
+        tables, attributes = _figure1_conditions(partial_sql)
+        qids = self._store.qids_with_features([*tables, *attributes])
+        records = [self._store.get(qid) for qid in qids]
+        return self._access.visible_queries(self._principal(principal), records)
 
     # -- query-by-parse-tree -----------------------------------------------------------
 
@@ -412,6 +400,18 @@ class MetaQueryExecutor:
                 del self._knn_indexed[qid]
                 self._knn_index.remove(qid)
         self._knn_generation = generation
+
+
+def _figure1_conditions(partial_sql: Draft) -> tuple[list[str], list[tuple[str, str]]]:
+    """The sorted tables and known ``(attribute, relation)`` pairs of a partial
+    query: the ``DataSources`` / ``Attributes`` conditions of Figure 1."""
+    features = draft_features(partial_sql)
+    if features is None or not features.tables:
+        raise MetaQueryError(
+            "cannot generate a meta-query: the partial query references no tables"
+        )
+    known = [pair for pair in features.attributes if pair[1] != "?"]
+    return sorted(features.tables), sorted(known)
 
 
 def _probe_features(probe, store: QueryStore):

@@ -24,6 +24,7 @@ recomputes everything and is cheap at laptop scale, while
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.config import CQMSConfig
@@ -41,7 +42,7 @@ class MiningReport:
 
     num_queries: int = 0
     sessions: list[QuerySession] = field(default_factory=list)
-    popularity: dict[str, int] = field(default_factory=dict)
+    popularity: Mapping[str, int] = field(default_factory=dict)
     table_popularity: dict[str, int] = field(default_factory=dict)
     rule_index: RuleIndex | None = None
     query_clusters: ClusteringResult | None = None

@@ -157,7 +157,12 @@ class QueryProfiler:
         error: str | None,
     ) -> LoggedQuery:
         qid = self._store.next_qid()
-        uncommented = strip_comments(sql)
+        try:
+            uncommented = strip_comments(sql)
+        except ReproError:
+            # An unterminated literal or comment: nothing tokenizes, so the
+            # attempt is logged as typed and reads as ``invalid``.
+            uncommented = sql
         clean_text = uncommented.strip()
         runtime = RuntimeStats(
             elapsed_seconds=result.stats.elapsed_seconds if result is not None else 0.0,

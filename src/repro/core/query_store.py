@@ -22,7 +22,9 @@ record that carries it — logs are dominated by repeated statements.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, statement_artefacts
 from repro.errors import MetaQueryError, ReproError
@@ -254,12 +256,16 @@ class QueryStore:
         # recommendation) do not scan the whole log.
         self._qids_by_user: dict[str, set[int]] = {}
         self._qids_by_group: dict[str, set[int]] = {}
+        # The Figure 1 postings: a DataSources relName or an Attributes
+        # (attrName, relName) -> the qids of the records with that row.
+        self._feature_postings: dict[object, set[int]] = {}
         # The statement table, and the inverted index over the parse trees
         # built so far: label or (label, value) -> texts whose tree has it.
         self._statements: dict[str, _Statement] = {}
         self._tree_postings: dict[object, set[str]] = {}
         self._generation = 0
         self._ordered: list[LoggedQuery] | None = None
+        self._popularity: Mapping[str, int] | None = None
         self._telemetry = None
         self._next_qid = 1
         self._next_qid_row_id = self._init_store_meta()
@@ -384,10 +390,7 @@ class QueryStore:
                 if start <= record.timestamp <= end:
                     record.session_id = session_id
                     break
-            self._records[qid] = record
-            self._qids_by_user.setdefault(record.user, set()).add(qid)
-            self._qids_by_group.setdefault(record.group, set()).add(qid)
-            self._intern_text(record.text)
+            self._index(record)
         if self._records:
             # The StoreMeta high-water mark normally leads; max(qid)+1 is the
             # floor for stores created before the counter existed.
@@ -477,6 +480,38 @@ class QueryStore:
     def _changed(self) -> None:
         self._generation += 1
         self._ordered = None
+        self._popularity = None
+
+    def _index(self, record: LoggedQuery) -> None:
+        """File a record in every in-memory index (:meth:`_unindex` undoes it)."""
+        qid = record.qid
+        self._records[qid] = record
+        self._qids_by_user.setdefault(record.user, set()).add(qid)
+        self._qids_by_group.setdefault(record.group, set()).add(qid)
+        self._intern_text(record.text)
+        for key in _feature_keys(record):
+            self._feature_postings.setdefault(key, set()).add(qid)
+
+    def _unindex(self, record: LoggedQuery) -> None:
+        qid = record.qid
+        del self._records[qid]
+        self._qids_by_user.get(record.user, set()).discard(qid)
+        self._qids_by_group.get(record.group, set()).discard(qid)
+        self._release_text(record.text)
+        for key in _feature_keys(record):
+            bucket = self._feature_postings[key]
+            bucket.discard(qid)
+            if not bucket:
+                del self._feature_postings[key]
+
+    def qids_with_features(self, keys: Sequence) -> list[int]:
+        """Qids, in order, of the records with a ``DataSources`` row for every
+        relation name and an ``Attributes`` row for every ``(attrName,
+        relName)`` in ``keys``; postings are intersected smallest first."""
+        postings = [self._feature_postings.get(key) for key in keys]
+        if not postings or not all(postings):
+            return []
+        return sorted(set.intersection(*sorted(postings, key=len)))
 
     def all_queries(self) -> list[LoggedQuery]:
         """All logged queries in qid order (sorted once per generation)."""
@@ -554,10 +589,7 @@ class QueryStore:
         """Insert a logged query and shred its features into the relations."""
         if record.qid in self._records:
             raise MetaQueryError(f"duplicate query id {record.qid}")
-        self._records[record.qid] = record
-        self._qids_by_user.setdefault(record.user, set()).add(record.qid)
-        self._qids_by_group.setdefault(record.group, set()).add(record.qid)
-        self._intern_text(record.text)
+        self._index(record)
         self._changed()
         if self._telemetry is not None:
             registry = self._telemetry.registry
@@ -822,10 +854,7 @@ class QueryStore:
         the deleted edge rows (``replace_text`` restores them after a repair).
         """
         record = self.get(qid)
-        del self._records[qid]
-        self._qids_by_user.get(record.user, set()).discard(qid)
-        self._qids_by_group.get(record.group, set()).discard(qid)
-        self._release_text(record.text)
+        self._unindex(record)
         self._changed()
         for table_name in (
             "Queries",
@@ -910,22 +939,24 @@ class QueryStore:
 
     # -- statistics --------------------------------------------------------------------------
 
-    def popularity(self) -> dict[str, int]:
-        """Number of logged queries per canonical text (duplicate = popular)."""
-        counts: dict[str, int] = {}
-        for record in self._records.values():
-            if not record.canonical_text:
-                continue
-            counts[record.canonical_text] = counts.get(record.canonical_text, 0) + 1
-        return counts
+    def popularity(self) -> Mapping[str, int]:
+        """Number of logged queries per canonical text (duplicate = popular).
+
+        Counted once per :attr:`generation`; every reader until the next
+        change shares the one read-only mapping."""
+        if self._popularity is None:
+            counts: dict[str, int] = {}
+            for record in self._records.values():
+                if record.canonical_text:
+                    counts[record.canonical_text] = counts.get(record.canonical_text, 0) + 1
+            self._popularity = MappingProxyType(counts)
+        return self._popularity
 
     def table_popularity(self) -> dict[str, int]:
         """Number of logged queries referencing each relation."""
-        counts: dict[str, int] = {}
-        for record in self._records.values():
-            for table in set(record.tables):
-                counts[table] = counts.get(table, 0) + 1
-        return counts
+        return {
+            key: len(qids) for key, qids in self._feature_postings.items() if isinstance(key, str)
+        }
 
     # -- meta SQL ------------------------------------------------------------------------------
 
@@ -956,6 +987,13 @@ class QueryStore:
         is the headline number for the Query Storage's planning overhead.
         """
         return self._meta_db.plan_cache_stats()
+
+
+def _feature_keys(record: LoggedQuery) -> set:
+    """The Figure 1 postings a record is filed under (see ``_feature_postings``)."""
+    if record.features is None:
+        return set()
+    return {*record.features.tables, *record.features.attributes}
 
 
 def _runtime_row(qid: int, runtime: RuntimeStats) -> dict[str, object]:

@@ -10,6 +10,7 @@ normalized component scores.  The A2 ablation benchmark sweeps the weights.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 from repro.core.config import RankingWeightsConfig
@@ -52,7 +53,7 @@ class RankingContext:
     """Shared normalization context for one ranking pass."""
 
     now: float = 0.0
-    popularity: dict[str, int] | None = None
+    popularity: Mapping[str, int] | None = None
     max_popularity: int = 1
     recency_half_life: float = 7 * 24 * 3600.0
 

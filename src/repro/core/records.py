@@ -10,6 +10,7 @@ and semantic features (statistics and output samples).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ReproError
 from repro.sql.ast_nodes import Statement, statement_type
@@ -35,7 +36,8 @@ class OutputSummary:
 
     ``rows`` holds at most the adaptive budget decided by the profiler;
     ``complete`` records whether the stored rows are the full output (true for
-    long-running small-output queries) or a sample.
+    long-running small-output queries) or a sample.  Nothing changes a
+    summary once built, so its row and cell sets are built on first use.
     """
 
     columns: list[str] = field(default_factory=list)
@@ -43,13 +45,24 @@ class OutputSummary:
     total_rows: int = 0
     complete: bool = True
 
+    @cached_property
+    def _row_set(self) -> frozenset:
+        return frozenset(map(tuple, self.rows))
+
+    @cached_property
+    def _cell_set(self) -> frozenset:
+        return frozenset(cell for row in self.rows for cell in row)
+
     def contains(self, values: tuple) -> bool:
         """Whether the summary contains a row equal to ``values``."""
-        return tuple(values) in {tuple(row) for row in self.rows}
+        return tuple(values) in self._row_set
 
     def contains_value(self, value: object) -> bool:
         """Whether any cell of any summarized row equals ``value``."""
-        return any(value in row for row in self.rows)
+        try:
+            return value in self._cell_set
+        except TypeError:  # an unhashable probe or cell: compare cell by cell
+            return any(value in row for row in self.rows)
 
 
 @dataclass

@@ -76,6 +76,23 @@ class TestProfilerBehaviour:
         execution = profiler.profile("alice", "lab1", "SELEKT * FRM lakes")
         assert execution.record.statement_kind == "invalid"
 
+    @pytest.mark.parametrize(
+        "sql, error",
+        [
+            ("SELECT 'abc FROM Lakes", "unterminated string literal"),
+            ("SELECT * FROM Lakes /* open", "unterminated block comment"),
+        ],
+    )
+    def test_untokenizable_submit_is_logged_not_raised(self, fresh_cqms, sql, error):
+        """A statement whose literal or comment never closes is a failed
+        attempt like any other: logged as typed, kind ``invalid``."""
+        execution = fresh_cqms.submit("alice", f"  {sql} ")
+        assert len(fresh_cqms.store) == 1
+        assert execution.error == error and execution.result is None
+        record = execution.record
+        assert record.text == sql and record.statement_kind == "invalid"
+        assert record.runtime.succeeded is False and record.runtime.error == error
+
     def test_comments_stripped_from_stored_text(self, profiler_setup):
         _, _, store, profiler = profiler_setup
         execution = profiler.profile(

@@ -1,0 +1,227 @@
+"""The Search & Browse reads answered from state the Query Storage keeps on
+write, against the reference each of them replaced.
+
+* ``find_queries_like_partial`` reads the ``DataSources`` / ``Attributes``
+  postings; ``by_feature_sql(generate_feature_sql(...))`` — the paper's
+  Figure 1 SQL over the feature relations — is the reference.
+* ``OutputSummary.contains_value`` / ``contains`` probe cached cell and row
+  sets; a scan of the sampled rows is the reference.
+* ``QueryStore.popularity()`` is cached per generation; a recount over the
+  log is the reference.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import CQMS, CQMSConfig, SimulatedClock, build_database
+from repro.core.query_store import QueryStore, _constant_text
+from repro.core.records import OutputSummary
+from repro.errors import MetaQueryError
+from repro.workloads import QueryLogGenerator, WorkloadConfig
+
+
+def _principals(cqms: CQMS) -> list[str]:
+    """The administrator plus the first user of each group (five at most)."""
+    chosen: dict[str, str] = {}
+    for principal in cqms.access_control.principals():
+        if principal.is_admin:
+            chosen.setdefault("", principal.name)
+        else:
+            chosen.setdefault(principal.group, principal.name)
+    return list(chosen.values())[:5]
+
+
+def assert_like_partial_agrees(cqms: CQMS) -> int:
+    """Every logged text as the probe, every chosen principal: the postings
+    give exactly the qids the Figure 1 SQL gives, in qid order.  Returns how
+    many (probe, principal) answers were non-empty."""
+    meta = cqms.meta_query
+    principals = _principals(cqms)
+    reference: dict[tuple[str, str], set[int]] = {}
+    non_empty = 0
+    for probe in sorted({record.text for record in cqms.store.all_queries()}):
+        try:
+            sql = meta.generate_feature_sql(probe)
+        except MetaQueryError:
+            with pytest.raises(MetaQueryError, match="references no tables"):
+                meta.find_queries_like_partial(principals[0], probe)
+            continue
+        for principal in principals:
+            if (principal, sql) not in reference:
+                reference[principal, sql] = {
+                    record.qid for record in meta.by_feature_sql(principal, sql)
+                }
+            got = [record.qid for record in meta.find_queries_like_partial(principal, probe)]
+            assert got == sorted(reference[principal, sql]), (principal, probe)
+            non_empty += bool(got)
+    return non_empty
+
+
+def assert_popularity_is_a_recount(store: QueryStore) -> None:
+    recount: dict[str, int] = {}
+    for record in store.all_queries():
+        if record.canonical_text:
+            recount[record.canonical_text] = recount.get(record.canonical_text, 0) + 1
+    assert dict(store.popularity()) == recount
+
+
+def _replayed(config: CQMSConfig | None = None, num_sessions: int = 30) -> CQMS:
+    clock = SimulatedClock()
+    database = build_database("limnology", scale=1, seed=7, clock=clock)
+    cqms = CQMS(database, config=config, clock=clock)
+    cqms.register_user("admin", group="ops", is_admin=True)
+    workload = QueryLogGenerator(WorkloadConfig(num_users=8, num_sessions=num_sessions, seed=42))
+    cqms.replay_workload(workload.generate())
+    return cqms
+
+
+class TestLikePartialAgreesWithFigure1Sql:
+    def test_every_logged_statement_as_the_probe(self):
+        cqms = _replayed()
+        assert assert_like_partial_agrees(cqms) > 0
+        assert_popularity_is_a_recount(cqms.store)
+
+    def test_after_delete_repair_and_visibility_change(self):
+        cqms = _replayed()
+        store, admin = cqms.store, cqms.admin()
+        popularity = store.popularity()
+        # A delete of one record of a repeated text and of a unique one.
+        for record in store.all_queries()[:40:7]:
+            admin.delete_query("admin", record.qid)
+        assert store.popularity() is not popularity
+        assert_popularity_is_a_recount(store)
+        assert assert_like_partial_agrees(cqms) > 0
+
+        # A rename repairs (replace_text) every query that read the column:
+        # their attribute postings move from temp to temp_c.
+        cqms.database.execute("ALTER TABLE WaterTemp RENAME COLUMN temp TO temp_c")
+        report = cqms.run_maintenance()
+        assert len(report.repaired) > 5
+        repaired = store.get(report.repaired[0])
+        assert ("temp_c", "watertemp") in repaired.features.attributes
+        assert not store.qids_with_features([("temp", "watertemp")])
+        assert_popularity_is_a_recount(store)
+        assert assert_like_partial_agrees(cqms) > 0
+
+        for record in store.all_queries()[::5]:
+            admin.set_visibility("admin", record.qid, "private")
+        for record in store.all_queries()[1::5]:
+            admin.set_visibility("admin", record.qid, "public")
+        assert assert_like_partial_agrees(cqms) > 0
+
+        cqms.submit("admin", "SELECT T.temp_c FROM WaterTemp T WHERE T.temp_c < 18")
+        assert_popularity_is_a_recount(store)
+        assert assert_like_partial_agrees(cqms) > 0
+
+    def test_text_mode_store_has_no_features_to_find(self):
+        cqms = _replayed(CQMSConfig(profiling_mode="text"), num_sessions=10)
+        assert assert_like_partial_agrees(cqms) == 0
+        assert_popularity_is_a_recount(cqms.store)
+
+    def test_durable_store_after_reopen(self, tmp_path):
+        """Reopen rebuilds the postings from the recovered relations: without
+        that, every search here would come back empty while the SQL finds
+        the queries."""
+        config = CQMSConfig(data_dir=str(tmp_path / "store"))
+        cqms = _replayed(config, num_sessions=15)
+        principals = [(p.name, p.group, p.is_admin) for p in cqms.access_control.principals()]
+        before = assert_like_partial_agrees(cqms)
+        popularity = dict(cqms.store.popularity())
+        database = cqms.database
+        cqms.close()
+        with CQMS(database, config=config) as reopened:
+            for name, group, is_admin in principals:
+                reopened.register_user(name, group=group, is_admin=is_admin)
+            assert assert_like_partial_agrees(reopened) == before > 0
+            assert dict(reopened.store.popularity()) == popularity
+            assert_popularity_is_a_recount(reopened.store)
+
+    def test_results_come_back_in_qid_order(self, fresh_cqms):
+        for sql in (
+            "SELECT * FROM WaterTemp T WHERE T.temp < 18",
+            "SELECT * FROM Lakes",
+            "SELECT T.temp FROM WaterTemp T",
+        ):
+            fresh_cqms.submit("alice", sql)
+        results = fresh_cqms.search_like_partial("alice", "SELECT FROM WaterTemp")
+        assert [record.qid for record in results] == [1, 3]
+
+    def test_popularity_is_read_only_and_shared(self, fresh_cqms):
+        fresh_cqms.submit("alice", "SELECT * FROM Lakes")
+        popularity = fresh_cqms.store.popularity()
+        assert fresh_cqms.store.popularity() is popularity
+        with pytest.raises(TypeError):
+            popularity["select * from lakes"] = 9
+
+
+NAN = float("nan")
+#: Cells of the kinds a SQL output holds, with the ones that compare equal
+#: across types (1, 1.0, True) and a NaN.
+CELLS = [0, 1, 1.0, True, False, None, "1", "a", 2.5, NAN]
+
+
+def _reference_contains_value(summary: OutputSummary, value) -> bool:
+    return any(value in row for row in summary.rows)
+
+
+def _reference_contains(summary: OutputSummary, values) -> bool:
+    return tuple(values) in {tuple(row) for row in summary.rows}
+
+
+class TestQueryByDataProbes:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from(CELLS), st.sampled_from(CELLS)), max_size=6),
+        probe=st.sampled_from([*CELLS, float("nan"), "b", -1]),
+        row_probe=st.tuples(st.sampled_from(CELLS), st.sampled_from(CELLS)),
+    )
+    def test_set_probes_agree_with_a_scan(self, rows, probe, row_probe):
+        summary = OutputSummary(columns=["a", "b"], rows=rows, total_rows=len(rows))
+        assert summary.contains_value(probe) == _reference_contains_value(summary, probe)
+        assert summary.contains(row_probe) == _reference_contains(summary, row_probe)
+        assert summary.contains(list(row_probe)) == _reference_contains(summary, row_probe)
+
+    @pytest.mark.parametrize("probe", [1, 1.0, True, None, NAN, float("nan"), 0, "1"])
+    def test_named_probes(self, probe):
+        summary = OutputSummary(columns=["a", "b"], rows=[(1, None), ("x", NAN)], total_rows=2)
+        assert summary.contains_value(probe) == _reference_contains_value(summary, probe)
+
+    def test_unhashable_probe_and_cells_keep_the_scan_answer(self):
+        summary = OutputSummary(columns=["a"], rows=[([1, 2],), (3,)], total_rows=2)
+        assert summary.contains_value([1, 2]) is True
+        assert summary.contains_value([3]) is False
+        assert summary.contains_value(3) is True
+        hashable = OutputSummary(columns=["a"], rows=[(1,), (2,)], total_rows=2)
+        assert hashable.contains_value([1]) is False
+        assert hashable.contains_value({}) is False
+
+    def test_summary_rebuilt_by_reopen(self):
+        """The reopen path stores cells as TEXT and parses them back."""
+        original = OutputSummary(
+            columns=["name", "temp", "wet", "depth"],
+            rows=[("Lake Union", 17, True, None), ("Green Lake", 18.5, False, 3)],
+            total_rows=2,
+        )
+        cells = [
+            (row_index, column, _constant_text(cell))
+            for row_index, row in enumerate(original.rows)
+            for column, cell in zip(original.columns, row)
+        ]
+        rebuilt = QueryStore._rebuild_output_summary(cells, 2)
+        assert rebuilt == original
+        for probe in ["Lake Union", 17, 17.0, True, 1, False, 0, None, 18.5, 3, "17", NAN]:
+            assert rebuilt.contains_value(probe) == _reference_contains_value(original, probe)
+        for row in [*original.rows, ("Lake Union", 17.0, 1, None), ("Green Lake", 18.5, 0, 4)]:
+            assert rebuilt.contains(row) == _reference_contains(original, row)
+
+    def test_cached_sets_are_not_part_of_the_value(self):
+        summary = OutputSummary(columns=["a"], rows=[(1,), (2,)], total_rows=2)
+        untouched = copy.deepcopy(summary)
+        assert summary.contains_value(2) and summary.contains((1,))
+        assert summary == untouched
+        assert repr(summary) == repr(untouched)

@@ -193,8 +193,13 @@ def test_f1_figure1_sql_meta_query_finds_exactly_the_correlating_queries(paper_e
 
 
 def test_f1_meta_query_generated_from_a_partial_query(paper_env):
-    assert "DataSources" in paper_env.cqms.meta_query.generate_feature_sql(FIGURE1_PARTIAL)
+    sql = paper_env.cqms.meta_query.generate_feature_sql(FIGURE1_PARTIAL)
+    assert "DataSources" in sql
     results = paper_env.cqms.search_like_partial("admin", FIGURE1_PARTIAL)
+    # Answered from the feature postings, in qid order; the SQL is the reference.
+    assert [record.qid for record in results] == sorted(
+        record.qid for record in paper_env.cqms.search_sql("admin", sql)
+    )
     for record in results:
         assert {"watersalinity", "watertemp"} <= set(record.features.tables)
     # Generation conditions on the tables only, so it finds every such query.
