@@ -22,12 +22,13 @@ record that carries it — logs are dominated by repeated statements.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, statement_artefacts
-from repro.errors import MetaQueryError, ReproError
+from repro.errors import DurabilityError, MetaQueryError, ReproError
 from repro.sql.parse_tree import ParseTreeNode, TreePattern, match_pattern, to_parse_tree
 from repro.storage.database import Database, QueryResult
 from repro.storage.plan_cache import DEFAULT_PLAN_CACHE_SIZE
@@ -94,12 +95,13 @@ FEATURE_RELATIONS: list[TableSchema] = [
         ("rowsScanned", DataType.INTEGER),
         ("succeeded", DataType.BOOLEAN),
     ),
+    # One row per summarized output: the summary's column names and its
+    # sampled rows, each a JSON array (rows as positional arrays).
     _schema(
         "OutputSamples",
         ("qid", DataType.INTEGER),
-        ("rowIndex", DataType.INTEGER),
-        ("columnName", DataType.TEXT),
-        ("cellValue", DataType.TEXT),
+        ("columnNames", DataType.TEXT),
+        ("sampleRows", DataType.TEXT),
     ),
     _schema(
         "Annotations",
@@ -211,9 +213,19 @@ class QueryStore:
         self._schema_columns = dict(schema_columns or {})
         self._with_features = profiling_mode != "text"
         for table_schema in FEATURE_RELATIONS:
-            # On a recovered data_dir the relations already exist.
+            # On a recovered data_dir the relations already exist, and must
+            # have the shape this version reads.
             if not self._meta_db.has_table(table_schema.name):
                 self._meta_db.create_table(table_schema)
+                continue
+            found = self._meta_db.table(table_schema.name).schema.column_names
+            if found != table_schema.column_names:
+                self._meta_db.close()
+                raise DurabilityError(
+                    f"data directory {data_dir!r} holds {table_schema.name}"
+                    f"({', '.join(found)}); this version reads "
+                    f"{table_schema.name}({', '.join(table_schema.column_names)})"
+                )
         for table, column in (
             ("DataSources", "qid"),
             ("Attributes", "qid"),
@@ -322,8 +334,8 @@ class QueryStore:
         lazy (see :meth:`texts_matching`).  Session membership is
         matched back from the ``Sessions`` time windows (same user, timestamp
         inside ``[startTs, endTs]``), so the per-session query counts stay
-        consistent when a recovered query is later removed.  Output-sample
-        cells come back as the TEXT the relation stores.
+        consistent when a recovered query is later removed.  Output
+        summaries come back as they were stored (see :func:`_output_row`).
         """
         relation = self._relation_dicts
         runtime_by_qid: dict[int, RuntimeStats] = {}
@@ -339,18 +351,10 @@ class QueryStore:
             annotations_by_qid.setdefault(row["qid"], []).append(
                 (row["ts"] or 0.0, row["body"] or "")
             )
-        # The largest relation (one row per sampled cell): read by position,
-        # so reopen holds a 3-tuple per cell rather than a dict per row.
-        samples = self._meta_db.table("OutputSamples")
-        qid_at, index_at, column_at, cell_at = map(
-            samples.schema.position, ("qid", "rowIndex", "columnName", "cellValue")
-        )
-        samples_by_qid: dict[int, list[tuple]] = {}
-        for rows in samples.scan_row_lists():
-            for row in rows:
-                samples_by_qid.setdefault(row[qid_at], []).append(
-                    (row[index_at], row[column_at], row[cell_at])
-                )
+        samples_by_qid = {
+            row["qid"]: (row["columnNames"], row["sampleRows"])
+            for row in relation("OutputSamples")
+        }
         sessions_by_user: dict[str, list[tuple[float, float, int]]] = {}
         for row in relation("Sessions"):
             sessions_by_user.setdefault(row["userName"], []).append(
@@ -383,9 +387,10 @@ class QueryStore:
             record.annotations = [
                 body for _, body in sorted(annotations_by_qid.get(qid, []))
             ]
-            record.output = self._rebuild_output_summary(
-                samples_by_qid.get(qid), record.runtime.result_cardinality
-            )
+            if qid in samples_by_qid:
+                record.output = self._rebuild_output_summary(
+                    *samples_by_qid[qid], record.runtime.result_cardinality
+                )
             for start, end, session_id in sessions_by_user.get(record.user, ()):
                 if start <= record.timestamp <= end:
                     record.session_id = session_id
@@ -403,34 +408,19 @@ class QueryStore:
 
     @staticmethod
     def _rebuild_output_summary(
-        sample_cells: list[tuple] | None, result_cardinality: int
-    ) -> OutputSummary | None:
-        """Reassemble an :class:`OutputSummary` from its shredded
-        ``(rowIndex, columnName, cellValue)`` cells.
+        column_names: str, sample_rows: str, result_cardinality: int
+    ) -> OutputSummary:
+        """The :class:`OutputSummary` of an ``OutputSamples`` row.
 
         ``result_cardinality`` (from ``RuntimeStats``) is the query's true
         output size, so ``total_rows``/``complete`` mean the same thing they
-        meant when the profiler built the original summary.  Cells are
-        stored in a TEXT column, so numeric/boolean values are coerced back
-        (best effort — a genuinely textual ``"18.5"`` is indistinguishable
-        from the float) to keep query-by-data value matching working across
-        restarts; NULL round-trips exactly.
+        meant when the profiler built the original summary.  A cell is one of
+        the engine's stored types or NULL, all of which JSON round-trips.
         """
-        if not sample_cells:
-            return None
-        columns: list[str] = []
-        cells: dict[int, dict[str, object]] = {}
-        for row_index, column, value in sample_cells:
-            if row_index == 0 and column not in columns:
-                columns.append(column)
-            cells.setdefault(row_index, {})[column] = _parse_cell(value)
-        rows = [
-            tuple(cells[index].get(column) for column in columns)
-            for index in sorted(cells)
-        ]
+        rows = [tuple(row) for row in json.loads(sample_rows)]
         total_rows = max(result_cardinality, len(rows))
         return OutputSummary(
-            columns=columns,
+            columns=json.loads(column_names),
             rows=rows,
             total_rows=total_rows,
             complete=len(rows) >= total_rows,
@@ -638,6 +628,8 @@ class QueryStore:
             ],
         )
         insert_rows("RuntimeStats", [_runtime_row(qid, record.runtime)])
+        if record.output is not None:
+            insert_rows("OutputSamples", [_output_row(qid, record.output)])
         if record.features is None:
             return
         features = record.features
@@ -672,18 +664,6 @@ class QueryStore:
                 for join in (join.normalized() for join in features.joins)
             ],
         }
-        if record.output is not None:
-            columns = record.output.columns
-            batches["OutputSamples"] = [
-                {
-                    "qid": qid,
-                    "rowIndex": row_index,
-                    "columnName": column_name,
-                    "cellValue": _constant_text(cell),
-                }
-                for row_index, row in enumerate(record.output.rows)
-                for column_name, cell in zip(columns, row)
-            ]
         for relation, rows in batches.items():
             if rows:
                 insert_rows(relation, rows)
@@ -1007,33 +987,19 @@ def _runtime_row(qid: int, runtime: RuntimeStats) -> dict[str, object]:
     }
 
 
+def _output_row(qid: int, summary: OutputSummary) -> dict[str, object]:
+    """The ``OutputSamples`` row of a query's output summary."""
+    return {
+        "qid": qid,
+        "columnNames": json.dumps(summary.columns, ensure_ascii=False),
+        "sampleRows": json.dumps(summary.rows, ensure_ascii=False),
+    }
+
+
 def _constant_text(value: object) -> str | None:
-    """Render a predicate constant or output cell for storage in a TEXT column."""
+    """Render a predicate constant for storage in a TEXT column."""
     if value is None:
         return None
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(_constant_text(item) or "NULL" for item in value) + ")"
     return str(value)
-
-
-def _parse_cell(text: object) -> object:
-    """Best-effort inverse of :func:`_constant_text` for one output cell.
-
-    Recovers the native types SQL cells can hold (bool, int, float) so that
-    ``OutputSummary.contains``/``contains_value`` — which compare with ``==``
-    against native values — keep matching after a durable store reopens.
-    """
-    if text is None or not isinstance(text, str):
-        return text
-    if text == "True":
-        return True
-    if text == "False":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text

@@ -24,9 +24,9 @@ Inserts are logged a batch to a frame: one ``insert_many`` record per
 ``Table.insert_many`` call carries the table, the first row id, the column
 list once and the rows as arrays::
 
-    {"op":"insert_many","tbl":"OutputSamples","rid":4096,
-     "cols":["qid","rowIndex","columnName","cellValue"],
-     "rows":[[7,0,"temp","17.5"],[7,0,"depth","10.0"],...]}
+    {"op":"insert_many","tbl":"Attributes","rid":4096,
+     "cols":["qid","attrName","relName"],
+     "rows":[[7,"temp","watertemp"],[7,"depth","watertemp"],...]}
 
 A frame is read whole or not at all, so a batch is all in or all out after a
 crash.  A payload above :data:`MAX_RECORD_BYTES` is refused at encoding time

@@ -208,8 +208,8 @@ class TestFeatureRelations:
         record = make_record(1)
         record.output = OutputSummary(columns=["name"], rows=[("Lake Washington",)], total_rows=1)
         store.add(record)
-        samples = store.execute_meta_sql("SELECT cellValue FROM OutputSamples WHERE qid = 1")
-        assert samples.column("cellValue") == ["Lake Washington"]
+        samples = store.execute_meta_sql("SELECT sampleRows FROM OutputSamples WHERE qid = 1")
+        assert samples.column("sampleRows") == ['[["Lake Washington"]]']
 
     def test_runtime_stats_stored(self):
         store = QueryStore()

@@ -8,6 +8,10 @@ write, against the reference each of them replaced.
   sets; a scan of the sampled rows is the reference.
 * ``QueryStore.popularity()`` is cached per generation; a recount over the
   log is the reference.
+* A durable reopen reads each output summary back from its one
+  ``OutputSamples`` row; the summary the store was closed with is the
+  reference, and meta-SQL ``LIKE`` over ``sampleRows`` finds at least what
+  query-by-data finds.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CQMS, CQMSConfig, SimulatedClock, build_database
-from repro.core.query_store import QueryStore, _constant_text
-from repro.core.records import OutputSummary
-from repro.errors import MetaQueryError
+from repro.core.meta_query import DataCondition
+from repro.core.query_store import FEATURE_RELATIONS, QueryStore, _output_row, _schema
+from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats
+from repro.errors import DurabilityError, MetaQueryError
+from repro.storage.database import Database
+from repro.storage.types import DataType
 from repro.workloads import QueryLogGenerator, WorkloadConfig
 
 
@@ -165,6 +172,15 @@ NAN = float("nan")
 CELLS = [0, 1, 1.0, True, False, None, "1", "a", 2.5, NAN]
 
 
+def summary_key(summary: OutputSummary | None):
+    """A summary as a comparable value that tells apart what ``==`` does not:
+    a cell's type (``1``, ``1.0``, ``True``, ``"1"``), ``-0.0`` and NaN."""
+    if summary is None:
+        return None
+    rows = [tuple((type(cell).__name__, repr(cell)) for cell in row) for row in summary.rows]
+    return summary.columns, rows, summary.total_rows, summary.complete
+
+
 def _reference_contains_value(summary: OutputSummary, value) -> bool:
     return any(value in row for row in summary.rows)
 
@@ -201,22 +217,26 @@ class TestQueryByDataProbes:
         assert hashable.contains_value({}) is False
 
     def test_summary_rebuilt_by_reopen(self):
-        """The reopen path stores cells as TEXT and parses them back."""
+        """Reopen reads the summary back from the ``OutputSamples`` row that
+        ``add`` wrote, with every cell's type kept."""
         original = OutputSummary(
-            columns=["name", "temp", "wet", "depth"],
-            rows=[("Lake Union", 17, True, None), ("Green Lake", 18.5, False, 3)],
+            columns=["name", "temp", "wet", "depth", "name"],
+            rows=[("Lake Union", 17, True, None, "18.5"), ("Green Lake", 18.5, False, 3, "007")],
             total_rows=2,
         )
-        cells = [
-            (row_index, column, _constant_text(cell))
-            for row_index, row in enumerate(original.rows)
-            for column, cell in zip(original.columns, row)
-        ]
-        rebuilt = QueryStore._rebuild_output_summary(cells, 2)
-        assert rebuilt == original
-        for probe in ["Lake Union", 17, 17.0, True, 1, False, 0, None, 18.5, 3, "17", NAN]:
+        store = QueryStore()
+        record = LoggedQuery(qid=1, user="u", group="g", text="SELECT 1", timestamp=0.0)
+        record.output = original
+        record.runtime = RuntimeStats(result_cardinality=2)
+        store.add(record)
+        table = store.meta_database.table("OutputSamples")
+        (row,) = map(table.schema.as_dict, table.rows())
+        rebuilt = QueryStore._rebuild_output_summary(row["columnNames"], row["sampleRows"], 2)
+        assert summary_key(rebuilt) == summary_key(original)
+        for probe in ["Lake Union", 17, 17.0, True, 1, False, 0, None, 18.5, 3, "17", "18.5", NAN]:
             assert rebuilt.contains_value(probe) == _reference_contains_value(original, probe)
-        for row in [*original.rows, ("Lake Union", 17.0, 1, None), ("Green Lake", 18.5, 0, 4)]:
+        near_misses = [("Lake Union", 17.0, 1, None, 18.5), ("Green Lake", 18.5, 0, 4, 7)]
+        for row in [*original.rows, *near_misses]:
             assert rebuilt.contains(row) == _reference_contains(original, row)
 
     def test_cached_sets_are_not_part_of_the_value(self):
@@ -225,3 +245,122 @@ class TestQueryByDataProbes:
         assert summary.contains_value(2) and summary.contains((1,))
         assert summary == untouched
         assert repr(summary) == repr(untouched)
+
+
+CELL_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [-0.0, "18.5", "True", "NULL", "007", "", 'say "hi"', "back\\slash", "Zürich", "湖"]
+    ),
+    st.text(),
+)
+
+
+@st.composite
+def output_summaries(draw) -> OutputSummary:
+    """Summaries whose column names may repeat, as a ``SELECT *`` join's do."""
+    names = st.sampled_from(["lake_id", "name", "temp", "Zürich", 'a"b'])
+    columns = draw(st.lists(names, min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*[CELL_VALUES] * len(columns)), max_size=5))
+    unsampled = draw(st.integers(min_value=0, max_value=3))
+    total_rows = len(rows) + unsampled
+    return OutputSummary(columns=columns, rows=rows, total_rows=total_rows, complete=not unsampled)
+
+
+#: Cell values the durable log below adds to the limnology output: text that
+#: reads like a number, a boolean, NULL or a padded integer, and non-ASCII.
+NOTES = ["18.5", "True", "007", "NULL", "Lac Léman", 'say "hi"']
+
+
+def _replayed_with_notes(config: CQMSConfig) -> CQMS:
+    """A replayed log plus SELECTs of a table of tricky text cells."""
+    cqms = _replayed(config, num_sessions=15)
+    cqms.database.execute("CREATE TABLE Notes (id INTEGER, note TEXT)")
+    for number, note in enumerate(NOTES):
+        literal = note.replace("'", "''")
+        cqms.database.execute(f"INSERT INTO Notes VALUES ({number}, '{literal}')")
+    cqms.submit("admin", "SELECT * FROM Notes")
+    cqms.submit("admin", "SELECT N.note, L.name FROM Notes N, Lakes L WHERE N.id = L.lake_id")
+    return cqms
+
+
+class TestOutputSamplesRow:
+    @settings(max_examples=200, deadline=None)
+    @given(summary=output_summaries())
+    def test_round_trip(self, summary):
+        row = _output_row(1, summary)
+        rebuilt = QueryStore._rebuild_output_summary(
+            row["columnNames"], row["sampleRows"], summary.total_rows
+        )
+        assert summary_key(rebuilt) == summary_key(summary)
+
+    def test_durable_reopen_reads_the_summaries_it_closed_with(self, tmp_path):
+        """Duplicate column names of a ``SELECT *`` join, empty samples and
+        text cells that read like numbers all come back as they were."""
+        config = CQMSConfig(data_dir=str(tmp_path / "store"))
+        cqms = _replayed_with_notes(config)
+        records = cqms.store.all_queries()
+        before = {record.qid: summary_key(record.output) for record in records}
+        outputs = [record.output for record in records if record.output is not None]
+        assert any(len(set(output.columns)) < len(output.columns) for output in outputs)
+        assert any(not output.rows for output in outputs)
+        assert any(output.contains_value("18.5") for output in outputs)
+        database = cqms.database
+        cqms.close()
+        with CQMS(database, config=config) as reopened:
+            records = reopened.store.all_queries()
+            assert {record.qid: summary_key(record.output) for record in records} == before
+            count = reopened.store.execute_meta_sql("SELECT COUNT(*) FROM OutputSamples")
+            assert count.scalar() == len(outputs)
+
+    def test_meta_sql_like_finds_what_query_by_data_finds(self):
+        """``sampleRows LIKE '%"v"%'`` is the meta-SQL form of query-by-data
+        for a text value: engine LIKE ignores case, so it may find more."""
+        cqms = _replayed_with_notes(CQMSConfig())
+        values = {
+            cell
+            for record in cqms.store.all_queries()
+            if record.output is not None
+            for row in record.output.rows
+            for cell in row
+            if isinstance(cell, str) and not {"%", "_", '"', "\\"} & set(cell)
+        }
+        assert "Lac Léman" in values and len(values) > 10
+        for value in sorted(values):
+            literal = value.replace("'", "''")
+            found = cqms.store.execute_meta_sql(
+                f"SELECT qid FROM OutputSamples WHERE sampleRows LIKE '%\"{literal}\"%'"
+            ).column("qid")
+            by_data = cqms.search_by_data("admin", DataCondition(include_values=[value]))
+            assert {record.qid for record in by_data} <= set(found), value
+            assert by_data, value
+
+    def test_a_per_cell_data_directory_is_refused(self, tmp_path):
+        """A data directory written when ``OutputSamples`` held one row per
+        sampled cell raises, naming the table and both column lists."""
+        data_dir = str(tmp_path / "store")
+        database = Database.open(data_dir, name="query_storage")
+        for schema in FEATURE_RELATIONS:
+            if schema.name == "OutputSamples":
+                schema = _schema(
+                    "OutputSamples",
+                    ("qid", DataType.INTEGER),
+                    ("rowIndex", DataType.INTEGER),
+                    ("columnName", DataType.TEXT),
+                    ("cellValue", DataType.TEXT),
+                )
+            database.create_table(schema)
+        database.insert_rows(
+            "OutputSamples", [{"qid": 1, "rowIndex": 0, "columnName": "name", "cellValue": "x"}]
+        )
+        database.close()
+        for _ in range(2):
+            with pytest.raises(
+                DurabilityError,
+                match=r"OutputSamples\(qid, rowIndex, columnName, cellValue\); "
+                r"this version reads OutputSamples\(qid, columnNames, sampleRows\)",
+            ):
+                QueryStore(data_dir=data_dir)

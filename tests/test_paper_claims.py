@@ -61,7 +61,7 @@ EXPECTED = {
     "F4": {"queries": 550, "datasources": 754, "predicates": 459, "sessions": 120, "rules": 72},
     # profiling mode -> (queries logged, Attributes rows, OutputSamples rows,
     # statements the profiler timed)
-    "C1": {"off": (0, 0, 0, 229), "text": (229, 0, 0, 229), "features": (229, 665, 19078, 229)},
+    "C1": {"off": (0, 0, 0, 229), "text": (229, 0, 0, 229), "features": (229, 665, 229, 229)},
     "C3": {
         "matches": 27,
         "over_watertemp": 16,
