@@ -32,9 +32,14 @@ class Visibility(enum.Enum):
         if isinstance(value, Visibility):
             return value
         try:
-            return cls(value.lower())
-        except ValueError:
+            return _VISIBILITIES[value.lower()]
+        except KeyError:
             raise AccessControlError(f"unknown visibility {value!r}") from None
+
+
+#: Every visibility by its value: a dict probe, where ``Visibility(value)``
+#: goes through the enum machinery on each of the per-record checks.
+_VISIBILITIES = {member.value: member for member in Visibility}
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class AccessControl:
             return True
         if record.user == principal.name:
             return True
-        if principal.name in self._grants.get(record.qid, set()):
+        if principal.name in self._grants.get(record.qid, ()):
             return True
         visibility = Visibility.parse(record.visibility)
         if visibility is Visibility.PUBLIC:

@@ -21,7 +21,11 @@ so users only ever see queries they are allowed to see.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import itemgetter
 
 from repro.core.access_control import AccessControl, Principal
 from repro.core.config import CQMSConfig
@@ -29,7 +33,6 @@ from repro.core.query_store import QueryStore
 from repro.core.ranking import RankingContext, RankingFunction, RankedQuery
 from repro.core.records import Draft, LoggedQuery, draft_features
 from repro.errors import MetaQueryError
-from repro.mining.knn import KNNIndex
 from repro.mining.similarity import weighted_feature_similarity
 from repro.sql.features import QueryFeatures
 from repro.sql.parse_tree import TreePattern
@@ -150,10 +153,6 @@ class MetaQueryExecutor:
         self._config = config or CQMSConfig()
         self._ranking = ranking or RankingFunction()
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._knn_index: KNNIndex[int] = KNNIndex()
-        # qid -> the text its tokens were indexed under, as of _knn_generation.
-        self._knn_indexed: dict[int, str] = {}
-        self._knn_generation: int | None = None
 
     # -- keyword / substring search ---------------------------------------------
 
@@ -313,6 +312,48 @@ class MetaQueryExecutor:
 
     # -- kNN --------------------------------------------------------------------------------
 
+    def nearest(
+        self,
+        principal: Principal | str,
+        probe,
+        exclude_qids: set[int] | None = None,
+    ) -> Iterator[tuple[LoggedQuery, float]]:
+        """The visible logged queries similar to ``probe``, most similar first.
+
+        Yields ``(record, similarity)`` for every SELECT with features the
+        principal may see, outside ``exclude_qids``, whose
+        :func:`weighted_feature_similarity` to the probe (under the feature
+        weights configured now) is above zero — in (−similarity, qid) order,
+        the order a brute-force scan of the visible log would sort them in.
+        Each shape of the Query Storage (:meth:`QueryStore.shapes`) is scored
+        once; the shapes are then walked best first, the qids of equally
+        scored shapes merged in qid order, so a caller that stops after k
+        items pays for the shapes plus the walked prefix, not for the log.
+        Consume it before the next write to the store.
+        """
+        probe_features = _probe_features(probe, self._store)
+        if probe_features is None:
+            return
+        probe_sets = probe_features.feature_sets()
+        weights = self._config.feature_weights
+        scored = []
+        for shape in self._store.shapes():
+            similarity = weighted_feature_similarity(probe_sets, shape.sets, weights)
+            if similarity > 0.0:
+                scored.append((similarity, shape.qids))
+        scored.sort(key=itemgetter(0), reverse=True)
+        principal_obj = self._principal(principal)
+        can_see, get = self._access.can_see, self._store.get
+        exclude = exclude_qids or ()
+        for similarity, group in groupby(scored, key=itemgetter(0)):
+            runs = [qids for _, qids in group]
+            for qid in runs[0] if len(runs) == 1 else heapq.merge(*runs):
+                if qid in exclude:
+                    continue
+                record = get(qid)
+                if can_see(principal_obj, record):
+                    yield record, similarity
+
     def knn_candidates(
         self,
         principal: Principal | str,
@@ -322,31 +363,12 @@ class MetaQueryExecutor:
     ) -> list[tuple[LoggedQuery, float]]:
         """The k most similar visible queries with their similarity scores.
 
-        This is the raw kNN primitive; :meth:`knn` and the recommender apply
-        their own ranking functions on top of it.
+        This is the raw kNN primitive (the first k of :meth:`nearest`);
+        :meth:`knn` and the recommender apply their own ranking functions on
+        top of it.
         """
         k = k or self._config.knn_default_k
-        probe_features = _probe_features(probe, self._store)
-        if probe_features is None:
-            return []
-        self._refresh_knn_index()
-        principal_obj = self._principal(principal)
-        exclude = set(exclude_qids or set())
-        neighbors = self._knn_index.nearest(
-            probe_features.token_bag(), k=max(k * 5, 20), exclude=exclude
-        )
-        probe_sets = probe_features.feature_sets()
-        candidates: list[tuple[LoggedQuery, float]] = []
-        for neighbor in neighbors:
-            record = self._store.get(neighbor.key)
-            if not self._access.can_see(principal_obj, record):
-                continue
-            similarity = weighted_feature_similarity(
-                probe_sets, record.feature_sets(), self._config.feature_weights
-            )
-            candidates.append((record, similarity))
-        candidates.sort(key=lambda pair: (-pair[1], pair[0].qid))
-        return candidates[:k]
+        return list(islice(self.nearest(principal, probe, exclude_qids), k))
 
     def knn(
         self,
@@ -378,28 +400,6 @@ class MetaQueryExecutor:
         if isinstance(principal, Principal):
             return principal
         return self._access.principal(principal)
-
-    def _refresh_knn_index(self) -> None:
-        """Bring the kNN index up to the store's generation: index queries
-        added since the last refresh, re-index those whose text was replaced,
-        and forget those that were removed."""
-        generation = self._store.generation
-        if generation == self._knn_generation:
-            return
-        records = self._store.all_queries()
-        for record in records:
-            if self._knn_indexed.get(record.qid) == record.text:
-                continue
-            if record.is_select and record.features is not None:
-                self._knn_index.add(record.qid, record.feature_tokens())
-            else:
-                self._knn_index.remove(record.qid)
-            self._knn_indexed[record.qid] = record.text
-        if len(self._knn_indexed) > len(records):
-            for qid in [qid for qid in self._knn_indexed if qid not in self._store]:
-                del self._knn_indexed[qid]
-                self._knn_index.remove(qid)
-        self._knn_generation = generation
 
 
 def _figure1_conditions(partial_sql: Draft) -> tuple[list[str], list[tuple[str, str]]]:

@@ -23,7 +23,8 @@ record that carries it — logs are dominated by repeated statements.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from bisect import bisect_left, insort
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -144,6 +145,24 @@ class _Statement:
     #: for a text that does not parse.
     tree: ParseTreeNode | None = None
     tree_built: bool = False
+
+
+@dataclass(slots=True)
+class Shape:
+    """The SELECTs of the log that share one constant-free feature set.
+
+    ``sets`` is :meth:`~repro.sql.features.QueryFeatures.feature_sets` — all
+    the weighted feature similarity reads of a record — kept once for every
+    record filed here; ``qids`` are those records, ascending.
+    """
+
+    sets: dict[str, frozenset]
+    qids: list[int]
+
+
+def _shape_key(sets: dict[str, frozenset]) -> tuple:
+    """The hashable form of a feature-set dict (its classes in a fixed order)."""
+    return tuple(sets.items())
 
 
 def _posting_keys(tree: ParseTreeNode) -> set:
@@ -271,6 +290,9 @@ class QueryStore:
         # The Figure 1 postings: a DataSources relName or an Attributes
         # (attrName, relName) -> the qids of the records with that row.
         self._feature_postings: dict[object, set[int]] = {}
+        # The shape table: every SELECT with features filed under its
+        # constant-free feature sets (see :meth:`shapes`).
+        self._shapes: dict[tuple, Shape] = {}
         # The statement table, and the inverted index over the parse trees
         # built so far: label or (label, value) -> texts whose tree has it.
         self._statements: dict[str, _Statement] = {}
@@ -463,8 +485,8 @@ class QueryStore:
     def generation(self) -> int:
         """Counts the changes to what a search can return: bumped by
         :meth:`add`, :meth:`remove`, :meth:`replace_text` and
-        :meth:`set_visibility`.  Caches over the log (the visible lists, the
-        kNN index) are tagged with it instead of re-walking the log."""
+        :meth:`set_visibility`.  Caches over the log (the visible lists,
+        popularity) are tagged with it instead of re-walking the log."""
         return self._generation
 
     def _changed(self) -> None:
@@ -481,6 +503,9 @@ class QueryStore:
         self._intern_text(record.text)
         for key in _feature_keys(record):
             self._feature_postings.setdefault(key, set()).add(qid)
+        if record.is_select and record.features is not None:
+            sets = record.features.feature_sets()
+            insort(self._shapes.setdefault(_shape_key(sets), Shape(sets, [])).qids, qid)
 
     def _unindex(self, record: LoggedQuery) -> None:
         qid = record.qid
@@ -493,6 +518,12 @@ class QueryStore:
             bucket.discard(qid)
             if not bucket:
                 del self._feature_postings[key]
+        if record.is_select and record.features is not None:
+            key = _shape_key(record.features.feature_sets())
+            qids = self._shapes[key].qids
+            del qids[bisect_left(qids, qid)]
+            if not qids:
+                del self._shapes[key]
 
     def qids_with_features(self, keys: Sequence) -> list[int]:
         """Qids, in order, of the records with a ``DataSources`` row for every
@@ -502,6 +533,12 @@ class QueryStore:
         if not postings or not all(postings):
             return []
         return sorted(set.intersection(*sorted(postings, key=len)))
+
+    def shapes(self) -> Collection[Shape]:
+        """The shape table: one :class:`Shape` per distinct feature-set dict
+        among the logged SELECTs with features.  Kept current by every write,
+        so a kNN search scores each shape once instead of each record."""
+        return self._shapes.values()
 
     def all_queries(self) -> list[LoggedQuery]:
         """All logged queries in qid order (sorted once per generation)."""

@@ -74,11 +74,26 @@ class QueryRecommender:
         k: int = 5,
         exclude_own_duplicates: bool = True,
     ) -> list[Recommendation]:
-        """Recommend up to ``k`` logged queries similar to ``current_sql``."""
+        """Recommend up to ``k`` logged queries similar to ``current_sql``.
+
+        The candidates are the most similar visible queries up to, not
+        including, the first one that would bring a (k+1)-th distinct
+        canonical text (a (k+1)-th query without ``exclude_own_duplicates``);
+        ranking reorders them and keeps the best-ranked query per canonical
+        text, so the panel holds min(k, distinct similar canonical texts).
+        """
         current_features = draft_features(current_sql)
         if current_features is None:
             return []
-        candidates = self._meta.knn_candidates(principal, current_features, k=k * 3)
+        candidates: list[tuple[LoggedQuery, float]] = []
+        distinct: set = set()
+        for record, similarity in self._meta.nearest(principal, current_features):
+            key = (record.canonical_text or record.text) if exclude_own_duplicates else record.qid
+            if key not in distinct:
+                if len(distinct) == k:
+                    break
+                distinct.add(key)
+            candidates.append((record, similarity))
         context = RankingContext.from_store(self._store, now=float(self._clock()))
         ranked = self._ranking.rank(candidates, context)
         recommendations: list[Recommendation] = []

@@ -9,7 +9,9 @@ into the ranking functions used for recommendations.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
+
+_EMPTY: frozenset = frozenset()
 
 
 def jaccard_similarity(first: Iterable, second: Iterable) -> float:
@@ -40,29 +42,33 @@ def dice_similarity(first: Iterable, second: Iterable) -> float:
 
 
 def weighted_feature_similarity(
-    first: dict[str, Iterable],
-    second: dict[str, Iterable],
-    weights: dict[str, float] | None = None,
+    first: Mapping[str, AbstractSet],
+    second: Mapping[str, AbstractSet],
+    weights: Mapping[str, float] | None = None,
 ) -> float:
     """Weighted average of per-feature-class Jaccard similarities.
 
     ``first`` and ``second`` map a feature-class name (``tables``,
-    ``predicates``, ...) to the set of features of that class.  Classes missing
-    from both sides are skipped; missing weights default to 1.0.
+    ``predicates``, ...) to the (frozen) set of features of that class.
+    Classes empty on both sides are skipped; missing weights default to 1.0.
+    The classes are summed in sorted order, so the float result does not
+    depend on set iteration order (two shapes that tie stay tied under any
+    hash seed).
     """
     weights = weights or {}
     total_weight = 0.0
     score = 0.0
-    for key in set(first) | set(second):
-        a = set(first.get(key, ()))
-        b = set(second.get(key, ()))
+    for key in sorted(first.keys() | second.keys()):
+        a = first.get(key, _EMPTY)
+        b = second.get(key, _EMPTY)
         if not a and not b:
             continue
         weight = float(weights.get(key, 1.0))
         if weight <= 0.0:
             continue
+        shared = len(a & b)
         total_weight += weight
-        score += weight * jaccard_similarity(a, b)
+        score += weight * (shared / (len(a) + len(b) - shared))
     if total_weight == 0.0:
         return 1.0
     return score / total_weight

@@ -126,13 +126,8 @@ class QueryFeatures:
     def join_signatures(self) -> frozenset[tuple[str, str, str, str]]:
         """Normalized join identities."""
         return frozenset(
-            (
-                j.normalized().left_relation,
-                j.normalized().left_attribute,
-                j.normalized().right_relation,
-                j.normalized().right_attribute,
-            )
-            for j in self.joins
+            (j.left_relation, j.left_attribute, j.right_relation, j.right_attribute)
+            for j in (join.normalized() for join in self.joins)
         )
 
     def feature_sets(self) -> dict[str, frozenset]:

@@ -12,11 +12,17 @@ write, against the reference each of them replaced.
   ``OutputSamples`` row; the summary the store was closed with is the
   reference, and meta-SQL ``LIKE`` over ``sampleRows`` finds at least what
   query-by-data finds.
+* kNN scores each entry of the Query Storage's shape table once and walks
+  the shapes best first; a brute-force scan of the principal's visible log
+  is the reference, and a rebuild from ``all_queries()`` is the reference
+  for the shape table itself.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +31,12 @@ from hypothesis import strategies as st
 from repro import CQMS, CQMSConfig, SimulatedClock, build_database
 from repro.core.meta_query import DataCondition
 from repro.core.query_store import FEATURE_RELATIONS, QueryStore, _output_row, _schema
-from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats
+from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, draft_features
 from repro.errors import DurabilityError, MetaQueryError
+from repro.mining.knn import KNNIndex
+from repro.mining.similarity import weighted_feature_similarity
+from repro.sql.canonicalize import canonical_text
+from repro.sql.features import extract_features
 from repro.storage.database import Database
 from repro.storage.types import DataType
 from repro.workloads import QueryLogGenerator, WorkloadConfig
@@ -364,3 +374,196 @@ class TestOutputSamplesRow:
                 r"this version reads OutputSamples\(qid, columnNames, sampleRows\)",
             ):
                 QueryStore(data_dir=data_dir)
+
+
+# ---------------------------------------------------------------------------
+# kNN over the shape table
+# ---------------------------------------------------------------------------
+
+#: Drafts with constants no logged query has, and unfinished ones.
+FRESH_DRAFTS = [
+    "SELECT * FROM WaterTemp T WHERE T.temp < 17.125",
+    "SELECT * FROM WaterSalinity S, WaterTemp T WHERE S.lake_id = T.lake_id AND T.depth > 3.3",
+    "SELECT L.name FROM Lakes L WHERE L.area_km2 > 12.5",
+    "SELECT * FROM WaterSalinity S, WaterTemp T WHERE",
+    "SELECT FROM Lakes, WaterTemp",
+]
+
+
+def brute_force_knn(cqms: CQMS, probe: str) -> list[tuple[LoggedQuery, float]]:
+    """The definition: every logged SELECT with features whose weighted
+    feature similarity to the probe is above zero, by (−similarity, qid)."""
+    probe_sets = draft_features(probe).feature_sets()
+    weights = cqms.config.feature_weights
+    scored = []
+    for record in cqms.store.select_queries():
+        if record.features is not None:
+            similarity = weighted_feature_similarity(probe_sets, record.feature_sets(), weights)
+            if similarity > 0.0:
+                scored.append((record, similarity))
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0].qid))
+
+
+def _canonical(record: LoggedQuery) -> str:
+    return record.canonical_text or record.text
+
+
+@pytest.mark.parametrize("feature_weights", [{}, {"predicates": 0.0}], ids=["default", "no-predicates"])
+def test_knn_is_the_brute_force_top_k(paper_env, monkeypatch, feature_weights):
+    """Every principal, every distinct logged text and a few fresh drafts:
+    ``knn_candidates`` and ``knn`` are the first k of the brute-force order
+    over the principal's visible log, with the same scores; an excluded qid
+    is skipped; ``recommend`` fills to min(k, distinct similar canonical
+    texts)."""
+    cqms = paper_env.cqms
+    for key, weight in feature_weights.items():
+        monkeypatch.setitem(cqms.config.feature_weights, key, weight)
+    meta = cqms.meta_query
+    probes = sorted({record.text for record in cqms.store.select_queries()}) + FRESH_DRAFTS
+    visible = {
+        principal.name: {
+            record.qid for record in cqms.access_control.visible_log(principal, cqms.store)
+        }
+        for principal in cqms.access_control.principals()
+    }
+    full = 0
+    for text in probes:
+        scored = brute_force_knn(cqms, text)
+        probe = draft_features(text)  # read once, as CQMS.assist reads a draft
+        for principal, qids in visible.items():
+            expected = [(record, score) for record, score in scored if record.qid in qids]
+            pairs = [(record.qid, score) for record, score in expected]
+            got = meta.knn_candidates(principal, probe, k=5)
+            assert [(record.qid, score) for record, score in got] == pairs[:5], (principal, text)
+            assert [record.qid for record in meta.knn(principal, probe, k=10)] == [
+                qid for qid, _ in pairs[:10]
+            ]
+            eligible = {_canonical(record) for record, _ in expected}
+            recommended = cqms.recommend(principal, probe, k=5)
+            assert len(recommended) == min(5, len(eligible)), (principal, text)
+            canonicals = [_canonical(item.record) for item in recommended]
+            assert len(set(canonicals)) == len(canonicals) and set(canonicals) <= eligible
+            full += len(eligible) >= 5
+        if scored:
+            excluded = {scored[0][0].qid}
+            got = meta.knn_candidates("admin", probe, k=5, exclude_qids=excluded)
+            assert [(record.qid, score) for record, score in got] == [
+                (record.qid, score) for record, score in scored[1:6]
+            ]
+    assert full > len(visible) * len(probes) // 2
+
+
+def assert_shapes_agree(store: QueryStore) -> None:
+    """The shape table equals a rebuild from ``all_queries()``."""
+    rebuilt: dict[tuple, tuple[dict, list[int]]] = {}
+    for record in store.all_queries():
+        if record.is_select and record.features is not None:
+            sets = record.feature_sets()
+            rebuilt.setdefault(tuple(sets.items()), (sets, []))[1].append(record.qid)
+    assert {
+        tuple(shape.sets.items()): (shape.sets, shape.qids) for shape in store.shapes()
+    } == rebuilt
+
+
+def _constants_shifted(sql: str, copy_number: int) -> str:
+    """``sql`` with every numeric comparison constant moved: a new text and
+    canonical text, the same constant-free feature sets."""
+    return re.sub(
+        r"([<>=]\s*)(\d+(?:\.\d+)?)",
+        lambda match: f"{match.group(1)}{float(match.group(2)) + copy_number / 8}",
+        sql,
+    )
+
+
+class TestShapeTable:
+    def test_follows_add_remove_repair_and_visibility(self):
+        cqms = _replayed()
+        store, admin = cqms.store, cqms.admin()
+        assert_shapes_agree(store)
+        shapes = len(store.shapes())
+        assert 0 < shapes < len(store.select_queries())
+        for record in store.all_queries()[:40:7]:
+            admin.delete_query("admin", record.qid)
+        assert_shapes_agree(store)
+
+        cqms.database.execute("ALTER TABLE WaterTemp RENAME COLUMN temp TO temp_c")
+        assert len(cqms.run_maintenance().repaired) > 5
+        assert_shapes_agree(store)
+        new_text = "SELECT * FROM Sensors N WHERE N.installed_year < 1999"
+        qid = store.all_queries()[3].qid
+        store.replace_text(
+            qid,
+            new_text,
+            extract_features(new_text),
+            canonical_text(new_text),
+            canonical_text(new_text, strip_constants=True),
+        )
+        assert_shapes_agree(store)
+        assert [record.qid for record in cqms.similar_queries("admin", new_text, k=1)] == [qid]
+
+        for record in store.all_queries()[::5]:
+            admin.set_visibility("admin", record.qid, "private")
+        assert_shapes_agree(store)
+        cqms.submit("admin", "SELECT T.temp_c FROM WaterTemp T WHERE T.temp_c < 18")
+        cqms.submit("admin", "DELETE FROM Lakes WHERE lake_id = -1")
+        assert_shapes_agree(store)
+
+    def test_durable_reopen_rebuilds_it(self, tmp_path):
+        config = CQMSConfig(data_dir=str(tmp_path / "store"))
+        cqms = _replayed(config, num_sessions=15)
+        cqms.admin().delete_query("admin", cqms.store.all_queries()[2].qid)
+        assert_shapes_agree(cqms.store)
+        closed = {tuple(shape.sets.items()): shape.qids for shape in cqms.store.shapes()}
+        database = cqms.database
+        cqms.close()
+        with CQMS(database, config=config) as reopened:
+            assert_shapes_agree(reopened.store)
+            assert {
+                tuple(shape.sets.items()): shape.qids for shape in reopened.store.shapes()
+            } == closed
+
+    def test_a_knn_call_scores_each_shape_once_whatever_the_log_size(self, monkeypatch):
+        """On a log and on the same log with three more copies of every query
+        under other constants (no new shape), a kNN, recommend or assist call
+        evaluates the similarity once per shape, and the token-Jaccard index
+        is never asked."""
+        workload = QueryLogGenerator(WorkloadConfig(num_users=8, num_sessions=30, seed=42)).generate()
+        logs = []
+        for copies in (1, 4):
+            clock = SimulatedClock()
+            cqms = CQMS(build_database("limnology", scale=1, seed=7, clock=clock), clock=clock)
+            cqms.register_user("admin", group="ops", is_admin=True)
+            for copy_number in range(copies):
+                cqms.replay_workload(
+                    dataclasses.replace(event, sql=_constants_shifted(event.sql, copy_number))
+                    for event in workload
+                )
+            logs.append(cqms)
+        once, four = logs
+        assert len(four.store) == 4 * len(once.store)
+        assert len(four.store.shapes()) == len(once.store.shapes())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kNN went through KNNIndex.nearest")
+
+        monkeypatch.setattr(KNNIndex, "nearest", refuse)
+        evaluations = []
+        monkeypatch.setattr(
+            "repro.core.meta_query.weighted_feature_similarity",
+            lambda *args: evaluations.append(1) or weighted_feature_similarity(*args),
+        )
+        counts = []
+        for cqms in logs:
+            per_call = []
+            for user, probe in [(event.user, event.sql) for event in workload[::9]]:
+                for call in (
+                    lambda: cqms.similar_queries(user, probe, k=10),
+                    lambda: cqms.recommend(user, probe, k=5),
+                    lambda: cqms.assist(user, probe.split(" WHERE ")[0], k=3),
+                ):
+                    evaluations.clear()
+                    assert call()
+                    per_call.append(len(evaluations))
+            assert max(per_call) <= len(cqms.store.shapes())
+            counts.append(per_call)
+        assert counts[0] == counts[1]

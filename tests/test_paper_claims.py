@@ -56,7 +56,11 @@ EXPECTED = {
         "cases": 80,
         "context_aware": {"hit@1": 0.912, "hit@3": 1.0, "mrr": 0.956},
         "popularity": {"hit@1": 0.4, "hit@3": 0.738, "mrr": 0.569},
-        "panel": [(0.68, "~1 const, -2 join"), (0.68, "~1 const, -2 join"), (0.66, "~1 const, -2 join")],
+        "panel": [
+            (0.69, "~1 const, -2 join"),
+            (0.69, "~1 const, -2 join"),
+            (0.67, "~1 const, -3 col, -2 join"),
+        ],
     },
     "F4": {"queries": 550, "datasources": 754, "predicates": 459, "sessions": 120, "rules": 72},
     # profiling mode -> (queries logged, Attributes rows, OutputSamples rows,
@@ -76,7 +80,7 @@ EXPECTED = {
     },
     "C5": {
         "cases": 60,
-        "cqms": {"hit@1": 0.333, "hit@5": 0.45, "mrr": 0.381},
+        "cqms": {"hit@1": 0.333, "hit@5": 0.65, "mrr": 0.446},
         "popular": {"hit@1": 0.0, "hit@5": 0.067, "mrr": 0.017},
         "random": {"hit@1": 0.0, "hit@5": 0.233, "mrr": 0.051},
     },
@@ -110,11 +114,11 @@ EXPECTED = {
     "A1": {"truth": 85, "text": 85, "features": 85, "tree": 85},
     "A2": {
         "cases": 50,
-        "similarity only": {"hit@1": 0.26, "hit@5": 0.44, "mrr": 0.321},
-        "similarity + popularity": {"hit@1": 0.32, "hit@5": 0.44, "mrr": 0.362},
-        "full composite": {"hit@1": 0.32, "hit@5": 0.44, "mrr": 0.367},
-        "popularity only": {"hit@1": 0.3, "hit@5": 0.44, "mrr": 0.37},
-        "without_predicates_hit@5": 0.4,
+        "similarity only": {"hit@1": 0.26, "hit@5": 0.66, "mrr": 0.386},
+        "similarity + popularity": {"hit@1": 0.32, "hit@5": 0.66, "mrr": 0.43},
+        "full composite": {"hit@1": 0.32, "hit@5": 0.66, "mrr": 0.439},
+        "popularity only": {"hit@1": 0.32, "hit@5": 0.66, "mrr": 0.47},
+        "without_predicates_hit@5": 0.533,
     },
 }
 

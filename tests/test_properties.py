@@ -65,6 +65,11 @@ def sql_queries(draw) -> str:
 token_sets = st.sets(st.sampled_from([f"tok{i}" for i in range(12)]), max_size=8)
 token_lists = st.lists(st.sampled_from([f"tok{i}" for i in range(12)]), max_size=10)
 short_text = st.text(alphabet=string.ascii_lowercase + " ", max_size=12)
+_feature_classes = st.sampled_from(["aggregates", "joins", "predicates", "tables", "x", "y"])
+feature_set_dicts = st.dictionaries(_feature_classes, token_sets.map(frozenset))
+class_weights = st.dictionaries(
+    _feature_classes, st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +156,24 @@ class TestSimilarityProperties:
             {"tables": second, "predicates": first},
         )
         assert 0.0 <= value <= 1.0
+
+    @given(feature_set_dicts, feature_set_dicts, class_weights)
+    def test_weighted_feature_similarity_is_its_definition(self, first, second, weights):
+        """The weighted mean of per-class Jaccard similarities over the classes
+        non-empty on a side and weighted above zero, summed in sorted class
+        order — equal to the last bit, whatever order the dicts list their
+        classes in (a tie between two kNN shapes must stay a tie)."""
+        total = score = 0.0
+        for key in sorted(first.keys() | second.keys()):
+            a, b = first.get(key, frozenset()), second.get(key, frozenset())
+            weight = weights.get(key, 1.0)
+            if (a or b) and weight > 0.0:
+                total += weight
+                score += weight * jaccard_similarity(a, b)
+        expected = score / total if total else 1.0
+        assert weighted_feature_similarity(first, second, weights) == expected
+        backwards = dict(reversed(first.items())), dict(reversed(second.items()))
+        assert weighted_feature_similarity(*backwards, weights) == expected
 
     @given(token_lists, token_lists)
     def test_tfidf_cosine_bounds(self, first, second):
