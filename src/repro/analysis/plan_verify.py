@@ -54,9 +54,9 @@ from repro.storage.operators import (
     RangeScan,
     SeqScan,
     SubqueryScan,
-    slot_of,
 )
 from repro.storage.binder import BoundColumn
+from repro.storage.expression import slot_of
 from repro.storage.planner import DmlPlan, SelectPlan
 
 from repro.analysis.framework import Diagnostic, Rule, Severity
@@ -265,12 +265,12 @@ class PlanVerifier:
         """The columnar handshake's structural promises.
 
         A ``columnar_capable()`` operator tells consumers its
-        ``col_batches`` stream is safe to use.  A :class:`ColumnBatch`
-        carries exactly one binding, capability only composes through an
-        unbroken chain (a capable Filter over a row-only child would crash
-        asking it for column batches), and the chain must bottom out at a
-        heap scan — the only operator family that builds batches from bare
-        stored rows.
+        ``col_batches`` stream is safe to use.  That stream is one heap
+        scan's typed batches, so it has exactly one binding; capability only
+        composes through an unbroken chain (a capable Filter over a row-only
+        child would crash asking it for column batches), and the chain must
+        bottom out at a heap scan — the only operator family that builds
+        batches from bare stored rows.
         """
         if not operator.columnar_capable():
             return
@@ -279,7 +279,7 @@ class PlanVerifier:
                 COLUMNAR_CONTRACT.at(
                     operator.label(),
                     "columnar-capable operator must expose exactly one binding "
-                    "(a ColumnBatch carries a single relation)",
+                    "(a columnar stream is one heap scan's relation)",
                 )
             )
         if isinstance(operator, Filter):

@@ -14,10 +14,9 @@ Query Storage feature relations.  It provides:
   join ordering, EXPLAIN),
 * :mod:`repro.storage.plan_cache` — the template plan cache with
   version/drift invalidation,
-* :mod:`repro.storage.exec_settings` — batch-size / columnar knobs,
+* :mod:`repro.storage.exec_settings` — batch-size / buffer-pool knobs,
 * :mod:`repro.storage.operators` — batched Volcano-style physical operators
-  (compiled predicate fast paths, columnar kernels, hash/sorted
-  group aggregation),
+  (columnar predicate kernels, hash/sorted group aggregation),
 * :mod:`repro.storage.aggregates` — incremental aggregate accumulators
   (update/finish) behind the vectorized aggregation stage,
 * :mod:`repro.storage.executor` — the SQL executor (projection, aggregation,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.errors import (
     CatalogError,
@@ -48,11 +49,8 @@ from repro.storage.exec_settings import DEFAULT_SETTINGS, ExecutionSettings
 from repro.storage.executor import ExecutionStats, Executor
 from repro.storage.binder import Binder, table_columns
 from repro.storage.expression import Scope, evaluate, layout_of
-from repro.storage.operators import (
-    ExecutionContext,
-    compile_conjuncts,
-    row_check,
-)
+from repro.storage.kernels import compile_columnar_conjuncts
+from repro.storage.operators import ExecutionContext, survivors
 from repro.storage.plan_cache import (
     DEFAULT_MAX_DRIFT,
     DEFAULT_PLAN_CACHE_SIZE,
@@ -844,11 +842,11 @@ class Database:
         """Candidate ``(row_id, row tuple)`` pairs of a planned UPDATE/DELETE.
 
         The plan's access path (index/range scan when the WHERE allows it)
-        produces candidates; residual conjuncts are re-checked per row.  The
-        list is materialized before any mutation so the scan never observes
-        its own writes — which is also why the timeout budget is only checked
-        here, during the read phase: a cancelled DML statement has written
-        nothing.
+        produces candidates; residual conjuncts are re-checked 128 at a
+        time.  The list is materialized before any mutation so the scan
+        never observes its own writes — which is also why the timeout budget
+        is only checked here, during the read phase: a cancelled DML
+        statement has written nothing.
         """
         ctx = ExecutionContext(
             metrics=executor.metrics,
@@ -857,15 +855,17 @@ class Database:
             timer=self.statement_timer,
         )
         bindings = plan.scan.bindings
-        passes = row_check(
-            compile_conjuncts(plan.residual, bindings), plan.residual, bindings, ctx
+        select = survivors(
+            compile_columnar_conjuncts(plan.residual, bindings),
+            plan.residual,
+            bindings,
+            ctx,
         )
+        pairs = plan.scan.pairs(ctx)
         matches = []
-        for position, (row_id, row) in enumerate(plan.scan.pairs(ctx)):
-            if position % 128 == 0:
-                ctx.tick()
-            if passes(row):
-                matches.append((row_id, row))
+        while chunk := list(islice(pairs, 128)):
+            ctx.tick()
+            matches.extend(chunk[i] for i in select([row for _, row in chunk]))
         return matches
 
     def _execute_update(

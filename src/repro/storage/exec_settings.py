@@ -1,5 +1,5 @@
-"""Execution-engine settings: batch sizing, the columnar switch, plan
-verification and the buffer-pool size.
+"""Execution-engine settings: batch sizing, plan verification and the
+buffer-pool size.
 
 The batched execution model (see :mod:`repro.storage.operators`) moves rows
 through the operator tree in lists of ``batch_size`` row tuples instead of
@@ -27,16 +27,9 @@ DEFAULT_BATCH_SIZE = 256
 class ExecutionSettings:
     """Tunable parameters of the batched execution engine.
 
-    ``columnar_kernels=False`` disables the columnar batch representation
-    and its kernels (:mod:`repro.storage.colbatch`,
-    :mod:`repro.storage.kernels`), keeping scans/filters/aggregation on the
-    row-batch path.  It is the engine's one remaining path switch and it
-    stays on purpose: the row-batch path is live anyway (joins, index scans
-    and any predicate without a kernel run on it), and forcing it is the
-    *reference* the bit-identical float-aggregate and cross-path equivalence
-    tests compare the columnar path against.
-    Which path a statement takes is otherwise decided by its plan shape,
-    never by an option.
+    Which path a statement takes — the columnar kernels, the fused
+    aggregation lane, or the evaluator — is decided by its plan shape, never
+    by an option.
 
     ``verify_plans=True`` runs the plan-invariant verifier
     (:mod:`repro.analysis.plan_verify`) over every plan before the executor
@@ -50,7 +43,6 @@ class ExecutionSettings:
     """
 
     batch_size: int = DEFAULT_BATCH_SIZE
-    columnar_kernels: bool = True
     verify_plans: bool = False
     buffer_pool_pages: int = DEFAULT_BUFFER_POOL_PAGES
 

@@ -180,7 +180,6 @@ class Executor:
             ),
             batch_size=self._settings.batch_size,
             node_stats=node_stats,
-            columnar_kernels=self._settings.columnar_kernels,
             deadline=self._deadline,
             timer=self._timer,
         )

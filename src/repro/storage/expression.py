@@ -53,6 +53,14 @@ def layout_of(bindings: list[tuple[str, list[str]]]) -> dict[str, int]:
     return layout
 
 
+def slot_of(bindings: list[tuple[str, list[str]]], column: ColumnRef) -> int | None:
+    """The position a bound column reference reads in a row laid out by
+    ``bindings``; None for an enclosing query's column (or a binding this
+    layout lacks, which the plan verifier reports)."""
+    start = None if column.depth else layout_of(bindings).get(column.binding)
+    return None if start is None else start + column.index
+
+
 class Scope:
     """One query level's row — a tuple whose bindings start where ``layout``
     (:func:`layout_of`) says — chained to the enclosing query's scope."""
@@ -298,8 +306,8 @@ def _run_subquery(subquery: SelectStatement, scope: Scope, run_subquery) -> list
 def like_regex(pattern: str) -> "re.Pattern[str]":
     """The compiled regex implementing ``LIKE pattern`` (``%``/``_`` wildcards).
 
-    Shared with the batched operators' compiled-predicate fast path so both
-    evaluation routes apply byte-identical LIKE semantics.
+    Shared with the columnar LIKE kernel so both evaluation routes apply
+    byte-identical LIKE semantics.
     """
     regex = ""
     for ch in pattern:

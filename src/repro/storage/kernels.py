@@ -1,28 +1,28 @@
 """Columnar kernels: branch-light selection-vector loops over ColumnBatches.
 
-The row-at-a-time engine compiles WHERE conjuncts into per-row closures
-(:func:`repro.storage.operators.compile_predicate`).  This module compiles
-the *same* predicate shapes — column-vs-literal comparisons, BETWEEN, IN,
+The engine's one compiled form of a WHERE conjunct.  This module compiles
+the simple predicate shapes — column-vs-literal comparisons, BETWEEN, IN,
 LIKE, IS [NOT] NULL, column-vs-column — into **kernels**: functions of
 ``(batch, selection) -> selection`` that test a whole
 :class:`~repro.storage.colbatch.ColumnBatch` column in one tight loop and
-return the surviving row positions.  A kernel never mutates its input
-batch (the ``columnar-mutation`` hazard-lint rule); the selection vector
-is its only output.
+return the surviving row positions.  A heap scan's batches are typed; any
+other operator's row batch is filtered through an untyped view of it.  A
+kernel never mutates its input batch (the ``columnar-mutation`` hazard-lint
+rule); the selection vector is its only output.
 
-Semantics contract: every kernel must agree row-for-row with the compiled
-row-path check, which in turn agrees with ``is_true(evaluate(...))``.  The
-fast inner loops therefore only engage when Python's native comparison is
-provably identical to :func:`~repro.storage.types.compare_values` for the
-operand types at hand — a non-bool numeric literal against an INT/FLOAT
-column, or a string literal against a TEXT column (stored values are
-always coerced to the column type, which is what makes this exact).  Any
-other pairing (booleans, cross-type comparisons) falls back to a per-
-element ``compare_values`` loop — still columnar, just not branch-light.
+Semantics contract: every kernel must agree row-for-row with
+``is_true(evaluate(...))``.  The fast inner loops therefore only engage
+when Python's native comparison is provably identical to
+:func:`~repro.storage.types.compare_values` for the operand types at hand —
+a non-bool numeric literal against an INT/FLOAT column, or a string literal
+against a TEXT column (stored values are always coerced to the column
+type, which is what makes this exact).  Any other pairing (booleans,
+cross-type comparisons, an untyped view) falls back to a per-element
+``compare_values`` loop — still columnar, just not branch-light.
 
 Literal values are read *per call*, never captured at compile time, so
 cached plans whose ``ParamLiteral`` nodes are re-bound between executions
-stay correct — the same rule the row-path closures follow.
+stay correct.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.sql.ast_nodes import (
     UnaryOp,
 )
 from repro.storage.colbatch import Column, ColumnBatch
-from repro.storage.expression import like_regex
+from repro.storage.expression import like_regex, slot_of
 from repro.storage.types import DataType, compare_values
 
 #: A kernel maps ``(batch, selection | None)`` to the surviving positions.
@@ -161,7 +161,7 @@ def _like_kernel(key: int, literal: Literal) -> Kernel:
         values = column.values
         fullmatch = regex.fullmatch
         if column.dtype is DataType.TEXT:
-            # Schema coercion stores TEXT as str, so the row path's
+            # Schema coercion stores TEXT as str, so the evaluator's
             # ``str(value)`` is an identity call this lane can skip.
             return [
                 i
@@ -271,43 +271,31 @@ def _in_list_kernel(key: int, literals: list[Literal], negated: bool) -> Kernel:
     return kernel
 
 
-def _column_key(bindings, column: ColumnRef) -> int | None:
-    """The row position a bound column reads in a one-binding (scan) layout,
-    or None — a columnar batch carries exactly one binding."""
-    if len(bindings) != 1 or column.depth or column.binding != bindings[0][0]:
-        return None
-    return column.index
-
-
 def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
-    """Compile one WHERE conjunct into a kernel, or None.
-
-    Recognizes exactly the shapes :func:`~repro.storage.operators.compile_predicate`
-    does — a conjunct the row path cannot compile is not columnar-capable
-    either, keeping the two fast paths' coverage identical.
-    """
+    """Compile one WHERE conjunct over rows laid out by ``bindings`` into a
+    kernel, or None when its shape has no kernel (the evaluator runs it)."""
     if isinstance(expr, BinaryOp) and expr.op in _ORDERING_TESTS:
         left, right = expr.left, expr.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            key = _column_key(bindings, left)
+            key = slot_of(bindings, left)
             if key is None:
                 return None
             return _comparison_kernel(key, right, expr.op)
         if isinstance(right, ColumnRef) and isinstance(left, Literal):
-            key = _column_key(bindings, right)
+            key = slot_of(bindings, right)
             if key is None:
                 return None
             return _comparison_kernel(key, left, _FLIPPED[expr.op])
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-            left_key = _column_key(bindings, left)
-            right_key = _column_key(bindings, right)
+            left_key = slot_of(bindings, left)
+            right_key = slot_of(bindings, right)
             if left_key is None or right_key is None:
                 return None
             return _column_comparison_kernel(left_key, right_key, expr.op)
         return None
     if isinstance(expr, BinaryOp) and expr.op == "LIKE":
         if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-            key = _column_key(bindings, expr.left)
+            key = slot_of(bindings, expr.left)
             if key is None:
                 return None
             return _like_kernel(key, expr.right)
@@ -315,7 +303,7 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
     if isinstance(expr, UnaryOp) and expr.op in ("IS NULL", "IS NOT NULL"):
         if not isinstance(expr.operand, ColumnRef):
             return None
-        key = _column_key(bindings, expr.operand)
+        key = slot_of(bindings, expr.operand)
         if key is None:
             return None
         return _null_test_kernel(key, expr.op == "IS NULL")
@@ -325,7 +313,7 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
             and isinstance(expr.low, Literal)
             and isinstance(expr.high, Literal)
         ):
-            key = _column_key(bindings, expr.expr)
+            key = slot_of(bindings, expr.expr)
             if key is None:
                 return None
             return _between_kernel(key, expr.low, expr.high, expr.negated)
@@ -334,7 +322,7 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
         if isinstance(expr.expr, ColumnRef) and all(
             isinstance(value, Literal) for value in expr.values
         ):
-            key = _column_key(bindings, expr.expr)
+            key = slot_of(bindings, expr.expr)
             if key is None:
                 return None
             return _in_list_kernel(key, list(expr.values), expr.negated)
@@ -343,9 +331,12 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
 
 
 def compile_columnar_conjuncts(predicates, bindings) -> list[Kernel] | None:
-    """Compile every conjunct or none — same all-or-nothing rule as
-    :func:`~repro.storage.operators.compile_conjuncts`, for the same
-    reason: partial compilation would reorder evaluation."""
+    """Compile every conjunct or none.
+
+    All-or-nothing keeps evaluation order identical to the evaluator's: a
+    partially compiled list would reorder predicates around its
+    short-circuiting and could surface (or hide) evaluation errors the
+    original order would not."""
     kernels: list[Kernel] = []
     for predicate in predicates:
         kernel = compile_columnar_predicate(predicate, bindings)
@@ -376,7 +367,7 @@ def resolve_columnar_columns(columns, bindings) -> list[int] | None:
     for column in columns:
         if not isinstance(column, ColumnRef):
             return None
-        key = _column_key(bindings, column)
+        key = slot_of(bindings, column)
         if key is None:
             return None
         keys.append(key)

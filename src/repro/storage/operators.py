@@ -18,13 +18,12 @@ evaluator reads the same row tuple through a positional
 
 Two more things fall out of the batch refactor:
 
-* **Compiled predicates** — filters, hash-join key extraction, and index-loop
+* **Compiled predicates** — filters, index-loop residuals and UPDATE/DELETE
   residuals compile simple conjuncts (column/literal comparisons, BETWEEN,
-  IN lists, LIKE, IS NULL) into plain Python closures reading row positions,
-  bypassing per-row ``Scope``/``evaluate`` dispatch while reproducing
-  its semantics exactly (both routes share :func:`~repro.storage.types.compare_values`
-  and :func:`~repro.storage.expression.like_regex`).  Anything not compilable
-  falls back to the evaluator, predicate order preserved.
+  IN lists, LIKE, IS NULL) into the selection-vector kernels of
+  :mod:`repro.storage.kernels`, run over a heap scan's typed batch or an
+  untyped view of any other row batch (:func:`survivors`).  Anything not
+  compilable falls back to the evaluator, predicate order preserved.
 * **Per-node observability** — when :class:`ExecutionContext.node_stats` is a
   dict (EXPLAIN ANALYZE), every operator transparently records the actual
   rows, batches, loops, and wall time it produced, and ``explain_lines``
@@ -59,20 +58,12 @@ from typing import Callable, Iterator
 
 from repro.errors import QueryTimeoutError, SchemaError
 from repro.obs.metrics import engine_timer
-from repro.sql.ast_nodes import (
-    Between,
-    BinaryOp,
-    ColumnRef,
-    Expression,
-    InList,
-    Literal,
-    UnaryOp,
-)
+from repro.sql.ast_nodes import ColumnRef, Expression
 from repro.sql.formatter import format_expression
 from repro.storage.aggregates import AggregateCollection, hashable_value
 from repro.storage.colbatch import ColumnBatch
 from repro.storage.exec_settings import DEFAULT_BATCH_SIZE
-from repro.storage.expression import Scope, evaluate, is_true, layout_of, like_regex
+from repro.storage.expression import Scope, evaluate, is_true, layout_of, slot_of
 from repro.storage.kernels import (
     apply_kernels,
     compile_columnar_conjuncts,
@@ -151,8 +142,6 @@ class ExecutionContext:
     run_select: Callable | None = None
     batch_size: int = DEFAULT_BATCH_SIZE
     node_stats: dict[int, NodeStats] | None = field(default=None)
-    #: False keeps every operator on row batches (ExecutionSettings knob).
-    columnar_kernels: bool = True
     #: Absolute ``timer`` deadline of the statement's timeout budget, or None
     #: (no budget).  Scans call :meth:`tick` at every batch flush, so a
     #: runaway statement cancels at the next batch boundary — cooperative,
@@ -225,10 +214,9 @@ class Operator:
 
     def columnar_capable(self) -> bool:
         """Whether this operator can stream :class:`~repro.storage.colbatch.ColumnBatch`
-        output at all (structural property; ``ctx.columnar_kernels`` is the
-        runtime switch).  Only heap scans and fully kernel-compiled filters
-        over them qualify; every other operator needs rows and is the
-        columnar→row boundary."""
+        output at all (a structural property of the plan).  Only heap scans
+        and fully kernel-compiled filters over them qualify; every other
+        operator needs rows and is the columnar→row boundary."""
         return False
 
     def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
@@ -292,10 +280,10 @@ class SeqScan(Operator):
 
     def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         metrics = ctx.metrics
-        schema = self.table.schema
+        dtypes = [column.data_type for column in self.table.schema.columns]
         for chunk in _scan_chunks(self.table, ctx):
             metrics.columnar_batches += 1
-            yield ColumnBatch(self.binding, schema, chunk)
+            yield ColumnBatch(chunk, dtypes)
 
     def label(self) -> str:
         return f"SeqScan {_scan_target(self.table, self.binding)} [est={self.estimate:.0f}]"
@@ -544,17 +532,16 @@ class SubqueryScan(Operator):
 class Filter(Operator):
     """Batched conjunctive filter over a child operator.
 
-    When every conjunct compiles (see :func:`compile_predicate`) the filter
-    evaluates whole batches with plain closures; otherwise the entire conjunct
+    When every conjunct compiles to a kernel
+    (:func:`~repro.storage.kernels.compile_columnar_conjuncts`) the filter
+    narrows whole batches with them — a heap scan's columnar batches, or an
+    untyped view of any other child's rows; otherwise the entire conjunct
     list runs through the expression evaluator in original order, so
-    evaluation-order-dependent behaviour (short-circuiting before an erroring
-    predicate) is preserved.  Compilation happens once per operator instance
-    (compiled closures read row positions and read literal values per call,
-    so re-binding a cached plan's parameters never stales the memo).
+    evaluation-order-dependent behaviour (short-circuiting before an
+    erroring predicate) is preserved.  Kernels compile once per operator
+    and read literal values per call, so re-binding a cached plan's
+    parameters never stales them.
     """
-
-    #: Memoized compile_conjuncts result (closures or None); _UNSET = not yet.
-    _compiled: object = None
 
     def __init__(self, child: Operator, predicates: list[Expression], estimate: float):
         self.child = child
@@ -562,22 +549,15 @@ class Filter(Operator):
         self.bindings = child.bindings
         self.children = (child,)
         self.estimate = estimate
-        self._compiled = _UNSET
-        self._compiled_columnar = _UNSET
+        #: The conjuncts' kernels, or None when one has no kernel.
+        self.kernels = compile_columnar_conjuncts(self.predicates, self.bindings)
 
     def columnar_capable(self) -> bool:
-        """Capable iff the child is and every conjunct compiles to a kernel
-        (all-or-nothing, mirroring the row path's compile_conjuncts rule)."""
-        if not self.child.columnar_capable():
-            return False
-        if self._compiled_columnar is _UNSET:
-            self._compiled_columnar = compile_columnar_conjuncts(
-                self.predicates, self.bindings
-            )
-        return self._compiled_columnar is not None
+        """Capable iff the child is and every conjunct compiles to a kernel."""
+        return self.kernels is not None and self.child.columnar_capable()
 
     def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        kernels = self._compiled_columnar  # set by columnar_capable
+        kernels = self.kernels
         metrics = ctx.metrics
         stats = ctx.observe(self)
         for batch in self.child.col_batches(ctx):
@@ -593,18 +573,16 @@ class Filter(Operator):
                 yield batch.narrowed(selection)
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if ctx.columnar_kernels and self.columnar_capable():
-            # Columnar fast path with row-batch output: kernels filter the
-            # batch while it is still columnar, and the survivors' stored
-            # rows are the output rows.
+        if self.columnar_capable():
+            # Columnar with row-batch output: kernels filter the batch while
+            # it is still columnar, and the survivors' stored rows are the
+            # output rows.
             for columnar in self._col_batches(ctx):
                 yield columnar.selected_rows()
             return
-        if self._compiled is _UNSET:
-            self._compiled = compile_conjuncts(self.predicates, self.bindings)
-        passes = row_check(self._compiled, self.predicates, self.bindings, ctx)
+        select = survivors(self.kernels, self.predicates, self.bindings, ctx)
         for batch in self.child.batches(ctx):
-            kept = list(filter(passes, batch))
+            kept = [batch[i] for i in select(batch)]
             if kept:
                 yield kept
 
@@ -700,26 +678,17 @@ class IndexLookupJoin(Operator):
         self.bindings = outer.bindings + scan.bindings
         self.children = (outer, scan)
         self.estimate = estimate
-        #: Memoized (key getter, residual checks); _UNSET = not yet compiled.
-        self._compiled_probe: object = _UNSET
-
-    def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if self._compiled_probe is _UNSET:
-            self._compiled_probe = (
-                compile_column_getter(self.outer.bindings, self.outer_key),
-                compile_conjuncts(self.residual, self.bindings),
-            )
         # The outer key is a bound column of the outer side: it always compiles.
-        key_getter = self._compiled_probe[0]
-        passes = self.residual and row_check(
-            self._compiled_probe[1], self.residual, self.bindings, ctx
-        )
-        metrics = ctx.metrics
-        batch_size = max(1, ctx.batch_size)
+        self._key_getter = compile_column_getter(outer.bindings, outer_key)
+        #: The residual's kernels, or None when a conjunct has no kernel.
+        self.residual_kernels = compile_columnar_conjuncts(self.residual, self.bindings)
+
+    def _joined(self, ctx: ExecutionContext) -> Iterator[Row]:
+        """Each outer row followed by every inner row its key finds."""
+        key_getter = self._key_getter
         # The probe-side scan never runs through batches(), so record its
         # ANALYZE actuals (rows fetched, probe loops) here.
         probe_stats = ctx.observe(self.scan)
-        out: RowBatch = []
         for batch in self.outer.batches(ctx):
             for outer_row in batch:
                 value = key_getter(outer_row)
@@ -730,14 +699,26 @@ class IndexLookupJoin(Operator):
                 for inner_row in self.scan.lookup_rows(value, ctx):
                     if probe_stats is not None:
                         probe_stats.rows += 1
-                    combined = outer_row + inner_row
-                    if passes and not passes(combined):
-                        continue
-                    metrics.rows_joined += 1
-                    out.append(combined)
-                    if len(out) >= batch_size:
-                        yield out
-                        out = []
+                    yield outer_row + inner_row
+
+    def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        select = self.residual and survivors(
+            self.residual_kernels, self.residual, self.bindings, ctx
+        )
+        metrics = ctx.metrics
+        batch_size = max(1, ctx.batch_size)
+        joined = self._joined(ctx)
+        out: RowBatch = []
+        # Pull only as many joined rows as the batch still lacks: survivors
+        # never outnumber candidates, so no row past a full batch is fetched.
+        while chunk := list(islice(joined, batch_size - len(out))):
+            if select:
+                chunk = [chunk[i] for i in select(chunk)]
+            metrics.rows_joined += len(chunk)
+            out.extend(chunk)
+            if len(out) >= batch_size:
+                yield out
+                out = []
         if out:
             yield out
 
@@ -1066,10 +1047,9 @@ class HashAggregate(GroupAggregate):
         bindings = node.bindings
         kernels: list = []
         for filter_op in reversed(filters):
-            compiled = compile_columnar_conjuncts(filter_op.predicates, bindings)
-            if compiled is None:
+            if filter_op.kernels is None:
                 return None
-            kernels.extend(compiled)
+            kernels.extend(filter_op.kernels)
         if self.group_exprs:
             key_columns = resolve_columnar_columns(self.group_exprs, bindings)
             if key_columns is None:
@@ -1090,12 +1070,13 @@ class HashAggregate(GroupAggregate):
         return node, kernels, key_columns, arg_columns
 
     def _columnar_groups(self, ctx: ExecutionContext):
-        """The fused columnar group stream, or None when the lane is off.
+        """The fused columnar group stream, or None when the plan's shape
+        does not fit it.
 
         Disabled under EXPLAIN ANALYZE so the bypassed Filter nodes report
         honest actuals instead of "never executed".
         """
-        if not ctx.columnar_kernels or ctx.node_stats is not None:
+        if ctx.node_stats is not None:
             return None
         compiled = self._columnar_compiled()
         if compiled is None:
@@ -1243,20 +1224,29 @@ def _evaluated_key(exprs, bindings: Bindings, ctx: ExecutionContext):
     return key
 
 
-def row_check(checks, predicates, bindings: Bindings, ctx: ExecutionContext):
-    """``row -> passes every conjunct``: the conjuncts' compiled ``checks``
-    (:func:`compile_conjuncts`), else — None — the evaluator, in order."""
-    if checks is not None:
-        if len(checks) == 1:
-            return checks[0]
-        return lambda row: all(check(row) for check in checks)
+def survivors(kernels, predicates, bindings: Bindings, ctx: ExecutionContext):
+    """``rows -> positions of the rows passing every conjunct``: the
+    conjuncts' ``kernels`` over an untyped view of the rows, else — None —
+    the evaluator, in order."""
+    if kernels is not None:
+        untyped = (None,) * row_width(bindings)
+
+        def select(rows):
+            selection = apply_kernels(kernels, ColumnBatch(rows, untyped))
+            return range(len(rows)) if selection is None else selection
+
+        return select
     layout, outer, run = layout_of(bindings), ctx.outer_scope, ctx.run_subquery
 
-    def passes(row):
-        scope = Scope(layout, row, outer)
-        return all(is_true(evaluate(p, scope, run)) for p in predicates)
+    def select(rows):
+        kept = []
+        for position, row in enumerate(rows):
+            scope = Scope(layout, row, outer)
+            if all(is_true(evaluate(p, scope, run)) for p in predicates):
+                kept.append(position)
+        return kept
 
-    return passes
+    return select
 
 
 # ---------------------------------------------------------------------------
@@ -1280,14 +1270,6 @@ def slots_getter(slots: list[int]) -> Callable[[Row], tuple]:
     return itemgetter(*slots)
 
 
-def slot_of(bindings: Bindings, column: ColumnRef) -> int | None:
-    """The position a bound column reference reads in a row laid out by
-    ``bindings``; None for an enclosing query's column (or a binding this
-    layout lacks, which the plan verifier reports)."""
-    start = None if column.depth else layout_of(bindings).get(column.binding)
-    return None if start is None else start + column.index
-
-
 def compile_column_getter(
     bindings: Bindings, column: ColumnRef
 ) -> Callable[[Row], object] | None:
@@ -1303,169 +1285,6 @@ def compile_key_tuple(
     every key column is a column of this row."""
     slots = [slot_of(bindings, column) for column in columns]
     return None if None in slots else slots_getter(slots)
-
-
-_COMPARISON_TESTS: dict[str, Callable[[int], bool]] = {
-    "=": lambda ordering: ordering == 0,
-    "<>": lambda ordering: ordering != 0,
-    "<": lambda ordering: ordering < 0,
-    "<=": lambda ordering: ordering <= 0,
-    ">": lambda ordering: ordering > 0,
-    ">=": lambda ordering: ordering >= 0,
-}
-
-_FLIPPED_COMPARISONS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "<>": "<>"}
-
-
-def compile_predicate(
-    expr: Expression,
-    bindings: Bindings,
-) -> Callable[[Row], bool] | None:
-    """Compile a WHERE conjunct into a fast ``row -> passes`` check, or None.
-
-    The compiled check must agree with ``is_true(evaluate(expr, scope))`` on
-    every row the operator can produce, so only expressions whose semantics
-    are fully reproducible without a Scope are compiled: comparisons between
-    columns of the row and literals (or two columns), BETWEEN and IN
-    over literals, LIKE with a literal pattern, and IS [NOT] NULL.  Unknown
-    (NULL) outcomes map to False exactly as WHERE treats them.  Literal values
-    are read *per call*, not captured at compile time, so cached plans whose
-    :class:`~repro.sql.canonicalize.ParamLiteral` nodes are re-bound between
-    executions stay correct.
-    """
-    if isinstance(expr, BinaryOp) and expr.op in _COMPARISON_TESTS:
-        op = expr.op
-        left, right = expr.left, expr.right
-        if isinstance(right, ColumnRef) and isinstance(left, Literal):
-            left, right, op = right, left, _FLIPPED_COMPARISONS[op]
-        if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            getter = compile_column_getter(bindings, left)
-            if getter is None:
-                return None
-            test = _COMPARISON_TESTS[op]
-            literal = right
-
-            def check(row, _get=getter, _literal=literal, _test=test):
-                ordering = compare_values(_get(row), _literal.value)
-                return ordering is not None and _test(ordering)
-
-            return check
-        if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-            left_get = compile_column_getter(bindings, left)
-            right_get = compile_column_getter(bindings, right)
-            if left_get is None or right_get is None:
-                return None
-            test = _COMPARISON_TESTS[op]
-
-            def check(row, _left=left_get, _right=right_get, _test=test):
-                ordering = compare_values(_left(row), _right(row))
-                return ordering is not None and _test(ordering)
-
-            return check
-        return None
-    if isinstance(expr, BinaryOp) and expr.op == "LIKE":
-        if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-            getter = compile_column_getter(bindings, expr.left)
-            if getter is None:
-                return None
-            literal = expr.right
-            cache: dict[object, object] = {}
-
-            def check(row, _get=getter, _literal=literal, _cache=cache):
-                value = _get(row)
-                pattern = _literal.value
-                if value is None or pattern is None:
-                    return False
-                regex = _cache.get(pattern)
-                if regex is None:
-                    _cache.clear()  # one live pattern per (re-bindable) literal
-                    regex = like_regex(str(pattern))
-                    _cache[pattern] = regex
-                return regex.fullmatch(str(value)) is not None
-
-            return check
-        return None
-    if isinstance(expr, UnaryOp) and expr.op in ("IS NULL", "IS NOT NULL"):
-        if not isinstance(expr.operand, ColumnRef):
-            return None
-        getter = compile_column_getter(bindings, expr.operand)
-        if getter is None:
-            return None
-        if expr.op == "IS NULL":
-            return lambda row, _get=getter: _get(row) is None
-        return lambda row, _get=getter: _get(row) is not None
-    if isinstance(expr, Between):
-        if (
-            isinstance(expr.expr, ColumnRef)
-            and isinstance(expr.low, Literal)
-            and isinstance(expr.high, Literal)
-        ):
-            getter = compile_column_getter(bindings, expr.expr)
-            if getter is None:
-                return None
-            low, high, negated = expr.low, expr.high, expr.negated
-
-            def check(row, _get=getter, _low=low, _high=high, _negated=negated):
-                value = _get(row)
-                low_cmp = compare_values(value, _low.value)
-                high_cmp = compare_values(value, _high.value)
-                if low_cmp is None or high_cmp is None:
-                    return False  # unknown: WHERE drops the row
-                inside = low_cmp >= 0 and high_cmp <= 0
-                return (not inside) if _negated else inside
-
-            return check
-        return None
-    if isinstance(expr, InList):
-        if isinstance(expr.expr, ColumnRef) and all(
-            isinstance(value, Literal) for value in expr.values
-        ):
-            getter = compile_column_getter(bindings, expr.expr)
-            if getter is None:
-                return None
-            literals, negated = list(expr.values), expr.negated
-
-            def check(row, _get=getter, _literals=literals, _negated=negated):
-                value = _get(row)
-                if value is None:
-                    return False
-                found = False
-                saw_null = False
-                for literal in _literals:
-                    candidate = literal.value
-                    if candidate is None:
-                        saw_null = True
-                        continue
-                    if compare_values(value, candidate) == 0:
-                        found = True
-                        break
-                if not found and saw_null:
-                    return False  # unknown: WHERE drops the row
-                return (not found) if _negated else found
-
-            return check
-        return None
-    return None
-
-
-def compile_conjuncts(
-    predicates: list[Expression],
-    bindings: Bindings,
-) -> list[Callable[[Row], bool]] | None:
-    """Compile every conjunct or none.
-
-    All-or-nothing keeps evaluation order identical to the row-at-a-time
-    engine: a partially compiled list would reorder predicates around the
-    evaluator's short-circuiting and could surface (or hide) evaluation
-    errors the original order would not.
-    """
-    checks: list[Callable[[Row], bool]] = []
-    for predicate in predicates:
-        check = compile_predicate(predicate, bindings)
-        if check is None:
-            return None
-        checks.append(check)
-    return checks
 
 
 # ---------------------------------------------------------------------------

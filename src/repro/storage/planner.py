@@ -76,7 +76,7 @@ from repro.storage.binder import (
     star_bindings,
     table_columns,
 )
-from repro.storage.expression import layout_of
+from repro.storage.expression import layout_of, slot_of
 from repro.storage.operators import (
     EmptyRow,
     Filter,
@@ -93,7 +93,6 @@ from repro.storage.operators import (
     SubqueryScan,
     equality_probe_keys,
     range_probe_key,
-    slot_of,
 )
 from repro.storage.statistics import group_count_estimate, join_key_overlap
 from repro.storage.types import compare_values

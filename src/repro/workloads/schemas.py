@@ -457,7 +457,7 @@ def build_database(
     ``domain`` is one of ``limnology``, ``sky_survey``, ``web_analytics``;
     ``exec_settings`` is an optional
     :class:`~repro.storage.exec_settings.ExecutionSettings` for the engine's
-    batch-size / columnar knobs (the CQMS's ``exec_*`` config fields only
+    batch-size knobs (the CQMS's ``exec_*`` config fields only
     tune its own meta-database, never a user DBMS built here).
     """
     if domain not in _DOMAINS:

@@ -14,22 +14,17 @@ from repro import CQMS, CQMSConfig, SimulatedClock, build_database
 from repro.storage import ExecutionSettings
 from repro.workloads import QueryLogGenerator, WorkloadConfig
 
-#: Every engine configuration the cross-path equivalence tests run: the
-#: columnar path and the row-batch path at batch sizes that split the test
-#: tables into many, few and one batch.
+#: Every engine configuration the cross-path equivalence tests run: batch
+#: sizes that split the test tables into many, few and one batch.
 EXEC_VARIANTS = [
-    pytest.param(
-        ExecutionSettings(batch_size=batch_size, columnar_kernels=columnar),
-        id=f"batch{batch_size}-{'columnar' if columnar else 'rows'}",
-    )
+    pytest.param(ExecutionSettings(batch_size=batch_size), id=f"batch{batch_size}")
     for batch_size in (1, 2, 256)
-    for columnar in (True, False)
 ]
 
 
 @pytest.fixture(params=EXEC_VARIANTS)
 def exec_variant(request) -> ExecutionSettings:
-    """One :class:`ExecutionSettings` per surviving execution path."""
+    """One :class:`ExecutionSettings` per batch size under test."""
     return request.param
 
 

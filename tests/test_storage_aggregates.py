@@ -6,8 +6,10 @@ stdlib ``sqlite3``."""
 
 from __future__ import annotations
 
+import functools
 import re
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -27,7 +29,16 @@ from repro.storage.aggregates import (
     collect_aggregate_specs,
 )
 from repro.storage.executor import Executor
-from repro.storage.operators import Filter, HashJoin, IndexLookupJoin, OuterJoin
+from repro.storage.kernels import compile_columnar_conjuncts
+from repro.storage.operators import (
+    Filter,
+    HashJoin,
+    IndexLookupJoin,
+    IndexScan,
+    NestedLoopJoin,
+    OuterJoin,
+    SubqueryScan,
+)
 from repro.storage.planner import Planner
 from repro.storage.statistics import group_count_estimate
 from repro.sql.parser import parse
@@ -61,10 +72,9 @@ def _make_db(exec_settings: ExecutionSettings | None = None) -> Database:
 #   here, the expression text in sqlite), so only rows are compared.
 
 
-@pytest.fixture(scope="module")
-def reference():
-    """``sql -> rows`` answered by sqlite over the same 500 ``lakes`` rows: an
-    engine that shares no code with this one."""
+def _sqlite_lakes() -> sqlite3.Connection:
+    """sqlite holding the same 500 ``lakes`` rows: an engine that shares no
+    code with this one."""
     connection = sqlite3.connect(":memory:")
     connection.execute(
         "CREATE TABLE lakes (lake_id INTEGER, name TEXT, area REAL, state TEXT, depth INTEGER)"
@@ -72,6 +82,13 @@ def reference():
     connection.executemany(
         "INSERT INTO lakes VALUES (:lake_id, :name, :area, :state, :depth)", LAKE_ROWS
     )
+    return connection
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """``sql -> rows`` answered by sqlite over the same ``lakes`` rows."""
+    connection = _sqlite_lakes()
     yield lambda sql: connection.execute(sql).fetchall()
     connection.close()
 
@@ -458,16 +475,17 @@ def _find(op, kind):
 
 #: One statement per place the engine interprets an expression because its
 #: *shape* has no compiled form — where the evaluator reads the row tuple
-#: through a positional ``Scope`` — with the memo that must therefore be None.
+#: through a positional ``Scope`` — with the kernel or getter memo that must
+#: therefore be None.
 INTERPRETED_SHAPES = [
     pytest.param(
         "SELECT lake_id FROM lakes WHERE area + lake_id > 480",
-        lambda plan: _find(plan.root, Filter)._compiled,
+        lambda plan: _find(plan.root, Filter).kernels,
         id="filter-arithmetic",
     ),
     pytest.param(
         "SELECT lake_id FROM lakes WHERE area > 99 OR state = 's3'",
-        lambda plan: _find(plan.root, Filter)._compiled,
+        lambda plan: _find(plan.root, Filter).kernels,
         id="filter-or",
     ),
     pytest.param(
@@ -478,7 +496,7 @@ INTERPRETED_SHAPES = [
     pytest.param(
         "SELECT a.lake_id, b.lake_id FROM lakes a JOIN lakes b ON a.depth = b.depth "
         "WHERE a.lake_id < 40 AND a.area + b.area > 190",
-        lambda plan: plan.root._compiled if isinstance(plan.root, Filter) else "no Filter",
+        lambda plan: plan.root.kernels if isinstance(plan.root, Filter) else "no Filter",
         id="filter-over-join",
     ),
     pytest.param(
@@ -500,7 +518,7 @@ INTERPRETED_SHAPES = [
     pytest.param(
         "SELECT a.lake_id, b.name FROM lakes a JOIN lakes b ON a.lake_id = b.lake_id "
         "WHERE a.lake_id < 60 AND b.area + b.lake_id > 100",
-        lambda plan: _find(plan.root, IndexLookupJoin)._compiled_probe[1],
+        lambda plan: _find(plan.root, IndexLookupJoin).residual_kernels,
         id="index-join-computed-residual",
     ),
     pytest.param(
@@ -548,6 +566,160 @@ class TestInterpreterByShape:
                     "ON a.nope = b.lake_id WHERE a.area > 99"
                 )
             )
+
+
+#: Every kernel shape over one binding ``{t}`` of ``lakes`` (``state`` and
+#: ``depth`` hold NULLs): comparisons both ways round, LIKE, IS [NOT] NULL,
+#: BETWEEN, IN with and without a NULL member, column against column.
+KERNEL_SHAPES = [
+    "{t}.area > 40.5",
+    "30 >= {t}.depth",
+    "{t}.area = 21.0",
+    "{t}.state <> 's3'",
+    "{t}.lake_id < 250",
+    "{t}.area <= 12.0",
+    "{t}.name LIKE 'lake1%'",
+    "{t}.state LIKE 's_'",
+    "{t}.depth IS NULL",
+    "{t}.state IS NOT NULL",
+    "{t}.depth BETWEEN 10 AND 30",
+    "{t}.area NOT BETWEEN 20 AND 80",
+    "{t}.state IN ('s1', 's4')",
+    "{t}.depth NOT IN (7, 14, 21)",
+    "{t}.depth IN (7, NULL)",
+    "{t}.depth < {t}.area",
+    "{t}.name < {t}.state",
+]
+
+#: Where each shape reaches an untyped view of row batches, and the operator
+#: the kernel-compiled Filter must sit on there.  A WHERE conjunct over one
+#: binding is pushed down to its scan, so the join cases filter a derived
+#: table over the join.
+ROW_VIEW_FILTERS = [
+    pytest.param(
+        "SELECT lake_id FROM lakes WHERE state = 's2' AND {shape}",
+        "lakes",
+        IndexScan,
+        id="over-index-scan",
+    ),
+    pytest.param(
+        "SELECT j.lake_id, j.depth FROM (SELECT a.lake_id, a.name, b.area, b.state, "
+        "b.depth FROM lakes a JOIN lakes b ON a.lake_id = b.depth) j WHERE {shape}",
+        "j",
+        SubqueryScan,
+        id="over-hash-join",
+    ),
+    pytest.param(
+        "SELECT j.lake_id, j.area FROM (SELECT a.lake_id, a.name, b.area, b.state, "
+        "b.depth FROM lakes a, lakes b WHERE a.lake_id < 12 AND b.lake_id < 40) j "
+        "WHERE {shape}",
+        "j",
+        SubqueryScan,
+        id="over-nested-loop-join",
+    ),
+]
+
+#: Column-vs-column conjuncts across the two sides of a join — the kernel
+#: shape a Filter right above a join holds (``=`` would be a join key).
+CROSS_SHAPES = [
+    f"{left} {op} {right}"
+    for left, right in (("a.depth", "b.depth"), ("a.area", "b.depth"), ("a.name", "b.name"))
+    for op in ("<>", "<", "<=", ">", ">=")
+] + ["a.depth < b.depth AND a.state <> b.name", "b.area >= a.depth AND a.name < b.state"]
+
+CROSS_FILTERS = [
+    pytest.param(
+        "SELECT a.lake_id, b.lake_id FROM lakes a JOIN lakes b ON a.state = b.state "
+        "WHERE a.lake_id < 40 AND b.lake_id < 40 AND {shape}",
+        HashJoin,
+        id="hash-join",
+    ),
+    pytest.param(
+        "SELECT a.lake_id, b.lake_id FROM lakes a, lakes b "
+        "WHERE a.lake_id < 30 AND b.lake_id < 30 AND {shape}",
+        NestedLoopJoin,
+        id="nested-loop-join",
+    ),
+]
+
+
+@functools.cache
+def _oracle_db(exec_settings: ExecutionSettings, indexed: bool) -> Database:
+    """A read-only ``lakes`` database; ``indexed`` adds hash indexes on
+    ``state`` and ``depth``."""
+    db = _make_db(exec_settings)
+    if indexed:
+        db.execute("CREATE INDEX lakes_state ON lakes (state)")
+        db.execute("CREATE INDEX lakes_depth ON lakes (depth)")
+    return db
+
+
+def _assert_row_view_filter(plan, below):
+    """The plan has a kernel-compiled Filter over a ``below`` child: one
+    filtering untyped views of row batches, not columnar scan batches."""
+    node = _find(plan.root, Filter)
+    while node is not None and not isinstance(node.child, below):
+        node = _find(node.child, Filter)
+    assert node is not None, f"no Filter over a {below.__name__}"
+    assert node.kernels is not None and not node.columnar_capable()
+
+
+class TestRowViewKernels:
+    """Every site that filters another operator's rows with the kernels —
+    a Filter over a non-scan child, an index-join residual, an UPDATE or
+    DELETE residual — answers like sqlite at every batch size."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("template, binding, below", ROW_VIEW_FILTERS)
+    def test_filter_over_row_child(
+        self, template, binding, below, shape, exec_variant, reference
+    ):
+        sql = template.format(shape=shape.format(t=binding))
+        db = _oracle_db(exec_variant, indexed=below is IndexScan)
+        _assert_row_view_filter(Planner(db).plan_select(parse(sql)), below)
+        assert_same_rows(sql, db.execute(sql).rows, reference(sql))
+
+    @pytest.mark.parametrize("shape", CROSS_SHAPES)
+    @pytest.mark.parametrize("template, below", CROSS_FILTERS)
+    def test_cross_binding_filter_over_join(
+        self, template, below, shape, exec_variant, reference
+    ):
+        sql = template.format(shape=shape)
+        db = _oracle_db(exec_variant, indexed=False)
+        _assert_row_view_filter(Planner(db).plan_select(parse(sql)), below)
+        assert_same_rows(sql, db.execute(sql).rows, reference(sql))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_index_join_residual(self, shape, exec_variant, reference):
+        sql = (
+            "SELECT a.lake_id, b.lake_id FROM lakes a JOIN lakes b "
+            f"ON a.state = b.state WHERE a.lake_id = 3 AND {shape.format(t='b')}"
+        )
+        db = _oracle_db(exec_variant, indexed=True)
+        join = _find(Planner(db).plan_select(parse(sql)).root, IndexLookupJoin)
+        assert join is not None and join.scan.binding == "b"
+        assert join.residual and join.residual_kernels is not None
+        assert_same_rows(sql, db.execute(sql).rows, reference(sql))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize(
+        "statement",
+        ["DELETE FROM lakes WHERE {shape}", "UPDATE lakes SET name = 'hit' WHERE {shape}"],
+        ids=["delete", "update"],
+    )
+    def test_dml_residual(self, statement, shape, exec_variant):
+        sql = statement.format(shape=shape.format(t="lakes"))
+        db = _make_db(exec_variant)
+        planner = Planner(db)
+        plan = (planner.plan_delete if sql.startswith("DELETE") else planner.plan_update)(
+            parse(sql)
+        )
+        assert plan.residual
+        assert compile_columnar_conjuncts(plan.residual, plan.scan.bindings) is not None
+        with closing(_sqlite_lakes()) as connection:
+            assert db.execute(sql).rowcount == connection.execute(sql).rowcount
+            contents = "SELECT * FROM lakes ORDER BY lake_id"
+            assert db.execute(contents).rows == connection.execute(contents).fetchall()
 
 
 class TestPlannerIntegration:

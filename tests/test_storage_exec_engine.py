@@ -4,6 +4,8 @@ the statement cache, and the calibrated join-fanout estimates."""
 from __future__ import annotations
 
 import dataclasses
+import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -19,25 +21,39 @@ def _named_rows(db: Database, table: str) -> list[dict]:
     return [stored.schema.as_dict(row) for row in stored.rows()]
 
 
+LAKES = [
+    {"lake_id": i, "name": f"lake{i}", "area": float((i * 37) % 101), "state": f"s{i % 7}"}
+    for i in range(200)
+]
+SAMPLES = [
+    {"lake_id": i % 200, "depth": i % 30, "temp": 4.0 + (i % 17)} for i in range(1000)
+]
+
+
 def _make_db(exec_settings: ExecutionSettings | None = None, **kwargs) -> Database:
     db = Database(exec_settings=exec_settings, **kwargs)
     db.execute("CREATE TABLE lakes (lake_id INTEGER, name TEXT, area FLOAT, state TEXT)")
     db.execute("CREATE TABLE samples (lake_id INTEGER, depth INTEGER, temp FLOAT)")
-    db.insert_rows(
-        "lakes",
-        [
-            {"lake_id": i, "name": f"lake{i}", "area": float((i * 37) % 101), "state": f"s{i % 7}"}
-            for i in range(200)
-        ],
-    )
-    db.insert_rows(
-        "samples",
-        [
-            {"lake_id": i % 200, "depth": i % 30, "temp": 4.0 + (i % 17)}
-            for i in range(1000)
-        ],
-    )
+    db.insert_rows("lakes", LAKES)
+    db.insert_rows("samples", SAMPLES)
     return db
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """``sql -> rows`` answered by sqlite over the same ``lakes`` and
+    ``samples`` rows."""
+    connection = sqlite3.connect(":memory:")
+    connection.execute("CREATE TABLE lakes (lake_id INTEGER, name TEXT, area REAL, state TEXT)")
+    connection.execute("CREATE TABLE samples (lake_id INTEGER, depth INTEGER, temp REAL)")
+    connection.executemany(
+        "INSERT INTO lakes VALUES (:lake_id, :name, :area, :state)", LAKES
+    )
+    connection.executemany(
+        "INSERT INTO samples VALUES (:lake_id, :depth, :temp)", SAMPLES
+    )
+    yield lambda sql: connection.execute(sql).fetchall()
+    connection.close()
 
 
 #: A mixed bag of statements exercising filters, joins, ordering, grouping,
@@ -64,7 +80,6 @@ def test_engine_option_surface_is_pinned():
     be a deliberate edit here, next to the reason it is needed."""
     assert {f.name for f in dataclasses.fields(ExecutionSettings)} == {
         "batch_size",
-        "columnar_kernels",
         "verify_plans",
         "buffer_pool_pages",
     }
@@ -74,14 +89,13 @@ def test_engine_option_surface_is_pinned():
 
 
 class TestBatchSemantics:
-    def test_results_identical_across_variants(self, exec_variant):
-        baseline = _make_db(ExecutionSettings(columnar_kernels=False))
+    def test_results_identical_across_variants(self, exec_variant, reference):
         db = _make_db(exec_variant)
         for sql in QUERIES:
-            expected = baseline.execute(sql)
-            got = db.execute(sql)
-            assert got.columns == expected.columns, sql
-            assert got.rows == expected.rows, sql
+            got, expected = db.execute(sql).rows, reference(sql)
+            if "ORDER BY" not in sql:
+                got, expected = sorted(got, key=repr), sorted(expected, key=repr)
+            assert got == expected, sql
 
     @hsettings(max_examples=25, deadline=None)
     @given(
@@ -92,16 +106,16 @@ class TestBatchSemantics:
         threshold=st.integers(-40, 40),
     )
     def test_filter_property(self, values, batch_size, threshold):
-        """Random tables: a filtered columnar scan equals the row-batch
-        scan, rows in heap order."""
+        """Random tables: a filtered columnar scan equals sqlite's, rows in
+        heap order."""
         db = Database(exec_settings=ExecutionSettings(batch_size=batch_size))
         db.execute("CREATE TABLE t (v INTEGER)")
         db.insert_rows("t", [{"v": value} for value in values])
-        plain = Database(exec_settings=ExecutionSettings(columnar_kernels=False))
-        plain.execute("CREATE TABLE t (v INTEGER)")
-        plain.insert_rows("t", [{"v": value} for value in values])
         sql = f"SELECT v FROM t WHERE v >= {threshold}"
-        assert db.execute(sql).rows == plain.execute(sql).rows
+        with closing(sqlite3.connect(":memory:")) as plain:
+            plain.execute("CREATE TABLE t (v INTEGER)")
+            plain.executemany("INSERT INTO t VALUES (?)", [(value,) for value in values])
+            assert db.execute(sql).rows == plain.execute(sql).fetchall()
 
     @pytest.mark.parametrize("batch_size", [1, 2, 256])
     def test_one_column_rows_and_keys_are_one_tuples(self, batch_size):
@@ -149,19 +163,19 @@ class TestBatchSemantics:
         assert result.stats.rows_scanned == 300
 
     def test_compiled_artifacts_memoized_across_executions(self):
-        """A cached plan compiles its filter closures once, and re-binding the
-        plan's parameters stays visible to the memoized closures."""
+        """A cached plan compiles its filter kernels once, and re-binding the
+        plan's parameters stays visible to the memoized kernels."""
         from repro.storage.operators import Filter
 
         db = _make_db()
         first = db.execute("SELECT name FROM lakes WHERE state = 's1'")
         root = db.explain("SELECT name FROM lakes WHERE state = 's1'").root
         assert isinstance(root, Filter)
-        checks_after_first = root._compiled
-        assert checks_after_first is not None  # the conjunct compiled
+        kernels_after_first = root.kernels
+        assert kernels_after_first is not None  # the conjunct compiled
         second = db.execute("SELECT name FROM lakes WHERE state = 's2'")
         assert second.stats.plan_cache_hit
-        assert root._compiled is checks_after_first  # compiled once, reused
+        assert root.kernels is kernels_after_first  # compiled once, reused
         expected = [
             (row["name"],) for row in _named_rows(db, "lakes") if row["state"] == "s2"
         ]
