@@ -88,8 +88,6 @@ def verify_corpus(
             for sql in sql_texts_all:
                 statement = parse(sql)
                 for variant in _statement_variants(statement):
-                    # Fresh planner per plan: ``rebind_unsafe`` is
-                    # planner-instance state, exactly as Database uses it.
                     plan = _plan(Planner(database, use_indexes=use_indexes), variant)
                     if plan is None:
                         continue

@@ -410,7 +410,7 @@ def _check_wall_clock(source: SourceFile, diagnostics: list[Diagnostic]) -> None
 # -- page-pin-protocol ------------------------------------------------------------
 
 #: Mutating dict/list methods; calling one on a tracked page object counts as
-#: an in-place page mutation (the same set the heap and B+ tree code uses).
+#: an in-place page mutation (the same set the heap code uses).
 _PAGE_MUTATORS = {
     "pop",
     "clear",

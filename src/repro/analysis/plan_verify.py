@@ -14,17 +14,13 @@ executor a set of contracts that nothing used to check:
   have been bound (:mod:`repro.storage.binder`) to a column of the bindings
   flowing into it (build keys against the build side, probe keys against the
   probe side, residuals against the joined row);
-* **sort claims** — ``sort_eliminated`` / ``sort_prefix`` assert that an
-  ordered ``RangeScan`` at the bottom of the pipeline delivers the leading
-  ORDER BY key, with matching direction;
 * **batch contract** — aggregate operators are consumed through
   ``groups(ctx)`` and may only sit at the very top of the pipeline
   (``plan.aggregate``), never inside the streamed ``root`` tree;
 * **parameter reachability** — every ``ParamLiteral`` in the statement must
   be reachable from the operator tree (or the post-pipeline clauses the
   executor evaluates from the statement), otherwise positional re-binding of
-  a cached plan would silently execute with a stale constant.  A planner
-  that folds a parameter away must declare it via ``plan.rebind_unsafe``.
+  a cached plan would silently execute with a stale constant.
 
 The verifier is wired into the executor behind
 ``ExecutionSettings.verify_plans`` and runs over a generated plan corpus in
@@ -44,14 +40,13 @@ from repro.sql.canonicalize import ParamLiteral, collect_parameters
 from repro.storage.operators import (
     EmptyRow,
     Filter,
-    GroupAggregate,
+    HashAggregate,
     HashJoin,
     IndexLookupJoin,
     IndexScan,
     NestedLoopJoin,
     Operator,
     OuterJoin,
-    RangeScan,
     SeqScan,
     SubqueryScan,
 )
@@ -67,9 +62,6 @@ BINDING_SHAPE = Rule(
 COLUMN_RESOLUTION = Rule(
     "plan-column-resolution", Severity.ERROR, "column unresolvable at its operator"
 )
-SORT_CLAIM = Rule(
-    "plan-sort-claim", Severity.ERROR, "claimed sort order is not delivered"
-)
 BATCH_CONTRACT = Rule(
     "plan-batch-contract", Severity.ERROR, "aggregate operator inside the batch pipeline"
 )
@@ -83,7 +75,6 @@ COLUMNAR_CONTRACT = Rule(
 RULES: tuple[Rule, ...] = (
     BINDING_SHAPE,
     COLUMN_RESOLUTION,
-    SORT_CLAIM,
     BATCH_CONTRACT,
     PARAM_BINDING,
     COLUMNAR_CONTRACT,
@@ -135,7 +126,6 @@ class PlanVerifier:
                 )
         self._check_unique_bindings(plan.root, diagnostics)
         self._check_batch_contract(plan, diagnostics)
-        self._check_sort_claim(plan, diagnostics)
         self._check_params(plan, top, diagnostics)
         return diagnostics
 
@@ -146,7 +136,7 @@ class PlanVerifier:
         for operator in _walk(plan.root):
             self._check_binding_shape(operator, diagnostics)
             self._check_columns(operator, False, diagnostics)
-            if isinstance(operator, GroupAggregate):
+            if isinstance(operator, HashAggregate):
                 diagnostics.append(
                     BATCH_CONTRACT.at(
                         operator.label(), "aggregate operator inside a DML plan"
@@ -160,13 +150,13 @@ class PlanVerifier:
         self, operator: Operator, diagnostics: list[Diagnostic]
     ) -> None:
         expected: list[tuple[str, list[str]]] | None = None
-        if isinstance(operator, (Filter, GroupAggregate)):
+        if isinstance(operator, (Filter, HashAggregate)):
             expected = operator.child.bindings
         elif isinstance(operator, (HashJoin, NestedLoopJoin, OuterJoin)):
             expected = operator.left.bindings + operator.right.bindings
         elif isinstance(operator, IndexLookupJoin):
             expected = operator.outer.bindings + operator.scan.bindings
-        elif isinstance(operator, (SeqScan, IndexScan, RangeScan)):
+        elif isinstance(operator, (SeqScan, IndexScan)):
             table_columns = list(operator.table.schema.column_names)
             if len(operator.bindings) != 1 or list(operator.bindings[0][1]) != table_columns:
                 diagnostics.append(
@@ -230,7 +220,7 @@ class PlanVerifier:
         elif isinstance(operator, OuterJoin):
             if operator.condition is not None:
                 yield operator.condition, operator.bindings
-        elif isinstance(operator, GroupAggregate):
+        elif isinstance(operator, HashAggregate):
             for expr in operator.group_exprs:
                 yield expr, operator.child.bindings
             if operator.having is not None:
@@ -302,7 +292,7 @@ class PlanVerifier:
 
     def _check_batch_contract(self, plan: SelectPlan, diagnostics: list[Diagnostic]) -> None:
         for operator in _walk(plan.root):
-            if isinstance(operator, GroupAggregate):
+            if isinstance(operator, HashAggregate):
                 diagnostics.append(
                     BATCH_CONTRACT.at(
                         operator.label(),
@@ -311,7 +301,7 @@ class PlanVerifier:
                     )
                 )
         if plan.aggregate is not None:
-            if not isinstance(plan.aggregate, GroupAggregate):
+            if not isinstance(plan.aggregate, HashAggregate):
                 diagnostics.append(
                     BATCH_CONTRACT.at(
                         plan.aggregate.label(),
@@ -326,74 +316,12 @@ class PlanVerifier:
                     )
                 )
 
-    def _check_sort_claim(self, plan: SelectPlan, diagnostics: list[Diagnostic]) -> None:
-        if not plan.sort_eliminated and not plan.sort_prefix:
-            return
-        order_by = plan.statement.order_by
-        label = plan.root.label()
-        if not order_by:
-            diagnostics.append(
-                SORT_CLAIM.at(label, "sort claimed but the statement has no ORDER BY")
-            )
-            return
-        if plan.sort_prefix > len(order_by) or (
-            plan.sort_eliminated and plan.sort_prefix < len(order_by)
-        ):
-            diagnostics.append(
-                SORT_CLAIM.at(
-                    label,
-                    f"sort_prefix={plan.sort_prefix} inconsistent with "
-                    f"{len(order_by)} ORDER BY keys (eliminated={plan.sort_eliminated})",
-                )
-            )
-            return
-        if plan.aggregate is not None:
-            diagnostics.append(
-                SORT_CLAIM.at(label, "sort elimination cannot survive an aggregate stage")
-            )
-            return
-        leading = order_by[0]
-        if not isinstance(leading.expression, BoundColumn):
-            diagnostics.append(
-                SORT_CLAIM.at(label, "claimed sort key is not a plain column")
-            )
-            return
-        node = plan.root
-        while isinstance(node, Filter):
-            node = node.child
-        if not isinstance(node, RangeScan):
-            diagnostics.append(
-                SORT_CLAIM.at(
-                    label,
-                    f"claimed ordered delivery but the pipeline bottoms out in "
-                    f"{type(node).__name__}, not an ordered RangeScan",
-                )
-            )
-            return
-        if node.column != leading.expression.column:
-            diagnostics.append(
-                SORT_CLAIM.at(
-                    label,
-                    f"ordered scan walks {node.column!r} but ORDER BY leads with "
-                    f"{leading.expression.name!r}",
-                )
-            )
-        if node.descending != (not leading.ascending):
-            diagnostics.append(
-                SORT_CLAIM.at(
-                    label,
-                    "ordered scan direction contradicts the ORDER BY direction",
-                )
-            )
-
     def _check_params(
         self, plan: SelectPlan, top: Operator, diagnostics: list[Diagnostic]
     ) -> None:
         parameters = collect_parameters(plan.statement)
         if not parameters:
             return
-        if getattr(plan, "rebind_unsafe", False):
-            return  # declared: the plan cache refuses to cache it
         reachable: set[int] = set()
 
         def mark(expr: Expression | None) -> None:
@@ -423,9 +351,6 @@ class PlanVerifier:
                 mark(expr)
             if isinstance(operator, IndexScan):
                 mark(operator.value_expr)
-            elif isinstance(operator, RangeScan):
-                mark(operator.low)
-                mark(operator.high)
             elif isinstance(operator, SubqueryScan):
                 _mark_statement(operator.plan.statement)
         # Post-pipeline clauses the executor evaluates from the statement.

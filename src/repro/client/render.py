@@ -99,13 +99,12 @@ def render_plan(explanation, title: str = "Query plan") -> str:
     """Render a :class:`~repro.storage.planner.PlanExplanation` as text.
 
     Shows the operator tree the engine chose — access paths (``IndexScan`` vs
-    ``RangeScan`` vs ``SeqScan``), join order and physical join
-    operators, and the aggregation stage (``HashAggregate`` /
-    ``SortedGroupAggregate`` with its estimated group count) — so users can
-    see why a (meta-)query is fast or slow.  An analyzed explanation
-    (EXPLAIN ANALYZE) is titled accordingly; its lines already carry the
-    per-node actual rows/batches/times and the execution summary (including
-    groups emitted and aggregation time for grouped queries).
+    ``SeqScan``), join order and physical join operators, and the
+    aggregation stage (``HashAggregate`` with its estimated group count) —
+    so users can see why a (meta-)query is fast or slow.  An analyzed
+    explanation (EXPLAIN ANALYZE) is titled accordingly; its lines already
+    carry the per-node actual rows/batches/times and the execution summary
+    (including groups emitted and aggregation time for grouped queries).
     """
     if getattr(explanation, "analyzed", False):
         title += " (analyzed)"

@@ -265,23 +265,6 @@ class QueryStore:
             ("Projections", "attrName"),
         ):
             self._meta_db.table(table).create_index(f"{table.lower()}_{column.lower()}", column)
-        # Sorted indexes on the timestamp/counter columns the maintenance and
-        # browsing meta-queries range over ("recent queries", "expensive
-        # queries", session windows): the planner turns range predicates on
-        # these into RangeScans and serves single-key ORDER BY without a sort.
-        for table, column in (
-            ("Queries", "ts"),
-            ("Annotations", "ts"),
-            ("Sessions", "startTs"),
-            ("Sessions", "endTs"),
-            ("Sessions", "numQueries"),
-            ("RuntimeStats", "cardinality"),
-            ("RuntimeStats", "rowsScanned"),
-            ("RuntimeStats", "elapsedSeconds"),
-        ):
-            self._meta_db.table(table).create_index(
-                f"{table.lower()}_{column.lower()}_sorted", column, kind="sorted"
-            )
         self._records: dict[int, LoggedQuery] = {}
         # Secondary indexes so per-user / per-group lookups (called once per
         # recommendation) do not scan the whole log.

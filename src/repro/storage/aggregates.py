@@ -1,10 +1,10 @@
 """Incremental aggregate accumulators and aggregate-spec collection.
 
-The aggregation stage (``HashAggregate`` / ``SortedGroupAggregate`` in
-:mod:`repro.storage.operators`) never buffers input rows per group: each
-distinct aggregate expression of a statement becomes one *accumulator* per
-group that every input row updates exactly once, and SELECT, HAVING and
-ORDER BY read the finished accumulator states.
+The aggregation stage (``HashAggregate`` in :mod:`repro.storage.operators`)
+never buffers input rows per group: each distinct aggregate expression of a
+statement becomes one *accumulator* per group that every input row updates
+exactly once, and SELECT, HAVING and ORDER BY read the finished accumulator
+states.
 
 * :func:`collect_aggregate_specs` walks a SELECT statement and returns the
   deduplicated :class:`AggregateSpec` list plus a map from every aggregate

@@ -1,11 +1,11 @@
 """The buffer pool: pinned, dirty-tracked logical pages over the pager.
 
-Every heap page and every B+ tree node in the engine lives behind a
-:class:`PageStore`.  A page is a plain Python object (the heap's slot dict,
-a tree's node dict) plus a *codec* that can serialize it to bytes; the
-store keeps a bounded set of them resident, spills the least-recently-used
-ones to the :class:`~repro.storage.pager.Pager` when the pool is full, and
-reloads them on demand.
+Every heap page in the engine lives behind a :class:`PageStore`.  A page
+is a plain Python object (the heap's slot dict) plus a *codec* that can
+serialize it to bytes; the store keeps a bounded set of them resident,
+spills the least-recently-used ones to the
+:class:`~repro.storage.pager.Pager` when the pool is full, and reloads them
+on demand.
 
 The access protocol is explicit and linted
 (``analysis/hazard_lint.py`` rule ``page-pin-protocol``):
@@ -60,7 +60,7 @@ class BufferPoolStats:
     evictions: int = 0
     #: Dirty-page serializations to the pager (evictions + checkpoint flushes).
     writebacks: int = 0
-    #: Pages ever allocated (heap pages + index nodes).
+    #: Heap pages ever allocated.
     pages_allocated: int = 0
 
     @property

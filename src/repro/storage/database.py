@@ -44,19 +44,14 @@ from repro.storage.snapshot import (
     schema_to_dict,
     write_checkpoint,
 )
-from repro.storage.wal import DEFAULT_GROUP_SIZE, WAL_FILE_NAME, WalStats, WalWriter
+from repro.storage.wal import WAL_FILE_NAME, WalStats, WalWriter
 from repro.storage.exec_settings import DEFAULT_SETTINGS, ExecutionSettings
 from repro.storage.executor import ExecutionStats, Executor
 from repro.storage.binder import Binder, table_columns
 from repro.storage.expression import Scope, evaluate, layout_of
 from repro.storage.kernels import compile_columnar_conjuncts
 from repro.storage.operators import ExecutionContext, survivors
-from repro.storage.plan_cache import (
-    DEFAULT_MAX_DRIFT,
-    DEFAULT_PLAN_CACHE_SIZE,
-    PlanCache,
-    PlanCacheStats,
-)
+from repro.storage.plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache, PlanCacheStats
 from repro.storage.planner import DmlPlan, PlanExplanation, Planner, SelectPlan
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.statistics import TableStatistics
@@ -141,7 +136,6 @@ class Database:
         name: str = "db",
         clock=None,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        plan_cache_max_drift: float = DEFAULT_MAX_DRIFT,
         exec_settings: ExecutionSettings | None = None,
     ):
         self.name = name
@@ -150,12 +144,11 @@ class Database:
         self._clock = clock if clock is not None else time.monotonic
         #: Batch-size / columnar knobs, read by the planner and executor.
         self.exec_settings = exec_settings or DEFAULT_SETTINGS
-        self._plan_cache_max_drift = plan_cache_max_drift
         self._plan_cache: PlanCache | None = None
         self.set_plan_cache_size(plan_cache_size)
-        #: The page store every heap page and index node of this database
-        #: lives in.  In-memory databases get an unbounded store (nothing to
-        #: evict to); Database.open swaps in a pager-backed one capped at
+        #: The page store every heap page of this database lives in.
+        #: In-memory databases get an unbounded store (nothing to evict to);
+        #: Database.open swaps in a pager-backed one capped at
         #: ``exec_settings.buffer_pool_pages`` before recovery runs.
         self._store = PageStore()
         # Durability state; populated by Database.open for durable databases.
@@ -189,9 +182,7 @@ class Database:
         clock=None,
         wal_sync: str = "batch",
         checkpoint_interval: int = 0,
-        wal_group_size: int = DEFAULT_GROUP_SIZE,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        plan_cache_max_drift: float = DEFAULT_MAX_DRIFT,
         exec_settings: ExecutionSettings | None = None,
     ) -> "Database":
         """Open (creating if needed) a durable database rooted at ``data_dir``.
@@ -215,7 +206,6 @@ class Database:
             name=name,
             clock=clock,
             plan_cache_size=plan_cache_size,
-            plan_cache_max_drift=plan_cache_max_drift,
             exec_settings=exec_settings,
         )
         lock = acquire_lock(data_dir)
@@ -231,7 +221,6 @@ class Database:
             wal = WalWriter(
                 os.path.join(data_dir, WAL_FILE_NAME),
                 sync=wal_sync,
-                group_size=wal_group_size,
                 start_lsn=report.last_lsn,
                 valid_length=report.wal_valid_length,
             )
@@ -489,7 +478,6 @@ class Database:
         self._plan_cache = PlanCache(
             resolve_table=self._resolve_table_for_cache,
             capacity=size,
-            max_drift=self._plan_cache_max_drift,
         )
 
     def plan_cache_stats(self) -> PlanCacheStats:
@@ -513,9 +501,9 @@ class Database:
         self, statement: Statement, prepared=None, text: str | None = None
     ) -> tuple[SelectPlan | DmlPlan, bool]:
         """A plan for a SELECT/UPDATE/DELETE: from the cache when the template
-        is fresh, otherwise freshly planned (and cached when safely
-        re-bindable).  Returns ``(plan, cache_hit)``; a cached plan's
-        parameter nodes are re-bound to this instance's constants.
+        is fresh, otherwise freshly planned (and cached).  Returns
+        ``(plan, cache_hit)``; a cached plan's parameter nodes are re-bound to
+        this instance's constants.
 
         ``prepared`` is a statement-cache hit (parse + parameterize already
         done); ``text`` is the raw SQL when known, so a freshly prepared
@@ -531,9 +519,8 @@ class Database:
             if cached is not None:
                 return cached.plan, True
             statement = prepared.statement
-        planner = Planner(self)
-        plan = _plan_with(planner, statement)
-        if cache is not None and not planner.rebind_unsafe:
+        plan = _plan_with(Planner(self), statement)
+        if cache is not None:
             cache.store(prepared, plan)
         return plan, False
 
@@ -619,7 +606,7 @@ class Database:
         the plan tree.
 
         For SELECT statements the explanation shows the chosen access paths
-        (``IndexScan`` vs ``RangeScan`` vs ``SeqScan``), join order,
+        (``IndexScan`` vs ``SeqScan``), join order,
         physical join operators with build sides, and per-node cardinality
         estimates.  ``analyze=True`` (EXPLAIN ANALYZE) additionally executes
         the statement and annotates every plan node with its actual row count,
@@ -841,7 +828,7 @@ class Database:
     ) -> list[tuple[int, tuple]]:
         """Candidate ``(row_id, row tuple)`` pairs of a planned UPDATE/DELETE.
 
-        The plan's access path (index/range scan when the WHERE allows it)
+        The plan's access path (an index scan when the WHERE allows it)
         produces candidates; residual conjuncts are re-checked 128 at a
         time.  The list is materialized before any mutation so the scan
         never observes its own writes — which is also why the timeout budget
@@ -1044,7 +1031,23 @@ class Database:
         return QueryResult(stats=ExecutionStats(statement_kind="alter_table"))
 
     def _execute_create_index(self, statement: CreateIndexStatement) -> QueryResult:
+        """``CREATE INDEX``.  An index name belongs to one (table, column,
+        unique) definition database-wide, as in sqlite; re-creating that
+        exact definition is a no-op (the Query Storage re-runs its index
+        DDL on every reopen)."""
         table = self.table(statement.table)
+        name, column = statement.name.lower(), statement.column.lower()
+        for other in self._tables.values():
+            for index in other.index_definitions():
+                if index.name.lower() == name and not (
+                    other is table
+                    and index.column.lower() == column
+                    and index.unique == statement.unique
+                ):
+                    raise SchemaError(
+                        f"index {statement.name!r} already exists on "
+                        f"{other.name}.{index.column}"
+                    )
         table.create_index(
             statement.name,
             statement.column,

@@ -36,9 +36,8 @@ class ExecutionSettings:
     streams it, raising :class:`~repro.errors.ExecutionError` on any
     ERROR-severity finding — a debugging/CI guardrail, off by default.
 
-    ``buffer_pool_pages`` caps how many pages (heap pages + B+ tree nodes)
-    a durable database keeps resident; the least recently used spill to the
-    page file.  In-memory databases ignore it — with no pager there is
+    ``buffer_pool_pages`` caps how many heap pages a durable database keeps
+    resident; the least recently used spill to the page file.  In-memory databases ignore it — with no pager there is
     nowhere to evict to.
     """
 

@@ -15,9 +15,8 @@ the SELECT pipeline has three real layers:
   select-list aliases), DISTINCT, LIMIT/OFFSET, and correlated and
   uncorrelated subqueries (IN / EXISTS / scalar).
 
-When a query has no ORDER BY — or the planner eliminated the sort because a
-sorted index already delivers the requested order — output rows stream
-straight out of the operator pipeline and LIMIT short-circuits the scan.
+When a query has no ORDER BY and no aggregate, output rows stream straight
+out of the operator pipeline and LIMIT short-circuits the scan.
 
 Since the batched-execution refactor the executor consumes the operator tree
 batch-at-a-time (``root.batches(ctx)``, lists of flat tuples laid out by
@@ -45,7 +44,6 @@ from repro.storage.operators import (
     Filter,
     IndexScan,
     NodeStats,
-    RangeScan,
     SeqScan,
     row_width,
     slots_getter,
@@ -184,17 +182,9 @@ class Executor:
             timer=self._timer,
         )
         columns = plan.output_columns
-        sorting = statement.order_by and not plan.sort_eliminated
-        if plan.aggregate is not None or sorting:
+        if plan.aggregate is not None or statement.order_by:
             if plan.aggregate is not None:
                 rows = self._aggregate_streamed(statement, plan, ctx, outer_scope)
-            elif plan.sort_prefix:
-                # Partial sort: the scan already streams rows ordered by the
-                # first ORDER BY key (sorted index), so only runs of equal
-                # leading-key values are buffered and sorted by the remaining
-                # keys — and LIMIT short-circuits at the first run boundary past
-                # the budget instead of materializing the whole table.
-                rows = self._partial_order_rows(statement, plan, ctx, outer_scope)
             else:
                 project = self._projection(plan, outer_scope)
                 entries = []
@@ -208,13 +198,12 @@ class Executor:
             if statement.distinct:
                 rows = _distinct(rows)
         else:
-            # Pure streaming path (including index-ordered ORDER BY, where the
-            # scan already yields sorted rows): project batch by batch, stop
-            # once LIMIT is met.  On single-table scan/filter pipelines the
-            # batch size tracks the *remaining* LIMIT budget (scans re-read it
-            # after every flush), so a short-circuited scan touches exactly as
-            # many heap rows as the row-at-a-time engine when it feeds the
-            # limit directly, and at most one shrunken batch more behind a
+            # Pure streaming path: project batch by batch, stop once LIMIT
+            # is met.  On single-table scan/filter pipelines the batch size
+            # tracks the *remaining* LIMIT budget (scans re-read it after
+            # every flush), so a short-circuited scan touches exactly as many
+            # heap rows as the row-at-a-time engine when it feeds the limit
+            # directly, and at most one shrunken batch more behind a
             # filter.  Join pipelines keep the configured batch size — their
             # build sides consume whole inputs regardless, and throttling them
             # to the LIMIT would re-introduce per-row batch overhead.
@@ -298,8 +287,7 @@ class Executor:
     ) -> list[tuple]:
         """Finish the plan's aggregate stage into output rows.
 
-        The operator (:class:`~repro.storage.operators.HashAggregate` /
-        :class:`~repro.storage.operators.SortedGroupAggregate`) streams
+        The operator (:class:`~repro.storage.operators.HashAggregate`) streams
         ``(representative row, finished aggregate values)`` pairs; HAVING,
         projection, and ORDER BY read the representative's positions and the
         finished slot values.
@@ -394,53 +382,6 @@ class Executor:
         """``_order_keys`` evaluator for ungrouped rows."""
         return evaluate(expr, scope, self._run_subquery)
 
-    def _partial_order_rows(
-        self,
-        statement: SelectStatement,
-        plan: SelectPlan,
-        ctx: ExecutionContext,
-        outer_scope: Scope | None,
-    ) -> list[tuple]:
-        """Order rows whose leading ORDER BY keys already stream in order.
-
-        The scan (an index-ordered ``RangeScan``) delivers rows sorted by the
-        first ``plan.sort_prefix`` ORDER BY keys; only consecutive runs with
-        equal leading keys are buffered and sorted by the remaining keys.
-        Memory is bounded by the largest run, and with a LIMIT (and no
-        DISTINCT) consumption stops at the first run boundary past the
-        budget, so a top-k query never walks the whole table.
-        """
-        keys = self._order_keys(plan, outer_scope, self._evaluate_row)
-        prefix = [key for key, _ in keys[: plan.sort_prefix]]
-        rest = keys[plan.sort_prefix :]
-        project = self._projection(plan, outer_scope)
-        needed = None
-        if statement.limit is not None and not statement.distinct:
-            needed = statement.limit + (statement.offset or 0)
-        rows: list[tuple] = []
-        run: list[tuple[tuple, tuple]] = []
-        run_key = None
-        done = False
-        for batch in plan.root.batches(ctx):
-            self.metrics.batches += 1
-            for entry in zip(batch, project(batch)):
-                key = [key_of(entry) for key_of in prefix]
-                if run and key != run_key:
-                    _sort_entries(run, rest)
-                    rows.extend(output for _, output in run)
-                    run = []
-                    if needed is not None and len(rows) >= needed:
-                        done = True
-                        break
-                run_key = key
-                run.append(entry)
-            if done:
-                break
-        if not done and run:
-            _sort_entries(run, rest)
-            rows.extend(output for _, output in run)
-        return rows
-
     # -- subqueries -------------------------------------------------------------------
 
     def _run_subquery(self, subquery: SelectStatement, scope: Scope) -> list[tuple]:
@@ -467,7 +408,7 @@ def _limit_budget_applies(op) -> bool:
     """True when shrinking the batch size to the LIMIT budget is a pure win.
 
     That is the single-table streaming shape — filters over one sequential or
-    index-ordered scan — where every batch the scan builds feeds the limit
+    index scan — where every batch the scan builds feeds the limit
     directly (filters only drop rows).  Joins and subquery scans are
     excluded: they consume entire inputs (build sides) regardless of the
     limit, so tiny batches would only re-introduce the per-row overhead
@@ -475,7 +416,7 @@ def _limit_budget_applies(op) -> bool:
     """
     while isinstance(op, Filter):
         op = op.child
-    return isinstance(op, (SeqScan, RangeScan, IndexScan))
+    return isinstance(op, (SeqScan, IndexScan))
 
 
 def _sort_entries(entries: list, keys) -> None:

@@ -1,20 +1,9 @@
 """Secondary indexes for heap tables.
 
-The engine supports two index kinds:
-
-* :class:`HashIndex` — equality lookups, enough for the Query Storage's
-  frequent probes by ``qid``, ``relName``, and ``attrName`` during meta-query
-  execution;
-* :class:`SortedIndex` — an ordered index backed by a paged B+ tree
-  (:class:`~repro.storage.bptree.BPlusTree`) whose keys follow the engine's
-  total order (:func:`~repro.storage.types.sort_key`), serving range
-  predicates (``ts BETWEEN …``, ``temp < 18``) and ORDER BY without sorting.
-  Tree nodes page through the owning table's buffer pool, so big indexes
-  spill to disk under the same ``buffer_pool_pages`` budget as the heap.
-
-Both kinds share the ``insert`` / ``delete`` / ``lookup`` surface so
-:class:`~repro.storage.table.Table` maintains them uniformly; a column may
-carry one index of each kind.
+The engine has one index kind, :class:`HashIndex`: equality lookups, enough
+for the Query Storage's frequent probes by ``qid``, ``relName``, and
+``attrName`` during meta-query execution.  Range predicates and ORDER BY are
+served by filtered scans and the executor's sort.
 """
 
 from __future__ import annotations
@@ -22,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import IntegrityError
-from repro.storage.bptree import DEFAULT_ORDER, BPlusTree
-from repro.storage.buffer_pool import PageStore
-from repro.storage.types import sort_key
 
 
 @dataclass
@@ -75,111 +61,3 @@ class HashIndex:
         """Release the index's storage (it owns no pages; just forget)."""
         self._buckets.clear()
 
-
-class SortedIndex:
-    """An ordered index: a paged B+ tree plus a NULL-row side set.
-
-    Keys are :func:`~repro.storage.types.sort_key` values, so the index order
-    is exactly the order the executor's ORDER BY produces and the order
-    ``compare_values`` induces within a typed column.  NULL rows are tracked
-    separately (they participate in ordered scans, never in range lookups,
-    and do not violate uniqueness).
-    """
-
-    kind = "sorted"
-
-    def __init__(
-        self,
-        name: str,
-        column: str,
-        unique: bool = False,
-        store: PageStore | None = None,
-        order: int = DEFAULT_ORDER,
-    ):
-        self.name = name
-        self.column = column
-        self.unique = unique
-        self._tree = BPlusTree(store=store, order=order)
-        self._null_rows: set[int] = set()
-
-    def __repr__(self) -> str:
-        return (
-            f"SortedIndex(name={self.name!r}, column={self.column!r}, "
-            f"unique={self.unique!r})"
-        )
-
-    def insert(self, value: object, row_id: int) -> None:
-        """Register ``row_id`` under ``value``; NULL rows go to the null set."""
-        if value is None:
-            self._null_rows.add(row_id)
-            return
-        key = sort_key(value)
-        if self.unique and self._tree.contains(key):
-            raise IntegrityError(
-                f"unique index {self.name!r} violated for value {value!r}"
-            )
-        self._tree.insert(key, row_id)
-
-    def delete(self, value: object, row_id: int) -> None:
-        if value is None:
-            self._null_rows.discard(row_id)
-            return
-        self._tree.delete(sort_key(value), row_id)
-
-    def lookup(self, value: object) -> set[int]:
-        """Row ids whose indexed column equals ``value`` (empty set for NULL)."""
-        if value is None:
-            return set()
-        return set(self._tree.lookup(sort_key(value)))
-
-    def range_row_ids(
-        self,
-        low_key: tuple | None,
-        high_key: tuple | None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-        descending: bool = False,
-    ):
-        """Row ids with ``low_key (<|<=) key (<|<=) high_key``, in key order.
-
-        Bounds are :func:`~repro.storage.types.sort_key` keys (None =
-        unbounded).  NULL rows are never part of a range — a comparison
-        against NULL is unknown.
-        """
-        for _key, bucket in self._tree.item_range(
-            low_key, high_key, low_inclusive, high_inclusive, descending
-        ):
-            yield from bucket
-
-    def ordered_row_ids(self, descending: bool = False):
-        """All row ids in index order, NULLs placed as ORDER BY places them.
-
-        Ascending puts NULLs first (the engine's ``sort_key`` ranks NULL
-        lowest), descending puts them last.
-        """
-        if not descending:
-            yield from sorted(self._null_rows)
-            yield from self.range_row_ids(None, None)
-        else:
-            yield from self.range_row_ids(None, None, descending=True)
-            yield from sorted(self._null_rows)
-
-    def distinct_values(self) -> int:
-        return self._tree.distinct
-
-    def clear(self) -> None:
-        self._tree.clear()
-        self._null_rows.clear()
-
-    def drop(self) -> None:
-        """Free every tree page; the index is unusable afterwards."""
-        self._tree.drop()
-        self._null_rows.clear()
-
-
-#: Index kind name → implementation class (SQL ``USING`` clause, Table API).
-INDEX_KINDS: dict[str, type] = {
-    "hash": HashIndex,
-    "sorted": SortedIndex,
-    "btree": SortedIndex,  # common SQL spelling for the ordered kind
-}

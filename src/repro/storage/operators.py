@@ -34,10 +34,7 @@ Access paths:
 * :class:`SeqScan` — full scan of a heap table,
 * :class:`IndexScan` — equality probe of a :class:`~repro.storage.indexes.HashIndex`,
   either against a constant or, inside an :class:`IndexLookupJoin`, against the
-  join key of each outer row (an index nested-loop join),
-* :class:`RangeScan` — bisect walk of a :class:`~repro.storage.indexes.SortedIndex`
-  between constant bounds; unbounded it doubles as an ordered full scan that
-  lets the planner eliminate an ORDER BY sort.
+  join key of each outer row (an index nested-loop join).
 
 A stored heap row is a tuple in schema order, which is exactly a scan's row
 (its one binding's columns, in order): scans hand on what the heap holds,
@@ -70,7 +67,7 @@ from repro.storage.kernels import (
     hash_group_keys,
     resolve_columnar_columns,
 )
-from repro.storage.types import DataType, coerce_value, compare_values, sort_key
+from repro.storage.types import DataType, coerce_value, compare_values
 
 #: Sentinel distinguishing "not compiled yet" from "compilation returned None".
 _UNSET = object()
@@ -367,146 +364,6 @@ class IndexScan(Operator):
             f"IndexScan {_scan_target(self.table, self.binding)} "
             f"({condition}) [est={self.estimate:.0f}]"
         )
-
-
-class RangeScan(Operator):
-    """Ordered walk of a :class:`~repro.storage.indexes.SortedIndex`.
-
-    ``low`` / ``high`` are constant bound expressions (None = unbounded);
-    ``descending`` reverses the walk.  With both bounds absent the scan visits
-    every row in index order — including NULL rows, placed where ORDER BY
-    places them — which is what lets the planner drop an explicit sort.
-    Bounded scans skip NULL rows, exactly as the range predicate would.
-    """
-
-    def __init__(
-        self,
-        table,
-        binding: str,
-        column: str,
-        low: Expression | None,
-        high: Expression | None,
-        low_inclusive: bool,
-        high_inclusive: bool,
-        estimate: float,
-        descending: bool = False,
-    ):
-        self.table = table
-        self.binding = binding
-        self.column = column
-        self.low = low
-        self.high = high
-        self.low_inclusive = low_inclusive
-        self.high_inclusive = high_inclusive
-        self.bindings = [(binding, list(table.schema.column_names))]
-        self.estimate = estimate
-        self.descending = descending
-
-    def _bound_key(self, bound: Expression | None, ctx: ExecutionContext):
-        """Evaluate a bound to its index key: (key, ok) with ok=False for NULL."""
-        if bound is None:
-            return None, True
-        scope = Scope({}, parent=ctx.outer_scope)
-        value = evaluate(bound, scope, ctx.run_subquery)
-        if value is None:
-            return None, False  # comparison with NULL is unknown: empty range
-        data_type = self.table.schema.column(self.column).data_type
-        key = range_probe_key(value, data_type)
-        if key is None:
-            raise _RangeKeyUnavailable(value)
-        return key, True
-
-    def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, Row]]:
-        index = self.table.sorted_index_for(self.column)
-        if index is None:
-            yield from self._fallback_pairs(ctx)
-            return
-        try:
-            low_key, low_ok = self._bound_key(self.low, ctx)
-            high_key, high_ok = self._bound_key(self.high, ctx)
-        except _RangeKeyUnavailable:
-            # The comparison semantics cannot be expressed as index keys
-            # (planner normally prevents this); keep compare_values semantics.
-            yield from self._fallback_pairs(ctx)
-            return
-        if not low_ok or not high_ok:
-            return
-        ctx.metrics.index_lookups += 1
-        if self.low is None and self.high is None:
-            row_ids = index.ordered_row_ids(descending=self.descending)
-        else:
-            row_ids = index.range_row_ids(
-                low_key,
-                high_key,
-                self.low_inclusive,
-                self.high_inclusive,
-                descending=self.descending,
-            )
-        for row_id in row_ids:
-            row = self.table.get(row_id)
-            if row is None:
-                continue
-            ctx.metrics.rows_scanned += 1
-            yield row_id, row
-
-    def _fallback_pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, Row]]:
-        """Heap scan honouring the bounds and the promised order."""
-        scope = Scope({}, parent=ctx.outer_scope)
-        low_value = evaluate(self.low, scope, ctx.run_subquery) if self.low is not None else None
-        high_value = (
-            evaluate(self.high, scope, ctx.run_subquery) if self.high is not None else None
-        )
-        if (self.low is not None and low_value is None) or (
-            self.high is not None and high_value is None
-        ):
-            return
-        position = self.table.schema.position(self.column)
-        matches = []
-        for row_id, row in self.table.scan():
-            ctx.metrics.rows_scanned += 1
-            value = row[position]
-            if self.low is not None:
-                ordering = compare_values(value, low_value)
-                if ordering is None or ordering < 0 or (ordering == 0 and not self.low_inclusive):
-                    continue
-            if self.high is not None:
-                ordering = compare_values(value, high_value)
-                if ordering is None or ordering > 0 or (ordering == 0 and not self.high_inclusive):
-                    continue
-            matches.append((row_id, row))
-        unbounded = self.low is None and self.high is None
-        matches.sort(key=lambda pair: sort_key(pair[1][position]), reverse=self.descending)
-        if unbounded and self.descending:
-            # NULLs sort lowest ascending, so a reversed sort puts them first;
-            # ORDER BY ... DESC wants them last.
-            nulls = [pair for pair in matches if pair[1][position] is None]
-            matches = [pair for pair in matches if pair[1][position] is not None] + nulls
-        yield from matches
-
-    def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        return _chunk(map(itemgetter(1), self.pairs(ctx)), ctx)
-
-    def label(self) -> str:
-        conditions = []
-        if self.low is not None:
-            op = ">=" if self.low_inclusive else ">"
-            conditions.append(f"{self.column} {op} {format_expression(self.low)}")
-        if self.high is not None:
-            op = "<=" if self.high_inclusive else "<"
-            conditions.append(f"{self.column} {op} {format_expression(self.high)}")
-        if not conditions:
-            conditions.append(f"ORDER BY {self.column}")
-        detail = " AND ".join(conditions)
-        if self.descending:
-            detail += " DESC" if self.low is None and self.high is None else ", desc"
-        return (
-            f"RangeScan {_scan_target(self.table, self.binding)} "
-            f"({detail}) [est={self.estimate:.0f}]"
-        )
-
-
-class _RangeKeyUnavailable(Exception):
-    """A range bound cannot be expressed as a sorted-index key."""
 
 
 class SubqueryScan(Operator):
@@ -832,27 +689,36 @@ class OuterJoin(Operator):
 # ---------------------------------------------------------------------------
 
 
-#: Sentinel for "no run started yet" in the sorted streaming path.
-_NO_RUN = object()
+class HashAggregate(Operator):
+    """Hash-grouped vectorized aggregation, the one aggregate operator.
 
-
-class GroupAggregate(Operator):
-    """Shared machinery of :class:`HashAggregate` / :class:`SortedGroupAggregate`.
-
-    Aggregate operators are consumed through :meth:`groups`, which yields
+    It is consumed through :meth:`groups`, which yields
     ``(representative row, finished aggregate values)`` pairs in
     first-seen group order — the executor's HAVING / projection / ORDER BY
     read the finished accumulator states instead of re-walking buffered row
     lists.  ``batches()`` is deliberately unimplemented: the planner places an
     aggregate only at the top of the pipeline, never under joins.
 
-    Compiled artifacts (group-key and argument getters) are memoized on the
-    operator instance, read only row positions, and accumulators are created
-    fresh per execution — all of which keeps a cached plan's parameter
-    re-binding safe.
-    """
+    Consumes the child batch by batch: each batch is partitioned into
+    per-key buckets with a compiled group-key getter, then every bucket
+    updates its group's accumulators once per aggregate spec — each input row
+    is touched exactly once per spec, never re-walked.
 
-    _name = "GroupAggregate"
+    One fast path beyond the generic batch loop, the **columnar fused
+    path**: when the child is just filters over a heap scan, every filter
+    compiles to a kernel, and every group key / aggregate argument is a
+    column of the scanned table, the scan streams ColumnBatches, filter
+    kernels produce selection vectors, groups are bucketed by column-value
+    gather, and every accumulator consumes
+    ``update_column(values, positions)`` — no per-row wrapper, bucket list,
+    or gathered argument list is ever built.  Disabled under EXPLAIN ANALYZE
+    so child operators report honest actuals.
+
+    Compiled artifacts (group-key and argument getters, the fused path's
+    shape) are memoized on the operator instance, read only row positions,
+    and accumulators are created fresh per execution — all of which keeps a
+    cached plan's parameter re-binding safe.
+    """
 
     def __init__(
         self,
@@ -871,6 +737,7 @@ class GroupAggregate(Operator):
         self.estimate = estimate  # estimated number of output groups
         self._compiled_group: object = _UNSET
         self._compiled_args: object = _UNSET
+        self._compiled_columnar_agg: object = _UNSET
 
     # -- consumption ---------------------------------------------------------
 
@@ -904,9 +771,6 @@ class GroupAggregate(Operator):
                 stats.wall_seconds += elapsed
                 stats.rows += 1
             yield item
-
-    def _groups(self, ctx: ExecutionContext):
-        raise NotImplementedError
 
     # -- compiled helpers ----------------------------------------------------
 
@@ -951,7 +815,7 @@ class GroupAggregate(Operator):
         return None, [spec.make().finish() for spec in self.collection.specs]
 
     def label(self) -> str:
-        parts = [self._name]
+        parts = ["HashAggregate"]
         if self.group_exprs:
             keys = ", ".join(format_expression(expr) for expr in self.group_exprs)
             parts.append(f"[group by {keys}]")
@@ -960,31 +824,6 @@ class GroupAggregate(Operator):
         parts.append(f"[est groups={self.estimate:.0f}]")
         return " ".join(parts)
 
-
-class HashAggregate(GroupAggregate):
-    """Hash-grouped vectorized aggregation.
-
-    Consumes the child batch by batch: each batch is partitioned into
-    per-key buckets with a compiled group-key getter, then every bucket
-    updates its group's accumulators once per aggregate spec — each input row
-    is touched exactly once per spec, never re-walked.
-
-    One fast path beyond the generic batch loop, the **columnar fused
-    path**: when the child is just filters over a heap scan, every filter
-    compiles to a kernel, and every group key / aggregate argument is a
-    column of the scanned table, the scan streams ColumnBatches, filter
-    kernels produce selection vectors, groups are bucketed by column-value
-    gather, and every accumulator consumes
-    ``update_column(values, positions)`` — no per-row wrapper, bucket list,
-    or gathered argument list is ever built.  Disabled under EXPLAIN ANALYZE
-    so child operators report honest actuals.
-    """
-
-    _name = "HashAggregate"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._compiled_columnar_agg: object = _UNSET
 
     def _groups(self, ctx: ExecutionContext):
         columnar = self._columnar_groups(ctx)
@@ -1042,7 +881,7 @@ class HashAggregate(GroupAggregate):
         while isinstance(node, Filter):
             filters.append(node)
             node = node.child
-        if not isinstance(node, SeqScan):  # RangeScan/IndexScan keep batches()
+        if not isinstance(node, SeqScan):  # an IndexScan keeps batches()
             return None
         bindings = node.bindings
         kernels: list = []
@@ -1133,68 +972,6 @@ class HashAggregate(GroupAggregate):
         for key in order:
             representative, accumulators = merged[key]
             yield representative, [acc.finish() for acc in accumulators]
-
-
-class SortedGroupAggregate(GroupAggregate):
-    """Streaming grouped aggregation over an index-ordered scan.
-
-    Chosen by the planner when the child already streams rows ordered by the
-    leading group key (an unbounded/bounded :class:`RangeScan` on that
-    column) — the same run-boundary detection the PartialSort path uses.
-    Because equal leading keys are adjacent, every group is fully contained
-    in one run: the operator buffers only the current run, aggregates it at
-    the run boundary, and emits those groups before reading on.  Memory is
-    bounded by the largest run instead of the whole group table.
-    """
-
-    _name = "SortedGroupAggregate"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # The planner picks this operator only when the leading key is a
-        # column of the one scanned table, so the getter always compiles.
-        self._lead_getter = compile_column_getter(self.bindings, self.group_exprs[0])
-
-    def _groups(self, ctx: ExecutionContext):
-        specs = self.collection.specs
-        extractors = self._extractors(ctx)
-        key_getter = self._group_key_getter(ctx)
-        lead_getter = self._lead_getter
-        group_exprs = self.group_exprs
-        metrics = ctx.metrics
-        run_states: dict[tuple, list[Row]] = {}
-        run_order: list[tuple] = []
-        current = _NO_RUN
-        emitted = False
-        for batch in self.child.batches(ctx):
-            metrics.batches += 1
-            for row in batch:
-                marker = sort_key(lead_getter(row))
-                if marker != current:
-                    if run_order:
-                        emitted = True
-                        yield from self._finish_run(run_order, run_states, extractors, specs)
-                        run_states = {}
-                        run_order = []
-                    current = marker
-                key = key_getter(row)
-                bucket = run_states.get(key)
-                if bucket is None:
-                    run_states[key] = bucket = []
-                    run_order.append(key)
-                bucket.append(row)
-        if run_order:
-            yield from self._finish_run(run_order, run_states, extractors, specs)
-        elif not emitted and not group_exprs:
-            yield self._empty_input_group()
-
-    def _finish_run(self, run_order, run_states, extractors, specs):
-        for key in run_order:
-            bucket = run_states[key]
-            accumulators = [spec.make() for spec in specs]
-            for accumulator, extract in zip(accumulators, extractors):
-                accumulator.update_batch(extract(bucket))
-            yield bucket[0], [acc.finish() for acc in accumulators]
 
 
 def _rows_identity(rows):
@@ -1326,45 +1103,6 @@ def equality_probe_keys(value: object, data_type: DataType) -> list | None:
             except SchemaError:
                 return []
             return [coerced] if str(coerced) == value else []
-    return None
-
-
-def range_probe_key(value: object, data_type: DataType) -> tuple | None:
-    """The sorted-index key that reproduces ``compare_values`` ordering.
-
-    A :class:`~repro.storage.indexes.SortedIndex` orders by
-    :func:`~repro.storage.types.sort_key` of the *stored* (coerced) values, so
-    a probe is only valid when comparing the probe value against every stored
-    value follows the same order as comparing their sort keys:
-
-    * numeric probe vs numeric column — numeric order,
-    * string probe vs TEXT column — string order,
-    * numeric probe vs TEXT column — ``compare_values`` falls back to
-      comparing ``str(stored)`` with ``str(probe)``, which is string order,
-    * any probe vs BOOLEAN column — truthiness order,
-
-    Returns None when the semantics cannot be expressed (e.g. a string probe
-    against a numeric column compares decimal *strings*, which does not follow
-    numeric index order) and the caller must fall back to a scan.
-    """
-    if value is None:
-        return None
-    if data_type is DataType.BOOLEAN:
-        return sort_key(bool(value))
-    if isinstance(value, bool):
-        # Against non-boolean columns compare_values uses truthiness, which a
-        # value-ordered index cannot serve.
-        return None
-    if isinstance(value, (int, float)):
-        if data_type in (DataType.INTEGER, DataType.FLOAT):
-            return sort_key(value)
-        if data_type is DataType.TEXT:
-            return sort_key(str(value))
-        return None
-    if isinstance(value, str):
-        if data_type is DataType.TEXT:
-            return sort_key(value)
-        return None
     return None
 
 

@@ -54,8 +54,8 @@ from repro.sql.formatter import format_statement
 #: Default number of cached plans kept by a Database.
 DEFAULT_PLAN_CACHE_SIZE = 128
 
-#: Default staleness budget: relative row-count / histogram drift beyond which
-#: a cached plan is discarded (matches CQMSConfig.statistics_drift_threshold).
+#: Staleness budget: relative row-count / histogram drift beyond which a
+#: cached plan is discarded (matches CQMSConfig.statistics_drift_threshold).
 DEFAULT_MAX_DRIFT = 0.25
 
 
@@ -185,11 +185,9 @@ class PlanCache:
         self,
         resolve_table,
         capacity: int = DEFAULT_PLAN_CACHE_SIZE,
-        max_drift: float = DEFAULT_MAX_DRIFT,
     ):
         self._resolve = resolve_table
         self.capacity = capacity
-        self.max_drift = max_drift
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self._templates: OrderedDict[str, _TemplateKey] = OrderedDict()
         self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
@@ -359,7 +357,7 @@ class PlanCache:
             current_stats = current.cached_statistics
             if snapshot.statistics is not None and current_stats is not None:
                 drift = max(drift, snapshot.statistics.drift(current_stats))
-            if drift > self.max_drift:
+            if drift > DEFAULT_MAX_DRIFT:
                 return "drift"
         return None
 

@@ -10,22 +10,15 @@ pipeline.  Given a parsed :class:`~repro.sql.ast_nodes.SelectStatement` it
    down to their leaf,
 2. chooses an *access path* per leaf — an :class:`~repro.storage.operators.IndexScan`
    when an equality conjunct matches a :class:`~repro.storage.indexes.HashIndex`,
-   a :class:`~repro.storage.operators.RangeScan` when range conjuncts
-   (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``) match a
-   :class:`~repro.storage.indexes.SortedIndex` (bounds on the same column are
-   merged into one scan), otherwise a
-   :class:`~repro.storage.operators.SeqScan`; when both an equality and a
-   range pick exist the estimated-cheaper one wins,
+   otherwise a :class:`~repro.storage.operators.SeqScan` (range predicates
+   and ORDER BY are served by the Filter kernels and the executor's sort),
 3. orders the joins greedily by estimated cardinality (table statistics when
    cached, cheap index/row-count estimates otherwise) and picks a physical
    join per step — an index nested-loop join when the inner table has a hash
    index on the join key and the outer side is estimated smaller than an
    inner scan, else a hash join with the estimated-smaller side as build side,
 4. leaves conjuncts that cannot be placed (subqueries, outer-join columns) as
-   a residual :class:`~repro.storage.operators.Filter` above the join tree,
-5. eliminates the ORDER BY sort when the query reads one table and the (single)
-   sort key matches a sorted index — the scan then streams rows in index order
-   and LIMIT short-circuits instead of materializing for a sort.
+   a residual :class:`~repro.storage.operators.Filter` above the join tree.
 
 UPDATE and DELETE go through the same access-path selection via
 :meth:`Planner.plan_update` / :meth:`Planner.plan_delete`, which return a
@@ -87,15 +80,11 @@ from repro.storage.operators import (
     NestedLoopJoin,
     Operator,
     OuterJoin,
-    RangeScan,
     SeqScan,
-    SortedGroupAggregate,
     SubqueryScan,
     equality_probe_keys,
-    range_probe_key,
 )
 from repro.storage.statistics import group_count_estimate, join_key_overlap
-from repro.storage.types import compare_values
 
 #: Cardinality guess for derived tables (no statistics available at plan time).
 DEFAULT_SUBQUERY_ESTIMATE = 100.0
@@ -169,24 +158,10 @@ class SelectPlan:
     projection: list = field(default_factory=list)
     #: One per ORDER BY item, read against ``root.bindings``.
     order_keys: list[OrderKey] = field(default_factory=list)
-    #: True when a sorted index already delivers the *entire* ORDER BY order,
-    #: so the executor streams instead of materializing for a sort.
-    sort_eliminated: bool = False
-    #: Number of leading ORDER BY keys the scan already delivers in order.
-    #: Equal to ``len(order_by)`` when ``sort_eliminated``; with a composite
-    #: ORDER BY whose first key matches a sorted index it is 1 and the
-    #: executor partial-sorts runs of equal leading-key values instead of
-    #: materializing and sorting the whole result.
-    sort_prefix: int = 0
-    #: Aggregation stage (:class:`~repro.storage.operators.HashAggregate` or
-    #: :class:`~repro.storage.operators.SortedGroupAggregate`) whose child is
-    #: ``root``; None iff the statement has no GROUP BY and no aggregate.
-    aggregate: Operator | None = None
-    #: True when planning folded constants so that positional parameter
-    #: re-binding is unsound (mirrors ``Planner.rebind_unsafe``); the plan
-    #: cache refuses such plans and the plan verifier's parameter-
-    #: reachability check stands down for them.
-    rebind_unsafe: bool = False
+    #: Aggregation stage (:class:`~repro.storage.operators.HashAggregate`)
+    #: whose child is ``root``; None iff the statement has no GROUP BY and no
+    #: aggregate.
+    aggregate: HashAggregate | None = None
 
     def explain_lines(self, node_stats: dict | None = None) -> list[str]:
         """Render the plan tree; ``node_stats`` (EXPLAIN ANALYZE) annotates
@@ -210,19 +185,12 @@ class SelectPlan:
             push(f"Limit [{', '.join(parts)}]")
         if statement.distinct:
             push("Distinct")
-        if statement.order_by and not self.sort_eliminated:
+        if statement.order_by:
             keys = ", ".join(
                 format_expression(item.expression) + ("" if item.ascending else " DESC")
                 for item in statement.order_by
             )
-            if self.sort_prefix:
-                prefix = ", ".join(
-                    format_expression(item.expression)
-                    for item in statement.order_by[: self.sort_prefix]
-                )
-                push(f"PartialSort [{keys}] (prefix {prefix} via index order)")
-            else:
-                push(f"Sort [{keys}]")
+            push(f"Sort [{keys}]")
         if self.aggregate is not None:
             text = self.aggregate.label()
             if node_stats is not None:
@@ -246,9 +214,8 @@ class SelectPlan:
 class DmlPlan:
     """A planned UPDATE or DELETE: the access path locating the target rows.
 
-    ``scan`` is a :class:`~repro.storage.operators.SeqScan`,
-    :class:`~repro.storage.operators.IndexScan`, or
-    :class:`~repro.storage.operators.RangeScan` whose ``pairs(ctx)`` yields
+    ``scan`` is a :class:`~repro.storage.operators.SeqScan` or
+    :class:`~repro.storage.operators.IndexScan` whose ``pairs(ctx)`` yields
     candidate ``(row_id, row)`` pairs; ``residual`` holds the WHERE conjuncts
     the access path does not already guarantee (evaluated per candidate row by
     the database before mutating).
@@ -260,8 +227,6 @@ class DmlPlan:
     residual: list[Expression] = field(default_factory=list)
     #: UPDATE's bound ``(column, expression)`` SET pairs.
     assignments: tuple = ()
-    #: Same contract as :attr:`SelectPlan.rebind_unsafe`.
-    rebind_unsafe: bool = False
 
     @property
     def root(self) -> Operator:
@@ -311,11 +276,6 @@ class Planner:
         self._provider = table_provider
         self._binder = Binder(table_columns(table_provider))
         self._use_indexes = use_indexes
-        #: Set when a produced plan folded constants in a way that makes
-        #: positional re-binding unsound (e.g. redundant range bounds merged,
-        #: dropping a conjunct whose literal no longer appears in the plan).
-        #: The plan cache refuses to cache such plans.
-        self.rebind_unsafe = False
 
     # -- public entry point ----------------------------------------------------
 
@@ -327,7 +287,6 @@ class Planner:
         statement = self._binder.select(statement)
         aggregating = bool(statement.group_by) or statement_has_aggregates(statement)
         conjuncts = _split_conjuncts(statement.where)
-        sort_prefix = 0
         leaves: list[_Leaf] = []
         pending_outer: list[tuple[str, Operator, Expression | None]] = []
         if not statement.from_items:
@@ -358,19 +317,14 @@ class Planner:
                     )
             if residual:
                 root = Filter(root, residual, estimate=root.estimate)
-            if (
-                len(leaves) == 1
-                and not pending_outer
-                and leaves[0].table is not None
-                and not aggregating
-            ):
-                sort_prefix, root = self._try_sort_elimination(
-                    statement, leaves[0], root
-                )
-        aggregate: Operator | None = None
+        aggregate: HashAggregate | None = None
         if aggregating:
-            aggregate, root = self._plan_aggregate(
-                statement, root, leaves, pending_outer
+            aggregate = HashAggregate(
+                root,
+                statement.group_by,
+                collect_aggregate_specs(statement),
+                self._estimate_group_count(statement, leaves, root),
+                having=statement.having,
             )
         return SelectPlan(
             statement=statement,
@@ -381,84 +335,8 @@ class Planner:
             order_keys=[
                 _order_key(item, root.bindings) for item in statement.order_by
             ],
-            sort_eliminated=bool(sort_prefix)
-            and sort_prefix >= len(statement.order_by),
-            sort_prefix=sort_prefix,
             aggregate=aggregate,
-            rebind_unsafe=self.rebind_unsafe,
         )
-
-    def _plan_aggregate(
-        self,
-        statement: SelectStatement,
-        root: Operator,
-        leaves: list[_Leaf],
-        pending_outer: list,
-    ) -> tuple[Operator, Operator]:
-        """Place the aggregate stage above the pipeline.
-
-        Returns ``(aggregate, root)``; a malformed aggregate raises from
-        :func:`~repro.storage.aggregates.collect_aggregate_specs`.  ``root``
-        may be rewritten to an ordered scan when the streaming
-        :class:`SortedGroupAggregate` is chosen.
-        """
-        collection = collect_aggregate_specs(statement)
-        estimate = self._estimate_group_count(statement, leaves, root)
-        if (
-            self._use_indexes
-            and statement.group_by
-            and isinstance(statement.group_by[0], ColumnRef)
-            and len(leaves) == 1
-            and not pending_outer
-            and leaves[0].table is not None
-        ):
-            ordered = self._try_group_ordered_scan(statement, leaves[0], root)
-            if ordered is not None:
-                return (
-                    SortedGroupAggregate(
-                        ordered,
-                        statement.group_by,
-                        collection,
-                        estimate,
-                        having=statement.having,
-                    ),
-                    ordered,
-                )
-        aggregate = HashAggregate(
-            root,
-            statement.group_by,
-            collection,
-            estimate,
-            having=statement.having,
-        )
-        return aggregate, root
-
-    def _try_group_ordered_scan(
-        self, statement: SelectStatement, leaf: _Leaf, root: Operator
-    ) -> Operator | None:
-        """An ordered scan delivering the leading GROUP BY key, or None.
-
-        The streaming :class:`SortedGroupAggregate` needs equal leading keys
-        adjacent.  An existing :class:`RangeScan` on that column (a range
-        predicate picked it) already streams in key order — use the root
-        as-is.  A plain :class:`SeqScan` is rewritten into an unbounded
-        ordered walk only when the ORDER BY also starts with the same column:
-        an index-ordered walk pays a per-row ``table.get`` and is slower than
-        a heap scan feeding :class:`HashAggregate`, so order must be worth
-        buying.
-        """
-        canonical = _source_column(statement.group_by[0])
-        if canonical is None or leaf.table.sorted_index_for(canonical) is None:
-            return None
-        node = _scan_under_filters(root)
-        if isinstance(node, RangeScan):
-            return root if node.column == canonical else None
-        if not isinstance(node, SeqScan) or not statement.order_by:
-            return None
-        order_item = statement.order_by[0]
-        if _source_column(order_item.expression) != canonical:
-            return None
-        return _ordered_walk(leaf, root, canonical, order_item.ascending)
 
     def _estimate_group_count(
         self, statement: SelectStatement, leaves: list[_Leaf], root: Operator
@@ -478,41 +356,6 @@ class Planner:
                 else self._distinct_estimate(leaf, expr.column)
             )
         return group_count_estimate(distincts, max(root.estimate, 1.0))
-
-    def _try_sort_elimination(
-        self, statement: SelectStatement, leaf: _Leaf, root: Operator
-    ) -> tuple[int, Operator]:
-        """Serve the leading ORDER BY key from a sorted index when possible.
-
-        Returns ``(prefix, root)``: ``prefix`` is the number of leading ORDER
-        BY keys the (possibly rewritten) scan delivers in order — 0 when the
-        sort must stay.  A single-key ORDER BY is eliminated outright; for a
-        composite ORDER BY (``ORDER BY user, ts``) the scan provides the
-        first key's order and the executor partial-sorts each run of equal
-        leading-key values by the remaining keys, so nothing ever
-        materializes the full result for a sort.
-
-        The root is rewritten when a ``SeqScan`` can become an unbounded
-        ordered ``RangeScan``; an existing ``RangeScan`` on the sort column
-        just flips its direction; an equality ``IndexScan`` on a different
-        column is left alone (sorting its few matches is cheaper than an
-        ordered full walk).
-        """
-        if not self._use_indexes or not statement.order_by:
-            return 0, root
-        order_item = statement.order_by[0]
-        canonical = _source_column(order_item.expression)
-        if canonical is None or leaf.table.sorted_index_for(canonical) is None:
-            return 0, root
-        node = _scan_under_filters(root)
-        if isinstance(node, RangeScan):
-            if node.column != canonical:
-                return 0, root
-            node.descending = not order_item.ascending
-            return 1, root
-        if isinstance(node, SeqScan):
-            return 1, _ordered_walk(leaf, root, canonical, order_item.ascending)
-        return 0, root
 
     def plan_update(self, statement: UpdateStatement) -> DmlPlan:
         """Plan an UPDATE: choose the access path locating the target rows."""
@@ -553,7 +396,6 @@ class Planner:
             scan=scan,
             residual=filtered + residual,
             assignments=getattr(statement, "assignments", ()),
-            rebind_unsafe=self.rebind_unsafe,
         )
 
     # -- FROM flattening --------------------------------------------------------
@@ -807,37 +649,17 @@ class Planner:
             return
         table = leaf.table
         row_count = float(len(table))
-        # A full scan faults every heap page through the buffer pool; index
-        # and range picks below overwrite seq_cost with their (page-frugal)
-        # estimates, so the page term also nudges choices toward indexes.
+        # A full scan faults every heap page through the buffer pool; an
+        # index pick below overwrites seq_cost with its (page-frugal)
+        # estimate, so the page term also nudges choices toward indexes.
         leaf.seq_cost = max(row_count, 1.0) + table.page_count * PAGE_IO_COST
         index_pick = self._pick_index_conjunct(table, leaf.predicates)
-        range_pick = self._pick_range_conjuncts(table, leaf.predicates)
-        if index_pick is not None and (
-            range_pick is None or index_pick[3] <= range_pick.selectivity
-        ):
+        if index_pick is not None:
             conjunct, column, value_expr, selectivity = index_pick
             estimate = max(row_count * selectivity, 0.0)
             op = IndexScan(table, leaf.binding, column, value_expr, estimate)
             leaf.seq_cost = max(estimate, 1.0)
             rest = [p for p in leaf.predicates if p is not conjunct]
-        elif range_pick is not None:
-            if range_pick.merged_bounds:
-                self.rebind_unsafe = True
-            estimate = max(row_count * range_pick.selectivity, 0.0)
-            op = RangeScan(
-                table,
-                leaf.binding,
-                range_pick.column,
-                range_pick.low,
-                range_pick.high,
-                range_pick.low_inclusive,
-                range_pick.high_inclusive,
-                estimate,
-            )
-            leaf.seq_cost = max(estimate, 1.0)
-            used = {id(conjunct) for conjunct in range_pick.conjuncts}
-            rest = [p for p in leaf.predicates if id(p) not in used]
         else:
             estimate = row_count
             op = SeqScan(table, leaf.binding, estimate)
@@ -878,89 +700,7 @@ class Planner:
                 best = candidate
         return best
 
-    def _pick_range_conjuncts(
-        self, table, predicates: list[Expression]
-    ) -> "_RangePick | None":
-        """The most selective set of range conjuncts served by a sorted index.
-
-        Range conjuncts (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``) with
-        literal bounds on the same sorted-indexed column are merged into one
-        bounded scan (the tightest lower and upper bound win); among columns,
-        the lowest estimated selectivity wins.
-        """
-        if not self._use_indexes:
-            return None
-        per_column: dict[str, list[tuple[Expression, list[tuple[str, Literal]]]]] = {}
-        for predicate in predicates:
-            match = _range_bounds(predicate)
-            if match is None:
-                continue
-            column, bounds = match
-            canonical = column.column
-            if table.sorted_index_for(canonical) is None:
-                continue
-            data_type = table.schema.column(canonical).data_type
-            if any(
-                range_probe_key(literal.value, data_type) is None
-                for _, literal in bounds
-            ):
-                # The comparison cannot be expressed as sorted-index keys; do
-                # not promise a RangeScan the runtime would degrade anyway.
-                continue
-            per_column.setdefault(canonical, []).append((predicate, bounds))
-        best: _RangePick | None = None
-        for canonical, entries in per_column.items():
-            low: tuple[Literal, bool] | None = None
-            high: tuple[Literal, bool] | None = None
-            low_candidates = 0
-            high_candidates = 0
-            for _, bounds in entries:
-                for op, literal in bounds:
-                    if op in (">", ">="):
-                        low_candidates += 1
-                        candidate = (literal, op == ">=")
-                        low = candidate if low is None else _tighter_bound(low, candidate, lower=True)
-                    else:
-                        high_candidates += 1
-                        candidate = (literal, op == "<=")
-                        high = candidate if high is None else _tighter_bound(high, candidate, lower=False)
-            selectivity = self._range_selectivity(table, canonical, low, high)
-            pick = _RangePick(
-                conjuncts=[conjunct for conjunct, _ in entries],
-                column=canonical,
-                low=low[0] if low else None,
-                high=high[0] if high else None,
-                low_inclusive=low[1] if low else True,
-                high_inclusive=high[1] if high else True,
-                selectivity=selectivity,
-                # Competing bounds on one side mean a literal was folded away;
-                # the scan no longer represents every covered conjunct.
-                merged_bounds=low_candidates > 1 or high_candidates > 1,
-            )
-            if best is None or selectivity < best.selectivity:
-                best = pick
-        return best
-
     # -- estimation ----------------------------------------------------------------
-
-    def _range_selectivity(
-        self,
-        table,
-        column: str,
-        low: tuple[Literal, bool] | None,
-        high: tuple[Literal, bool] | None,
-    ) -> float:
-        stats = table.cached_statistics
-        if stats is not None:
-            return stats.range_selectivity(
-                column,
-                low[0].value if low else None,
-                high[0].value if high else None,
-                low[1] if low else True,
-                high[1] if high else True,
-            )
-        sides = (low is not None) + (high is not None)
-        return DEFAULT_SELECTIVITY ** sides
 
     def _predicate_selectivity(self, table, predicate: Expression) -> float:
         comparison = _simple_comparison(predicate)
@@ -1026,43 +766,6 @@ def _order_key(item, layout: list[tuple[str, list[str]]]) -> OrderKey:
     if slot is not None:
         return OrderKey(item.ascending, slot=slot)
     return OrderKey(item.ascending, expression=expr)
-
-
-def _source_column(expr: Expression) -> str | None:
-    """The column of this query's rows a bound ORDER BY / GROUP BY key names,
-    or None (an output column, an enclosing query's column, an expression)."""
-    if isinstance(expr, BoundColumn) and expr.output is None and not expr.depth:
-        return expr.column
-    return None
-
-
-def _scan_under_filters(root: Operator) -> Operator:
-    while isinstance(root, Filter):
-        root = root.child
-    return root
-
-
-def _ordered_walk(leaf: _Leaf, root: Operator, column: str, ascending: bool) -> Operator:
-    """``root`` with the heap scan under its filters replaced by an unbounded
-    walk of ``column``'s sorted index."""
-    parent, node = None, root
-    while isinstance(node, Filter):
-        parent, node = node, node.child
-    ordered = RangeScan(
-        leaf.table,
-        leaf.binding,
-        column,
-        low=None,
-        high=None,
-        low_inclusive=True,
-        high_inclusive=True,
-        estimate=node.estimate,
-        descending=not ascending,
-    )
-    if parent is None:
-        return ordered
-    parent.child, parent.children = ordered, (ordered,)
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -1176,65 +879,6 @@ def _is_constant(expr: Expression) -> bool:
         if isinstance(node, (ColumnRef, Star, InSubquery, ExistsSubquery, ScalarSubquery)):
             return False
     return True
-
-
-@dataclass
-class _RangePick:
-    """A planner-chosen RangeScan: merged bounds plus the conjuncts it covers."""
-
-    conjuncts: list[Expression]
-    column: str
-    low: Literal | None
-    high: Literal | None
-    low_inclusive: bool
-    high_inclusive: bool
-    selectivity: float
-    #: True when redundant bounds on one side were folded into the tighter one
-    #: (the folded conjunct's literal is gone, so re-binding is unsound).
-    merged_bounds: bool = False
-
-
-_RANGE_OPS = frozenset({"<", "<=", ">", ">="})
-
-
-def _range_bounds(
-    expr: Expression,
-) -> tuple[ColumnRef, list[tuple[str, Literal]]] | None:
-    """Match a range conjunct with literal bounds.
-
-    Returns ``(column, [(op, literal), ...])`` with ops normalized to the
-    column-on-the-left orientation; BETWEEN yields both bounds.
-    """
-    if isinstance(expr, BinaryOp) and expr.op in _RANGE_OPS:
-        if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-            return expr.left, [(expr.op, expr.right)]
-        if isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
-            return expr.right, [(_FLIPPED_OPS[expr.op], expr.left)]
-        return None
-    if (
-        isinstance(expr, Between)
-        and not expr.negated
-        and isinstance(expr.expr, ColumnRef)
-        and isinstance(expr.low, Literal)
-        and isinstance(expr.high, Literal)
-    ):
-        return expr.expr, [(">=", expr.low), ("<=", expr.high)]
-    return None
-
-
-def _tighter_bound(
-    current: tuple[Literal, bool], candidate: tuple[Literal, bool], lower: bool
-) -> tuple[Literal, bool]:
-    """The tighter of two merged range bounds (exclusive wins a tie)."""
-    ordering = compare_values(current[0].value, candidate[0].value)
-    if ordering is None:
-        return current
-    if ordering == 0:
-        # Same constant: the exclusive bound is strictly tighter.
-        return current if not current[1] else candidate
-    if lower:
-        return current if ordering > 0 else candidate
-    return current if ordering < 0 else candidate
 
 
 _FLIPPED_OPS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "<>": "<>"}

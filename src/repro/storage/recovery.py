@@ -199,12 +199,7 @@ def _restore_snapshot(database, snapshot: dict) -> None:
             page_id = database._store.adopt_chain(int(head_frame))
             table.restore_page(int(ordinal), page_id, int(live))
         for index in entry["indexes"]:
-            table.create_index(
-                index["name"],
-                index["column"],
-                unique=index["unique"],
-                kind=index["kind"],
-            )
+            _create_index(table, index)
         table.rebuild_indexes()
         table.restore_counters(
             next_row_id=int(entry["next_row_id"]),
@@ -217,6 +212,24 @@ def _restore_snapshot(database, snapshot: dict) -> None:
         schemas,
         changes=catalog.get("changes", []),
         version=int(catalog.get("version", 0)),
+    )
+
+
+#: Index kinds an earlier engine wrote and this one no longer has.  Only an
+#: index's definition is ever logged or checkpointed — never its entries — so
+#: recovery drops such a definition and loses no data.
+_RETIRED_INDEX_KINDS = frozenset({"sorted"})
+
+
+def _create_index(table, definition: dict) -> None:
+    """Re-create a checkpointed or logged index definition on ``table``."""
+    if definition["kind"] in _RETIRED_INDEX_KINDS:
+        return
+    table.create_index(
+        definition["name"],
+        definition["column"],
+        unique=definition["unique"],
+        kind=definition["kind"],
     )
 
 
@@ -243,12 +256,7 @@ def _apply(database, record: WalRecord) -> None:
         elif op == "delete":
             database.table(data["tbl"]).delete(int(data["rid"]))
         elif op == "create_index":
-            database.table(data["tbl"]).create_index(
-                data["name"],
-                data["column"],
-                unique=data["unique"],
-                kind=data["kind"],
-            )
+            _create_index(database.table(data["tbl"]), data)
         elif op == "create_table":
             database.create_table(
                 schema_from_dict(data["schema"]), timestamp=data.get("ts")

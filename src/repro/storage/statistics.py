@@ -220,50 +220,6 @@ class TableStatistics:
             return 1.0 - 1.0 / max(column_stats.distinct_count, 1)
         return 0.33
 
-    def range_selectivity(
-        self,
-        column: str,
-        low,
-        high,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> float:
-        """Estimate the fraction of rows with ``low (<|<=) column (<|<=) high``.
-
-        Used by the planner to cost a ``RangeScan``: the estimate is the
-        difference of the histogram's cumulative fractions at the two bounds
-        (None = unbounded), scaled down by the column's NULL fraction since
-        NULL rows never satisfy a range predicate.
-        """
-        column_stats = self.columns.get(column.lower())
-        if column_stats is None or self.row_count == 0:
-            return 0.33
-        sides = (low is not None) + (high is not None)
-        if sides == 0:
-            return 1.0
-        histogram = column_stats.histogram
-
-        def _numeric(value) -> bool:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-        if histogram is None or (low is not None and not _numeric(low)) or (
-            high is not None and not _numeric(high)
-        ):
-            return 0.33 ** sides
-        upper = (
-            1.0
-            if high is None
-            else histogram.estimate_selectivity("<=" if high_inclusive else "<", float(high))
-        )
-        lower = (
-            0.0
-            if low is None
-            else histogram.estimate_selectivity("<" if low_inclusive else "<=", float(low))
-        )
-        fraction = max(upper - lower, 0.0)
-        populated = max(self.row_count - column_stats.null_count, 0)
-        return min(1.0, fraction * populated / self.row_count)
-
     def drift(self, other: "TableStatistics") -> float:
         """Aggregate distribution drift between two snapshots, in [0, 1].
 

@@ -24,7 +24,7 @@ from itertools import chain
 
 from repro.errors import IntegrityError, SchemaError
 from repro.storage.buffer_pool import PageStore
-from repro.storage.indexes import INDEX_KINDS, HashIndex, SortedIndex
+from repro.storage.indexes import HashIndex
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.statistics import TableStatistics
 
@@ -84,12 +84,11 @@ class Table:
     :meth:`get`, :meth:`lookup`) returns the stored tuple itself.  The page
     objects live in a
     :class:`~repro.storage.buffer_pool.PageStore` (shared database-wide, so
-    one ``buffer_pool_pages`` budget bounds heap *and* index residency).
+    one ``buffer_pool_pages`` budget bounds every table's heap).
     Row ids are monotonically increasing and never reused, which lets
     indexes reference rows stably across deletes and pins each row to one
-    ``(page, slot)`` forever.  Each column may carry one index per kind (a
-    hash index for equality probes and a B+-tree-backed sorted index for
-    range scans and ordered access).
+    ``(page, slot)`` forever.  Each column may carry one hash index for
+    equality probes.
 
     When the owning database is durable it sets ``wal_emit`` to the WAL
     appender: every successful mutation — an insert batch, an update, a
@@ -113,8 +112,8 @@ class Table:
         #: Durability hook: ``callable(record_dict)`` appending to the WAL,
         #: or None for an in-memory table (and during recovery replay).
         self.wal_emit = None
-        # column (lower-cased) → kind ("hash"/"sorted") → index
-        self._indexes: dict[str, dict[str, HashIndex | SortedIndex]] = {}
+        # column (lower-cased) → its index
+        self._indexes: dict[str, HashIndex] = {}
         self._stats_cache: TableStatistics | None = None
         # Monotonic change counters consumed by the plan cache: ``version``
         # moves on every mutation (DML, DDL, index builds, statistics
@@ -283,8 +282,8 @@ class Table:
     def rebuild_indexes(self) -> None:
         """Recovery: repopulate every index from one heap scan.
 
-        Index pages are never checkpointed (they are derived data); after
-        the heap pages are attached this rebuilds the exact access paths the
+        Indexes are never checkpointed (they are derived data); after the
+        heap pages are attached this rebuilds the exact access paths the
         planner expects.
         """
         indexed = self._indexed()
@@ -297,7 +296,7 @@ class Table:
 
     def drop_storage(self) -> None:
         """Release every buffer-pool page this table owns (DROP TABLE)."""
-        for index in self._iter_indexes():
+        for index in self._indexes.values():
             index.drop()
         for page_id in self._page_ids.values():
             self._store.free(page_id)
@@ -309,18 +308,15 @@ class Table:
 
     def create_index(
         self, name: str, column: str, unique: bool = False, kind: str = "hash"
-    ) -> HashIndex | SortedIndex:
-        try:
-            index_class = INDEX_KINDS[kind.lower()]
-        except KeyError:
+    ) -> HashIndex:
+        if kind.lower() != HashIndex.kind:
             raise SchemaError(
-                f"unknown index kind {kind!r}; expected one of {sorted(INDEX_KINDS)}"
-            ) from None
+                f"unknown index kind {kind!r}; expected {HashIndex.kind!r}"
+            )
         if not self._schema.has_column(column):
             raise SchemaError(f"table {self.name!r} has no column {column!r}")
         canonical = self._schema.column(column).name
-        kinds = self._indexes.setdefault(canonical.lower(), {})
-        existing = kinds.get(index_class.kind)
+        existing = self._indexes.get(canonical.lower())
         if existing is not None:
             if existing.unique != unique:
                 raise SchemaError(
@@ -329,17 +325,11 @@ class Table:
                     f"{name!r} with unique={unique}"
                 )
             return existing
-        if index_class.kind == "sorted":
-            # Sorted indexes page their B+ tree nodes through the table's
-            # store, so index residency shares the heap's pool budget.
-            index = index_class(name=name, column=canonical, unique=unique,
-                                store=self._store)
-        else:
-            index = index_class(name=name, column=canonical, unique=unique)
+        index = HashIndex(name=name, column=canonical, unique=unique)
         position = self._schema.position(canonical)
         for row_id, row in self.scan():
             index.insert(row[position], row_id)
-        kinds[index_class.kind] = index
+        self._indexes[canonical.lower()] = index
         self._bump(schema=True)
         if self.wal_emit is not None:
             try:
@@ -350,45 +340,27 @@ class Table:
                         "name": name,
                         "column": canonical,
                         "unique": unique,
-                        "kind": index_class.kind,
+                        "kind": index.kind,
                     }
                 )
             except BaseException:
-                kinds.pop(index_class.kind).drop()  # un-log-able: drop the build
+                self._indexes.pop(canonical.lower()).drop()  # un-log-able: drop the build
                 raise
         return index
 
-    def index_definitions(self) -> list:
-        """Every index in deterministic (column, kind) order — snapshotted so
+    def index_definitions(self) -> list[HashIndex]:
+        """Every index in deterministic column order — snapshotted so
         recovery rebuilds the exact same access paths."""
-        definitions = []
-        for column in sorted(self._indexes):
-            kinds = self._indexes[column]
-            definitions.extend(kinds[kind] for kind in sorted(kinds))
-        return definitions
+        return [self._indexes[column] for column in sorted(self._indexes)]
 
-    def index_for(self, column: str) -> HashIndex | SortedIndex | None:
-        """The column's equality-capable index (hash preferred, else sorted)."""
-        kinds = self._indexes.get(column.lower())
-        if not kinds:
-            return None
-        return kinds.get("hash") or kinds.get("sorted")
+    def index_for(self, column: str) -> HashIndex | None:
+        """The column's index, when one exists."""
+        return self._indexes.get(column.lower())
 
-    def sorted_index_for(self, column: str) -> SortedIndex | None:
-        """The column's sorted index, when one exists."""
-        kinds = self._indexes.get(column.lower())
-        if not kinds:
-            return None
-        return kinds.get("sorted")
-
-    def _iter_indexes(self):
-        for kinds in self._indexes.values():
-            yield from kinds.values()
-
-    def _indexed(self) -> list[tuple[HashIndex | SortedIndex, int]]:
+    def _indexed(self) -> list[tuple[HashIndex, int]]:
         """Every index with the stored-row position of its column."""
         position = self._schema.position
-        return [(index, position(index.column)) for index in self._iter_indexes()]
+        return [(index, position(index.column)) for index in self._indexes.values()]
 
     def lookup(self, column: str, value: object) -> list[tuple]:
         """Equality lookup, via index when available, else a scan."""
@@ -608,10 +580,9 @@ class Table:
     def drop_column(self, name: str) -> None:
         canonical = self._schema.column(name).name
         position = self._schema.position(name)
-        kinds = self._indexes.pop(canonical.lower(), None)
-        if kinds is not None:
-            for index in kinds.values():
-                index.drop()
+        index = self._indexes.pop(canonical.lower(), None)
+        if index is not None:
+            index.drop()
         self._schema = self._schema.with_column_dropped(name)
         self._rewrite_pages(lambda row: row[:position] + row[position + 1 :])
         self._stats_cache = None
@@ -623,11 +594,10 @@ class Table:
         canonical = self._schema.column(old).name
         self._schema = self._schema.with_column_renamed(old, new)
         new_canonical = self._schema.column(new).name
-        kinds = self._indexes.pop(canonical.lower(), None)
-        if kinds is not None:
-            for index in kinds.values():
-                index.column = new_canonical
-            self._indexes[new_canonical.lower()] = kinds
+        index = self._indexes.pop(canonical.lower(), None)
+        if index is not None:
+            index.column = new_canonical
+            self._indexes[new_canonical.lower()] = index
         self._stats_cache = None
         self._bump(schema=True)
 

@@ -46,10 +46,11 @@ Sync policies (the classic durability/throughput dial):
   an acknowledged statement survives a kill -9 (a batch is one append, one
   ``fsync``).
 * ``"batch"`` — appends accumulate in a group-commit buffer that is written
-  and synced as **one** write once ``group_size`` row mutations (or
-  ``group_bytes``) pile up, amortizing the sync cost; a crash can lose at
-  most the unsynced tail of acknowledged work — always fewer than
-  ``group_size`` row mutations once an append has returned.
+  and synced as **one** write once :data:`DEFAULT_GROUP_SIZE` row mutations
+  (or :data:`DEFAULT_GROUP_BYTES`) pile up, amortizing the sync cost; a
+  crash can lose at most the unsynced tail of acknowledged work — always
+  fewer than :data:`DEFAULT_GROUP_SIZE` row mutations once an append has
+  returned.
 * ``"off"`` — records are buffered and written without ever calling
   ``fsync``; durability is whatever the OS page cache decides.  Useful as a
   benchmark baseline and for throwaway runs.
@@ -77,7 +78,7 @@ MAX_RECORD_BYTES = 1 << 30
 #: Valid sync policies, in decreasing durability order.
 SYNC_POLICIES = ("commit", "batch", "off")
 
-#: Default group-commit batch bounds for ``sync="batch"``.
+#: Group-commit batch bounds for ``sync="batch"``.
 DEFAULT_GROUP_SIZE = 64
 DEFAULT_GROUP_BYTES = 256 * 1024
 
@@ -243,8 +244,6 @@ class WalWriter:
         self,
         path: str | os.PathLike,
         sync: str = "batch",
-        group_size: int = DEFAULT_GROUP_SIZE,
-        group_bytes: int = DEFAULT_GROUP_BYTES,
         start_lsn: int = 0,
         valid_length: int | None = None,
     ):
@@ -252,12 +251,8 @@ class WalWriter:
             raise DurabilityError(
                 f"unknown wal sync policy {sync!r}; expected one of {SYNC_POLICIES}"
             )
-        if group_size < 1:
-            raise DurabilityError("wal group_size must be at least 1")
         self.path = os.fspath(path)
         self.sync = sync
-        self.group_size = group_size
-        self.group_bytes = group_bytes
         self._lsn = start_lsn
         self._pending: list[bytes] = []
         self._pending_bytes = 0
@@ -307,8 +302,8 @@ class WalWriter:
         self.stats.records_since_checkpoint += mutations
         if (
             self.sync == "commit"
-            or self._pending_mutations >= self.group_size
-            or self._pending_bytes >= self.group_bytes
+            or self._pending_mutations >= DEFAULT_GROUP_SIZE
+            or self._pending_bytes >= DEFAULT_GROUP_BYTES
         ):
             self.flush()
         return self._lsn

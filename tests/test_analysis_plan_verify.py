@@ -72,24 +72,6 @@ class TestBrokenPlans:
         assert rules_of(diagnostics) == {"plan-binding-shape"}
         assert "specified more than once" in diagnostics[0].format()
 
-    def test_false_sort_claim(self, database):
-        plan = plan_sql(database, "SELECT name FROM Lakes ORDER BY name")
-        assert not plan.sort_eliminated  # name has no sorted index
-        plan.sort_eliminated = True
-        plan.sort_prefix = 1
-        assert "plan-sort-claim" in rules_of(PlanVerifier().verify_select(plan))
-
-    def test_honest_sort_claim_is_clean(self):
-        database = build_database("limnology")
-        database.table("WaterTemp").create_index(
-            "wt_reading_sorted", "reading_id", kind="sorted"
-        )
-        plan = plan_sql(
-            database, "SELECT month, temp FROM WaterTemp ORDER BY reading_id"
-        )
-        assert plan.sort_eliminated
-        assert PlanVerifier().verify_select(plan) == []
-
     def test_aggregate_inside_root_breaks_batch_contract(self, database):
         plan = plan_sql(
             database, "SELECT state, COUNT(*) FROM Lakes GROUP BY state"
@@ -110,9 +92,6 @@ class TestBrokenPlans:
         plan.root = SeqScan(database.table("Lakes"), "Lakes", estimate=1.0)
         diagnostics = PlanVerifier().verify_select(plan)
         assert "plan-param-binding" in rules_of(diagnostics)
-        # ... unless the planner declared positional re-binding unsound.
-        plan.rebind_unsafe = True
-        assert PlanVerifier().verify_select(plan) == []
 
     def test_parameter_in_a_where_subquery(self, database):
         sql = (

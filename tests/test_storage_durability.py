@@ -19,14 +19,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CQMS, CQMSConfig, build_database
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, SchemaError
 from repro.sql.parser import parse
 from repro.storage.database import Database
 from repro.storage.recovery import LOCK_FILE_NAME
 from repro.storage.schema import TableSchema
-from repro.storage.snapshot import SNAPSHOT_FILE_NAME, SNAPSHOT_TMP_SUFFIX
+from repro.storage.snapshot import SNAPSHOT_FILE_NAME, SNAPSHOT_TMP_SUFFIX, load_snapshot
 from repro.storage.statistics import TableStatistics
 from repro.storage.wal import (
+    DEFAULT_GROUP_SIZE,
     WAL_FILE_NAME,
     WalWriter,
     encode_record,
@@ -120,7 +121,7 @@ class TestDatabaseDurability:
         d = str(tmp_path / "db")
         with Database.open(d, wal_sync="commit") as db:
             db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT, score FLOAT)")
-            db.execute("CREATE INDEX t_score ON t (score) USING SORTED")
+            db.execute("CREATE INDEX t_score ON t (score)")
             db.insert_rows(
                 "t", [{"id": i, "name": f"n{i}", "score": float(i % 5)} for i in range(40)]
             )
@@ -133,9 +134,12 @@ class TestDatabaseDurability:
             assert db.last_recovery.wal_records_applied > 0
             assert table_rows(db, "t") == expected
             # Indexes were rebuilt, not trusted: the planner can use them.
-            assert "RangeScan" in db.explain(
-                "SELECT id FROM t WHERE score > 1 AND score < 3"
+            assert "IndexScan t (score = 2.0)" in db.explain(
+                "SELECT id FROM t WHERE score = 2.0"
             ).text()
+            assert sorted(db.execute("SELECT id FROM t WHERE score = 2.0").rows) == [
+                (i,) for i in range(2, 40, 5)
+            ]
             assert db.table("t").schema.has_column("tag")
 
     def test_checkpoint_truncates_wal_and_tail_replays(self, tmp_path):
@@ -251,29 +255,38 @@ class TestDatabaseDurability:
 
     def test_group_commit_batches_under_batch_policy(self, tmp_path):
         d = str(tmp_path / "db")
-        with Database.open(d, wal_sync="batch", wal_group_size=16) as db:
+        group = DEFAULT_GROUP_SIZE
+        with Database.open(d, wal_sync="batch") as db:
             db.execute("CREATE TABLE t (id INTEGER)")
-            db.insert_rows("t", [{"id": i} for i in range(100)])
+            first = group + 36
+            db.insert_rows("t", [{"id": i} for i in range(first)])
             stats = db.wal_stats()
-            # create_table + one insert_many frame standing for 100 row
-            # mutations; the group-commit threshold counts the mutations, so
-            # the batch (never split) is flushed by its own append.
-            assert (stats.records, stats.row_mutations) == (2, 101)
+            # create_table + one insert_many frame standing for more row
+            # mutations than a group; the group-commit threshold counts the
+            # mutations, so the batch (never split) is flushed by its own
+            # append.
+            assert (stats.records, stats.row_mutations) == (2, first + 1)
             assert (stats.flushes, stats.max_batch_records) == (1, 2)
             assert unflushed_mutations(db) == 0
-            # Row-at-a-time appends still group: a flush every 16 mutations,
-            # never 16 or more acknowledged ones waiting for one.
-            for i in range(100, 140):
+            # Row-at-a-time appends still group: a flush every `group`
+            # mutations, never `group` or more acknowledged ones waiting.
+            singles = 2 * group + group // 2
+            for i in range(first, first + singles):
                 db.insert_rows("t", [{"id": i}])
-                assert unflushed_mutations(db) < 16
-            assert (stats.records, stats.row_mutations) == (42, 141)
-            assert stats.flushes == 3  # 1 + 40 // 16
-            assert stats.max_batch_records == 16
+                assert unflushed_mutations(db) < group
+            assert (stats.records, stats.row_mutations) == (
+                2 + singles,
+                first + 1 + singles,
+            )
+            assert stats.flushes == 1 + singles // group
+            assert stats.max_batch_records == group
             assert stats.avg_batch_records > 1.0
             # ... whatever the mix of batch sizes.
-            for start, size in ((200, 5), (210, 15), (230, 3), (240, 20), (270, 1)):
+            start = first + singles
+            for size in (5, group - 1, 3, group + 4, 1):
                 db.insert_rows("t", [{"id": start + i} for i in range(size)])
-                assert unflushed_mutations(db) < 16
+                start += size
+                assert unflushed_mutations(db) < group
         # commit policy syncs once per record instead: a batch is one fsync.
         d2 = str(tmp_path / "db2")
         with Database.open(d2, wal_sync="commit") as db:
@@ -285,9 +298,10 @@ class TestDatabaseDurability:
 
     def test_flush_wal_makes_the_pending_group_durable(self, tmp_path):
         d = str(tmp_path / "db")
-        with Database.open(d, wal_sync="batch", wal_group_size=16) as db:
+        with Database.open(d, wal_sync="batch") as db:
             db.execute("CREATE TABLE t (id INTEGER)")
             db.flush_wal()
+            assert 5 < DEFAULT_GROUP_SIZE  # the five rows wait for a flush
             for i in range(5):
                 db.insert_rows("t", [{"id": i}])
             assert unflushed_mutations(db) == 5
@@ -389,12 +403,12 @@ class TestDatabaseDurability:
         with pytest.raises(DurabilityError):
             table.delete(1)
         with pytest.raises(DurabilityError):
-            table.create_index("t_v_sorted", "v", kind="sorted")
+            table.create_index("t_v", "v")
         table.wal_emit = db._wal_append
         assert sorted(r[0] for r in table.rows()) == [1, 2]
         assert table.get(0) == (1, 10)  # update rolled back
         assert table.get(1) == (2, 20)  # delete rolled back
-        assert table.sorted_index_for("v") is None  # index build rolled back
+        assert table.index_for("v") is None  # index build rolled back
         # The primary-key index still agrees with the heap.
         assert db.execute("SELECT v FROM t WHERE id = 2").scalar() == 20
         db.close()
@@ -474,7 +488,7 @@ class TestDatabaseDurability:
                 "ts": 35660.488509913,
             },
             {"op": "create_index", "tbl": "t", "name": "t_score", "column": "score",
-             "unique": False, "kind": "sorted"},
+             "unique": False, "kind": "hash"},
             {"op": "insert", "tbl": "t", "rid": 0, "row": {"id": 1, "name": "a", "score": 0.5}},
             {"op": "insert", "tbl": "t", "rid": 1, "row": {"id": 2, "name": "β", "score": None}},
             {"op": "insert", "tbl": "t", "rid": 2, "row": {"id": 3, "name": "c", "score": 2.0}},
@@ -493,7 +507,9 @@ class TestDatabaseDurability:
             assert list(db.table("t").scan()) == [(1, (2, "renamed", None)), (2, (3, "c", 2.0))]
             assert db.table("t").next_row_id == 3
             assert db.table("t").lookup("id", 3) == [(3, "c", 2.0)]
-            assert "RangeScan" in db.explain("SELECT id FROM t WHERE score > 1 AND score < 3").text()
+            assert "IndexScan t (score = 2.0)" in db.explain(
+                "SELECT id FROM t WHERE score = 2.0"
+            ).text()
             db.insert_rows("t", [{"id": 4, "name": "d"}, {"id": 5, "name": "e"}])
             assert [r.data["op"] for r in read_wal(wal_path(d)).records] == ["insert_many"]
         with Database.open(str(d)) as db:
@@ -633,11 +649,10 @@ class TestLifecycle:
 # ---------------------------------------------------------------------------
 
 
-#: The table of the crash property: a unique column, a hash and a sorted index.
+#: The table of the crash property: a unique column and a hash index.
 _PROPERTY_DDL = (
     "CREATE TABLE t (k INTEGER UNIQUE, v INTEGER)",
     "CREATE INDEX t_v ON t (v)",
-    "CREATE INDEX t_v_sorted ON t (v) USING SORTED",
 )
 
 
@@ -848,9 +863,9 @@ class TestPositionalHeapRoundTrip:
         db = Database.open(d, wal_sync="off")
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b TEXT)")
         db.execute("CREATE INDEX t_a ON t (a)")
-        db.execute("CREATE INDEX t_b ON t (b) USING SORTED")
+        db.execute("CREATE INDEX t_b ON t (b)")
         columns = {"id": "INTEGER", "a": "INTEGER", "b": "TEXT"}
-        indexed = {("id", "hash"), ("a", "hash"), ("b", "sorted")}
+        indexed = {("id", "hash"), ("a", "hash"), ("b", "hash")}
         model: dict[int, dict] = {}
         fresh = 0
         try:
@@ -1044,7 +1059,7 @@ class TestPagedStorage:
         d = str(tmp_path / "db")
         with Database.open(d, wal_sync="off") as db:
             db.execute("CREATE TABLE t (id INTEGER, name TEXT)")
-            db.execute("CREATE INDEX t_id ON t (id) USING SORTED")
+            db.execute("CREATE INDEX t_id ON t (id)")
             db.insert_rows("t", [{"id": i, "name": f"n{i}"} for i in range(1000)])
             db.checkpoint()
             db.execute("INSERT INTO t VALUES (1000, 'tail')")
@@ -1056,9 +1071,10 @@ class TestPagedStorage:
             assert db.last_recovery.wal_records_applied == 1
             assert table_rows(db, "t") == expected
             # Indexes are rebuilt from the adopted heap, not persisted.
-            assert "RangeScan" in db.explain(
-                "SELECT name FROM t WHERE id > 10 AND id < 20"
+            assert "IndexScan t (id = 15)" in db.explain(
+                "SELECT name FROM t WHERE id = 15"
             ).text()
+            assert db.execute("SELECT name FROM t WHERE id = 15").rows == [("n15",)]
 
     def test_checkpoint_cost_tracks_working_set_not_database_size(self, tmp_path):
         d = str(tmp_path / "db")
@@ -1427,3 +1443,188 @@ class TestDurableQueryStore:
             assert "=== Durability ===" in panel
             assert "database: in-memory (no write-ahead log)" in panel
             assert "query_storage: wal sync=batch" in panel
+
+
+# ---------------------------------------------------------------------------
+# A data directory written while the engine still had sorted indexes
+# ---------------------------------------------------------------------------
+
+
+#: The sorted indexes the Query Storage used to create on every open.
+_RETIRED_SORTED_INDEXES = (
+    ("Queries", "ts"),
+    ("Annotations", "ts"),
+    ("Sessions", "startTs"),
+    ("Sessions", "endTs"),
+    ("Sessions", "numQueries"),
+    ("RuntimeStats", "cardinality"),
+    ("RuntimeStats", "rowsScanned"),
+    ("RuntimeStats", "elapsedSeconds"),
+)
+
+
+def _rewrite_snapshot(data_dir, mutate) -> None:
+    """Edit a published checkpoint's body and re-seal its header."""
+    payload = load_snapshot(snapshot_path(data_dir))
+    mutate(payload)
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    header = (
+        f"REPRO-SNAPSHOT v{payload['format']} crc={zlib.crc32(body):08x} len={len(body)}\n"
+    ).encode("ascii")
+    with open(snapshot_path(data_dir), "wb") as handle:
+        handle.write(header + body)
+
+
+def _append_wal(data_dir, record: dict) -> None:
+    last = max(r.lsn for r in read_wal(wal_path(data_dir)).records)
+    with open(wal_path(data_dir), "ab") as handle:
+        handle.write(encode_record(last + 1, record))
+
+
+def _index_definitions(db: Database) -> dict:
+    return {
+        name: [
+            (index.name, index.column, index.unique, index.kind)
+            for index in db.table(name).index_definitions()
+        ]
+        for name in db.table_names()
+    }
+
+
+class TestDirectoryWithSortedIndexes:
+    """An older engine checkpointed the Query Storage's eight ``*_sorted``
+    index definitions and logged ``create_index`` records of kind
+    ``sorted``.  Indexes were never stored, only their definitions, so
+    recovery drops those definitions and loses nothing."""
+
+    @pytest.fixture
+    def data_dir(self, tmp_path):
+        d = str(tmp_path / "store")
+        db = build_database("limnology", scale=1)
+        with CQMS(db, config=CQMSConfig(data_dir=d)) as cqms:
+            cqms.register_user("ana", group="g")
+            for i in range(6):
+                cqms.submit("ana", f"SELECT * FROM WaterTemp T WHERE T.temp < {15 + i}")
+            cqms.store.meta_database.checkpoint()
+            # A WAL tail past the checkpoint.
+            cqms.submit("ana", "SELECT name FROM Lakes WHERE area_km2 > 10")
+        with Database.open(d) as meta:
+            rows = {name: table_rows(meta, name) for name in meta.table_names()}
+            definitions = _index_definitions(meta)
+
+        def add_sorted(payload):
+            entries = {entry["schema"]["name"]: entry for entry in payload["tables"]}
+            for table, column in _RETIRED_SORTED_INDEXES:
+                entries[table]["indexes"].append(
+                    {"name": f"{table.lower()}_{column.lower()}_sorted",
+                     "column": column, "unique": False, "kind": "sorted"}
+                )
+
+        _rewrite_snapshot(d, add_sorted)
+        _append_wal(d, {"op": "create_index", "tbl": "Queries", "name": "queries_qid_sorted",
+                        "column": "qid", "unique": False, "kind": "sorted"})
+        return d, rows, definitions
+
+    def test_reopens_with_every_row_and_hash_index(self, data_dir):
+        d, rows, definitions = data_dir
+        db = build_database("limnology", scale=1)
+        with CQMS(db, config=CQMSConfig(data_dir=d)) as cqms:
+            assert len(cqms.store) == 7
+            meta = cqms.store.meta_database
+            assert {name: table_rows(meta, name) for name in meta.table_names()} == rows
+            assert _index_definitions(meta) == definitions
+            # Every hash index answers its IndexScan with the rows a scan finds.
+            probed = 0
+            for name in meta.table_names():
+                table = meta.table(name)
+                for index in table.index_definitions():
+                    position = table.schema.position(index.column)
+                    values = [row[position] for row in table.rows() if row[position] is not None]
+                    if not values:
+                        continue
+                    value = values[0]
+                    literal = (
+                        "'" + value.replace("'", "''") + "'" if isinstance(value, str) else repr(value)
+                    )
+                    sql = f"SELECT * FROM {name} WHERE {index.column} = {literal}"
+                    assert f"IndexScan {name} ({index.column} = " in meta.explain(sql).text()
+                    expected = [row for row in table.rows() if row[position] == value]
+                    assert sorted(meta.execute(sql).rows, key=repr) == sorted(expected, key=repr)
+                    probed += 1
+            assert probed >= 10
+
+    def test_new_checkpoint_lists_no_sorted_definition(self, data_dir):
+        d, _, definitions = data_dir
+        with Database.open(d) as meta:
+            meta.checkpoint()
+        kinds = {
+            index["kind"]
+            for entry in load_snapshot(snapshot_path(d))["tables"]
+            for index in entry["indexes"]
+        }
+        assert kinds == {"hash"}
+        with Database.open(d) as meta:
+            assert _index_definitions(meta) == definitions
+
+    def test_unknown_kind_still_raises(self, data_dir):
+        d, _, _ = data_dir
+
+        def add_rtree(payload):
+            payload["tables"][0]["indexes"].append(
+                {"name": "odd", "column": payload["tables"][0]["schema"]["columns"][0]["name"],
+                 "unique": False, "kind": "rtree"}
+            )
+
+        _append_wal(d, {"op": "create_index", "tbl": "Queries", "name": "odd",
+                        "column": "qid", "unique": False, "kind": "rtree"})
+        with pytest.raises(DurabilityError, match="unknown index kind 'rtree'"):
+            Database.open(d)
+        _rewrite_snapshot(d, add_rtree)
+        with pytest.raises(SchemaError, match="unknown index kind 'rtree'"):
+            Database.open(d)
+
+
+class TestCreateIndexRejections:
+    """``CREATE INDEX`` statements the engine refuses change nothing: not
+    the table, not its indexes, not the log."""
+
+    @pytest.fixture
+    def db(self, tmp_path):
+        with Database.open(str(tmp_path / "db"), wal_sync="commit") as db:
+            db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+            db.execute("CREATE TABLE u (c INTEGER)")
+            db.insert_rows("t", [{"a": i, "b": i % 3} for i in range(10)])
+            db.execute("CREATE INDEX i ON t (a)")
+            yield db
+
+    def _state(self, db):
+        table = db.table("t")
+        return (
+            table_rows(db, "t"),
+            _index_definitions(db),
+            (table.version, table.schema_version),
+            db.wal_stats().records,
+            os.path.getsize(wal_path(db.data_dir)),
+        )
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("CREATE INDEX i ON t (b)", "index 'i' already exists on t.a"),
+            ("CREATE UNIQUE INDEX i ON t (a)", "index 'i' already exists on t.a"),
+            ("CREATE INDEX I ON u (c)", "index 'I' already exists on t.a"),
+            ("CREATE INDEX j ON t (b) USING BTREE", "unknown index kind 'btree'; expected 'hash'"),
+            ("CREATE INDEX j ON t (b) USING SORTED", "unknown index kind 'sorted'; expected 'hash'"),
+        ],
+    )
+    def test_rejected_statement_changes_nothing(self, db, sql, message):
+        before = self._state(db)
+        with pytest.raises(SchemaError, match=message):
+            db.execute(sql)
+        assert self._state(db) == before
+
+    def test_identical_definition_is_a_no_op(self, db):
+        before = self._state(db)
+        db.execute("CREATE INDEX i ON t (a)")
+        assert self._state(db) == before
+        assert db.table("t").index_for("a").name == "i"

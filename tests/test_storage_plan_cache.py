@@ -191,16 +191,21 @@ class TestInvalidation:
         assert not result.plan_cache_hit
         assert result.scalar() == 1
 
-    def test_merged_redundant_range_bounds_are_not_cached(self):
+    def test_redundant_range_bounds_are_cached_and_rebind(self):
         db = make_db()
-        db.table("Events").create_index("ev_ts", "ts", kind="sorted")
-        # Two lower bounds on one column: the plan folds them to the tighter
-        # one, so positional re-binding would be unsound — never cached.
-        first = db.execute("SELECT COUNT(*) FROM Events WHERE ts > 50 AND ts > 10")
-        second = db.execute("SELECT COUNT(*) FROM Events WHERE ts > 10 AND ts > 50")
-        third = db.execute("SELECT COUNT(*) FROM Events WHERE ts > 20 AND ts > 58")
-        assert not second.plan_cache_hit and not third.plan_cache_hit
-        assert first.scalar() == 9 and second.scalar() == 9 and third.scalar() == 1
+        cold = make_db(plan_cache_size=0)
+        # Two lower bounds on one column stay two Filter conjuncts, each
+        # with its own parameter, so the template is cached and every
+        # re-binding answers like cold planning.
+        statements = [
+            "SELECT COUNT(*) FROM Events WHERE ts > 50 AND ts > 10",
+            "SELECT COUNT(*) FROM Events WHERE ts > 10 AND ts > 50",
+            "SELECT COUNT(*) FROM Events WHERE ts > 20 AND ts > 58",
+        ]
+        results = [db.execute(sql) for sql in statements]
+        assert [result.plan_cache_hit for result in results] == [False, True, True]
+        assert [result.scalar() for result in results] == [9, 9, 1]
+        assert [cold.execute(sql).scalar() for sql in statements] == [9, 9, 1]
 
 
 class TestCacheManagement:

@@ -4,11 +4,8 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.storage.database import Database
-from repro.storage.executor import ExecutionStats
-from repro.storage.operators import ExecutionContext, RangeScan
 from repro.storage.planner import Planner
 from repro.storage.types import compare_values, sort_key
-from repro.sql.ast_nodes import Literal
 from repro.sql.parser import parse
 
 
@@ -100,95 +97,78 @@ class TestAccessPathSelection:
         assert by_scan.stats.index_lookups == 0
 
 
-class TestRangeScanSelection:
-    @pytest.fixture()
-    def sorted_db(self, db):
-        db.execute("CREATE INDEX lakes_area_sorted ON lakes (area) USING SORTED")
-        return db
+class TestRangePredicates:
+    """Range predicates run as a Filter over a SeqScan and keep their rows."""
 
-    def test_range_predicate_uses_range_scan(self, sorted_db):
-        plan = sorted_db.explain("SELECT name FROM lakes WHERE area > 50")
-        assert "RangeScan lakes (area > 50)" in plan.text(), plan.text()
-        assert "SeqScan" not in plan.text()
-        result = sorted_db.execute("SELECT name FROM lakes WHERE area > 50")
+    def test_range_predicate_filters_a_seq_scan(self, db):
+        plan = db.explain("SELECT name FROM lakes WHERE area > 50")
+        assert "Filter (area > 50)" in plan.text(), plan.text()
+        assert "SeqScan lakes" in plan.text()
+        result = db.execute("SELECT name FROM lakes WHERE area > 50")
         assert set(result.column("name")) == {"Washington", "Michigan", "Chelan"}
-        assert result.stats.index_lookups == 1
-        assert result.stats.rows_scanned == 3
+        assert result.stats.index_lookups == 0
+        assert result.stats.rows_scanned == 4
 
-    def test_between_uses_range_scan(self, sorted_db):
-        plan = sorted_db.explain("SELECT name FROM lakes WHERE area BETWEEN 2 AND 200")
-        assert "RangeScan lakes (area >= 2 AND area <= 200)" in plan.text()
-        result = sorted_db.execute("SELECT name FROM lakes WHERE area BETWEEN 2 AND 200")
+    def test_between(self, db):
+        result = db.execute("SELECT name FROM lakes WHERE area BETWEEN 2 AND 200")
         assert set(result.column("name")) == {"Washington", "Union", "Chelan"}
 
-    def test_bounds_on_same_column_merge_into_one_scan(self, sorted_db):
-        plan = sorted_db.explain(
-            "SELECT name FROM lakes WHERE area > 2 AND area <= 200 AND area > 3"
-        )
-        text = plan.text()
-        assert "RangeScan lakes (area > 3 AND area <= 200)" in text, text
-        result = sorted_db.execute(
+    def test_bounds_on_same_column(self, db):
+        result = db.execute(
             "SELECT name FROM lakes WHERE area > 2 AND area <= 200 AND area > 3"
         )
         assert set(result.column("name")) == {"Washington", "Chelan"}
 
-    def test_range_scan_without_sorted_index_stays_seq(self, db):
-        plan = db.explain("SELECT name FROM lakes WHERE area > 50")
-        assert "RangeScan" not in plan.text()
-        assert "SeqScan lakes" in plan.text()
-
-    def test_range_results_match_seq_scan(self, sorted_db):
+    def test_range_results_match_seq_scan(self, db):
+        db.execute("CREATE INDEX lakes_area ON lakes (area)")
         sql = "SELECT name FROM lakes WHERE area >= 2.3 AND area < 135"
         statement = parse(sql)
-        indexed = sorted_db.execute(statement)
-        seq_plan = Planner(sorted_db, use_indexes=False).plan_select(statement)
-        assert "RangeScan" not in "\n".join(seq_plan.explain_lines())
+        indexed = db.execute(statement)
+        seq_plan = Planner(db, use_indexes=False).plan_select(statement)
         from repro.storage.executor import Executor
 
-        executor = Executor(sorted_db)
+        executor = Executor(db)
         _, seq_rows = executor._execute_plan(seq_plan, None)
         assert sorted(indexed.rows) == sorted(seq_rows)
+        assert sorted(seq_rows) == [("Union",), ("Washington",)]
 
-    def test_string_bound_on_numeric_column_degrades_to_scan(self, sorted_db):
+    def test_string_bound_on_numeric_column_compares_strings(self, db):
         # compare_values string-compares a numeric column against a string
-        # bound; that order is not the index order, so no RangeScan.
-        plan = sorted_db.explain("SELECT name FROM lakes WHERE area < '50'")
-        assert "RangeScan" not in plan.text()
+        # bound: '2.3' and '135.0' sort below '50', '87.6' and '58000.0' not.
+        result = db.execute("SELECT name FROM lakes WHERE area < '50'")
+        assert set(result.column("name")) == {"Union", "Chelan"}
 
-    def test_equality_pick_beats_looser_range(self, sorted_db):
-        # id = 2 (one row via the pk hash index) must win over the wide range.
-        plan = sorted_db.explain("SELECT name FROM lakes WHERE id = 2 AND area > 1")
+    def test_equality_pick_beats_range(self, db):
+        plan = db.explain("SELECT name FROM lakes WHERE id = 2 AND area > 1")
         assert "IndexScan lakes (id = 2)" in plan.text()
 
 
-class TestRangeScanFallback:
-    """The heap-scan fallback of a RangeScan: the table has no sorted index on
-    the column (dropped after planning), or a bound has no index key (a string
-    against an INTEGER column compares decimal *strings*).  It must return what
-    the range predicate and the promised order say."""
+class TestRangeComparisonSemantics:
+    """``WHERE`` range bounds with ``ORDER BY v``, with and without a hash
+    index on ``v``: the rows must be what the range predicate and the order
+    say, also for a bound whose comparison is by string (a string against an
+    INTEGER column compares decimal *strings*)."""
 
     VALUES = [5, None, 12, 7, 100, None, 7, 30]
 
-    @pytest.fixture(params=[False, True], ids=["no-index", "sorted-index"])
-    def table(self, request):
+    @pytest.fixture(params=[False, True], ids=["no-index", "hash-index"])
+    def database(self, request):
         database = Database()
         database.execute("CREATE TABLE r (id INTEGER, v INTEGER)")
         database.insert_rows("r", [{"id": i, "v": v} for i, v in enumerate(self.VALUES)])
         if request.param:
-            database.execute("CREATE INDEX r_v_sorted ON r (v) USING SORTED")
-        return database.table("r")
+            database.execute("CREATE INDEX r_v ON r (v)")
+        return database
 
     @staticmethod
-    def run(table, low=None, high=None, low_inclusive=True, high_inclusive=True, descending=False):
-        def bound(value):
-            return None if value is None else Literal(value)
-
-        scan = RangeScan(
-            table, "r", "v", bound(low), bound(high), low_inclusive, high_inclusive,
-            estimate=1.0, descending=descending,
-        )
-        stats = ExecutionStats()
-        return [row[0] for _, row in scan.pairs(ExecutionContext(metrics=stats))], stats
+    def sql(low=None, high=None, low_inclusive=True, high_inclusive=True, descending=False):
+        conditions = []
+        if low is not None:
+            conditions.append(f"v {'>=' if low_inclusive else '>'} {low!r}")
+        if high is not None:
+            conditions.append(f"v {'<=' if high_inclusive else '<'} {high!r}")
+        where = f" WHERE {' AND '.join(conditions)}" if conditions else ""
+        return f"SELECT id FROM r{where} ORDER BY v{' DESC' if descending else ''}"
 
     @staticmethod
     def reference(table, low=None, high=None, low_inclusive=True, high_inclusive=True, descending=False):
@@ -227,91 +207,62 @@ class TestRangeScanFallback:
             {"low": 7, "high": 30},
             {"low": 7, "high": 30, "low_inclusive": False, "high_inclusive": False},
             {"low": 200},
-            # No index key for these: "3" <= str(v) keeps 5, 7, 7, 30 but not 12 or 100.
+            # By string: "3" <= str(v) keeps 5, 7, 7, 30 but not 12 or 100.
             {"low": "3"},
             {"low": "3", "high": "7", "high_inclusive": False},
         ],
         ids=str,
     )
-    def test_matches_filtered_sorted_scan(self, table, bounds, descending):
-        uses_index = table.sorted_index_for("v") is not None and not any(
-            isinstance(value, str) for value in bounds.values()
-        )
-        ids, stats = self.run(table, descending=descending, **bounds)
-        expected = self.reference(table, descending=descending, **bounds)
+    def test_matches_filtered_sorted_scan(self, database, bounds, descending):
+        result = database.execute(self.sql(descending=descending, **bounds))
+        ids = result.column("id")
+        expected = self.reference(database.table("r"), descending=descending, **bounds)
         # Equal keys come back in either order; the ids are compared per key.
         values = [self.VALUES[i] for i in ids]
         assert values == [self.VALUES[i] for i in expected]
         assert sorted(ids) == sorted(expected)
-        assert stats.rows_scanned == (len(ids) if uses_index else len(self.VALUES))
-        assert stats.index_lookups == (1 if uses_index else 0)
+        assert result.stats.rows_scanned == len(self.VALUES)
+        assert result.stats.index_lookups == 0
 
-    def test_null_bound_is_an_empty_range(self, table):
-        scan = RangeScan(table, "r", "v", Literal(None), None, True, True, estimate=1.0)
-        assert list(scan.pairs(ExecutionContext(metrics=ExecutionStats()))) == []
+    def test_null_bound_is_an_empty_range(self, database):
+        assert database.execute("SELECT id FROM r WHERE v >= NULL").rows == []
 
 
-class TestSortElimination:
-    @pytest.fixture()
-    def sorted_db(self, db):
-        db.execute("CREATE INDEX lakes_area_sorted ON lakes (area) USING SORTED")
-        return db
+class TestOrderBy:
+    """ORDER BY is one sort over the filtered scan, whatever the indexes."""
 
-    def test_order_by_sorted_column_drops_sort(self, sorted_db):
-        plan = sorted_db.explain("SELECT name FROM lakes ORDER BY area")
-        assert "Sort" not in plan.text(), plan.text()
-        assert "RangeScan lakes (ORDER BY area)" in plan.text()
-        result = sorted_db.execute("SELECT name FROM lakes ORDER BY area")
+    def test_order_by_column_sorts(self, db):
+        plan = db.explain("SELECT name FROM lakes ORDER BY area")
+        assert "Sort [area]" in plan.text(), plan.text()
+        result = db.execute("SELECT name FROM lakes ORDER BY area")
         assert result.column("name") == ["Union", "Washington", "Chelan", "Michigan"]
 
-    def test_order_by_desc_drops_sort(self, sorted_db):
-        plan = sorted_db.explain("SELECT name FROM lakes ORDER BY area DESC")
-        assert "Sort" not in plan.text()
-        result = sorted_db.execute("SELECT name FROM lakes ORDER BY area DESC")
+    def test_order_by_desc(self, db):
+        result = db.execute("SELECT name FROM lakes ORDER BY area DESC")
         assert result.column("name") == ["Michigan", "Chelan", "Washington", "Union"]
 
-    def test_order_by_limit_short_circuits(self, sorted_db):
-        result = sorted_db.execute("SELECT name FROM lakes ORDER BY area DESC LIMIT 2")
+    def test_order_by_limit(self, db):
+        result = db.execute("SELECT name FROM lakes ORDER BY area DESC LIMIT 2")
         assert result.column("name") == ["Michigan", "Chelan"]
-        # Only the two delivered rows are fetched from the heap.
-        assert result.stats.rows_scanned == 2
 
-    def test_range_predicate_and_matching_order_share_the_scan(self, sorted_db):
-        plan = sorted_db.explain(
-            "SELECT name FROM lakes WHERE area > 3 ORDER BY area DESC"
-        )
-        text = plan.text()
-        assert "Sort" not in text, text
-        assert "RangeScan" in text and "desc" in text
-        result = sorted_db.execute(
+    def test_range_predicate_and_matching_order(self, db):
+        result = db.execute(
             "SELECT name FROM lakes WHERE area > 3 ORDER BY area DESC"
         )
         assert result.column("name") == ["Michigan", "Chelan", "Washington"]
 
-    def test_order_by_unindexed_column_keeps_sort(self, sorted_db):
-        plan = sorted_db.explain("SELECT name FROM lakes ORDER BY name")
-        assert "Sort [name]" in plan.text()
-
-    def test_order_by_alias_shadowing_column_keeps_sort(self, sorted_db):
-        # ORDER BY resolves select-list aliases first; the sort must stay.
-        plan = sorted_db.explain("SELECT name, id * -1 AS area FROM lakes ORDER BY area")
+    def test_order_by_alias_shadowing_column(self, db):
+        # ORDER BY resolves select-list aliases first.
+        plan = db.explain("SELECT name, id * -1 AS area FROM lakes ORDER BY area")
         assert "Sort [area]" in plan.text()
-        result = sorted_db.execute("SELECT name, id * -1 AS area FROM lakes ORDER BY area")
+        result = db.execute("SELECT name, id * -1 AS area FROM lakes ORDER BY area")
         assert result.column("name") == ["Chelan", "Michigan", "Union", "Washington"]
 
-    def test_multi_key_order_partial_sorts_on_index_prefix(self, sorted_db):
-        # The sorted index covers the first ORDER BY key; the remaining keys
-        # are sorted within runs of equal area instead of a full sort.
-        plan = sorted_db.explain("SELECT name FROM lakes ORDER BY area, name")
-        assert "PartialSort [area, name] (prefix area via index order)" in plan.text()
-        assert "RangeScan lakes (ORDER BY area)" in plan.text()
+    def test_multi_key_order(self, db):
+        result = db.execute("SELECT name FROM lakes ORDER BY area, name")
+        assert result.column("name") == ["Union", "Washington", "Chelan", "Michigan"]
 
-    def test_multi_key_order_without_index_on_first_key_keeps_sort(self, sorted_db):
-        plan = sorted_db.explain("SELECT name FROM lakes ORDER BY name, area")
-        assert "Sort [name, area]" in plan.text()
-        assert "PartialSort" not in plan.text()
-
-    def test_partial_sort_matches_full_sort(self):
+    def test_multi_key_order_matches_a_python_sort(self):
         db = Database()
         db.execute("CREATE TABLE events (usr TEXT, ts INTEGER, seq INTEGER)")
         rows = [
@@ -319,36 +270,29 @@ class TestSortElimination:
             for i in range(120)
         ]
         db.insert_rows("events", rows)
-        baseline = db.execute("SELECT usr, ts, seq FROM events ORDER BY usr, ts DESC")
-        db.execute("CREATE INDEX events_usr ON events (usr) USING SORTED")
-        plan = db.explain("SELECT usr, ts, seq FROM events ORDER BY usr, ts DESC")
-        assert "PartialSort [usr, ts DESC]" in plan.text(), plan.text()
-        indexed = db.execute("SELECT usr, ts, seq FROM events ORDER BY usr, ts DESC")
-        assert indexed.rows == baseline.rows
+        db.execute("CREATE INDEX events_usr ON events (usr)")
+        result = db.execute("SELECT usr, ts, seq FROM events ORDER BY usr, ts DESC")
+        # Stable: ts descending first, then usr ascending keeps ties in order.
+        expected = sorted(rows, key=lambda row: row["ts"], reverse=True)
+        expected.sort(key=lambda row: row["usr"])
+        assert result.rows == [(r["usr"], r["ts"], r["seq"]) for r in expected]
 
-    def test_partial_sort_desc_prefix_flips_scan_direction(self, sorted_db):
-        plan = sorted_db.explain("SELECT name FROM lakes ORDER BY area DESC, name")
-        assert "PartialSort" in plan.text()
-        assert "RangeScan lakes (ORDER BY area DESC)" in plan.text()
-        result = sorted_db.execute("SELECT name FROM lakes ORDER BY area DESC, name")
+    def test_multi_key_order_desc_first_key(self, db):
+        result = db.execute("SELECT name FROM lakes ORDER BY area DESC, name")
         assert result.column("name") == ["Michigan", "Chelan", "Washington", "Union"]
 
-    def test_partial_sort_limit_short_circuits(self):
+    def test_multi_key_order_with_limit(self):
         db = Database()
         db.execute("CREATE TABLE events (usr TEXT, ts INTEGER)")
         db.insert_rows(
             "events",
             [{"usr": f"u{i % 4}", "ts": i} for i in range(2000)],
         )
-        db.execute("CREATE INDEX events_usr ON events (usr) USING SORTED")
         result = db.execute("SELECT usr, ts FROM events ORDER BY usr, ts LIMIT 5")
         assert result.rows == [("u0", ts) for ts in (0, 4, 8, 12, 16)]
-        # Consumption stops at the first run boundary past the limit budget;
-        # the full table is never materialized for a sort.
-        assert result.stats.rows_scanned < 2000
 
-    def test_join_keeps_sort(self, sorted_db):
-        plan = sorted_db.explain(
+    def test_join_keeps_sort(self, db):
+        plan = db.explain(
             "SELECT L.name FROM lakes L, readings R WHERE L.id = R.lake_id ORDER BY L.area"
         )
         assert "Sort" in plan.text()
@@ -369,14 +313,14 @@ class TestDmlPlanning:
         assert "Delete [lakes]" in plan.text()
         assert "IndexScan lakes (id = 2)" in plan.text()
 
-    def test_dml_range_predicate_uses_range_scan(self, db):
-        db.execute("CREATE INDEX readings_temp_sorted ON readings (temp) USING SORTED")
+    def test_dml_range_predicate_filters_a_scan(self, db):
         plan = db.explain("DELETE FROM readings WHERE temp < 12")
-        assert "RangeScan readings (temp < 12)" in plan.text(), plan.text()
+        assert "Filter (temp < 12)" in plan.text(), plan.text()
+        assert "SeqScan readings" in plan.text()
         result = db.execute("DELETE FROM readings WHERE temp < 12")
         assert result.rowcount == 2
-        assert result.stats.rows_scanned == 2
-        assert result.stats.index_lookups == 1
+        assert result.stats.rows_scanned == 7
+        assert result.stats.index_lookups == 0
 
     def test_dml_without_usable_index_full_scans(self, db):
         plan = db.explain("UPDATE readings SET depth = 0.0 WHERE month = 7")

@@ -64,13 +64,6 @@ class TestHistogram:
         assert histogram.estimate_selectivity(">=", 99) > 0.0
         assert histogram.estimate_selectivity("<=", 99) == 1.0
 
-    def test_range_selectivity_honours_inclusive_flags(self):
-        rows = [(i,) for i in range(100)]
-        stats = TableStatistics.compute("t", rows, ["v"])
-        between = stats.range_selectivity("v", 20, 40, True, True)
-        strict = stats.range_selectivity("v", 20, 40, False, False)
-        assert between > strict
-
     def test_distance_of_identical_distributions_near_zero(self):
         values = [random.Random(0).uniform(0, 10) for _ in range(500)]
         first = Histogram.build(values)

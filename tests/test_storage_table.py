@@ -97,7 +97,7 @@ class TestInsertDeleteUpdate:
         """A batch is one unit: row k failing leaves no row 0..k-1 behind."""
         table = seed(Table(make_table().schema, page_slots=4))
         table.create_index("lakes_state", "state")
-        table.create_index("lakes_area_sorted", "area", kind="sorted")
+        table.create_index("lakes_area", "area")
         good = [
             {"id": 10 + i, "name": chr(ord("i") + i), "state": "OR", "area": float(i)}
             for i in range(6)  # with the 3 seeded rows: crosses two page boundaries
@@ -113,7 +113,7 @@ class TestInsertDeleteUpdate:
 
     def test_unloggable_batch_is_rolled_back_across_pages(self):
         table = seed(Table(make_table().schema, page_slots=4))
-        table.create_index("lakes_area_sorted", "area", kind="sorted")
+        table.create_index("lakes_area", "area")
         logged = []
         table.wal_emit = logged.append
         batch = [
@@ -258,41 +258,38 @@ class TestIndexes:
         with pytest.raises(SchemaError):
             table.create_index("pk_again", "id", unique=False)
 
-    def test_unknown_index_kind_raises(self):
-        with pytest.raises(SchemaError):
-            make_table().create_index("weird", "state", kind="rtree")
+    @pytest.mark.parametrize("kind", ["rtree", "sorted", "btree"])
+    def test_unknown_index_kind_raises(self, kind):
+        table = make_table()
+        with pytest.raises(SchemaError, match="expected 'hash'"):
+            table.create_index("weird", "state", kind=kind)
+        assert table.index_for("state") is None
 
-    def test_hash_and_sorted_coexist_on_one_column(self):
+    def test_index_is_maintained_through_mutations(self):
         table = seed(make_table())
-        hash_index = table.create_index("area_hash", "area")
-        sorted_index = table.create_index("area_sorted", "area", kind="sorted")
-        assert hash_index is not sorted_index
-        assert table.index_for("area") is hash_index
-        assert table.sorted_index_for("area") is sorted_index
-        # Both kinds are maintained through mutations.
+        index = table.create_index("area_hash", "area")
+        assert table.index_for("area") is index
         table.insert({"id": 7, "name": "Tahoe", "state": "CA", "area": 191.0})
-        assert hash_index.lookup(191.0)
-        assert sorted_index.lookup(191.0)
+        assert index.lookup(191.0)
         row_id = row_id_of(table, 7)
         table.update(row_id, {"area": 192.0})
-        assert not sorted_index.lookup(191.0)
-        assert sorted_index.lookup(192.0)
+        assert not index.lookup(191.0)
+        assert index.lookup(192.0)
         table.delete(row_id)
-        assert not hash_index.lookup(192.0)
-        assert not sorted_index.lookup(192.0)
+        assert not index.lookup(192.0)
 
-    def test_sorted_index_backfills_existing_rows(self):
+    def test_index_backfills_existing_rows(self):
         table = seed(make_table())
-        index = table.create_index("area_sorted", "area", kind="sorted")
+        index = table.create_index("area_hash", "area")
         assert index.distinct_values() == 3
 
-    def test_rename_column_moves_all_index_kinds(self):
+    def test_rename_column_moves_the_index(self):
         table = seed(make_table())
-        table.create_index("area_sorted", "area", kind="sorted")
+        table.create_index("area_hash", "area")
         table.rename_column("area", "surface")
-        assert table.sorted_index_for("surface") is not None
-        assert table.sorted_index_for("surface").column == "surface"
-        assert table.sorted_index_for("area") is None
+        assert table.index_for("surface") is not None
+        assert table.index_for("surface").column == "surface"
+        assert table.index_for("area") is None
 
 
 class TestSchemaEvolution:
