@@ -11,7 +11,7 @@ Two administrative roles exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.access_control import AccessControl, Principal, Visibility
 from repro.core.config import CQMSConfig
@@ -19,6 +19,15 @@ from repro.core.maintenance import MaintenanceReport, QueryMaintenance
 from repro.core.miner import MiningReport, QueryMiner
 from repro.core.query_store import QueryStore
 from repro.errors import AccessControlError
+
+#: The CQMSConfig fields the CQMS reads when a call needs them, so the next
+#: call obeys a value set through :meth:`Administrator.set_parameter`.  Every
+#: other scalar field is read once, when the CQMS is built.
+RUNTIME_PARAMETERS = frozenset(
+    {"knn_default_k", "output_sample_base_budget", "drop_invalid_after_flags"}
+)
+#: Structured fields with a setter of their own.
+_DEDICATED_SETTERS = {"feature_weights": "set_feature_weight", "ranking": "set_ranking_weight"}
 
 
 @dataclass
@@ -100,12 +109,23 @@ class Administrator:
         self._config.feature_weights[feature_class] = float(weight)
 
     def set_parameter(self, principal: Principal | str, name: str, value) -> None:
-        """Set a scalar CQMS configuration parameter by name."""
+        """Set one of the :data:`RUNTIME_PARAMETERS` by name.
+
+        Raises ``ValueError`` — leaving the configuration as it was — for any
+        other name, a value of another type, or a value ``validate`` rejects.
+        """
         self._require_admin(principal)
-        if not hasattr(self._config, name):
-            raise ValueError(f"unknown configuration parameter {name!r}")
+        if name in _DEDICATED_SETTERS:
+            raise ValueError(f"{name!r} is set with {_DEDICATED_SETTERS[name]}()")
+        if name not in RUNTIME_PARAMETERS:
+            raise ValueError(
+                f"{name!r} cannot be set at run time; settable: {sorted(RUNTIME_PARAMETERS)}"
+            )
+        current = getattr(self._config, name)
+        if isinstance(value, bool) or not isinstance(value, type(current)):
+            raise ValueError(f"{name!r} takes a {type(current).__name__}, not {value!r}")
+        replace(self._config, **{name: value}).validate()
         setattr(self._config, name, value)
-        self._config.validate()
 
     def run_miner(self, principal: Principal | str) -> MiningReport:
         """Run a mining pass immediately (instead of waiting for the period)."""

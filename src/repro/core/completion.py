@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
 from repro.core.records import Draft, draft_features
 from repro.mining.association_rules import RuleIndex, mine_rules
@@ -47,14 +46,12 @@ class CompletionEngine:
         self,
         store: QueryStore,
         schema_columns: dict[str, set[str]] | None = None,
-        config: CQMSConfig | None = None,
     ):
         self._store = store
         self._schema_columns = {
             table.lower(): {column.lower() for column in columns}
             for table, columns in (schema_columns or {}).items()
         }
-        self._config = config or CQMSConfig()
         self._rule_index: RuleIndex | None = None
         self._table_counts: Counter[str] = Counter()
         self._attribute_counts: Counter[tuple[str, str]] = Counter()
@@ -108,13 +105,7 @@ class CompletionEngine:
         if rule_index is not None:
             self._rule_index = rule_index
         else:
-            rules = mine_rules(
-                transactions,
-                min_support=self._config.rule_min_support,
-                min_confidence=self._config.rule_min_confidence,
-                max_size=3,
-            )
-            self._rule_index = RuleIndex(rules)
+            self._rule_index = RuleIndex(mine_rules(transactions))
         self._fitted_on = self._store.generation
 
     def _ensure_fitted(self) -> None:

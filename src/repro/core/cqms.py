@@ -39,6 +39,7 @@ from repro.errors import ReproError
 from repro.obs import AdmissionController, EngineTelemetry, MetricsRegistry, QueryLimits
 from repro.sql.parse_tree import TreePattern
 from repro.storage.database import Database
+from repro.storage.exec_settings import ExecutionSettings
 
 
 @dataclass
@@ -71,8 +72,7 @@ class CQMS:
         self.database = database
         self.store = QueryStore(
             clock=self.clock,
-            plan_cache_size=self.config.plan_cache_size,
-            exec_settings=self.config.exec_settings(),
+            exec_settings=ExecutionSettings(buffer_pool_pages=self.config.buffer_pool_pages),
             data_dir=self.config.data_dir,
             wal_sync=self.config.wal_sync,
             checkpoint_interval=self.config.checkpoint_interval,
@@ -97,7 +97,6 @@ class CQMS:
                 engine="database",
                 clock=self.clock,
                 slow_query_threshold_seconds=self.config.slow_query_threshold_seconds,
-                slow_query_log_size=self.config.slow_query_log_size,
                 trace_operators=self.config.trace_operators,
             )
             self.store_telemetry = EngineTelemetry(
@@ -105,7 +104,6 @@ class CQMS:
                 engine="query_storage",
                 clock=self.clock,
                 slow_query_threshold_seconds=self.config.slow_query_threshold_seconds,
-                slow_query_log_size=self.config.slow_query_log_size,
                 trace_operators=self.config.trace_operators,
             )
             database.attach_telemetry(self.telemetry)
@@ -127,9 +125,7 @@ class CQMS:
         self.meta_query = MetaQueryExecutor(
             self.store, self.access_control, self.config, ranking=ranking, clock=self.clock
         )
-        self.completion = CompletionEngine(
-            self.store, database.schema_columns(), self.config
-        )
+        self.completion = CompletionEngine(self.store, database.schema_columns())
         self.correction = CorrectionEngine(self.store, database.schema_columns())
         self.recommender = QueryRecommender(
             self.store,

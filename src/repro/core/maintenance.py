@@ -26,6 +26,7 @@ from repro.core.query_store import QueryStore
 from repro.core.records import LoggedQuery, statement_artefacts
 from repro.errors import ReproError
 from repro.storage.database import Database
+from repro.storage.plan_cache import DEFAULT_MAX_DRIFT
 from repro.storage.statistics import TableStatistics
 
 
@@ -66,9 +67,8 @@ class QueryMaintenance:
 
     # -- schema validity ---------------------------------------------------------
 
-    def check_schema_validity(self, repair: bool | None = None) -> MaintenanceReport:
-        """Flag (and optionally repair) queries broken by schema evolution."""
-        repair = self._config.auto_repair_renames if repair is None else repair
+    def check_schema_validity(self, repair: bool = True) -> MaintenanceReport:
+        """Flag (and, by default, repair) queries broken by schema evolution."""
         report = MaintenanceReport()
         catalog = self._db.catalog
         schema_columns = self._db.schema_columns()
@@ -194,14 +194,16 @@ class QueryMaintenance:
         }
 
     def detect_drift(self) -> list[str]:
-        """Tables whose data distribution drifted past the configured threshold."""
+        """Tables whose data distribution drifted past the plan cache's drift
+        budget: the drift that makes a cached plan stale also makes the logged
+        runtime statistics over that table stale."""
         drifted: list[str] = []
         for name in self._db.table_names():
             snapshot = self._statistics_snapshots.get(name.lower())
             if snapshot is None:
                 continue
             current = self._db.statistics(name, refresh=True)
-            if snapshot.drift(current) > self._config.statistics_drift_threshold:
+            if snapshot.drift(current) > DEFAULT_MAX_DRIFT:
                 drifted.append(name.lower())
         return drifted
 

@@ -35,6 +35,10 @@ from repro.mining.association_rules import RuleIndex, mine_rules
 from repro.mining.clustering import ClusteringResult, k_medoids
 from repro.mining.similarity import weighted_feature_similarity
 
+#: Clusters a mining pass asks k-medoids for (fewer when there are fewer
+#: distinct templates or sessions).
+CLUSTER_COUNT = 8
+
 
 @dataclass
 class MiningReport:
@@ -114,12 +118,7 @@ class QueryMiner:
     # -- sessions -------------------------------------------------------------------
 
     def _detect_sessions(self, records: list[LoggedQuery]) -> list[QuerySession]:
-        detector = SessionDetector(
-            gap_seconds=self._config.session_gap_seconds,
-            min_similarity=self._config.session_min_similarity,
-            schema_columns=self._schema_columns,
-        )
-        return detector.detect(records)
+        return SessionDetector(schema_columns=self._schema_columns).detect(records)
 
     # -- association rules ----------------------------------------------------------
 
@@ -133,13 +132,7 @@ class QueryMiner:
                 for predicate in features.predicates
             ]
             transactions.append(tokens)
-        rules = mine_rules(
-            transactions,
-            min_support=self._config.rule_min_support,
-            min_confidence=self._config.rule_min_confidence,
-            max_size=3,
-        )
-        return RuleIndex(rules)
+        return RuleIndex(mine_rules(transactions))
 
     # -- clustering -------------------------------------------------------------------
 
@@ -150,7 +143,7 @@ class QueryMiner:
             template = record.template_text or record.canonical_text or record.text
             by_template.setdefault(template, record)
         representatives = list(by_template.values())[: self._max_cluster_items]
-        k = min(self._config.cluster_count, max(1, len(representatives)))
+        k = min(CLUSTER_COUNT, max(1, len(representatives)))
         return k_medoids(
             representatives,
             k=k,
@@ -178,7 +171,7 @@ class QueryMiner:
                 usable_sessions.append(session)
         if not session_profiles:
             return None
-        k = min(self._config.cluster_count, max(1, len(session_profiles)))
+        k = min(CLUSTER_COUNT, max(1, len(session_profiles)))
         result = k_medoids(session_profiles, k=k, distance=_token_set_distance, seed=0)
         # Attach the sessions as items so callers can map clusters back.
         result.items = usable_sessions

@@ -27,6 +27,14 @@ from repro.sql.tokenizer import strip_comments
 from repro.storage.database import Database, QueryResult
 from repro.storage.statistics import summarize_output
 
+#: A logged query joining at least this many tables prompts its author for an
+#: annotation (Section 2.1: "queries with more than a specified number of
+#: tables").
+ANNOTATION_MIN_TABLES = 3
+#: ... as does one with at least this many nested subqueries ("queries that
+#: include nesting").
+ANNOTATION_MIN_NESTING = 1
+
 
 class ProfilingMode(enum.Enum):
     """How much the profiler records about each query."""
@@ -203,8 +211,6 @@ class QueryProfiler:
             result.columns,
             execution_time=result.stats.elapsed_seconds,
             base_budget=self._config.output_sample_base_budget,
-            seconds_per_extra_row=self._config.output_sample_seconds_per_row,
-            max_budget=self._config.output_sample_max_budget,
         )
         return OutputSummary(
             columns=list(result.columns),
@@ -223,9 +229,9 @@ class QueryProfiler:
         """
         if record.features is None:
             return False
-        if record.features.num_tables >= self._config.annotation_request_min_tables:
+        if record.features.num_tables >= ANNOTATION_MIN_TABLES:
             return True
-        return record.features.num_subqueries >= self._config.annotation_request_min_nesting
+        return record.features.num_subqueries >= ANNOTATION_MIN_NESTING
 
     def _now(self) -> float:
         return float(self._clock())

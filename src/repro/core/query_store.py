@@ -32,7 +32,6 @@ from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, stateme
 from repro.errors import DurabilityError, MetaQueryError, ReproError
 from repro.sql.parse_tree import ParseTreeNode, TreePattern, match_pattern, to_parse_tree
 from repro.storage.database import Database, QueryResult
-from repro.storage.plan_cache import DEFAULT_PLAN_CACHE_SIZE
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.types import DataType
 
@@ -202,7 +201,6 @@ class QueryStore:
     def __init__(
         self,
         clock=None,
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         exec_settings=None,
         data_dir: str | None = None,
         wal_sync: str = "batch",
@@ -217,16 +215,10 @@ class QueryStore:
                 clock=clock,
                 wal_sync=wal_sync,
                 checkpoint_interval=checkpoint_interval,
-                plan_cache_size=plan_cache_size,
                 exec_settings=exec_settings,
             )
         else:
-            self._meta_db = Database(
-                name="query_storage",
-                clock=clock,
-                plan_cache_size=plan_cache_size,
-                exec_settings=exec_settings,
-            )
+            self._meta_db = Database(name="query_storage", clock=clock, exec_settings=exec_settings)
         #: Schema map of the *user* database, used to re-extract features
         #: when rebuilding the record index after recovery.
         self._schema_columns = dict(schema_columns or {})

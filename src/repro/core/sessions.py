@@ -4,8 +4,8 @@ A query session is "a series of (often similar) queries with the same
 information goal in mind" (Section 2.2).  The detector segments each user's
 query stream into sessions using two signals:
 
-* a *temporal* signal — an idle gap longer than ``session_gap_seconds`` always
-  closes the session, and
+* a *temporal* signal — an idle gap longer than ``gap_seconds`` (15 minutes)
+  always closes the session, and
 * a *similarity* signal — inside the time window, a query that shares nothing
   with the running session (no common tables) starts a new session, which
   matches how analysts switch goals without pausing.

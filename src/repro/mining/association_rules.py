@@ -119,8 +119,8 @@ def _generate_candidates(frequent: set[frozenset[str]], size: int) -> set[frozen
 
 def mine_rules(
     transactions: list[Iterable[str]],
-    min_support: float = 0.05,
-    min_confidence: float = 0.5,
+    min_support: float = 0.02,
+    min_confidence: float = 0.3,
     max_size: int = 3,
 ) -> list[AssociationRule]:
     """Association rules from frequent itemsets, sorted by confidence then lift."""

@@ -107,15 +107,11 @@ class EngineTelemetry:
         clock: Callable[[], float] | None = None,
         timer: Callable[[], float] | None = None,
         slow_query_threshold_seconds: float = 1.0,
-        slow_query_log_size: int = 128,
         trace_operators: bool = False,
     ):
         self.registry = registry or MetricsRegistry(clock=clock, timer=timer)
         self.engine = engine
-        self.slow_queries = SlowQueryLog(
-            capacity=slow_query_log_size,
-            threshold_seconds=slow_query_threshold_seconds,
-        )
+        self.slow_queries = SlowQueryLog(threshold_seconds=slow_query_threshold_seconds)
         #: When True, regular execution collects per-operator NodeStats and
         #: reports them as trace spans + per-operator latency histograms
         #: (the EXPLAIN ANALYZE machinery, always on — costs a few percent).

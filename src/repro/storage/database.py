@@ -182,7 +182,6 @@ class Database:
         clock=None,
         wal_sync: str = "batch",
         checkpoint_interval: int = 0,
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         exec_settings: ExecutionSettings | None = None,
     ) -> "Database":
         """Open (creating if needed) a durable database rooted at ``data_dir``.
@@ -202,12 +201,7 @@ class Database:
             raise DurabilityError("checkpoint_interval must be non-negative")
         data_dir = os.fspath(data_dir)
         os.makedirs(data_dir, exist_ok=True)
-        database = cls(
-            name=name,
-            clock=clock,
-            plan_cache_size=plan_cache_size,
-            exec_settings=exec_settings,
-        )
+        database = cls(name=name, clock=clock, exec_settings=exec_settings)
         lock = acquire_lock(data_dir)
         try:
             database._store = PageStore(

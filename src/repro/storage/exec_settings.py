@@ -9,8 +9,8 @@ so that
 * a :class:`~repro.storage.database.Database` can be tuned per instance
   (the CQMS meta-database and the user DBMS need not agree),
 * the storage layer never imports the CQMS-level
-  :class:`~repro.core.config.CQMSConfig` (which sits above it and maps its
-  ``exec_*`` fields onto this class).
+  :class:`~repro.core.config.CQMSConfig` (which sits above it and passes
+  only its ``buffer_pool_pages`` down, for the Query Storage).
 """
 
 from __future__ import annotations

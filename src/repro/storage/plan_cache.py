@@ -55,7 +55,8 @@ from repro.sql.formatter import format_statement
 DEFAULT_PLAN_CACHE_SIZE = 128
 
 #: Staleness budget: relative row-count / histogram drift beyond which a
-#: cached plan is discarded (matches CQMSConfig.statistics_drift_threshold).
+#: cached plan is discarded.  Query maintenance refreshes the runtime
+#: statistics of logged queries over a table past the same budget.
 DEFAULT_MAX_DRIFT = 0.25
 
 

@@ -293,7 +293,7 @@ def summarize_output(
     execution_time: float,
     base_budget: int = DEFAULT_SAMPLE_SIZE,
     seconds_per_extra_row: float = 0.05,
-    max_budget: int = 10_000,
+    max_budget: int = 2_000,
 ) -> list[tuple]:
     """Adaptive output summarization (paper Section 4.1, "Profiling query results").
 

@@ -1,7 +1,11 @@
 """Tests for the browser, administrative interaction, and tutorial generation."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.admin import RUNTIME_PARAMETERS
+from repro.core.config import CQMSConfig
 from repro.errors import AccessControlError
 
 
@@ -150,8 +154,46 @@ class TestSystemAdministration:
         assert busy_cqms.config.knn_default_k == 20
         with pytest.raises(ValueError):
             busy_cqms.admin().set_parameter("root", "knn_default_k", 0)
+        assert busy_cqms.config.knn_default_k == 20
+        # A value of the wrong type is refused as well, not installed to make
+        # every later validate() raise TypeError.
+        with pytest.raises(ValueError):
+            busy_cqms.admin().set_parameter("root", "knn_default_k", "5")
+        assert busy_cqms.config.knn_default_k == 20
+        busy_cqms.admin().set_parameter("root", "knn_default_k", 5)
+        assert busy_cqms.config.knn_default_k == 5
         with pytest.raises(ValueError):
             busy_cqms.admin().set_parameter("root", "no_such_param", 1)
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            field.name
+            for field in dataclasses.fields(CQMSConfig)
+            if field.name not in RUNTIME_PARAMETERS
+        ),
+    )
+    def test_set_parameter_refuses_fields_read_only_at_startup(self, busy_cqms, name):
+        before = dataclasses.asdict(busy_cqms.config)
+        hint = {"feature_weights": "set_feature_weight", "ranking": "set_ranking_weight"}
+        with pytest.raises(ValueError, match=hint.get(name, name)):
+            busy_cqms.admin().set_parameter("root", name, getattr(busy_cqms.config, name))
+        assert dataclasses.asdict(busy_cqms.config) == before
+
+    def test_set_knn_default_k_bounds_the_next_search(self, busy_cqms):
+        sql = "SELECT * FROM WaterTemp T WHERE T.temp < 20"
+        assert len(busy_cqms.similar_queries("alice", sql)) > 1
+        busy_cqms.admin().set_parameter("root", "knn_default_k", 1)
+        assert len(busy_cqms.similar_queries("alice", sql)) == 1
+
+    def test_set_output_sample_budget_shapes_the_next_summary(self, busy_cqms):
+        # The simulated clock makes every statement take 0 s, so the summary
+        # keeps at most the base budget of rows.
+        sql = "SELECT * FROM Lakes"
+        assert len(busy_cqms.submit("alice", sql).record.output.rows) == 8
+        busy_cqms.admin().set_parameter("root", "output_sample_base_budget", 3)
+        output = busy_cqms.submit("alice", sql).record.output
+        assert (len(output.rows), output.total_rows, output.complete) == (3, 8, False)
 
     def test_run_miner_and_maintenance_as_admin(self, busy_cqms):
         mining = busy_cqms.admin().run_miner("root")
@@ -161,9 +203,12 @@ class TestSystemAdministration:
 
     def test_mark_obsolete_and_purge(self, busy_cqms):
         admin = busy_cqms.admin()
-        busy_cqms.config.drop_invalid_after_flags = 1
         admin.mark_obsolete("root", 4, reason="superseded")
         assert busy_cqms.store.get(4).flagged_invalid
+        # One flag is below the default threshold of 3; the next purge obeys
+        # a threshold set at run time.
+        assert admin.purge_invalid("root").dropped == []
+        admin.set_parameter("root", "drop_invalid_after_flags", 1)
         report = admin.purge_invalid("root")
         assert 4 in report.dropped
 

@@ -81,9 +81,8 @@ class TestSchemaValidity:
 
     def test_repair_disabled_flags_instead(self, cqms_with_queries):
         cqms = cqms_with_queries
-        cqms.config.auto_repair_renames = False
         cqms.database.execute("ALTER TABLE WaterTemp RENAME COLUMN depth TO depth_m")
-        report = cqms.maintenance.check_schema_validity()
+        report = cqms.maintenance.check_schema_validity(repair=False)
         assert 1 in report.flagged
 
     def test_queries_over_unaffected_tables_untouched(self, cqms_with_queries):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.miner import CLUSTER_COUNT
 from repro.core.recommender import Recommendation
 
 
@@ -145,7 +146,7 @@ class TestMinerReport:
         report = mined_cqms.miner.last_report
         clusters = report.query_clusters
         assert clusters is not None
-        assert clusters.num_clusters <= mined_cqms.config.cluster_count
+        assert clusters.num_clusters <= CLUSTER_COUNT
         # Queries in the same cluster share at least one table with the medoid.
         for label, members in clusters.clusters().items():
             medoid = clusters.items[clusters.medoids[label]]

@@ -85,7 +85,7 @@ def test_engine_option_surface_is_pinned():
     }
     assert {
         f.name for f in dataclasses.fields(CQMSConfig) if f.name.startswith("exec_")
-    } == {"exec_batch_size", "exec_verify_plans"}
+    } == set()
 
 
 class TestBatchSemantics:
