@@ -123,7 +123,7 @@ class QueryProfiler:
             self._observe_overhead(overhead_start)
             return ProfiledExecution(result=result, record=None, error=error)
 
-        record = self._build_record(
+        record = self._log_record(
             user=user,
             group=group,
             sql=sql,
@@ -132,7 +132,6 @@ class QueryProfiler:
             result=result,
             error=error,
         )
-        self._store.add(record)
         annotation_requested = self._should_request_annotation(record)
         self._observe_overhead(overhead_start)
         return ProfiledExecution(
@@ -154,7 +153,7 @@ class QueryProfiler:
 
     # -- record construction --------------------------------------------------------
 
-    def _build_record(
+    def _log_record(
         self,
         user: str,
         group: str,
@@ -164,13 +163,16 @@ class QueryProfiler:
         result: QueryResult | None,
         error: str | None,
     ) -> LoggedQuery:
+        """Build the record of one submit and add it to the Query Storage."""
         qid = self._store.next_qid()
-        try:
-            uncommented = strip_comments(sql)
-        except ReproError:
-            # An unterminated literal or comment: nothing tokenizes, so the
-            # attempt is logged as typed and reads as ``invalid``.
-            uncommented = sql
+        uncommented = sql
+        if "--" in sql or "/*" in sql:
+            try:
+                uncommented = strip_comments(sql)
+            except ReproError:
+                # An unterminated literal or comment: nothing tokenizes, so
+                # the attempt is logged as typed and reads as ``invalid``.
+                pass
         clean_text = uncommented.strip()
         runtime = RuntimeStats(
             elapsed_seconds=result.stats.elapsed_seconds if result is not None else 0.0,
@@ -180,12 +182,21 @@ class QueryProfiler:
             error=error,
         )
         with_features = self._mode is ProfilingMode.FEATURES
-        # The user DBMS's AST is the logged text's unless comments were
-        # stripped from it (``SELECT/**/a`` is logged as ``SELECTa``).
-        parsed = result.statement if result is not None and uncommented == sql else None
-        kind, features, canonical, template = statement_artefacts(
-            clean_text, self._db.schema_columns() if with_features else None, with_features, parsed
-        )
+        # Features resolve unqualified columns against the schema, and text
+        # mode canonicalises differently: artefacts filed under another key
+        # are derived again.
+        version = self._db.catalog.version
+        key = (with_features, version)
+        artefacts = self._store.artefacts(clean_text, key)
+        if artefacts is None:
+            # The user DBMS's AST is the logged text's unless comments were
+            # stripped from it (``SELECT/**/a`` is logged as ``SELECTa``).
+            parsed = result.statement if result is not None and uncommented == sql else None
+            artefacts = statement_artefacts(
+                clean_text, self._db.schema_columns() if with_features else None,
+                with_features, parsed,
+            )
+        kind, features, canonical, template = artefacts
         record = LoggedQuery(
             qid=qid,
             user=user,
@@ -198,10 +209,11 @@ class QueryProfiler:
             features=features,
             runtime=runtime,
             visibility=visibility,
-            catalog_version=self._db.catalog.version,
+            catalog_version=version,
         )
         if features is not None and result is not None and kind == "select":
             record.output = self._summarize_output(result)
+        self._store.add(record, artefacts_key=key)
         return record
 
     def _summarize_output(self, result: QueryResult) -> OutputSummary:

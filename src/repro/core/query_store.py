@@ -17,7 +17,8 @@ paper envisions.  Alongside the relations it keeps the full
 cheap object access (miner, recommender, maintenance), and one *statement
 table* entry per distinct query text: whatever has been derived from a text
 (its lower-cased form, its parse tree) is derived once and shared by every
-record that carries it — logs are dominated by repeated statements.
+record that carries it — logs are dominated by repeated statements.  That
+includes the record's own artefacts, so a resubmitted text is not parsed again.
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ class _Statement:
     #: for a text that does not parse.
     tree: ParseTreeNode | None = None
     tree_built: bool = False
+    #: ``(statement_kind, features, canonical_text, template_text)`` — the
+    #: objects the text's records hold — and the key they were derived under
+    #: (the profiler's mode and user-DB catalog version; ``None`` at reopen).
+    artefacts: tuple | None = None
+    artefacts_key: tuple | None = None
 
 
 @dataclass(slots=True)
@@ -325,7 +331,8 @@ class QueryStore:
         samples come straight from the relations; syntactic features and
         canonical/template texts are re-derived from the recovered query text
         by :func:`~repro.core.records.statement_artefacts` (the function the
-        profiler logged them with) — once per distinct text: records carrying
+        profiler logged them with) — once per distinct text, filed on the
+        text's statement-table entry with no profiler key: records carrying
         the same text share one feature object, which nothing mutates in
         place.  Parse trees are not built here; they stay
         lazy (see :meth:`texts_matching`).  Session membership is
@@ -358,7 +365,6 @@ class QueryStore:
                 (row["startTs"] or 0.0, row["endTs"] or 0.0, row["sessionId"])
             )
 
-        artefacts_by_text: dict[str, tuple] = {}
         queries = sorted(relation("Queries"), key=lambda r: r["qid"])
         for row in queries:
             qid = row["qid"]
@@ -375,11 +381,9 @@ class QueryStore:
                 flag_count=row["flagCount"] or 0,
                 runtime=runtime_by_qid.get(qid, RuntimeStats()),
             )
-            artefacts = artefacts_by_text.get(record.text)
-            if artefacts is None:
-                artefacts = artefacts_by_text[record.text] = statement_artefacts(
-                    record.text, self._schema_columns, self._with_features
-                )
+            artefacts = self.artefacts(record.text, None) or statement_artefacts(
+                record.text, self._schema_columns, self._with_features
+            )
             _, record.features, record.canonical_text, record.template_text = artefacts
             record.annotations = [
                 body for _, body in sorted(annotations_by_qid.get(qid, []))
@@ -393,6 +397,7 @@ class QueryStore:
                     record.session_id = session_id
                     break
             self._index(record)
+            self._statements[record.text].artefacts = artefacts
         if self._records:
             # The StoreMeta high-water mark normally leads; max(qid)+1 is the
             # floor for stores created before the counter existed.
@@ -552,6 +557,15 @@ class QueryStore:
                 if not bucket:
                     del self._tree_postings[key]
 
+    def artefacts(self, text: str, key: tuple | None) -> tuple | None:
+        """The ``(statement_kind, features, canonical_text, template_text)``
+        filed for a logged ``text`` under ``key``, or ``None`` when the text
+        is not logged or its artefacts were derived under another key."""
+        entry = self._statements.get(text)
+        if entry is None or entry.artefacts_key != key:
+            return None
+        return entry.artefacts
+
     def lowered_text(self, record: LoggedQuery) -> str:
         """``record.text.lower()``, computed once per distinct text."""
         return self._statements[record.text].lowered
@@ -587,11 +601,21 @@ class QueryStore:
 
     # -- ingest -----------------------------------------------------------------
 
-    def add(self, record: LoggedQuery) -> None:
-        """Insert a logged query and shred its features into the relations."""
+    def add(self, record: LoggedQuery, artefacts_key: tuple | None = None) -> None:
+        """Insert a logged query and shred its features into the relations.
+
+        With ``artefacts_key`` the record's artefacts were derived under that
+        key, and :meth:`artefacts` hands them to the next record of its text.
+        """
         if record.qid in self._records:
             raise MetaQueryError(f"duplicate query id {record.qid}")
         self._index(record)
+        if artefacts_key is not None:
+            entry = self._statements[record.text]
+            entry.artefacts_key = artefacts_key
+            entry.artefacts = (
+                record.statement_kind, record.features, record.canonical_text, record.template_text
+            )
         self._changed()
         if self._telemetry is not None:
             registry = self._telemetry.registry

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from repro import CQMS
 from repro.clock import SimulatedClock
 from repro.core import profiler as profiler_module
 from repro.core.config import CQMSConfig
@@ -11,10 +12,12 @@ from repro.core.profiler import ProfilingMode, QueryProfiler
 from repro.core.query_store import QueryStore
 from repro.core.records import LoggedQuery, statement_artefacts
 from repro.core.sessions import SessionDetector, pairwise_session_metrics, sessions_as_ground_truth_pairs
+from repro.errors import ReproError
 from repro.sql import parser
 from repro.sql.canonicalize import canonical_text
 from repro.sql.features import extract_features
-from repro.workloads import build_database
+from repro.sql.tokenizer import strip_comments
+from repro.workloads import QueryLogGenerator, WorkloadConfig, build_database
 
 
 @pytest.fixture()
@@ -178,6 +181,10 @@ def parse_calls(monkeypatch):
     return calls
 
 
+def artefacts_of(record: LoggedQuery) -> tuple:
+    return record.statement_kind, record.features, record.canonical_text, record.template_text
+
+
 class TestParseOncePerSubmit:
     """The user DBMS's parse is the one the record is built from."""
 
@@ -186,14 +193,17 @@ class TestParseOncePerSubmit:
         assert execution.succeeded and execution.record.features is not None
         assert len(parse_calls) == 1
 
-    def test_statement_cache_hit_parses_once(self, fresh_cqms, parse_calls):
+    def test_statement_cache_hit_does_not_parse(self, fresh_cqms, parse_calls):
+        """The DBMS's statement cache skips its parse, and the Query Storage
+        hands over the artefacts the text's first record was built from."""
         sql = "SELECT name FROM Lakes WHERE lake_id < 3"
-        fresh_cqms.submit("alice", sql)
+        first = fresh_cqms.submit("alice", sql).record
         parse_calls.clear()
         execution = fresh_cqms.submit("alice", sql)
         assert execution.result.stats.statement_cache_hit
         assert execution.result.statement is None
-        assert len(parse_calls) == 1
+        assert parse_calls == []
+        assert execution.record.features is first.features
 
     @pytest.mark.parametrize(
         "sql",
@@ -232,15 +242,17 @@ class TestParseOncePerSubmit:
         DBMS's parse is not the logged text's; reopen would re-derive the
         record from the text, and the record must read the same."""
         record = fresh_cqms.submit("alice", sql).record
-        assert (
-            record.statement_kind, record.features, record.canonical_text, record.template_text
-        ) == statement_artefacts(record.text, fresh_cqms.database.schema_columns(), True)
+        assert artefacts_of(record) == statement_artefacts(
+            record.text, fresh_cqms.database.schema_columns(), True
+        )
 
     def test_reused_asts_give_the_artefacts_of_a_fresh_parse(self, replay_log, monkeypatch):
+        derived: list[str] = []
         reused: list[str] = []
         differing: list[str] = []
 
         def checked(text, schema_columns, with_features, parsed=None):
+            derived.append(text)
             produced = statement_artefacts(text, schema_columns, with_features, parsed)
             if parsed is not None:
                 reused.append(text)
@@ -251,20 +263,147 @@ class TestParseOncePerSubmit:
         monkeypatch.setattr(profiler_module, "statement_artefacts", checked)
         env = replay_log(num_sessions=40, seed=5, mine=False)
         assert differing == []
-        # The first successful run of each text missed the statement cache
-        # and handed its AST over; a repeat is a cache hit and parses once.
-        ran = [record for record in env.store.all_queries() if record.runtime.succeeded]
+        # Each text is derived once, on its first submit, from the DBMS's
+        # AST when that run missed the statement cache; every later submit
+        # of the text takes its artefacts from the Query Storage.
+        records = env.store.all_queries()
+        texts = {record.text for record in records}
+        assert sorted(derived) == sorted(texts) and len(records) > len(texts)
+        ran = [record for record in records if record.runtime.succeeded]
         assert all(record.is_select for record in ran)
         assert sorted(reused) == sorted({record.text for record in ran})
+        # Nothing in the workload changes the schema, so every record was
+        # logged under today's catalog version and schema.
+        database = env.cqms.database
+        assert {record.catalog_version for record in records} == {database.catalog.version}
+        schema = database.schema_columns()
+        for record in records:
+            assert artefacts_of(record) == statement_artefacts(record.text, schema, True)
 
     def test_every_logged_record_reads_as_a_fresh_parse_of_its_text(self, paper_env):
         schema = paper_env.cqms.database.schema_columns()
         records = paper_env.store.all_queries()
         assert len(records) == 550
         for record in records:
-            assert (
-                record.statement_kind, record.features, record.canonical_text, record.template_text
-            ) == statement_artefacts(record.text, schema, True), record.text
+            assert artefacts_of(record) == statement_artefacts(record.text, schema, True), record.text
+
+
+class TestArtefactsFromTheStatementTable:
+    """A resubmitted text takes its artefacts from the Query Storage only when
+    they were derived under the same profiling mode and user-DB catalog
+    version; each rule below forces a new derivation, which must equal a
+    fresh one."""
+
+    def test_renamed_column_between_two_submits(self, fresh_cqms):
+        sql = "SELECT temp FROM Lakes L, WaterTemp W WHERE L.lake_id = W.lake_id AND temp < 18"
+        before = fresh_cqms.submit("alice", sql).record
+        fresh_cqms.database.execute("ALTER TABLE WaterTemp RENAME COLUMN temp TO temp_c")
+        after = fresh_cqms.submit("alice", sql).record
+        schema = fresh_cqms.database.schema_columns()
+        assert artefacts_of(after) == statement_artefacts(sql, schema, True)
+        # ``temp`` no longer resolves to WaterTemp.
+        assert after.features != before.features
+
+    def test_table_created_after_a_failing_submit(self, fresh_cqms):
+        sql = "SELECT x FROM NoSuchTable, Lakes WHERE x = 1"
+        failed = fresh_cqms.submit("alice", sql)
+        assert not failed.succeeded
+        assert fresh_cqms.submit("alice", "CREATE TABLE NoSuchTable (x INTEGER)").succeeded
+        execution = fresh_cqms.submit("alice", sql)
+        assert execution.succeeded
+        schema = fresh_cqms.database.schema_columns()
+        assert artefacts_of(execution.record) == statement_artefacts(sql, schema, True)
+        assert execution.record.features.attributes == [("x", "nosuchtable")]
+        assert failed.record.features.attributes == [("x", "?")]
+
+    def test_profiling_mode_switch(self, fresh_cqms):
+        sql = "SELECT name FROM Lakes WHERE lake_id < 3"
+        schema = fresh_cqms.database.schema_columns()
+        featured = fresh_cqms.submit("alice", sql).record
+        fresh_cqms.profiler.set_mode("text")
+        text_only = fresh_cqms.submit("alice", sql).record
+        assert artefacts_of(text_only) == statement_artefacts(sql, None, False)
+        assert text_only.features is None and text_only.canonical_text != featured.canonical_text
+        fresh_cqms.profiler.set_mode("features")
+        again = fresh_cqms.submit("alice", sql).record
+        assert artefacts_of(again) == statement_artefacts(sql, schema, True)
+        assert again.features is not featured.features
+
+    def test_resubmit_after_the_last_record_is_deleted(self, fresh_cqms, parse_calls):
+        sql = "SELECT name FROM Lakes WHERE lake_id < 3"
+        first = fresh_cqms.submit("alice", sql).record
+        fresh_cqms.admin().delete_query("alice", first.qid)
+        parse_calls.clear()
+        execution = fresh_cqms.submit("alice", sql)
+        # A statement-cache hit in the DBMS, so the one parse is the record's.
+        assert execution.result.stats.statement_cache_hit and len(parse_calls) == 1
+        schema = fresh_cqms.database.schema_columns()
+        assert artefacts_of(execution.record) == statement_artefacts(sql, schema, True)
+        assert execution.record.features is not first.features
+
+    def test_resubmit_after_a_durable_reopen(self, tmp_path, parse_calls):
+        config = CQMSConfig(data_dir=str(tmp_path / "store"))
+        database = build_database("limnology", scale=1, seed=7)
+        sql = "SELECT name FROM Lakes WHERE lake_id < 3"
+        with CQMS(database, config=config) as cqms:
+            cqms.register_user("alice", group="lab1")
+            cqms.submit("alice", sql)
+        with CQMS(database, config=config) as reopened:
+            reopened.register_user("alice", group="lab1")
+            (rebuilt,) = reopened.store.all_queries()
+            parse_calls.clear()
+            execution = reopened.submit("alice", sql)
+            # Reopen files its artefacts under no profiler key: the first
+            # resubmission derives them once, the next one reuses them.
+            assert execution.result.stats.statement_cache_hit and len(parse_calls) == 1
+            assert execution.record.features is not rebuilt.features
+            schema = database.schema_columns()
+            for record in reopened.store.all_queries():
+                assert artefacts_of(record) == statement_artefacts(sql, schema, True)
+            parse_calls.clear()
+            assert reopened.submit("alice", sql).record.features is execution.record.features
+            assert parse_calls == []
+
+
+def _logged_text(sql: str) -> str:
+    """The text the profiler logs for ``sql``: comments stripped, or the text
+    as typed when it does not tokenize."""
+    try:
+        return strip_comments(sql).strip()
+    except ReproError:
+        return sql.strip()
+
+
+_WORKLOAD_TEXTS = sorted(
+    {event.sql for event in QueryLogGenerator(WorkloadConfig(num_sessions=40, seed=5)).generate()}
+)
+
+
+@pytest.fixture(scope="module")
+def logging_cqms():
+    cqms = CQMS(build_database("limnology", scale=1, seed=7))
+    cqms.register_user("alice", group="lab1")
+    return cqms
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        *(pytest.param(sql, id=f"workload{number}") for number, sql in enumerate(_WORKLOAD_TEXTS)),
+        pytest.param("SELECT 'abc FROM Lakes", id="unterminated-literal"),
+        pytest.param("SELECT 'abc -- FROM Lakes", id="unterminated-literal-with-marker"),
+        pytest.param("SELECT name FROM Lakes WHERE name = 'a -- b /* c'", id="markers-in-literal"),
+        pytest.param("SELECT name /* a */ FROM Lakes", id="block-comment"),
+        pytest.param("SELECT name FROM Lakes -- trailing", id="line-comment"),
+        pytest.param("SELECT name FROM Lakes /* open", id="unterminated-comment"),
+        pytest.param("  SELECT name FROM Lakes  ", id="padded"),
+    ],
+)
+def test_logged_text_is_the_comment_stripped_text(logging_cqms, sql):
+    """The profiler runs ``strip_comments`` only on a text with a comment
+    marker; without one the loop would return the text unchanged, so the
+    logged text is the same either way."""
+    assert logging_cqms.submit("alice", sql).record.text == _logged_text(sql)
 
 
 def make_record(qid, sql, user, timestamp):
