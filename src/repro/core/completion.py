@@ -42,16 +42,8 @@ class CompletionSuggestion:
 class CompletionEngine:
     """Suggests completions for partially written queries."""
 
-    def __init__(
-        self,
-        store: QueryStore,
-        schema_columns: dict[str, set[str]] | None = None,
-    ):
+    def __init__(self, store: QueryStore):
         self._store = store
-        self._schema_columns = {
-            table.lower(): {column.lower() for column in columns}
-            for table, columns in (schema_columns or {}).items()
-        }
         self._rule_index: RuleIndex | None = None
         self._table_counts: Counter[str] = Counter()
         self._attribute_counts: Counter[tuple[str, str]] = Counter()
@@ -196,8 +188,9 @@ class CompletionEngine:
                 return suggestions
         # Fall back to schema columns never seen in the log.
         seen = {suggestion.text for suggestion in suggestions}
+        schema = self._store.schema_columns()
         for table in sorted(context_tables):
-            for column in sorted(self._schema_columns.get(table, set())):
+            for column in sorted(schema.get(table, ())):
                 text = f"{table}.{column}"
                 if text in seen:
                     continue

@@ -48,14 +48,9 @@ class CorrectionEngine:
     def __init__(
         self,
         store: QueryStore,
-        schema_columns: dict[str, set[str]] | None = None,
         min_name_similarity: float = 0.3,
     ):
         self._store = store
-        self._schema_columns = {
-            table.lower(): {column.lower() for column in columns}
-            for table, columns in (schema_columns or {}).items()
-        }
         self._min_name_similarity = min_name_similarity
         self._correction_log: list[Correction] = []
 
@@ -63,12 +58,6 @@ class CorrectionEngine:
     def correction_log(self) -> list[Correction]:
         """All corrections ever suggested (mined by the tutorial generator)."""
         return list(self._correction_log)
-
-    def update_schema(self, schema_columns: dict[str, set[str]]) -> None:
-        self._schema_columns = {
-            table.lower(): {column.lower() for column in columns}
-            for table, columns in schema_columns.items()
-        }
 
     # -- name corrections --------------------------------------------------------
 
@@ -78,7 +67,8 @@ class CorrectionEngine:
         features = draft_features(sql)
         if features is None:
             return corrections
-        known_tables = set(self._schema_columns)
+        schema = self._store.schema_columns()
+        known_tables = set(schema)
         for table in features.tables:
             if table in known_tables:
                 continue
@@ -96,7 +86,7 @@ class CorrectionEngine:
         for attribute, relation in features.attributes:
             if relation == "?" or relation not in known_tables:
                 continue
-            columns = self._schema_columns[relation]
+            columns = schema[relation]
             if attribute in columns:
                 continue
             match, score = best_match(attribute, columns, minimum=self._min_name_similarity)

@@ -76,7 +76,7 @@ class CQMS:
             data_dir=self.config.data_dir,
             wal_sync=self.config.wal_sync,
             checkpoint_interval=self.config.checkpoint_interval,
-            schema_columns=database.schema_columns(),
+            schema=database.schema_columns,
             profiling_mode=self.config.profiling_mode,
         )
         self.access_control = AccessControl(
@@ -125,8 +125,8 @@ class CQMS:
         self.meta_query = MetaQueryExecutor(
             self.store, self.access_control, self.config, ranking=ranking, clock=self.clock
         )
-        self.completion = CompletionEngine(self.store, database.schema_columns())
-        self.correction = CorrectionEngine(self.store, database.schema_columns())
+        self.completion = CompletionEngine(self.store)
+        self.correction = CorrectionEngine(self.store)
         self.recommender = QueryRecommender(
             self.store,
             self.meta_query,
@@ -135,7 +135,7 @@ class CQMS:
             ranking=ranking,
             clock=self.clock,
         )
-        self.miner = QueryMiner(self.store, self.config, database.schema_columns())
+        self.miner = QueryMiner(self.store, self.config)
         self.maintenance = QueryMaintenance(database, self.store, self.config)
         self._browser = QueryBrowser(
             self.store, self.access_control, ranking=ranking, clock=self.clock
@@ -143,7 +143,7 @@ class CQMS:
         self._admin = Administrator(
             self.store, self.access_control, self.config, self.miner, self.maintenance
         )
-        self._tutorial = TutorialGenerator(self.store, database.schema_columns())
+        self._tutorial = TutorialGenerator(self.store)
 
     # -- user management ------------------------------------------------------------
 
@@ -439,10 +439,7 @@ class CQMS:
 
     def run_maintenance(self) -> MaintenanceReport:
         """Run the background Query Maintenance once (normally periodic)."""
-        report = self.maintenance.check_schema_validity()
-        # Schema may have changed: propagate it to the schema-aware helpers.
-        self.correction.update_schema(self.database.schema_columns())
-        return report
+        return self.maintenance.check_schema_validity()
 
     # -- convenience -------------------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import CQMSConfig
@@ -100,7 +101,7 @@ class QueryMaintenance:
         return report
 
     def _validity_problems(
-        self, record: LoggedQuery, schema_columns: dict[str, set[str]]
+        self, record: LoggedQuery, schema_columns: Mapping[str, frozenset[str]]
     ) -> list[str]:
         problems: list[str] = []
         features = record.features
@@ -136,7 +137,7 @@ class QueryMaintenance:
         self,
         record: LoggedQuery,
         rename_maps: dict[str, dict[str, str]],
-        schema_columns: dict[str, set[str]],
+        schema_columns: Mapping[str, frozenset[str]],
     ) -> bool:
         """Attempt a textual repair of a query broken only by renames."""
         new_text = record.text
@@ -165,7 +166,7 @@ class QueryMaintenance:
         return True
 
     def _validity_problems_for(
-        self, features, schema_columns: dict[str, set[str]]
+        self, features, schema_columns: Mapping[str, frozenset[str]]
     ) -> list[str]:
         fake = LoggedQuery(qid=-1, user="", group="", text="", timestamp=0.0, features=features)
         return self._validity_problems(fake, schema_columns)

@@ -69,12 +69,10 @@ class QueryMiner:
         self,
         store: QueryStore,
         config: CQMSConfig | None = None,
-        schema_columns: dict[str, set[str]] | None = None,
         max_cluster_items: int = 300,
     ):
         self._store = store
         self._config = config or CQMSConfig()
-        self._schema_columns = schema_columns or {}
         self._max_cluster_items = max_cluster_items
         self._last_report: MiningReport | None = None
         self._last_run_size = -1
@@ -118,7 +116,7 @@ class QueryMiner:
     # -- sessions -------------------------------------------------------------------
 
     def _detect_sessions(self, records: list[LoggedQuery]) -> list[QuerySession]:
-        return SessionDetector(schema_columns=self._schema_columns).detect(records)
+        return SessionDetector().detect(records)
 
     # -- association rules ----------------------------------------------------------
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -211,7 +211,7 @@ class QueryStore:
         data_dir: str | None = None,
         wal_sync: str = "batch",
         checkpoint_interval: int = 0,
-        schema_columns: dict | None = None,
+        schema: Callable[[], Mapping[str, frozenset[str]]] | None = None,
         profiling_mode: str = "features",
     ):
         if data_dir is not None:
@@ -225,9 +225,7 @@ class QueryStore:
             )
         else:
             self._meta_db = Database(name="query_storage", clock=clock, exec_settings=exec_settings)
-        #: Schema map of the *user* database, used to re-extract features
-        #: when rebuilding the record index after recovery.
-        self._schema_columns = dict(schema_columns or {})
+        self._schema = schema or dict  # no user database: an empty map
         self._with_features = profiling_mode != "text"
         for table_schema in FEATURE_RELATIONS:
             # On a recovered data_dir the relations already exist, and must
@@ -288,6 +286,15 @@ class QueryStore:
             self._rebuild_record_index()
 
     # -- basic access ---------------------------------------------------------
+
+    def schema_columns(self) -> Mapping[str, frozenset[str]]:
+        """The *user* database's schema map as it is now.
+
+        ``schema`` (``Database.schema_columns``) is called on every read, so
+        completion, correction, the tutorial and the reopen rebuild all see
+        the live catalog; a store built without one reads an empty map.
+        """
+        return self._schema()
 
     @property
     def meta_database(self) -> Database:
@@ -382,7 +389,7 @@ class QueryStore:
                 runtime=runtime_by_qid.get(qid, RuntimeStats()),
             )
             artefacts = self.artefacts(record.text, None) or statement_artefacts(
-                record.text, self._schema_columns, self._with_features
+                record.text, self.schema_columns(), self._with_features
             )
             _, record.features, record.canonical_text, record.template_text = artefacts
             record.annotations = [
@@ -788,9 +795,9 @@ class QueryStore:
 
         Lints against ``catalog`` (a live user-database catalog, enabling the
         type- and index-aware rules; ``table_provider`` adds index lookups)
-        or, absent one, the name-only ``schema_columns`` mapping this store
-        was built with.  Returns ``{qid: [Diagnostic, ...]}`` for every query
-        with findings.  With ``mark=True`` (the default), ERROR-severity
+        or, absent one, the name-only map of :meth:`schema_columns`.
+        Returns ``{qid: [Diagnostic, ...]}`` for every query with findings.
+        With ``mark=True`` (the default), ERROR-severity
         findings auto-populate ``Queries.invalidReason`` via
         :meth:`mark_invalid` — composing with, never overwriting, existing
         reasons — while queries without errors are left untouched (a clean
@@ -801,8 +808,8 @@ class QueryStore:
 
         if catalog is not None:
             view = SchemaView(catalog=catalog, table_provider=table_provider)
-        elif self._schema_columns:
-            view = SchemaView(schema_columns=self._schema_columns)
+        elif schema := self.schema_columns():
+            view = SchemaView(schema_columns=schema)
         else:
             raise MetaQueryError(
                 "lint_log needs a catalog or a schema_columns mapping to lint against"

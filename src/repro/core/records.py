@@ -9,6 +9,7 @@ and semantic features (statistics and output samples).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -123,7 +124,7 @@ class LoggedQuery:
 
 def statement_artefacts(
     text: str,
-    schema_columns: dict[str, set[str]] | None,
+    schema_columns: Mapping[str, frozenset[str]] | None,
     with_features: bool,
     parsed: Statement | None = None,
 ) -> tuple[str, QueryFeatures | None, str, str]:

@@ -67,11 +67,9 @@ class SessionDetector:
         self,
         gap_seconds: float = 900.0,
         min_similarity: float = 0.05,
-        schema_columns: dict[str, set[str]] | None = None,
     ):
         self._gap_seconds = gap_seconds
         self._min_similarity = min_similarity
-        self._schema_columns = schema_columns or {}
 
     # -- detection -----------------------------------------------------------
 

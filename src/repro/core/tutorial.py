@@ -41,16 +41,8 @@ class TutorialSection:
 class TutorialGenerator:
     """Builds a dataset tutorial from the query log."""
 
-    def __init__(
-        self,
-        store: QueryStore,
-        schema_columns: dict[str, set[str]] | None = None,
-    ):
+    def __init__(self, store: QueryStore):
         self._store = store
-        self._schema_columns = {
-            table.lower(): sorted(column.lower() for column in columns)
-            for table, columns in (schema_columns or {}).items()
-        }
 
     def generate(
         self,
@@ -62,8 +54,9 @@ class TutorialGenerator:
         """Produce the tutorial sections, most-used relations first."""
         records = [r for r in self._store.select_queries() if r.features is not None]
         table_popularity = self._store.table_popularity()
+        schema = self._store.schema_columns()
         ordered_tables = sorted(
-            self._schema_columns or {table: [] for table in table_popularity},
+            schema or table_popularity,
             key=lambda table: (-table_popularity.get(table, 0), table),
         )
         if max_relations is not None:
@@ -90,7 +83,7 @@ class TutorialGenerator:
         examples: int,
     ) -> TutorialSection:
         section = TutorialSection(title=f"Relation {table}")
-        columns = self._schema_columns.get(table, [])
+        columns = sorted(self._store.schema_columns().get(table, ()))
         if columns:
             section.lines.append(f"Columns: {', '.join(columns)}")
         usage = popularity.get(table, 0)

@@ -2,7 +2,6 @@
 
 * :mod:`repro.mining.similarity` — similarity/distance measures over queries
   (text, feature sets, weighted features, parse trees, output samples),
-* :mod:`repro.mining.tfidf` — a small TF-IDF vectorizer with cosine similarity,
 * :mod:`repro.mining.knn` — k-nearest-neighbour search over arbitrary items,
 * :mod:`repro.mining.clustering` — k-medoids and agglomerative clustering over
   a pairwise distance function,
@@ -25,7 +24,6 @@ from repro.mining.similarity import (
     text_trigram_similarity,
     edit_distance,
 )
-from repro.mining.tfidf import TfIdfVectorizer, cosine_similarity
 
 __all__ = [
     "AssociationRule",
@@ -44,6 +42,4 @@ __all__ = [
     "weighted_feature_similarity",
     "text_trigram_similarity",
     "edit_distance",
-    "TfIdfVectorizer",
-    "cosine_similarity",
 ]

@@ -34,7 +34,7 @@ class KNNIndex(Generic[Key]):
     Items are added with :meth:`add`; :meth:`nearest` returns the ``k`` most
     similar items to a probe bag.  The default similarity is the Jaccard
     similarity of the token sets; a custom similarity over token *lists* can
-    be supplied (e.g. TF-IDF cosine via :class:`~repro.mining.tfidf.TfIdfVectorizer`).
+    be supplied.
     """
 
     def __init__(self, similarity: Callable[[list[str], list[str]], float] | None = None):

@@ -17,6 +17,7 @@ the right relation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 
 from repro.sql.ast_nodes import (
@@ -159,7 +160,7 @@ class QueryFeatures:
 
 
 def extract_features(
-    query, schema_columns: dict[str, set[str]] | None = None
+    query, schema_columns: Mapping[str, Set[str]] | None = None
 ) -> QueryFeatures:
     """Extract :class:`QueryFeatures` from SQL text or a parsed statement.
 
@@ -169,8 +170,9 @@ def extract_features(
         SQL text or a parsed :class:`Statement`.
     schema_columns:
         Optional mapping of lower-cased table name to its set of lower-cased
-        column names.  When provided it is used to resolve unqualified column
-        references (e.g. ``temp`` in a two-table query) to their relation.
+        column names (``Database.schema_columns()``), read as given.  When
+        provided it is used to resolve unqualified column references (e.g.
+        ``temp`` in a two-table query) to their relation.
     """
     statement: Statement = parse(query) if isinstance(query, str) else query
     features = QueryFeatures(statement_kind=statement_type(statement))
@@ -194,7 +196,7 @@ def extract_features(
 def _extract_select(
     statement: SelectStatement,
     features: QueryFeatures,
-    schema_columns: dict[str, set[str]],
+    schema_columns: Mapping[str, Set[str]],
     depth: int,
 ) -> None:
     features.nesting_depth = max(features.nesting_depth, depth)
@@ -254,7 +256,7 @@ def _extract_join_item(
     item: FromItem,
     features: QueryFeatures,
     resolver: "_ColumnResolver",
-    schema_columns: dict[str, set[str]],
+    schema_columns: Mapping[str, Set[str]],
     depth: int,
 ) -> None:
     if isinstance(item, Join):
@@ -416,12 +418,9 @@ def _collect_alias_map(from_items, mapping: dict[str, str]) -> None:
 class _ColumnResolver:
     """Resolve a :class:`ColumnRef` to an ``(attribute, relation)`` pair."""
 
-    def __init__(self, alias_map: dict[str, str], schema_columns: dict[str, set[str]]):
+    def __init__(self, alias_map: dict[str, str], schema_columns: Mapping[str, Set[str]]):
         self._alias_map = alias_map
-        self._schema_columns = {
-            table.lower(): {column.lower() for column in columns}
-            for table, columns in schema_columns.items()
-        }
+        self._schema = schema_columns
 
     def resolve(self, column: ColumnRef) -> tuple[str, str]:
         name = column.name.lower()
@@ -433,7 +432,7 @@ class _ColumnResolver:
         candidates = [
             table
             for table in self._alias_map.values()
-            if name in self._schema_columns.get(table, set())
+            if name in self._schema.get(table, ())
         ]
         if len(candidates) == 1:
             return name, candidates[0]

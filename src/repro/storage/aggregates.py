@@ -22,9 +22,11 @@ states.
   visit positions in ascending order — it reproduces ``update_batch`` over
   the gathered values exactly (same left-fold, same first-seen ties).
 
-Numeric care: ``SUM``/``AVG`` fold batches with ``sum(values, start=total)``,
-which reproduces a single ``sum(all_values)`` left-fold byte-for-byte, so the
-result does not depend on where the batch boundaries fall.
+Numeric care: ``SUM``/``AVG`` are one left fold in heap order
+(``0 + v1 + v2 + ...``, continued batch after batch), so a float result does
+not depend on where the batch boundaries fall.  ``sum()`` is not used: since
+Python 3.12 it compensates float rounding within one call, so a batch of 256
+would differ in its last bits from 256 batches of one.
 """
 
 from __future__ import annotations
@@ -97,12 +99,24 @@ class CountAccumulator:
         return self.count
 
 
+def _fold(total, present):
+    """``total + present[0] + present[1] + ...`` from 0 when ``total`` is NULL.
+
+    A plain loop: ``functools.reduce(operator.add, ...)`` is the same fold but
+    slower per call (the loop's float add is specialised by the interpreter).
+    """
+    if total is None:
+        total = 0
+    for value in present:
+        total += value
+    return total
+
+
 class SumAccumulator:
     """``SUM(expr)``: running total over non-NULL values (NULL when none).
 
-    ``sum(batch, start=total)`` continues the exact left-fold a one-shot
-    ``sum(values)`` performs, so results are byte-identical across batch
-    sizes even for floats.
+    Each batch continues one left fold in heap order (:func:`_fold`), so
+    results are byte-identical across batch sizes even for floats.
     """
 
     __slots__ = ("total",)
@@ -113,12 +127,12 @@ class SumAccumulator:
     def update_batch(self, values) -> None:
         present = [value for value in values if value is not None]
         if present:
-            self.total = sum(present) if self.total is None else sum(present, self.total)
+            self.total = _fold(self.total, present)
 
     def update_column(self, values, positions) -> None:
         present = [value for i in positions if (value := values[i]) is not None]
         if present:
-            self.total = sum(present) if self.total is None else sum(present, self.total)
+            self.total = _fold(self.total, present)
 
     def finish(self):
         return self.total
@@ -136,13 +150,13 @@ class AvgAccumulator:
     def update_batch(self, values) -> None:
         present = [value for value in values if value is not None]
         if present:
-            self.total = sum(present) if self.total is None else sum(present, self.total)
+            self.total = _fold(self.total, present)
             self.count += len(present)
 
     def update_column(self, values, positions) -> None:
         present = [value for i in positions if (value := values[i]) is not None]
         if present:
-            self.total = sum(present) if self.total is None else sum(present, self.total)
+            self.total = _fold(self.total, present)
             self.count += len(present)
 
     def finish(self):
@@ -254,7 +268,7 @@ class SumDistinctAccumulator(_DistinctAccumulator):
     def finish(self):
         if not self.seen:
             return None
-        return sum(self.seen.values())
+        return _fold(None, self.seen.values())
 
 
 class AvgDistinctAccumulator(_DistinctAccumulator):
@@ -263,7 +277,7 @@ class AvgDistinctAccumulator(_DistinctAccumulator):
     def finish(self):
         if not self.seen:
             return None
-        return sum(self.seen.values()) / len(self.seen)
+        return _fold(None, self.seen.values()) / len(self.seen)
 
 
 #: Accumulator factory per (aggregate name, distinct) pair.  MIN/MAX ignore

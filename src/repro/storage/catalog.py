@@ -9,7 +9,9 @@ monotonically increasing version number and a logical timestamp.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import CatalogError
 from repro.storage.schema import TableSchema
@@ -33,6 +35,10 @@ class Catalog:
     _schemas: dict[str, TableSchema] = field(default_factory=dict)
     _changes: list[SchemaChange] = field(default_factory=list)
     _version: int = 0
+    #: ``schema_columns()`` of the current version; every change drops it.
+    _columns: Mapping[str, frozenset[str]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- lookup -------------------------------------------------------------
 
@@ -48,16 +54,22 @@ class Catalog:
     def table_names(self) -> list[str]:
         return [schema.name for schema in self._schemas.values()]
 
-    def schema_columns(self) -> dict[str, set[str]]:
+    def schema_columns(self) -> Mapping[str, frozenset[str]]:
         """Mapping of lower-cased table name to lower-cased column names.
 
         This is the structure the SQL feature extractor uses to resolve
-        unqualified column references.
+        unqualified column references, and the one user schema the CQMS's
+        Assisted mode and Query Maintenance read.  It is built once per
+        catalog version and shared read-only: every caller at one version
+        gets the same object, and a schema change makes the next call build
+        a new one.
         """
-        return {
-            name: {column.name.lower() for column in schema.columns}
-            for name, schema in self._schemas.items()
-        }
+        if self._columns is None:
+            self._columns = MappingProxyType({
+                name: frozenset(column.name.lower() for column in schema.columns)
+                for name, schema in self._schemas.items()
+            })
+        return self._columns
 
     @property
     def version(self) -> int:
@@ -125,9 +137,11 @@ class Catalog:
             for change in changes
         ]
         self._version = version
+        self._columns = None
 
     def _record(self, kind: str, table: str, detail: str = "", timestamp: float = 0.0) -> None:
         self._version += 1
+        self._columns = None
         self._changes.append(
             SchemaChange(
                 version=self._version,

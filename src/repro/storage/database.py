@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -407,8 +408,8 @@ class Database:
     def table_names(self) -> list[str]:
         return sorted(table.name for table in self._tables.values())
 
-    def schema_columns(self) -> dict[str, set[str]]:
-        """Schema map consumed by the SQL feature extractor."""
+    def schema_columns(self) -> Mapping[str, frozenset[str]]:
+        """The catalog's read-only schema map (:meth:`Catalog.schema_columns`)."""
         return self._catalog.schema_columns()
 
     # -- schema management (programmatic API) --------------------------------------

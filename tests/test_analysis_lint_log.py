@@ -43,7 +43,7 @@ def database():
 
 @pytest.fixture
 def store(database):
-    store = QueryStore(schema_columns=database.schema_columns())
+    store = QueryStore(schema=database.schema_columns)
     store.add(make_record(1, VALID_SQL))
     store.add(make_record(2, UNKNOWN_COLUMN_SQL, user="bob"))
     store.add(make_record(3, CARTESIAN_SQL, user="bob", timestamp=1.0))

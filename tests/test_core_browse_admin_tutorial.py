@@ -253,7 +253,7 @@ class TestTutorial:
     def test_tutorial_render_is_text(self, busy_cqms):
         from repro.core.tutorial import TutorialGenerator
 
-        generator = TutorialGenerator(busy_cqms.store, busy_cqms.database.schema_columns())
+        generator = TutorialGenerator(busy_cqms.store)
         text = generator.render()
         assert "== Relation" in text
         assert "Popular queries:" in text

@@ -161,6 +161,57 @@ class TestAssistedMode:
             r.record.qid for r in response.similar_queries
         ]
 
+    def test_ddl_through_submit_reaches_assisted_mode_without_maintenance(self, fresh_cqms):
+        """Completion, correction and the tutorial read the live catalog: no
+        ``run_maintenance`` (or any other refresh) between DDL and draft."""
+        cqms = fresh_cqms
+        limnology = {name.lower() for name in cqms.database.table_names()}
+
+        def attributes(draft):
+            response = cqms.assist("alice", draft, k=20)
+            assert response.completions == cqms.completion.suggest(draft, limit=20)
+            return {s.text for s in response.completions["attributes"]}
+
+        def attribute_fixes(sql):
+            return {c.suggestion for c in cqms.correct("alice", sql) if c.kind == "attribute_name"}
+
+        def tutorial_relations():
+            return {
+                section.title.removeprefix("Relation ")
+                for section in cqms.tutorial()
+                if section.title.startswith("Relation ")
+            }
+
+        def submit(sql):
+            assert cqms.submit("alice", sql).succeeded, sql
+
+        # Before the table exists nothing knows its columns.
+        assert attribute_fixes("SELECT batery FROM Buoys") == set()
+        assert attributes("SELECT * FROM Buoys WHERE ") == set()
+
+        submit("CREATE TABLE Buoys (id INTEGER, battery REAL)")
+        assert attributes("SELECT * FROM Buoys WHERE ") == {"buoys.id", "buoys.battery"}
+        assert attribute_fixes("SELECT batery FROM Buoys") == {"buoys.battery"}
+        assert tutorial_relations() == limnology | {"buoys"}
+
+        submit("ALTER TABLE Buoys ADD COLUMN depth REAL")
+        assert attributes("SELECT * FROM Buoys WHERE ") == {
+            "buoys.id", "buoys.battery", "buoys.depth"
+        }
+        assert attribute_fixes("SELECT dept FROM Buoys") == {"buoys.depth"}
+
+        submit("ALTER TABLE Buoys RENAME COLUMN battery TO charge")
+        assert attributes("SELECT * FROM Buoys WHERE ") == {
+            "buoys.id", "buoys.charge", "buoys.depth"
+        }
+        assert attribute_fixes("SELECT charg FROM Buoys") == {"buoys.charge"}
+        assert tutorial_relations() == limnology | {"buoys"}
+
+        submit("DROP TABLE Buoys")
+        assert attributes("SELECT * FROM Buoys WHERE ") == set()
+        assert attribute_fixes("SELECT charg FROM Buoys") == set()
+        assert tutorial_relations() == limnology
+
 
 class TestAdministrativeMode:
     def test_maintenance_after_evolution_scenario(self):

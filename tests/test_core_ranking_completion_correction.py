@@ -126,7 +126,7 @@ def completion_store():
     CityLocations is globally the most popular table, but *given* WaterSalinity
     the most frequent companion is WaterTemp.
     """
-    store = QueryStore()
+    store = QueryStore(schema=lambda: SCHEMA)
     qid = 0
     def add(sql):
         nonlocal qid
@@ -152,85 +152,85 @@ SCHEMA = {
 
 class TestCompletionEngine:
     def test_global_popularity_baseline_prefers_citylocations(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         popular = engine.popular_tables(limit=3)
         assert popular[0].text == "citylocations"
 
     def test_context_aware_suggests_watertemp_given_watersalinity(self, completion_store):
         """The paper's Section 2.3 example, reproduced exactly."""
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_tables("SELECT * FROM WaterSalinity S, ", limit=3)
         assert suggestions[0].text == "watertemp"
         assert suggestions[0].source == "rule"
 
     def test_popularity_baseline_ignores_context(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_tables(
             "SELECT * FROM WaterSalinity S, ", limit=3, context_aware=False
         )
         assert suggestions[0].text == "citylocations"
 
     def test_context_tables_never_suggested_again(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_tables("SELECT * FROM WaterSalinity S, WaterTemp T, ", limit=5)
         assert all(s.text not in ("watersalinity", "watertemp") for s in suggestions)
 
     def test_empty_context_falls_back_to_popularity(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_tables("SELECT * FROM ", limit=2)
         assert suggestions and suggestions[0].text == "citylocations"
 
     def test_suggest_attributes_for_context_tables(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_attributes("SELECT * FROM WaterTemp T WHERE ", limit=5)
         assert any(s.text == "watertemp.temp" for s in suggestions)
 
     def test_suggest_attributes_schema_fallback(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_attributes("SELECT * FROM Lakes", limit=10)
         assert any(s.source == "schema" for s in suggestions)
 
     def test_suggest_attributes_without_tables_empty(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         assert engine.suggest_attributes("SELECT 1") == []
 
     def test_suggest_predicates(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_predicates("SELECT * FROM WaterTemp T", limit=3)
         assert any("temp < 18" in s.text for s in suggestions)
 
     def test_suggest_joins(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_joins("SELECT * FROM WaterSalinity S, WaterTemp T", limit=3)
         assert any("loc_x" in s.text for s in suggestions)
 
     def test_suggest_joins_requires_two_tables(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         assert engine.suggest_joins("SELECT * FROM WaterTemp") == []
 
     def test_suggest_bundle_has_all_kinds(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         bundle = engine.suggest("SELECT * FROM WaterSalinity S, WaterTemp T WHERE ")
         assert set(bundle) == {"tables", "attributes", "predicates", "joins"}
 
     def test_refresh_with_external_rule_index(self, completion_store):
         from repro.mining.association_rules import RuleIndex, mine_rules
 
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         rules = mine_rules([["table:a", "table:b"]] * 5, min_support=0.5, min_confidence=0.5)
         engine.refresh(rule_index=RuleIndex(rules))
         suggestions = engine.suggest_tables("SELECT * FROM a", limit=2)
         assert suggestions  # falls back to popularity for unknown context
 
     def test_partial_with_trailing_where(self, completion_store):
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_tables("SELECT * FROM WaterSalinity S WHERE", limit=2)
         assert suggestions[0].text == "watertemp"
 
     def test_suggestions_follow_a_log_rewritten_at_equal_size(self, completion_store):
         """A maintenance repair (``replace_text``) or a remove-then-add keeps
         the number of logged SELECTs, so a fit keyed by that number went stale."""
-        engine = CompletionEngine(completion_store, SCHEMA)
+        engine = CompletionEngine(completion_store)
         assert [s.text for s in engine.popular_tables(limit=1)] == ["citylocations"]
         renamed = "SELECT * FROM Cities C WHERE C.population > 100000"
         for record in completion_store.select_queries():
@@ -256,23 +256,23 @@ class TestCompletionEngine:
 
 class TestCorrectionEngine:
     def test_table_name_spellcheck(self, completion_store):
-        engine = CorrectionEngine(completion_store, SCHEMA)
+        engine = CorrectionEngine(completion_store)
         corrections = engine.correct_names("SELECT * FROM WaterSalinty WHERE salinity > 1")
         assert corrections
         assert corrections[0].kind == "table_name"
         assert corrections[0].suggestion == "watersalinity"
 
     def test_attribute_name_spellcheck(self, completion_store):
-        engine = CorrectionEngine(completion_store, SCHEMA)
+        engine = CorrectionEngine(completion_store)
         corrections = engine.correct_names("SELECT T.temperatur FROM WaterTemp T")
         assert any(c.kind == "attribute_name" and c.suggestion.endswith("temp") for c in corrections)
 
     def test_correct_names_on_valid_query_is_empty(self, completion_store):
-        engine = CorrectionEngine(completion_store, SCHEMA)
+        engine = CorrectionEngine(completion_store)
         assert engine.correct_names("SELECT T.temp FROM WaterTemp T") == []
 
     def test_correct_names_on_unparseable_text(self, completion_store):
-        engine = CorrectionEngine(completion_store, SCHEMA)
+        engine = CorrectionEngine(completion_store)
         assert engine.correct_names("not sql at all !!!") == []
 
     @pytest.mark.parametrize(
@@ -285,13 +285,13 @@ class TestCorrectionEngine:
         ],
     )
     def test_spellcheck_reads_a_draft_that_is_still_being_typed(self, completion_store, draft):
-        engine = CorrectionEngine(completion_store, SCHEMA)
+        engine = CorrectionEngine(completion_store)
         corrections = engine.correct_names(draft)
         assert [(c.kind, c.suggestion) for c in corrections] == [("table_name", "watersalinity")]
         assert engine.correction_log == corrections
 
     def test_empty_result_predicate_correction(self, completion_store):
-        engine = CorrectionEngine(completion_store, SCHEMA)
+        engine = CorrectionEngine(completion_store)
         corrections = engine.correct_empty_result(
             "SELECT * FROM WaterTemp T WHERE T.temp < 2"
         )
@@ -300,17 +300,12 @@ class TestCorrectionEngine:
         assert "temp < 18" in corrections[0].suggestion
 
     def test_empty_result_correction_skips_unknown_attributes(self, completion_store):
-        engine = CorrectionEngine(completion_store, SCHEMA)
+        engine = CorrectionEngine(completion_store)
         assert engine.correct_empty_result("SELECT * FROM Lakes K WHERE K.area_km2 > 999") == []
 
     def test_correction_log_accumulates(self, completion_store):
-        engine = CorrectionEngine(completion_store, SCHEMA)
+        engine = CorrectionEngine(completion_store)
         engine.correct_names("SELECT * FROM WaterSalinty")
         engine.correct_empty_result("SELECT * FROM WaterTemp T WHERE T.temp < 2")
         assert len(engine.correction_log) >= 2
 
-    def test_update_schema(self, completion_store):
-        engine = CorrectionEngine(completion_store, {})
-        assert engine.correct_names("SELECT * FROM WaterSalinty") == []
-        engine.update_schema(SCHEMA)
-        assert engine.correct_names("SELECT * FROM WaterSalinty")

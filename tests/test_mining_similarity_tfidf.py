@@ -1,6 +1,4 @@
-"""Tests for similarity measures and the TF-IDF vectorizer."""
-
-import math
+"""Tests for the similarity measures."""
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.mining.similarity import (
     text_trigram_similarity,
     weighted_feature_similarity,
 )
-from repro.mining.tfidf import TfIdfVectorizer, cosine_similarity
 
 
 class TestSetSimilarities:
@@ -120,72 +117,3 @@ class TestTrigramAndMatching:
         )
         assert ranked[0][0] == "watertemp"
         assert len(ranked) == 2
-
-
-class TestTfIdf:
-    DOCS = [
-        ["table:a", "table:b"],
-        ["table:a", "table:c"],
-        ["table:a", "table:b", "pred:x"],
-        ["table:d"],
-    ]
-
-    def test_fit_counts_documents_and_vocabulary(self):
-        vectorizer = TfIdfVectorizer().fit(self.DOCS)
-        assert vectorizer.num_documents == 4
-        assert vectorizer.vocabulary_size == 5
-
-    def test_common_terms_get_lower_idf(self):
-        vectorizer = TfIdfVectorizer().fit(self.DOCS)
-        assert vectorizer.idf("table:a") < vectorizer.idf("table:d")
-
-    def test_unseen_term_gets_max_idf(self):
-        vectorizer = TfIdfVectorizer().fit(self.DOCS)
-        assert vectorizer.idf("never-seen") >= vectorizer.idf("table:d")
-
-    def test_transform_is_normalized(self):
-        vectorizer = TfIdfVectorizer().fit(self.DOCS)
-        vector = vectorizer.transform(["table:a", "table:b"])
-        norm = math.sqrt(sum(w * w for w in vector.values()))
-        assert norm == pytest.approx(1.0)
-
-    def test_empty_document_transforms_to_empty(self):
-        vectorizer = TfIdfVectorizer().fit(self.DOCS)
-        assert vectorizer.transform([]) == {}
-
-    def test_similarity_of_identical_docs(self):
-        vectorizer = TfIdfVectorizer().fit(self.DOCS)
-        assert vectorizer.similarity(self.DOCS[0], self.DOCS[0]) == pytest.approx(1.0)
-
-    def test_similarity_orders_related_docs(self):
-        vectorizer = TfIdfVectorizer().fit(self.DOCS)
-        close = vectorizer.similarity(self.DOCS[0], self.DOCS[2])
-        far = vectorizer.similarity(self.DOCS[0], self.DOCS[3])
-        assert close > far
-
-    def test_partial_fit(self):
-        vectorizer = TfIdfVectorizer().fit(self.DOCS)
-        before = vectorizer.num_documents
-        vectorizer.partial_fit(["table:e"])
-        assert vectorizer.num_documents == before + 1
-        assert vectorizer.idf("table:e") < vectorizer.idf("never-seen-term-2")
-
-    def test_fit_transform_returns_one_vector_per_doc(self):
-        vectors = TfIdfVectorizer().fit_transform(self.DOCS)
-        assert len(vectors) == len(self.DOCS)
-
-
-class TestCosine:
-    def test_cosine_empty_vectors(self):
-        assert cosine_similarity({}, {"a": 1.0}) == 0.0
-
-    def test_cosine_orthogonal(self):
-        assert cosine_similarity({"a": 1.0}, {"b": 1.0}) == 0.0
-
-    def test_cosine_identical(self):
-        assert cosine_similarity({"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0}) == pytest.approx(1.0)
-
-    def test_cosine_symmetric(self):
-        first = {"a": 1.0, "b": 0.5}
-        second = {"b": 1.0, "c": 2.0}
-        assert cosine_similarity(first, second) == pytest.approx(cosine_similarity(second, first))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.mining.knn import KNNIndex
 from repro.mining.similarity import edit_distance, jaccard_similarity, weighted_feature_similarity
-from repro.mining.tfidf import TfIdfVectorizer, cosine_similarity
 from repro.sql.canonicalize import canonical_text, queries_equivalent
 from repro.sql.diff import diff_queries
 from repro.sql.formatter import format_statement
@@ -174,12 +173,6 @@ class TestSimilarityProperties:
         assert weighted_feature_similarity(first, second, weights) == expected
         backwards = dict(reversed(first.items())), dict(reversed(second.items()))
         assert weighted_feature_similarity(*backwards, weights) == expected
-
-    @given(token_lists, token_lists)
-    def test_tfidf_cosine_bounds(self, first, second):
-        vectorizer = TfIdfVectorizer().fit([first, second])
-        value = cosine_similarity(vectorizer.transform(first), vectorizer.transform(second))
-        assert -1e-9 <= value <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,36 @@ class TestCatalog:
         catalog.register(make_schema("MyTable"))
         columns = catalog.schema_columns()
         assert columns == {"mytable": {"id", "name", "score"}}
+        # One map per catalog version, shared and read-only.
+        assert catalog.schema_columns() is columns
+        with pytest.raises(TypeError):
+            columns["other"] = frozenset()
+        with pytest.raises(TypeError):
+            del columns["mytable"]
+        assert isinstance(columns["mytable"], frozenset)
+
+    def test_schema_columns_follow_every_change(self):
+        catalog = Catalog()
+        seen = [catalog.schema_columns()]
+
+        def changed_to(expected):
+            columns = catalog.schema_columns()
+            assert columns == expected
+            assert all(columns is not earlier for earlier in seen)
+            seen.append(columns)
+
+        catalog.register(make_schema("A"))
+        changed_to({"a": {"id", "name", "score"}})
+        catalog.replace_schema(
+            "a", make_schema("A").with_column_renamed("Score", "Rank"), kind="rename_column"
+        )
+        changed_to({"a": {"id", "name", "rank"}})
+        catalog.register(make_schema("b"))
+        changed_to({"a": {"id", "name", "rank"}, "b": {"id", "name", "score"}})
+        catalog.unregister("a")
+        changed_to({"b": {"id", "name", "score"}})
+        catalog.restore([make_schema("c")], [], version=catalog.version)
+        changed_to({"c": {"id", "name", "score"}})
 
     def test_version_increments_on_every_change(self):
         catalog = Catalog()
