@@ -250,6 +250,29 @@ class TestTutorial:
         sections = busy_cqms.tutorial()
         assert any("mistakes" in section.title.lower() for section in sections)
 
+    def test_tutorial_reads_the_schema_when_generated(self):
+        """The generator keeps no copy of the schema: each tutorial lists the
+        relations and columns of the store's map as it is then."""
+        from repro.core.query_store import QueryStore
+        from repro.core.tutorial import TutorialGenerator
+
+        schema = {"buoys": frozenset({"id", "battery"})}
+        generator = TutorialGenerator(QueryStore(schema=lambda: schema))
+
+        def relations():
+            return {
+                section.title: section.lines[0]
+                for section in generator.generate()
+                if section.title.startswith("Relation ")
+            }
+
+        assert relations() == {"Relation buoys": "Columns: battery, id"}
+        schema = {"buoys": frozenset({"id", "charge"}), "lakes": frozenset({"name"})}
+        assert relations() == {
+            "Relation buoys": "Columns: charge, id",
+            "Relation lakes": "Columns: name",
+        }
+
     def test_tutorial_render_is_text(self, busy_cqms):
         from repro.core.tutorial import TutorialGenerator
 

@@ -213,6 +213,22 @@ class TestCompletionEngine:
         bundle = engine.suggest("SELECT * FROM WaterSalinity S, WaterTemp T WHERE ")
         assert set(bundle) == {"tables", "attributes", "predicates", "joins"}
 
+    def test_schema_is_read_when_suggesting(self):
+        """The engine keeps no copy of the schema: every suggestion reads the
+        store's map as it is then, so later DDL shows without a refresh."""
+        schema = {"buoys": frozenset({"id"})}
+        engine = CompletionEngine(QueryStore(schema=lambda: schema))
+
+        def attributes():
+            suggestions = engine.suggest_attributes("SELECT * FROM Buoys WHERE ", limit=10)
+            return {s.text for s in suggestions}
+
+        assert attributes() == {"buoys.id"}
+        schema = {"buoys": frozenset({"id", "battery"})}
+        assert attributes() == {"buoys.id", "buoys.battery"}
+        schema = {}
+        assert attributes() == set()
+
     def test_refresh_with_external_rule_index(self, completion_store):
         from repro.mining.association_rules import RuleIndex, mine_rules
 
@@ -302,6 +318,22 @@ class TestCorrectionEngine:
     def test_empty_result_correction_skips_unknown_attributes(self, completion_store):
         engine = CorrectionEngine(completion_store)
         assert engine.correct_empty_result("SELECT * FROM Lakes K WHERE K.area_km2 > 999") == []
+
+    def test_schema_is_read_when_correcting(self):
+        """Spell-checking reads the store's map as it is then: a relation or
+        column created after the engine was built is a candidate at once."""
+        schema = {}
+        engine = CorrectionEngine(QueryStore(schema=lambda: schema))
+
+        def suggestions(sql):
+            return [(c.kind, c.suggestion) for c in engine.correct_names(sql)]
+
+        assert suggestions("SELECT B.batery FROM Buoy B") == []
+        schema = {"buoys": frozenset({"id", "battery"})}
+        assert suggestions("SELECT B.batery FROM Buoy B") == [("table_name", "buoys")]
+        assert suggestions("SELECT B.batery FROM Buoys B") == [("attribute_name", "buoys.battery")]
+        schema = {"buoys": frozenset({"id", "charge"})}
+        assert suggestions("SELECT B.battery FROM Buoys B") == []
 
     def test_correction_log_accumulates(self, completion_store):
         engine = CorrectionEngine(completion_store)

@@ -22,10 +22,13 @@ from repro.sql.ast_nodes import Join, SelectStatement, SubqueryRef, iter_subquer
 from repro.storage import Database, ExecutionSettings
 from repro.storage.binder import Binder, table_columns
 from repro.storage.aggregates import (
+    AvgAccumulator,
+    AvgDistinctAccumulator,
     CountStarAccumulator,
     MaxAccumulator,
     MinAccumulator,
     SumAccumulator,
+    SumDistinctAccumulator,
     collect_aggregate_specs,
 )
 from repro.storage.executor import Executor
@@ -172,6 +175,36 @@ class TestAccumulators:
         acc.update_batch(values[3:])
         present = [v for v in values if v is not None]
         assert acc.finish() == sum(present)
+
+    #: Left fold in order: ``1e16 + 1.0`` rounds back to ``1e16``, so the
+    #: fold ends at 1.0; a compensated sum (``sum()`` from Python 3.12) gives 2.0.
+    CANCELLING = [1e16, None, 1.0, -1e16, 1.0]
+
+    @pytest.mark.parametrize(
+        "accumulator, expected", [(SumAccumulator, 1.0), (AvgAccumulator, 0.25)]
+    )
+    def test_float_total_is_one_left_fold_at_every_split(self, accumulator, expected):
+        values = self.CANCELLING
+        for split in range(len(values) + 1):
+            by_batch, by_column = accumulator(), accumulator()
+            by_batch.update_batch(values[:split])
+            by_batch.update_batch(values[split:])
+            by_column.update_column(values, range(split))
+            by_column.update_column(values, range(split, len(values)))
+            assert by_batch.finish() == by_column.finish() == expected, split
+
+    @pytest.mark.parametrize(
+        "accumulator, expected",
+        [(SumDistinctAccumulator, 0.0), (AvgDistinctAccumulator, 0.0)],
+    )
+    def test_distinct_total_folds_first_seen_values(self, accumulator, expected):
+        """``1e16 + 1.0 - 1e16`` in first-seen order is 0.0 (the repeated 1.0
+        is dropped); a compensated sum would give 1.0."""
+        for split in range(len(self.CANCELLING) + 1):
+            acc = accumulator()
+            acc.update_batch(self.CANCELLING[:split])
+            acc.update_column(self.CANCELLING, range(split, len(self.CANCELLING)))
+            assert acc.finish() == expected, split
 
     def test_sum_all_null_is_null(self):
         acc = SumAccumulator()

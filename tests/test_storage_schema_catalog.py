@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import CatalogError, SchemaError
+from repro.errors import CatalogError, ExecutionError, SchemaError
+from repro.storage import Database
 from repro.storage.catalog import Catalog
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.types import DataType
@@ -187,3 +188,88 @@ class TestCatalog:
         )
         assert catalog.has_table("new")
         assert not catalog.has_table("old")
+
+
+class TestDatabaseSchemaColumns:
+    """``Database.schema_columns()`` is the catalog's one map per version:
+    DDL of every kind builds a new one, anything else hands back the same."""
+
+    @staticmethod
+    def make_db():
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER, name TEXT)")
+        return db
+
+    def test_database_hands_out_the_catalogs_map(self):
+        db = self.make_db()
+        assert db.schema_columns() is db.catalog.schema_columns()
+        assert db.schema_columns() is db.schema_columns()
+        assert db.schema_columns() == {"t": {"id", "name"}}
+
+    @pytest.mark.parametrize(
+        "sql, kind, expected",
+        [
+            ("CREATE TABLE U (Key INTEGER)", "create_table", {"t": {"id", "name"}, "u": {"key"}}),
+            ("DROP TABLE t", "drop_table", {}),
+            ("ALTER TABLE t ADD COLUMN Score REAL", "add_column", {"t": {"id", "name", "score"}}),
+            ("ALTER TABLE t DROP COLUMN name", "drop_column", {"t": {"id"}}),
+            ("ALTER TABLE t RENAME COLUMN name TO Label", "rename_column", {"t": {"id", "label"}}),
+            ("ALTER TABLE t RENAME TO Renamed", "rename_table", {"renamed": {"id", "name"}}),
+        ],
+    )
+    def test_every_ddl_kind_builds_a_new_map(self, sql, kind, expected):
+        db = self.make_db()
+        before = db.schema_columns()
+        db.execute(sql)
+        assert db.catalog.changes()[-1].kind == kind
+        after = db.schema_columns()
+        assert after is not before
+        assert after == expected
+        assert all(isinstance(columns, frozenset) for columns in after.values())
+        # A map handed out earlier still describes its own version.
+        assert before == {"t": {"id", "name"}}
+
+    def test_statements_that_change_no_schema_keep_the_map(self):
+        db = self.make_db()
+        columns = db.schema_columns()
+        for sql in (
+            "INSERT INTO t VALUES (1, 'a')",
+            "UPDATE t SET name = 'b' WHERE id = 1",
+            "SELECT name FROM t WHERE id = 1",
+            "CREATE INDEX t_id ON t (id)",
+            "DELETE FROM t WHERE id = 1",
+        ):
+            db.execute(sql)
+            assert db.schema_columns() is columns, sql
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "DROP TABLE missing",
+            "CREATE TABLE t (other INTEGER)",
+            "ALTER TABLE t ADD COLUMN name TEXT",
+            "ALTER TABLE t RENAME COLUMN missing TO other",
+        ],
+    )
+    def test_rejected_ddl_keeps_the_map(self, sql):
+        db = self.make_db()
+        columns = db.schema_columns()
+        version = db.catalog.version
+        with pytest.raises((CatalogError, ExecutionError, SchemaError)):
+            db.execute(sql)
+        assert db.catalog.version == version
+        assert db.schema_columns() is columns
+
+    def test_reopened_database_maps_the_recovered_schema(self, tmp_path):
+        data_dir = str(tmp_path / "db")
+        with Database.open(data_dir, wal_sync="commit") as db:
+            db.execute("CREATE TABLE t (id INTEGER, name TEXT)")
+            db.checkpoint()
+            db.execute("ALTER TABLE t RENAME COLUMN name TO label")
+            db.execute("CREATE TABLE u (key INTEGER)")
+            expected = dict(db.schema_columns())
+        with Database.open(data_dir) as db:
+            assert db.last_recovery.snapshot_loaded
+            assert db.schema_columns() == expected == {"t": {"id", "label"}, "u": {"key"}}
+            db.execute("DROP TABLE u")
+            assert db.schema_columns() == {"t": {"id", "label"}}
