@@ -34,6 +34,7 @@ a filter sits in between).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import engine_timer
@@ -187,14 +188,20 @@ class Executor:
                 rows = self._aggregate_streamed(statement, plan, ctx, outer_scope)
             else:
                 project = self._projection(plan, outer_scope)
+                slots = _order_slots(plan)
                 entries = []
                 for batch in plan.root.batches(ctx):
                     self.metrics.batches += 1
-                    entries.extend(zip(batch, project(batch)))
-                _sort_entries(
-                    entries, self._order_keys(plan, outer_scope, self._evaluate_row)
-                )
-                rows = [output_row for _, output_row in entries]
+                    entries += batch if slots is not None else zip(batch, project(batch))
+                if slots is not None:
+                    for slot, ascending in reversed(slots):
+                        _sort_by_slot(entries, slot, ascending)
+                    rows = project(entries)
+                else:
+                    _sort_entries(
+                        entries, self._order_keys(plan, outer_scope, self._evaluate_row)
+                    )
+                    rows = [output_row for _, output_row in entries]
             if statement.distinct:
                 rows = _distinct(rows)
         else:
@@ -425,6 +432,37 @@ def _sort_entries(entries: list, keys) -> None:
     input order whatever mix of ASC and DESC the keys are."""
     for key, ascending in reversed(keys):
         entries.sort(key=key, reverse=not ascending)
+
+
+def _order_slots(plan: SelectPlan) -> list[tuple[int, bool]] | None:
+    """Each ORDER BY item's ``(source position, ascending)`` (an output column
+    reads the position it projects), or None when an item is computed."""
+    slots = []
+    for key in plan.order_keys:
+        slot = key.slot if key.output is None else plan.projection[key.output]
+        if type(slot) is not int:
+            return None
+        slots.append((slot, key.ascending))
+    return slots
+
+
+def _sort_by_slot(rows: list[tuple], slot: int, ascending: bool) -> None:
+    """One stable :func:`_sort_entries` pass over source rows by position
+    ``slot``.  Non-NULL values all numbers or all text sort natively (the
+    ``sort_key`` order), NULLs set aside and put back first (ASC) or last
+    (DESC); any other mix of types sorts by ``sort_key``."""
+    value, nulls = itemgetter(slot), []
+    kinds = set(map(type, map(value, rows)))
+    if type(None) in kinds:
+        kinds.discard(type(None))
+        nulls = [row for row in rows if row[slot] is None]
+        rows[:] = [row for row in rows if row[slot] is not None]
+    if kinds <= {int, float, bool} or kinds == {str}:
+        rows.sort(key=value, reverse=not ascending)
+    else:
+        rows.sort(key=lambda row: sort_key(row[slot]), reverse=not ascending)
+    at = 0 if ascending else len(rows)
+    rows[at:at] = nulls
 
 
 def _compile_projection(plan: SelectPlan):

@@ -480,31 +480,42 @@ class HashJoin(Operator):
             build, probe, build_key, probe_key = self.left, self.right, left_key, right_key
         else:
             build, probe, build_key, probe_key = self.right, self.left, right_key, left_key
-        table: dict[tuple, list[Row]] = {}
-        for batch in build.batches(ctx):
-            for row, key in zip(batch, map(build_key, batch)):
-                if None not in key:  # a NULL key matches nothing
-                    table.setdefault(key, []).append(row)
-        build_left = self.build_left
-        metrics = ctx.metrics
+        pairs = [
+            (key, row)
+            for batch in build.batches(ctx)
+            for row, key in zip(batch, map(build_key, batch))
+            if None not in key  # a NULL key matches nothing
+        ]
+        # Unique keys (the usual case) map each key to its one row, so no
+        # container is built per build row; duplicates group rows in lists.
+        table: dict = {}
+        table.update(pairs)
+        unique = len(table) == len(pairs)
+        if not unique:
+            table = {}
+            for key, row in pairs:
+                table.setdefault(key, []).append(row)
+        del pairs
         batch_size = max(1, ctx.batch_size)
         out: RowBatch = []
         for batch in probe.batches(ctx):
             # No key with a NULL in it was built, so a probe key with one
             # finds nothing: the probe side needs no NULL test of its own.
-            for row, matches in zip(batch, map(table.get, map(probe_key, batch))):
-                if not matches:
-                    continue
-                metrics.rows_joined += len(matches)
-                if build_left:
-                    for match in matches:
-                        out.append(match + row)
-                else:
-                    for match in matches:
-                        out.append(row + match)
-                if len(out) >= batch_size:
-                    yield out
-                    out = []
+            found = zip(batch, map(table.get, map(probe_key, batch)))
+            if unique and self.build_left:
+                joined = [match + row for row, match in found if match is not None]
+            elif unique:
+                joined = [row + match for row, match in found if match is not None]
+            elif self.build_left:
+                joined = [match + row for row, matches in found if matches for match in matches]
+            else:
+                joined = [row + match for row, matches in found if matches for match in matches]
+            ctx.metrics.rows_joined += len(joined)
+            out += joined
+            cut = len(out) - len(out) % batch_size  # whole batches go out now
+            for start in range(0, cut, batch_size):
+                yield out[start : start + batch_size]
+            del out[:cut]
         if out:
             yield out
 

@@ -145,11 +145,13 @@ def compare_values(left: object, right: object) -> int | None:
 
 
 def sort_key(value: object):
-    """A total-order sort key that places NULLs first and mixes types safely."""
+    """A total-order sort key that places NULLs first and mixes types safely:
+    NULL, then numbers by value (``bool`` as 0/1; integers compare exactly,
+    also past 2**53), then anything else by its text."""
     if value is None:
         return (0, "")
     if isinstance(value, bool):
         return (1, int(value))
     if isinstance(value, (int, float)):
-        return (1, float(value))
+        return (1, value)
     return (2, str(value))

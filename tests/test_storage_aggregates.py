@@ -7,11 +7,14 @@ stdlib ``sqlite3``."""
 from __future__ import annotations
 
 import functools
+import gc
 import re
 import sqlite3
 from contextlib import closing
 
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from repro import CQMS, SimulatedClock, build_database
 from repro.analysis.corpus import DOMAINS, dml_statements, domain_statements
@@ -31,9 +34,16 @@ from repro.storage.aggregates import (
     SumDistinctAccumulator,
     collect_aggregate_specs,
 )
-from repro.storage.executor import Executor
+from repro.storage.executor import (
+    ExecutionStats,
+    Executor,
+    _order_slots,
+    _sort_by_slot,
+    _sort_entries,
+)
 from repro.storage.kernels import compile_columnar_conjuncts
 from repro.storage.operators import (
+    ExecutionContext,
     Filter,
     HashJoin,
     IndexLookupJoin,
@@ -44,6 +54,7 @@ from repro.storage.operators import (
 )
 from repro.storage.planner import Planner
 from repro.storage.statistics import group_count_estimate
+from repro.storage.types import sort_key
 from repro.sql.parser import parse
 
 LAKE_ROWS = [
@@ -1021,3 +1032,282 @@ class TestJoinOrderOracle:
         assert [name for name, _ in heap.root.bindings] == ["b", "a"]
         indexed = Planner(_make_join_db(None, indexed=True)).plan_select(parse(sql))
         assert _find(indexed.root, IndexLookupJoin)
+
+
+# ---------------------------------------------------------------------------
+# The hash join's build table and the ORDER BY sort paths
+# ---------------------------------------------------------------------------
+
+#: Two tables whose join keys repeat on both sides and hold NULLs on both
+#: sides; ``u`` is unique, ``f`` holds the floats equal to some ``k``.
+BUILD_TABLES = {
+    "l": (
+        "id INTEGER, k INTEGER, t TEXT",
+        [
+            (i, None if i % 7 == 0 else i % 6, None if i % 5 == 0 else f"t{i % 3}")
+            for i in range(1, 41)
+        ],
+    ),
+    "r": (
+        "id INTEGER, k INTEGER, f FLOAT, t TEXT, u INTEGER",
+        [
+            (
+                i,
+                None if i % 6 == 0 else i % 8,
+                None if i % 9 == 0 else float(i % 5),
+                None if i % 4 == 0 else f"t{i % 2}",
+                i,
+            )
+            for i in range(1, 26)
+        ],
+    ),
+}
+
+#: Hash-join statements run with each side as the build side.
+HASH_JOIN_QUERIES = [
+    # Duplicate build keys and NULL keys on both sides.
+    "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k",
+    # Unique keys on both sides.
+    "SELECT l.id, r.id, r.f FROM l JOIN r ON l.id = r.u",
+    "SELECT * FROM r JOIN l ON r.u = l.id",
+    # INTEGER against FLOAT keys: 1 and 1.0 are one dict key.
+    "SELECT l.id, r.id FROM l JOIN r ON l.k = r.f",
+    # 1 and 1.0 on the same side: distinct rows, one dict key, so a
+    # unique-looking build side takes the grouped path.
+    "SELECT d.id, r.id FROM (SELECT id, CASE WHEN id % 2 = 0 THEN id - 1 "
+    "ELSE id * 1.0 END AS m FROM l) d JOIN r ON d.m = r.u",
+    # A composite key.
+    "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k AND l.t = r.t",
+]
+
+
+def _load_build_tables(execute, executemany) -> None:
+    for name, (columns, rows) in BUILD_TABLES.items():
+        execute(f"CREATE TABLE {name} ({columns})")
+        executemany(name, [column.split()[0] for column in columns.split(", ")], rows)
+
+
+def _make_build_db(exec_settings: ExecutionSettings | None = None) -> Database:
+    db = Database(exec_settings=exec_settings)
+    _load_build_tables(
+        db.execute,
+        lambda name, columns, rows: db.insert_rows(
+            name, [dict(zip(columns, row)) for row in rows]
+        ),
+    )
+    return db
+
+
+@pytest.fixture(scope="module")
+def build_reference():
+    """``sql -> rows`` answered by sqlite over :data:`BUILD_TABLES`."""
+    connection = sqlite3.connect(":memory:")
+    _load_build_tables(
+        connection.execute,
+        lambda name, columns, rows: connection.executemany(
+            f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})", rows
+        ),
+    )
+    yield lambda sql: connection.execute(sql).fetchall()
+    connection.close()
+
+
+def _hash_join_plan(db: Database, sql: str, build_left: bool):
+    """The statement's plan with its one hash join building ``build_left``."""
+    plan = Planner(db).plan_select(parse(sql))
+    join = _find(plan.root, HashJoin)
+    assert join is not None
+    join.build_left = build_left
+    return plan, join
+
+
+class TestHashJoinBuild:
+    @pytest.mark.parametrize("build_left", [True, False], ids=["build-left", "build-right"])
+    @pytest.mark.parametrize("sql", HASH_JOIN_QUERIES)
+    def test_matches_sqlite(self, sql, build_left, exec_variant, build_reference):
+        expected = build_reference(sql)
+        assert expected
+        db = _make_build_db(exec_variant)
+        plan, join = _hash_join_plan(db, sql, build_left)
+        _, rows = Executor(db).execute_plan(plan)
+        assert_same_rows(sql, rows, expected)
+        # Output batches are coalesced to the configured size.
+        stats = ExecutionStats()
+        batch_size = exec_variant.batch_size
+        ctx = ExecutionContext(
+            metrics=stats,
+            run_select=Executor(db).execute_plan,
+            batch_size=batch_size,
+        )
+        batches = list(join.batches(ctx))
+        assert all(len(batch) == batch_size for batch in batches[:-1])
+        assert 0 < len(batches[-1]) <= batch_size
+        assert stats.rows_joined == sum(map(len, batches))
+
+    def test_unique_key_build_keeps_no_list_per_row(self):
+        """While a unique-key join runs, its table maps each key to the
+        stored row itself: no tracked list holds a build row."""
+        db = _make_build_db()
+        plan, join = _hash_join_plan(db, HASH_JOIN_QUERIES[1], build_left=False)
+        build = join.right.table
+        build_rows = {id(row) for row in build.rows()}
+        batches = plan.root.batches(ExecutionContext(metrics=ExecutionStats()))
+        first = next(batches)
+        assert first
+        holders = [
+            obj
+            for obj in gc.get_objects()
+            if type(obj) is list and any(id(item) in build_rows for item in obj)
+        ]
+        batches.close()
+        assert holders == []
+
+
+#: Positions past 2**53, where distinct integers round to one float.
+LARGE_INTEGERS = [(1, 2**53 + 1), (2, 2**53), (3, 2**53 + 3), (4, 2**53 + 2)]
+
+
+class TestLargeIntegerOrder:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id FROM big ORDER BY v",
+            "SELECT id FROM big ORDER BY v DESC",
+            "SELECT id FROM big ORDER BY v + 0",
+            "SELECT v, COUNT(*) FROM big GROUP BY v ORDER BY v DESC",
+            "SELECT MIN(v), MAX(v) FROM big",
+        ],
+    )
+    def test_matches_sqlite(self, sql):
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE big (id INTEGER, v INTEGER)")
+        connection.executemany("INSERT INTO big VALUES (?, ?)", LARGE_INTEGERS)
+        db = Database()
+        db.execute("CREATE TABLE big (id INTEGER, v INTEGER)")
+        db.insert_rows("big", [{"id": i, "v": v} for i, v in LARGE_INTEGERS])
+        assert db.execute(sql).rows == connection.execute(sql).fetchall()
+        connection.close()
+
+
+#: One row per id: an INTEGER, FLOAT, TEXT and BOOLEAN column with ties and
+#: NULLs (sqlite holds the booleans as 0 and 1).
+SORT_ROWS = [
+    (
+        i,
+        None if i % 7 == 0 else i % 5,
+        None if i % 6 == 0 else (i * 3 % 8) / 2,
+        None if i % 4 == 0 else f"s{i % 3}",
+        None if i % 9 == 0 else i % 2 == 0,
+    )
+    for i in range(1, 31)
+]
+
+#: ``(statement, its twin)``: the statement's ORDER BY items read positions
+#: (the native sort), the twin's compute the same values (the ``sort_key``
+#: sort), so both return the same rows.
+SORT_TWINS = [
+    ("SELECT id FROM o ORDER BY i", "SELECT id FROM o ORDER BY i + 0"),
+    ("SELECT id FROM o ORDER BY i DESC", "SELECT id FROM o ORDER BY i + 0 DESC"),
+    ("SELECT id, f FROM o ORDER BY f DESC, i", "SELECT id, f FROM o ORDER BY f * 1 DESC, i"),
+    ("SELECT * FROM o ORDER BY s, f DESC", "SELECT * FROM o ORDER BY s, f * 1 DESC"),
+    (
+        "SELECT id, s FROM o ORDER BY s DESC, i, id",
+        "SELECT id, s FROM o ORDER BY UPPER(s) DESC, i, id",
+    ),
+    ("SELECT id FROM o ORDER BY b DESC, i", "SELECT id FROM o ORDER BY b = TRUE DESC, i"),
+    (
+        "SELECT id, i AS n FROM o ORDER BY n, id DESC",
+        "SELECT id, i + 0 AS n FROM o ORDER BY n, id DESC",
+    ),
+    ("SELECT DISTINCT i FROM o ORDER BY i DESC", "SELECT DISTINCT i FROM o ORDER BY i + 0 DESC"),
+    (
+        "SELECT id, f FROM o ORDER BY f, id LIMIT 6 OFFSET 4",
+        "SELECT id, f FROM o ORDER BY f + 0, id LIMIT 6 OFFSET 4",
+    ),
+    (
+        "SELECT id, m FROM (SELECT id, CASE WHEN id % 3 = 0 THEN i WHEN id % 3 = 1 "
+        "THEN f ELSE b END AS m FROM o) x ORDER BY m, id",
+        "SELECT id, m FROM (SELECT id, CASE WHEN id % 3 = 0 THEN i WHEN id % 3 = 1 "
+        "THEN f ELSE b END AS m FROM o) x ORDER BY m * 1, id",
+    ),
+]
+
+
+#: Per kind of column, the values a property-test row draws.
+_SORT_VALUES = {
+    "numbers": st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.integers(2**53 - 2, 2**53 + 2),
+        st.floats(-3, 3, allow_nan=False),
+    ),
+    "text": st.one_of(st.none(), st.text(alphabet="aAb_", max_size=3)),
+    "mixed": st.one_of(
+        st.none(),
+        st.integers(-3, 3),
+        st.text(alphabet="12a", max_size=2),
+        st.lists(st.integers(0, 2), max_size=2),
+        st.dictionaries(st.sampled_from("xy"), st.integers(0, 2), max_size=1),
+    ),
+}
+
+
+class TestSortPaths:
+    @pytest.fixture(scope="class")
+    def sort_sqlite(self):
+        connection = sqlite3.connect(":memory:")
+        connection.execute("CREATE TABLE o (id INTEGER, i INTEGER, f REAL, s TEXT, b INTEGER)")
+        connection.executemany("INSERT INTO o VALUES (?, ?, ?, ?, ?)", SORT_ROWS)
+        yield connection
+        connection.close()
+
+    @staticmethod
+    def _db(exec_settings: ExecutionSettings | None = None) -> Database:
+        db = Database(exec_settings=exec_settings)
+        db.execute("CREATE TABLE o (id INTEGER, i INTEGER, f FLOAT, s TEXT, b BOOLEAN)")
+        db.insert_rows(
+            "o", [dict(zip(("id", "i", "f", "s", "b"), row)) for row in SORT_ROWS]
+        )
+        return db
+
+    @pytest.mark.parametrize("native, computed", SORT_TWINS)
+    def test_native_and_sort_key_paths_agree(self, native, computed, exec_variant, sort_sqlite):
+        db = self._db(exec_variant)
+        assert _order_slots(Planner(db).plan_select(parse(native))) is not None
+        assert _order_slots(Planner(db).plan_select(parse(computed))) is None
+        rows = db.execute(native).rows
+        assert rows == db.execute(computed).rows
+        if "id" in native.split("ORDER BY")[1] or "DISTINCT" in native:
+            # A total order: sqlite's rows, row for row.
+            assert rows == sort_sqlite.execute(native).fetchall()
+
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(_SORT_VALUES)), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @hsettings(max_examples=150, deadline=None)
+    def test_sort_by_slot_is_sort_key_order(self, kinds, data):
+        """Property: one stable pass per key, last key first, gives the rows
+        ``sort_key`` gives, whatever the column's types."""
+        values = data.draw(
+            st.lists(st.tuples(*(_SORT_VALUES[kind] for kind in kinds)), max_size=40)
+        )
+        keys = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(kinds) - 1), st.booleans()),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        rows = [(*row, number) for number, row in enumerate(values)]
+        native = list(rows)
+        for slot, ascending in reversed(keys):
+            _sort_by_slot(native, slot, ascending)
+        reference = list(rows)
+        _sort_entries(
+            reference,
+            [(lambda row, _slot=slot: sort_key(row[_slot]), asc) for slot, asc in keys],
+        )
+        assert [row[-1] for row in native] == [row[-1] for row in reference]
+
