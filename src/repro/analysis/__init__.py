@@ -11,7 +11,7 @@ Three cooperating passes share one :class:`Diagnostic`/:class:`Rule`/
   :mod:`repro.analysis.corpus`);
 * :mod:`repro.analysis.hazard_lint` — ``ast``-walking rules over
   ``src/repro`` itself (WAL pairing, locks across yields, broad excepts,
-  wall-clock calls, page pins, columnar mutation).
+  wall-clock calls, page pins).
 
 ``python -m repro.analysis`` is the CLI (``lint`` / ``verify-plans`` /
 ``lint-sql``); see :mod:`repro.analysis.__main__`.

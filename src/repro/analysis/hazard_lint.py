@@ -35,13 +35,6 @@ and enforces them:
   call ``mark_dirty`` (or the write is lost on eviction) and ``unpin``
   (or the page is pinned forever and the pool can no longer evict); a page
   from the pinless ``read()`` path must never be mutated at all.
-* ``columnar-mutation`` — a :class:`~repro.storage.colbatch.ColumnBatch` a
-  function did not allocate itself (a parameter, or a batch consumed from a
-  ``col_batches`` stream) must be treated as immutable: its rows and lazily
-  extracted columns are shared with every other consumer of the scan, so
-  the only legal way for a kernel to "drop" rows is returning a selection
-  vector (``narrowed()`` builds the shared-state view).  Batches the
-  function constructed itself are its own to fill.
 """
 
 from __future__ import annotations
@@ -70,11 +63,6 @@ PAGE_PIN_PROTOCOL = Rule(
     Severity.ERROR,
     "page mutation bypassing the buffer pool's pin/dirty protocol",
 )
-COLUMNAR_MUTATION = Rule(
-    "columnar-mutation",
-    Severity.ERROR,
-    "in-place mutation of a ColumnBatch the function did not allocate",
-)
 
 RULES: tuple[Rule, ...] = (
     WAL_PAIRING,
@@ -82,7 +70,6 @@ RULES: tuple[Rule, ...] = (
     BROAD_EXCEPT,
     WALL_CLOCK,
     PAGE_PIN_PROTOCOL,
-    COLUMNAR_MUTATION,
 )
 
 #: Wall-clock callables that bypass the injectable clock entirely.
@@ -156,7 +143,6 @@ def lint_source(source: SourceFile) -> list[Diagnostic]:
     _check_broad_except(source, diagnostics)
     _check_wall_clock(source, diagnostics)
     _check_page_pin_protocol(source, diagnostics)
-    _check_columnar_mutation(source, diagnostics)
     return diagnostics
 
 
@@ -515,141 +501,5 @@ def _check_page_pin_protocol(source: SourceFile, diagnostics: list[Diagnostic]) 
                     source.where(pinned_mutations[0]),
                     f"{func.name} mutates a pinned page without mark_dirty(): "
                     f"the write is silently lost when the page is evicted",
-                )
-            )
-
-
-# -- columnar-mutation -------------------------------------------------------------
-
-
-def _annotation_text(annotation: ast.AST | None) -> str:
-    """Flattened annotation text ("ColumnBatch", "colbatch.ColumnBatch", ...)."""
-    if annotation is None:
-        return ""
-    if isinstance(annotation, ast.Name):
-        return annotation.id
-    if isinstance(annotation, ast.Attribute):
-        return _attribute_chain(annotation)
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return annotation.value
-    return ""
-
-
-def _is_columnbatch_constructor(node: ast.AST) -> bool:
-    """True for ``ColumnBatch(...)`` / ``colbatch.ColumnBatch(...)`` calls."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "ColumnBatch"
-    if isinstance(func, ast.Attribute):
-        return func.attr == "ColumnBatch"
-    return False
-
-
-def _is_batch_stream_call(node: ast.AST) -> bool:
-    """True for ``<x>.col_batches(...)`` (the columnar stream protocol)."""
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("col_batches", "_col_batches")
-    )
-
-
-def _foreign_batch_names(func: ast.FunctionDef) -> tuple[set[str], set[str]]:
-    """``(foreign, owned)`` ColumnBatch variable names within ``func``.
-
-    Foreign: parameters annotated ``ColumnBatch`` or named ``batch``, loop
-    variables consuming a ``col_batches`` stream, and re-bindings through
-    ``narrowed()`` (the view shares the original's rows and column cache).
-    Owned: names assigned from a ``ColumnBatch(...)`` constructor call —
-    the function may fill what it allocated.
-    """
-    foreign: set[str] = set()
-    owned: set[str] = set()
-    args = func.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        if arg.arg == "batch" or "ColumnBatch" in _annotation_text(arg.annotation):
-            foreign.add(arg.arg)
-    for node in ast.walk(func):
-        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
-            if _is_batch_stream_call(node.iter):
-                foreign.add(node.target.id)
-        elif (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            name = node.targets[0].id
-            if _is_columnbatch_constructor(node.value):
-                owned.add(name)
-            elif (
-                isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Attribute)
-                and node.value.func.attr == "narrowed"
-            ):
-                foreign.add(name)
-    return foreign - owned, owned
-
-
-def _batch_mutation_target(node: ast.AST, foreign: set[str]) -> str | None:
-    """The foreign batch name a statement mutates in place, or None.
-
-    Catches attribute writes (``batch.selection = ...``), subscript writes
-    one level deep (``batch.rows[i] = ...``), and mutator-method calls on
-    the batch or its attributes (``batch.rows.append(...)``).
-    """
-
-    def base_name(target: ast.AST) -> str | None:
-        if isinstance(target, ast.Attribute):
-            target = target.value
-        if isinstance(target, ast.Name) and target.id in foreign:
-            return target.id
-        return None
-
-    if isinstance(node, (ast.Assign, ast.AugAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for target in targets:
-            if isinstance(target, ast.Attribute):
-                name = base_name(target)
-                if name is not None:
-                    return name
-            elif isinstance(target, ast.Subscript):
-                name = base_name(target.value)
-                if name is not None:
-                    return name
-    elif isinstance(node, ast.Delete):
-        for target in node.targets:
-            if isinstance(target, (ast.Attribute, ast.Subscript)):
-                inner = target.value if isinstance(target, ast.Subscript) else target
-                name = base_name(inner)
-                if name is not None:
-                    return name
-    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr in _PAGE_MUTATORS | {"sort", "reverse"}:
-            name = base_name(node.func.value)
-            if name is not None:
-                return name
-    return None
-
-
-def _check_columnar_mutation(source: SourceFile, diagnostics: list[Diagnostic]) -> None:
-    for func in ast.walk(source.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        foreign, _ = _foreign_batch_names(func)
-        if not foreign:
-            continue
-        for node in ast.walk(func):
-            name = _batch_mutation_target(node, foreign)
-            if name is None:
-                continue
-            diagnostics.append(
-                COLUMNAR_MUTATION.at(
-                    source.where(node),
-                    f"{func.name} mutates ColumnBatch {name!r} it did not "
-                    f"allocate: batches share rows and column caches across "
-                    f"consumers — filters must return a selection vector "
-                    f"(narrowed() builds the view) instead of editing in place",
                 )
             )

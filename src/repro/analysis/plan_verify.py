@@ -68,16 +68,12 @@ BATCH_CONTRACT = Rule(
 PARAM_BINDING = Rule(
     "plan-param-binding", Severity.ERROR, "parameter unreachable for plan-cache re-binding"
 )
-COLUMNAR_CONTRACT = Rule(
-    "plan-columnar-contract", Severity.ERROR, "columnar pipeline contract violated"
-)
 
 RULES: tuple[Rule, ...] = (
     BINDING_SHAPE,
     COLUMN_RESOLUTION,
     BATCH_CONTRACT,
     PARAM_BINDING,
-    COLUMNAR_CONTRACT,
 )
 
 
@@ -119,7 +115,6 @@ class PlanVerifier:
         for operator in _walk(top):
             self._check_binding_shape(operator, diagnostics)
             self._check_columns(operator, allow_outer, diagnostics)
-            self._check_columnar(operator, diagnostics)
             if isinstance(operator, SubqueryScan):
                 diagnostics.extend(
                     self.verify_select(operator.plan, allow_outer=allow_outer)
@@ -250,45 +245,6 @@ class PlanVerifier:
                         f"is not resolvable from this operator's input",
                     )
                 )
-
-    def _check_columnar(self, operator: Operator, diagnostics: list[Diagnostic]) -> None:
-        """The columnar handshake's structural promises.
-
-        A ``columnar_capable()`` operator tells consumers its
-        ``col_batches`` stream is safe to use.  That stream is one heap
-        scan's typed batches, so it has exactly one binding; capability only
-        composes through an unbroken chain (a capable Filter over a row-only
-        child would crash asking it for column batches), and the chain must
-        bottom out at a heap scan — the only operator family that builds
-        batches from bare stored rows.
-        """
-        if not operator.columnar_capable():
-            return
-        if len(operator.bindings) != 1:
-            diagnostics.append(
-                COLUMNAR_CONTRACT.at(
-                    operator.label(),
-                    "columnar-capable operator must expose exactly one binding "
-                    "(a columnar stream is one heap scan's relation)",
-                )
-            )
-        if isinstance(operator, Filter):
-            if not operator.child.columnar_capable():
-                diagnostics.append(
-                    COLUMNAR_CONTRACT.at(
-                        operator.label(),
-                        "columnar-capable Filter over a non-columnar child: "
-                        "col_batches would have no upstream to consume",
-                    )
-                )
-        elif not isinstance(operator, SeqScan):
-            diagnostics.append(
-                COLUMNAR_CONTRACT.at(
-                    operator.label(),
-                    "columnar capability is only defined for heap scans and "
-                    "kernel-compiled filters over them",
-                )
-            )
 
     def _check_batch_contract(self, plan: SelectPlan, diagnostics: list[Diagnostic]) -> None:
         for operator in _walk(plan.root):

@@ -1,7 +1,7 @@
 """Metrics primitives: counters, gauges, latency histograms, and a registry.
 
 The engine accumulated rich internal counters over nine PRs — plan-cache
-hits, WAL records, buffer-pool residency, ``kernel_seconds`` — but each
+hits, WAL records, buffer-pool residency, ``agg_seconds`` — but each
 lived behind its own ad-hoc stats dataclass with no uniform way to export,
 aggregate, or alert on them.  This module is the missing substrate:
 

@@ -39,10 +39,8 @@ _EXECUTION_COUNTERS = (
     ("result_cardinality", "rows_output", "rows returned to clients"),
     ("index_lookups", "index_lookups", "index probes performed"),
     ("batches", "exec_batches", "operator batches consumed"),
-    ("columnar_batches", "columnar_batches", "columnar batches built"),
     ("groups_emitted", "groups_emitted", "aggregation groups formed"),
     ("agg_seconds", "agg_seconds", "seconds inside the aggregation stage"),
-    ("kernel_seconds", "kernel_seconds", "seconds inside columnar kernels"),
 )
 _PLAN_CACHE_COUNTERS = (
     ("hits", "plan_cache_hits", "plan-cache template hits"),

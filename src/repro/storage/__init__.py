@@ -16,7 +16,7 @@ Query Storage feature relations.  It provides:
   version/drift invalidation,
 * :mod:`repro.storage.exec_settings` — batch-size / buffer-pool knobs,
 * :mod:`repro.storage.operators` — batched Volcano-style physical operators
-  (columnar predicate kernels, hash/sorted group aggregation),
+  (typed predicate kernels, hash group aggregation),
 * :mod:`repro.storage.aggregates` — incremental aggregate accumulators
   (update/finish) behind the vectorized aggregation stage,
 * :mod:`repro.storage.executor` — the SQL executor (projection, aggregation,

@@ -14,13 +14,12 @@ states.
   argument, argument-less SUM/AVG/MIN/MAX, ``SUM(*)``, an aggregate inside
   another aggregate's argument) raises :class:`~repro.errors.ExecutionError`
   at plan time, whether or not the tables hold any rows.
-* Accumulators expose ``update_batch(values)`` / ``finish()``.
-* The columnar lane (:mod:`repro.storage.kernels`) adds
-  ``update_column(values, positions)``: the same fold over a full column
-  list plus a selection vector of live positions, so a ColumnBatch group
-  update never gathers a per-group value list first.  Each variant must
-  visit positions in ascending order — it reproduces ``update_batch`` over
-  the gathered values exactly (same left-fold, same first-seen ties).
+* Accumulators expose ``update(values, positions)`` / ``finish()``:
+  ``values`` is one batch's argument column and ``positions`` the group's
+  rows in it, in ascending order, so a group update never gathers a
+  per-group value list first (``COUNT(*)`` gets no column and counts the
+  positions).  Folding a batch's positions in order is the same left fold,
+  with the same first-seen ties, as folding the group's values one by one.
 
 Numeric care: ``SUM``/``AVG`` are one left fold in heap order
 (``0 + v1 + v2 + ...``, continued batch after batch), so a float result does
@@ -64,18 +63,15 @@ def hashable_value(value: object) -> object:
 
 
 class CountStarAccumulator:
-    """``COUNT(*)``: counts rows; ``update_batch`` receives the row list."""
+    """``COUNT(*)``: counts the group's positions (it needs no column)."""
 
     __slots__ = ("count",)
 
     def __init__(self) -> None:
         self.count = 0
 
-    def update_batch(self, rows) -> None:
-        self.count += len(rows)
-
-    def update_column(self, values, positions) -> None:
-        self.count += len(positions)  # COUNT(*) needs no column at all
+    def update(self, values, positions) -> None:
+        self.count += len(positions)
 
     def finish(self):
         return self.count
@@ -89,10 +85,7 @@ class CountAccumulator:
     def __init__(self) -> None:
         self.count = 0
 
-    def update_batch(self, values) -> None:
-        self.count += sum(1 for value in values if value is not None)
-
-    def update_column(self, values, positions) -> None:
+    def update(self, values, positions) -> None:
         self.count += sum(1 for i in positions if values[i] is not None)
 
     def finish(self):
@@ -124,12 +117,7 @@ class SumAccumulator:
     def __init__(self) -> None:
         self.total = None
 
-    def update_batch(self, values) -> None:
-        present = [value for value in values if value is not None]
-        if present:
-            self.total = _fold(self.total, present)
-
-    def update_column(self, values, positions) -> None:
+    def update(self, values, positions) -> None:
         present = [value for i in positions if (value := values[i]) is not None]
         if present:
             self.total = _fold(self.total, present)
@@ -147,13 +135,7 @@ class AvgAccumulator:
         self.total = None
         self.count = 0
 
-    def update_batch(self, values) -> None:
-        present = [value for value in values if value is not None]
-        if present:
-            self.total = _fold(self.total, present)
-            self.count += len(present)
-
-    def update_column(self, values, positions) -> None:
+    def update(self, values, positions) -> None:
         present = [value for i in positions if (value := values[i]) is not None]
         if present:
             self.total = _fold(self.total, present)
@@ -181,17 +163,7 @@ class _ExtremeAccumulator:
     def _consider(self, candidate) -> None:
         raise NotImplementedError
 
-    def update_batch(self, values) -> None:
-        for value in values:
-            if value is None:
-                continue
-            if not self.has_value:
-                self.best = value
-                self.has_value = True
-            else:
-                self._consider(value)
-
-    def update_column(self, values, positions) -> None:
+    def update(self, values, positions) -> None:
         for i in positions:
             value = values[i]
             if value is None:
@@ -235,16 +207,7 @@ class _DistinctAccumulator:
     def __init__(self) -> None:
         self.seen: dict = {}
 
-    def update_batch(self, values) -> None:
-        seen = self.seen
-        for value in values:
-            if value is None:
-                continue
-            key = hashable_value(value)
-            if key not in seen:
-                seen[key] = value
-
-    def update_column(self, values, positions) -> None:
+    def update(self, values, positions) -> None:
         seen = self.seen
         for i in positions:
             value = values[i]
@@ -307,7 +270,7 @@ class AggregateSpec:
     """One distinct aggregate computation within a grouped SELECT.
 
     ``argument`` is the argument expression, or None for ``COUNT(*)`` /
-    bare ``COUNT()`` (whose accumulator receives the row list itself).
+    bare ``COUNT()`` (whose accumulator counts positions).
     """
 
     name: str
@@ -316,6 +279,8 @@ class AggregateSpec:
 
     def make(self):
         """A fresh accumulator for one group."""
+        if self.argument is None:
+            return CountStarAccumulator()
         return _ACCUMULATORS[(self.name, self.distinct)]()
 
 

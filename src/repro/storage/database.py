@@ -143,7 +143,8 @@ class Database:
         self._catalog = Catalog()
         self._tables: dict[str, Table] = {}
         self._clock = clock if clock is not None else time.monotonic
-        #: Batch-size / columnar knobs, read by the planner and executor.
+        #: Batch size, plan verification and buffer-pool size, read by the
+        #: planner and executor.
         self.exec_settings = exec_settings or DEFAULT_SETTINGS
         self._plan_cache: PlanCache | None = None
         self.set_plan_cache_size(plan_cache_size)
@@ -668,11 +669,6 @@ class Database:
             f"(rows_scanned={stats.rows_scanned}, batches={stats.batches}, "
             f"index_lookups={stats.index_lookups})"
         )
-        if stats.columnar_batches:
-            summary += (
-                f" columnar: batches={stats.columnar_batches} "
-                f"kernels={stats.kernel_seconds * 1000.0:.3f} ms"
-            )
         if plan.aggregate is not None:
             summary += (
                 f" aggregation: groups={stats.groups_emitted} "

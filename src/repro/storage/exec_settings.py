@@ -27,9 +27,9 @@ DEFAULT_BATCH_SIZE = 256
 class ExecutionSettings:
     """Tunable parameters of the batched execution engine.
 
-    Which path a statement takes — the columnar kernels, the fused
-    aggregation lane, or the evaluator — is decided by its plan shape, never
-    by an option.
+    No option picks an execution path: every plan streams row batches, and
+    which conjuncts run as typed kernels rather than through the evaluator
+    is decided by their shape.
 
     ``verify_plans=True`` runs the plan-invariant verifier
     (:mod:`repro.analysis.plan_verify`) over every plan before the executor

@@ -91,10 +91,6 @@ class ExecutionStats:
     groups_emitted: int = 0
     #: Wall time spent inside the aggregation stage (its input scan included).
     agg_seconds: float = 0.0
-    #: Columnar batches built by scans (subset of ``batches``).
-    columnar_batches: int = 0
-    #: Wall time spent inside columnar kernels (selection + gathers).
-    kernel_seconds: float = 0.0
 
 
 class Executor:

@@ -306,7 +306,7 @@ def _run_subquery(subquery: SelectStatement, scope: Scope, run_subquery) -> list
 def like_regex(pattern: str) -> "re.Pattern[str]":
     """The compiled regex implementing ``LIKE pattern`` (``%``/``_`` wildcards).
 
-    Shared with the columnar LIKE kernel so both evaluation routes apply
+    Shared with the LIKE kernel so both evaluation routes apply
     byte-identical LIKE semantics.
     """
     regex = ""

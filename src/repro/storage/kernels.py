@@ -1,14 +1,17 @@
-"""Columnar kernels: branch-light selection-vector loops over ColumnBatches.
+"""Predicate kernels: typed selection-vector loops over row batches.
 
 The engine's one compiled form of a WHERE conjunct.  This module compiles
 the simple predicate shapes — column-vs-literal comparisons, BETWEEN, IN,
 LIKE, IS [NOT] NULL, column-vs-column — into **kernels**: functions of
-``(batch, selection) -> selection`` that test a whole
-:class:`~repro.storage.colbatch.ColumnBatch` column in one tight loop and
-return the surviving row positions.  A heap scan's batches are typed; any
-other operator's row batch is filtered through an untyped view of it.  A
-kernel never mutates its input batch (the ``columnar-mutation`` hazard-lint
-rule); the selection vector is its only output.
+``(columns, selection) -> selection`` that test one column of a row batch
+in one tight loop and return the surviving row positions.  Each column's
+declared type is read from the binder's answer
+(:class:`~repro.storage.binder.BoundColumn` ``data_type``) when the kernel
+is compiled; a column with none — a derived table's — is untyped.
+:func:`apply_kernels` runs a conjunct chain over one batch: the batch's
+columns are extracted once, on first use, and shared by its kernels, and
+the selection vector stays inside the chain — the caller gets the
+surviving positions.
 
 Semantics contract: every kernel must agree row-for-row with
 ``is_true(evaluate(...))``.  The fast inner loops therefore only engage
@@ -17,8 +20,8 @@ when Python's native comparison is provably identical to
 a non-bool numeric literal against an INT/FLOAT column, or a string literal
 against a TEXT column (stored values are always coerced to the column
 type, which is what makes this exact).  Any other pairing (booleans,
-cross-type comparisons, an untyped view) falls back to a per-element
-``compare_values`` loop — still columnar, just not branch-light.
+cross-type comparisons, an untyped column) falls back to a per-element
+``compare_values`` loop.
 
 Literal values are read *per call*, never captured at compile time, so
 cached plans whose ``ParamLiteral`` nodes are re-bound between executions
@@ -28,6 +31,7 @@ stay correct.
 from __future__ import annotations
 
 import operator as _operator
+from operator import itemgetter
 from typing import Callable
 
 from repro.sql.ast_nodes import (
@@ -39,12 +43,26 @@ from repro.sql.ast_nodes import (
     Literal,
     UnaryOp,
 )
-from repro.storage.colbatch import Column, ColumnBatch
 from repro.storage.expression import like_regex, slot_of
 from repro.storage.types import DataType, compare_values
 
-#: A kernel maps ``(batch, selection | None)`` to the surviving positions.
-Kernel = Callable[[ColumnBatch, "list[int] | None"], "list[int]"]
+
+class _Columns(dict):
+    """One row batch's columns by row position, each extracted on first use
+    (None at NULL positions) and kept for the batch's other kernels."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __missing__(self, position: int) -> list:
+        values = self[position] = list(map(itemgetter(position), self.rows))
+        return values
+
+
+#: A kernel maps ``(columns, selection | None)`` to the surviving positions.
+Kernel = Callable[[_Columns, "list[int] | None"], "list[int]"]
 
 _DIRECT_TESTS = {
     "=": _operator.eq,
@@ -69,28 +87,27 @@ _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "<>": "<>"}
 _NUMERIC_TYPES = (DataType.INTEGER, DataType.FLOAT)
 
 
-def _indices(batch: ColumnBatch, selection):
-    return range(len(batch.rows)) if selection is None else selection
+def _indices(columns: _Columns, selection):
+    return range(len(columns.rows)) if selection is None else selection
 
 
 def _is_plain_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _direct_comparable(column: Column, literal_value) -> bool:
+def _direct_comparable(data_type: DataType | None, literal_value) -> bool:
     """True when ``stored <op> literal`` in native Python reproduces
-    ``compare_values`` for every value this column can hold."""
+    ``compare_values`` for every value a column of ``data_type`` can hold."""
     if _is_plain_number(literal_value):
-        return column.dtype in _NUMERIC_TYPES
+        return data_type in _NUMERIC_TYPES
     if isinstance(literal_value, str):
-        return column.dtype is DataType.TEXT
+        return data_type is DataType.TEXT
     return False
 
 
-def _compare_select(column: Column, literal_value, op: str, indices) -> list[int]:
-    """Positions where ``column <op> literal`` holds (NULL never passes)."""
-    values = column.values
-    if _direct_comparable(column, literal_value):
+def _compare_select(values, data_type, literal_value, op: str, indices) -> list[int]:
+    """Positions where ``value <op> literal`` holds (NULL never passes)."""
+    if _direct_comparable(data_type, literal_value):
         test = _DIRECT_TESTS[op]
         return [
             i
@@ -106,26 +123,28 @@ def _compare_select(column: Column, literal_value, op: str, indices) -> list[int
     return out
 
 
-def _comparison_kernel(key: int, literal: Literal, op: str) -> Kernel:
-    def kernel(batch, selection, _key=key, _literal=literal, _op=op):
+def _comparison_kernel(key: int, data_type, literal: Literal, op: str) -> Kernel:
+    def kernel(columns, selection, _key=key, _type=data_type, _literal=literal, _op=op):
         literal_value = _literal.value
         if literal_value is None:
             return []
         return _compare_select(
-            batch.column(_key), literal_value, _op, _indices(batch, selection)
+            columns[_key], _type, literal_value, _op, _indices(columns, selection)
         )
 
     return kernel
 
 
-def _column_comparison_kernel(left_key: int, right_key: int, op: str) -> Kernel:
-    def kernel(batch, selection, _left=left_key, _right=right_key, _op=op):
-        left, right = batch.column(_left), batch.column(_right)
-        indices = _indices(batch, selection)
-        both_numeric = left.dtype in _NUMERIC_TYPES and right.dtype in _NUMERIC_TYPES
-        both_text = left.dtype is DataType.TEXT and right.dtype is DataType.TEXT
-        left_values, right_values = left.values, right.values
-        if both_numeric or both_text:
+def _column_comparison_kernel(left_key: int, right_key: int, types, op: str) -> Kernel:
+    left_type, right_type = types
+    direct = (left_type in _NUMERIC_TYPES and right_type in _NUMERIC_TYPES) or (
+        left_type is DataType.TEXT and right_type is DataType.TEXT
+    )
+
+    def kernel(columns, selection, _left=left_key, _right=right_key, _op=op):
+        left_values, right_values = columns[_left], columns[_right]
+        indices = _indices(columns, selection)
+        if direct:
             test = _DIRECT_TESTS[_op]
             return [
                 i
@@ -145,10 +164,13 @@ def _column_comparison_kernel(left_key: int, right_key: int, op: str) -> Kernel:
     return kernel
 
 
-def _like_kernel(key: int, literal: Literal) -> Kernel:
+def _like_kernel(key: int, data_type, literal: Literal) -> Kernel:
     cache: dict[object, object] = {}
+    # Schema coercion stores TEXT as str, so the evaluator's ``str(value)``
+    # is an identity call a TEXT column can skip.
+    text = data_type is DataType.TEXT
 
-    def kernel(batch, selection, _key=key, _literal=literal, _cache=cache):
+    def kernel(columns, selection, _key=key, _literal=literal, _cache=cache):
         pattern = _literal.value
         if pattern is None:
             return []
@@ -157,21 +179,18 @@ def _like_kernel(key: int, literal: Literal) -> Kernel:
             _cache.clear()  # one live pattern per (re-bindable) literal
             regex = like_regex(str(pattern))
             _cache[pattern] = regex
-        column = batch.column(_key)
-        values = column.values
+        values = columns[_key]
         fullmatch = regex.fullmatch
-        if column.dtype is DataType.TEXT:
-            # Schema coercion stores TEXT as str, so the evaluator's
-            # ``str(value)`` is an identity call this lane can skip.
+        if text:
             return [
                 i
-                for i in _indices(batch, selection)
+                for i in _indices(columns, selection)
                 if (value := values[i]) is not None
                 and fullmatch(value) is not None
             ]
         return [
             i
-            for i in _indices(batch, selection)
+            for i in _indices(columns, selection)
             if (value := values[i]) is not None and fullmatch(str(value)) is not None
         ]
 
@@ -179,9 +198,9 @@ def _like_kernel(key: int, literal: Literal) -> Kernel:
 
 
 def _null_test_kernel(key: int, want_null: bool) -> Kernel:
-    def kernel(batch, selection, _key=key, _want=want_null):
-        values = batch.column(_key).values
-        indices = _indices(batch, selection)
+    def kernel(columns, selection, _key=key, _want=want_null):
+        values = columns[_key]
+        indices = _indices(columns, selection)
         if _want:
             return [i for i in indices if values[i] is None]
         return [i for i in indices if values[i] is not None]
@@ -189,18 +208,22 @@ def _null_test_kernel(key: int, want_null: bool) -> Kernel:
     return kernel
 
 
-def _between_kernel(key: int, low: Literal, high: Literal, negated: bool) -> Kernel:
-    def kernel(batch, selection, _key=key, _low=low, _high=high, _negated=negated):
+def _between_kernel(
+    key: int, data_type, low: Literal, high: Literal, negated: bool
+) -> Kernel:
+    def kernel(
+        columns, selection, _key=key, _type=data_type, _low=low, _high=high,
+        _negated=negated,
+    ):
         low_value, high_value = _low.value, _high.value
-        column = batch.column(_key)
-        indices = _indices(batch, selection)
+        values = columns[_key]
+        indices = _indices(columns, selection)
         if (
             low_value is not None
             and high_value is not None
-            and _direct_comparable(column, low_value)
-            and _direct_comparable(column, high_value)
+            and _direct_comparable(_type, low_value)
+            and _direct_comparable(_type, high_value)
         ):
-            values = column.values
             if _negated:
                 return [
                     i
@@ -214,7 +237,6 @@ def _between_kernel(key: int, low: Literal, high: Literal, negated: bool) -> Ker
                 if (value := values[i]) is not None
                 and low_value <= value <= high_value
             ]
-        values = column.values
         out: list[int] = []
         for i in indices:
             value = values[i]
@@ -230,18 +252,20 @@ def _between_kernel(key: int, low: Literal, high: Literal, negated: bool) -> Ker
     return kernel
 
 
-def _in_list_kernel(key: int, literals: list[Literal], negated: bool) -> Kernel:
-    def kernel(batch, selection, _key=key, _literals=literals, _negated=negated):
-        column = batch.column(_key)
-        indices = _indices(batch, selection)
+def _in_list_kernel(key: int, data_type, literals: list[Literal], negated: bool) -> Kernel:
+    def kernel(
+        columns, selection, _key=key, _type=data_type, _literals=literals,
+        _negated=negated,
+    ):
+        values = columns[_key]
+        indices = _indices(columns, selection)
         candidates = [literal.value for literal in _literals]
         saw_null = any(candidate is None for candidate in candidates)
         non_null = [candidate for candidate in candidates if candidate is not None]
         if not saw_null and all(
-            _direct_comparable(column, candidate) for candidate in non_null
+            _direct_comparable(_type, candidate) for candidate in non_null
         ):
             members = set(non_null)
-            values = column.values
             if _negated:
                 return [
                     i
@@ -253,7 +277,6 @@ def _in_list_kernel(key: int, literals: list[Literal], negated: bool) -> Kernel:
                 for i in indices
                 if (value := values[i]) is not None and value in members
             ]
-        values = column.values
         out: list[int] = []
         for i in indices:
             value = values[i]
@@ -273,32 +296,35 @@ def _in_list_kernel(key: int, literals: list[Literal], negated: bool) -> Kernel:
 
 def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
     """Compile one WHERE conjunct over rows laid out by ``bindings`` into a
-    kernel, or None when its shape has no kernel (the evaluator runs it)."""
+    kernel typed by its bound columns' ``data_type``, or None when its shape
+    has no kernel (the evaluator runs it)."""
     if isinstance(expr, BinaryOp) and expr.op in _ORDERING_TESTS:
         left, right = expr.left, expr.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
             key = slot_of(bindings, left)
             if key is None:
                 return None
-            return _comparison_kernel(key, right, expr.op)
+            return _comparison_kernel(key, left.data_type, right, expr.op)
         if isinstance(right, ColumnRef) and isinstance(left, Literal):
             key = slot_of(bindings, right)
             if key is None:
                 return None
-            return _comparison_kernel(key, left, _FLIPPED[expr.op])
+            return _comparison_kernel(key, right.data_type, left, _FLIPPED[expr.op])
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
             left_key = slot_of(bindings, left)
             right_key = slot_of(bindings, right)
             if left_key is None or right_key is None:
                 return None
-            return _column_comparison_kernel(left_key, right_key, expr.op)
+            return _column_comparison_kernel(
+                left_key, right_key, (left.data_type, right.data_type), expr.op
+            )
         return None
     if isinstance(expr, BinaryOp) and expr.op == "LIKE":
         if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
             key = slot_of(bindings, expr.left)
             if key is None:
                 return None
-            return _like_kernel(key, expr.right)
+            return _like_kernel(key, expr.left.data_type, expr.right)
         return None
     if isinstance(expr, UnaryOp) and expr.op in ("IS NULL", "IS NOT NULL"):
         if not isinstance(expr.operand, ColumnRef):
@@ -316,7 +342,9 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
             key = slot_of(bindings, expr.expr)
             if key is None:
                 return None
-            return _between_kernel(key, expr.low, expr.high, expr.negated)
+            return _between_kernel(
+                key, expr.expr.data_type, expr.low, expr.high, expr.negated
+            )
         return None
     if isinstance(expr, InList):
         if isinstance(expr.expr, ColumnRef) and all(
@@ -325,7 +353,9 @@ def compile_columnar_predicate(expr: Expression, bindings) -> Kernel | None:
             key = slot_of(bindings, expr.expr)
             if key is None:
                 return None
-            return _in_list_kernel(key, list(expr.values), expr.negated)
+            return _in_list_kernel(
+                key, expr.expr.data_type, list(expr.values), expr.negated
+            )
         return None
     return None
 
@@ -346,62 +376,13 @@ def compile_columnar_conjuncts(predicates, bindings) -> list[Kernel] | None:
     return kernels
 
 
-def apply_kernels(kernels, batch: ColumnBatch) -> list[int] | None:
-    """Run a conjunct chain over one batch.
-
-    Returns the surviving selection (possibly empty), or None meaning
-    "everything survives" when the chain is empty and the batch carried no
-    selection — callers pass the result straight to
-    :meth:`~repro.storage.colbatch.ColumnBatch.narrowed`."""
-    selection = batch.selection
+def apply_kernels(kernels, rows) -> "list[int] | range":
+    """The positions of the ``rows`` that pass every kernel of a conjunct
+    chain, in row order (all of them for an empty chain)."""
+    columns = _Columns(rows)
+    selection = None
     for kernel in kernels:
-        selection = kernel(batch, selection)
+        selection = kernel(columns, selection)
         if not selection:
             return selection
-    return selection
-
-
-def resolve_columnar_columns(columns, bindings) -> list[int] | None:
-    """Row positions for a list of ColumnRefs, or None unless all resolve."""
-    keys: list[int] = []
-    for column in columns:
-        if not isinstance(column, ColumnRef):
-            return None
-        key = slot_of(bindings, column)
-        if key is None:
-            return None
-        keys.append(key)
-    return keys
-
-
-def hash_group_keys(batch: ColumnBatch, keys: list[int]):
-    """Bucket the live positions by group key.
-
-    Returns ``(first-seen key order, {key: positions})``; a single-column
-    key groups by the bare value (matching the row path's scalar key), a
-    multi-column key by the value tuple.  Stored heap values are always
-    hashable, so no ``hashable_value`` conversion is needed here — the
-    same invariant the fused raw-aggregation path relies on.
-    """
-    indices = _indices(batch, batch.selection)
-    buckets: dict = {}
-    order: list = []
-    if len(keys) == 1:
-        values = batch.column(keys[0]).values
-        for i in indices:
-            key = values[i]
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = bucket = []
-                order.append(key)
-            bucket.append(i)
-        return order, buckets
-    columns = [batch.column(key).values for key in keys]
-    for i in indices:
-        key = tuple(values[i] for values in columns)
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = bucket = []
-            order.append(key)
-        bucket.append(i)
-    return order, buckets
+    return range(len(rows)) if selection is None else selection

@@ -11,8 +11,7 @@ row followed by its right child's.  Every column reference an operator holds
 was bound at plan time (:mod:`repro.storage.binder`), so :func:`slot_of`
 turns it into a position in the operator's layout once per compile and every
 compiled getter is an ``operator.itemgetter``.  ``batches(ctx)`` is the one
-row protocol; heap scans and kernel-compiled filters additionally offer
-``col_batches(ctx)``.  Where an expression's shape has no compiled form the
+operator protocol.  Where an expression's shape has no compiled form the
 evaluator reads the same row tuple through a positional
 :class:`~repro.storage.expression.Scope`.
 
@@ -21,9 +20,9 @@ Two more things fall out of the batch refactor:
 * **Compiled predicates** — filters, index-loop residuals and UPDATE/DELETE
   residuals compile simple conjuncts (column/literal comparisons, BETWEEN,
   IN lists, LIKE, IS NULL) into the selection-vector kernels of
-  :mod:`repro.storage.kernels`, run over a heap scan's typed batch or an
-  untyped view of any other row batch (:func:`survivors`).  Anything not
-  compilable falls back to the evaluator, predicate order preserved.
+  :mod:`repro.storage.kernels`, typed by the binder and run over plain row
+  batches (:func:`survivors`).  Anything not compilable falls back to the
+  evaluator, predicate order preserved.
 * **Per-node observability** — when :class:`ExecutionContext.node_stats` is a
   dict (EXPLAIN ANALYZE), every operator transparently records the actual
   rows, batches, loops, and wall time it produced, and ``explain_lines``
@@ -48,7 +47,9 @@ All operators charge their work to :class:`ExecutionContext.metrics` so
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -58,15 +59,9 @@ from repro.obs.metrics import engine_timer
 from repro.sql.ast_nodes import ColumnRef, Expression
 from repro.sql.formatter import format_expression
 from repro.storage.aggregates import AggregateCollection, hashable_value
-from repro.storage.colbatch import ColumnBatch
 from repro.storage.exec_settings import DEFAULT_BATCH_SIZE
 from repro.storage.expression import Scope, evaluate, is_true, layout_of, slot_of
-from repro.storage.kernels import (
-    apply_kernels,
-    compile_columnar_conjuncts,
-    hash_group_keys,
-    resolve_columnar_columns,
-)
+from repro.storage.kernels import apply_kernels, compile_columnar_conjuncts
 from repro.storage.types import DataType, coerce_value, compare_values
 
 #: Sentinel distinguishing "not compiled yet" from "compilation returned None".
@@ -92,30 +87,21 @@ class NodeStats:
     the probe side of an :class:`IndexLookupJoin`.  ``wall_seconds`` is
     inclusive wall time spent inside the node's generator (children included),
     measured with :data:`~repro.obs.metrics.engine_timer` regardless of the database's
-    injectable clock.  ``columnar_batches`` counts the batches the node
-    produced in columnar form and ``kernel_seconds`` the time it spent inside
-    selection-vector kernels — together they make columnar vs fallback
-    execution visible per node in EXPLAIN ANALYZE.
+    injectable clock.
     """
 
     rows: int = 0
     batches: int = 0
     loops: int = 0
     wall_seconds: float = 0.0
-    columnar_batches: int = 0
-    kernel_seconds: float = 0.0
 
     def describe(self) -> str:
         parts = [f"rows={self.rows}"]
         if self.batches:
             parts.append(f"batches={self.batches}")
-        if self.columnar_batches:
-            parts.append(f"columnar={self.columnar_batches}")
         if self.loops > 1:
             parts.append(f"loops={self.loops}")
-        if self.kernel_seconds:
-            parts.append(f"kernel={self.kernel_seconds * 1000.0:.3f}ms")
-        if self.batches or self.columnar_batches:
+        if self.batches:
             parts.append(f"time={self.wall_seconds * 1000.0:.3f}ms")
         return "actual " + " ".join(parts)
 
@@ -188,10 +174,10 @@ class Operator:
         """Stream output batches, transparently instrumented under ANALYZE."""
         if ctx.node_stats is None:
             return self._batches(ctx)
-        return self._instrumented(self._batches(ctx), ctx, columnar=False)
+        return self._instrumented(self._batches(ctx), ctx)
 
-    def _instrumented(self, source: Iterator, ctx: ExecutionContext, columnar: bool):
-        """``source`` (row or columnar batches) with this node's actuals recorded."""
+    def _instrumented(self, source: Iterator[RowBatch], ctx: ExecutionContext):
+        """``source`` with this node's actuals recorded."""
         stats = ctx.observe(self)
         stats.loops += 1
         while True:
@@ -203,27 +189,8 @@ class Operator:
                 return
             stats.wall_seconds += engine_timer() - started
             stats.batches += 1
-            stats.columnar_batches += columnar
             stats.rows += len(batch)
             yield batch
-
-    # -- columnar handshake ---------------------------------------------------
-
-    def columnar_capable(self) -> bool:
-        """Whether this operator can stream :class:`~repro.storage.colbatch.ColumnBatch`
-        output at all (a structural property of the plan).  Only heap scans
-        and fully kernel-compiled filters over them qualify; every other
-        operator needs rows and is the columnar→row boundary."""
-        return False
-
-    def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        raise NotImplementedError(f"{type(self).__name__} is not columnar-capable")
-
-    def col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        """Stream columnar batches, transparently instrumented under ANALYZE."""
-        if ctx.node_stats is None:
-            return self._col_batches(ctx)
-        return self._instrumented(self._col_batches(ctx), ctx, columnar=True)
 
     def label(self) -> str:
         raise NotImplementedError
@@ -271,16 +238,6 @@ class SeqScan(Operator):
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         return _scan_chunks(self.table, ctx)
-
-    def columnar_capable(self) -> bool:
-        return True
-
-    def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        metrics = ctx.metrics
-        dtypes = [column.data_type for column in self.table.schema.columns]
-        for chunk in _scan_chunks(self.table, ctx):
-            metrics.columnar_batches += 1
-            yield ColumnBatch(chunk, dtypes)
 
     def label(self) -> str:
         return f"SeqScan {_scan_target(self.table, self.binding)} [est={self.estimate:.0f}]"
@@ -391,11 +348,10 @@ class Filter(Operator):
 
     When every conjunct compiles to a kernel
     (:func:`~repro.storage.kernels.compile_columnar_conjuncts`) the filter
-    narrows whole batches with them — a heap scan's columnar batches, or an
-    untyped view of any other child's rows; otherwise the entire conjunct
-    list runs through the expression evaluator in original order, so
-    evaluation-order-dependent behaviour (short-circuiting before an
-    erroring predicate) is preserved.  Kernels compile once per operator
+    narrows whole batches with them, whatever its child; otherwise the
+    entire conjunct list runs through the expression evaluator in original
+    order, so evaluation-order-dependent behaviour (short-circuiting before
+    an erroring predicate) is preserved.  Kernels compile once per operator
     and read literal values per call, so re-binding a cached plan's
     parameters never stales them.
     """
@@ -409,34 +365,7 @@ class Filter(Operator):
         #: The conjuncts' kernels, or None when one has no kernel.
         self.kernels = compile_columnar_conjuncts(self.predicates, self.bindings)
 
-    def columnar_capable(self) -> bool:
-        """Capable iff the child is and every conjunct compiles to a kernel."""
-        return self.kernels is not None and self.child.columnar_capable()
-
-    def _col_batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        kernels = self.kernels
-        metrics = ctx.metrics
-        stats = ctx.observe(self)
-        for batch in self.child.col_batches(ctx):
-            started = engine_timer()
-            selection = apply_kernels(kernels, batch)
-            elapsed = engine_timer() - started
-            metrics.kernel_seconds += elapsed
-            if stats is not None:
-                stats.kernel_seconds += elapsed
-            if selection is None:
-                yield batch  # no conjuncts narrowed anything (empty chain)
-            elif selection:
-                yield batch.narrowed(selection)
-
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        if self.columnar_capable():
-            # Columnar with row-batch output: kernels filter the batch while
-            # it is still columnar, and the survivors' stored rows are the
-            # output rows.
-            for columnar in self._col_batches(ctx):
-                yield columnar.selected_rows()
-            return
         select = survivors(self.kernels, self.predicates, self.bindings, ctx)
         for batch in self.child.batches(ctx):
             kept = [batch[i] for i in select(batch)]
@@ -710,25 +639,17 @@ class HashAggregate(Operator):
     lists.  ``batches()`` is deliberately unimplemented: the planner places an
     aggregate only at the top of the pipeline, never under joins.
 
-    Consumes the child batch by batch: each batch is partitioned into
-    per-key buckets with a compiled group-key getter, then every bucket
-    updates its group's accumulators once per aggregate spec — each input row
-    is touched exactly once per spec, never re-walked.
+    Consumes the child batch by batch: the batch's row *positions* are
+    bucketed by group key, each aggregate spec's argument column is built
+    once for the whole batch (a compiled getter, else the evaluator), and
+    every group's accumulator folds that column over its positions with
+    ``update(values, positions)`` — each input row is touched exactly once
+    per spec, and no per-group row or value list is built.
 
-    One fast path beyond the generic batch loop, the **columnar fused
-    path**: when the child is just filters over a heap scan, every filter
-    compiles to a kernel, and every group key / aggregate argument is a
-    column of the scanned table, the scan streams ColumnBatches, filter
-    kernels produce selection vectors, groups are bucketed by column-value
-    gather, and every accumulator consumes
-    ``update_column(values, positions)`` — no per-row wrapper, bucket list,
-    or gathered argument list is ever built.  Disabled under EXPLAIN ANALYZE
-    so child operators report honest actuals.
-
-    Compiled artifacts (group-key and argument getters, the fused path's
-    shape) are memoized on the operator instance, read only row positions,
-    and accumulators are created fresh per execution — all of which keeps a
-    cached plan's parameter re-binding safe.
+    Compiled artifacts (group-key and argument getters) are memoized on the
+    operator instance and read only row positions, and accumulators are
+    created fresh per execution — which keeps a cached plan's parameter
+    re-binding safe.
     """
 
     def __init__(
@@ -748,7 +669,6 @@ class HashAggregate(Operator):
         self.estimate = estimate  # estimated number of output groups
         self._compiled_group: object = _UNSET
         self._compiled_args: object = _UNSET
-        self._compiled_columnar_agg: object = _UNSET
 
     # -- consumption ---------------------------------------------------------
 
@@ -786,13 +706,15 @@ class HashAggregate(Operator):
     # -- compiled helpers ----------------------------------------------------
 
     def _group_key_getter(self, ctx: ExecutionContext):
-        """``row -> key tuple``: the memoized compiled getter when every
-        key is a column of the input row, else the evaluator."""
+        """``row -> group key``: the memoized compiled getter when every key
+        is a column of the input row (one key column groups by its bare
+        value), else the evaluator's key tuple."""
         if self._compiled_group is _UNSET:
-            if all(isinstance(expr, ColumnRef) for expr in self.group_exprs):
-                self._compiled_group = compile_key_tuple(self.group_exprs, self.bindings)
-            else:
-                self._compiled_group = None
+            slots = [
+                slot_of(self.bindings, expr) if isinstance(expr, ColumnRef) else None
+                for expr in self.group_exprs
+            ]
+            self._compiled_group = None if None in slots else itemgetter(*slots)
         return self._compiled_group or _evaluated_key(
             self.group_exprs, self.bindings, ctx
         )
@@ -809,22 +731,6 @@ class HashAggregate(Operator):
             ]
         return self._compiled_args
 
-    def _extractors(self, ctx: ExecutionContext):
-        """Per-spec ``row list -> values to accumulate`` callables."""
-        extractors = []
-        for spec, getter in zip(self.collection.specs, self._spec_getters()):
-            if spec.argument is None:
-                extractors.append(_rows_identity)  # COUNT(*) counts the rows
-            else:
-                get = getter or _evaluated_getter(spec.argument, self.bindings, ctx)
-                extractors.append(lambda rows, _get=get: list(map(_get, rows)))
-        return extractors
-
-    def _empty_input_group(self):
-        """The single global-aggregate group an empty ungrouped input yields:
-        finished values with no representative row (None)."""
-        return None, [spec.make().finish() for spec in self.collection.specs]
-
     def label(self) -> str:
         parts = ["HashAggregate"]
         if self.group_exprs:
@@ -835,158 +741,46 @@ class HashAggregate(Operator):
         parts.append(f"[est groups={self.estimate:.0f}]")
         return " ".join(parts)
 
-
     def _groups(self, ctx: ExecutionContext):
-        columnar = self._columnar_groups(ctx)
-        if columnar is not None:
-            yield from columnar
-            return
         specs = self.collection.specs
-        extractors = self._extractors(ctx)
-        key_getter = self._group_key_getter(ctx)
-        group_exprs = self.group_exprs
+        # Per spec ``row -> argument value``; None for COUNT(*), which counts
+        # positions.
+        getters = [
+            None
+            if spec.argument is None
+            else getter or _evaluated_getter(spec.argument, self.bindings, ctx)
+            for spec, getter in zip(specs, self._spec_getters())
+        ]
+        key_of = self._group_key_getter(ctx) if self.group_exprs else None
         metrics = ctx.metrics
-        states: dict[tuple, tuple[Row, list]] = {}
-        order: list[tuple] = []
+        states: dict = {}
         for batch in self.child.batches(ctx):
             metrics.batches += 1
-            buckets: dict[tuple, list[Row]] = {}
-            for row in batch:
-                key = key_getter(row)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = bucket = []
-                bucket.append(row)
-            for key, bucket in buckets.items():
+            if key_of is None:
+                buckets = {(): range(len(batch))}
+            else:
+                buckets = defaultdict(list)
+                for position, key in enumerate(map(key_of, batch)):
+                    buckets[key].append(position)
+            columns = [
+                None if get is None else list(map(get, batch)) for get in getters
+            ]
+            for key, positions in buckets.items():
                 state = states.get(key)
                 if state is None:
-                    state = states[key] = (bucket[0], [spec.make() for spec in specs])
-                    order.append(key)
-                accumulators = state[1]
-                for accumulator, extract in zip(accumulators, extractors):
-                    accumulator.update_batch(extract(bucket))
-        if not group_exprs and not states:
-            yield self._empty_input_group()
-            return
-        for key in order:
-            representative, accumulators = states[key]
-            yield representative, [acc.finish() for acc in accumulators]
-
-    # -- columnar fused path ---------------------------------------------------
-
-    def _columnar_compiled(self):
-        if self._compiled_columnar_agg is _UNSET:
-            self._compiled_columnar_agg = self._compile_columnar_agg()
-        return self._compiled_columnar_agg
-
-    def _compile_columnar_agg(self):
-        """``(scan, kernels, key columns, arg columns)`` for the columnar
-        fused path, or None.
-
-        Requires a Filter*→SeqScan chain with every filter
-        kernel-compilable and every group key / aggregate argument a column
-        of the scanned table.
-        """
-        filters: list[Filter] = []
-        node = self.child
-        while isinstance(node, Filter):
-            filters.append(node)
-            node = node.child
-        if not isinstance(node, SeqScan):  # an IndexScan keeps batches()
-            return None
-        bindings = node.bindings
-        kernels: list = []
-        for filter_op in reversed(filters):
-            if filter_op.kernels is None:
-                return None
-            kernels.extend(filter_op.kernels)
-        if self.group_exprs:
-            key_columns = resolve_columnar_columns(self.group_exprs, bindings)
-            if key_columns is None:
-                return None
-        else:
-            key_columns = []
-        arg_columns: list = []
-        for spec in self.collection.specs:
-            if spec.argument is None:
-                arg_columns.append(None)  # COUNT(*): positions only
-            elif isinstance(spec.argument, ColumnRef):
-                resolved = resolve_columnar_columns([spec.argument], bindings)
-                if resolved is None:
-                    return None
-                arg_columns.append(resolved[0])
-            else:
-                return None
-        return node, kernels, key_columns, arg_columns
-
-    def _columnar_groups(self, ctx: ExecutionContext):
-        """The fused columnar group stream, or None when the plan's shape
-        does not fit it.
-
-        Disabled under EXPLAIN ANALYZE so the bypassed Filter nodes report
-        honest actuals instead of "never executed".
-        """
-        if ctx.node_stats is not None:
-            return None
-        compiled = self._columnar_compiled()
-        if compiled is None:
-            return None
-        return self._columnar_group_stream(ctx, compiled)
-
-    def _columnar_group_stream(self, ctx: ExecutionContext, compiled):
-        scan, kernels, key_columns, arg_columns = compiled
-        specs = self.collection.specs
-        metrics = ctx.metrics
-        merged: dict = {}
-        order: list = []
-        for batch in scan.col_batches(ctx):
-            metrics.batches += 1
-            started = engine_timer()
-            if kernels:
-                selection = apply_kernels(kernels, batch)
-                if selection is not None:
-                    if not selection:
-                        metrics.kernel_seconds += engine_timer() - started
-                        continue
-                    batch = batch.narrowed(selection)
-            if key_columns:
-                key_order, buckets = hash_group_keys(batch, key_columns)
-            else:
-                live = batch.selection
-                if live is None:
-                    live = range(len(batch.rows))
-                key_order, buckets = [()], {(): list(live)}
-            rows = batch.rows
-            for key in key_order:
-                positions = buckets[key]
-                state = merged.get(key)
-                if state is None:
-                    state = merged[key] = (
-                        rows[positions[0]],
+                    state = states[key] = (
+                        batch[positions[0]],
                         [spec.make() for spec in specs],
                     )
-                    order.append(key)
-                accumulators = state[1]
-                for accumulator, arg_column in zip(accumulators, arg_columns):
-                    if arg_column is None:
-                        # COUNT(*): positions stand in for the row list the
-                        # generic loop feeds — same length, never None.
-                        accumulator.update_batch(positions)
-                    else:
-                        accumulator.update_column(
-                            batch.column(arg_column).values, positions
-                        )
-            metrics.kernel_seconds += engine_timer() - started
-        if not self.group_exprs and not merged:
-            yield self._empty_input_group()
+                for accumulator, values in zip(state[1], columns):
+                    accumulator.update(values, positions)
+        if not states and key_of is None:
+            # An empty ungrouped input is still one group: no representative
+            # row, every aggregate over nothing.
+            yield None, [spec.make().finish() for spec in specs]
             return
-        for key in order:
-            representative, accumulators = merged[key]
+        for representative, accumulators in states.values():
             yield representative, [acc.finish() for acc in accumulators]
-
-
-def _rows_identity(rows):
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -1014,16 +808,9 @@ def _evaluated_key(exprs, bindings: Bindings, ctx: ExecutionContext):
 
 def survivors(kernels, predicates, bindings: Bindings, ctx: ExecutionContext):
     """``rows -> positions of the rows passing every conjunct``: the
-    conjuncts' ``kernels`` over an untyped view of the rows, else — None —
-    the evaluator, in order."""
+    conjuncts' ``kernels``, else — None — the evaluator, in order."""
     if kernels is not None:
-        untyped = (None,) * row_width(bindings)
-
-        def select(rows):
-            selection = apply_kernels(kernels, ColumnBatch(rows, untyped))
-            return range(len(rows)) if selection is None else selection
-
-        return select
+        return partial(apply_kernels, kernels)
     layout, outer, run = layout_of(bindings), ctx.outer_scope, ctx.run_subquery
 
     def select(rows):
@@ -1132,8 +919,8 @@ def _chunk(rows, ctx: ExecutionContext) -> Iterator[RowBatch]:
 
 def _scan_chunks(table, ctx: ExecutionContext) -> Iterator[RowBatch]:
     """A heap scan's stored rows in chunks of ``ctx.batch_size``, charging
-    ``rows_scanned`` per chunk — the one feed of :class:`SeqScan`'s row and
-    columnar streams (a stored row is already the scan's row).
+    ``rows_scanned`` per chunk — :class:`SeqScan`'s batches (a stored row is
+    already the scan's row).
 
     Like :func:`_chunk`, the size is re-read after every flush to honour the
     executor's shrinking LIMIT budget.  Rows arrive page-at-a-time through

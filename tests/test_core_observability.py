@@ -52,12 +52,13 @@ class TestStatementTimeouts:
 
     @pytest.mark.parametrize(
         "aggregates",
-        ["SUM(x)", "SUM(x + 0)"],  # a computed argument keeps the fused lane off
-        ids=["columnar", "rows"],
+        ["SUM(x)", "SUM(x + 0)"],
+        ids=["compiled-argument", "evaluated-argument"],
     )
     def test_grouped_scan_cancels_within_one_batch(self, aggregates, monkeypatch):
-        """An expired budget stops a GROUP BY at the first batch boundary on
-        both aggregation paths, not after the whole heap has been read."""
+        """An expired budget stops a GROUP BY at the first batch boundary
+        whether its argument column comes from a compiled getter or the
+        evaluator, not after the whole heap has been read."""
         settings = ExecutionSettings()
         db = _runaway_db(settings)
         table = db.table("big")

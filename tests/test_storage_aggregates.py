@@ -21,10 +21,17 @@ from repro.analysis.corpus import DOMAINS, dml_statements, domain_statements
 from repro.analysis.sql_lint import SchemaView, SqlLinter
 from repro.errors import ExecutionError, SchemaError
 from repro.sql import features
-from repro.sql.ast_nodes import Join, SelectStatement, SubqueryRef, iter_subqueries
+from repro.sql.ast_nodes import (
+    ColumnRef,
+    Join,
+    SelectStatement,
+    SubqueryRef,
+    iter_subqueries,
+)
 from repro.storage import Database, ExecutionSettings
 from repro.storage.binder import Binder, table_columns
 from repro.storage.aggregates import (
+    AggregateSpec,
     AvgAccumulator,
     AvgDistinctAccumulator,
     CountStarAccumulator,
@@ -178,12 +185,17 @@ RANGE_ORDER_QUERIES = [
 ]
 
 
+def _feed(accumulator, values):
+    """One batch: ``values`` is the argument column, every position live."""
+    accumulator.update(values, range(len(values)))
+
+
 class TestAccumulators:
     def test_sum_matches_single_fold(self):
         acc = SumAccumulator()
         values = [0.1, 0.2, None, 0.3, 0.4, 0.5]
-        acc.update_batch(values[:3])
-        acc.update_batch(values[3:])
+        _feed(acc, values[:3])
+        _feed(acc, values[3:])
         present = [v for v in values if v is not None]
         assert acc.finish() == sum(present)
 
@@ -195,14 +207,16 @@ class TestAccumulators:
         "accumulator, expected", [(SumAccumulator, 1.0), (AvgAccumulator, 0.25)]
     )
     def test_float_total_is_one_left_fold_at_every_split(self, accumulator, expected):
+        """Two batches split anywhere, or one batch's column read as two
+        position runs: the same left fold."""
         values = self.CANCELLING
         for split in range(len(values) + 1):
-            by_batch, by_column = accumulator(), accumulator()
-            by_batch.update_batch(values[:split])
-            by_batch.update_batch(values[split:])
-            by_column.update_column(values, range(split))
-            by_column.update_column(values, range(split, len(values)))
-            assert by_batch.finish() == by_column.finish() == expected, split
+            by_batch, by_positions = accumulator(), accumulator()
+            _feed(by_batch, values[:split])
+            _feed(by_batch, values[split:])
+            by_positions.update(values, range(split))
+            by_positions.update(values, range(split, len(values)))
+            assert by_batch.finish() == by_positions.finish() == expected, split
 
     @pytest.mark.parametrize(
         "accumulator, expected",
@@ -213,27 +227,42 @@ class TestAccumulators:
         is dropped); a compensated sum would give 1.0."""
         for split in range(len(self.CANCELLING) + 1):
             acc = accumulator()
-            acc.update_batch(self.CANCELLING[:split])
-            acc.update_column(self.CANCELLING, range(split, len(self.CANCELLING)))
+            _feed(acc, self.CANCELLING[:split])
+            acc.update(self.CANCELLING, range(split, len(self.CANCELLING)))
             assert acc.finish() == expected, split
+
+    def test_only_listed_positions_are_folded(self):
+        acc = SumAccumulator()
+        acc.update([1.0, 100.0, 2.0, None, 4.0], [0, 2, 3, 4])
+        assert acc.finish() == 7.0
 
     def test_sum_all_null_is_null(self):
         acc = SumAccumulator()
-        acc.update_batch([None, None])
+        _feed(acc, [None, None])
         assert acc.finish() is None
 
     def test_min_max_keep_first_tie(self):
         low, high = MinAccumulator(), MaxAccumulator()
         first, second = (1, "a"), (1, "b")
         for acc in (low, high):
-            acc.update_batch([[first[0]], [second[0]]])
+            _feed(acc, [[first[0]], [second[0]]])
         assert low.finish() == [1]
         assert high.finish() == [1]
 
-    def test_count_star_counts_rows(self):
+    def test_count_star_counts_positions(self):
         acc = CountStarAccumulator()
-        acc.update_batch([{"a": 1}, {"a": None}])
+        acc.update(None, [0, 3])
         assert acc.finish() == 2
+
+    def test_each_accumulator_has_one_feed_method(self):
+        for name in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
+            for distinct in (False, True):
+                acc = AggregateSpec(name, ColumnRef("x"), distinct).make()
+                feeds = [attr for attr in dir(acc) if attr.startswith("update")]
+                assert feeds == ["update"], (name, distinct)
+        assert [a for a in dir(CountStarAccumulator()) if a.startswith("update")] == [
+            "update"
+        ]
 
 
 class TestSpecCollection:
@@ -676,7 +705,7 @@ KERNEL_SHAPES = [
     "{t}.name < {t}.state",
 ]
 
-#: Where each shape reaches an untyped view of row batches, and the operator
+#: Where each shape filters another operator's row batches, and the operator
 #: the kernel-compiled Filter must sit on there.  A WHERE conjunct over one
 #: binding is pushed down to its scan, so the join cases filter a derived
 #: table over the join.
@@ -740,13 +769,12 @@ def _oracle_db(exec_settings: ExecutionSettings, indexed: bool) -> Database:
 
 
 def _assert_row_view_filter(plan, below):
-    """The plan has a kernel-compiled Filter over a ``below`` child: one
-    filtering untyped views of row batches, not columnar scan batches."""
+    """The plan has a kernel-compiled Filter over a ``below`` child."""
     node = _find(plan.root, Filter)
     while node is not None and not isinstance(node.child, below):
         node = _find(node.child, Filter)
     assert node is not None, f"no Filter over a {below.__name__}"
-    assert node.kernels is not None and not node.columnar_capable()
+    assert node.kernels is not None
 
 
 class TestRowViewKernels:

@@ -1,12 +1,11 @@
-"""Columnar batch kernels: agreement with the evaluator and with sqlite,
-the fused aggregation lane, EXPLAIN ANALYZE counters, the plan-verifier
-columnar contract, and the ``columnar-mutation`` hazard rule."""
+"""Predicate kernels: typed by the binder, they agree with the evaluator and
+with sqlite at every site that filters rows; float aggregates fold bit-exact;
+EXPLAIN ANALYZE runs the statement's own path."""
 
 from __future__ import annotations
 
-import functools
 import sqlite3
-import textwrap
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -14,16 +13,21 @@ from hypothesis import strategies as st
 
 from repro.storage import Database, ExecutionSettings
 from repro.storage.binder import Binder
-from repro.storage.colbatch import ColumnBatch
-from repro.storage.executor import ExecutionStats
+from repro.storage import kernels
 from repro.storage.expression import Scope, evaluate, is_true, layout_of
+from repro.storage.executor import Executor
 from repro.storage.kernels import (
     apply_kernels,
     compile_columnar_conjuncts,
     compile_columnar_predicate,
-    hash_group_keys,
 )
-from repro.storage.operators import ExecutionContext, Filter, SeqScan
+from repro.storage.operators import (
+    Filter,
+    HashJoin,
+    IndexLookupJoin,
+    SubqueryScan,
+)
+from repro.storage.planner import Planner
 from repro.storage.types import DataType
 from repro.sql.parser import parse
 
@@ -135,9 +139,9 @@ class TestCrossPathEquivalence:
             assert_matches_sqlite(sql, db.execute(sql).rows, reference)
 
     def test_float_aggregates_bit_identical(self, exec_variant):
-        """Float SUM/AVG fold the values in heap order at every batch size
-        and on both aggregation lanes, so the results are a plain left fold
-        to the last bit — not just approximately."""
+        """Float SUM/AVG fold the values in heap order at every batch size,
+        whether the argument is a column or computed, so the results are a
+        plain left fold to the last bit — not just approximately."""
         db = _make_db(exec_variant)
         values = [row["value"] for row in READING_ROWS]
         assert _float_bits(
@@ -153,7 +157,7 @@ class TestCrossPathEquivalence:
         ]
         for sql in (
             "SELECT station, SUM(value), AVG(value) FROM readings GROUP BY station",
-            # A computed argument keeps the fused columnar lane off.
+            # A computed argument is built by the evaluator.
             "SELECT station, SUM(value * 1), AVG(value * 1) FROM readings "
             "GROUP BY station",
         ):
@@ -197,52 +201,16 @@ class TestCrossPathEquivalence:
         return cls._db
 
 
-_DTYPES = [DataType.INTEGER, DataType.TEXT, DataType.FLOAT]
-
-
-class TestColumnBatch:
-    def test_extraction_by_position(self):
-        rows = [(1, "x", 1.5), (None, None, 2.5)]
-        batch = ColumnBatch(rows, _DTYPES)
-        a = batch.column(0)
-        assert a.values == [1, None] and a.dtype is DataType.INTEGER
-        b = batch.column(1)
-        assert b.values == ["x", None] and b.dtype is DataType.TEXT
-        assert batch.column(2).values == [1.5, 2.5]
-        untyped = ColumnBatch(rows, (None,) * 3)
-        assert untyped.column(1) == (["x", None], None)
-
-    def test_huge_ints_extract_unchanged(self):
-        batch = ColumnBatch([(2**70, "x", 0.0)], _DTYPES)
-        assert batch.column(0).values == [2**70]
-
-    def test_narrowed_shares_column_cache(self):
-        rows = [(i, str(i), float(i)) for i in range(4)]
-        batch = ColumnBatch(rows, _DTYPES)
-        column = batch.column(0)
-        narrowed = batch.narrowed([1, 3])
-        assert narrowed.column(0) is column  # extraction shared, not redone
-        assert len(narrowed) == 2
-        assert narrowed.selected_rows() == [rows[1], rows[3]]
-
-    def test_group_kernel(self):
-        rows = [(i % 2, f"s{i}", float(i)) for i in range(6)]
-        batch = ColumnBatch(rows, _DTYPES).narrowed([0, 2, 3, 5])
-        order, buckets = hash_group_keys(batch, [0])
-        assert order == [0, 1]
-        assert buckets == {0: [0, 2], 1: [3, 5]}
-
-
 def _bound(sql):
-    """``sql`` bound against a one-table schema ``t(a, b)``: kernels read
-    the binder's answer, never a bare name."""
-    return Binder(lambda name: [("a", None), ("b", None)]).select(parse(sql))
+    """``sql`` bound against a one-table schema ``t(a INTEGER, b TEXT)``:
+    kernels read the binder's answer, never a bare name."""
+    return Binder(
+        lambda name: [("a", DataType.INTEGER), ("b", DataType.TEXT)]
+    ).select(parse(sql))
 
 
 class TestKernelCompilation:
-    def _batch(self):
-        rows = [(1, "x"), (None, "y"), (3, None), (4, "x")]
-        return ColumnBatch(rows, [DataType.INTEGER, DataType.TEXT])
+    ROWS = [(1, "x"), (None, "y"), (3, None), (4, "x")]
 
     def _kernels(self, where):
         from repro.storage.planner import _split_conjuncts
@@ -254,10 +222,7 @@ class TestKernelCompilation:
     def _select(self, where):
         kernels = self._kernels(where)
         assert kernels is not None, where
-        selection = apply_kernels(kernels, self._batch())
-        if selection is None:
-            return [0, 1, 2, 3]
-        return selection
+        return list(apply_kernels(kernels, self.ROWS))
 
     def test_comparison_null_semantics(self):
         assert self._select("a > 1") == [2, 3]
@@ -340,60 +305,45 @@ GRID_CONDITIONS = (
 )
 
 
-@functools.cache
-def _grid_scan_batch() -> ColumnBatch:
-    """The grid table's rows as a heap scan hands them on: one typed batch."""
-    db = Database()
-    columns = ", ".join(f"{name} {kind}" for name, (kind, _) in GRID_COLUMNS.items())
-    db.execute(f"CREATE TABLE g ({columns})")
-    db.insert_rows("g", [dict(zip(GRID_COLUMNS, row)) for row in GRID_ROWS])
-    scan = SeqScan(db.table("g"), "g", 0.0)
-    ctx = ExecutionContext(metrics=ExecutionStats(), batch_size=len(GRID_ROWS))
-    (batch,) = scan.col_batches(ctx)
-    return batch
-
-
 class TestKernelsMatchEvaluator:
-    """The evaluator is the kernels' contract: on a typed scan batch and on
-    an untyped view of the same rows, every kernel shape keeps exactly the
-    rows where ``is_true(evaluate(...))`` holds."""
+    """The evaluator is the kernels' contract: every kernel shape, compiled
+    against the grid's declared column types and against undeclared ones (a
+    derived table's), keeps exactly the rows of a plain row batch where
+    ``is_true(evaluate(...))`` holds — over the whole batch and over an
+    earlier conjunct's selection.  The grid's values are already in stored
+    form, as a heap holds them."""
 
     @pytest.mark.parametrize("condition", GRID_CONDITIONS)
     def test_kernel_agrees_with_evaluator(self, condition):
-        where = Binder(lambda name: [(c, None) for c in GRID_COLUMNS]).select(
-            parse(f"SELECT i FROM g WHERE {condition}")
-        ).where
         bindings = [("g", list(GRID_COLUMNS))]
-        kernel = compile_columnar_predicate(where, bindings)
-        assert kernel is not None, condition
-        typed = _grid_scan_batch()
         layout = layout_of(bindings)
-        expected = [
-            position
-            for position, row in enumerate(typed.rows)
-            if is_true(evaluate(where, Scope(layout, row)))
-        ]
-        evens = list(range(0, len(typed.rows), 2))
-        untyped = ColumnBatch(typed.rows, (None,) * len(GRID_COLUMNS))
-        for batch in (typed, untyped):
-            assert kernel(batch, None) == expected, condition
-            assert kernel(batch, evens) == [p for p in expected if p % 2 == 0], condition
+
+        def evens(columns, selection):
+            return list(range(0, len(GRID_ROWS), 2))
+
+        for declared in (True, False):
+            schema = [
+                (name, DataType.from_sql(kind) if declared else None)
+                for name, (kind, _) in GRID_COLUMNS.items()
+            ]
+            where = Binder(lambda name: schema).select(
+                parse(f"SELECT i FROM g WHERE {condition}")
+            ).where
+            kernel = compile_columnar_predicate(where, bindings)
+            assert kernel is not None, condition
+            expected = [
+                position
+                for position, row in enumerate(GRID_ROWS)
+                if is_true(evaluate(where, Scope(layout, row)))
+            ]
+            case = (condition, declared)
+            assert list(apply_kernels([kernel], GRID_ROWS)) == expected, case
+            assert list(apply_kernels([evens, kernel], GRID_ROWS)) == [
+                p for p in expected if p % 2 == 0
+            ], case
 
 
 class TestAnalyzeCounters:
-    def test_columnar_counters_in_stats_and_summary(self):
-        db = _make_db()
-        explanation = db.explain("SELECT id FROM readings WHERE value > 5.0", analyze=True)
-        assert explanation.stats.columnar_batches > 0
-        text = explanation.text()
-        assert "columnar: batches=" in text
-        assert "kernels=" in text
-
-    def test_node_stats_report_columnar_batches(self):
-        db = _make_db(ExecutionSettings(batch_size=64))
-        text = db.explain("SELECT id FROM readings WHERE value > 5.0", analyze=True).text()
-        assert "columnar=" in text
-
     def test_row_engine_summary_unchanged(self, reference):
         """A conjunct with no kernel keeps the whole plan on row batches: no
         columnar summary line, and the rows still match sqlite."""
@@ -405,111 +355,188 @@ class TestAnalyzeCounters:
         assert "columnar:" not in explanation.text()
         assert_matches_sqlite(sql, db.execute(sql).rows, reference)
 
-
-class TestPlanVerifierColumnarContract:
-    def test_real_plans_satisfy_the_contract(self):
-        db = _make_db(ExecutionSettings(verify_plans=True))
-        for sql in QUERIES:
-            db.execute(sql)  # verifier raises on any ERROR diagnostic
-
-    def test_capable_operator_outside_scan_family_fires(self):
-        from repro.analysis.plan_verify import PlanVerifier
-
-        class FakeCapable:
-            bindings = [("t", ["a"]), ("u", ["b"])]
-            children = ()
-
-            def columnar_capable(self):
-                return True
-
-            def label(self):
-                return "FakeCapable"
-
-        diagnostics: list = []
-        PlanVerifier()._check_columnar(FakeCapable(), diagnostics)
-        rules = {d.rule for d in diagnostics}
-        assert "plan-columnar-contract" in rules
-        # Both promises break: two bindings, and not a heap-scan/filter.
-        assert len(diagnostics) == 2
-
-    def test_capable_filter_over_row_child_fires(self):
-        from repro.analysis.plan_verify import PlanVerifier
-        from repro.storage.operators import Filter
-
-        db = _make_db()
-        root = db.explain("SELECT id FROM readings WHERE value > 5.0").root
-        assert isinstance(root, Filter) and root.columnar_capable()
-        # Break the chain: the child loses its capability but the Filter's
-        # claim goes stale — the exact inconsistency the rule exists to catch
-        # (Filter.columnar_capable() normally recomputes through the child).
-        root.columnar_capable = lambda: True
-        root.child.columnar_capable = lambda: False
-        diagnostics: list = []
-        PlanVerifier()._check_columnar(root, diagnostics)
-        assert any(d.rule == "plan-columnar-contract" for d in diagnostics)
+    def test_analyze_runs_the_statements_own_path(self):
+        """EXPLAIN ANALYZE executes the path an ordinary execution takes:
+        the aggregate consumes the same batches and returns the same rows."""
+        db = _big_db()
+        sql = "SELECT w, COUNT(*), SUM(v) FROM big WHERE id < 300 GROUP BY w"
+        result = db.execute(sql)
+        explanation = db.explain(sql, analyze=True)
+        assert result.stats.batches == explanation.stats.batches == 2
+        text = explanation.text()
+        assert "Filter (id < '?') (actual rows=300 batches=2 " in text
+        assert "never executed" not in text
+        plan = Planner(db).plan_select(parse(sql))
+        _, analyzed_rows = Executor(db).execute_plan(plan, node_stats={})
+        assert analyzed_rows == result.rows
+        assert f"Execution: {len(result.rows)} rows" in text
 
 
-class TestColumnarMutationLint:
-    def _lint(self, tmp_path, code):
-        from repro.analysis.hazard_lint import lint_paths
+#: ``big`` rows: ``k`` (hash-indexed) cycles through 50 values and ``w``
+#: through 7, ``small.k`` is 0..6, ``s`` and ``f`` hold NULLs.
+BIG_ROWS = [
+    {
+        "id": i,
+        "k": i % 50,
+        "w": i % 7,
+        "v": (i * 37 % 1000) / 10.0,
+        "s": None if i % 9 == 0 else f"s{i % 13}",
+        "f": None if i % 11 == 0 else i % 3 == 0,
+    }
+    for i in range(3000)
+]
+SMALL_ROWS = [{"k": i, "x": i * 12.5, "label": f"l{i}"} for i in range(7)]
+_BIG_SCHEMA = (
+    "CREATE TABLE big (id INTEGER, k INTEGER, w INTEGER, v {float}, s TEXT, "
+    "f BOOLEAN)",
+    "CREATE TABLE small (k INTEGER, x {float}, label TEXT)",
+)
 
-        directory = tmp_path / "storage"
-        directory.mkdir(exist_ok=True)
-        (directory / "fixture.py").write_text(textwrap.dedent(code))
-        return list(lint_paths([tmp_path]))
 
-    def test_mutating_a_foreign_batch_fires(self, tmp_path):
-        diagnostics = self._lint(
-            tmp_path,
-            """
-            def bad_kernel(batch):
-                batch.selection = [0]
-                batch.rows.append({})
-                return batch
-            """,
-        )
-        fired = [d for d in diagnostics if d.rule == "columnar-mutation"]
-        assert len(fired) == 2
+def _big_db() -> Database:
+    db = Database(exec_settings=ExecutionSettings(batch_size=256))
+    for ddl in _BIG_SCHEMA:
+        db.execute(ddl.format(float="FLOAT"))
+    db.execute("CREATE INDEX big_k ON big (k)")
+    db.insert_rows("big", BIG_ROWS)
+    db.insert_rows("small", SMALL_ROWS)
+    return db
 
-    def test_stream_consumer_mutation_fires(self, tmp_path):
-        diagnostics = self._lint(
-            tmp_path,
-            """
-            def consume(scan, ctx):
-                for chunk in scan.col_batches(ctx):
-                    chunk.rows[0] = {}
-            """,
-        )
-        assert any(d.rule == "columnar-mutation" for d in diagnostics)
 
-    def test_locally_allocated_batch_is_exempt(self, tmp_path):
-        diagnostics = self._lint(
-            tmp_path,
-            """
-            def build(dtypes, rows):
-                batch = ColumnBatch([], dtypes)
-                batch.rows.extend(rows)
-                return batch
-            """,
-        )
-        assert not any(d.rule == "columnar-mutation" for d in diagnostics)
+def _big_sqlite() -> sqlite3.Connection:
+    connection = sqlite3.connect(":memory:")
+    for ddl in _BIG_SCHEMA:
+        connection.execute(ddl.format(float="REAL"))
+    connection.executemany(
+        "INSERT INTO big VALUES (:id, :k, :w, :v, :s, :f)", BIG_ROWS
+    )
+    connection.executemany("INSERT INTO small VALUES (:k, :x, :label)", SMALL_ROWS)
+    return connection
 
-    def test_selection_vector_output_is_clean(self, tmp_path):
-        diagnostics = self._lint(
-            tmp_path,
-            """
-            def kernel(batch, limit):
-                values = batch.column(0).values
-                return [i for i, v in enumerate(values) if v is not None and v < limit]
-            """,
-        )
-        assert not any(d.rule == "columnar-mutation" for d in diagnostics)
 
-    def test_engine_source_is_clean(self):
-        from pathlib import Path
+@pytest.fixture(scope="module")
+def big_db():
+    return _big_db()
 
-        from repro.analysis.hazard_lint import lint_paths
 
-        src = Path(__file__).resolve().parent.parent / "src" / "repro" / "storage"
-        report = lint_paths([src])
-        assert not any(d.rule == "columnar-mutation" for d in report)
+@pytest.fixture(scope="module")
+def big_reference():
+    with closing(_big_sqlite()) as connection:
+        yield lambda sql: connection.execute(sql).fetchall()
+
+
+@pytest.fixture
+def compare_calls(monkeypatch):
+    """Every ``compare_values`` call a kernel makes."""
+    calls: list = []
+    original = kernels.compare_values
+
+    def counted(left, right):
+        calls.append(None)
+        return original(left, right)
+
+    monkeypatch.setattr(kernels, "compare_values", counted)
+    return calls
+
+
+def _operator(node, kind):
+    if isinstance(node, kind):
+        return node
+    for child in node.children:
+        found = _operator(child, kind)
+        if found is not None:
+            return found
+    return None
+
+
+#: ``k`` values the seven ``small`` rows probe: 60 ``big`` rows each.
+_PROBED = sum(1 for row in BIG_ROWS if row["k"] < len(SMALL_ROWS))
+
+
+class TestTypedKernelsAboveRowOperators:
+    """A kernel takes its columns' types from the binder, so it runs typed
+    wherever it filters rows — above a join, inside an index-join residual,
+    in an UPDATE/DELETE residual.  Only an undeclared column (a derived
+    table's) keeps the ``compare_values`` loop, and both answer like sqlite."""
+
+    @pytest.mark.parametrize(
+        "sql, below, calls",
+        [
+            pytest.param(
+                "SELECT b.id FROM big b, small m WHERE b.w = m.k AND b.v > m.x",
+                HashJoin,
+                0,
+                id="typed-over-hash-join",
+            ),
+            pytest.param(
+                "SELECT d.id FROM (SELECT id, v FROM big) d WHERE d.v > 50.0",
+                SubqueryScan,
+                len(BIG_ROWS),
+                id="untyped-over-derived-table",
+            ),
+        ],
+    )
+    def test_filter(self, big_db, big_reference, compare_calls, sql, below, calls):
+        root = Planner(big_db).plan_select(parse(sql)).root
+        node = _operator(root, Filter)
+        assert isinstance(node.child, below) and node.kernels is not None
+        compare_calls.clear()
+        rows = big_db.execute(sql).rows
+        assert len(compare_calls) == calls
+        assert sorted(rows) == sorted(big_reference(sql))
+
+    @pytest.mark.parametrize(
+        "sql, calls",
+        [
+            pytest.param(
+                "SELECT m.label, b.id FROM small m, big b "
+                "WHERE m.k = b.k AND b.v > 50.0",
+                0,
+                id="typed",
+            ),
+            pytest.param(
+                "SELECT d.label, b.id FROM (SELECT k, x, label FROM small) d, big b "
+                "WHERE d.k = b.k AND d.k = b.w",
+                _PROBED,
+                id="untyped-outer-column",
+            ),
+        ],
+    )
+    def test_index_join_residual(
+        self, big_db, big_reference, compare_calls, sql, calls
+    ):
+        join = _operator(Planner(big_db).plan_select(parse(sql)).root, IndexLookupJoin)
+        assert join.residual and join.residual_kernels is not None
+        compare_calls.clear()
+        rows = big_db.execute(sql).rows
+        assert len(compare_calls) == calls
+        assert sorted(rows) == sorted(big_reference(sql))
+
+    @pytest.mark.parametrize(
+        "sql, calls",
+        [
+            pytest.param(
+                "DELETE FROM big WHERE w = 1 AND v > 50.0", 0, id="typed-delete"
+            ),
+            pytest.param(
+                "UPDATE big SET s = 'z' WHERE w = 1 AND v > 50.0", 0, id="typed-update"
+            ),
+            # A DML target's columns are always declared; a BOOLEAN column
+            # against a boolean literal has no native comparison that
+            # matches compare_values, so that kernel keeps the loop.
+            pytest.param(
+                "UPDATE big SET s = 'z' WHERE f = TRUE AND v > 50.0",
+                len(BIG_ROWS),
+                id="boolean-update",
+            ),
+        ],
+    )
+    def test_dml_residual(self, compare_calls, sql, calls):
+        db = _big_db()
+        compare_calls.clear()
+        count = db.execute(sql).rowcount
+        assert len(compare_calls) == calls
+        with closing(_big_sqlite()) as connection:
+            assert count == connection.execute(sql).rowcount > 0
+            contents = "SELECT * FROM big ORDER BY id"
+            assert db.execute(contents).rows == connection.execute(contents).fetchall()

@@ -106,8 +106,8 @@ class TestBatchSemantics:
         threshold=st.integers(-40, 40),
     )
     def test_filter_property(self, values, batch_size, threshold):
-        """Random tables: a filtered columnar scan equals sqlite's, rows in
-        heap order."""
+        """Random tables: a filtered scan equals sqlite's, rows in heap
+        order."""
         db = Database(exec_settings=ExecutionSettings(batch_size=batch_size))
         db.execute("CREATE TABLE t (v INTEGER)")
         db.insert_rows("t", [{"v": value} for value in values])
@@ -116,6 +116,54 @@ class TestBatchSemantics:
             plain.execute("CREATE TABLE t (v INTEGER)")
             plain.executemany("INSERT INTO t VALUES (?)", [(value,) for value in values])
             assert db.execute(sql).rows == plain.execute(sql).fetchall()
+
+    @hsettings(max_examples=25, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 4), st.none()),
+                st.one_of(st.integers(0, 2), st.none()),
+                st.one_of(st.integers(-50, 50), st.none()),
+            ),
+            min_size=0,
+            max_size=300,
+        ),
+        batch_size=st.sampled_from([1, 2, 256]),
+        threshold=st.integers(-40, 40),
+    )
+    def test_aggregate_property(self, rows, batch_size, threshold):
+        """Random tables with NULL keys and values: grouped by one column,
+        by two, and ungrouped, the one aggregate loop answers like sqlite."""
+        db = Database(exec_settings=ExecutionSettings(batch_size=batch_size))
+        db.execute("CREATE TABLE t (g INTEGER, h INTEGER, v INTEGER)")
+        db.insert_rows("t", [dict(zip("ghv", row)) for row in rows])
+        aggregates = "COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), COUNT(DISTINCT v)"
+        where = f"WHERE v >= {threshold}"
+        with closing(sqlite3.connect(":memory:")) as plain:
+            plain.execute("CREATE TABLE t (g INTEGER, h INTEGER, v INTEGER)")
+            plain.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+            for sql in (
+                f"SELECT g, {aggregates} FROM t {where} GROUP BY g",
+                f"SELECT g, h, {aggregates} FROM t {where} GROUP BY g, h",
+                f"SELECT {aggregates} FROM t {where} OR g IS NULL",
+                f"SELECT h, SUM(v + 1), COUNT(*) FROM t GROUP BY h",
+            ):
+                got, expected = db.execute(sql).rows, plain.execute(sql).fetchall()
+                assert sorted(got, key=repr) == sorted(expected, key=repr), sql
+
+    def test_bare_column_reads_the_groups_first_row(self, exec_variant):
+        """A select item that is neither grouped nor aggregated reads its
+        group's first row in heap order, wherever the batches split."""
+        db = Database(exec_settings=exec_variant)
+        db.execute("CREATE TABLE t (g INTEGER, name TEXT)")
+        db.insert_rows("t", [{"g": i % 2, "name": f"n{i}"} for i in range(6)])
+        assert db.execute("SELECT g, name, COUNT(*) FROM t GROUP BY g").rows == [
+            (0, "n0", 3),
+            (1, "n1", 3),
+        ]
+        assert db.execute(
+            "SELECT name, SUM(g + 1) FROM t WHERE name > 'n2' GROUP BY g % 2"
+        ).rows == [("n3", 4), ("n4", 1)]
 
     @pytest.mark.parametrize("batch_size", [1, 2, 256])
     def test_one_column_rows_and_keys_are_one_tuples(self, batch_size):
@@ -390,22 +438,22 @@ class TestStoredRowsNeedNoNames:
     name-keyed row (``TableSchema.as_dict``), resolves row names
     (``TableSchema.coerce_rows``) or calls ``dict`` anywhere in the engine."""
 
-    #: ``(statement, operator its plan must use, columnar batches expected)``
+    #: ``(statement, operator its plan must use)``
     STATEMENTS = [
-        ("SELECT * FROM big", "SeqScan big", False),
-        ("SELECT id FROM big WHERE w > 3 AND s LIKE 's1%'", "Filter (w > 3", True),
-        ("SELECT b.id, m.label FROM big b, small m WHERE b.w = m.k", "HashJoin", False),
-        ("SELECT b.id, m.label FROM small m, big b WHERE m.k = b.k", "IndexLoopJoin", False),
-        ("SELECT w, COUNT(*), SUM(v) FROM big WHERE w > 2 GROUP BY w", "HashAggregate", True),
-        ("SELECT w + 1, COUNT(*), SUM(v) FROM big GROUP BY w + 1", "HashAggregate", False),
-        ("SELECT * FROM big WHERE k = 5", "IndexScan big", False),
-        ("SELECT id FROM big WHERE v > 10.0 AND v < 20.0", "Filter (v > 10.0", True),
-        ("SELECT id FROM big ORDER BY v", "Sort [v]", False),
-        ("UPDATE big SET w = w + 1 WHERE k = 3", "IndexScan big", False),
-        ("UPDATE big SET s = 'z' WHERE w = 1", "SeqScan big", False),
-        ("DELETE FROM big WHERE w = 6", "SeqScan big", False),
-        ("INSERT INTO copy SELECT * FROM big WHERE w < 3", "Insert [copy]", None),
-        ("INSERT INTO copy (v, id) SELECT v, id FROM big", "Insert [copy]", None),
+        ("SELECT * FROM big", "SeqScan big"),
+        ("SELECT id FROM big WHERE w > 3 AND s LIKE 's1%'", "Filter (w > 3"),
+        ("SELECT b.id, m.label FROM big b, small m WHERE b.w = m.k", "HashJoin"),
+        ("SELECT b.id, m.label FROM small m, big b WHERE m.k = b.k", "IndexLoopJoin"),
+        ("SELECT w, COUNT(*), SUM(v) FROM big WHERE w > 2 GROUP BY w", "HashAggregate"),
+        ("SELECT w + 1, COUNT(*), SUM(v) FROM big GROUP BY w + 1", "HashAggregate"),
+        ("SELECT * FROM big WHERE k = 5", "IndexScan big"),
+        ("SELECT id FROM big WHERE v > 10.0 AND v < 20.0", "Filter (v > 10.0"),
+        ("SELECT id FROM big ORDER BY v", "Sort [v]"),
+        ("UPDATE big SET w = w + 1 WHERE k = 3", "IndexScan big"),
+        ("UPDATE big SET s = 'z' WHERE w = 1", "SeqScan big"),
+        ("DELETE FROM big WHERE w = 6", "SeqScan big"),
+        ("INSERT INTO copy SELECT * FROM big WHERE w < 3", "Insert [copy]"),
+        ("INSERT INTO copy (v, id) SELECT v, id FROM big", "Insert [copy]"),
     ]
 
     @pytest.fixture
@@ -430,8 +478,8 @@ class TestStoredRowsNeedNoNames:
     def name_calls(self, monkeypatch):
         """Every name-keyed row the engine builds, recorded by its route."""
         from repro.storage import (
-            aggregates, colbatch, database, executor, expression, kernels,
-            operators, planner, schema, table,
+            aggregates, database, executor, expression, kernels, operators,
+            planner, schema, table,
         )
 
         calls: list[str] = []
@@ -458,20 +506,18 @@ class TestStoredRowsNeedNoNames:
         for method in ("as_dict", "coerce_rows"):
             original = getattr(schema.TableSchema, method)
             monkeypatch.setattr(schema.TableSchema, method, counting(method, original))
-        for module in (aggregates, colbatch, database, executor, expression, kernels,
+        for module in (aggregates, database, executor, expression, kernels,
                        operators, planner, schema, table):
             monkeypatch.setattr(module, "dict", counted_dict, raising=False)
         return calls
 
-    @pytest.mark.parametrize("sql, operator, columnar", STATEMENTS)
-    def test_statement_builds_no_named_row(self, db, name_calls, sql, operator, columnar):
+    @pytest.mark.parametrize("sql, operator", STATEMENTS)
+    def test_statement_builds_no_named_row(self, db, name_calls, sql, operator):
         assert operator in db.explain(sql).text()
         name_calls.clear()
         result = db.execute(sql)
         assert name_calls == []
         assert result.rowcount > 0
-        if columnar is not None:
-            assert (result.stats.columnar_batches > 0) is columnar
 
     def test_insert_select_places_listed_columns(self, db):
         db.execute("INSERT INTO copy (v, id) SELECT v, id FROM big WHERE id < 3")
