@@ -50,7 +50,6 @@ from repro.sql.ast_nodes import (
     DeleteStatement,
     ExistsSubquery,
     Expression,
-    FromItem,
     FunctionCall,
     InList,
     InSubquery,
@@ -61,9 +60,11 @@ from repro.sql.ast_nodes import (
     SelectStatement,
     Star,
     SubqueryRef,
+    TableRef,
     UnaryOp,
     UpdateStatement,
     iter_expressions,
+    walk,
 )
 from repro.sql.formatter import format_expression
 from repro.sql.parser import parse
@@ -232,12 +233,11 @@ class SqlLinter:
             expressions.append((statement.having, "HAVING"))
         for order_item in statement.order_by:
             expressions.append((order_item.expression, "ORDER BY"))
-        for item in statement.from_items:
-            for node in _from_nodes(item):
-                if isinstance(node, SubqueryRef):
-                    self._lint_select(node.subquery, location, diagnostics)
-                elif isinstance(node, Join) and node.condition is not None:
-                    expressions.append((node.condition, "JOIN condition"))
+        for node in walk(statement, subqueries=False):
+            if isinstance(node, SubqueryRef):
+                self._lint_select(node.subquery, location, diagnostics)
+            elif isinstance(node, Join) and node.condition is not None:
+                expressions.append((node.condition, "JOIN condition"))
         for expr, clause in expressions:
             self._check_expression(expr, clause, location, diagnostics)
 
@@ -332,7 +332,11 @@ class SqlLinter:
     def _check_cartesian(
         self, statement: SelectStatement, location: str, diagnostics: list[Diagnostic]
     ) -> None:
-        nodes = [node for item in statement.from_items for node in _from_nodes(item)]
+        nodes = [
+            node
+            for node in walk(statement, subqueries=False)
+            if isinstance(node, (TableRef, SubqueryRef, Join))
+        ]
         local = [node.binding.lower() for node in nodes if not isinstance(node, Join)]
         if len(local) < 2:
             return
@@ -467,14 +471,6 @@ def _conjuncts(expr: Expression) -> list[Expression]:
     if isinstance(expr, BinaryOp) and expr.op == "AND":
         return _conjuncts(expr.left) + _conjuncts(expr.right)
     return [expr]
-
-
-def _from_nodes(item: FromItem):
-    """``item`` and, for a join, every FROM item nested in it."""
-    yield item
-    if isinstance(item, Join):
-        yield from _from_nodes(item.left)
-        yield from _from_nodes(item.right)
 
 
 def _edges_of(conjunct: Expression) -> list[tuple[str, str]]:

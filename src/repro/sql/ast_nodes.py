@@ -7,11 +7,16 @@ exposes it for query-by-parse-tree meta-queries.
 
 All nodes are plain dataclasses so they are cheap to construct, easy to test,
 and structural equality works out of the box.
+
+Which fields of a node hold child nodes is written down once, in
+:data:`CHILD_FIELDS`; every pure traversal of the AST goes through the two
+functions that read it, :func:`walk` (pre-order) and :func:`rebuild`
+(identity-preserving copy with a function applied to each child).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 
@@ -328,37 +333,98 @@ Statement = Union[
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers
+# Traversal: which fields hold child nodes, one pre-order walk, one rebuild
 # ---------------------------------------------------------------------------
 
 
+#: The one place the AST's shape is written down: for each node class, the
+#: fields that hold child nodes, in field order.  A child field holds a node,
+#: None, or a tuple of them, nested tuples included (CASE's ``(condition,
+#: value)`` pairs, INSERT's rows, UPDATE's ``(column, value)`` assignments,
+#: whose column names are skipped).  :func:`walk`, :func:`rebuild` and
+#: everything built on them read it.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Literal: (),
+    ColumnRef: (),
+    Star: (),
+    BinaryOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    FunctionCall: ("args",),
+    InList: ("expr", "values"),
+    InSubquery: ("expr", "subquery"),
+    ExistsSubquery: ("subquery",),
+    ScalarSubquery: ("subquery",),
+    Between: ("expr", "low", "high"),
+    CaseExpression: ("whens", "default"),
+    SelectItem: ("expression",),
+    TableRef: (),
+    SubqueryRef: ("subquery",),
+    Join: ("left", "right", "condition"),
+    OrderItem: ("expression",),
+    SelectStatement: (
+        "select_items", "from_items", "where", "group_by", "having", "order_by",
+    ),
+    InsertStatement: ("rows", "select"),
+    UpdateStatement: ("assignments", "where"),
+    DeleteStatement: ("where",),
+    ColumnDefinition: (),
+    CreateTableStatement: ("columns",),
+    DropTableStatement: (),
+    AlterTableStatement: ("column",),
+    CreateIndexStatement: (),
+}
+
+
+def child_fields(cls: type) -> tuple[str, ...]:
+    """``CHILD_FIELDS[cls]``.  A subclass of a node class defined elsewhere
+    (the binder's ``BoundColumn``, the plan cache's ``ParamLiteral``) has its
+    base's child fields and is entered on first sight; any other class is
+    not a node."""
+    try:
+        return CHILD_FIELDS[cls]
+    except KeyError:
+        for base in cls.__mro__[1:]:
+            if base in CHILD_FIELDS:
+                CHILD_FIELDS[cls] = CHILD_FIELDS[base]
+                return CHILD_FIELDS[cls]
+        raise TypeError(f"not an AST node: {cls.__name__}") from None
+
+
+def _push_reversed(values: tuple, push) -> None:
+    for value in reversed(values):
+        if type(value) is tuple:
+            _push_reversed(value, push)
+        elif value is not None and type(value) is not str:
+            push(value)
+
+
+def walk(node, subqueries: bool = True):
+    """Yield ``node`` and every node under it: pre-order, children in field order.
+
+    With ``subqueries=False`` a :class:`SelectStatement` below ``node`` (an
+    IN / EXISTS / scalar subquery or a derived table) is neither yielded nor
+    entered; the node holding it is.
+    """
+    stack = [node]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        yield node
+        try:
+            names = CHILD_FIELDS[type(node)]
+        except KeyError:
+            names = child_fields(type(node))
+        for name in reversed(names):
+            value = getattr(node, name)
+            if type(value) is tuple:
+                _push_reversed(value, push)
+            elif value is not None and (subqueries or type(value) is not SelectStatement):
+                push(value)
+
+
 def iter_expressions(expr: Expression):
-    """Yield ``expr`` and every sub-expression, depth first."""
-    yield expr
-    if isinstance(expr, BinaryOp):
-        yield from iter_expressions(expr.left)
-        yield from iter_expressions(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from iter_expressions(expr.operand)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from iter_expressions(arg)
-    elif isinstance(expr, InList):
-        yield from iter_expressions(expr.expr)
-        for value in expr.values:
-            yield from iter_expressions(value)
-    elif isinstance(expr, InSubquery):
-        yield from iter_expressions(expr.expr)
-    elif isinstance(expr, Between):
-        yield from iter_expressions(expr.expr)
-        yield from iter_expressions(expr.low)
-        yield from iter_expressions(expr.high)
-    elif isinstance(expr, CaseExpression):
-        for condition, value in expr.whens:
-            yield from iter_expressions(condition)
-            yield from iter_expressions(value)
-        if expr.default is not None:
-            yield from iter_expressions(expr.default)
+    """Yield ``expr`` and every sub-expression, pre-order, not entering subqueries."""
+    return walk(expr, subqueries=False)
 
 
 def iter_subqueries(expr: Expression):
@@ -366,22 +432,6 @@ def iter_subqueries(expr: Expression):
     for node in iter_expressions(expr):
         if isinstance(node, (InSubquery, ExistsSubquery, ScalarSubquery)):
             yield node.subquery
-
-
-def iter_from_tables(from_items: tuple[FromItem, ...]):
-    """Yield every :class:`TableRef` reachable from the given FROM items."""
-    for item in from_items:
-        yield from _iter_from_item_tables(item)
-
-
-def _iter_from_item_tables(item: FromItem):
-    if isinstance(item, TableRef):
-        yield item
-    elif isinstance(item, SubqueryRef):
-        yield from iter_from_tables(item.subquery.from_items)
-    elif isinstance(item, Join):
-        yield from _iter_from_item_tables(item.left)
-        yield from _iter_from_item_tables(item.right)
 
 
 def contains_aggregate(expr: Expression) -> bool:
@@ -392,31 +442,81 @@ def contains_aggregate(expr: Expression) -> bool:
     )
 
 
-def select_statement_tables(statement: SelectStatement) -> list[TableRef]:
-    """Return every base table referenced by ``statement`` including subqueries."""
-    tables = list(iter_from_tables(statement.from_items))
-    expressions: list[Expression] = [item.expression for item in statement.select_items]
-    if statement.where is not None:
-        expressions.append(statement.where)
-    if statement.having is not None:
-        expressions.append(statement.having)
-    expressions.extend(statement.group_by)
-    expressions.extend(item.expression for item in statement.order_by)
-    for expr in expressions:
-        for subquery in iter_subqueries(expr):
-            tables.extend(select_statement_tables(subquery))
-    for item in statement.from_items:
-        for table in _iter_subquery_refs(item):
-            tables.extend(select_statement_tables(table.subquery))
-    return tables
+def from_bindings(from_items) -> dict[str, str]:
+    """Each lower-cased binding of a FROM clause (alias, else table name) →
+    its lower-cased base table (a derived table's alias → itself).
+
+    A subquery sees its enclosing queries' bindings too: its map is
+    ``{**enclosing, **from_bindings(...)}``, so a correlated reference
+    resolves to the outer table and a local binding shadows an outer one.
+    """
+    bindings: dict[str, str] = {}
+    for item in from_items:
+        for node in walk(item, subqueries=False):
+            if isinstance(node, TableRef):
+                bindings[node.binding.lower()] = node.name.lower()
+            elif isinstance(node, SubqueryRef):
+                bindings[node.alias.lower()] = node.alias.lower()
+    return bindings
 
 
-def _iter_subquery_refs(item: FromItem):
-    if isinstance(item, SubqueryRef):
-        yield item
-    elif isinstance(item, Join):
-        yield from _iter_subquery_refs(item.left)
-        yield from _iter_subquery_refs(item.right)
+def mapped(value, fn):
+    """``fn`` applied to each node a child field's ``value`` holds.
+
+    ``value`` is a node, None, a string, or a (nested) tuple of them; None
+    and strings are kept.  The result is ``value`` itself when ``fn`` returns
+    every node unchanged, so an untouched subtree keeps its identity.
+    """
+    if type(value) is tuple:
+        new = [mapped(item, fn) for item in value]
+        for old, item in zip(value, new):
+            if old is not item:
+                return tuple(new)
+        return value
+    if value is None or type(value) is str:
+        return value
+    return fn(value)
+
+
+def replaced(node, **changes):
+    """``node`` with the given fields changed, or ``node`` itself when every
+    new value is the old one."""
+    for name, value in changes.items():
+        if getattr(node, name) is not value:
+            return _copy(node, changes)
+    return node
+
+
+def rebuild(node, fn):
+    """``node`` with ``fn`` applied to every child node (see :func:`mapped`).
+
+    ``fn`` decides whether to descend; :func:`rebuild` goes one level.  A node
+    none of whose children changed is returned itself.
+    """
+    try:
+        names = CHILD_FIELDS[type(node)]
+    except KeyError:
+        names = child_fields(type(node))
+    changes = None
+    for name in names:
+        old = getattr(node, name)
+        if old is None:
+            continue
+        new = mapped(old, fn) if type(old) is tuple else fn(old)
+        if new is not old:
+            if changes is None:
+                changes = {}
+            changes[name] = new
+    return node if changes is None else _copy(node, changes)
+
+
+def _copy(node, changes: dict):
+    return type(node)(
+        *[
+            changes[name] if name in changes else getattr(node, name)
+            for name in node.__dataclass_fields__
+        ]
+    )
 
 
 def statement_type(statement: Statement) -> str:

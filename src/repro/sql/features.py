@@ -10,9 +10,10 @@ in Figure 1 of the paper::
 
 This module computes those features (plus projections, joins, grouping,
 ordering, aggregates, and structural statistics) from a parsed statement.
-Alias resolution uses the query's own FROM clause, optionally refined with the
-database schema so that unqualified column references can be attributed to
-the right relation.
+Alias resolution uses the query's own FROM clause (and, for a correlated
+subquery, its enclosing queries'), optionally refined with the database schema
+so that unqualified column references can be attributed to the right
+relation.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from repro.sql.ast_nodes import (
     Star,
     Statement,
     SubqueryRef,
-    TableRef,
     UnaryOp,
     iter_expressions,
+    from_bindings,
     statement_type,
+    walk,
 )
 from repro.sql.parser import parse
 
@@ -183,7 +185,7 @@ def extract_features(
             features.tables = [target.lower()]
             features.num_tables = 1
         return features
-    _extract_select(statement, features, schema_columns or {}, depth=0)
+    _extract_select(statement, features, schema_columns or {}, depth=0, enclosing={})
     _finalize(features)
     return features
 
@@ -198,12 +200,14 @@ def _extract_select(
     features: QueryFeatures,
     schema_columns: Mapping[str, Set[str]],
     depth: int,
+    enclosing: dict[str, str],
 ) -> None:
     features.nesting_depth = max(features.nesting_depth, depth)
-    alias_map = _alias_map(statement.from_items)
-    resolver = _ColumnResolver(alias_map, schema_columns)
+    local = from_bindings(statement.from_items)
+    scope = {**enclosing, **local}
+    resolver = _ColumnResolver(scope, schema_columns, local.values())
 
-    for table in alias_map.values():
+    for table in local.values():
         if table not in features.tables:
             features.tables.append(table)
 
@@ -216,12 +220,12 @@ def _extract_select(
         if isinstance(expr, Star):
             features.select_star = True
             continue
-        for column in _column_refs_no_subquery(expr):
-            resolved = resolver.resolve(column)
-            _add_unique(features.projections, resolved)
-            _add_unique(features.attributes, resolved)
         for node in iter_expressions(expr):
-            if isinstance(node, FunctionCall) and node.is_aggregate:
+            if isinstance(node, ColumnRef):
+                resolved = resolver.resolve(node)
+                _add_unique(features.projections, resolved)
+                _add_unique(features.attributes, resolved)
+            elif isinstance(node, FunctionCall) and node.is_aggregate:
                 features.aggregates.append(node.name)
 
     if statement.where is not None:
@@ -230,26 +234,27 @@ def _extract_select(
         _extract_condition(statement.having, features, resolver)
 
     for expr in statement.group_by:
-        for column in _column_refs_no_subquery(expr):
-            resolved = resolver.resolve(column)
-            _add_unique(features.group_by, resolved)
-            _add_unique(features.attributes, resolved)
+        for column in iter_expressions(expr):
+            if isinstance(column, ColumnRef):
+                resolved = resolver.resolve(column)
+                _add_unique(features.group_by, resolved)
+                _add_unique(features.attributes, resolved)
     for item in statement.order_by:
-        for column in _column_refs_no_subquery(item.expression):
-            resolved = resolver.resolve(column)
-            _add_unique(features.order_by, resolved)
-            _add_unique(features.attributes, resolved)
+        for column in iter_expressions(item.expression):
+            if isinstance(column, ColumnRef):
+                resolved = resolver.resolve(column)
+                _add_unique(features.order_by, resolved)
+                _add_unique(features.attributes, resolved)
 
     # Explicit JOIN ... ON conditions.
     for item in statement.from_items:
-        _extract_join_item(item, features, resolver, schema_columns, depth)
+        _extract_join_item(item, features, resolver, schema_columns, depth, enclosing)
 
-    # Nested subqueries anywhere in expressions.
-    for expr in _statement_expressions(statement):
-        for node in iter_expressions(expr):
-            if isinstance(node, (InSubquery, ExistsSubquery, ScalarSubquery)):
-                features.num_subqueries += 1
-                _extract_select(node.subquery, features, schema_columns, depth + 1)
+    # Nested subqueries anywhere in expressions: they see this query's scope.
+    for node in walk(statement, subqueries=False):
+        if isinstance(node, (InSubquery, ExistsSubquery, ScalarSubquery)):
+            features.num_subqueries += 1
+            _extract_select(node.subquery, features, schema_columns, depth + 1, scope)
 
 
 def _extract_join_item(
@@ -258,15 +263,17 @@ def _extract_join_item(
     resolver: "_ColumnResolver",
     schema_columns: Mapping[str, Set[str]],
     depth: int,
+    enclosing: dict[str, str],
 ) -> None:
     if isinstance(item, Join):
         if item.condition is not None:
             _extract_condition(item.condition, features, resolver)
-        _extract_join_item(item.left, features, resolver, schema_columns, depth)
-        _extract_join_item(item.right, features, resolver, schema_columns, depth)
+        _extract_join_item(item.left, features, resolver, schema_columns, depth, enclosing)
+        _extract_join_item(item.right, features, resolver, schema_columns, depth, enclosing)
     elif isinstance(item, SubqueryRef):
+        # A derived table sees the queries enclosing its statement, not its siblings.
         features.num_subqueries += 1
-        _extract_select(item.subquery, features, schema_columns, depth + 1)
+        _extract_select(item.subquery, features, schema_columns, depth + 1, enclosing)
 
 
 def _extract_condition(
@@ -315,8 +322,7 @@ def _extract_condition(
             _add_predicate(features, resolver, left_col, "LIKE", right_lit.value)
             return
         # Fall through: record attribute usage for anything else.
-        for column in _column_refs_no_subquery(expr):
-            _add_unique(features.attributes, resolver.resolve(column))
+        _add_columns(expr, features, resolver)
         return
     if isinstance(expr, Between):
         if isinstance(expr.expr, ColumnRef):
@@ -342,8 +348,14 @@ def _extract_condition(
         if isinstance(expr.operand, ColumnRef):
             _add_predicate(features, resolver, expr.operand, expr.op, None)
         return
-    for column in _column_refs_no_subquery(expr):
-        _add_unique(features.attributes, resolver.resolve(column))
+    _add_columns(expr, features, resolver)
+
+
+def _add_columns(expr: Expression, features: QueryFeatures, resolver: "_ColumnResolver") -> None:
+    """Record every column ``expr`` reads outside its subqueries as an attribute."""
+    for node in iter_expressions(expr):
+        if isinstance(node, ColumnRef):
+            _add_unique(features.attributes, resolver.resolve(node))
 
 
 def _add_predicate(
@@ -373,69 +385,29 @@ def _add_unique(collection: list, item) -> None:
         collection.append(item)
 
 
-def _statement_expressions(statement: SelectStatement) -> list[Expression]:
-    expressions: list[Expression] = [item.expression for item in statement.select_items]
-    if statement.where is not None:
-        expressions.append(statement.where)
-    if statement.having is not None:
-        expressions.append(statement.having)
-    expressions.extend(statement.group_by)
-    expressions.extend(item.expression for item in statement.order_by)
-    for item in statement.from_items:
-        expressions.extend(_join_conditions(item))
-    return expressions
-
-
-def _join_conditions(item: FromItem) -> list[Expression]:
-    if isinstance(item, Join):
-        conditions = [] if item.condition is None else [item.condition]
-        return conditions + _join_conditions(item.left) + _join_conditions(item.right)
-    return []
-
-
-def _column_refs_no_subquery(expr: Expression) -> list[ColumnRef]:
-    """Column references in ``expr`` excluding those inside nested subqueries."""
-    return [node for node in iter_expressions(expr) if isinstance(node, ColumnRef)]
-
-
-def _alias_map(from_items: tuple[FromItem, ...]) -> dict[str, str]:
-    """Map lower-cased binding (alias or name) to lower-cased base-table name."""
-    mapping: dict[str, str] = {}
-    _collect_alias_map(from_items, mapping)
-    return mapping
-
-
-def _collect_alias_map(from_items, mapping: dict[str, str]) -> None:
-    for item in from_items:
-        if isinstance(item, TableRef):
-            mapping[item.binding.lower()] = item.name.lower()
-        elif isinstance(item, SubqueryRef):
-            mapping[item.alias.lower()] = item.alias.lower()
-        elif isinstance(item, Join):
-            _collect_alias_map((item.left, item.right), mapping)
-
-
 class _ColumnResolver:
-    """Resolve a :class:`ColumnRef` to an ``(attribute, relation)`` pair."""
+    """Resolve a :class:`ColumnRef` to an ``(attribute, relation)`` pair.
 
-    def __init__(self, alias_map: dict[str, str], schema_columns: Mapping[str, Set[str]]):
-        self._alias_map = alias_map
+    A qualified name reads ``scope`` (the level's :func:`from_bindings` over
+    its enclosing queries'); an unqualified one is attributed among ``tables``, the
+    query level's own relations.
+    """
+
+    def __init__(self, scope: dict[str, str], schema_columns: Mapping[str, Set[str]], tables):
+        self._scope = scope
         self._schema = schema_columns
+        self._tables = list(tables)
 
     def resolve(self, column: ColumnRef) -> tuple[str, str]:
         name = column.name.lower()
         if column.table:
             binding = column.table.lower()
-            return name, self._alias_map.get(binding, binding)
+            return name, self._scope.get(binding, binding)
         # Unqualified: if the schema tells us exactly one FROM table has this
         # column, attribute it there; if exactly one table is in scope, use it.
-        candidates = [
-            table
-            for table in self._alias_map.values()
-            if name in self._schema.get(table, ())
-        ]
+        candidates = [table for table in self._tables if name in self._schema.get(table, ())]
         if len(candidates) == 1:
             return name, candidates[0]
-        if len(set(self._alias_map.values())) == 1 and self._alias_map:
-            return name, next(iter(set(self._alias_map.values())))
+        if len(set(self._tables)) == 1:
+            return name, self._tables[0]
         return name, UNKNOWN_RELATION

@@ -34,7 +34,7 @@ columns an UPDATE sets and an INSERT lists must be the target table's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ExecutionError, SchemaError
@@ -52,6 +52,9 @@ from repro.sql.ast_nodes import (
     SubqueryRef,
     TableRef,
     UpdateStatement,
+    mapped,
+    rebuild,
+    replaced,
 )
 from repro.storage.types import DataType
 
@@ -180,21 +183,16 @@ class Binder:
         where = self._expr(statement.where, level)
         if isinstance(statement, UpdateStatement):
             self._targets(target, [column for column, _ in statement.assignments])
-            assignments = _mapped(
-                statement.assignments,
-                lambda pair: _same(pair, (pair[0], self._expr(pair[1], level))),
-            )
-            return _replaced(statement, where=where, assignments=assignments)
-        return _replaced(statement, where=where)
+            assignments = mapped(statement.assignments, lambda expr: self._expr(expr, level))
+            return replaced(statement, where=where, assignments=assignments)
+        return replaced(statement, where=where)
 
     def values(self, statement: InsertStatement) -> tuple[tuple[Expression, ...], ...]:
         """The rows of ``INSERT ... VALUES``, bound against no binding, once
         the column list is checked against the target table."""
         self._targets(self._table(TableRef(statement.table)), statement.columns)
         level = _Level([], None)
-        return _mapped(
-            statement.rows, lambda row: _mapped(row, lambda expr: self._expr(expr, level))
-        )
+        return mapped(statement.rows, lambda expr: self._expr(expr, level))
 
     # -- SELECT -------------------------------------------------------------------
 
@@ -226,7 +224,7 @@ class Binder:
             if not isinstance(item, Join):
                 return item
             condition_level = on_levels.get(id(item), level)
-            return _replaced(
+            return replaced(
                 item,
                 left=from_item(item.left),
                 right=from_item(item.right),
@@ -236,19 +234,19 @@ class Binder:
         def bind(expr):
             return self._expr(expr, level)
 
-        bound = _replaced(
+        bound = replaced(
             statement,
-            from_items=_mapped(statement.from_items, from_item),
-            select_items=_mapped(
+            from_items=mapped(statement.from_items, from_item),
+            select_items=mapped(
                 statement.select_items,
-                lambda item: _replaced(item, expression=bind(item.expression)),
+                lambda item: replaced(item, expression=bind(item.expression)),
             ),
             where=bind(statement.where),
-            group_by=_mapped(statement.group_by, bind),
+            group_by=mapped(statement.group_by, bind),
             having=bind(statement.having),
-            order_by=_mapped(
+            order_by=mapped(
                 statement.order_by,
-                lambda item: _replaced(
+                lambda item: replaced(
                     item,
                     expression=self._order_key(item.expression, statement, relations, level),
                 ),
@@ -264,7 +262,7 @@ class Binder:
             inner.append(self._table(item))
         elif isinstance(item, SubqueryRef):
             subquery, relations = self._select(item.subquery, parent)
-            derived[id(item)] = _replaced(item, subquery=subquery)
+            derived[id(item)] = replaced(item, subquery=subquery)
             inner.append(
                 _Relation(item.alias, self._output_columns(subquery, relations))
             )
@@ -352,7 +350,7 @@ class Binder:
             return expr if bound is None else bound
         if isinstance(expr, SelectStatement):  # IN / EXISTS / scalar subquery
             return self._select(expr, level)[0]
-        return _rebuilt(expr, lambda child: self._expr(child, level))
+        return rebuild(expr, lambda child: self._expr(child, level))
 
     def _resolve(self, ref: ColumnRef, level: _Level | None):
         """The :class:`BoundColumn` for ``ref``, the kind of the error it
@@ -432,39 +430,3 @@ def star_bindings(star: Star, bindings: Bindings) -> Bindings:
     if star.table is not None and not matched:
         raise ExecutionError(f"unknown table alias {star.table!r} in select list")
     return matched
-
-
-# ---------------------------------------------------------------------------
-# Identity-preserving rebuilds
-# ---------------------------------------------------------------------------
-
-
-def _same(old, new):
-    """``old`` when ``new`` holds the very same parts, else ``new``."""
-    return old if all(a is b for a, b in zip(old, new)) else new
-
-
-def _mapped(values: tuple, fn) -> tuple:
-    """``tuple(map(fn, values))``, or ``values`` itself when nothing changed."""
-    return _same(values, tuple(map(fn, values)))
-
-
-def _replaced(node, **changes):
-    """``replace(node, **changes)``, or ``node`` when nothing changed."""
-    if all(getattr(node, name) is value for name, value in changes.items()):
-        return node
-    return replace(node, **changes)
-
-
-def _rebuilt(node, fn):
-    """``node`` with ``fn`` applied to every AST child (nested tuples
-    included — CASE's ``(condition, value)`` pairs)."""
-
-    def child(value):
-        if isinstance(value, tuple):
-            return _mapped(value, child)
-        return fn(value) if is_dataclass(value) else value
-
-    return _replaced(
-        node, **{field.name: child(getattr(node, field.name)) for field in fields(node)}
-    )

@@ -39,9 +39,9 @@ from repro.sql.ast_nodes import (
     DeleteStatement,
     SelectStatement,
     Statement,
+    TableRef,
     UpdateStatement,
-    iter_subqueries,
-    select_statement_tables,
+    walk,
 )
 from repro.sql.canonicalize import (
     ParamLiteral,
@@ -376,19 +376,7 @@ def _statement_table_names(statement: Statement) -> tuple[str, ...]:
     Expression-level subqueries are included too: they are planned fresh at
     execution time, so invalidating on their tables is merely conservative.
     """
-    names: set[str] = set()
-    if isinstance(statement, SelectStatement):
-        names.update(ref.name.lower() for ref in select_statement_tables(statement))
-    elif isinstance(statement, (UpdateStatement, DeleteStatement)):
+    names = {node.name.lower() for node in walk(statement) if isinstance(node, TableRef)}
+    if isinstance(statement, (UpdateStatement, DeleteStatement)):
         names.add(statement.table.lower())
-        expressions = []
-        if statement.where is not None:
-            expressions.append(statement.where)
-        if isinstance(statement, UpdateStatement):
-            expressions.extend(value for _, value in statement.assignments)
-        for expr in expressions:
-            for subquery in iter_subqueries(expr):
-                names.update(
-                    ref.name.lower() for ref in select_statement_tables(subquery)
-                )
     return tuple(sorted(names))

@@ -35,15 +35,12 @@ from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError
 from repro.sql.ast_nodes import (
-    Between,
     BinaryOp,
-    CaseExpression,
     ColumnRef,
     DeleteStatement,
     ExistsSubquery,
     Expression,
     FromItem,
-    FunctionCall,
     InList,
     InSubquery,
     Join,
@@ -53,8 +50,8 @@ from repro.sql.ast_nodes import (
     Star,
     SubqueryRef,
     TableRef,
-    UnaryOp,
     UpdateStatement,
+    iter_expressions,
 )
 from repro.sql.formatter import format_expression
 from repro.storage.aggregates import (
@@ -786,7 +783,7 @@ def _conjunct_bindings(expr: Expression) -> set[str] | None:
     placement is undecidable: it holds a subquery or reads an enclosing
     query's column, and is evaluated only after the full join."""
     bindings: set[str] = set()
-    for node in _walk_no_subquery(expr):
+    for node in iter_expressions(expr):
         if isinstance(node, (InSubquery, ExistsSubquery, ScalarSubquery)):
             return None
         if isinstance(node, ColumnRef):
@@ -794,35 +791,6 @@ def _conjunct_bindings(expr: Expression) -> set[str] | None:
                 return None
             bindings.add(node.binding.lower())
     return bindings
-
-
-def _walk_no_subquery(expr: Expression):
-    yield expr
-    if isinstance(expr, BinaryOp):
-        yield from _walk_no_subquery(expr.left)
-        yield from _walk_no_subquery(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from _walk_no_subquery(expr.operand)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from _walk_no_subquery(arg)
-    elif isinstance(expr, InList):
-        yield from _walk_no_subquery(expr.expr)
-        for value in expr.values:
-            yield from _walk_no_subquery(value)
-    elif isinstance(expr, Between):
-        yield from _walk_no_subquery(expr.expr)
-        yield from _walk_no_subquery(expr.low)
-        yield from _walk_no_subquery(expr.high)
-    elif isinstance(expr, CaseExpression):
-        for condition, value in expr.whens:
-            yield from _walk_no_subquery(condition)
-            yield from _walk_no_subquery(value)
-        if expr.default is not None:
-            yield from _walk_no_subquery(expr.default)
-    elif isinstance(expr, (InSubquery, ExistsSubquery, ScalarSubquery)):
-        if isinstance(expr, InSubquery):
-            yield from _walk_no_subquery(expr.expr)
 
 
 def _find_equi_joins(
@@ -875,7 +843,7 @@ def _constant_equality(expr: Expression) -> tuple[ColumnRef, Expression] | None:
 
 def _is_constant(expr: Expression) -> bool:
     """True when the expression references no columns and no subqueries."""
-    for node in _walk_no_subquery(expr):
+    for node in iter_expressions(expr):
         if isinstance(node, (ColumnRef, Star, InSubquery, ExistsSubquery, ScalarSubquery)):
             return False
     return True

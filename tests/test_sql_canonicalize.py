@@ -1,7 +1,14 @@
 """Tests for query canonicalization."""
 
+import pytest
+
+from repro.analysis.corpus import DOMAINS, domain_statements
+from repro.sql.ast_nodes import SelectStatement
 from repro.sql.canonicalize import canonical_text, canonicalize, queries_equivalent
+from repro.sql.features import extract_features
 from repro.sql.parser import parse
+from repro.storage.plan_cache import PlanCache
+from repro.workloads.schemas import build_database
 
 
 class TestCanonicalEquivalence:
@@ -103,3 +110,76 @@ class TestCanonicalForm:
         first = canonical_text("SELECT * FROM a, b WHERE a.id = b.id")
         second = canonical_text("SELECT * FROM a, b WHERE b.id = a.id")
         assert first == second
+
+
+#: Correlated subqueries over the limnology schema: each names a binding of
+#: its enclosing query.
+CORRELATED = [
+    "SELECT L.name FROM Lakes L WHERE EXISTS "
+    "(SELECT 1 FROM Sensors S WHERE S.lake_id = L.lake_id)",
+    "SELECT L.name FROM Lakes L WHERE L.area_km2 > "
+    "(SELECT AVG(M.area_km2) FROM Lakes M WHERE M.state = L.state)",
+    "SELECT L.name FROM Lakes L WHERE L.lake_id IN "
+    "(SELECT T.lake_id FROM WaterTemp T WHERE T.depth > L.max_depth_m / 10)",
+    "SELECT L.name FROM Lakes L WHERE EXISTS "
+    "(SELECT 1 FROM Lakes WHERE Lakes.area_km2 > L.area_km2)",
+    "SELECT L.name, (SELECT COUNT(*) FROM WaterTemp T WHERE T.lake_id = L.lake_id) "
+    "FROM Lakes L",
+]
+
+
+@pytest.fixture(scope="module")
+def limnology():
+    return build_database("limnology", scale=1, seed=7)
+
+
+class TestCorrelatedSubqueries:
+    def test_outer_alias_does_not_change_the_canonical_text(self):
+        # A table bound at one level only is written by its name.
+        for sql in [sql for sql in CORRELATED if sql.count("Lakes") == 1]:
+            renamed = sql.replace("L.", "X.").replace("Lakes L", "Lakes X")
+            assert canonical_text(sql) == canonical_text(renamed), sql
+            assert canonical_text(sql, True) == canonical_text(renamed, True), sql
+
+    def test_canonical_text_returns_the_original_rows(self, limnology):
+        for sql in CORRELATED:
+            expected = sorted(limnology.execute(sql).rows)
+            assert expected, sql  # the data must be able to tell a wrong text
+            assert sorted(limnology.execute(canonical_text(sql)).rows) == expected, sql
+
+    def test_outer_reference_reads_the_outer_table(self):
+        text = canonical_text(CORRELATED[0])
+        assert "lakes.lake_id = sensors.lake_id" in text
+
+    def test_a_table_bound_at_two_levels_keeps_its_aliases(self):
+        text = canonical_text(CORRELATED[1])
+        assert "FROM lakes l " in text and "FROM lakes m " in text
+        assert "l.state = m.state" in text
+
+
+    def test_no_feature_names_a_relation_outside_the_schema(self, limnology):
+        schema = limnology.schema_columns()
+        for sql in CORRELATED:
+            features = extract_features(sql, schema)
+            relations = set(features.tables)
+            relations |= {relation for _, relation in features.attributes}
+            relations |= {predicate.relation for predicate in features.predicates}
+            for join in features.joins:
+                relations |= {join.left_relation, join.right_relation}
+            assert relations <= set(schema), (sql, relations - set(schema))
+
+
+class TestTemplateFunctionsAgree:
+    def test_template_text_is_the_plan_cache_key(self):
+        cache = PlanCache(lambda name: None)
+        compared = 0
+        for domain in DOMAINS:
+            for sql in domain_statements(domain):
+                statement = parse(sql)
+                if not isinstance(statement, SelectStatement):
+                    continue
+                assert canonical_text(statement, strip_constants=True) == (
+                    cache.prepare(statement).key[0]
+                ), sql
+                compared += 1
+        assert compared > 100

@@ -186,3 +186,23 @@ class TestProjectionsAndMore:
 
         features = extract_features(parse("SELECT * FROM lakes"))
         assert features.tables == ["lakes"]
+
+
+
+class TestCorrelatedSubqueries:
+    def test_outer_alias_resolves_to_the_outer_table(self):
+        features = extract_features(
+            "SELECT L.name FROM Lakes L WHERE EXISTS "
+            "(SELECT 1 FROM WaterTemp T WHERE T.lake_id = L.lake_id)",
+            SCHEMA,
+        )
+        assert ("lake_id", "lakes") in features.attributes
+        assert features.join_signatures() == {("lakes", "lake_id", "watertemp", "lake_id")}
+
+    def test_an_unqualified_name_is_attributed_among_the_local_tables(self):
+        features = extract_features(
+            "SELECT L.name FROM Lakes L WHERE EXISTS "
+            "(SELECT 1 FROM WaterTemp T WHERE temp > 20 AND T.lake_id = L.lake_id)",
+            SCHEMA,
+        )
+        assert ("temp", "watertemp") in features.attributes

@@ -23,10 +23,10 @@ from repro.errors import ExecutionError, SchemaError
 from repro.sql import features
 from repro.sql.ast_nodes import (
     ColumnRef,
-    Join,
     SelectStatement,
-    SubqueryRef,
-    iter_subqueries,
+    from_bindings,
+    iter_expressions,
+    walk,
 )
 from repro.storage import Database, ExecutionSettings
 from repro.storage.binder import Binder, table_columns
@@ -498,26 +498,6 @@ class TestPlanTimeValidation:
             assert Planner(db).plan_select(parse(sql)).aggregate is None, sql
 
 
-def _select_levels(statement: SelectStatement):
-    """``statement`` and every SELECT nested in it: derived tables and
-    expression subqueries."""
-    yield statement
-    for item in statement.from_items:
-        for table in _from_subqueries(item):
-            yield from _select_levels(table)
-    for expr in features._statement_expressions(statement):
-        for subquery in iter_subqueries(expr):
-            yield from _select_levels(subquery)
-
-
-def _from_subqueries(item):
-    if isinstance(item, SubqueryRef):
-        yield item.subquery
-    elif isinstance(item, Join):
-        yield from _from_subqueries(item.left)
-        yield from _from_subqueries(item.right)
-
-
 class TestResolversAgree:
     """The binder is the engine's one name rule; the two name readers left
     outside it — the feature extractor's lenient resolver and the linter's
@@ -536,19 +516,23 @@ class TestResolversAgree:
                 bound = binder.select(statement)
             except ExecutionError:
                 continue
-            for level in _select_levels(bound):
-                resolver = features._ColumnResolver(
-                    features._alias_map(level.from_items), schema
-                )
-                for expr in features._statement_expressions(level):
-                    for ref in features._column_refs_no_subquery(expr):
-                        if ref.output is not None:
-                            continue  # an ORDER BY output column: no base table
-                        relation = (ref.relation or ref.binding).lower()
-                        assert resolver.resolve(ref) == (ref.column.lower(), relation), (
-                            query.text
-                        )
-                        compared += 1
+            # ``statement`` and every SELECT nested in it: derived tables and
+            # expression subqueries.
+            for level in walk(bound):
+                if not isinstance(level, SelectStatement):
+                    continue
+                bindings = from_bindings(level.from_items)
+                resolver = features._ColumnResolver(bindings, schema, bindings.values())
+                for ref in iter_expressions(level):
+                    if not isinstance(ref, ColumnRef):
+                        continue
+                    if ref.output is not None:
+                        continue  # an ORDER BY output column: no base table
+                    relation = (ref.relation or ref.binding).lower()
+                    assert resolver.resolve(ref) == (ref.column.lower(), relation), (
+                        query.text
+                    )
+                    compared += 1
         assert compared > 1000
 
     def test_lint_name_errors_fire_exactly_where_planning_fails(self):

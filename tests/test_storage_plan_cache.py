@@ -134,6 +134,39 @@ class TestTemplateHits:
         assert second.scalar() == 0
 
 
+#: One template per parameter site, each with two sets of constants.
+REBIND_SITES = {
+    "join_on": "SELECT A.id, B.id FROM Events A JOIN Events B "
+    "ON B.id = A.id + {a} AND B.kind <> '{k}' ORDER BY A.id, B.id",
+    "having": "SELECT kind, COUNT(*) FROM Events GROUP BY kind "
+    "HAVING SUM(ts) > {b} ORDER BY kind",
+    "case_when": "SELECT id, CASE WHEN ts > {a} THEN '{k}' WHEN ts > {b} THEN 'mid' "
+    "ELSE 'low' END FROM Events ORDER BY id",
+    "between": "SELECT id FROM Events WHERE ts BETWEEN {a} AND {b} ORDER BY id",
+    "order_by_expression": "SELECT id FROM Events WHERE id < 20 ORDER BY ABS(ts - {a}), id",
+    "from_subquery": "SELECT d.id FROM (SELECT id, ts FROM Events WHERE kind = '{k}') d "
+    "WHERE d.ts > {a} ORDER BY d.id",
+    "exists": "SELECT COUNT(*) FROM Events E WHERE EXISTS "
+    "(SELECT 1 FROM Events F WHERE F.id = E.id + {a} AND F.kind = '{k}')",
+}
+REBIND_CONSTANTS = ({"a": 3, "b": 1000, "k": "k1"}, {"a": 7, "b": 400, "k": "k2"})
+
+
+class TestRebindEverySite:
+    @pytest.mark.parametrize("site", sorted(REBIND_SITES))
+    def test_cached_execution_returns_what_a_cold_plan_returns(self, site):
+        cached, cold = make_db(), make_db(plan_cache_size=0)
+        texts = [REBIND_SITES[site].format(**constants) for constants in REBIND_CONSTANTS]
+        results = [cached.execute(text) for text in texts]
+        expected = [cold.execute(text).rows for text in texts]
+        assert [result.plan_cache_hit for result in results] == [False, True]
+        assert [result.rows for result in results] == expected
+        assert expected[0] != expected[1]  # the second constants change the answer
+        # And back: the template's nodes are re-bound to the first constants.
+        again = cached.execute(texts[0])
+        assert again.plan_cache_hit and again.rows == expected[0]
+
+
 class TestInvalidation:
     def test_create_index_invalidates_and_new_plan_uses_it(self):
         db = make_db()
