@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
-from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, statement_artefacts
+from repro.core.records import (
+    LoggedQuery,
+    OutputSummary,
+    RuntimeStats,
+    statement_artefacts,
+    template_artefacts,
+)
 from repro.errors import ReproError
 from repro.obs.metrics import engine_timer
 from repro.sql.tokenizer import strip_comments
@@ -165,15 +171,15 @@ class QueryProfiler:
     ) -> LoggedQuery:
         """Build the record of one submit and add it to the Query Storage."""
         qid = self._store.next_qid()
-        uncommented = sql
+        clean_text = sql
         if "--" in sql or "/*" in sql:
             try:
-                uncommented = strip_comments(sql)
+                clean_text = strip_comments(sql)
             except ReproError:
                 # An unterminated literal or comment: nothing tokenizes, so
                 # the attempt is logged as typed and reads as ``invalid``.
                 pass
-        clean_text = uncommented.strip()
+        clean_text = clean_text.strip()
         runtime = RuntimeStats(
             elapsed_seconds=result.stats.elapsed_seconds if result is not None else 0.0,
             result_cardinality=result.stats.result_cardinality if result is not None else 0,
@@ -188,14 +194,22 @@ class QueryProfiler:
         version = self._db.catalog.version
         key = (with_features, version)
         artefacts = self._store.artefacts(clean_text, key)
+        filed = None
         if artefacts is None:
-            # The user DBMS's AST is the logged text's unless comments were
-            # stripped from it (``SELECT/**/a`` is logged as ``SELECTa``).
-            parsed = result.statement if result is not None and uncommented == sql else None
-            artefacts = statement_artefacts(
-                clean_text, self._db.schema_columns() if with_features else None,
-                with_features, parsed,
-            )
+            # The user DBMS's AST is the logged text's: stripping comments
+            # keeps the token stream.
+            schema = self._db.schema_columns() if with_features else None
+            prepared = result.prepared if result is not None else None
+            if prepared is None or not with_features:
+                parsed = result.statement if result is not None else None
+                artefacts = statement_artefacts(clean_text, schema, with_features, parsed)
+            else:
+                shared = self._store.template_artefacts(prepared.template, key)
+                if shared is None:
+                    shared = template_artefacts(prepared, schema)
+                    if prepared.template is not None:
+                        filed = (prepared.template, shared)
+                artefacts = shared.artefacts(prepared, schema)
         kind, features, canonical, template = artefacts
         record = LoggedQuery(
             qid=qid,
@@ -213,7 +227,7 @@ class QueryProfiler:
         )
         if features is not None and result is not None and kind == "select":
             record.output = self._summarize_output(result)
-        self._store.add(record, artefacts_key=key)
+        self._store.add(record, artefacts_key=key, template=filed)
         return record
 
     def _summarize_output(self, result: QueryResult) -> OutputSummary:

@@ -25,16 +25,27 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
+from collections import OrderedDict
 from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, statement_artefacts
+from repro.core.records import (
+    LoggedQuery,
+    OutputSummary,
+    RuntimeStats,
+    TemplateArtefacts,
+    statement_artefacts,
+)
 from repro.errors import DurabilityError, MetaQueryError, ReproError
 from repro.sql.parse_tree import ParseTreeNode, TreePattern, match_pattern, to_parse_tree
 from repro.storage.database import Database, QueryResult
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.types import DataType
+
+
+#: Statement templates whose shared artefacts the template table keeps.
+TEMPLATE_TABLE_SIZE = 512
 
 
 def _schema(name: str, *columns: tuple[str, DataType]) -> TableSchema:
@@ -276,6 +287,9 @@ class QueryStore:
         # built so far: label or (label, value) -> texts whose tree has it.
         self._statements: dict[str, _Statement] = {}
         self._tree_postings: dict[object, set[str]] = {}
+        # The template table: what the instances of a user-DBMS token
+        # template share, filed per (template, profiler key); LRU-bounded.
+        self._templates: OrderedDict[tuple, TemplateArtefacts] = OrderedDict()
         self._generation = 0
         self._ordered: list[LoggedQuery] | None = None
         self._popularity: Mapping[str, int] | None = None
@@ -573,6 +587,17 @@ class QueryStore:
             return None
         return entry.artefacts
 
+    def template_artefacts(self, template: tuple | None, key: tuple) -> TemplateArtefacts | None:
+        """The :class:`~repro.core.records.TemplateArtefacts` filed for the
+        user DBMS's token ``template`` under ``key`` (see :meth:`artefacts`),
+        or ``None``."""
+        if template is None:
+            return None
+        shared = self._templates.get((template, key))
+        if shared is not None:
+            self._templates.move_to_end((template, key))
+        return shared
+
     def lowered_text(self, record: LoggedQuery) -> str:
         """``record.text.lower()``, computed once per distinct text."""
         return self._statements[record.text].lowered
@@ -608,11 +633,19 @@ class QueryStore:
 
     # -- ingest -----------------------------------------------------------------
 
-    def add(self, record: LoggedQuery, artefacts_key: tuple | None = None) -> None:
+    def add(
+        self,
+        record: LoggedQuery,
+        artefacts_key: tuple | None = None,
+        template: tuple[tuple, TemplateArtefacts] | None = None,
+    ) -> None:
         """Insert a logged query and shred its features into the relations.
 
         With ``artefacts_key`` the record's artefacts were derived under that
-        key, and :meth:`artefacts` hands them to the next record of its text.
+        key, and :meth:`artefacts` hands them to the next record of its text;
+        ``template`` — ``(token template, TemplateArtefacts)`` — files what
+        the text's template shares under the same key for
+        :meth:`template_artefacts`.
         """
         if record.qid in self._records:
             raise MetaQueryError(f"duplicate query id {record.qid}")
@@ -623,6 +656,10 @@ class QueryStore:
             entry.artefacts = (
                 record.statement_kind, record.features, record.canonical_text, record.template_text
             )
+            if template is not None:
+                self._templates[(template[0], artefacts_key)] = template[1]
+                while len(self._templates) > TEMPLATE_TABLE_SIZE:
+                    self._templates.popitem(last=False)
         self._changed()
         if self._telemetry is not None:
             registry = self._telemetry.registry

@@ -10,13 +10,19 @@ and semantic features (statistics and output samples).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from repro.errors import ReproError
-from repro.sql.ast_nodes import Statement, statement_type
-from repro.sql.canonicalize import canonical_text
-from repro.sql.features import QueryFeatures, extract_features
+from repro.sql.ast_nodes import Literal, SelectStatement, Statement, statement_type
+from repro.sql.canonicalize import (
+    canonical_text,
+    canonicalize,
+    constants_keep_order,
+    cut_at_parameters,
+    with_constants,
+)
+from repro.sql.features import PredicateFeature, QueryFeatures, extract_features
 from repro.sql.parser import parse
 
 
@@ -157,6 +163,115 @@ def statement_artefacts(
         extract_features(parsed, schema_columns),
         canonical_text(parsed),
         canonical_text(parsed, strip_constants=True),
+    )
+
+
+class _Slot:
+    """A parameter's place in a template's features: its canonical index."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+
+@dataclass(frozen=True)
+class TemplateArtefacts:
+    """What every instance of one statement template shares, cut at its
+    constants, so that an instance's artefacts are spliced, not derived.
+
+    Built by :func:`template_artefacts` from the user DBMS's prepared
+    statement (:class:`~repro.storage.plan_cache.PreparedStatement`), whose
+    ``values`` are the instance's constants in canonical order.  ``canonical``
+    is the canonical text cut at its constants (``None`` when the
+    canonicalizer's sort order could depend on them); ``features`` holds a
+    :class:`_Slot` where a predicate's constant goes (``None`` when two
+    predicates share attribute, relation and operator, so whether they merge
+    depends on the constants).  Either ``None`` is derived per instance from
+    the bound AST instead.
+    """
+
+    kind: str
+    template_text: str | None
+    canonical: tuple[tuple[str, ...], tuple[int, ...]] | None
+    features: QueryFeatures | None
+
+    def artefacts(
+        self, prepared, schema_columns: Mapping[str, frozenset[str]] | None
+    ) -> tuple[str, QueryFeatures, str, str]:
+        """``(statement_kind, features, canonical_text, template_text)`` of
+        the instance bound into ``prepared`` — what
+        :func:`statement_artefacts` derives from a parse of its text."""
+        values = prepared.values
+        if self.canonical is None:
+            canonical = canonical_text(with_constants(prepared.statement))
+        else:
+            pieces, slots = self.canonical
+            parts = [pieces[0]]
+            for slot, piece in zip(slots, pieces[1:]):
+                parts += [str(Literal(values[slot])), piece]
+            canonical = "".join(parts)
+        if self.features is None:
+            features = extract_features(prepared.statement, schema_columns)
+        else:
+            features = _filled(self.features, values)
+        template = canonical if self.template_text is None else self.template_text
+        return self.kind, features, canonical, template
+
+
+def template_artefacts(
+    prepared, schema_columns: Mapping[str, frozenset[str]] | None
+) -> TemplateArtefacts:
+    """The :class:`TemplateArtefacts` of a prepared SELECT/UPDATE/DELETE.
+
+    A SELECT's template text is the plan cache's key (``prepared.key[0]``,
+    the text :func:`~repro.sql.canonicalize.canonical_text` gives with
+    ``strip_constants``); an UPDATE's or DELETE's is its canonical text,
+    constants included.
+    """
+    statement = prepared.statement
+    params = prepared.params
+    if isinstance(statement, SelectStatement):
+        canonical_form = canonicalize(statement)
+        proven = constants_keep_order(canonical_form)
+        template_text = prepared.key[0]
+    else:
+        canonical_form, proven, template_text = statement, True, None
+    values = [param.value for param in params]
+    for index, param in enumerate(params):
+        object.__setattr__(param, "value", _Slot(index))
+    try:
+        features = extract_features(statement, schema_columns)
+    finally:
+        for param, value in zip(params, values):
+            object.__setattr__(param, "value", value)
+    sites = [(p.attribute, p.relation, p.op) for p in features.predicates]
+    return TemplateArtefacts(
+        kind=statement_type(statement),
+        template_text=template_text,
+        canonical=cut_at_parameters(canonical_form, params) if proven else None,
+        features=features if len(set(sites)) == len(sites) else None,
+    )
+
+
+def _filled(features: QueryFeatures, values: list) -> QueryFeatures:
+    """Template features with each :class:`_Slot` replaced by the instance's
+    constant; the other lists are the template's (nothing mutates a stored
+    :class:`QueryFeatures`)."""
+
+    def constant(value):
+        if isinstance(value, _Slot):
+            return values[value.index]
+        if isinstance(value, tuple):
+            return tuple(constant(item) for item in value)
+        return value
+
+    return replace(
+        features,
+        predicates=[
+            PredicateFeature(p.attribute, p.relation, p.op, constant(p.constant))
+            for p in features.predicates
+        ],
     )
 
 

@@ -376,3 +376,96 @@ def collect_parameters(statement: Statement) -> list[ParamLiteral]:
     what makes positional re-binding sound.
     """
     return [node for node in walk(statement) if isinstance(node, ParamLiteral)]
+
+
+# ---------------------------------------------------------------------------
+# Canonical text of a bound template instance
+# ---------------------------------------------------------------------------
+
+
+def with_constants(statement: Statement) -> Statement:
+    """``statement`` with every :class:`ParamLiteral` a plain literal of its
+    current value: the statement as parsed from the text bound into it."""
+
+    def swap(node):
+        if isinstance(node, ParamLiteral):
+            return Literal(node.value)
+        return rebuild(node, swap)
+
+    return rebuild(statement, swap)
+
+
+def constants_keep_order(canonical: Statement) -> bool:
+    """Whether canonicalizing any instance of a parameterized statement sorts
+    as canonicalizing the template did.
+
+    ``canonical`` is the template's canonical form (parameters render as
+    ``'?'``).  The canonicalizer sorts AND/OR operands, IN-list values and
+    GROUP BY items by their rendered text; an instance renders each ``'?'``
+    as its constant.  The order is the template's when every two neighbours
+    are told apart before the first ``'?'`` of either — two sibling
+    conjuncts ``a = '?'`` that differ only in their constants are not.
+    """
+    for node in walk(canonical):
+        if isinstance(node, BinaryOp) and node.op in ("AND", "OR"):
+            siblings = _flatten_boolean(node.op, node.left, node.right)
+        elif isinstance(node, InList):
+            siblings = node.values
+        elif isinstance(node, SelectStatement):
+            siblings = node.group_by
+        else:
+            continue
+        keys = [_expr_sort_key(sibling) for sibling in siblings]
+        for first, second in zip(keys, keys[1:]):
+            if not _told_apart_before_constants(first, second):
+                return False
+    return True
+
+
+_PLACEHOLDER_TEXT = f"'{_CONSTANT_PLACEHOLDER}'"
+
+
+def _told_apart_before_constants(first: str, second: str) -> bool:
+    if first == second:
+        return _PLACEHOLDER_TEXT not in first
+    differs = next(
+        (at for at, (a, b) in enumerate(zip(first, second)) if a != b),
+        min(len(first), len(second)),
+    )
+    return differs < _first_constant(first) and differs < _first_constant(second)
+
+
+def _first_constant(key: str) -> int:
+    """Where the first ``'?'`` of a sort key starts (past its end if none)."""
+    at = key.find(_PLACEHOLDER_TEXT)
+    return len(key) + 1 if at < 0 else at
+
+
+class _Cut(Literal):
+    """Where :func:`cut_at_parameters` cuts: renders as a NUL-fenced index."""
+
+    def __str__(self) -> str:
+        return f"\0{self.value}\0"
+
+
+def cut_at_parameters(
+    statement: Statement, params: list[ParamLiteral]
+) -> tuple[tuple[str, ...], tuple[int, ...]] | None:
+    """``statement``'s formatted text cut where its parameters render.
+
+    Returns ``(pieces, slots)``: the text is ``pieces[0]``, then the constant
+    of ``params[slots[0]]``, then ``pieces[1]``, and so on.  ``None`` when a
+    parameter is not among ``params`` or the text holds a NUL of its own.
+    """
+    index = {id(param): position for position, param in enumerate(params)}
+
+    def cut(node):
+        if isinstance(node, ParamLiteral):
+            return _Cut(index.get(id(node), -1))
+        return rebuild(node, cut)
+
+    parts = format_statement(rebuild(statement, cut)).split("\0")
+    slots = parts[1::2]
+    if len(parts) % 2 == 0 or not all(slot.isdigit() for slot in slots):
+        return None
+    return tuple(parts[0::2]), tuple(int(slot) for slot in slots)

@@ -598,7 +598,7 @@ class _Parser:
         token = self.current
         if token.type is TokenType.NUMBER:
             self.advance()
-            return Literal(_number_value(token.value))
+            return Literal(number_value(token.value))
         if token.type is TokenType.STRING:
             self.advance()
             return Literal(token.value)
@@ -694,7 +694,7 @@ class _Parser:
         return FunctionCall(name="CAST", args=(expr, Literal(type_name)))
 
 
-def _number_value(text: str) -> int | float:
+def number_value(text: str) -> int | float:
     """Convert a numeric literal's text to int when possible, else float."""
     if "." in text or "e" in text or "E" in text:
         return float(text)

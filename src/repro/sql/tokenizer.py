@@ -221,7 +221,10 @@ def strip_comments(text: str) -> str:
     """Return ``text`` with SQL comments removed (whitespace preserved).
 
     Used by the profiler when storing raw query text so that meta-query
-    substring search does not match inside comments.
+    substring search does not match inside comments.  A block comment between
+    two non-space characters leaves one space, as it separates tokens:
+    ``SELECT/**/name`` reads ``SELECT name``, so the result tokenizes as the
+    text does.
     """
     out: list[str] = []
     i = 0
@@ -242,6 +245,8 @@ def strip_comments(text: str) -> str:
             if end == -1:
                 raise TokenizeError("unterminated block comment", position=i)
             i = end + 2
+            if out and not out[-1][-1].isspace() and i < n and not text[i].isspace():
+                out.append(" ")
             continue
         out.append(ch)
         i += 1

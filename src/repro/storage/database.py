@@ -52,7 +52,12 @@ from repro.storage.binder import Binder, table_columns
 from repro.storage.expression import Scope, evaluate, layout_of
 from repro.storage.kernels import compile_columnar_conjuncts
 from repro.storage.operators import ExecutionContext, survivors
-from repro.storage.plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache, PlanCacheStats
+from repro.storage.plan_cache import (
+    DEFAULT_PLAN_CACHE_SIZE,
+    PlanCache,
+    PlanCacheStats,
+    PreparedStatement,
+)
 from repro.storage.planner import DmlPlan, PlanExplanation, Planner, SelectPlan
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.statistics import TableStatistics
@@ -89,9 +94,17 @@ class QueryResult:
     rows: list[tuple] = field(default_factory=list)
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     rowcount: int = 0
-    #: The AST the text was parsed into; None when the statement cache
-    #: answered or an AST was passed in (the caller need not parse again).
+    #: The AST of the executed text (None when an AST was passed in), so the
+    #: caller need not parse it again.  A SELECT/UPDATE/DELETE run through the
+    #: plan cache gives its parameterized template, bound to the text's
+    #: constants: that AST is shared with the cached plan and is re-bound by
+    #: the next ``execute`` of the template, so nothing may keep it past the
+    #: call that made this result (read it, or copy what it says, at once).
     statement: Statement | None = None
+    #: The statement cache's prepared form of the text (``statement`` is its
+    #: ``statement``): plan-cache key, constants in canonical order and the
+    #: token template.  None when the plan cache did not take the statement.
+    prepared: PreparedStatement | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -494,23 +507,20 @@ class Database:
         return self._plan_cache.lookup(prepared, count=False)
 
     def _plan(
-        self, statement: Statement, prepared=None, text: str | None = None
+        self, statement: Statement, prepared=None
     ) -> tuple[SelectPlan | DmlPlan, bool]:
         """A plan for a SELECT/UPDATE/DELETE: from the cache when the template
         is fresh, otherwise freshly planned (and cached).  Returns
         ``(plan, cache_hit)``; a cached plan's parameter nodes are re-bound to
         this instance's constants.
 
-        ``prepared`` is a statement-cache hit (parse + parameterize already
-        done); ``text`` is the raw SQL when known, so a freshly prepared
-        statement can be remembered for future byte-identical resubmissions.
+        ``prepared`` is the statement cache's prepared form of raw SQL
+        (parameterized and keyed already).
         """
         cache = self._plan_cache
         if cache is not None:
             if prepared is None:
                 prepared = cache.prepare(statement)
-                if text is not None:
-                    cache.store_statement(text, prepared)
             cached = cache.lookup(prepared)
             if cached is not None:
                 return cached.plan, True
@@ -521,13 +531,29 @@ class Database:
         return plan, False
 
     def _statement_of(self, text: str):
-        """``(statement, prepared)`` of raw SQL: the statement cache's
-        memoized parse + parameterize result, else a fresh parse."""
-        if self._plan_cache is not None:
-            prepared = self._plan_cache.lookup_statement(text)
+        """``(statement, prepared, cache_hit)`` of raw SQL.
+
+        With the plan cache on, a SELECT/UPDATE/DELETE comes back prepared:
+        ``statement`` is ``prepared.statement``, the parameterized template
+        bound to the text's constants.  The statement cache answers a
+        byte-identical text with a dict lookup and a text whose token
+        template it has admitted with one tokenize (``cache_hit``); any
+        other text is parsed, prepared and remembered.  Other statements,
+        and every statement with the plan cache off, are the parse itself.
+        """
+        cache = self._plan_cache
+        if cache is not None:
+            prepared = cache.lookup_statement(text)
             if prepared is not None:
-                return prepared.statement, prepared
-        return parse(text), None
+                return prepared.statement, prepared, True
+        statement = parse(text)
+        if cache is None or not isinstance(
+            statement, (SelectStatement, UpdateStatement, DeleteStatement)
+        ):
+            return statement, None, False
+        prepared = cache.prepare(statement)
+        cache.store_statement(text, prepared)
+        return prepared.statement, prepared, False
 
     # -- execution ------------------------------------------------------------------
 
@@ -539,9 +565,12 @@ class Database:
     ) -> QueryResult:
         """Parse (if needed) and execute one statement.
 
-        Raw SQL first consults the statement cache: a byte-identical
-        resubmission reuses the memoized parse + parameterize result and skips
-        the tokenizer/parser entirely (its plan-cache key included).
+        Raw SQL first consults the statement cache (:meth:`_statement_of`):
+        a byte-identical resubmission skips the tokenizer and the parser, and
+        a text with fresh constants in an admitted token template skips the
+        parser — either way the plan-cache key comes memoized.  The result's
+        ``statement`` and ``prepared`` hand the bound AST to the caller (the
+        Query Profiler builds its record from them).
 
         ``timeout_seconds`` sets a cooperative budget: past it the executor
         raises :class:`~repro.errors.QueryTimeoutError` at the next batch
@@ -554,16 +583,17 @@ class Database:
         wall_start = timer()
         trace = None
         prepared = None
+        cache_hit = False
         text: str | None = None
         if isinstance(sql_or_statement, str):
             text = sql_or_statement
             if telemetry is not None:
                 trace = telemetry.begin_trace(text)
                 with trace.span("parse") as span:
-                    statement, prepared = self._statement_of(text)
-                    span["statement_cache_hit"] = prepared is not None
+                    statement, prepared, cache_hit = self._statement_of(text)
+                    span["statement_cache_hit"] = cache_hit
             else:
-                statement, prepared = self._statement_of(text)
+                statement, prepared, cache_hit = self._statement_of(text)
         else:
             statement = sql_or_statement
             if telemetry is not None:
@@ -572,7 +602,7 @@ class Database:
         start = self._clock()
         self._active_trace = trace
         try:
-            result = self._dispatch(statement, prepared, text, deadline=deadline)
+            result = self._dispatch(statement, prepared, deadline=deadline)
         except QueryTimeoutError:
             if telemetry is not None:
                 telemetry.statement_timed_out()
@@ -584,9 +614,10 @@ class Database:
         finally:
             self._active_trace = None
         result.stats.elapsed_seconds = max(0.0, self._clock() - start)
-        result.stats.statement_cache_hit = prepared is not None
-        if text is not None and prepared is None:
+        result.stats.statement_cache_hit = cache_hit
+        if text is not None:
             result.statement = statement
+            result.prepared = prepared
         if telemetry is not None:
             telemetry.observe_statement(
                 result.stats.statement_kind,
@@ -688,17 +719,16 @@ class Database:
         self,
         statement: Statement,
         prepared=None,
-        text: str | None = None,
         deadline: float | None = None,
     ) -> QueryResult:
         if isinstance(statement, SelectStatement):
-            return self._execute_select(statement, prepared, text, deadline=deadline)
+            return self._execute_select(statement, prepared, deadline=deadline)
         if isinstance(statement, InsertStatement):
             return self._execute_insert(statement, deadline=deadline)
         if isinstance(statement, UpdateStatement):
-            return self._execute_update(statement, prepared, text, deadline=deadline)
+            return self._execute_update(statement, prepared, deadline=deadline)
         if isinstance(statement, DeleteStatement):
-            return self._execute_delete(statement, prepared, text, deadline=deadline)
+            return self._execute_delete(statement, prepared, deadline=deadline)
         if isinstance(statement, CreateTableStatement):
             return self._execute_create_table(statement)
         if isinstance(statement, DropTableStatement):
@@ -713,17 +743,16 @@ class Database:
         self,
         statement: SelectStatement,
         prepared=None,
-        text: str | None = None,
         deadline: float | None = None,
     ) -> QueryResult:
         telemetry = self._telemetry
         trace = self._active_trace
         if trace is not None:
             with trace.span("plan") as span:
-                plan, cache_hit = self._plan(statement, prepared, text)
+                plan, cache_hit = self._plan(statement, prepared)
                 span["plan_cache_hit"] = cache_hit
         else:
-            plan, cache_hit = self._plan(statement, prepared, text)
+            plan, cache_hit = self._plan(statement, prepared)
         executor = Executor(self, deadline=deadline)
         node_stats: dict | None = None
         if telemetry is not None and telemetry.trace_operators:
@@ -850,12 +879,11 @@ class Database:
         self,
         statement: UpdateStatement,
         prepared=None,
-        text: str | None = None,
         deadline: float | None = None,
     ) -> QueryResult:
         table = self.table(statement.table)
         executor = Executor(self, deadline=deadline)
-        plan, cache_hit = self._plan(statement, prepared, text)
+        plan, cache_hit = self._plan(statement, prepared)
         layout = layout_of(plan.scan.bindings)
         count = 0
         for row_id, row in self._find_dml_targets(plan, executor, deadline):
@@ -872,12 +900,11 @@ class Database:
         self,
         statement: DeleteStatement,
         prepared=None,
-        text: str | None = None,
         deadline: float | None = None,
     ) -> QueryResult:
         table = self.table(statement.table)
         executor = Executor(self, deadline=deadline)
-        plan, cache_hit = self._plan(statement, prepared, text)
+        plan, cache_hit = self._plan(statement, prepared)
         doomed = self._find_dml_targets(plan, executor, deadline)
         for row_id, _ in doomed:
             table.delete(row_id)

@@ -20,6 +20,17 @@ plan each *template* once:
   positional in-place assignment of the new constants — no re-planning, no
   tree copy.  The engine is single-threaded and plans are never executed
   concurrently, which is what makes the in-place swap safe.
+* **Statement cache** — in front of the keying, raw SQL text maps to its
+  prepared statement in two steps.  A byte-identical resubmission is a dict
+  lookup.  Otherwise the text is tokenized and its *token template* — the
+  token stream with each NUMBER/STRING token replaced by its kind (int,
+  float, text) — looked up: a hit binds the literal tokens' values into the
+  template's parameterized statement, so a fresh constant costs one tokenize
+  and no parse.  A token template is admitted on its second sighting, and
+  only once a parse of its text with every literal token replaced by a
+  distinct sentinel of the same kind proves which parameter each literal
+  token feeds; a literal token that feeds none (``LIMIT 10``) is pinned to
+  its text.  Anything unproven keeps parsing.
 * **Invalidation** — each cached plan snapshots, per touched table, the
   table's identity, ``schema_version``, ``version``, row count, and (when
   available) its statistics.  DDL and index changes require an exact
@@ -35,6 +46,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.errors import ReproError
 from repro.sql.ast_nodes import (
     DeleteStatement,
     SelectStatement,
@@ -50,9 +62,14 @@ from repro.sql.canonicalize import (
     parameterize_statement,
 )
 from repro.sql.formatter import format_statement
+from repro.sql.parser import number_value, parse
+from repro.sql.tokenizer import Token, TokenType, tokenize
 
 #: Default number of cached plans kept by a Database.
 DEFAULT_PLAN_CACHE_SIZE = 128
+
+#: How the statement kinds the plan cache takes begin.
+_CACHEABLE_STARTS = ("SELECT", "UPDATE", "DELETE")
 
 #: Staleness budget: relative row-count / histogram drift beyond which a
 #: cached plan is discarded.  Query maintenance refreshes the runtime
@@ -71,11 +88,13 @@ class PlanCacheStats:
     evictions: int = 0
     size: int = 0
     capacity: int = 0
-    #: Statement-cache counters: byte-identical raw-SQL resubmissions that
-    #: skipped the tokenizer/parser entirely (hits) versus cacheable
-    #: statements that had to be parsed and prepared (misses).
+    #: Statement-cache counters: cacheable raw SQL served without a parse
+    #: (hits) versus parsed and prepared (misses).  ``template_hits`` counts
+    #: the hits that tokenized the text and bound its constants into a token
+    #: template; the rest were byte-identical resubmissions.
     statement_hits: int = 0
     statement_misses: int = 0
+    template_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -108,7 +127,9 @@ class PreparedStatement:
     the original: the parameters carry the original constants); ``values``
     are those constants in canonical template order; ``key`` identifies the
     template: canonical constant-stripped text, constant type signature, and
-    surface template text.
+    surface template text.  ``statement`` and ``params`` are shared with every
+    other instance of the template and with its cached plan: they hold this
+    instance's constants only until the next one is bound.
     """
 
     statement: Statement
@@ -116,6 +137,9 @@ class PreparedStatement:
     values: list
     params: list[ParamLiteral]
     table_names: tuple[str, ...]
+    #: The text's token template (pinned literal tokens written out) once
+    #: the statement cache admitted it; ``None`` until then.
+    template: tuple | None = None
 
 
 @dataclass
@@ -133,6 +157,35 @@ class _TemplateKey:
     canonical: str
     order: list[int]
     table_names: tuple[str, ...]
+
+
+@dataclass
+class _TokenTemplate:
+    """An admitted token template: how a text of this shape binds.
+
+    ``prepared`` is the admitted instance (its statement, parameters, key and
+    tables are every instance's).  ``slots`` gives, per parameter in
+    canonical order, the index of the literal token whose value it takes, or
+    -1 for a constant the template's other tokens fix (``TRUE``, a CAST's
+    type name), whose value ``prepared.values`` holds.  ``pinned`` lists the
+    literal tokens that feed no parameter, ``(index, text)``: a text matches
+    only with those tokens written the same.
+    """
+
+    template: tuple
+    prepared: PreparedStatement
+    slots: tuple[int, ...]
+    pinned: tuple[tuple[int, str], ...]
+
+
+@dataclass
+class _Sighting:
+    """A text of a token template not yet proven, as it was prepared."""
+
+    text: str
+    literals: list[Token]
+    values: list
+    prepared: PreparedStatement
 
 
 @dataclass
@@ -170,8 +223,7 @@ class CachedPlan:
         are read per call), and accumulators are created fresh per execution —
         nothing caches a bound constant.
         """
-        for param, value in zip(self.params, values):
-            object.__setattr__(param, "value", value)
+        _bind(self.params, values)
 
 
 class PlanCache:
@@ -192,44 +244,104 @@ class PlanCache:
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self._templates: OrderedDict[str, _TemplateKey] = OrderedDict()
         self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
+        #: Token templates by shape: admitted, seen once (a proof pending)
+        #: or not provable (None).
+        self._token_templates: OrderedDict[tuple, _TokenTemplate | _Sighting | None] = (
+            OrderedDict()
+        )
         self._stats = PlanCacheStats(capacity=capacity)
 
     # -- statement cache (raw text → prepared statement) --------------------------
 
     def lookup_statement(self, text: str) -> PreparedStatement | None:
-        """The memoized parse+parameterize result for byte-identical SQL text.
+        """The prepared statement of raw SQL text without a parse, or None.
 
-        On a hit, the prepared statement's parameter nodes are re-bound to the
-        text's own constants before returning: the nodes are shared with the
-        plan-cache template, so an execution of a *different* instance of the
-        same template may have left other values in them.
+        A byte-identical text is a dict lookup; otherwise the text is
+        tokenized and its token template looked up, and a hit binds the
+        literal tokens' values.  Either way the prepared statement's
+        parameter nodes are bound to the text's own constants before
+        returning: the nodes are shared with the plan-cache template, so an
+        execution of a *different* instance of the same template may have
+        left other values in them.
         """
         prepared = self._statements.get(text)
-        if prepared is None:
+        if prepared is not None:
+            self._statements.move_to_end(text)
+            _bind(prepared.params, prepared.values)
+            self._stats.statement_hits += 1
+            return prepared
+        head = text[:64].lstrip()
+        if head[:6].upper() not in _CACHEABLE_STARTS and head[:2] not in ("--", "/*"):
+            return None  # an INSERT or DDL text: the parse is its one reader
+        try:
+            shape, literals, values = _token_template(tokenize(text))
+        except (ReproError, ValueError):
+            return None  # the parse raises it
+        entry = self._token_templates.get(shape)
+        if isinstance(entry, _Sighting):
+            entry = self._admit(shape, entry)
+        if entry is None or any(literals[i].value != raw for i, raw in entry.pinned):
             return None
-        self._statements.move_to_end(text)
-        for param, value in zip(prepared.params, prepared.values):
-            object.__setattr__(param, "value", value)
+        self._token_templates.move_to_end(shape)
+        admitted = entry.prepared
+        bound = [
+            values[slot] if slot >= 0 else value
+            for slot, value in zip(entry.slots, admitted.values)
+        ]
+        _bind(admitted.params, bound)
+        prepared = PreparedStatement(
+            statement=admitted.statement,
+            key=admitted.key,
+            values=bound,
+            params=admitted.params,
+            table_names=admitted.table_names,
+            template=entry.template,
+        )
+        self._remember(text, prepared)
         self._stats.statement_hits += 1
+        self._stats.template_hits += 1
         return prepared
 
     def store_statement(self, text: str, prepared: PreparedStatement) -> None:
-        """Remember a freshly prepared statement under its raw SQL text.
+        """Remember a freshly parsed and prepared statement under its raw SQL
+        text, and its token template as sighted.
 
         Only plan-cacheable statement kinds are remembered (DDL and INSERT
         never reach :meth:`prepare`); counts one statement-cache miss, so the
         hit rate reflects cacheable traffic only.  The memo needs no
         data-dependent invalidation — it maps text to an AST, and planning
-        re-resolves tables against the live catalog every time.
+        re-resolves tables against the live catalog every time.  A token
+        template is proven when a second text of its shape arrives, so a
+        shape seen once pays no proof; an admitted shape whose pinned tokens
+        this text writes otherwise is proven again with this text.
         """
         if not isinstance(
             prepared.statement, (SelectStatement, UpdateStatement, DeleteStatement)
         ):
             return
         self._stats.statement_misses += 1
+        self._remember(text, prepared)
+        shape, literals, values = _token_template(tokenize(text))
+        if shape not in self._token_templates:
+            self._token_templates[shape] = _Sighting(text, literals, values, prepared)
+            _trim(self._token_templates, self.capacity)
+        elif self._token_templates[shape] is not None:
+            self._admit(shape, _Sighting(text, literals, values, prepared))
+
+    def _admit(self, shape: tuple, sighting: "_Sighting") -> _TokenTemplate | None:
+        """Prove a sighted text's token template and file the outcome."""
+        prepared = sighting.prepared
+        _bind(prepared.params, prepared.values)  # another instance may have run since
+        entry = _prove(sighting.text, shape, sighting.literals, sighting.values, prepared)
+        if entry is not None or not isinstance(self._token_templates.get(shape), _TokenTemplate):
+            self._token_templates[shape] = entry
+        if entry is not None:
+            prepared.template = entry.template
+        return entry
+
+    def _remember(self, text: str, prepared: PreparedStatement) -> None:
         self._statements[text] = prepared
-        while len(self._statements) > max(4 * self.capacity, 64):
-            self._statements.popitem(last=False)
+        _trim(self._statements, self.capacity)
 
     # -- keying ------------------------------------------------------------------
 
@@ -247,8 +359,7 @@ class PlanCache:
                 table_names=_statement_table_names(parameterized),
             )
             self._templates[surface] = template
-            while len(self._templates) > max(4 * self.capacity, 64):
-                self._templates.popitem(last=False)
+            _trim(self._templates, self.capacity)
         else:
             self._templates.move_to_end(surface)
         ordered = [surface_params[i] for i in template.order]
@@ -380,3 +491,143 @@ def _statement_table_names(statement: Statement) -> tuple[str, ...]:
     if isinstance(statement, (UpdateStatement, DeleteStatement)):
         names.add(statement.table.lower())
     return tuple(sorted(names))
+
+
+def _trim(table: OrderedDict, capacity: int) -> None:
+    """Drop a statement-side table's least recently used entries past its
+    bound (four per cached plan, at least 64)."""
+    while len(table) > max(4 * capacity, 64):
+        table.popitem(last=False)
+
+
+def _bind(params: list[ParamLiteral], values: list) -> None:
+    for param, value in zip(params, values):
+        object.__setattr__(param, "value", value)
+
+
+#: How a literal token is written in a token template: its kind, not its text.
+_KINDS = {int: "'int", float: "'float", str: "'text"}
+_KIND_NAMES = frozenset(_KINDS.values())
+
+
+def _token_template(tokens: list[Token]) -> tuple[tuple, list[Token], list]:
+    """``(shape, literal tokens, their values)`` of a token stream.
+
+    The shape is the stream with each NUMBER/STRING token written as its
+    kind (``5``, ``5.0`` and ``'5'`` differ) and each identifier marked as
+    one (a quoted ``"SELECT"`` is not the keyword).  Raises ``ValueError``
+    for a number the parser cannot read either.
+    """
+    shape: list[str] = []
+    literals: list[Token] = []
+    values: list = []
+    for token in tokens:
+        kind = token.type
+        if kind is TokenType.NUMBER or kind is TokenType.STRING:
+            value = number_value(token.value) if kind is TokenType.NUMBER else token.value
+            shape.append(_KINDS[type(value)])
+            literals.append(token)
+            values.append(value)
+        elif kind is TokenType.IDENTIFIER:
+            shape.append('"' + token.value)
+        else:
+            shape.append(token.value)
+    return tuple(shape), literals, values
+
+
+def _prove(
+    text: str, shape: tuple, literals: list[Token], values: list, prepared: PreparedStatement
+) -> _TokenTemplate | None:
+    """Prove which parameter of ``prepared`` each literal token of ``text`` feeds.
+
+    The text is parsed again with every literal token replaced by a distinct
+    sentinel of its kind.  A parameter of that parse holding a sentinel reads
+    its token; one holding anything else (``TRUE``, a CAST's type name) must
+    hold what the text's own parameter holds.  A literal token that feeds no
+    parameter (``LIMIT 10``) is pinned — written as in the text — and the
+    sentinel parse is repeated once.  With the proven values put back, the
+    sentinel parse's statement must equal the text's: then the statement of
+    any text with this token stream is the template's with its own constants
+    in the proven slots.  ``None`` when anything does not hold.
+    """
+    own = collect_parameters(prepared.statement)
+    pinned: set[int] = set()
+    for _ in range(2):
+        sentinel_text, sentinels = _sentinel_text(text, literals, values, pinned)
+        try:
+            statement, params = parameterize_statement(parse(sentinel_text))
+        except (ReproError, ValueError):
+            return None
+        if len(params) != len(own):
+            return None
+        sources: list[int] = []
+        for mine, theirs in zip(own, params):
+            source = sentinels.get((type(theirs.value), theirs.value), -1)
+            if source < 0 and (
+                type(theirs.value) is not type(mine.value) or theirs.value != mine.value
+            ):
+                return None
+            sources.append(source)
+        fed = [source for source in sources if source >= 0]
+        if len(set(fed)) != len(fed):
+            return None
+        unfed = set(range(len(literals))) - pinned - set(fed)
+        if unfed:
+            pinned |= unfed
+            continue
+        _bind(params, [param.value for param in own])
+        if statement != prepared.statement:
+            return None
+        position = {id(param): index for index, param in enumerate(own)}
+        slots = tuple(sources[position[id(param)]] for param in prepared.params)
+        template = list(shape)
+        at = [place for place, part in enumerate(shape) if part in _KIND_NAMES]
+        for index in pinned:
+            template[at[index]] += "=" + literals[index].value
+        return _TokenTemplate(
+            template=tuple(template),
+            prepared=prepared,
+            slots=slots,
+            pinned=tuple((index, literals[index].value) for index in sorted(pinned)),
+        )
+    return None
+
+
+def _sentinel_text(
+    text: str, literals: list[Token], values: list, pinned: set[int]
+) -> tuple[str, dict[tuple[type, object], int]]:
+    """``text`` with each literal token not in ``pinned`` replaced by a
+    sentinel of its kind, and ``{(type, sentinel value): token index}``.
+
+    Sentinels differ from each other and from every value the text holds;
+    each is written with a space either side, which keeps the token stream's
+    shape.
+    """
+    taken = {(type(value), value) for value in values}
+    sentinels: dict[tuple[type, object], int] = {}
+    parts: list[str] = []
+    done = 0
+    counter = 0
+    for index, token in enumerate(literals):
+        if index in pinned:
+            continue
+        while True:
+            counter += 1
+            kind = type(values[index])
+            if kind is str:
+                value = f"sentinel {counter}"
+                written = f"'{value}'"
+            else:
+                written = f"{900_000_000_000_000 + counter}" + (".5" if kind is float else "")
+                value = kind(written)
+            if (kind, value) not in taken:
+                break
+        sentinels[(kind, value)] = index
+        if token.type is TokenType.STRING:
+            end = token.position + len(token.value) + token.value.count("'") + 2
+        else:
+            end = token.position + len(token.value)
+        parts += [text[done:token.position], " ", written, " "]
+        done = end
+    parts.append(text[done:])
+    return "".join(parts), sentinels

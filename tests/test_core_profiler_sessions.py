@@ -10,7 +10,7 @@ from repro.core import profiler as profiler_module
 from repro.core.config import CQMSConfig
 from repro.core.profiler import ProfilingMode, QueryProfiler
 from repro.core.query_store import QueryStore
-from repro.core.records import LoggedQuery, statement_artefacts
+from repro.core.records import LoggedQuery, TemplateArtefacts, statement_artefacts
 from repro.core.sessions import SessionDetector, pairwise_session_metrics, sessions_as_ground_truth_pairs
 from repro.errors import ReproError
 from repro.sql import parser
@@ -201,7 +201,8 @@ class TestParseOncePerSubmit:
         parse_calls.clear()
         execution = fresh_cqms.submit("alice", sql)
         assert execution.result.stats.statement_cache_hit
-        assert execution.result.statement is None
+        # The bound template the cache answered with, not a parse.
+        assert execution.result.statement is execution.result.prepared.statement
         assert parse_calls == []
         assert execution.record.features is first.features
 
@@ -238,40 +239,41 @@ class TestParseOncePerSubmit:
         "sql", ["SELECT/**/name FROM Lakes", "SELECT name FROM Lakes -- all of them"]
     )
     def test_record_reads_as_its_stored_text_when_a_comment_was_stripped(self, fresh_cqms, sql):
-        """``strip_comments`` glues ``SELECT/**/name`` into one word, so the
-        DBMS's parse is not the logged text's; reopen would re-derive the
-        record from the text, and the record must read the same."""
+        """A stripped block comment leaves a space, so ``SELECT/**/name`` is
+        logged as the statement the DBMS ran; reopen re-derives the record
+        from the text, and the record must read the same."""
         record = fresh_cqms.submit("alice", sql).record
+        assert record.text == "SELECT name FROM Lakes"
+        assert record.statement_kind == "select" and record.features is not None
         assert artefacts_of(record) == statement_artefacts(
             record.text, fresh_cqms.database.schema_columns(), True
         )
 
     def test_reused_asts_give_the_artefacts_of_a_fresh_parse(self, replay_log, monkeypatch):
-        derived: list[str] = []
-        reused: list[str] = []
-        differing: list[str] = []
+        parsed: list[str] = []
+        bound: list[tuple] = []
+        by_text, by_template = statement_artefacts, TemplateArtefacts.artefacts
 
-        def checked(text, schema_columns, with_features, parsed=None):
-            derived.append(text)
-            produced = statement_artefacts(text, schema_columns, with_features, parsed)
-            if parsed is not None:
-                reused.append(text)
-                if produced != statement_artefacts(text, schema_columns, with_features):
-                    differing.append(text)
-            return produced
+        def from_text(text, *args):
+            parsed.append(text)
+            return by_text(text, *args)
 
-        monkeypatch.setattr(profiler_module, "statement_artefacts", checked)
+        def from_bound_statement(shared, prepared, schema_columns):
+            bound.append(by_template(shared, prepared, schema_columns))
+            return bound[-1]
+
+        monkeypatch.setattr(profiler_module, "statement_artefacts", from_text)
+        monkeypatch.setattr(TemplateArtefacts, "artefacts", from_bound_statement)
         env = replay_log(num_sessions=40, seed=5, mine=False)
-        assert differing == []
-        # Each text is derived once, on its first submit, from the DBMS's
-        # AST when that run missed the statement cache; every later submit
-        # of the text takes its artefacts from the Query Storage.
+        # Each text is derived once, on its first submit: from the DBMS's
+        # bound statement when it ran, else from a parse of the text; every
+        # later submit of the text takes its artefacts from the Query Storage.
         records = env.store.all_queries()
         texts = {record.text for record in records}
-        assert sorted(derived) == sorted(texts) and len(records) > len(texts)
-        ran = [record for record in records if record.runtime.succeeded]
-        assert all(record.is_select for record in ran)
-        assert sorted(reused) == sorted({record.text for record in ran})
+        assert len(parsed) + len(bound) == len(texts) and len(records) > len(texts)
+        ran = {record.text for record in records if record.runtime.succeeded}
+        assert all(record.is_select for record in records if record.text in ran)
+        assert sorted(parsed) == sorted(texts - ran) and len(bound) == len(ran)
         # Nothing in the workload changes the schema, so every record was
         # logged under today's catalog version and schema.
         database = env.cqms.database
@@ -335,8 +337,9 @@ class TestArtefactsFromTheStatementTable:
         fresh_cqms.admin().delete_query("alice", first.qid)
         parse_calls.clear()
         execution = fresh_cqms.submit("alice", sql)
-        # A statement-cache hit in the DBMS, so the one parse is the record's.
-        assert execution.result.stats.statement_cache_hit and len(parse_calls) == 1
+        # A statement-cache hit in the DBMS: the record is derived again, from
+        # the DBMS's bound statement, with no parse.
+        assert execution.result.stats.statement_cache_hit and parse_calls == []
         schema = fresh_cqms.database.schema_columns()
         assert artefacts_of(execution.record) == statement_artefacts(sql, schema, True)
         assert execution.record.features is not first.features
@@ -354,8 +357,9 @@ class TestArtefactsFromTheStatementTable:
             parse_calls.clear()
             execution = reopened.submit("alice", sql)
             # Reopen files its artefacts under no profiler key: the first
-            # resubmission derives them once, the next one reuses them.
-            assert execution.result.stats.statement_cache_hit and len(parse_calls) == 1
+            # resubmission derives them once (from the DBMS's bound
+            # statement, with no parse), the next one reuses them.
+            assert execution.result.stats.statement_cache_hit and parse_calls == []
             assert execution.record.features is not rebuilt.features
             schema = database.schema_columns()
             for record in reopened.store.all_queries():

@@ -343,12 +343,17 @@ class TestStatementCache:
         assert stats.statement_misses == 1
         assert stats.statement_hit_rate == 0.5
 
-    def test_different_constants_miss_statement_cache_but_hit_plan_cache(self):
+    def test_different_constants_hit_the_token_template_and_the_plan_cache(self):
+        """The first text of a token template is parsed; the second, with
+        other constants, is tokenized and bound without a parse."""
         db = _make_db()
-        db.execute("SELECT name FROM lakes WHERE state = 's1'")
+        first = db.execute("SELECT name FROM lakes WHERE state = 's1'")
         result = db.execute("SELECT name FROM lakes WHERE state = 's2'")
-        assert not result.stats.statement_cache_hit
+        assert not first.stats.statement_cache_hit
+        assert result.stats.statement_cache_hit
         assert result.stats.plan_cache_hit
+        stats = db.plan_cache_stats()
+        assert (stats.statement_hits, stats.template_hits, stats.statement_misses) == (1, 1, 1)
         expected = [
             (row["name"],) for row in _named_rows(db, "lakes") if row["state"] == "s2"
         ]
