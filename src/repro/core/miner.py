@@ -85,11 +85,7 @@ class QueryMiner:
 
     def run(self, cluster: bool = True) -> MiningReport:
         """Run a full mining pass over the Query Storage."""
-        records = [
-            record
-            for record in self._store.select_queries()
-            if record.features is not None
-        ]
+        records = [record for record in self._store.all_queries() if record.is_mined]
         report = MiningReport(num_queries=len(records))
 
         report.sessions = self._detect_sessions(records)

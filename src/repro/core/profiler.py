@@ -194,7 +194,6 @@ class QueryProfiler:
         version = self._db.catalog.version
         key = (with_features, version)
         artefacts = self._store.artefacts(clean_text, key)
-        filed = None
         if artefacts is None:
             # The user DBMS's AST is the logged text's: stripping comments
             # keeps the token stream.
@@ -204,11 +203,9 @@ class QueryProfiler:
                 parsed = result.statement if result is not None else None
                 artefacts = statement_artefacts(clean_text, schema, with_features, parsed)
             else:
-                shared = self._store.template_artefacts(prepared.template, key)
-                if shared is None:
-                    shared = template_artefacts(prepared, schema)
-                    if prepared.template is not None:
-                        filed = (prepared.template, shared)
+                shared = self._store.template_artefacts(
+                    prepared.template, key, lambda: template_artefacts(prepared, schema)
+                )
                 artefacts = shared.artefacts(prepared, schema)
         kind, features, canonical, template = artefacts
         record = LoggedQuery(
@@ -227,7 +224,7 @@ class QueryProfiler:
         )
         if features is not None and result is not None and kind == "select":
             record.output = self._summarize_output(result)
-        self._store.add(record, artefacts_key=key, template=filed)
+        self._store.add(record, artefacts_key=key)
         return record
 
     def _summarize_output(self, result: QueryResult) -> OutputSummary:

@@ -27,7 +27,8 @@ import json
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from collections.abc import Callable, Collection, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from types import MappingProxyType
 
 from repro.core.records import (
@@ -145,6 +146,36 @@ FEATURE_RELATIONS: list[TableSchema] = [
 ]
 
 
+#: The relations a record spells by itself (:func:`_rows`), in the order
+#: :meth:`QueryStore.add` writes them.  ``Annotations`` and the session
+#: relations are written by their own mutators.
+RECORD_RELATIONS = (
+    "Queries", "RuntimeStats", "OutputSamples",
+    "DataSources", "Attributes", "Predicates", "Projections", "Joins",
+)
+#: Each relation's column names, in schema order (see :func:`_row`).
+_COLUMNS = {schema.name: schema.column_names for schema in FEATURE_RELATIONS}
+
+
+@dataclass(slots=True)
+class _Change:
+    """One mutation of the Query Storage, as :meth:`QueryStore._apply` writes
+    it: per relation, the row ids it ``deletes``, the ``(row id, changed
+    columns)`` it ``updates`` and the rows it ``inserts``; then in memory the
+    record it ``removes`` (unfiles), the fields it ``assigns``, the record it
+    ``sets`` (files, with its artefacts under ``artefacts_key``), and whether
+    it ``bumps`` :attr:`QueryStore.generation`."""
+
+    removes: LoggedQuery | None = None
+    sets: LoggedQuery | None = None
+    assigns: list[tuple[LoggedQuery, dict[str, object]]] = field(default_factory=list)
+    deletes: dict[str, list[int]] = field(default_factory=dict)
+    updates: dict[str, list[tuple[int, dict[str, object]]]] = field(default_factory=dict)
+    inserts: dict[str, list[dict[str, object]]] = field(default_factory=dict)
+    bumps: bool = False
+    artefacts_key: tuple | None = None
+
+
 @dataclass(slots=True)
 class _Statement:
     """What the Query Storage keeps per distinct statement text."""
@@ -157,8 +188,8 @@ class _Statement:
     tree: ParseTreeNode | None = None
     tree_built: bool = False
     #: ``(statement_kind, features, canonical_text, template_text)`` — the
-    #: objects the text's records hold — and the key they were derived under
-    #: (the profiler's mode and user-DB catalog version; ``None`` at reopen).
+    #: objects the text's records hold — and the key the profiler derived
+    #: them under (its mode and the user-DB catalog version).
     artefacts: tuple | None = None
     artefacts_key: tuple | None = None
 
@@ -253,15 +284,7 @@ class QueryStore:
                     f"{table_schema.name}({', '.join(table_schema.column_names)})"
                 )
         for table, column in (
-            ("DataSources", "qid"),
-            ("Attributes", "qid"),
-            ("Predicates", "qid"),
-            ("Projections", "qid"),
-            ("Joins", "qid"),
-            ("Queries", "qid"),
-            ("RuntimeStats", "qid"),
-            ("OutputSamples", "qid"),
-            ("Annotations", "qid"),
+            *((relation, "qid") for relation in (*RECORD_RELATIONS, "Annotations")),
             ("SessionEdges", "sessionId"),
             # Search columns of the Figure 1 meta-queries: the planner turns
             # equality conditions on these into IndexScans.
@@ -297,7 +320,7 @@ class QueryStore:
         self._next_qid = 1
         self._next_qid_row_id = self._init_store_meta()
         if data_dir is not None and len(self._meta_db.table("Queries")):
-            self._rebuild_record_index()
+            self._reopen()
 
     # -- basic access ---------------------------------------------------------
 
@@ -319,8 +342,8 @@ class QueryStore:
         """Attach an :class:`~repro.obs.telemetry.EngineTelemetry` bundle.
 
         The bundle instruments the meta-database (statement latency, operator
-        counters) and receives the per-user / per-group workload series
-        :meth:`add` maintains for the Workbench metrics panel.
+        counters) and receives the per-user ``user_queries`` count :meth:`add`
+        keeps for the Workbench metrics panel.
         """
         self._telemetry = telemetry
         self._meta_db.attach_telemetry(telemetry)
@@ -343,91 +366,40 @@ class QueryStore:
         """Buffer-pool counters of the meta-database's page store."""
         return self._meta_db.buffer_stats()
 
-    def _rebuild_record_index(self) -> None:
-        """Repopulate the in-memory :class:`LoggedQuery` index after recovery.
-
-        The feature relations are the durable source of truth; the record
-        objects are a cache over them.  Text, user/group, timestamps,
-        validity, statement kind, runtime statistics, annotations, and output
-        samples come straight from the relations; syntactic features and
-        canonical/template texts are re-derived from the recovered query text
-        by :func:`~repro.core.records.statement_artefacts` (the function the
-        profiler logged them with) — once per distinct text, filed on the
-        text's statement-table entry with no profiler key: records carrying
-        the same text share one feature object, which nothing mutates in
-        place.  Parse trees are not built here; they stay
-        lazy (see :meth:`texts_matching`).  Session membership is
-        matched back from the ``Sessions`` time windows (same user, timestamp
-        inside ``[startTs, endTs]``), so the per-session query counts stay
-        consistent when a recovered query is later removed.  Output
-        summaries come back as they were stored (see :func:`_output_row`).
+    def _reopen(self) -> None:
+        """Refile a recovered log in memory: each record is read back from its
+        rows (:func:`_record`) and filed by :meth:`_remember`, the memory half
+        of every write.  Its artefacts are derived again by
+        :func:`~repro.core.records.statement_artefacts`, as the profiler did,
+        once per distinct text (the text's records share them; trees stay
+        lazy), and a record the miner reads (``LoggedQuery.is_mined``) rejoins
+        its user's ``Sessions`` window that holds its timestamp.
         """
-        relation = self._relation_dicts
-        runtime_by_qid: dict[int, RuntimeStats] = {}
-        for row in relation("RuntimeStats"):
-            runtime_by_qid[row["qid"]] = RuntimeStats(
-                elapsed_seconds=row["elapsedSeconds"] or 0.0,
-                result_cardinality=row["cardinality"] or 0,
-                rows_scanned=row["rowsScanned"] or 0,
-                succeeded=bool(row["succeeded"]),
-            )
-        annotations_by_qid: dict[int, list[tuple[float, str]]] = {}
-        for row in relation("Annotations"):
-            annotations_by_qid.setdefault(row["qid"], []).append(
-                (row["ts"] or 0.0, row["body"] or "")
-            )
-        samples_by_qid = {
-            row["qid"]: (row["columnNames"], row["sampleRows"])
-            for row in relation("OutputSamples")
-        }
-        sessions_by_user: dict[str, list[tuple[float, float, int]]] = {}
-        for row in relation("Sessions"):
-            sessions_by_user.setdefault(row["userName"], []).append(
-                (row["startTs"] or 0.0, row["endTs"] or 0.0, row["sessionId"])
-            )
-
-        queries = sorted(relation("Queries"), key=lambda r: r["qid"])
-        for row in queries:
-            qid = row["qid"]
-            record = LoggedQuery(
-                qid=qid,
-                user=row["userName"] or "",
-                group=row["groupName"] or "",
-                text=row["qText"] or "",
-                timestamp=row["ts"] or 0.0,
-                statement_kind=row["statementKind"] or "unknown",
-                visibility=row["visibility"] or "group",
-                flagged_invalid=not row["valid"],
-                invalid_reason=row["invalidReason"],
-                flag_count=row["flagCount"] or 0,
-                runtime=runtime_by_qid.get(qid, RuntimeStats()),
-            )
-            artefacts = self.artefacts(record.text, None) or statement_artefacts(
-                record.text, self.schema_columns(), self._with_features
-            )
-            _, record.features, record.canonical_text, record.template_text = artefacts
-            record.annotations = [
-                body for _, body in sorted(annotations_by_qid.get(qid, []))
-            ]
-            if qid in samples_by_qid:
-                record.output = self._rebuild_output_summary(
-                    *samples_by_qid[qid], record.runtime.result_cardinality
+        related = {name: {} for name in ("RuntimeStats", "OutputSamples", "Annotations")}
+        for name, by_qid in related.items():
+            for row in self._meta_db.table(name).rows():
+                by_qid.setdefault(row[0], []).append(row)
+        windows: dict[str, list[tuple]] = {}
+        for session_id, user, start, end, _ in self._meta_db.table("Sessions").rows():
+            windows.setdefault(user, []).append((start or 0.0, end or 0.0, session_id))
+        derived: dict[str, tuple] = {}
+        for row in sorted(self._meta_db.table("Queries").rows(), key=itemgetter(0)):
+            record = _record(row, *(by_qid.get(row[0], ()) for by_qid in related.values()))
+            if record.text not in derived:
+                derived[record.text] = statement_artefacts(
+                    record.text, self.schema_columns(), self._with_features
                 )
-            for start, end, session_id in sessions_by_user.get(record.user, ()):
-                if start <= record.timestamp <= end:
-                    record.session_id = session_id
-                    break
-            self._index(record)
-            self._statements[record.text].artefacts = artefacts
+            _, record.features, record.canonical_text, record.template_text = derived[record.text]
+            if record.is_mined:
+                for start, end, session_id in windows.get(record.user, ()):
+                    if start <= record.timestamp <= end:
+                        record.session_id = session_id
+                        break
+            self._remember(_Change(sets=record))
         if self._records:
             # The StoreMeta high-water mark normally leads; max(qid)+1 is the
             # floor for stores created before the counter existed.
             self._next_qid = max(self._next_qid, max(self._records) + 1)
-
-    def _relation_dicts(self, name: str) -> list[dict]:
-        """Every row of a meta relation, keyed by column name (reopen only)."""
-        table = self._meta_db.table(name)
-        return list(map(table.schema.as_dict, table.rows()))
 
     @staticmethod
     def _rebuild_output_summary(
@@ -504,7 +476,7 @@ class QueryStore:
         self._intern_text(record.text)
         for key in _feature_keys(record):
             self._feature_postings.setdefault(key, set()).add(qid)
-        if record.is_select and record.features is not None:
+        if record.is_mined:
             sets = record.features.feature_sets()
             insort(self._shapes.setdefault(_shape_key(sets), Shape(sets, [])).qids, qid)
 
@@ -519,7 +491,7 @@ class QueryStore:
             bucket.discard(qid)
             if not bucket:
                 del self._feature_postings[key]
-        if record.is_select and record.features is not None:
+        if record.is_mined:
             key = _shape_key(record.features.feature_sets())
             qids = self._shapes[key].qids
             del qids[bisect_left(qids, qid)]
@@ -587,14 +559,22 @@ class QueryStore:
             return None
         return entry.artefacts
 
-    def template_artefacts(self, template: tuple | None, key: tuple) -> TemplateArtefacts | None:
+    def template_artefacts(
+        self, template: tuple | None, key: tuple, build: Callable[[], TemplateArtefacts]
+    ) -> TemplateArtefacts:
         """The :class:`~repro.core.records.TemplateArtefacts` filed for the
-        user DBMS's token ``template`` under ``key`` (see :meth:`artefacts`),
-        or ``None``."""
+        user DBMS's token ``template`` under ``key`` (see :meth:`artefacts`).
+        The first text of an admitted template builds them with ``build`` and
+        files them for the later ones; a text whose template is not admitted
+        (``None``) builds its own."""
         if template is None:
-            return None
+            return build()
         shared = self._templates.get((template, key))
-        if shared is not None:
+        if shared is None:
+            shared = self._templates[(template, key)] = build()
+            while len(self._templates) > TEMPLATE_TABLE_SIZE:
+                self._templates.popitem(last=False)
+        else:
             self._templates.move_to_end((template, key))
         return shared
 
@@ -631,131 +611,104 @@ class QueryStore:
             text for text in candidates if match_pattern(self._statements[text].tree, pattern)
         }
 
+    # -- the one write path -----------------------------------------------------
+
+    def _apply(self, change: _Change) -> None:
+        """Write one change: its meta rows first, then memory from the same
+        values (:meth:`_remember`).  A write that raises leaves memory as it
+        was, though the rows written before it stay (the meta-database has
+        no batch spanning relations)."""
+        database = self._meta_db
+        for relation, row_ids in change.deletes.items():
+            table = database.table(relation)
+            for row_id in row_ids:
+                table.delete(row_id)
+        for relation, updates in change.updates.items():
+            table = database.table(relation)
+            for row_id, values in updates:
+                table.update(row_id, values)
+        # One batch per relation, and no call for a relation with no rows.
+        for relation, rows in change.inserts.items():
+            if rows:
+                database.insert_rows(relation, rows)
+        self._remember(change)
+
+    def _remember(self, change: _Change) -> None:
+        """The memory half of :meth:`_apply`, and all of a reopen's: unfile,
+        assign, file, then move the generation when the change asks."""
+        if change.removes is not None:
+            self._unindex(change.removes)
+        for record, fields in change.assigns:
+            for name, value in fields.items():
+                setattr(record, name, value)
+        record = change.sets
+        if record is not None:
+            self._index(record)
+            if change.artefacts_key is not None:
+                entry = self._statements[record.text]
+                entry.artefacts_key = change.artefacts_key
+                entry.artefacts = (
+                    record.statement_kind, record.features, record.canonical_text,
+                    record.template_text,
+                )
+        if change.bumps:
+            self._changed()
+
+    def _rewrite(
+        self, record: LoggedQuery, fields: dict[str, object], bumps: bool = False
+    ) -> _Change:
+        """The change that assigns ``fields`` on ``record``: every row of its
+        own relations that the new values spell differently is updated in
+        place, column by column, and rows past the old or new count are
+        deleted or inserted."""
+        change = _Change(assigns=[(record, fields)], bumps=bumps)
+        for relation, rows in _rows(replace(record, **fields)).items():
+            table = self._meta_db.table(relation)
+            row_ids = self._row_ids(table, record.qid)
+            for row_id, row in zip(row_ids, rows):
+                stored = table.get(row_id)
+                values = {name: new for (name, new), old in zip(row.items(), stored) if new != old}
+                if values:
+                    change.updates.setdefault(relation, []).append((row_id, values))
+            if len(row_ids) > len(rows):
+                change.deletes[relation] = row_ids[len(rows) :]
+            elif len(rows) > len(row_ids):
+                change.inserts[relation] = rows[len(row_ids) :]
+        return change
+
+    @staticmethod
+    def _row_ids(table, qid: int) -> list[int]:
+        """Row ids of a relation's rows for ``qid`` through its qid index, in
+        the order they were written (row ids are never reused)."""
+        return sorted(table.index_for("qid").lookup(qid))
+
     # -- ingest -----------------------------------------------------------------
 
-    def add(
-        self,
-        record: LoggedQuery,
-        artefacts_key: tuple | None = None,
-        template: tuple[tuple, TemplateArtefacts] | None = None,
-    ) -> None:
+    def add(self, record: LoggedQuery, artefacts_key: tuple | None = None) -> None:
         """Insert a logged query and shred its features into the relations.
 
         With ``artefacts_key`` the record's artefacts were derived under that
-        key, and :meth:`artefacts` hands them to the next record of its text;
-        ``template`` — ``(token template, TemplateArtefacts)`` — files what
-        the text's template shares under the same key for
-        :meth:`template_artefacts`.
+        key, and :meth:`artefacts` hands them to the next record of its text.
         """
         if record.qid in self._records:
             raise MetaQueryError(f"duplicate query id {record.qid}")
-        self._index(record)
-        if artefacts_key is not None:
-            entry = self._statements[record.text]
-            entry.artefacts_key = artefacts_key
-            entry.artefacts = (
-                record.statement_kind, record.features, record.canonical_text, record.template_text
-            )
-            if template is not None:
-                self._templates[(template[0], artefacts_key)] = template[1]
-                while len(self._templates) > TEMPLATE_TABLE_SIZE:
-                    self._templates.popitem(last=False)
-        self._changed()
-        if self._telemetry is not None:
-            registry = self._telemetry.registry
-            registry.counter(
-                "user_queries",
-                "queries logged into the Query Storage, per user",
-                user=record.user,
-            ).inc()
-            elapsed = record.runtime.elapsed_seconds if record.runtime else 0.0
-            registry.histogram(
-                "user_query_seconds",
-                "logged-query latency as observed per user",
-                user=record.user,
-            ).observe(elapsed)
-            registry.histogram(
-                "group_query_seconds",
-                "logged-query latency as observed per collaboration group",
-                group=record.group,
-            ).observe(elapsed)
-            if not (record.runtime and record.runtime.succeeded):
-                registry.counter(
-                    "user_queries_failed",
-                    "logged queries that failed, per user",
-                    user=record.user,
-                ).inc()
-        # One batch per relation, rows spelled and ordered like the schema
-        # (the storage engine resolves the keys once per batch), and no call
-        # at all for a relation the query has no rows for.
-        qid = record.qid
-        insert_rows = self._meta_db.insert_rows
-        insert_rows(
-            "Queries",
-            [
-                {
-                    "qid": qid,
-                    "qText": record.text,
-                    "userName": record.user,
-                    "groupName": record.group,
-                    "ts": record.timestamp,
-                    "statementKind": record.statement_kind,
-                    "visibility": record.visibility,
-                    "valid": not record.flagged_invalid,
-                    "invalidReason": record.invalid_reason,
-                    "flagCount": record.flag_count,
-                }
-            ],
+        self._apply(
+            _Change(sets=record, inserts=_rows(record), bumps=True, artefacts_key=artefacts_key)
         )
-        insert_rows("RuntimeStats", [_runtime_row(qid, record.runtime)])
-        if record.output is not None:
-            insert_rows("OutputSamples", [_output_row(qid, record.output)])
-        if record.features is None:
-            return
-        features = record.features
-        batches = {
-            "DataSources": [{"qid": qid, "relName": table} for table in features.tables],
-            "Attributes": [
-                {"qid": qid, "attrName": attribute, "relName": relation}
-                for attribute, relation in features.attributes
-            ],
-            "Predicates": [
-                {
-                    "qid": qid,
-                    "attrName": predicate.attribute,
-                    "relName": predicate.relation,
-                    "op": predicate.op,
-                    "const": _constant_text(predicate.constant),
-                }
-                for predicate in features.predicates
-            ],
-            "Projections": [
-                {"qid": qid, "attrName": attribute, "relName": relation}
-                for attribute, relation in features.projections
-            ],
-            "Joins": [
-                {
-                    "qid": qid,
-                    "leftRel": join.left_relation,
-                    "leftAttr": join.left_attribute,
-                    "rightRel": join.right_relation,
-                    "rightAttr": join.right_attribute,
-                }
-                for join in (join.normalized() for join in features.joins)
-            ],
-        }
-        for relation, rows in batches.items():
-            if rows:
-                insert_rows(relation, rows)
+        if self._telemetry is not None:
+            self._telemetry.registry.counter(
+                "user_queries", "queries logged into the Query Storage, per user", user=record.user
+            ).inc()
 
     # -- annotations ----------------------------------------------------------------
 
     def add_annotation(self, qid: int, author: str, body: str, timestamp: float = 0.0) -> None:
         record = self.get(qid)
-        record.annotations.append(body)
-        self._meta_db.insert_rows(
-            "Annotations",
-            [{"qid": qid, "author": author, "ts": timestamp, "body": body}],
+        self._apply(
+            _Change(
+                assigns=[(record, {"annotations": [*record.annotations, body]})],
+                inserts={"Annotations": [_row("Annotations", qid, author, timestamp, body)]},
+            )
         )
 
     def annotations_for(self, qid: int) -> list[str]:
@@ -764,38 +717,35 @@ class QueryStore:
     # -- sessions ----------------------------------------------------------------------
 
     def record_sessions(self, sessions) -> None:
-        """Persist mined sessions and their edges (replacing previous ones)."""
-        self._meta_db.execute("DELETE FROM Sessions")
-        self._meta_db.execute("DELETE FROM SessionEdges")
-        session_rows = []
-        edge_rows = []
-        for session in sessions:
-            session_rows.append(
-                {
-                    "sessionId": session.session_id,
-                    "userName": session.user,
-                    "startTs": session.start_time,
-                    "endTs": session.end_time,
-                    "numQueries": len(session.qids),
-                }
-            )
-            for edge in session.edges:
-                edge_rows.append(
-                    {
-                        "sessionId": session.session_id,
-                        "fromQid": edge.from_qid,
-                        "toQid": edge.to_qid,
-                        "edgeType": edge.edge_type,
-                        "diffSummary": edge.diff_summary,
-                    }
-                )
-            for qid in session.qids:
-                if qid in self._records:
-                    self._records[qid].session_id = session.session_id
-        if session_rows:
-            self._meta_db.insert_rows("Sessions", session_rows)
-        if edge_rows:
-            self._meta_db.insert_rows("SessionEdges", edge_rows)
+        """Persist mined sessions and their edges (replacing previous ones);
+        a record in none of them leaves its old session."""
+        members = {qid: session.session_id for session in sessions for qid in session.qids}
+        change = _Change(
+            assigns=[
+                (record, {"session_id": members.get(qid)})
+                for qid, record in self._records.items()
+                if record.session_id != members.get(qid)
+            ],
+            deletes={
+                name: [row_id for row_id, _ in self._meta_db.table(name).scan()]
+                for name in ("Sessions", "SessionEdges")
+            },
+            inserts={
+                "Sessions": [
+                    _row("Sessions", s.session_id, s.user, s.start_time, s.end_time, len(s.qids))
+                    for s in sessions
+                ],
+                "SessionEdges": [
+                    _row(
+                        "SessionEdges", s.session_id, edge.from_qid, edge.to_qid,
+                        edge.edge_type, edge.diff_summary,
+                    )
+                    for s in sessions
+                    for edge in s.edges
+                ],
+            },
+        )
+        self._apply(change)
 
     # -- maintenance hooks -----------------------------------------------------------------
 
@@ -807,7 +757,8 @@ class QueryStore:
         other, and re-flagging with a known reason never grows the text.
         ``flag_count`` still advances on *every* call — it is the
         drop-after-N-flags counter of the maintenance policy, counting
-        flagging events, not distinct reasons.
+        flagging events, not distinct reasons.  ``Queries`` carries all
+        three, so the policy survives restarts of a durable store.
         """
         record = self.get(qid)
         reasons = [
@@ -816,16 +767,16 @@ class QueryStore:
         for part in (piece.strip() for piece in reason.split("; ")):
             if part and part not in reasons:
                 reasons.append(part)
-        record.flagged_invalid = True
-        record.invalid_reason = "; ".join(reasons) if reasons else reason
-        record.flag_count += 1
-        self._sync_validity(record)
+        fields = {
+            "flagged_invalid": True,
+            "invalid_reason": "; ".join(reasons) if reasons else reason,
+            "flag_count": record.flag_count + 1,
+        }
+        self._apply(self._rewrite(record, fields))
 
     def mark_valid(self, qid: int) -> None:
-        record = self.get(qid)
-        record.flagged_invalid = False
-        record.invalid_reason = None
-        self._sync_validity(record)
+        fields = {"flagged_invalid": False, "invalid_reason": None}
+        self._apply(self._rewrite(self.get(qid), fields))
 
     def lint_log(self, catalog=None, table_provider=None, mark: bool = True):
         """Run the SQL semantic linter over every logged query.
@@ -867,42 +818,16 @@ class QueryStore:
                     )
         return findings
 
-    def _sync_validity(self, record: LoggedQuery) -> None:
-        """Mirror the record's flag state into ``Queries`` (validity, reason,
-        flag count) through the qid index, bypassing SQL parsing.  Keeping
-        the relation authoritative means the maintenance drop-after-N-flags
-        policy survives restarts of a durable store."""
-        table = self._meta_db.table("Queries")
-        for row_id in self._feature_row_ids(table, record.qid):
-            table.update(
-                row_id,
-                {
-                    "valid": not record.flagged_invalid,
-                    "invalidReason": record.invalid_reason,
-                    "flagCount": record.flag_count,
-                },
-            )
-
     def set_runtime(self, qid: int, runtime: RuntimeStats) -> None:
         """Replace a query's runtime statistics (a maintenance refresh), on
-        the record and — through the qid index, like :meth:`_sync_validity` —
-        in ``RuntimeStats``, so meta-SQL agrees with the record at once and
-        the refreshed numbers survive a restart."""
-        self.get(qid).runtime = runtime
-        table = self._meta_db.table("RuntimeStats")
-        for row_id in self._feature_row_ids(table, qid):
-            table.update(row_id, _runtime_row(qid, runtime))
+        the record and in ``RuntimeStats``, so meta-SQL agrees with the
+        record at once and the refreshed numbers survive a restart."""
+        self._apply(self._rewrite(self.get(qid), {"runtime": runtime}))
 
     def set_visibility(self, qid: int, visibility: str) -> None:
         """Change who may see a query (``"private"``/``"group"``/``"public"``),
-        on the record and — through the qid index, like :meth:`_sync_validity`
-        — in ``Queries``, so the setting survives a restart."""
-        record = self.get(qid)
-        record.visibility = visibility
-        table = self._meta_db.table("Queries")
-        for row_id in self._feature_row_ids(table, qid):
-            table.update(row_id, {"visibility": visibility})
-        self._changed()
+        on the record and in ``Queries``, so the setting survives a restart."""
+        self._apply(self._rewrite(self.get(qid), {"visibility": visibility}, bumps=True))
 
     def remove(self, qid: int) -> list[dict]:
         """Remove a query and all its shredded features.
@@ -911,91 +836,49 @@ class QueryStore:
         ``SessionEdges`` are deleted and the owning session's ``numQueries``
         is decremented, so meta-SQL over the session relations never sees
         edges pointing at a query that no longer exists.  Returns copies of
-        the deleted edge rows (``replace_text`` restores them after a repair).
+        the deleted edge rows.
         """
         record = self.get(qid)
-        self._unindex(record)
-        self._changed()
-        for table_name in (
-            "Queries",
-            "DataSources",
-            "Attributes",
-            "Predicates",
-            "Projections",
-            "Joins",
-            "RuntimeStats",
-            "OutputSamples",
-            "Annotations",
-        ):
-            table = self._meta_db.table(table_name)
-            for row_id in self._feature_row_ids(table, qid):
-                table.delete(row_id)
+        change = _Change(removes=record, bumps=True)
+        for relation in (*RECORD_RELATIONS, "Annotations"):
+            change.deletes[relation] = self._row_ids(self._meta_db.table(relation), qid)
         edges = self._meta_db.table("SessionEdges")
         source, target = edges.schema.position("fromQid"), edges.schema.position("toQid")
         dangling = [
-            (row_id, row)
-            for row_id, row in list(edges.scan())
-            if row[source] == qid or row[target] == qid
+            (row_id, row) for row_id, row in edges.scan() if qid in (row[source], row[target])
         ]
-        for row_id, _ in dangling:
-            edges.delete(row_id)
+        change.deletes["SessionEdges"] = [row_id for row_id, _ in dangling]
         if record.session_id is not None:
-            self._adjust_session_count(record.session_id, -1)
+            change.updates["Sessions"] = [
+                (row_id, {"numQueries": max(0, (count or 0) - 1)})
+                for row_id, (session_id, _, _, _, count) in self._meta_db.table("Sessions").scan()
+                if session_id == record.session_id
+            ]
+        self._apply(change)
         return [edges.schema.as_dict(row) for _, row in dangling]
-
-    def _adjust_session_count(self, session_id: int, delta: int) -> None:
-        """Shift a session's ``numQueries`` after adding/removing a member."""
-        sessions = self._meta_db.table("Sessions")
-        key = sessions.schema.position("sessionId")
-        count = sessions.schema.position("numQueries")
-        for row_id, row in list(sessions.scan()):
-            if row[key] == session_id:
-                sessions.update(row_id, {"numQueries": max(0, (row[count] or 0) + delta)})
-                break  # session ids are unique in the Sessions relation
-
-    @staticmethod
-    def _feature_row_ids(table, qid: int) -> list[int]:
-        """Row ids of a feature relation's rows for ``qid`` (index-assisted)."""
-        index = table.index_for("qid")
-        if index is not None:
-            return sorted(index.lookup(qid))
-        position = table.schema.position("qid")
-        return [row_id for row_id, row in table.scan() if row[position] == qid]
 
     def replace_text(self, qid: int, new_text: str, features, canonical: str, template: str) -> None:
         """Replace a repaired query's text and re-shred its features.
 
-        The repaired query keeps its identity: annotation rows, session
-        edges, and the session membership captured before the remove/add
-        cycle are restored afterwards — both on the in-memory record and in
-        the feature relations, so meta-SQL over ``Annotations`` and
-        ``SessionEdges`` stays consistent with the record index.
+        Only the relations derived from the record are rewritten: the
+        repaired query keeps its identity, so its ``Annotations``,
+        ``SessionEdges`` and session membership are never touched.
         """
         record = self.get(qid)
-        annotations = list(record.annotations)
-        annotations_table = self._meta_db.table("Annotations")
-        annotation_rows = [
-            annotations_table.schema.as_dict(row)
-            for row in annotations_table.lookup("qid", qid)
-        ]
-        session_id = record.session_id
-        edge_rows = self.remove(qid)
-        record.text = new_text
-        record.features = features
-        record.canonical_text = canonical
-        record.template_text = template
-        record.flagged_invalid = False
-        record.invalid_reason = None
-        record.annotations = []
-        self.add(record)
-        record.annotations = annotations
-        record.session_id = session_id
-        if annotation_rows:
-            self._meta_db.insert_rows("Annotations", annotation_rows)
-        if edge_rows:
-            self._meta_db.insert_rows("SessionEdges", edge_rows)
-        if session_id is not None:
-            self._adjust_session_count(session_id, +1)
+        change = self._rewrite(
+            record,
+            {
+                "text": new_text,
+                "features": features,
+                "canonical_text": canonical,
+                "template_text": template,
+                "flagged_invalid": False,
+                "invalid_reason": None,
+            },
+            bumps=True,
+        )
+        change.removes = change.sets = record
+        self._apply(change)
 
     # -- statistics --------------------------------------------------------------------------
 
@@ -1056,24 +939,91 @@ def _feature_keys(record: LoggedQuery) -> set:
     return {*record.features.tables, *record.features.attributes}
 
 
-def _runtime_row(qid: int, runtime: RuntimeStats) -> dict[str, object]:
-    """The ``RuntimeStats`` row of a query's runtime statistics."""
-    return {
-        "qid": qid,
-        "elapsedSeconds": runtime.elapsed_seconds,
-        "cardinality": runtime.result_cardinality,
-        "rowsScanned": runtime.rows_scanned,
-        "succeeded": runtime.succeeded,
+def _row(relation: str, *values: object) -> dict[str, object]:
+    """A row of ``relation``: ``values`` in its schema's column order, named."""
+    return dict(zip(_COLUMNS[relation], values))
+
+
+def _rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
+    """Every meta row a record spells, per relation of :data:`RECORD_RELATIONS`.
+
+    The one spelling of a record as rows: :meth:`QueryStore.add` inserts
+    them, an update rewrites the ones whose values changed, and a reopen
+    reads them back (:func:`_record`).  A relation the record has no rows
+    for maps to an empty list.
+    """
+    qid, runtime, features = record.qid, record.runtime, record.features
+    rows = {
+        "Queries": [
+            _row(
+                "Queries", qid, record.text, record.user, record.group, record.timestamp,
+                record.statement_kind, record.visibility, not record.flagged_invalid,
+                record.invalid_reason, record.flag_count,
+            )
+        ],
+        "RuntimeStats": [
+            _row(
+                "RuntimeStats", qid, runtime.elapsed_seconds, runtime.result_cardinality,
+                runtime.rows_scanned, runtime.succeeded,
+            )
+        ],
+        "OutputSamples": [] if record.output is None else [_output_row(qid, record.output)],
     }
+    if features is None:
+        return rows | {relation: [] for relation in RECORD_RELATIONS[3:]}
+    rows["DataSources"] = [_row("DataSources", qid, table) for table in features.tables]
+    rows["Attributes"] = [_row("Attributes", qid, *pair) for pair in features.attributes]
+    rows["Predicates"] = [
+        _row("Predicates", qid, p.attribute, p.relation, p.op, _constant_text(p.constant))
+        for p in features.predicates
+    ]
+    rows["Projections"] = [_row("Projections", qid, *pair) for pair in features.projections]
+    rows["Joins"] = [
+        _row("Joins", qid, j.left_relation, j.left_attribute, j.right_relation, j.right_attribute)
+        for j in (join.normalized() for join in features.joins)
+    ]
+    return rows
 
 
 def _output_row(qid: int, summary: OutputSummary) -> dict[str, object]:
-    """The ``OutputSamples`` row of a query's output summary."""
-    return {
-        "qid": qid,
-        "columnNames": json.dumps(summary.columns, ensure_ascii=False),
-        "sampleRows": json.dumps(summary.rows, ensure_ascii=False),
-    }
+    """The ``OutputSamples`` row of :func:`_rows`: the summary's column names
+    and its rows as positional arrays, each one JSON array."""
+    columns = json.dumps(summary.columns, ensure_ascii=False)
+    return _row("OutputSamples", qid, columns, json.dumps(summary.rows, ensure_ascii=False))
+
+
+def _record(
+    row: tuple, runtime: Sequence[tuple], output: Sequence[tuple], annotations: Sequence[tuple]
+) -> LoggedQuery:
+    """The record whose ``Queries`` row is ``row``, read back with its
+    ``RuntimeStats``, ``OutputSamples`` and ``Annotations`` rows, each in
+    row-id order, the order they were written in (the inverse of
+    :func:`_rows`).  Rows are stored tuples in schema order, which the store
+    checks when it opens.  What is derived from the text and the session
+    are the caller's; the error message of a failed statement has no column."""
+    qid, text, user, group, timestamp, kind, visibility, valid, reason, flags = row
+    record = LoggedQuery(
+        qid=qid,
+        user=user or "",
+        group=group or "",
+        text=text or "",
+        timestamp=timestamp or 0.0,
+        statement_kind=kind or "unknown",
+        visibility=visibility or "group",
+        flagged_invalid=not valid,
+        invalid_reason=reason,
+        flag_count=flags or 0,
+        annotations=[body or "" for _, _, _, body in annotations],
+    )
+    for _, elapsed, cardinality, scanned, succeeded in runtime:
+        record.runtime = RuntimeStats(
+            elapsed or 0.0, cardinality or 0, scanned or 0, bool(succeeded)
+        )
+    for _, columns, sample in output:
+        record.output = QueryStore._rebuild_output_summary(
+            columns, sample, record.runtime.result_cardinality
+        )
+    return record
 
 
 def _constant_text(value: object) -> str | None:

@@ -107,6 +107,12 @@ class LoggedQuery:
         return self.statement_kind == "select"
 
     @property
+    def is_mined(self) -> bool:
+        """A SELECT with features: what the miner reads (so the only records
+        a session holds) and what the Query Storage's shape table files."""
+        return self.is_select and self.features is not None
+
+    @property
     def tables(self) -> list[str]:
         return list(self.features.tables) if self.features is not None else []
 

@@ -52,7 +52,7 @@ class TutorialGenerator:
         edit_patterns: Counter | None = None,
     ) -> list[TutorialSection]:
         """Produce the tutorial sections, most-used relations first."""
-        records = [r for r in self._store.select_queries() if r.features is not None]
+        records = [r for r in self._store.all_queries() if r.is_mined]
         table_popularity = self._store.table_popularity()
         schema = self._store.schema_columns()
         ordered_tables = sorted(

@@ -9,6 +9,7 @@ tokenize partially written queries that may end mid-clause.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import TokenizeError
@@ -46,6 +47,10 @@ KEYWORDS = frozenset(
 _MULTI_CHAR_OPERATORS = ("<>", "<=", ">=", "!=", "||")
 _SINGLE_CHAR_OPERATORS = "=<>+-*/%"
 _PUNCTUATION = "(),.;"
+#: A number: ASCII digits with an optional fraction, or a bare fraction, and
+#: an exponent only when digits follow its ``e`` (``1e`` reads as ``1`` and the
+#: identifier ``e``), so every NUMBER token converts with ``int`` or ``float``.
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,10 @@ def tokenize(text: str) -> list[Token]:
             token, i = _read_quoted_identifier(text, i)
             tokens.append(token)
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            token, i = _read_number(text, i)
-            tokens.append(token)
+        if "0" <= ch <= "9" or (ch == "." and i + 1 < n and "0" <= text[i + 1] <= "9"):
+            number = _NUMBER.match(text, i)
+            tokens.append(Token(TokenType.NUMBER, number.group(), i))
+            i = number.end()
             continue
         if ch.isalpha() or ch == "_":
             token, i = _read_word(text, i)
@@ -181,28 +187,6 @@ def _read_quoted_identifier(text: str, start: int) -> tuple[Token, int]:
         parts.append(ch)
         i += 1
     raise TokenizeError("unterminated quoted identifier", position=start)
-
-
-def _read_number(text: str, start: int) -> tuple[Token, int]:
-    i = start
-    n = len(text)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = text[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            seen_exp = True
-            i += 1
-            if i < n and text[i] in "+-":
-                i += 1
-        else:
-            break
-    return Token(TokenType.NUMBER, text[start:i], start), i
 
 
 def _read_word(text: str, start: int) -> tuple[Token, int]:

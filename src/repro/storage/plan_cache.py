@@ -275,7 +275,7 @@ class PlanCache:
             return None  # an INSERT or DDL text: the parse is its one reader
         try:
             shape, literals, values = _token_template(tokenize(text))
-        except (ReproError, ValueError):
+        except ReproError:
             return None  # the parse raises it
         entry = self._token_templates.get(shape)
         if isinstance(entry, _Sighting):
@@ -515,8 +515,7 @@ def _token_template(tokens: list[Token]) -> tuple[tuple, list[Token], list]:
 
     The shape is the stream with each NUMBER/STRING token written as its
     kind (``5``, ``5.0`` and ``'5'`` differ) and each identifier marked as
-    one (a quoted ``"SELECT"`` is not the keyword).  Raises ``ValueError``
-    for a number the parser cannot read either.
+    one (a quoted ``"SELECT"`` is not the keyword).
     """
     shape: list[str] = []
     literals: list[Token] = []
@@ -556,7 +555,7 @@ def _prove(
         sentinel_text, sentinels = _sentinel_text(text, literals, values, pinned)
         try:
             statement, params = parameterize_statement(parse(sentinel_text))
-        except (ReproError, ValueError):
+        except ReproError:
             return None
         if len(params) != len(own):
             return None

@@ -410,6 +410,24 @@ def test_logged_text_is_the_comment_stripped_text(logging_cqms, sql):
     assert logging_cqms.submit("alice", sql).record.text == _logged_text(sql)
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        pytest.param("SELECT name FROM Lakes WHERE max_depth_m < 1e", id="bare-exponent"),
+        pytest.param("SELECT name FROM Lakes WHERE max_depth_m < 1E+", id="signed-bare-exponent"),
+        pytest.param("SELECT name FROM Lakes WHERE max_depth_m < \u00b2", id="unicode-digit"),
+    ],
+)
+def test_a_malformed_number_is_logged_once(logging_cqms, sql):
+    """A number token is ASCII digits, with an exponent only when digits
+    follow its ``e``: such a text is logged as one record, and ``submit``
+    no longer raises ``ValueError`` from converting the token."""
+    before = len(logging_cqms.store)
+    execution = logging_cqms.submit("alice", sql)
+    assert execution.record.text == sql
+    assert len(logging_cqms.store) == before + 1
+
+
 def make_record(qid, sql, user, timestamp):
     return LoggedQuery(
         qid=qid,

@@ -64,6 +64,21 @@ class TestBasicTokens:
         assert tokens[1].position == 7
 
 
+class TestNumbers:
+    def test_exponent_needs_digits(self):
+        assert kinds("1e")[:2] == [TokenType.NUMBER, TokenType.IDENTIFIER]
+        assert values("1E+") == ["1", "E", "+"]
+        assert values("1e-4x") == ["1e-4", "x"]
+
+    def test_fractions(self):
+        assert values("1. .5 1.e5 1.2.3") == ["1.", ".5", "1.e5", "1.2", ".3"]
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+    def test_only_ascii_digits_start_a_number(self, digit):
+        with pytest.raises(TokenizeError):
+            tokenize(f"x < {digit}")
+
+
 class TestOperators:
     @pytest.mark.parametrize("op", ["=", "<", ">", "<=", ">=", "<>", "!=", "+", "-", "*", "/", "%", "||"])
     def test_operator_recognized(self, op):
