@@ -655,15 +655,26 @@ class QueryStore:
             self._changed()
 
     def _rewrite(
-        self, record: LoggedQuery, fields: dict[str, object], bumps: bool = False
+        self,
+        record: LoggedQuery,
+        fields: dict[str, object],
+        bumps: bool = False,
+        relations: Sequence[str] = (),
     ) -> _Change:
-        """The change that assigns ``fields`` on ``record``: every row of its
-        own relations that the new values spell differently is updated in
-        place, column by column, and rows past the old or new count are
-        deleted or inserted."""
+        """The change that assigns ``fields`` on ``record``.  It touches the
+        relations whose spelling (:func:`_rows`) the new values change, and
+        every one of ``relations``; in each, the stored rows of the qid are
+        updated in place where the new spelling differs, column by column,
+        and rows past the stored or new count are deleted or inserted.  A
+        relation the new values spell as before keeps its rows, even where
+        they differ from the record (a log reopened in ``"text"`` mode keeps
+        the feature rows written under ``"features"``)."""
         change = _Change(assigns=[(record, fields)], bumps=bumps)
-        for relation, rows in _rows(replace(record, **fields)).items():
-            table = self._meta_db.table(relation)
+        before, after = _rows(record), _rows(replace(record, **fields))
+        for relation in RECORD_RELATIONS:
+            if relation not in relations and before[relation] == after[relation]:
+                continue
+            rows, table = after[relation], self._meta_db.table(relation)
             row_ids = self._row_ids(table, record.qid)
             for row_id, row in zip(row_ids, rows):
                 stored = table.get(row_id)
@@ -829,14 +840,13 @@ class QueryStore:
         on the record and in ``Queries``, so the setting survives a restart."""
         self._apply(self._rewrite(self.get(qid), {"visibility": visibility}, bumps=True))
 
-    def remove(self, qid: int) -> list[dict]:
+    def remove(self, qid: int) -> None:
         """Remove a query and all its shredded features.
 
         Session rows referencing the query are cleaned up too: its
         ``SessionEdges`` are deleted and the owning session's ``numQueries``
         is decremented, so meta-SQL over the session relations never sees
-        edges pointing at a query that no longer exists.  Returns copies of
-        the deleted edge rows.
+        edges pointing at a query that no longer exists.
         """
         record = self.get(qid)
         change = _Change(removes=record, bumps=True)
@@ -844,10 +854,9 @@ class QueryStore:
             change.deletes[relation] = self._row_ids(self._meta_db.table(relation), qid)
         edges = self._meta_db.table("SessionEdges")
         source, target = edges.schema.position("fromQid"), edges.schema.position("toQid")
-        dangling = [
-            (row_id, row) for row_id, row in edges.scan() if qid in (row[source], row[target])
+        change.deletes["SessionEdges"] = [
+            row_id for row_id, row in edges.scan() if qid in (row[source], row[target])
         ]
-        change.deletes["SessionEdges"] = [row_id for row_id, _ in dangling]
         if record.session_id is not None:
             change.updates["Sessions"] = [
                 (row_id, {"numQueries": max(0, (count or 0) - 1)})
@@ -855,13 +864,13 @@ class QueryStore:
                 if session_id == record.session_id
             ]
         self._apply(change)
-        return [edges.schema.as_dict(row) for _, row in dangling]
 
     def replace_text(self, qid: int, new_text: str, features, canonical: str, template: str) -> None:
         """Replace a repaired query's text and re-shred its features.
 
-        Only the relations derived from the record are rewritten: the
-        repaired query keeps its identity, so its ``Annotations``,
+        Only the relations derived from the record are rewritten, all five
+        feature relations among them, since each row there describes the old
+        text: the repaired query keeps its identity, so its ``Annotations``,
         ``SessionEdges`` and session membership are never touched.
         """
         record = self.get(qid)
@@ -876,6 +885,7 @@ class QueryStore:
                 "invalid_reason": None,
             },
             bumps=True,
+            relations=RECORD_RELATIONS[3:],
         )
         change.removes = change.sets = record
         self._apply(change)

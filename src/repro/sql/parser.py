@@ -695,7 +695,14 @@ class _Parser:
 
 
 def number_value(text: str) -> int | float:
-    """Convert a numeric literal's text to int when possible, else float."""
+    """Convert a numeric literal's text to int when possible, else float.
+
+    Raises :class:`ParseError` for an integer literal past Python's
+    string-conversion digit limit, as ``_Parser._parse_integer`` does.
+    """
     if "." in text or "e" in text or "E" in text:
         return float(text)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"integer literal of {len(text)} digits is too long") from exc

@@ -49,7 +49,8 @@ _SINGLE_CHAR_OPERATORS = "=<>+-*/%"
 _PUNCTUATION = "(),.;"
 #: A number: ASCII digits with an optional fraction, or a bare fraction, and
 #: an exponent only when digits follow its ``e`` (``1e`` reads as ``1`` and the
-#: identifier ``e``), so every NUMBER token converts with ``int`` or ``float``.
+#: identifier ``e``), so a NUMBER token converts with ``int`` or ``float``
+#: (``parser.number_value`` raises ``ParseError`` past ``int``'s digit limit).
 _NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 

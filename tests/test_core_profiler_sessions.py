@@ -416,12 +416,16 @@ def test_logged_text_is_the_comment_stripped_text(logging_cqms, sql):
         pytest.param("SELECT name FROM Lakes WHERE max_depth_m < 1e", id="bare-exponent"),
         pytest.param("SELECT name FROM Lakes WHERE max_depth_m < 1E+", id="signed-bare-exponent"),
         pytest.param("SELECT name FROM Lakes WHERE max_depth_m < \u00b2", id="unicode-digit"),
+        pytest.param(
+            "SELECT name FROM Lakes WHERE max_depth_m < " + "9" * 5000, id="over-long-integer"
+        ),
     ],
 )
 def test_a_malformed_number_is_logged_once(logging_cqms, sql):
     """A number token is ASCII digits, with an exponent only when digits
-    follow its ``e``: such a text is logged as one record, and ``submit``
-    no longer raises ``ValueError`` from converting the token."""
+    follow its ``e``, and an integer past ``int``'s digit limit is a parse
+    error: such a text is logged as one record, and ``submit`` no longer
+    raises ``ValueError`` from converting the token."""
     before = len(logging_cqms.store)
     execution = logging_cqms.submit("alice", sql)
     assert execution.record.text == sql

@@ -120,8 +120,11 @@ def persisted(record: LoggedQuery) -> LoggedQuery:
     )
 
 
-def durable_cqms(data_dir: str) -> CQMS:
-    return CQMS(build_database("limnology", scale=1, seed=7), config=CQMSConfig(data_dir=data_dir))
+def durable_cqms(data_dir: str, **config) -> CQMS:
+    return CQMS(
+        build_database("limnology", scale=1, seed=7),
+        config=CQMSConfig(data_dir=data_dir, **config),
+    )
 
 
 STATEMENTS = [
@@ -209,3 +212,40 @@ def test_reopen_keeps_a_non_member_out_of_sessions(tmp_path):
             f"SELECT numQueries FROM Sessions WHERE sessionId = {session_id}"
         ).scalar()
         assert count == 3
+
+
+def test_text_mode_reopen_keeps_feature_rows(tmp_path):
+    """A log written in ``"features"`` mode and reopened in ``"text"`` mode
+    holds records without features but keeps their feature rows, which the
+    meta-SQL reads.  A flag, a visibility change or a runtime refresh writes
+    only the relation whose spelling it changes, so those rows stay; a
+    repair deletes them, since they describe the old text."""
+    data_dir = str(tmp_path / "store")
+    with durable_cqms(data_dir) as cqms:
+        cqms.register_user("alice", group="lab")
+        for user, sql in STATEMENTS[:2]:
+            cqms.submit(user, sql)
+    feature_relations = RECORD_RELATIONS[3:]
+    with durable_cqms(data_dir, profiling_mode="text") as cqms:
+        store = cqms.store
+        assert store.get(2).features is None
+        before = {relation: stored_rows(store, relation) for relation in feature_relations}
+        assert before["DataSources"][2] and before["Joins"][2]
+        store.set_visibility(2, "private")
+        store.mark_invalid(2, "stale")
+        store.mark_invalid(1, "unused")
+        store.mark_valid(1)
+        store.set_runtime(2, RuntimeStats(elapsed_seconds=0.5, result_cardinality=1))
+        assert {relation: stored_rows(store, relation) for relation in feature_relations} == before
+        for relation in ("Queries", "RuntimeStats", "OutputSamples"):
+            by_qid = stored_rows(store, relation)
+            for qid in (1, 2):
+                assert by_qid.get(qid, []) == _rows(store.get(qid))[relation], (relation, qid)
+        repaired = "SELECT name FROM Lakes"
+        store.replace_text(
+            2, repaired, None, canonical_text(repaired),
+            canonical_text(repaired, strip_constants=True),
+        )
+        after = {relation: stored_rows(store, relation) for relation in feature_relations}
+        assert all(2 not in by_qid for by_qid in after.values())
+        assert after["DataSources"][1] == before["DataSources"][1]
