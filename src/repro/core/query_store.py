@@ -560,15 +560,12 @@ class QueryStore:
         return entry.artefacts
 
     def template_artefacts(
-        self, template: tuple | None, key: tuple, build: Callable[[], TemplateArtefacts]
+        self, template: tuple, key: tuple, build: Callable[[], TemplateArtefacts]
     ) -> TemplateArtefacts:
         """The :class:`~repro.core.records.TemplateArtefacts` filed for the
         user DBMS's token ``template`` under ``key`` (see :meth:`artefacts`).
-        The first text of an admitted template builds them with ``build`` and
-        files them for the later ones; a text whose template is not admitted
-        (``None``) builds its own."""
-        if template is None:
-            return build()
+        The template's first text builds them with ``build`` and files them
+        for the later ones."""
         shared = self._templates.get((template, key))
         if shared is None:
             shared = self._templates[(template, key)] = build()

@@ -61,13 +61,18 @@ _NON_RESERVED_KEYWORDS = frozenset(
 )
 
 
-def parse(sql: str) -> Statement:
+def parse(sql: str | list[Token], sources: list | None = None) -> Statement:
     """Parse a single SQL statement and return its AST.
 
-    A trailing semicolon is allowed.  Raises :class:`~repro.errors.ParseError`
-    on malformed input.
+    ``sql`` is the text or its :func:`~repro.sql.tokenizer.tokenize` list.
+    ``sources``, when given, receives a ``(Literal, Token)`` pair for each
+    literal node made from a NUMBER or STRING token: the node holds that
+    token's value.  Every other literal token (``LIMIT``, ``OFFSET``, a
+    ``VARCHAR`` length) is read as an integer and makes no node.  A trailing
+    semicolon is allowed.  Raises :class:`~repro.errors.ParseError` on
+    malformed input.
     """
-    parser = _Parser(tokenize(sql))
+    parser = _Parser(tokenize(sql) if isinstance(sql, str) else sql, sources)
     statement = parser.parse_statement()
     parser.expect_end()
     return statement
@@ -95,9 +100,10 @@ def parse_expression(sql: str) -> Expression:
 class _Parser:
     """Token-stream cursor with one-token lookahead."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], sources: list | None = None):
         self._tokens = tokens
         self._pos = 0
+        self._sources = [] if sources is None else sources
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -596,12 +602,13 @@ class _Parser:
 
     def _parse_primary(self) -> Expression:
         token = self.current
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
             self.advance()
-            return Literal(number_value(token.value))
-        if token.type is TokenType.STRING:
-            self.advance()
-            return Literal(token.value)
+            literal = Literal(
+                number_value(token.value) if token.type is TokenType.NUMBER else token.value
+            )
+            self._sources.append((literal, token))
+            return literal
         if token.is_keyword("NULL"):
             self.advance()
             return Literal(None)

@@ -538,21 +538,21 @@ class Database:
         bound to the text's constants.  The statement cache answers a
         byte-identical text with a dict lookup and a text whose token
         template it has admitted with one tokenize (``cache_hit``); any
-        other text is parsed, prepared and remembered.  Other statements,
-        and every statement with the plan cache off, are the parse itself.
+        other text is parsed from those tokens, prepared, remembered and its
+        token template admitted.  Other statements, and every statement with
+        the plan cache off, are the parse itself.
         """
         cache = self._plan_cache
-        if cache is not None:
-            prepared = cache.lookup_statement(text)
-            if prepared is not None:
-                return prepared.statement, prepared, True
-        statement = parse(text)
-        if cache is None or not isinstance(
-            statement, (SelectStatement, UpdateStatement, DeleteStatement)
-        ):
+        if cache is None:
+            return parse(text), None, False
+        prepared, tokens = cache.lookup_statement(text)
+        if prepared is not None:
+            return prepared.statement, prepared, True
+        sources: list = []
+        statement = parse(text if tokens is None else tokens, sources)
+        if not isinstance(statement, (SelectStatement, UpdateStatement, DeleteStatement)):
             return statement, None, False
-        prepared = cache.prepare(statement)
-        cache.store_statement(text, prepared)
+        prepared = cache.store_statement(text, statement, tokens, sources)
         return prepared.statement, prepared, False
 
     # -- execution ------------------------------------------------------------------

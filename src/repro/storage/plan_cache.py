@@ -26,11 +26,13 @@ plan each *template* once:
   token stream with each NUMBER/STRING token replaced by its kind (int,
   float, text) — looked up: a hit binds the literal tokens' values into the
   template's parameterized statement, so a fresh constant costs one tokenize
-  and no parse.  A token template is admitted on its second sighting, and
-  only once a parse of its text with every literal token replaced by a
-  distinct sentinel of the same kind proves which parameter each literal
-  token feeds; a literal token that feeds none (``LIMIT 10``) is pinned to
-  its text.  Anything unproven keeps parsing.
+  and no parse.  A miss is parsed from those same tokens, and the parse
+  records which token each literal node was made from; that record admits
+  the text's token template at once.  A parameter made from a literal token
+  takes that token's value; one that no token makes (``TRUE``, a CAST's type
+  name) keeps the template's value.  A literal token that makes no
+  parameter (``LIMIT 10``) is pinned to its text, so a text writing it
+  otherwise is a miss, and its parse admits the template again.
 * **Invalidation** — each cached plan snapshots, per touched table, the
   table's identity, ``schema_version``, ``version``, row count, and (when
   available) its statistics.  DDL and index changes require an exact
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.sql.ast_nodes import (
     DeleteStatement,
-    SelectStatement,
+    Literal,
     Statement,
     TableRef,
     UpdateStatement,
@@ -62,7 +64,7 @@ from repro.sql.canonicalize import (
     parameterize_statement,
 )
 from repro.sql.formatter import format_statement
-from repro.sql.parser import number_value, parse
+from repro.sql.parser import number_value
 from repro.sql.tokenizer import Token, TokenType, tokenize
 
 #: Default number of cached plans kept by a Database.
@@ -137,8 +139,8 @@ class PreparedStatement:
     values: list
     params: list[ParamLiteral]
     table_names: tuple[str, ...]
-    #: The text's token template (pinned literal tokens written out) once
-    #: the statement cache admitted it; ``None`` until then.
+    #: The text's token template (pinned literal tokens written out) when
+    #: the statement cache prepared the text; ``None`` for a bare statement.
     template: tuple | None = None
 
 
@@ -163,29 +165,18 @@ class _TemplateKey:
 class _TokenTemplate:
     """An admitted token template: how a text of this shape binds.
 
-    ``prepared`` is the admitted instance (its statement, parameters, key and
-    tables are every instance's).  ``slots`` gives, per parameter in
-    canonical order, the index of the literal token whose value it takes, or
-    -1 for a constant the template's other tokens fix (``TRUE``, a CAST's
-    type name), whose value ``prepared.values`` holds.  ``pinned`` lists the
-    literal tokens that feed no parameter, ``(index, text)``: a text matches
-    only with those tokens written the same.
+    ``prepared`` is the admitted instance (its statement, parameters, key,
+    tables and token template are every instance's).  ``slots`` gives, per
+    parameter in canonical order, the index of the literal token whose value
+    it takes, or -1 for a constant the template's other tokens fix
+    (``TRUE``, a CAST's type name), whose value ``prepared.values`` holds.
+    ``pinned`` lists the literal tokens that feed no parameter, ``(index,
+    text)``: a text matches only with those tokens written the same.
     """
 
-    template: tuple
     prepared: PreparedStatement
     slots: tuple[int, ...]
     pinned: tuple[tuple[int, str], ...]
-
-
-@dataclass
-class _Sighting:
-    """A text of a token template not yet proven, as it was prepared."""
-
-    text: str
-    literals: list[Token]
-    values: list
-    prepared: PreparedStatement
 
 
 @dataclass
@@ -244,17 +235,18 @@ class PlanCache:
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self._templates: OrderedDict[str, _TemplateKey] = OrderedDict()
         self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
-        #: Token templates by shape: admitted, seen once (a proof pending)
-        #: or not provable (None).
-        self._token_templates: OrderedDict[tuple, _TokenTemplate | _Sighting | None] = (
-            OrderedDict()
-        )
+        #: The admitted token template of each shape.
+        self._token_templates: OrderedDict[tuple, _TokenTemplate] = OrderedDict()
         self._stats = PlanCacheStats(capacity=capacity)
 
     # -- statement cache (raw text → prepared statement) --------------------------
 
-    def lookup_statement(self, text: str) -> PreparedStatement | None:
-        """The prepared statement of raw SQL text without a parse, or None.
+    def lookup_statement(
+        self, text: str
+    ) -> tuple[PreparedStatement | None, list[Token] | None]:
+        """``(prepared, None)`` for raw SQL text the cache answers without a
+        parse, else ``(None, tokens)``: the text's tokens when it was
+        tokenized, for the parse to read.
 
         A byte-identical text is a dict lookup; otherwise the text is
         tokenized and its token template looked up, and a hit binds the
@@ -269,19 +261,18 @@ class PlanCache:
             self._statements.move_to_end(text)
             _bind(prepared.params, prepared.values)
             self._stats.statement_hits += 1
-            return prepared
+            return prepared, None
         head = text[:64].lstrip()
-        if head[:6].upper() not in _CACHEABLE_STARTS and head[:2] not in ("--", "/*"):
-            return None  # an INSERT or DDL text: the parse is its one reader
+        if head and head[:6].upper() not in _CACHEABLE_STARTS and head[:2] not in ("--", "/*"):
+            return None, None  # an INSERT or DDL text: the parse is its one reader
         try:
-            shape, literals, values = _token_template(tokenize(text))
+            tokens = tokenize(text)
+            shape, literals, values = _token_template(tokens)
         except ReproError:
-            return None  # the parse raises it
+            return None, None  # the parse raises it
         entry = self._token_templates.get(shape)
-        if isinstance(entry, _Sighting):
-            entry = self._admit(shape, entry)
         if entry is None or any(literals[i].value != raw for i, raw in entry.pinned):
-            return None
+            return None, tokens
         self._token_templates.move_to_end(shape)
         admitted = entry.prepared
         bound = [
@@ -295,49 +286,64 @@ class PlanCache:
             values=bound,
             params=admitted.params,
             table_names=admitted.table_names,
-            template=entry.template,
+            template=admitted.template,
         )
         self._remember(text, prepared)
         self._stats.statement_hits += 1
         self._stats.template_hits += 1
-        return prepared
+        return prepared, None
 
-    def store_statement(self, text: str, prepared: PreparedStatement) -> None:
-        """Remember a freshly parsed and prepared statement under its raw SQL
-        text, and its token template as sighted.
+    def store_statement(
+        self,
+        text: str,
+        statement: Statement,
+        tokens: list[Token],
+        sources: list[tuple[Literal, Token]],
+    ) -> PreparedStatement:
+        """Prepare a freshly parsed SELECT/UPDATE/DELETE, remember it under
+        its raw SQL text and admit the text's token template.
 
-        Only plan-cacheable statement kinds are remembered (DDL and INSERT
-        never reach :meth:`prepare`); counts one statement-cache miss, so the
-        hit rate reflects cacheable traffic only.  The memo needs no
+        ``statement`` is the parse of ``tokens``, the text's tokens, and
+        ``sources`` the parse's ``(Literal, Token)`` record (see
+        :func:`~repro.sql.parser.parse`).  Counts one statement-cache miss,
+        so the hit rate reflects cacheable traffic only.  The memo needs no
         data-dependent invalidation — it maps text to an AST, and planning
-        re-resolves tables against the live catalog every time.  A token
-        template is proven when a second text of its shape arrives, so a
-        shape seen once pays no proof; an admitted shape whose pinned tokens
-        this text writes otherwise is proven again with this text.
+        re-resolves tables against the live catalog every time.
+
+        The parser makes a literal node of a NUMBER/STRING token only with
+        that token's value, and reads any other literal token as an integer
+        that makes no node.  So a text with the same token stream, pinned
+        tokens written the same, parses to this statement with its own
+        constants in the recorded places: the template needs no proof.
         """
-        if not isinstance(
-            prepared.statement, (SelectStatement, UpdateStatement, DeleteStatement)
-        ):
-            return
+        prepared = self.prepare(statement)
         self._stats.statement_misses += 1
         self._remember(text, prepared)
-        shape, literals, values = _token_template(tokenize(text))
-        if shape not in self._token_templates:
-            self._token_templates[shape] = _Sighting(text, literals, values, prepared)
-            _trim(self._token_templates, self.capacity)
-        elif self._token_templates[shape] is not None:
-            self._admit(shape, _Sighting(text, literals, values, prepared))
-
-    def _admit(self, shape: tuple, sighting: "_Sighting") -> _TokenTemplate | None:
-        """Prove a sighted text's token template and file the outcome."""
-        prepared = sighting.prepared
-        _bind(prepared.params, prepared.values)  # another instance may have run since
-        entry = _prove(sighting.text, shape, sighting.literals, sighting.values, prepared)
-        if entry is not None or not isinstance(self._token_templates.get(shape), _TokenTemplate):
-            self._token_templates[shape] = entry
-        if entry is not None:
-            prepared.template = entry.template
-        return entry
+        shape, literals, _ = _token_template(tokens)
+        index = {token: i for i, token in enumerate(literals)}
+        # ``sources`` keeps each node alive, so no id is reused meanwhile.
+        made_from = {id(literal): index[token] for literal, token in sources}
+        # parameterize_statement makes a parameter of each non-NULL literal
+        # in walk order; prepare put them in canonical order.
+        made = [
+            made_from.get(id(node), -1)
+            for node in walk(statement)
+            if type(node) is Literal and node.value is not None
+        ]
+        slots = tuple(made[i] for i in self._templates[prepared.key[2]].order)
+        unread = set(range(len(literals))) - set(slots)
+        prepared.template = tuple(
+            part + "=" + token.value if index.get(token) in unread else part
+            for part, token in zip(shape, tokens)
+        )
+        self._token_templates[shape] = _TokenTemplate(
+            prepared=prepared,
+            slots=slots,
+            pinned=tuple((i, literals[i].value) for i in sorted(unread)),
+        )
+        self._token_templates.move_to_end(shape)
+        _trim(self._token_templates, self.capacity)
+        return prepared
 
     def _remember(self, text: str, prepared: PreparedStatement) -> None:
         self._statements[text] = prepared
@@ -507,7 +513,6 @@ def _bind(params: list[ParamLiteral], values: list) -> None:
 
 #: How a literal token is written in a token template: its kind, not its text.
 _KINDS = {int: "'int", float: "'float", str: "'text"}
-_KIND_NAMES = frozenset(_KINDS.values())
 
 
 def _token_template(tokens: list[Token]) -> tuple[tuple, list[Token], list]:
@@ -532,101 +537,3 @@ def _token_template(tokens: list[Token]) -> tuple[tuple, list[Token], list]:
         else:
             shape.append(token.value)
     return tuple(shape), literals, values
-
-
-def _prove(
-    text: str, shape: tuple, literals: list[Token], values: list, prepared: PreparedStatement
-) -> _TokenTemplate | None:
-    """Prove which parameter of ``prepared`` each literal token of ``text`` feeds.
-
-    The text is parsed again with every literal token replaced by a distinct
-    sentinel of its kind.  A parameter of that parse holding a sentinel reads
-    its token; one holding anything else (``TRUE``, a CAST's type name) must
-    hold what the text's own parameter holds.  A literal token that feeds no
-    parameter (``LIMIT 10``) is pinned — written as in the text — and the
-    sentinel parse is repeated once.  With the proven values put back, the
-    sentinel parse's statement must equal the text's: then the statement of
-    any text with this token stream is the template's with its own constants
-    in the proven slots.  ``None`` when anything does not hold.
-    """
-    own = collect_parameters(prepared.statement)
-    pinned: set[int] = set()
-    for _ in range(2):
-        sentinel_text, sentinels = _sentinel_text(text, literals, values, pinned)
-        try:
-            statement, params = parameterize_statement(parse(sentinel_text))
-        except ReproError:
-            return None
-        if len(params) != len(own):
-            return None
-        sources: list[int] = []
-        for mine, theirs in zip(own, params):
-            source = sentinels.get((type(theirs.value), theirs.value), -1)
-            if source < 0 and (
-                type(theirs.value) is not type(mine.value) or theirs.value != mine.value
-            ):
-                return None
-            sources.append(source)
-        fed = [source for source in sources if source >= 0]
-        if len(set(fed)) != len(fed):
-            return None
-        unfed = set(range(len(literals))) - pinned - set(fed)
-        if unfed:
-            pinned |= unfed
-            continue
-        _bind(params, [param.value for param in own])
-        if statement != prepared.statement:
-            return None
-        position = {id(param): index for index, param in enumerate(own)}
-        slots = tuple(sources[position[id(param)]] for param in prepared.params)
-        template = list(shape)
-        at = [place for place, part in enumerate(shape) if part in _KIND_NAMES]
-        for index in pinned:
-            template[at[index]] += "=" + literals[index].value
-        return _TokenTemplate(
-            template=tuple(template),
-            prepared=prepared,
-            slots=slots,
-            pinned=tuple((index, literals[index].value) for index in sorted(pinned)),
-        )
-    return None
-
-
-def _sentinel_text(
-    text: str, literals: list[Token], values: list, pinned: set[int]
-) -> tuple[str, dict[tuple[type, object], int]]:
-    """``text`` with each literal token not in ``pinned`` replaced by a
-    sentinel of its kind, and ``{(type, sentinel value): token index}``.
-
-    Sentinels differ from each other and from every value the text holds;
-    each is written with a space either side, which keeps the token stream's
-    shape.
-    """
-    taken = {(type(value), value) for value in values}
-    sentinels: dict[tuple[type, object], int] = {}
-    parts: list[str] = []
-    done = 0
-    counter = 0
-    for index, token in enumerate(literals):
-        if index in pinned:
-            continue
-        while True:
-            counter += 1
-            kind = type(values[index])
-            if kind is str:
-                value = f"sentinel {counter}"
-                written = f"'{value}'"
-            else:
-                written = f"{900_000_000_000_000 + counter}" + (".5" if kind is float else "")
-                value = kind(written)
-            if (kind, value) not in taken:
-                break
-        sentinels[(kind, value)] = index
-        if token.type is TokenType.STRING:
-            end = token.position + len(token.value) + token.value.count("'") + 2
-        else:
-            end = token.position + len(token.value)
-        parts += [text[done:token.position], " ", written, " "]
-        done = end
-    parts.append(text[done:])
-    return "".join(parts), sentinels

@@ -10,6 +10,7 @@ the Query Profiler's record of it (record equality).
 from __future__ import annotations
 
 import copy
+import functools
 import random
 
 import pytest
@@ -106,6 +107,61 @@ def _kind_of(token) -> str:
     return "float" if any(mark in token.value for mark in ".eE") else "int"
 
 
+def instance(text: str, number: int) -> str:
+    """``text`` with each number written as ``number`` (a float as
+    ``number.5``), but for the ones its token template pins: LIMIT, OFFSET
+    and a VARCHAR length.  Strings are kept."""
+    tokens = tokenize(text)
+    kept = {
+        token.position
+        for before, token in zip(tokens, tokens[1:])
+        if before.value in ("LIMIT", "OFFSET") or (before.value == "(" and "VARCHAR" in text)
+    }
+
+    def constant(token) -> str:
+        if token.type is TokenType.STRING or token.position in kept:
+            return written(token)
+        return f"{number}.5" if _kind_of(token) == "float" else str(number)
+
+    return redraw(text, constant)
+
+
+#: Token-level edits of a corpus text (see :func:`edited`).
+EDITS = ("kind", "negative", "limit", "in_list", "quotes")
+
+
+def edited(text: str, edit: str, place: int) -> str | None:
+    """``text`` with one token-level ``edit`` at the ``place``-th token it
+    fits (counted round), or None when it fits none: a literal of another
+    kind (``5`` → ``'7'``, ``5.5`` or ``'x'`` → ``7``), a ``-`` put before a
+    number, a LIMIT/OFFSET value changed, an IN list lengthened by a value of
+    its first one's kind, or a string with ``''`` escapes."""
+    tokens = tokenize(text)
+    fits: list[tuple] = []
+    for index, token in enumerate(tokens):
+        number = token.type is TokenType.NUMBER
+        literal = number or token.type is TokenType.STRING
+        before = [other.value for other in tokens[max(0, index - 2):index]]
+        if edit == "kind" and literal:
+            new = "'7'" if _kind_of(token) == "int" else "7"
+        elif edit == "negative" and number:
+            new = "-" + token.value
+        elif edit == "limit" and number and before[-1:] in (["LIMIT"], ["OFFSET"]):
+            new = str(int(token.value) + 1)
+        elif edit == "in_list" and literal and before == ["IN", "("]:
+            longer = token.value + "1" if number else written(token)[:-1] + "z'"
+            new = written(token) + ", " + longer
+        elif edit == "quotes" and not number and literal:
+            new = "'it''s " + written(token)[1:]
+        else:
+            continue
+        fits.append((token, new))
+    if not fits:
+        return None
+    token, new = fits[place % len(fits)]
+    return text[:token.position] + new + text[_literal_end(token):]
+
+
 _ENGINES: dict[str, tuple] = {}
 _CORPUS: list[tuple[str, str]] = []
 
@@ -128,6 +184,12 @@ def _corpus() -> list[tuple[str, str]]:
     return _CORPUS
 
 
+@functools.cache
+def _fitting(edit: str) -> list[tuple[str, str]]:
+    """The corpus texts ``edit`` fits."""
+    return [(domain, text) for domain, text in _corpus() if edited(text, edit, 0) is not None]
+
+
 def _rows(rows) -> list:
     """Rows as a sorted multiset; floats to 9 digits (a cached plan may join,
     and so sum, in another order than a cold one)."""
@@ -147,15 +209,16 @@ def _run(database, text):
         return None, (type(error), str(error))
 
 
-def check_against_a_fresh_parse(domain: str, text: str) -> bool:
+def check_against_a_fresh_parse(domain: str, text: str) -> bool | None:
     """Run ``text`` through the cached engine and compare it with a parse and
-    a cache-off run; True when the cached run was a statement-cache hit."""
+    a cache-off run; True when the cached run was a statement-cache hit,
+    None when the text failed on both."""
     cached_db, cold_db = _engines(domain)
     result, error = _run(cached_db, text)
     cold, cold_error = _run(cold_db, text)
     assert error == cold_error, text
     if result is None:
-        return False
+        return None
     assert result.rowcount == cold.rowcount and _rows(result.rows) == _rows(cold.rows), text
     parsed = parse(text)
     statement = with_constants(result.statement)
@@ -181,8 +244,8 @@ class TestTokenTemplatesAgreeWithTheParser:
     def test_redrawn_constants_read_as_a_fresh_parse(self, data):
         domain, text = data.draw(st.sampled_from(_corpus()))
         dml = not text.lstrip().upper().startswith("SELECT")
-        # Three instances of one token template: the first is parsed unless
-        # the template was admitted, the second proves it.
+        # Three instances of one token template: the first is parsed (and
+        # its template admitted) unless the template was admitted already.
         for _ in range(3):
             texts = redraw(
                 text,
@@ -203,27 +266,33 @@ class TestTokenTemplatesAgreeWithTheParser:
             )
             check_against_a_fresh_parse(domain, texts)
 
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(st.data())
+    def test_token_edits_read_as_a_fresh_parse(self, data):
+        """Corpus texts with one token-level edit: the edited shape's first
+        instance admits its template and the second binds into it."""
+        edit = data.draw(st.sampled_from(EDITS))
+        domain, text = data.draw(st.sampled_from(_fitting(edit)))
+        place = data.draw(st.integers(0, 20))
+        dml = not text.lstrip().upper().startswith("SELECT")
+        numbers = data.draw(st.lists(st.integers(0, 20 if dml else 400), min_size=2, max_size=2))
+        for number in numbers:
+            texts = edited(instance(text, number), edit, place)
+            hit = check_against_a_fresh_parse(domain, texts)
+        # One shape, pinned tokens alike: a second instance that runs binds.
+        assert hit is not False, texts
+
     @pytest.mark.parametrize("text", EDGE_CASES)
     def test_each_edge_case_is_admitted_and_rebinds(self, text):
-        """Every edge case is provable: its third instance is a hit.  Numbers
-        move; LIMIT, OFFSET and a VARCHAR length stay, as they are pinned."""
-        tokens = tokenize(text)
-        kept = {
-            token.position
-            for before, token in zip(tokens, tokens[1:])
-            if before.value in ("LIMIT", "OFFSET") or (before.value == "(" and "VARCHAR" in text)
-        }
-
-        def instance(number: int) -> str:
-            def constant(token) -> str:
-                if token.type is TokenType.STRING or token.position in kept:
-                    return written(token)
-                return f"{number}.5" if _kind_of(token) == "float" else str(number)
-
-            return redraw(text, constant)
-
-        hits = [check_against_a_fresh_parse("limnology", instance(n)) for n in (3, 4, 5)]
-        assert hits[2], text
+        """Every edge case is admitted at its first instance: the later ones
+        are hits.  Numbers move; LIMIT, OFFSET and a VARCHAR length stay, as
+        they are pinned."""
+        hits = [check_against_a_fresh_parse("limnology", instance(text, n)) for n in (3, 4, 5)]
+        assert hits[1] and hits[2], text
 
 
 class TestAdmission:
@@ -237,28 +306,45 @@ class TestAdmission:
         again = database.execute(sql.format(5, 2))
         assert again.stats.statement_cache_hit and len(again.rows) == 2
 
-    def test_a_shape_seen_once_is_not_proven(self):
+    def test_a_shape_is_admitted_at_its_first_text(self):
         database = build_database("limnology", scale=1, seed=7)
-        database.execute("SELECT name FROM Lakes WHERE lake_id < 3")
+        first = database.execute("SELECT name FROM Lakes WHERE lake_id < 3")
+        assert first.prepared.template is not None
         stats = database.plan_cache_stats()
         assert (stats.statement_hits, stats.statement_misses) == (0, 1)
         second = database.execute("SELECT name FROM Lakes WHERE lake_id < 4")
-        assert second.stats.statement_cache_hit and second.prepared.template is not None
-
+        assert second.stats.statement_cache_hit
+        assert second.prepared.template == first.prepared.template
 
     def test_an_insert_or_ddl_text_is_tokenized_only_by_its_parse(self, monkeypatch):
+        from repro.sql import parser
         from repro.storage import plan_cache
 
-        tokenized: list[str] = []
-        original = plan_cache.tokenize
-        monkeypatch.setattr(
-            plan_cache, "tokenize", lambda text: tokenized.append(text) or original(text)
-        )
         database = build_database("limnology", scale=1, seed=7)
-        database.execute("CREATE TABLE Notes (id INTEGER, body TEXT)")
-        database.execute("INSERT INTO Notes VALUES (1, 'a')")
-        database.execute("  /* a comment first */ SELECT id FROM Notes WHERE id = 1")
-        assert tokenized == ["  /* a comment first */ SELECT id FROM Notes WHERE id = 1"] * 2
+        tokenized: list[tuple[str, str]] = []
+        for module in (plan_cache, parser):
+            original = module.tokenize
+            monkeypatch.setattr(
+                module,
+                "tokenize",
+                lambda text, name=module.__name__, original=original: (
+                    tokenized.append((name, text)) or original(text)
+                ),
+            )
+        texts = [
+            "CREATE TABLE Notes (id INTEGER, body TEXT)",
+            "INSERT INTO Notes VALUES (1, 'a')",
+            "  /* a comment first */ SELECT id FROM Notes WHERE id = 1",
+        ]
+        for text in texts:
+            database.execute(text)
+        # Each text is tokenized once: the SELECT's parse reads the tokens
+        # the statement cache looked up.
+        assert tokenized == [
+            ("repro.sql.parser", texts[0]),
+            ("repro.sql.parser", texts[1]),
+            ("repro.storage.plan_cache", texts[2]),
+        ]
 
 
 class TestCanonicalSplice:
@@ -381,6 +467,31 @@ class TestRecordsOfFreshConstants:
         # Templates filed before the rename were derived again after it.
         schemas_by_template: dict[tuple, set] = {}
         for template, schema in filed:
-            if template is not None:
-                schemas_by_template.setdefault(template, set()).add(id(schema))
+            schemas_by_template.setdefault(template, set()).add(id(schema))
         assert any(len(schemas) == 2 for schemas in schemas_by_template.values())
+
+    def test_each_template_builds_its_shared_artefacts_once(self, monkeypatch):
+        """A fresh-constants replay: every build of a template's shared
+        artefacts is filed under an admitted token template, and each
+        ``(template, key)`` builds once, so no text's build is thrown away."""
+        builds: list[tuple] = []
+        original = profiler_module.template_artefacts
+
+        def recording(prepared, schema_columns):
+            builds.append((prepared.template, (True, database.catalog.version)))
+            return original(prepared, schema_columns)
+
+        monkeypatch.setattr(profiler_module, "template_artefacts", recording)
+        clock = SimulatedClock()
+        database = build_database("limnology", scale=1, seed=7, clock=clock)
+        cqms = CQMS(database, clock=clock)
+        rng = random.Random(5)
+        events = QueryLogGenerator(WorkloadConfig(num_sessions=20, seed=4)).generate()
+        for event in events:
+            if not cqms.access_control.has_principal(event.user):
+                cqms.register_user(event.user, event.group)
+            for _ in range(2):
+                cqms.submit(event.user, redraw(event.sql, _fresh(rng)), timestamp=event.timestamp)
+        assert len(builds) > 10
+        assert all(template is not None for template, _ in builds)
+        assert len(set(builds)) == len(builds)
