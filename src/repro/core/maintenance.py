@@ -64,7 +64,6 @@ class QueryMaintenance:
         self._store = store
         self._config = config or CQMSConfig()
         self._statistics_snapshots: dict[str, TableStatistics] = {}
-        self._last_checked_version = 0
 
     # -- schema validity ---------------------------------------------------------
 
@@ -74,7 +73,7 @@ class QueryMaintenance:
         catalog = self._db.catalog
         schema_columns = self._db.schema_columns()
         rename_maps = self._build_rename_maps()
-
+        current: list[int] = []
         for record in self._store.all_queries():
             if not record.is_select or record.features is None:
                 continue
@@ -83,38 +82,22 @@ class QueryMaintenance:
             if record.catalog_version >= catalog.version and not record.flagged_invalid:
                 continue
             report.checked += 1
-            problems = self._validity_problems(record, schema_columns)
+            problems = _validity_problems(record.features, schema_columns)
             if not problems:
                 if record.flagged_invalid:
                     self._store.mark_valid(record.qid)
-                record.catalog_version = catalog.version
+                current.append(record.qid)
                 continue
             if repair:
                 repaired = self._try_repair(record, rename_maps, schema_columns)
                 if repaired:
                     report.repaired.append(record.qid)
-                    record.catalog_version = catalog.version
+                    current.append(record.qid)
                     continue
             self._store.mark_invalid(record.qid, reason="; ".join(problems))
             report.flagged.append(record.qid)
-        self._last_checked_version = catalog.version
+        self._store.set_catalog_version(current, catalog.version)
         return report
-
-    def _validity_problems(
-        self, record: LoggedQuery, schema_columns: Mapping[str, frozenset[str]]
-    ) -> list[str]:
-        problems: list[str] = []
-        features = record.features
-        for table in features.tables:
-            if table not in schema_columns:
-                problems.append(f"missing relation {table}")
-        for attribute, relation in features.attributes:
-            if relation == "?":
-                continue
-            columns = schema_columns.get(relation)
-            if columns is not None and attribute not in columns:
-                problems.append(f"missing attribute {relation}.{attribute}")
-        return problems
 
     def _build_rename_maps(self) -> dict[str, dict[str, str]]:
         """Extract rename mappings from the catalog's change log.
@@ -160,16 +143,10 @@ class QueryMaintenance:
         _, features, canonical, template = statement_artefacts(
             new_text, schema_columns, with_features=True
         )
-        if features is None or self._validity_problems_for(features, schema_columns):
+        if features is None or _validity_problems(features, schema_columns):
             return False
         self._store.replace_text(record.qid, new_text, features, canonical, template)
         return True
-
-    def _validity_problems_for(
-        self, features, schema_columns: Mapping[str, frozenset[str]]
-    ) -> list[str]:
-        fake = LoggedQuery(qid=-1, user="", group="", text="", timestamp=0.0, features=features)
-        return self._validity_problems(fake, schema_columns)
 
     # -- dropping obsolete queries ---------------------------------------------------
 
@@ -272,6 +249,21 @@ class QueryMaintenance:
     def score_all_quality(self) -> dict[int, float]:
         """Score every stored query; returns qid → quality."""
         return {record.qid: self.score_quality(record) for record in self._store.all_queries()}
+
+
+def _validity_problems(features, schema_columns: Mapping[str, frozenset[str]]) -> list[str]:
+    """What of a query's features the schema no longer has."""
+    problems: list[str] = []
+    for table in features.tables:
+        if table not in schema_columns:
+            problems.append(f"missing relation {table}")
+    for attribute, relation in features.attributes:
+        if relation == "?":
+            continue
+        columns = schema_columns.get(relation)
+        if columns is not None and attribute not in columns:
+            problems.append(f"missing attribute {relation}.{attribute}")
+    return problems
 
 
 def _replace_identifier(text: str, old: str, new: str) -> str:

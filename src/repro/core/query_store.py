@@ -160,8 +160,8 @@ _COLUMNS = {schema.name: schema.column_names for schema in FEATURE_RELATIONS}
 @dataclass(slots=True)
 class _Change:
     """One mutation of the Query Storage, as :meth:`QueryStore._apply` writes
-    it: per relation, the row ids it ``deletes``, the ``(row id, changed
-    columns)`` it ``updates`` and the rows it ``inserts``; then in memory the
+    it: per relation, the ``(row id, changed columns)`` it ``updates``, the
+    row ids it ``deletes`` and the rows it ``inserts``; then in memory the
     record it ``removes`` (unfiles), the fields it ``assigns``, the record it
     ``sets`` (files, with its artefacts under ``artefacts_key``), and whether
     it ``bumps`` :attr:`QueryStore.generation`."""
@@ -255,6 +255,7 @@ class QueryStore:
         checkpoint_interval: int = 0,
         schema: Callable[[], Mapping[str, frozenset[str]]] | None = None,
         profiling_mode: str = "features",
+        catalog_version: Callable[[], int] | None = None,
     ):
         if data_dir is not None:
             self._meta_db = Database.open(
@@ -268,6 +269,8 @@ class QueryStore:
         else:
             self._meta_db = Database(name="query_storage", clock=clock, exec_settings=exec_settings)
         self._schema = schema or dict  # no user database: an empty map
+        # ... at catalog version 0; a rebuilt record is stamped with it.
+        self._catalog_version = catalog_version or int
         self._with_features = profiling_mode != "text"
         for table_schema in FEATURE_RELATIONS:
             # On a recovered data_dir the relations already exist, and must
@@ -383,8 +386,10 @@ class QueryStore:
         for session_id, user, start, end, _ in self._meta_db.table("Sessions").rows():
             windows.setdefault(user, []).append((start or 0.0, end or 0.0, session_id))
         derived: dict[str, tuple] = {}
+        version = self._catalog_version()
         for row in sorted(self._meta_db.table("Queries").rows(), key=itemgetter(0)):
             record = _record(row, *(by_qid.get(row[0], ()) for by_qid in related.values()))
+            record.catalog_version = version
             if record.text not in derived:
                 derived[record.text] = statement_artefacts(
                     record.text, self.schema_columns(), self._with_features
@@ -397,8 +402,7 @@ class QueryStore:
                         break
             self._remember(_Change(sets=record))
         if self._records:
-            # The StoreMeta high-water mark normally leads; max(qid)+1 is the
-            # floor for stores created before the counter existed.
+            # The StoreMeta mark leads only after a removal of the top qid.
             self._next_qid = max(self._next_qid, max(self._records) + 1)
 
     @staticmethod
@@ -428,14 +432,11 @@ class QueryStore:
         return qid in self._records
 
     def next_qid(self) -> int:
+        """A qid no record of this store has carried.  Only :meth:`remove`
+        can lower ``max(qid)``, so it writes the durable mark, and a reopen
+        takes the larger of the mark and ``max(qid) + 1``."""
         qid = self._next_qid
         self._next_qid += 1
-        # Keep the durable high-water mark current: qids must stay unique
-        # for the life of the store, not just of this process (max(qid)
-        # over surviving rows would march backwards after removals).
-        self._meta_db.table("StoreMeta").update(
-            self._next_qid_row_id, {"value": self._next_qid}
-        )
         return qid
 
     def _init_store_meta(self) -> int:
@@ -611,19 +612,20 @@ class QueryStore:
     # -- the one write path -----------------------------------------------------
 
     def _apply(self, change: _Change) -> None:
-        """Write one change: its meta rows first, then memory from the same
-        values (:meth:`_remember`).  A write that raises leaves memory as it
-        was, though the rows written before it stay (the meta-database has
-        no batch spanning relations)."""
+        """Write one change: its meta rows first — updates, deletes, inserts,
+        so a removal's qid mark is logged before the rows it deletes — then
+        memory from the same values (:meth:`_remember`).  A write that raises
+        leaves memory as it was, though the rows written before it stay (the
+        meta-database has no batch spanning relations)."""
         database = self._meta_db
-        for relation, row_ids in change.deletes.items():
-            table = database.table(relation)
-            for row_id in row_ids:
-                table.delete(row_id)
         for relation, updates in change.updates.items():
             table = database.table(relation)
             for row_id, values in updates:
                 table.update(row_id, values)
+        for relation, row_ids in change.deletes.items():
+            table = database.table(relation)
+            for row_id in row_ids:
+                table.delete(row_id)
         # One batch per relation, and no call for a relation with no rows.
         for relation, rows in change.inserts.items():
             if rows:
@@ -826,6 +828,11 @@ class QueryStore:
                     )
         return findings
 
+    def set_catalog_version(self, qids: Collection[int], version: int) -> None:
+        """Stamp ``qids`` as checked against the user catalog at ``version``
+        (no relation stores it: a reopen stamps the version it derives under)."""
+        self._apply(_Change(assigns=[(self.get(q), {"catalog_version": version}) for q in qids]))
+
     def set_runtime(self, qid: int, runtime: RuntimeStats) -> None:
         """Replace a query's runtime statistics (a maintenance refresh), on
         the record and in ``RuntimeStats``, so meta-SQL agrees with the
@@ -846,7 +853,10 @@ class QueryStore:
         edges pointing at a query that no longer exists.
         """
         record = self.get(qid)
-        change = _Change(removes=record, bumps=True)
+        # The one change that can lower max(qid): its first row write, the
+        # qid mark, keeps a removed qid from being handed out again.
+        marks = [(self._next_qid_row_id, {"value": self._next_qid})]
+        change = _Change(removes=record, bumps=True, updates={"StoreMeta": marks})
         for relation in (*RECORD_RELATIONS, "Annotations"):
             change.deletes[relation] = self._row_ids(self._meta_db.table(relation), qid)
         edges = self._meta_db.table("SessionEdges")

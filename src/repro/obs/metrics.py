@@ -245,6 +245,7 @@ class MetricsRegistry:
         self.clock = clock
         self.timer = timer if timer is not None else engine_timer
         self._families: dict[str, _Family] = {}
+        self._bound: dict[tuple, object] = {}
 
     # -- family creation ------------------------------------------------------
 
@@ -280,15 +281,28 @@ class MetricsRegistry:
             )
         return family
 
-    def _child(self, family: _Family, labels: dict[str, str]):
-        return family.child(tuple(str(labels[name]) for name in family.label_names))
+    def _child(
+        self, name: str, kind: str, help: str, labels: dict, buckets=DEFAULT_LATENCY_BUCKETS
+    ):
+        """The child of this call's ``(name, kind, label items)``: a key's first
+        call validates it through :meth:`_family` and binds it to its series,
+        later ones are a dict lookup.  No path removes a family, so a hit skips
+        only checks that would pass; label values are strings, so equal keys
+        name one series."""
+        key = (name, kind, *labels.items())
+        child = self._bound.get(key)
+        if child is None:
+            family = self._family(name, kind, help, labels, buckets)
+            values = tuple(str(labels[label]) for label in family.label_names)
+            child = self._bound[key] = family.child(values)
+        return child
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         """Get-or-create the counter child for this name + label set."""
-        return self._child(self._family(name, "counter", help, labels), labels)
+        return self._child(name, "counter", help, labels)
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        return self._child(self._family(name, "gauge", help, labels), labels)
+        return self._child(name, "gauge", help, labels)
 
     def histogram(
         self,
@@ -297,9 +311,7 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        return self._child(
-            self._family(name, "histogram", help, labels, buckets=buckets), labels
-        )
+        return self._child(name, "histogram", help, labels, buckets)
 
     # -- timing ---------------------------------------------------------------
 

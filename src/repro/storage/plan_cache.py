@@ -172,8 +172,10 @@ class _TokenTemplate:
     (``TRUE``, a CAST's type name), whose value ``prepared.values`` holds.
     ``pinned`` lists the literal tokens that feed no parameter, ``(index,
     text)``: a text matches only with those tokens written the same.
+    ``shape`` is the token template it is filed under.
     """
 
+    shape: tuple
     prepared: PreparedStatement
     slots: tuple[int, ...]
     pinned: tuple[tuple[int, str], ...]
@@ -234,7 +236,8 @@ class PlanCache:
         self.capacity = capacity
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self._templates: OrderedDict[str, _TemplateKey] = OrderedDict()
-        self._statements: OrderedDict[str, PreparedStatement] = OrderedDict()
+        #: Raw text → its prepared statement and the token template it binds.
+        self._statements: OrderedDict[str, tuple] = OrderedDict()
         #: The admitted token template of each shape.
         self._token_templates: OrderedDict[tuple, _TokenTemplate] = OrderedDict()
         self._stats = PlanCacheStats(capacity=capacity)
@@ -256,9 +259,15 @@ class PlanCache:
         execution of a *different* instance of the same template may have
         left other values in them.
         """
-        prepared = self._statements.get(text)
-        if prepared is not None:
+        memo = self._statements.get(text)
+        if memo is not None:
             self._statements.move_to_end(text)
+            prepared, entry = memo
+            if self._token_templates.get(entry.shape) is not entry:
+                # A text of the shape with other pinned tokens took its place:
+                # the shape's next text most likely pins what this one does.
+                self._token_templates[entry.shape] = entry
+                _trim(self._token_templates, self.capacity)
             _bind(prepared.params, prepared.values)
             self._stats.statement_hits += 1
             return prepared, None
@@ -288,7 +297,7 @@ class PlanCache:
             table_names=admitted.table_names,
             template=admitted.template,
         )
-        self._remember(text, prepared)
+        self._remember(text, prepared, entry)
         self._stats.statement_hits += 1
         self._stats.template_hits += 1
         return prepared, None
@@ -318,7 +327,6 @@ class PlanCache:
         """
         prepared = self.prepare(statement)
         self._stats.statement_misses += 1
-        self._remember(text, prepared)
         shape, literals, _ = _token_template(tokens)
         index = {token: i for i, token in enumerate(literals)}
         # ``sources`` keeps each node alive, so no id is reused meanwhile.
@@ -336,17 +344,19 @@ class PlanCache:
             part + "=" + token.value if index.get(token) in unread else part
             for part, token in zip(shape, tokens)
         )
-        self._token_templates[shape] = _TokenTemplate(
+        entry = self._token_templates[shape] = _TokenTemplate(
+            shape=shape,
             prepared=prepared,
             slots=slots,
             pinned=tuple((i, literals[i].value) for i in sorted(unread)),
         )
         self._token_templates.move_to_end(shape)
         _trim(self._token_templates, self.capacity)
+        self._remember(text, prepared, entry)
         return prepared
 
-    def _remember(self, text: str, prepared: PreparedStatement) -> None:
-        self._statements[text] = prepared
+    def _remember(self, text: str, prepared: PreparedStatement, entry: _TokenTemplate) -> None:
+        self._statements[text] = (prepared, entry)
         _trim(self._statements, self.capacity)
 
     # -- keying ------------------------------------------------------------------

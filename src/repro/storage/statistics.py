@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro.storage.types import sort_key
 
 #: Default number of buckets in an equi-width histogram.
 DEFAULT_BUCKETS = 16
@@ -300,15 +299,16 @@ def summarize_output(
     The allowed summary size grows with the query's execution time: a query
     that took hours but produced ten rows is stored in full, while a fast
     query with millions of rows is down-sampled to the base budget: ``budget``
-    positions drawn without replacement, seeded by the row count — O(budget).
+    positions drawn without replacement, seeded by the row count, and their
+    rows kept in result order — a sub-sequence of ``rows``, O(budget log
+    budget) and never a comparison of two values.
     """
     budget = base_budget + int(execution_time / seconds_per_extra_row)
     budget = min(budget, max_budget)
     if len(rows) <= budget:
         return list(rows)
     rng = random.Random(len(rows) * 2654435761 % (2**31))
-    sample = [rows[position] for position in rng.sample(range(len(rows)), budget)]
-    return sorted(sample, key=lambda row: tuple(sort_key(v) for v in row))
+    return [rows[position] for position in sorted(rng.sample(range(len(rows)), budget))]
 
 
 def entropy(counts: list[int]) -> float:

@@ -79,6 +79,22 @@ class TestSchemaValidity:
         third = cqms.run_maintenance()
         assert third.checked == 0
 
+    def test_a_reopen_with_no_schema_change_checks_nothing(self, tmp_path):
+        from repro import CQMS, CQMSConfig, build_database
+
+        d = str(tmp_path / "store")
+        with CQMS(build_database("limnology", scale=1, seed=7), config=CQMSConfig(data_dir=d)) as cqms:
+            cqms.register_user("alice", group="lab1")
+            for bound in range(20):
+                cqms.submit("alice", f"SELECT name FROM Lakes WHERE area_km2 > {bound}")
+            assert cqms.run_maintenance().checked == 0
+        with CQMS(build_database("limnology", scale=1, seed=7), config=CQMSConfig(data_dir=d)) as cqms:
+            # The reopen stamps each record with the catalog version its
+            # features were derived under.
+            assert cqms.run_maintenance().checked == 0
+            cqms.database.execute("ALTER TABLE Lakes ADD COLUMN note TEXT")
+            assert cqms.run_maintenance().checked == 20
+
     def test_repair_disabled_flags_instead(self, cqms_with_queries):
         cqms = cqms_with_queries
         cqms.database.execute("ALTER TABLE WaterTemp RENAME COLUMN depth TO depth_m")
@@ -100,7 +116,7 @@ class TestDropObsolete:
         cqms.run_maintenance()
         # Flag once more by re-checking after another (irrelevant) change.
         cqms.database.execute("ALTER TABLE Lakes ADD COLUMN note TEXT")
-        cqms.store.get(2).catalog_version = 0  # force a re-check
+        cqms.store.set_catalog_version([2], 0)  # force a re-check
         cqms.run_maintenance()
         report = cqms.maintenance.drop_obsolete()
         assert 2 in report.dropped

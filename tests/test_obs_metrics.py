@@ -96,6 +96,19 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.gauge("pool_pages", "g", shard="0")
 
+    def test_a_bound_child_is_reused_and_conflicts_still_raise(self):
+        registry = MetricsRegistry()
+        child = registry.gauge("pool_pages", "g", engine="database", pool="meta")
+        assert registry.gauge("pool_pages", "g", engine="database", pool="meta") is child
+        # Another spelling of the same series binds to the same child.
+        assert registry.gauge("repro_pool_pages", "g", pool="meta", engine="database") is child
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                registry.histogram("pool_pages", "h", engine="database", pool="meta")
+            with pytest.raises(ValueError):
+                registry.gauge("pool_pages", "g", engine="database")
+        assert registry.series_count() == 1
+
     def test_find_histogram(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("statement_seconds", "s", engine="database")

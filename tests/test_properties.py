@@ -242,8 +242,9 @@ class TestStatisticsProperties:
         budget = min(16 + int(elapsed), 64)
         assert len(summary) == min(budget, len(rows))
         assert Counter(summary) <= Counter(rows)
-        if len(rows) > budget:
-            assert summary == sorted(summary, key=lambda row: tuple(map(sort_key, row)))
+        # A sub-sequence: the sampled rows in result order.
+        remaining = iter(rows)
+        assert all(row in remaining for row in summary)
 
     @given(st.lists(st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), st.text(max_size=5), st.booleans()), max_size=50))
     def test_sort_key_provides_total_order(self, values):

@@ -1381,6 +1381,31 @@ class TestDurableQueryStore:
             cqms.register_user("ana", group="g")
             assert cqms.submit("ana", "SELECT * FROM Lakes").record.qid == 4
 
+    def test_a_crash_inside_a_removal_never_reissues_its_qid(self, tmp_path):
+        """Only a removal lowers max(qid), and its first WAL frame is the qid
+        mark: cut the log at any frame boundary of removing the highest qid
+        and the next submit still gets a new one."""
+        d = str(tmp_path / "store")
+        with CQMS(build_database("limnology", scale=1), config=CQMSConfig(data_dir=d)) as cqms:
+            cqms.register_user("ana", group="g")
+            for table in ("Lakes", "WaterTemp", "WaterSalinity"):
+                cqms.submit("ana", f"SELECT * FROM {table} WHERE lake_id > 2")
+            cqms.store.meta_database.flush_wal()
+            kept = len(read_wal(wal_path(d)).records)
+            cqms.store.remove(3)
+        frames = [len(encode_record(r.lsn, r.data)) for r in read_wal(wal_path(d)).records]
+        assert sum(frames) == os.path.getsize(wal_path(d)) and len(frames) > kept + 2
+        for count in range(kept, len(frames) + 1):
+            crashed = str(tmp_path / f"cut{count}")
+            shutil.copytree(d, crashed)
+            with open(wal_path(crashed), "r+b") as handle:
+                handle.truncate(sum(frames[:count]))
+            db = build_database("limnology", scale=1)
+            with CQMS(db, config=CQMSConfig(data_dir=crashed)) as cqms:
+                assert (3 in cqms.store) == (count <= kept + 1), count
+                cqms.register_user("ana", group="g")
+                assert cqms.submit("ana", "SELECT name FROM Lakes").record.qid == 4, count
+
     def test_flag_state_survives_restart(self, tmp_path):
         d = str(tmp_path / "store")
         db = build_database("limnology", scale=1)

@@ -306,6 +306,17 @@ class TestAdmission:
         again = database.execute(sql.format(5, 2))
         assert again.stats.statement_cache_hit and len(again.rows) == 2
 
+    def test_a_repeated_text_puts_back_its_pinned_template(self):
+        """``LIMIT 3`` displaces the ``LIMIT 4`` template; the repeat of a
+        ``LIMIT 4`` text, a byte-identical hit, restores it for the next."""
+        database = build_database("limnology", scale=1, seed=7)
+        sql = "SELECT name FROM Lakes WHERE area_km2 > {} ORDER BY lake_id LIMIT {} OFFSET 1"
+        hits = [
+            database.execute(sql.format(area, limit)).stats.statement_cache_hit
+            for area, limit in ((0, 4), (5, 3), (0, 4), (128, 4))
+        ]
+        assert hits == [False, False, True, True]
+
     def test_a_shape_is_admitted_at_its_first_text(self):
         database = build_database("limnology", scale=1, seed=7)
         first = database.execute("SELECT name FROM Lakes WHERE lake_id < 3")

@@ -12,7 +12,6 @@ import pytest
 
 from repro.storage import statistics
 from repro.storage.statistics import Histogram, TableStatistics, entropy, summarize_output
-from repro.storage.types import sort_key
 
 
 class TestHistogram:
@@ -86,13 +85,9 @@ class CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
-def _row_key(row):
-    return tuple(sort_key(value) for value in row)
-
-
 class TestOutputSample:
     """The sampler's contract: ``min(rows, budget)`` rows drawn without
-    replacement, ordered by ``sort_key``, a function of the rows alone, and
+    replacement, kept in result order, a function of the rows alone, and
     O(budget) random draws however long the output is."""
 
     @pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 500, 5000])
@@ -115,13 +110,17 @@ class TestOutputSample:
         assert len(set(summary)) == 64
         assert max(summary)[0] > 64 and min(summary)[0] < 10_000 - 64
 
-    def test_sample_is_ordered_by_sort_key_with_nulls_and_mixed_types(self):
+    def test_sample_is_a_subsequence_in_result_order_with_nulls_and_mixed_types(self):
         values = [None, 3, 2.5, "b", "a", True, None, -1, "z", 0.0]
         rows = [(values[i % len(values)], values[(i * 7) % len(values)]) for i in range(400)]
         summary = summarize_output(rows, ["a", "b"], 0.0, base_budget=40)
         assert len(summary) == 40
-        assert summary == sorted(summary, key=_row_key)
-        assert summary[0][0] is None
+        remaining = iter(rows)
+        assert all(row in remaining for row in summary)
+        # Distinct rows in descending order: the positions strictly increase.
+        descending = [(-i,) for i in range(1000)]
+        sample = summarize_output(descending, ["a"], 0.0, base_budget=40)
+        assert len(set(sample)) == 40 and sample == sorted(sample, reverse=True)
 
     def test_equal_inputs_give_equal_summaries(self):
         rows = [(i % 17, f"v{i % 5}") for i in range(2000)]
