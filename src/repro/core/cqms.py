@@ -77,8 +77,6 @@ class CQMS:
             wal_sync=self.config.wal_sync,
             checkpoint_interval=self.config.checkpoint_interval,
             schema=database.schema_columns,
-            profiling_mode=self.config.profiling_mode,
-            catalog_version=lambda: database.catalog.version,
         )
         self.access_control = AccessControl(
             default_visibility=Visibility.parse(self.config.default_visibility)

@@ -77,9 +77,10 @@ class QueryMaintenance:
         for record in self._store.all_queries():
             if not record.is_select or record.features is None:
                 continue
-            # Cheap pre-filter: only queries older than the last schema change
-            # on one of their input relations need re-checking (Section 4.4).
-            if record.catalog_version >= catalog.version and not record.flagged_invalid:
+            # Cheap pre-filter: only queries checked against another catalog
+            # version need re-checking (Section 4.4).  The stamp is logged, so
+            # a reopen against a user catalog of another history re-checks.
+            if record.catalog_version == catalog.version and not record.flagged_invalid:
                 continue
             report.checked += 1
             problems = _validity_problems(record.features, schema_columns)
@@ -228,27 +229,34 @@ class QueryMaintenance:
     # -- quality ---------------------------------------------------------------------------
 
     def score_quality(self, record: LoggedQuery) -> float:
-        """Compute and store a [0, 1] quality score for one query.
+        """Compute a [0, 1] quality score for one query, and store it when
+        the query is in the Query Storage (:meth:`QueryStore.set_quality`).
 
         Quality combines: execution success, runtime efficiency, result-set
         digestibility, documentation (annotations), and validity — the axes
         the paper lists as candidate quality definitions (Section 4.4).
         """
-        if not record.runtime.succeeded or record.flagged_invalid:
-            record.quality = 0.0
-            return record.quality
-        runtime_score = 1.0 / (1.0 + record.runtime.elapsed_seconds)
-        cardinality = max(0, record.runtime.result_cardinality)
-        size_score = 1.0 / (1.0 + math.log1p(cardinality)) if cardinality else 0.5
-        documentation_score = 1.0 if record.annotations else 0.3
-        record.quality = round(
-            0.4 * runtime_score + 0.3 * size_score + 0.3 * documentation_score, 4
-        )
-        return record.quality
+        score = _quality(record)
+        if record.qid in self._store:
+            self._store.set_quality({record.qid: score})
+        return score
 
     def score_all_quality(self) -> dict[int, float]:
-        """Score every stored query; returns qid → quality."""
-        return {record.qid: self.score_quality(record) for record in self._store.all_queries()}
+        """Score and store every logged query; returns qid → quality."""
+        scores = {record.qid: _quality(record) for record in self._store.all_queries()}
+        self._store.set_quality(scores)
+        return scores
+
+
+def _quality(record: LoggedQuery) -> float:
+    """The quality score of :meth:`QueryMaintenance.score_quality`."""
+    if not record.runtime.succeeded or record.flagged_invalid:
+        return 0.0
+    runtime_score = 1.0 / (1.0 + record.runtime.elapsed_seconds)
+    cardinality = max(0, record.runtime.result_cardinality)
+    size_score = 1.0 / (1.0 + math.log1p(cardinality)) if cardinality else 0.5
+    documentation_score = 1.0 if record.annotations else 0.3
+    return round(0.4 * runtime_score + 0.3 * size_score + 0.3 * documentation_score, 4)
 
 
 def _validity_problems(features, schema_columns: Mapping[str, frozenset[str]]) -> list[str]:

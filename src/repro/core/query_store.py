@@ -12,10 +12,13 @@ The Query Storage here materializes those relations (plus ``Projections``,
 ``Joins``, ``RuntimeStats``, ``OutputSamples``, ``Annotations``, ``Sessions``
 and ``SessionEdges``) inside an instance of the same relational engine that
 backs the user database, so that meta-queries are ordinary SQL exactly as the
-paper envisions.  Alongside the relations it keeps the full
-:class:`~repro.core.records.LoggedQuery` objects for the components that need
-cheap object access (miner, recommender, maintenance), and one *statement
-table* entry per distinct query text: whatever has been derived from a text
+paper envisions.  A record is logged as one ``Queries`` row that carries its
+artefacts (features included) plus its ``RuntimeStats`` and ``OutputSamples``
+rows; the five feature relations are an unlogged projection of the records,
+filled just before a meta-query reads them.  Alongside the relations it keeps
+the full :class:`~repro.core.records.LoggedQuery` objects for the components
+that need cheap object access (miner, recommender, maintenance), and one
+*statement table* entry per distinct query text: whatever has been derived from a text
 (its lower-cased form, its parse tree) is derived once and shared by every
 record that carries it — logs are dominated by repeated statements.  That
 includes the record's own artefacts, so a resubmitted text is not parsed again.
@@ -23,7 +26,6 @@ includes the record's own artefacts, so a resubmitted text is not parsed again.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from collections.abc import Callable, Collection, Mapping, Sequence
@@ -31,15 +33,17 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from types import MappingProxyType
 
-from repro.core.records import (
-    LoggedQuery,
-    OutputSummary,
-    RuntimeStats,
-    TemplateArtefacts,
-    statement_artefacts,
-)
+from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, TemplateArtefacts
 from repro.errors import DurabilityError, MetaQueryError, ReproError
-from repro.sql.parse_tree import ParseTreeNode, TreePattern, match_pattern, to_parse_tree
+from repro.sql.features import QueryFeatures
+from repro.sql.parse_tree import (
+    ParseTreeNode,
+    TreePattern,
+    match_pattern,
+    pattern_keys,
+    posting_keys,
+    to_parse_tree,
+)
 from repro.storage.database import Database, QueryResult
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.types import DataType
@@ -49,110 +53,62 @@ from repro.storage.types import DataType
 TEMPLATE_TABLE_SIZE = 512
 
 
-def _schema(name: str, *columns: tuple[str, DataType]) -> TableSchema:
-    return TableSchema(
-        name=name,
-        columns=[ColumnSchema(name=column, data_type=data_type) for column, data_type in columns],
-    )
+def _schema(name: str, columns: str) -> TableSchema:
+    """The relation ``name`` with ``columns`` spelled ``"name TYPE, ..."``."""
+    pairs = (column.split() for column in columns.split(","))
+    return TableSchema(name, [ColumnSchema(column, DataType[kind]) for column, kind in pairs])
 
 
 #: Schemas of the Query Storage feature relations.
 FEATURE_RELATIONS: list[TableSchema] = [
     _schema(
         "Queries",
-        ("qid", DataType.INTEGER),
-        ("qText", DataType.TEXT),
-        ("userName", DataType.TEXT),
-        ("groupName", DataType.TEXT),
-        ("ts", DataType.FLOAT),
-        ("statementKind", DataType.TEXT),
-        ("visibility", DataType.TEXT),
-        ("valid", DataType.BOOLEAN),
-        ("invalidReason", DataType.TEXT),
-        ("flagCount", DataType.INTEGER),
+        "qid INTEGER, qText TEXT, userName TEXT, groupName TEXT, ts FLOAT, statementKind TEXT,"
+        " visibility TEXT, valid BOOLEAN, invalidReason TEXT, flagCount INTEGER,"
+        # The record's artefacts, so a reopen reads them instead of parsing:
+        # features as one JSON array (QueryFeatures.to_json), NULL for none.
+        " canonicalText TEXT, templateText TEXT, features TEXT,"
+        # Maintenance state: the quality score and the user-catalog version
+        # the record was last checked against.
+        " quality FLOAT, catalogVersion INTEGER",
     ),
-    _schema("DataSources", ("qid", DataType.INTEGER), ("relName", DataType.TEXT)),
-    _schema(
-        "Attributes",
-        ("qid", DataType.INTEGER),
-        ("attrName", DataType.TEXT),
-        ("relName", DataType.TEXT),
-    ),
-    _schema(
-        "Predicates",
-        ("qid", DataType.INTEGER),
-        ("attrName", DataType.TEXT),
-        ("relName", DataType.TEXT),
-        ("op", DataType.TEXT),
-        ("const", DataType.TEXT),
-    ),
-    _schema(
-        "Projections",
-        ("qid", DataType.INTEGER),
-        ("attrName", DataType.TEXT),
-        ("relName", DataType.TEXT),
-    ),
-    _schema(
-        "Joins",
-        ("qid", DataType.INTEGER),
-        ("leftRel", DataType.TEXT),
-        ("leftAttr", DataType.TEXT),
-        ("rightRel", DataType.TEXT),
-        ("rightAttr", DataType.TEXT),
-    ),
+    _schema("DataSources", "qid INTEGER, relName TEXT"),
+    _schema("Attributes", "qid INTEGER, attrName TEXT, relName TEXT"),
+    _schema("Predicates", "qid INTEGER, attrName TEXT, relName TEXT, op TEXT, const TEXT"),
+    _schema("Projections", "qid INTEGER, attrName TEXT, relName TEXT"),
+    _schema("Joins", "qid INTEGER, leftRel TEXT, leftAttr TEXT, rightRel TEXT, rightAttr TEXT"),
     _schema(
         "RuntimeStats",
-        ("qid", DataType.INTEGER),
-        ("elapsedSeconds", DataType.FLOAT),
-        ("cardinality", DataType.INTEGER),
-        ("rowsScanned", DataType.INTEGER),
-        ("succeeded", DataType.BOOLEAN),
+        "qid INTEGER, elapsedSeconds FLOAT, cardinality INTEGER, rowsScanned INTEGER,"
+        " succeeded BOOLEAN",
     ),
     # One row per summarized output: the summary's column names and its
     # sampled rows, each a JSON array (rows as positional arrays).
-    _schema(
-        "OutputSamples",
-        ("qid", DataType.INTEGER),
-        ("columnNames", DataType.TEXT),
-        ("sampleRows", DataType.TEXT),
-    ),
-    _schema(
-        "Annotations",
-        ("qid", DataType.INTEGER),
-        ("author", DataType.TEXT),
-        ("ts", DataType.FLOAT),
-        ("body", DataType.TEXT),
-    ),
+    _schema("OutputSamples", "qid INTEGER, columnNames TEXT, sampleRows TEXT"),
+    _schema("Annotations", "qid INTEGER, author TEXT, ts FLOAT, body TEXT"),
     _schema(
         "Sessions",
-        ("sessionId", DataType.INTEGER),
-        ("userName", DataType.TEXT),
-        ("startTs", DataType.FLOAT),
-        ("endTs", DataType.FLOAT),
-        ("numQueries", DataType.INTEGER),
+        "sessionId INTEGER, userName TEXT, startTs FLOAT, endTs FLOAT, numQueries INTEGER",
     ),
     _schema(
         "SessionEdges",
-        ("sessionId", DataType.INTEGER),
-        ("fromQid", DataType.INTEGER),
-        ("toQid", DataType.INTEGER),
-        ("edgeType", DataType.TEXT),
-        ("diffSummary", DataType.TEXT),
+        "sessionId INTEGER, fromQid INTEGER, toQid INTEGER, edgeType TEXT, diffSummary TEXT",
     ),
     # Engine bookkeeping, not a paper relation: persists counters like the
     # qid high-water mark so identifiers are never reused across restarts
     # of a durable store (removals would otherwise lower max(qid)).
-    _schema("StoreMeta", ("key", DataType.TEXT), ("value", DataType.INTEGER)),
+    _schema("StoreMeta", "key TEXT, value INTEGER"),
 ]
 
 
-#: The relations a record spells by itself (:func:`_rows`), in the order
-#: :meth:`QueryStore.add` writes them.  ``Annotations`` and the session
-#: relations are written by their own mutators.
-RECORD_RELATIONS = (
-    "Queries", "RuntimeStats", "OutputSamples",
-    "DataSources", "Attributes", "Predicates", "Projections", "Joins",
-)
+#: The logged relations a record spells by itself (:func:`_rows`), in the
+#: order :meth:`QueryStore.add` writes them.  ``Annotations`` and the
+#: session relations are written by their own mutators.
+RECORD_RELATIONS = ("Queries", "RuntimeStats", "OutputSamples")
+#: The Figure 1 feature relations: unlogged tables holding a projection of
+#: each record's features (:func:`_projection_rows`), brought up to date by
+#: :meth:`QueryStore._project` before a meta-query runs.
+PROJECTED_RELATIONS = ("DataSources", "Attributes", "Predicates", "Projections", "Joins")
 #: Each relation's column names, in schema order (see :func:`_row`).
 _COLUMNS = {schema.name: schema.column_names for schema in FEATURE_RELATIONS}
 
@@ -212,38 +168,18 @@ def _shape_key(sets: dict[str, frozenset]) -> tuple:
     return tuple(sets.items())
 
 
-def _posting_keys(tree: ParseTreeNode) -> set:
-    """The postings a tree is filed under: each label and each (label, value)."""
-    keys: set = set()
-    for node in tree.walk():
-        keys.add(node.label)
-        if node.value:
-            keys.add((node.label, node.value))
-    return keys
-
-
-def _pattern_keys(pattern: TreePattern) -> set:
-    """The postings every tree matching ``pattern`` must be filed under."""
-    keys = {(pattern.label, pattern.value) if pattern.value else pattern.label}
-    for child in pattern.children:
-        keys |= _pattern_keys(child)
-    return keys
-
-
 class QueryStore:
     """Query Storage: feature relations + the in-memory record index.
 
-    With ``data_dir`` set the meta-database is durable: every shredded
-    feature row goes through the write-ahead log, and reopening the same
-    directory recovers the relations and rebuilds the in-memory record index
-    from them — the paper's long-lived shared repository survives restarts.
-    ``profiling_mode`` (``CQMSConfig.profiling_mode``) says whether the
-    records of this log carry features: the rebuild derives each text's
-    artefacts the way the profiler did when it logged it, so a record reads
-    the same before a restart and after.  Only ``"text"`` logs without
-    features (``"off"`` logs nothing and reads an existing log as the
-    default mode wrote it); a log written under a mode switched at run time
-    (:meth:`QueryProfiler.set_mode`) rebuilds under the current mode.
+    With ``data_dir`` set the meta-database is durable: each record's
+    ``Queries``, ``RuntimeStats`` and ``OutputSamples`` rows go through the
+    write-ahead log, and reopening the same directory recovers them and
+    rebuilds the in-memory record index from them — the paper's long-lived
+    shared repository survives restarts.  The ``Queries`` row carries the
+    record's artefacts, so a reopened record reads as it was logged and a
+    reopen parses nothing.  The five feature relations are unlogged (a
+    recovery leaves them empty): :meth:`execute_meta_sql` and
+    :meth:`explain_meta_sql` fill them from the records first.
     """
 
     def __init__(
@@ -254,8 +190,6 @@ class QueryStore:
         wal_sync: str = "batch",
         checkpoint_interval: int = 0,
         schema: Callable[[], Mapping[str, frozenset[str]]] | None = None,
-        profiling_mode: str = "features",
-        catalog_version: Callable[[], int] | None = None,
     ):
         if data_dir is not None:
             self._meta_db = Database.open(
@@ -269,14 +203,12 @@ class QueryStore:
         else:
             self._meta_db = Database(name="query_storage", clock=clock, exec_settings=exec_settings)
         self._schema = schema or dict  # no user database: an empty map
-        # ... at catalog version 0; a rebuilt record is stamped with it.
-        self._catalog_version = catalog_version or int
-        self._with_features = profiling_mode != "text"
         for table_schema in FEATURE_RELATIONS:
             # On a recovered data_dir the relations already exist, and must
             # have the shape this version reads.
             if not self._meta_db.has_table(table_schema.name):
-                self._meta_db.create_table(table_schema)
+                unlogged = table_schema.name in PROJECTED_RELATIONS
+                self._meta_db.create_table(table_schema, unlogged=unlogged)
                 continue
             found = self._meta_db.table(table_schema.name).schema.column_names
             if found != table_schema.column_names:
@@ -287,7 +219,10 @@ class QueryStore:
                     f"{table_schema.name}({', '.join(table_schema.column_names)})"
                 )
         for table, column in (
-            *((relation, "qid") for relation in (*RECORD_RELATIONS, "Annotations")),
+            *(
+                (relation, "qid")
+                for relation in (*RECORD_RELATIONS, *PROJECTED_RELATIONS, "Annotations")
+            ),
             ("SessionEdges", "sessionId"),
             # Search columns of the Figure 1 meta-queries: the planner turns
             # equality conditions on these into IndexScans.
@@ -320,6 +255,11 @@ class QueryStore:
         self._ordered: list[LoggedQuery] | None = None
         self._popularity: Mapping[str, int] | None = None
         self._telemetry = None
+        # The projection's state: every qid up to ``_projected`` has its rows
+        # in the feature relations, except the ``_stale`` ones (removed or
+        # refiled since); ``_top`` is the largest qid ever filed.
+        self._projected = self._top = 0
+        self._stale: set[int] = set()
         self._next_qid = 1
         self._next_qid_row_id = self._init_store_meta()
         if data_dir is not None and len(self._meta_db.table("Queries")):
@@ -331,8 +271,8 @@ class QueryStore:
         """The *user* database's schema map as it is now.
 
         ``schema`` (``Database.schema_columns``) is called on every read, so
-        completion, correction, the tutorial and the reopen rebuild all see
-        the live catalog; a store built without one reads an empty map.
+        completion, correction and the tutorial all see the live catalog; a
+        store built without one reads an empty map.
         """
         return self._schema()
 
@@ -371,12 +311,11 @@ class QueryStore:
 
     def _reopen(self) -> None:
         """Refile a recovered log in memory: each record is read back from its
-        rows (:func:`_record`) and filed by :meth:`_remember`, the memory half
-        of every write.  Its artefacts are derived again by
-        :func:`~repro.core.records.statement_artefacts`, as the profiler did,
-        once per distinct text (the text's records share them; trees stay
-        lazy), and a record the miner reads (``LoggedQuery.is_mined``) rejoins
-        its user's ``Sessions`` window that holds its timestamp.
+        rows (:func:`_record`), artefacts included, and filed by
+        :meth:`_remember`, the memory half of every write.  Records whose
+        features read alike share one decoded object, and a record the miner
+        reads (``LoggedQuery.is_mined``) rejoins its user's ``Sessions``
+        window that holds its timestamp.
         """
         related = {name: {} for name in ("RuntimeStats", "OutputSamples", "Annotations")}
         for name, by_qid in related.items():
@@ -385,16 +324,10 @@ class QueryStore:
         windows: dict[str, list[tuple]] = {}
         for session_id, user, start, end, _ in self._meta_db.table("Sessions").rows():
             windows.setdefault(user, []).append((start or 0.0, end or 0.0, session_id))
-        derived: dict[str, tuple] = {}
-        version = self._catalog_version()
+        decoded: dict[str, QueryFeatures] = {}
         for row in sorted(self._meta_db.table("Queries").rows(), key=itemgetter(0)):
-            record = _record(row, *(by_qid.get(row[0], ()) for by_qid in related.values()))
-            record.catalog_version = version
-            if record.text not in derived:
-                derived[record.text] = statement_artefacts(
-                    record.text, self.schema_columns(), self._with_features
-                )
-            _, record.features, record.canonical_text, record.template_text = derived[record.text]
+            related_rows = (by_qid.get(row[0], ()) for by_qid in related.values())
+            record = _record(row, *related_rows, decoded)
             if record.is_mined:
                 for start, end, session_id in windows.get(record.user, ()):
                     if start <= record.timestamp <= end:
@@ -404,26 +337,6 @@ class QueryStore:
         if self._records:
             # The StoreMeta mark leads only after a removal of the top qid.
             self._next_qid = max(self._next_qid, max(self._records) + 1)
-
-    @staticmethod
-    def _rebuild_output_summary(
-        column_names: str, sample_rows: str, result_cardinality: int
-    ) -> OutputSummary:
-        """The :class:`OutputSummary` of an ``OutputSamples`` row.
-
-        ``result_cardinality`` (from ``RuntimeStats``) is the query's true
-        output size, so ``total_rows``/``complete`` mean the same thing they
-        meant when the profiler built the original summary.  A cell is one of
-        the engine's stored types or NULL, all of which JSON round-trips.
-        """
-        rows = [tuple(row) for row in json.loads(sample_rows)]
-        total_rows = max(result_cardinality, len(rows))
-        return OutputSummary(
-            columns=json.loads(column_names),
-            rows=rows,
-            total_rows=total_rows,
-            complete=len(rows) >= total_rows,
-        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -545,7 +458,7 @@ class QueryStore:
             return
         del self._statements[text]
         if entry.tree is not None:
-            for key in _posting_keys(entry.tree):
+            for key in posting_keys(entry.tree):
                 bucket = self._tree_postings[key]
                 bucket.discard(text)
                 if not bucket:
@@ -599,9 +512,9 @@ class QueryStore:
                     entry.tree = to_parse_tree(text)
                 except ReproError:
                     continue
-                for key in _posting_keys(entry.tree):
+                for key in posting_keys(entry.tree):
                     self._tree_postings.setdefault(key, set()).add(text)
-        postings = [self._tree_postings.get(key) for key in _pattern_keys(pattern)]
+        postings = [self._tree_postings.get(key) for key in pattern_keys(pattern)]
         if not all(postings):
             return set()
         candidates = set.intersection(*sorted([texts, *postings], key=len))
@@ -612,9 +525,10 @@ class QueryStore:
     # -- the one write path -----------------------------------------------------
 
     def _apply(self, change: _Change) -> None:
-        """Write one change: its meta rows first — updates, deletes, inserts,
-        so a removal's qid mark is logged before the rows it deletes — then
-        memory from the same values (:meth:`_remember`).  A write that raises
+        """Write one change: its logged meta rows first — updates, deletes,
+        inserts, so a removal's qid mark is logged before the rows it deletes
+        — then memory from the same values (:meth:`_remember`), which also
+        tells the feature projection what went stale.  A write that raises
         leaves memory as it was, though the rows written before it stay (the
         meta-database has no batch spanning relations)."""
         database = self._meta_db
@@ -634,15 +548,21 @@ class QueryStore:
 
     def _remember(self, change: _Change) -> None:
         """The memory half of :meth:`_apply`, and all of a reopen's: unfile,
-        assign, file, then move the generation when the change asks."""
+        assign, file, then move the generation when the change asks.  A qid
+        unfiled or filed at or below the projection's watermark is stale."""
         if change.removes is not None:
             self._unindex(change.removes)
+            if change.removes.qid <= self._projected:
+                self._stale.add(change.removes.qid)
         for record, fields in change.assigns:
             for name, value in fields.items():
                 setattr(record, name, value)
         record = change.sets
         if record is not None:
             self._index(record)
+            if record.qid <= self._projected:
+                self._stale.add(record.qid)
+            self._top = max(self._top, record.qid)
             if change.artefacts_key is not None:
                 entry = self._statements[record.text]
                 entry.artefacts_key = change.artefacts_key
@@ -654,37 +574,63 @@ class QueryStore:
             self._changed()
 
     def _rewrite(
-        self,
-        record: LoggedQuery,
-        fields: dict[str, object],
-        bumps: bool = False,
-        relations: Sequence[str] = (),
+        self, edits: Sequence[tuple[LoggedQuery, dict[str, object]]], bumps: bool = False
     ) -> _Change:
-        """The change that assigns ``fields`` on ``record``.  It touches the
-        relations whose spelling (:func:`_rows`) the new values change, and
-        every one of ``relations``; in each, the stored rows of the qid are
-        updated in place where the new spelling differs, column by column,
-        and rows past the stored or new count are deleted or inserted.  A
-        relation the new values spell as before keeps its rows, even where
-        they differ from the record (a log reopened in ``"text"`` mode keeps
-        the feature rows written under ``"features"``)."""
-        change = _Change(assigns=[(record, fields)], bumps=bumps)
-        before, after = _rows(record), _rows(replace(record, **fields))
-        for relation in RECORD_RELATIONS:
-            if relation not in relations and before[relation] == after[relation]:
-                continue
-            rows, table = after[relation], self._meta_db.table(relation)
-            row_ids = self._row_ids(table, record.qid)
-            for row_id, row in zip(row_ids, rows):
-                stored = table.get(row_id)
-                values = {name: new for (name, new), old in zip(row.items(), stored) if new != old}
-                if values:
-                    change.updates.setdefault(relation, []).append((row_id, values))
-            if len(row_ids) > len(rows):
-                change.deletes[relation] = row_ids[len(rows) :]
-            elif len(rows) > len(row_ids):
-                change.inserts[relation] = rows[len(row_ids) :]
+        """The change that assigns each edit's fields on its record.  Per
+        record it touches the relations whose spelling (:func:`_rows`) the
+        new values change; in each, the stored rows of the qid are updated in
+        place where the new spelling differs, column by column, and rows past
+        the stored or new count are deleted or inserted."""
+        change = _Change(assigns=list(edits), bumps=bumps)
+        for record, fields in edits:
+            before, after = _rows(record), _rows(replace(record, **fields))
+            for relation in RECORD_RELATIONS:
+                if before[relation] == after[relation]:
+                    continue
+                rows, table = after[relation], self._meta_db.table(relation)
+                row_ids = self._row_ids(table, record.qid)
+                for row_id, row in zip(row_ids, rows):
+                    stored = table.get(row_id)
+                    values = {
+                        name: new for (name, new), old in zip(row.items(), stored) if new != old
+                    }
+                    if values:
+                        change.updates.setdefault(relation, []).append((row_id, values))
+                if len(row_ids) > len(rows):
+                    change.deletes.setdefault(relation, []).extend(row_ids[len(rows) :])
+                elif len(rows) > len(row_ids):
+                    change.inserts.setdefault(relation, []).extend(rows[len(row_ids) :])
         return change
+
+    def _project(self) -> None:
+        """Bring the unlogged feature relations up to the records: delete the
+        rows of the stale qids, then append, one batch per relation, the rows
+        of the live stale qids and of every qid past the watermark.  A fill
+        that raises marks what it was appending stale, so the next one
+        starts by deleting it."""
+        if not self._stale and self._top <= self._projected:
+            return
+        database = self._meta_db
+        fresh = [qid for qid in self._records if qid > self._projected]
+        try:
+            for relation in PROJECTED_RELATIONS:
+                table = database.table(relation)
+                for qid in self._stale:
+                    for row_id in self._row_ids(table, qid):
+                        table.delete(row_id)
+            batches: dict[str, list[dict[str, object]]] = {r: [] for r in PROJECTED_RELATIONS}
+            for qid in sorted(self._stale.union(fresh)):
+                if qid in self._records:
+                    for relation, rows in _projection_rows(self._records[qid]).items():
+                        batches[relation] += rows
+            for relation, rows in batches.items():
+                if rows:
+                    database.insert_rows(relation, rows)
+        except BaseException:
+            self._stale.update(fresh)
+            raise
+        self._stale.clear()
+        self._projected = self._top
 
     @staticmethod
     def _row_ids(table, qid: int) -> list[int]:
@@ -695,7 +641,8 @@ class QueryStore:
     # -- ingest -----------------------------------------------------------------
 
     def add(self, record: LoggedQuery, artefacts_key: tuple | None = None) -> None:
-        """Insert a logged query and shred its features into the relations.
+        """Insert a logged query: its ``Queries``, ``RuntimeStats`` and
+        ``OutputSamples`` rows (its feature rows wait for :meth:`_project`).
 
         With ``artefacts_key`` the record's artefacts were derived under that
         key, and :meth:`artefacts` hands them to the next record of its text.
@@ -782,11 +729,11 @@ class QueryStore:
             "invalid_reason": "; ".join(reasons) if reasons else reason,
             "flag_count": record.flag_count + 1,
         }
-        self._apply(self._rewrite(record, fields))
+        self._apply(self._rewrite([(record, fields)]))
 
     def mark_valid(self, qid: int) -> None:
         fields = {"flagged_invalid": False, "invalid_reason": None}
-        self._apply(self._rewrite(self.get(qid), fields))
+        self._apply(self._rewrite([(self.get(qid), fields)]))
 
     def lint_log(self, catalog=None, table_provider=None, mark: bool = True):
         """Run the SQL semantic linter over every logged query.
@@ -829,23 +776,28 @@ class QueryStore:
         return findings
 
     def set_catalog_version(self, qids: Collection[int], version: int) -> None:
-        """Stamp ``qids`` as checked against the user catalog at ``version``
-        (no relation stores it: a reopen stamps the version it derives under)."""
-        self._apply(_Change(assigns=[(self.get(q), {"catalog_version": version}) for q in qids]))
+        """Stamp ``qids`` as checked against the user catalog at ``version``,
+        on the records and in ``Queries.catalogVersion``."""
+        self._apply(self._rewrite([(self.get(q), {"catalog_version": version}) for q in qids]))
+
+    def set_quality(self, scores: Mapping[int, float]) -> None:
+        """Store maintenance quality scores (qid -> score), on the records and
+        in ``Queries.quality``, so the ranking reads them after a restart."""
+        self._apply(self._rewrite([(self.get(q), {"quality": v}) for q, v in scores.items()]))
 
     def set_runtime(self, qid: int, runtime: RuntimeStats) -> None:
         """Replace a query's runtime statistics (a maintenance refresh), on
         the record and in ``RuntimeStats``, so meta-SQL agrees with the
         record at once and the refreshed numbers survive a restart."""
-        self._apply(self._rewrite(self.get(qid), {"runtime": runtime}))
+        self._apply(self._rewrite([(self.get(qid), {"runtime": runtime})]))
 
     def set_visibility(self, qid: int, visibility: str) -> None:
         """Change who may see a query (``"private"``/``"group"``/``"public"``),
         on the record and in ``Queries``, so the setting survives a restart."""
-        self._apply(self._rewrite(self.get(qid), {"visibility": visibility}, bumps=True))
+        self._apply(self._rewrite([(self.get(qid), {"visibility": visibility})], bumps=True))
 
     def remove(self, qid: int) -> None:
-        """Remove a query and all its shredded features.
+        """Remove a query, its rows and (at the next fill) its feature rows.
 
         Session rows referencing the query are cleaned up too: its
         ``SessionEdges`` are deleted and the owning session's ``numQueries``
@@ -873,27 +825,23 @@ class QueryStore:
         self._apply(change)
 
     def replace_text(self, qid: int, new_text: str, features, canonical: str, template: str) -> None:
-        """Replace a repaired query's text and re-shred its features.
+        """Replace a repaired query's text and artefacts.
 
-        Only the relations derived from the record are rewritten, all five
-        feature relations among them, since each row there describes the old
-        text: the repaired query keeps its identity, so its ``Annotations``,
-        ``SessionEdges`` and session membership are never touched.
+        Only its ``Queries`` row is rewritten, and the record is refiled, so
+        the next fill replaces its feature rows: the repaired query keeps its
+        identity, so its ``Annotations``, ``SessionEdges`` and session
+        membership are never touched.
         """
         record = self.get(qid)
-        change = self._rewrite(
-            record,
-            {
-                "text": new_text,
-                "features": features,
-                "canonical_text": canonical,
-                "template_text": template,
-                "flagged_invalid": False,
-                "invalid_reason": None,
-            },
-            bumps=True,
-            relations=RECORD_RELATIONS[3:],
-        )
+        fields = {
+            "text": new_text,
+            "features": features,
+            "canonical_text": canonical,
+            "template_text": template,
+            "flagged_invalid": False,
+            "invalid_reason": None,
+        }
+        change = self._rewrite([(record, fields)], bumps=True)
         change.removes = change.sets = record
         self._apply(change)
 
@@ -925,8 +873,9 @@ class QueryStore:
 
         This is the paper's Figure 1 interface: meta-queries are plain SQL
         over ``Queries``, ``DataSources``, ``Attributes``, ``Predicates`` and
-        the other feature relations.
+        the other feature relations, whose projection is filled first.
         """
+        self._project()
         return self._meta_db.execute(sql)
 
     def explain_meta_sql(self, sql: str, analyze: bool = False):
@@ -936,8 +885,10 @@ class QueryStore:
         so users can see which access paths (e.g. the ``qid`` index scans)
         the meta-query will use; with ``analyze=True`` the meta-query is
         executed and every plan node carries its actual row count, batch
-        count, and wall time.
+        count, and wall time.  The feature relations are filled first, so
+        the plan is costed over the rows it would read.
         """
+        self._project()
         return self._meta_db.explain(sql, analyze=analyze)
 
     def plan_cache_stats(self):
@@ -962,20 +913,22 @@ def _row(relation: str, *values: object) -> dict[str, object]:
 
 
 def _rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
-    """Every meta row a record spells, per relation of :data:`RECORD_RELATIONS`.
+    """Every logged row a record spells, per relation of :data:`RECORD_RELATIONS`.
 
     The one spelling of a record as rows: :meth:`QueryStore.add` inserts
     them, an update rewrites the ones whose values changed, and a reopen
     reads them back (:func:`_record`).  A relation the record has no rows
     for maps to an empty list.
     """
-    qid, runtime, features = record.qid, record.runtime, record.features
-    rows = {
+    qid, runtime, features, output = record.qid, record.runtime, record.features, record.output
+    return {
         "Queries": [
             _row(
                 "Queries", qid, record.text, record.user, record.group, record.timestamp,
                 record.statement_kind, record.visibility, not record.flagged_invalid,
-                record.invalid_reason, record.flag_count,
+                record.invalid_reason, record.flag_count, record.canonical_text,
+                record.template_text, None if features is None else features.to_json(),
+                record.quality, record.catalog_version,
             )
         ],
         "RuntimeStats": [
@@ -984,62 +937,79 @@ def _rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
                 runtime.rows_scanned, runtime.succeeded,
             )
         ],
-        "OutputSamples": [] if record.output is None else [_output_row(qid, record.output)],
+        "OutputSamples": [] if output is None else [_row("OutputSamples", qid, *output.to_json())],
     }
+
+
+def _projection_rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
+    """A record's rows in the feature relations (:data:`PROJECTED_RELATIONS`),
+    which :meth:`QueryStore._project` appends; none for a record without
+    features."""
+    qid, features = record.qid, record.features
     if features is None:
-        return rows | {relation: [] for relation in RECORD_RELATIONS[3:]}
-    rows["DataSources"] = [_row("DataSources", qid, table) for table in features.tables]
-    rows["Attributes"] = [_row("Attributes", qid, *pair) for pair in features.attributes]
-    rows["Predicates"] = [
-        _row("Predicates", qid, p.attribute, p.relation, p.op, _constant_text(p.constant))
-        for p in features.predicates
-    ]
-    rows["Projections"] = [_row("Projections", qid, *pair) for pair in features.projections]
-    rows["Joins"] = [
-        _row("Joins", qid, j.left_relation, j.left_attribute, j.right_relation, j.right_attribute)
-        for j in (join.normalized() for join in features.joins)
-    ]
-    return rows
-
-
-def _output_row(qid: int, summary: OutputSummary) -> dict[str, object]:
-    """The ``OutputSamples`` row of :func:`_rows`: the summary's column names
-    and its rows as positional arrays, each one JSON array."""
-    columns = json.dumps(summary.columns, ensure_ascii=False)
-    return _row("OutputSamples", qid, columns, json.dumps(summary.rows, ensure_ascii=False))
+        return {}
+    return {
+        "DataSources": [_row("DataSources", qid, table) for table in features.tables],
+        "Attributes": [_row("Attributes", qid, *pair) for pair in features.attributes],
+        "Predicates": [
+            _row("Predicates", qid, p.attribute, p.relation, p.op, _constant_text(p.constant))
+            for p in features.predicates
+        ],
+        "Projections": [_row("Projections", qid, *pair) for pair in features.projections],
+        "Joins": [
+            _row(
+                "Joins", qid, j.left_relation, j.left_attribute, j.right_relation,
+                j.right_attribute,
+            )
+            for j in (join.normalized() for join in features.joins)
+        ],
+    }
 
 
 def _record(
-    row: tuple, runtime: Sequence[tuple], output: Sequence[tuple], annotations: Sequence[tuple]
+    row: tuple,
+    runtime: Sequence[tuple],
+    output: Sequence[tuple],
+    annotations: Sequence[tuple],
+    decoded: dict[str, QueryFeatures],
 ) -> LoggedQuery:
     """The record whose ``Queries`` row is ``row``, read back with its
     ``RuntimeStats``, ``OutputSamples`` and ``Annotations`` rows, each in
     row-id order, the order they were written in (the inverse of
     :func:`_rows`).  Rows are stored tuples in schema order, which the store
-    checks when it opens.  What is derived from the text and the session
-    are the caller's; the error message of a failed statement has no column."""
-    qid, text, user, group, timestamp, kind, visibility, valid, reason, flags = row
+    checks when it opens.  ``decoded`` maps a features text to its object,
+    shared by the records that spell it.  The session is the caller's; the
+    error message of a failed statement has no column."""
+    (
+        qid, text, user, group, timestamp, kind, visibility, valid, reason, flags,
+        canonical, template, features, quality, version,
+    ) = row
+    if features is not None and features not in decoded:
+        decoded[features] = QueryFeatures.from_json(features)
     record = LoggedQuery(
         qid=qid,
         user=user or "",
         group=group or "",
         text=text or "",
         timestamp=timestamp or 0.0,
+        canonical_text=canonical or "",
+        template_text=template or "",
         statement_kind=kind or "unknown",
+        features=None if features is None else decoded[features],
         visibility=visibility or "group",
         flagged_invalid=not valid,
         invalid_reason=reason,
         flag_count=flags or 0,
         annotations=[body or "" for _, _, _, body in annotations],
+        quality=0.5 if quality is None else quality,
+        catalog_version=version or 0,
     )
     for _, elapsed, cardinality, scanned, succeeded in runtime:
         record.runtime = RuntimeStats(
             elapsed or 0.0, cardinality or 0, scanned or 0, bool(succeeded)
         )
     for _, columns, sample in output:
-        record.output = QueryStore._rebuild_output_summary(
-            columns, sample, record.runtime.result_cardinality
-        )
+        record.output = OutputSummary.from_json(columns, sample, record.runtime.result_cardinality)
     return record
 
 

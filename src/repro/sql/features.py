@@ -18,6 +18,7 @@ relation.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 
@@ -159,6 +160,47 @@ class QueryFeatures:
         tokens += [f"agg:{name}" for name in self.aggregates]
         tokens += [f"group:{rel}.{attr}" for attr, rel in self.group_by]
         return tokens
+
+    def to_json(self) -> str:
+        """The features as one JSON array of the fields in declaration order,
+        a predicate or join as an array of its fields (:meth:`from_json`
+        reads it back equal).  The Query Storage logs it with the record."""
+        fields = [
+            self.statement_kind, self.tables, self.attributes, self.projections,
+            [p.as_tuple() for p in self.predicates],
+            [
+                (j.left_relation, j.left_attribute, j.right_relation, j.right_attribute)
+                for j in self.joins
+            ],
+            self.group_by, self.order_by, self.aggregates, self.select_star, self.distinct,
+            self.limit, self.num_tables, self.num_predicates, self.num_joins,
+            self.num_subqueries, self.nesting_depth,
+        ]
+        return json.dumps(fields, ensure_ascii=False, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "QueryFeatures":
+        """The features whose :meth:`to_json` is ``text``.  A constant is a
+        literal's value or an IN list's tuple of them, so an array read back
+        is a tuple."""
+        (
+            kind, tables, attributes, projections, predicates, joins, group_by, order_by,
+            *rest,
+        ) = json.loads(text)
+        return cls(
+            kind,
+            tables,
+            [tuple(pair) for pair in attributes],
+            [tuple(pair) for pair in projections],
+            [
+                PredicateFeature(a, r, op, tuple(c) if isinstance(c, list) else c)
+                for a, r, op, c in predicates
+            ],
+            [JoinFeature(*join) for join in joins],
+            [tuple(pair) for pair in group_by],
+            [tuple(pair) for pair in order_by],
+            *rest,
+        )
 
 
 def extract_features(

@@ -252,7 +252,7 @@ class Database:
         database._recovered_backlog = report.wal_mutations_scanned
         database._maybe_checkpoint(include_recovered=True)
         for table in database._tables.values():
-            table.wal_emit = database._wal_append
+            database._attach_wal(table)
         return database
 
     @property
@@ -289,6 +289,7 @@ class Database:
         heap_pages = [
             page_id
             for table in self._tables.values()
+            if not table.unlogged
             for page_id in table.heap_page_ids()
         ]
         self._store.flush(heap_pages)
@@ -359,6 +360,15 @@ class Database:
         if self._wal is not None:
             self._wal.append(record)
 
+    def _attach_wal(self, table: Table) -> None:
+        table.wal_emit = self._wal_append_index if table.unlogged else self._wal_append
+
+    def _wal_append_index(self, record: dict) -> None:
+        """An unlogged table's WAL hook: its index builds are logged, its
+        row mutations are not."""
+        if record["op"] == "create_index":
+            self._wal_append(record)
+
     def _assert_open(self) -> None:
         if self._closed:
             raise DurabilityError(
@@ -428,12 +438,17 @@ class Database:
 
     # -- schema management (programmatic API) --------------------------------------
 
-    def create_table(self, schema: TableSchema, timestamp: float | None = None) -> Table:
+    def create_table(
+        self, schema: TableSchema, timestamp: float | None = None, unlogged: bool = False
+    ) -> Table:
         """Create a table from a programmatic :class:`TableSchema`.
 
         ``timestamp`` overrides the clock for the catalog event — crash
         recovery passes the originally logged time so the schema-change
-        history replays faithfully.
+        history replays faithfully.  An ``unlogged`` table is logged as DDL
+        only (its creation, indexes and ALTERs): its rows skip the WAL and
+        checkpoints, so recovery leaves it empty — for data its owner can
+        derive again from logged tables.
 
         DDL follows a validate → log → apply order: every fallible check
         runs before the WAL append, and the apply steps after it cannot
@@ -444,14 +459,13 @@ class Database:
         timestamp = self._now() if timestamp is None else timestamp
         if self._catalog.has_table(schema.name):
             raise CatalogError(f"table {schema.name!r} already exists")
-        self._wal_append(
-            {"op": "create_table", "schema": schema_to_dict(schema), "ts": timestamp}
-        )
+        record = {"op": "create_table", "schema": schema_to_dict(schema), "ts": timestamp}
+        self._wal_append(record | {"unlogged": True} if unlogged else record)
         self._catalog.register(schema, timestamp=timestamp)
-        table = Table(schema, store=self._store)
+        table = Table(schema, store=self._store, unlogged=unlogged)
         self._tables[schema.name.lower()] = table
         if self._wal is not None:
-            table.wal_emit = self._wal_append
+            self._attach_wal(table)
         return table
 
     def drop_table(self, name: str, timestamp: float | None = None) -> None:

@@ -191,6 +191,7 @@ def _restore_snapshot(database, snapshot: dict) -> None:
             schema,
             store=database._store,
             page_slots=int(entry.get("page_slots", 1)),
+            unlogged=entry.get("unlogged", False),
         )
         # Attach the on-disk heap pages first (checksums verified as the
         # chains are walked), then rebuild the derived structures from
@@ -259,7 +260,9 @@ def _apply(database, record: WalRecord) -> None:
             _create_index(database.table(data["tbl"]), data)
         elif op == "create_table":
             database.create_table(
-                schema_from_dict(data["schema"]), timestamp=data.get("ts")
+                schema_from_dict(data["schema"]),
+                timestamp=data.get("ts"),
+                unlogged=data.get("unlogged", False),
             )
         elif op == "drop_table":
             database.drop_table(data["tbl"], timestamp=data.get("ts"))

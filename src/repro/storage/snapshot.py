@@ -130,8 +130,9 @@ def build_checkpoint(database, lsn: int) -> dict:
     ``lsn`` is the last WAL LSN the checkpoint covers; replay skips records at
     or below it.  Holds no rows: each table contributes its page directory —
     ``[ordinal, head_frame, live_count]`` per heap page — pointing into the
-    already-flushed page file.  The caller must have flushed the tables'
-    heap pages first (:meth:`~repro.storage.buffer_pool.PageStore.flush`),
+    already-flushed page file (none for an unlogged table, which comes back
+    empty).  The caller must have flushed the logged tables' heap pages
+    first (:meth:`~repro.storage.buffer_pool.PageStore.flush`),
     or ``page_directory`` will have nothing to point at.
     """
     tables = []
@@ -153,7 +154,9 @@ def build_checkpoint(database, lsn: int) -> dict:
                     for index in table.index_definitions()
                 ],
                 "page_slots": table.page_slots,
-                "pages": table.page_directory(),
+                # An unlogged table's pages are never flushed for a checkpoint.
+                "pages": [] if table.unlogged else table.page_directory(),
+                **({"unlogged": True} if table.unlogged else {}),
             }
         )
     return {

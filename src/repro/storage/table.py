@@ -94,6 +94,9 @@ class Table:
     appender: every successful mutation — an insert batch, an update, a
     delete, an index build — then emits one logical log record *after* it has
     been applied, so crash recovery replays exactly the committed operations.
+    An ``unlogged`` table (PostgreSQL's ``UNLOGGED``) gets a hook that logs
+    only its index builds: its rows never reach the log or a checkpoint, and
+    recovery brings it back empty, with its indexes.
     """
 
     def __init__(
@@ -101,8 +104,10 @@ class Table:
         schema: TableSchema,
         store: PageStore | None = None,
         page_slots: int = HEAP_PAGE_SLOTS,
+        unlogged: bool = False,
     ):
         self._schema = schema
+        self.unlogged = unlogged
         self._store = store if store is not None else PageStore()
         self._page_slots = max(1, int(page_slots))
         self._page_ids: dict[int, int] = {}  # page ordinal -> buffer-pool page id

@@ -16,7 +16,13 @@ import pytest
 
 from repro import CQMS
 from repro.core.config import CQMSConfig
-from repro.core.query_store import RECORD_RELATIONS, QueryStore, _rows
+from repro.core.query_store import (
+    PROJECTED_RELATIONS,
+    RECORD_RELATIONS,
+    QueryStore,
+    _projection_rows,
+    _rows,
+)
 from repro.core.records import LoggedQuery, RuntimeStats, statement_artefacts
 from repro.errors import MetaQueryError
 from repro.sql.canonicalize import canonical_text
@@ -81,7 +87,7 @@ class TestFailedWriteLeavesMemory:
         def failing(row_id):
             raise Injected(row_id)
 
-        monkeypatch.setattr(store.meta_database.table("Attributes"), "delete", failing)
+        monkeypatch.setattr(store.meta_database.table("RuntimeStats"), "delete", failing)
         with pytest.raises(Injected):
             store.remove(2)
         assert memory(store) == before
@@ -99,25 +105,28 @@ def stored_rows(store: QueryStore, relation: str) -> dict[int, list[dict]]:
 
 
 def assert_rows_spell_records(store: QueryStore) -> None:
-    """Each qid's rows in the record relations are ``_rows`` of its record,
-    and no relation holds a row of a qid the store does not."""
+    """Each qid's rows in the logged record relations are ``_rows`` of its
+    record, after a meta-query its rows in the feature relations are
+    ``_projection_rows`` of it, and no relation holds a row of a qid the
+    store does not."""
     for relation in RECORD_RELATIONS:
         by_qid = stored_rows(store, relation)
         assert set(by_qid) <= {record.qid for record in store.all_queries()}, relation
         for record in store.all_queries():
             assert by_qid.get(record.qid, []) == _rows(record)[relation], (relation, record.qid)
+    store.execute_meta_sql("SELECT COUNT(*) FROM Queries")
+    for relation in PROJECTED_RELATIONS:
+        by_qid = stored_rows(store, relation)
+        assert set(by_qid) <= {record.qid for record in store.all_queries()}, relation
+        for record in store.all_queries():
+            spelled = _projection_rows(record).get(relation, [])
+            assert by_qid.get(record.qid, []) == spelled, (relation, record.qid)
 
 
 def persisted(record: LoggedQuery) -> LoggedQuery:
-    """The record less the fields no relation stores: a failed statement's
-    error message, the catalog version it was checked against and its
-    maintenance quality score."""
-    return dataclasses.replace(
-        record,
-        runtime=dataclasses.replace(record.runtime, error=None),
-        catalog_version=0,
-        quality=0.5,
-    )
+    """The record less the one field no relation stores: a failed
+    statement's error message."""
+    return dataclasses.replace(record, runtime=dataclasses.replace(record.runtime, error=None))
 
 
 def durable_cqms(data_dir: str, **config) -> CQMS:
@@ -214,38 +223,39 @@ def test_reopen_keeps_a_non_member_out_of_sessions(tmp_path):
         assert count == 3
 
 
-def test_text_mode_reopen_keeps_feature_rows(tmp_path):
+def test_text_mode_reopen_keeps_log_time_features(tmp_path):
     """A log written in ``"features"`` mode and reopened in ``"text"`` mode
-    holds records without features but keeps their feature rows, which the
-    meta-SQL reads.  A flag, a visibility change or a runtime refresh writes
-    only the relation whose spelling it changes, so those rows stay; a
-    repair deletes them, since they describe the old text."""
+    holds its records as they were logged, features included, and the
+    meta-SQL reads their feature rows.  A flag, a visibility change or a
+    runtime refresh leaves those rows alone; a repair in text mode (no
+    features) deletes them, since they describe the old text."""
     data_dir = str(tmp_path / "store")
     with durable_cqms(data_dir) as cqms:
         cqms.register_user("alice", group="lab")
         for user, sql in STATEMENTS[:2]:
             cqms.submit(user, sql)
-    feature_relations = RECORD_RELATIONS[3:]
+        closed = [persisted(record) for record in cqms.store.all_queries()]
     with durable_cqms(data_dir, profiling_mode="text") as cqms:
         store = cqms.store
-        assert store.get(2).features is None
-        before = {relation: stored_rows(store, relation) for relation in feature_relations}
+        assert [persisted(record) for record in store.all_queries()] == closed
+        assert store.get(2).features is not None
+        assert_rows_spell_records(store)
+        before = {relation: stored_rows(store, relation) for relation in PROJECTED_RELATIONS}
         assert before["DataSources"][2] and before["Joins"][2]
         store.set_visibility(2, "private")
         store.mark_invalid(2, "stale")
         store.mark_invalid(1, "unused")
         store.mark_valid(1)
         store.set_runtime(2, RuntimeStats(elapsed_seconds=0.5, result_cardinality=1))
-        assert {relation: stored_rows(store, relation) for relation in feature_relations} == before
-        for relation in ("Queries", "RuntimeStats", "OutputSamples"):
-            by_qid = stored_rows(store, relation)
-            for qid in (1, 2):
-                assert by_qid.get(qid, []) == _rows(store.get(qid))[relation], (relation, qid)
+        assert_rows_spell_records(store)
+        kept = {relation: stored_rows(store, relation) for relation in PROJECTED_RELATIONS}
+        assert kept == before
         repaired = "SELECT name FROM Lakes"
         store.replace_text(
             2, repaired, None, canonical_text(repaired),
             canonical_text(repaired, strip_constants=True),
         )
-        after = {relation: stored_rows(store, relation) for relation in feature_relations}
+        assert_rows_spell_records(store)
+        after = {relation: stored_rows(store, relation) for relation in PROJECTED_RELATIONS}
         assert all(2 not in by_qid for by_qid in after.values())
         assert after["DataSources"][1] == before["DataSources"][1]

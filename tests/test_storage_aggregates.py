@@ -889,12 +889,12 @@ class TestGroupedMetaQueries:
         for user, sql in submissions:
             execution = cqms.submit(user, sql)
             assert execution.succeeded, execution.error
-        meta_db = cqms.store.meta_database
-        per_user = meta_db.execute(
+        store = cqms.store
+        per_user = store.execute_meta_sql(
             "SELECT userName, COUNT(*) AS n FROM Queries GROUP BY userName ORDER BY n DESC, userName"
         )
         assert per_user.rows == [("alice", 2), ("bob", 1)]
-        per_source = meta_db.execute(
+        per_source = store.execute_meta_sql(
             "SELECT relName, COUNT(*) FROM DataSources GROUP BY relName ORDER BY relName"
         )
         counts = dict(per_source.rows)

@@ -1162,6 +1162,61 @@ class TestPagedStorage:
 
 
 # ---------------------------------------------------------------------------
+# Unlogged tables
+# ---------------------------------------------------------------------------
+
+
+def _unlogged_db(data_dir: str) -> Database:
+    """A durable database with a logged ``t`` and an unlogged, indexed ``u``,
+    each holding rows that a later update and delete touch."""
+    db = Database.open(data_dir, wal_sync="commit")
+    db.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+    db.create_table(TableSchema("u", [c for c in db.table("t").schema.columns]), unlogged=True)
+    db.table("u").create_index("u_a", "a")
+    for name in ("t", "u"):
+        db.insert_rows(name, [{"a": i, "b": f"r{i}"} for i in range(5)])
+        db.table(name).update(0, {"b": "changed"})
+        db.table(name).delete(1)
+    return db
+
+
+class TestUnloggedTables:
+    def test_no_wal_frame_carries_an_unlogged_row(self, tmp_path):
+        d = str(tmp_path / "db")
+        with _unlogged_db(d):
+            pass
+        frames = [r.data for r in read_wal(wal_path(d)).records]
+        named = [f for f in frames if f.get("tbl") == "u" or f.get("schema", {}).get("name") == "u"]
+        assert [f["op"] for f in named] == ["create_table", "create_index"]
+        assert named[0]["unlogged"] is True
+        logged = {f["op"] for f in frames if f.get("tbl") == "t"}
+        assert logged == {"insert_many", "update", "delete"}
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_recovery_leaves_it_empty_with_its_indexes(self, tmp_path, checkpoint):
+        """From the WAL alone or from a checkpoint plus its tail, the logged
+        table comes back whole and the unlogged one empty, still unlogged
+        and indexed; the live rows survive the checkpoint itself."""
+        d = str(tmp_path / "db")
+        with _unlogged_db(d) as db:
+            if checkpoint:
+                db.checkpoint()
+                assert table_rows(db, "u") == table_rows(db, "t")
+                db.insert_rows("u", [{"a": 9, "b": "tail"}])
+            expected = table_rows(db, "t")
+        with Database.open(d) as db:
+            assert table_rows(db, "t") == expected
+            table = db.table("u")
+            assert len(table) == 0 and table.unlogged
+            assert table.index_for("a").name == "u_a"
+            assert "IndexScan u (a = " in db.explain("SELECT b FROM u WHERE a = 3").text()
+            db.insert_rows("u", [{"a": 3, "b": "again"}])
+            assert db.execute("SELECT b FROM u WHERE a = 3").rows == [("again",)]
+        with Database.open(d) as db:
+            assert len(db.table("u")) == 0 and db.table("u").index_for("a") is not None
+
+
+# ---------------------------------------------------------------------------
 # Durable Query Storage (CQMS integration)
 # ---------------------------------------------------------------------------
 
@@ -1184,7 +1239,8 @@ class TestDurableQueryStore:
             record = cqms.store.get(1)
             assert record.text == "SELECT * FROM WaterTemp T WHERE T.temp < 18"
             assert record.annotations == ["cold lakes"]
-            # Features were re-extracted, so meta-search works immediately.
+            # Features come back from the Queries row, so meta-search works
+            # immediately.
             assert record.features is not None
             hits = cqms.search_keyword("nodira", ["watertemp"])
             assert [r.qid for r in hits] == [1, 2]
@@ -1211,8 +1267,12 @@ class TestDurableQueryStore:
             assert stats["database"] is None  # user DBMS stays in-memory
             assert stats["query_storage"] is not None
 
-    def test_reopen_parses_each_distinct_text_once(self, tmp_path, monkeypatch):
+    def test_a_reopen_parses_nothing(self, tmp_path, monkeypatch):
+        """Each ``Queries`` row carries its record's artefacts, so a reopen
+        reads them back instead of parsing the log; records whose features
+        read alike share one object."""
         from repro.core import records
+        from repro.sql import features
 
         texts = [f"SELECT * FROM WaterTemp T WHERE T.temp < {15 + i}" for i in range(4)]
         texts.append("SELECT L.name FROM Lakes L, WaterTemp T WHERE L.lake_id = T.lake_id")
@@ -1235,15 +1295,15 @@ class TestDurableQueryStore:
             return parse(sql)
 
         monkeypatch.setattr(records, "parse", counting_parse)
+        monkeypatch.setattr(features, "parse", counting_parse)
         db2 = build_database("limnology", scale=1)
         with CQMS(db2, config=CQMSConfig(data_dir=d)) as cqms:
-            assert sorted(parsed) == sorted(texts)
+            assert parsed == []
             after = {
                 r.qid: (r.text, r.features, r.canonical_text, r.template_text)
                 for r in cqms.store.all_queries()
             }
             assert after == before
-            # Records carrying one text share its feature object.
             assert cqms.store.get(1).features is cqms.store.get(6).features
 
     @pytest.mark.parametrize("mode", ["features", "text"])
@@ -1558,6 +1618,9 @@ class TestDirectoryWithSortedIndexes:
             meta = cqms.store.meta_database
             assert {name: table_rows(meta, name) for name in meta.table_names()} == rows
             assert _index_definitions(meta) == definitions
+            # The unlogged feature relations come back empty; a meta-query
+            # fills them, so their indexes are probed too.
+            cqms.store.execute_meta_sql("SELECT COUNT(*) FROM DataSources")
             # Every hash index answers its IndexScan with the rows a scan finds.
             probed = 0
             for name in meta.table_names():
