@@ -77,10 +77,10 @@ class QueryMaintenance:
         for record in self._store.all_queries():
             if not record.is_select or record.features is None:
                 continue
-            # Cheap pre-filter: only queries checked against another catalog
-            # version need re-checking (Section 4.4).  The stamp is logged, so
-            # a reopen against a user catalog of another history re-checks.
-            if record.catalog_version == catalog.version and not record.flagged_invalid:
+            # Cheap pre-filter: only queries older than the last schema change
+            # on one of their input relations need re-checking (Section 4.4).
+            # A reopened record is stamped -1, so it is re-checked once.
+            if record.catalog_version >= catalog.version and not record.flagged_invalid:
                 continue
             report.checked += 1
             problems = _validity_problems(record.features, schema_columns)

@@ -26,6 +26,7 @@ includes the record's own artefacts, so a resubmitted text is not parsed again.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from collections.abc import Callable, Collection, Mapping, Sequence
@@ -36,14 +37,7 @@ from types import MappingProxyType
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, TemplateArtefacts
 from repro.errors import DurabilityError, MetaQueryError, ReproError
 from repro.sql.features import QueryFeatures
-from repro.sql.parse_tree import (
-    ParseTreeNode,
-    TreePattern,
-    match_pattern,
-    pattern_keys,
-    posting_keys,
-    to_parse_tree,
-)
+from repro.sql.parse_tree import ParseTreeNode, TreePattern, match_pattern, to_parse_tree
 from repro.storage.database import Database, QueryResult
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.types import DataType
@@ -53,51 +47,107 @@ from repro.storage.types import DataType
 TEMPLATE_TABLE_SIZE = 512
 
 
-def _schema(name: str, columns: str) -> TableSchema:
-    """The relation ``name`` with ``columns`` spelled ``"name TYPE, ..."``."""
-    pairs = (column.split() for column in columns.split(","))
-    return TableSchema(name, [ColumnSchema(column, DataType[kind]) for column, kind in pairs])
+def _schema(name: str, *columns: tuple[str, DataType]) -> TableSchema:
+    return TableSchema(
+        name=name,
+        columns=[ColumnSchema(name=column, data_type=data_type) for column, data_type in columns],
+    )
 
 
 #: Schemas of the Query Storage feature relations.
 FEATURE_RELATIONS: list[TableSchema] = [
     _schema(
         "Queries",
-        "qid INTEGER, qText TEXT, userName TEXT, groupName TEXT, ts FLOAT, statementKind TEXT,"
-        " visibility TEXT, valid BOOLEAN, invalidReason TEXT, flagCount INTEGER,"
+        ("qid", DataType.INTEGER),
+        ("qText", DataType.TEXT),
+        ("userName", DataType.TEXT),
+        ("groupName", DataType.TEXT),
+        ("ts", DataType.FLOAT),
+        ("statementKind", DataType.TEXT),
+        ("visibility", DataType.TEXT),
+        ("valid", DataType.BOOLEAN),
+        ("invalidReason", DataType.TEXT),
+        ("flagCount", DataType.INTEGER),
         # The record's artefacts, so a reopen reads them instead of parsing:
         # features as one JSON array (QueryFeatures.to_json), NULL for none.
-        " canonicalText TEXT, templateText TEXT, features TEXT,"
-        # Maintenance state: the quality score and the user-catalog version
-        # the record was last checked against.
-        " quality FLOAT, catalogVersion INTEGER",
+        ("canonicalText", DataType.TEXT),
+        ("templateText", DataType.TEXT),
+        ("features", DataType.TEXT),
+        # The maintenance quality score.
+        ("quality", DataType.FLOAT),
     ),
-    _schema("DataSources", "qid INTEGER, relName TEXT"),
-    _schema("Attributes", "qid INTEGER, attrName TEXT, relName TEXT"),
-    _schema("Predicates", "qid INTEGER, attrName TEXT, relName TEXT, op TEXT, const TEXT"),
-    _schema("Projections", "qid INTEGER, attrName TEXT, relName TEXT"),
-    _schema("Joins", "qid INTEGER, leftRel TEXT, leftAttr TEXT, rightRel TEXT, rightAttr TEXT"),
+    _schema("DataSources", ("qid", DataType.INTEGER), ("relName", DataType.TEXT)),
+    _schema(
+        "Attributes",
+        ("qid", DataType.INTEGER),
+        ("attrName", DataType.TEXT),
+        ("relName", DataType.TEXT),
+    ),
+    _schema(
+        "Predicates",
+        ("qid", DataType.INTEGER),
+        ("attrName", DataType.TEXT),
+        ("relName", DataType.TEXT),
+        ("op", DataType.TEXT),
+        ("const", DataType.TEXT),
+    ),
+    _schema(
+        "Projections",
+        ("qid", DataType.INTEGER),
+        ("attrName", DataType.TEXT),
+        ("relName", DataType.TEXT),
+    ),
+    _schema(
+        "Joins",
+        ("qid", DataType.INTEGER),
+        ("leftRel", DataType.TEXT),
+        ("leftAttr", DataType.TEXT),
+        ("rightRel", DataType.TEXT),
+        ("rightAttr", DataType.TEXT),
+    ),
     _schema(
         "RuntimeStats",
-        "qid INTEGER, elapsedSeconds FLOAT, cardinality INTEGER, rowsScanned INTEGER,"
-        " succeeded BOOLEAN",
+        ("qid", DataType.INTEGER),
+        ("elapsedSeconds", DataType.FLOAT),
+        ("cardinality", DataType.INTEGER),
+        ("rowsScanned", DataType.INTEGER),
+        ("succeeded", DataType.BOOLEAN),
     ),
     # One row per summarized output: the summary's column names and its
     # sampled rows, each a JSON array (rows as positional arrays).
-    _schema("OutputSamples", "qid INTEGER, columnNames TEXT, sampleRows TEXT"),
-    _schema("Annotations", "qid INTEGER, author TEXT, ts FLOAT, body TEXT"),
+    _schema(
+        "OutputSamples",
+        ("qid", DataType.INTEGER),
+        ("columnNames", DataType.TEXT),
+        ("sampleRows", DataType.TEXT),
+    ),
+    _schema(
+        "Annotations",
+        ("qid", DataType.INTEGER),
+        ("author", DataType.TEXT),
+        ("ts", DataType.FLOAT),
+        ("body", DataType.TEXT),
+    ),
     _schema(
         "Sessions",
-        "sessionId INTEGER, userName TEXT, startTs FLOAT, endTs FLOAT, numQueries INTEGER",
+        ("sessionId", DataType.INTEGER),
+        ("userName", DataType.TEXT),
+        ("startTs", DataType.FLOAT),
+        ("endTs", DataType.FLOAT),
+        ("numQueries", DataType.INTEGER),
     ),
     _schema(
         "SessionEdges",
-        "sessionId INTEGER, fromQid INTEGER, toQid INTEGER, edgeType TEXT, diffSummary TEXT",
+        ("sessionId", DataType.INTEGER),
+        ("fromQid", DataType.INTEGER),
+        ("toQid", DataType.INTEGER),
+        ("edgeType", DataType.TEXT),
+        ("diffSummary", DataType.TEXT),
     ),
     # Engine bookkeeping, not a paper relation: persists counters like the
     # qid high-water mark so identifiers are never reused across restarts
     # of a durable store (removals would otherwise lower max(qid)).
-    _schema("StoreMeta", "key TEXT, value INTEGER"),
+    _schema("StoreMeta", ("key", DataType.TEXT), ("value", DataType.INTEGER)),
 ]
 
 
@@ -166,6 +216,24 @@ class Shape:
 def _shape_key(sets: dict[str, frozenset]) -> tuple:
     """The hashable form of a feature-set dict (its classes in a fixed order)."""
     return tuple(sets.items())
+
+
+def _posting_keys(tree: ParseTreeNode) -> set:
+    """The postings a tree is filed under: each label and each (label, value)."""
+    keys: set = set()
+    for node in tree.walk():
+        keys.add(node.label)
+        if node.value:
+            keys.add((node.label, node.value))
+    return keys
+
+
+def _pattern_keys(pattern: TreePattern) -> set:
+    """The postings every tree matching ``pattern`` must be filed under."""
+    keys = {(pattern.label, pattern.value) if pattern.value else pattern.label}
+    for child in pattern.children:
+        keys |= _pattern_keys(child)
+    return keys
 
 
 class QueryStore:
@@ -255,11 +323,9 @@ class QueryStore:
         self._ordered: list[LoggedQuery] | None = None
         self._popularity: Mapping[str, int] | None = None
         self._telemetry = None
-        # The projection's state: every qid up to ``_projected`` has its rows
-        # in the feature relations, except the ``_stale`` ones (removed or
-        # refiled since); ``_top`` is the largest qid ever filed.
-        self._projected = self._top = 0
-        self._stale: set[int] = set()
+        # The generation the feature relations were last filled at (None:
+        # never, and a recovery leaves them empty).
+        self._projected: int | None = None
         self._next_qid = 1
         self._next_qid_row_id = self._init_store_meta()
         if data_dir is not None and len(self._meta_db.table("Queries")):
@@ -337,6 +403,26 @@ class QueryStore:
         if self._records:
             # The StoreMeta mark leads only after a removal of the top qid.
             self._next_qid = max(self._next_qid, max(self._records) + 1)
+
+    @staticmethod
+    def _rebuild_output_summary(
+        column_names: str, sample_rows: str, result_cardinality: int
+    ) -> OutputSummary:
+        """The :class:`OutputSummary` of an ``OutputSamples`` row.
+
+        ``result_cardinality`` (from ``RuntimeStats``) is the query's true
+        output size, so ``total_rows``/``complete`` mean the same thing they
+        meant when the profiler built the original summary.  A cell is one of
+        the engine's stored types or NULL, all of which JSON round-trips.
+        """
+        rows = [tuple(row) for row in json.loads(sample_rows)]
+        total_rows = max(result_cardinality, len(rows))
+        return OutputSummary(
+            columns=json.loads(column_names),
+            rows=rows,
+            total_rows=total_rows,
+            complete=len(rows) >= total_rows,
+        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -458,7 +544,7 @@ class QueryStore:
             return
         del self._statements[text]
         if entry.tree is not None:
-            for key in posting_keys(entry.tree):
+            for key in _posting_keys(entry.tree):
                 bucket = self._tree_postings[key]
                 bucket.discard(text)
                 if not bucket:
@@ -512,9 +598,9 @@ class QueryStore:
                     entry.tree = to_parse_tree(text)
                 except ReproError:
                     continue
-                for key in posting_keys(entry.tree):
+                for key in _posting_keys(entry.tree):
                     self._tree_postings.setdefault(key, set()).add(text)
-        postings = [self._tree_postings.get(key) for key in pattern_keys(pattern)]
+        postings = [self._tree_postings.get(key) for key in _pattern_keys(pattern)]
         if not all(postings):
             return set()
         candidates = set.intersection(*sorted([texts, *postings], key=len))
@@ -527,8 +613,7 @@ class QueryStore:
     def _apply(self, change: _Change) -> None:
         """Write one change: its logged meta rows first — updates, deletes,
         inserts, so a removal's qid mark is logged before the rows it deletes
-        — then memory from the same values (:meth:`_remember`), which also
-        tells the feature projection what went stale.  A write that raises
+        — then memory from the same values (:meth:`_remember`).  A write that raises
         leaves memory as it was, though the rows written before it stay (the
         meta-database has no batch spanning relations)."""
         database = self._meta_db
@@ -548,21 +633,15 @@ class QueryStore:
 
     def _remember(self, change: _Change) -> None:
         """The memory half of :meth:`_apply`, and all of a reopen's: unfile,
-        assign, file, then move the generation when the change asks.  A qid
-        unfiled or filed at or below the projection's watermark is stale."""
+        assign, file, then move the generation when the change asks."""
         if change.removes is not None:
             self._unindex(change.removes)
-            if change.removes.qid <= self._projected:
-                self._stale.add(change.removes.qid)
         for record, fields in change.assigns:
             for name, value in fields.items():
                 setattr(record, name, value)
         record = change.sets
         if record is not None:
             self._index(record)
-            if record.qid <= self._projected:
-                self._stale.add(record.qid)
-            self._top = max(self._top, record.qid)
             if change.artefacts_key is not None:
                 entry = self._statements[record.text]
                 entry.artefacts_key = change.artefacts_key
@@ -603,34 +682,22 @@ class QueryStore:
         return change
 
     def _project(self) -> None:
-        """Bring the unlogged feature relations up to the records: delete the
-        rows of the stale qids, then append, one batch per relation, the rows
-        of the live stale qids and of every qid past the watermark.  A fill
-        that raises marks what it was appending stale, so the next one
-        starts by deleting it."""
-        if not self._stale and self._top <= self._projected:
+        """Refill the unlogged feature relations from the records when the
+        generation (bumped by every add, removal and repair) has moved since
+        the last fill: delete every row, then insert :func:`_projection_rows`
+        of each record, one batch per relation.  A fill that raises leaves
+        the mark where it was, so the next meta-query refills."""
+        if self._projected == self._generation:
             return
-        database = self._meta_db
-        fresh = [qid for qid in self._records if qid > self._projected]
-        try:
-            for relation in PROJECTED_RELATIONS:
-                table = database.table(relation)
-                for qid in self._stale:
-                    for row_id in self._row_ids(table, qid):
-                        table.delete(row_id)
-            batches: dict[str, list[dict[str, object]]] = {r: [] for r in PROJECTED_RELATIONS}
-            for qid in sorted(self._stale.union(fresh)):
-                if qid in self._records:
-                    for relation, rows in _projection_rows(self._records[qid]).items():
-                        batches[relation] += rows
-            for relation, rows in batches.items():
-                if rows:
-                    database.insert_rows(relation, rows)
-        except BaseException:
-            self._stale.update(fresh)
-            raise
-        self._stale.clear()
-        self._projected = self._top
+        batches: dict[str, list[dict[str, object]]] = {r: [] for r in PROJECTED_RELATIONS}
+        for record in self.all_queries():
+            for relation, rows in _projection_rows(record).items():
+                batches[relation] += rows
+        for relation, rows in batches.items():
+            self._meta_db.table(relation).delete_where(lambda row: True)
+            if rows:
+                self._meta_db.insert_rows(relation, rows)
+        self._projected = self._generation
 
     @staticmethod
     def _row_ids(table, qid: int) -> list[int]:
@@ -776,9 +843,9 @@ class QueryStore:
         return findings
 
     def set_catalog_version(self, qids: Collection[int], version: int) -> None:
-        """Stamp ``qids`` as checked against the user catalog at ``version``,
-        on the records and in ``Queries.catalogVersion``."""
-        self._apply(self._rewrite([(self.get(q), {"catalog_version": version}) for q in qids]))
+        """Stamp ``qids`` as checked against the user catalog at ``version``
+        (no relation stores it: a reopened record reads -1, see :func:`_record`)."""
+        self._apply(_Change(assigns=[(self.get(q), {"catalog_version": version}) for q in qids]))
 
     def set_quality(self, scores: Mapping[int, float]) -> None:
         """Store maintenance quality scores (qid -> score), on the records and
@@ -928,7 +995,7 @@ def _rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
                 record.statement_kind, record.visibility, not record.flagged_invalid,
                 record.invalid_reason, record.flag_count, record.canonical_text,
                 record.template_text, None if features is None else features.to_json(),
-                record.quality, record.catalog_version,
+                record.quality,
             )
         ],
         "RuntimeStats": [
@@ -937,13 +1004,13 @@ def _rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
                 runtime.rows_scanned, runtime.succeeded,
             )
         ],
-        "OutputSamples": [] if output is None else [_row("OutputSamples", qid, *output.to_json())],
+        "OutputSamples": [] if output is None else [_output_row(qid, output)],
     }
 
 
 def _projection_rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
     """A record's rows in the feature relations (:data:`PROJECTED_RELATIONS`),
-    which :meth:`QueryStore._project` appends; none for a record without
+    which :meth:`QueryStore._project` inserts; none for a record without
     features."""
     qid, features = record.qid, record.features
     if features is None:
@@ -966,6 +1033,13 @@ def _projection_rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
     }
 
 
+def _output_row(qid: int, summary: OutputSummary) -> dict[str, object]:
+    """The ``OutputSamples`` row of :func:`_rows`: the summary's column names
+    and its rows as positional arrays, each one JSON array."""
+    columns = json.dumps(summary.columns, ensure_ascii=False)
+    return _row("OutputSamples", qid, columns, json.dumps(summary.rows, ensure_ascii=False))
+
+
 def _record(
     row: tuple,
     runtime: Sequence[tuple],
@@ -982,7 +1056,7 @@ def _record(
     error message of a failed statement has no column."""
     (
         qid, text, user, group, timestamp, kind, visibility, valid, reason, flags,
-        canonical, template, features, quality, version,
+        canonical, template, features, quality,
     ) = row
     if features is not None and features not in decoded:
         decoded[features] = QueryFeatures.from_json(features)
@@ -1002,14 +1076,19 @@ def _record(
         flag_count=flags or 0,
         annotations=[body or "" for _, _, _, body in annotations],
         quality=0.5 if quality is None else quality,
-        catalog_version=version or 0,
+        # Never a live version: the user catalog a reopen runs against may
+        # have another history than the one the record was checked against,
+        # so maintenance re-checks each reopened record once.
+        catalog_version=-1,
     )
     for _, elapsed, cardinality, scanned, succeeded in runtime:
         record.runtime = RuntimeStats(
             elapsed or 0.0, cardinality or 0, scanned or 0, bool(succeeded)
         )
     for _, columns, sample in output:
-        record.output = OutputSummary.from_json(columns, sample, record.runtime.result_cardinality)
+        record.output = QueryStore._rebuild_output_summary(
+            columns, sample, record.runtime.result_cardinality
+        )
     return record
 
 

@@ -9,7 +9,6 @@ and semantic features (statistics and output samples).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -52,27 +51,6 @@ class OutputSummary:
     rows: list[tuple] = field(default_factory=list)
     total_rows: int = 0
     complete: bool = True
-
-    def to_json(self) -> tuple[str, str]:
-        """The column names and the rows as positional arrays, each one JSON
-        array (the Query Storage's ``OutputSamples`` row)."""
-        return (
-            json.dumps(self.columns, ensure_ascii=False),
-            json.dumps(self.rows, ensure_ascii=False),
-        )
-
-    @classmethod
-    def from_json(cls, column_names: str, rows: str, result_cardinality: int) -> "OutputSummary":
-        """The summary whose :meth:`to_json` is ``(column_names, rows)``.
-
-        ``result_cardinality`` (from ``RuntimeStats``) is the query's true
-        output size, so ``total_rows``/``complete`` mean the same thing they
-        meant when the profiler built the original summary.  A cell is one of
-        the engine's stored types or NULL, all of which JSON round-trips.
-        """
-        sampled = [tuple(row) for row in json.loads(rows)]
-        total_rows = max(result_cardinality, len(sampled))
-        return cls(json.loads(column_names), sampled, total_rows, len(sampled) >= total_rows)
 
     @cached_property
     def _row_set(self) -> frozenset:

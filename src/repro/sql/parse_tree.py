@@ -260,25 +260,6 @@ def match_pattern(tree: ParseTreeNode, pattern: TreePattern) -> bool:
     return any(_matches_at(node, pattern) for node in tree.walk())
 
 
-def posting_keys(tree: ParseTreeNode) -> set:
-    """The keys an inverted index files ``tree`` under: each node's label
-    and each ``(label, value)``."""
-    keys: set = set()
-    for node in tree.walk():
-        keys.add(node.label)
-        if node.value:
-            keys.add((node.label, node.value))
-    return keys
-
-
-def pattern_keys(pattern: TreePattern) -> set:
-    """The :func:`posting_keys` every tree that ``pattern`` matches has."""
-    keys = {(pattern.label, pattern.value) if pattern.value else pattern.label}
-    for child in pattern.children:
-        keys |= pattern_keys(child)
-    return keys
-
-
 def _matches_at(node: ParseTreeNode, pattern: TreePattern) -> bool:
     if node.label != pattern.label:
         return False

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro import CQMS, CQMSConfig, SimulatedClock, build_database
 from repro.core.meta_query import DataCondition
-from repro.core.query_store import FEATURE_RELATIONS, QueryStore, _schema
+from repro.core.query_store import FEATURE_RELATIONS, QueryStore, _output_row, _schema
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, draft_features
 from repro.errors import DurabilityError, MetaQueryError
 from repro.mining.knn import KNNIndex
@@ -38,6 +38,7 @@ from repro.mining.similarity import weighted_feature_similarity
 from repro.sql.canonicalize import canonical_text
 from repro.sql.features import extract_features
 from repro.storage.database import Database
+from repro.storage.types import DataType
 from repro.workloads import QueryLogGenerator, WorkloadConfig
 
 
@@ -240,7 +241,7 @@ class TestQueryByDataProbes:
         store.add(record)
         table = store.meta_database.table("OutputSamples")
         (row,) = map(table.schema.as_dict, table.rows())
-        rebuilt = OutputSummary.from_json(row["columnNames"], row["sampleRows"], 2)
+        rebuilt = QueryStore._rebuild_output_summary(row["columnNames"], row["sampleRows"], 2)
         assert summary_key(rebuilt) == summary_key(original)
         for probe in ["Lake Union", 17, 17.0, True, 1, False, 0, None, 18.5, 3, "17", "18.5", NAN]:
             assert rebuilt.contains_value(probe) == _reference_contains_value(original, probe)
@@ -300,7 +301,10 @@ class TestOutputSamplesRow:
     @settings(max_examples=200, deadline=None)
     @given(summary=output_summaries())
     def test_round_trip(self, summary):
-        rebuilt = OutputSummary.from_json(*summary.to_json(), summary.total_rows)
+        row = _output_row(1, summary)
+        rebuilt = QueryStore._rebuild_output_summary(
+            row["columnNames"], row["sampleRows"], summary.total_rows
+        )
         assert summary_key(rebuilt) == summary_key(summary)
 
     def test_durable_reopen_reads_the_summaries_it_closed_with(self, tmp_path):
@@ -352,7 +356,11 @@ class TestOutputSamplesRow:
         for schema in FEATURE_RELATIONS:
             if schema.name == "OutputSamples":
                 schema = _schema(
-                    "OutputSamples", "qid INTEGER, rowIndex INTEGER, columnName TEXT, cellValue TEXT"
+                    "OutputSamples",
+                    ("qid", DataType.INTEGER),
+                    ("rowIndex", DataType.INTEGER),
+                    ("columnName", DataType.TEXT),
+                    ("cellValue", DataType.TEXT),
                 )
             database.create_table(schema)
         database.insert_rows(

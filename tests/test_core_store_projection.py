@@ -68,9 +68,11 @@ def durable_cqms(data_dir: str, db=None, **config) -> CQMS:
 
 
 def persisted(record: LoggedQuery) -> LoggedQuery:
-    """The record less the one field no relation stores: a failed
-    statement's error message."""
-    return dataclasses.replace(record, runtime=dataclasses.replace(record.runtime, error=None))
+    """The record less the fields no relation stores: a failed statement's
+    error message and the catalog version it was checked against."""
+    return dataclasses.replace(
+        record, runtime=dataclasses.replace(record.runtime, error=None), catalog_version=0
+    )
 
 
 def assert_projection_matches(store: QueryStore) -> None:
@@ -164,8 +166,9 @@ def logged(qid: int, text: str) -> LoggedQuery:
 class TestProjection:
     def test_feature_relations_wait_for_a_meta_query(self):
         """Logging writes the three record relations only; the first
-        meta-query fills the feature relations, and one with no change
-        since writes nothing."""
+        meta-query fills the feature relations, one with no change since
+        writes nothing, and one after an add refills every relation in one
+        batch each."""
         store = QueryStore()
         for qid, text in enumerate(STATEMENTS[:2], start=1):
             store.add(logged(qid, text))
@@ -183,14 +186,7 @@ class TestProjection:
         store.add(logged(3, STATEMENTS[3]))
         assert calls == ["Queries", "RuntimeStats"]
         store.execute_meta_sql("SELECT COUNT(*) FROM DataSources")
-        assert calls[2:] == ["DataSources", "Attributes", "Predicates"]
-        assert_projection_matches(store)
-
-    def test_an_out_of_order_add_is_projected(self):
-        store = QueryStore()
-        store.add(logged(5, STATEMENTS[0]))
-        assert_projection_matches(store)
-        store.add(logged(2, STATEMENTS[1]))
+        assert calls[2:] == list(PROJECTED_RELATIONS)
         assert_projection_matches(store)
 
     def test_a_failed_fill_is_redone_without_duplicates(self, monkeypatch):
@@ -342,6 +338,30 @@ def test_a_reopen_keeps_the_features_a_record_was_logged_with(tmp_path):
         assert_projection_matches(cqms.store)
 
 
+def test_a_reopen_on_another_user_catalog_rechecks_every_record(tmp_path):
+    """A record's catalog stamp is not trusted across a reopen.  One session
+    renames ``Sensors.sensor_type`` to ``kind`` and logs a query reading
+    ``kind``; the next reopens against a fresh user database, where
+    ``sensor_type`` is back, and runs an unrelated DDL that brings its
+    catalog to the same version number.  Maintenance still re-checks the
+    query (a stamp kept from the first session read as current and skipped
+    it)."""
+    d = str(tmp_path / "store")
+    db = build_database("limnology", scale=1, seed=7)
+    with durable_cqms(d, db) as cqms:
+        db.execute("ALTER TABLE Sensors RENAME COLUMN sensor_type TO kind")
+        assert cqms.submit("ana", "SELECT kind FROM Sensors").succeeded
+        assert cqms.run_maintenance().checked == 0
+    fresh = build_database("limnology", scale=1, seed=7)
+    with durable_cqms(d, fresh) as cqms:
+        fresh.execute("ALTER TABLE Lakes ADD COLUMN note TEXT")
+        assert fresh.catalog.version == db.catalog.version
+        report = cqms.run_maintenance()
+        assert report.checked == 1
+        assert report.flagged == [1] and cqms.store.get(1).flagged_invalid
+        assert cqms.run_maintenance().checked == 1  # flagged: checked until repaired
+
+
 def test_a_quality_score_survives_a_restart(tmp_path):
     """``score_all_quality`` stores each score through the one write path,
     in ``Queries.quality``, so the ranking reads it after a reopen (it read
@@ -367,12 +387,15 @@ def test_a_data_directory_with_the_ten_column_queries_is_refused(tmp_path):
     read; nothing is derived from its texts."""
     data_dir = str(tmp_path / "store")
     database = Database.open(data_dir, name="query_storage")
-    old = (
-        "qid INTEGER, qText TEXT, userName TEXT, groupName TEXT, ts FLOAT, statementKind TEXT,"
-        " visibility TEXT, valid BOOLEAN, invalidReason TEXT, flagCount INTEGER"
+    old = _schema(
+        "Queries",
+        *(
+            (column, FEATURE_RELATIONS[0].column(column).data_type)
+            for column in FEATURE_RELATIONS[0].column_names[:10]
+        ),
     )
     for schema in FEATURE_RELATIONS:
-        database.create_table(_schema("Queries", old) if schema.name == "Queries" else schema)
+        database.create_table(old if schema.name == "Queries" else schema)
     database.insert_rows("Queries", [{"qid": 1, "qText": "SELECT * FROM Lakes"}])
     database.close()
     expected = ", ".join(FEATURE_RELATIONS[0].column_names)

@@ -124,9 +124,11 @@ def assert_rows_spell_records(store: QueryStore) -> None:
 
 
 def persisted(record: LoggedQuery) -> LoggedQuery:
-    """The record less the one field no relation stores: a failed
-    statement's error message."""
-    return dataclasses.replace(record, runtime=dataclasses.replace(record.runtime, error=None))
+    """The record less the fields no relation stores: a failed statement's
+    error message and the catalog version it was checked against."""
+    return dataclasses.replace(
+        record, runtime=dataclasses.replace(record.runtime, error=None), catalog_version=0
+    )
 
 
 def durable_cqms(data_dir: str, **config) -> CQMS:

@@ -320,16 +320,18 @@ class TestMetaQueryIntegration:
                 f"SELECT author, body FROM Annotations WHERE qid = {1 + round_index % 12}",
             ]
 
-        meta_db = cqms.store.meta_database
+        store, meta_db = cqms.store, cqms.store.meta_database
 
         def run() -> list[list[tuple]]:
-            return [meta_db.execute(sql).rows for index in range(20) for sql in mix(index)]
+            return [store.execute_meta_sql(sql).rows for index in range(20) for sql in mix(index)]
 
         meta_db.set_plan_cache_size(0)
         cold = run()
         meta_db.set_plan_cache_size(128)
         assert run() == cold
         assert any(cold)
+        # The DataSources joins read filled feature relations.
+        assert all(rows for index, rows in enumerate(cold) if index % 5 in (1, 2))
         stats = meta_db.plan_cache_stats()
         assert stats.misses == 5 and stats.hit_rate >= 0.90, stats
 
