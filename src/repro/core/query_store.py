@@ -13,10 +13,11 @@ The Query Storage here materializes those relations (plus ``Projections``,
 and ``SessionEdges``) inside an instance of the same relational engine that
 backs the user database, so that meta-queries are ordinary SQL exactly as the
 paper envisions.  A record is logged as one ``Queries`` row that carries its
-artefacts (features included) plus its ``RuntimeStats`` and ``OutputSamples``
-rows; the five feature relations are an unlogged projection of the records,
-filled just before a meta-query reads them.  Alongside the relations it keeps
-the full :class:`~repro.core.records.LoggedQuery` objects for the components
+artefacts (features included), runtime statistics and output sample; the five
+feature relations, ``RuntimeStats`` and ``OutputSamples`` are an unlogged
+projection of the records, filled just before a meta-query reads them.
+Alongside the relations it keeps the full
+:class:`~repro.core.records.LoggedQuery` objects for the components
 that need cheap object access (miner, recommender, maintenance), and one
 *statement table* entry per distinct query text: whatever has been derived from a text
 (its lower-cased form, its parse tree) is derived once and shared by every
@@ -75,6 +76,14 @@ FEATURE_RELATIONS: list[TableSchema] = [
         ("features", DataType.TEXT),
         # The maintenance quality score.
         ("quality", DataType.FLOAT),
+        # Runtime statistics and the output sample, which RuntimeStats and
+        # OutputSamples project (the sample columns are NULL for none).
+        ("elapsedSeconds", DataType.FLOAT),
+        ("cardinality", DataType.INTEGER),
+        ("rowsScanned", DataType.INTEGER),
+        ("succeeded", DataType.BOOLEAN),
+        ("columnNames", DataType.TEXT),
+        ("sampleRows", DataType.TEXT),
     ),
     _schema("DataSources", ("qid", DataType.INTEGER), ("relName", DataType.TEXT)),
     _schema(
@@ -151,14 +160,16 @@ FEATURE_RELATIONS: list[TableSchema] = [
 ]
 
 
-#: The logged relations a record spells by itself (:func:`_rows`), in the
-#: order :meth:`QueryStore.add` writes them.  ``Annotations`` and the
-#: session relations are written by their own mutators.
-RECORD_RELATIONS = ("Queries", "RuntimeStats", "OutputSamples")
-#: The Figure 1 feature relations: unlogged tables holding a projection of
-#: each record's features (:func:`_projection_rows`), brought up to date by
-#: :meth:`QueryStore._project` before a meta-query runs.
-PROJECTED_RELATIONS = ("DataSources", "Attributes", "Predicates", "Projections", "Joins")
+#: The Figure 1 feature relations plus ``RuntimeStats`` and ``OutputSamples``:
+#: unlogged tables holding a projection of each record's features, runtime
+#: statistics and output sample (:func:`_projection_rows`), brought up to
+#: date by :meth:`QueryStore._project` before a meta-query runs.  A record's
+#: one logged row is its ``Queries`` row (:func:`_queries_row`); ``Annotations``
+#: and the session relations are written by their own mutators.
+PROJECTED_RELATIONS = (
+    "DataSources", "Attributes", "Predicates", "Projections", "Joins", "RuntimeStats",
+    "OutputSamples",
+)
 #: Each relation's column names, in schema order (see :func:`_row`).
 _COLUMNS = {schema.name: schema.column_names for schema in FEATURE_RELATIONS}
 
@@ -239,15 +250,16 @@ def _pattern_keys(pattern: TreePattern) -> set:
 class QueryStore:
     """Query Storage: feature relations + the in-memory record index.
 
-    With ``data_dir`` set the meta-database is durable: each record's
-    ``Queries``, ``RuntimeStats`` and ``OutputSamples`` rows go through the
-    write-ahead log, and reopening the same directory recovers them and
-    rebuilds the in-memory record index from them — the paper's long-lived
-    shared repository survives restarts.  The ``Queries`` row carries the
-    record's artefacts, so a reopened record reads as it was logged and a
-    reopen parses nothing.  The five feature relations are unlogged (a
-    recovery leaves them empty): :meth:`execute_meta_sql` and
-    :meth:`explain_meta_sql` fill them from the records first.
+    With ``data_dir`` set the meta-database is durable: each record is one
+    ``Queries`` row, logged as one write-ahead-log frame, and reopening the
+    same directory recovers the rows and rebuilds the in-memory record index
+    from them — the paper's long-lived shared repository survives restarts.
+    The row carries the record's artefacts, runtime statistics and output
+    sample, so a reopened record reads as it was logged, a reopen parses
+    nothing, and a crash keeps a record whole or not at all.  The relations
+    of :data:`PROJECTED_RELATIONS` are unlogged (a recovery leaves them
+    empty): :meth:`execute_meta_sql` and :meth:`explain_meta_sql` fill them
+    from the records first.
     """
 
     def __init__(
@@ -287,10 +299,7 @@ class QueryStore:
                     f"{table_schema.name}({', '.join(table_schema.column_names)})"
                 )
         for table, column in (
-            *(
-                (relation, "qid")
-                for relation in (*RECORD_RELATIONS, *PROJECTED_RELATIONS, "Annotations")
-            ),
+            *((relation, "qid") for relation in ("Queries", *PROJECTED_RELATIONS, "Annotations")),
             ("SessionEdges", "sessionId"),
             # Search columns of the Figure 1 meta-queries: the planner turns
             # equality conditions on these into IndexScans.
@@ -323,7 +332,7 @@ class QueryStore:
         self._ordered: list[LoggedQuery] | None = None
         self._popularity: Mapping[str, int] | None = None
         self._telemetry = None
-        # The generation the feature relations were last filled at (None:
+        # The generation the projected relations were last filled at (None:
         # never, and a recovery leaves them empty).
         self._projected: int | None = None
         self._next_qid = 1
@@ -383,17 +392,15 @@ class QueryStore:
         reads (``LoggedQuery.is_mined``) rejoins its user's ``Sessions``
         window that holds its timestamp.
         """
-        related = {name: {} for name in ("RuntimeStats", "OutputSamples", "Annotations")}
-        for name, by_qid in related.items():
-            for row in self._meta_db.table(name).rows():
-                by_qid.setdefault(row[0], []).append(row)
+        annotations: dict[int, list[str]] = {}
+        for qid, _, _, body in self._meta_db.table("Annotations").rows():
+            annotations.setdefault(qid, []).append(body or "")
         windows: dict[str, list[tuple]] = {}
         for session_id, user, start, end, _ in self._meta_db.table("Sessions").rows():
             windows.setdefault(user, []).append((start or 0.0, end or 0.0, session_id))
         decoded: dict[str, QueryFeatures] = {}
         for row in sorted(self._meta_db.table("Queries").rows(), key=itemgetter(0)):
-            related_rows = (by_qid.get(row[0], ()) for by_qid in related.values())
-            record = _record(row, *related_rows, decoded)
+            record = _record(row, annotations.get(row[0], []), decoded)
             if record.is_mined:
                 for start, end, session_id in windows.get(record.user, ()):
                     if start <= record.timestamp <= end:
@@ -403,26 +410,6 @@ class QueryStore:
         if self._records:
             # The StoreMeta mark leads only after a removal of the top qid.
             self._next_qid = max(self._next_qid, max(self._records) + 1)
-
-    @staticmethod
-    def _rebuild_output_summary(
-        column_names: str, sample_rows: str, result_cardinality: int
-    ) -> OutputSummary:
-        """The :class:`OutputSummary` of an ``OutputSamples`` row.
-
-        ``result_cardinality`` (from ``RuntimeStats``) is the query's true
-        output size, so ``total_rows``/``complete`` mean the same thing they
-        meant when the profiler built the original summary.  A cell is one of
-        the engine's stored types or NULL, all of which JSON round-trips.
-        """
-        rows = [tuple(row) for row in json.loads(sample_rows)]
-        total_rows = max(result_cardinality, len(rows))
-        return OutputSummary(
-            columns=json.loads(column_names),
-            rows=rows,
-            total_rows=total_rows,
-            complete=len(rows) >= total_rows,
-        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -457,9 +444,10 @@ class QueryStore:
     @property
     def generation(self) -> int:
         """Counts the changes to what a search can return: bumped by
-        :meth:`add`, :meth:`remove`, :meth:`replace_text` and
-        :meth:`set_visibility`.  Caches over the log (the visible lists,
-        popularity) are tagged with it instead of re-walking the log."""
+        :meth:`add`, :meth:`remove`, :meth:`replace_text`,
+        :meth:`set_visibility` and :meth:`set_runtime`.  Caches over the log
+        (the visible lists, popularity, the projection) are tagged with it
+        instead of re-walking the log."""
         return self._generation
 
     def _changed(self) -> None:
@@ -613,9 +601,10 @@ class QueryStore:
     def _apply(self, change: _Change) -> None:
         """Write one change: its logged meta rows first — updates, deletes,
         inserts, so a removal's qid mark is logged before the rows it deletes
-        — then memory from the same values (:meth:`_remember`).  A write that raises
-        leaves memory as it was, though the rows written before it stay (the
-        meta-database has no batch spanning relations)."""
+        — then memory from the same values (:meth:`_remember`).  A write that
+        raises leaves memory as it was.  An add is one insert, so it is
+        written whole or not at all; a change of several rows keeps the rows
+        written before the one that raised."""
         database = self._meta_db
         for relation, updates in change.updates.items():
             table = database.table(relation)
@@ -655,38 +644,26 @@ class QueryStore:
     def _rewrite(
         self, edits: Sequence[tuple[LoggedQuery, dict[str, object]]], bumps: bool = False
     ) -> _Change:
-        """The change that assigns each edit's fields on its record.  Per
-        record it touches the relations whose spelling (:func:`_rows`) the
-        new values change; in each, the stored rows of the qid are updated in
-        place where the new spelling differs, column by column, and rows past
-        the stored or new count are deleted or inserted."""
+        """The change that assigns each edit's fields on its record and
+        updates the columns of its ``Queries`` row whose spelling
+        (:func:`_queries_row`) differs from the stored value."""
         change = _Change(assigns=list(edits), bumps=bumps)
+        table = self._meta_db.table("Queries")
         for record, fields in edits:
-            before, after = _rows(record), _rows(replace(record, **fields))
-            for relation in RECORD_RELATIONS:
-                if before[relation] == after[relation]:
-                    continue
-                rows, table = after[relation], self._meta_db.table(relation)
-                row_ids = self._row_ids(table, record.qid)
-                for row_id, row in zip(row_ids, rows):
-                    stored = table.get(row_id)
-                    values = {
-                        name: new for (name, new), old in zip(row.items(), stored) if new != old
-                    }
-                    if values:
-                        change.updates.setdefault(relation, []).append((row_id, values))
-                if len(row_ids) > len(rows):
-                    change.deletes.setdefault(relation, []).extend(row_ids[len(rows) :])
-                elif len(rows) > len(row_ids):
-                    change.inserts.setdefault(relation, []).extend(rows[len(row_ids) :])
+            (row_id,) = self._row_ids(table, record.qid)
+            row, stored = _queries_row(replace(record, **fields)), table.get(row_id)
+            values = {name: new for (name, new), old in zip(row.items(), stored) if new != old}
+            if values:
+                change.updates.setdefault("Queries", []).append((row_id, values))
         return change
 
     def _project(self) -> None:
-        """Refill the unlogged feature relations from the records when the
-        generation (bumped by every add, removal and repair) has moved since
-        the last fill: delete every row, then insert :func:`_projection_rows`
-        of each record, one batch per relation.  A fill that raises leaves
-        the mark where it was, so the next meta-query refills."""
+        """Refill the unlogged projected relations from the records when the
+        generation (bumped by every add, removal, repair and runtime refresh)
+        has moved since the last fill: delete every row, then insert
+        :func:`_projection_rows` of each record, one batch per relation.  A
+        fill that raises leaves the mark where it was, so the next meta-query
+        refills."""
         if self._projected == self._generation:
             return
         batches: dict[str, list[dict[str, object]]] = {r: [] for r in PROJECTED_RELATIONS}
@@ -708,8 +685,8 @@ class QueryStore:
     # -- ingest -----------------------------------------------------------------
 
     def add(self, record: LoggedQuery, artefacts_key: tuple | None = None) -> None:
-        """Insert a logged query: its ``Queries``, ``RuntimeStats`` and
-        ``OutputSamples`` rows (its feature rows wait for :meth:`_project`).
+        """Insert a logged query: its one ``Queries`` row (its projected rows
+        wait for :meth:`_project`).
 
         With ``artefacts_key`` the record's artefacts were derived under that
         key, and :meth:`artefacts` hands them to the next record of its text.
@@ -717,7 +694,10 @@ class QueryStore:
         if record.qid in self._records:
             raise MetaQueryError(f"duplicate query id {record.qid}")
         self._apply(
-            _Change(sets=record, inserts=_rows(record), bumps=True, artefacts_key=artefacts_key)
+            _Change(
+                sets=record, inserts={"Queries": [_queries_row(record)]}, bumps=True,
+                artefacts_key=artefacts_key,
+            )
         )
         if self._telemetry is not None:
             self._telemetry.registry.counter(
@@ -854,9 +834,10 @@ class QueryStore:
 
     def set_runtime(self, qid: int, runtime: RuntimeStats) -> None:
         """Replace a query's runtime statistics (a maintenance refresh), on
-        the record and in ``RuntimeStats``, so meta-SQL agrees with the
-        record at once and the refreshed numbers survive a restart."""
-        self._apply(self._rewrite([(self.get(qid), {"runtime": runtime})]))
+        the record and in ``Queries``, so the refreshed numbers survive a
+        restart; it moves :attr:`generation`, so the next meta-query reads
+        them from ``RuntimeStats``."""
+        self._apply(self._rewrite([(self.get(qid), {"runtime": runtime})], bumps=True))
 
     def set_visibility(self, qid: int, visibility: str) -> None:
         """Change who may see a query (``"private"``/``"group"``/``"public"``),
@@ -864,7 +845,7 @@ class QueryStore:
         self._apply(self._rewrite([(self.get(qid), {"visibility": visibility})], bumps=True))
 
     def remove(self, qid: int) -> None:
-        """Remove a query, its rows and (at the next fill) its feature rows.
+        """Remove a query, its rows and (at the next fill) its projected rows.
 
         Session rows referencing the query are cleaned up too: its
         ``SessionEdges`` are deleted and the owning session's ``numQueries``
@@ -876,7 +857,7 @@ class QueryStore:
         # qid mark, keeps a removed qid from being handed out again.
         marks = [(self._next_qid_row_id, {"value": self._next_qid})]
         change = _Change(removes=record, bumps=True, updates={"StoreMeta": marks})
-        for relation in (*RECORD_RELATIONS, "Annotations"):
+        for relation in ("Queries", "Annotations"):
             change.deletes[relation] = self._row_ids(self._meta_db.table(relation), qid)
         edges = self._meta_db.table("SessionEdges")
         source, target = edges.schema.position("fromQid"), edges.schema.position("toQid")
@@ -895,8 +876,8 @@ class QueryStore:
         """Replace a repaired query's text and artefacts.
 
         Only its ``Queries`` row is rewritten, and the record is refiled, so
-        the next fill replaces its feature rows: the repaired query keeps its
-        identity, so its ``Annotations``, ``SessionEdges`` and session
+        the next fill replaces its projected rows: the repaired query keeps
+        its identity, so its ``Annotations``, ``SessionEdges`` and session
         membership are never touched.
         """
         record = self.get(qid)
@@ -979,42 +960,47 @@ def _row(relation: str, *values: object) -> dict[str, object]:
     return dict(zip(_COLUMNS[relation], values))
 
 
-def _rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
-    """Every logged row a record spells, per relation of :data:`RECORD_RELATIONS`.
+def _queries_row(record: LoggedQuery) -> dict[str, object]:
+    """A record's ``Queries`` row: the one spelling of a record as a logged
+    row.  :meth:`QueryStore.add` inserts it, an update rewrites the columns
+    whose values changed, and a reopen reads it back (:func:`_record`)."""
+    features = record.features
+    return _row(
+        "Queries", record.qid, record.text, record.user, record.group, record.timestamp,
+        record.statement_kind, record.visibility, not record.flagged_invalid,
+        record.invalid_reason, record.flag_count, record.canonical_text,
+        record.template_text, None if features is None else features.to_json(),
+        record.quality, *_runtime_values(record),
+    )
 
-    The one spelling of a record as rows: :meth:`QueryStore.add` inserts
-    them, an update rewrites the ones whose values changed, and a reopen
-    reads them back (:func:`_record`).  A relation the record has no rows
-    for maps to an empty list.
-    """
-    qid, runtime, features, output = record.qid, record.runtime, record.features, record.output
-    return {
-        "Queries": [
-            _row(
-                "Queries", qid, record.text, record.user, record.group, record.timestamp,
-                record.statement_kind, record.visibility, not record.flagged_invalid,
-                record.invalid_reason, record.flag_count, record.canonical_text,
-                record.template_text, None if features is None else features.to_json(),
-                record.quality,
-            )
-        ],
-        "RuntimeStats": [
-            _row(
-                "RuntimeStats", qid, runtime.elapsed_seconds, runtime.result_cardinality,
-                runtime.rows_scanned, runtime.succeeded,
-            )
-        ],
-        "OutputSamples": [] if output is None else [_output_row(qid, output)],
-    }
+
+def _runtime_values(record: LoggedQuery) -> tuple:
+    """The last six columns of a record's ``Queries`` row, which
+    ``RuntimeStats`` and ``OutputSamples`` project: its runtime statistics,
+    then its output sample's column names and rows (as positional arrays),
+    each one JSON array, or two NULLs for no sample."""
+    runtime, output = record.runtime, record.output
+    sample = (None, None) if output is None else (
+        json.dumps(output.columns, ensure_ascii=False), json.dumps(output.rows, ensure_ascii=False)
+    )
+    return (
+        runtime.elapsed_seconds, runtime.result_cardinality, runtime.rows_scanned,
+        runtime.succeeded, *sample,
+    )
 
 
 def _projection_rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
-    """A record's rows in the feature relations (:data:`PROJECTED_RELATIONS`),
-    which :meth:`QueryStore._project` inserts; none for a record without
-    features."""
+    """A record's rows in the relations of :data:`PROJECTED_RELATIONS`, which
+    :meth:`QueryStore._project` inserts; no feature rows for a record without
+    features, no ``OutputSamples`` row for one without a sample."""
     qid, features = record.qid, record.features
+    *runtime, columns, sample = _runtime_values(record)
+    rows = {
+        "RuntimeStats": [_row("RuntimeStats", qid, *runtime)],
+        "OutputSamples": [] if columns is None else [_row("OutputSamples", qid, columns, sample)],
+    }
     if features is None:
-        return {}
+        return rows
     return {
         "DataSources": [_row("DataSources", qid, table) for table in features.tables],
         "Attributes": [_row("Attributes", qid, *pair) for pair in features.attributes],
@@ -1030,37 +1016,32 @@ def _projection_rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
             )
             for j in (join.normalized() for join in features.joins)
         ],
+        **rows,
     }
 
 
-def _output_row(qid: int, summary: OutputSummary) -> dict[str, object]:
-    """The ``OutputSamples`` row of :func:`_rows`: the summary's column names
-    and its rows as positional arrays, each one JSON array."""
-    columns = json.dumps(summary.columns, ensure_ascii=False)
-    return _row("OutputSamples", qid, columns, json.dumps(summary.rows, ensure_ascii=False))
-
-
-def _record(
-    row: tuple,
-    runtime: Sequence[tuple],
-    output: Sequence[tuple],
-    annotations: Sequence[tuple],
-    decoded: dict[str, QueryFeatures],
-) -> LoggedQuery:
-    """The record whose ``Queries`` row is ``row``, read back with its
-    ``RuntimeStats``, ``OutputSamples`` and ``Annotations`` rows, each in
-    row-id order, the order they were written in (the inverse of
-    :func:`_rows`).  Rows are stored tuples in schema order, which the store
-    checks when it opens.  ``decoded`` maps a features text to its object,
-    shared by the records that spell it.  The session is the caller's; the
-    error message of a failed statement has no column."""
+def _record(row: tuple, annotations: list[str], decoded: dict[str, QueryFeatures]) -> LoggedQuery:
+    """The record whose ``Queries`` row is ``row`` (the inverse of
+    :func:`_queries_row`), with the bodies of its ``Annotations`` rows in the
+    order they were written.  ``row`` is a stored tuple in schema order,
+    which the store checks when it opens.  ``decoded`` maps a features text
+    to its object, shared by the records that spell it.  The output sample's
+    ``total_rows`` is the query's cardinality, so ``total_rows``/``complete``
+    mean what they meant when the profiler built it.  The session is the
+    caller's; the error message of a failed statement has no column."""
     (
         qid, text, user, group, timestamp, kind, visibility, valid, reason, flags,
-        canonical, template, features, quality,
+        canonical, template, features, quality, elapsed, cardinality, scanned, succeeded,
+        columns, sample,
     ) = row
     if features is not None and features not in decoded:
         decoded[features] = QueryFeatures.from_json(features)
-    record = LoggedQuery(
+    output = None
+    if columns is not None:
+        rows = [tuple(cells) for cells in json.loads(sample)]
+        total = max(cardinality or 0, len(rows))
+        output = OutputSummary(json.loads(columns), rows, total, complete=len(rows) >= total)
+    return LoggedQuery(
         qid=qid,
         user=user or "",
         group=group or "",
@@ -1070,26 +1051,19 @@ def _record(
         template_text=template or "",
         statement_kind=kind or "unknown",
         features=None if features is None else decoded[features],
+        runtime=RuntimeStats(elapsed or 0.0, cardinality or 0, scanned or 0, bool(succeeded)),
+        output=output,
         visibility=visibility or "group",
         flagged_invalid=not valid,
         invalid_reason=reason,
         flag_count=flags or 0,
-        annotations=[body or "" for _, _, _, body in annotations],
+        annotations=annotations,
         quality=0.5 if quality is None else quality,
         # Never a live version: the user catalog a reopen runs against may
         # have another history than the one the record was checked against,
         # so maintenance re-checks each reopened record once.
         catalog_version=-1,
     )
-    for _, elapsed, cardinality, scanned, succeeded in runtime:
-        record.runtime = RuntimeStats(
-            elapsed or 0.0, cardinality or 0, scanned or 0, bool(succeeded)
-        )
-    for _, columns, sample in output:
-        record.output = QueryStore._rebuild_output_summary(
-            columns, sample, record.runtime.result_cardinality
-        )
-    return record
 
 
 def _constant_text(value: object) -> str | None:

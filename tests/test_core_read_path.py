@@ -8,10 +8,10 @@ write, against the reference each of them replaced.
   sets; a scan of the sampled rows is the reference.
 * ``QueryStore.popularity()`` is cached per generation; a recount over the
   log is the reference.
-* A durable reopen reads each output summary back from its one
-  ``OutputSamples`` row; the summary the store was closed with is the
-  reference, and meta-SQL ``LIKE`` over ``sampleRows`` finds at least what
-  query-by-data finds.
+* A durable reopen reads each output summary back from the sample columns
+  of its ``Queries`` row; the summary the store was closed with is the
+  reference, and meta-SQL ``LIKE`` over ``OutputSamples.sampleRows`` finds
+  at least what query-by-data finds.
 * kNN scores each entry of the Query Storage's shape table once and walks
   the shapes best first; a brute-force scan of the principal's visible log
   is the reference, and a rebuild from ``all_queries()`` is the reference
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro import CQMS, CQMSConfig, SimulatedClock, build_database
 from repro.core.meta_query import DataCondition
-from repro.core.query_store import FEATURE_RELATIONS, QueryStore, _output_row, _schema
+from repro.core.query_store import FEATURE_RELATIONS, QueryStore, _queries_row, _record, _schema
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, draft_features
 from repro.errors import DurabilityError, MetaQueryError
 from repro.mining.knn import KNNIndex
@@ -227,7 +227,7 @@ class TestQueryByDataProbes:
         assert hashable.contains_value({}) is False
 
     def test_summary_rebuilt_by_reopen(self):
-        """Reopen reads the summary back from the ``OutputSamples`` row that
+        """Reopen reads the summary back from the ``Queries`` row that
         ``add`` wrote, with every cell's type kept."""
         original = OutputSummary(
             columns=["name", "temp", "wet", "depth", "name"],
@@ -239,9 +239,8 @@ class TestQueryByDataProbes:
         record.output = original
         record.runtime = RuntimeStats(result_cardinality=2)
         store.add(record)
-        table = store.meta_database.table("OutputSamples")
-        (row,) = map(table.schema.as_dict, table.rows())
-        rebuilt = QueryStore._rebuild_output_summary(row["columnNames"], row["sampleRows"], 2)
+        (row,) = store.meta_database.table("Queries").rows()
+        rebuilt = _record(row, [], {}).output
         assert summary_key(rebuilt) == summary_key(original)
         for probe in ["Lake Union", 17, 17.0, True, 1, False, 0, None, 18.5, 3, "17", "18.5", NAN]:
             assert rebuilt.contains_value(probe) == _reference_contains_value(original, probe)
@@ -301,10 +300,10 @@ class TestOutputSamplesRow:
     @settings(max_examples=200, deadline=None)
     @given(summary=output_summaries())
     def test_round_trip(self, summary):
-        row = _output_row(1, summary)
-        rebuilt = QueryStore._rebuild_output_summary(
-            row["columnNames"], row["sampleRows"], summary.total_rows
-        )
+        record = LoggedQuery(qid=1, user="u", group="g", text="SELECT 1", timestamp=0.0)
+        record.output = summary
+        record.runtime = RuntimeStats(result_cardinality=summary.total_rows)
+        rebuilt = _record(tuple(_queries_row(record).values()), [], {}).output
         assert summary_key(rebuilt) == summary_key(summary)
 
     def test_durable_reopen_reads_the_summaries_it_closed_with(self, tmp_path):

@@ -1,13 +1,14 @@
 """The Figure 1 feature relations as an unlogged projection of the records.
 
 The Query Storage logs a record as one ``Queries`` row that carries its
-artefacts (kind, features, canonical and template text) plus its
-``RuntimeStats`` and ``OutputSamples`` rows.  ``DataSources``,
-``Attributes``, ``Predicates``, ``Projections`` and ``Joins`` are unlogged
-tables, filled from the records just before a meta-query runs.  These tests
-hold the projection to the records and to the in-memory postings across every
-mutator, every crash point of a durable log and every reopen, and pin what a
-reopen reads back: each record as it was logged.
+artefacts (kind, features, canonical and template text), its runtime
+statistics and its output sample.  ``DataSources``, ``Attributes``,
+``Predicates``, ``Projections``, ``Joins``, ``RuntimeStats`` and
+``OutputSamples`` are unlogged tables, filled from the records just before a
+meta-query runs.  These tests hold the projection to the records and to the
+in-memory postings across every mutator, every crash point of a durable log
+and every reopen, and pin what a reopen reads back: each record as it was
+logged, whole.
 """
 
 from __future__ import annotations
@@ -165,15 +166,15 @@ def logged(qid: int, text: str) -> LoggedQuery:
 
 class TestProjection:
     def test_feature_relations_wait_for_a_meta_query(self):
-        """Logging writes the three record relations only; the first
-        meta-query fills the feature relations, one with no change since
-        writes nothing, and one after an add refills every relation in one
-        batch each."""
+        """Logging writes one ``Queries`` row only; the first meta-query
+        fills the projected relations, one with no change since writes
+        nothing, and one after an add refills every relation that has rows
+        in one batch each."""
         store = QueryStore()
         for qid, text in enumerate(STATEMENTS[:2], start=1):
             store.add(logged(qid, text))
         database = store.meta_database
-        assert database.total_rows() == 2 * 2 + 1  # Queries + RuntimeStats, StoreMeta
+        assert database.total_rows() == 2 + 1  # Queries, StoreMeta
         assert all(len(database.table(relation)) == 0 for relation in PROJECTED_RELATIONS)
         assert_projection_matches(store)
         calls = []
@@ -184,9 +185,10 @@ class TestProjection:
         store.execute_meta_sql("SELECT COUNT(*) FROM DataSources")
         assert calls == []
         store.add(logged(3, STATEMENTS[3]))
-        assert calls == ["Queries", "RuntimeStats"]
+        assert calls == ["Queries"]
         store.execute_meta_sql("SELECT COUNT(*) FROM DataSources")
-        assert calls[2:] == list(PROJECTED_RELATIONS)
+        # No record here has an output sample, so OutputSamples has no rows.
+        assert calls[1:] == [r for r in PROJECTED_RELATIONS if r != "OutputSamples"]
         assert_projection_matches(store)
 
     def test_a_failed_fill_is_redone_without_duplicates(self, monkeypatch):
@@ -237,14 +239,22 @@ def wal_path(data_dir: str) -> str:
 
 def test_every_crash_point_reads_the_postings_back(tmp_path):
     """Cut a durable log at every WAL frame boundary (submits, a removal, a
-    repair): each reopen's meta-SQL finds what its postings hold, and no
-    feature row outlives its record."""
+    repair): each reopen's meta-SQL finds what its postings hold, no
+    feature row outlives its record, and every record that comes back has
+    the runtime statistics and output sample it was logged with (a cut
+    between the frames of one record read back a successful query with
+    cardinality 0 and no sample)."""
     d = str(tmp_path / "store")
     db = build_database("limnology", scale=1, seed=7)
     with durable_cqms(d, db, wal_sync="commit") as cqms:
         for sql in STATEMENTS:
             cqms.submit("ana", sql)
         assert_projection_matches(cqms.store)
+        logged = {
+            record.qid: (dataclasses.replace(record.runtime, error=None), record.output)
+            for record in cqms.store.all_queries()
+        }
+        assert any(output is not None and output.rows for _, output in logged.values())
         cqms.store.remove(2)
         repaired = "SELECT name FROM Lakes WHERE area_km2 > 30"
         features = extract_features(repaired, db.schema_columns())
@@ -263,6 +273,8 @@ def test_every_crash_point_reads_the_postings_back(tmp_path):
             handle.truncate(sum(frames[:count]))
         with durable_cqms(crashed, db) as cqms:
             assert_projection_matches(cqms.store)
+            for record in cqms.store.all_queries():
+                assert (record.runtime, record.output) == logged[record.qid], (count, record.qid)
         shutil.rmtree(crashed)
 
 
@@ -383,26 +395,28 @@ def test_a_quality_score_survives_a_restart(tmp_path):
 
 def test_a_data_directory_with_the_ten_column_queries_is_refused(tmp_path):
     """A directory whose ``Queries`` has the ten columns of the format that
-    logged every feature row raises, naming the shape found and the shape
-    read; nothing is derived from its texts."""
-    data_dir = str(tmp_path / "store")
-    database = Database.open(data_dir, name="query_storage")
-    old = _schema(
-        "Queries",
-        *(
-            (column, FEATURE_RELATIONS[0].column(column).data_type)
-            for column in FEATURE_RELATIONS[0].column_names[:10]
-        ),
-    )
-    for schema in FEATURE_RELATIONS:
-        database.create_table(old if schema.name == "Queries" else schema)
-    database.insert_rows("Queries", [{"qid": 1, "qText": "SELECT * FROM Lakes"}])
-    database.close()
+    logged every feature row, or the fourteen of the format that logged
+    ``RuntimeStats`` and ``OutputSamples`` rows beside it, raises, naming the
+    shape found and the shape read; nothing is derived from its texts."""
     expected = ", ".join(FEATURE_RELATIONS[0].column_names)
-    for _ in range(2):
-        with pytest.raises(DurabilityError) as raised:
-            QueryStore(data_dir=data_dir)
-        message = str(raised.value)
-        assert "holds Queries(qid, qText, userName, groupName, ts, statementKind," in message
-        assert "invalidReason, flagCount); this version reads" in message
-        assert f"Queries({expected})" in message
+    for width, last in ((10, "invalidReason, flagCount"), (14, "features, quality")):
+        data_dir = str(tmp_path / f"store{width}")
+        database = Database.open(data_dir, name="query_storage")
+        old = _schema(
+            "Queries",
+            *(
+                (column, FEATURE_RELATIONS[0].column(column).data_type)
+                for column in FEATURE_RELATIONS[0].column_names[:width]
+            ),
+        )
+        for schema in FEATURE_RELATIONS:
+            database.create_table(old if schema.name == "Queries" else schema)
+        database.insert_rows("Queries", [{"qid": 1, "qText": "SELECT * FROM Lakes"}])
+        database.close()
+        for _ in range(2):
+            with pytest.raises(DurabilityError) as raised:
+                QueryStore(data_dir=data_dir)
+            message = str(raised.value)
+            assert "holds Queries(qid, qText, userName, groupName, ts, statementKind," in message
+            assert f"{last}); this version reads" in message
+            assert f"Queries({expected})" in message

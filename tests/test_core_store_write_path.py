@@ -2,10 +2,11 @@
 
 Every mutation of :class:`~repro.core.query_store.QueryStore` is a change
 that ``_apply`` writes to the meta relations first and to memory second, and
-a record's meta rows are spelled in one place, ``_rows``.  These tests hold
-the two copies to each other: a failed write leaves memory as it was, every
-step of a durable replay leaves each record's rows equal to its spelling, and
-a reopen reads back the records that were closed.
+a record's one logged row is spelled in one place, ``_queries_row``.  These
+tests hold the two copies to each other: a failed write leaves memory (and,
+for an add, the meta rows) as it was, every step of a durable replay leaves
+each record's row equal to its spelling, and a reopen reads back the records
+that were closed.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import pytest
 
 from repro import CQMS
 from repro.core.config import CQMSConfig
-from repro.core.query_store import (
-    PROJECTED_RELATIONS,
-    RECORD_RELATIONS,
-    QueryStore,
-    _projection_rows,
-    _rows,
-)
+from repro.core.query_store import PROJECTED_RELATIONS, QueryStore, _projection_rows, _queries_row
 from repro.core.records import LoggedQuery, RuntimeStats, statement_artefacts
 from repro.errors import MetaQueryError
 from repro.sql.canonicalize import canonical_text
@@ -63,11 +58,11 @@ class TestFailedWriteLeavesMemory:
     def test_failed_insert_during_add(self, monkeypatch):
         store = QueryStore()
         store.add(logged(1, "SELECT name FROM Lakes WHERE area_km2 > 3"))
-        before = memory(store)
+        before, rows = memory(store), store.meta_database.total_rows()
         insert_rows = store.meta_database.insert_rows
 
         def failing(relation, rows):
-            if relation == "RuntimeStats":
+            if relation == "Queries":
                 raise Injected(relation)
             return insert_rows(relation, rows)
 
@@ -75,6 +70,7 @@ class TestFailedWriteLeavesMemory:
         with pytest.raises(Injected):
             store.add(logged(2, "SELECT name FROM Lakes WHERE area_km2 > 4"))
         assert memory(store) == before
+        assert store.meta_database.total_rows() == rows
         with pytest.raises(MetaQueryError):
             store.get(2)
 
@@ -87,7 +83,7 @@ class TestFailedWriteLeavesMemory:
         def failing(row_id):
             raise Injected(row_id)
 
-        monkeypatch.setattr(store.meta_database.table("RuntimeStats"), "delete", failing)
+        monkeypatch.setattr(store.meta_database.table("Queries"), "delete", failing)
         with pytest.raises(Injected):
             store.remove(2)
         assert memory(store) == before
@@ -105,15 +101,12 @@ def stored_rows(store: QueryStore, relation: str) -> dict[int, list[dict]]:
 
 
 def assert_rows_spell_records(store: QueryStore) -> None:
-    """Each qid's rows in the logged record relations are ``_rows`` of its
-    record, after a meta-query its rows in the feature relations are
+    """Each qid's one ``Queries`` row is ``_queries_row`` of its record,
+    after a meta-query its rows in the projected relations are
     ``_projection_rows`` of it, and no relation holds a row of a qid the
     store does not."""
-    for relation in RECORD_RELATIONS:
-        by_qid = stored_rows(store, relation)
-        assert set(by_qid) <= {record.qid for record in store.all_queries()}, relation
-        for record in store.all_queries():
-            assert by_qid.get(record.qid, []) == _rows(record)[relation], (relation, record.qid)
+    spelled = {record.qid: [_queries_row(record)] for record in store.all_queries()}
+    assert stored_rows(store, "Queries") == spelled
     store.execute_meta_sql("SELECT COUNT(*) FROM Queries")
     for relation in PROJECTED_RELATIONS:
         by_qid = stored_rows(store, relation)
@@ -225,6 +218,10 @@ def test_reopen_keeps_a_non_member_out_of_sessions(tmp_path):
         assert count == 3
 
 
+#: The projected relations that hold a record's features.
+FIGURE1_RELATIONS = ("DataSources", "Attributes", "Predicates", "Projections", "Joins")
+
+
 def test_text_mode_reopen_keeps_log_time_features(tmp_path):
     """A log written in ``"features"`` mode and reopened in ``"text"`` mode
     holds its records as they were logged, features included, and the
@@ -242,7 +239,7 @@ def test_text_mode_reopen_keeps_log_time_features(tmp_path):
         assert [persisted(record) for record in store.all_queries()] == closed
         assert store.get(2).features is not None
         assert_rows_spell_records(store)
-        before = {relation: stored_rows(store, relation) for relation in PROJECTED_RELATIONS}
+        before = {relation: stored_rows(store, relation) for relation in FIGURE1_RELATIONS}
         assert before["DataSources"][2] and before["Joins"][2]
         store.set_visibility(2, "private")
         store.mark_invalid(2, "stale")
@@ -250,7 +247,7 @@ def test_text_mode_reopen_keeps_log_time_features(tmp_path):
         store.mark_valid(1)
         store.set_runtime(2, RuntimeStats(elapsed_seconds=0.5, result_cardinality=1))
         assert_rows_spell_records(store)
-        kept = {relation: stored_rows(store, relation) for relation in PROJECTED_RELATIONS}
+        kept = {relation: stored_rows(store, relation) for relation in FIGURE1_RELATIONS}
         assert kept == before
         repaired = "SELECT name FROM Lakes"
         store.replace_text(
@@ -258,6 +255,6 @@ def test_text_mode_reopen_keeps_log_time_features(tmp_path):
             canonical_text(repaired, strip_constants=True),
         )
         assert_rows_spell_records(store)
-        after = {relation: stored_rows(store, relation) for relation in PROJECTED_RELATIONS}
+        after = {relation: stored_rows(store, relation) for relation in FIGURE1_RELATIONS}
         assert all(2 not in by_qid for by_qid in after.values())
         assert after["DataSources"][1] == before["DataSources"][1]

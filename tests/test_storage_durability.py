@@ -1444,12 +1444,15 @@ class TestDurableQueryStore:
     def test_a_crash_inside_a_removal_never_reissues_its_qid(self, tmp_path):
         """Only a removal lowers max(qid), and its first WAL frame is the qid
         mark: cut the log at any frame boundary of removing the highest qid
-        and the next submit still gets a new one."""
+        and the next submit still gets a new one.  The qid is annotated, so
+        its removal spans three frames (the mark, ``Queries``,
+        ``Annotations``)."""
         d = str(tmp_path / "store")
         with CQMS(build_database("limnology", scale=1), config=CQMSConfig(data_dir=d)) as cqms:
             cqms.register_user("ana", group="g")
             for table in ("Lakes", "WaterTemp", "WaterSalinity"):
                 cqms.submit("ana", f"SELECT * FROM {table} WHERE lake_id > 2")
+            cqms.annotate("ana", 3, "salinity above lake 2")
             cqms.store.meta_database.flush_wal()
             kept = len(read_wal(wal_path(d)).records)
             cqms.store.remove(3)
