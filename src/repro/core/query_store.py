@@ -70,20 +70,21 @@ FEATURE_RELATIONS: list[TableSchema] = [
         ("invalidReason", DataType.TEXT),
         ("flagCount", DataType.INTEGER),
         # The record's artefacts, so a reopen reads them instead of parsing:
-        # features as one JSON array (QueryFeatures.to_json), NULL for none.
+        # features as one JSON value (QueryFeatures.to_values), NULL for none.
         ("canonicalText", DataType.TEXT),
         ("templateText", DataType.TEXT),
-        ("features", DataType.TEXT),
+        ("features", DataType.JSON),
         # The maintenance quality score.
         ("quality", DataType.FLOAT),
         # Runtime statistics and the output sample, which RuntimeStats and
-        # OutputSamples project (the sample columns are NULL for none).
+        # OutputSamples project: the sample's column names and its rows, as
+        # JSON values (NULL for no sample).
         ("elapsedSeconds", DataType.FLOAT),
         ("cardinality", DataType.INTEGER),
         ("rowsScanned", DataType.INTEGER),
         ("succeeded", DataType.BOOLEAN),
-        ("columnNames", DataType.TEXT),
-        ("sampleRows", DataType.TEXT),
+        ("columnNames", DataType.JSON),
+        ("sampleRows", DataType.JSON),
     ),
     _schema("DataSources", ("qid", DataType.INTEGER), ("relName", DataType.TEXT)),
     _schema(
@@ -123,7 +124,8 @@ FEATURE_RELATIONS: list[TableSchema] = [
         ("succeeded", DataType.BOOLEAN),
     ),
     # One row per summarized output: the summary's column names and its
-    # sampled rows, each a JSON array (rows as positional arrays).
+    # sampled rows, each a JSON array as text (rows as positional arrays), so
+    # query-by-data is ``sampleRows LIKE '%"value"%'``.
     _schema(
         "OutputSamples",
         ("qid", DataType.INTEGER),
@@ -290,13 +292,12 @@ class QueryStore:
                 unlogged = table_schema.name in PROJECTED_RELATIONS
                 self._meta_db.create_table(table_schema, unlogged=unlogged)
                 continue
-            found = self._meta_db.table(table_schema.name).schema.column_names
-            if found != table_schema.column_names:
+            found = self._meta_db.table(table_schema.name).schema
+            if found.columns != table_schema.columns:  # names and types
                 self._meta_db.close()
                 raise DurabilityError(
-                    f"data directory {data_dir!r} holds {table_schema.name}"
-                    f"({', '.join(found)}); this version reads "
-                    f"{table_schema.name}({', '.join(table_schema.column_names)})"
+                    f"data directory {data_dir!r} holds {_spell(found, table_schema)}; "
+                    f"this version reads {_spell(table_schema, found)}"
                 )
         for table, column in (
             *((relation, "qid") for relation in ("Queries", *PROJECTED_RELATIONS, "Annotations")),
@@ -398,7 +399,7 @@ class QueryStore:
         windows: dict[str, list[tuple]] = {}
         for session_id, user, start, end, _ in self._meta_db.table("Sessions").rows():
             windows.setdefault(user, []).append((start or 0.0, end or 0.0, session_id))
-        decoded: dict[str, QueryFeatures] = {}
+        decoded: dict[tuple, QueryFeatures] = {}
         for row in sorted(self._meta_db.table("Queries").rows(), key=itemgetter(0)):
             record = _record(row, annotations.get(row[0], []), decoded)
             if record.is_mined:
@@ -948,6 +949,18 @@ class QueryStore:
         return self._meta_db.plan_cache_stats()
 
 
+def _spell(schema: TableSchema, other: TableSchema) -> str:
+    """``Name(col, …)`` for an error message, a column's type added where
+    ``other`` has a column of that name with another type."""
+    types = {column.name: column.data_type for column in other.columns}
+    return f"{schema.name}(" + ", ".join(
+        column.name
+        if types.get(column.name, column.data_type) is column.data_type
+        else f"{column.name} {column.data_type.value}"
+        for column in schema.columns
+    ) + ")"
+
+
 def _feature_keys(record: LoggedQuery) -> set:
     """The Figure 1 postings a record is filed under (see ``_feature_postings``)."""
     if record.features is None:
@@ -963,29 +976,29 @@ def _row(relation: str, *values: object) -> dict[str, object]:
 def _queries_row(record: LoggedQuery) -> dict[str, object]:
     """A record's ``Queries`` row: the one spelling of a record as a logged
     row.  :meth:`QueryStore.add` inserts it, an update rewrites the columns
-    whose values changed, and a reopen reads it back (:func:`_record`)."""
-    features = record.features
+    whose values changed, and a reopen reads it back (:func:`_record`).  The
+    features and the output sample are ``JSON`` values — the sample's rows
+    are the record's own row tuples — so nothing here encodes them; the WAL
+    frame and the heap pages do, once."""
+    features, output = record.features, record.output
     return _row(
         "Queries", record.qid, record.text, record.user, record.group, record.timestamp,
         record.statement_kind, record.visibility, not record.flagged_invalid,
         record.invalid_reason, record.flag_count, record.canonical_text,
-        record.template_text, None if features is None else features.to_json(),
+        record.template_text, None if features is None else features.to_values(),
         record.quality, *_runtime_values(record),
+        None if output is None else tuple(output.columns),
+        None if output is None else tuple(output.rows),
     )
 
 
 def _runtime_values(record: LoggedQuery) -> tuple:
-    """The last six columns of a record's ``Queries`` row, which
-    ``RuntimeStats`` and ``OutputSamples`` project: its runtime statistics,
-    then its output sample's column names and rows (as positional arrays),
-    each one JSON array, or two NULLs for no sample."""
-    runtime, output = record.runtime, record.output
-    sample = (None, None) if output is None else (
-        json.dumps(output.columns, ensure_ascii=False), json.dumps(output.rows, ensure_ascii=False)
-    )
+    """A record's runtime statistics, as its ``Queries`` row holds them and
+    ``RuntimeStats`` projects them."""
+    runtime = record.runtime
     return (
         runtime.elapsed_seconds, runtime.result_cardinality, runtime.rows_scanned,
-        runtime.succeeded, *sample,
+        runtime.succeeded,
     )
 
 
@@ -993,11 +1006,15 @@ def _projection_rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
     """A record's rows in the relations of :data:`PROJECTED_RELATIONS`, which
     :meth:`QueryStore._project` inserts; no feature rows for a record without
     features, no ``OutputSamples`` row for one without a sample."""
-    qid, features = record.qid, record.features
-    *runtime, columns, sample = _runtime_values(record)
+    qid, features, output = record.qid, record.features, record.output
     rows = {
-        "RuntimeStats": [_row("RuntimeStats", qid, *runtime)],
-        "OutputSamples": [] if columns is None else [_row("OutputSamples", qid, columns, sample)],
+        "RuntimeStats": [_row("RuntimeStats", qid, *_runtime_values(record))],
+        "OutputSamples": [] if output is None else [
+            _row(
+                "OutputSamples", qid, json.dumps(output.columns, ensure_ascii=False),
+                json.dumps(output.rows, ensure_ascii=False),
+            )
+        ],
     }
     if features is None:
         return rows
@@ -1020,11 +1037,11 @@ def _projection_rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
     }
 
 
-def _record(row: tuple, annotations: list[str], decoded: dict[str, QueryFeatures]) -> LoggedQuery:
+def _record(row: tuple, annotations: list[str], decoded: dict[tuple, QueryFeatures]) -> LoggedQuery:
     """The record whose ``Queries`` row is ``row`` (the inverse of
     :func:`_queries_row`), with the bodies of its ``Annotations`` rows in the
     order they were written.  ``row`` is a stored tuple in schema order,
-    which the store checks when it opens.  ``decoded`` maps a features text
+    which the store checks when it opens.  ``decoded`` maps a features value
     to its object, shared by the records that spell it.  The output sample's
     ``total_rows`` is the query's cardinality, so ``total_rows``/``complete``
     mean what they meant when the profiler built it.  The session is the
@@ -1035,12 +1052,11 @@ def _record(row: tuple, annotations: list[str], decoded: dict[str, QueryFeatures
         columns, sample,
     ) = row
     if features is not None and features not in decoded:
-        decoded[features] = QueryFeatures.from_json(features)
+        decoded[features] = QueryFeatures.from_values(features)
     output = None
     if columns is not None:
-        rows = [tuple(cells) for cells in json.loads(sample)]
-        total = max(cardinality or 0, len(rows))
-        output = OutputSummary(json.loads(columns), rows, total, complete=len(rows) >= total)
+        total = max(cardinality or 0, len(sample))
+        output = OutputSummary(list(columns), list(sample), total, complete=len(sample) >= total)
     return LoggedQuery(
         qid=qid,
         user=user or "",

@@ -205,10 +205,35 @@ def _evaluate_binary(expr: BinaryOp, scope: Scope, run_subquery) -> object:
                 return None
             result = left / right
             return result
-        if right == 0:
-            return None
-        return left % right
+        return _modulo(left, right)
     raise ExecutionError(f"unsupported binary operator {expr.op!r}")
+
+
+#: The 64-bit integer range sqlite truncates a ``%`` operand into.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _modulo(left, right):
+    """``left % right`` as sqlite computes it: both operands truncated toward
+    zero to 64-bit integers, the remainder with the dividend's sign, REAL when
+    either operand is REAL, and NULL when the truncated divisor is 0."""
+    dividend, divisor = _int64(left), _int64(right)
+    if dividend is None or not divisor:
+        return None
+    remainder = abs(dividend) % abs(divisor)
+    if dividend < 0:
+        remainder = -remainder
+    return float(remainder) if isinstance(left, float) or isinstance(right, float) else remainder
+
+
+def _int64(value) -> int | None:
+    """A ``%`` operand truncated toward zero, saturating at the 64-bit bounds
+    (NaN, which sqlite stores as NULL, reads as None)."""
+    if isinstance(value, float):
+        if value != value:
+            return None
+        value = max(-1e19, min(1e19, value))  # inside int()'s range, past int64's
+    return max(_INT64_MIN, min(_INT64_MAX, int(value)))
 
 
 def _evaluate_unary(expr: UnaryOp, scope: Scope, run_subquery) -> object:

@@ -12,8 +12,9 @@ here:
 3. **Replay the WAL tail** (:mod:`repro.storage.wal`): records with an LSN
    at or below the snapshot's are skipped (they are already inside it, which
    makes a crash between "snapshot renamed" and "log truncated" harmless),
-   the rest are re-applied in order, and the scan stops cleanly at the first
-   torn or corrupt record — exactly the committed prefix survives,
+   the rest are re-applied in order as each is decoded, and the scan stops
+   cleanly at the first torn or corrupt record — exactly the committed
+   prefix survives,
 4. hand the writer the valid log length so the torn tail is truncated before
    anything new is appended.
 
@@ -44,7 +45,7 @@ from repro.storage.snapshot import (
     schema_from_dict,
 )
 from repro.storage.table import Table
-from repro.storage.wal import WAL_FILE_NAME, WalRecord, read_wal, row_mutations
+from repro.storage.wal import WAL_FILE_NAME, WalReadResult, WalRecord, iter_wal, row_mutations
 
 #: File name of the ownership lock inside a database's ``data_dir``.
 LOCK_FILE_NAME = "LOCK"
@@ -163,18 +164,20 @@ def recover(database, data_dir: str | os.PathLike) -> RecoveryReport:
         report.snapshot_loaded = True
         report.snapshot_lsn = int(snapshot.get("lsn", 0))
 
-    wal = read_wal(os.path.join(data_dir, WAL_FILE_NAME))
-    report.wal_records_scanned = len(wal.records)
-    report.wal_mutations_scanned = sum(row_mutations(record.data) for record in wal.records)
-    report.wal_valid_length = wal.valid_length
-    report.torn_tail = wal.torn_tail
-    report.torn_bytes_dropped = wal.bytes_dropped
-    for record in wal.records:
+    # Each record is replayed as it is decoded: the decoded log is never
+    # held whole.
+    wal = WalReadResult()
+    for record in iter_wal(os.path.join(data_dir, WAL_FILE_NAME), wal):
+        report.wal_records_scanned += 1
+        report.wal_mutations_scanned += row_mutations(record.data)
         if record.lsn <= report.snapshot_lsn:
             report.wal_records_skipped += 1
             continue
         _apply(database, record)
         report.wal_records_applied += 1
+    report.wal_valid_length = wal.valid_length
+    report.torn_tail = wal.torn_tail
+    report.torn_bytes_dropped = wal.bytes_dropped
 
     report.last_lsn = max(report.snapshot_lsn, wal.last_lsn)
     report.elapsed_seconds = engine_timer() - start

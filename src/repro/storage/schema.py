@@ -44,8 +44,9 @@ class TableSchema:
                     f"duplicate column {column.name!r} in table {self.name!r}"
                 )
         self._names = [column.name for column in self.columns]
-        # (an unknown data type has no stored type: its values always reach
-        # the coercer, which is what raises for it)
+        # (JSON and an unknown data type have no stored type: their values
+        # always reach the coercer, which checks a JSON value and raises for
+        # an unknown type)
         self._stored = [STORED_TYPES.get(column.data_type) for column in self.columns]
         self._coercers = [column.coerce for column in self.columns]
 

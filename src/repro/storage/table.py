@@ -27,6 +27,7 @@ from repro.storage.buffer_pool import PageStore
 from repro.storage.indexes import HashIndex
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.statistics import TableStatistics
+from repro.storage.types import freeze_json
 
 #: Row slots per heap page.  A row id maps to ``(page ordinal, slot)`` as
 #: ``divmod(row_id, HEAP_PAGE_SLOTS)`` — row ids are monotonic and never
@@ -36,7 +37,8 @@ HEAP_PAGE_SLOTS = 128
 
 class _HeapPageCodec:
     """(De)serialize one heap page, a slot → row tuple dict, as
-    ``[[slot,[value,…]],…]`` in ascending slot order."""
+    ``[[slot,[value,…]],…]`` in ascending slot order.  A ``JSON`` value is
+    nested in its row as JSON, and its arrays read back as tuples."""
 
     @staticmethod
     def encode(page: dict) -> bytes:
@@ -47,7 +49,10 @@ class _HeapPageCodec:
     @staticmethod
     def decode(payload: bytes) -> dict:
         return {
-            int(slot): tuple(row) for slot, row in json.loads(payload.decode("utf-8"))
+            int(slot): tuple(row) if list not in map(type, row) else tuple([
+                freeze_json(value) if type(value) is list else value for value in row
+            ])
+            for slot, row in json.loads(payload.decode("utf-8"))
         }
 
 

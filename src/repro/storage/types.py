@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from sys import intern
 
 from repro.errors import SchemaError
 
@@ -14,6 +15,8 @@ class DataType(enum.Enum):
     FLOAT = "FLOAT"
     TEXT = "TEXT"
     BOOLEAN = "BOOLEAN"
+    #: A JSON value held as its Python structure (see :func:`freeze_json`).
+    JSON = "JSON"
 
     @classmethod
     def from_sql(cls, type_name: str) -> "DataType":
@@ -35,6 +38,7 @@ class DataType(enum.Enum):
             "STRING": cls.TEXT,
             "BOOLEAN": cls.BOOLEAN,
             "BOOL": cls.BOOLEAN,
+            "JSON": cls.JSON,
         }
         if normalized not in aliases:
             raise SchemaError(f"unsupported SQL type: {type_name!r}")
@@ -47,7 +51,9 @@ class DataType(enum.Enum):
 
 #: The Python type a stored value of each column type has.  A value whose
 #: type *is* this one (``bool`` is not ``int`` here) is already in stored
-#: form, which is how bulk coercion passes it through without a call.
+#: form, which is how bulk coercion passes it through without a call.  A
+#: ``JSON`` value has no one such type: it always reaches :func:`freeze_json`,
+#: which checks what it holds.
 STORED_TYPES: dict[DataType, type] = {
     DataType.INTEGER: int,
     DataType.FLOAT: float,
@@ -55,10 +61,46 @@ STORED_TYPES: dict[DataType, type] = {
     DataType.BOOLEAN: bool,
 }
 
+#: The Python types of a JSON scalar (``None`` is JSON ``null``).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 def _cannot_coerce(value: object, data_type: DataType, column: str) -> SchemaError:
     label = f" for column {column!r}" if column else ""
     return SchemaError(f"cannot coerce {value!r} to {data_type.value}{label}")
+
+
+def freeze_json(value: object, column: str = "") -> object:
+    """``value`` as a stored ``JSON`` value: a str, int, float, bool or
+    ``None``, or a tuple of such values (a JSON array), so it is immutable and
+    hashable.  A tuple that hashes is taken as it is, not copied or walked
+    (its leaves are the caller's: the WAL and page codecs refuse one JSON
+    cannot hold).  A list — an array decoded from a WAL frame or a heap page
+    — is frozen to a tuple at every depth, its strings interned so that the
+    rows read back share one object per distinct string, as the rows they
+    were written from did.  A dict, a set or another type raises
+    :class:`~repro.errors.SchemaError`.
+    """
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return value
+    if kind is tuple:
+        try:
+            hash(value)
+            return value
+        except TypeError:
+            pass  # it holds a list, or a value no JSON array holds
+    if kind is tuple or kind is list:
+        frozen = []
+        for item in value:
+            item_kind = type(item)
+            if item_kind is str:
+                item = intern(item)
+            elif item_kind not in _JSON_SCALARS:
+                item = freeze_json(item, column)
+            frozen.append(item)
+        return tuple(frozen)
+    raise _cannot_coerce(value, DataType.JSON, column)
 
 
 def coerce_value(value: object, data_type: DataType, column: str = "") -> object:
@@ -103,6 +145,8 @@ def coerce_value(value: object, data_type: DataType, column: str = "") -> object
             return bool(value)
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
+    elif data_type is DataType.JSON:
+        return freeze_json(value, column)
     else:
         raise SchemaError(f"unknown data type {data_type!r}")
     raise _cannot_coerce(value, data_type, column)

@@ -28,9 +28,11 @@ list once and the rows as arrays::
      "cols":["qid","attrName","relName"],
      "rows":[[7,"temp","watertemp"],[7,"depth","watertemp"],...]}
 
-A frame is read whole or not at all, so a batch is all in or all out after a
-crash.  A payload above :data:`MAX_RECORD_BYTES` is refused at encoding time
-(the reader treats such a length as a corrupt tail).  Logs written before
+A ``JSON`` column's value nests in its row as JSON (an array, never a quoted
+string), and replay freezes its arrays back to tuples when it coerces the
+row.  A frame is read whole or not at all, so a batch is all in or all out
+after a crash.  A payload above :data:`MAX_RECORD_BYTES` is refused at
+encoding time (the reader treats such a length as a corrupt tail).  Logs written before
 batching hold one ``insert`` record per row; recovery replays both.
 
 Thresholds are counted in **row mutations**, not frames
@@ -62,6 +64,7 @@ import json
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.errors import DurabilityError
@@ -151,28 +154,29 @@ class WalReadResult:
     torn_tail: bool = False
     #: Bytes dropped because of the torn/corrupt tail.
     bytes_dropped: int = 0
-
-    @property
-    def last_lsn(self) -> int:
-        return self.records[-1].lsn if self.records else 0
+    #: LSN of the last intact record (0 for an empty log).
+    last_lsn: int = 0
 
 
-def read_wal(path: str | os.PathLike) -> WalReadResult:
-    """Decode a WAL file, stopping cleanly at the first torn/corrupt record.
+def iter_wal(path: str | os.PathLike, result: WalReadResult) -> Iterator[WalRecord]:
+    """Decode a WAL file one record at a time, stopping cleanly at the first
+    torn/corrupt record.
 
-    A missing file reads as an empty log.  The scan never raises on bad
-    bytes: a partial header, an implausible length, a short payload, a CRC
-    mismatch, or undecodable JSON all mark the tail as torn and end the
+    Each record is yielded as soon as it is decoded, so a caller that replays
+    it at once never holds the decoded log.  The scan fills in ``result``
+    (all but its ``records``), which is complete once the iterator is
+    exhausted.  A missing file reads as an empty log.  The scan never raises
+    on bad bytes: a partial header, an implausible length, a short payload, a
+    CRC mismatch, or undecodable JSON all mark the tail as torn and end the
     replayable prefix exactly at the last intact record — which is the
     contract crash recovery needs (a record is either wholly in or wholly
     out).
     """
-    result = WalReadResult()
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except FileNotFoundError:
-        return result
+        return
     offset = 0
     total = len(data)
     while offset < total:
@@ -191,11 +195,19 @@ def read_wal(path: str | os.PathLike) -> WalReadResult:
             decoded = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             break  # CRC collision or writer bug; treat as corruption
-        result.records.append(WalRecord(lsn=lsn, data=decoded))
         offset = end
         result.valid_length = end
+        result.last_lsn = lsn
+        yield WalRecord(lsn=lsn, data=decoded)
     result.torn_tail = result.valid_length < total
     result.bytes_dropped = total - result.valid_length
+
+
+def read_wal(path: str | os.PathLike) -> WalReadResult:
+    """Decode a whole WAL file (:func:`iter_wal`) into
+    :attr:`WalReadResult.records`."""
+    result = WalReadResult()
+    result.records = list(iter_wal(path, result))
     return result
 
 

@@ -14,6 +14,7 @@ logged, whole.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 import shutil
@@ -34,6 +35,7 @@ from repro.core.records import LoggedQuery
 from repro.errors import DurabilityError
 from repro.sql.features import JoinFeature, PredicateFeature, QueryFeatures, extract_features
 from repro.storage.database import Database
+from repro.storage.types import DataType
 from repro.storage.wal import WAL_FILE_NAME, encode_record, read_wal
 from repro.workloads import QueryLogGenerator, WorkloadConfig
 
@@ -111,6 +113,12 @@ def postings_qids(store: QueryStore, draft: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def round_trip(features: QueryFeatures) -> QueryFeatures:
+    """The features after a real JSON encode and decode of their
+    :meth:`~QueryFeatures.to_values`, which read every array back as a list."""
+    return QueryFeatures.from_values(json.loads(json.dumps(features.to_values())))
+
+
 class TestFeaturesCodec:
     def test_the_generated_corpus_reads_back_equal(self):
         schema = build_database("limnology", scale=1, seed=7).schema_columns()
@@ -119,7 +127,7 @@ class TestFeaturesCodec:
         assert len(texts) > 50
         for text in texts:
             for features in (extract_features(text, schema), extract_features(text)):
-                assert QueryFeatures.from_json(features.to_json()) == features, text
+                assert round_trip(features) == features, text
 
     def test_every_constant_type_reads_back_with_its_type(self):
         constants = [
@@ -144,7 +152,7 @@ class TestFeaturesCodec:
             num_subqueries=1,
             nesting_depth=2,
         )
-        decoded = QueryFeatures.from_json(features.to_json())
+        decoded = round_trip(features)
         assert decoded == features
         for before, after in zip(features.predicates, decoded.predicates):
             assert type(after.constant) is type(before.constant)
@@ -420,3 +428,41 @@ def test_a_data_directory_with_the_ten_column_queries_is_refused(tmp_path):
             assert "holds Queries(qid, qText, userName, groupName, ts, statementKind," in message
             assert f"{last}); this version reads" in message
             assert f"Queries({expected})" in message
+
+
+def test_a_data_directory_with_the_sample_and_features_as_text_is_refused(tmp_path):
+    """A directory whose ``Queries`` holds the features and the output sample
+    as JSON text — the same column names, ``TEXT`` where this version reads
+    ``JSON`` — raises, naming both shapes with the types that differ, instead
+    of failing inside ``_record`` when a row is read back."""
+    as_text = {"features", "columnNames", "sampleRows"}
+    old = _schema(
+        "Queries",
+        *(
+            (column.name, DataType.TEXT if column.name in as_text else column.data_type)
+            for column in FEATURE_RELATIONS[0].columns
+        ),
+    )
+    data_dir = str(tmp_path / "store")
+    database = Database.open(data_dir, name="query_storage")
+    for schema in FEATURE_RELATIONS:
+        database.create_table(
+            old if schema.name == "Queries" else schema,
+            unlogged=schema.name in PROJECTED_RELATIONS,
+        )
+    text = "SELECT name FROM Lakes WHERE area_km2 > 3"
+    database.insert_rows("Queries", [{
+        "qid": 1, "qText": text,
+        "features": json.dumps(extract_features(text).to_values()),
+        "columnNames": '["name"]', "sampleRows": '[["Lake Washington"]]',
+    }])
+    database.close()
+    for _ in range(2):
+        with pytest.raises(DurabilityError) as raised:
+            QueryStore(data_dir=data_dir)
+        message = str(raised.value)
+        assert "holds Queries(qid, qText, userName, groupName, ts, statementKind," in message
+        assert "features TEXT, quality" in message
+        assert "columnNames TEXT, sampleRows TEXT); this version reads Queries(qid," in message
+        assert "features JSON, quality" in message
+        assert message.endswith("columnNames JSON, sampleRows JSON)")

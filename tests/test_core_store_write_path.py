@@ -12,6 +12,7 @@ that were closed.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -258,3 +259,28 @@ def test_text_mode_reopen_keeps_log_time_features(tmp_path):
         after = {relation: stored_rows(store, relation) for relation in FIGURE1_RELATIONS}
         assert all(2 not in by_qid for by_qid in after.values())
         assert after["DataSources"][1] == before["DataSources"][1]
+
+
+def test_in_memory_submits_encode_no_json(monkeypatch):
+    """A record's features and output sample are ``JSON`` values in its
+    ``Queries`` row, kept as they are: in memory, logging a query spells
+    none of it as JSON text (only a WAL frame or a heap page would)."""
+    cqms = CQMS(build_database("limnology", scale=1, seed=7))
+    cqms.register_user("alice", group="lab")
+    cqms.register_user("bob", group="lab")
+    encoded = []
+    encode = json.JSONEncoder.encode
+
+    def counting(self, value):
+        encoded.append(value)
+        return encode(self, value)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    for _ in range(3):
+        for user, sql in STATEMENTS:
+            cqms.submit(user, sql)
+    records = cqms.store.all_queries()
+    assert len(records) == 3 * len(STATEMENTS)
+    assert sum(record.output is not None for record in records) >= 3 * 4
+    assert sum(record.features is not None for record in records) >= 3 * 5
+    assert encoded == []

@@ -149,6 +149,18 @@ GROUPED_QUERIES = [
 ]
 
 
+#: ``%`` as sqlite computes it: both operands truncated to integers, the
+#: dividend's sign, REAL if either operand is, NULL for a zero divisor.
+MODULO_QUERIES = [
+    "SELECT 5 % -3, -5 % 3, -5.5 % 2, 5.5 % 2, 7 % 2.5, 5 % 0.5",
+    "SELECT 5 % 0, 5.0 % 0, 0 % 3, -4.0 % 2, 1e30 % 7, 7 % 1e30, -1e30 % 7",
+    "SELECT lake_id, lake_id % -3, (0 - lake_id) % 4, area % 3, depth % 2.5, "
+    "(0 - area) % 7.5, lake_id % (depth - 7) FROM lakes",
+    "SELECT (0 - lake_id) % 3, COUNT(*) FROM lakes GROUP BY (0 - lake_id) % 3",
+    "SELECT lake_id FROM lakes WHERE (0 - depth) % 7 = -3",
+]
+
+
 #: ``WHERE a <op> b`` over two columns of one table — numeric pairs (INTEGER
 #: with FLOAT, either with a nullable INTEGER) and a TEXT pair with NULLs.
 #: (A number against a text compares as strings here: a dialect difference.)
@@ -295,6 +307,10 @@ class TestSpecCollection:
 class TestVectorizedEquivalence:
     @pytest.mark.parametrize("sql", GROUPED_QUERIES)
     def test_matches_sqlite(self, sql, exec_variant, reference):
+        assert_same_rows(sql, _make_db(exec_variant).execute(sql).rows, reference(sql))
+
+    @pytest.mark.parametrize("sql", MODULO_QUERIES)
+    def test_modulo_matches_sqlite(self, sql, exec_variant, reference):
         assert_same_rows(sql, _make_db(exec_variant).execute(sql).rows, reference(sql))
 
     @pytest.mark.parametrize("sql", COLUMN_COMPARISONS)
