@@ -28,6 +28,7 @@ includes the record's own artefacts, so a resubmitted text is not parsed again.
 from __future__ import annotations
 
 import json
+import marshal
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from collections.abc import Callable, Collection, Mapping, Sequence
@@ -399,7 +400,7 @@ class QueryStore:
         windows: dict[str, list[tuple]] = {}
         for session_id, user, start, end, _ in self._meta_db.table("Sessions").rows():
             windows.setdefault(user, []).append((start or 0.0, end or 0.0, session_id))
-        decoded: dict[tuple, QueryFeatures] = {}
+        decoded: dict[bytes, QueryFeatures] = {}
         for row in sorted(self._meta_db.table("Queries").rows(), key=itemgetter(0)):
             record = _record(row, annotations.get(row[0], []), decoded)
             if record.is_mined:
@@ -653,7 +654,11 @@ class QueryStore:
         for record, fields in edits:
             (row_id,) = self._row_ids(table, record.qid)
             row, stored = _queries_row(replace(record, **fields)), table.get(row_id)
-            values = {name: new for (name, new), old in zip(row.items(), stored) if new != old}
+            values = {
+                name: new
+                for (name, new), old in zip(row.items(), stored)
+                if new != old or type(new) is tuple and _spelling(new) != _spelling(old)
+            }
             if values:
                 change.updates.setdefault("Queries", []).append((row_id, values))
         return change
@@ -961,6 +966,13 @@ def _spell(schema: TableSchema, other: TableSchema) -> str:
     ) + ")"
 
 
+def _spelling(value: tuple) -> bytes:
+    """A ``JSON`` value as bytes that tell apart what ``==`` does not: ``5``,
+    ``5.0`` and ``True`` are equal in a tuple, but marshal spells each
+    scalar with its type."""
+    return marshal.dumps(value, 0)
+
+
 def _feature_keys(record: LoggedQuery) -> set:
     """The Figure 1 postings a record is filed under (see ``_feature_postings``)."""
     if record.features is None:
@@ -1037,22 +1049,27 @@ def _projection_rows(record: LoggedQuery) -> dict[str, list[dict[str, object]]]:
     }
 
 
-def _record(row: tuple, annotations: list[str], decoded: dict[tuple, QueryFeatures]) -> LoggedQuery:
+def _record(row: tuple, annotations: list[str], decoded: dict[bytes, QueryFeatures]) -> LoggedQuery:
     """The record whose ``Queries`` row is ``row`` (the inverse of
     :func:`_queries_row`), with the bodies of its ``Annotations`` rows in the
     order they were written.  ``row`` is a stored tuple in schema order,
-    which the store checks when it opens.  ``decoded`` maps a features value
-    to its object, shared by the records that spell it.  The output sample's
-    ``total_rows`` is the query's cardinality, so ``total_rows``/``complete``
-    mean what they meant when the profiler built it.  The session is the
-    caller's; the error message of a failed statement has no column."""
+    which the store checks when it opens.  ``decoded`` maps a features
+    value's :func:`_spelling` to its object, shared by the records that spell
+    it alike.  The output sample's ``total_rows`` is the query's cardinality,
+    so ``total_rows``/``complete`` mean what they meant when the profiler
+    built it.  The session is the caller's; the error message of a failed
+    statement has no column."""
     (
         qid, text, user, group, timestamp, kind, visibility, valid, reason, flags,
         canonical, template, features, quality, elapsed, cardinality, scanned, succeeded,
         columns, sample,
     ) = row
-    if features is not None and features not in decoded:
-        decoded[features] = QueryFeatures.from_values(features)
+    shared = None
+    if features is not None:
+        key = _spelling(features)
+        shared = decoded.get(key)
+        if shared is None:
+            shared = decoded[key] = QueryFeatures.from_values(features)
     output = None
     if columns is not None:
         total = max(cardinality or 0, len(sample))
@@ -1066,7 +1083,7 @@ def _record(row: tuple, annotations: list[str], decoded: dict[tuple, QueryFeatur
         canonical_text=canonical or "",
         template_text=template or "",
         statement_kind=kind or "unknown",
-        features=None if features is None else decoded[features],
+        features=shared,
         runtime=RuntimeStats(elapsed or 0.0, cardinality or 0, scanned or 0, bool(succeeded)),
         output=output,
         visibility=visibility or "group",

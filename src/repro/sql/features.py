@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.sql.ast_nodes import (
     Between,
@@ -84,6 +85,12 @@ class JoinFeature:
             right_relation=right[0],
             right_attribute=right[1],
         )
+
+
+#: How many values one item of each list field of :class:`QueryFeatures`
+#: (tables, attributes, projections, predicates, joins, group-by, order-by,
+#: aggregates) spells in :meth:`QueryFeatures.to_values`.
+_ITEM_WIDTHS = (1, 2, 2, 4, 4, 2, 2, 1)
 
 
 @dataclass
@@ -161,45 +168,56 @@ class QueryFeatures:
         return tokens
 
     def to_values(self) -> tuple:
-        """The features as one tuple of the fields in declaration order, each
-        list as a tuple and a predicate or join as a tuple of its fields: a
-        ``JSON`` value (:meth:`from_values` reads it back equal).  The Query
-        Storage logs it with the record."""
-        return (
-            self.statement_kind, tuple(self.tables), tuple(self.attributes),
-            tuple(self.projections), tuple([p.as_tuple() for p in self.predicates]),
-            tuple([
-                (j.left_relation, j.left_attribute, j.right_relation, j.right_attribute)
-                for j in self.joins
-            ]),
-            tuple(self.group_by), tuple(self.order_by), tuple(self.aggregates),
-            self.select_star, self.distinct, self.limit, self.num_tables,
-            self.num_predicates, self.num_joins, self.num_subqueries, self.nesting_depth,
+        """The features as one flat tuple, a ``JSON`` value: the statement
+        kind and the other scalar fields in declaration order, the length of
+        each list field, then each list field's items in declaration order,
+        a pair, predicate or join spelled as its fields in a row.  Only an IN
+        list's constant nests (as a tuple), so the WAL and heap-page decoders
+        freeze the value with one ``tuple`` call.  :meth:`from_values` reads
+        it back equal; the Query Storage logs it with the record."""
+        predicates = [p.as_tuple() for p in self.predicates]
+        joins = [
+            (j.left_relation, j.left_attribute, j.right_relation, j.right_attribute)
+            for j in self.joins
+        ]
+        lists = (
+            self.tables, self.attributes, self.projections, predicates, joins,
+            self.group_by, self.order_by, self.aggregates,
         )
+        values = [
+            self.statement_kind, self.select_star, self.distinct, self.limit, self.num_tables,
+            self.num_predicates, self.num_joins, self.num_subqueries, self.nesting_depth,
+            *map(len, lists),
+        ]
+        for items, width in zip(lists, _ITEM_WIDTHS):
+            values += items if width == 1 else chain.from_iterable(items)
+        return tuple(values)
 
     @classmethod
     def from_values(cls, values: Sequence) -> "QueryFeatures":
-        """The features whose :meth:`to_values` is ``values``, its arrays as
-        tuples or lists.  A constant is a literal's value or an IN list's
-        tuple of them, so an array read back is a tuple."""
-        (
-            kind, tables, attributes, projections, predicates, joins, group_by, order_by,
-            aggregates, *rest,
-        ) = values
+        """The features whose :meth:`to_values` is ``values``, an IN list's
+        constant as a tuple or a list (a constant is a literal's value or an
+        IN list's tuple of them, so an array read back is a tuple)."""
+        (kind, *scalars), lengths = values[:9], values[9 : 9 + len(_ITEM_WIDTHS)]
+        lists, start = [], 9 + len(_ITEM_WIDTHS)
+        for length, width in zip(lengths, _ITEM_WIDTHS):
+            items, start = values[start : start + length * width], start + length * width
+            lists.append(list(items) if width == 1 else list(zip(*[iter(items)] * width)))
+        tables, attributes, projections, predicates, joins, group_by, order_by, aggregates = lists
         return cls(
             kind,
-            list(tables),
-            [tuple(pair) for pair in attributes],
-            [tuple(pair) for pair in projections],
+            tables,
+            attributes,
+            projections,
             [
                 PredicateFeature(a, r, op, tuple(c) if isinstance(c, (list, tuple)) else c)
                 for a, r, op, c in predicates
             ],
             [JoinFeature(*join) for join in joins],
-            [tuple(pair) for pair in group_by],
-            [tuple(pair) for pair in order_by],
-            list(aggregates),
-            *rest,
+            group_by,
+            order_by,
+            aggregates,
+            *scalars,
         )
 
 

@@ -19,7 +19,7 @@ import re
 from typing import Callable
 
 from repro.errors import ExecutionError
-from repro.storage.types import compare_values
+from repro.storage.types import as_text, compare_values
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
@@ -181,11 +181,11 @@ def _evaluate_binary(expr: BinaryOp, scope: Scope, run_subquery) -> object:
     if expr.op == "LIKE":
         if left is None or right is None:
             return None
-        return _like(str(left), str(right))
+        return _like(as_text(left), as_text(right))
     if expr.op == "||":
         if left is None or right is None:
             return None
-        return str(left) + str(right)
+        return as_text(left) + as_text(right)
     if expr.op in ("+", "-", "*", "/", "%"):
         if left is None or right is None:
             return None
@@ -267,9 +267,9 @@ def _evaluate_function(expr: FunctionCall, scope: Scope, run_subquery) -> object
             f"aggregate {name} used outside of an aggregation context"
         )
     scalar_functions = {
-        "LOWER": lambda v: None if v is None else str(v).lower(),
-        "UPPER": lambda v: None if v is None else str(v).upper(),
-        "LENGTH": lambda v: None if v is None else len(str(v)),
+        "LOWER": lambda v: None if v is None else as_text(v).lower(),
+        "UPPER": lambda v: None if v is None else as_text(v).upper(),
+        "LENGTH": lambda v: None if v is None else len(as_text(v)),
         "ABS": lambda v: None if v is None else abs(v),
         "ROUND": lambda v: None if v is None else round(v),
         "COALESCE": None,
@@ -359,7 +359,7 @@ def _cast(value: object, target: str) -> object:
         if target in ("FLOAT", "REAL", "DOUBLE", "NUMERIC", "DECIMAL"):
             return float(value)
         if target in ("TEXT", "VARCHAR", "CHAR", "STRING"):
-            return str(value)
+            return as_text(value)
         if target in ("BOOLEAN", "BOOL"):
             if isinstance(value, str):
                 return value.lower() == "true"

@@ -44,7 +44,7 @@ from repro.sql.ast_nodes import (
     UnaryOp,
 )
 from repro.storage.expression import like_regex, slot_of
-from repro.storage.types import DataType, compare_values
+from repro.storage.types import DataType, as_text, compare_values
 
 
 class _Columns(dict):
@@ -166,7 +166,7 @@ def _column_comparison_kernel(left_key: int, right_key: int, types, op: str) -> 
 
 def _like_kernel(key: int, data_type, literal: Literal) -> Kernel:
     cache: dict[object, object] = {}
-    # Schema coercion stores TEXT as str, so the evaluator's ``str(value)``
+    # Schema coercion stores TEXT as str, so the evaluator's ``as_text(value)``
     # is an identity call a TEXT column can skip.
     text = data_type is DataType.TEXT
 
@@ -191,7 +191,7 @@ def _like_kernel(key: int, data_type, literal: Literal) -> Kernel:
         return [
             i
             for i in _indices(columns, selection)
-            if (value := values[i]) is not None and fullmatch(str(value)) is not None
+            if (value := values[i]) is not None and fullmatch(as_text(value)) is not None
         ]
 
     return kernel

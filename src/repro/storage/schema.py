@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import itemgetter
 
 from repro.errors import SchemaError
-from repro.storage.types import STORED_TYPES, DataType, coerce_value
+from repro.storage.types import STORED_TYPES, DataType, coerce_value, freeze_json
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,15 @@ class TableSchema:
         self._names = [column.name for column in self.columns]
         # (JSON and an unknown data type have no stored type: their values
         # always reach the coercer, which checks a JSON value and raises for
-        # an unknown type)
+        # an unknown type; a nullable JSON column's coercer is freeze_json
+        # itself, which passes NULL through)
         self._stored = [STORED_TYPES.get(column.data_type) for column in self.columns]
-        self._coercers = [column.coerce for column in self.columns]
+        self._coercers = [
+            partial(freeze_json, column=column.name)
+            if column.data_type is DataType.JSON and not (column.not_null or column.primary_key)
+            else column.coerce
+            for column in self.columns
+        ]
 
     @property
     def column_names(self) -> list[str]:

@@ -27,7 +27,7 @@ from repro.storage.buffer_pool import PageStore
 from repro.storage.indexes import HashIndex
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.statistics import TableStatistics
-from repro.storage.types import freeze_json
+from repro.storage.types import DataType, freeze_json
 
 #: Row slots per heap page.  A row id maps to ``(page ordinal, slot)`` as
 #: ``divmod(row_id, HEAP_PAGE_SLOTS)`` — row ids are monotonic and never
@@ -38,7 +38,11 @@ HEAP_PAGE_SLOTS = 128
 class _HeapPageCodec:
     """(De)serialize one heap page, a slot → row tuple dict, as
     ``[[slot,[value,…]],…]`` in ascending slot order.  A ``JSON`` value is
-    nested in its row as JSON, and its arrays read back as tuples."""
+    nested in its row as JSON; the codec of a table with ``JSON`` columns
+    knows their positions and freezes their arrays back to tuples."""
+
+    def __init__(self, json_positions: tuple[int, ...] = ()):
+        self._json_positions = json_positions
 
     @staticmethod
     def encode(page: dict) -> bytes:
@@ -46,17 +50,28 @@ class _HeapPageCodec:
             [[slot, page[slot]] for slot in sorted(page)], separators=(",", ":")
         ).encode("utf-8")
 
-    @staticmethod
-    def decode(payload: bytes) -> dict:
-        return {
-            int(slot): tuple(row) if list not in map(type, row) else tuple([
-                freeze_json(value) if type(value) is list else value for value in row
-            ])
-            for slot, row in json.loads(payload.decode("utf-8"))
-        }
+    def decode(self, payload: bytes) -> dict:
+        page = json.loads(payload.decode("utf-8"))
+        positions = self._json_positions
+        if positions:
+            for _, row in page:
+                for position in positions:
+                    row[position] = freeze_json(row[position])
+        return {int(slot): tuple(row) for slot, row in page}
 
 
+#: The codec of a table without ``JSON`` columns.
 HEAP_PAGE_CODEC = _HeapPageCodec()
+
+
+def _page_codec(schema: TableSchema) -> _HeapPageCodec:
+    """The heap-page codec of a table with ``schema``."""
+    positions = tuple(
+        position
+        for position, column in enumerate(schema.columns)
+        if column.data_type is DataType.JSON
+    )
+    return _HeapPageCodec(positions) if positions else HEAP_PAGE_CODEC
 
 
 def _install_slots(page: dict, slot: int, rows) -> None:
@@ -112,6 +127,7 @@ class Table:
         unlogged: bool = False,
     ):
         self._schema = schema
+        self._codec = _page_codec(schema)
         self.unlogged = unlogged
         self._store = store if store is not None else PageStore()
         self._page_slots = max(1, int(page_slots))
@@ -178,7 +194,7 @@ class Table:
         safe under the engine's statement-at-a-time mutation model.
         """
         for ordinal in sorted(self._page_ids):
-            page = self._store.read(self._page_ids[ordinal], HEAP_PAGE_CODEC)
+            page = self._store.read(self._page_ids[ordinal], self._codec)
             base = ordinal * self._page_slots
             for slot, row in page.items():
                 yield base + slot, row
@@ -192,7 +208,7 @@ class Table:
         fresh, so a caller may keep or reshape it.
         """
         for ordinal in sorted(self._page_ids):
-            page = self._store.read(self._page_ids[ordinal], HEAP_PAGE_CODEC)
+            page = self._store.read(self._page_ids[ordinal], self._codec)
             if page:
                 yield list(page.values())
 
@@ -207,7 +223,7 @@ class Table:
         page_id = self._page_ids.get(ordinal)
         if page_id is None:
             return None
-        return self._store.read(page_id, HEAP_PAGE_CODEC).get(slot)
+        return self._store.read(page_id, self._codec).get(slot)
 
     @property
     def next_row_id(self) -> int:
@@ -229,10 +245,10 @@ class Table:
             chunk = rows[done : done + self._page_slots - slot]
             page_id = self._page_ids.get(ordinal)
             if page_id is None:
-                page_id = self._store.allocate({}, HEAP_PAGE_CODEC)
+                page_id = self._store.allocate({}, self._codec)
                 self._page_ids[ordinal] = page_id
                 self._page_live[ordinal] = 0
-            page = self._store.fetch(page_id, HEAP_PAGE_CODEC)
+            page = self._store.fetch(page_id, self._codec)
             try:
                 before = len(page)
                 _install_slots(page, slot, chunk)
@@ -250,7 +266,7 @@ class Table:
         page_id = self._page_ids.get(ordinal)
         if page_id is None:
             return None
-        page = self._store.fetch(page_id, HEAP_PAGE_CODEC)
+        page = self._store.fetch(page_id, self._codec)
         try:
             row = page.pop(slot, None)
             if row is not None:
@@ -568,7 +584,7 @@ class Table:
         """Replace every row with ``rewrite_row(row)``, page by page, under pins."""
         for ordinal in sorted(self._page_ids):
             page_id = self._page_ids[ordinal]
-            page = self._store.fetch(page_id, HEAP_PAGE_CODEC)
+            page = self._store.fetch(page_id, self._codec)
             try:
                 for slot, row in page.items():
                     page[slot] = rewrite_row(row)
@@ -584,6 +600,7 @@ class Table:
         self._schema = self._schema.with_column_added(column)
         fill = (column.coerce(default) if default is not None else None,)
         self._rewrite_pages(lambda row: row + fill)
+        self._codec = _page_codec(self._schema)
         self._stats_cache = None
         self._bump(schema=True)
 
@@ -595,6 +612,7 @@ class Table:
             index.drop()
         self._schema = self._schema.with_column_dropped(name)
         self._rewrite_pages(lambda row: row[:position] + row[position + 1 :])
+        self._codec = _page_codec(self._schema)  # after the rewrite, which read the old layout
         self._stats_cache = None
         self._bump(schema=True)
 

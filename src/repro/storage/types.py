@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from sys import intern
+import json
 
 from repro.errors import SchemaError
 
@@ -16,6 +16,7 @@ class DataType(enum.Enum):
     TEXT = "TEXT"
     BOOLEAN = "BOOLEAN"
     #: A JSON value held as its Python structure (see :func:`freeze_json`).
+    #: Internal to the engine's own relations: no SQL type name maps to it.
     JSON = "JSON"
 
     @classmethod
@@ -38,7 +39,6 @@ class DataType(enum.Enum):
             "STRING": cls.TEXT,
             "BOOLEAN": cls.BOOLEAN,
             "BOOL": cls.BOOLEAN,
-            "JSON": cls.JSON,
         }
         if normalized not in aliases:
             raise SchemaError(f"unsupported SQL type: {type_name!r}")
@@ -73,34 +73,60 @@ def _cannot_coerce(value: object, data_type: DataType, column: str) -> SchemaErr
 def freeze_json(value: object, column: str = "") -> object:
     """``value`` as a stored ``JSON`` value: a str, int, float, bool or
     ``None``, or a tuple of such values (a JSON array), so it is immutable and
-    hashable.  A tuple that hashes is taken as it is, not copied or walked
-    (its leaves are the caller's: the WAL and page codecs refuse one JSON
-    cannot hold).  A list — an array decoded from a WAL frame or a heap page
-    — is frozen to a tuple at every depth, its strings interned so that the
-    rows read back share one object per distinct string, as the rows they
-    were written from did.  A dict, a set or another type raises
+    hashable.  A tuple that hashes is taken as it is, not copied or walked.
+    A list — an array decoded from a WAL frame or a heap page — is frozen to
+    a tuple, and so is every list or tuple in it.  Either way a scalar leaf is
+    the caller's (the WAL and page codecs refuse one JSON cannot hold); a
+    dict or set anywhere in the value, or a value of another type, raises
     :class:`~repro.errors.SchemaError`.
     """
     kind = type(value)
     if kind in _JSON_SCALARS:
         return value
-    if kind is tuple:
-        try:
-            hash(value)
-            return value
-        except TypeError:
-            pass  # it holds a list, or a value no JSON array holds
     if kind is tuple or kind is list:
-        frozen = []
-        for item in value:
-            item_kind = type(item)
-            if item_kind is str:
-                item = intern(item)
-            elif item_kind not in _JSON_SCALARS:
-                item = freeze_json(item, column)
-            frozen.append(item)
-        return tuple(frozen)
+        if kind is tuple and _hashes(value):  # then it holds no list, dict or set
+            return value
+        try:
+            return _tuples(value)
+        except TypeError:
+            pass
     raise _cannot_coerce(value, DataType.JSON, column)
+
+
+def _hashes(value: object) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+#: The Python types of a JSON array: a tuple as stored, a list as decoded.
+_ARRAYS = frozenset({list, tuple})
+
+
+def _tuples(items) -> tuple:
+    """``items`` as a tuple, each array in it a tuple too, at every depth;
+    hashing the result, it raises ``TypeError`` for a dict or set in it.  An
+    array of scalars, or an array of such arrays (a sample's rows), is frozen
+    and checked by C-level calls alone; only a deeper array is walked item by
+    item."""
+    if items and type(items[0]) in _ARRAYS and _ARRAYS.issuperset(map(type, items)):
+        frozen = tuple(map(tuple, items))
+    else:
+        frozen = tuple(items)
+    if _hashes(frozen):  # no list, dict or set left in it
+        return frozen
+    frozen = tuple([_tuples(item) if type(item) in _ARRAYS else item for item in items])
+    hash(frozen)
+    return frozen
+
+
+def as_text(value: object) -> str:
+    """A non-NULL value as SQL text (``LIKE``, ``||``, ``CAST … AS TEXT``):
+    a ``JSON`` array as its JSON text, spelled as the ``OutputSamples``
+    projection spells a sample, and any other value as ``str`` does."""
+    return json.dumps(value, ensure_ascii=False) if type(value) is tuple else str(value)
 
 
 def coerce_value(value: object, data_type: DataType, column: str = "") -> object:

@@ -401,6 +401,68 @@ def test_a_quality_score_survives_a_restart(tmp_path):
         assert dict(stored) == scores
 
 
+#: Queries whose features differ only in a constant's type: ``5``, ``5.0``
+#: and ``TRUE`` are equal in Python, and so are tuples holding them.
+TYPED_TWINS = [
+    "SELECT * FROM WaterTemp WHERE depth > 5",
+    "SELECT * FROM WaterTemp WHERE depth > 5.0",
+    "SELECT * FROM Lakes WHERE lake_id = 1",
+    "SELECT * FROM Lakes WHERE lake_id = TRUE",
+    "SELECT * FROM Lakes WHERE lake_id IN (1, 2)",
+    "SELECT * FROM Lakes WHERE lake_id IN (1.0, 2)",
+]
+
+
+def constant_types(store: QueryStore) -> dict[int, list[type]]:
+    types = {}
+    for record in store.all_queries():
+        (predicate,) = record.features.predicates
+        constant = predicate.constant
+        types[record.qid] = (
+            [type(v) for v in constant] if isinstance(constant, tuple) else [type(constant)]
+        )
+    return types
+
+
+def test_constants_equal_across_types_read_back_with_their_types(tmp_path):
+    """Records whose features differ only in a constant's type do not share
+    one decoded object on a reopen: each reads back its own constant, and
+    its ``Predicates`` row spells it as it was logged (``'5.0'``, not
+    ``'5'``)."""
+    d = str(tmp_path / "store")
+    store = QueryStore(data_dir=d)
+    for qid, text in enumerate(TYPED_TWINS, 1):
+        store.add(logged(qid, text))
+    logged_types = constant_types(store)
+    logged_rows = sorted(store.execute_meta_sql("SELECT qid, const FROM Predicates").rows)
+    store.close()
+    assert logged_types[2] == [float] and logged_types[4] == [bool]
+    store = QueryStore(data_dir=d)
+    assert constant_types(store) == logged_types
+    assert sorted(store.execute_meta_sql("SELECT qid, const FROM Predicates").rows) == logged_rows
+    assert_projection_matches(store)
+    store.close()
+
+
+def test_a_repair_that_changes_only_a_constant_type_is_logged(tmp_path):
+    """``replace_text`` from ``depth > 5`` to ``depth > 5.0`` rewrites the
+    logged features, though the old and new values are ``==``."""
+    d = str(tmp_path / "store")
+    store = QueryStore(data_dir=d)
+    for qid, text in enumerate(TYPED_TWINS[::2], 1):
+        store.add(logged(qid, text))
+    for qid, text in enumerate(TYPED_TWINS[1::2], 1):
+        features = extract_features(text)
+        assert features.to_values() == store.get(qid).features.to_values()
+        store.replace_text(qid, text, features, text, text)
+    repaired = constant_types(store)
+    assert repaired == {1: [float], 2: [bool], 3: [float, int]}
+    store.close()
+    store = QueryStore(data_dir=d)
+    assert constant_types(store) == repaired
+    store.close()
+
+
 def test_a_data_directory_with_the_ten_column_queries_is_refused(tmp_path):
     """A directory whose ``Queries`` has the ten columns of the format that
     logged every feature row, or the fourteen of the format that logged
