@@ -4,8 +4,8 @@ CI does not get to hand-pick friendly plans: this module regenerates the
 Figure-1 workload for every domain, plans each distinct statement under
 both planner configurations (indexed, index-less), and
 runs :class:`~repro.analysis.plan_verify.PlanVerifier` over every plan the
-planner emits — SELECTs through ``plan_select``, plus synthesized
-UPDATE/DELETE shapes per table through the DML planner.
+planner emits — SELECTs through ``plan_select`` (synthesized outer and cross
+joins included), plus synthesized UPDATE/DELETE shapes per table.
 """
 
 from __future__ import annotations
@@ -72,6 +72,34 @@ def dml_statements(database) -> list[str]:
     return statements
 
 
+def join_statements(database) -> list[str]:
+    """Synthesized LEFT, RIGHT, FULL and CROSS joins per pair of adjacent
+    tables, keyed on each one's first numeric column: an ON residual, a
+    non-equi ON, WHERE conjuncts on either side, and an outer join under an
+    inner one — shapes the workload never writes."""
+    statements: list[str] = []
+    names = sorted(database.table_names())
+    for left, right in zip(names, names[1:]):
+        lk, rk = (
+            next((c.name for c in schema.columns if c.data_type.is_numeric), None)
+            for schema in (database.table(left).schema, database.table(right).schema)
+        )
+        if lk is None or rk is None:
+            continue
+        on = f"l.{lk} = r.{rk}"
+        statements += [
+            f"SELECT * FROM {left} l LEFT JOIN {right} r ON {on} AND r.{rk} > 0",
+            f"SELECT l.{lk}, r.{rk} FROM {left} l RIGHT JOIN {right} r ON {on} "
+            f"WHERE l.{lk} > 1 AND r.{rk} < 9",
+            f"SELECT * FROM {left} l FULL JOIN {right} r ON l.{lk} < r.{rk} "
+            f"WHERE r.{rk} IS NULL",
+            f"SELECT m.{lk}, r.{rk} FROM {left} l LEFT JOIN {right} r ON {on} "
+            f"JOIN {left} m ON m.{lk} = l.{lk} WHERE l.{lk} = 2",
+            f"SELECT l.{lk} FROM {left} l CROSS JOIN {right} r WHERE r.{rk} = 3",
+        ]
+    return statements
+
+
 def verify_corpus(
     domains=DOMAINS, sessions: int = 60, seed: int = 42, scale: int = 1
 ) -> CorpusResult:
@@ -83,7 +111,7 @@ def verify_corpus(
     for domain in domains:
         sql_texts = domain_statements(domain, sessions=sessions, seed=seed)
         database = build_database(domain, scale=scale)
-        sql_texts_all = sql_texts + dml_statements(database)
+        sql_texts_all = sql_texts + dml_statements(database) + join_statements(database)
         for use_indexes in (True, False):
             for sql in sql_texts_all:
                 statement = parse(sql)

@@ -44,9 +44,7 @@ from repro.storage.operators import (
     HashJoin,
     IndexLookupJoin,
     IndexScan,
-    NestedLoopJoin,
     Operator,
-    OuterJoin,
     SeqScan,
     SubqueryScan,
 )
@@ -147,10 +145,8 @@ class PlanVerifier:
         expected: list[tuple[str, list[str]]] | None = None
         if isinstance(operator, (Filter, HashAggregate)):
             expected = operator.child.bindings
-        elif isinstance(operator, (HashJoin, NestedLoopJoin, OuterJoin)):
-            expected = operator.left.bindings + operator.right.bindings
-        elif isinstance(operator, IndexLookupJoin):
-            expected = operator.outer.bindings + operator.scan.bindings
+        elif isinstance(operator, (HashJoin, IndexLookupJoin)):
+            expected = [binding for child in operator.children for binding in child.bindings]
         elif isinstance(operator, (SeqScan, IndexScan)):
             table_columns = list(operator.table.schema.column_names)
             if len(operator.bindings) != 1 or list(operator.bindings[0][1]) != table_columns:
@@ -208,13 +204,12 @@ class PlanVerifier:
             for left_key, right_key in operator.pairs:
                 yield left_key, operator.left.bindings
                 yield right_key, operator.right.bindings
+            for predicate in operator.residual:
+                yield predicate, operator.bindings
         elif isinstance(operator, IndexLookupJoin):
             yield operator.outer_key, operator.outer.bindings
             for predicate in operator.residual:
                 yield predicate, operator.bindings
-        elif isinstance(operator, OuterJoin):
-            if operator.condition is not None:
-                yield operator.condition, operator.bindings
         elif isinstance(operator, HashAggregate):
             for expr in operator.group_exprs:
                 yield expr, operator.child.bindings

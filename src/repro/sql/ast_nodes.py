@@ -202,7 +202,7 @@ class SubqueryRef:
 class Join:
     """An explicit join between a left FROM item and a right table."""
 
-    join_type: str  # "INNER", "LEFT", "RIGHT", "CROSS"
+    join_type: str  # "INNER", "LEFT", "RIGHT", "FULL", "CROSS"
     left: "FromItem"
     right: "FromItem"
     condition: Expression | None = None

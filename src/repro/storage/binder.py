@@ -22,13 +22,15 @@ The rule, matching case-insensitively:
 * a bare ORDER BY name is a select-list alias first, then a column by the two
   rules above, then an output column (``SELECT COUNT(*) ... ORDER BY count``).
 
-Who sees which bindings: the select list, WHERE, GROUP BY, HAVING, ORDER BY
-and inner-join ON conditions see every FROM binding; an outer join's ON
-condition sees the inner bindings and the outer-joined ones up to its own (the
-row the planner's ``OuterJoin`` evaluates it on); a derived table sees the
-queries enclosing its statement, an expression subquery the query it appears
-in.  UPDATE and DELETE see their table; INSERT ... VALUES sees nothing.  The
-columns an UPDATE sets and an INSERT lists must be the target table's
+Who sees which bindings, as in sqlite: the select list, WHERE, GROUP BY,
+HAVING and ORDER BY see every FROM binding, in FROM order; a join's ON sees
+its two operands' — every binding written before it, commas included, and
+its right-hand table — so a table to its right is an ``unknown table
+alias``, but an inner join's ON sees them all when the FROM clause has no
+RIGHT or FULL join; a derived table sees the queries enclosing its
+statement, an expression subquery the query it appears in.  UPDATE and
+DELETE see their table; INSERT ... VALUES sees nothing.  The columns an
+UPDATE sets and an INSERT lists must be the target table's
 (``table 't' has no column 'x'``, a :class:`~repro.errors.SchemaError`).
 """
 
@@ -199,12 +201,11 @@ class Binder:
     def _select(
         self, statement: SelectStatement, parent: _Level | None
     ) -> tuple[SelectStatement, list[_Relation]]:
-        inner: list[_Relation] = []
-        joined: list[tuple[_Relation, Join]] = []
+        relations: list[_Relation] = []
+        joins: list[tuple[Join, int]] = []
         derived: dict[int, SubqueryRef] = {}
         for item in statement.from_items:
-            self._flatten(item, parent, inner, joined, derived)
-        relations = inner + [relation for relation, _ in joined]
+            self._flatten(item, parent, relations, joins, derived)
         seen: set[str] = set()
         for relation in relations:
             if relation.name.lower() in seen:
@@ -213,9 +214,11 @@ class Binder:
                 )
             seen.add(relation.name.lower())
         level = _Level(relations, parent)
+        strict = any(join.join_type in ("RIGHT", "FULL") for join, _ in joins)
         on_levels = {
-            id(join): _Level(inner + [right for right, _ in joined[: position + 1]], parent)
-            for position, (_, join) in enumerate(joined)
+            id(join): _Level(relations[:visible], parent)
+            for join, visible in joins
+            if strict or join.join_type != "INNER"
         }
 
         def from_item(item: FromItem) -> FromItem:
@@ -254,26 +257,19 @@ class Binder:
         )
         return bound, relations
 
-    def _flatten(self, item, parent, inner, joined, derived) -> None:
-        """Collect ``item``'s bindings the way the planner lays them out:
-        inner-joined ones into ``inner``, outer-joined right sides with their
-        join into ``joined``."""
+    def _flatten(self, item, parent, relations, joins, derived) -> None:
+        """Collect ``item``'s bindings into ``relations`` in FROM order, and
+        each join with how many of them its ON sees: its operands'."""
         if isinstance(item, TableRef):
-            inner.append(self._table(item))
+            relations.append(self._table(item))
         elif isinstance(item, SubqueryRef):
-            subquery, relations = self._select(item.subquery, parent)
+            subquery, columns = self._select(item.subquery, parent)
             derived[id(item)] = replaced(item, subquery=subquery)
-            inner.append(
-                _Relation(item.alias, self._output_columns(subquery, relations))
-            )
+            relations.append(_Relation(item.alias, self._output_columns(subquery, columns)))
         elif isinstance(item, Join):
-            self._flatten(item.left, parent, inner, joined, derived)
-            if item.join_type in ("INNER", "CROSS"):
-                self._flatten(item.right, parent, inner, joined, derived)
-            else:
-                right: list[_Relation] = []
-                self._flatten(item.right, parent, right, joined, derived)
-                joined.extend((relation, item) for relation in right)
+            self._flatten(item.left, parent, relations, joins, derived)
+            self._flatten(item.right, parent, relations, joins, derived)
+            joins.append((item, len(relations)))
         else:
             raise ExecutionError(f"unsupported FROM item {type(item).__name__}")
 

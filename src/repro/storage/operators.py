@@ -137,9 +137,9 @@ class ExecutionContext:
     def tick(self) -> None:
         """Raise :class:`~repro.errors.QueryTimeoutError` past the deadline.
 
-        Called at batch boundaries (scan flushes) and once per left row of
-        the nested-loop joins, whose inner loops would otherwise run a whole
-        left batch times the right side between two scan flushes: one ``None``
+        Called at batch boundaries (scan flushes) and once per probe row of a
+        row-at-a-time :class:`HashJoin`, which may pair a whole probe batch
+        with the whole build side between two scan flushes: one ``None``
         check when no budget is set, one timer read when one is.
         """
         deadline = self.deadline
@@ -378,37 +378,58 @@ class Filter(Operator):
 
 
 class HashJoin(Operator):
-    """Equi-join: the estimated-smaller side is materialized into a hash table
-    and the other side streams through it batch by batch.  An output row is
-    the left row followed by the right row, whichever side was built."""
+    """An INNER, LEFT, RIGHT or FULL join on the equi ``pairs`` of its ON,
+    the other ON conjuncts its ``residual``: the build side is materialized,
+    the other side streams through it, and an output row is the left row
+    followed by the right row.  An inner equi join probes a whole batch at a
+    time.  Any other join takes one probe row at a time (one timeout check
+    each): its candidates are the build rows with its key — all of them with
+    no pairs — that pass the residual, else the row padded with NULLs if its
+    side is preserved.  An outer join must build its null-supplying side
+    (``build_left`` for RIGHT only), so only FULL tracks matched rows."""
 
     def __init__(
         self,
         left: Operator,
         right: Operator,
         pairs: list[tuple[ColumnRef, ColumnRef]],
-        build_left: bool,
         estimate: float,
+        build_left: bool = False,
+        join_type: str = "INNER",
+        residual: list[Expression] = (),
     ):
         self.left = left
         self.right = right
         self.pairs = list(pairs)
         self.build_left = build_left
+        self.join_type = join_type
+        self.residual = list(residual)
         self.bindings = left.bindings + right.bindings
         self.children = (left, right)
         self.estimate = estimate
-        # Each key is a bound column of its own side, so both compile.
+        # Each key is a bound column of its own side, so both compile; with
+        # no pairs every row's key is ().
         self._keys = (
             compile_key_tuple([key for key, _ in self.pairs], left.bindings),
             compile_key_tuple([key for _, key in self.pairs], right.bindings),
         )
+        #: The residual's kernels, or None when a conjunct has no kernel.
+        self.residual_kernels = compile_columnar_conjuncts(self.residual, self.bindings)
 
-    def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    def _sides(self):
+        """``(build, probe, build key, probe key)``."""
         left_key, right_key = self._keys
         if self.build_left:
-            build, probe, build_key, probe_key = self.left, self.right, left_key, right_key
-        else:
-            build, probe, build_key, probe_key = self.right, self.left, right_key, left_key
+            return self.left, self.right, left_key, right_key
+        return self.right, self.left, right_key, left_key
+
+    def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        if self.join_type == "INNER" and self.pairs and not self.residual:
+            return self._equi_batches(ctx)
+        return self._probe_rows(ctx)
+
+    def _equi_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        build, probe, build_key, probe_key = self._sides()
         pairs = [
             (key, row)
             for batch in build.batches(ctx)
@@ -448,12 +469,60 @@ class HashJoin(Operator):
         if out:
             yield out
 
-    def label(self) -> str:
-        condition = " AND ".join(
-            f"{left} = {right}" for left, right in self.pairs
+    def _probe_rows(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        """In batches: per probe row, the rows it joins into; then, for
+        FULL, the unmatched build rows, padded."""
+        build, probe, build_key, probe_key = self._sides()
+        rows = [row for batch in build.batches(ctx) for row in batch]
+        table: dict = {}
+        for row, key in zip(rows, map(build_key, rows)):
+            if None not in key:  # a NULL key matches nothing
+                table.setdefault(key, []).append(row)
+        select = self.residual and survivors(
+            self.residual_kernels, self.residual, self.bindings, ctx
         )
-        side = "left" if self.build_left else "right"
-        return f"HashJoin ({condition}) [build={side}, est={self.estimate:.0f}]"
+        build_left = self.build_left
+        null_build = (None,) * row_width(build.bindings)
+        # FULL marks matched build rows by identity: rows that are one object
+        # are equal, so they match the same probe rows.
+        matched: set[int] = set()
+        out: RowBatch = []
+        for batch in probe.batches(ctx):
+            for row in batch:
+                ctx.tick()
+                found = table.get(probe_key(row), ())
+                if build_left:
+                    joined = [built + row for built in found]
+                else:
+                    joined = [row + built for built in found]
+                if select and joined:
+                    kept = select(joined)
+                    joined, found = [joined[i] for i in kept], [found[i] for i in kept]
+                if self.join_type == "FULL":
+                    matched.update(map(id, found))
+                if not joined and self.join_type != "INNER":
+                    joined = [null_build + row if build_left else row + null_build]
+                ctx.metrics.rows_joined += len(joined)
+                out += joined
+                size = max(1, ctx.batch_size)
+                cut = len(out) - len(out) % size  # whole batches go out now
+                for start in range(0, cut, size):
+                    yield out[start : start + size]
+                del out[:cut]
+        if self.join_type == "FULL":
+            null_probe = (None,) * row_width(probe.bindings)
+            padded = [null_probe + built for built in rows if id(built) not in matched]
+            ctx.metrics.rows_joined += len(padded)
+            out += padded
+        yield from _chunk(out, ctx)
+
+    def label(self) -> str:
+        condition = " AND ".join(f"{left} = {right}" for left, right in self.pairs)
+        kind = "" if self.join_type == "INNER" else f" {self.join_type}"
+        text = f"HashJoin{kind} ({condition or 'cross'})"
+        if self.residual:
+            text += f" filter ({' AND '.join(map(format_expression, self.residual))})"
+        return f"{text} [build={'left' if self.build_left else 'right'}, est={self.estimate:.0f}]"
 
 
 class IndexLookupJoin(Operator):
@@ -528,100 +597,6 @@ class IndexLookupJoin(Operator):
             residual = " AND ".join(format_expression(p) for p in self.residual)
             parts.append(f"filter ({residual})")
         return " ".join(parts) + f" [est={self.estimate:.0f}]"
-
-
-class NestedLoopJoin(Operator):
-    """Cross product (no usable equi-join conjunct); the right side is
-    materialized once, the left side streams."""
-
-    def __init__(self, left: Operator, right: Operator, estimate: float):
-        self.left = left
-        self.right = right
-        self.bindings = left.bindings + right.bindings
-        self.children = (left, right)
-        self.estimate = estimate
-
-    def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        right_rows = [row for batch in self.right.batches(ctx) for row in batch]
-        metrics = ctx.metrics
-        batch_size = max(1, ctx.batch_size)
-        out: RowBatch = []
-        for batch in self.left.batches(ctx):
-            for left_row in batch:
-                ctx.tick()
-                metrics.rows_joined += len(right_rows)
-                for right_row in right_rows:
-                    out.append(left_row + right_row)
-                    if len(out) >= batch_size:
-                        yield out
-                        out = []
-        if out:
-            yield out
-
-    def label(self) -> str:
-        return f"NestedLoopJoin (cross) [est={self.estimate:.0f}]"
-
-
-class OuterJoin(Operator):
-    """LEFT or FULL outer join (RIGHT joins are swapped into LEFT by the
-    planner).  The right side materializes (match bookkeeping); the left side
-    streams batch by batch, checking the timeout budget once per left row."""
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        condition: Expression | None,
-        join_type: str,
-        estimate: float,
-    ):
-        self.left = left
-        self.right = right
-        self.condition = condition
-        self.join_type = join_type
-        self.bindings = left.bindings + right.bindings
-        self.children = (left, right)
-        self.estimate = estimate
-
-    def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        yield from _chunk(self._join_rows(ctx), ctx)
-
-    def _join_rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        right_rows = [row for batch in self.right.batches(ctx) for row in batch]
-        null_right = (None,) * row_width(self.right.bindings)
-        condition, outer, run = self.condition, ctx.outer_scope, ctx.run_subquery
-        # The ON condition has no compiled form: the evaluator reads each
-        # joined pair's row through the join's layout.
-        layout = layout_of(self.bindings)
-        matched_right: set[int] = set()
-        for batch in self.left.batches(ctx):
-            for left_row in batch:
-                ctx.tick()
-                matched = False
-                for index, right_row in enumerate(right_rows):
-                    row = left_row + right_row
-                    if condition is None or is_true(
-                        evaluate(condition, Scope(layout, row, outer), run)
-                    ):
-                        matched = True
-                        matched_right.add(index)
-                        ctx.metrics.rows_joined += 1
-                        yield row
-                if not matched:
-                    ctx.metrics.rows_joined += 1
-                    yield left_row + null_right
-        if self.join_type == "FULL":
-            null_left = (None,) * row_width(self.left.bindings)
-            for index, right_row in enumerate(right_rows):
-                if index not in matched_right:
-                    ctx.metrics.rows_joined += 1
-                    yield null_left + right_row
-
-    def label(self) -> str:
-        condition = (
-            format_expression(self.condition) if self.condition is not None else "TRUE"
-        )
-        return f"{self.join_type.title()}OuterJoin ({condition}) [est={self.estimate:.0f}]"
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ pipeline.  Given a parsed :class:`~repro.sql.ast_nodes.SelectStatement` it
    cached, cheap index/row-count estimates otherwise) and picks a physical
    join per step — an index nested-loop join when the inner table has a hash
    index on the join key and the outer side is estimated smaller than an
-   inner scan, else a hash join with the estimated-smaller side as build side,
-4. leaves conjuncts that cannot be placed (subqueries, outer-join columns) as
-   a residual :class:`~repro.storage.operators.Filter` above the join tree.
+   inner scan, else a hash join with the estimated-smaller side as build side
+   (with no key pair, a cross product); an outer join is one leaf of that
+   tree, planned where it is written (:meth:`Planner._plan_outer`),
+4. leaves conjuncts that cannot be placed (subqueries, enclosing-query
+   columns) as a residual :class:`~repro.storage.operators.Filter` above the
+   join tree.
 
 UPDATE and DELETE go through the same access-path selection via
 :meth:`Planner.plan_update` / :meth:`Planner.plan_delete`, which return a
@@ -32,6 +35,7 @@ The result is a :class:`SelectPlan` whose operator tree the executor streams;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from repro.errors import ExecutionError
 from repro.sql.ast_nodes import (
@@ -52,6 +56,8 @@ from repro.sql.ast_nodes import (
     TableRef,
     UpdateStatement,
     iter_expressions,
+    replaced,
+    walk,
 )
 from repro.sql.formatter import format_expression
 from repro.storage.aggregates import (
@@ -74,9 +80,7 @@ from repro.storage.operators import (
     HashJoin,
     IndexLookupJoin,
     IndexScan,
-    NestedLoopJoin,
     Operator,
-    OuterJoin,
     SeqScan,
     SubqueryScan,
     equality_probe_keys,
@@ -249,16 +253,27 @@ class DmlPlan:
 
 @dataclass
 class _Leaf:
-    """One FROM-clause leaf while the planner is working on it."""
+    """One leaf of an inner-join tree while the planner is working on it: a
+    base table, a derived table, or an outer join (both operands' bindings)."""
 
-    binding: str
-    columns: list[str]
-    table: object | None = None          # Table for base tables, None for subqueries
-    subplan: SelectPlan | None = None
+    bindings: list[tuple[str, list[str]]]  # in FROM order
+    table: object | None = None          # Table for base tables
+    subplan: SelectPlan | None = None    # the plan of a derived table
+    outer: Join | None = None            # an outer join, over ``operands``:
+    operands: tuple = ()                 # per side, its leaves and ON conjuncts
     predicates: list[Expression] = field(default_factory=list)
     operator: Operator | None = None
     estimate: float = 0.0
     seq_cost: float = 0.0                # cost of producing the leaf by scanning
+
+    def __post_init__(self):
+        #: The lower-cased binding names.
+        self.names = {name.lower() for name, _ in self.bindings}
+
+    @property
+    def binding(self) -> str:
+        """A base or derived table's one binding name."""
+        return self.bindings[0][0]
 
 
 class Planner:
@@ -285,35 +300,20 @@ class Planner:
         aggregating = bool(statement.group_by) or statement_has_aggregates(statement)
         conjuncts = _split_conjuncts(statement.where)
         leaves: list[_Leaf] = []
-        pending_outer: list[tuple[str, Operator, Expression | None]] = []
         if not statement.from_items:
             root: Operator = EmptyRow()
             if conjuncts:
                 root = Filter(root, conjuncts, estimate=1.0)
             bindings: list[tuple[str, list[str]]] = []
         else:
-            for item in statement.from_items:
-                flattened, extra_conjuncts, outer_joins = self._flatten(item)
-                conjuncts.extend(extra_conjuncts)
-                leaves.extend(flattened)
-                pending_outer.extend(outer_joins)
+            chain = reduce(_graft, statement.from_items)
+            kinds = {getattr(node, "join_type", None) for node in walk(chain, False)}
+            strict = not kinds.isdisjoint(("RIGHT", "FULL"))  # an ON reads only its operands
+            leaves, on_conjuncts = self._flatten(chain, conjuncts, strict)
+            conjuncts.extend(on_conjuncts)
             # SELECT * expands in FROM-clause order regardless of join order.
-            bindings = [(leaf.binding, leaf.columns) for leaf in leaves]
-            for _, right_op, _ in pending_outer:
-                bindings.extend(right_op.bindings)
-            root, residual = self._plan_joins(leaves, conjuncts)
-            for join_type, right_op, condition in pending_outer:
-                if join_type == "RIGHT":
-                    # A RIGHT join is a LEFT join with the operands swapped.
-                    root = OuterJoin(
-                        right_op, root, condition, "LEFT", estimate=root.estimate
-                    )
-                else:
-                    root = OuterJoin(
-                        root, right_op, condition, join_type, estimate=root.estimate
-                    )
-            if residual:
-                root = Filter(root, residual, estimate=root.estimate)
+            bindings = [binding for leaf in leaves for binding in leaf.bindings]
+            root = self._plan_joins(leaves, conjuncts)
         aggregate: HashAggregate | None = None
         if aggregating:
             aggregate = HashAggregate(
@@ -342,7 +342,7 @@ class Planner:
         (statistics/indexes when available), capped at the input estimate."""
         if not statement.group_by:
             return 1.0
-        by_binding = {leaf.binding: leaf for leaf in leaves}
+        by_binding = {name: leaf for leaf in leaves for name, _ in leaf.bindings}
         distincts: list[float] = []
         for expr in statement.group_by:
             local = isinstance(expr, ColumnRef) and not expr.depth
@@ -365,16 +365,11 @@ class Planner:
     def _plan_dml(self, statement: UpdateStatement | DeleteStatement, kind: str) -> DmlPlan:
         table_name = statement.table
         table = self._provider.table(table_name)
-        leaf = _Leaf(
-            binding=table_name,
-            columns=list(table.schema.column_names),
-            table=table,
-        )
+        leaf = _Leaf([(table_name, list(table.schema.column_names))], table=table)
         pushable: list[Expression] = []
         residual: list[Expression] = []
         for conjunct in _split_conjuncts(statement.where):
-            bindings = _conjunct_bindings(conjunct)
-            if bindings is not None and bindings <= {leaf.binding.lower()}:
+            if _covered(conjunct, leaf.names):
                 pushable.append(conjunct)
             else:
                 # Subqueries cannot drive an index; they are re-checked per
@@ -398,89 +393,96 @@ class Planner:
     # -- FROM flattening --------------------------------------------------------
 
     def _flatten(
-        self, item: FromItem
-    ) -> tuple[list[_Leaf], list[Expression], list[tuple[str, Operator, Expression | None]]]:
-        """Flatten an item into leaves, join conjuncts, and pending outer joins."""
+        self, item: FromItem, hoisted: list[Expression], strict: bool
+    ) -> tuple[list[_Leaf], list[Expression]]:
+        """The leaves of ``item``'s inner-join tree in FROM order, and its ON
+        conjuncts.  An outer join is one leaf.  Unless ``strict``, an inner ON
+        may name a table to its right, so an operand's conjunct that may read
+        outside it is a WHERE conjunct, as in sqlite: it goes to ``hoisted``
+        (the operand is a LEFT join's preserved side, so that is sound)."""
+        if isinstance(item, Join) and item.condition is not None:
+            reject_aggregates(item.condition)
+        if isinstance(item, Join) and item.join_type in ("INNER", "CROSS"):
+            left_leaves, left_conjuncts = self._flatten(item.left, hoisted, strict)
+            right_leaves, right_conjuncts = self._flatten(item.right, hoisted, strict)
+            conjuncts = left_conjuncts + right_conjuncts
+            conjuncts.extend(_split_conjuncts(item.condition))
+            return left_leaves + right_leaves, conjuncts
         if isinstance(item, TableRef):
             table = self._provider.table(item.name)
-            return (
-                [
-                    _Leaf(
-                        binding=item.binding,
-                        columns=list(table.schema.column_names),
-                        table=table,
-                    )
-                ],
-                [],
-                [],
-            )
+            return [_Leaf([(item.binding, list(table.schema.column_names))], table=table)], []
         if isinstance(item, SubqueryRef):
             subplan = self.plan_select(item.subquery)
-            return (
-                [
-                    _Leaf(
-                        binding=item.alias,
-                        columns=list(subplan.output_columns),
-                        subplan=subplan,
-                    )
-                ],
-                [],
-                [],
-            )
+            return [_Leaf([(item.alias, list(subplan.output_columns))], subplan=subplan)], []
         if isinstance(item, Join):
-            if item.condition is not None:
-                reject_aggregates(item.condition)
-            if item.join_type in ("INNER", "CROSS"):
-                left_leaves, left_conjuncts, left_outer = self._flatten(item.left)
-                right_leaves, right_conjuncts, right_outer = self._flatten(item.right)
-                conjuncts = left_conjuncts + right_conjuncts
-                if item.condition is not None:
-                    conjuncts.extend(_split_conjuncts(item.condition))
-                return left_leaves + right_leaves, conjuncts, left_outer + right_outer
-            # LEFT / RIGHT / FULL outer joins apply after the inner-join tree.
-            left_leaves, left_conjuncts, left_outer = self._flatten(item.left)
-            right_op = self._plan_item_fully(item.right)
-            outer = left_outer + [(item.join_type, right_op, item.condition)]
-            return left_leaves, left_conjuncts, outer
+            operands = []
+            for operand in (item.left, item.right):
+                leaves, conjuncts = self._flatten(operand, hoisted, strict)
+                names = {name for leaf in leaves for name in leaf.names}
+                local = []
+                for conjunct in conjuncts:
+                    inside = strict or _covered(conjunct, names)
+                    (local if inside else hoisted).append(conjunct)
+                operands.append((leaves, local))
+            bindings = [b for leaves, _ in operands for leaf in leaves for b in leaf.bindings]
+            return [_Leaf(bindings, outer=item, operands=tuple(operands))], []
         raise ExecutionError(f"unsupported FROM item {type(item).__name__}")
 
-    def _plan_item_fully(self, item: FromItem) -> Operator:
-        leaves, conjuncts, outer = self._flatten(item)
-        op, residual = self._plan_joins(leaves, conjuncts)
-        for join_type, right_op, condition in outer:
-            if join_type == "RIGHT":
-                op = OuterJoin(right_op, op, condition, "LEFT", estimate=op.estimate)
+    def _plan_outer(self, leaf: _Leaf) -> None:
+        """An outer-join leaf: a HashJoin of its type over its operands' own
+        inner-join trees, keyed on its ON's equi pairs.  A conjunct pushed to
+        the leaf moves into an operand only when that operand is preserved,
+        else it stays above the join: none moves below a null-supplying side."""
+        join = leaf.outer
+        names = [set().union(*(inner.names for inner in side)) for side, _ in leaf.operands]
+        preserved = {"LEFT": 0, "RIGHT": 1}.get(join.join_type)
+        pushed: tuple[list, list] = ([], [])
+        above: list[Expression] = []
+        for conjunct in leaf.predicates:
+            if preserved is not None and _covered(conjunct, names[preserved]):
+                pushed[preserved].append(conjunct)
             else:
-                op = OuterJoin(op, right_op, condition, join_type, estimate=op.estimate)
-        if residual:
-            op = Filter(op, residual, estimate=op.estimate)
-        return op
+                above.append(conjunct)
+        left, right = (
+            self._plan_joins(leaves, into + conjuncts)
+            for (leaves, conjuncts), into in zip(leaf.operands, pushed)
+        )
+        on = _split_conjuncts(join.condition)
+        equi = _find_equi_joins(on, *names)
+        keys = {id(conjunct) for conjunct, _, _ in equi}
+        # A keyed join finds about one partner per row of the larger side.
+        left_est, right_est = max(left.estimate, 1.0), max(right.estimate, 1.0)
+        estimate = max(left_est, right_est) if equi else left_est * right_est
+        pairs = [(left_key, right_key) for _, left_key, right_key in equi]
+        residual = [conjunct for conjunct in on if id(conjunct) not in keys]
+        # The null-supplying side is built: right for LEFT and FULL.
+        op: Operator = HashJoin(
+            left, right, pairs, estimate, join.join_type == "RIGHT", join.join_type, residual
+        )
+        if above:
+            op = Filter(op, above, estimate=estimate)
+        leaf.operator, leaf.estimate, leaf.seq_cost = op, estimate, estimate
 
     # -- join planning -----------------------------------------------------------
 
-    def _plan_joins(
-        self, leaves: list[_Leaf], conjuncts: list[Expression]
-    ) -> tuple[Operator, list[Expression]]:
-        leaf_bindings = {leaf.binding.lower() for leaf in leaves}
-        leaf_by_binding = {leaf.binding.lower(): leaf for leaf in leaves}
+    def _plan_joins(self, leaves: list[_Leaf], conjuncts: list[Expression]) -> Operator:
+        """The inner-join tree of ``leaves`` with every conjunct applied."""
+        leaf_by_binding = {name: leaf for leaf in leaves for name in leaf.names}
 
-        # Push single-binding conjuncts down to their leaf; conjuncts whose
-        # binding set is undecidable (subqueries, enclosing-query columns) or
-        # not among these leaves stay in the shared pool.
+        # Push conjuncts reading one leaf down to it; conjuncts whose binding
+        # set is undecidable (subqueries, enclosing-query columns), empty, or
+        # not within one leaf stay in the shared pool.
         remaining: list[Expression] = []
-        per_leaf: dict[str, list[Expression]] = {}
+        per_leaf: dict[int, list[Expression]] = {}
         for conjunct in conjuncts:
             bindings = _conjunct_bindings(conjunct)
-            if (
-                bindings is not None
-                and len(bindings) == 1
-                and next(iter(bindings)) in leaf_bindings
-            ):
-                per_leaf.setdefault(next(iter(bindings)), []).append(conjunct)
+            leaf = leaf_by_binding.get(next(iter(bindings))) if bindings else None
+            if leaf is not None and bindings <= leaf.names:
+                per_leaf.setdefault(id(leaf), []).append(conjunct)
             else:
                 remaining.append(conjunct)
         for leaf in leaves:
-            leaf.predicates = per_leaf.get(leaf.binding.lower(), [])
+            leaf.predicates = per_leaf.get(id(leaf), [])
             self._build_access_path(leaf)
 
         # Greedy join order: start from the smallest estimated leaf, then
@@ -492,7 +494,7 @@ class Planner:
         first = leaves[start_index]
         current: Operator = first.operator
         current_est = first.estimate
-        current_bindings = {first.binding.lower()}
+        current_bindings = set(first.names)
         pending = [leaf for i, leaf in enumerate(leaves) if i != start_index]
         unjoined = remaining
         while pending:
@@ -500,9 +502,7 @@ class Planner:
             best_index = 0
             best_equi: list[tuple[Expression, ColumnRef, ColumnRef]] = []
             for index, leaf in enumerate(pending):
-                equi = _find_equi_joins(
-                    unjoined, current_bindings, {leaf.binding.lower()}
-                )
+                equi = _find_equi_joins(unjoined, current_bindings, leaf.names)
                 key = (0 if equi else 1, leaf.estimate, index)
                 if best_key is None or key < best_key:
                     best_key, best_index, best_equi = key, index, equi
@@ -512,20 +512,16 @@ class Planner:
             )
             used = {id(conjunct) for conjunct, _, _ in best_equi}
             unjoined = [c for c in unjoined if id(c) not in used]
-            current_bindings.add(leaf.binding.lower())
+            current_bindings |= leaf.names
             # Apply any conjunct now fully covered by the joined bindings.
-            applicable = []
-            still_remaining = []
-            for conjunct in unjoined:
-                bindings = _conjunct_bindings(conjunct)
-                if bindings is not None and bindings <= current_bindings:
-                    applicable.append(conjunct)
-                else:
-                    still_remaining.append(conjunct)
+            applicable = [c for c in unjoined if _covered(c, current_bindings)]
             if applicable:
                 current = Filter(current, applicable, estimate=current_est)
-            unjoined = still_remaining
-        return current, unjoined
+                done = {id(conjunct) for conjunct in applicable}
+                unjoined = [c for c in unjoined if id(c) not in done]
+        if unjoined:
+            current = Filter(current, unjoined, estimate=current.estimate)
+        return current
 
     def _join(
         self,
@@ -537,15 +533,11 @@ class Planner:
     ) -> tuple[Operator, float]:
         """Attach ``leaf`` to ``current``, choosing the physical join."""
         if equi:
-            joined_est = self._equi_join_estimate(
-                current_est, leaf, equi[0], leaf_by_binding
-            )
+            joined_est = self._equi_join_estimate(current_est, leaf, equi[0], leaf_by_binding)
             indexed = self._indexed_join_key(leaf, equi)
             if indexed is not None and current_est < leaf.seq_cost:
                 _, outer_key, leaf_key = indexed
-                residual = [
-                    conjunct for conjunct, _, key in equi if key is not leaf_key
-                ]
+                residual = [conjunct for conjunct, _, key in equi if key is not leaf_key]
                 residual.extend(leaf.predicates)
                 probe = IndexScan(
                     leaf.table,
@@ -558,18 +550,12 @@ class Planner:
                     ),
                     probe=True,
                 )
-                return (
-                    IndexLookupJoin(current, probe, outer_key, residual, joined_est),
-                    joined_est,
-                )
+                return IndexLookupJoin(current, probe, outer_key, residual, joined_est), joined_est
             pairs = [(left, right) for _, left, right in equi]
             build_left = current_est <= leaf.estimate
-            return (
-                HashJoin(current, leaf.operator, pairs, build_left, joined_est),
-                joined_est,
-            )
+            return HashJoin(current, leaf.operator, pairs, joined_est, build_left), joined_est
         joined_est = max(current_est, 1.0) * max(leaf.estimate, 1.0)
-        return NestedLoopJoin(current, leaf.operator, joined_est), joined_est
+        return HashJoin(current, leaf.operator, [], joined_est), joined_est
 
     def _equi_join_estimate(
         self,
@@ -635,6 +621,9 @@ class Planner:
 
     def _build_access_path(self, leaf: _Leaf) -> None:
         """Choose the leaf's operator and estimates (sets fields in place)."""
+        if leaf.outer is not None:
+            self._plan_outer(leaf)
+            return
         if leaf.table is None:
             leaf.seq_cost = DEFAULT_SUBQUERY_ESTIMATE
             estimate = DEFAULT_SUBQUERY_ESTIMATE
@@ -770,6 +759,14 @@ def _order_key(item, layout: list[tuple[str, list[str]]]) -> OrderKey:
 # ---------------------------------------------------------------------------
 
 
+def _graft(chain: FromItem, item: FromItem) -> FromItem:
+    """``item`` with ``chain`` CROSS JOINed to its leftmost table: folded over
+    a FROM list, one left-deep chain, as sqlite reads a comma."""
+    if isinstance(item, Join):
+        return replaced(item, left=_graft(chain, item.left))
+    return Join("CROSS", chain, item)
+
+
 def _split_conjuncts(expr: Expression | None) -> list[Expression]:
     if expr is None:
         return []
@@ -791,6 +788,13 @@ def _conjunct_bindings(expr: Expression) -> set[str] | None:
                 return None
             bindings.add(node.binding.lower())
     return bindings
+
+
+def _covered(conjunct: Expression, names: set[str]) -> bool:
+    """Whether a bound conjunct reads only the bindings ``names`` (one whose
+    placement is undecidable never does)."""
+    bindings = _conjunct_bindings(conjunct)
+    return bindings is not None and bindings <= names
 
 
 def _find_equi_joins(

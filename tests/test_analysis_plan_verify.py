@@ -18,7 +18,7 @@ from repro.sql.canonicalize import parameterize_statement
 from repro.sql.parser import parse
 from repro.storage.exec_settings import ExecutionSettings
 from repro.storage.executor import Executor
-from repro.storage.operators import Filter, SeqScan, SubqueryScan
+from repro.storage.operators import Filter, HashJoin, SeqScan, SubqueryScan
 from repro.storage.planner import Planner
 from repro.workloads.schemas import build_database
 
@@ -125,6 +125,34 @@ class TestBrokenPlans:
         diagnostics = PlanVerifier().verify_select(plan)
         assert "plan-param-binding" in rules_of(diagnostics)
         assert "value 1" in " ".join(d.message for d in diagnostics)
+
+    def test_unresolvable_join_residual_column(self, database):
+        plan = plan_sql(
+            database,
+            "SELECT L.name FROM Lakes L LEFT JOIN WaterTemp T "
+            "ON L.lake_id = T.lake_id AND T.temp > L.max_depth_m",
+        )
+        join = next(op for op in _walk(plan.root) if isinstance(op, HashJoin))
+        assert join.join_type == "LEFT" and join.pairs and join.residual
+        assert PlanVerifier().verify_select(plan) == []
+        join.residual.append(ColumnRef(table="Sensors", name="lake_id"))
+        assert "plan-column-resolution" in rules_of(PlanVerifier().verify_select(plan))
+
+    def test_parameter_in_a_join_residual(self, database):
+        sql = (
+            "SELECT L.name FROM Lakes L FULL JOIN WaterTemp T "
+            "ON L.lake_id = T.lake_id AND T.temp < 18"
+        )
+        statement, parameters = parameterize_statement(parse(sql))
+        assert [parameter.value for parameter in parameters] == [18]
+        plan = Planner(database).plan_select(statement)
+        assert PlanVerifier().verify_select(plan) == []
+        join = next(op for op in _walk(plan.root) if isinstance(op, HashJoin))
+        detached = Planner(database).plan_select(parameterize_statement(parse(sql))[0])
+        join.residual[:] = next(
+            op for op in _walk(detached.root) if isinstance(op, HashJoin)
+        ).residual
+        assert "plan-param-binding" in rules_of(PlanVerifier().verify_select(plan))
 
     def test_valid_dml_plan_is_clean(self, database):
         plan = Planner(database).plan_update(

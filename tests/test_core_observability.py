@@ -90,8 +90,8 @@ class TestStatementTimeouts:
     @pytest.mark.parametrize(
         "sql, expected_rows",
         [
-            ("SELECT a.x, b.z FROM a LEFT JOIN b ON a.x = b.x", 30),
-            ("SELECT a.x, b.z FROM a FULL JOIN b ON a.x = b.x", 40),
+            ("SELECT a.x, b.z FROM a LEFT JOIN b ON a.x = b.x + 0", 30),
+            ("SELECT a.x, b.z FROM a FULL JOIN b ON a.x = b.x + 0", 40),
             ("SELECT a.x, b.z FROM a, b WHERE a.x + b.x = 7", 8),
         ],
         ids=["left-outer", "full-outer", "nested-loop"],
@@ -99,9 +99,10 @@ class TestStatementTimeouts:
     def test_nested_loop_joins_cancel_within_one_left_row(
         self, sql, expected_rows, monkeypatch
     ):
-        """The joins that evaluate a condition per (left, right) pair check
-        the budget once per left row — a scan flush alone is a whole left
-        batch times the right side away."""
+        """The joins that evaluate a condition per (left, right) pair — an
+        ON with no equi pair, a cross join under a WHERE — check the budget
+        once per left (probe) row: a scan flush alone is a whole left batch
+        times the right side away."""
         right_rows = 40
         db = Database(
             name="obs_joins", exec_settings=ExecutionSettings(batch_size=right_rows)
