@@ -15,7 +15,8 @@ backs the user database, so that meta-queries are ordinary SQL exactly as the
 paper envisions.  A record is logged as one ``Queries`` row that carries its
 artefacts (features included), runtime statistics and output sample; the five
 feature relations, ``RuntimeStats`` and ``OutputSamples`` are an unlogged
-projection of the records, filled just before a meta-query reads them.
+projection of the records, brought up to date just before a meta-query reads
+them by refilling the rows of the records changed since the last fill.
 Alongside the relations it keeps the full
 :class:`~repro.core.records.LoggedQuery` objects for the components
 that need cheap object access (miner, recommender, maintenance), and one
@@ -165,8 +166,8 @@ FEATURE_RELATIONS: list[TableSchema] = [
 
 #: The Figure 1 feature relations plus ``RuntimeStats`` and ``OutputSamples``:
 #: unlogged tables holding a projection of each record's features, runtime
-#: statistics and output sample (:func:`_projection_rows`), brought up to
-#: date by :meth:`QueryStore._project` before a meta-query runs.  A record's
+#: statistics and output sample (:func:`_projection_rows`), whose stale rows
+#: :meth:`QueryStore._project` refills before a meta-query runs.  A record's
 #: one logged row is its ``Queries`` row (:func:`_queries_row`); ``Annotations``
 #: and the session relations are written by their own mutators.
 PROJECTED_RELATIONS = (
@@ -313,10 +314,6 @@ class QueryStore:
         ):
             self._meta_db.table(table).create_index(f"{table.lower()}_{column.lower()}", column)
         self._records: dict[int, LoggedQuery] = {}
-        # Secondary indexes so per-user / per-group lookups (called once per
-        # recommendation) do not scan the whole log.
-        self._qids_by_user: dict[str, set[int]] = {}
-        self._qids_by_group: dict[str, set[int]] = {}
         # The Figure 1 postings: a DataSources relName or an Attributes
         # (attrName, relName) -> the qids of the records with that row.
         self._feature_postings: dict[object, set[int]] = {}
@@ -334,9 +331,9 @@ class QueryStore:
         self._ordered: list[LoggedQuery] | None = None
         self._popularity: Mapping[str, int] | None = None
         self._telemetry = None
-        # The generation the projected relations were last filled at (None:
-        # never, and a recovery leaves them empty).
-        self._projected: int | None = None
+        # The qids whose projected rows are out of date (see _remember): the
+        # next meta-query refills those rows and no others.
+        self._stale: set[int] = set()
         self._next_qid = 1
         self._next_qid_row_id = self._init_store_meta()
         if data_dir is not None and len(self._meta_db.table("Queries")):
@@ -448,8 +445,9 @@ class QueryStore:
         """Counts the changes to what a search can return: bumped by
         :meth:`add`, :meth:`remove`, :meth:`replace_text`,
         :meth:`set_visibility` and :meth:`set_runtime`.  Caches over the log
-        (the visible lists, popularity, the projection) are tagged with it
-        instead of re-walking the log."""
+        (the visible lists, popularity) are tagged with it instead of
+        re-walking the log; the projection instead refills the rows of the
+        records each such change touched (:meth:`_project`)."""
         return self._generation
 
     def _changed(self) -> None:
@@ -461,8 +459,6 @@ class QueryStore:
         """File a record in every in-memory index (:meth:`_unindex` undoes it)."""
         qid = record.qid
         self._records[qid] = record
-        self._qids_by_user.setdefault(record.user, set()).add(qid)
-        self._qids_by_group.setdefault(record.group, set()).add(qid)
         self._intern_text(record.text)
         for key in _feature_keys(record):
             self._feature_postings.setdefault(key, set()).add(qid)
@@ -473,8 +469,6 @@ class QueryStore:
     def _unindex(self, record: LoggedQuery) -> None:
         qid = record.qid
         del self._records[qid]
-        self._qids_by_user.get(record.user, set()).discard(qid)
-        self._qids_by_group.get(record.group, set()).discard(qid)
         self._release_text(record.text)
         for key in _feature_keys(record):
             bucket = self._feature_postings[key]
@@ -508,12 +502,6 @@ class QueryStore:
         if self._ordered is None:
             self._ordered = [self._records[qid] for qid in sorted(self._records)]
         return list(self._ordered)
-
-    def queries_of_user(self, user: str) -> list[LoggedQuery]:
-        return [self._records[qid] for qid in sorted(self._qids_by_user.get(user, ()))]
-
-    def queries_of_group(self, group: str) -> list[LoggedQuery]:
-        return [self._records[qid] for qid in sorted(self._qids_by_group.get(group, ()))]
 
     def select_queries(self) -> list[LoggedQuery]:
         """Only SELECT statements (the ones mining and recommendation use)."""
@@ -624,15 +612,20 @@ class QueryStore:
 
     def _remember(self, change: _Change) -> None:
         """The memory half of :meth:`_apply`, and all of a reopen's: unfile,
-        assign, file, then move the generation when the change asks."""
+        assign, file, then move the generation when the change asks.  The
+        record it unfiles or files, and the records it assigns when it moves
+        the generation, are marked stale: :meth:`_project` refills their
+        projected rows (a reopen files, so marks, every record)."""
         if change.removes is not None:
             self._unindex(change.removes)
+            self._stale.add(change.removes.qid)
         for record, fields in change.assigns:
             for name, value in fields.items():
                 setattr(record, name, value)
         record = change.sets
         if record is not None:
             self._index(record)
+            self._stale.add(record.qid)
             if change.artefacts_key is not None:
                 entry = self._statements[record.text]
                 entry.artefacts_key = change.artefacts_key
@@ -641,6 +634,7 @@ class QueryStore:
                     record.template_text,
                 )
         if change.bumps:
+            self._stale.update(assigned.qid for assigned, _ in change.assigns)
             self._changed()
 
     def _rewrite(
@@ -664,23 +658,27 @@ class QueryStore:
         return change
 
     def _project(self) -> None:
-        """Refill the unlogged projected relations from the records when the
-        generation (bumped by every add, removal, repair and runtime refresh)
-        has moved since the last fill: delete every row, then insert
-        :func:`_projection_rows` of each record, one batch per relation.  A
-        fill that raises leaves the mark where it was, so the next meta-query
-        refills."""
-        if self._projected == self._generation:
+        """Bring the unlogged projected relations up to date: delete the
+        stale records' rows through each relation's ``qid`` index, then
+        insert :func:`_projection_rows` of those still logged, one batch per
+        relation.  The stale set is cleared only after the last batch, so a
+        fill that raises is redone whole by the next meta-query."""
+        if not self._stale:
             return
+        stale = sorted(self._stale)
         batches: dict[str, list[dict[str, object]]] = {r: [] for r in PROJECTED_RELATIONS}
-        for record in self.all_queries():
-            for relation, rows in _projection_rows(record).items():
-                batches[relation] += rows
+        for qid in stale:
+            if qid in self._records:
+                for relation, rows in _projection_rows(self._records[qid]).items():
+                    batches[relation] += rows
         for relation, rows in batches.items():
-            self._meta_db.table(relation).delete_where(lambda row: True)
+            table = self._meta_db.table(relation)
+            for qid in stale:
+                for row_id in self._row_ids(table, qid):
+                    table.delete(row_id)
             if rows:
                 self._meta_db.insert_rows(relation, rows)
-        self._projected = self._generation
+        self._stale.clear()
 
     @staticmethod
     def _row_ids(table, qid: int) -> list[int]:
@@ -841,8 +839,8 @@ class QueryStore:
     def set_runtime(self, qid: int, runtime: RuntimeStats) -> None:
         """Replace a query's runtime statistics (a maintenance refresh), on
         the record and in ``Queries``, so the refreshed numbers survive a
-        restart; it moves :attr:`generation`, so the next meta-query reads
-        them from ``RuntimeStats``."""
+        restart; it moves :attr:`generation`, which marks the record stale,
+        so the next meta-query refills its ``RuntimeStats`` row."""
         self._apply(self._rewrite([(self.get(qid), {"runtime": runtime})], bumps=True))
 
     def set_visibility(self, qid: int, visibility: str) -> None:

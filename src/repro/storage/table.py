@@ -514,13 +514,6 @@ class Table:
                     index.insert(row[position], row_id)
                 raise
 
-    def delete_where(self, predicate) -> int:
-        """Delete rows matching ``predicate(row)``; returns the number removed."""
-        doomed = [row_id for row_id, row in self.scan() if predicate(row)]
-        for row_id in doomed:
-            self.delete(row_id)
-        return len(doomed)
-
     def update(self, row_id: int, changes: dict[str, object]) -> None:
         """Overwrite the named columns of one row (``changes`` maps column
         names, any case, to new values)."""

@@ -207,13 +207,6 @@ class TestQueryStoreBasics:
         store.add(make_record(1, sql="SELECT * FROM Lakes"))
         assert [record.qid for record in store.all_queries()] == [1, 2]
 
-    def test_queries_of_user_and_group(self):
-        store = QueryStore()
-        store.add(make_record(1, user="alice", group="lab1"))
-        store.add(make_record(2, user="bob", group="lab2"))
-        assert [r.qid for r in store.queries_of_user("alice")] == [1]
-        assert [r.qid for r in store.queries_of_group("lab2")] == [2]
-
     def test_select_queries_filters_dml(self):
         store = QueryStore()
         store.add(make_record(1))

@@ -31,10 +31,12 @@ from repro.core.query_store import (
     _projection_rows,
     _schema,
 )
-from repro.core.records import LoggedQuery
+from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats
+from repro.core.sessions import QuerySession, SessionEdge
 from repro.errors import DurabilityError
 from repro.sql.features import JoinFeature, PredicateFeature, QueryFeatures, extract_features
 from repro.storage.database import Database
+from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.storage.wal import WAL_FILE_NAME, encode_record, read_wal
 from repro.workloads import QueryLogGenerator, WorkloadConfig
@@ -176,8 +178,8 @@ class TestProjection:
     def test_feature_relations_wait_for_a_meta_query(self):
         """Logging writes one ``Queries`` row only; the first meta-query
         fills the projected relations, one with no change since writes
-        nothing, and one after an add refills every relation that has rows
-        in one batch each."""
+        nothing, and one after an add inserts the new record's rows, one
+        batch for each relation it has rows in."""
         store = QueryStore()
         for qid, text in enumerate(STATEMENTS[:2], start=1):
             store.add(logged(qid, text))
@@ -195,8 +197,9 @@ class TestProjection:
         store.add(logged(3, STATEMENTS[3]))
         assert calls == ["Queries"]
         store.execute_meta_sql("SELECT COUNT(*) FROM DataSources")
-        # No record here has an output sample, so OutputSamples has no rows.
-        assert calls[1:] == [r for r in PROJECTED_RELATIONS if r != "OutputSamples"]
+        # A one-table SELECT * with no output sample: no Projections, Joins
+        # or OutputSamples rows.
+        assert calls[1:] == ["DataSources", "Attributes", "Predicates", "RuntimeStats"]
         assert_projection_matches(store)
 
     def test_a_failed_fill_is_redone_without_duplicates(self, monkeypatch):
@@ -234,6 +237,91 @@ class TestProjection:
         assert sorted(store.execute_meta_sql(sql).column("qid")) == postings_qids(
             store, "SELECT L.name FROM Lakes L"
         )
+
+
+#: The record every mutator below changes: a two-table join with an output
+#: sample, so it has rows in every projected relation but ``Predicates``
+#: (its repair, ``REPAIRED``, adds one).
+TARGET = 2
+
+REPAIRED = "SELECT L.name FROM Lakes L, WaterTemp T WHERE L.lake_id = T.lake_id AND T.temp < 9"
+
+#: The writes whose record's projected rows change, and the qid they change.
+PROJECTING = {
+    "add": (lambda store: store.add(dataclasses.replace(sampled(TARGET), qid=1000)), 1000),
+    "remove": (lambda store: store.remove(TARGET), TARGET),
+    "replace_text": (
+        lambda store: store.replace_text(
+            TARGET, REPAIRED, extract_features(REPAIRED), REPAIRED, REPAIRED
+        ),
+        TARGET,
+    ),
+    "set_runtime": (lambda store: store.set_runtime(TARGET, RuntimeStats(2.5, 7, 70)), TARGET),
+    "set_visibility": (lambda store: store.set_visibility(TARGET, "public"), TARGET),
+}
+
+#: The writes that change no projected row.
+NOT_PROJECTING = {
+    "record_sessions": lambda store: store.record_sessions([
+        QuerySession(9, "ana", [1, TARGET], 1.0, 2.0, [SessionEdge(1, TARGET, "temporal", "", 1)])
+    ]),
+    "mark_invalid": lambda store: store.mark_invalid(TARGET, "stale"),
+    "set_quality": lambda store: store.set_quality({TARGET: 0.9}),
+    "add_annotation": lambda store: store.add_annotation(TARGET, "ana", "a note"),
+    "set_catalog_version": lambda store: store.set_catalog_version([TARGET], 3),
+}
+
+
+def sampled(qid: int) -> LoggedQuery:
+    """A record of a log whose SELECTs carry an output sample."""
+    record = logged(qid, STATEMENTS[(qid - 1) % len(STATEMENTS)])
+    if record.features is not None:
+        record.output = OutputSummary(["name"], [(f"lake {qid}",)], 1, complete=True)
+    return record
+
+
+def fill_writes(size: int, write, monkeypatch) -> list[tuple[str, str, int]]:
+    """``(op, relation, qid)`` of each projected row the meta-query after
+    ``write`` deletes or inserts, on a ``size``-record log filled before it."""
+    store = QueryStore()
+    for qid in range(1, size + 1):
+        store.add(sampled(qid))
+    store.execute_meta_sql("SELECT COUNT(*) FROM DataSources")
+    write(store)
+    database, writes = store.meta_database, []
+    delete, insert_rows = Table.delete, database.insert_rows
+
+    def spy_delete(table, row_id):
+        if table.name in PROJECTED_RELATIONS:
+            writes.append(("delete", table.name, table.get(row_id)[0]))
+        delete(table, row_id)
+
+    def spy_insert_rows(relation, rows):
+        writes.extend(("insert", relation, row["qid"]) for row in rows)
+        return insert_rows(relation, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Table, "delete", spy_delete)
+        patch.setattr(database, "insert_rows", spy_insert_rows)
+        store.execute_meta_sql("SELECT COUNT(*) FROM DataSources")
+    assert_projection_matches(store)
+    return writes
+
+
+class TestIncrementalFill:
+    """The fill after a write touches the projected rows of the records the
+    write changed and no others, so its cost does not grow with the log."""
+
+    @pytest.mark.parametrize("name", PROJECTING)
+    def test_a_write_refills_only_its_records_rows(self, name, monkeypatch):
+        write, qid = PROJECTING[name]
+        small = fill_writes(20, write, monkeypatch)
+        assert small and {q for _, _, q in small} == {qid}
+        assert fill_writes(200, write, monkeypatch) == small
+
+    @pytest.mark.parametrize("name", NOT_PROJECTING)
+    def test_a_write_no_projected_row_shows_fills_nothing(self, name, monkeypatch):
+        assert fill_writes(20, NOT_PROJECTING[name], monkeypatch) == []
 
 
 # ---------------------------------------------------------------------------

@@ -169,12 +169,6 @@ class TestInsertDeleteUpdate:
         assert len(table) == 2
         assert table.lookup("id", 2) == []
 
-    def test_delete_where(self):
-        table = seed(make_table())
-        removed = table.delete_where(lambda row: row[2] == "WA")
-        assert removed == 2
-        assert len(table) == 1
-
     def test_update_changes_values_and_indexes(self):
         table = seed(make_table())
         row_id = row_id_of(table, 2)
