@@ -35,6 +35,10 @@ and enforces them:
   call ``mark_dirty`` (or the write is lost on eviction) and ``unpin``
   (or the page is pinned forever and the pool can no longer evict); a page
   from the pinless ``read()`` path must never be mutated at all.
+* ``gc-tuning`` — calls to ``gc.disable``, ``gc.freeze`` or
+  ``gc.set_threshold`` change when the cyclic collector runs for the whole
+  process: the engine's collection time must fall because it allocates
+  fewer containers, not because the collector is switched off or deferred.
 """
 
 from __future__ import annotations
@@ -64,12 +68,17 @@ PAGE_PIN_PROTOCOL = Rule(
     "page mutation bypassing the buffer pool's pin/dirty protocol",
 )
 
+GC_TUNING = Rule(
+    "gc-tuning", Severity.ERROR, "garbage-collector tuning in engine source"
+)
+
 RULES: tuple[Rule, ...] = (
     WAL_PAIRING,
     LOCK_ACROSS_YIELD,
     BROAD_EXCEPT,
     WALL_CLOCK,
     PAGE_PIN_PROTOCOL,
+    GC_TUNING,
 )
 
 #: Wall-clock callables that bypass the injectable clock entirely.
@@ -143,6 +152,7 @@ def lint_source(source: SourceFile) -> list[Diagnostic]:
     _check_broad_except(source, diagnostics)
     _check_wall_clock(source, diagnostics)
     _check_page_pin_protocol(source, diagnostics)
+    _check_gc_tuning(source, diagnostics)
     return diagnostics
 
 
@@ -501,5 +511,40 @@ def _check_page_pin_protocol(source: SourceFile, diagnostics: list[Diagnostic]) 
                     source.where(pinned_mutations[0]),
                     f"{func.name} mutates a pinned page without mark_dirty(): "
                     f"the write is silently lost when the page is evicted",
+                )
+            )
+
+
+# -- gc-tuning ---------------------------------------------------------------------
+
+#: ``gc`` functions that switch the cyclic collector off or defer it.
+_GC_TUNING_CALLS = {"disable", "freeze", "set_threshold"}
+
+
+def _check_gc_tuning(source: SourceFile, diagnostics: list[Diagnostic]) -> None:
+    modules = {"gc"}  # names bound to the gc module
+    imported: dict[str, str] = {}  # local name -> gc function name
+    for node in ast.walk(source.tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "gc")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.name
+    for node in ast.walk(source.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and _attribute_chain(func.value) in modules:
+            name = func.attr
+        elif isinstance(func, ast.Name):
+            name = imported.get(func.id)
+        else:
+            continue
+        if name in _GC_TUNING_CALLS:
+            diagnostics.append(
+                GC_TUNING.at(
+                    source.where(node),
+                    f"gc.{name}() tunes the process-wide collector; cut what the "
+                    f"code allocates instead",
                 )
             )

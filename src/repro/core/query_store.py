@@ -174,6 +174,8 @@ PROJECTED_RELATIONS = (
     "DataSources", "Attributes", "Predicates", "Projections", "Joins", "RuntimeStats",
     "OutputSamples",
 )
+#: The record fields :func:`_projection_rows` reads (besides the qid).
+_PROJECTED_FIELDS = frozenset({"runtime", "features", "output"})
 #: Each relation's column names, in schema order (see :func:`_row`).
 _COLUMNS = {schema.name: schema.column_names for schema in FEATURE_RELATIONS}
 
@@ -613,15 +615,18 @@ class QueryStore:
     def _remember(self, change: _Change) -> None:
         """The memory half of :meth:`_apply`, and all of a reopen's: unfile,
         assign, file, then move the generation when the change asks.  The
-        record it unfiles or files, and the records it assigns when it moves
-        the generation, are marked stale: :meth:`_project` refills their
-        projected rows (a reopen files, so marks, every record)."""
+        record it unfiles or files, and each record it assigns a field that
+        :func:`_projection_rows` reads, are marked stale: :meth:`_project`
+        refills their projected rows (a reopen files, so marks, every
+        record)."""
         if change.removes is not None:
             self._unindex(change.removes)
             self._stale.add(change.removes.qid)
         for record, fields in change.assigns:
             for name, value in fields.items():
                 setattr(record, name, value)
+            if not _PROJECTED_FIELDS.isdisjoint(fields):
+                self._stale.add(record.qid)
         record = change.sets
         if record is not None:
             self._index(record)
@@ -634,7 +639,6 @@ class QueryStore:
                     record.template_text,
                 )
         if change.bumps:
-            self._stale.update(assigned.qid for assigned, _ in change.assigns)
             self._changed()
 
     def _rewrite(
@@ -839,8 +843,8 @@ class QueryStore:
     def set_runtime(self, qid: int, runtime: RuntimeStats) -> None:
         """Replace a query's runtime statistics (a maintenance refresh), on
         the record and in ``Queries``, so the refreshed numbers survive a
-        restart; it moves :attr:`generation`, which marks the record stale,
-        so the next meta-query refills its ``RuntimeStats`` row."""
+        restart; the record is marked stale, so the next meta-query refills
+        its ``RuntimeStats`` row."""
         self._apply(self._rewrite([(self.get(qid), {"runtime": runtime})], bumps=True))
 
     def set_visibility(self, qid: int, visibility: str) -> None:

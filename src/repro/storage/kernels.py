@@ -73,6 +73,18 @@ _DIRECT_TESTS = {
     ">=": _operator.ge,
 }
 
+#: Per operator, ``(values, literal, indices) -> the positions whose value
+#: <op> the literal``, compared inline in native Python: no call per row.
+#: NULL never passes (``None == literal`` is already false).
+_DIRECT_SELECTS = {
+    "=": lambda vs, lit, ix: [i for i in ix if vs[i] == lit],
+    "<>": lambda vs, lit, ix: [i for i in ix if (v := vs[i]) is not None and v != lit],
+    "<": lambda vs, lit, ix: [i for i in ix if (v := vs[i]) is not None and v < lit],
+    "<=": lambda vs, lit, ix: [i for i in ix if (v := vs[i]) is not None and v <= lit],
+    ">": lambda vs, lit, ix: [i for i in ix if (v := vs[i]) is not None and v > lit],
+    ">=": lambda vs, lit, ix: [i for i in ix if (v := vs[i]) is not None and v >= lit],
+}
+
 _ORDERING_TESTS: dict[str, Callable[[int], bool]] = {
     "=": lambda ordering: ordering == 0,
     "<>": lambda ordering: ordering != 0,
@@ -108,12 +120,7 @@ def _direct_comparable(data_type: DataType | None, literal_value) -> bool:
 def _compare_select(values, data_type, literal_value, op: str, indices) -> list[int]:
     """Positions where ``value <op> literal`` holds (NULL never passes)."""
     if _direct_comparable(data_type, literal_value):
-        test = _DIRECT_TESTS[op]
-        return [
-            i
-            for i in indices
-            if (value := values[i]) is not None and test(value, literal_value)
-        ]
+        return _DIRECT_SELECTS[op](values, literal_value, indices)
     test = _ORDERING_TESTS[op]
     out: list[int] = []
     for i in indices:

@@ -64,7 +64,7 @@ from repro.storage.expression import Scope, evaluate, is_true, layout_of, slot_o
 from repro.storage.kernels import apply_kernels, compile_columnar_conjuncts
 from repro.storage.types import DataType, coerce_value, compare_values
 
-#: Sentinel distinguishing "not compiled yet" from "compilation returned None".
+#: Sentinel: "not compiled yet" (None is a compiled answer), or "no more".
 _UNSET = object()
 
 #: An operator's output relation: (binding name, ordered column names) pairs.
@@ -304,9 +304,6 @@ class IndexScan(Operator):
             ctx.metrics.rows_scanned += 1
             yield row_id, row
 
-    def lookup_rows(self, value: object, ctx: ExecutionContext):
-        return map(itemgetter(1), self.lookup_pairs(value, ctx))
-
     def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, Row]]:
         scope = Scope({}, parent=ctx.outer_scope)
         value = evaluate(self.value_expr, scope, ctx.run_subquery)
@@ -407,11 +404,14 @@ class HashJoin(Operator):
         self.bindings = left.bindings + right.bindings
         self.children = (left, right)
         self.estimate = estimate
-        # Each key is a bound column of its own side, so both compile; with
-        # no pairs every row's key is ().
-        self._keys = (
-            compile_key_tuple([key for key, _ in self.pairs], left.bindings),
-            compile_key_tuple([key for _, key in self.pairs], right.bindings),
+        # Each key is a bound column of its own side: a one-column key is the
+        # bare value, a longer one a tuple, and with no pairs every key is ().
+        self._keys = tuple(
+            itemgetter(*slots) if slots else itemgetter(slice(0))
+            for slots in (
+                [slot_of(left.bindings, key) for key, _ in self.pairs],
+                [slot_of(right.bindings, key) for _, key in self.pairs],
+            )
         )
         #: The residual's kernels, or None when a conjunct has no kernel.
         self.residual_kernels = compile_columnar_conjuncts(self.residual, self.bindings)
@@ -428,29 +428,38 @@ class HashJoin(Operator):
             return self._equi_batches(ctx)
         return self._probe_rows(ctx)
 
-    def _equi_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        build, probe, build_key, probe_key = self._sides()
-        pairs = [
-            (key, row)
-            for batch in build.batches(ctx)
-            for row, key in zip(batch, map(build_key, batch))
-            if None not in key  # a NULL key matches nothing
-        ]
-        # Unique keys (the usual case) map each key to its one row, so no
-        # container is built per build row; duplicates group rows in lists.
+    def _hash_table(self, rows: list[Row], key_of, grouped: bool) -> tuple[dict, bool]:
+        """``(table, unique)``: the build ``rows`` by their key, less the rows
+        whose key holds a NULL (it matches nothing, so the probe side needs
+        no NULL test).  Unless ``grouped``, unique keys (the usual case) map
+        each key to its one row, so no pair and no container is built per
+        build row; otherwise a key maps to the list of its rows."""
+        keys = list(map(key_of, rows))
         table: dict = {}
-        table.update(pairs)
-        unique = len(table) == len(pairs)
+        table.update(zip(keys, rows))
+        if len(self.pairs) == 1:  # a bare key
+            null_keys = [None] if None in table else []
+            null_rows = keys.count(None) if null_keys else 0
+        else:
+            null_keys = [key for key in table if None in key]
+            null_rows = sum(None in key for key in keys) if null_keys else 0
+        unique = not grouped and len(table) - len(null_keys) + null_rows == len(rows)
         if not unique:
             table = {}
-            for key, row in pairs:
+            for key, row in zip(keys, rows):
                 table.setdefault(key, []).append(row)
-        del pairs
+        for key in null_keys:
+            del table[key]
+        return table, unique
+
+    def _equi_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        build, probe, build_key, probe_key = self._sides()
+        rows = [row for batch in build.batches(ctx) for row in batch]
+        table, unique = self._hash_table(rows, build_key, grouped=False)
+        del rows  # no list outlives the build holding its rows
         batch_size = max(1, ctx.batch_size)
         out: RowBatch = []
         for batch in probe.batches(ctx):
-            # No key with a NULL in it was built, so a probe key with one
-            # finds nothing: the probe side needs no NULL test of its own.
             found = zip(batch, map(table.get, map(probe_key, batch)))
             if unique and self.build_left:
                 joined = [match + row for row, match in found if match is not None]
@@ -460,6 +469,7 @@ class HashJoin(Operator):
                 joined = [match + row for row, matches in found if matches for match in matches]
             else:
                 joined = [row + match for row, matches in found if matches for match in matches]
+            del found  # the zip keeps its last pair, which holds a build row
             ctx.metrics.rows_joined += len(joined)
             out += joined
             cut = len(out) - len(out) % batch_size  # whole batches go out now
@@ -474,10 +484,7 @@ class HashJoin(Operator):
         FULL, the unmatched build rows, padded."""
         build, probe, build_key, probe_key = self._sides()
         rows = [row for batch in build.batches(ctx) for row in batch]
-        table: dict = {}
-        for row, key in zip(rows, map(build_key, rows)):
-            if None not in key:  # a NULL key matches nothing
-                table.setdefault(key, []).append(row)
+        table, _ = self._hash_table(rows, build_key, grouped=True)
         select = self.residual and survivors(
             self.residual_kernels, self.residual, self.bindings, ctx
         )
@@ -562,7 +569,7 @@ class IndexLookupJoin(Operator):
                     continue
                 if probe_stats is not None:
                     probe_stats.loops += 1
-                for inner_row in self.scan.lookup_rows(value, ctx):
+                for _, inner_row in self.scan.lookup_pairs(value, ctx):
                     if probe_stats is not None:
                         probe_stats.rows += 1
                     yield outer_row + inner_row
@@ -662,19 +669,15 @@ class HashAggregate(Operator):
         source = self._groups(ctx)
         while True:
             started = engine_timer()
-            try:
-                item = next(source)
-            except StopIteration:
-                elapsed = engine_timer() - started
-                metrics.agg_seconds += elapsed
-                if stats is not None:
-                    stats.wall_seconds += elapsed
-                return
+            item = next(source, _UNSET)
             elapsed = engine_timer() - started
             metrics.agg_seconds += elapsed
-            metrics.groups_emitted += 1
             if stats is not None:
                 stats.wall_seconds += elapsed
+            if item is _UNSET:
+                return
+            metrics.groups_emitted += 1
+            if stats is not None:
                 stats.rows += 1
             yield item
 
@@ -826,15 +829,6 @@ def compile_column_getter(
     """A ``row -> value`` getter for a column of this row, or None."""
     slot = slot_of(bindings, column)
     return None if slot is None else itemgetter(slot)
-
-
-def compile_key_tuple(
-    columns: list[ColumnRef], bindings: Bindings
-) -> Callable[[Row], tuple] | None:
-    """A ``row -> key tuple`` getter for join and group keys; None unless
-    every key column is a column of this row."""
-    slots = [slot_of(bindings, column) for column in columns]
-    return None if None in slots else slots_getter(slots)
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,8 @@ class SelectPlan:
     ``statement`` is the bound statement.  ``bindings`` lists the relation's
     bindings in FROM-clause order (the order ``SELECT *`` expands in),
     independent of the join order the planner chose; ``root.bindings`` lists
-    the same bindings in join order, which is the layout of the row tuples
-    ``root`` streams.  No name appears twice.
+    the same bindings in FROM order where the join order allows, else in join
+    order: the layout of the rows ``root`` streams.  No name appears twice.
     """
 
     statement: SelectStatement
@@ -495,21 +495,23 @@ class Planner:
         current: Operator = first.operator
         current_est = first.estimate
         current_bindings = set(first.names)
-        pending = [leaf for i, leaf in enumerate(leaves) if i != start_index]
+        pending = [(i, leaf) for i, leaf in enumerate(leaves) if i != start_index]
+        foremost = start_index  # the first FROM position joined so far
         unjoined = remaining
         while pending:
             best_key = None
             best_index = 0
             best_equi: list[tuple[Expression, ColumnRef, ColumnRef]] = []
-            for index, leaf in enumerate(pending):
+            for index, (_, leaf) in enumerate(pending):
                 equi = _find_equi_joins(unjoined, current_bindings, leaf.names)
                 key = (0 if equi else 1, leaf.estimate, index)
                 if best_key is None or key < best_key:
                     best_key, best_index, best_equi = key, index, equi
-            leaf = pending.pop(best_index)
+            position, leaf = pending.pop(best_index)
             current, current_est = self._join(
-                current, current_est, leaf, best_equi, leaf_by_binding
+                current, current_est, leaf, best_equi, leaf_by_binding, position < foremost
             )
+            foremost = min(foremost, position)
             used = {id(conjunct) for conjunct, _, _ in best_equi}
             unjoined = [c for c in unjoined if id(c) not in used]
             current_bindings |= leaf.names
@@ -530,8 +532,11 @@ class Planner:
         leaf: _Leaf,
         equi: list[tuple[Expression, ColumnRef, ColumnRef]],
         leaf_by_binding: dict[str, "_Leaf"],
+        leaf_first: bool,
     ) -> tuple[Operator, float]:
-        """Attach ``leaf`` to ``current``, choosing the physical join."""
+        """Attach ``leaf`` to ``current``, choosing the physical join.  A hash
+        join's left input is ``leaf`` if ``leaf_first`` in FROM order, so its
+        row keeps FROM order; the estimates alone choose what it builds."""
         if equi:
             joined_est = self._equi_join_estimate(current_est, leaf, equi[0], leaf_by_binding)
             indexed = self._indexed_join_key(leaf, equi)
@@ -553,9 +558,13 @@ class Planner:
                 return IndexLookupJoin(current, probe, outer_key, residual, joined_est), joined_est
             pairs = [(left, right) for _, left, right in equi]
             build_left = current_est <= leaf.estimate
-            return HashJoin(current, leaf.operator, pairs, joined_est, build_left), joined_est
-        joined_est = max(current_est, 1.0) * max(leaf.estimate, 1.0)
-        return HashJoin(current, leaf.operator, [], joined_est), joined_est
+        else:
+            joined_est = max(current_est, 1.0) * max(leaf.estimate, 1.0)
+            pairs, build_left = [], False
+        if leaf_first:
+            swapped = [(right, left) for left, right in pairs]
+            return HashJoin(leaf.operator, current, swapped, joined_est, not build_left), joined_est
+        return HashJoin(current, leaf.operator, pairs, joined_est, build_left), joined_est
 
     def _equi_join_estimate(
         self,

@@ -418,6 +418,54 @@ class TestPagePinProtocol:
         assert "page-pin-protocol" not in rules_of(diagnostics)
 
 
+class TestGcTuning:
+    def test_each_tuning_call_fires_as_error(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            import gc
+
+            def run(work):
+                gc.disable()
+                gc.set_threshold(100_000)
+                gc.freeze()
+                return work()
+            """,
+            storage=False,
+        )
+        found = [d for d in diagnostics if d.rule == "gc-tuning"]
+        assert len(found) == 3
+        assert all(d.severity is Severity.ERROR for d in found)
+
+    def test_aliased_and_imported_calls_fire(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            import gc as collector
+            from gc import disable as off
+
+            def run():
+                off()
+                collector.freeze()
+            """,
+        )
+        assert len([d for d in diagnostics if d.rule == "gc-tuning"]) == 2
+
+    def test_reading_and_collecting_are_clean(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            import gc
+
+            def census():
+                gc.collect()
+                gc.enable()
+                return gc.get_count(), gc.isenabled(), gc.get_threshold()
+            """,
+        )
+        assert "gc-tuning" not in rules_of(diagnostics)
+
+
 class TestEngineTree:
     def test_engine_source_has_no_errors(self):
         report = lint_paths([REPO_SRC])

@@ -257,7 +257,6 @@ PROJECTING = {
         TARGET,
     ),
     "set_runtime": (lambda store: store.set_runtime(TARGET, RuntimeStats(2.5, 7, 70)), TARGET),
-    "set_visibility": (lambda store: store.set_visibility(TARGET, "public"), TARGET),
 }
 
 #: The writes that change no projected row.
@@ -269,6 +268,8 @@ NOT_PROJECTING = {
     "set_quality": lambda store: store.set_quality({TARGET: 0.9}),
     "add_annotation": lambda store: store.add_annotation(TARGET, "ana", "a note"),
     "set_catalog_version": lambda store: store.set_catalog_version([TARGET], 3),
+    # It moves generation, but no projected relation holds a visibility.
+    "set_visibility": lambda store: store.set_visibility(TARGET, "public"),
 }
 
 

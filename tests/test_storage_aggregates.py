@@ -44,6 +44,7 @@ from repro.storage.aggregates import (
 from repro.storage.executor import (
     ExecutionStats,
     Executor,
+    _compile_projection,
     _order_slots,
     _sort_by_slot,
     _sort_entries,
@@ -1065,11 +1066,17 @@ class TestJoinOrderOracle:
         sql = JOIN_ORDER_QUERIES[0]
         heap = Planner(_make_join_db(None, indexed=False)).plan_select(parse(sql))
         assert _find(heap.root, HashJoin) and not _find(heap.root, IndexLookupJoin)
-        # FROM order (a, b) is not the join order (b is the smaller leaf).
-        assert [name for name, _ in heap.bindings] == ["a", "b"]
-        assert [name for name, _ in heap.root.bindings] == ["b", "a"]
         indexed = Planner(_make_join_db(None, indexed=True)).plan_select(parse(sql))
         assert _find(indexed.root, IndexLookupJoin)
+        # c is the smallest leaf and joins only a, so b is joined last: the
+        # join order lays rows out (a, c, b), not in FROM order (a, b, c),
+        # and SELECT * reorders them.
+        three = Planner(_make_join_db(None, indexed=False)).plan_select(
+            parse(JOIN_ORDER_QUERIES[1])
+        )
+        assert [name for name, _ in three.bindings] == ["a", "b", "c"]
+        assert [name for name, _ in three.root.bindings] == ["a", "c", "b"]
+        assert three.projection != list(range(len(three.projection)))
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1084,8 @@ class TestJoinOrderOracle:
 # ---------------------------------------------------------------------------
 
 #: Two tables whose join keys repeat on both sides and hold NULLs on both
-#: sides; ``u`` is unique, ``f`` holds the floats equal to some ``k``.
+#: sides; ``u`` is unique, ``n1`` and ``n2`` are unique but for one and two
+#: NULLs, ``f`` holds the floats equal to some ``k``.
 BUILD_TABLES = {
     "l": (
         "id INTEGER, k INTEGER, t TEXT",
@@ -1087,7 +1095,7 @@ BUILD_TABLES = {
         ],
     ),
     "r": (
-        "id INTEGER, k INTEGER, f FLOAT, t TEXT, u INTEGER",
+        "id INTEGER, k INTEGER, f FLOAT, t TEXT, u INTEGER, n1 INTEGER, n2 INTEGER",
         [
             (
                 i,
@@ -1095,6 +1103,8 @@ BUILD_TABLES = {
                 None if i % 9 == 0 else float(i % 5),
                 None if i % 4 == 0 else f"t{i % 2}",
                 i,
+                None if i == 5 else i,
+                None if i in (4, 8) else i,
             )
             for i in range(1, 26)
         ],
@@ -1116,6 +1126,11 @@ HASH_JOIN_QUERIES = [
     "ELSE id * 1.0 END AS m FROM l) d JOIN r ON d.m = r.u",
     # A composite key.
     "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k AND l.t = r.t",
+    # Unique keys but for one NULL, then two, on both sides: the NULL key is
+    # dropped after the table is filled (a NULL probe key finds nothing),
+    # and the rows it held do not count as repeats.
+    "SELECT x.id, y.id FROM r x JOIN r y ON x.n1 = y.n1",
+    "SELECT x.id, y.n2 FROM r x JOIN r y ON x.n2 = y.n2",
 ]
 
 
@@ -1199,6 +1214,49 @@ class TestHashJoinBuild:
         ]
         batches.close()
         assert holders == []
+
+    def test_unique_key_build_keeps_no_pair_per_row(self):
+        """While a unique-key join runs, no tracked tuple holds a build row:
+        the table is filled from the keys and the rows, with no ``(key,
+        row)`` pair per row, and no zip of probe rows and matches outlives
+        its batch (every probe row, of r, matches a row of l).  The
+        collector is off, so no collection can untrack such a tuple before
+        the check."""
+        db = _make_build_db()
+        plan, join = _hash_join_plan(db, HASH_JOIN_QUERIES[1], build_left=True)
+        build_rows = {id(row) for row in join.left.table.rows()}
+        gc.disable()
+        try:
+            batches = plan.root.batches(ExecutionContext(metrics=ExecutionStats()))
+            assert next(batches)
+            holders = [
+                obj
+                for obj in gc.get_objects()
+                if type(obj) is tuple and any(id(item) in build_rows for item in obj)
+            ]
+            batches.close()
+        finally:
+            gc.enable()
+        assert holders == []
+
+    @pytest.mark.parametrize(
+        "sql", ["SELECT * FROM l JOIN r ON l.k = r.k", "SELECT * FROM r JOIN l ON r.k = l.k"]
+    )
+    def test_two_table_join_keeps_from_order(self, sql, build_reference):
+        """The smaller table, r, is built whether it is the left input or the
+        right: the join lays its row out in FROM order either way, so
+        ``SELECT *`` projects nothing."""
+        db = _make_build_db()
+        plan = Planner(db).plan_select(parse(sql))
+        join = plan.root
+        assert isinstance(join, HashJoin)
+        assert (join.left if join.build_left else join.right).table.name == "r"
+        assert [name for name, _ in join.bindings] == [name for name, _ in plan.bindings]
+        assert plan.projection == list(range(len(plan.projection)))
+        batch = [()]
+        assert _compile_projection(plan)(batch) is batch
+        _, rows = Executor(db).execute_plan(plan)
+        assert_same_rows(sql, rows, build_reference(sql))
 
 
 #: Positions past 2**53, where distinct integers round to one float.

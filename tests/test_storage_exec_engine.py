@@ -168,7 +168,8 @@ class TestBatchSemantics:
     @pytest.mark.parametrize("batch_size", [1, 2, 256])
     def test_one_column_rows_and_keys_are_one_tuples(self, batch_size):
         """``itemgetter`` with one argument returns the bare item: a
-        one-column table, select list and join key must still be 1-tuples."""
+        one-column table and select list must still be 1-tuples, and a join
+        on one column (keyed on the bare value) must still join them."""
         from repro.storage.executor import ExecutionStats
         from repro.storage.operators import ExecutionContext, HashJoin
 

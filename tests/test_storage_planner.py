@@ -6,9 +6,17 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.storage.database import Database
+from repro.storage.operators import HashJoin
 from repro.storage.planner import Planner
 from repro.storage.types import compare_values, sort_key
 from repro.sql.parser import parse
+
+
+def _built(plan):
+    """The input that the plan's root, a hash join, builds."""
+    join = plan.root
+    assert isinstance(join, HashJoin), plan.text()
+    return join.left if join.build_left else join.right
 
 
 @pytest.fixture()
@@ -396,8 +404,7 @@ class TestJoinPlanning:
         db.statistics("big", refresh=True)
         db.statistics("small", refresh=True)
         plan = db.explain("SELECT * FROM big B, small S WHERE B.k = S.k")
-        scan_lines = [l for l in plan.lines if "Scan" in l]
-        assert "small" in scan_lines[0], plan.text()
+        assert _built(plan).table.name == "small", plan.text()
         result = db.execute("SELECT COUNT(*) FROM big B, small S WHERE B.k = S.k")
         assert result.scalar() == 5 * 8
 
@@ -405,8 +412,9 @@ class TestJoinPlanning:
         db.execute("CREATE TABLE tiny (state TEXT)")
         db.execute("INSERT INTO tiny VALUES ('WA')")
         plan = db.explain("SELECT * FROM lakes L, tiny T WHERE L.state = T.state")
-        join_line = next(l for l in plan.lines if "HashJoin" in l)
-        assert "build=left" in join_line  # tiny drives, so build side is left
+        assert _built(plan).table.name == "tiny", plan.text()
+        # tiny is joined first but stays the right input: FROM order.
+        assert [name for name, _ in plan.root.bindings] == ["L", "T"]
 
     def test_cross_join_is_nested_loop(self, db):
         plan = db.explain("SELECT * FROM lakes CROSS JOIN readings")
