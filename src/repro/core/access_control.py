@@ -9,6 +9,7 @@ Interaction features (Section 2.4).
 from __future__ import annotations
 
 import enum
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -57,12 +58,16 @@ class AccessControl:
 
     The CQMS components never return another user's query to a principal
     unless :meth:`can_see` allows it; administrators can see everything (they
-    need to, for maintenance).
+    need to, for maintenance).  :meth:`can_see` is the one definition of
+    visibility; :meth:`visible_qids` answers it for a whole store at once from
+    the postings the store keeps on write.
     """
 
     default_visibility: Visibility = Visibility.GROUP
     _principals: dict[str, Principal] = field(default_factory=dict)
     _grants: dict[int, set[str]] = field(default_factory=dict)
+    #: The inverse of ``_grants``: user -> the qids granted to them.
+    _granted: dict[str, set[int]] = field(default_factory=dict)
     _limits: dict[str, QueryLimits] = field(default_factory=dict)
     #: Counts the changes to who may see what: bumped by :meth:`register`,
     #: :meth:`grant` and :meth:`revoke`.
@@ -119,10 +124,12 @@ class AccessControl:
     def grant(self, qid: int, user: str) -> None:
         """Explicitly grant ``user`` access to query ``qid`` (beyond visibility)."""
         self._grants.setdefault(qid, set()).add(user)
+        self._granted.setdefault(user, set()).add(qid)
         self.generation += 1
 
     def revoke(self, qid: int, user: str) -> None:
         self._grants.get(qid, set()).discard(user)
+        self._granted.get(user, set()).discard(qid)
         self.generation += 1
 
     def grants_for(self, qid: int) -> set[str]:
@@ -147,24 +154,33 @@ class AccessControl:
             return record.group == principal.group
         return False
 
-    def visible_queries(
-        self, principal: Principal | str, records: list[LoggedQuery]
-    ) -> list[LoggedQuery]:
-        """Filter a list of records down to those the principal may see."""
+    def visible_qids(self, principal: Principal | str, store: QueryStore) -> Set[int]:
+        """The qids of ``store`` the principal may see: what :meth:`can_see`
+        allows, read off the store's visibility postings
+        (:meth:`QueryStore.visibility_postings`) instead of tested per record.
+
+        Every qid for an administrator; for anyone else the union of the
+        qids they own, the public ones, the group-visible ones of their group
+        and those granted to them.  A fresh set per call (the administrator's
+        is a live view of the store), so read it before the next write.
+        """
         if isinstance(principal, str):
             principal = self.principal(principal)
-        return [record for record in records if self.can_see(principal, record)]
+        if principal.is_admin:
+            return store.qids()
+        authored, public, group = store.visibility_postings(principal.name, principal.group)
+        granted = [qid for qid in self._granted.get(principal.name, ()) if qid in store]
+        return authored.union(public, group, granted)
 
     def visible_log(
         self, principal: Principal | str, store: QueryStore
     ) -> tuple[LoggedQuery, ...]:
         """Every query of ``store`` the principal may see, in qid order.
 
-        Filtered once per principal and kept until the store's or this
-        registry's ``generation`` moves, so a search does not re-sort the log
-        and re-run :meth:`can_see` per record per call.  One entry per
-        principal that has searched; a tuple, because every caller gets the
-        same object.
+        Built from :meth:`visible_qids` once per principal and kept until the
+        store's or this registry's ``generation`` moves, so a search does not
+        re-sort the log per call.  One entry per principal that has searched;
+        a tuple, because every caller gets the same object.
         """
         if isinstance(principal, str):
             principal = self.principal(principal)
@@ -175,7 +191,7 @@ class AccessControl:
         records = self._visible_logs.get(principal)
         if records is None:
             records = self._visible_logs[principal] = tuple(
-                self.visible_queries(principal, store.all_queries())
+                map(store.get, sorted(self.visible_qids(principal, store)))
             )
         return records
 

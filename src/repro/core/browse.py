@@ -69,7 +69,7 @@ class QueryBrowser:
     ) -> list[LoggedQuery]:
         """Every query the principal may see, most recent first."""
         records = sorted(
-            self._access.visible_log(self._principal(principal), self._store),
+            self._access.visible_log(principal, self._store),
             key=lambda record: -record.timestamp,
         )
         return records[:limit] if limit is not None else records
@@ -80,7 +80,7 @@ class QueryBrowser:
         """Visible queries ranked by the composite ranking (no similarity term)."""
         records = [
             record
-            for record in self._access.visible_log(self._principal(principal), self._store)
+            for record in self._access.visible_log(principal, self._store)
             if record.is_select
         ]
         context = RankingContext.from_store(self._store, now=float(self._clock()))
@@ -97,13 +97,13 @@ class QueryBrowser:
         A session is visible when *all* of its queries are visible — sessions
         mix consecutive thoughts of one analyst and should not leak partially.
         """
-        principal_obj = self._principal(principal)
+        visible_qids = self._access.visible_qids(principal, self._store)
         visible = []
         for session in sessions:
             if user is not None and session.user != user:
                 continue
-            records = [self._store.get(qid) for qid in session.qids if qid in self._store]
-            if records and all(self._access.can_see(principal_obj, record) for record in records):
+            logged = [qid for qid in session.qids if qid in self._store]
+            if logged and all(qid in visible_qids for qid in logged):
                 visible.append(session)
         return visible
 

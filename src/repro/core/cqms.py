@@ -165,9 +165,13 @@ class CQMS:
         gets a typed :class:`~repro.errors.RateLimitedError` *before* any
         parsing, execution, or logging, and the admitted statement carries
         its effective timeout budget (config default overridden by the
-        principal's :class:`~repro.obs.admission.QueryLimits`).
+        principal's :class:`~repro.obs.admission.QueryLimits`).  An unknown
+        ``visibility`` raises :class:`~repro.errors.AccessControlError` before
+        the statement runs; a known one is stored lower-cased.
         """
         principal = self.access_control.principal(user)
+        if visibility is not None:
+            visibility = Visibility.parse(visibility).value
         budget = self.admission.admit(
             principal.name, self.access_control.limits_for(principal.name)
         )

@@ -18,7 +18,6 @@ changes:
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +25,7 @@ from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
 from repro.core.records import LoggedQuery, statement_artefacts
 from repro.errors import ReproError
+from repro.sql.tokenizer import TokenType, tokenize
 from repro.storage.database import Database
 from repro.storage.plan_cache import DEFAULT_MAX_DRIFT
 from repro.storage.statistics import TableStatistics
@@ -275,5 +275,19 @@ def _validity_problems(features, schema_columns: Mapping[str, frozenset[str]]) -
 
 
 def _replace_identifier(text: str, old: str, new: str) -> str:
-    """Replace a SQL identifier in text, case-insensitively, word-bounded."""
-    return re.sub(rf"\b{re.escape(old)}\b", new, text, flags=re.IGNORECASE)
+    """Replace every IDENTIFIER token spelled ``old`` (case-insensitively) by
+    ``new``, spliced at the token's position; a quoted identifier keeps its
+    quotes.  String literals, keywords and the rest of the text stay as they
+    were.  A text that does not tokenize comes back unchanged."""
+    try:
+        tokens = tokenize(text)
+    except ReproError:
+        return text
+    old = old.lower()
+    pieces, end = [], 0
+    for token in tokens:
+        if token.type is TokenType.IDENTIFIER and token.value.lower() == old:
+            quoted = text[token.position] == '"'
+            pieces += [text[end:token.position], f'"{new}"' if quoted else new]
+            end = token.position + len(token.value) + 2 * quoted
+    return "".join(pieces) + text[end:]

@@ -22,7 +22,7 @@ so users only ever see queries they are allowed to see.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import itemgetter
@@ -165,12 +165,10 @@ class MetaQueryExecutor:
         lowered = [keyword.lower() for keyword in keywords if keyword]
         if not lowered:
             raise MetaQueryError("keyword search requires at least one keyword")
-        matches = []
-        lowered_text = self._store.lowered_text
-        for record in self._visible(principal):
-            haystack = lowered_text(record) + " " + " ".join(record.annotations).lower()
-            if all(keyword in haystack for keyword in lowered):
-                matches.append(record)
+        haystacks = self._store.haystacks()
+        matches = self._visible(principal)
+        for keyword in lowered:
+            matches = [record for record in matches if keyword in haystacks[record.qid]]
         return matches[:limit] if limit is not None else matches
 
     def substring_search(
@@ -180,10 +178,8 @@ class MetaQueryExecutor:
         if not needle:
             raise MetaQueryError("substring search requires a non-empty needle")
         lowered = needle.lower()
-        lowered_text = self._store.lowered_text
-        matches = [
-            record for record in self._visible(principal) if lowered in lowered_text(record)
-        ]
+        texts = self._store.lowered_texts()
+        matches = [record for record in self._visible(principal) if lowered in texts[record.qid]]
         return matches[:limit] if limit is not None else matches
 
     # -- query-by-feature ----------------------------------------------------------
@@ -194,10 +190,26 @@ class MetaQueryExecutor:
         condition: FeatureCondition,
         limit: int | None = None,
     ) -> list[LoggedQuery]:
-        """Programmatic query-by-feature over the Query Storage."""
-        matches = [
-            record for record in self._visible(principal) if condition.matches(record)
+        """Programmatic query-by-feature over the Query Storage, in qid order.
+
+        The condition's ``tables_all`` and ``attributes`` are read off the
+        Figure 1 postings (:meth:`QueryStore.qids_with_features`) first, so
+        :meth:`FeatureCondition.matches` runs only on the visible records
+        that carry all of them; a condition with neither scans the visible
+        log.
+        """
+        keys = [
+            *(table.lower() for table in condition.tables_all),
+            *((attr.lower(), relation.lower()) for attr, relation in condition.attributes),
         ]
+        if keys:
+            visible, get = self._visible_qids(principal), self._store.get
+            candidates = [
+                get(qid) for qid in self._store.qids_with_features(keys) if qid in visible
+            ]
+        else:
+            candidates = self._visible(principal)
+        matches = [record for record in candidates if condition.matches(record)]
         return matches[:limit] if limit is not None else matches
 
     def by_feature_sql(self, principal: Principal | str, sql: str) -> list[LoggedQuery]:
@@ -216,8 +228,8 @@ class MetaQueryExecutor:
                 continue
             seen.add(value)
             qids.append(int(value))
-        records = [self._store.get(qid) for qid in qids if qid in self._store]
-        return self._access.visible_queries(self._principal(principal), records)
+        visible = self._visible_qids(principal)
+        return [self._store.get(qid) for qid in qids if qid in visible]
 
     def explain_meta_sql(self, sql: str, analyze: bool = False):
         """EXPLAIN (optionally ANALYZE) a SQL meta-query.
@@ -264,9 +276,11 @@ class MetaQueryExecutor:
         ``by_feature_sql(generate_feature_sql(partial_sql))`` finds — read off
         the Query Storage's postings instead of planning and running the join."""
         tables, attributes = _figure1_conditions(partial_sql)
-        qids = self._store.qids_with_features([*tables, *attributes])
-        records = [self._store.get(qid) for qid in qids]
-        return self._access.visible_queries(self._principal(principal), records)
+        visible, get = self._visible_qids(principal), self._store.get
+        return [
+            get(qid) for qid in self._store.qids_with_features([*tables, *attributes])
+            if qid in visible
+        ]
 
     # -- query-by-parse-tree -----------------------------------------------------------
 
@@ -342,17 +356,13 @@ class MetaQueryExecutor:
             if similarity > 0.0:
                 scored.append((similarity, shape.qids))
         scored.sort(key=itemgetter(0), reverse=True)
-        principal_obj = self._principal(principal)
-        can_see, get = self._access.can_see, self._store.get
+        visible, get = self._visible_qids(principal), self._store.get
         exclude = exclude_qids or ()
         for similarity, group in groupby(scored, key=itemgetter(0)):
             runs = [qids for _, qids in group]
             for qid in runs[0] if len(runs) == 1 else heapq.merge(*runs):
-                if qid in exclude:
-                    continue
-                record = get(qid)
-                if can_see(principal_obj, record):
-                    yield record, similarity
+                if qid in visible and qid not in exclude:
+                    yield get(qid), similarity
 
     def knn_candidates(
         self,
@@ -394,12 +404,10 @@ class MetaQueryExecutor:
     # -- internals -----------------------------------------------------------------------------
 
     def _visible(self, principal: Principal | str) -> tuple[LoggedQuery, ...]:
-        return self._access.visible_log(self._principal(principal), self._store)
+        return self._access.visible_log(principal, self._store)
 
-    def _principal(self, principal: Principal | str) -> Principal:
-        if isinstance(principal, Principal):
-            return principal
-        return self._access.principal(principal)
+    def _visible_qids(self, principal: Principal | str) -> Set[int]:
+        return self._access.visible_qids(principal, self._store)
 
 
 def _figure1_conditions(partial_sql: Draft) -> tuple[list[str], list[tuple[str, str]]]:

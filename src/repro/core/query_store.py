@@ -32,13 +32,14 @@ import json
 import marshal
 from bisect import bisect_left, insort
 from collections import OrderedDict
-from collections.abc import Callable, Collection, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence, Set
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from types import MappingProxyType
 
+from repro.core.access_control import Visibility
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, TemplateArtefacts
-from repro.errors import DurabilityError, MetaQueryError, ReproError
+from repro.errors import AccessControlError, DurabilityError, MetaQueryError, ReproError
 from repro.sql.features import QueryFeatures
 from repro.sql.parse_tree import ParseTreeNode, TreePattern, match_pattern, to_parse_tree
 from repro.storage.database import Database, QueryResult
@@ -316,6 +317,19 @@ class QueryStore:
         ):
             self._meta_db.table(table).create_index(f"{table.lower()}_{column.lower()}", column)
         self._records: dict[int, LoggedQuery] = {}
+        # The visibility postings (see visibility_postings): author -> the
+        # qids they logged, group -> its group-visible qids, and the public
+        # qids.  String keys: an enum member hashes through Python code.
+        self._authored: dict[str, set[int]] = {}
+        self._group_visible: dict[str, set[int]] = {}
+        self._public: set[int] = set()
+        # What text search scans, per qid: the text lower-cased (the
+        # statement entry's string) and, for keyword search, that text and
+        # the record's annotations lower-cased, space-joined.
+        self._lowered: dict[int, str] = {}
+        self._haystacks: dict[int, str] = {}
+        self._lowered_view = MappingProxyType(self._lowered)
+        self._haystacks_view = MappingProxyType(self._haystacks)
         # The Figure 1 postings: a DataSources relName or an Attributes
         # (attrName, relName) -> the qids of the records with that row.
         self._feature_postings: dict[object, set[int]] = {}
@@ -462,6 +476,9 @@ class QueryStore:
         qid = record.qid
         self._records[qid] = record
         self._intern_text(record.text)
+        self._file_visibility(record)
+        self._lowered[qid] = self._statements[record.text].lowered
+        self._file_haystack(record)
         for key in _feature_keys(record):
             self._feature_postings.setdefault(key, set()).add(qid)
         if record.is_mined:
@@ -472,6 +489,8 @@ class QueryStore:
         qid = record.qid
         del self._records[qid]
         self._release_text(record.text)
+        self._unfile_visibility(record)
+        del self._lowered[qid], self._haystacks[qid]
         for key in _feature_keys(record):
             bucket = self._feature_postings[key]
             bucket.discard(qid)
@@ -483,6 +502,57 @@ class QueryStore:
             del qids[bisect_left(qids, qid)]
             if not qids:
                 del self._shapes[key]
+
+    def _file_visibility(self, record: LoggedQuery) -> None:
+        # A stored visibility is a Visibility's value: add, set_visibility
+        # and a reopen (_record) make it one.
+        qid, visibility = record.qid, record.visibility
+        self._authored.setdefault(record.user, set()).add(qid)
+        if visibility == "public":
+            self._public.add(qid)
+        elif visibility == "group":
+            self._group_visible.setdefault(record.group, set()).add(qid)
+
+    def _unfile_visibility(self, record: LoggedQuery) -> None:
+        qid = record.qid
+        self._public.discard(qid)
+        for postings, key in ((self._authored, record.user), (self._group_visible, record.group)):
+            bucket = postings.get(key)
+            if bucket is not None:
+                bucket.discard(qid)
+                if not bucket:
+                    del postings[key]
+
+    def _file_haystack(self, record: LoggedQuery) -> None:
+        self._haystacks[record.qid] = (
+            self._lowered[record.qid] + " " + " ".join(record.annotations).lower()
+        )
+
+    def visibility_postings(self, user: str, group: str) -> tuple[Set[int], Set[int], Set[int]]:
+        """The qids ``user`` logged, the public qids, and the group-visible
+        qids of ``group``: what :meth:`AccessControl.can_see` allows besides
+        an administrator and a grant.  Kept by every write;
+        :meth:`AccessControl.visible_qids` unions them.  Read them, do not
+        change them."""
+        empty = frozenset()
+        return (
+            self._authored.get(user, empty), self._public, self._group_visible.get(group, empty)
+        )
+
+    def qids(self) -> Set[int]:
+        """Every logged qid, as a live view."""
+        return self._records.keys()
+
+    def lowered_texts(self) -> Mapping[int, str]:
+        """qid -> ``record.text.lower()`` (one string per distinct text): what
+        substring search scans.  A live read-only view."""
+        return self._lowered_view
+
+    def haystacks(self) -> Mapping[int, str]:
+        """qid -> the lower-cased text, a space and the record's annotations
+        lower-cased and space-joined: what keyword search scans, filed when a
+        record is filed or annotated.  A live read-only view."""
+        return self._haystacks_view
 
     def qids_with_features(self, keys: Sequence) -> list[int]:
         """Qids, in order, of the records with a ``DataSources`` row for every
@@ -555,10 +625,6 @@ class QueryStore:
             self._templates.move_to_end((template, key))
         return shared
 
-    def lowered_text(self, record: LoggedQuery) -> str:
-        """``record.text.lower()``, computed once per distinct text."""
-        return self._statements[record.text].lowered
-
     def texts_matching(self, pattern: TreePattern, texts: set[str]) -> set[str]:
         """The subset of ``texts`` whose parse tree contains ``pattern``.
 
@@ -614,7 +680,9 @@ class QueryStore:
 
     def _remember(self, change: _Change) -> None:
         """The memory half of :meth:`_apply`, and all of a reopen's: unfile,
-        assign, file, then move the generation when the change asks.  The
+        assign (a filed record assigned ``visibility`` or ``annotations`` is
+        refiled in the visibility postings or under its new haystack), file,
+        then move the generation when the change asks.  The
         record it unfiles or files, and each record it assigns a field that
         :func:`_projection_rows` reads, are marked stale: :meth:`_project`
         refills their projected rows (a reopen files, so marks, every
@@ -623,8 +691,17 @@ class QueryStore:
             self._unindex(change.removes)
             self._stale.add(change.removes.qid)
         for record, fields in change.assigns:
+            # A record a repair unfiled above is refiled whole below.
+            filed = record.qid in self._records
+            moves = filed and "visibility" in fields
+            if moves:
+                self._unfile_visibility(record)
             for name, value in fields.items():
                 setattr(record, name, value)
+            if moves:
+                self._file_visibility(record)
+            if filed and "annotations" in fields:
+                self._file_haystack(record)
             if not _PROJECTED_FIELDS.isdisjoint(fields):
                 self._stale.add(record.qid)
         record = change.sets
@@ -694,13 +771,17 @@ class QueryStore:
 
     def add(self, record: LoggedQuery, artefacts_key: tuple | None = None) -> None:
         """Insert a logged query: its one ``Queries`` row (its projected rows
-        wait for :meth:`_project`).
+        wait for :meth:`_project`).  Its ``visibility`` must be one of
+        :class:`Visibility`'s values, in any case (it is stored lower-cased).
 
         With ``artefacts_key`` the record's artefacts were derived under that
         key, and :meth:`artefacts` hands them to the next record of its text.
         """
         if record.qid in self._records:
             raise MetaQueryError(f"duplicate query id {record.qid}")
+        # An unknown visibility raises before any write; a known one is stored
+        # lower-cased, as the visibility postings read it.
+        record.visibility = Visibility.parse(record.visibility).value
         self._apply(
             _Change(
                 sets=record, inserts={"Queries": [_queries_row(record)]}, bumps=True,
@@ -848,9 +929,11 @@ class QueryStore:
         self._apply(self._rewrite([(self.get(qid), {"runtime": runtime})], bumps=True))
 
     def set_visibility(self, qid: int, visibility: str) -> None:
-        """Change who may see a query (``"private"``/``"group"``/``"public"``),
-        on the record and in ``Queries``, so the setting survives a restart."""
-        self._apply(self._rewrite([(self.get(qid), {"visibility": visibility})], bumps=True))
+        """Change who may see a query (``"private"``/``"group"``/``"public"``,
+        in any case; stored lower-cased), on the record and in ``Queries``, so
+        the setting survives a restart."""
+        fields = {"visibility": Visibility.parse(visibility).value}
+        self._apply(self._rewrite([(self.get(qid), fields)], bumps=True))
 
     def remove(self, qid: int) -> None:
         """Remove a query, its rows and (at the next fill) its projected rows.
@@ -1072,6 +1155,11 @@ def _record(row: tuple, annotations: list[str], decoded: dict[bytes, QueryFeatur
         shared = decoded.get(key)
         if shared is None:
             shared = decoded[key] = QueryFeatures.from_values(features)
+    try:
+        visibility = Visibility.parse(visibility or "group").value
+    except AccessControlError:
+        # Logged unchecked by an older engine: seen by its author only.
+        visibility = Visibility.PRIVATE.value
     output = None
     if columns is not None:
         total = max(cardinality or 0, len(sample))
@@ -1088,7 +1176,7 @@ def _record(row: tuple, annotations: list[str], decoded: dict[bytes, QueryFeatur
         features=shared,
         runtime=RuntimeStats(elapsed or 0.0, cardinality or 0, scanned or 0, bool(succeeded)),
         output=output,
-        visibility=visibility or "group",
+        visibility=visibility,
         flagged_invalid=not valid,
         invalid_reason=reason,
         flag_count=flags or 0,

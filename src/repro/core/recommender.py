@@ -134,12 +134,9 @@ class QueryRecommender:
         self, principal: Principal | str, k: int = 5
     ) -> list[Recommendation]:
         """Popularity-only baseline: the most frequently issued visible queries."""
-        principal_obj = self._principal(principal)
         popularity = self._store.popularity()
         best_by_canonical: dict[str, LoggedQuery] = {}
-        for record in self._store.select_queries():
-            if not self._access.can_see(principal_obj, record):
-                continue
+        for record in self._visible_selects(principal):
             canonical = record.canonical_text or record.text
             if canonical not in best_by_canonical or record.timestamp > best_by_canonical[canonical].timestamp:
                 best_by_canonical[canonical] = record
@@ -164,12 +161,7 @@ class QueryRecommender:
         self, principal: Principal | str, k: int = 5, seed: int = 0
     ) -> list[Recommendation]:
         """Random baseline."""
-        principal_obj = self._principal(principal)
-        visible = [
-            record
-            for record in self._store.select_queries()
-            if self._access.can_see(principal_obj, record)
-        ]
+        visible = self._visible_selects(principal)
         rng = random.Random(seed)
         rng.shuffle(visible)
         return [
@@ -188,7 +180,9 @@ class QueryRecommender:
         except ReproError:
             return "n/a"
 
-    def _principal(self, principal: Principal | str) -> Principal:
-        if isinstance(principal, Principal):
-            return principal
-        return self._access.principal(principal)
+    def _visible_selects(self, principal: Principal | str) -> list[LoggedQuery]:
+        """The SELECTs the principal may see, in qid order."""
+        return [
+            record for record in self._access.visible_log(principal, self._store)
+            if record.is_select
+        ]

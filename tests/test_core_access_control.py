@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.access_control import AccessControl, Principal, Visibility
+from repro.core.query_store import QueryStore
 from repro.core.records import LoggedQuery
 from repro.errors import AccessControlError
 
@@ -72,16 +73,19 @@ class TestVisibility:
     def test_admin_sees_everything(self, acl):
         assert acl.can_see("root", record(visibility="private"))
 
-    def test_visible_queries_filters(self, acl):
-        records = [
-            record(qid=1, visibility="private"),
-            record(qid=2, visibility="group"),
-            record(qid=3, visibility="public"),
-        ]
-        visible_to_carol = acl.visible_queries("carol", records)
-        assert [r.qid for r in visible_to_carol] == [3]
-        visible_to_bob = acl.visible_queries("bob", records)
-        assert [r.qid for r in visible_to_bob] == [2, 3]
+    def test_visible_qids_filters(self, acl):
+        store = QueryStore()
+        for qid, visibility in enumerate(("private", "group", "public"), start=1):
+            store.add(record(qid=qid, visibility=visibility))
+        assert set(acl.visible_qids("carol", store)) == {3}
+        assert set(acl.visible_qids("bob", store)) == {2, 3}
+        assert set(acl.visible_qids("alice", store)) == {1, 2, 3}
+        assert set(acl.visible_qids("root", store)) == {1, 2, 3}
+        acl.grant(1, "carol")
+        acl.grant(9, "carol")  # no such query: granted, but nothing to see
+        assert set(acl.visible_qids("carol", store)) == {1, 3}
+        acl.revoke(1, "carol")
+        assert set(acl.visible_qids("carol", store)) == {3}
 
 
 class TestGrants:
@@ -111,3 +115,57 @@ class TestOwnershipChecks:
     def test_other_user_rejected(self, acl):
         with pytest.raises(AccessControlError):
             acl.require_owner_or_admin("bob", record(user="alice"))
+
+
+class TestStoredVisibility:
+    """Every visibility the Query Storage holds is one of the three values,
+    lower-cased: its visibility postings are keyed by them."""
+
+    def test_submit_refuses_an_unknown_visibility_before_running(self, fresh_cqms):
+        lakes = len(fresh_cqms.database.execute("SELECT * FROM Lakes").rows)
+        with pytest.raises(AccessControlError, match="unknown visibility 'bogus'"):
+            fresh_cqms.submit("alice", "DELETE FROM Lakes", visibility="bogus")
+        assert len(fresh_cqms.database.execute("SELECT * FROM Lakes").rows) == lakes
+        assert len(fresh_cqms.store) == 0
+        fresh_cqms.submit("alice", "SELECT * FROM Lakes")
+        assert [r.qid for r in fresh_cqms.search_keyword("bob", "lakes")] == [1]
+        assert fresh_cqms.search_keyword("carol", "lakes") == []
+
+    def test_submit_stores_the_visibility_lower_cased(self, fresh_cqms):
+        record = fresh_cqms.submit("alice", "SELECT * FROM Lakes", visibility="PUBLIC").record
+        assert record.visibility == "public"
+        (row,) = fresh_cqms.store.meta_database.table("Queries").rows()
+        assert "public" in row and "PUBLIC" not in row
+        assert [r.qid for r in fresh_cqms.search_keyword("carol", "lakes")] == [record.qid]
+
+    def test_the_store_checks_what_it_is_given(self):
+        store = QueryStore()
+        with pytest.raises(AccessControlError):
+            store.add(record(qid=1, visibility="bogus"))
+        assert len(store) == 0 and not store.meta_database.table("Queries").rows()
+        store.add(record(qid=1, visibility="GROUP"))
+        assert store.get(1).visibility == "group"
+        store.set_visibility(1, "Public")
+        assert store.get(1).visibility == "public"
+        with pytest.raises(AccessControlError):
+            store.set_visibility(1, "everyone")
+        assert store.get(1).visibility == "public"
+
+    def test_a_reopened_unknown_visibility_reads_private(self, tmp_path):
+        """A row an older engine logged with an unchecked visibility is seen
+        by its author (and administrators, and grantees) only."""
+        data_dir = str(tmp_path / "store")
+        store = QueryStore(data_dir=data_dir)
+        store.add(record(qid=1, visibility="group"))
+        table = store.meta_database.table("Queries")
+        ((row_id, _),) = table.scan()
+        table.update(row_id, {"visibility": "bogus"})
+        store.close()
+        reopened = QueryStore(data_dir=data_dir)
+        assert reopened.get(1).visibility == "private"
+        acl = AccessControl()
+        acl.register("alice", "lab1")
+        acl.register("bob", "lab1")
+        assert set(acl.visible_qids("alice", reopened)) == {1}
+        assert set(acl.visible_qids("bob", reopened)) == set()
+        reopened.close()

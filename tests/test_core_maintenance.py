@@ -98,6 +98,32 @@ class TestSchemaValidity:
             cqms.database.execute("ALTER TABLE Lakes ADD COLUMN note TEXT")
             assert cqms.run_maintenance().checked == 20
 
+    @pytest.mark.parametrize(
+        "sql, repaired_sql",
+        [
+            (
+                "SELECT name FROM Lakes WHERE name = 'depth' OR name LIKE '%name%'",
+                "SELECT lake_name FROM Lakes WHERE lake_name = 'depth' OR lake_name LIKE '%name%'",
+            ),
+            (
+                "SELECT L.name FROM Lakes L WHERE L.state = 'name'",
+                "SELECT L.lake_name FROM Lakes L WHERE L.state = 'name'",
+            ),
+        ],
+        ids=["like-pattern", "string-literal"],
+    )
+    def test_rename_repair_leaves_string_literals_alone(self, fresh_cqms, sql, repaired_sql):
+        """The repair renames identifiers only: a literal spelled like the
+        renamed column is data, and the repaired query must ask what the
+        logged one asked."""
+        before = fresh_cqms.submit("alice", sql)
+        assert before.succeeded, before.error
+        fresh_cqms.database.execute("ALTER TABLE Lakes RENAME COLUMN name TO lake_name")
+        report = fresh_cqms.run_maintenance()
+        assert report.repaired == [before.record.qid]
+        assert fresh_cqms.store.get(before.record.qid).text == repaired_sql
+        assert fresh_cqms.database.execute(repaired_sql).rows == before.result.rows
+
     def test_repair_disabled_flags_instead(self, cqms_with_queries):
         cqms = cqms_with_queries
         cqms.database.execute("ALTER TABLE WaterTemp RENAME COLUMN depth TO depth_m")

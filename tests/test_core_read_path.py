@@ -16,12 +16,17 @@ write, against the reference each of them replaced.
   the shapes best first; a brute-force scan of the principal's visible log
   is the reference, and a rebuild from ``all_queries()`` is the reference
   for the shape table itself.
+* Every read kind starts from the visibility postings
+  (``AccessControl.visible_qids``) and the store's filed haystacks; a
+  ``can_see`` scan of ``all_queries()`` is the reference, after every kind
+  of write, a change of grants or groups, and a durable reopen.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import random
 import re
 
 import pytest
@@ -29,14 +34,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CQMS, CQMSConfig, SimulatedClock, build_database
-from repro.core.meta_query import DataCondition
+from repro.core.meta_query import DataCondition, FeatureCondition, _figure1_conditions
 from repro.core.query_store import FEATURE_RELATIONS, QueryStore, _queries_row, _record, _schema
 from repro.core.records import LoggedQuery, OutputSummary, RuntimeStats, draft_features
-from repro.errors import DurabilityError, MetaQueryError
+from repro.errors import DurabilityError, MetaQueryError, ReproError
 from repro.mining.knn import KNNIndex
 from repro.mining.similarity import weighted_feature_similarity
 from repro.sql.canonicalize import canonical_text
 from repro.sql.features import extract_features
+from repro.sql.parse_tree import TreePattern, match_pattern, to_parse_tree
 from repro.storage.database import Database
 from repro.storage.types import DataType
 from repro.workloads import QueryLogGenerator, WorkloadConfig
@@ -566,3 +572,208 @@ class TestShapeTable:
             assert max(per_call) <= len(cqms.store.shapes())
             counts.append(per_call)
         assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
+# Every read kind against a can_see scan of the log
+# ---------------------------------------------------------------------------
+
+KEYWORDS = [["watertemp"], ["lakes", "name"], ["temp", "<"], ["zebrafish"]]
+NEEDLES = ["FROM WaterTemp", "lake_id", "salinity >"]
+CONDITIONS = [
+    FeatureCondition(tables_all=["WaterTemp"], statement_kind="select"),
+    FeatureCondition(tables_all=["lakes", "watertemp"]),
+    FeatureCondition(attributes=[("temp", "WaterTemp")], max_cardinality=50),
+    FeatureCondition(tables_any=["Lakes", "CityLocations"]),
+    FeatureCondition(only_valid=True),
+]
+PATTERNS = [
+    TreePattern(label="select", children=(TreePattern(label="table", value="watertemp"),)),
+    TreePattern(label="table", value="lakes"),
+]
+DRAFTS = [
+    "SELECT FROM WaterTemp", "SELECT L.name FROM Lakes L, WaterTemp T WHERE", *FRESH_DRAFTS[:2]
+]
+
+
+def _reference_visible(cqms: CQMS, principal: str) -> list[LoggedQuery]:
+    """The definition: a ``can_see`` scan of the whole log, in qid order."""
+    can_see = cqms.access_control.can_see
+    return [record for record in cqms.store.all_queries() if can_see(principal, record)]
+
+
+def _tree_matches(record: LoggedQuery, pattern: TreePattern) -> bool:
+    try:
+        return match_pattern(to_parse_tree(record.text), pattern)
+    except ReproError:
+        return False
+
+
+def _qids(records) -> list[int]:
+    return [record.qid for record in records]
+
+
+def assert_reads_agree(cqms: CQMS, principals: list[str]) -> None:
+    """For each principal, each read kind returns exactly what a ``can_see``
+    scan of ``store.all_queries()`` filtered by the read's own condition
+    returns (kNN, recommend and the two baselines by their orders)."""
+    meta, recommender = cqms.meta_query, cqms.recommender
+    values = sorted(
+        {
+            cell
+            for record in cqms.store.all_queries()
+            if record.output is not None
+            for row in record.output.rows[:1]
+            for cell in row
+            if isinstance(cell, str)
+        }
+    )[:4]
+    for principal in principals:
+        visible = _reference_visible(cqms, principal)
+        assert _qids(cqms.access_control.visible_log(principal, cqms.store)) == _qids(visible)
+        assert set(cqms.access_control.visible_qids(principal, cqms.store)) == set(_qids(visible))
+        for words in KEYWORDS:
+            expected = [
+                record
+                for record in visible
+                if all(
+                    word in (record.text + " " + " ".join(record.annotations)).lower()
+                    for word in words
+                )
+            ]
+            assert _qids(cqms.search_keyword(principal, words)) == _qids(expected), words
+        for needle in NEEDLES:
+            expected = [record for record in visible if needle.lower() in record.text.lower()]
+            assert _qids(cqms.search_substring(principal, needle)) == _qids(expected), needle
+        for condition in CONDITIONS:
+            expected = [record for record in visible if condition.matches(record)]
+            assert _qids(cqms.search_features(principal, condition)) == _qids(expected), condition
+        for draft in DRAFTS:
+            tables, attributes = _figure1_conditions(draft)
+            expected = [
+                record
+                for record in visible
+                if record.features is not None
+                and set(tables) <= record.features.table_set()
+                and set(attributes) <= record.features.attribute_set()
+            ]
+            assert _qids(cqms.search_like_partial(principal, draft)) == _qids(expected), draft
+            scored = [pair for pair in brute_force_knn(cqms, draft) if pair[0] in visible]
+            got = meta.knn_candidates(principal, draft, k=5)
+            assert [(r.qid, s) for r, s in got] == [(r.qid, s) for r, s in scored[:5]], draft
+            eligible = {_canonical(record) for record, _ in scored}
+            recommended = cqms.recommend(principal, draft, k=5)
+            assert len(recommended) == min(5, len(eligible))
+            assert {_canonical(item.record) for item in recommended} <= eligible
+        for value in values:
+            condition = DataCondition(include_values=[value])
+            expected = [r for r in visible if r.is_select and condition.matches(r)]
+            assert _qids(cqms.search_by_data(principal, condition)) == _qids(expected), value
+        for pattern in PATTERNS:
+            expected = [r for r in visible if r.is_select and _tree_matches(r, pattern)]
+            assert _qids(cqms.search_parse_tree(principal, pattern)) == _qids(expected), pattern
+        selects = [record for record in visible if record.is_select]
+        shuffled = list(selects)
+        random.Random(3).shuffle(shuffled)
+        got = recommender.recommend_random(principal, k=7, seed=3)
+        assert _qids(item.record for item in got) == _qids(shuffled[:7])
+        popularity = cqms.store.popularity()
+        newest: dict[str, LoggedQuery] = {}
+        for record in selects:
+            known = newest.get(_canonical(record))
+            if known is None or record.timestamp > known.timestamp:
+                newest[_canonical(record)] = record
+        ranked = sorted(newest.items(), key=lambda item: (-popularity.get(item[0], 0), item[1].qid))
+        got = recommender.recommend_popular(principal, k=5)
+        assert _qids(item.record for item in got) == [record.qid for _, record in ranked[:5]]
+
+
+def _agreement_principals(cqms: CQMS) -> list[str]:
+    """The administrator, one user per group, and a user holding a grant."""
+    return [*_principals(cqms), "grantee"]
+
+
+class TestReadPathsAgreeWithCanSee:
+    def _cqms(self, config: CQMSConfig | None = None) -> CQMS:
+        cqms = _replayed(config, num_sessions=15)
+        cqms.register_user("grantee", group="elsewhere")
+        return cqms
+
+    def test_after_every_kind_of_write(self):
+        cqms = self._cqms()
+        store, admin, access = cqms.store, cqms.admin(), cqms.access_control
+        principals = _agreement_principals(cqms)
+        assert_reads_agree(cqms, principals)
+
+        # add: every visibility, in any case, by users of two groups.
+        users = [p for p in principals if p not in ("admin", "grantee")]
+        for number, visibility in enumerate(["private", "PUBLIC", "group", "Private", None]):
+            cqms.submit(
+                users[number % len(users)],
+                f"SELECT L.name FROM Lakes L WHERE L.area_km2 > {number + 40}",
+                visibility=visibility,
+            )
+        stored = {record.visibility for record in store.all_queries()}
+        assert stored <= {"private", "group", "public"}
+        assert_reads_agree(cqms, principals)
+
+        # remove, set_visibility
+        for record in store.all_queries()[:30:6]:
+            admin.delete_query("admin", record.qid)
+        for record in store.all_queries()[::4]:
+            admin.set_visibility("admin", record.qid, "private")
+        for record in store.all_queries()[1::9]:
+            admin.set_visibility("admin", record.qid, "public")
+        assert_reads_agree(cqms, principals)
+
+        # grant / revoke
+        private = [record for record in store.all_queries() if record.visibility == "private"]
+        for record in private[:6]:
+            access.grant(record.qid, "grantee")
+        access.grant(max(store.qids()) + 100, "grantee")
+        assert_reads_agree(cqms, principals)
+        for record in private[:3]:
+            access.revoke(record.qid, "grantee")
+        assert_reads_agree(cqms, principals)
+
+        # a user re-registered into another group, and an annotation
+        mover = users[-1]
+        cqms.register_user(mover, group=access.principal(users[0]).group)
+        cqms.annotate("admin", store.all_queries()[2].qid, "Zebrafish survey, see notes")
+        assert_reads_agree(cqms, principals)
+
+        # a repair (replace_text refiles the record)
+        cqms.database.execute("ALTER TABLE WaterTemp RENAME COLUMN temp TO temp_c")
+        assert cqms.run_maintenance().repaired
+        assert_reads_agree(cqms, principals)
+
+    def test_after_a_durable_reopen(self, tmp_path):
+        config = CQMSConfig(data_dir=str(tmp_path / "store"))
+        cqms = self._cqms(config)
+        for record in cqms.store.all_queries()[::3]:
+            cqms.admin().set_visibility("admin", record.qid, "public")
+        for record in cqms.store.all_queries()[1::4]:
+            cqms.admin().set_visibility("admin", record.qid, "private")
+        cqms.annotate("admin", cqms.store.all_queries()[1].qid, "zebrafish")
+        principals = _agreement_principals(cqms)
+        registered = [(p.name, p.group, p.is_admin) for p in cqms.access_control.principals()]
+        assert_reads_agree(cqms, principals)
+        database = cqms.database
+        cqms.close()
+        with CQMS(database, config=config) as reopened:
+            for name, group, is_admin in registered:
+                reopened.register_user(name, group=group, is_admin=is_admin)
+            private = [r for r in reopened.store.all_queries() if r.visibility == "private"]
+            reopened.access_control.grant(private[0].qid, "grantee")
+            assert_reads_agree(reopened, principals)
+
+    def test_an_annotation_is_found_by_keyword_search(self, fresh_cqms):
+        """The haystack a record is filed under follows its annotations."""
+        qid = fresh_cqms.submit("alice", "SELECT * FROM Lakes").record.qid
+        fresh_cqms.submit("alice", "SELECT * FROM WaterTemp")
+        assert fresh_cqms.search_keyword("bob", ["zebrafish"]) == []
+        fresh_cqms.annotate("bob", qid, "Zebrafish habitat")
+        for user in ("alice", "bob", "root"):
+            assert _qids(fresh_cqms.search_keyword(user, ["zebrafish", "lakes"])) == [qid]
+        assert fresh_cqms.search_keyword("carol", ["zebrafish"]) == []
+        assert fresh_cqms.search_substring("alice", "zebrafish") == []
