@@ -70,7 +70,7 @@ class AccessControl:
     _granted: dict[str, set[int]] = field(default_factory=dict)
     _limits: dict[str, QueryLimits] = field(default_factory=dict)
     #: Counts the changes to who may see what: bumped by :meth:`register`,
-    #: :meth:`grant` and :meth:`revoke`.
+    #: :meth:`grant`, :meth:`revoke` and :meth:`forget`.
     generation: int = field(default=0, init=False)
     # The visible log per principal, valid for one (store, store generation,
     # access generation); see :meth:`visible_log`.
@@ -130,6 +130,12 @@ class AccessControl:
     def revoke(self, qid: int, user: str) -> None:
         self._grants.get(qid, set()).discard(user)
         self._granted.get(user, set()).discard(qid)
+        self.generation += 1
+
+    def forget(self, qid: int) -> None:
+        """Drop the grants of a removed query."""
+        for user in self._grants.pop(qid, ()):
+            self._granted[user].discard(qid)
         self.generation += 1
 
     def grants_for(self, qid: int) -> set[str]:

@@ -65,6 +65,7 @@ class Administrator:
         record = self._store.get(qid)
         self._access.require_owner_or_admin(principal, record)
         self._store.remove(qid)
+        self._access.forget(qid)
 
     def set_visibility(self, principal: Principal | str, qid: int, visibility: str) -> None:
         """Change a query's visibility (owner or admin only)."""

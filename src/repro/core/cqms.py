@@ -135,7 +135,9 @@ class CQMS:
             clock=self.clock,
         )
         self.miner = QueryMiner(self.store, self.config)
-        self.maintenance = QueryMaintenance(database, self.store, self.config)
+        self.maintenance = QueryMaintenance(
+            database, self.store, self.config, access_control=self.access_control
+        )
         self._browser = QueryBrowser(
             self.store, self.access_control, ranking=ranking, clock=self.clock
         )

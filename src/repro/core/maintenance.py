@@ -21,6 +21,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
+from repro.core.access_control import AccessControl
 from repro.core.config import CQMSConfig
 from repro.core.query_store import QueryStore
 from repro.core.records import LoggedQuery, statement_artefacts
@@ -59,9 +60,12 @@ class QueryMaintenance:
         database: Database,
         store: QueryStore,
         config: CQMSConfig | None = None,
+        *,
+        access_control: AccessControl,
     ):
         self._db = database
         self._store = store
+        self._access = access_control
         self._config = config or CQMSConfig()
         self._statistics_snapshots: dict[str, TableStatistics] = {}
 
@@ -160,6 +164,7 @@ class QueryMaintenance:
                 and record.flag_count >= self._config.drop_invalid_after_flags
             ):
                 self._store.remove(record.qid)
+                self._access.forget(record.qid)
                 report.dropped.append(record.qid)
         return report
 

@@ -109,6 +109,11 @@ class PageStore:
         self._writebacks = 0
         self._allocated = 0
 
+    @property
+    def evicts(self) -> bool:
+        """Whether a page can leave residency (a durable, bounded pool)."""
+        return self._capacity is not None
+
     # -- page lifecycle -------------------------------------------------------
 
     def allocate(self, obj, codec) -> int:

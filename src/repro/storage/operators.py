@@ -87,13 +87,14 @@ class NodeStats:
     the probe side of an :class:`IndexLookupJoin`.  ``wall_seconds`` is
     inclusive wall time spent inside the node's generator (children included),
     measured with :data:`~repro.obs.metrics.engine_timer` regardless of the database's
-    injectable clock.
+    injectable clock.  ``reused``: the :class:`HashJoin` side a kept entry built.
     """
 
     rows: int = 0
     batches: int = 0
     loops: int = 0
     wall_seconds: float = 0.0
+    reused: str = ""
 
     def describe(self) -> str:
         parts = [f"rows={self.rows}"]
@@ -101,6 +102,8 @@ class NodeStats:
             parts.append(f"batches={self.batches}")
         if self.loops > 1:
             parts.append(f"loops={self.loops}")
+        if self.reused:
+            parts.append(f"reused={self.reused}")
         if self.batches:
             parts.append(f"time={self.wall_seconds * 1000.0:.3f}ms")
         return "actual " + " ".join(parts)
@@ -406,20 +409,20 @@ class HashJoin(Operator):
         self.estimate = estimate
         # Each key is a bound column of its own side: a one-column key is the
         # bare value, a longer one a tuple, and with no pairs every key is ().
+        self._slots = (
+            tuple(slot_of(left.bindings, key) for key, _ in self.pairs),
+            tuple(slot_of(right.bindings, key) for _, key in self.pairs),
+        )
         self._keys = tuple(
-            itemgetter(*slots) if slots else itemgetter(slice(0))
-            for slots in (
-                [slot_of(left.bindings, key) for key, _ in self.pairs],
-                [slot_of(right.bindings, key) for _, key in self.pairs],
-            )
+            itemgetter(*slots) if slots else itemgetter(slice(0)) for slots in self._slots
         )
         #: The residual's kernels, or None when a conjunct has no kernel.
         self.residual_kernels = compile_columnar_conjuncts(self.residual, self.bindings)
 
-    def _sides(self):
-        """``(build, probe, build key, probe key)``."""
+    def _sides(self, build_left: bool):
+        """``(build, probe, build key, probe key)``, left built if ``build_left``."""
         left_key, right_key = self._keys
-        if self.build_left:
+        if build_left:
             return self.left, self.right, left_key, right_key
         return self.right, self.left, right_key, left_key
 
@@ -452,20 +455,40 @@ class HashJoin(Operator):
             del table[key]
         return table, unique
 
+    def _kept_build(self, ctx: ExecutionContext) -> tuple[bool, tuple[dict, bool] | None]:
+        """``(build_left, (table, unique))`` from a bare :class:`SeqScan` input's
+        :meth:`Table.join_entry`, the planned build side asked first; else
+        the planned side and None."""
+        for build_left in (self.build_left, not self.build_left):
+            scan, _, key, _ = self._sides(build_left)
+            if type(scan) is not SeqScan:
+                continue
+            entry = scan.table.join_entry(
+                self._slots[0 if build_left else 1],
+                lambda: self._hash_table(_materialized(scan, ctx), key, grouped=False),
+            )
+            if entry is not None:
+                stats = ctx.observe(self)
+                if stats is not None and id(scan) not in ctx.node_stats:
+                    stats.reused = "left" if build_left else "right"
+                return build_left, entry
+        return self.build_left, None
+
     def _equi_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        build, probe, build_key, probe_key = self._sides()
-        rows = [row for batch in build.batches(ctx) for row in batch]
-        table, unique = self._hash_table(rows, build_key, grouped=False)
-        del rows  # no list outlives the build holding its rows
+        build_left, entry = self._kept_build(ctx)
+        build, probe, build_key, probe_key = self._sides(build_left)
+        if entry is None:
+            entry = self._hash_table(_materialized(build, ctx), build_key, grouped=False)
+        table, unique = entry
         batch_size = max(1, ctx.batch_size)
         out: RowBatch = []
         for batch in probe.batches(ctx):
             found = zip(batch, map(table.get, map(probe_key, batch)))
-            if unique and self.build_left:
+            if unique and build_left:
                 joined = [match + row for row, match in found if match is not None]
             elif unique:
                 joined = [row + match for row, match in found if match is not None]
-            elif self.build_left:
+            elif build_left:
                 joined = [match + row for row, matches in found if matches for match in matches]
             else:
                 joined = [row + match for row, matches in found if matches for match in matches]
@@ -482,8 +505,8 @@ class HashJoin(Operator):
     def _probe_rows(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         """In batches: per probe row, the rows it joins into; then, for
         FULL, the unmatched build rows, padded."""
-        build, probe, build_key, probe_key = self._sides()
-        rows = [row for batch in build.batches(ctx) for row in batch]
+        build, probe, build_key, probe_key = self._sides(self.build_left)
+        rows = _materialized(build, ctx)
         table, _ = self._hash_table(rows, build_key, grouped=True)
         select = self.residual and survivors(
             self.residual_kernels, self.residual, self.bindings, ctx
@@ -871,6 +894,11 @@ def equality_probe_keys(value: object, data_type: DataType) -> list | None:
                 return []
             return [coerced] if str(coerced) == value else []
     return None
+
+
+def _materialized(op: Operator, ctx: ExecutionContext) -> list[Row]:
+    """Every row ``op`` streams, in one list."""
+    return [row for batch in op.batches(ctx) for row in batch]
 
 
 def _chunk(rows, ctx: ExecutionContext) -> Iterator[RowBatch]:

@@ -212,6 +212,31 @@ class Table:
             if page:
                 yield list(page.values())
 
+    @property
+    def version(self) -> int:
+        return self._version
+
+    @version.setter
+    def version(self, value: int) -> None:
+        self._version = value
+        # key positions -> join entry, or None once asked at this version
+        self._join_entries: dict[tuple[int, ...], tuple[dict, bool] | None] = {}
+
+    def join_entry(self, positions: tuple[int, ...], build) -> tuple[dict, bool] | None:
+        """``build()``'s join hash table of the whole table on the columns at
+        ``positions``, kept while ``version`` holds; None at the first ask of
+        a version, and always from a store that evicts (the rows it holds
+        would outstay the pool's bound)."""
+        if self._store.evicts:
+            return None
+        entries = self._join_entries
+        if positions not in entries:
+            entries[positions] = None
+            return None
+        if entries[positions] is None:
+            entries[positions] = build()  # a write during the build orphans ``entries``
+        return entries[positions]
+
     def _bump(self, schema: bool = False) -> None:
         """Advance the change counters after a mutation."""
         self.version += 1
@@ -329,6 +354,7 @@ class Table:
         self._page_ids.clear()
         self._page_live.clear()
         self._row_count = 0
+        self._join_entries = {}
 
     # -- indexes --------------------------------------------------------------
 

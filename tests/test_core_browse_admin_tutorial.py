@@ -127,6 +127,14 @@ class TestUserAdministration:
         admin.unshare_query("carol", 5, "alice")
         assert not busy_cqms.access_control.can_see("alice", busy_cqms.store.get(5))
 
+    def test_deleted_query_takes_its_grants_with_it(self, busy_cqms):
+        admin, access = busy_cqms.admin(), busy_cqms.access_control
+        admin.share_query("carol", 5, "alice")
+        admin.share_query("carol", 5, "bob")
+        admin.delete_query("carol", 5)
+        assert access.grants_for(5) == set()
+        assert not any(5 in qids for qids in access._granted.values())
+
 
 class TestSystemAdministration:
     def test_non_admin_rejected(self, busy_cqms):

@@ -151,6 +151,16 @@ class TestDropObsolete:
         assert 2 in report.dropped
         assert 2 not in cqms.store
 
+    def test_dropped_query_takes_its_grants_with_it(self, cqms_with_queries):
+        cqms, access = cqms_with_queries, cqms_with_queries.access_control
+        cqms.config.drop_invalid_after_flags = 1
+        access.grant(2, "bob")
+        cqms.database.execute("ALTER TABLE CityLocations DROP COLUMN population")
+        cqms.run_maintenance()
+        assert 2 in cqms.maintenance.drop_obsolete().dropped
+        assert access.grants_for(2) == set()
+        assert not any(2 in qids for qids in access._granted.values())
+
     def test_valid_queries_never_dropped(self, cqms_with_queries):
         cqms = cqms_with_queries
         report = cqms.maintenance.drop_obsolete()
