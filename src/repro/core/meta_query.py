@@ -294,19 +294,12 @@ class MetaQueryExecutor:
 
         The Query Storage matches the pattern against each distinct *text*
         (trees are built once per text and pre-filtered through its
-        tree-label postings, see ``QueryStore.texts_matching``); the records
-        carrying a matching text come back in qid order.  Logged text that
-        does not parse never matches.
+        tree-label postings, see ``QueryStore.qids_matching``); the visible
+        records carrying a matching text come back in qid order.  Logged text
+        that does not parse never matches.
         """
-        selects = [record for record in self._visible(principal) if record.is_select]
-        matched = self._store.texts_matching(pattern, {record.text for record in selects})
-        matches = []
-        for record in selects:
-            if record.text in matched:
-                matches.append(record)
-                if limit is not None and len(matches) >= limit:
-                    break
-        return matches
+        qids = self._store.qids_matching(pattern, self._visible_qids(principal))
+        return list(map(self._store.get, qids[:limit] if limit is not None else qids))
 
     # -- query-by-data -------------------------------------------------------------------
 

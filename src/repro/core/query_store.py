@@ -205,12 +205,11 @@ class _Statement:
     """What the Query Storage keeps per distinct statement text."""
 
     lowered: str
-    #: Live records carrying the text; the entry dies with the last one.
-    count: int = 0
+    #: The qids of the live records carrying the text; the entry dies with them.
+    qids: set[int] = field(default_factory=set)
     #: Built by the first structural search that needs it; stays ``None``
     #: for a text that does not parse.
     tree: ParseTreeNode | None = None
-    tree_built: bool = False
     #: ``(statement_kind, features, canonical_text, template_text)`` — the
     #: objects the text's records hold — and the key the profiler derived
     #: them under (its mode and the user-DB catalog version).
@@ -340,6 +339,7 @@ class QueryStore:
         # built so far: label or (label, value) -> texts whose tree has it.
         self._statements: dict[str, _Statement] = {}
         self._tree_postings: dict[object, set[str]] = {}
+        self._unparsed: set[str] = set()  # texts no structural search parsed yet
         # The template table: what the instances of a user-DBMS token
         # template share, filed per (template, profiler key); LRU-bounded.
         self._templates: OrderedDict[tuple, TemplateArtefacts] = OrderedDict()
@@ -475,7 +475,7 @@ class QueryStore:
         """File a record in every in-memory index (:meth:`_unindex` undoes it)."""
         qid = record.qid
         self._records[qid] = record
-        self._intern_text(record.text)
+        self._intern_text(record.text, qid)
         self._file_visibility(record)
         self._lowered[qid] = self._statements[record.text].lowered
         self._file_haystack(record)
@@ -488,7 +488,7 @@ class QueryStore:
     def _unindex(self, record: LoggedQuery) -> None:
         qid = record.qid
         del self._records[qid]
-        self._release_text(record.text)
+        self._release_text(record.text, qid)
         self._unfile_visibility(record)
         del self._lowered[qid], self._haystacks[qid]
         for key in _feature_keys(record):
@@ -581,18 +581,20 @@ class QueryStore:
 
     # -- the statement table ----------------------------------------------------
 
-    def _intern_text(self, text: str) -> None:
+    def _intern_text(self, text: str, qid: int) -> None:
         entry = self._statements.get(text)
         if entry is None:
             entry = self._statements[text] = _Statement(lowered=text.lower())
-        entry.count += 1
+            self._unparsed.add(text)
+        entry.qids.add(qid)
 
-    def _release_text(self, text: str) -> None:
+    def _release_text(self, text: str, qid: int) -> None:
         entry = self._statements[text]
-        entry.count -= 1
-        if entry.count:
+        entry.qids.discard(qid)
+        if entry.qids:
             return
         del self._statements[text]
+        self._unparsed.discard(text)
         if entry.tree is not None:
             for key in _posting_keys(entry.tree):
                 bucket = self._tree_postings[key]
@@ -625,34 +627,36 @@ class QueryStore:
             self._templates.move_to_end((template, key))
         return shared
 
-    def texts_matching(self, pattern: TreePattern, texts: set[str]) -> set[str]:
-        """The subset of ``texts`` whose parse tree contains ``pattern``.
-
-        ``texts`` are statement texts of live records.  Those not yet parsed
-        are parsed now — at most once per distinct text for the life of its
-        entry — and filed under every label and ``(label, value)`` of their
-        tree.  A matching tree must contain every pattern node's label (and
-        value, when the pattern gives one), so intersecting those postings
-        loses no match; :func:`match_pattern` then runs once per surviving
-        text.  Texts that do not parse have no tree and never match.
+    def qids_matching(self, pattern: TreePattern, qids: Set[int]) -> list[int]:
+        """The SELECTs among ``qids`` whose parse tree contains ``pattern``,
+        in qid order.  A text is parsed (once) when it first carries such a
+        SELECT and filed under each label and ``(label, value)`` of its tree;
+        :func:`match_pattern` runs on the texts filed under all of the
+        pattern's that carry one.  A text that does not parse never matches.
         """
-        for text in texts:
-            entry = self._statements[text]
-            if not entry.tree_built:
-                entry.tree_built = True
-                try:
-                    entry.tree = to_parse_tree(text)
-                except ReproError:
-                    continue
-                for key in _posting_keys(entry.tree):
-                    self._tree_postings.setdefault(key, set()).add(text)
+        records, statements = self._records, self._statements
+
+        def selects(text: str) -> list[int]:
+            return [qid for qid in statements[text].qids if qid in qids and records[qid].is_select]
+
+        for text in [text for text in self._unparsed if selects(text)]:
+            self._unparsed.discard(text)
+            entry = statements[text]
+            try:
+                entry.tree = to_parse_tree(text)
+            except ReproError:
+                continue
+            for key in _posting_keys(entry.tree):
+                self._tree_postings.setdefault(key, set()).add(text)
         postings = [self._tree_postings.get(key) for key in _pattern_keys(pattern)]
         if not all(postings):
-            return set()
-        candidates = set.intersection(*sorted([texts, *postings], key=len))
-        return {
-            text for text in candidates if match_pattern(self._statements[text].tree, pattern)
-        }
+            return []
+        found: list[int] = []
+        for text in set.intersection(*sorted(postings, key=len)):
+            hits = selects(text)
+            if hits and match_pattern(statements[text].tree, pattern):
+                found += hits
+        return sorted(found)
 
     # -- the one write path -----------------------------------------------------
 

@@ -899,16 +899,16 @@ class Database:
         executor = Executor(self, deadline=deadline)
         plan, cache_hit = self._plan(statement, prepared)
         layout = layout_of(plan.scan.bindings)
-        count = 0
-        for row_id, row in self._find_dml_targets(plan, executor, deadline):
-            scope = Scope(layout, row)
-            changes = {
-                column: evaluate(value, scope, executor._run_subquery)
+        # All values first, then one unit of rows: a refused UPDATE changes nothing.
+        updates = [
+            (row_id, {
+                column: evaluate(value, Scope(layout, row), executor._run_subquery)
                 for column, value in plan.assignments
-            }
-            table.update(row_id, changes)
-            count += 1
-        return self._dml_result(executor, "update", count, cache_hit)
+            })
+            for row_id, row in self._find_dml_targets(plan, executor, deadline)
+        ]
+        table.update_many(updates)
+        return self._dml_result(executor, "update", len(updates), cache_hit)
 
     def _execute_delete(
         self,

@@ -43,6 +43,7 @@ from repro.storage.expression import Scope, evaluate, is_true, layout_of
 from repro.storage.operators import (
     ExecutionContext,
     Filter,
+    HashJoin,
     IndexScan,
     NodeStats,
     SeqScan,
@@ -222,8 +223,12 @@ class Executor:
             seen: set | None = set() if statement.distinct else None
             rows = []
             done = False
-            project = self._projection(plan, outer_scope)
-            for batch in plan.root.batches(ctx):
+            # A join root emits a select list of positions itself.
+            batches = type(plan.root) is HashJoin and plan.root.projected_batches(
+                ctx, plan.projection
+            )
+            project = list if batches else self._projection(plan, outer_scope)
+            for batch in batches or plan.root.batches(ctx):
                 self.metrics.batches += 1
                 values_batch = project(batch)
                 if seen is None and needed is None:

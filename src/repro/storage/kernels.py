@@ -47,22 +47,29 @@ from repro.storage.expression import like_regex, slot_of
 from repro.storage.types import DataType, as_text, compare_values
 
 
-class _Columns(dict):
-    """One row batch's columns by row position, each extracted on first use
-    (None at NULL positions) and kept for the batch's other kernels."""
+class Columns(dict):
+    """One row batch's columns by row position, each made on first use (None
+    at NULL positions) and kept for the batch's other kernels: from the rows,
+    or as the ``chunk`` slice of the ``whole`` columns (a kept table's)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "whole", "chunk")
 
-    def __init__(self, rows):
+    def __init__(self, rows, whole: "Columns | None" = None, chunk: slice | None = None):
         self.rows = rows
+        self.whole = whole
+        self.chunk = chunk
 
     def __missing__(self, position: int) -> list:
-        values = self[position] = list(map(itemgetter(position), self.rows))
+        if self.whole is None:
+            values = list(map(itemgetter(position), self.rows))
+        else:
+            values = self.whole[position][self.chunk]
+        self[position] = values
         return values
 
 
 #: A kernel maps ``(columns, selection | None)`` to the surviving positions.
-Kernel = Callable[[_Columns, "list[int] | None"], "list[int]"]
+Kernel = Callable[[Columns, "list[int] | None"], "list[int]"]
 
 _DIRECT_TESTS = {
     "=": _operator.eq,
@@ -99,7 +106,7 @@ _FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "<>": "<>"}
 _NUMERIC_TYPES = (DataType.INTEGER, DataType.FLOAT)
 
 
-def _indices(columns: _Columns, selection):
+def _indices(columns: Columns, selection):
     return range(len(columns.rows)) if selection is None else selection
 
 
@@ -383,10 +390,11 @@ def compile_columnar_conjuncts(predicates, bindings) -> list[Kernel] | None:
     return kernels
 
 
-def apply_kernels(kernels, rows) -> "list[int] | range":
+def apply_kernels(kernels, rows, columns: Columns | None = None) -> "list[int] | range":
     """The positions of the ``rows`` that pass every kernel of a conjunct
-    chain, in row order (all of them for an empty chain)."""
-    columns = _Columns(rows)
+    chain, in row order (all of them for an empty chain); ``columns``: the
+    rows' :class:`Columns`, when made by the caller."""
+    columns = Columns(rows) if columns is None else columns
     selection = None
     for kernel in kernels:
         selection = kernel(columns, selection)

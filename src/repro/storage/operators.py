@@ -50,8 +50,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
-from operator import itemgetter
+from itertools import compress, islice
+from operator import add, itemgetter
 from typing import Callable, Iterator
 
 from repro.errors import QueryTimeoutError, SchemaError
@@ -61,7 +61,8 @@ from repro.sql.formatter import format_expression
 from repro.storage.aggregates import AggregateCollection, hashable_value
 from repro.storage.exec_settings import DEFAULT_BATCH_SIZE
 from repro.storage.expression import Scope, evaluate, is_true, layout_of, slot_of
-from repro.storage.kernels import apply_kernels, compile_columnar_conjuncts
+from repro.storage.kernels import Columns, apply_kernels, compile_columnar_conjuncts
+from repro.storage.table import Kept
 from repro.storage.types import DataType, coerce_value, compare_values
 
 #: Sentinel: "not compiled yet" (None is a compiled answer), or "no more".
@@ -88,6 +89,7 @@ class NodeStats:
     inclusive wall time spent inside the node's generator (children included),
     measured with :data:`~repro.obs.metrics.engine_timer` regardless of the database's
     injectable clock.  ``reused``: the :class:`HashJoin` side a kept entry built.
+    ``kept``: the node read a table's :class:`~repro.storage.table.Kept` lists.
     """
 
     rows: int = 0
@@ -95,6 +97,7 @@ class NodeStats:
     loops: int = 0
     wall_seconds: float = 0.0
     reused: str = ""
+    kept: bool = False
 
     def describe(self) -> str:
         parts = [f"rows={self.rows}"]
@@ -104,6 +107,8 @@ class NodeStats:
             parts.append(f"loops={self.loops}")
         if self.reused:
             parts.append(f"reused={self.reused}")
+        if self.kept:
+            parts.append("kept")
         if self.batches:
             parts.append(f"time={self.wall_seconds * 1000.0:.3f}ms")
         return "actual " + " ".join(parts)
@@ -152,14 +157,16 @@ class ExecutionContext:
                 "at a batch boundary"
             )
 
-    def observe(self, op: "Operator") -> NodeStats | None:
-        """The operator's :class:`NodeStats` slot, or None when not analyzing."""
+    def observe(self, op: "Operator", kept: bool = False) -> NodeStats | None:
+        """The operator's :class:`NodeStats` slot, or None when not analyzing;
+        ``kept`` marks it as reading kept lists."""
         if self.node_stats is None:
             return None
         stats = self.node_stats.get(id(op))
         if stats is None:
             stats = NodeStats()
             self.node_stats[id(op)] = stats
+        stats.kept |= kept
         return stats
 
 
@@ -179,8 +186,8 @@ class Operator:
             return self._batches(ctx)
         return self._instrumented(self._batches(ctx), ctx)
 
-    def _instrumented(self, source: Iterator[RowBatch], ctx: ExecutionContext):
-        """``source`` with this node's actuals recorded."""
+    def _instrumented(self, source: Iterator, ctx: ExecutionContext, size=len):
+        """``source`` with this node's actuals recorded, ``size(item)`` rows each."""
         stats = ctx.observe(self)
         stats.loops += 1
         while True:
@@ -192,7 +199,7 @@ class Operator:
                 return
             stats.wall_seconds += engine_timer() - started
             stats.batches += 1
-            stats.rows += len(batch)
+            stats.rows += size(batch)
             yield batch
 
     def label(self) -> str:
@@ -240,7 +247,22 @@ class SeqScan(Operator):
             yield row_id, row
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        return _scan_chunks(self.table, ctx)
+        kept = self.table.kept(ctx.metrics)
+        if kept is None:
+            return _scan_chunks(self.table, ctx)
+        ctx.observe(self, kept=True)
+        return (columns.rows for columns in self.chunks(kept, ctx))
+
+    def chunks(self, kept: Kept, ctx: ExecutionContext) -> Iterator[Columns]:
+        """``kept.rows`` chunked as the page scan chunks its rows (and charged
+        as it is), each chunk the :class:`Columns` slicing ``kept.columns``."""
+        start, rows = 0, kept.rows
+        while start < len(rows):
+            chunk = slice(start, min(len(rows), start + max(1, ctx.batch_size)))
+            ctx.tick()
+            ctx.metrics.rows_scanned += chunk.stop - start
+            yield Columns(rows[chunk], kept.columns, chunk)
+            start = chunk.stop
 
     def label(self) -> str:
         return f"SeqScan {_scan_target(self.table, self.binding)} [est={self.estimate:.0f}]"
@@ -366,11 +388,29 @@ class Filter(Operator):
         self.kernels = compile_columnar_conjuncts(self.predicates, self.bindings)
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+        kept = self.kept_input()
+        if kept is not None:
+            ctx.observe(self, kept=True)
+            for columns, chosen in self.selections(kept, ctx):
+                yield list(map(columns.rows.__getitem__, chosen))
+            return
         select = survivors(self.kernels, self.predicates, self.bindings, ctx)
         for batch in self.child.batches(ctx):
             kept = [batch[i] for i in select(batch)]
             if kept:
                 yield kept
+
+    def kept_input(self) -> Kept | None:
+        """Kernels over a bare :class:`SeqScan`: its table's kept lists, if any."""
+        if self.kernels is not None and type(self.child) is SeqScan:
+            return self.child.table.kept()
+        return None
+
+    def selections(self, kept: Kept, ctx: ExecutionContext):
+        """Per chunk with a survivor, ``(its Columns, the surviving positions)``."""
+        for columns in _bypassing(self.child, self.child.chunks(kept, ctx), ctx):
+            if chosen := apply_kernels(self.kernels, columns.rows, columns):
+                yield columns, chosen
 
     def label(self) -> str:
         predicates = " AND ".join(format_expression(p) for p in self.predicates)
@@ -428,8 +468,18 @@ class HashJoin(Operator):
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         if self.join_type == "INNER" and self.pairs and not self.residual:
-            return self._equi_batches(ctx)
+            return self._equi_batches(ctx, None)
         return self._probe_rows(ctx)
+
+    def projected_batches(self, ctx: ExecutionContext, output: list):
+        """An inner equi join's :meth:`batches` cut to the ``output`` positions
+        (a streaming SELECT's select list), else None (not positions, or all)."""
+        if self.join_type != "INNER" or not self.pairs or self.residual:
+            return None
+        if any(type(p) is not int for p in output) or output == list(range(row_width(self.bindings))):
+            return None
+        source = self._equi_batches(ctx, tuple(output))
+        return source if ctx.node_stats is None else self._instrumented(source, ctx)
 
     def _hash_table(self, rows: list[Row], key_of, grouped: bool) -> tuple[dict, bool]:
         """``(table, unique)``: the build ``rows`` by their key, less the rows
@@ -466,6 +516,7 @@ class HashJoin(Operator):
             entry = scan.table.join_entry(
                 self._slots[0 if build_left else 1],
                 lambda: self._hash_table(_materialized(scan, ctx), key, grouped=False),
+                ctx.metrics,
             )
             if entry is not None:
                 stats = ctx.observe(self)
@@ -474,25 +525,29 @@ class HashJoin(Operator):
                 return build_left, entry
         return self.build_left, None
 
-    def _equi_batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
+    def _equi_batches(self, ctx: ExecutionContext, output) -> Iterator[RowBatch]:
         build_left, entry = self._kept_build(ctx)
         build, probe, build_key, probe_key = self._sides(build_left)
-        if entry is None:
-            entry = self._hash_table(_materialized(build, ctx), build_key, grouped=False)
-        table, unique = entry
+        kept = None if entry is None else _kept_probe(probe, ctx)
+        if kept is not None:  # each kept probe row's match, probed once per entry
+            ctx.observe(self, kept=True)
+            kept, chunks = kept
+            lists = kept.matches.setdefault(build.table.kept(), {})
+            positions = self._slots if build_left else self._slots[::-1]
+            if positions not in lists:
+                lists[positions] = list(map(entry[0].get, map(probe_key, kept.rows)))
+            found = lists[positions]
+            probes = ((columns, found[columns.chunk], chosen) for columns, chosen in chunks)
+        else:
+            if entry is None:
+                entry = self._hash_table(_materialized(build, ctx), build_key, grouped=False)
+            probes = (
+                (Columns(batch), list(map(entry[0].get, map(probe_key, batch))), None)
+                for batch in probe.batches(ctx)
+            )
         batch_size = max(1, ctx.batch_size)
         out: RowBatch = []
-        for batch in probe.batches(ctx):
-            found = zip(batch, map(table.get, map(probe_key, batch)))
-            if unique and build_left:
-                joined = [match + row for row, match in found if match is not None]
-            elif unique:
-                joined = [row + match for row, match in found if match is not None]
-            elif build_left:
-                joined = [match + row for row, matches in found if matches for match in matches]
-            else:
-                joined = [row + match for row, matches in found if matches for match in matches]
-            del found  # the zip keeps its last pair, which holds a build row
+        for joined in self._joined(probes, entry[1], build_left, output):
             ctx.metrics.rows_joined += len(joined)
             out += joined
             cut = len(out) - len(out) % batch_size  # whole batches go out now
@@ -501,6 +556,44 @@ class HashJoin(Operator):
             del out[:cut]
         if out:
             yield out
+
+    def _joined(self, probes, unique: bool, build_left: bool, output):
+        """Per probe chunk ``(its Columns, each row's match: a row, a list of
+        rows unless ``unique``, or None; the positions of the rows to join or
+        None)``, the joined rows, or their ``output`` positions, zipped from
+        probe columns and build-row getters."""
+        left, readers = row_width(self.left.bindings), None
+        if output is not None:  # a probe column's position, or a build-row getter
+            readers = [
+                (p - left if build_left else p) if (p >= left) == build_left
+                else itemgetter(p if build_left else p - left)
+                for p in output
+            ]
+        for columns, found, chosen in probes:
+            if chosen is not None:
+                found = list(map(found.__getitem__, chosen))
+            if not unique:
+                positions = chosen or range(len(found))
+                chosen = [i for i, group in zip(positions, found) if group for _ in group]
+                found = [row for group in found if group for row in group]
+            elif not all(found):  # a row is a non-empty tuple, no match None
+                chosen = list(compress(chosen or range(len(found)), found))
+                found = list(filter(None, found))
+
+            def pick(values):
+                return values if chosen is None else list(map(values.__getitem__, chosen))
+
+            if readers is not None:
+                joined = list(zip(*[
+                    pick(columns[reader]) if type(reader) is int else map(reader, found)
+                    for reader in readers
+                ]))
+            elif build_left:
+                joined = list(map(add, found, pick(columns.rows)))
+            else:
+                joined = list(map(add, pick(columns.rows), found))
+            del found  # no list outlives the batch holding its build rows
+            yield joined
 
     def _probe_rows(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         """In batches: per probe row, the rows it joins into; then, for
@@ -893,6 +986,24 @@ def equality_probe_keys(value: object, data_type: DataType) -> list | None:
             except SchemaError:
                 return []
             return [coerced] if str(coerced) == value else []
+    return None
+
+
+def _bypassing(op: Operator, source: Iterator, ctx: ExecutionContext, size=None) -> Iterator:
+    """``source``, read in place of ``op``'s batches(), as its ANALYZE actuals
+    (``size(item)`` rows per item, by default a :class:`Columns`' rows)."""
+    if ctx.observe(op, kept=True) is None:
+        return source
+    return op._instrumented(source, ctx, size or (lambda columns: len(columns.rows)))
+
+
+def _kept_probe(op: Operator, ctx: ExecutionContext):
+    """``(kept, per chunk (its Columns, the positions to join, None for all))``
+    for a bare :class:`SeqScan` of a kept table or a kernel Filter over one."""
+    if type(op) is SeqScan and (kept := op.table.kept()) is not None:
+        return kept, ((c, None) for c in _bypassing(op, op.chunks(kept, ctx), ctx))
+    if type(op) is Filter and (kept := op.kept_input()) is not None:
+        return kept, _bypassing(op, op.selections(kept, ctx), ctx, lambda item: len(item[1]))
     return None
 
 

@@ -14,17 +14,21 @@ touched heap page, walk each index, drop the statistics cache, advance
 ``version`` (by the batch's row count) and — on a durable table — emit one
 ``insert_many`` WAL record.  The batch is atomic: a row that cannot be
 coerced, a duplicate or an un-log-able record leaves the table as it was.
-Updates and deletes stay row-at-a-time.
+An UPDATE's rows change as one unit (:meth:`Table.update_many`); deletes
+stay row-at-a-time.  An unchanged table keeps what scans and joins read
+again (:meth:`Table.kept`).
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from weakref import WeakKeyDictionary
 
 from repro.errors import IntegrityError, SchemaError
 from repro.storage.buffer_pool import PageStore
 from repro.storage.indexes import HashIndex
+from repro.storage.kernels import Columns
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.statistics import TableStatistics
 from repro.storage.types import DataType, freeze_json
@@ -94,6 +98,20 @@ def _install_slots(page: dict, slot: int, rows) -> None:
         ordered = sorted(page.items())
         page.clear()
         page.update(ordered)
+
+
+class Kept:
+    """What a table keeps at one ``version`` (:meth:`Table.kept`): ``rows`` in
+    scan order, their ``columns`` (each made on first use), join ``entries``
+    by key positions, and ``matches``: per build table's :class:`Kept` (held
+    weakly) and ``(build, probe)`` key positions, each row's match."""
+
+    __slots__ = ("rows", "columns", "entries", "matches", "__weakref__")
+
+    def __init__(self, rows: list[tuple]):
+        self.rows, self.columns = rows, Columns(rows)
+        self.entries: dict[tuple[int, ...], tuple[dict, bool]] = {}
+        self.matches: WeakKeyDictionary = WeakKeyDictionary()
 
 
 class Table:
@@ -219,23 +237,33 @@ class Table:
     @version.setter
     def version(self, value: int) -> None:
         self._version = value
-        # key positions -> join entry, or None once asked at this version
-        self._join_entries: dict[tuple[int, ...], tuple[dict, bool] | None] = {}
+        self._drop_kept()
 
-    def join_entry(self, positions: tuple[int, ...], build) -> tuple[dict, bool] | None:
-        """``build()``'s join hash table of the whole table on the columns at
-        ``positions``, kept while ``version`` holds; None at the first ask of
-        a version, and always from a store that evicts (the rows it holds
-        would outstay the pool's bound)."""
-        if self._store.evicts:
+    def _drop_kept(self) -> None:
+        self._kept: Kept | None = None
+        self._asked_by, self._entries_asked = None, set()  # see kept, join_entry
+
+    def kept(self, statement: object = None) -> Kept | None:
+        """This version's :class:`Kept` lists: built at the ask of a second
+        ``statement`` (the first's asks only record it; no statement only
+        looks), never in a store that evicts (they would outstay its bound)."""
+        if self._kept is None and statement is not None and not self._store.evicts:
+            if self._asked_by is None:
+                self._asked_by = statement
+            elif self._asked_by is not statement:
+                self._kept = Kept(self.rows())
+        return self._kept
+
+    def join_entry(self, positions: tuple[int, ...], build, statement) -> tuple[dict, bool] | None:
+        """The kept ``build()`` of the whole table's ``(hash table, unique)`` on
+        the columns at ``positions``; a first ask for them only records it."""
+        kept = self.kept(statement)
+        if kept is None or positions not in self._entries_asked:
+            self._entries_asked.add(positions)
             return None
-        entries = self._join_entries
-        if positions not in entries:
-            entries[positions] = None
-            return None
-        if entries[positions] is None:
-            entries[positions] = build()  # a write during the build orphans ``entries``
-        return entries[positions]
+        if positions not in kept.entries:
+            kept.entries[positions] = build()  # a write during it orphans ``kept``
+        return kept.entries[positions]
 
     def _bump(self, schema: bool = False) -> None:
         """Advance the change counters after a mutation."""
@@ -354,7 +382,7 @@ class Table:
         self._page_ids.clear()
         self._page_live.clear()
         self._row_count = 0
-        self._join_entries = {}
+        self._drop_kept()
 
     # -- indexes --------------------------------------------------------------
 
@@ -543,58 +571,59 @@ class Table:
     def update(self, row_id: int, changes: dict[str, object]) -> None:
         """Overwrite the named columns of one row (``changes`` maps column
         names, any case, to new values)."""
-        row = self.get(row_id)
-        if row is None:
-            return
-        schema = self._schema
-        positions = [schema.position(name) for name in changes]
-        updated = list(row)
-        for position, value in zip(positions, changes.values()):
-            updated[position] = value
-        coerced = schema.coerce_values((updated,))[0]
-        # Re-point every affected index, rolling back the ones already touched
-        # if a later unique index rejects the new value — a failed update must
-        # leave every index exactly as it was.
-        touched: list[tuple[object, object, object]] = []
-        try:
-            for index, position in self._indexed():
-                old_value = row[position]
-                new_value = coerced[position]
-                if old_value == new_value:
-                    continue
-                index.delete(old_value, row_id)
-                if index.unique and new_value is not None and index.lookup(new_value):
-                    index.insert(old_value, row_id)  # restore before failing
-                    raise IntegrityError(
-                        f"duplicate value {new_value!r} for unique column "
-                        f"{index.column!r} of table {self.name!r}"
-                    )
-                index.insert(new_value, row_id)
-                touched.append((index, old_value, new_value))
-        except IntegrityError:
-            for index, old_value, new_value in reversed(touched):
-                index.delete(new_value, row_id)
-                index.insert(old_value, row_id)
-            raise
-        self._store_slot(row_id, coerced)
-        self._stats_cache = None
-        self.version += 1
-        if self.wal_emit is not None:
-            changed = {
-                schema.columns[position].name: coerced[position] for position in positions
-            }
-            try:
-                self.wal_emit(
-                    {"op": "update", "tbl": self.name, "rid": row_id, "set": changed}
-                )
-            except BaseException:
-                # Un-log-able update: restore the old row and re-point the
-                # indexes touched above, so memory matches what recovery
-                # will rebuild.
+        self.update_many(((row_id, changes),))
+
+    def update_many(self, updates) -> None:
+        """:meth:`update` each ``(row_id, changes)`` in turn as one unit: a value
+        refused (also against a row changed before) puts every row back, logs
+        nothing; a row whose record cannot be logged puts back it and later ones."""
+        schema, indexed = self._schema, self._indexed()
+        done: list[tuple] = []  # (row id, old row, new row, positions, index moves)
+
+        def put_back(changed: list[tuple]) -> None:
+            for row_id, row, _, _, moves in reversed(changed):
                 self._store_slot(row_id, row)
-                for index, old_value, new_value in reversed(touched):
+                for index, old_value, new_value in reversed(moves):
                     index.delete(new_value, row_id)
                     index.insert(old_value, row_id)
+
+        try:
+            for row_id, changes in updates:
+                row = self.get(row_id)
+                if row is None:
+                    continue
+                positions = [schema.position(name) for name in changes]
+                updated = list(row)
+                for position, value in zip(positions, changes.values()):
+                    updated[position] = value
+                coerced = schema.coerce_values((updated,))[0]
+                moves: list[tuple] = []
+                done.append((row_id, row, coerced, positions, moves))
+                for index, position in indexed:
+                    old_value, new_value = row[position], coerced[position]
+                    if old_value == new_value:
+                        continue
+                    if index.unique and new_value is not None and index.lookup(new_value):
+                        raise IntegrityError(
+                            f"duplicate value {new_value!r} for unique column "
+                            f"{index.column!r} of table {self.name!r}"
+                        )
+                    index.delete(old_value, row_id)
+                    index.insert(new_value, row_id)
+                    moves.append((index, old_value, new_value))
+                self._store_slot(row_id, coerced)
+        except BaseException:
+            put_back(done)
+            raise
+        if done:
+            self._stats_cache = None
+            self.version += len(done)
+        for at, (row_id, _, coerced, positions, _) in enumerate(done if self.wal_emit else ()):
+            changed = {schema.columns[position].name: coerced[position] for position in positions}
+            try:
+                self.wal_emit({"op": "update", "tbl": self.name, "rid": row_id, "set": changed})
+            except BaseException:
+                put_back(done[at:])
                 raise
 
     # -- schema evolution ------------------------------------------------------

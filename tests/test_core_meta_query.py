@@ -456,12 +456,12 @@ class TestParseTreeIndex:
         store.add(_logged(1, shared))
         store.add(_logged(2, shared))
         store.add(_logged(3, other))
-        assert store.texts_matching(TreePattern("table", "watertemp"), {shared, other}) == {shared}
-        assert store._statements[shared].count == 2
+        assert store.qids_matching(TreePattern("table", "watertemp"), {1, 2, 3}) == [1, 2]
+        assert store._statements[shared].qids == {1, 2}
         assert store._statements[shared].tree is not None
 
         store.remove(1)
-        assert store._statements[shared].count == 1
+        assert store._statements[shared].qids == {2}
         assert shared in store._tree_postings[("table", "watertemp")]
 
         store.remove(2)

@@ -1,8 +1,9 @@
-"""A base table's kept join hash table (``Table.join_entry``): an inner equi
-join whose input is a bare scan builds from the table's entry while the
-table is unchanged, and a stale entry never answers.  Every case runs the
-same join before and after a change and compares each answer with stdlib
-``sqlite3`` on the same data."""
+"""What an unchanged base table keeps (``Table.kept``): an inner equi join
+whose input is a bare scan builds from the table's kept join entry, and one
+whose other input is a kept scan, bare or under kernel filters, reads that
+table's kept rows, columns and matches instead of probing; a stale entry or
+list never answers.  Every case runs the same join before and after a
+change and compares each answer with stdlib ``sqlite3`` on the same data."""
 
 from __future__ import annotations
 
@@ -19,9 +20,13 @@ from repro.storage import Database, ExecutionSettings
 #: ``k`` holds duplicates and NULLs, ``u`` is unique.
 A_ROWS = [(i % 3, None if i % 7 == 0 else i % 5, 3 * i % 7, i) for i in range(40)]
 B_ROWS = [(None if i == 3 else i % 6, i) for i in range(12)]
+#: The probe side's table: ``d`` leads, ``k`` holds duplicates and NULLs,
+#: ``w`` is the filtered column, ``x`` is unique.
+P_ROWS = [(i % 4, None if i % 6 == 0 else i % 9, 5 * i % 13, 100 + i) for i in range(30)]
 SCHEMA = (
     "CREATE TABLE a (d INTEGER, k INTEGER, v INTEGER, u INTEGER UNIQUE)",
     "CREATE TABLE b (k INTEGER, w INTEGER)",
+    "CREATE TABLE p (d INTEGER, k INTEGER, w INTEGER, x INTEGER UNIQUE)",
 )
 
 #: ``b`` is filtered, so the planner builds it; ``a`` is the bare scan whose
@@ -42,7 +47,7 @@ def pair():
         for sql in SCHEMA:
             db.execute(sql)
             connection.execute(sql)
-        for name, rows in (("a", A_ROWS), ("b", B_ROWS)):
+        for name, rows in (("a", A_ROWS), ("b", B_ROWS), ("p", P_ROWS)):
             marks = ", ".join("?" * len(rows[0]))
             connection.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
             db.execute(
@@ -78,6 +83,12 @@ def _answers_match(pair, sql: str, runs: int = 3) -> None:
 
 def _analyzed(db, sql: str) -> list[str]:
     return db.explain(sql, analyze=True).lines
+
+
+def _entries(db, name: str) -> dict:
+    """The join entries table ``name`` keeps now, by key positions."""
+    kept = db.table(name).kept()
+    return {} if kept is None else kept.entries
 
 
 def _reused(db, sql: str) -> bool:
@@ -161,7 +172,7 @@ def test_a_grouped_entry_with_null_keys(pair):
     sql = "SELECT a.u, b.w FROM b JOIN a ON b.k = a.k WHERE b.w < 9"
     _answers_match(pair, sql)
     assert _reused(db, sql)
-    entry = next(e for e in db.table("a")._join_entries.values() if e is not None)
+    (entry,) = _entries(db, "a").values()
     table, unique = entry
     assert not unique and None not in table
     assert all(isinstance(rows, list) for rows in table.values())
@@ -176,8 +187,7 @@ def test_a_self_join_on_two_key_columns(pair):
     _answers_match(pair, sql)
     other = "SELECT x.u, y.u FROM a AS x JOIN a AS y ON x.k = y.d"
     _answers_match(pair, other)
-    entries = db.table("a")._join_entries
-    assert {key for key, entry in entries.items() if entry is not None} == {(0,), (1,)}
+    assert set(_entries(db, "a")) == {(0,), (1,)}
 
 
 def test_a_multi_column_key(pair):
@@ -198,7 +208,7 @@ def test_a_table_written_between_every_two_joins_never_gets_an_entry(pair):
         assert "reused=" not in join and "build=right" in join
         assert all("never executed" not in line for line in lines)
         _both(pair, f"INSERT INTO a VALUES (7, {step}, {500 + step}, {500 + step})")
-    assert not any(db.table("a")._join_entries.values())
+    assert not _entries(db, "a")
     _answers_match(pair, JOIN, runs=1)
 
 
@@ -230,7 +240,7 @@ def test_a_timeout_during_the_admitted_build_keeps_no_entry(pair):
     db.statement_timer = itertools.count().__next__  # one "second" per read
     with pytest.raises(QueryTimeoutError):
         db.execute(JOIN, timeout_seconds=5)
-    assert not any(db.table("a")._join_entries.values())
+    assert not _entries(db, "a")
     (join,) = [line for line in _analyzed(db, JOIN) if "HashJoin" in line]
     assert "reused=" not in join
     for _ in range(2):
@@ -250,6 +260,210 @@ def test_a_store_that_evicts_keeps_no_entry(tmp_path):
         for _ in range(3):
             db.execute(JOIN)
         assert not _reused(db, JOIN)
-        assert not db.table("a")._join_entries
+        assert db.table("a").kept() is None
     finally:
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# The probe side: kept rows, columns and matches
+# ---------------------------------------------------------------------------
+
+#: The build input is bare, so its kept entry builds; ``p`` is filtered by
+#: a kernel, so it is probed, from its kept lists once they exist.  The first
+#: joins on ``b.w``, unique and unindexed, and hands the join its select
+#: list; the second joins on ``a.k``, whose entry groups its rows, and emits
+#: whole rows.
+PROBES = {
+    "unique_projected": "SELECT b.k, b.w, p.k, p.w, p.x FROM b JOIN p ON b.w = p.k WHERE p.w < 9",
+    "grouped_star": "SELECT * FROM a JOIN p ON a.k = p.k WHERE p.w < 9",
+}
+
+
+def _probed_kept(db, sql: str) -> bool:
+    """Whether the join read its probe side's kept lists."""
+    (join,) = [line for line in _analyzed(db, sql) if "HashJoin" in line]
+    return " kept " in join
+
+
+def _kept_answers(pair, sql: str) -> None:
+    """Three runs equal sqlite's rows and, the kept lists answering the
+    third, the second's rows in the same order; then the kept path runs."""
+    db, connection = pair
+    expected = connection.execute(sql).fetchall()
+    runs = [db.execute(sql).rows for _ in range(3)]
+    for run, actual in enumerate(runs, 1):
+        assert _same(actual, expected), f"run {run}: {actual} != {expected}"
+    assert runs[1] == runs[2]
+    assert _probed_kept(db, sql)
+
+
+#: Writes to the probe table ``p`` (run on both sides), and the joins after
+#: them where they are not :data:`PROBES`.
+PROBE_CHANGES = {
+    "insert": (["INSERT INTO p VALUES (9, 2, 1, 900), (9, NULL, 2, 901), (9, 3, 30, 902)"], {}),
+    "update_key": (["UPDATE p SET k = 4 WHERE k = 1"], {}),
+    "update_key_to_null": (["UPDATE p SET k = NULL WHERE k = 2"], {}),
+    "update_non_key": (["UPDATE p SET x = x + 1000 WHERE k = 2"], {}),
+    "update_filtered_column": (["UPDATE p SET w = 20 - w WHERE k = 3"], {}),
+    "delete": (["DELETE FROM p WHERE k = 4"], {}),
+    "update_refused_by_unique": (["UPDATE p SET x = 500 WHERE x > 110"], {}),
+    "add_column": (
+        ["ALTER TABLE p ADD COLUMN y INTEGER", "UPDATE p SET y = w + 1 WHERE k = 2"],
+        {
+            "unique_projected": "SELECT b.w, p.y, p.w FROM b JOIN p ON b.w = p.k WHERE p.y < 9",
+            "grouped_star": "SELECT * FROM a JOIN p ON a.k = p.k WHERE p.y < 9",
+        },
+    ),
+    # ``k`` now sits where ``d`` sat, ``w`` where ``k`` sat: a list kept by
+    # position would answer with the old columns.
+    "drop_leading_column": (["ALTER TABLE p DROP COLUMN d"], {}),
+    "rename_column": (
+        ["ALTER TABLE p RENAME COLUMN w TO ww", "UPDATE p SET ww = 1 WHERE k = 5"],
+        {
+            "unique_projected": "SELECT b.k, p.k, p.ww FROM b JOIN p ON b.w = p.k WHERE p.ww < 9",
+            "grouped_star": "SELECT * FROM a JOIN p ON a.k = p.k WHERE p.ww < 9",
+        },
+    ),
+    "drop_and_recreate": (
+        [
+            "DROP TABLE p",
+            "CREATE TABLE p (d INTEGER, k INTEGER, w INTEGER, x INTEGER UNIQUE)",
+            "INSERT INTO p VALUES (0, 1, 3, 1), (0, 1, 4, 2), (0, 5, 12, 3), (1, 7, 0, 4)",
+        ],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=list(PROBES))
+@pytest.mark.parametrize("change", PROBE_CHANGES, ids=list(PROBE_CHANGES))
+def test_a_change_to_the_probe_table_is_seen(pair, change, probe):
+    """The kept lists answer before the change; after it every run equals
+    sqlite, through a fresh admission, and the kept path is back by the
+    third run."""
+    statements, after = PROBE_CHANGES[change]
+    _kept_answers(pair, PROBES[probe])
+    for statement in statements:
+        _both(pair, statement)
+    _kept_answers(pair, after.get(probe, PROBES[probe]))
+
+
+def test_a_refused_update_keeps_the_lists(pair):
+    """A refused UPDATE changes nothing, so the kept lists stand."""
+    db, _ = pair
+    sql = PROBES["unique_projected"]
+    _kept_answers(pair, sql)
+    kept = db.table("p").kept()
+    _both(pair, "UPDATE p SET x = 500 WHERE x > 110")
+    assert db.table("p").kept() is kept
+    _kept_answers(pair, sql)
+
+
+def test_the_build_table_written_while_the_probe_table_is_unchanged(pair):
+    """``a`` or ``b`` changes, ``p`` does not: ``p``'s matches in the old
+    entry never answer, and die with the kept lists that held it."""
+    db, _ = pair
+    for sql in PROBES.values():
+        _kept_answers(pair, sql)
+    matches = db.table("p").kept().matches
+    assert len(matches) == 2  # one per build table: ``b`` and ``a``
+    for write in (
+        "UPDATE b SET w = w + 3 WHERE k = 1",
+        "UPDATE a SET k = 4 WHERE k = 1",
+        "DELETE FROM a WHERE v = 2",
+        "INSERT INTO b VALUES (3, 40), (NULL, 41)",
+    ):
+        _both(pair, write)
+        assert len(matches) == 1
+        for sql in PROBES.values():
+            _kept_answers(pair, sql)
+        assert len(matches) == 2
+
+
+def test_the_grouped_build_repeats_each_probe_row_per_match(pair):
+    db, _ = pair
+    sql = PROBES["grouped_star"]
+    _kept_answers(pair, sql)
+    ((_, unique),) = _entries(db, "a").values()
+    assert not unique
+    ((positions, found),) = db.table("p").kept().matches[db.table("a").kept()].items()
+    assert positions == ((1,), (1,)) and len(found) == len(P_ROWS)
+    assert all(group is None or len(group) >= 1 for group in found)
+
+
+def test_a_self_join_on_two_key_columns_reads_its_own_lists(pair):
+    """Build and probe are one table: the entry of ``x.d`` and the matches of
+    ``y.k`` in it (and the other way round) are kept side by side."""
+    db, _ = pair
+    one = "SELECT x.u, y.u, y.v FROM a AS x JOIN a AS y ON x.d = y.k WHERE y.v < 5"
+    other = "SELECT x.u, y.u FROM a AS x JOIN a AS y ON x.k = y.d WHERE y.v >= 2"
+    for sql in (one, other):
+        _kept_answers(pair, sql)
+    kept = db.table("a").kept()
+    assert set(kept.entries) == {(0,), (1,)}
+    assert sorted(kept.matches[kept]) == [((0,), (1,)), ((1,), (0,))]
+    _both(pair, "UPDATE a SET d = 4 WHERE u < 10")
+    for sql in (one, other):
+        _kept_answers(pair, sql)
+
+
+def test_a_store_that_evicts_keeps_no_lists(tmp_path):
+    db = Database.open(tmp_path, exec_settings=ExecutionSettings(buffer_pool_pages=8))
+    try:
+        for sql in SCHEMA:
+            db.execute(sql)
+        db.insert_rows("a", [dict(zip("dkvu", row)) for row in A_ROWS])
+        db.insert_rows("b", [dict(zip("kw", row)) for row in B_ROWS])
+        db.insert_rows("p", [dict(zip("dkwx", row)) for row in P_ROWS])
+        for sql in PROBES.values():
+            for _ in range(3):
+                db.execute(sql)
+            assert not any(" kept" in line for line in _analyzed(db, sql))
+        assert not any(db.table(name).kept() for name in ("a", "b", "p"))
+    finally:
+        db.close()
+
+
+def test_a_timeout_during_the_admitted_build_leaves_nothing_stale(pair):
+    """The run that builds the kept lists is cancelled part way: what it
+    left answers the next runs right, and the kept path comes back."""
+    _, connection = pair
+    db = Database(exec_settings=ExecutionSettings(batch_size=1))
+    for sql in SCHEMA:
+        db.execute(sql)
+    db.insert_rows("b", [dict(zip("kw", row)) for row in B_ROWS])
+    db.insert_rows("p", [dict(zip("dkwx", row)) for row in P_ROWS])
+    sql = PROBES["unique_projected"]
+    expected = connection.execute(sql).fetchall()
+    assert _same(db.execute(sql).rows, expected)  # admits
+    db.statement_timer = itertools.count().__next__  # one "second" per read
+    with pytest.raises(QueryTimeoutError):  # while ``b``'s entry builds
+        db.execute(sql, timeout_seconds=5)
+    assert not _entries(db, "b")
+    assert _same(db.execute(sql).rows, expected)  # builds the entry, keeps ``p``
+    with pytest.raises(QueryTimeoutError):  # after the matches, in the kept probe
+        db.execute(sql, timeout_seconds=5)
+    (lists,) = db.table("p").kept().matches.values()
+    assert [len(found) for found in lists.values()] == [len(P_ROWS)]
+    assert _same(db.execute(sql).rows, expected)
+    assert _probed_kept(db, sql)
+
+
+def test_explain_analyze_shows_the_kept_probe(pair):
+    """Under the kept join the filter and the scan still report their actual
+    rows, each marked ``kept``, and the scan charges its rows."""
+    db, _ = pair
+    sql = PROBES["unique_projected"]
+    _kept_answers(pair, sql)
+    analyzed = db.explain(sql, analyze=True)
+    lines = analyzed.lines
+    passing = sum(1 for row in P_ROWS if row[2] < 9)
+    (join,) = [line for line in lines if "HashJoin" in line]
+    (filter_,) = [line for line in lines if line.strip().startswith("Filter")]
+    (scan,) = [line for line in lines if "SeqScan p" in line]
+    assert "reused=left kept" in join or "reused=right kept" in join
+    assert f"(actual rows={passing} batches=1 kept " in filter_
+    assert f"(actual rows={len(P_ROWS)} batches=1 kept " in scan
+    assert any("SeqScan b" in line and "(never executed)" in line for line in lines)
+    assert analyzed.stats.rows_scanned == len(P_ROWS)

@@ -292,10 +292,12 @@ def test_join_chains_match_sqlite(seed):
     """250 seeded statements per seed over freshly seeded tables (a hash
     index on ``k`` every other seed, so inner joins also take the index
     loop): each returns sqlite's rows as a multiset, and each statement
-    sqlite refuses raises a ReproError.  Each statement runs twice, so an
-    inner equi join over a bare table also builds from the table's kept
-    entry; for half the seeds a seeded write to both sides comes between
-    the two runs, so the second meets an entry that write dropped."""
+    sqlite refuses raises a ReproError.  Each statement runs twice, then a
+    seeded write to one table comes, then it runs twice again: the second
+    run keeps the tables it scanned, so an inner equi join over them builds
+    from a kept entry and probes kept rows and columns, the write drops one
+    table's lists, and the last two runs meet the dropped lists and their
+    re-admission."""
     rng = random.Random(seed)
     db = Database(
         exec_settings=ExecutionSettings(
@@ -315,15 +317,15 @@ def test_join_chains_match_sqlite(seed):
         failures = []
         for _ in range(250):
             sql, forward = _statement(rng)
-            for run in range(2):
-                if run and seed // 2 % 2:
+            for run in range(4):
+                if run == 2:
                     write = _dml(rng)
                     connection.execute(write)
                     db.execute(write)
                 failure = _differs(db, connection, sql, forward)
                 if failure:
                     failures.append(f"run {run + 1}: {failure}")
-    assert not failures, f"{len(failures)} of 500 differ:\n" + "\n".join(failures[:5])
+    assert not failures, f"{len(failures)} of 1000 differ:\n" + "\n".join(failures[:5])
 
 
 def _differs(db: Database, connection, sql: str, forward: bool) -> str | None:
