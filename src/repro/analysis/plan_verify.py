@@ -217,19 +217,19 @@ class PlanVerifier:
                 # HAVING may reference both group keys and aggregate results;
                 # only plain column references are checkable here.
                 yield operator.having, operator.child.bindings
-        elif isinstance(operator, IndexScan) and operator.probe:
-            # The probe expression is evaluated against the *outer* row of the
-            # driving IndexLookupJoin; that join yields it as outer_key.
-            return
+            for spec in operator.collection.specs:
+                if spec.argument is not None:
+                    yield spec.argument, operator.child.bindings
+        elif isinstance(operator, IndexScan) and not operator.probe:
+            # A probe's value is the outer key its IndexLookupJoin yields.
+            yield operator.value_expr, []
 
     def _check_columns(
         self, operator: Operator, allow_outer: bool, diagnostics: list[Diagnostic]
     ) -> None:
         for expr, bindings in self._operator_expressions(operator):
             for node in iter_expressions(expr):
-                if not isinstance(node, ColumnRef):
-                    continue
-                if _reads(node, bindings):
+                if not isinstance(node, ColumnRef) or _reads(node, bindings):
                     continue
                 if allow_outer:
                     continue  # may resolve against the enclosing query's row
@@ -300,9 +300,7 @@ class PlanVerifier:
         for operator in _walk(top):
             for expr, _ in self._operator_expressions(operator):
                 mark(expr)
-            if isinstance(operator, IndexScan):
-                mark(operator.value_expr)
-            elif isinstance(operator, SubqueryScan):
+            if isinstance(operator, SubqueryScan):
                 _mark_statement(operator.plan.statement)
         # Post-pipeline clauses the executor evaluates from the statement.
         statement = plan.statement

@@ -45,13 +45,11 @@ from repro.errors import ParseError, TokenizeError
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
-    CaseExpression,
     ColumnRef,
     DeleteStatement,
     ExistsSubquery,
     Expression,
     FunctionCall,
-    InList,
     InSubquery,
     InsertStatement,
     Join,
@@ -61,7 +59,6 @@ from repro.sql.ast_nodes import (
     Star,
     SubqueryRef,
     TableRef,
-    UnaryOp,
     UpdateStatement,
     iter_expressions,
     walk,
@@ -69,7 +66,8 @@ from repro.sql.ast_nodes import (
 from repro.sql.formatter import format_expression
 from repro.sql.parser import parse
 from repro.storage.binder import Binder, BoundColumn
-from repro.storage.types import DataType, compare_values
+from repro.storage.expression import compile_expression
+from repro.storage.types import DataType
 
 from repro.analysis.framework import Diagnostic, Rule, Severity
 
@@ -527,32 +525,17 @@ def _kinds_clash(column_type: DataType, other: str) -> bool:
 
 
 def _constant_verdict(conjunct: Expression) -> str | None:
-    """"always true"/"always false"/"constant" for column-free predicates."""
-    for node in iter_expressions(conjunct):
-        if isinstance(node, (ColumnRef, InSubquery, ExistsSubquery, ScalarSubquery)):
-            return None
-        if isinstance(node, (FunctionCall, CaseExpression, InList, UnaryOp)):
-            return None
-    if isinstance(conjunct, BinaryOp) and conjunct.op in _COMPARISON_OPS:
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, Literal) and isinstance(right, Literal):
-            if left.value is None or right.value is None:
-                return None
-            try:
-                ordering = compare_values(left.value, right.value)
-            except TypeError:
-                return "constant"
-            outcome = {
-                "=": ordering == 0,
-                "!=": ordering != 0,
-                "<>": ordering != 0,
-                "<": ordering < 0,
-                "<=": ordering <= 0,
-                ">": ordering > 0,
-                ">=": ordering >= 0,
-            }[conjunct.op]
-            return "always true" if outcome else "always false"
+    """"always true"/"always false" for a comparison of two literals or a
+    boolean literal, as the engine computes it; else None."""
+    compared = (
+        isinstance(conjunct, BinaryOp)
+        and conjunct.op in _COMPARISON_OPS
+        and isinstance(conjunct.left, Literal)
+        and isinstance(conjunct.right, Literal)
+    )
+    if not (compared or isinstance(conjunct, Literal) and isinstance(conjunct.value, bool)):
         return None
-    if isinstance(conjunct, Literal) and isinstance(conjunct.value, bool):
-        return "always true" if conjunct.value else "always false"
-    return None
+    value = compile_expression(conjunct, [])(())
+    if value is None:
+        return None
+    return "always true" if value else "always false"

@@ -72,8 +72,8 @@ class CompletionEngine:
         transactions: list[list[str]] = []
         for record in records:
             features = record.features
-            self._table_counts.update(set(features.tables))
-            self._attribute_counts.update(set(features.attributes))
+            self._table_counts.update(dict.fromkeys(features.tables, 1))
+            self._attribute_counts.update(dict.fromkeys(features.attributes, 1))
             for predicate in features.predicates:
                 self._predicate_counts[
                     (
@@ -93,7 +93,7 @@ class CompletionEngine:
                         normalized.right_attribute,
                     )
                 ] += 1
-            transactions.append([f"table:{table}" for table in set(features.tables)])
+            transactions.append([f"table:{table}" for table in dict.fromkeys(features.tables)])
         if rule_index is not None:
             self._rule_index = rule_index
         else:

@@ -47,6 +47,36 @@ from repro.sql.ast_nodes import (
 #: parenthesize nested boolean operations to preserve semantics exactly.
 _BOOLEAN_OPS = {"AND", "OR"}
 
+#: How tightly the parser binds each operator (higher binds tighter); a
+#: comparison, LIKE, IN, BETWEEN and IS [NOT] NULL share one left-to-right
+#: level.
+_LEVELS = {
+    "OR": 1, "AND": 2, "NOT": 3,
+    "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4, "LIKE": 4,
+    "IS NULL": 4, "IS NOT NULL": 4,
+    "+": 5, "-": 5, "||": 5, "*": 6, "/": 6, "%": 6,
+}
+_COMPARISON_LEVEL = 4
+
+
+def _level(expr: Expression) -> int:
+    """The binding level of ``expr``'s outermost operator (a unary minus or
+    an atom binds tightest)."""
+    if isinstance(expr, BinaryOp):
+        return _LEVELS[expr.op]
+    if isinstance(expr, UnaryOp):
+        return _LEVELS.get(expr.op, 7)
+    if isinstance(expr, (Between, InList, InSubquery)):
+        return _COMPARISON_LEVEL
+    return 8
+
+
+def _operand(expr: Expression, level: int) -> str:
+    """``expr`` rendered where the parser reads an operand binding at least
+    as tightly as ``level``: parenthesized if it binds looser."""
+    rendered = format_expression(expr)
+    return f"({rendered})" if _level(expr) < level else rendered
+
 
 def format_statement(statement: Statement) -> str:
     """Return a single-line SQL rendering of ``statement``."""
@@ -85,14 +115,15 @@ def format_expression(expr: Expression) -> str:
         return str(expr)
     if isinstance(expr, BinaryOp):
         left = _maybe_parenthesize(expr.left, expr.op)
-        right = _maybe_parenthesize(expr.right, expr.op)
+        right = _maybe_parenthesize(expr.right, expr.op, right=True)
         return f"{left} {expr.op} {right}"
     if isinstance(expr, UnaryOp):
         if expr.op == "NOT":
             return f"NOT ({format_expression(expr.operand)})"
         if expr.op in ("IS NULL", "IS NOT NULL"):
-            return f"{format_expression(expr.operand)} {expr.op}"
-        return f"{expr.op}{format_expression(expr.operand)}"
+            return f"{_operand(expr.operand, _COMPARISON_LEVEL)} {expr.op}"
+        # A nested minus too: ``--`` would open a comment.
+        return f"{expr.op}{_operand(expr.operand, 8)}"
     if isinstance(expr, FunctionCall):
         distinct = "DISTINCT " if expr.distinct else ""
         args = ", ".join(format_expression(arg) for arg in expr.args)
@@ -100,11 +131,11 @@ def format_expression(expr: Expression) -> str:
     if isinstance(expr, InList):
         values = ", ".join(format_expression(value) for value in expr.values)
         negation = " NOT" if expr.negated else ""
-        return f"{format_expression(expr.expr)}{negation} IN ({values})"
+        return f"{_operand(expr.expr, _COMPARISON_LEVEL)}{negation} IN ({values})"
     if isinstance(expr, InSubquery):
         negation = " NOT" if expr.negated else ""
         return (
-            f"{format_expression(expr.expr)}{negation} IN "
+            f"{_operand(expr.expr, _COMPARISON_LEVEL)}{negation} IN "
             f"({_format_select(expr.subquery)})"
         )
     if isinstance(expr, ExistsSubquery):
@@ -115,8 +146,9 @@ def format_expression(expr: Expression) -> str:
     if isinstance(expr, Between):
         negation = " NOT" if expr.negated else ""
         return (
-            f"{format_expression(expr.expr)}{negation} BETWEEN "
-            f"{format_expression(expr.low)} AND {format_expression(expr.high)}"
+            f"{_operand(expr.expr, _COMPARISON_LEVEL)}{negation} BETWEEN "
+            f"{_operand(expr.low, _COMPARISON_LEVEL + 1)} AND "
+            f"{_operand(expr.high, _COMPARISON_LEVEL + 1)}"
         )
     if isinstance(expr, CaseExpression):
         parts = ["CASE"]
@@ -131,14 +163,19 @@ def format_expression(expr: Expression) -> str:
     raise TypeError(f"unsupported expression type: {type(expr).__name__}")
 
 
-def _maybe_parenthesize(expr: Expression, parent_op: str) -> str:
-    """Parenthesize nested boolean operations with a different operator."""
+def _maybe_parenthesize(expr: Expression, parent_op: str, right: bool = False) -> str:
+    """An operand of ``parent_op`` rendered so that it parses back as the
+    same tree: parenthesized when it binds looser than ``parent_op``, when it
+    is the right operand of a non-boolean operator of its own level (the
+    parser groups left to right), and when it is a boolean operation under a
+    different boolean operator.  A chain of one boolean operator stays flat:
+    associativity preserves its meaning."""
     rendered = format_expression(expr)
-    if isinstance(expr, BinaryOp) and expr.op in _BOOLEAN_OPS and expr.op != parent_op:
+    if isinstance(expr, BinaryOp) and expr.op in _BOOLEAN_OPS:
+        return f"({rendered})" if expr.op != parent_op else rendered
+    level, parent = _level(expr), _LEVELS[parent_op]
+    if level < parent or (right and level == parent):
         return f"({rendered})"
-    if isinstance(expr, BinaryOp) and parent_op in _BOOLEAN_OPS and expr.op in _BOOLEAN_OPS:
-        # Same boolean operator: keep flat, associativity preserves meaning.
-        return rendered
     return rendered
 
 

@@ -8,7 +8,7 @@ Query Storage feature relations.  It provides:
 * :mod:`repro.storage.schema` — column and table schemas,
 * :mod:`repro.storage.catalog` — the system catalog with a schema-change log,
 * :mod:`repro.storage.table` — heap tables with secondary indexes,
-* :mod:`repro.storage.expression` — expression evaluation,
+* :mod:`repro.storage.expression` — the expression compiler,
 * :mod:`repro.storage.statistics` — histograms, samples, selectivity estimates,
 * :mod:`repro.storage.planner` — the cost-based SELECT planner (access paths,
   join ordering, EXPLAIN),

@@ -8,12 +8,13 @@ states.
 
 * :func:`collect_aggregate_specs` walks a SELECT statement and returns the
   deduplicated :class:`AggregateSpec` list plus a map from every aggregate
-  AST node to its spec's slot.  It is also the one place that decides whether
-  an aggregate statement is well-formed: a shape the accumulators cannot
-  answer (an aggregate nested inside CASE / BETWEEN / IN / a function
-  argument, argument-less SUM/AVG/MIN/MAX, ``SUM(*)``, an aggregate inside
-  another aggregate's argument) raises :class:`~repro.errors.ExecutionError`
-  at plan time, whether or not the tables hold any rows.
+  AST node to its spec's slot.  A shape the accumulators cannot answer (an
+  aggregate nested inside CASE / BETWEEN / IN / a function argument,
+  argument-less SUM/AVG/MIN/MAX, ``SUM(*)``) raises
+  :class:`~repro.errors.ExecutionError` at plan time, whether or not the
+  tables hold any rows.  An aggregate in a per-row clause (WHERE, ON, GROUP
+  BY, another aggregate's argument) fails there too, when the clause is
+  compiled: the expression compiler knows no aggregate outside its group.
 * Accumulators expose ``update(values, positions)`` / ``finish()``:
   ``values`` is one batch's argument column and ``positions`` the group's
   rows in it, in ascending order, so a group update never gathers a
@@ -42,7 +43,6 @@ from repro.sql.ast_nodes import (
     Star,
     UnaryOp,
     contains_aggregate,
-    iter_expressions,
 )
 from repro.sql.formatter import format_expression
 from repro.storage.types import sort_key
@@ -289,27 +289,14 @@ class AggregateCollection:
     """The deduplicated specs of a statement plus the node → slot map.
 
     ``slots`` maps ``id(FunctionCall node)`` to the index of the spec that
-    computes it, so HAVING / projection / ORDER BY evaluation reads finished
-    accumulator states instead of recomputing over buffered rows.  Keying by
-    node identity is safe across plan-cache re-binding: cached plans re-use
-    the same template statement objects.
+    computes it, so HAVING / projection / ORDER BY compile an aggregate call
+    to a read of its finished accumulator state instead of recomputing over
+    buffered rows.  Keying by node identity is safe across plan-cache
+    re-binding: cached plans re-use the same template statement objects.
     """
 
     specs: list[AggregateSpec]
     slots: dict[int, int]
-
-
-def reject_aggregates(expr: Expression) -> None:
-    """Raise for an aggregate in a per-row clause (WHERE, JOIN ... ON,
-    GROUP BY, another aggregate's argument).
-
-    Subquery statements are not descended into: they aggregate on their own.
-    """
-    for node in iter_expressions(expr):
-        if isinstance(node, FunctionCall) and node.is_aggregate:
-            raise ExecutionError(
-                f"aggregate {node.name.upper()} used outside of an aggregation context"
-            )
 
 
 def collect_aggregate_specs(statement: SelectStatement) -> AggregateCollection:
@@ -317,9 +304,9 @@ def collect_aggregate_specs(statement: SelectStatement) -> AggregateCollection:
 
     Raises :class:`~repro.errors.ExecutionError` for any aggregate the
     accumulators do not support — nested inside CASE, BETWEEN, IN or a
-    non-aggregate function's arguments, argument-less SUM/AVG/MIN/MAX,
-    ``SUM(*)``, or inside another aggregate's argument — so a malformed
-    statement fails when it is planned, not when its first group is finished.
+    non-aggregate function's arguments, argument-less SUM/AVG/MIN/MAX or
+    ``SUM(*)`` — so a malformed statement fails when it is planned, not
+    when its first group is finished.
     """
     specs: list[AggregateSpec] = []
     slots: dict[int, int] = {}
@@ -332,10 +319,6 @@ def collect_aggregate_specs(statement: SelectStatement) -> AggregateCollection:
             argument = None  # COUNT(*) / COUNT(): the accumulator counts rows
         elif argument is None:
             raise ExecutionError(f"aggregate {name} requires an argument")
-        elif isinstance(argument, Star):
-            raise ExecutionError("'*' is only allowed in the select list or COUNT(*)")
-        else:
-            reject_aggregates(argument)
         key = _spec_key(name, argument, call.distinct)
         slot = keys.get(key)
         if slot is None:
@@ -359,8 +342,8 @@ def collect_aggregate_specs(statement: SelectStatement) -> AggregateCollection:
         elif isinstance(expr, UnaryOp):
             visit(expr.operand)
         elif contains_aggregate(expr):
-            # Finished values are substituted through arithmetic/boolean
-            # operators only; anything deeper never sees its group.
+            # The dialect takes an aggregate at the top of an expression or
+            # under arithmetic / boolean operators only.
             raise ExecutionError(
                 "aggregates may only appear at the top level of an expression "
                 "or inside simple arithmetic/boolean combinations"

@@ -5,7 +5,7 @@ and the enclosing queries' bindings and returns a copy in which every
 :class:`~repro.sql.ast_nodes.ColumnRef` is a :class:`BoundColumn` — how many
 queries out it reads, which FROM binding, and which of that binding's columns.
 It is the only code in the engine that matches a name against a relation: the
-planner, the compiled getters, the evaluator, the plan verifier and the SQL
+planner, the expression compiler, the plan verifier and the SQL
 linter read its answer.  Because it runs when a statement is planned, a
 misnamed column fails whether or not a row would ever reach it, and a cached
 plan pays nothing.

@@ -49,9 +49,9 @@ from repro.storage.wal import WAL_FILE_NAME, WalStats, WalWriter
 from repro.storage.exec_settings import DEFAULT_SETTINGS, ExecutionSettings
 from repro.storage.executor import ExecutionStats, Executor
 from repro.storage.binder import Binder, table_columns
-from repro.storage.expression import Scope, evaluate, layout_of
-from repro.storage.kernels import compile_columnar_conjuncts
-from repro.storage.operators import ExecutionContext, survivors
+from repro.storage.expression import compile_expression
+from repro.storage.kernels import apply_kernels
+from repro.storage.operators import ExecutionContext
 from repro.storage.plan_cache import (
     DEFAULT_PLAN_CACHE_SIZE,
     PlanCache,
@@ -832,8 +832,7 @@ class Database:
                 )
             value_lists = select_result.rows
         else:
-            scope = Scope({})
-            value_lists = [[evaluate(expr, scope, None) for expr in row] for row in rows]
+            value_lists = [[compile_expression(expr, [])(()) for expr in row] for row in rows]
             for values in value_lists:
                 if len(values) != len(target_columns):
                     raise ExecutionError(
@@ -875,18 +874,13 @@ class Database:
             deadline=deadline,
             timer=self.statement_timer,
         )
-        bindings = plan.scan.bindings
-        select = survivors(
-            compile_columnar_conjuncts(plan.residual, bindings),
-            plan.residual,
-            bindings,
-            ctx,
-        )
+        plan.frame.enter(ctx)
         pairs = plan.scan.pairs(ctx)
         matches = []
         while chunk := list(islice(pairs, 128)):
             ctx.tick()
-            matches.extend(chunk[i] for i in select([row for _, row in chunk]))
+            rows = [row for _, row in chunk]
+            matches.extend(chunk[i] for i in apply_kernels(plan.kernels, rows))
         return matches
 
     def _execute_update(
@@ -898,13 +892,9 @@ class Database:
         table = self.table(statement.table)
         executor = Executor(self, deadline=deadline)
         plan, cache_hit = self._plan(statement, prepared)
-        layout = layout_of(plan.scan.bindings)
         # All values first, then one unit of rows: a refused UPDATE changes nothing.
         updates = [
-            (row_id, {
-                column: evaluate(value, Scope(layout, row), executor._run_subquery)
-                for column, value in plan.assignments
-            })
+            (row_id, {column: value(row) for column, value in plan.values})
             for row_id, row in self._find_dml_targets(plan, executor, deadline)
         ]
         table.update_many(updates)

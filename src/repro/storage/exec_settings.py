@@ -28,8 +28,8 @@ class ExecutionSettings:
     """Tunable parameters of the batched execution engine.
 
     No option picks an execution path: every plan streams row batches, and
-    which conjuncts run as typed kernels rather than through the evaluator
-    is decided by their shape.
+    which conjuncts run a special kernel rather than their compiled
+    predicate is decided by their shape.
 
     ``verify_plans=True`` runs the plan-invariant verifier
     (:mod:`repro.analysis.plan_verify`) over every plan before the executor

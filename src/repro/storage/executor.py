@@ -22,9 +22,10 @@ Since the batched-execution refactor the executor consumes the operator tree
 batch-at-a-time (``root.batches(ctx)``, lists of flat tuples laid out by
 ``root.bindings``): projection runs over whole batches, and the planner has
 already turned every select item and ORDER BY key that reads a column (or an
-output column) into a position, so simple select lists (columns and ``*``)
-compile into one ``itemgetter`` mapped over the batch and only a computed
-item goes through the evaluator.  On streaming plans with a LIMIT the
+output column) into a position and compiled every other one
+(:func:`~repro.storage.expression.compile_expression`), so simple select
+lists (columns and ``*``) are one ``itemgetter`` mapped over the batch and a
+computed item is its closure mapped over it.  On streaming plans with a LIMIT the
 context's batch size tracks the remaining row budget, so a short-circuited
 scan touches exactly as many heap rows as the row-at-a-time engine did when
 the scan feeds the limit directly (and at most one shrunken batch more when
@@ -38,8 +39,9 @@ from operator import itemgetter
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import engine_timer
+from repro.storage.aggregates import hashable_value
 from repro.storage.exec_settings import DEFAULT_SETTINGS
-from repro.storage.expression import Scope, evaluate, is_true, layout_of
+from repro.storage.expression import Scope
 from repro.storage.operators import (
     ExecutionContext,
     Filter,
@@ -48,18 +50,10 @@ from repro.storage.operators import (
     NodeStats,
     SeqScan,
     row_width,
-    slots_getter,
 )
 from repro.storage.planner import Planner, SelectPlan
 from repro.storage.types import sort_key
-from repro.sql.ast_nodes import (
-    BinaryOp,
-    Expression,
-    FunctionCall,
-    Literal,
-    SelectStatement,
-    UnaryOp,
-)
+from repro.sql.ast_nodes import SelectStatement
 
 
 @dataclass
@@ -179,12 +173,12 @@ class Executor:
             deadline=self._deadline,
             timer=self._timer,
         )
-        columns = plan.output_columns
+        plan.frame.enter(ctx)
+        columns, project = plan.output_columns, plan.project
         if plan.aggregate is not None or statement.order_by:
             if plan.aggregate is not None:
-                rows = self._aggregate_streamed(statement, plan, ctx, outer_scope)
+                rows = _aggregated(plan, ctx)
             else:
-                project = self._projection(plan, outer_scope)
                 slots = _order_slots(plan)
                 entries = []
                 for batch in plan.root.batches(ctx):
@@ -195,9 +189,7 @@ class Executor:
                         _sort_by_slot(entries, slot, ascending)
                     rows = project(entries)
                 else:
-                    _sort_entries(
-                        entries, self._order_keys(plan, outer_scope, self._evaluate_row)
-                    )
+                    _sort_entries(entries, _order_keys(plan))
                     rows = [output_row for _, output_row in entries]
             if statement.distinct:
                 rows = _distinct(rows)
@@ -227,7 +219,8 @@ class Executor:
             batches = type(plan.root) is HashJoin and plan.root.projected_batches(
                 ctx, plan.projection
             )
-            project = list if batches else self._projection(plan, outer_scope)
+            if batches:
+                project = list
             for batch in batches or plan.root.batches(ctx):
                 self.metrics.batches += 1
                 values_batch = project(batch)
@@ -238,7 +231,7 @@ class Executor:
                     continue
                 for values in values_batch:
                     if seen is not None:
-                        key = tuple(_hashable(value) for value in values)
+                        key = tuple(hashable_value(value) for value in values)
                         if key in seen:
                             continue
                         seen.add(key)
@@ -255,140 +248,6 @@ class Executor:
         if node_stats is not None:
             node_stats["output_rows"] = len(rows)
         return columns, rows
-
-    # -- projection ----------------------------------------------------------------
-
-    def _projection(self, plan: SelectPlan, outer_scope: Scope | None):
-        """The plan's ``batch -> output tuples`` callable.
-
-        A select list of plain columns and ``*`` (every part of
-        ``plan.projection`` a position) compiles to one getter, memoized on
-        the plan: cached template plans execute thousands of times, and
-        positions never depend on a parameter, so re-binding never stales
-        them.  Otherwise each row reads its positions and evaluates the
-        computed items over a Scope of the row.
-        """
-        project = getattr(plan, "_compiled_projection", _UNSET)
-        if project is _UNSET:
-            project = plan._compiled_projection = _compile_projection(plan)
-        if project is not None:
-            return project
-        layout, parts, run = layout_of(plan.root.bindings), plan.projection, self._run_subquery
-
-        def values(row):
-            scope = Scope(layout, row, outer_scope)
-            return tuple(
-                row[part] if type(part) is int else evaluate(part, scope, run)
-                for part in parts
-            )
-
-        return lambda batch: list(map(values, batch))
-
-    # -- aggregation ----------------------------------------------------------------
-
-    def _aggregate_streamed(
-        self,
-        statement: SelectStatement,
-        plan: SelectPlan,
-        ctx: ExecutionContext,
-        outer_scope: Scope | None,
-    ) -> list[tuple]:
-        """Finish the plan's aggregate stage into output rows.
-
-        The operator (:class:`~repro.storage.operators.HashAggregate`) streams
-        ``(representative row, finished aggregate values)`` pairs; HAVING,
-        projection, and ORDER BY read the representative's positions and the
-        finished slot values.
-        """
-        slots = plan.aggregate.collection.slots
-        layout = layout_of(plan.root.bindings)
-        # An empty ungrouped input is one group with no representative row:
-        # its columns read as NULL.
-        blank = (None,) * row_width(plan.root.bindings)
-        entries: list[tuple[tuple, tuple, list]] = []
-        for representative, finished in plan.aggregate.groups(ctx):
-            row = blank if representative is None else representative
-            scope = Scope(layout, row, outer_scope)
-            if statement.having is not None:
-                having_value = self._finish_expr(
-                    statement.having, finished, slots, scope
-                )
-                if not is_true(having_value):
-                    continue
-            values = tuple(
-                row[part]
-                if type(part) is int
-                else self._finish_expr(part, finished, slots, scope)
-                for part in plan.projection
-            )
-            entries.append((row, values, finished))
-        if statement.order_by:
-            _sort_entries(
-                entries,
-                self._order_keys(
-                    plan,
-                    outer_scope,
-                    lambda expr, scope, entry: self._finish_expr(
-                        expr, entry[2], slots, scope
-                    ),
-                ),
-            )
-        return [values for _, values, _ in entries]
-
-    def _finish_expr(
-        self, expr: Expression, finished: list, slots: dict[int, int], scope: Scope
-    ) -> object:
-        """Evaluate a SELECT/HAVING/ORDER BY expression over finished
-        aggregate states.  ``collect_aggregate_specs`` has already rejected
-        any aggregate that sits below something other than these operators."""
-        if isinstance(expr, FunctionCall) and expr.is_aggregate:
-            return finished[slots[id(expr)]]
-        if isinstance(expr, BinaryOp):
-            left = self._finish_expr(expr.left, finished, slots, scope)
-            right = self._finish_expr(expr.right, finished, slots, scope)
-            return evaluate(
-                BinaryOp(op=expr.op, left=Literal(left), right=Literal(right)),
-                scope,
-                self._run_subquery,
-            )
-        if isinstance(expr, UnaryOp):
-            operand = self._finish_expr(expr.operand, finished, slots, scope)
-            return evaluate(
-                UnaryOp(op=expr.op, operand=Literal(operand)), scope, self._run_subquery
-            )
-        return evaluate(expr, scope, self._run_subquery)
-
-    # -- ordering -------------------------------------------------------------------
-
-    def _order_keys(self, plan: SelectPlan, outer_scope: Scope | None, evaluate_entry):
-        """One ``(entry -> sort key, ascending)`` pair per ORDER BY item, over
-        entries ``(source row, output row, ...)``.
-
-        The planner decided where each item reads (``plan.order_keys``): an
-        output column, a position of the source row, or else the expression,
-        evaluated per entry through ``evaluate_entry(expr, scope, entry)`` —
-        :meth:`_evaluate_row` for plain rows, :meth:`_finish_expr` over the
-        entry's finished slots for groups.
-        """
-        layout = layout_of(plan.root.bindings)
-        keys = []
-        for key in plan.order_keys:
-            if key.output is not None:
-                value = lambda entry, _index=key.output: entry[1][_index]
-            elif key.slot is not None:
-                value = lambda entry, _slot=key.slot: entry[0][_slot]
-            else:
-                value = lambda entry, _expr=key.expression: evaluate_entry(
-                    _expr, Scope(layout, entry[0], outer_scope), entry
-                )
-            keys.append(
-                (lambda entry, _value=value: sort_key(_value(entry)), key.ascending)
-            )
-        return keys
-
-    def _evaluate_row(self, expr: Expression, scope: Scope, entry) -> object:
-        """``_order_keys`` evaluator for ungrouped rows."""
-        return evaluate(expr, scope, self._run_subquery)
 
     # -- subqueries -------------------------------------------------------------------
 
@@ -408,8 +267,42 @@ class Executor:
 # ---------------------------------------------------------------------------
 
 
-#: Sentinel distinguishing "not compiled yet" from "not compilable" (None).
-_UNSET = object()
+def _aggregated(plan: SelectPlan, ctx: ExecutionContext) -> list[tuple]:
+    """The output rows of an aggregating plan.  The operator
+    (:class:`~repro.storage.operators.HashAggregate`) streams
+    ``(representative row, finished aggregate values)`` pairs; a group's row
+    is the one followed by the other (an empty ungrouped input is one group
+    with no representative: its columns read as NULL), and HAVING, the
+    projection and ORDER BY are compiled over it."""
+    blank = (None,) * row_width(plan.root.bindings)
+    groups = [
+        (blank if representative is None else representative) + tuple(finished)
+        for representative, finished in plan.aggregate.groups(ctx)
+    ]
+    if plan.having is not None:
+        groups = [group for group in groups if plan.having(group) is True]
+    if not plan.statement.order_by:
+        return plan.project(groups)
+    entries = list(zip(groups, plan.project(groups)))
+    _sort_entries(entries, _order_keys(plan))
+    return [values for _, values in entries]
+
+
+def _order_keys(plan: SelectPlan):
+    """One ``(entry -> sort key, ascending)`` pair per ORDER BY item, over
+    entries ``(source row, output row)``: where the planner decided the item
+    reads (``plan.order_keys``), an output column, a position of the source
+    row, or its compiled value of the source row."""
+    keys = []
+    for key, compiled in zip(plan.order_keys, plan.order_values):
+        if key.output is not None:
+            order = lambda entry, _index=key.output: sort_key(entry[1][_index])
+        elif key.slot is not None:
+            order = lambda entry, _slot=key.slot: sort_key(entry[0][_slot])
+        else:
+            order = lambda entry, _value=compiled: sort_key(_value(entry[0]))
+        keys.append((order, key.ascending))
+    return keys
 
 
 def _limit_budget_applies(op) -> bool:
@@ -428,7 +321,7 @@ def _limit_budget_applies(op) -> bool:
 
 
 def _sort_entries(entries: list, keys) -> None:
-    """Sort in place by :meth:`Executor._order_keys` pairs: one stable pass
+    """Sort in place by :func:`_order_keys` pairs: one stable pass
     per key, last key first, so entries equal under every key keep their
     input order whatever mix of ASC and DESC the keys are."""
     for key, ascending in reversed(keys):
@@ -466,35 +359,11 @@ def _sort_by_slot(rows: list[tuple], slot: int, ascending: bool) -> None:
     rows[at:at] = nulls
 
 
-def _compile_projection(plan: SelectPlan):
-    """Compile a select list of positions into a ``batch -> output tuples``
-    callable: one ``itemgetter`` mapped over the batch, and nothing at all
-    when the select list *is* the row (``SELECT *`` in layout order).  Any
-    computed item (arithmetic, functions, subqueries, aggregates) returns
-    None and the caller keeps the evaluator path.
-    """
-    slots = plan.projection
-    if any(type(part) is not int for part in slots):
-        return None
-    if slots == list(range(row_width(plan.root.bindings))):
-        return lambda batch: batch
-    getter = slots_getter(slots)
-    return lambda batch: list(map(getter, batch))
-
-
-def _hashable(value: object) -> object:
-    if isinstance(value, list):
-        return tuple(value)
-    if isinstance(value, dict):
-        return tuple(sorted(value.items()))
-    return value
-
-
 def _distinct(rows: list[tuple]) -> list[tuple]:
     seen = set()
     unique = []
     for row in rows:
-        key = tuple(_hashable(value) for value in row)
+        key = tuple(hashable_value(value) for value in row)
         if key not in seen:
             seen.add(key)
             unique.append(row)

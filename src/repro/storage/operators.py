@@ -10,19 +10,21 @@ row is its table's columns in schema order, a join's row is its left child's
 row followed by its right child's.  Every column reference an operator holds
 was bound at plan time (:mod:`repro.storage.binder`), so :func:`slot_of`
 turns it into a position in the operator's layout once per compile and every
-compiled getter is an ``operator.itemgetter``.  ``batches(ctx)`` is the one
-operator protocol.  Where an expression's shape has no compiled form the
-evaluator reads the same row tuple through a positional
-:class:`~repro.storage.expression.Scope`.
+column getter is an ``operator.itemgetter``.  ``batches(ctx)`` is the one
+operator protocol.  Every other expression an operator evaluates is
+compiled once, when the operator is built, to a ``row -> value`` closure
+(:func:`~repro.storage.expression.compile_expression`) over the same row
+tuple; the operator's :class:`~repro.storage.expression.Frame` hands it the
+enclosing rows and the subquery callback each time the operator starts.
 
 Two more things fall out of the batch refactor:
 
-* **Compiled predicates** — filters, index-loop residuals and UPDATE/DELETE
-  residuals compile simple conjuncts (column/literal comparisons, BETWEEN,
-  IN lists, LIKE, IS NULL) into the selection-vector kernels of
-  :mod:`repro.storage.kernels`, typed by the binder and run over plain row
-  batches (:func:`survivors`).  Anything not compilable falls back to the
-  evaluator, predicate order preserved.
+* **Compiled predicates** — filters, join residuals and UPDATE/DELETE
+  residuals compile every conjunct into a selection-vector kernel of
+  :mod:`repro.storage.kernels`, run over plain row batches in conjunct
+  order (:func:`~repro.storage.kernels.apply_kernels`).  A conjunct's
+  compiled predicate is its semantics: a special kernel either agrees with
+  it or defers to it.
 * **Per-node observability** — when :class:`ExecutionContext.node_stats` is a
   dict (EXPLAIN ANALYZE), every operator transparently records the actual
   rows, batches, loops, and wall time it produced, and ``explain_lines``
@@ -58,14 +60,14 @@ from repro.errors import QueryTimeoutError, SchemaError
 from repro.obs.metrics import engine_timer
 from repro.sql.ast_nodes import ColumnRef, Expression
 from repro.sql.formatter import format_expression
-from repro.storage.aggregates import AggregateCollection, hashable_value
+from repro.storage.aggregates import AggregateCollection
 from repro.storage.exec_settings import DEFAULT_BATCH_SIZE
-from repro.storage.expression import Scope, evaluate, is_true, layout_of, slot_of
+from repro.storage.expression import Frame, Scope, compile_expression, slot_of
 from repro.storage.kernels import Columns, apply_kernels, compile_columnar_conjuncts
 from repro.storage.table import Kept
 from repro.storage.types import DataType, coerce_value, compare_values
 
-#: Sentinel: "not compiled yet" (None is a compiled answer), or "no more".
+#: Sentinel: "no more".
 _UNSET = object()
 
 #: An operator's output relation: (binding name, ordered column names) pairs.
@@ -292,6 +294,9 @@ class IndexScan(Operator):
         self.bindings = [(binding, list(table.schema.column_names))]
         self.estimate = estimate
         self.probe = probe
+        # A constant (no column, no subquery): an IndexLookupJoin's probe
+        # reads its outer row's key instead.
+        self._value = None if probe else compile_expression(value_expr, [])
 
     def lookup_pairs(self, value: object, ctx: ExecutionContext):
         """Fetch ``(row_id, row)`` pairs whose indexed column equals ``value``.
@@ -330,9 +335,7 @@ class IndexScan(Operator):
             yield row_id, row
 
     def pairs(self, ctx: ExecutionContext) -> Iterator[tuple[int, Row]]:
-        scope = Scope({}, parent=ctx.outer_scope)
-        value = evaluate(self.value_expr, scope, ctx.run_subquery)
-        yield from self.lookup_pairs(value, ctx)
+        yield from self.lookup_pairs(self._value(()), ctx)
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         return _chunk(map(itemgetter(1), self.pairs(ctx)), ctx)
@@ -366,16 +369,12 @@ class SubqueryScan(Operator):
 
 
 class Filter(Operator):
-    """Batched conjunctive filter over a child operator.
-
-    When every conjunct compiles to a kernel
-    (:func:`~repro.storage.kernels.compile_columnar_conjuncts`) the filter
-    narrows whole batches with them, whatever its child; otherwise the
-    entire conjunct list runs through the expression evaluator in original
-    order, so evaluation-order-dependent behaviour (short-circuiting before
-    an erroring predicate) is preserved.  Kernels compile once per operator
-    and read literal values per call, so re-binding a cached plan's
-    parameters never stales them.
+    """Batched conjunctive filter over a child operator: its conjuncts'
+    kernels (:func:`~repro.storage.kernels.compile_columnar_conjuncts`)
+    narrow whole batches, whatever its child, in conjunct order, so a
+    conjunct runs only on the rows every earlier one kept.  Kernels compile
+    once per operator and read literal values per call, so re-binding a
+    cached plan's parameters never stales them.
     """
 
     def __init__(self, child: Operator, predicates: list[Expression], estimate: float):
@@ -384,8 +383,9 @@ class Filter(Operator):
         self.bindings = child.bindings
         self.children = (child,)
         self.estimate = estimate
-        #: The conjuncts' kernels, or None when one has no kernel.
-        self.kernels = compile_columnar_conjuncts(self.predicates, self.bindings)
+        self.frame = Frame()
+        #: One kernel per conjunct, in conjunct order.
+        self.kernels = compile_columnar_conjuncts(self.predicates, self.bindings, self.frame)
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         kept = self.kept_input()
@@ -394,20 +394,21 @@ class Filter(Operator):
             for columns, chosen in self.selections(kept, ctx):
                 yield list(map(columns.rows.__getitem__, chosen))
             return
-        select = survivors(self.kernels, self.predicates, self.bindings, ctx)
+        self.frame.enter(ctx)
         for batch in self.child.batches(ctx):
-            kept = [batch[i] for i in select(batch)]
+            kept = [batch[i] for i in apply_kernels(self.kernels, batch)]
             if kept:
                 yield kept
 
     def kept_input(self) -> Kept | None:
-        """Kernels over a bare :class:`SeqScan`: its table's kept lists, if any."""
-        if self.kernels is not None and type(self.child) is SeqScan:
+        """Over a bare :class:`SeqScan`: its table's kept lists, if any."""
+        if type(self.child) is SeqScan:
             return self.child.table.kept()
         return None
 
     def selections(self, kept: Kept, ctx: ExecutionContext):
         """Per chunk with a survivor, ``(its Columns, the surviving positions)``."""
+        self.frame.enter(ctx)
         for columns in _bypassing(self.child, self.child.chunks(kept, ctx), ctx):
             if chosen := apply_kernels(self.kernels, columns.rows, columns):
                 yield columns, chosen
@@ -456,8 +457,11 @@ class HashJoin(Operator):
         self._keys = tuple(
             itemgetter(*slots) if slots else itemgetter(slice(0)) for slots in self._slots
         )
-        #: The residual's kernels, or None when a conjunct has no kernel.
-        self.residual_kernels = compile_columnar_conjuncts(self.residual, self.bindings)
+        self.frame = Frame()
+        #: One kernel per residual conjunct, in conjunct order.
+        self.residual_kernels = compile_columnar_conjuncts(
+            self.residual, self.bindings, self.frame
+        )
 
     def _sides(self, build_left: bool):
         """``(build, probe, build key, probe key)``, left built if ``build_left``."""
@@ -601,9 +605,8 @@ class HashJoin(Operator):
         build, probe, build_key, probe_key = self._sides(self.build_left)
         rows = _materialized(build, ctx)
         table, _ = self._hash_table(rows, build_key, grouped=True)
-        select = self.residual and survivors(
-            self.residual_kernels, self.residual, self.bindings, ctx
-        )
+        self.frame.enter(ctx)
+        select = self.residual and partial(apply_kernels, self.residual_kernels)
         build_left = self.build_left
         null_build = (None,) * row_width(build.bindings)
         # FULL marks matched build rows by identity: rows that are one object
@@ -667,10 +670,12 @@ class IndexLookupJoin(Operator):
         self.bindings = outer.bindings + scan.bindings
         self.children = (outer, scan)
         self.estimate = estimate
-        # The outer key is a bound column of the outer side: it always compiles.
-        self._key_getter = compile_column_getter(outer.bindings, outer_key)
-        #: The residual's kernels, or None when a conjunct has no kernel.
-        self.residual_kernels = compile_columnar_conjuncts(self.residual, self.bindings)
+        self._key_getter = compile_expression(outer_key, outer.bindings)
+        self.frame = Frame()
+        #: One kernel per residual conjunct, in conjunct order.
+        self.residual_kernels = compile_columnar_conjuncts(
+            self.residual, self.bindings, self.frame
+        )
 
     def _joined(self, ctx: ExecutionContext) -> Iterator[Row]:
         """Each outer row followed by every inner row its key finds."""
@@ -691,9 +696,8 @@ class IndexLookupJoin(Operator):
                     yield outer_row + inner_row
 
     def _batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        select = self.residual and survivors(
-            self.residual_kernels, self.residual, self.bindings, ctx
-        )
+        self.frame.enter(ctx)
+        select = self.residual and partial(apply_kernels, self.residual_kernels)
         metrics = ctx.metrics
         batch_size = max(1, ctx.batch_size)
         joined = self._joined(ctx)
@@ -739,13 +743,13 @@ class HashAggregate(Operator):
 
     Consumes the child batch by batch: the batch's row *positions* are
     bucketed by group key, each aggregate spec's argument column is built
-    once for the whole batch (a compiled getter, else the evaluator), and
-    every group's accumulator folds that column over its positions with
+    once for the whole batch (its compiled argument mapped over the rows),
+    and every group's accumulator folds that column over its positions with
     ``update(values, positions)`` — each input row is touched exactly once
     per spec, and no per-group row or value list is built.
 
-    Compiled artifacts (group-key and argument getters) are memoized on the
-    operator instance and read only row positions, and accumulators are
+    The group key and the arguments compile once, when the operator is
+    built (a key of columns is one ``itemgetter``), and accumulators are
     created fresh per execution — which keeps a cached plan's parameter
     re-binding safe.
     """
@@ -765,10 +769,24 @@ class HashAggregate(Operator):
         self.bindings = child.bindings
         self.children = (child,)
         self.estimate = estimate  # estimated number of output groups
-        self._compiled_group: object = _UNSET
-        self._compiled_args: object = _UNSET
+        self.frame = Frame()
+        #: ``row -> group key`` (None: no GROUP BY).
+        self.key_of = _group_key(self.group_exprs, self.bindings, self.frame)
+        #: Per spec ``row -> argument value``; None for COUNT(*), which
+        #: counts positions.
+        self.arguments = [
+            None if spec.argument is None
+            else compile_expression(spec.argument, self.bindings, self.frame)
+            for spec in collection.specs
+        ]
 
     # -- consumption ---------------------------------------------------------
+
+    def finished_positions(self) -> dict[int, int]:
+        """``id(aggregate call) -> position`` of its finished value in a
+        group's row: the representative row followed by the finished values."""
+        width = row_width(self.bindings)
+        return {node: width + slot for node, slot in self.collection.slots.items()}
 
     def groups(self, ctx: ExecutionContext):
         """Stream ``(representative, finished values)`` pairs, instrumented.
@@ -797,34 +815,6 @@ class HashAggregate(Operator):
                 stats.rows += 1
             yield item
 
-    # -- compiled helpers ----------------------------------------------------
-
-    def _group_key_getter(self, ctx: ExecutionContext):
-        """``row -> group key``: the memoized compiled getter when every key
-        is a column of the input row (one key column groups by its bare
-        value), else the evaluator's key tuple."""
-        if self._compiled_group is _UNSET:
-            slots = [
-                slot_of(self.bindings, expr) if isinstance(expr, ColumnRef) else None
-                for expr in self.group_exprs
-            ]
-            self._compiled_group = None if None in slots else itemgetter(*slots)
-        return self._compiled_group or _evaluated_key(
-            self.group_exprs, self.bindings, ctx
-        )
-
-    def _spec_getters(self):
-        """Memoized per-spec argument getters (None for COUNT(*) and for
-        arguments that are not a column of the input row)."""
-        if self._compiled_args is _UNSET:
-            self._compiled_args = [
-                compile_column_getter(self.bindings, spec.argument)
-                if isinstance(spec.argument, ColumnRef)
-                else None
-                for spec in self.collection.specs
-            ]
-        return self._compiled_args
-
     def label(self) -> str:
         parts = ["HashAggregate"]
         if self.group_exprs:
@@ -836,16 +826,8 @@ class HashAggregate(Operator):
         return " ".join(parts)
 
     def _groups(self, ctx: ExecutionContext):
-        specs = self.collection.specs
-        # Per spec ``row -> argument value``; None for COUNT(*), which counts
-        # positions.
-        getters = [
-            None
-            if spec.argument is None
-            else getter or _evaluated_getter(spec.argument, self.bindings, ctx)
-            for spec, getter in zip(specs, self._spec_getters())
-        ]
-        key_of = self._group_key_getter(ctx) if self.group_exprs else None
+        specs, getters, key_of = self.collection.specs, self.arguments, self.key_of
+        self.frame.enter(ctx)
         metrics = ctx.metrics
         states: dict = {}
         for batch in self.child.batches(ctx):
@@ -877,45 +859,19 @@ class HashAggregate(Operator):
             yield representative, [acc.finish() for acc in accumulators]
 
 
-# ---------------------------------------------------------------------------
-# Evaluator fallbacks: where an expression's shape has no compiled form
-# ---------------------------------------------------------------------------
-
-
-def _evaluated_getter(expr: Expression, bindings: Bindings, ctx: ExecutionContext):
-    """``row -> value`` through the evaluator: the route of an expression
-    whose shape has no compiled getter."""
-    layout, outer, run = layout_of(bindings), ctx.outer_scope, ctx.run_subquery
-    return lambda row: evaluate(expr, Scope(layout, row, outer), run)
-
-
-def _evaluated_key(exprs, bindings: Bindings, ctx: ExecutionContext):
-    """``row -> hashable key tuple`` through the evaluator, one Scope per row."""
-    layout, outer, run = layout_of(bindings), ctx.outer_scope, ctx.run_subquery
-
-    def key(row):
-        scope = Scope(layout, row, outer)
-        return tuple(hashable_value(evaluate(expr, scope, run)) for expr in exprs)
-
-    return key
-
-
-def survivors(kernels, predicates, bindings: Bindings, ctx: ExecutionContext):
-    """``rows -> positions of the rows passing every conjunct``: the
-    conjuncts' ``kernels``, else — None — the evaluator, in order."""
-    if kernels is not None:
-        return partial(apply_kernels, kernels)
-    layout, outer, run = layout_of(bindings), ctx.outer_scope, ctx.run_subquery
-
-    def select(rows):
-        kept = []
-        for position, row in enumerate(rows):
-            scope = Scope(layout, row, outer)
-            if all(is_true(evaluate(p, scope, run)) for p in predicates):
-                kept.append(position)
-        return kept
-
-    return select
+def _group_key(exprs, bindings: Bindings, frame: Frame):
+    """``row -> group key`` for GROUP BY ``exprs``, None for none: one key
+    groups by its bare value, several keys of columns by one ``itemgetter``,
+    any other keys by the tuple of their values."""
+    if not exprs:
+        return None
+    keys = [compile_expression(expr, bindings, frame) for expr in exprs]
+    slots = [slot_of(bindings, expr) if isinstance(expr, ColumnRef) else None for expr in exprs]
+    if len(keys) == 1:
+        return keys[0]
+    if None not in slots:
+        return itemgetter(*slots)
+    return lambda row: tuple([key(row) for key in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -937,14 +893,6 @@ def slots_getter(slots: list[int]) -> Callable[[Row], tuple]:
     if slots == list(range(first, first + len(slots))):
         return itemgetter(slice(first, first + len(slots)))
     return itemgetter(*slots)
-
-
-def compile_column_getter(
-    bindings: Bindings, column: ColumnRef
-) -> Callable[[Row], object] | None:
-    """A ``row -> value`` getter for a column of this row, or None."""
-    slot = slot_of(bindings, column)
-    return None if slot is None else itemgetter(slot)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter
 
 from repro.errors import ExecutionError
 from repro.sql.ast_nodes import (
@@ -62,7 +63,6 @@ from repro.sql.ast_nodes import (
 from repro.sql.formatter import format_expression
 from repro.storage.aggregates import (
     collect_aggregate_specs,
-    reject_aggregates,
     statement_has_aggregates,
 )
 from repro.storage.binder import (
@@ -72,7 +72,8 @@ from repro.storage.binder import (
     star_bindings,
     table_columns,
 )
-from repro.storage.expression import layout_of, slot_of
+from repro.storage.expression import Compiled, Frame, compile_expression, layout_of, slot_of
+from repro.storage.kernels import compile_columnar_conjuncts
 from repro.storage.operators import (
     EmptyRow,
     Filter,
@@ -84,6 +85,8 @@ from repro.storage.operators import (
     SeqScan,
     SubqueryScan,
     equality_probe_keys,
+    row_width,
+    slots_getter,
 )
 from repro.storage.statistics import group_count_estimate, join_key_overlap
 
@@ -131,7 +134,7 @@ class PlanExplanation:
 class OrderKey:
     """Where one ORDER BY item reads its value, decided at plan time: output
     column ``output``, position ``slot`` of the source row, or else
-    ``expression`` evaluated over the source row."""
+    ``expression`` computed over the source row."""
 
     ascending: bool
     output: int | None = None
@@ -148,6 +151,10 @@ class SelectPlan:
     independent of the join order the planner chose; ``root.bindings`` lists
     the same bindings in FROM order where the join order allows, else in join
     order: the layout of the rows ``root`` streams.  No name appears twice.
+    The executor's own expressions — computed select items, HAVING, computed
+    ORDER BY keys — are compiled with the plan, over ``root``'s rows or, in
+    an aggregating plan, over a group's row: its representative row followed
+    by its finished aggregate values, where an aggregate call reads its own.
     """
 
     statement: SelectStatement
@@ -163,6 +170,27 @@ class SelectPlan:
     #: whose child is ``root``; None iff the statement has no GROUP BY and no
     #: aggregate.
     aggregate: HashAggregate | None = None
+
+    def __post_init__(self) -> None:
+        finished, width = None, row_width(self.root.bindings)
+        if self.aggregate is not None:
+            finished = self.aggregate.finished_positions()
+            width += len(self.aggregate.collection.specs)
+        #: What the compiled expressions read besides their row; the executor
+        #: fills it each time the plan runs.
+        self.frame = Frame()
+
+        def compile(expr: Expression) -> Compiled:
+            return compile_expression(expr, self.root.bindings, self.frame, finished)
+
+        #: ``rows -> output tuples`` (over groups' rows when aggregating).
+        self.project = _projector(
+            [part if type(part) is int else compile(part) for part in self.projection], width
+        )
+        #: Per ORDER BY item, its compiled expression, or None (it reads a position).
+        self.order_values = [key.expression and compile(key.expression) for key in self.order_keys]
+        #: The compiled HAVING, over a group's row; None without one.
+        self.having = self.statement.having and compile(self.statement.having)
 
     def explain_lines(self, node_stats: dict | None = None) -> list[str]:
         """Render the plan tree; ``node_stats`` (EXPLAIN ANALYZE) annotates
@@ -218,8 +246,8 @@ class DmlPlan:
     ``scan`` is a :class:`~repro.storage.operators.SeqScan` or
     :class:`~repro.storage.operators.IndexScan` whose ``pairs(ctx)`` yields
     candidate ``(row_id, row)`` pairs; ``residual`` holds the WHERE conjuncts
-    the access path does not already guarantee (evaluated per candidate row by
-    the database before mutating).
+    the access path does not already guarantee (checked per candidate row by
+    the database before mutating, through ``kernels``).
     """
 
     kind: str  # "update" | "delete"
@@ -228,6 +256,17 @@ class DmlPlan:
     residual: list[Expression] = field(default_factory=list)
     #: UPDATE's bound ``(column, expression)`` SET pairs.
     assignments: tuple = ()
+
+    def __post_init__(self) -> None:
+        #: What the compiled residual and SET values read besides their row.
+        self.frame = frame = Frame()
+        #: One kernel per residual conjunct, in conjunct order.
+        self.kernels = compile_columnar_conjuncts(self.residual, self.scan.bindings, frame)
+        #: UPDATE's ``(column, compiled value)`` SET pairs.
+        self.values = [
+            (column, compile_expression(value, self.scan.bindings, frame))
+            for column, value in self.assignments
+        ]
 
     @property
     def root(self) -> Operator:
@@ -292,10 +331,6 @@ class Planner:
     # -- public entry point ----------------------------------------------------
 
     def plan_select(self, statement: SelectStatement) -> SelectPlan:
-        # WHERE and GROUP BY run per input row, before any group exists.
-        for expr in (statement.where, *statement.group_by):
-            if expr is not None:
-                reject_aggregates(expr)
         statement = self._binder.select(statement)
         aggregating = bool(statement.group_by) or statement_has_aggregates(statement)
         conjuncts = _split_conjuncts(statement.where)
@@ -400,8 +435,6 @@ class Planner:
         may name a table to its right, so an operand's conjunct that may read
         outside it is a WHERE conjunct, as in sqlite: it goes to ``hoisted``
         (the operand is a LEFT join's preserved side, so that is sound)."""
-        if isinstance(item, Join) and item.condition is not None:
-            reject_aggregates(item.condition)
         if isinstance(item, Join) and item.join_type in ("INNER", "CROSS"):
             left_leaves, left_conjuncts = self._flatten(item.left, hoisted, strict)
             right_leaves, right_conjuncts = self._flatten(item.right, hoisted, strict)
@@ -749,6 +782,21 @@ def _projection(
         slot = slot_of(layout, expr) if isinstance(expr, ColumnRef) else None
         parts.append(expr if slot is None else slot)
     return parts
+
+
+def _projector(parts: list, width: int):
+    """The ``rows -> output tuples`` callable of a projection over rows
+    ``width`` wide: nothing at all when the select list *is* the row
+    (``SELECT *`` in layout order), one ``itemgetter`` mapped over the rows
+    when every part is a position, else each part's getter or closure
+    mapped over them."""
+    if all(type(part) is int for part in parts):
+        if parts == list(range(width)):
+            return lambda rows: rows
+        getter = slots_getter(parts)
+        return lambda rows: list(map(getter, rows))
+    getters = [itemgetter(part) if type(part) is int else part for part in parts]
+    return lambda rows: list(zip(*[map(get, rows) for get in getters]))
 
 
 def _order_key(item, layout: list[tuple[str, list[str]]]) -> OrderKey:

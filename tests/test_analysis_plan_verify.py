@@ -194,6 +194,23 @@ class TestGeneratedCorpus:
         assert result.plans_verified > 0
         assert list(result.report) == []
 
+    def test_every_conjunct_has_its_kernel(self, database):
+        """Filters and join residuals run one kernel per conjunct: none is
+        dropped or evaluated another way."""
+        counted = 0
+        for sql in domain_statements("limnology", sessions=12, seed=3):
+            statement = parse(sql)
+            for variant in (statement, parameterize_statement(statement)[0]):
+                plan = Planner(database).plan_select(variant)
+                for operator in _walk(plan.root):
+                    if isinstance(operator, Filter):
+                        assert len(operator.kernels) == len(operator.predicates), sql
+                        counted += 1
+                    elif hasattr(operator, "residual_kernels"):
+                        assert len(operator.residual_kernels) == len(operator.residual), sql
+                        counted += 1
+        assert counted > 0
+
     @settings(
         max_examples=20,
         deadline=None,

@@ -17,7 +17,7 @@ from repro import CQMS, CQMSConfig, SimulatedClock, build_database
 from repro.client import Workbench
 from repro.errors import QueryTimeoutError, RateLimitedError, ReproError
 from repro.obs import QueryLimits
-from repro.storage import ExecutionSettings, operators
+from repro.storage import ExecutionSettings, kernels
 from repro.storage.database import Database
 
 RUNAWAY_ROWS = 4_000
@@ -53,12 +53,12 @@ class TestStatementTimeouts:
     @pytest.mark.parametrize(
         "aggregates",
         ["SUM(x)", "SUM(x + 0)"],
-        ids=["compiled-argument", "evaluated-argument"],
+        ids=["column-argument", "computed-argument"],
     )
     def test_grouped_scan_cancels_within_one_batch(self, aggregates, monkeypatch):
         """An expired budget stops a GROUP BY at the first batch boundary
-        whether its argument column comes from a compiled getter or the
-        evaluator, not after the whole heap has been read."""
+        whether its argument is a column's getter or a computed closure, not
+        after the whole heap has been read."""
         settings = ExecutionSettings()
         db = _runaway_db(settings)
         table = db.table("big")
@@ -111,18 +111,26 @@ class TestStatementTimeouts:
         db.execute("CREATE TABLE b (x INTEGER, z INTEGER)")
         db.insert_rows("a", [{"x": i} for i in range(30)])
         db.insert_rows("b", [{"x": i, "z": i * 10} for i in range(right_rows)])
+        evaluations = 0
+        compile_expression = kernels.compile_expression
+
+        def counted_compile(*args):
+            predicate = compile_expression(*args)
+
+            def counted(row):
+                nonlocal evaluations
+                evaluations += 1
+                return predicate(row)
+
+            return counted
+
+        # The condition compiles when the statement is planned: count the
+        # calls of its compiled predicate from then on, the cached plan's too.
+        monkeypatch.setattr(kernels, "compile_expression", counted_compile)
         assert len(db.execute(sql, timeout_seconds=60.0)) == expected_rows
 
         evaluations = 0
         expire_after = 5 * right_rows + 3  # mid-way through the sixth left row
-        evaluate = operators.evaluate
-
-        def counted_evaluate(*args):
-            nonlocal evaluations
-            evaluations += 1
-            return evaluate(*args)
-
-        monkeypatch.setattr(operators, "evaluate", counted_evaluate)
         # The clock jumps past any deadline at the k-th condition evaluation.
         db.statement_timer = lambda: 1e9 if evaluations >= expire_after else 0.0
         with pytest.raises(QueryTimeoutError):

@@ -1,5 +1,10 @@
 """Tests for the ranking function, completion engine, and correction engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.completion import CompletionEngine
@@ -189,6 +194,41 @@ class TestCompletionEngine:
         engine = CompletionEngine(completion_store)
         suggestions = engine.suggest_attributes("SELECT * FROM Lakes", limit=10)
         assert any(s.source == "schema" for s in suggestions)
+
+    def test_tied_completions_do_not_depend_on_the_hash_seed(self):
+        """Suggestions tied on popularity come out in one order whatever the
+        string hash seed: the quickstart's log, whose three ``watersalinity``
+        attributes each appear in one of its four queries."""
+        program = (
+            "from test_core_ranking_completion_correction import SCHEMA, make_record\n"
+            "from repro.core.completion import CompletionEngine\n"
+            "from repro.core.query_store import QueryStore\n"
+            "store = QueryStore(schema=lambda: SCHEMA)\n"
+            "for qid, sql in enumerate([\n"
+            "    'SELECT * FROM WaterTemp T WHERE T.temp < 22',\n"
+            "    'SELECT * FROM WaterSalinity S, WaterTemp T WHERE T.temp < 22',\n"
+            "    'SELECT * FROM WaterSalinity S, WaterTemp T WHERE T.temp < 18',\n"
+            "    'SELECT S.salinity, T.temp FROM WaterSalinity S, WaterTemp T '\n"
+            "    'WHERE S.loc_x = T.loc_x AND S.loc_y = T.loc_y AND T.temp < 18',\n"
+            "], start=1):\n"
+            "    store.add(make_record(qid, sql))\n"
+            "engine = CompletionEngine(store)\n"
+            "for kind, found in engine.suggest('SELECT * FROM WaterSalinity S, ').items():\n"
+            "    print(kind, [(s.text, round(s.score, 4), s.source) for s in found])\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", program],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(outputs) == 1, outputs
 
     def test_suggest_attributes_without_tables_empty(self, completion_store):
         engine = CompletionEngine(completion_store)

@@ -28,6 +28,8 @@ ROUND_TRIP_QUERIES = [
     "ALTER TABLE t ADD COLUMN c TEXT",
     "CREATE UNIQUE INDEX idx ON t (a)",
     "SELECT * FROM t LIMIT 10 OFFSET 20",
+    "SELECT a - (b - c), (a - b) - c, a % (b * c), -(a + b) FROM t",
+    "SELECT * FROM t WHERE (a > 2) IS NULL OR a > (b IS NULL) OR a BETWEEN b + 1 AND (c = d)",
 ]
 
 

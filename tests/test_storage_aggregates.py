@@ -44,7 +44,6 @@ from repro.storage.aggregates import (
 from repro.storage.executor import (
     ExecutionStats,
     Executor,
-    _compile_projection,
     _order_slots,
     _sort_by_slot,
     _sort_entries,
@@ -597,10 +596,9 @@ def _find(op, kind):
     return None
 
 
-#: One statement per place the engine interprets an expression because its
-#: *shape* has no compiled form — where the evaluator reads the row tuple
-#: through a positional ``Scope`` — with the kernel or getter memo that must
-#: therefore be None.
+#: One statement per place the engine once interpreted an expression because
+#: its *shape* had no compiled form, with the compiled kernel, getter or
+#: closure the plan now holds for it.
 INTERPRETED_SHAPES = [
     pytest.param(
         "SELECT lake_id FROM lakes WHERE area + lake_id > 480",
@@ -614,7 +612,7 @@ INTERPRETED_SHAPES = [
     ),
     pytest.param(
         "SELECT lake_id * 2, UPPER(name) FROM lakes WHERE area > 90",
-        lambda plan: plan._compiled_projection,
+        lambda plan: plan.project,
         id="computed-select-item",
     ),
     pytest.param(
@@ -626,17 +624,17 @@ INTERPRETED_SHAPES = [
     pytest.param(
         "SELECT a.lake_id * 1000 + b.lake_id, LOWER(b.state) FROM lakes a "
         "JOIN lakes b ON a.depth = b.depth WHERE a.lake_id < 10",
-        lambda plan: plan._compiled_projection,
+        lambda plan: plan.project,
         id="computed-select-item-over-join",
     ),
     pytest.param(
         "SELECT lake_id % 3, COUNT(*) FROM lakes GROUP BY lake_id % 3",
-        lambda plan: plan.aggregate._compiled_group,
+        lambda plan: plan.aggregate.key_of,
         id="computed-group-key",
     ),
     pytest.param(
         "SELECT state, AVG(area + 1.0) FROM lakes GROUP BY state",
-        lambda plan: plan.aggregate._compiled_args[0],
+        lambda plan: plan.aggregate.arguments[0],
         id="computed-aggregate-argument",
     ),
     pytest.param(
@@ -665,7 +663,7 @@ class TestInterpreterByShape:
         db.execute("CREATE INDEX lakes_id ON lakes (lake_id)")
         plan = Planner(db).plan_select(parse(sql))
         _, rows = Executor(db).execute_plan(plan)
-        assert compiled_memo(plan) is None  # memos fill on first execution
+        assert compiled_memo(plan) is not None  # compiled with the plan
         assert_same_rows(sql, rows, reference(sql))
 
     @pytest.mark.parametrize(
@@ -1254,7 +1252,7 @@ class TestHashJoinBuild:
         assert [name for name, _ in join.bindings] == [name for name, _ in plan.bindings]
         assert plan.projection == list(range(len(plan.projection)))
         batch = [()]
-        assert _compile_projection(plan)(batch) is batch
+        assert plan.project(batch) is batch
         _, rows = Executor(db).execute_plan(plan)
         assert_same_rows(sql, rows, build_reference(sql))
 

@@ -1,5 +1,5 @@
-"""Predicate kernels: typed by the binder, they agree with the evaluator and
-with sqlite at every site that filters rows; float aggregates fold bit-exact;
+"""Predicate kernels: typed by the binder, they agree with the compiled
+predicate and with sqlite at every site that filters rows; float aggregates fold bit-exact;
 EXPLAIN ANALYZE runs the statement's own path."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.storage import Database, ExecutionSettings
 from repro.storage.binder import Binder
 from repro.storage import kernels
-from repro.storage.expression import Scope, evaluate, is_true, layout_of
+from repro.storage.expression import compile_expression
 from repro.storage.executor import Executor
 from repro.storage.kernels import (
     apply_kernels,
@@ -157,7 +157,7 @@ class TestCrossPathEquivalence:
         ]
         for sql in (
             "SELECT station, SUM(value), AVG(value) FROM readings GROUP BY station",
-            # A computed argument is built by the evaluator.
+            # A computed argument is its compiled closure mapped over a batch.
             "SELECT station, SUM(value * 1), AVG(value * 1) FROM readings "
             "GROUP BY station",
         ):
@@ -239,15 +239,9 @@ class TestKernelCompilation:
         assert self._select("a BETWEEN 1 AND 3") == [0, 2]
         assert self._select("a NOT BETWEEN 1 AND 3") == [3]
 
-    def test_uncompilable_conjunct_rejects_whole_set(self):
-        from repro.storage.planner import _split_conjuncts
-
-        statement = _bound("SELECT a FROM t WHERE a > 1 AND a + 1 > 2")
-        bindings = [("t", ["a", "b"])]
-        assert (
-            compile_columnar_conjuncts(_split_conjuncts(statement.where), bindings)
-            is None
-        )
+    def test_a_shape_with_no_special_kernel_gets_the_generic_one(self):
+        assert self._select("a > 1 AND a + 1 > 2") == [2, 3]
+        assert self._select("a + 1 > 2 OR b = 'y'") == [1, 2, 3]
 
 
 #: The grid's table ``g``: one column per type, NULLs in each, and values
@@ -306,17 +300,16 @@ GRID_CONDITIONS = (
 
 
 class TestKernelsMatchEvaluator:
-    """The evaluator is the kernels' contract: every kernel shape, compiled
-    against the grid's declared column types and against undeclared ones (a
-    derived table's), keeps exactly the rows of a plain row batch where
-    ``is_true(evaluate(...))`` holds — over the whole batch and over an
-    earlier conjunct's selection.  The grid's values are already in stored
-    form, as a heap holds them."""
+    """The compiled predicate is the kernels' contract: every kernel shape,
+    compiled against the grid's declared column types and against
+    undeclared ones (a derived table's), keeps exactly the rows of a plain
+    row batch where the conjunct's compiled predicate is True — over the
+    whole batch and over an earlier conjunct's selection.  The grid's values
+    are already in stored form, as a heap holds them."""
 
     @pytest.mark.parametrize("condition", GRID_CONDITIONS)
     def test_kernel_agrees_with_evaluator(self, condition):
         bindings = [("g", list(GRID_COLUMNS))]
-        layout = layout_of(bindings)
 
         def evens(columns, selection):
             return list(range(0, len(GRID_ROWS), 2))
@@ -331,10 +324,11 @@ class TestKernelsMatchEvaluator:
             ).where
             kernel = compile_columnar_predicate(where, bindings)
             assert kernel is not None, condition
+            predicate = compile_expression(where, bindings)
             expected = [
                 position
                 for position, row in enumerate(GRID_ROWS)
-                if is_true(evaluate(where, Scope(layout, row)))
+                if predicate(row) is True
             ]
             case = (condition, declared)
             assert list(apply_kernels([kernel], GRID_ROWS)) == expected, case
@@ -345,13 +339,14 @@ class TestKernelsMatchEvaluator:
 
 class TestAnalyzeCounters:
     def test_row_engine_summary_unchanged(self, reference):
-        """A conjunct with no kernel keeps the whole plan on row batches: no
-        columnar summary line, and the rows still match sqlite."""
+        """A conjunct with no special kernel keeps the whole plan on row
+        batches: no columnar summary line, and the rows still match sqlite."""
         db = _make_db()
         sql = "SELECT id FROM readings WHERE value * 2 > 10.0"
         explanation = db.explain(sql, analyze=True)
         assert isinstance(explanation.root, Filter)
-        assert explanation.root.kernels is None
+        (kernel,) = explanation.root.kernels
+        assert kernel.__qualname__.startswith("_predicate_kernel.")
         assert "columnar:" not in explanation.text()
         assert_matches_sqlite(sql, db.execute(sql).rows, reference)
 
@@ -426,16 +421,22 @@ def big_reference():
 
 
 @pytest.fixture
-def compare_calls(monkeypatch):
-    """Every ``compare_values`` call a kernel makes."""
+def predicate_calls(monkeypatch):
+    """Every call a kernel makes of a conjunct's compiled predicate, in
+    statements planned after the fixture is set up."""
     calls: list = []
-    original = kernels.compare_values
+    original = kernels.compile_expression
 
-    def counted(left, right):
-        calls.append(None)
-        return original(left, right)
+    def counted_compile(*args, **kwargs):
+        predicate = original(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "compare_values", counted)
+        def counted(row):
+            calls.append(None)
+            return predicate(row)
+
+        return counted
+
+    monkeypatch.setattr(kernels, "compile_expression", counted_compile)
     return calls
 
 
@@ -457,7 +458,8 @@ class TestTypedKernelsAboveRowOperators:
     """A kernel takes its columns' types from the binder, so it runs typed
     wherever it filters rows — above a join, inside an index-join residual,
     in an UPDATE/DELETE residual.  Only an undeclared column (a derived
-    table's) keeps the ``compare_values`` loop, and both answer like sqlite."""
+    table's) defers to the conjunct's compiled predicate, row by row, and
+    both answer like sqlite."""
 
     @pytest.mark.parametrize(
         "sql, below, calls",
@@ -476,13 +478,13 @@ class TestTypedKernelsAboveRowOperators:
             ),
         ],
     )
-    def test_filter(self, big_db, big_reference, compare_calls, sql, below, calls):
+    def test_filter(self, big_db, big_reference, predicate_calls, sql, below, calls):
         root = Planner(big_db).plan_select(parse(sql)).root
         node = _operator(root, Filter)
         assert isinstance(node.child, below) and node.kernels is not None
-        compare_calls.clear()
+        predicate_calls.clear()
         rows = big_db.execute(sql).rows
-        assert len(compare_calls) == calls
+        assert len(predicate_calls) == calls
         assert sorted(rows) == sorted(big_reference(sql))
 
     @pytest.mark.parametrize(
@@ -503,13 +505,13 @@ class TestTypedKernelsAboveRowOperators:
         ],
     )
     def test_index_join_residual(
-        self, big_db, big_reference, compare_calls, sql, calls
+        self, big_db, big_reference, predicate_calls, sql, calls
     ):
         join = _operator(Planner(big_db).plan_select(parse(sql)).root, IndexLookupJoin)
         assert join.residual and join.residual_kernels is not None
-        compare_calls.clear()
+        predicate_calls.clear()
         rows = big_db.execute(sql).rows
-        assert len(compare_calls) == calls
+        assert len(predicate_calls) == calls
         assert sorted(rows) == sorted(big_reference(sql))
 
     @pytest.mark.parametrize(
@@ -523,7 +525,7 @@ class TestTypedKernelsAboveRowOperators:
             ),
             # A DML target's columns are always declared; a BOOLEAN column
             # against a boolean literal has no native comparison that
-            # matches compare_values, so that kernel keeps the loop.
+            # matches compare_values, so that kernel defers to the predicate.
             pytest.param(
                 "UPDATE big SET s = 'z' WHERE f = TRUE AND v > 50.0",
                 len(BIG_ROWS),
@@ -531,11 +533,11 @@ class TestTypedKernelsAboveRowOperators:
             ),
         ],
     )
-    def test_dml_residual(self, compare_calls, sql, calls):
+    def test_dml_residual(self, predicate_calls, sql, calls):
         db = _big_db()
-        compare_calls.clear()
+        predicate_calls.clear()
         count = db.execute(sql).rowcount
-        assert len(compare_calls) == calls
+        assert len(predicate_calls) == calls
         with closing(_big_sqlite()) as connection:
             assert count == connection.execute(sql).rowcount > 0
             contents = "SELECT * FROM big ORDER BY id"

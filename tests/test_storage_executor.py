@@ -36,8 +36,8 @@ class TestSelectBasics:
         assert result.columns == ["id", "name", "state", "area"]
 
     def test_star_next_to_a_computed_item(self, db):
-        """A computed item keeps the whole select list on the evaluator, so
-        ``*`` expands there (``Executor._star_values``), not in the getters."""
+        """``*`` next to a computed item: the star's positions and the item's
+        compiled closure make one projection."""
         result = db.execute("SELECT *, area + 1 FROM lakes WHERE id = 2")
         assert result.rows == [(2, "Union", "WA", 2.3, 3.3)]
         assert result.columns[:4] == ["id", "name", "state", "area"]

@@ -1,21 +1,29 @@
-"""Tests for expression evaluation (scopes, NULL semantics, operators)."""
+"""Tests for compiled expressions (scopes, NULL semantics, operators)."""
+
+import math
 
 import pytest
 
 from repro.errors import ExecutionError
 from repro.sql.parser import parse
 from repro.storage.binder import Binder
-from repro.storage.expression import Scope, evaluate, is_true, layout_of
+from repro.storage.expression import Frame, Scope, compile_expression, layout_of
 
 #: The tables expressions are bound against: ``t`` and ``s`` both have ``a``.
 SCHEMA = {"t": ["a", "b", "name", "flag"], "s": ["x", "a"], "u": ["y"]}
 BINDER = Binder(lambda name: [(column, None) for column in SCHEMA[name.lower()]])
 
 #: The one row of ``FROM t, s`` every expression is evaluated on.
-ROW_SCOPE = Scope(
-    layout_of([("t", SCHEMA["t"]), ("s", SCHEMA["s"])]),
-    (5, None, "Lake Washington", True, 2.5, 7),
-)
+ROW_BINDINGS = [("t", SCHEMA["t"]), ("s", SCHEMA["s"])]
+ROW_SCOPE = Scope(layout_of(ROW_BINDINGS), (5, None, "Lake Washington", True, 2.5, 7))
+
+
+def evaluate(expression, scope):
+    """``expression`` compiled over ``scope``'s row, its enclosing rows
+    ``scope.parent``, and called on the row."""
+    bindings = [(name, SCHEMA[name]) for name in scope.layout]
+    frame = Frame(outer=scope.parent)
+    return compile_expression(expression, bindings, frame)(scope.row)
 
 
 def bound(sql):
@@ -91,10 +99,10 @@ class TestComparisonAndLogic:
         assert run("NOT t.b = 1") is None
 
     def test_is_true_only_for_true(self):
-        assert is_true(True)
-        assert not is_true(None)
-        assert not is_true(False)
-        assert not is_true(1)
+        assert run("CASE WHEN t.a = 5 THEN 'kept' END") == "kept"
+        assert run("CASE WHEN t.b = 5 THEN 'kept' END") is None
+        assert run("CASE WHEN t.a = 6 THEN 'kept' END") is None
+        assert run("CASE WHEN t.a THEN 'kept' END") is None
 
     def test_between(self):
         assert run("t.a BETWEEN 1 AND 10") is True
@@ -168,3 +176,33 @@ class TestArithmeticAndFunctions:
     def test_subquery_without_runner_raises(self):
         with pytest.raises(ExecutionError):
             run("EXISTS (SELECT 1 FROM t)")
+
+
+class TestAgreesWithSqlite:
+    """Each value as sqlite computes it (``SELECT ...`` in sqlite 3.40)."""
+
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [
+            ("ROUND(2.5)", 3.0),
+            ("ROUND(-0.5)", -1.0),
+            ("ROUND(0.125, 2)", 0.13),
+            ("ROUND(2.675, 2)", 2.68),
+            ("ROUND(7)", 7.0),
+            ("ROUND(1234567890123456)", 1234567890123456.0),
+            ("ROUND(2.4999999999999996)", 2.0),
+            ("ROUND(-0.4)", 0.0),
+        ],
+        ids=["half-up", "half-away-from-zero", "half-up-at-two-places",
+             "decimal-half-below-the-double", "integer-to-real",
+             "sixteen-digit-integer-exact", "just-below-the-half", "negative-to-zero"],
+    )
+    def test_round_half_away_from_zero_to_a_real(self, expression, expected):
+        value = run(expression)
+        assert value == expected and type(value) is float
+        assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+
+    def test_cast_of_a_big_integer_is_exact(self):
+        assert run("CAST(9007199254740993 AS INTEGER)") == 9007199254740993
+        assert run("CAST('9007199254740993' AS INTEGER)") == 9007199254740993
+        assert run("CAST(-2.9 AS INTEGER)") == -2

@@ -7,13 +7,17 @@ equi outer join is hashed rather than evaluated per pair."""
 from __future__ import annotations
 
 import random
+import re
 import sqlite3
 from contextlib import closing
 
 import pytest
 
 from repro.errors import ReproError
-from repro.storage import Database, ExecutionSettings, operators
+from repro.sql.formatter import format_expression
+from repro.sql.parser import parse, parse_expression
+from repro.storage import Database, ExecutionSettings, kernels
+from repro.storage.planner import Planner
 
 pytestmark = pytest.mark.skipif(
     sqlite3.sqlite_version_info < (3, 39, 0),
@@ -120,21 +124,27 @@ class TestOuterJoinPlacement:
 class TestEquiOuterJoinIsHashed:
     @pytest.fixture()
     def counted(self, monkeypatch):
-        """A database whose ON evaluations are counted: ``a`` = 0..29, ``b``
-        = 40 rows keyed ``i % 20`` — 40 key-matching pairs of 1,200."""
+        """A database whose ON evaluations — calls of a residual conjunct's
+        compiled predicate — are counted: ``a`` = 0..29, ``b`` = 40 rows
+        keyed ``i % 20`` — 40 key-matching pairs of 1,200."""
         db = Database()
         db.execute("CREATE TABLE a (x INTEGER)")
         db.execute("CREATE TABLE b (x INTEGER, z INTEGER)")
         db.insert_rows("a", [{"x": i} for i in range(30)])
         db.insert_rows("b", [{"x": i % 20, "z": i} for i in range(40)])
         evaluations = [0]
-        evaluate = operators.evaluate
+        compile_expression = kernels.compile_expression
 
-        def counted_evaluate(*args):
-            evaluations[0] += 1
-            return evaluate(*args)
+        def counted_compile(*args):
+            predicate = compile_expression(*args)
 
-        monkeypatch.setattr(operators, "evaluate", counted_evaluate)
+            def counted(row):
+                evaluations[0] += 1
+                return predicate(row)
+
+            return counted
+
+        monkeypatch.setattr(kernels, "compile_expression", counted_compile)
         return db, evaluations
 
     @pytest.mark.parametrize(
@@ -346,4 +356,254 @@ def _differs(db: Database, connection, sql: str, forward: bool) -> str | None:
         return f"refused ({error}): {sql}"
     if not _same(actual, expected):
         return f"{sql}\n  got {actual}\n  sqlite {expected}"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Generated oracle: arithmetic over NULL-heavy numbers, and Ternary Logic
+# Partitioning (Rigger & Su, "Finding Bugs in Database Systems via Query
+# Partitioning", OOPSLA 2020)
+# ---------------------------------------------------------------------------
+
+#: Each table: a join key ``k`` and NULL-heavy ``v`` (INTEGER) and ``f``
+#: (FLOAT) columns.  Every value is a small multiple of 1/4, so sums and
+#: products are exact doubles and both engines compute the same bits.
+NUMBER_COLUMNS = (("k", "INTEGER"), ("v", "INTEGER"), ("f", "FLOAT"))
+
+#: The operators generated.  ``/`` is not among them, a listed dialect
+#: difference: here it always divides exactly (``7 / 2`` is 3.5), where
+#: sqlite divides two integers to an integer.
+ARITHMETIC = ("+", "-", "*", "%")
+
+
+def _number_rows(rng: random.Random, count: int) -> list[tuple]:
+    return [
+        (
+            rng.choice([None, 0, 1, 2, 3]),
+            rng.choice([None, None, -2, 0, 1, 3, 7]),
+            rng.choice([None, None, -1.5, 0.0, 0.5, 2.25, 3.0]),
+        )
+        for _ in range(count)
+    ]
+
+
+def _number_tables(rng: random.Random, batch_size: int, sizes: dict[str, int]):
+    """``(engine, sqlite connection)`` holding one seeded table per name in
+    ``sizes``, ``c`` hash-indexed on ``k``."""
+    db = Database(exec_settings=ExecutionSettings(batch_size=batch_size))
+    connection = sqlite3.connect(":memory:")
+    definition = ", ".join(f"{column} {kind}" for column, kind in NUMBER_COLUMNS)
+    for name, size in sizes.items():
+        rows = _number_rows(rng, rng.randint(0, size))
+        db.execute(f"CREATE TABLE {name} ({definition})")
+        db.insert_rows(name, [dict(zip((c for c, _ in NUMBER_COLUMNS), row)) for row in rows])
+        connection.execute(f"CREATE TABLE {name} ({definition})")
+        connection.executemany(f"INSERT INTO {name} VALUES (?, ?, ?)", rows)
+    if "c" in sizes:
+        db.execute("CREATE INDEX c_k ON c (k)")
+    return db, connection
+
+
+def _term(rng: random.Random, names, depth: int = 2) -> str:
+    """A seeded numeric term over the ``names`` bindings' columns."""
+    if depth == 0 or rng.random() < 0.35:
+        if rng.random() < 0.8:
+            return f"{rng.choice(names)}.{rng.choice('kvf')}"
+        return rng.choice(("0", "1", "3", "(-2)", "0.5", "1.5", "NULL"))
+    operator = rng.choice(ARITHMETIC)
+    return f"({_term(rng, names, depth - 1)} {operator} {_term(rng, names, depth - 1)})"
+
+
+def _column_term(rng: random.Random, names) -> str:
+    """A seeded term reading a column, for GROUP BY and ORDER BY: a listed
+    dialect difference is that sqlite reads a bare integer there as an
+    output column's position, where this engine reads it as a constant."""
+    column = f"{rng.choice(names)}.{rng.choice('kvf')}"
+    if rng.random() < 0.3:
+        return column
+    return f"({column} {rng.choice(ARITHMETIC)} {_term(rng, names, 1)})"
+
+
+def _predicate(rng: random.Random, names, depth: int = 1, joiners=("AND", "OR")) -> str:
+    """A seeded condition over the ``names`` bindings: comparisons of
+    terms, IS NULL, BETWEEN, and their ``joiners`` / NOT."""
+    shape = rng.random()
+    if depth and shape < 0.2:
+        joiner = rng.choice(joiners)
+        return f"({_predicate(rng, names, 0)} {joiner} {_predicate(rng, names, 0)})"
+    if depth and shape < 0.3:
+        return f"NOT ({_predicate(rng, names, 0)})"
+    if shape < 0.45:
+        return f"{_term(rng, names)} IS {rng.choice(('', 'NOT '))}NULL"
+    if shape < 0.55:
+        return f"{_term(rng, names, 1)} BETWEEN {_term(rng, names, 0)} AND {_term(rng, names, 1)}"
+    comparison = rng.choice(("=", "<>", "<", "<=", ">", ">="))
+    return f"{_term(rng, names)} {comparison} {_term(rng, names)}"
+
+
+def _arithmetic_statement(rng: random.Random) -> tuple[str, int]:
+    """A seeded SELECT computing terms in its select list, WHERE, ORDER BY,
+    GROUP BY and HAVING, and how many leading output columns its ORDER BY
+    fixes the order of (0: none)."""
+    names = rng.choice((["a"], ["a", "b"]))
+    source = "a" if names == ["a"] else rng.choice(("a, b", "a JOIN b ON a.k = b.k"))
+    where = f" WHERE {_predicate(rng, names)}" if rng.random() < 0.7 else ""
+    if rng.random() < 0.4:
+        key = _column_term(rng, names)
+        argument = _term(rng, names, 1)
+        aggregates = rng.sample(
+            ["COUNT(*)", f"COUNT({argument})", f"MIN({argument})", f"MAX({argument})",
+             f"SUM({argument})", f"AVG({argument})"],
+            2,
+        )
+        having = rng.choice((
+            "", " HAVING COUNT(*) > 1", f" HAVING SUM({argument}) > 1",
+            f" HAVING MAX({argument}) - MIN({argument}) >= 1",
+            f" HAVING {key} IS NOT NULL",
+        ))
+        select = f"{key}, {', '.join(aggregates)}"
+        sql = f"SELECT {select} FROM {source}{where} GROUP BY {key}{having}"
+        if rng.random() < 0.5:
+            return sql + f" ORDER BY {aggregates[0]} DESC, {key}", 2
+        return sql, 0
+    items = [_column_term(rng, names)] + [_term(rng, names) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        order = rng.choice(("", " DESC"))
+        return f"SELECT {', '.join(items)} FROM {source}{where} ORDER BY {items[0]}{order}", 1
+    return f"SELECT {', '.join(items)} FROM {source}{where}", 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arithmetic_matches_sqlite(seed):
+    """150 seeded statements per seed computing ``+ - * %`` over NULL-heavy
+    INTEGER and FLOAT columns, in the select list, WHERE, ORDER BY, GROUP BY
+    and HAVING, at batch size 1, 2 or 256: each returns sqlite's rows as a
+    multiset, and where it has an ORDER BY, sqlite's order of the columns
+    it sorts by."""
+    rng = random.Random(seed)
+    batch_size = ORACLE_BATCH_SIZES[seed % len(ORACLE_BATCH_SIZES)]
+    db, connection = _number_tables(rng, batch_size, {"a": 10, "b": 8})
+    failures = []
+    with closing(connection):
+        for _ in range(150):
+            sql, ordered = _arithmetic_statement(rng)
+            expected = connection.execute(sql).fetchall()
+            actual = db.execute(sql).rows
+            prefix = [row[:ordered] for row in actual]
+            if not _same(actual, expected) or prefix != [row[:ordered] for row in expected]:
+                failures.append(f"{sql}\n  got {actual}\n  sqlite {expected}")
+    assert not failures, f"{len(failures)} of 150 differ:\n" + "\n".join(failures[:5])
+
+
+#: Per filtering site: the query ``Q`` over its bindings, ``Q`` with the
+#: partitioning predicate ``{p}`` placed at that site, and the bindings the
+#: predicate reads.  An inner join's WHERE and ON become a Filter; only an
+#: outer join keeps an ON residual (its matched rows: ``b.k`` is never NULL
+#: there), and only the probed table's own conjunct rides an index loop.
+TLP_SITES = {
+    "Filter": (
+        "SELECT * FROM a, b WHERE a.k < 3",
+        "SELECT * FROM a, b WHERE a.k < 3 AND {p}",
+        ("a", "b"),
+    ),
+    "HashJoin": (
+        "SELECT * FROM a LEFT JOIN b ON a.k = b.k WHERE b.k IS NOT NULL",
+        "SELECT * FROM a LEFT JOIN b ON a.k = b.k AND {p} WHERE b.k IS NOT NULL",
+        ("a", "b"),
+    ),
+    "IndexLoopJoin": (
+        "SELECT * FROM a JOIN c ON a.k = c.k WHERE a.k IS NOT NULL",
+        "SELECT * FROM a JOIN c ON a.k = c.k WHERE a.k IS NOT NULL AND {p}",
+        ("c",),
+    ),
+}
+
+
+def _tlp_predicate(rng: random.Random, names) -> str:
+    """A seeded predicate the planner keeps as one conjunct where the site
+    puts it: no AND at its top (the planner would place each side on its
+    own), a column read (a constant is placed above the joins), and not a
+    bare equality of two bindings' columns (a join key)."""
+    while True:
+        predicate = _predicate(rng, names, joiners=("OR",))
+        left, _, right = predicate.partition(" = ")
+        key = all(re.fullmatch(r"[abc]\.[kvf]", side) for side in (left, right))
+        if re.search(r"[abc]\.[kvf]", predicate) and not key:
+            return predicate
+
+
+def _partitions(predicate: str) -> list[str]:
+    """The three TLP predicates of ``predicate``: true, false and unknown."""
+    return [f"({predicate})", f"NOT ({predicate})", f"({predicate}) IS NULL"]
+
+
+@pytest.mark.parametrize("site", [*TLP_SITES, "DELETE"])
+@pytest.mark.parametrize("seed", range(3))
+def test_ternary_logic_partitions_every_filtering_site(seed, site):
+    """For 60 seeded predicates ``p`` per seed: ``Q`` equals ``Q WHERE p`` ⊎
+    ``Q WHERE NOT p`` ⊎ ``Q WHERE p IS NULL`` as multisets, with ``p`` at
+    the named site (checked on the plan), and each part is sqlite's; a
+    DELETE of each part in turn deletes sqlite's count of rows each time and
+    all of the table in the end."""
+    rng = random.Random(seed)
+    batch_size = ORACLE_BATCH_SIZES[seed % len(ORACLE_BATCH_SIZES)]
+    db, connection = _number_tables(rng, batch_size, {"a": 6, "b": 6, "c": 60})
+    failures = []
+    with closing(connection):
+        for _ in range(60):
+            if site == "DELETE":
+                failure = _delete_partitions(db, connection, _tlp_predicate(rng, ["c"]))
+            else:
+                whole, part, names = TLP_SITES[site]
+                failure = _select_partitions(
+                    db, connection, site, whole, part, _tlp_predicate(rng, names)
+                )
+            if failure:
+                failures.append(failure)
+    assert not failures, f"{len(failures)} of 60 differ:\n" + "\n".join(failures[:5])
+
+
+def _select_partitions(db, connection, site, whole, part, predicate) -> str | None:
+    expected = db.execute(whole).rows
+    if not _same(expected, connection.execute(whole).fetchall()):
+        return f"{whole} differs from sqlite"
+    union = []
+    for condition in _partitions(predicate):
+        sql = part.format(p=condition)
+        plan = Planner(db).plan_select(parse(sql)).text()
+        conjunct = format_expression(parse_expression(condition))
+        held = [
+            line for line in plan.splitlines()
+            if conjunct in line and line.lstrip().startswith(site)
+        ]
+        if not held:
+            return f"{condition} is not at the {site}:\n{plan}"
+        rows = db.execute(sql).rows
+        if not _same(rows, connection.execute(sql).fetchall()):
+            return f"{sql} differs from sqlite"
+        union += rows
+    if not _same(union, expected):
+        return f"the partitions of {predicate} at the {site} are not {whole}"
+    return None
+
+
+def _delete_partitions(db, connection, predicate) -> str | None:
+    rows = connection.execute("SELECT * FROM c").fetchall()
+    deleted = 0
+    for condition in _partitions(predicate):
+        sql = f"DELETE FROM c WHERE {condition}"
+        count = db.execute(sql).rowcount
+        if count != connection.execute(sql).rowcount:
+            return f"{sql} deletes {count} rows, sqlite another count"
+        deleted += count
+    left = db.execute("SELECT * FROM c").rows
+    for target in (db, connection):
+        target.execute("DELETE FROM c")
+        target.execute(
+            "INSERT INTO c VALUES " + ", ".join(
+                f"({', '.join(map(_literal, row))})" for row in rows
+            )
+        ) if rows else None
+    if deleted != len(rows) or left:
+        return f"the partitions of {predicate} deleted {deleted} of {len(rows)} rows"
     return None

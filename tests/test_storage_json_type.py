@@ -170,7 +170,8 @@ class TestQueries:
         assert db.execute("SELECT CAST(doc AS TEXT) FROM docs WHERE id = 10").rows == [(text,)]
         assert db.execute("SELECT doc || '' FROM docs WHERE id = 10").rows == [(text,)]
         # A LIKE over the column (the filter kernel) and over an expression
-        # (the evaluator) both match the JSON spelling.
+        # (the generic kernel over its compiled predicate) both match the
+        # JSON spelling.
         expected = [(i,) for i, doc in expected_rows() if doc == nested]
         for where in ("doc LIKE '%\"Zürich 湖\"%'", "doc || '' LIKE '%[\"nested\", [1, [2%'"):
             assert db.execute(f"SELECT id FROM docs WHERE {where} ORDER BY id").rows == expected

@@ -345,3 +345,22 @@ class TestMetaQueryIntegration:
         assert "Plan cache" in panel
         assert "query_storage" in panel
         assert "hit rate" in panel
+
+
+@pytest.mark.parametrize(
+    "first, second, rows",
+    [
+        ("SELECT a - (b - c) FROM t", "SELECT (a - b) - c FROM t", [(3,)]),
+        ("SELECT * FROM t WHERE (a > 2) IS NULL", "SELECT * FROM t WHERE a > (2 IS NULL)",
+         [(10, 4, 3)]),
+    ],
+    ids=["arithmetic", "is-null"],
+)
+def test_grouping_is_part_of_the_template(first, second, rows):
+    """Two statements that differ only in how their operators group get
+    their own templates: the second never runs the first's cached plan."""
+    db = Database()
+    db.execute("CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER)")
+    db.insert_rows("t", [{"a": 10, "b": 4, "c": 3}])
+    db.execute(first)
+    assert db.execute(second).rows == rows
